@@ -109,9 +109,7 @@ func ratioChecks(s bench.Suite, defaultFloor float64) []string {
 		"score": {
 			{slow: "scoring/sequential", fast: "scoring/batched"},
 			// The packed float32 kernels must beat the batched float64 path
-			// on the machine the gate runs on. int8 gets a baseline entry but
-			// no ratio floor: its win over f32 is footprint and memory
-			// bandwidth, which a single-core CI runner does not reward.
+			// on the machine the gate runs on.
 			{slow: "scoring/batched", fast: "scoring/f32"},
 		},
 		"train": {{slow: "training/per-sample", fast: "training/batched"}},

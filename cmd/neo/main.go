@@ -37,7 +37,7 @@ func main() {
 		fuse         = flag.Bool("fuse-scoring", false, "fuse concurrent plan searches' value-network scoring into shared forward passes (plans and trained weights are bit-identical either way)")
 		maxFused     = flag.Int("max-fused-batch", 0, "row cap of one fused forward pass (0 = default 64)")
 		fuseLinger   = flag.Duration("fuse-linger", 0, "longest a scoring submission waits to be fused (0 = default 200µs)")
-		scorePrec    = flag.String("score-precision", "float64", "numeric format the frozen serving snapshot scores plans with: float64 (exact, default), float32 (packed tiled-GEMM kernels) or int8 (calibrated quantization). Training and checkpoints always stay float64.")
+		scorePrec    = flag.String("score-precision", "float64", "numeric format the frozen serving snapshot scores plans with: float64 (exact, default) or float32 (packed tiled-GEMM kernels). Training and checkpoints always stay float64.")
 		routing      = flag.String("routing", "full", "query routing: full (every query takes the learned best-first search), fastpath (statistics-free greedy planner for every query) or auto (per-class fast path vs full search, refined online from observed-latency regret)")
 	)
 	flag.Parse()

@@ -79,7 +79,8 @@ type Config struct {
 	// everywhere — FORMAT.md freezes the wire format as little-endian.
 	WirePkg string
 	// Strict additionally reports suppression comments that no longer
-	// suppress any finding.
+	// suppress any finding, and FrozenTypes/FrozenAllow entries that name
+	// nothing declared in their (loaded) package.
 	Strict bool
 	// EnabledChecks restricts which checks run (nil means all).
 	EnabledChecks []string
@@ -99,7 +100,6 @@ func DefaultConfig() Config {
 		FrozenTypes: []string{
 			"neo/internal/valuenet.Snapshot",
 			"neo/internal/valuenet.netF32",
-			"neo/internal/valuenet.netI8",
 			"neo/internal/core.netSnapshot",
 		},
 		FrozenAllow: []string{
@@ -201,14 +201,20 @@ func enclosingFuncName(pkg *Package, pos token.Pos) string {
 			if !ok || pos < fn.Pos() || pos > fn.End() {
 				continue
 			}
-			name := pkg.Path + "."
-			if fn.Recv != nil && len(fn.Recv.List) > 0 {
-				name += recvTypeName(fn.Recv.List[0].Type) + "."
-			}
-			return name + fn.Name.Name
+			return funcDeclName(pkg, fn)
 		}
 	}
 	return ""
+}
+
+// funcDeclName returns fn's fully-qualified name in the FrozenAllow
+// spelling: "pkgpath.Func" or "pkgpath.Recv.Func".
+func funcDeclName(pkg *Package, fn *ast.FuncDecl) string {
+	name := pkg.Path + "."
+	if fn.Recv != nil && len(fn.Recv.List) > 0 {
+		name += recvTypeName(fn.Recv.List[0].Type) + "."
+	}
+	return name + fn.Name.Name
 }
 
 // recvTypeName extracts the bare receiver type name from a receiver type

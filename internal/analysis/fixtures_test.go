@@ -8,10 +8,11 @@ import (
 )
 
 // The fixture harness: each package under testdata/src seeds deliberate
-// violations, and every `// want "substring"` comment is an expectation —
-// exactly one finding on that line whose "check: message" contains the
-// substring. Lines without a want comment must stay silent, so the harness
-// tests both directions: checks fire where they should and nowhere else.
+// violations, and every `want "substring"` in a `// want ...` comment is an
+// expectation — exactly one finding on that line whose "check: message"
+// contains the substring. Lines without a want comment must stay silent, so
+// the harness tests both directions: checks fire where they should and
+// nowhere else.
 
 // fixtureBase is the import path prefix of the fixture packages.
 const fixtureBase = "neo/internal/analysis/testdata/src/"
@@ -46,7 +47,7 @@ func loadFixturePkgs(t *testing.T, dirs ...string) []*Package {
 	return pkgs
 }
 
-var wantRE = regexp.MustCompile(`// want "([^"]*)"`)
+var wantRE = regexp.MustCompile(`want "([^"]*)"`)
 
 type wantComment struct {
 	file    string
@@ -61,12 +62,13 @@ func collectWants(pkgs []*Package) []*wantComment {
 		for _, file := range pkg.Files {
 			for _, group := range file.Comments {
 				for _, c := range group.List {
-					m := wantRE.FindStringSubmatch(c.Text)
-					if m == nil {
+					if !strings.Contains(c.Text, "// want ") {
 						continue
 					}
 					pos := pkg.Fset.Position(c.Pos())
-					wants = append(wants, &wantComment{file: pos.Filename, line: pos.Line, text: m[1]})
+					for _, m := range wantRE.FindAllStringSubmatch(c.Text, -1) {
+						wants = append(wants, &wantComment{file: pos.Filename, line: pos.Line, text: m[1]})
+					}
 				}
 			}
 		}
@@ -119,14 +121,32 @@ func TestDetrangeSilentOutsideDeterminismPkgs(t *testing.T) {
 }
 
 func TestFrozenwriteFixture(t *testing.T) {
-	checkFixture(t, Config{
-		FrozenTypes: []string{fixtureBase + "frozenwrite.Snapshot"},
+	cfg := Config{
+		FrozenTypes: []string{
+			fixtureBase + "frozenwrite.Snapshot",
+			fixtureBase + "frozenwrite.Panels",
+			// Entries that name nothing: strict mode reports those of a
+			// loaded package (at its package clause) and cannot judge the
+			// rest.
+			fixtureBase + "frozenwrite.RenamedAway",
+			fixtureBase + "notloaded.Snapshot",
+		},
 		FrozenAllow: []string{
 			fixtureBase + "frozenwrite.build",
 			fixtureBase + "frozenwrite.Network.Publish",
+			fixtureBase + "frozenwrite.Panels.pack",
+			fixtureBase + "frozenwrite.Network.RenamedAway",
 		},
 		Strict: true,
-	}, "frozenwrite")
+	}
+	checkFixture(t, cfg, "frozenwrite")
+
+	cfg.Strict = false
+	for _, f := range Run(cfg, loadFixturePkgs(t, "frozenwrite")) {
+		if strings.Contains(f.Message, "resolves to no") {
+			t.Errorf("unresolved config entry reported without -strict: %s", f)
+		}
+	}
 }
 
 func TestWalltimeFixture(t *testing.T) {

@@ -3,20 +3,25 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // frozenwriteCheck flags assignments that mutate a frozen snapshot type
 // outside its designated constructor/swap sites. The repository's scoring
 // path depends on snapshots being immutable after publication: valuenet's
-// Snapshot (and its netF32/netI8 predictors) and core's netSnapshot are
-// built once, then swapped in atomically and read lock-free by every
-// serving goroutine. A write to a published snapshot is a data race that no
+// Snapshot (and its netF32 predictor) and core's netSnapshot are built once,
+// then swapped in atomically and read lock-free by every serving goroutine. A write to a published snapshot is a data race that no
 // test reliably catches — the race detector only sees interleavings that
 // actually happen — so the check bans the write syntactically: any
 // assignment whose left-hand side reaches through a value of a frozen type
 // is an error unless it occurs inside a function listed in
 // Config.FrozenAllow. Building a snapshot with a composite literal is
 // construction, not mutation, and stays legal everywhere.
+//
+// Both lists name declarations by string, so a rename would silently drop
+// the protection (or the exemption). In strict mode every entry that belongs
+// to the package under inspection must therefore still resolve to a type,
+// respectively a function, declared there.
 var frozenwriteCheck = &Check{
 	Name: "frozenwrite",
 	Doc:  "mutation of a frozen snapshot type outside its designated constructor/swap sites",
@@ -35,6 +40,9 @@ func runFrozenwrite(p *Pass) {
 	for _, f := range p.Cfg.FrozenAllow {
 		allow[f] = true
 	}
+	if p.Cfg.Strict {
+		reportUnresolvedFrozen(p)
+	}
 	for _, file := range p.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch st := n.(type) {
@@ -47,6 +55,38 @@ func runFrozenwrite(p *Pass) {
 			}
 			return true
 		})
+	}
+}
+
+// reportUnresolvedFrozen reports, at the package clause, every FrozenTypes
+// and FrozenAllow entry of this package that no longer names a declaration.
+func reportUnresolvedFrozen(p *Pass) {
+	if len(p.Pkg.Files) == 0 {
+		return
+	}
+	at := p.Pkg.Files[0].Package
+	prefix := p.Pkg.Path + "."
+	for _, t := range p.Cfg.FrozenTypes {
+		name, ok := strings.CutPrefix(t, prefix)
+		if !ok {
+			continue
+		}
+		if _, isType := p.Pkg.Types.Scope().Lookup(name).(*types.TypeName); !isType {
+			p.Reportf(at, "FrozenTypes entry %s resolves to no type declaration; a renamed frozen type has lost its protection", t)
+		}
+	}
+	funcs := make(map[string]bool)
+	for _, file := range p.Pkg.Files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				funcs[funcDeclName(p.Pkg, fn)] = true
+			}
+		}
+	}
+	for _, f := range p.Cfg.FrozenAllow {
+		if strings.HasPrefix(f, prefix) && !funcs[f] {
+			p.Reportf(at, "FrozenAllow entry %s resolves to no function declaration; drop or rename the exemption", f)
+		}
 	}
 }
 

@@ -110,3 +110,26 @@ func suppressed(m map[string]int) []string {
 	}
 	return out
 }
+
+// Methods on generic receivers are checked like any other: the map ranged
+// over may be a field of the instantiated receiver.
+type registry[T float32 | float64] struct {
+	byName map[string]T
+}
+
+func (r *registry[T]) total() T {
+	var sum T
+	for _, v := range r.byName { // want "accumulates into sum"
+		sum += v
+	}
+	return sum
+}
+
+func (r *registry[T]) names() []string {
+	out := make([]string, 0, len(r.byName))
+	for k := range r.byName { // collect-then-sort inside a generic method: no finding
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}

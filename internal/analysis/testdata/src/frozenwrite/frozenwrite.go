@@ -1,7 +1,9 @@
 // Package frozenwrite is a neo-lint self-test fixture. Snapshot stands in
 // for the repo's frozen snapshot types; fixtures_test.go configures it as
-// frozen with build and Network.Publish as the designated writers.
-package frozenwrite
+// frozen with build and Network.Publish as the designated writers — plus one
+// FrozenTypes and one FrozenAllow entry that name nothing declared here,
+// which strict mode reports at the package clause.
+package frozenwrite // want "FrozenTypes entry neo/internal/analysis/testdata/src/frozenwrite.RenamedAway resolves to no type" want "FrozenAllow entry neo/internal/analysis/testdata/src/frozenwrite.Network.RenamedAway resolves to no function"
 
 type Snapshot struct {
 	Version int
@@ -59,4 +61,23 @@ func build() *Snapshot {
 
 func suppressedWrite(s *Snapshot) {
 	s.Version = 9 //neo:lint-ok frozenwrite fixture demonstrates a reviewed in-place patch
+}
+
+// Panels is a frozen generic type (configured as frozenwrite.Panels): both
+// an instantiated value and the receiver of one of its own methods are
+// frozen, and a method can be a designated writer (Panels.pack).
+type Panels[T float32 | float64] struct {
+	W []T
+}
+
+func scale(p *Panels[float32]) {
+	p.W[0] *= 2 // want "mutates frozen type"
+}
+
+func (p *Panels[T]) zero() {
+	p.W[0] = 0 // want "mutates frozen type"
+}
+
+func (p *Panels[T]) pack(w []T) {
+	p.W = w // designated writer on a generic receiver (FrozenAllow): no finding
 }

@@ -97,3 +97,20 @@ func (c *counter) Suppressed() int {
 func (c *counter) Unguarded() sync.RWMutex {
 	return c.mu // the mutex itself is not a guarded field: no finding
 }
+
+// pool is a generic type: its methods' receivers are spelled *pool[T], and
+// the annotations on its fields must bind to them all the same.
+type pool[T any] struct {
+	mu    sync.Mutex
+	items []T // guarded by mu
+}
+
+func (p *pool[T]) Put(v T) {
+	p.mu.Lock()
+	p.items = append(p.items, v)
+	p.mu.Unlock()
+}
+
+func (p *pool[T]) Len() int {
+	return len(p.items) // want "read without holding"
+}

@@ -120,17 +120,12 @@ func newFixture(batchSize, trainWorkers int) *fixture {
 }
 
 // Scoring measures batched versus sequential inference at batch 32 (the
-// BenchmarkBatchedVsSequentialScoring pair), plus the reduced-precision
-// snapshot kernels over the same batch: packed float32 tiled-GEMM panels and
-// the calibrated int8 mode (calibrated on the fixture's own samples).
+// BenchmarkBatchedVsSequentialScoring pair), plus the packed float32
+// tiled-GEMM snapshot kernels over the same batch.
 func Scoring() Suite {
 	const batchSize = 32
 	f := newFixture(batchSize, 1)
-	s32 := f.net.SnapshotPrecision(valuenet.PrecisionFloat32, nil)
-	s8 := f.net.SnapshotPrecision(valuenet.PrecisionInt8, f.samples)
-	if s8.Precision() != valuenet.PrecisionInt8 {
-		panic("bench: int8 snapshot fell back despite calibration samples")
-	}
+	s32 := f.net.SnapshotPrecision(valuenet.PrecisionFloat32)
 	return Suite{Suite: "score", Benchmarks: []Result{
 		measure("scoring/sequential", func(b *testing.B) {
 			b.ReportAllocs()
@@ -150,12 +145,6 @@ func Scoring() Suite {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s32.PredictBatch(f.queries, f.forests)
-			}
-		}),
-		measure("scoring/int8", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s8.PredictBatch(f.queries, f.forests)
 			}
 		}),
 	}}

@@ -31,6 +31,26 @@ import (
 // version on trainer /snapshot responses.
 const HeaderNetVersion = "X-Neo-Net-Version"
 
+// MaxRequestBytes bounds every JSON request body the router, the replicas and
+// the trainer accept; query specs and control messages are a few KiB.
+const MaxRequestBytes = 1 << 20
+
+// DecodeRequest decodes r's JSON body into v, reading at most
+// MaxRequestBytes of it. On failure it also returns the HTTP status to answer
+// with: 413 for an oversized body, 400 for anything else.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
+}
+
 // QuerySpec is the JSON representation of a query.
 type QuerySpec struct {
 	// ID labels the query in responses. Internally queries are always keyed

@@ -53,7 +53,7 @@ func NewRouter(replicas []string, client proto.Client) (*Router, error) {
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
 func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, proto.MaxRequestBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return
@@ -67,7 +67,7 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, proto.MaxRequestBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -360,8 +359,8 @@ func (t *Trainer) handleRollout(w http.ResponseWriter, r *http.Request) {
 	}
 	var req proto.SnapshotRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding rollout request: %w", err))
+		if code, err := proto.DecodeRequest(w, r, &req); err != nil {
+			httpError(w, code, fmt.Errorf("decoding rollout request: %w", err))
 			return
 		}
 	}

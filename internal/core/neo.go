@@ -94,12 +94,10 @@ type Config struct {
 	// 200µs). Only meaningful with FuseScoring.
 	FuseLinger time.Duration
 	// ScorePrecision selects the numeric format serving snapshots score
-	// with: float64 (the exact training kernels, the zero value), float32
-	// (packed tiled-GEMM panels), or int8 (symmetric per-channel quantized
-	// with calibrated activation scales; falls back to float32 until the
-	// experience holds calibration samples). Conversion happens once per
-	// snapshot publication, inside the atomic swap — training and
-	// checkpoints stay bit-identical float64 regardless of this setting.
+	// with: float64 (the exact training kernels, the zero value) or float32
+	// (packed tiled-GEMM panels). Conversion happens once per snapshot
+	// publication, inside the atomic swap — training and checkpoints stay
+	// bit-identical float64 regardless of this setting.
 	ScorePrecision valuenet.Precision
 	// Routing selects how queries are dispatched between the statistics-free
 	// greedy fast path (internal/fastpath) and the full DNN-guided best-first
@@ -307,96 +305,12 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 	return n
 }
 
-// calibrationSampleCap bounds how many recorded featurizations the int8
-// calibration pass runs at snapshot time; calibrationRandomCap additionally
-// bounds the random-plan featurizations mixed in to cover the search-space
-// activation ranges (plan search scores many candidates far from the
-// recorded demonstrations, and activations outside the calibrated absmax
-// clamp — so calibrating on demonstrations alone would saturate exactly the
-// states the search needs ranked).
-const (
-	calibrationSampleCap   = 96
-	calibrationRandomCap   = 256
-	calibrationRandomPlans = 6 // random plans per distinct recent query
-)
-
-// calibrationSamples returns featurizations for the int8 activation-scale
-// calibration: up to max recorded ones (for the most recent experience
-// entries, the complete plan plus the partial plans along its construction,
-// so the calibration covers leaf-heavy forests as well as full join trees),
-// plus construction states of deterministic random plans for the recent
-// distinct queries, which widen the calibrated ranges to what plan search
-// actually visits. Returns nil unless the configured precision is int8.
-func (n *Neo) calibrationSamples(max int) []valuenet.Sample {
-	if n.Config.ScorePrecision != valuenet.PrecisionInt8 {
-		return nil
-	}
-	entries := n.Experience.Entries()
-	var samples []valuenet.Sample
-	for i := len(entries) - 1; i >= 0 && len(samples) < max; i-- {
-		entry := entries[i]
-		qEnc := n.encodeQuery(entry.Query)
-		for _, partial := range constructionStates(entry.Plan) {
-			if len(samples) >= max {
-				break
-			}
-			samples = append(samples, valuenet.Sample{
-				Query: qEnc,
-				Plan:  n.Featurizer.EncodePlan(partial),
-			})
-		}
-	}
-	rng := rand.New(rand.NewSource(n.Config.Seed ^ 0x5ca1ab1e))
-	budget := calibrationRandomCap
-	seen := make(map[string]bool)
-	for i := len(entries) - 1; i >= 0 && budget > 0; i-- {
-		q := entries[i].Query
-		if seen[q.ID] {
-			continue
-		}
-		seen[q.ID] = true
-		qEnc := n.encodeQuery(q)
-		for r := 0; r < calibrationRandomPlans && budget > 0; r++ {
-			for _, partial := range constructionStates(n.randomPlan(q, rng)) {
-				if budget <= 0 {
-					break
-				}
-				samples = append(samples, valuenet.Sample{
-					Query: qEnc,
-					Plan:  n.Featurizer.EncodePlan(partial),
-				})
-				budget--
-			}
-		}
-	}
-	return samples
-}
-
-// randomPlan builds a uniformly random complete plan for q (random join
-// order, operators and access paths) — the calibration pass's stand-in for
-// the kinds of candidates plan search scores.
-func (n *Neo) randomPlan(q *query.Query, rng *rand.Rand) *plan.Plan {
-	p := plan.Initial(q)
-	opts := plan.ChildrenOptions{Catalog: n.Featurizer.Catalog}
-	for !p.IsComplete() {
-		kids := p.Children(opts)
-		if len(kids) == 0 {
-			kids = p.Children(plan.ChildrenOptions{Catalog: n.Featurizer.Catalog, AllowCrossProducts: true})
-			if len(kids) == 0 {
-				return p
-			}
-		}
-		p = kids[rng.Intn(len(kids))]
-	}
-	return p
-}
-
 // freezeNet converts the live network's current weights into a serving
-// snapshot at the configured scoring precision (the packing/quantization
-// step of a snapshot publication). Callers must guarantee no training round
+// snapshot at the configured scoring precision (the packing step of a
+// snapshot publication). Callers must guarantee no training round
 // is mutating the weights, exactly as for Net.Snapshot.
 func (n *Neo) freezeNet() *valuenet.Snapshot {
-	return n.Net.SnapshotPrecision(n.Config.ScorePrecision, n.calibrationSamples(calibrationSampleCap))
+	return n.Net.SnapshotPrecision(n.Config.ScorePrecision)
 }
 
 // SnapshotInfo reports the serving snapshot's scoring precision and memory
@@ -1106,7 +1020,8 @@ func (n *Neo) EvaluateParallel(queries []*query.Query, workers int) (float64, ma
 // query (used by the Figure 14 robustness analysis). It reads the serving
 // snapshot, so it is safe to call while a retraining round is in flight.
 func (n *Neo) PredictNormalized(q *query.Query, p *plan.Plan) float64 {
-	return n.Snapshot().PredictNormalized(n.encodeQuery(q), n.Featurizer.EncodePlan(p))
+	return n.Snapshot().PredictBatchNormalized(
+		[][]float64{n.encodeQuery(q)}, [][]*treeconv.Tree{n.Featurizer.EncodePlan(p)})[0]
 }
 
 // EncodePlanTrees is a convenience wrapper exposing the featurizer's plan

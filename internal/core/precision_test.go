@@ -8,33 +8,6 @@ import (
 	"neo/internal/valuenet"
 )
 
-// The int8 guarantees, in normalized-cost units (the value network's output
-// scale; the reference workload's plans span roughly [-2.5, 0.7]).
-//
-// Quantizing activations to 8 bits leaves a relative error floor around 2-3%
-// of the score scale, while the reference workload's search decisions are
-// separated by margins as small as 0.002 — so bit-identical plan choice under
-// int8 is not a property this (or any honest) int8 pipeline can promise.
-// What it promises instead, and what the parity suite asserts:
-//
-//   - per-state score deviation: on every search-visited construction state
-//     of the chosen plans, |int8 - float64| ≤ int8ScoreBound;
-//   - plan quality: the plan int8 scoring picks is one the float64 model
-//     itself scores within int8BestFirstQualityBound (resp.
-//     int8GreedyQualityBound) of its own choice — int8 only ever substitutes
-//     a plan the model considers equivalent within the documented bound.
-//
-// Greedy's bound is wider than BestFirst's because a flipped argmax at an
-// early join commits greedy to the subtree, while BestFirst's frontier keeps
-// the alternatives alive and re-ranks them on later, larger-margin states.
-// Measured maxima on the seeded workload: 0.276 per-state, 0.16 BestFirst,
-// 0.97 Greedy.
-const (
-	int8ScoreBound            = 0.35
-	int8BestFirstQualityBound = 0.5
-	int8GreedyQualityBound    = 1.25
-)
-
 // republishAt freezes the live network at the given scoring precision and
 // swaps it in as the serving snapshot, keeping the published version.
 func republishAt(n *Neo, p valuenet.Precision) {
@@ -97,127 +70,4 @@ func TestPlanChoiceParityFloat32(t *testing.T) {
 		}
 	}
 	republishAt(rig.neo, valuenet.PrecisionFloat64)
-}
-
-// TestPlanChoiceBoundedInt8 asserts the int8 guarantees documented above: a
-// calibrated int8 snapshot scores every search-visited state within
-// int8ScoreBound of float64, and the plans it picks are ones the float64
-// model scores within the per-strategy quality bounds of its own choices.
-// The run is deterministic: republishing the same weights at int8 twice
-// must reproduce the same plans bit-identically.
-func TestPlanChoiceBoundedInt8(t *testing.T) {
-	rig := newRig(t, "postgres")
-	n := rig.neo
-	if err := n.Bootstrap(rig.wl.Queries[:8], rig.expertFunc()); err != nil {
-		t.Fatal(err)
-	}
-
-	s64 := n.Net.SnapshotPrecision(valuenet.PrecisionFloat64, nil)
-	f64Best, f64Greedy := optimizeBoth(t, n, rig.wl.Queries)
-
-	republishAt(n, valuenet.PrecisionInt8)
-	if got := n.Snapshot().Precision(); got != valuenet.PrecisionInt8 {
-		t.Fatalf("published snapshot precision = %v, want int8", got)
-	}
-	s8 := n.Snapshot()
-	i8Best, i8Greedy := optimizeBoth(t, n, rig.wl.Queries)
-
-	// Per-state score deviation over the search-visited construction states
-	// of every chosen plan, both precisions' choices included.
-	for _, chosen := range []map[string]*plan.Plan{f64Best, f64Greedy, i8Best, i8Greedy} {
-		for id, p := range chosen {
-			q := queryByID(t, rig, id)
-			qEnc := n.encodeQuery(q)
-			for _, partial := range constructionStates(p) {
-				forest := n.Featurizer.EncodePlan(partial)
-				w := s64.PredictNormalized(qEnc, forest)
-				g := s8.PredictNormalized(qEnc, forest)
-				if d := abs(g - w); d > int8ScoreBound {
-					t.Errorf("%s: int8 score %v vs f64 %v on state %s (|Δ|=%g beyond bound %g)",
-						id, g, w, partial.Signature(), d, int8ScoreBound)
-				}
-			}
-		}
-	}
-
-	// Plan quality under the float64 model: int8 may substitute a plan, but
-	// only one the model scores as equivalent within the documented bound
-	// (one-sided — picking a better-scored plan is fine).
-	for id, want := range f64Best {
-		q := queryByID(t, rig, id)
-		qEnc := n.encodeQuery(q)
-		w := s64.PredictNormalized(qEnc, n.Featurizer.EncodePlan(want))
-		g := s64.PredictNormalized(qEnc, n.Featurizer.EncodePlan(i8Best[id]))
-		if g-w > int8BestFirstQualityBound {
-			t.Errorf("%s: int8 BestFirst plan scores %v under f64 model vs %v for the f64 choice (regression %g beyond bound %g)",
-				id, g, w, g-w, int8BestFirstQualityBound)
-		}
-	}
-	for id, want := range f64Greedy {
-		q := queryByID(t, rig, id)
-		qEnc := n.encodeQuery(q)
-		w := s64.PredictNormalized(qEnc, n.Featurizer.EncodePlan(want))
-		g := s64.PredictNormalized(qEnc, n.Featurizer.EncodePlan(i8Greedy[id]))
-		if g-w > int8GreedyQualityBound {
-			t.Errorf("%s: int8 Greedy plan scores %v under f64 model vs %v for the f64 choice (regression %g beyond bound %g)",
-				id, g, w, g-w, int8GreedyQualityBound)
-		}
-	}
-
-	// Determinism: republish the same weights at int8 and replay.
-	republishAt(n, valuenet.PrecisionInt8)
-	againBest, againGreedy := optimizeBoth(t, n, rig.wl.Queries)
-	for id := range i8Best {
-		if i8Best[id].Signature() != againBest[id].Signature() ||
-			i8Greedy[id].Signature() != againGreedy[id].Signature() {
-			t.Errorf("%s: int8 plan choice not deterministic across republish", id)
-		}
-	}
-	republishAt(n, valuenet.PrecisionFloat64)
-}
-
-func queryByID(t *testing.T, rig *testRig, id string) *query.Query {
-	t.Helper()
-	for _, q := range rig.wl.Queries {
-		if q.ID == id {
-			return q
-		}
-	}
-	t.Fatalf("query %s not in workload", id)
-	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// TestInt8SnapshotCalibratesFromExperience verifies the serving pipeline's
-// calibration plumbing: a bootstrapped system configured for int8 publishes a
-// genuinely quantized snapshot (the experience provides calibration
-// featurizations), and its footprint report shows the smaller panels.
-func TestInt8SnapshotCalibratesFromExperience(t *testing.T) {
-	rig := newRig(t, "postgres")
-	if err := rig.neo.Bootstrap(rig.wl.Queries[:4], rig.expertFunc()); err != nil {
-		t.Fatal(err)
-	}
-	republishAt(rig.neo, valuenet.PrecisionInt8)
-
-	info := rig.neo.SnapshotInfo()
-	if info.Precision != "int8" {
-		t.Fatalf("Info().Precision = %q, want int8 (experience should provide calibration samples)", info.Precision)
-	}
-	if info.PanelBytes == 0 || info.PanelBytes >= info.ParamBytes {
-		t.Fatalf("int8 panels not smaller than float64 master: %+v", info)
-	}
-
-	// A fresh int8 system with an empty experience has nothing to calibrate
-	// from and must fall back to float32 serving.
-	cfg := rig.neo.Config
-	empty := New(rig.eng, rig.feat, cfg)
-	if got := empty.SnapshotInfo().Precision; got != "float32" {
-		t.Fatalf("empty-experience int8 system serves %q, want float32 fallback", got)
-	}
 }

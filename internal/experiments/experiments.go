@@ -303,15 +303,17 @@ func outputsForBucket(n *core.Neo, bucket string, orders float64, seed int64) []
 		n.Featurizer.Error = nil
 	}
 	defer func() { n.Featurizer.Error = nil }()
-	var out []float64
+	var queries [][]float64
+	var forests [][]*treeconv.Tree
 	for _, entry := range n.Experience.Entries() {
 		joins := entry.Query.NumJoins()
 		if (bucket == "<=3" && joins > 3) || (bucket == ">3" && joins <= 3) {
 			continue
 		}
-		out = append(out, n.PredictNormalized(entry.Query, entry.Plan))
+		queries = append(queries, n.Featurizer.EncodeQuery(entry.Query))
+		forests = append(forests, n.EncodePlanTrees(entry.Plan))
 	}
-	return out
+	return n.Snapshot().PredictBatchNormalized(queries, forests)
 }
 
 func stddevDiff(base, shifted []float64) float64 {
@@ -669,6 +671,6 @@ func flatScorer(n *core.Neo, q *query.Query) search.BatchScorer {
 			})
 		}
 		flat := []*treeconv.Tree{treeconv.NewLeaf(sum)}
-		return n.Net.Predict(n.Featurizer.EncodeQuery(q), flat)
+		return n.Net.PredictBatch([][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{flat})[0]
 	})
 }

@@ -9,14 +9,18 @@
 // inference produce bit-identical results.
 package nn
 
+// Float is the element type of the batched containers: float64 for training
+// and exact scoring, float32 for the packed serving kernels.
+type Float interface{ float32 | float64 }
+
 // Arena is a bump allocator for scratch buffers used by batched forward
 // passes. Alloc hands out sub-slices of one backing array; Reset recycles the
 // whole arena at once. After a warm-up call with the largest batch shape, no
 // further heap allocations occur. An Arena is not safe for concurrent use;
 // callers that share a network across goroutines keep one arena per goroutine
 // (see valuenet's scratch pool).
-type Arena struct {
-	buf  []float64
+type Arena[T Float] struct {
+	buf  []T
 	used int
 	// grow accumulates overflow demand so the next Reset can right-size the
 	// backing array without invalidating slices handed out this cycle.
@@ -25,13 +29,13 @@ type Arena struct {
 
 // Alloc returns a scratch slice of length n. The memory is NOT zeroed;
 // callers must overwrite every element.
-func (a *Arena) Alloc(n int) []float64 {
+func (a *Arena[T]) Alloc(n int) []T {
 	if a.used+n > len(a.buf) {
 		// The backing array is full. Serve this request from a fresh
 		// allocation (earlier slices stay valid) and remember the shortfall
 		// so Reset grows the arena for the next cycle.
 		a.grow += n
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s := a.buf[a.used : a.used+n : a.used+n]
 	a.used += n
@@ -40,18 +44,34 @@ func (a *Arena) Alloc(n int) []float64 {
 
 // Reset recycles the arena. Slices returned by Alloc before the Reset must no
 // longer be in use.
-func (a *Arena) Reset() {
+func (a *Arena[T]) Reset() {
 	if a.grow > 0 {
-		a.buf = make([]float64, len(a.buf)+a.grow)
+		a.buf = make([]T, len(a.buf)+a.grow)
 		a.grow = 0
 	}
 	a.used = 0
 }
 
+// LeakyInPlace applies the leaky rectifier over xs in place. Activation signs
+// are data-dependent, so instead of branching per element each value is
+// multiplied by 1 or alpha, selected by a flag the compiler materialises
+// without a jump; v·1 is exact, so results are bit-identical to the branching
+// form.
+func LeakyInPlace[T Float](xs []T, alpha T) {
+	scale := [2]T{1, alpha}
+	for i, v := range xs {
+		neg := 0
+		if v < 0 {
+			neg = 1
+		}
+		xs[i] = v * scale[neg]
+	}
+}
+
 // ForwardBatch computes y = W·x + b for rows row-major input rows stored
 // contiguously in xs (rows×In values) and returns rows×Out values allocated
 // from the arena.
-func (l *Linear) ForwardBatch(xs []float64, rows int, a *Arena) []float64 {
+func (l *Linear) ForwardBatch(xs []float64, rows int, a *Arena[float64]) []float64 {
 	if len(xs) != rows*l.In {
 		panic("nn: Linear.ForwardBatch input size mismatch")
 	}
@@ -98,7 +118,7 @@ func (l *Linear) ForwardBatch(xs []float64, rows int, a *Arena) []float64 {
 }
 
 // ForwardBatch applies the activation elementwise over a flattened batch.
-func (r *LeakyReLU) ForwardBatch(xs []float64, a *Arena) []float64 {
+func (r *LeakyReLU) ForwardBatch(xs []float64, a *Arena[float64]) []float64 {
 	ys := a.Alloc(len(xs))
 	for i, v := range xs {
 		if v >= 0 {
@@ -112,7 +132,7 @@ func (r *LeakyReLU) ForwardBatch(xs []float64, a *Arena) []float64 {
 
 // ForwardBatch normalises each of the rows rows of xs independently (xs holds
 // rows×Dim values row-major).
-func (ln *LayerNorm) ForwardBatch(xs []float64, rows int, a *Arena) []float64 {
+func (ln *LayerNorm) ForwardBatch(xs []float64, rows int, a *Arena[float64]) []float64 {
 	if len(xs) != rows*ln.Dim {
 		panic("nn: LayerNorm.ForwardBatch input size mismatch")
 	}
@@ -131,7 +151,7 @@ func (ln *LayerNorm) ForwardBatch(xs []float64, rows int, a *Arena) []float64 {
 // ForwardBatch runs the MLP over a batch of rows input rows (inference only;
 // no tape is recorded). xs holds rows×inputDim values row-major; the result
 // holds rows×outputDim values allocated from the arena.
-func (m *MLP) ForwardBatch(xs []float64, rows int, a *Arena) []float64 {
+func (m *MLP) ForwardBatch(xs []float64, rows int, a *Arena[float64]) []float64 {
 	cur := xs
 	last := len(m.Linears) - 1
 	for i, lin := range m.Linears {

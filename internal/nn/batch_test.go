@@ -18,7 +18,7 @@ func TestLinearForwardBatchMatchesForward(t *testing.T) {
 	lin := NewLinear(7, 5, rng)
 	const rows = 9
 	xs := randRows(rng, rows, 7)
-	var arena Arena
+	var arena Arena[float64]
 	ys := lin.ForwardBatch(xs, rows, &arena)
 	for r := 0; r < rows; r++ {
 		want := lin.Forward(xs[r*7 : (r+1)*7])
@@ -37,7 +37,7 @@ func TestMLPForwardBatchMatchesForward(t *testing.T) {
 		mlp := NewMLP([]int{6, 12, 8, 3}, useNorm, rng)
 		const rows = 11
 		xs := randRows(rng, rows, 6)
-		var arena Arena
+		var arena Arena[float64]
 		ys := mlp.ForwardBatch(xs, rows, &arena)
 		for r := 0; r < rows; r++ {
 			want := mlp.Forward(xs[r*6 : (r+1)*6]).Output()
@@ -56,7 +56,7 @@ func TestArenaReuseDoesNotAllocate(t *testing.T) {
 	mlp := NewMLP([]int{8, 16, 4}, true, rng)
 	const rows = 16
 	xs := randRows(rng, rows, 8)
-	var arena Arena
+	var arena Arena[float64]
 	// Warm up: grows the arena to its steady-state size.
 	mlp.ForwardBatch(xs, rows, &arena)
 	arena.Reset()
@@ -72,7 +72,7 @@ func TestArenaReuseDoesNotAllocate(t *testing.T) {
 }
 
 func TestArenaOverflowSlicesStayValid(t *testing.T) {
-	var arena Arena
+	var arena Arena[float64]
 	a := arena.Alloc(4) // overflow: arena starts empty
 	for i := range a {
 		a[i] = float64(i)

@@ -11,11 +11,5 @@ func gemmPanel8(x, w, y, bias *float32, rows, kUsed, xStride, yStride int, mask 
 	panic("nn: gemmPanel8 without AVX2")
 }
 
-// gemmQuadI8 is never called when useAVX2 is false; this stub keeps the
-// call site compiling on other architectures.
-func gemmQuadI8(x, w *int8, blocks, wStride int, acc *int32) {
-	panic("nn: gemmQuadI8 without AVX2")
-}
-
 // SetScalarGemmForTest is a no-op without an assembly kernel to toggle.
 func SetScalarGemmForTest(scalar bool) (prev bool) { return true }

@@ -70,7 +70,7 @@ func (t *MLPBatchTape) Rows() int { return t.rows }
 // ForwardBatchTape runs the MLP over rows input rows, recording a tape for
 // BackwardBatch. It performs the same operations as ForwardBatch (and, per
 // row, the same operations as the per-sample Forward).
-func (m *MLP) ForwardBatchTape(xs []float64, rows int, a *Arena) *MLPBatchTape {
+func (m *MLP) ForwardBatchTape(xs []float64, rows int, a *Arena[float64]) *MLPBatchTape {
 	t := &MLPBatchTape{rows: rows}
 	cur := xs
 	last := len(m.Linears) - 1
@@ -98,7 +98,7 @@ func (m *MLP) ForwardBatchTape(xs []float64, rows int, a *Arena) *MLPBatchTape {
 // BackwardBatch propagates the rows×Out gradient matrix through the taped
 // forward pass, accumulating parameter gradients, and returns the rows×In
 // gradient with respect to the inputs.
-func (m *MLP) BackwardBatch(t *MLPBatchTape, gradOut []float64, a *Arena) []float64 {
+func (m *MLP) BackwardBatch(t *MLPBatchTape, gradOut []float64, a *Arena[float64]) []float64 {
 	grad := gradOut
 	last := len(m.Linears) - 1
 	for i := last; i >= 0; i-- {
@@ -117,7 +117,7 @@ func (m *MLP) BackwardBatch(t *MLPBatchTape, gradOut []float64, a *Arena) []floa
 // their output gradients, and returns the input-gradient matrix. Row r is
 // processed exactly like Backward(x_r, gradOut_r), and parameter gradients
 // accumulate in row order.
-func (l *Linear) BackwardBatch(xs, gradOut []float64, rows int, a *Arena) []float64 {
+func (l *Linear) BackwardBatch(xs, gradOut []float64, rows int, a *Arena[float64]) []float64 {
 	if len(xs) != rows*l.In || len(gradOut) != rows*l.Out {
 		panic("nn: Linear.BackwardBatch size mismatch")
 	}
@@ -145,7 +145,7 @@ func (l *Linear) BackwardBatch(xs, gradOut []float64, rows int, a *Arena) []floa
 
 // BackwardBatch returns the activation's input gradient over a flattened
 // batch.
-func (r *LeakyReLU) BackwardBatch(xs, gradOut []float64, a *Arena) []float64 {
+func (r *LeakyReLU) BackwardBatch(xs, gradOut []float64, a *Arena[float64]) []float64 {
 	gradIn := a.Alloc(len(xs))
 	for i, v := range xs {
 		if v >= 0 {
@@ -160,7 +160,7 @@ func (r *LeakyReLU) BackwardBatch(xs, gradOut []float64, a *Arena) []float64 {
 // BackwardBatch accumulates gamma/beta gradients for rows input rows and
 // returns the input-gradient matrix; each row is processed exactly like
 // Backward.
-func (ln *LayerNorm) BackwardBatch(xs, gradOut []float64, rows int, a *Arena) []float64 {
+func (ln *LayerNorm) BackwardBatch(xs, gradOut []float64, rows int, a *Arena[float64]) []float64 {
 	if len(xs) != rows*ln.Dim || len(gradOut) != rows*ln.Dim {
 		panic("nn: LayerNorm.BackwardBatch size mismatch")
 	}

@@ -22,7 +22,7 @@ func TestMLPBackwardBatchMatchesBackward(t *testing.T) {
 		xs := randRows(rng, rows, 7)
 		gradOut := randRows(rng, rows, 3)
 
-		var arena Arena
+		var arena Arena[float64]
 		tape := batched.ForwardBatchTape(xs, rows, &arena)
 		gotGradIn := batched.BackwardBatch(tape, gradOut, &arena)
 
@@ -81,7 +81,7 @@ func TestShadowGradSharesValuesNotGrads(t *testing.T) {
 
 	// A backward pass through the shadow must leave the original's gradients
 	// untouched.
-	var arena Arena
+	var arena Arena[float64]
 	xs := randRows(rng, 3, 4)
 	tape := s.ForwardBatchTape(xs, 3, &arena)
 	s.BackwardBatch(tape, randRows(rng, 3, 2), &arena)
@@ -119,7 +119,7 @@ func TestLayerNormBackwardBatchMatchesBackward(t *testing.T) {
 	xs := randRows(rng, rows, dim)
 	gradOut := randRows(rng, rows, dim)
 
-	var arena Arena
+	var arena Arena[float64]
 	got := batched.BackwardBatch(xs, gradOut, rows, &arena)
 	for r := 0; r < rows; r++ {
 		want := reference.Backward(xs[r*dim:(r+1)*dim], gradOut[r*dim:(r+1)*dim])

@@ -10,7 +10,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -327,8 +326,8 @@ func (s *Server) SyncSnapshot(ctx context.Context, version uint64) (uint64, erro
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req proto.SnapshotRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding snapshot request: %w", err))
+		if code, err := proto.DecodeRequest(w, r, &req); err != nil {
+			httpError(w, code, fmt.Errorf("decoding snapshot request: %w", err))
 			return
 		}
 	}

@@ -330,8 +330,8 @@ func (s *Server) optimizeStable(q *neo.Query) (*neo.Plan, *neo.SearchResult, uin
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var spec QuerySpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding query: %w", err))
+	if code, err := proto.DecodeRequest(w, r, &spec); err != nil {
+		httpError(w, code, fmt.Errorf("decoding query: %w", err))
 		return
 	}
 	q, err := s.buildQuery(&spec)
@@ -361,8 +361,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding feedback: %w", err))
+	if code, err := proto.DecodeRequest(w, r, &req); err != nil {
+		httpError(w, code, fmt.Errorf("decoding feedback: %w", err))
 		return
 	}
 	if req.LatencyMS <= 0 || math.IsNaN(req.LatencyMS) || math.IsInf(req.LatencyMS, 0) {
@@ -481,10 +481,9 @@ type Stats struct {
 	// opened without fused scoring.
 	Fusion neo.FusionStats `json:"fusion"`
 	// Snapshot reports the serving snapshot's scoring precision and memory
-	// footprint: "float64" is the exact training format, "float32"/"int8"
-	// are the packed inference-kernel formats converted once per snapshot
-	// publication (see the -score-precision flag). An int8 deployment shows
-	// "float32" until a retrain gives it calibration material.
+	// footprint: "float64" is the exact training format, "float32" the
+	// packed inference-kernel format converted once per snapshot publication
+	// (see the -score-precision flag).
 	Snapshot neo.SnapshotInfo `json:"snapshot"`
 	// Storage reports the disk backend's buffer-pool counters — hit rate,
 	// evictions, bytes read from the heap files. Omitted (nil) when the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"neo/internal/cluster/proto"
 	"neo/pkg/neo"
 )
 
@@ -329,6 +331,31 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	req := FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 0}
 	if code := postJSON(t, ts.URL+"/feedback", req, nil); code != http.StatusBadRequest {
 		t.Errorf("zero latency: status %d, want 400", code)
+	}
+
+	// Oversized bodies. Behind more leading whitespace than the body bound,
+	// each request is one an unbounded read would serve; bounded, decoding
+	// stops with 413 before buildQuery sees a spec.
+	pad := bytes.Repeat([]byte(" "), proto.MaxRequestBytes+1)
+	for path, body := range map[string]any{
+		"/optimize": specFor(queries[0]),
+		"/feedback": FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 5},
+	} {
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", io.MultiReader(bytes.NewReader(pad), bytes.NewReader(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized %s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if st := getStats(t, ts.URL); st.Optimizes != 0 || st.Feedbacks != 0 {
+		t.Errorf("rejected requests were served: %d optimizes, %d feedbacks", st.Optimizes, st.Feedbacks)
 	}
 
 	// Wrong method.

@@ -1,14 +1,17 @@
 // Batched tree convolution. The pointer-chasing per-tree Forward in
-// treeconv.go remains the training path; the inference hot path flattens a
+// treeconv.go is the reference implementation; scoring and training flatten a
 // whole batch of forests — every node of every tree of every sample — into
-// contiguous arrays once, then convolves all nodes of the batch inside flat
+// contiguous arrays once, then convolve all nodes of the batch inside flat
 // loops with no per-node allocations. Structure is expressed as child
 // indices, with -1 standing in for the zero-padded children the paper
 // attaches to leaves.
 //
-// The batched convolution performs the same floating-point operations in the
-// same order per node as Layer.convolve, so batched and per-tree inference
-// produce bit-identical results.
+// This file holds the containers, generic over the element type, and the
+// float64 inference pass; the float64 kernels it shares with training live in
+// train.go and the packed float32 pass in f32.go. The float64 convolution
+// performs the same floating-point operations in the same order per node as
+// Layer.convolve, so batched and per-tree inference produce bit-identical
+// results.
 package treeconv
 
 import (
@@ -20,34 +23,37 @@ import (
 // Batch is a forest batch flattened into index form: node i carries the
 // Channels-vector Data[i*Channels:(i+1)*Channels], its children are the nodes
 // Left[i] and Right[i] (-1 when absent, convolved as all-zero vectors), and
-// it belongs to forest Sample[i] of the batch.
-type Batch struct {
+// it belongs to forest Sample[i] of the batch. The element type is float64 for
+// training and exact scoring, float32 for the packed serving kernels (f32.go).
+type Batch[T nn.Float] struct {
 	Channels int
 	N        int // number of nodes
 	Samples  int // number of forests
-	Data     []float64
+	Data     []T
 	Left     []int
 	Right    []int
 	Sample   []int
 }
 
 // Row returns node i's feature vector.
-func (b *Batch) Row(i int) []float64 {
+func (b *Batch[T]) Row(i int) []T {
 	return b.Data[i*b.Channels : (i+1)*b.Channels]
 }
 
 // BatchBuilder flattens forests into a Batch, reusing its buffers across
 // calls so a warmed-up builder performs no allocations.
-type BatchBuilder struct {
-	batch Batch
+type BatchBuilder[T nn.Float] struct {
+	batch Batch[T]
 	next  int
 }
 
 // Build flattens one forest per sample into a batch of channels-wide node
 // rows. Each node's row is produced by fill(sample, node, row), which must
 // overwrite every element (rows are recycled, not zeroed); this is where the
-// value network splices its spatial replication into the flattening pass.
-func (bb *BatchBuilder) Build(forests [][]*Tree, channels int, fill func(sample int, node *Tree, row []float64)) *Batch {
+// value network splices its spatial replication into the flattening pass —
+// and, for float32 batches, the float64→float32 input-encode boundary of the
+// scoring pipeline.
+func (bb *BatchBuilder[T]) Build(forests [][]*Tree, channels int, fill func(sample int, node *Tree, row []T)) *Batch[T] {
 	n := 0
 	for _, f := range forests {
 		for _, t := range f {
@@ -58,10 +64,10 @@ func (bb *BatchBuilder) Build(forests [][]*Tree, channels int, fill func(sample 
 	b.Channels = channels
 	b.N = n
 	b.Samples = len(forests)
-	b.Data = growFloats(b.Data, n*channels)
-	b.Left = growInts(b.Left, n)
-	b.Right = growInts(b.Right, n)
-	b.Sample = growInts(b.Sample, n)
+	b.Data = grow(b.Data, n*channels)
+	b.Left = grow(b.Left, n)
+	b.Right = grow(b.Right, n)
+	b.Sample = grow(b.Sample, n)
 	bb.next = 0
 	for si, f := range forests {
 		for _, t := range f {
@@ -74,7 +80,7 @@ func (bb *BatchBuilder) Build(forests [][]*Tree, channels int, fill func(sample 
 }
 
 // addTree appends t's nodes in pre-order and returns t's node index.
-func (bb *BatchBuilder) addTree(t *Tree, sample int, fill func(sample int, node *Tree, row []float64)) int {
+func (bb *BatchBuilder[T]) addTree(t *Tree, sample int, fill func(sample int, node *Tree, row []T)) int {
 	b := &bb.batch
 	i := bb.next
 	bb.next++
@@ -94,211 +100,70 @@ func (bb *BatchBuilder) addTree(t *Tree, sample int, fill func(sample int, node 
 }
 
 // BatchScratch holds every piece of reusable storage a batched stack forward
-// needs: the arena for activation matrices, the shared all-zero row standing
-// in for absent children, and two batch headers the layers ping-pong between.
-// Not safe for concurrent use; keep one per goroutine.
-type BatchScratch struct {
-	Arena nn.Arena
-	zeros []float64
-	ping  Batch
-	pong  Batch
+// needs: the arena for activation matrices, two batch headers the layers
+// ping-pong between, and what each kernel set keeps per batch — the float64
+// kernels a shared all-zero row standing in for absent children, the packed
+// float32 kernels the leaf/interior node partition. Not safe for concurrent
+// use; keep one per goroutine.
+type BatchScratch[T nn.Float] struct {
+	Arena nn.Arena[T]
+	zeros []T
+	leaf  []int // node indices with no children
+	full  []int // node indices with at least one child
+	ping  Batch[T]
+	pong  Batch[T]
 }
 
 // Reset recycles the scratch for the next forward pass.
-func (s *BatchScratch) Reset() { s.Arena.Reset() }
+func (s *BatchScratch[T]) Reset() { s.Arena.Reset() }
 
 // zeroRow returns an all-zero row of at least dim elements.
-func (s *BatchScratch) zeroRow(dim int) []float64 {
+func (s *BatchScratch[T]) zeroRow(dim int) []T {
 	if len(s.zeros) < dim {
-		s.zeros = make([]float64, dim) // make zeroes it; never written afterwards
+		s.zeros = make([]T, dim) // make zeroes it; never written afterwards
 	}
 	return s.zeros[:dim]
 }
 
-// forwardBatchInto convolves the filterbank over every node of in, writing
-// the activated output into out (whose Data is drawn from the arena). The
-// structural index slices are shared with in.
-func (l *Layer) forwardBatchInto(in, out *Batch, a *nn.Arena, zeros []float64) {
-	out.Channels = l.OutChannels
-	out.N = in.N
-	out.Samples = in.Samples
-	out.Left = in.Left
-	out.Right = in.Right
-	out.Sample = in.Sample
-	out.Data = a.Alloc(in.N * l.OutChannels)
-	for n := 0; n < in.N; n++ {
-		x := in.Row(n)
-		y := out.Data[n*l.OutChannels : (n+1)*l.OutChannels]
-		li, ri := in.Left[n], in.Right[n]
-		// Plan trees are strictly binary, so almost every node is either a
-		// leaf (no children) or a join (both children); each gets a
-		// specialised kernel that skips the dot products against the
-		// zero-padding of absent children — dropping a w·0 term leaves the
-		// accumulator bit-identical (up to the sign of zero, which compares
-		// equal). One-child nodes fall back to the padded generic kernel.
-		switch {
-		case li < 0 && ri < 0:
-			l.convLeaf(x, y)
-		case li >= 0 && ri >= 0:
-			l.convBoth(x, in.Row(li), in.Row(ri), y)
-		default:
-			leftData, rightData := zeros[:l.InChannels], zeros[:l.InChannels]
-			if li >= 0 {
-				leftData = in.Row(li)
-			}
-			if ri >= 0 {
-				rightData = in.Row(ri)
-			}
-			l.convPadded(x, leftData, rightData, y)
-		}
+// next sizes the ping-pong header that is not cur as the channels-wide output
+// of a layer over cur: same structure (the index slices are shared), Data
+// drawn from the arena.
+func (s *BatchScratch[T]) next(cur *Batch[T], channels int) *Batch[T] {
+	out := &s.ping
+	if cur == out {
+		out = &s.pong
 	}
-}
-
-// convBoth convolves one node with both children present. Four output
-// channels per pass: four independent accumulator chains hide the
-// floating-point add latency that serialises the per-channel dot products,
-// and every input load is shared by the four filters. Within a channel the
-// operation order matches Layer.convolve exactly, so results stay
-// bit-identical.
-func (l *Layer) convBoth(x, xl, xr, y []float64) {
-	ic := l.InChannels
-	alpha := l.Act.Alpha
-	o := 0
-	for ; o+4 <= l.OutChannels; o += 4 {
-		ep0 := l.EP.Value[o*ic : o*ic+ic]
-		ep1 := l.EP.Value[(o+1)*ic : (o+1)*ic+ic]
-		ep2 := l.EP.Value[(o+2)*ic : (o+2)*ic+ic]
-		ep3 := l.EP.Value[(o+3)*ic : (o+3)*ic+ic]
-		el0 := l.EL.Value[o*ic : o*ic+ic]
-		el1 := l.EL.Value[(o+1)*ic : (o+1)*ic+ic]
-		el2 := l.EL.Value[(o+2)*ic : (o+2)*ic+ic]
-		el3 := l.EL.Value[(o+3)*ic : (o+3)*ic+ic]
-		er0 := l.ER.Value[o*ic : o*ic+ic]
-		er1 := l.ER.Value[(o+1)*ic : (o+1)*ic+ic]
-		er2 := l.ER.Value[(o+2)*ic : (o+2)*ic+ic]
-		er3 := l.ER.Value[(o+3)*ic : (o+3)*ic+ic]
-		s0 := l.Bias.Value[o]
-		s1 := l.Bias.Value[o+1]
-		s2 := l.Bias.Value[o+2]
-		s3 := l.Bias.Value[o+3]
-		for i := 0; i < ic; i++ {
-			xv, lv, rv := x[i], xl[i], xr[i]
-			s0 += ep0[i] * xv
-			s0 += el0[i] * lv
-			s0 += er0[i] * rv
-			s1 += ep1[i] * xv
-			s1 += el1[i] * lv
-			s1 += er1[i] * rv
-			s2 += ep2[i] * xv
-			s2 += el2[i] * lv
-			s2 += er2[i] * rv
-			s3 += ep3[i] * xv
-			s3 += el3[i] * lv
-			s3 += er3[i] * rv
-		}
-		y[o] = leak(s0, alpha)
-		y[o+1] = leak(s1, alpha)
-		y[o+2] = leak(s2, alpha)
-		y[o+3] = leak(s3, alpha)
-	}
-	for ; o < l.OutChannels; o++ {
-		sum := l.Bias.Value[o]
-		ep := l.EP.Value[o*ic : o*ic+ic]
-		el := l.EL.Value[o*ic : o*ic+ic]
-		er := l.ER.Value[o*ic : o*ic+ic]
-		for i := 0; i < ic; i++ {
-			sum += ep[i] * x[i]
-			sum += el[i] * xl[i]
-			sum += er[i] * xr[i]
-		}
-		y[o] = leak(sum, alpha)
-	}
-}
-
-// convLeaf convolves a childless node: only the parent filterbank
-// contributes, so the child dot products (against zero vectors) are skipped
-// entirely.
-func (l *Layer) convLeaf(x, y []float64) {
-	ic := l.InChannels
-	alpha := l.Act.Alpha
-	o := 0
-	for ; o+4 <= l.OutChannels; o += 4 {
-		ep0 := l.EP.Value[o*ic : o*ic+ic]
-		ep1 := l.EP.Value[(o+1)*ic : (o+1)*ic+ic]
-		ep2 := l.EP.Value[(o+2)*ic : (o+2)*ic+ic]
-		ep3 := l.EP.Value[(o+3)*ic : (o+3)*ic+ic]
-		s0 := l.Bias.Value[o]
-		s1 := l.Bias.Value[o+1]
-		s2 := l.Bias.Value[o+2]
-		s3 := l.Bias.Value[o+3]
-		for i, xv := range x {
-			s0 += ep0[i] * xv
-			s1 += ep1[i] * xv
-			s2 += ep2[i] * xv
-			s3 += ep3[i] * xv
-		}
-		y[o] = leak(s0, alpha)
-		y[o+1] = leak(s1, alpha)
-		y[o+2] = leak(s2, alpha)
-		y[o+3] = leak(s3, alpha)
-	}
-	for ; o < l.OutChannels; o++ {
-		sum := l.Bias.Value[o]
-		ep := l.EP.Value[o*ic : o*ic+ic]
-		for i, xv := range x {
-			sum += ep[i] * xv
-		}
-		y[o] = leak(sum, alpha)
-	}
-}
-
-// convPadded is the generic kernel for one-child nodes, convolving against
-// explicit zero padding exactly like Layer.convolve.
-func (l *Layer) convPadded(x, xl, xr, y []float64) {
-	ic := l.InChannels
-	alpha := l.Act.Alpha
-	for o := 0; o < l.OutChannels; o++ {
-		sum := l.Bias.Value[o]
-		ep := l.EP.Value[o*ic : o*ic+ic]
-		el := l.EL.Value[o*ic : o*ic+ic]
-		er := l.ER.Value[o*ic : o*ic+ic]
-		for i := 0; i < ic; i++ {
-			sum += ep[i] * x[i]
-			sum += el[i] * xl[i]
-			sum += er[i] * xr[i]
-		}
-		y[o] = leak(sum, alpha)
-	}
-}
-
-func leak(v, alpha float64) float64 {
-	if v < 0 {
-		return alpha * v
-	}
-	return v
+	*out = *cur
+	out.Channels = channels
+	out.Data = s.Arena.Alloc(cur.N * channels)
+	return out
 }
 
 // ForwardBatch runs every layer of the stack over the flattened batch
-// (inference only; no tape is recorded). The returned batch aliases scratch
-// storage and is valid until the next Reset.
-func (s *Stack) ForwardBatch(in *Batch, scratch *BatchScratch) *Batch {
+// (inference only; no tape is recorded): the same pre-activation kernels
+// training uses (convBatchPre), each followed by an in-place activation
+// pass. The returned batch aliases scratch storage and is valid until the
+// next Reset.
+func (s *Stack) ForwardBatch(in *Batch[float64], scratch *BatchScratch[float64]) *Batch[float64] {
+	zeros := scratch.zeroRow(s.maxInChannels())
+	cur := in
+	for _, l := range s.Layers {
+		out := scratch.next(cur, l.OutChannels)
+		l.convBatchPre(cur, out.Data, zeros)
+		nn.LeakyInPlace(out.Data, l.Act.Alpha)
+		cur = out
+	}
+	return cur
+}
+
+func (s *Stack) maxInChannels() int {
 	maxIn := 0
 	for _, l := range s.Layers {
 		if l.InChannels > maxIn {
 			maxIn = l.InChannels
 		}
 	}
-	zeros := scratch.zeroRow(maxIn)
-	cur, out := in, &scratch.ping
-	for _, l := range s.Layers {
-		l.forwardBatchInto(cur, out, &scratch.Arena, zeros)
-		if out == &scratch.ping {
-			cur, out = &scratch.ping, &scratch.pong
-		} else {
-			cur, out = &scratch.pong, &scratch.ping
-		}
-	}
-	return cur
+	return maxIn
 }
 
 // PoolBatch dynamic-pools every sample of the batch: row s of the result is
@@ -306,11 +171,12 @@ func (s *Stack) ForwardBatch(in *Batch, scratch *BatchScratch) *Batch {
 // matching DynamicPool applied per tree followed by a cross-tree maximum.
 // Samples with no nodes (empty forests) pool to all-zero rows. The result
 // holds samples×b.Channels values drawn from the arena.
-func PoolBatch(b *Batch, a *nn.Arena) []float64 {
+func PoolBatch[T nn.Float](b *Batch[T], a *nn.Arena[T]) []T {
 	dim := b.Channels
 	pooled := a.Alloc(b.Samples * dim)
+	negInf := T(math.Inf(-1))
 	for i := range pooled {
-		pooled[i] = math.Inf(-1)
+		pooled[i] = negInf
 	}
 	for n := 0; n < b.N; n++ {
 		row := pooled[b.Sample[n]*dim : (b.Sample[n]+1)*dim]
@@ -321,23 +187,16 @@ func PoolBatch(b *Batch, a *nn.Arena) []float64 {
 		}
 	}
 	for i := range pooled {
-		if math.IsInf(pooled[i], -1) {
+		if pooled[i] == negInf {
 			pooled[i] = 0
 		}
 	}
 	return pooled
 }
 
-func growFloats(s []float64, n int) []float64 {
+func grow[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]E, n)
 	}
 	return s[:n]
 }

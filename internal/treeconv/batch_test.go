@@ -41,8 +41,8 @@ func TestForwardBatchMatchesPerTreeForward(t *testing.T) {
 		randomForest(rng, 2, dim),
 	}
 
-	var bb BatchBuilder
-	var scratch BatchScratch
+	var bb BatchBuilder[float64]
+	var scratch BatchScratch[float64]
 	batch := bb.Build(forests, dim, func(_ int, n *Tree, row []float64) { copy(row, n.Data) })
 	out := stack.ForwardBatch(batch, &scratch)
 	pooled := PoolBatch(out, &scratch.Arena)
@@ -80,7 +80,7 @@ func TestBatchBuilderStructure(t *testing.T) {
 	c := NewLeaf([]float64{3})
 	a := NewNode([]float64{1}, b, c)
 
-	var bb BatchBuilder
+	var bb BatchBuilder[float64]
 	batch := bb.Build([][]*Tree{{a}}, 1, func(_ int, n *Tree, row []float64) { copy(row, n.Data) })
 	if batch.N != 4 || batch.Samples != 1 {
 		t.Fatalf("N=%d Samples=%d, want 4 and 1", batch.N, batch.Samples)
@@ -108,8 +108,8 @@ func TestForwardBatchNoAllocationsWhenWarm(t *testing.T) {
 	forests := [][]*Tree{randomForest(rng, 2, dim), randomForest(rng, 3, dim)}
 	fill := func(_ int, n *Tree, row []float64) { copy(row, n.Data) }
 
-	var bb BatchBuilder
-	var scratch BatchScratch
+	var bb BatchBuilder[float64]
+	var scratch BatchScratch[float64]
 	// Warm up.
 	for i := 0; i < 2; i++ {
 		batch := bb.Build(forests, dim, fill)

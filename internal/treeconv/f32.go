@@ -1,4 +1,4 @@
-// Float32 (and int8) batched tree convolution for the frozen inference path.
+// Float32 batched tree convolution for the frozen inference path.
 // The float64 batched kernels in batch.go walk node-by-node, dotting each
 // parent/left/right triangle against row-major weights; the kernels here
 // restructure the same computation as GEMMs over packed panels (nn.PackedF32)
@@ -15,110 +15,16 @@
 //   - outputs scatter back to node order and the leaky rectifier runs once
 //     over the whole activation matrix.
 //
-// The int8 stack mirrors the float32 one, quantizing each layer's input
-// tensor with a calibrated per-layer scale before the int8 GEMM.
+// The containers (Batch, BatchBuilder, BatchScratch, PoolBatch) are the
+// generic ones of batch.go instantiated at float32; only the kernels differ.
 package treeconv
 
-import (
-	"math"
-
-	"neo/internal/nn"
-)
-
-// Batch32 is the float32 twin of Batch: node i carries
-// Data[i*Channels:(i+1)*Channels] and the index slices have the same meaning.
-type Batch32 struct {
-	Channels int
-	N        int
-	Samples  int
-	Data     []float32
-	Left     []int
-	Right    []int
-	Sample   []int
-}
-
-// Row returns node i's feature vector.
-func (b *Batch32) Row(i int) []float32 {
-	return b.Data[i*b.Channels : (i+1)*b.Channels]
-}
-
-// BatchBuilder32 flattens forests into a Batch32, reusing buffers across
-// calls. The fill callback converts node vectors to float32 — this is the
-// float64→float32 input-encode boundary of the scoring pipeline.
-type BatchBuilder32 struct {
-	batch Batch32
-	next  int
-}
-
-// Build mirrors BatchBuilder.Build with float32 rows.
-func (bb *BatchBuilder32) Build(forests [][]*Tree, channels int, fill func(sample int, node *Tree, row []float32)) *Batch32 {
-	n := 0
-	for _, f := range forests {
-		for _, t := range f {
-			n += t.NumNodes()
-		}
-	}
-	b := &bb.batch
-	b.Channels = channels
-	b.N = n
-	b.Samples = len(forests)
-	b.Data = growFloats32(b.Data, n*channels)
-	b.Left = growInts(b.Left, n)
-	b.Right = growInts(b.Right, n)
-	b.Sample = growInts(b.Sample, n)
-	bb.next = 0
-	for si, f := range forests {
-		for _, t := range f {
-			if t != nil {
-				bb.addTree(t, si, fill)
-			}
-		}
-	}
-	return b
-}
-
-func (bb *BatchBuilder32) addTree(t *Tree, sample int, fill func(sample int, node *Tree, row []float32)) int {
-	b := &bb.batch
-	i := bb.next
-	bb.next++
-	fill(sample, t, b.Row(i))
-	b.Sample[i] = sample
-	if t.Left != nil {
-		b.Left[i] = bb.addTree(t.Left, sample, fill)
-	} else {
-		b.Left[i] = -1
-	}
-	if t.Right != nil {
-		b.Right[i] = bb.addTree(t.Right, sample, fill)
-	} else {
-		b.Right[i] = -1
-	}
-	return i
-}
-
-// BatchScratch32 holds the reusable storage of a float32 (or int8) stack
-// forward: the activation arena, the quantized-activation arena, the
-// leaf/interior node partition of the current batch, and the ping-pong batch
-// headers. Not safe for concurrent use; keep one per goroutine.
-type BatchScratch32 struct {
-	Arena  nn.Arena32
-	QArena nn.ArenaI8
-	leaf   []int // node indices with no children
-	full   []int // node indices with at least one child
-	ping   Batch32
-	pong   Batch32
-}
-
-// Reset recycles the scratch for the next forward pass.
-func (s *BatchScratch32) Reset() {
-	s.Arena.Reset()
-	s.QArena.Reset()
-}
+import "neo/internal/nn"
 
 // partition splits the batch's nodes into leaves and interior nodes once per
 // forward pass; every layer reuses the split (structure does not change
 // between layers).
-func (s *BatchScratch32) partition(b *Batch32) {
+func (s *BatchScratch[T]) partition(b *Batch[T]) {
 	s.leaf = s.leaf[:0]
 	s.full = s.full[:0]
 	for n := 0; n < b.N; n++ {
@@ -173,33 +79,13 @@ func (s *StackF32) Bytes() int {
 
 // ForwardBatch runs every packed layer over the flattened batch. The returned
 // batch aliases scratch storage and is valid until the next Reset.
-func (s *StackF32) ForwardBatch(in *Batch32, scratch *BatchScratch32) *Batch32 {
-	return s.forward(in, scratch, nil)
-}
-
-// ForwardBatchObserve is ForwardBatch plus a per-channel absmax observer:
-// obs[l][c] is raised to at least the largest |x| in channel c of layer l's
-// input activations. A node's own row and its appearance as a child carry
-// the same values, so the ic-wide column maxima cover all three segments of
-// the concatenated [x; left; right] GEMM input. Used by the int8 calibration
-// pass.
-func (s *StackF32) ForwardBatchObserve(in *Batch32, scratch *BatchScratch32, obs [][]float32) *Batch32 {
-	return s.forward(in, scratch, obs)
-}
-
-func (s *StackF32) forward(in *Batch32, scratch *BatchScratch32, obs [][]float32) *Batch32 {
+func (s *StackF32) ForwardBatch(in *Batch[float32], scratch *BatchScratch[float32]) *Batch[float32] {
 	scratch.partition(in)
-	cur, out := in, &scratch.ping
-	for li, l := range s.Layers {
-		if obs != nil {
-			nn.AbsMaxCols(cur.Data, cur.N, cur.Channels, obs[li])
-		}
+	cur := in
+	for _, l := range s.Layers {
+		out := scratch.next(cur, l.Out)
 		l.forwardBatchInto(cur, out, scratch)
-		if out == &scratch.ping {
-			cur, out = &scratch.ping, &scratch.pong
-		} else {
-			cur, out = &scratch.pong, &scratch.ping
-		}
+		cur = out
 	}
 	return cur
 }
@@ -207,16 +93,9 @@ func (s *StackF32) forward(in *Batch32, scratch *BatchScratch32, obs [][]float32
 // forwardBatchInto convolves one packed layer: gather → GEMM → scatter for
 // the leaf and interior node groups, then one activation pass over the whole
 // output matrix.
-func (l *LayerF32) forwardBatchInto(in, out *Batch32, scratch *BatchScratch32) {
+func (l *LayerF32) forwardBatchInto(in, out *Batch[float32], scratch *BatchScratch[float32]) {
 	ic, oc := l.In, l.Out
 	a := &scratch.Arena
-	out.Channels = oc
-	out.N = in.N
-	out.Samples = in.Samples
-	out.Left = in.Left
-	out.Right = in.Right
-	out.Sample = in.Sample
-	out.Data = a.Alloc(in.N * oc)
 
 	// Leaves: only the parent filter contributes, so gather just the node row
 	// and run the GEMM over the EP K-prefix (kUsed = ic of K = 3ic).
@@ -243,12 +122,12 @@ func (l *LayerF32) forwardBatchInto(in, out *Batch32, scratch *BatchScratch32) {
 			if li := in.Left[n]; li >= 0 {
 				copy(row[ic:2*ic], in.Row(li))
 			} else {
-				zero32(row[ic : 2*ic])
+				clear(row[ic : 2*ic])
 			}
 			if ri := in.Right[n]; ri >= 0 {
 				copy(row[2*ic:], in.Row(ri))
 			} else {
-				zero32(row[2*ic:])
+				clear(row[2*ic:])
 			}
 		}
 		ya := a.Alloc(nf * oc)
@@ -258,203 +137,5 @@ func (l *LayerF32) forwardBatchInto(in, out *Batch32, scratch *BatchScratch32) {
 		}
 	}
 
-	nn.LeakyReLUF32(out.Data[:in.N*oc], l.Alpha)
-}
-
-// PoolBatch32 dynamic-pools every sample of the batch, mirroring PoolBatch:
-// row s of the result is the elementwise maximum over sample s's node
-// vectors; empty samples pool to zero rows.
-func PoolBatch32(b *Batch32, a *nn.Arena32) []float32 {
-	dim := b.Channels
-	pooled := a.Alloc(b.Samples * dim)
-	negInf := float32(math.Inf(-1))
-	for i := range pooled {
-		pooled[i] = negInf
-	}
-	for n := 0; n < b.N; n++ {
-		row := pooled[b.Sample[n]*dim : (b.Sample[n]+1)*dim]
-		for i, v := range b.Row(n) {
-			if v > row[i] {
-				row[i] = v
-			}
-		}
-	}
-	for i := range pooled {
-		if pooled[i] == negInf {
-			pooled[i] = 0
-		}
-	}
-	return pooled
-}
-
-// LayerI8 is one int8-quantized tree-convolution layer with its calibrated
-// per-channel input quantization multipliers.
-type LayerI8 struct {
-	In, Out int
-	W       nn.PackedI8
-	InInv   []float32 // per input channel: 127/absmax
-	Alpha   float32
-}
-
-// StackI8 is a frozen int8 tree-convolution stack. Immutable after
-// construction; safe for concurrent use with per-goroutine scratch.
-type StackI8 struct {
-	Layers []*LayerI8
-}
-
-// NewStackI8 quantizes a trained stack. calibAbs[l] holds the calibrated
-// per-channel absmax of layer l's input activations (from
-// StackF32.ForwardBatchObserve); non-positive entries fall back to absmax 1.
-// The ic-wide channel scales are replicated across the three segments of the
-// concatenated [x; left; right] K axis — a child row is the same tensor as
-// its own-node row — so the leaf kernel's EP K-prefix stays consistent.
-func NewStackI8(s *Stack, calibAbs [][]float32) *StackI8 {
-	out := &StackI8{}
-	for li, l := range s.Layers {
-		ic := l.InChannels
-		var abs []float32
-		if li < len(calibAbs) {
-			abs = calibAbs[li]
-		}
-		abs = sanitizeChanAbs(abs, ic)
-		chanAbs := make([]float32, 3*ic)
-		inv := make([]float32, ic)
-		for c, a := range abs {
-			chanAbs[c], chanAbs[ic+c], chanAbs[2*ic+c] = a, a, a
-			inv[c] = 127 / a
-		}
-		out.Layers = append(out.Layers, &LayerI8{
-			In:  ic,
-			Out: l.OutChannels,
-			W: nn.PackI8(l.OutChannels, l.Bias.Value,
-				[]int{ic, ic, ic}, chanAbs,
-				l.EP.Value, l.EL.Value, l.ER.Value),
-			InInv: inv,
-			Alpha: float32(l.Act.Alpha),
-		})
-	}
-	return out
-}
-
-// sanitizeChanAbs replaces non-positive calibrated channel absmaxes with 1,
-// mirroring nn's quantization fallback.
-func sanitizeChanAbs(abs []float32, k int) []float32 {
-	out := make([]float32, k)
-	for c := range out {
-		a := float32(0)
-		if c < len(abs) {
-			a = abs[c]
-		}
-		if !(a > 0) {
-			a = 1
-		}
-		out[c] = a
-	}
-	return out
-}
-
-// Bytes returns the packed footprint in bytes.
-func (s *StackI8) Bytes() int {
-	total := 0
-	for _, l := range s.Layers {
-		total += l.W.Bytes() + 4*len(l.InInv)
-	}
-	return total
-}
-
-// ForwardBatch runs the quantized stack over the flattened batch: each layer
-// quantizes its whole input tensor once with the calibrated scale, gathers
-// int8 rows per node group, and accumulates in int32.
-func (s *StackI8) ForwardBatch(in *Batch32, scratch *BatchScratch32) *Batch32 {
-	scratch.partition(in)
-	cur, out := in, &scratch.ping
-	for _, l := range s.Layers {
-		l.forwardBatchInto(cur, out, scratch)
-		if out == &scratch.ping {
-			cur, out = &scratch.ping, &scratch.pong
-		} else {
-			cur, out = &scratch.pong, &scratch.ping
-		}
-	}
-	return cur
-}
-
-func (l *LayerI8) forwardBatchInto(in, out *Batch32, scratch *BatchScratch32) {
-	ic, oc := l.In, l.Out
-	a := &scratch.Arena
-	qa := &scratch.QArena
-	out.Channels = oc
-	out.N = in.N
-	out.Samples = in.Samples
-	out.Left = in.Left
-	out.Right = in.Right
-	out.Sample = in.Sample
-	out.Data = a.Alloc(in.N * oc)
-
-	// Quantize the whole layer input once (per-channel scales), then gather
-	// int8 rows per group. Gathered rows keep the kernel's padded strides:
-	// the quantized tensor's [ic, icp) gutter is zero, so copying whole
-	// padded rows preserves the zero padding the tail-free GEMM relies on.
-	icp := nn.PadI8(ic)
-	xq := qa.Alloc(in.N * icp)
-	nn.QuantizeRows(xq, in.Data, in.N, ic, l.InInv)
-
-	if nl := len(scratch.leaf); nl > 0 {
-		gq := qa.Alloc(nl * icp)
-		for gi, n := range scratch.leaf {
-			copy(gq[gi*icp:(gi+1)*icp], xq[n*icp:(n+1)*icp])
-		}
-		ya := a.Alloc(nl * oc)
-		l.W.Gemm(gq, nl, ic, ya)
-		for gi, n := range scratch.leaf {
-			copy(out.Data[n*oc:(n+1)*oc], ya[gi*oc:(gi+1)*oc])
-		}
-	}
-
-	if nf := len(scratch.full); nf > 0 {
-		k := 3 * ic
-		kp := nn.PadI8(k)
-		gq := qa.Alloc(nf * kp)
-		for gi, n := range scratch.full {
-			row := gq[gi*kp : (gi+1)*kp]
-			copy(row[:ic], xq[n*icp:n*icp+ic])
-			if li := in.Left[n]; li >= 0 {
-				copy(row[ic:2*ic], xq[li*icp:li*icp+ic])
-			} else {
-				zeroI8(row[ic : 2*ic])
-			}
-			if ri := in.Right[n]; ri >= 0 {
-				copy(row[2*ic:3*ic], xq[ri*icp:ri*icp+ic])
-			} else {
-				zeroI8(row[2*ic : 3*ic])
-			}
-			zeroI8(row[3*ic:])
-		}
-		ya := a.Alloc(nf * oc)
-		l.W.Gemm(gq, nf, k, ya)
-		for gi, n := range scratch.full {
-			copy(out.Data[n*oc:(n+1)*oc], ya[gi*oc:(gi+1)*oc])
-		}
-	}
-
-	nn.LeakyReLUF32(out.Data[:in.N*oc], l.Alpha)
-}
-
-func zero32(s []float32) {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-func zeroI8(s []int8) {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-func growFloats32(s []float32, n int) []float32 {
-	if cap(s) < n {
-		return make([]float32, n)
-	}
-	return s[:n]
+	nn.LeakyInPlace(out.Data, l.Alpha)
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"neo/internal/nn"
 )
 
 func relErr32(a float32, b float64) float64 {
@@ -19,9 +17,9 @@ func relErr32(a float32, b float64) float64 {
 
 // buildBoth flattens the same forests through the float64 and float32
 // builders.
-func buildBoth(forests [][]*Tree, dim int) (*Batch, *Batch32) {
-	var bb BatchBuilder
-	var bb32 BatchBuilder32
+func buildBoth(forests [][]*Tree, dim int) (*Batch[float64], *Batch[float32]) {
+	var bb BatchBuilder[float64]
+	var bb32 BatchBuilder[float32]
 	b := bb.Build(forests, dim, func(_ int, n *Tree, row []float64) { copy(row, n.Data) })
 	b32 := bb32.Build(forests, dim, func(_ int, n *Tree, row []float32) {
 		for i, v := range n.Data {
@@ -50,8 +48,8 @@ func TestStackF32MatchesFloat64(t *testing.T) {
 	}
 
 	b, b32 := buildBoth(forests, dim)
-	var scratch BatchScratch
-	var scratch32 BatchScratch32
+	var scratch BatchScratch[float64]
+	var scratch32 BatchScratch[float32]
 	out := stack.ForwardBatch(b, &scratch)
 	out32 := stack32.ForwardBatch(b32, &scratch32)
 	if out32.N != out.N || out32.Channels != out.Channels {
@@ -64,7 +62,7 @@ func TestStackF32MatchesFloat64(t *testing.T) {
 	}
 
 	pooled := PoolBatch(out, &scratch.Arena)
-	pooled32 := PoolBatch32(out32, &scratch32.Arena)
+	pooled32 := PoolBatch(out32, &scratch32.Arena)
 	for i, w := range pooled {
 		if e := relErr32(pooled32[i], w); e > 1e-5 {
 			t.Fatalf("pooled[%d] = %v want %v (rel err %g)", i, pooled32[i], w, e)
@@ -77,93 +75,17 @@ func TestStackF32EmptyBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const dim = 5
 	stack32 := NewStackF32(NewStack([]int{dim, 8, 3}, rng))
-	var bb32 BatchBuilder32
+	var bb32 BatchBuilder[float32]
 	b32 := bb32.Build([][]*Tree{{}, {}}, dim, func(int, *Tree, []float32) {})
-	var scratch32 BatchScratch32
+	var scratch32 BatchScratch[float32]
 	out := stack32.ForwardBatch(b32, &scratch32)
 	if out.N != 0 {
 		t.Fatalf("empty batch produced %d nodes", out.N)
 	}
-	pooled := PoolBatch32(out, &scratch32.Arena)
+	pooled := PoolBatch(out, &scratch32.Arena)
 	for i, v := range pooled {
 		if v != 0 {
 			t.Fatalf("pooled[%d] = %v, want 0 for empty samples", i, v)
-		}
-	}
-}
-
-// observersFor allocates the per-layer, per-channel observer slices for a
-// packed stack.
-func observersFor(s *StackF32) [][]float32 {
-	obs := make([][]float32, len(s.Layers))
-	for i, l := range s.Layers {
-		obs[i] = make([]float32, l.In)
-	}
-	return obs
-}
-
-// TestStackF32Observe checks the calibration observer records each layer's
-// per-channel input absmax.
-func TestStackF32Observe(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const dim = 4
-	stack32 := NewStackF32(NewStack([]int{dim, 6, 2}, rng))
-	forests := [][]*Tree{randomForest(rng, 2, dim)}
-	_, b32 := buildBoth(forests, dim)
-	want := make([]float32, dim)
-	nn.AbsMaxCols(b32.Data, b32.N, dim, want)
-	var scratch32 BatchScratch32
-	obs := observersFor(stack32)
-	stack32.ForwardBatchObserve(b32, &scratch32, obs)
-	for c := range want {
-		if obs[0][c] != want[c] {
-			t.Fatalf("obs[0] = %v, want per-channel input absmax %v", obs[0], want)
-		}
-	}
-	if nn.AbsMaxF32(obs[1]) <= 0 {
-		t.Fatalf("obs[1] = %v, want some channel > 0", obs[1])
-	}
-}
-
-// TestStackI8TracksFloat64 checks the quantized stack stays within the
-// calibrated bound of the float64 reference on in-calibration inputs.
-func TestStackI8TracksFloat64(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	const dim = 6
-	stack := NewStack([]int{dim, 12, 8}, rng)
-	stack32 := NewStackF32(stack)
-	forests := [][]*Tree{
-		randomForest(rng, 2, dim),
-		randomForest(rng, 3, dim),
-		{},
-	}
-	b, b32 := buildBoth(forests, dim)
-
-	// Calibrate on the same batch, then quantize.
-	var scratch32 BatchScratch32
-	obs := observersFor(stack32)
-	stack32.ForwardBatchObserve(b32, &scratch32, obs)
-	stack8 := NewStackI8(stack, obs)
-
-	var scratch BatchScratch
-	want := stack.ForwardBatch(b, &scratch)
-	scratch32.Reset()
-	got := stack8.ForwardBatch(b32, &scratch32)
-
-	// Per-tensor int8 with two quantized layers: generous but bounded.
-	maxAbs := 0.0
-	for _, w := range want.Data[:want.N*want.Channels] {
-		if a := math.Abs(w); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	tol := 0.1 * maxAbs
-	if tol < 0.05 {
-		tol = 0.05
-	}
-	for i, w := range want.Data[:want.N*want.Channels] {
-		if d := math.Abs(float64(got.Data[i]) - w); d > tol {
-			t.Fatalf("int8 conv out[%d] = %v want %v (err %g beyond bound %g)", i, got.Data[i], w, d, tol)
 		}
 	}
 }

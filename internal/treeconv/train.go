@@ -49,27 +49,21 @@ func (s *Stack) ShadowGrad() *Stack {
 // matrix and the activated output batch. All float storage is drawn from the
 // arena passed to ForwardBatchTape.
 type StackBatchTape struct {
-	in   *Batch
-	pre  [][]float64 // per layer: N×OutChannels pre-activation values
-	outs []*Batch    // per layer: activated outputs
+	in   *Batch[float64]
+	pre  [][]float64       // per layer: N×OutChannels pre-activation values
+	outs []*Batch[float64] // per layer: activated outputs
 }
 
 // Output returns the final convolved batch.
-func (t *StackBatchTape) Output() *Batch { return t.outs[len(t.outs)-1] }
+func (t *StackBatchTape) Output() *Batch[float64] { return t.outs[len(t.outs)-1] }
 
 // ForwardBatchTape runs every layer over the flattened batch, recording a
-// tape for BackwardBatch. Unlike the fused inference kernels of
-// ForwardBatch, pre-activation values are materialised per layer; per node
+// tape for BackwardBatch. It shares ForwardBatch's kernels but keeps every
+// layer's pre-activation matrix (ForwardBatch activates in place); per node
 // the convolution performs the same operations in the same order as
 // Layer.convolve, so outputs are bit-identical to the per-tree Forward.
-func (s *Stack) ForwardBatchTape(in *Batch, a *nn.Arena) *StackBatchTape {
-	maxIn := 0
-	for _, l := range s.Layers {
-		if l.InChannels > maxIn {
-			maxIn = l.InChannels
-		}
-	}
-	zeros := a.Alloc(maxIn)
+func (s *Stack) ForwardBatchTape(in *Batch[float64], a *nn.Arena[float64]) *StackBatchTape {
+	zeros := a.Alloc(s.maxInChannels())
 	for i := range zeros {
 		zeros[i] = 0
 	}
@@ -78,7 +72,7 @@ func (s *Stack) ForwardBatchTape(in *Batch, a *nn.Arena) *StackBatchTape {
 	for _, l := range s.Layers {
 		pre := a.Alloc(in.N * l.OutChannels)
 		l.convBatchPre(cur, pre, zeros)
-		out := &Batch{
+		out := &Batch[float64]{
 			Channels: l.OutChannels,
 			N:        cur.N,
 			Samples:  cur.Samples,
@@ -103,12 +97,15 @@ func (s *Stack) ForwardBatchTape(in *Batch, a *nn.Arena) *StackBatchTape {
 }
 
 // convBatchPre convolves the filterbank over every node of in, writing the
-// pre-activation values into pre. Like the inference kernels, childless
-// nodes skip the child dot products entirely (bit-identical up to the sign
-// of zero) and join nodes run a 4-way-unrolled kernel whose per-channel
-// operation order matches Layer.convolve exactly; one-child nodes fall back
-// to the padded generic kernel.
-func (l *Layer) convBatchPre(in *Batch, pre, zeros []float64) {
+// pre-activation values into pre; inference and training both run it. Plan
+// trees are strictly binary, so almost every node is either a leaf or a
+// join, and each gets a specialised kernel: childless nodes skip the child
+// dot products against the zero padding entirely (dropping a w·0 term leaves
+// the accumulator bit-identical up to the sign of zero, which compares
+// equal) and join nodes run a 4-way-unrolled kernel whose per-channel
+// operation order matches Layer.convolve exactly; one-child nodes convolve
+// against explicit zero padding exactly like Layer.convolve.
+func (l *Layer) convBatchPre(in *Batch[float64], pre, zeros []float64) {
 	ic := l.InChannels
 	for n := 0; n < in.N; n++ {
 		x := in.Row(n)
@@ -143,9 +140,11 @@ func (l *Layer) convBatchPre(in *Batch, pre, zeros []float64) {
 	}
 }
 
-// convBothPre is convBoth without the fused activation: four independent
-// accumulator chains per pass, per-channel operation order identical to
-// Layer.convolve.
+// convBothPre convolves one node with both children present. Four output
+// channels per pass: four independent accumulator chains hide the
+// floating-point add latency that serialises the per-channel dot products,
+// and every input load is shared by the four filters. Within a channel the
+// operation order matches Layer.convolve exactly.
 func (l *Layer) convBothPre(x, xl, xr, y []float64) {
 	ic := l.InChannels
 	o := 0
@@ -200,7 +199,8 @@ func (l *Layer) convBothPre(x, xl, xr, y []float64) {
 	}
 }
 
-// convLeafPre is convLeaf without the fused activation.
+// convLeafPre convolves a childless node: only the parent filterbank
+// contributes.
 func (l *Layer) convLeafPre(x, y []float64) {
 	ic := l.InChannels
 	o := 0
@@ -237,7 +237,7 @@ func (l *Layer) convLeafPre(x, y []float64) {
 // BackwardBatch propagates a flat N×lastChannels gradient matrix through the
 // taped forward pass, accumulating filter gradients, and returns the
 // N×inChannels gradient with respect to the input batch's node vectors.
-func (s *Stack) BackwardBatch(t *StackBatchTape, gradOut []float64, a *nn.Arena) []float64 {
+func (s *Stack) BackwardBatch(t *StackBatchTape, gradOut []float64, a *nn.Arena[float64]) []float64 {
 	grad := gradOut
 	for li := len(s.Layers) - 1; li >= 0; li-- {
 		l := s.Layers[li]
@@ -273,7 +273,7 @@ func (s *Stack) BackwardBatch(t *StackBatchTape, gradOut []float64, a *nn.Arena)
 // kernels, childless nodes get a specialised loop that skips the g·0 child
 // terms (bit-identical up to the sign of zero) and join nodes a branch-free
 // one, with one-child nodes falling back to a padded generic kernel.
-func (l *Layer) backwardBatchNodes(in *Batch, gradPre, gradIn []float64) {
+func (l *Layer) backwardBatchNodes(in *Batch[float64], gradPre, gradIn []float64) {
 	ic := l.InChannels
 	oc := l.OutChannels
 	for n := 0; n < in.N; n++ {
@@ -370,7 +370,7 @@ func (l *Layer) backwardBatchNodes(in *Batch, gradPre, gradIn []float64) {
 // matches the per-tree DynamicPool argmax combined with the cross-tree
 // strict-greater ownership comparison of the per-sample forward pass. The
 // argmax slice is (re)used from argmaxBuf when it has capacity.
-func PoolBatchArgmax(b *Batch, a *nn.Arena, argmaxBuf []int) (pooled []float64, argmax []int) {
+func PoolBatchArgmax(b *Batch[float64], a *nn.Arena[float64], argmaxBuf []int) (pooled []float64, argmax []int) {
 	dim := b.Channels
 	pooled = a.Alloc(b.Samples * dim)
 	if cap(argmaxBuf) < b.Samples*dim {
@@ -403,7 +403,7 @@ func PoolBatchArgmax(b *Batch, a *nn.Arena, argmaxBuf []int) (pooled []float64, 
 // PoolBackwardBatch scatters a Samples×Channels pooled-gradient matrix back
 // to the node level: every (sample, channel) gradient lands on the argmax
 // node recorded by PoolBatchArgmax, all other node gradients are zero.
-func PoolBackwardBatch(b *Batch, argmax []int, gradPooled []float64, a *nn.Arena) []float64 {
+func PoolBackwardBatch(b *Batch[float64], argmax []int, gradPooled []float64, a *nn.Arena[float64]) []float64 {
 	dim := b.Channels
 	gradNodes := a.Alloc(b.N * dim)
 	for i := range gradNodes {

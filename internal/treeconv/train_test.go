@@ -10,7 +10,7 @@ import (
 
 // buildFlatBatch flattens forests with a copy-through fill (no spatial
 // replication), as the parity tests need the raw node vectors.
-func buildFlatBatch(bb *BatchBuilder, forests [][]*Tree, dim int) *Batch {
+func buildFlatBatch(bb *BatchBuilder[float64], forests [][]*Tree, dim int) *Batch[float64] {
 	return bb.Build(forests, dim, func(_ int, node *Tree, row []float64) {
 		copy(row, node.Data)
 	})
@@ -28,8 +28,8 @@ func TestForwardBatchTapeMatchesForward(t *testing.T) {
 			forests[i] = randomForest(rng, rng.Intn(3)+1, dim)
 		}
 
-		var bb BatchBuilder
-		var arena nn.Arena
+		var bb BatchBuilder[float64]
+		var arena nn.Arena[float64]
 		batch := buildFlatBatch(&bb, forests, dim)
 		tape := stack.ForwardBatchTape(batch, &arena)
 		out := tape.Output()
@@ -69,8 +69,8 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 		for i := range forests {
 			forests[i] = randomForest(rng, rng.Intn(2)+1, dim)
 		}
-		var bb BatchBuilder
-		var arena nn.Arena
+		var bb BatchBuilder[float64]
+		var arena nn.Arena[float64]
 		batch := buildFlatBatch(&bb, forests, dim)
 		tape := batched.ForwardBatchTape(batch, &arena)
 		outChannels := tape.Output().Channels
@@ -140,8 +140,8 @@ func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 		randomForest(rng, 3, dim),
 		randomForest(rng, 1, dim),
 	}
-	var bb BatchBuilder
-	var arena nn.Arena
+	var bb BatchBuilder[float64]
+	var arena nn.Arena[float64]
 	batch := buildFlatBatch(&bb, forests, dim)
 	tape := stack.ForwardBatchTape(batch, &arena)
 	out := tape.Output()

@@ -47,47 +47,37 @@ func (n *Network) Clone() *Network {
 // across any number of concurrent searches. It has no training methods; the
 // weights it scores with can never change after creation.
 //
-// A snapshot always carries the float64 master weights (net); depending on
-// the precision it was published with (see SnapshotPrecision), scoring runs
-// either directly on them or through the packed float32 / quantized int8
-// kernels converted once at snapshot time.
+// A snapshot always carries the float64 master weights (net); a snapshot
+// published at float32 (see SnapshotPrecision) additionally carries the
+// packed panels converted from them once at snapshot time, and scores through
+// those. Either way every prediction — single-plan ones as a batch of one —
+// goes through the batched forward pass of its precision.
 type Snapshot struct {
-	net  *Network
-	prec Precision
-	f32  *netF32 // packed panels; non-nil when prec is float32
-	i8   *netI8  // quantized panels; non-nil when prec is int8
+	net *Network
+	f32 *netF32 // packed panels; nil for a float64 snapshot
 }
 
 // Snapshot deep-copies the network's current weights into a frozen float64
 // predictor. Call it only when no training round is mutating the weights
 // (Neo calls it at the end of each retraining round, under the training
-// lock). See SnapshotPrecision for reduced-precision snapshots.
+// lock). See SnapshotPrecision for float32 snapshots.
 func (n *Network) Snapshot() *Snapshot {
-	return n.SnapshotPrecision(PrecisionFloat64, nil)
+	return n.SnapshotPrecision(PrecisionFloat64)
 }
 
 // Predict implements Predictor.
 func (s *Snapshot) Predict(queryVec []float64, trees []*treeconv.Tree) float64 {
-	if s.prec == PrecisionFloat64 {
-		return s.net.Predict(queryVec, trees)
-	}
 	return s.net.denormalize(s.PredictNormalized(queryVec, trees))
 }
 
 // PredictNormalized implements Predictor.
 func (s *Snapshot) PredictNormalized(queryVec []float64, trees []*treeconv.Tree) float64 {
-	if s.prec == PrecisionFloat64 {
-		return s.net.PredictNormalized(queryVec, trees)
-	}
-	return s.forward32([][]float64{queryVec}, [][]*treeconv.Tree{trees}, nil, nil, nil)[0]
+	return s.PredictBatchNormalized([][]float64{queryVec}, [][]*treeconv.Tree{trees})[0]
 }
 
 // PredictBatch implements Predictor.
 func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
-	if s.prec == PrecisionFloat64 {
-		return s.net.PredictBatch(queries, forests)
-	}
-	out := s.forward32(queries, forests, nil, nil, nil)
+	out := s.PredictBatchNormalized(queries, forests)
 	for i, v := range out {
 		out[i] = s.net.denormalize(v)
 	}
@@ -96,10 +86,10 @@ func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree)
 
 // PredictBatchNormalized implements Predictor.
 func (s *Snapshot) PredictBatchNormalized(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
-	if s.prec == PrecisionFloat64 {
-		return s.net.PredictBatchNormalized(queries, forests)
+	if s.f32 != nil {
+		return s.forward32(queries, forests)
 	}
-	return s.forward32(queries, forests, nil, nil, nil)
+	return s.net.PredictBatchNormalized(queries, forests)
 }
 
 // NumParameters returns the total number of scalar parameters of the frozen

@@ -48,12 +48,10 @@ type trainShard struct {
 	// Network.Params, so reduction can walk the two aligned slices.
 	params []*nn.Param
 
-	arena   nn.Arena
-	builder treeconv.BatchBuilder
+	arena nn.Arena[float64]
+	assembly[float64]
+	queries [][]float64
 	forests [][]*treeconv.Tree
-	qVecs   [][]float64
-	qIndex  []int
-	qFlat   []float64
 	argmax  []int
 	loss    float64
 }
@@ -163,54 +161,19 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 	a := &sh.arena
 	rows := len(samples)
 
-	// Deduplicate query vectors by slice identity, exactly as PredictBatch
-	// does: experience samples of the same query share one encoding slice,
-	// so the query tower runs once per distinct query.
-	sh.qVecs = sh.qVecs[:0]
-	if cap(sh.qIndex) < rows {
-		sh.qIndex = make([]int, rows)
+	sh.queries, sh.forests = sh.queries[:0], sh.forests[:0]
+	for _, smp := range samples {
+		sh.queries = append(sh.queries, smp.Query)
+		sh.forests = append(sh.forests, smp.Plan)
 	}
-	sh.qIndex = sh.qIndex[:rows]
-	if cap(sh.forests) < rows {
-		sh.forests = make([][]*treeconv.Tree, rows)
-	}
-	sh.forests = sh.forests[:rows]
-	for s, smp := range samples {
-		q := smp.Query
-		sh.forests[s] = smp.Plan
-		idx := -1
-		for u, uq := range sh.qVecs {
-			if len(uq) == len(q) && (len(q) == 0 || &uq[0] == &q[0]) {
-				idx = u
-				break
-			}
-		}
-		if idx < 0 {
-			idx = len(sh.qVecs)
-			sh.qVecs = append(sh.qVecs, q)
-		}
-		sh.qIndex[s] = idx
-	}
-	sh.qFlat = sh.qFlat[:0]
-	for _, q := range sh.qVecs {
-		if len(q) != n.queryDim {
-			panic("valuenet: TrainBatch query vector dimension mismatch")
-		}
-		sh.qFlat = append(sh.qFlat, q...)
-	}
-	qt := sh.qmlp.ForwardBatchTape(sh.qFlat, len(sh.qVecs), a)
-	g := qt.Output()
-	qOut := len(g) / len(sh.qVecs)
-
-	// Spatial replication straight into the flattened forest batch.
-	channels := n.planDim + qOut
-	batch := sh.builder.Build(sh.forests, channels, func(sample int, node *treeconv.Tree, row []float64) {
-		if len(node.Data) != n.planDim {
-			panic("valuenet: TrainBatch plan vector dimension mismatch")
-		}
-		copy(row[:n.planDim], node.Data)
-		copy(row[n.planDim:], g[sh.qIndex[sample]*qOut:(sh.qIndex[sample]+1)*qOut])
+	// The prologue shared with inference (assemble), with a taped query tower.
+	var qt *nn.MLPBatchTape
+	batch := sh.assemble(n, sh.queries, sh.forests, func(qFlat []float64, distinct int) []float64 {
+		qt = sh.qmlp.ForwardBatchTape(qFlat, distinct, a)
+		return qt.Output()
 	})
+	channels := batch.Channels
+	qOut := channels - n.planDim
 
 	ct := sh.conv.ForwardBatchTape(batch, a)
 	convOut := ct.Output()

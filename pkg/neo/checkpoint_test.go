@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"neo/internal/checkpoint"
@@ -233,12 +234,12 @@ func precisionSystem(t testing.TB, prec string) *System {
 }
 
 // TestCheckpointPrecisionIsSnapshotOnly asserts that serving precision never
-// leaks into the checkpoint container: a checkpoint saved while serving int8
+// leaks into the checkpoint container: a checkpoint saved while serving float32
 // restores the float64 master weights bit-identically into systems serving
 // at any precision, and each restored system serves at its own configured
 // precision, not the saver's.
 func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
-	src := precisionSystem(t, "int8")
+	src := precisionSystem(t, "float32")
 	wl, err := src.GenerateWorkload(6)
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +247,8 @@ func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
 	if err := src.Bootstrap(wl.Queries[:4]); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.SnapshotInfo().Precision; got != "int8" {
-		t.Fatalf("source serves %q, want int8", got)
+	if got := src.SnapshotInfo().Precision; got != "float32" {
+		t.Fatalf("source serves %q, want float32", got)
 	}
 	var buf bytes.Buffer
 	if err := src.SaveCheckpoint(&buf); err != nil {
@@ -255,7 +256,7 @@ func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
 	}
 
 	want := src.Neo.Net.Params()
-	for _, prec := range []string{"", "float32", "int8"} {
+	for _, prec := range []string{"", "float32"} {
 		dst := precisionSystem(t, prec)
 		if err := dst.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
@@ -275,6 +276,21 @@ func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
 		}
 		if got := dst.SnapshotInfo().Precision; got != wantServe {
 			t.Fatalf("restored system with ScorePrecision=%q serves %q, want %q", prec, got, wantServe)
+		}
+	}
+}
+
+// TestOpenRejectsUnsupportedPrecision asserts Open validates ScorePrecision
+// before it generates any data: the unknown dataset named alongside would
+// otherwise be the error reported.
+func TestOpenRejectsUnsupportedPrecision(t *testing.T) {
+	_, err := Open(Config{Dataset: "no-such-dataset", ScorePrecision: "int8"})
+	if err == nil {
+		t.Fatal("Open accepted ScorePrecision int8")
+	}
+	for _, want := range []string{"int8", "float64", "float32"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
 		}
 	}
 }

@@ -204,13 +204,11 @@ type Config struct {
 	// network structurally identical to the paper's).
 	ValueNet *ValueNetConfig
 	// ScorePrecision selects the numeric format the frozen serving snapshot
-	// scores plans with: "float64" (or "", the exact historical default),
-	// "float32" (packed tiled-GEMM inference kernels) or "int8" (symmetric
-	// per-channel quantization calibrated from recorded featurizations; it
-	// serves float32 until the experience holds calibration material).
-	// Training always runs in float64 and checkpoints always persist the
-	// float64 master weights — the conversion happens once per snapshot
-	// publication, inside the atomic swap. Open rejects unknown values.
+	// scores plans with: "float64" (or "", the exact historical default) or
+	// "float32" (packed tiled-GEMM inference kernels). Training always runs
+	// in float64 and checkpoints always persist the float64 master weights —
+	// the conversion happens once per snapshot publication, inside the
+	// atomic swap. Open rejects any other value before generating data.
 	ScorePrecision string
 	// Cost selects the optimisation objective (default WorkloadCost).
 	Cost core.CostFunction
@@ -394,6 +392,10 @@ func (c *planCache) stats() PlanCacheStats {
 // and creates an untrained Neo.
 func Open(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
+	prec, err := valuenet.ParsePrecision(cfg.ScorePrecision)
+	if err != nil {
+		return nil, fmt.Errorf("neo: %w", err)
+	}
 	profile := datagen.Profile(cfg.Dataset)
 	db, err := datagen.Generate(profile, datagen.Config{Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {
@@ -450,10 +452,6 @@ func Open(cfg Config) (*System, error) {
 	coreCfg.FuseLinger = cfg.FuseLinger
 	if cfg.ValueNet != nil {
 		coreCfg.ValueNet = *cfg.ValueNet
-	}
-	prec, err := valuenet.ParsePrecision(cfg.ScorePrecision)
-	if err != nil {
-		return nil, fmt.Errorf("neo: %w", err)
 	}
 	coreCfg.ScorePrecision = prec
 	mode, err := route.ParseMode(cfg.Routing)
