@@ -2,8 +2,8 @@
 // the simulated cost model.
 //
 // With Config.Engine "disk" the synthetic database is materialized into
-// slotted-page heap files, plans execute through Volcano-style iterators
-// reading 8 KiB pages from a buffer pool, and the latency fed into Neo's
+// slotted-page heap files, the executor's operators read them as 8 KiB pages
+// through a buffer pool, and the latency fed into Neo's
 // experience is the measured wall clock — including effects no cost model
 // prices, like whether the pages a join touches are resident in the pool.
 // Plans and result cardinalities are identical to the simulated engine's

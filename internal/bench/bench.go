@@ -387,8 +387,8 @@ func (r *streamRecorder) ScoreBatch(ps []*plan.Plan) []float64 {
 // full BestFirst search per hot query. Rows are pre-encoded once — encoding
 // is identical per-request work in both serving modes, so the benchmark pair
 // isolates the layer the scheduler changes: the forward passes. Each stream
-// shares one query-encoding slice per distinct query, exactly like core's
-// per-query encoding cache does for concurrent requests.
+// shares one query-encoding slice per distinct query, as each search's
+// scorer does across its batches.
 func servingFixture() (snap, snap32 *valuenet.Snapshot, streams []scoreStream) {
 	sys, err := neo.Open(neo.Config{
 		Dataset:          "imdb",

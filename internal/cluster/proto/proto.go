@@ -383,6 +383,38 @@ func (c *Client) PostJSON(ctx context.Context, url string, in, out any) error {
 	})
 }
 
+// PostFailover POSTs in to path on the first of nodes that answers. nodes is
+// a key's ring.Sequence, owner first; a node that fails retryably is passed
+// over for the next, and when none is left the last failure is returned
+// wrapped. Success and non-retryable errors (4xx — a bad spec, stale
+// feedback) end the walk at once: every replica would answer the same.
+func (c *Client) PostFailover(ctx context.Context, nodes []string, path string, in, out any) error {
+	var lastErr error
+	for _, node := range nodes {
+		err := c.PostJSON(ctx, node+path, in, out)
+		if err == nil || !Retryable(err) {
+			return err
+		}
+		lastErr = err
+	}
+	return fmt.Errorf("no replica reachable: %w", lastErr)
+}
+
+// FleetStats GETs /stats from every node: a node that answers has its reply
+// in stats, one that does not has its error in failed.
+func (c *Client) FleetStats(ctx context.Context, nodes []string) (stats map[string]json.RawMessage, failed map[string]error) {
+	stats, failed = make(map[string]json.RawMessage, len(nodes)), make(map[string]error)
+	for _, node := range nodes {
+		var st json.RawMessage
+		if err := c.GetJSON(ctx, node+"/stats", &st); err != nil {
+			failed[node] = err
+		} else {
+			stats[node] = st
+		}
+	}
+	return stats, failed
+}
+
 // PostBytes POSTs a binary payload (a NEOCKPT1 container) and decodes a 2xx
 // JSON response into out.
 func (c *Client) PostBytes(ctx context.Context, url string, payload []byte, out any) error {

@@ -81,42 +81,31 @@ func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 // forward relays the raw body to the key's owning replica, failing over in
-// ring order on retryable errors. Non-retryable replies (4xx — a bad spec,
-// stale feedback) are the replica's answer and are relayed verbatim: every
-// replica would say the same.
+// ring order (proto.Client.PostFailover). A non-retryable reply (4xx) is the
+// replica's answer and is relayed verbatim.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, spec *proto.QuerySpec, body []byte, path string) {
-	var lastErr error
-	for _, node := range rt.ring.Sequence(proto.SpecKey(spec)) {
-		var reply json.RawMessage
-		err := rt.client.PostJSON(r.Context(), node+path, json.RawMessage(body), &reply)
-		if err == nil {
-			writeJSON(w, reply)
-			return
-		}
-		var se *proto.StatusError
-		if errors.As(err, &se) && se.Code < 500 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(se.Code)
-			_, _ = io.WriteString(w, se.Body)
-			return
-		}
-		lastErr = err
+	var reply json.RawMessage
+	err := rt.client.PostFailover(r.Context(), rt.ring.Sequence(proto.SpecKey(spec)), path, json.RawMessage(body), &reply)
+	var se *proto.StatusError
+	switch {
+	case err == nil:
+		writeJSON(w, reply)
+	case errors.As(err, &se) && se.Code < 500:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(se.Code)
+		_, _ = io.WriteString(w, se.Body)
+	default:
+		httpError(w, http.StatusBadGateway, err)
 	}
-	httpError(w, http.StatusBadGateway, fmt.Errorf("no replica reachable for this query: %w", lastErr))
 }
 
 // handleStats fans out to every replica's /stats and returns the fleet view
 // keyed by replica URL; unreachable replicas report an error entry instead
 // of failing the whole call.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	out := make(map[string]json.RawMessage, len(rt.ring.Nodes()))
-	for _, node := range rt.ring.Nodes() {
-		var st json.RawMessage
-		if err := rt.client.GetJSON(r.Context(), node+"/stats", &st); err != nil {
-			msg, _ := json.Marshal(map[string]string{"error": err.Error()})
-			st = msg
-		}
-		out[node] = st
+	out, failed := rt.client.FleetStats(r.Context(), rt.ring.Nodes())
+	for node, err := range failed {
+		out[node], _ = json.Marshal(map[string]string{"error": err.Error()})
 	}
 	writeJSON(w, map[string]any{"replicas": out})
 }

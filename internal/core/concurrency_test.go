@@ -222,7 +222,7 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qEnc := n.encodeQuery(probe)
+	qEnc := n.Featurizer.EncodeQuery(probe)
 	pEnc := n.Featurizer.EncodePlan(probePlan)
 	predBefore := snapBefore.Predict(qEnc, pEnc)
 

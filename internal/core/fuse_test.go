@@ -122,7 +122,7 @@ func TestFusedScorerBitEqualityUnderContention(t *testing.T) {
 	var jobs []job
 	for _, q := range queries {
 		q := q
-		enc := rig.neo.encodeQuery(q)
+		enc := rig.neo.Featurizer.EncodeQuery(q)
 		jobs = append(jobs,
 			job{kind: "bestfirst " + q.ID, qEnc: enc, run: func(s search.BatchScorer) (*search.Result, error) {
 				return search.BestFirst(q, s, opts)
@@ -251,7 +251,7 @@ func TestFusedSchedulerDrainedOnSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qEnc := rig.neo.encodeQuery(q)
+	qEnc := rig.neo.Featurizer.EncodeQuery(q)
 	forests := [][]*treeconv.Tree{rig.feat.EncodePlan(p)}
 	got := oldNS.sched.PredictBatch([][]float64{qEnc}, forests)
 	want := oldNS.net.PredictBatch([][]float64{qEnc}, forests)

@@ -175,12 +175,6 @@ type Neo struct {
 	// used by the Figure 11 training-time breakdown.
 	trainTime time.Duration // guarded by mu
 
-	// encMu guards the query-encoding cache separately from mu: a cold
-	// encode can be expensive (featurizers may execute sub-queries), and it
-	// must not stall baseline reads or serialize the whole worker pool.
-	encMu         sync.Mutex
-	queryEncCache map[string][]float64 // guarded by encMu
-
 	// trainMu serializes retraining rounds (Retrain / RetrainAsync).
 	trainMu sync.Mutex
 	// snap is the read-only network snapshot all searches score with,
@@ -286,17 +280,16 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 	net := valuenet.New(feat.QueryVectorSize(), feat.PlanVectorSize(), cfg.ValueNet)
 	src := newCountingSource(cfg.Seed)
 	n := &Neo{
-		Engine:        eng,
-		Featurizer:    feat,
-		Net:           net,
-		Experience:    NewExperience(),
-		Config:        cfg,
-		rng:           rand.New(src),
-		rngSrc:        src,
-		rngSeed:       cfg.Seed,
-		baseline:      make(map[string]float64),
-		queryEncCache: make(map[string][]float64),
-		router:        route.New(cfg.Routing, cfg.RoutePolicy),
+		Engine:     eng,
+		Featurizer: feat,
+		Net:        net,
+		Experience: NewExperience(),
+		Config:     cfg,
+		rng:        rand.New(src),
+		rngSrc:     src,
+		rngSeed:    cfg.Seed,
+		baseline:   make(map[string]float64),
+		router:     route.New(cfg.Routing, cfg.RoutePolicy),
 	}
 	if cfg.FuseScoring {
 		n.fuse = &sched.Counters{}
@@ -444,15 +437,6 @@ func (n *Neo) RestoreTrainingTime(d time.Duration) {
 	n.trainTime = d
 }
 
-// ResetEncodingCache drops every cached query encoding. Call it after
-// swapping the featurizer's inputs (e.g. restoring a checkpointed embedding
-// model) so stale encodings cannot leak into new searches.
-func (n *Neo) ResetEncodingCache() {
-	n.encMu.Lock()
-	defer n.encMu.Unlock()
-	n.queryEncCache = make(map[string][]float64)
-}
-
 // SetBaseline records the per-query baseline latencies used by the
 // RelativeCost objective and by normalised reporting (typically the latency
 // of the expert's plan on the target engine). Safe for concurrent use.
@@ -481,18 +465,6 @@ func (n *Neo) cost(e Entry) float64 {
 		}
 	}
 	return e.Latency
-}
-
-// encodeQuery caches query-level encodings. Safe for concurrent use.
-func (n *Neo) encodeQuery(q *query.Query) []float64 {
-	n.encMu.Lock()
-	defer n.encMu.Unlock()
-	if enc, ok := n.queryEncCache[q.ID]; ok {
-		return enc
-	}
-	enc := n.Featurizer.EncodeQuery(q)
-	n.queryEncCache[q.ID] = enc
-	return enc
 }
 
 // Bootstrap collects demonstration experience from an expert optimizer
@@ -566,8 +538,15 @@ func (n *Neo) BootstrapFromPlans(plans []*plan.Plan) error {
 // cost of any experienced complete plan that contains it.
 func (n *Neo) trainingSamples() []valuenet.Sample {
 	var samples []valuenet.Sample
+	// Every sample of one query shares one encoding slice: that identity is
+	// what valuenet deduplicates the query tower on.
+	encodings := make(map[string][]float64)
 	for _, entry := range n.Experience.Entries() {
-		qEnc := n.encodeQuery(entry.Query)
+		qEnc, ok := encodings[entry.Query.ID]
+		if !ok {
+			qEnc = n.Featurizer.EncodeQuery(entry.Query)
+			encodings[entry.Query.ID] = qEnc
+		}
 		for _, partial := range constructionStates(entry.Plan) {
 			target, ok := n.Experience.MinCostContaining(partial, n.cost)
 			if !ok {
@@ -718,7 +697,7 @@ type scoreBackend interface {
 // netScorer scores plans for one query with a frozen value-network
 // snapshot. ScoreBatch — the search hot path — encodes every plan of the
 // batch and runs one shared batched forward pass; all plans share the
-// query's cached encoding, so the network's query tower runs once per
+// query's one encoding, so the network's query tower runs once per
 // batch. With fused scoring the backend is the snapshot's scheduler, and the
 // forward pass is additionally shared with whatever other searches submitted
 // within the linger window.
@@ -766,7 +745,7 @@ func (n *Neo) Scorer(q *query.Query) search.BatchScorer {
 	if ns.sched != nil {
 		backend = ns.sched
 	}
-	return &netScorer{backend: backend, feat: n.Featurizer, qEnc: n.encodeQuery(q)}
+	return &netScorer{backend: backend, feat: n.Featurizer, qEnc: n.Featurizer.EncodeQuery(q)}
 }
 
 // FusionStats reports the cross-request inference scheduler's cumulative
@@ -849,7 +828,7 @@ func (n *Neo) ObserveLatency(q *query.Query, observedMS float64) {
 	// Predict (not PredictNormalized): the estimate must be in the original
 	// cost domain so the observed/estimated ratio is unit-free.
 	initial := plan.Initial(q)
-	estimate := n.Snapshot().Predict(n.encodeQuery(q), n.Featurizer.EncodePlan(initial))
+	estimate := n.Snapshot().Predict(n.Featurizer.EncodeQuery(q), n.Featurizer.EncodePlan(initial))
 	n.router.RecordOutcome(route.Classify(q).Key(), observedMS, estimate)
 }
 
@@ -1021,7 +1000,7 @@ func (n *Neo) EvaluateParallel(queries []*query.Query, workers int) (float64, ma
 // snapshot, so it is safe to call while a retraining round is in flight.
 func (n *Neo) PredictNormalized(q *query.Query, p *plan.Plan) float64 {
 	return n.Snapshot().PredictBatchNormalized(
-		[][]float64{n.encodeQuery(q)}, [][]*treeconv.Tree{n.Featurizer.EncodePlan(p)})[0]
+		[][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{n.Featurizer.EncodePlan(p)})[0]
 }
 
 // EncodePlanTrees is a convenience wrapper exposing the featurizer's plan

@@ -32,9 +32,10 @@ type ExecutionBackend interface {
 	Measured() bool
 }
 
-// SimBackend executes plans on the in-memory executor and prices them with
-// a cost Profile. It is deterministic (same plan, same latency) and fast,
-// which makes it the test double and the default backend.
+// SimBackend executes plans on the sampling executor over the in-memory
+// column store and prices them with a cost Profile. It is deterministic
+// (same plan, same latency) and fast, which makes it the test double and the
+// default backend.
 type SimBackend struct {
 	Profile Profile
 	Exec    *executor.Executor
@@ -65,12 +66,13 @@ func (b *SimBackend) Run(p *plan.Plan) (float64, *executor.Result, error) {
 // trains on real execution time — including effects no cost model prices,
 // like page residency (cold vs hot cache).
 type DiskBackend struct {
-	Exec *executor.DiskExecutor
+	Exec *executor.Executor
+	db   *storage.DiskDB
 }
 
 // NewDiskBackend creates the disk backend over an opened disk database.
 func NewDiskBackend(db *storage.DiskDB) *DiskBackend {
-	return &DiskBackend{Exec: executor.NewDisk(db)}
+	return &DiskBackend{Exec: executor.NewDisk(db), db: db}
 }
 
 // Name implements ExecutionBackend.
@@ -92,5 +94,5 @@ func (b *DiskBackend) Run(p *plan.Plan) (float64, *executor.Result, error) {
 
 // StorageStats returns the buffer-pool counters of the backend's database.
 func (b *DiskBackend) StorageStats() storage.PoolStats {
-	return b.Exec.DB().Pool.Stats()
+	return b.db.Pool.Stats()
 }

@@ -180,10 +180,10 @@ func NewWithBackend(profile Profile, backend ExecutionBackend) *Engine {
 	}
 }
 
-// Executor returns the in-memory executor when the engine runs on the
-// simulated backend, and nil otherwise. Callers that need a physical
-// executor regardless of backend (selectivity probing, true-cardinality
-// counting) should construct their own from the database.
+// Executor returns the executor over the in-memory column store when the
+// engine runs on the simulated backend, and nil otherwise. Callers that need
+// one regardless of backend (selectivity probing, true-cardinality counting)
+// should construct their own from the database.
 func (e *Engine) Executor() *executor.Executor {
 	if sb, ok := e.Backend.(*SimBackend); ok {
 		return sb.Exec

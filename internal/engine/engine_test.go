@@ -177,6 +177,47 @@ func TestIndexNestedLoopBeatsNaiveLoop(t *testing.T) {
 	}
 }
 
+// TestIndexNestedLoopCostIgnoresInnerCounts pins the reason the executor may
+// run an index-nested-loop join without scanning its inner leaf: no profile
+// reads that leaf's OutputRows/Selectivity or the join's RightRows, so the
+// counts such a join reports there (index fetches, not a scan) cannot move a
+// simulated latency, or anything trained from one.
+func TestIndexNestedLoopCostIgnoresInnerCounts(t *testing.T) {
+	db := imdb(t)
+	q := loveQuery()
+	p := &plan.Plan{Query: q, Roots: []*plan.Node{
+		plan.Join2(plan.LoopJoin,
+			plan.Join2(plan.LoopJoin, plan.Leaf("keyword", plan.TableScan), plan.Leaf("movie_keyword", plan.IndexScan)),
+			plan.Leaf("title", plan.IndexScan)),
+	}}
+	res, err := executor.New(db).Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var joins []*plan.Node
+	p.Roots[0].Walk(func(n *plan.Node) {
+		if !n.IsLeaf() {
+			joins = append(joins, n)
+		}
+	})
+	for _, prof := range append(Profiles(), DiskProfile()) {
+		want := prof.CostResult(p.Roots[0], res.Nodes)
+		for _, j := range joins {
+			if !res.Nodes[j].InnerIndexOnJoinKey {
+				t.Fatalf("%s is not an index-nested-loop join; the test pins nothing", j)
+			}
+			join, inner := *res.Nodes[j], *res.Nodes[j.Right]
+			res.Nodes[j].RightRows *= 7
+			res.Nodes[j.Right].OutputRows = inner.OutputRows*13 + 5
+			res.Nodes[j.Right].Selectivity = 1 - inner.Selectivity
+			if got := prof.CostResult(p.Roots[0], res.Nodes); got != want {
+				t.Errorf("%s: cost moved %v -> %v when the inner counts of %s changed", prof.Name, want, got, j)
+			}
+			*res.Nodes[j], *res.Nodes[j.Right] = join, inner
+		}
+	}
+}
+
 func TestMergeJoinBenefitsFromSortedInput(t *testing.T) {
 	db := imdb(t)
 	q := query.New("mkt",

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"neo/internal/plan"
@@ -11,11 +12,11 @@ import (
 )
 
 // diskFixture materializes the shared IMDB fixture to a temp dir and opens
-// both executors over the same data: the in-memory executor with its
-// sampling cap raised far beyond the workload (so its counts are exact,
-// like the disk executor's), and the disk executor with a small buffer pool
-// so scans actually cycle pages through eviction.
-func diskFixture(t testing.TB) (*storage.Database, *Executor, *DiskExecutor) {
+// an executor over each row source of the same data: the in-memory one with
+// its sampling cap raised far beyond the workload (so its counts are exact,
+// like the disk one's), and the disk one with a small buffer pool so scans
+// actually cycle pages through eviction.
+func diskFixture(t testing.TB) (*storage.Database, *Executor, *Executor, *storage.DiskDB) {
 	t.Helper()
 	db := imdb(t)
 	if err := db.BuildIndexes(); err != nil {
@@ -35,7 +36,7 @@ func diskFixture(t testing.TB) (*storage.Database, *Executor, *DiskExecutor) {
 	if err := ddb.VerifyAgainst(db); err != nil {
 		t.Fatal(err)
 	}
-	return db, sim, NewDisk(ddb)
+	return db, sim, NewDisk(ddb), ddb
 }
 
 // opPlan builds a left-deep plan for q with every join using op and every
@@ -56,12 +57,10 @@ func opPlan(t *testing.T, q *query.Query, op plan.JoinOp, scan plan.ScanType) *p
 	return p
 }
 
-// assertParity executes one plan on both backends and requires identical
-// per-node statistics. The inner leaf of a join the disk backend runs as a
-// true index-nested-loop is the one documented divergence: INL never scans
-// the inner table, so that leaf's output counts index-fetched tuples; the
-// join node above it must still agree on OutputRows.
-func assertParity(t *testing.T, sim *Executor, disk *DiskExecutor, p *plan.Plan) {
+// assertParity executes one plan over both row sources and requires
+// identical per-node statistics: one operator set runs on either, so nothing
+// may differ — the inner leaf of an index-nested-loop join included.
+func assertParity(t *testing.T, sim, disk *Executor, p *plan.Plan) {
 	t.Helper()
 	simRes, err := sim.Execute(p)
 	if err != nil {
@@ -77,47 +76,19 @@ func assertParity(t *testing.T, sim *Executor, disk *DiskExecutor, p *plan.Plan)
 	if diskRes.OutputRows != simRes.OutputRows {
 		t.Fatalf("root cardinality: disk %v, sim %v (plan %s)", diskRes.OutputRows, simRes.OutputRows, p)
 	}
-
-	inlInner := map[*plan.Node]bool{}
-	p.Roots[0].Walk(func(n *plan.Node) {
-		if !n.IsLeaf() && n.Join == plan.LoopJoin && simRes.Nodes[n].InnerIndexOnJoinKey {
-			inlInner[n.Right] = true
-		}
-	})
-
 	p.Roots[0].Walk(func(n *plan.Node) {
 		sn, dn := simRes.Nodes[n], diskRes.Nodes[n]
 		if sn == nil || dn == nil {
 			t.Fatalf("node %s: missing stats (sim %v, disk %v)", n, sn != nil, dn != nil)
 		}
-		if sn.CrossProduct != dn.CrossProduct ||
-			sn.IndexOnPredicate != dn.IndexOnPredicate ||
-			sn.InnerIndexOnJoinKey != dn.InnerIndexOnJoinKey ||
-			sn.LeftSorted != dn.LeftSorted || sn.RightSorted != dn.RightSorted {
-			t.Errorf("node %s: flag mismatch sim=%+v disk=%+v", n, sn, dn)
-		}
-		if sn.BaseRows != dn.BaseRows {
-			t.Errorf("node %s: BaseRows disk %v, sim %v", n, dn.BaseRows, sn.BaseRows)
-		}
-		if inlInner[n] {
-			return // documented divergence: counts index fetches, not a scan
-		}
-		if dn.OutputRows != sn.OutputRows {
-			t.Errorf("node %s: OutputRows disk %v, sim %v", n, dn.OutputRows, sn.OutputRows)
-		}
-		if !n.IsLeaf() {
-			if dn.LeftRows != sn.LeftRows {
-				t.Errorf("node %s: LeftRows disk %v, sim %v", n, dn.LeftRows, sn.LeftRows)
-			}
-			if !inlInner[n.Right] && dn.RightRows != sn.RightRows {
-				t.Errorf("node %s: RightRows disk %v, sim %v", n, dn.RightRows, sn.RightRows)
-			}
+		if *sn != *dn {
+			t.Errorf("node %s: sim=%+v disk=%+v", n, *sn, *dn)
 		}
 	})
 }
 
 func TestDiskSimParityEveryJoinOperator(t *testing.T) {
-	_, sim, disk := diskFixture(t)
+	_, sim, disk, _ := diskFixture(t)
 	q := loveQuery()
 	for _, op := range plan.AllJoinOps {
 		for _, scan := range []plan.ScanType{plan.TableScan, plan.IndexScan} {
@@ -131,7 +102,7 @@ func TestDiskSimParityEveryJoinOperator(t *testing.T) {
 // indexed join column. The disk backend must run it through the RID index
 // and still produce the sim backend's join cardinality.
 func TestDiskSimParityINLShape(t *testing.T) {
-	_, sim, disk := diskFixture(t)
+	_, sim, disk, _ := diskFixture(t)
 	q := loveQuery()
 	p := &plan.Plan{Query: q, Roots: []*plan.Node{
 		plan.Join2(plan.LoopJoin,
@@ -165,7 +136,7 @@ func TestDiskSimParityINLShape(t *testing.T) {
 }
 
 func TestDiskSimParitySeededWorkload(t *testing.T) {
-	db, sim, disk := diskFixture(t)
+	db, sim, disk, _ := diskFixture(t)
 	w, err := workload.JOB(db, 12, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +149,7 @@ func TestDiskSimParitySeededWorkload(t *testing.T) {
 }
 
 func TestDiskCrossProductParity(t *testing.T) {
-	_, sim, disk := diskFixture(t)
+	_, sim, disk, _ := diskFixture(t)
 	// Two relations with no join predicate: both backends cap the cross
 	// product at their row budget; at this scale neither cap is hit, so the
 	// cardinality is the exact product.
@@ -204,19 +175,95 @@ func TestDiskCrossProductParity(t *testing.T) {
 // through the pool: a 1 MiB pool over the fixture database must record
 // misses and, across repeated scans of distinct tables, evictions.
 func TestDiskBufferPoolSeesTraffic(t *testing.T) {
-	_, sim, disk := diskFixture(t)
-	disk.DB().Pool.Reset()
+	_, sim, disk, ddb := diskFixture(t)
+	ddb.Pool.Reset()
 	q := loveQuery()
 	for _, op := range plan.AllJoinOps {
 		assertParity(t, sim, disk, opPlan(t, q, op, plan.TableScan))
 	}
-	s := disk.DB().Pool.Stats()
+	s := ddb.Pool.Stats()
 	if s.Misses == 0 || s.BytesRead == 0 {
 		t.Fatalf("no buffer-pool traffic recorded: %+v", s)
 	}
 }
 
-// ---- maybeSample regression tests ----
+// TestDiskTruncatesPastMaxRows pins the disk executor's overflow policy: an
+// intermediate that outgrows MaxRows is cut off, not sampled — the Result is
+// marked Truncated, every count is a lower bound of the exact one, and it is
+// not an error.
+func TestDiskTruncatesPastMaxRows(t *testing.T) {
+	_, sim, disk, _ := diskFixture(t)
+	disk.MaxRows = 50
+	p := opPlan(t, loveQuery(), plan.HashJoin, plan.TableScan)
+	exact, err := sim.Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := disk.Execute(p)
+	if err != nil {
+		t.Fatalf("a truncated execution must not fail: %v", err)
+	}
+	if !res.Truncated {
+		t.Fatal("expected Truncated under a 50-row budget")
+	}
+	p.Roots[0].Walk(func(n *plan.Node) {
+		got, want := res.Nodes[n], exact.Nodes[n]
+		if got == nil {
+			t.Fatalf("node %s: no stats", n)
+		}
+		if got.OutputRows > want.OutputRows || got.OutputRows > 50 {
+			t.Errorf("node %s: OutputRows %v is not a lower bound (exact %v, budget 50)", n, got.OutputRows, want.OutputRows)
+		}
+	})
+	// The same budget on the sampling executor is not a truncation.
+	sim.MaxRows = 50
+	sampled, err := sim.Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampled.Truncated {
+		t.Error("the sampling executor marked a result truncated")
+	}
+}
+
+// TestDiskExecutorConcurrentUse runs the same plans on one disk Executor
+// from 8 goroutines: tuple arenas belong to an execution, so every goroutine
+// must read the statistics a lone execution reads (run under -race in CI).
+func TestDiskExecutorConcurrentUse(t *testing.T) {
+	_, _, disk, _ := diskFixture(t)
+	var plans []*plan.Plan
+	var want []*Result
+	for _, op := range plan.AllJoinOps {
+		p := opPlan(t, loveQuery(), op, plan.IndexScan)
+		res, err := disk.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, want = append(plans, p), append(want, res)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, p := range plans {
+				res, err := disk.Execute(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p.Roots[0].Walk(func(n *plan.Node) {
+					if *res.Nodes[n] != *want[i].Nodes[n] {
+						t.Errorf("plan %d node %s: %+v, alone %+v", i, n, *res.Nodes[n], *want[i].Nodes[n])
+					}
+				})
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// ---- sampling regression tests ----
 
 // TestMaybeSampleExactCount pins the fix for the float-stride bug: the
 // sample must contain exactly limit distinct rows and card() must be exactly
@@ -225,21 +272,20 @@ func TestMaybeSampleExactCount(t *testing.T) {
 	for _, tc := range []struct{ n, limit int }{
 		{100, 7}, {1000, 333}, {50001, 50000}, {99999, 1024}, {10, 9},
 	} {
-		e := &Executor{MaxRows: tc.limit}
 		r := newRelation([]string{"t"})
 		for i := 0; i < tc.n; i++ {
-			r.rows = append(r.rows, []int32{int32(i)})
+			r.rows = append(r.rows, int32(i))
 		}
 		r.mult = 2 // pre-existing scale factors must compose
-		e.maybeSample(r)
-		if len(r.rows) != tc.limit {
-			t.Errorf("n=%d limit=%d: sampled %d rows, want exactly %d", tc.n, tc.limit, len(r.rows), tc.limit)
+		r.sample(tc.limit)
+		if r.len() != tc.limit {
+			t.Errorf("n=%d limit=%d: sampled %d rows, want exactly %d", tc.n, tc.limit, r.len(), tc.limit)
 		}
 		if got, want := r.card(), 2*float64(tc.n); math.Abs(got-want) > 1e-6*want {
 			t.Errorf("n=%d limit=%d: card() = %v, want %v", tc.n, tc.limit, got, want)
 		}
-		for i := 1; i < len(r.rows); i++ {
-			if r.rows[i][0] <= r.rows[i-1][0] {
+		for i := 1; i < r.len(); i++ {
+			if r.rows[i] <= r.rows[i-1] {
 				t.Fatalf("n=%d limit=%d: sample indices not strictly increasing at %d", tc.n, tc.limit, i)
 			}
 		}

@@ -1,37 +1,63 @@
-// Package executor implements the physical execution substrate that the
-// simulated database engines share. It executes complete execution plans
-// against the in-memory column store, materialising (sampled) intermediate
-// results so that every plan node is annotated with realistic input/output
-// cardinalities, access-path information and ordering properties.
+// Package executor is the physical execution substrate every engine shares.
+// It runs complete plans operator-at-a-time — scan, index scan, filter, hash
+// join, merge join, index-nested-loop join, cross product — over composite
+// rows of int32 handles, reading base tables through a rowSource: the
+// in-memory column store for the simulated engines, heap files behind the
+// buffer pool for the disk engine. Every plan node is annotated with the
+// input/output cardinalities, access-path and ordering facts the cost models
+// price.
 //
-// The executor deliberately separates *what* is computed (true join results,
-// which depend only on the data and the join order) from *how much it would
-// cost on a given engine* (which depends on the physical operators chosen
-// and on engine-specific coefficients, modelled in package engine). All
-// joins are physically evaluated with hash tables for speed; the chosen
-// operator (hash/merge/loop) only affects the recorded statistics that the
-// engines price.
+// *What* is computed (true join results, which depend only on the data and
+// the join order) is separate from *what it costs on a given engine* (package
+// engine). Both kinds of engine run the operator the plan names, and every
+// operator returns the same rows, so cardinalities do not depend on the
+// operator. The first join predicate between two inputs drives the physical
+// join and any further ones filter its output; scan output inherits the
+// clustered (primary-key) ordering and merge-join output is sorted on the
+// join key. An index-nested-loop join never scans its inner leaf: that
+// leaf's OutputRows (and the join's RightRows) count the tuples fetched
+// through the index that passed the leaf's predicates, which no cost model
+// reads.
+//
+// The two constructors differ in one thing: what an intermediate result that
+// outgrows MaxRows means. New (simulated engines, priced by a cost model)
+// down-samples it and tracks a scale factor, so cardinalities stay
+// approximately right while execution time stays bounded even for
+// catastrophic plans. NewDisk (measured wall clock) cuts it off and marks the
+// Result Truncated.
 package executor
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"neo/internal/plan"
 	"neo/internal/query"
+	"neo/internal/schema"
 	"neo/internal/storage"
 )
 
-// DefaultMaxRows is the sampling cap on materialised intermediate results.
-// Intermediates larger than the cap are uniformly down-sampled and a scale
-// factor is tracked, so reported cardinalities remain (approximately)
-// correct while execution time stays bounded even for catastrophic plans.
+// DefaultMaxRows is the sampling cap New puts on materialised intermediate
+// results. Intermediates larger than the cap are uniformly down-sampled and a
+// scale factor is tracked, so reported cardinalities remain (approximately)
+// correct.
 const DefaultMaxRows = 50000
+
+// DiskMaxRows is the row budget NewDisk puts on intermediate results. It is
+// a runaway-plan safety net, not a sampling cap, set far above anything the
+// bundled workloads produce.
+const DiskMaxRows = 1 << 20
+
+// joinSlack is how far past MaxRows a join may run before it stops early:
+// the more of the output exists, the better the sample drawn from it.
+const joinSlack = 4
 
 // NodeStats records everything the engine cost models need to know about one
 // executed plan node.
 type NodeStats struct {
-	// OutputRows is the (scale-corrected) number of rows the node produces.
+	// OutputRows is the number of rows the node produces: scale-corrected
+	// when an input was sampled, a lower bound when the Result is Truncated.
 	OutputRows float64
 	// LeftRows and RightRows are the input cardinalities of a join node.
 	LeftRows, RightRows float64
@@ -59,44 +85,75 @@ type Result struct {
 	Root *plan.Node
 	// Nodes maps every plan node to its execution statistics.
 	Nodes map[*plan.Node]*NodeStats
-	// OutputRows is the (scale-corrected) cardinality of the final result.
+	// OutputRows is the cardinality of the final result (see
+	// NodeStats.OutputRows).
 	OutputRows float64
-	// TotalIntermediateRows sums the output cardinalities of every node; a
-	// crude engine-independent measure of how much work the plan implies.
-	TotalIntermediateRows float64
-	// Truncated reports that an operator hit its row budget and stopped
-	// early, so cardinalities are lower bounds. The in-memory executor never
-	// sets it (it samples instead); the disk executor sets it when a
-	// runaway plan exceeds its per-operator budget.
+	// Truncated reports that an intermediate result outgrew the row budget
+	// of an executor made by NewDisk and was cut off, so cardinalities are
+	// lower bounds. An executor made by New samples instead and never sets
+	// it.
 	Truncated bool
 }
 
-// Executor executes plans against one database.
+// Executor executes plans against one database. It is safe for concurrent
+// use: all state of an execution lives in that execution.
 type Executor struct {
-	db *storage.Database
-	// MaxRows caps materialised intermediate results (see DefaultMaxRows).
+	// MaxRows caps materialised intermediate results (see DefaultMaxRows
+	// and DiskMaxRows).
 	MaxRows int
+
+	catalog *schema.Catalog
+	// open returns a fresh source over the named table, nil if unknown.
+	open func(table string) rowSource
+	// truncate is what outgrowing MaxRows means: cut off and mark the
+	// Result (true) or down-sample and scale (false).
+	truncate bool
 }
 
-// New creates an executor over the given database.
+// New creates a sampling executor over the in-memory column store.
 func New(db *storage.Database) *Executor {
-	return &Executor{db: db, MaxRows: DefaultMaxRows}
+	return &Executor{MaxRows: DefaultMaxRows, catalog: db.Catalog, open: func(table string) rowSource {
+		if t := db.Table(table); t != nil {
+			return memRows{t}
+		}
+		return nil
+	}}
 }
 
-// relation is a materialised (possibly sampled) intermediate result: a bag
-// of composite rows, each holding one row id per contributing base table.
+// NewDisk creates a truncating executor over heap files read through the
+// database's buffer pool.
+func NewDisk(db *storage.DiskDB) *Executor {
+	return &Executor{MaxRows: DiskMaxRows, catalog: db.Catalog, truncate: true, open: func(table string) rowSource {
+		if t := db.Table(table); t != nil {
+			return &heapRows{pool: db.Pool, t: t}
+		}
+		return nil
+	}}
+}
+
+func (e *Executor) maxRows() int {
+	switch {
+	case e.MaxRows > 0:
+		return e.MaxRows
+	case e.truncate:
+		return DiskMaxRows
+	}
+	return DefaultMaxRows
+}
+
+// colName names a column of a base table.
+type colName struct {
+	table, column string
+}
+
+// relation is a materialised intermediate result: a bag of composite rows,
+// each holding one handle per contributing base table.
 type relation struct {
 	tables []string       // base table names, in slot order
 	slot   map[string]int // table name -> slot index
-	rows   [][]int32      // composite rows
+	rows   []int32        // composite rows back to back, len(tables) handles each
 	mult   float64        // sampling scale factor (>= 1)
-	sorted *schema0       // column the rows are sorted on, if any
-}
-
-// schema0 names a column of a base table (local alias to avoid importing
-// schema for one struct).
-type schema0 struct {
-	table, column string
+	sorted *colName       // column the rows are sorted on, if any
 }
 
 func newRelation(tables []string) *relation {
@@ -107,23 +164,50 @@ func newRelation(tables []string) *relation {
 	return r
 }
 
-func (r *relation) card() float64 { return float64(len(r.rows)) * r.mult }
+func (r *relation) len() int { return len(r.rows) / len(r.tables) }
+
+func (r *relation) row(i int) []int32 {
+	w := len(r.tables)
+	return r.rows[i*w : (i+1)*w]
+}
+
+func (r *relation) card() float64 { return float64(r.len()) * r.mult }
+
+func (r *relation) sortedOn(c colName) bool { return r.sorted != nil && *r.sorted == c }
+
+// colRef is a column resolved against a relation's row layout.
+type colRef struct {
+	src  rowSource
+	slot int // which handle of the composite row
+	pos  int // column position in the table's schema
+}
+
+func (c colRef) of(row []int32) storage.Value { return c.src.value(row[c.slot], c.pos) }
+
+// execution is the state of one Execute call.
+type execution struct {
+	e    *Executor
+	q    *query.Query
+	res  *Result
+	srcs map[string]rowSource
+}
 
 // Execute runs a complete plan and returns per-node statistics.
 func (e *Executor) Execute(p *plan.Plan) (*Result, error) {
 	if !p.IsComplete() {
 		return nil, fmt.Errorf("executor: plan for query %s is not complete: %s", p.Query.ID, p)
 	}
-	res := &Result{Root: p.Roots[0], Nodes: make(map[*plan.Node]*NodeStats)}
-	rel, err := e.executeNode(p.Roots[0], p.Query, res)
+	x := &execution{
+		e: e, q: p.Query,
+		res:  &Result{Root: p.Roots[0], Nodes: make(map[*plan.Node]*NodeStats)},
+		srcs: make(map[string]rowSource),
+	}
+	rel, err := x.node(p.Roots[0])
 	if err != nil {
 		return nil, err
 	}
-	res.OutputRows = rel.card()
-	for _, ns := range res.Nodes {
-		res.TotalIntermediateRows += ns.OutputRows
-	}
-	return res, nil
+	x.res.OutputRows = rel.card()
+	return x.res, nil
 }
 
 // Count returns the true cardinality of the query result (the COUNT(*) the
@@ -182,242 +266,384 @@ func canonicalPlan(q *query.Query) (*plan.Plan, error) {
 	return &plan.Plan{Query: q, Roots: []*plan.Node{cur}}, nil
 }
 
-func (e *Executor) executeNode(n *plan.Node, q *query.Query, res *Result) (*relation, error) {
-	if n.IsLeaf() {
-		return e.executeScan(n, q, res)
+// source returns this execution's source over a base table.
+func (x *execution) source(table string) (rowSource, error) {
+	if src, ok := x.srcs[table]; ok {
+		return src, nil
 	}
-	left, err := e.executeNode(n.Left, q, res)
-	if err != nil {
-		return nil, err
+	src := x.e.open(table)
+	if src == nil {
+		return nil, fmt.Errorf("executor: unknown table %q", table)
 	}
-	right, err := e.executeNode(n.Right, q, res)
-	if err != nil {
-		return nil, err
-	}
-	return e.executeJoin(n, q, left, right, res)
+	x.srcs[table] = src
+	return src, nil
 }
 
-func (e *Executor) executeScan(n *plan.Node, q *query.Query, res *Result) (*relation, error) {
-	tab := e.db.Table(n.Table)
-	if tab == nil {
-		return nil, fmt.Errorf("executor: unknown table %q", n.Table)
+// col resolves a column against the row layout of rel.
+func (x *execution) col(rel *relation, c colName) (colRef, error) {
+	src, err := x.source(c.table)
+	if err != nil {
+		return colRef{}, err
 	}
-	preds := q.PredicatesOn(n.Table)
-	rel := newRelation([]string{n.Table})
-	cols := make([]*storage.Column, len(preds))
+	pos := src.schema().ColumnIndex(c.column)
+	if pos < 0 {
+		return colRef{}, fmt.Errorf("executor: unknown column %s.%s", c.table, c.column)
+	}
+	return colRef{src: src, slot: rel.slot[c.table], pos: pos}, nil
+}
+
+// filter compiles single-table predicates into a test on a row handle.
+func filter(src rowSource, preds []query.Predicate) (func(h int32) bool, error) {
+	pos := make([]int, len(preds))
 	for i, p := range preds {
-		cols[i] = tab.Column(p.Column)
-		if cols[i] == nil {
+		if pos[i] = src.schema().ColumnIndex(p.Column); pos[i] < 0 {
 			return nil, fmt.Errorf("executor: unknown column %s.%s", p.Table, p.Column)
 		}
 	}
-	for row := 0; row < tab.NumRows(); row++ {
-		ok := true
+	return func(h int32) bool {
 		for i, p := range preds {
-			if !p.Matches(cols[i].Value(row)) {
-				ok = false
-				break
+			if !p.Matches(src.value(h, pos[i])) {
+				return false
 			}
 		}
-		if ok {
-			rel.rows = append(rel.rows, []int32{int32(row)})
-		}
-	}
-	e.maybeSample(rel)
-	// Base-table output is treated as sorted on the primary key (clustered
-	// storage), which lets merge joins on primary keys avoid a sort.
-	if pk := tab.Schema.PrimaryKey; pk != "" {
-		rel.sorted = &schema0{table: n.Table, column: pk}
-	}
-
-	ns := &NodeStats{
-		OutputRows:  rel.card(),
-		BaseRows:    float64(tab.NumRows()),
-		Selectivity: safeDiv(rel.card(), float64(tab.NumRows())),
-	}
-	for _, p := range preds {
-		if p.Op == query.Eq && e.db.Catalog.HasIndex(p.Table, p.Column) {
-			ns.IndexOnPredicate = true
-		}
-	}
-	res.Nodes[n] = ns
-	return rel, nil
+		return true
+	}, nil
 }
 
-func (e *Executor) executeJoin(n *plan.Node, q *query.Query, left, right *relation, res *Result) (*relation, error) {
-	joins := q.JoinsBetween(setOf(left.tables), setOf(right.tables))
-	out := newRelation(append(append([]string{}, left.tables...), right.tables...))
-	out.mult = left.mult * right.mult
-
-	ns := &NodeStats{
-		LeftRows:  left.card(),
-		RightRows: right.card(),
-	}
-
-	if len(joins) == 0 {
-		// Cross product: cap the amount of work.
-		ns.CrossProduct = true
-		limit := e.maxRows()
-		for _, lr := range left.rows {
-			for _, rr := range right.rows {
-				out.rows = append(out.rows, combine(lr, rr))
-				if len(out.rows) >= limit {
-					break
-				}
-			}
-			if len(out.rows) >= limit {
-				break
-			}
+// bound enforces MaxRows on a finished intermediate result. unseen is how
+// many times larger the operator's input was than the part it consumed
+// before stopping early; 1 when it ran to completion.
+func (x *execution) bound(r *relation, unseen float64) {
+	limit, n := x.e.maxRows(), r.len()
+	if x.e.truncate {
+		if unseen > 1 || n > limit {
+			x.res.Truncated = true
+			r.rows = r.rows[:min(n, limit)*len(r.tables)]
 		}
-		// Correct the scale factor for the rows we did not enumerate.
-		trueCard := float64(len(left.rows)) * float64(len(right.rows))
-		if float64(len(out.rows)) < trueCard && len(out.rows) > 0 {
-			out.mult *= trueCard / float64(len(out.rows))
-		}
-	} else {
-		primary := joins[0]
-		// Orient the primary join predicate: key column on the left input,
-		// probe column on the right input.
-		leftCol, rightCol := orient(primary, left)
-		rightStorageTab := e.db.Table(rightCol.table)
-		leftStorageTab := e.db.Table(leftCol.table)
-		if rightStorageTab == nil || leftStorageTab == nil {
-			return nil, fmt.Errorf("executor: join %s references unknown table", primary)
-		}
-		rightColumn := rightStorageTab.Column(rightCol.column)
-		leftColumn := leftStorageTab.Column(leftCol.column)
-		if rightColumn == nil || leftColumn == nil {
-			return nil, fmt.Errorf("executor: join %s references unknown column", primary)
-		}
-		// Build a hash table on the right input keyed by its join value.
-		build := make(map[string][]int, len(right.rows))
-		rslot := right.slot[rightCol.table]
-		for i, rr := range right.rows {
-			key := rightColumn.Value(int(rr[rslot])).String()
-			build[key] = append(build[key], i)
-		}
-		lslot := left.slot[leftCol.table]
-		rest := joins[1:]
-		limit := e.maxRows() * 4 // allow some slack before sampling
-		for _, lr := range left.rows {
-			key := leftColumn.Value(int(lr[lslot])).String()
-			for _, ri := range build[key] {
-				rr := right.rows[ri]
-				if !e.extraJoinsMatch(rest, left, right, lr, rr) {
-					continue
-				}
-				out.rows = append(out.rows, combine(lr, rr))
-			}
-			if len(out.rows) > limit {
-				break
-			}
-		}
-		// If we broke out early, extrapolate the cardinality from the
-		// fraction of the left input processed. This is rare (only truly
-		// pathological intermediate blow-ups hit it).
-		// Determine sortedness for merge-join costing.
-		ns.LeftSorted = left.sorted != nil && left.sorted.table == leftCol.table && left.sorted.column == leftCol.column
-		ns.RightSorted = right.sorted != nil && right.sorted.table == rightCol.table && right.sorted.column == rightCol.column
-		// Index-nested-loop availability: the right child is a base-relation
-		// leaf scanned by index, and its join column is indexed.
-		if n.Right.IsLeaf() && n.Right.Scan == plan.IndexScan && e.db.Catalog.HasIndex(rightCol.table, rightCol.column) && len(right.tables) == 1 {
-			ns.InnerIndexOnJoinKey = true
-		}
-		// Merge-join output is sorted on the join key.
-		if n.Join == plan.MergeJoin {
-			out.sorted = &schema0{table: leftCol.table, column: leftCol.column}
-		}
-	}
-	e.maybeSample(out)
-	ns.OutputRows = out.card()
-	res.Nodes[n] = ns
-	return out, nil
-}
-
-// extraJoinsMatch applies the non-primary join predicates as filters.
-func (e *Executor) extraJoinsMatch(joins []query.JoinPredicate, left, right *relation, lr, rr []int32) bool {
-	for _, j := range joins {
-		lv, rv, ok := e.joinValues(j, left, right, lr, rr)
-		if !ok {
-			continue
-		}
-		if !lv.Equal(rv) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *Executor) joinValues(j query.JoinPredicate, left, right *relation, lr, rr []int32) (storage.Value, storage.Value, bool) {
-	get := func(table, column string) (storage.Value, bool) {
-		if s, ok := left.slot[table]; ok {
-			return e.db.Table(table).Column(column).Value(int(lr[s])), true
-		}
-		if s, ok := right.slot[table]; ok {
-			return e.db.Table(table).Column(column).Value(int(rr[s])), true
-		}
-		return storage.Value{}, false
-	}
-	lv, ok1 := get(j.LeftTable, j.LeftColumn)
-	rv, ok2 := get(j.RightTable, j.RightColumn)
-	return lv, rv, ok1 && ok2
-}
-
-// orient returns the (table, column) of the primary join predicate that
-// belongs to the left input and to the right input, respectively.
-func orient(j query.JoinPredicate, left *relation) (schema0, schema0) {
-	if _, ok := left.slot[j.LeftTable]; ok {
-		return schema0{j.LeftTable, j.LeftColumn}, schema0{j.RightTable, j.RightColumn}
-	}
-	return schema0{j.RightTable, j.RightColumn}, schema0{j.LeftTable, j.LeftColumn}
-}
-
-func (e *Executor) maxRows() int {
-	if e.MaxRows > 0 {
-		return e.MaxRows
-	}
-	return DefaultMaxRows
-}
-
-// maybeSample downsamples a relation that exceeds the cap, adjusting its
-// scale factor so card() stays correct.
-//
-// The sample is exact-count: exactly limit evenly spaced rows are kept and
-// mult is scaled by n/limit, so card() at the sampled node equals the true
-// materialized count exactly. Downstream nodes join a uniform 1-in-(n/limit)
-// subsample, so their card() values are estimates whose relative error
-// shrinks as O(1/sqrt(limit·selectivity)); with the default 50k cap this is
-// well under a percent for the join selectivities the workloads produce.
-// (The previous float-stride loop could emit fewer than limit rows while
-// still dividing by the intended count, silently inflating mult.)
-func (e *Executor) maybeSample(r *relation) {
-	limit := e.maxRows()
-	if len(r.rows) <= limit {
 		return
 	}
-	sampled := make([][]int32, limit)
-	for i, idx := range sampleIndices(len(r.rows), limit) {
-		sampled[i] = r.rows[idx]
+	if unseen > 1 {
+		r.mult *= unseen
 	}
-	r.mult *= float64(len(r.rows)) / float64(limit)
-	r.rows = sampled
+	if n > limit {
+		r.sample(limit)
+	}
+}
+
+// sample keeps exactly limit evenly spaced rows of the len() > limit there
+// are and scales mult by len()/limit, so card() at the sampled node is
+// unchanged. Downstream nodes join a uniform subsample, so their card()
+// values are estimates whose relative error shrinks as
+// O(1/sqrt(limit·selectivity)); with the default 50k cap this is well under
+// a percent for the join selectivities the workloads produce.
+func (r *relation) sample(limit int) {
+	n, w := r.len(), len(r.tables)
+	for i := 0; i < limit; i++ {
+		copy(r.rows[i*w:(i+1)*w], r.row(i*n/limit)) // i*n/limit >= i: never overwrites an unread row
+	}
+	r.rows = r.rows[:limit*w]
+	r.mult *= float64(n) / float64(limit)
 	r.sorted = nil
 }
 
-// sampleIndices returns exactly limit strictly increasing row indices spread
-// evenly over [0, n). Requires n > limit.
-func sampleIndices(n, limit int) []int {
-	idx := make([]int, limit)
-	for i := range idx {
-		idx[i] = i * n / limit
+func (x *execution) node(n *plan.Node) (*relation, error) {
+	if n.IsLeaf() {
+		return x.scan(n)
 	}
-	return idx
+	return x.join(n)
 }
 
-func combine(l, r []int32) []int32 {
-	out := make([]int32, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
+// leaf is a base-table access before any row is read: the node's statistics,
+// the compiled predicates and the (still empty) output relation.
+type leaf struct {
+	src   rowSource
+	preds []query.Predicate
+	match func(h int32) bool
+	rel   *relation
+	ns    *NodeStats
+}
+
+func (x *execution) leaf(n *plan.Node) (*leaf, error) {
+	src, err := x.source(n.Table)
+	if err != nil {
+		return nil, err
+	}
+	l := &leaf{
+		src: src, preds: x.q.PredicatesOn(n.Table),
+		rel: newRelation([]string{n.Table}),
+		ns:  &NodeStats{BaseRows: float64(src.numRows())},
+	}
+	if l.match, err = filter(src, l.preds); err != nil {
+		return nil, err
+	}
+	for _, p := range l.preds {
+		if p.Op == query.Eq && x.e.catalog.HasIndex(p.Table, p.Column) {
+			l.ns.IndexOnPredicate = true
+		}
+	}
+	x.res.Nodes[n] = l.ns
+	return l, nil
+}
+
+// clustered names the column a leaf's output is sorted on: storage order is
+// primary-key order (the generators emit it; heap files and index posting
+// lists keep it), which lets merge joins on primary keys avoid a sort.
+func (l *leaf) clustered() *colName {
+	if pk := l.src.schema().PrimaryKey; pk != "" {
+		return &colName{l.rel.tables[0], pk}
+	}
+	return nil
+}
+
+// produced records how many rows passed the leaf's predicates.
+func (l *leaf) produced(rows float64) {
+	l.ns.OutputRows = rows
+	l.ns.Selectivity = safeDiv(rows, l.ns.BaseRows)
+}
+
+func (x *execution) scan(n *plan.Node) (*relation, error) {
+	l, err := x.leaf(n)
+	if err != nil {
+		return nil, err
+	}
+	keep := func(h int32) bool {
+		if !l.match(h) {
+			return false
+		}
+		l.rel.rows = append(l.rel.rows, h)
+		return true
+	}
+	// An index scan with an equality predicate on a storage-indexed column
+	// reads that value's posting list instead of the table.
+	read := func() error { return l.src.each(keep) }
+	if n.Scan == plan.IndexScan {
+		for _, p := range l.preds {
+			if p.Op != query.Eq {
+				continue
+			}
+			if probe := l.src.lookup(p.Column); probe != nil {
+				read = func() error { return probe(p.Value, keep) }
+				break
+			}
+		}
+	}
+	if err := read(); err != nil {
+		return nil, err
+	}
+	x.bound(l.rel, 1)
+	l.rel.sorted = l.clustered() // an evenly spaced sample of a clustered table is still clustered
+	l.produced(l.rel.card())
+	return l.rel, nil
+}
+
+func (x *execution) join(n *plan.Node) (*relation, error) {
+	left, err := x.node(n.Left)
+	if err != nil {
+		return nil, err
+	}
+	joins := x.q.JoinsBetween(setOf(left.tables), n.Right.TableSet())
+	ns := &NodeStats{CrossProduct: len(joins) == 0}
+	x.res.Nodes[n] = ns
+
+	// The first join predicate drives the physical join. When the plan asks
+	// for a loop join over an index scan of a base relation whose join
+	// column the catalog indexes, and storage has that index, the join runs
+	// as an index-nested-loop and the inner leaf is never scanned.
+	var lkey, rkey colName
+	var probe func(storage.Value, func(int32) bool) error
+	if !ns.CrossProduct {
+		lkey, rkey = orient(joins[0], left)
+		ns.InnerIndexOnJoinKey = n.Right.IsLeaf() && n.Right.Scan == plan.IndexScan &&
+			x.e.catalog.HasIndex(rkey.table, rkey.column)
+		if ns.InnerIndexOnJoinKey && n.Join == plan.LoopJoin {
+			src, err := x.source(rkey.table)
+			if err != nil {
+				return nil, err
+			}
+			probe = src.lookup(rkey.column)
+		}
+	}
+	var right *relation
+	var inner *leaf
+	if probe != nil {
+		if inner, err = x.leaf(n.Right); err != nil {
+			return nil, err
+		}
+		right = inner.rel
+		right.sorted = inner.clustered()
+	} else if right, err = x.node(n.Right); err != nil {
+		return nil, err
+	}
+	ns.LeftRows, ns.RightRows = left.card(), right.card()
+
+	out := newRelation(append(append([]string{}, left.tables...), right.tables...))
+	out.mult = left.mult * right.mult
+	// Join predicates past the first filter the joined rows.
+	var rest [][2]colRef
+	for _, j := range joins[min(1, len(joins)):] {
+		a, err := x.col(out, colName{j.LeftTable, j.LeftColumn})
+		if err != nil {
+			return nil, err
+		}
+		b, err := x.col(out, colName{j.RightTable, j.RightColumn})
+		if err != nil {
+			return nil, err
+		}
+		rest = append(rest, [2]colRef{a, b})
+	}
+	emit := func(l, r []int32) bool {
+		at := len(out.rows)
+		out.rows = append(append(out.rows, l...), r...)
+		for _, p := range rest {
+			if p[0].of(out.rows[at:]) != p[1].of(out.rows[at:]) {
+				out.rows = out.rows[:at]
+				return false
+			}
+		}
+		return true
+	}
+
+	unseen := 1.0
+	if ns.CrossProduct {
+		limit := x.e.maxRows()
+	pairs:
+		for i := 0; i < left.len(); i++ {
+			for j := 0; j < right.len(); j++ {
+				emit(left.row(i), right.row(j))
+				if out.len() >= limit {
+					break pairs
+				}
+			}
+		}
+		if all := float64(left.len()) * float64(right.len()); out.len() > 0 && float64(out.len()) < all {
+			unseen = all / float64(out.len())
+		}
+	} else {
+		lcol, err := x.col(left, lkey)
+		if err != nil {
+			return nil, err
+		}
+		rcol, err := x.col(right, rkey)
+		if err != nil {
+			return nil, err
+		}
+		ns.LeftSorted, ns.RightSorted = left.sortedOn(lkey), right.sortedOn(rkey)
+
+		// match joins the i-th left row, in the operator's own probe order.
+		var match func(i int) error
+		switch {
+		case inner != nil:
+			match = indexLoopJoin(left, lcol, inner, probe, emit)
+		case n.Join == plan.MergeJoin:
+			match = mergeJoin(left, right, lcol, rcol, emit)
+			out.sorted = &lkey
+		default:
+			// HashJoin, and LoopJoin without a usable inner index: a blind
+			// nested loop makes the same comparisons per pair, and hashing
+			// the inner keeps its worst case out of the wall clock.
+			match = hashJoin(left, right, lcol, rcol, emit)
+		}
+		// A join whose output runs away stops early, and the policy in
+		// bound accounts for the share of the left input it never probed.
+		limit := joinSlack * x.e.maxRows()
+		for i := 0; i < left.len(); i++ {
+			if err := match(i); err != nil {
+				return nil, err
+			}
+			if out.len() > limit {
+				unseen = float64(left.len()) / float64(i+1)
+				break
+			}
+		}
+		if inner != nil {
+			inner.produced(inner.ns.OutputRows)
+			ns.RightRows = inner.ns.OutputRows
+		}
+	}
+	x.bound(out, unseen)
+	ns.OutputRows = out.card()
+	return out, nil
+}
+
+// indexLoopJoin returns the probe for the i-th left row: it fetches the inner
+// rows holding that row's join value through the storage index and joins the
+// ones that pass the inner leaf's predicates, counting them as the leaf's
+// output.
+func indexLoopJoin(left *relation, lcol colRef, inner *leaf, probe func(storage.Value, func(int32) bool) error, emit func(l, r []int32) bool) func(i int) error {
+	var lrow []int32
+	fetched := make([]int32, 1)
+	keep := func(h int32) bool {
+		if !inner.match(h) {
+			return false
+		}
+		inner.ns.OutputRows++
+		fetched[0] = h
+		return emit(lrow, fetched)
+	}
+	return func(i int) error {
+		lrow = left.row(i)
+		return probe(lcol.of(lrow), keep)
+	}
+}
+
+// hashJoin builds a hash table on the right input keyed by the join value
+// and returns the probe for the i-th left row. Rows sharing a key are chained
+// in right-input order.
+func hashJoin(left, right *relation, lcol, rcol colRef, emit func(l, r []int32) bool) func(i int) error {
+	head := make(map[storage.Value]int32, right.len()) // key -> 1 + first right row
+	next := make([]int32, right.len())                 // right row -> 1 + next right row of its key
+	for i := right.len() - 1; i >= 0; i-- {
+		k := rcol.of(right.row(i))
+		next[i] = head[k]
+		head[k] = int32(i + 1)
+	}
+	return func(i int) error {
+		lrow := left.row(i)
+		for j := head[lcol.of(lrow)]; j > 0; j = next[j-1] {
+			emit(lrow, right.row(int(j-1)))
+		}
+		return nil
+	}
+}
+
+// mergeJoin sorts both inputs on the join key and returns the merge step for
+// the left row at position i of that order. (Base scans arrive clustered on
+// the primary key; sorting them again costs one pass and keeps the operator
+// correct for any input.)
+func mergeJoin(left, right *relation, lcol, rcol colRef, emit func(l, r []int32) bool) func(i int) error {
+	lkeys, lorder := sortedKeys(left, lcol)
+	rkeys, rorder := sortedKeys(right, rcol)
+	ri := 0 // first right position whose key is not below the current left key
+	return func(i int) error {
+		k := lkeys[lorder[i]]
+		for ri < len(rorder) && rkeys[rorder[ri]].Less(k) {
+			ri++
+		}
+		for j := ri; j < len(rorder) && rkeys[rorder[j]] == k; j++ {
+			emit(left.row(int(lorder[i])), right.row(int(rorder[j])))
+		}
+		return nil
+	}
+}
+
+// sortedKeys returns every row's value of column c and the row numbers in
+// ascending order of it, equal keys in input order.
+func sortedKeys(r *relation, c colRef) (keys []storage.Value, order []int32) {
+	keys, order = make([]storage.Value, r.len()), make([]int32, r.len())
+	for i := range keys {
+		keys[i], order[i] = c.of(r.row(i)), int32(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]].Less(keys[order[b]]) })
+	return keys, order
+}
+
+// orient returns the (table, column) of a join predicate that belongs to the
+// left input and to the right input, respectively.
+func orient(j query.JoinPredicate, left *relation) (colName, colName) {
+	if _, ok := left.slot[j.LeftTable]; ok {
+		return colName{j.LeftTable, j.LeftColumn}, colName{j.RightTable, j.RightColumn}
+	}
+	return colName{j.RightTable, j.RightColumn}, colName{j.LeftTable, j.LeftColumn}
 }
 
 func setOf(names []string) map[string]bool {
@@ -474,34 +700,31 @@ func SubsetKey(tables []string) string {
 // Selectivity returns the true selectivity of a conjunction of predicates on
 // a single table (the fraction of rows matching), computed exactly.
 func (e *Executor) Selectivity(table string, preds []query.Predicate) (float64, error) {
-	tab := e.db.Table(table)
-	if tab == nil {
+	src := e.open(table)
+	if src == nil {
 		return 0, fmt.Errorf("executor: unknown table %q", table)
 	}
-	if tab.NumRows() == 0 {
+	if src.numRows() == 0 {
 		return 0, nil
 	}
-	matched := 0
-	for row := 0; row < tab.NumRows(); row++ {
-		ok := true
-		for _, p := range preds {
-			if p.Table != table {
-				continue
-			}
-			col := tab.Column(p.Column)
-			if col == nil {
-				return 0, fmt.Errorf("executor: unknown column %s.%s", table, p.Column)
-			}
-			if !p.Matches(col.Value(row)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			matched++
+	var own []query.Predicate
+	for _, p := range preds {
+		if p.Table == table {
+			own = append(own, p)
 		}
 	}
-	return float64(matched) / float64(tab.NumRows()), nil
+	match, err := filter(src, own)
+	if err != nil {
+		return 0, err
+	}
+	matched := 0
+	err = src.each(func(h int32) bool {
+		if match(h) {
+			matched++
+		}
+		return false
+	})
+	return float64(matched) / float64(src.numRows()), err
 }
 
 // Clamp01 clamps v into [0, 1]; exported for reuse by cost models.

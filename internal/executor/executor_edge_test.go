@@ -2,12 +2,14 @@ package executor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/schema"
 	"neo/internal/storage"
+	"neo/internal/workload"
 )
 
 // microDB builds a tiny hand-authored two/three-table database with
@@ -211,6 +213,42 @@ func TestCardinalityInvariantAcrossAllJoinOps(t *testing.T) {
 			}
 		}
 	}
+
+	// The same contract on the seeded JOB workload, under the default
+	// sampling cap the simulated engines run with: every join operator ×
+	// scan type reports the reference plan's OutputRows and LeftRows at
+	// every join node. (RightRows is exempt: an index-nested-loop join
+	// counts index fetches there.) This is what makes running the named
+	// operator on a cost-priced engine safe.
+	imdbDB := imdb(t)
+	jobExec := New(imdbDB)
+	w, err := workload.JOB(imdbDB, 12, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range w.Queries {
+		ref := opPlan(t, q, plan.HashJoin, plan.TableScan)
+		refRes, err := jobExec.Execute(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range plan.AllJoinOps {
+			for _, scan := range []plan.ScanType{plan.TableScan, plan.IndexScan} {
+				p := opPlan(t, q, op, scan)
+				res, err := jobExec.Execute(p)
+				if err != nil {
+					t.Fatalf("%s %v/%v: %v", q.ID, op, scan, err)
+				}
+				for rn, n := ref.Roots[0], p.Roots[0]; !n.IsLeaf(); rn, n = rn.Left, n.Left {
+					got, want := res.Nodes[n], refRes.Nodes[rn]
+					if got.OutputRows != want.OutputRows || got.LeftRows != want.LeftRows {
+						t.Errorf("%s %v/%v at %s: out/left = %v/%v, reference %v/%v",
+							q.ID, op, scan, n, got.OutputRows, got.LeftRows, want.OutputRows, want.LeftRows)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestJoinStatsOnEmptyInputs pins down the node statistics the cost models
@@ -237,6 +275,49 @@ func TestJoinStatsOnEmptyInputs(t *testing.T) {
 		scan := res.Nodes[lLeaf]
 		if scan.OutputRows != 0 || scan.Selectivity != 0 {
 			t.Errorf("%v: scan stats = %+v, want empty", op, scan)
+		}
+	}
+}
+
+// TestEarlyStopScalesByUnprobedLeftInput pins the cardinality of a join whose
+// output runs away under the sampling policy: the probe loop stops once the
+// output passes joinSlack × MaxRows, and the rows it never got to must be
+// accounted for by the share of the left input left unprobed. 100 left rows
+// each meet 50 of 100 right rows (5 000 pairs); under MaxRows 100 neither
+// scan is sampled and the loop stops after 9 left rows and 450 pairs, which
+// used to be reported as 450.
+func TestEarlyStopScalesByUnprobedLeftInput(t *testing.T) {
+	cols := []schema.Column{{Name: "id", Type: schema.IntType}, {Name: "k", Type: schema.IntType}}
+	cat, err := schema.NewCatalog([]*schema.Table{
+		{Name: "a", PrimaryKey: "id", Columns: cols},
+		{Name: "b", PrimaryKey: "id", Columns: cols},
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := storage.NewDatabase(cat)
+	for table, rows := range map[string]int{"a": 100, "b": 100} {
+		for i := 0; i < rows; i++ {
+			if err := db.Table(table).AppendRow(storage.IntValue(int64(i)), storage.IntValue(int64(i%2))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	q := query.New("many-to-many", []string{"a", "b"},
+		[]query.JoinPredicate{{LeftTable: "a", LeftColumn: "k", RightTable: "b", RightColumn: "k"}}, nil)
+	e := New(db)
+	e.MaxRows = 100
+	for _, op := range plan.AllJoinOps {
+		root := plan.Join2(op, plan.Leaf("a", plan.TableScan), plan.Leaf("b", plan.TableScan))
+		res, err := e.Execute(&plan.Plan{Query: q, Roots: []*plan.Node{root}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.OutputRows-5000) > 500 {
+			t.Errorf("%v: OutputRows = %v, want about 5000", op, res.OutputRows)
+		}
+		if res.Truncated {
+			t.Errorf("%v: a sampling executor marked its result truncated", op)
 		}
 	}
 }

@@ -270,6 +270,33 @@ func (c *Catalog) HasIndex(table, column string) bool {
 	return false
 }
 
+// StorageIndexColumns lists, sorted and without duplicates, the columns of
+// table that storage keeps a hash index on: the primary key, every declared
+// secondary index and both ends of every foreign key (the executor probes
+// those for index-nested-loop joins). It is a superset of what HasIndex
+// reports, which is the narrower set the cost models price.
+func (c *Catalog) StorageIndexColumns(table string) []string {
+	var out []string
+	if t, ok := c.Table(table); ok && t.PrimaryKey != "" {
+		out = append(out, t.PrimaryKey)
+	}
+	for _, ix := range c.indexes {
+		if ix.Table == table {
+			out = append(out, ix.Column)
+		}
+	}
+	for _, fk := range c.foreignKeys {
+		if fk.FromTable == table {
+			out = append(out, fk.FromColumn)
+		}
+		if fk.ToTable == table {
+			out = append(out, fk.ToColumn)
+		}
+	}
+	sort.Strings(out)
+	return dedupeSorted(out)
+}
+
 // JoinColumns returns the foreign key connecting two tables (in either
 // direction) and whether such a key exists. The returned key is oriented as
 // declared, not as queried.

@@ -274,7 +274,7 @@ func (s *Server) buildQuery(spec *QuerySpec) (*neo.Query, error) {
 	}
 	q := neo.NewQuery(spec.ID, spec.Relations, joins, preds)
 	// The internal query ID is always the structural signature: experience,
-	// baselines and encoding caches key on the ID, and client-supplied IDs
+	// baselines and training's query encodings key on the ID, and client-supplied IDs
 	// are not guaranteed unique per structure — two different queries under
 	// one reused ID would silently cross-contaminate training targets. The
 	// client's ID is echoed back in responses only.

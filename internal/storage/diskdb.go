@@ -3,35 +3,15 @@ package storage
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"neo/internal/schema"
 )
-
-// RIDIndex is a hash index over a disk table: column value -> RIDs of the
-// tuples holding it. It is the disk analogue of HashIndex, built once after
-// OpenDisk by scanning the heap through the buffer pool.
-type RIDIndex struct {
-	ints map[int64][]RID
-	strs map[string][]RID
-}
-
-// Lookup returns the RIDs whose indexed column equals v.
-func (ix *RIDIndex) Lookup(v Value) []RID {
-	if v.Kind == schema.IntType {
-		return ix.ints[v.Int]
-	}
-	return ix.strs[v.Str]
-}
-
-// DistinctKeys returns the number of distinct keys in the index.
-func (ix *RIDIndex) DistinctKeys() int { return len(ix.ints) + len(ix.strs) }
 
 // DiskTable is one relation stored as a heap file plus its RID indexes.
 type DiskTable struct {
 	Schema  *schema.Table
 	Heap    *HeapFile
-	indexes map[string]*RIDIndex
+	indexes map[string]*Index[RID]
 	rows    int
 }
 
@@ -40,7 +20,7 @@ type DiskTable struct {
 func (t *DiskTable) NumRows() int { return t.rows }
 
 // Index returns the RID index on the named column, or nil if none exists.
-func (t *DiskTable) Index(column string) *RIDIndex { return t.indexes[column] }
+func (t *DiskTable) Index(column string) *Index[RID] { return t.indexes[column] }
 
 // DiskDB is a database materialized as heap files on disk, read through a
 // shared buffer pool. Files are immutable once materialized; all query
@@ -132,9 +112,8 @@ func MaterializedAt(dir string, cat *schema.Catalog) bool {
 }
 
 // OpenDisk opens the heap files for every catalog table under dir, attaches
-// a buffer pool of poolPages pages, and builds the RID indexes (same column
-// set as Database.BuildIndexes: primary keys, declared secondary indexes,
-// and both endpoints of every foreign key). The index build doubles as a
+// a buffer pool of poolPages pages, and builds the RID indexes (the same
+// columns as Database.BuildIndexes). The index build doubles as a
 // full-scan validation pass: every tuple is decoded once, so torn or
 // mis-encoded heap files fail here rather than mid-query.
 func OpenDisk(dir string, cat *schema.Catalog, poolPages int) (*DiskDB, error) {
@@ -150,7 +129,7 @@ func OpenDisk(dir string, cat *schema.Catalog, poolPages int) (*DiskDB, error) {
 			db.Close()
 			return nil, fmt.Errorf("storage: open disk db: %w (run neo-datagen -out %s to materialize)", err, dir)
 		}
-		db.tables[ts.Name] = &DiskTable{Schema: ts, Heap: hf, indexes: make(map[string]*RIDIndex)}
+		db.tables[ts.Name] = &DiskTable{Schema: ts, Heap: hf, indexes: make(map[string]*Index[RID])}
 	}
 	if err := db.buildIndexes(); err != nil {
 		db.Close()
@@ -160,34 +139,11 @@ func OpenDisk(dir string, cat *schema.Catalog, poolPages int) (*DiskDB, error) {
 }
 
 // buildIndexes scans each table once through the buffer pool, counting rows
-// and populating every RID index declared for it.
+// and populating every RID index the catalog lists for it.
 func (db *DiskDB) buildIndexes() error {
-	want := make(map[string][]string) // table -> columns to index
-	add := func(table, column string) {
-		for _, c := range want[table] {
-			if c == column {
-				return
-			}
-		}
-		want[table] = append(want[table], column)
-	}
-	for _, ts := range db.Catalog.Tables() {
-		if ts.PrimaryKey != "" {
-			add(ts.Name, ts.PrimaryKey)
-		}
-	}
-	for _, ix := range db.Catalog.Indexes() {
-		add(ix.Table, ix.Column)
-	}
-	for _, fk := range db.Catalog.ForeignKeys() {
-		add(fk.FromTable, fk.FromColumn)
-		add(fk.ToTable, fk.ToColumn)
-	}
-
 	for _, ts := range db.Catalog.Tables() {
 		t := db.tables[ts.Name]
-		cols := want[ts.Name]
-		sort.Strings(cols)
+		cols := db.Catalog.StorageIndexColumns(ts.Name)
 		colPos := make([]int, len(cols))
 		for i, c := range cols {
 			pos := ts.ColumnIndex(c)
@@ -195,13 +151,7 @@ func (db *DiskDB) buildIndexes() error {
 				return fmt.Errorf("storage: cannot index unknown column %q.%q", ts.Name, c)
 			}
 			colPos[i] = pos
-			ix := &RIDIndex{}
-			if ts.Columns[pos].Type == schema.IntType {
-				ix.ints = make(map[int64][]RID)
-			} else {
-				ix.strs = make(map[string][]RID)
-			}
-			t.indexes[c] = ix
+			t.indexes[c] = newIndex[RID](ts.Columns[pos].Type)
 		}
 
 		var vals []Value
@@ -221,13 +171,7 @@ func (db *DiskDB) buildIndexes() error {
 				}
 				rid := RID{Page: pageNo, Slot: int32(slot)}
 				for i, c := range cols {
-					ix := t.indexes[c]
-					v := vals[colPos[i]]
-					if v.Kind == schema.IntType {
-						ix.ints[v.Int] = append(ix.ints[v.Int], rid)
-					} else {
-						ix.strs[v.Str] = append(ix.strs[v.Str], rid)
-					}
+					t.indexes[c].add(vals[colPos[i]], rid)
 				}
 				t.rows++
 			}

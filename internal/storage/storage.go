@@ -87,14 +87,32 @@ func (c *Column) Append(v Value) error {
 	return nil
 }
 
-// HashIndex maps column values to the row ids holding them.
-type HashIndex struct {
-	ints map[int64][]int32
-	strs map[string][]int32
+// Index is a posting-list hash index: it maps a column value to the
+// references of the rows holding it, in storage order. R is the row reference
+// of the store the index covers — a row id (int32) in the column store, a
+// RID in a heap file.
+type Index[R any] struct {
+	ints map[int64][]R
+	strs map[string][]R
 }
 
-// Lookup returns the row ids whose indexed column equals v.
-func (ix *HashIndex) Lookup(v Value) []int32 {
+func newIndex[R any](typ schema.ColType) *Index[R] {
+	if typ == schema.IntType {
+		return &Index[R]{ints: make(map[int64][]R)}
+	}
+	return &Index[R]{strs: make(map[string][]R)}
+}
+
+func (ix *Index[R]) add(v Value, ref R) {
+	if v.Kind == schema.IntType {
+		ix.ints[v.Int] = append(ix.ints[v.Int], ref)
+	} else {
+		ix.strs[v.Str] = append(ix.strs[v.Str], ref)
+	}
+}
+
+// Lookup returns the references of the rows whose indexed column equals v.
+func (ix *Index[R]) Lookup(v Value) []R {
 	if v.Kind == schema.IntType {
 		return ix.ints[v.Int]
 	}
@@ -102,14 +120,14 @@ func (ix *HashIndex) Lookup(v Value) []int32 {
 }
 
 // DistinctKeys returns the number of distinct keys in the index.
-func (ix *HashIndex) DistinctKeys() int { return len(ix.ints) + len(ix.strs) }
+func (ix *Index[R]) DistinctKeys() int { return len(ix.ints) + len(ix.strs) }
 
 // Table is the stored form of one relation.
 type Table struct {
 	Schema  *schema.Table
 	Columns []*Column
 	colIdx  map[string]int
-	indexes map[string]*HashIndex
+	indexes map[string]*Index[int32]
 	rows    int
 }
 
@@ -118,7 +136,7 @@ func NewTable(ts *schema.Table) *Table {
 	t := &Table{
 		Schema:  ts,
 		colIdx:  make(map[string]int, len(ts.Columns)),
-		indexes: make(map[string]*HashIndex),
+		indexes: make(map[string]*Index[int32]),
 	}
 	for i, c := range ts.Columns {
 		t.Columns = append(t.Columns, &Column{Type: c.Type})
@@ -171,24 +189,16 @@ func (t *Table) BuildIndex(column string) error {
 	if c == nil {
 		return fmt.Errorf("storage: cannot index unknown column %q.%q", t.Schema.Name, column)
 	}
-	ix := &HashIndex{}
-	if c.Type == schema.IntType {
-		ix.ints = make(map[int64][]int32, len(c.Ints))
-		for i, v := range c.Ints {
-			ix.ints[v] = append(ix.ints[v], int32(i))
-		}
-	} else {
-		ix.strs = make(map[string][]int32, len(c.Strs))
-		for i, v := range c.Strs {
-			ix.strs[v] = append(ix.strs[v], int32(i))
-		}
+	ix := newIndex[int32](c.Type)
+	for i := 0; i < c.Len(); i++ {
+		ix.add(c.Value(i), int32(i))
 	}
 	t.indexes[column] = ix
 	return nil
 }
 
 // Index returns the hash index on the named column, or nil if none exists.
-func (t *Table) Index(column string) *HashIndex { return t.indexes[column] }
+func (t *Table) Index(column string) *Index[int32] { return t.indexes[column] }
 
 // DistinctCount returns the number of distinct values in the named column.
 func (t *Table) DistinctCount(column string) int {
@@ -246,28 +256,14 @@ func NewDatabase(cat *schema.Catalog) *Database {
 // Table returns the stored table with the given name, or nil.
 func (db *Database) Table(name string) *Table { return db.tables[name] }
 
-// BuildIndexes builds hash indexes on every primary key and every declared
-// secondary index, plus every foreign-key column (the executor needs those
-// for index-nested-loop joins).
+// BuildIndexes builds a hash index on every column the catalog lists for
+// storage indexing (see schema.Catalog.StorageIndexColumns).
 func (db *Database) BuildIndexes() error {
 	for _, ts := range db.Catalog.Tables() {
-		if ts.PrimaryKey != "" {
-			if err := db.tables[ts.Name].BuildIndex(ts.PrimaryKey); err != nil {
+		for _, col := range db.Catalog.StorageIndexColumns(ts.Name) {
+			if err := db.tables[ts.Name].BuildIndex(col); err != nil {
 				return err
 			}
-		}
-	}
-	for _, ix := range db.Catalog.Indexes() {
-		if err := db.tables[ix.Table].BuildIndex(ix.Column); err != nil {
-			return err
-		}
-	}
-	for _, fk := range db.Catalog.ForeignKeys() {
-		if err := db.tables[fk.FromTable].BuildIndex(fk.FromColumn); err != nil {
-			return err
-		}
-		if err := db.tables[fk.ToTable].BuildIndex(fk.ToColumn); err != nil {
-			return err
 		}
 	}
 	return nil

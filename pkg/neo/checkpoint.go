@@ -71,7 +71,6 @@ func (s *System) LoadCheckpoint(r io.Reader) error {
 	s.Neo.RestoreBaselines(st.Baselines)
 	s.Neo.RestoreRNG(st.RNGSeed, st.RNGDraws)
 	s.Neo.RestoreTrainingTime(st.TrainTime)
-	s.Neo.ResetEncodingCache()
 	s.Neo.RestoreSnapshot(st.NetVersion)
 	s.cache.reset()
 	return nil

@@ -8,6 +8,7 @@ package neo
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"neo/internal/cluster/proto"
@@ -96,9 +97,10 @@ func (c *Client) Feedback(ctx context.Context, spec *QuerySpec, latencyMS float6
 // an empty map with a nil error means the whole fleet is down.
 func (c *Client) Stats(ctx context.Context) map[string]*ReplicaStats {
 	out := make(map[string]*ReplicaStats)
-	for _, node := range c.ring.Nodes() {
+	replies, _ := c.rpc.FleetStats(ctx, c.ring.Nodes())
+	for node, reply := range replies {
 		var st ReplicaStats
-		if err := c.rpc.GetJSON(ctx, node+"/stats", &st); err == nil {
+		if json.Unmarshal(reply, &st) == nil {
 			out[node] = &st
 		}
 	}
@@ -106,16 +108,7 @@ func (c *Client) Stats(ctx context.Context) map[string]*ReplicaStats {
 }
 
 // post sends body to path on spec's owning replica, failing over along the
-// ring on retryable errors. Non-retryable errors (4xx — bad spec, stale
-// feedback) surface immediately: every replica would answer the same.
+// ring (proto.Client.PostFailover).
 func (c *Client) post(ctx context.Context, spec *QuerySpec, path string, body, out any) error {
-	var lastErr error
-	for _, node := range c.ring.Sequence(proto.SpecKey(spec)) {
-		err := c.rpc.PostJSON(ctx, node+path, body, out)
-		if err == nil || !proto.Retryable(err) {
-			return err
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("neo: no replica reachable: %w", lastErr)
+	return c.rpc.PostFailover(ctx, c.ring.Sequence(proto.SpecKey(spec)), path, body, out)
 }

@@ -144,9 +144,8 @@ type Config struct {
 	// or "engine-o" select a simulated engine (deterministic cost model plus
 	// per-profile noise); "disk" selects the disk-backed engine, which
 	// materializes the synthetic database into slotted-page heap files,
-	// executes learned plans through a buffer pool with Volcano-style
-	// iterators, and feeds measured wall-clock latencies into the learning
-	// loop.
+	// executes learned plans over them through a buffer pool, and feeds
+	// measured wall-clock latencies into the learning loop.
 	Engine string
 	// DataDir is where the "disk" engine keeps its heap files. Empty means a
 	// fresh temporary directory; a persistent directory is reused across runs
