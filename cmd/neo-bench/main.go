@@ -119,9 +119,11 @@ func ratioChecks(s bench.Suite, defaultFloor float64) []string {
 		// architectural (no value-network inference, no frontier) and holds
 		// on any runner.
 		"plan": {{slow: "plan/bestfirst-p50", fast: "plan/fastpath-p50", floor: 50.0}},
+		// Single-flight on the snapshot's plan cache: 8 requests over 2
+		// structures run 2 searches instead of 8.
 		"serve": {
-			{slow: "serving/private", fast: "serving/fused"},
-			{slow: "serving/private", fast: "serving/fused-f32"},
+			{slow: "serving/private", fast: "serving/cached"},
+			{slow: "serving/private-f32", fast: "serving/cached-f32"},
 		},
 		// The buffer-pool page-miss penalty carries its own floor: hot hits
 		// are in-memory map lookups while cold reads go through pread, so a

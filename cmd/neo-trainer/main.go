@@ -20,98 +20,30 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
 	"neo/internal/cluster"
-	"neo/pkg/neo"
+	"neo/internal/serve"
 )
 
 func main() {
-	var (
-		addr         = flag.String("addr", ":7790", "HTTP listen address")
-		dataset      = flag.String("dataset", "imdb", "synthetic dataset: imdb, tpch or corp")
-		engineName   = flag.String("engine", "postgres", "execution engine: postgres, sqlite, engine-m, engine-o (simulated) or disk")
-		encoding     = flag.String("encoding", "r-vector", "featurization: 1-hot, histogram, r-vector, r-vector-nojoins")
-		scale        = flag.Float64("scale", 0.4, "synthetic data scale factor")
-		seed         = flag.Int64("seed", 42, "random seed")
-		queries      = flag.Int("queries", 16, "bootstrap workload size (cold start only)")
-		expansions   = flag.Int("expansions", 256, "plan-search expansion budget")
-		trainWorkers = flag.Int("train-workers", 0, "gradient worker-pool size (0 = GOMAXPROCS)")
-		load         = flag.String("load", "", "checkpoint file to restore on startup (overrides -checkpoint for loading)")
-		ckpt         = flag.String("checkpoint", "", "checkpoint file to write periodically and on shutdown (also restored on startup when present and -load is unset)")
-		ckptEvery    = flag.Duration("checkpoint-interval", 5*time.Minute, "periodic checkpoint interval (requires -checkpoint)")
-		retrainEvery = flag.Int("retrain-every", 64, "retrain after every N ingested experience entries (negative disables)")
-		maxExp       = flag.Int("max-experience", 0, "experience-pool cap (0 = default 100000, negative = unbounded)")
-		keep         = flag.Int("keep-versions", 4, "published snapshot versions kept downloadable (rollback needs at least the previous one)")
-		replicas     = flag.String("replicas", "", "comma-separated replica base URLs; enables the rollout coordinator (first URL is the canary)")
-		canaryWait   = flag.Duration("canary-wait", 2*time.Second, "longest a canary soaks before the promote/rollback decision")
-		minFeedback  = flag.Uint64("canary-min-feedbacks", 8, "canary-window samples that end the soak early")
-		tolerance    = flag.Float64("tolerance", 0, "allowed canary quality regression as a fraction of the pre-canary mean latency (0 = default 0.25)")
-	)
+	d := serve.Daemon{Name: "neo-trainer", Addr: ":7790"}
+	var cfg cluster.TrainerConfig
+	var rollout cluster.RolloutConfig
+	d.RegisterFlags(flag.CommandLine)
+	cluster.RegisterTrainerFlags(flag.CommandLine, &cfg, &rollout)
 	flag.Parse()
 
-	sys, err := neo.Open(neo.Config{
-		Dataset:          *dataset,
-		Engine:           *engineName,
-		Encoding:         neo.Encoding(*encoding),
-		Scale:            *scale,
-		Seed:             *seed,
-		SearchExpansions: *expansions,
-		TrainWorkers:     *trainWorkers,
-	})
+	sys, err := d.Open(true)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("neo-trainer: dataset=%s engine=%s encoding=%s rows=%d\n",
-		*dataset, *engineName, *encoding, sys.DB.TotalRows())
-
-	restore := *load
-	if restore == "" && *ckpt != "" {
-		if _, err := os.Stat(*ckpt); err == nil {
-			restore = *ckpt
-		}
-	}
-	if restore != "" {
-		if err := sys.LoadCheckpointFile(restore); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("neo-trainer: warm start from %s (net version %d, %d experience entries)\n",
-			restore, sys.Neo.NetVersion(), sys.Neo.Experience.Len())
-	} else {
-		fmt.Printf("neo-trainer: cold start, bootstrapping from the expert over %d queries ...\n", *queries)
-		wl, err := sys.GenerateWorkload(*queries)
-		if err != nil {
-			fatal(err)
-		}
-		if err := sys.Bootstrap(wl.Queries); err != nil {
-			fatal(err)
-		}
-	}
-
-	cfg := cluster.TrainerConfig{
-		CheckpointPath:  *ckpt,
-		CheckpointEvery: *ckptEvery,
-		RetrainEvery:    *retrainEvery,
-		MaxExperience:   *maxExp,
-		KeepVersions:    *keep,
-	}
-	if *replicas != "" {
-		fleet := splitURLs(*replicas)
-		cfg.Rollout = &cluster.RolloutConfig{
-			Replicas:     fleet,
-			Tolerance:    *tolerance,
-			CanaryWait:   *canaryWait,
-			MinFeedbacks: *minFeedback,
-		}
-		fmt.Printf("neo-trainer: rollout coordinator over %d replicas (canary %s)\n", len(fleet), fleet[0])
+	cfg.CheckpointPath, cfg.CheckpointEvery = d.Checkpoint, d.CheckpointEvery
+	if len(rollout.Replicas) > 0 {
+		cfg.Rollout = &rollout
+		fmt.Printf("neo-trainer: rollout coordinator over %d replicas (canary %s)\n", len(rollout.Replicas), rollout.Replicas[0])
 	}
 	trainer, err := cluster.NewTrainer(sys, cfg)
 	if err != nil {
@@ -119,45 +51,9 @@ func main() {
 	}
 	trainer.Start()
 	fmt.Printf("neo-trainer: published snapshot version %d\n", trainer.NetVersion())
-
-	httpSrv := &http.Server{Addr: *addr, Handler: trainer}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("neo-trainer: listening on %s\n", *addr)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		fmt.Printf("neo-trainer: %v, shutting down ...\n", sig)
-	case err := <-errCh:
+	if err := d.Serve(trainer, trainer.Close, sys.Close); err != nil {
 		fatal(err)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "neo-trainer: shutdown:", err)
-	}
-	if err := trainer.Close(); err != nil {
-		fatal(err)
-	}
-	if err := sys.Close(); err != nil {
-		fatal(err)
-	}
-	if *ckpt != "" {
-		fmt.Printf("neo-trainer: final checkpoint written to %s\n", *ckpt)
-	}
-}
-
-func splitURLs(list string) []string {
-	var out []string
-	for _, u := range strings.Split(list, ",") {
-		if u = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(u), "/")); u != "" {
-			out = append(out, u)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

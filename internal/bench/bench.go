@@ -22,10 +22,7 @@ import (
 
 	"neo/internal/checkpoint"
 	"neo/internal/fastpath"
-	"neo/internal/plan"
 	"neo/internal/route"
-	"neo/internal/sched"
-	"neo/internal/search"
 	"neo/internal/treeconv"
 	"neo/internal/valuenet"
 	"neo/pkg/neo"
@@ -346,8 +343,8 @@ func percentileNS(ns []float64, p float64) float64 {
 	return ns[idx]
 }
 
-// servingWorkers is the concurrency of the fused-serving benchmark: 8
-// concurrent searches, the acceptance scenario of the scheduler.
+// servingWorkers is the concurrency of the serving benchmark: 8 concurrent
+// requests, the acceptance scenario of the serving tier.
 const servingWorkers = 8
 
 // servingHotQueries is how many distinct hot query structures the 8
@@ -357,39 +354,9 @@ const servingWorkers = 8
 // retrain-every-N-feedbacks daemon re-enters constantly under load.
 const servingHotQueries = 2
 
-// scoreStream is the recorded scoring traffic of one real plan search: the
-// sequence of ScoreBatch submissions BestFirst issued, pre-encoded into the
-// (query, forest) rows the value network consumes. Replaying the streams of
-// several concurrent searches reproduces exactly the inference load a
-// serving daemon sees, with the row redundancy hot queries create.
-type scoreStream struct {
-	subs []scoreSub
-}
-
-type scoreSub struct {
-	queries [][]float64
-	forests [][]*treeconv.Tree
-}
-
-// streamRecorder captures every submission a search makes while passing it
-// through to the real scorer.
-type streamRecorder struct {
-	inner search.BatchScorer
-	subs  [][]*plan.Plan
-}
-
-func (r *streamRecorder) ScoreBatch(ps []*plan.Plan) []float64 {
-	r.subs = append(r.subs, append([]*plan.Plan(nil), ps...))
-	return r.inner.ScoreBatch(ps)
-}
-
-// servingFixture bootstraps a system and records the scoring traffic of one
-// full BestFirst search per hot query. Rows are pre-encoded once — encoding
-// is identical per-request work in both serving modes, so the benchmark pair
-// isolates the layer the scheduler changes: the forward passes. Each stream
-// shares one query-encoding slice per distinct query, as each search's
-// scorer does across its batches.
-func servingFixture() (snap, snap32 *valuenet.Snapshot, streams []scoreStream) {
+// servingFixture bootstraps a system and returns it with the hot queries.
+// Scoring is unfused, so the pairs isolate the plan cache.
+func servingFixture() (*neo.System, []*neo.Query) {
 	sys, err := neo.Open(neo.Config{
 		Dataset:          "imdb",
 		Engine:           "postgres",
@@ -417,117 +384,92 @@ func servingFixture() (snap, snap32 *valuenet.Snapshot, streams []scoreStream) {
 	if err := sys.Bootstrap(wl.Queries[:8]); err != nil {
 		panic(fmt.Sprintf("bench: serving bootstrap: %v", err))
 	}
-
-	streams = make([]scoreStream, servingHotQueries)
-	for i := 0; i < servingHotQueries; i++ {
-		q := wl.Queries[i]
-		rec := &streamRecorder{inner: sys.Neo.Scorer(q)}
-		if _, err := search.BestFirst(q, rec, search.Options{
-			Catalog:       sys.Catalog,
-			MaxExpansions: sys.Config.SearchExpansions,
-		}); err != nil {
-			panic(fmt.Sprintf("bench: recording search for %s: %v", q.ID, err))
-		}
-		qEnc := sys.Featurizer.EncodeQuery(q)
-		for _, ps := range rec.subs {
-			sub := scoreSub{
-				queries: make([][]float64, len(ps)),
-				forests: make([][]*treeconv.Tree, len(ps)),
-			}
-			for j, p := range ps {
-				sub.queries[j] = qEnc
-				sub.forests[j] = sys.Neo.EncodePlanTrees(p)
-			}
-			streams[i].subs = append(streams[i].subs, sub)
-		}
-	}
-	snap = sys.Neo.Snapshot()
-	// Republish the same weights as a packed float32 snapshot for the
-	// fused-f32 leg (the neo-serve default serving configuration).
-	sys.Neo.Config.ScorePrecision = valuenet.PrecisionFloat32
-	sys.Neo.RestoreSnapshot(sys.Neo.NetVersion())
-	snap32 = sys.Neo.Snapshot()
-	return snap, snap32, streams
+	return sys, wl.Queries[:servingHotQueries]
 }
 
-// replayServing drives the 8 concurrent search streams through a predictor —
-// the raw snapshot (private per-request scoring: every request pays its own
-// forward passes) or a shared Scheduler (fused serving). Two workers replay
-// each hot query's stream, modelling the cache-cold stampede right after a
-// retraining swap empties the plan cache, when concurrent requests for the
-// same hot query cannot be answered by memoised plans and race through
-// identical searches.
-func replayServing(predict sched.Backend, streams []scoreStream) {
+// stampede issues the 8 concurrent requests — four per hot query — through
+// plan and returns the plan signatures in worker order. It models the
+// cache-cold stampede right after a retraining swap publishes an empty plan
+// cache, when concurrent requests for the same hot query all miss at once.
+func stampede(hot []*neo.Query, plan func(*neo.Query) (*neo.Plan, error)) []string {
+	sigs := make([]string, servingWorkers)
 	var wg sync.WaitGroup
 	for g := 0; g < servingWorkers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for _, sub := range streams[g%len(streams)].subs {
-				predict.PredictBatch(sub.queries, sub.forests)
+			p, err := plan(hot[g%len(hot)])
+			if err != nil {
+				panic(fmt.Sprintf("bench: serving search: %v", err))
 			}
+			sigs[g] = p.Signature()
 		}(g)
 	}
 	wg.Wait()
+	return sigs
 }
 
-// ServingBenchmarks builds the fused-serving benchmark pair over a shared
-// fixture: the scoring traffic of 8 concurrent searches stampeding over hot
-// queries, served by private per-request scoring versus through the shared
-// micro-batching scheduler (fusing co-resident submissions into shared
-// passes and deduplicating identical rows over the same immutable weights).
-// A fresh scheduler per op keeps its memoisation cache as cold as a
-// just-swapped snapshot's. Scores are verified bit-identical before
-// measuring; plan-level equality is locked down by the core and serve test
-// suites. fusedF32 runs the same fused traffic against the float32-packed
-// form of the same weights — the neo-serve default.
-func ServingBenchmarks() (private, fused, fusedF32 func(b *testing.B)) {
-	snap, snap32, streams := servingFixture()
-
-	// Safety check: the gate compares throughput of the paths, so first
-	// prove fusion produces the same bits as private scoring for one full
-	// stream, at each precision against its own private baseline.
-	for _, sn := range []*valuenet.Snapshot{snap, snap32} {
-		s := sched.New(sn, sched.Options{})
-		for _, sub := range streams[0].subs {
-			coalesced := s.PredictBatch(sub.queries, sub.forests)
-			direct := sn.PredictBatch(sub.queries, sub.forests)
-			for i := range direct {
-				if coalesced[i] != direct[i] {
-					panic(fmt.Sprintf("bench: fused score %v != private score %v", coalesced[i], direct[i]))
-				}
-			}
-		}
-		s.Close()
+// ServingBenchmarks builds the serving benchmark pairs over a shared fixture:
+// 8 concurrent requests stampeding over 2 hot query structures, served by 8
+// private searches (core.Neo.Optimize: every request pays its own search)
+// versus through the snapshot's single-flight plan cache
+// (core.Neo.OptimizeCached on a freshly published, hence empty-cached,
+// snapshot: one search per structure, the other requests wait for it), at
+// float64 and at float32 — the neo-serve default. Republishing the snapshot
+// is outside the timed region. Plans are verified identical before measuring.
+func ServingBenchmarks() (private, cached, privateF32, cachedF32 func(b *testing.B)) {
+	sys, hot := servingFixture()
+	n := sys.Neo
+	uncached := func(q *neo.Query) (*neo.Plan, error) {
+		p, _, err := n.Optimize(q)
+		return p, err
 	}
-
-	private = func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			replayServing(snap, streams)
-		}
+	throughCache := func(q *neo.Query) (*neo.Plan, error) {
+		p, _, _, err := n.OptimizeCached(q)
+		return p, err
 	}
-	bench := func(sn *valuenet.Snapshot) func(b *testing.B) {
+	// republish swaps in a fresh snapshot of the same weights at the given
+	// precision: empty plan cache, new scheduler.
+	republish := func(prec valuenet.Precision) {
+		n.Config.ScorePrecision = prec
+		n.RestoreSnapshot(n.NetVersion())
+	}
+	bench := func(prec valuenet.Precision, plan func(*neo.Query) (*neo.Plan, error)) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := sched.New(sn, sched.Options{})
-				replayServing(s, streams)
-				s.Close()
+				b.StopTimer()
+				republish(prec)
+				b.StartTimer()
+				stampede(hot, plan)
 			}
 		}
 	}
-	return private, bench(snap), bench(snap32)
+
+	// Safety check: the gate compares throughput of the two paths, so first
+	// prove the cache hands every request the plan its own search finds.
+	for _, prec := range []valuenet.Precision{valuenet.PrecisionFloat64, valuenet.PrecisionFloat32} {
+		republish(prec)
+		want := stampede(hot, uncached)
+		for g, got := range stampede(hot, throughCache) {
+			if got != want[g] {
+				panic(fmt.Sprintf("bench: cached plan %s != private plan %s", got, want[g]))
+			}
+		}
+	}
+	return bench(valuenet.PrecisionFloat64, uncached), bench(valuenet.PrecisionFloat64, throughCache),
+		bench(valuenet.PrecisionFloat32, uncached), bench(valuenet.PrecisionFloat32, throughCache)
 }
 
 // Serving measures the ServingBenchmarks set (the BenchmarkFusedServing
 // suite of the regression gate).
 func Serving() Suite {
-	private, fused, fusedF32 := ServingBenchmarks()
+	private, cached, privateF32, cachedF32 := ServingBenchmarks()
 	return Suite{Suite: "serve", Benchmarks: []Result{
 		measure("serving/private", private),
-		measure("serving/fused", fused),
-		measure("serving/fused-f32", fusedF32),
+		measure("serving/cached", cached),
+		measure("serving/private-f32", privateF32),
+		measure("serving/cached-f32", cachedF32),
 	}}
 }
 

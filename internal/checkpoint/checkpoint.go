@@ -86,6 +86,10 @@ var (
 // magnitude (a retraining round draws tens of thousands).
 const maxRNGDraws = 1 << 34
 
+// sectionPrealloc caps what readContainer allocates for a section on the
+// strength of its declared length alone.
+const sectionPrealloc = 64 << 10
+
 // Section names.
 const (
 	sectionMeta       = "meta"
@@ -336,10 +340,21 @@ func readContainer(r io.Reader) (map[string][]byte, error) {
 	}
 	out := make(map[string][]byte, count)
 	for _, h := range headers {
-		payload := make([]byte, h.size)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		// The buffer grows with the bytes that actually arrive: a header may
+		// declare up to wire.MaxLen bytes, and allocating the declared size
+		// before reading would let a header-only container cost 256 MiB. A
+		// reader that is itself in memory (a pulled snapshot) vouches for the
+		// declared length with the bytes it holds, so it is read in one piece.
+		prealloc := min(h.size, sectionPrealloc)
+		if held, ok := r.(interface{ Len() int }); ok && uint64(held.Len()) >= h.size {
+			prealloc = h.size
+		}
+		var buf bytes.Buffer
+		buf.Grow(int(prealloc))
+		if _, err := io.CopyN(&buf, r, int64(h.size)); err != nil {
 			return nil, truncated(err)
 		}
+		payload := buf.Bytes()
 		if crc32.ChecksumIEEE(payload) != h.crc {
 			return nil, fmt.Errorf("%w: section %q fails CRC", ErrCorrupt, h.name)
 		}

@@ -3,10 +3,12 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"neo/internal/core"
 	"neo/internal/plan"
+	"neo/internal/wire"
 )
 
 // TestExperienceContainerRoundTrip pins the replica→trainer wire artifact:
@@ -88,5 +90,35 @@ func TestExperienceContainerRejectsDamage(t *testing.T) {
 	}
 	if len(got) != len(st.Experience) {
 		t.Fatalf("full checkpoint: got %d entries, want %d", len(got), len(st.Experience))
+	}
+}
+
+// TestHeaderOnlyContainerAllocatesNothing: a 40-byte body — a valid header
+// declaring one section of the largest length the reader accepts, and no
+// payload — fails as truncated without the declared length ever being
+// allocated. The same reader parses checkpoints, the snapshots replicas pull
+// and every POST /experience body.
+func TestHeaderOnlyContainerAllocatesNothing(t *testing.T) {
+	var body bytes.Buffer
+	body.WriteString(Magic)
+	_ = wire.WriteU32(&body, FormatVersion)
+	_ = wire.WriteU32(&body, 1)
+	body.Write([]byte{0, byte(len(sectionExperience))})
+	body.WriteString(sectionExperience)
+	_ = wire.WriteU64(&body, wire.MaxLen)
+	_ = wire.WriteU32(&body, 0)
+	if body.Len() != 40 {
+		t.Fatalf("fixture is %d bytes, want the 40-byte header-only container", body.Len())
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadExperience(&body)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("header-only container: got %v, want ErrTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 40-byte body made the reader allocate %d bytes", grew)
 	}
 }

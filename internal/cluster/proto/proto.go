@@ -35,6 +35,13 @@ const HeaderNetVersion = "X-Neo-Net-Version"
 // the trainer accept; query specs and control messages are a few KiB.
 const MaxRequestBytes = 1 << 20
 
+// MaxExperienceBytes bounds a POST /experience body (one NEOCKPT1 experience
+// container; 413 past it). A forwarded container carries -flush-batch
+// entries — 64 by default, under 1 KiB each (a four-join query with its plan
+// encodes to about 600 bytes) — so 8 MiB leaves room for batches a hundred
+// times the default.
+const MaxExperienceBytes = 8 << 20
+
 // DecodeRequest decodes r's JSON body into v, reading at most
 // MaxRequestBytes of it. On failure it also returns the HTTP status to answer
 // with: 413 for an oversized body, 400 for anything else.
@@ -49,6 +56,22 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	default:
 		return http.StatusBadRequest, err
 	}
+}
+
+// WriteJSON answers 200 with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
+}
+
+// WriteError answers code with the JSON error body every daemon returns on
+// non-2xx statuses (see Error).
+func WriteError(w http.ResponseWriter, code int, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(Error{Message: err.Error()})
 }
 
 // QuerySpec is the JSON representation of a query.
@@ -493,6 +516,19 @@ func (c *Client) roundTripBytes(ctx context.Context, url string) ([]byte, http.H
 		return nil, nil, err
 	}
 	return payload, resp.Header, nil
+}
+
+// SplitURLs parses a comma-separated list of base URLs as the -replicas and
+// -route flags take it: blanks and trailing slashes trimmed, empty items
+// dropped.
+func SplitURLs(list string) []string {
+	var out []string
+	for _, u := range strings.Split(list, ",") {
+		if u = strings.TrimSuffix(strings.TrimSpace(u), "/"); u != "" {
+			out = append(out, u)
+		}
+	}
+	return out
 }
 
 // Hash64 hashes a routing key onto the 64-bit ring space: FNV-1a followed by

@@ -55,12 +55,12 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, proto.MaxRequestBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		proto.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return
 	}
 	var spec proto.QuerySpec
 	if err := json.Unmarshal(body, &spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding query: %w", err))
+		proto.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding query: %w", err))
 		return
 	}
 	rt.forward(w, r, &spec, body, "/optimize")
@@ -69,12 +69,12 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, proto.MaxRequestBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		proto.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return
 	}
 	var req proto.FeedbackRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding feedback: %w", err))
+		proto.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding feedback: %w", err))
 		return
 	}
 	rt.forward(w, r, &req.Query, body, "/feedback")
@@ -89,13 +89,13 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, spec *proto.Qu
 	var se *proto.StatusError
 	switch {
 	case err == nil:
-		writeJSON(w, reply)
+		proto.WriteJSON(w, reply)
 	case errors.As(err, &se) && se.Code < 500:
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(se.Code)
 		_, _ = io.WriteString(w, se.Body)
 	default:
-		httpError(w, http.StatusBadGateway, err)
+		proto.WriteError(w, http.StatusBadGateway, err)
 	}
 }
 
@@ -107,5 +107,5 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	for node, err := range failed {
 		out[node], _ = json.Marshal(map[string]string{"error": err.Error()})
 	}
-	writeJSON(w, map[string]any{"replicas": out})
+	proto.WriteJSON(w, map[string]any{"replicas": out})
 }

@@ -3,8 +3,8 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -14,14 +14,14 @@ import (
 
 	"neo/internal/checkpoint"
 	"neo/internal/cluster/proto"
+	"neo/internal/serve"
 	"neo/pkg/neo"
 )
 
 // Trainer defaults; see TrainerConfig.
 const (
-	defaultKeepVersions     = 4
-	defaultTrainerRetrain   = 64
-	defaultMaxExperienceTrn = 100_000
+	defaultKeepVersions   = 4
+	defaultTrainerRetrain = 64
 )
 
 // TrainerConfig tunes the neo-trainer daemon.
@@ -32,9 +32,10 @@ type TrainerConfig struct {
 	CheckpointPath string
 	// CheckpointEvery is the periodic checkpoint interval started by Start.
 	CheckpointEvery time.Duration
-	// RetrainEvery triggers a background retraining round after every N
-	// ingested experience entries (default 64, negative disables). Rounds
-	// never queue: entries arriving mid-round count toward the next one.
+	// RetrainEvery starts a background retraining round once N experience
+	// entries have been ingested since the last round was started (default
+	// 64, negative disables). Rounds never queue: entries arriving mid-round
+	// count toward the next one.
 	RetrainEvery int
 	// MaxExperience bounds the experience pool (default 100 000, negative
 	// disables trimming).
@@ -46,6 +47,23 @@ type TrainerConfig struct {
 	// Nil disables automatic rollouts: replicas then pull snapshots on their
 	// own schedule (or an operator drives /admin/snapshot by hand).
 	Rollout *RolloutConfig
+}
+
+// RegisterTrainerFlags registers neo-trainer's own flags — the learning
+// cadence, snapshot retention and the rollout coordinator's knobs — on fs.
+// The coordinator is on when rollout.Replicas is non-empty after parsing; the
+// caller then points cfg.Rollout at rollout.
+func RegisterTrainerFlags(fs *flag.FlagSet, cfg *TrainerConfig, rollout *RolloutConfig) {
+	fs.IntVar(&cfg.RetrainEvery, "retrain-every", 64, "retrain after every N ingested experience entries (negative disables)")
+	fs.IntVar(&cfg.MaxExperience, "max-experience", 0, "experience-pool cap (0 = default 100000, negative = unbounded)")
+	fs.IntVar(&cfg.KeepVersions, "keep-versions", 4, "published snapshot versions kept downloadable (rollback needs at least the previous one)")
+	fs.Func("replicas", "comma-separated replica base URLs; enables the rollout coordinator (first URL is the canary)", func(list string) error {
+		rollout.Replicas = proto.SplitURLs(list)
+		return nil
+	})
+	fs.DurationVar(&rollout.CanaryWait, "canary-wait", 2*time.Second, "longest a canary soaks before the promote/rollback decision")
+	fs.Uint64Var(&rollout.MinFeedbacks, "canary-min-feedbacks", 8, "canary-window samples that end the soak early")
+	fs.Float64Var(&rollout.Tolerance, "tolerance", 0, "allowed canary quality regression as a fraction of the pre-canary mean latency (0 = default 0.25)")
 }
 
 func (c *TrainerConfig) retrainEvery() int {
@@ -82,13 +100,12 @@ type Trainer struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	batches     atomic.Uint64
-	accepted    atomic.Uint64
-	retrains    atomic.Uint64
-	checkpoints atomic.Uint64
-	training    atomic.Bool
-	lastLoss    atomic.Uint64 // float64 bits
-	pending     atomic.Uint64 // entries ingested since the last retrain trigger
+	batches  atomic.Uint64
+	accepted atomic.Uint64
+
+	// learner is the same learning loop a standalone neo-serve runs; the
+	// trainer adds publication and rollout through its after-retrain hook.
+	learner *serve.Learner
 
 	// snapMu guards the published-snapshot store.
 	snapMu sync.Mutex
@@ -97,28 +114,20 @@ type Trainer struct {
 	latest uint64
 
 	rollout *Coordinator
-
-	// ckptMu serializes Checkpoint calls (periodic loop vs shutdown).
-	ckptMu sync.Mutex
-
-	// lifeMu guards closed and orders wg.Add against Close's wg.Wait.
-	lifeMu sync.Mutex
-	closed bool
-
-	wg   sync.WaitGroup
-	stop chan struct{}
-	once sync.Once
 }
 
 // NewTrainer creates a trainer over an assembled (and typically bootstrapped
 // or checkpoint-restored) system and publishes the system's current network
 // as the initial snapshot, so replicas can join before the first retrain.
 func NewTrainer(sys *neo.System, cfg TrainerConfig) (*Trainer, error) {
-	if cfg.MaxExperience == 0 {
-		cfg.MaxExperience = defaultMaxExperienceTrn
-	}
 	t := &Trainer{sys: sys, cfg: cfg, mux: http.NewServeMux(), start: time.Now(),
-		snaps: make(map[uint64][]byte), stop: make(chan struct{})}
+		snaps: make(map[uint64][]byte)}
+	t.learner = serve.NewLearner(sys, serve.LearnerConfig{
+		CheckpointPath:  cfg.CheckpointPath,
+		CheckpointEvery: cfg.CheckpointEvery,
+		RetrainEvery:    cfg.retrainEvery(),
+		MaxExperience:   cfg.MaxExperience,
+	}, t.publishAndRollOut)
 	if cfg.Rollout != nil {
 		t.rollout = NewCoordinator(*cfg.Rollout)
 	}
@@ -140,68 +149,16 @@ func (t *Trainer) ServeHTTP(w http.ResponseWriter, r *http.Request) { t.mux.Serv
 
 // Start launches the periodic checkpoint loop (no-op without a path and
 // interval).
-func (t *Trainer) Start() {
-	if t.cfg.CheckpointPath == "" || t.cfg.CheckpointEvery <= 0 {
-		return
-	}
-	t.goRun(func() {
-		ticker := time.NewTicker(t.cfg.CheckpointEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				_ = t.Checkpoint() // best effort; failures surface in /stats staying flat
-			case <-t.stop:
-				return
-			}
-		}
-	})
-}
+func (t *Trainer) Start() { t.learner.Start() }
 
-func (t *Trainer) goRun(fn func()) {
-	t.lifeMu.Lock()
-	if t.closed {
-		t.lifeMu.Unlock()
-		return
-	}
-	t.wg.Add(1)
-	t.lifeMu.Unlock()
-	go func() {
-		defer t.wg.Done()
-		fn()
-	}()
-}
-
-// Close stops the background loops, waits for an in-flight retraining
-// round's bookkeeping (and rollout), and writes a final checkpoint. Safe to
-// call more than once.
-func (t *Trainer) Close() error {
-	var err error
-	t.once.Do(func() {
-		t.lifeMu.Lock()
-		t.closed = true
-		t.lifeMu.Unlock()
-		close(t.stop)
-		t.wg.Wait()
-		err = t.Checkpoint()
-	})
-	return err
-}
+// Close stops the background loops, waits for an in-flight retraining round
+// (its publication and rollout included), and writes a final checkpoint.
+// Safe to call more than once.
+func (t *Trainer) Close() error { return t.learner.Close(nil) }
 
 // Checkpoint durably writes the trainer's learned state to the configured
 // path, atomically.
-func (t *Trainer) Checkpoint() error {
-	if t.cfg.CheckpointPath == "" {
-		return nil
-	}
-	t.ckptMu.Lock()
-	defer t.ckptMu.Unlock()
-	if err := t.sys.SaveCheckpointFile(t.cfg.CheckpointPath); err != nil {
-		return err
-	}
-	t.checkpoints.Add(1)
-	return nil
-}
+func (t *Trainer) Checkpoint() error { return t.learner.Checkpoint() }
 
 // publish snapshots the system's current learned state into the in-memory
 // version store under its network version, evicting the oldest version
@@ -251,33 +208,26 @@ func (t *Trainer) versions() []uint64 {
 // handleExperience ingests one replica experience batch: a NEOCKPT1
 // container holding an experience section. Damaged containers are rejected
 // with 400 (the replica's retry would only fail again); version-skewed ones
-// with 409. Ingestion triggers a retraining round once RetrainEvery entries
-// have accumulated.
+// with 409, bodies past proto.MaxExperienceBytes with 413. Ingestion triggers
+// a retraining round once RetrainEvery entries have accumulated.
 func (t *Trainer) handleExperience(w http.ResponseWriter, r *http.Request) {
-	entries, err := checkpoint.LoadExperience(r.Body)
+	entries, err := checkpoint.LoadExperience(http.MaxBytesReader(w, r.Body, proto.MaxExperienceBytes))
 	if err != nil {
 		code := http.StatusBadRequest
-		if errors.Is(err, checkpoint.ErrUnsupportedVersion) || errors.Is(err, checkpoint.ErrMismatch) {
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			code = http.StatusRequestEntityTooLarge
+		case errors.Is(err, checkpoint.ErrUnsupportedVersion), errors.Is(err, checkpoint.ErrMismatch):
 			code = http.StatusConflict
 		}
-		httpError(w, code, fmt.Errorf("decoding experience container: %w", err))
+		proto.WriteError(w, code, fmt.Errorf("decoding experience container: %w", err))
 		return
 	}
-	for _, e := range entries {
-		t.sys.Neo.Experience.Add(e.Query, e.Plan, e.Latency)
-	}
-	if t.cfg.MaxExperience > 0 && t.sys.Neo.Experience.Len() > t.cfg.MaxExperience {
-		t.sys.Neo.Experience.Trim(t.cfg.MaxExperience)
-	}
+	triggered := t.learner.Ingest(entries...)
 	t.batches.Add(1)
 	t.accepted.Add(uint64(len(entries)))
-	triggered := false
-	if every := t.cfg.retrainEvery(); every > 0 && len(entries) > 0 {
-		if t.pending.Add(uint64(len(entries))) >= uint64(every) {
-			triggered = t.triggerRetrain()
-		}
-	}
-	writeJSON(w, proto.ExperienceResponse{
+	proto.WriteJSON(w, proto.ExperienceResponse{
 		Accepted:         len(entries),
 		Experience:       t.sys.Neo.Experience.Len(),
 		RetrainTriggered: triggered,
@@ -285,39 +235,17 @@ func (t *Trainer) handleExperience(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// triggerRetrain starts a background retraining round unless one is already
-// in flight. When the round finishes the new network is published as a
-// snapshot and, when a coordinator is configured, rolled out to the fleet.
-func (t *Trainer) triggerRetrain() bool {
-	if !t.training.CompareAndSwap(false, true) {
-		return false
+// publishAndRollOut is the learner's after-retrain hook: the freshly trained
+// network is published as a snapshot and, when a coordinator is configured,
+// rolled out to the fleet.
+func (t *Trainer) publishAndRollOut() {
+	if err := t.publish(); err != nil || t.rollout == nil {
+		return
 	}
-	t.lifeMu.Lock()
-	if t.closed {
-		t.lifeMu.Unlock()
-		t.training.Store(false)
-		return false
-	}
-	t.wg.Add(1)
-	t.lifeMu.Unlock()
-	t.pending.Store(0)
-	done := t.sys.RetrainAsync()
-	go func() {
-		defer t.wg.Done()
-		loss := <-done
-		t.lastLoss.Store(math.Float64bits(loss))
-		if err := t.publish(); err == nil {
-			t.retrains.Add(1)
-			if t.rollout != nil {
-				v := t.NetVersion()
-				// Roll out in the background: training cadence must not
-				// block on canary soak time. Stop-aware so Close waits.
-				t.goRun(func() { _, _ = t.rollout.Rollout(t.stop, v) })
-			}
-		}
-		t.training.Store(false)
-	}()
-	return true
+	v := t.NetVersion()
+	// Roll out in the background: training cadence must not block on canary
+	// soak time. Stop-aware so Close waits.
+	t.learner.Go(func() { _, _ = t.rollout.Rollout(t.learner.Stopping(), v) })
 }
 
 // NetVersion returns the latest published snapshot version.
@@ -335,14 +263,14 @@ func (t *Trainer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("version"); raw != "" {
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad version %q: %w", raw, err))
+			proto.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad version %q: %w", raw, err))
 			return
 		}
 		version = v
 	}
 	payload, v, ok := t.Snapshot(version)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("snapshot version %d is not published (kept: %v)", version, t.versions()))
+		proto.WriteError(w, http.StatusNotFound, fmt.Errorf("snapshot version %d is not published (kept: %v)", version, t.versions()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -354,13 +282,13 @@ func (t *Trainer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // synchronously and reports the decision.
 func (t *Trainer) handleRollout(w http.ResponseWriter, r *http.Request) {
 	if t.rollout == nil {
-		httpError(w, http.StatusConflict, fmt.Errorf("no rollout coordinator configured (no replicas)"))
+		proto.WriteError(w, http.StatusConflict, fmt.Errorf("no rollout coordinator configured (no replicas)"))
 		return
 	}
 	var req proto.SnapshotRequest
 	if r.ContentLength != 0 {
 		if code, err := proto.DecodeRequest(w, r, &req); err != nil {
-			httpError(w, code, fmt.Errorf("decoding rollout request: %w", err))
+			proto.WriteError(w, code, fmt.Errorf("decoding rollout request: %w", err))
 			return
 		}
 	}
@@ -369,12 +297,12 @@ func (t *Trainer) handleRollout(w http.ResponseWriter, r *http.Request) {
 		version = t.NetVersion()
 	}
 	if _, _, ok := t.Snapshot(version); !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("snapshot version %d is not published", version))
+		proto.WriteError(w, http.StatusNotFound, fmt.Errorf("snapshot version %d is not published", version))
 		return
 	}
-	promoted, err := t.rollout.Rollout(t.stop, version)
+	promoted, err := t.rollout.Rollout(t.learner.Stopping(), version)
 	if err != nil {
-		httpError(w, http.StatusConflict, err)
+		proto.WriteError(w, http.StatusConflict, err)
 		return
 	}
 	status := t.rollout.Status()
@@ -382,11 +310,12 @@ func (t *Trainer) handleRollout(w http.ResponseWriter, r *http.Request) {
 	if !promoted {
 		status.Version = 0
 	}
-	writeJSON(w, status)
+	proto.WriteJSON(w, status)
 }
 
 // Stats snapshots the trainer counters.
 func (t *Trainer) Stats() proto.TrainerStats {
+	ls := t.learner.Stats()
 	st := proto.TrainerStats{
 		UptimeSeconds: time.Since(t.start).Seconds(),
 		NetVersion:    t.NetVersion(),
@@ -394,10 +323,10 @@ func (t *Trainer) Stats() proto.TrainerStats {
 		Experience:    t.sys.Neo.Experience.Len(),
 		Batches:       t.batches.Load(),
 		Accepted:      t.accepted.Load(),
-		Retrains:      t.retrains.Load(),
-		Training:      t.training.Load(),
-		LastTrainLoss: math.Float64frombits(t.lastLoss.Load()),
-		Checkpoints:   t.checkpoints.Load(),
+		Retrains:      ls.Retrains,
+		Training:      ls.Retraining,
+		LastTrainLoss: ls.LastTrainLoss,
+		Checkpoints:   ls.Checkpoints,
 	}
 	if t.rollout != nil {
 		s := t.rollout.Status()
@@ -407,5 +336,5 @@ func (t *Trainer) Stats() proto.TrainerStats {
 }
 
 func (t *Trainer) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, t.Stats())
+	proto.WriteJSON(w, t.Stats())
 }

@@ -74,25 +74,18 @@ type Config struct {
 	Workers int
 	// FuseScoring routes every search's batched-scoring submissions through
 	// a shared micro-batching scheduler (internal/sched): submissions from
-	// concurrent searches that arrive within FuseLinger of each other are
-	// fused into one shared value-network forward pass of up to MaxFusedBatch
-	// rows, so serving N concurrent searches approaches the cost of one
-	// large-batch scorer instead of N small ones. Fused scores are
-	// bit-identical to private scoring (the batch kernels compute each row
-	// independently in a fixed order), so every search — and everything
-	// trained from its plans — is unaffected by fusion. The scheduler is
-	// pinned to the serving snapshot and is drained and recreated on every
-	// snapshot swap, so one fused pass can never mix scores from two weight
-	// sets. A search running alone skips the linger entirely; the fusion tax
-	// on an idle server is zero.
+	// concurrent searches that arrive within sched.DefaultLinger of each
+	// other are fused into one shared value-network forward pass of up to
+	// sched.DefaultMaxBatch rows, so serving N concurrent searches approaches
+	// the cost of one large-batch scorer instead of N small ones. Fused
+	// scores are bit-identical to private scoring (the batch kernels compute
+	// each row independently in a fixed order), so every search — and
+	// everything trained from its plans — is unaffected by fusion. The
+	// scheduler is pinned to the serving snapshot and is drained and
+	// recreated on every snapshot swap, so one fused pass can never mix
+	// scores from two weight sets. A search running alone skips the linger
+	// entirely; the fusion tax on an idle server is zero.
 	FuseScoring bool
-	// MaxFusedBatch caps the rows of one fused forward pass (zero selects
-	// sched.DefaultMaxBatch). Only meaningful with FuseScoring.
-	MaxFusedBatch int
-	// FuseLinger bounds how long a scoring submission waits to be fused with
-	// others before its batch runs anyway (zero selects sched.DefaultLinger,
-	// 200µs). Only meaningful with FuseScoring.
-	FuseLinger time.Duration
 	// ScorePrecision selects the numeric format serving snapshots score
 	// with: float64 (the exact training kernels, the zero value) or float32
 	// (packed tiled-GEMM panels). Conversion happens once per snapshot
@@ -137,7 +130,7 @@ func DefaultConfig() Config {
 // Neo is the learned optimizer: it featurizes queries, maintains experience,
 // trains the value network, and searches for plans with it.
 //
-// Concurrency: plan search (Optimize, OptimizeGreedy, Scorer,
+// Concurrency: plan search (Optimize, OptimizeCached, OptimizeGreedy, Scorer,
 // PredictNormalized) scores against an immutable snapshot of the value
 // network and is safe to call from any number of goroutines, including
 // while RetrainAsync trains the live network in the background. Calls that
@@ -181,16 +174,20 @@ type Neo struct {
 	// tagged with its version. It is swapped atomically at the end of each
 	// retraining round, so in-flight searches finish against the weights
 	// they started with while new searches pick up the freshly trained
-	// network (double buffering). Version, weights and the fused-scoring
-	// scheduler travel in one pointer so a reader can never observe new
-	// weights under an old version — or an old scheduler fusing against new
-	// weights — or vice versa.
+	// network (double buffering). Version, weights and everything derived
+	// from the weights — the fused-scoring scheduler and the plan cache —
+	// travel in one pointer, so a reader can never observe new weights under
+	// an old version, an old scheduler fusing against new weights, or a plan
+	// searched with other weights than the ones it is served under.
 	snap atomic.Pointer[netSnapshot]
 
 	// fuse aggregates fusion statistics across every scheduler this Neo
 	// creates over its lifetime (schedulers are recreated on each snapshot
 	// swap), so /stats counters are monotonic. Nil when FuseScoring is off.
 	fuse *sched.Counters
+	// planStats are the plan-cache hit/miss counters shared by every
+	// snapshot's cache, for the same reason.
+	planStats planCounters
 
 	// router dispatches each Optimize between the greedy fast path and the
 	// full best-first search (Config.Routing) and accounts decisions,
@@ -199,12 +196,14 @@ type Neo struct {
 }
 
 // netSnapshot pairs a frozen network with the version it was published as
-// and, when fused scoring is enabled, the micro-batching scheduler pinned to
-// exactly these weights.
+// and with everything derived from exactly these weights: the plan cache
+// and, when fused scoring is enabled, the micro-batching scheduler. These are
+// the only weight-derived caches, and they live and die with the snapshot.
 type netSnapshot struct {
 	net     *valuenet.Snapshot
 	version uint64
 	sched   *sched.Scheduler
+	plans   *planCache
 }
 
 // countingSource wraps a math/rand source and counts how many values have
@@ -310,17 +309,18 @@ func (n *Neo) freezeNet() *valuenet.Snapshot {
 // footprint. Safe for concurrent use.
 func (n *Neo) SnapshotInfo() valuenet.SnapshotInfo { return n.Snapshot().Info() }
 
-// newNetSnapshot wraps a frozen network for publication, attaching a fresh
-// micro-batching scheduler pinned to it when fused scoring is enabled. All
-// schedulers share one Counters so fusion statistics survive swaps.
+// newNetSnapshot wraps a frozen network for publication, attaching an empty
+// plan cache and, when fused scoring is enabled, a fresh micro-batching
+// scheduler pinned to it. All schedulers share one Counters, and all plan
+// caches one planCounters, so the statistics survive swaps.
 func (n *Neo) newNetSnapshot(snap *valuenet.Snapshot, version uint64) *netSnapshot {
-	ns := &netSnapshot{net: snap, version: version}
+	ns := &netSnapshot{
+		net:     snap,
+		version: version,
+		plans:   &planCache{counters: &n.planStats, entries: make(map[string]*planEntry)},
+	}
 	if n.fuse != nil {
-		ns.sched = sched.New(snap, sched.Options{
-			MaxBatch: n.Config.MaxFusedBatch,
-			Linger:   n.Config.FuseLinger,
-			Counters: n.fuse,
-		})
+		ns.sched = sched.New(snap, sched.Options{Counters: n.fuse})
 	}
 	return ns
 }
@@ -349,12 +349,10 @@ func (n *Neo) TrainingTime() time.Duration {
 // score with. Safe for concurrent use.
 func (n *Neo) Snapshot() *valuenet.Snapshot { return n.snap.Load().net }
 
-// NetVersion returns the number of snapshot swaps performed so far. It
-// increments whenever a retraining round publishes new weights; callers that
-// cache plans keyed on the network (pkg/neo's plan cache) use it to detect
-// staleness. The version is read from the same atomic pointer that carries
-// the weights, so two NetVersion reads bracketing a search that returned the
-// same value prove the search scored with that version's snapshot.
+// NetVersion returns the version of the serving snapshot: it increments
+// whenever a retraining round publishes new weights, and RestoreSnapshot
+// sets it explicitly. To learn which version a particular plan was searched
+// with, use the one OptimizeCached returns alongside it.
 func (n *Neo) NetVersion() uint64 { return n.snap.Load().version }
 
 // publishSnapshot freezes the live network's weights and swaps them in as
@@ -367,7 +365,7 @@ func (n *Neo) publishSnapshot() {
 // RestoreSnapshot freezes the live network's current weights and publishes
 // them as the serving snapshot under an explicit version — used when loading
 // a checkpoint, so the restored system reports the same NetVersion the saved
-// one did and downstream plan caches key correctly.
+// one did. Like every publication it starts from an empty plan cache.
 func (n *Neo) RestoreSnapshot(version uint64) {
 	n.trainMu.Lock()
 	defer n.trainMu.Unlock()
@@ -739,8 +737,9 @@ func (s *netScorer) Score(p *plan.Plan) float64 {
 // its forward passes fuse with other searches in flight (bit-identical
 // scores either way). Each returned scorer carries its own scratch state, so
 // concurrent searches use separate Scorer instances (see pkg/neo's PlanAll).
-func (n *Neo) Scorer(q *query.Query) search.BatchScorer {
-	ns := n.snap.Load()
+func (n *Neo) Scorer(q *query.Query) search.BatchScorer { return n.scorerOn(n.snap.Load(), q) }
+
+func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) search.BatchScorer {
 	var backend scoreBackend = ns.net
 	if ns.sched != nil {
 		backend = ns.sched
@@ -769,8 +768,40 @@ func (n *Neo) FusionStats() sched.Stats {
 // RouteStats). For fast-path plans the returned Result carries the greedy
 // cost model's score and the number of ordering steps as Expansions; no
 // network is consulted until ObserveLatency scores the executed plan for
-// regret.
+// regret. Optimize always plans afresh — episodes and the Figure 14
+// error-injection experiments must re-plan; serving goes through
+// OptimizeCached.
 func (n *Neo) Optimize(q *query.Query) (*plan.Plan, *search.Result, error) {
+	return n.optimizeOn(n.snap.Load(), q)
+}
+
+// OptimizeCached is Optimize through the serving snapshot's plan cache:
+// structurally identical queries (equal Query.Signature, any ID) share one
+// search per snapshot, concurrent misses on one structure wait for a single
+// search instead of racing through identical ones, and the returned plan is
+// bound to the caller's q. The snapshot pointer is loaded once and used for
+// the lookup, the search, the store and the returned version, so version is
+// by construction the one whose weights scored the plan, whatever swaps land
+// meanwhile. Safe for concurrent use.
+func (n *Neo) OptimizeCached(q *query.Query) (p *plan.Plan, res *search.Result, version uint64, err error) {
+	ns := n.snap.Load()
+	p, res, err = ns.plans.get(q, func() (*plan.Plan, *search.Result, error) { return n.optimizeOn(ns, q) })
+	return p, res, ns.version, err
+}
+
+// PlanCacheStats reports the lifetime hit/miss counters and the serving
+// snapshot's cache size and version. Safe for concurrent use.
+func (n *Neo) PlanCacheStats() PlanCacheStats {
+	ns := n.snap.Load()
+	return PlanCacheStats{
+		Hits:    n.planStats.hits.Load(),
+		Misses:  n.planStats.misses.Load(),
+		Size:    ns.plans.size(),
+		Version: ns.version,
+	}
+}
+
+func (n *Neo) optimizeOn(ns *netSnapshot, q *query.Query) (*plan.Plan, *search.Result, error) {
 	if dec := n.router.Decide(q); dec.Fastpath {
 		fr, err := fastpath.Plan(q, n.Featurizer.Catalog)
 		if err != nil {
@@ -789,7 +820,7 @@ func (n *Neo) Optimize(q *query.Query) (*plan.Plan, *search.Result, error) {
 		Catalog:       n.Featurizer.Catalog,
 		MaxExpansions: n.Config.SearchExpansions,
 	}
-	res, err := search.BestFirst(q, n.Scorer(q), opts)
+	res, err := search.BestFirst(q, n.scorerOn(ns, q), opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,44 +6,35 @@
 // concurrent serving every search still pays its own private forward passes,
 // so serving N clients costs N independent pass streams over the same
 // weights. The scheduler is the serving-scale analogue of the paper's GPU
-// batching (Section 4.2 / 6.3), and coalesces on two levels:
+// batching (Section 4.2 / 6.3).
 //
-//   - Fusion (max-batch-size, max-linger policy): submissions that arrive
-//     close together in time are fused into one shared forward pass. A
-//     submission runs immediately once the fused batch reaches MaxBatch
-//     rows, or after the Linger deadline otherwise. The linger is paid only
-//     when it can pay off: the scheduler lingers only if another submission
-//     was observed in flight within the last companionWindow, so a search
-//     running alone never waits and an idle server's fusion tax is zero —
-//     while on a busy server the linger's sleep is exactly what lets the
-//     other searches reach their own submission points and pile on.
+// Fusion (max-batch-size, max-linger policy): submissions that arrive close
+// together in time are fused into one shared forward pass. A submission runs
+// immediately once the fused batch reaches MaxBatch rows, or after the Linger
+// deadline otherwise. The linger is paid only when it can pay off: the
+// scheduler lingers only if another submission was observed in flight within
+// the last companionWindow, so a search running alone never waits and an
+// idle server's fusion tax is zero — while on a busy server the linger's
+// sleep is exactly what lets the other searches reach their own submission
+// points and pile on.
 //
-//   - Memoisation: scores are cached per row, keyed by a 128-bit hash of
-//     the row's exact encoded values, for the lifetime of the scheduler's
-//     backend. Concurrent searches for the same hot query — the
-//     plan-cache-stampede window right after a retraining round empties the
-//     plan cache — submit thousands of identical rows; each distinct row is
-//     scored once and every duplicate (within one fused pass or across
-//     passes) is served from the cache. Because the backend is immutable
-//     and the batch kernels compute every row independently in a fixed
-//     order, a cached score is the same float64, bit for bit, that a fresh
-//     pass would produce.
-//
-// Per-caller results are scattered back in submission order, so every search
+// Per-caller results are scattered back in submission order, and the batch
+// kernels compute every row independently in a fixed order, so every search
 // remains bit-identical to running against the raw network no matter how its
-// submissions were fused, deduplicated, or served from cache.
+// submissions were fused. Identical searches racing each other are not this
+// layer's problem: core's snapshot-pinned plan cache collapses them into one
+// search before any row is encoded.
 //
 // Lifecycle: a Scheduler is pinned to one immutable backend (a value-network
 // snapshot). When a retraining round publishes new weights, the owner
 // creates a fresh Scheduler for the new snapshot and Closes the old one —
 // Close flushes the pending batch against the old backend and turns every
 // later submission into a direct (unfused) backend call, so scores from
-// different weight sets can never share one fused pass or one cache, and
-// searches pinned to the old snapshot drain without blocking the swap.
+// different weight sets can never share one fused pass, and searches pinned
+// to the old snapshot drain without blocking the swap.
 package sched
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -72,10 +63,6 @@ const DefaultMaxBatch = 64
 // on, far below any request latency budget.
 const DefaultLinger = 200 * time.Microsecond
 
-// DefaultCacheRows bounds the per-snapshot score cache when Options leaves
-// CacheRows zero (entries are ~40 bytes, so the default costs a few MB).
-const DefaultCacheRows = 1 << 16
-
 // companionWindow is how long the memory of "another submission was in
 // flight" lasts. Within it, a leader lingers for companions; past it, the
 // scheduler assumes it is serving a lone search and flushes immediately.
@@ -94,9 +81,6 @@ type Options struct {
 	// Linger is the longest a submission waits to be fused before the
 	// pending batch runs anyway. Zero selects DefaultLinger.
 	Linger time.Duration
-	// CacheRows bounds the score-memoisation cache (zero selects
-	// DefaultCacheRows, negative disables caching).
-	CacheRows int
 	// Counters, when non-nil, aggregates statistics across this scheduler's
 	// lifetime — and, because the owner passes the same Counters to every
 	// successor scheduler, across snapshot swaps too.
@@ -113,7 +97,6 @@ type Counters struct {
 	passSubs    atomic.Uint64 // submissions that rode an executed pass
 	submissions atomic.Uint64
 	rows        atomic.Uint64
-	cacheHits   atomic.Uint64 // rows answered without backend work
 }
 
 // Stats is a point-in-time view of a Counters, shaped for /stats JSON.
@@ -129,11 +112,11 @@ type Stats struct {
 	Submissions uint64 `json:"submissions"`
 	// Rows counts individual plans submitted for scoring.
 	Rows uint64 `json:"rows"`
-	// CacheHits counts rows answered by memoisation or in-pass
-	// deduplication instead of backend compute.
+	// CacheHits is always zero: the row-score memo it counted is gone. The
+	// field stays until the end-to-end benchmark stops reading it
+	// (sched.dedup_share; see ROADMAP).
 	CacheHits uint64 `json:"cache_hits"`
-	// AvgFusedSize is the mean number of submissions per executed pass
-	// (submissions fully served from cache never reach a pass).
+	// AvgFusedSize is the mean number of submissions per executed pass.
 	AvgFusedSize float64 `json:"avg_fused_size"`
 }
 
@@ -144,7 +127,6 @@ func (c *Counters) Stats() Stats {
 		FusedBatches: c.fused.Load(),
 		Submissions:  c.submissions.Load(),
 		Rows:         c.rows.Load(),
-		CacheHits:    c.cacheHits.Load(),
 	}
 	if s.Batches > 0 {
 		s.AvgFusedSize = float64(c.passSubs.Load()) / float64(s.Batches)
@@ -154,17 +136,13 @@ func (c *Counters) Stats() Stats {
 
 // submission is one caller's ScoreBatch waiting to be fused. The caller
 // blocks on done; the flusher writes out before closing done, so the channel
-// close publishes the results. Rows already resolved by the submit-time
-// cache probe carry their scores in out with resolved set, so the flusher
-// never re-probes them.
+// close publishes the results.
 type submission struct {
-	queries  [][]float64
-	forests  [][]*treeconv.Tree
-	keys     []rowKey
-	out      []float64
-	resolved []bool
-	taken    bool // owned by Scheduler.mu: set once the submission left pending
-	done     chan struct{}
+	queries [][]float64
+	forests [][]*treeconv.Tree
+	out     []float64
+	taken   bool // owned by Scheduler.mu: set once the submission left pending
+	done    chan struct{}
 }
 
 // Scheduler coalesces concurrent PredictBatch submissions against one fixed
@@ -189,12 +167,6 @@ type Scheduler struct {
 	closed      bool          // guarded by mu
 	pending     []*submission // guarded by mu
 	pendingRows int           // guarded by mu
-
-	// cache memoises row scores for the backend's lifetime. cacheCap <= 0
-	// disables it.
-	cacheMu  sync.Mutex
-	cache    map[rowKey]float64 // guarded by cacheMu
-	cacheCap int
 }
 
 // New creates a scheduler over a fixed backend.
@@ -205,125 +177,23 @@ func New(backend Backend, opts Options) *Scheduler {
 	if opts.Linger <= 0 {
 		opts.Linger = DefaultLinger
 	}
-	if opts.CacheRows == 0 {
-		opts.CacheRows = DefaultCacheRows
-	}
 	if opts.Counters == nil {
 		opts.Counters = &Counters{}
 	}
-	s := &Scheduler{
+	return &Scheduler{
 		backend:  backend,
 		maxBatch: opts.MaxBatch,
 		linger:   opts.Linger,
 		counters: opts.Counters,
-		cacheCap: opts.CacheRows,
 	}
-	if s.cacheCap > 0 {
-		s.cache = make(map[rowKey]float64)
-	}
-	return s
 }
 
 // Counters returns the scheduler's (possibly shared) statistics counters.
 func (s *Scheduler) Counters() *Counters { return s.counters }
 
-// rowKey is a 128-bit hash of one row's exact encoded values (query vector
-// plus forest structure and node vectors). 128 bits make an accidental
-// collision — which would silently hand one row another row's score —
-// vanishingly unlikely: at 2^40 distinct rows the birthday bound puts the
-// collision probability near 2^-49.
-type rowKey struct{ hi, lo uint64 }
-
-// hashRow folds every float64 bit pattern of the row into two independent
-// multiply-xor lanes (FNV-style chaining with distinct large odd primes, so
-// each word's contribution depends on its position), avalanched once at the
-// end — about two multiplies per float, cheap enough that hashing stays a
-// small fraction of a forward pass even for wide histogram encodings. Tree
-// structure is disambiguated with explicit tags so e.g. a left-leaning and a
-// right-leaning tree over the same values hash differently.
-func hashRow(query []float64, forest []*treeconv.Tree) rowKey {
-	h := rowKey{hi: 0x9e3779b97f4a7c15, lo: 0xc2b2ae3d27d4eb4f}
-	h = h.mix(uint64(len(query)))
-	for _, v := range query {
-		h.hi = (h.hi ^ math.Float64bits(v)) * 0x00000100000001b3
-		h.lo = (h.lo ^ math.Float64bits(v)) * 0x9ddfea08eb382d69
-	}
-	h = h.mix(uint64(len(forest)))
-	for _, t := range forest {
-		h = hashTree(h, t)
-	}
-	return h.mix(0)
-}
-
-func hashTree(h rowKey, t *treeconv.Tree) rowKey {
-	if t == nil {
-		return h.mix(0x0f0f0f0f0f0f0f0f)
-	}
-	h = h.mix(0x5555555555555555)
-	for _, v := range t.Data {
-		h.hi = (h.hi ^ math.Float64bits(v)) * 0x00000100000001b3
-		h.lo = (h.lo ^ math.Float64bits(v)) * 0x9ddfea08eb382d69
-	}
-	h = hashTree(h, t.Left)
-	return hashTree(h, t.Right)
-}
-
-// mix applies a full splitmix64-style avalanche to both lanes, used for
-// structural tags and final whitening.
-func (k rowKey) mix(x uint64) rowKey {
-	hi := k.hi ^ x
-	hi ^= hi >> 30
-	hi *= 0xbf58476d1ce4e5b9
-	hi ^= hi >> 27
-	hi *= 0x94d049bb133111eb
-	hi ^= hi >> 31
-	lo := k.lo ^ x
-	lo ^= lo >> 33
-	lo *= 0xff51afd7ed558ccd
-	lo ^= lo >> 29
-	lo *= 0xc4ceb9fe1a85ec53
-	lo ^= lo >> 32
-	return rowKey{hi: hi, lo: lo}
-}
-
-// lookupCached fills out[i] for every row whose score is memoised and
-// reports how many rows remain unresolved. Callers hold no locks.
-func (s *Scheduler) lookupCached(keys []rowKey, out []float64, resolved []bool) int {
-	missing := 0
-	s.cacheMu.Lock()
-	for i, k := range keys {
-		if v, ok := s.cache[k]; ok {
-			out[i] = v
-			resolved[i] = true
-		} else {
-			missing++
-		}
-	}
-	s.cacheMu.Unlock()
-	return missing
-}
-
-// storeCached inserts freshly computed scores, evicting arbitrary entries
-// once the cap is reached (cheap, and the cache dies with its snapshot on
-// the next retraining swap anyway).
-func (s *Scheduler) storeCached(keys []rowKey, scores []float64) {
-	s.cacheMu.Lock()
-	for i, k := range keys {
-		if _, exists := s.cache[k]; !exists && len(s.cache) >= s.cacheCap {
-			for victim := range s.cache {
-				delete(s.cache, victim)
-				break
-			}
-		}
-		s.cache[k] = scores[i]
-	}
-	s.cacheMu.Unlock()
-}
-
 // PredictBatch submits one batch of encoded (query, forest) rows and blocks
 // until its scores are available — fused with whatever other submissions
-// were in flight, deduplicated against identical rows, and memoised for the
-// backend's lifetime. It has the exact signature and semantics of the
+// were in flight. It has the exact signature and semantics of the
 // backend's PredictBatch — same scores, bit for bit — so callers treat a
 // Scheduler as a drop-in predictor. The returned slice is owned by the
 // caller.
@@ -339,41 +209,16 @@ func (s *Scheduler) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree
 	s.counters.submissions.Add(1)
 	s.counters.rows.Add(uint64(rows))
 
-	// Memoisation fast path: hash every row and probe the cache once. A
-	// fully-resolved submission — a stampeding hot query after its first
-	// search — returns without touching the scheduler (or the linger) at
-	// all; a partially-resolved one carries its probe results along so the
-	// flusher only has to deal with the rows that actually missed.
-	var (
-		keys     []rowKey
-		out      []float64
-		resolved []bool
-	)
-	if s.cacheCap > 0 {
-		keys = make([]rowKey, rows)
-		for i := range queries {
-			keys[i] = hashRow(queries[i], forests[i])
-		}
-		out = make([]float64, rows)
-		resolved = make([]bool, rows)
-		missing := s.lookupCached(keys, out, resolved)
-		s.counters.cacheHits.Add(uint64(rows - missing))
-		if missing == 0 {
-			return out
-		}
-	}
-
+	sub := &submission{queries: queries, forests: forests, done: make(chan struct{})}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		// Drained scheduler (its snapshot was swapped away): run the rows
 		// directly against the pinned backend, unfused. Same weights, same
 		// result.
-		sub := &submission{queries: queries, forests: forests, keys: keys, out: out, resolved: resolved}
 		s.run([]*submission{sub})
 		return sub.out
 	}
-	sub := &submission{queries: queries, forests: forests, keys: keys, out: out, resolved: resolved, done: make(chan struct{})}
 	s.pending = append(s.pending, sub)
 	s.pendingRows += rows
 	if len(s.pending) > 1 {
@@ -459,113 +304,47 @@ func (s *Scheduler) takeLocked() []*submission {
 	return batch
 }
 
-// run executes one coalesced forward pass for the batch: rows already
-// memoised (or repeated within the batch) are resolved without backend work,
-// the remaining distinct rows run through the backend in one fused pass, and
-// per-caller results are scattered back in submission order.
+// run executes one fused forward pass for the batch and scatters per-caller
+// results back in submission order. Each caller's out is a capacity-capped
+// window of the pass's score slice, so an append by one caller cannot reach
+// another's scores.
 func (s *Scheduler) run(batch []*submission) {
-	total := 0
-	for _, b := range batch {
-		total += len(b.queries)
-		if b.out == nil {
-			b.out = make([]float64, len(b.queries))
+	queries, forests := batch[0].queries, batch[0].forests
+	if len(batch) > 1 {
+		total := 0
+		for _, b := range batch {
+			total += len(b.queries)
 		}
-	}
-
-	// rowMap maps each flat row of the batch (submissions in order) to its
-	// index in the deduplicated to-score list, or -1 when the row was
-	// already resolved from the cache. One flat index array keeps the
-	// scatter allocation-light no matter how many duplicates a stampede
-	// packs into one pass.
-	var (
 		queries = make([][]float64, 0, total)
 		forests = make([][]*treeconv.Tree, 0, total)
-		keys    = make([]rowKey, 0, total)
-		rowMap  = make([]int, total)
-		hits    uint64
-	)
-	if s.cacheCap > 0 {
-		uniq := make(map[rowKey]int, total)
-		flat := 0
-		s.cacheMu.Lock()
 		for _, b := range batch {
-			for ri := range b.queries {
-				if b.resolved[ri] {
-					// Scored by the submit-time probe (and already counted
-					// as a hit there).
-					rowMap[flat] = -1
-					flat++
-					continue
-				}
-				k := b.keys[ri]
-				if v, ok := s.cache[k]; ok {
-					b.out[ri] = v
-					rowMap[flat] = -1
-					hits++
-				} else if ui, ok := uniq[k]; ok {
-					rowMap[flat] = ui
-					hits++
-				} else {
-					ui := len(queries)
-					uniq[k] = ui
-					rowMap[flat] = ui
-					queries = append(queries, b.queries[ri])
-					forests = append(forests, b.forests[ri])
-					keys = append(keys, k)
-				}
-				flat++
-			}
-		}
-		s.cacheMu.Unlock()
-	} else {
-		flat := 0
-		for _, b := range batch {
-			for ri := range b.queries {
-				rowMap[flat] = flat
-				queries = append(queries, b.queries[ri])
-				forests = append(forests, b.forests[ri])
-				flat++
-			}
+			queries = append(queries, b.queries...)
+			forests = append(forests, b.forests...)
 		}
 	}
-
-	if len(queries) > 0 {
-		scores := s.backend.PredictBatch(queries, forests)
-		flat := 0
-		for _, b := range batch {
-			for ri := range b.queries {
-				if ui := rowMap[flat]; ui >= 0 {
-					b.out[ri] = scores[ui]
-				}
-				flat++
-			}
-		}
-		if s.cacheCap > 0 {
-			s.storeCached(keys, scores)
-		}
-		s.counters.batches.Add(1)
-		s.counters.passSubs.Add(uint64(len(batch)))
-		if len(batch) >= 2 {
-			s.counters.fused.Add(1)
-		}
+	scores := s.backend.PredictBatch(queries, forests)
+	off := 0
+	for _, b := range batch {
+		end := off + len(b.queries)
+		b.out = scores[off:end:end]
+		off = end
 	}
-	if hits > 0 {
-		s.counters.cacheHits.Add(hits)
+	s.counters.batches.Add(1)
+	s.counters.passSubs.Add(uint64(len(batch)))
+	if len(batch) >= 2 {
+		s.counters.fused.Add(1)
 	}
 	for _, b := range batch {
-		if b.done != nil {
-			close(b.done)
-		}
+		close(b.done)
 	}
 }
 
 // Close drains the scheduler: the pending batch (if any) runs against the
 // backend, and every subsequent PredictBatch bypasses fusion with a direct
-// backend call (the memoisation cache stays valid — it is pinned to the same
-// immutable weights). Owners call it right after swapping in a successor
-// scheduler for a new network snapshot, which is what guarantees one fused
-// pass — and one cache — never mixes scores from two weight sets. Safe to
-// call more than once, and safe concurrently with in-flight submissions.
+// backend call. Owners call it right after swapping in a successor scheduler
+// for a new network snapshot, which is what guarantees one fused pass never
+// mixes scores from two weight sets. Safe to call more than once, and safe
+// concurrently with in-flight submissions.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {

@@ -274,79 +274,3 @@ func TestSharedCountersAcrossSchedulers(t *testing.T) {
 		t.Errorf("stats across swap = %+v, want 2 submissions / 5 rows", st)
 	}
 }
-
-// TestMemoisedDuplicateRows: identical rows — within one submission, and
-// across submissions over the scheduler's lifetime — are scored by the
-// backend exactly once and served bit-identically from then on.
-func TestMemoisedDuplicateRows(t *testing.T) {
-	backend := &fakeBackend{}
-	s := New(backend, Options{MaxBatch: 64, Linger: time.Millisecond})
-	rng := rand.New(rand.NewSource(21))
-	queries, forests := randomSubmission(rng, 4)
-
-	first := s.PredictBatch(queries, forests)
-	if got := backend.calls.Load(); got != 1 {
-		t.Fatalf("first submission: %d backend passes, want 1", got)
-	}
-	for round := 0; round < 5; round++ {
-		again := s.PredictBatch(queries, forests)
-		for i := range first {
-			if again[i] != first[i] {
-				t.Fatalf("round %d row %d: memoised %v != original %v", round, i, again[i], first[i])
-			}
-		}
-	}
-	if got := backend.calls.Load(); got != 1 {
-		t.Errorf("identical resubmissions reached the backend: %d passes, want 1", got)
-	}
-	st := s.Counters().Stats()
-	if st.CacheHits != 5*4 {
-		t.Errorf("cache hits = %d, want 20", st.CacheHits)
-	}
-
-	// In-batch duplicates: one submission repeating the same row scores it
-	// once and fans the result out.
-	dupQ := [][]float64{queries[0], queries[0], queries[0]}
-	dupF := [][]*treeconv.Tree{forests[0], forests[0], forests[0]}
-	dup := s.PredictBatch(dupQ, dupF)
-	for i := 1; i < len(dup); i++ {
-		if dup[i] != dup[0] {
-			t.Errorf("in-batch duplicate row %d scored differently: %v vs %v", i, dup[i], dup[0])
-		}
-	}
-	if dup[0] != first[0] {
-		t.Errorf("duplicate of a cached row scored %v, want %v", dup[0], first[0])
-	}
-
-	// Structurally different rows over the same values must NOT collide:
-	// a deeper tree reusing a cached leaf's vector is a distinct row.
-	leaf := treeconv.NewLeaf(forests[0][0].Data)
-	deep := [][]*treeconv.Tree{{treeconv.NewNode(forests[0][0].Data, leaf, nil)}}
-	fresh := s.PredictBatch([][]float64{queries[0]}, deep)
-	want := backend.PredictBatch([][]float64{queries[0]}, deep)
-	if fresh[0] != want[len(want)-1] {
-		t.Errorf("structurally distinct row served a stale score: %v != %v", fresh[0], want[len(want)-1])
-	}
-}
-
-// TestCacheDisabled: a negative CacheRows turns memoisation off — every
-// submission reaches the backend.
-func TestCacheDisabled(t *testing.T) {
-	backend := &fakeBackend{}
-	s := New(backend, Options{CacheRows: -1, Linger: time.Millisecond})
-	rng := rand.New(rand.NewSource(31))
-	queries, forests := randomSubmission(rng, 2)
-	a := s.PredictBatch(queries, forests)
-	b := s.PredictBatch(queries, forests)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d unstable without cache: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if got := backend.calls.Load(); got != 2 {
-		t.Errorf("cache disabled but backend saw %d passes, want 2", got)
-	}
-	if st := s.Counters().Stats(); st.CacheHits != 0 {
-		t.Errorf("cache hits %d with caching disabled", st.CacheHits)
-	}
-}

@@ -216,8 +216,8 @@ func (rs *replicaState) forwardLoop(stop <-chan struct{}) {
 }
 
 // drain seals the queue and makes a final bounded attempt to hand every
-// queued entry to the trainer. Called from Close after the forwarder loop
-// has stopped; entries that still cannot be delivered are counted dropped.
+// queued entry to the trainer. Called by the Learner's Close after the
+// forwarder loop has stopped; entries that still cannot be delivered are counted dropped.
 func (rs *replicaState) drain() {
 	rs.mu.Lock()
 	rs.sealed = true
@@ -310,7 +310,7 @@ func (s *Server) SyncSnapshot(ctx context.Context, version uint64) (uint64, erro
 	}
 	// The write side of swapMu: in-flight searches finish on the old
 	// weights, the load replaces them in place, searches after the unlock
-	// see the new snapshot (and a reset plan cache) atomically.
+	// see the new snapshot (and its empty plan cache) atomically.
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if err := s.sys.LoadCheckpoint(bytes.NewReader(payload)); err != nil {
@@ -327,7 +327,7 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req proto.SnapshotRequest
 	if r.ContentLength != 0 {
 		if code, err := proto.DecodeRequest(w, r, &req); err != nil {
-			httpError(w, code, fmt.Errorf("decoding snapshot request: %w", err))
+			proto.WriteError(w, code, fmt.Errorf("decoding snapshot request: %w", err))
 			return
 		}
 	}
@@ -335,8 +335,8 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The trainer is unreachable or served a damaged container; the
 		// replica keeps its current snapshot — degraded, not down.
-		httpError(w, http.StatusBadGateway, err)
+		proto.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
-	writeJSON(w, proto.SnapshotResponse{NetVersion: version})
+	proto.WriteJSON(w, proto.SnapshotResponse{NetVersion: version})
 }

@@ -85,8 +85,8 @@ func TestReplicaForwardsFeedback(t *testing.T) {
 
 	const n = 6
 	for i := 0; i < n; i++ {
-		var resp FeedbackResponse
-		if code := postJSON(t, ts.URL+"/feedback", FeedbackRequest{Query: specFor(queries[i%len(queries)]), LatencyMS: 12.5}, &resp); code != http.StatusOK {
+		var resp proto.FeedbackResponse
+		if code := postJSON(t, ts.URL+"/feedback", proto.FeedbackRequest{Query: specFor(queries[i%len(queries)]), LatencyMS: 12.5}, &resp); code != http.StatusOK {
 			t.Fatalf("feedback %d: status %d", i, code)
 		}
 		if !resp.Queued {
@@ -155,23 +155,25 @@ func TestReplicaFrozenWhenTrainerDead(t *testing.T) {
 	defer ts.Close()
 
 	versionBefore := sys.Neo.NetVersion()
-	var opt OptimizeResponse
+	var opt proto.OptimizeResponse
 	if code := postJSON(t, ts.URL+"/optimize", specFor(queries[0]), &opt); code != http.StatusOK {
 		t.Fatalf("optimize with dead trainer: status %d", code)
 	}
 	const n = 6
 	for i := 0; i < n; i++ {
-		if code := postJSON(t, ts.URL+"/feedback", FeedbackRequest{Query: specFor(queries[i%len(queries)]), LatencyMS: 9}, nil); code != http.StatusOK {
+		if code := postJSON(t, ts.URL+"/feedback", proto.FeedbackRequest{Query: specFor(queries[i%len(queries)]), LatencyMS: 9}, nil); code != http.StatusOK {
 			t.Fatalf("feedback %d with dead trainer: status %d — a dead trainer must not fail requests", i, code)
 		}
 	}
 	// The queue bound (3) drops the oldest of the 6; a flush tick records
-	// the forwarding failure.
+	// the forwarding failure. The failed batch is off the queue while its
+	// forward is in flight and re-bounded when it is put back, so the drops
+	// can trail the first recorded error: wait for both.
 	deadline := time.Now().Add(10 * time.Second)
 	var st Stats
 	for time.Now().Before(deadline) {
 		st = getStats(t, ts.URL)
-		if st.Cluster.ForwardErrors > 0 {
+		if st.Cluster.ForwardErrors > 0 && st.Cluster.Dropped >= n-3 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -219,7 +221,7 @@ func TestAdminSnapshotLoadsPublishedVersion(t *testing.T) {
 		t.Fatal("test setup: source and replica versions already equal")
 	}
 	// Seed the quality window so the load has something to archive.
-	if code := postJSON(t, ts.URL+"/feedback", FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 20}, nil); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/feedback", proto.FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 20}, nil); code != http.StatusOK {
 		t.Fatalf("feedback: status %d", code)
 	}
 
@@ -243,7 +245,7 @@ func TestAdminSnapshotLoadsPublishedVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var opt OptimizeResponse
+		var opt proto.OptimizeResponse
 		if code := postJSON(t, ts.URL+"/optimize", specFor(q), &opt); code != http.StatusOK {
 			t.Fatalf("optimize: status %d", code)
 		}
@@ -310,7 +312,7 @@ func TestCloseDrainsInFlightFeedback(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 6; i++ {
-				data, err := json.Marshal(FeedbackRequest{Query: specFor(queries[(g+i)%len(queries)]), LatencyMS: 7})
+				data, err := json.Marshal(proto.FeedbackRequest{Query: specFor(queries[(g+i)%len(queries)]), LatencyMS: 7})
 				if err != nil {
 					t.Error(err)
 					return

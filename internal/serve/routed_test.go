@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"neo/internal/cluster/proto"
 	"neo/pkg/neo"
 )
 
@@ -48,7 +49,7 @@ func routedSystem(t testing.TB) *neo.System {
 // chainSpec builds a title—movie_keyword—keyword chain whose production_year
 // literal varies per call: distinct literals mean distinct plan-cache
 // signatures, so every request reaches the router instead of the cache.
-func chainSpec(id string, year int64) QuerySpec {
+func chainSpec(id string, year int64) proto.QuerySpec {
 	q := neo.NewQuery(id,
 		[]string{"title", "movie_keyword", "keyword"},
 		[]neo.JoinPredicate{
@@ -81,7 +82,7 @@ func TestServeRoutedAuto(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				spec := chainSpec(fmt.Sprintf("routed-%d-%d", c, i), int64(1980+10*c+i))
-				var resp OptimizeResponse
+				var resp proto.OptimizeResponse
 				if code := postJSON(t, ts.URL+"/optimize", spec, &resp); code != http.StatusOK {
 					t.Errorf("optimize %s: status %d", spec.ID, code)
 					return
@@ -90,7 +91,7 @@ func TestServeRoutedAuto(t *testing.T) {
 					t.Errorf("optimize %s: empty plan", spec.ID)
 					return
 				}
-				fb := FeedbackRequest{Query: spec, LatencyMS: 5, NetVersion: resp.NetVersion}
+				fb := proto.FeedbackRequest{Query: spec, LatencyMS: 5, NetVersion: resp.NetVersion}
 				if code := postJSON(t, ts.URL+"/feedback", fb, nil); code != http.StatusOK {
 					t.Errorf("feedback %s: status %d", spec.ID, code)
 				}
@@ -107,7 +108,7 @@ func TestServeRoutedAuto(t *testing.T) {
 			{LeftTable: "movie_keyword", LeftColumn: "movie_id", RightTable: "title", RightColumn: "id"},
 			{LeftTable: "movie_keyword", LeftColumn: "keyword_id", RightTable: "keyword", RightColumn: "id"},
 		}, nil))
-	var resp OptimizeResponse
+	var resp proto.OptimizeResponse
 	if code := postJSON(t, ts.URL+"/optimize", nosel, &resp); code != http.StatusOK {
 		t.Fatalf("optimize %s: status %d", nosel.ID, code)
 	}

@@ -4,8 +4,8 @@
 //
 // Standalone (Config.Replica nil) is the original online-learning daemon:
 // /feedback latencies land in the local experience pool, the value network
-// retrains in the background every N feedbacks (publishing new weights with
-// an atomic snapshot swap that invalidates the plan cache), and the learned
+// retrains in the background every N feedbacks (publishing new weights, and
+// with them an empty plan cache, in one atomic snapshot swap), and the learned
 // state is checkpointed periodically and on graceful shutdown — so a warm
 // restart serves bit-identical plans.
 //
@@ -50,10 +50,10 @@ type Config struct {
 	// CheckpointEvery is the periodic checkpoint interval started by Start.
 	// Zero disables the loop (shutdown still checkpoints).
 	CheckpointEvery time.Duration
-	// RetrainEvery triggers a background retraining round after every N
-	// feedbacks. Zero disables automatic retraining. Rounds never queue: a
-	// trigger arriving while a round is in flight is skipped (its feedback
-	// is in the experience and will be picked up by the next round).
+	// RetrainEvery starts a background retraining round once N feedbacks
+	// have arrived since the last round was started. Zero disables automatic
+	// retraining. Rounds never queue: feedback arriving while a round is in
+	// flight counts toward the next one (see LearnerConfig).
 	RetrainEvery int
 	// MaxExperience bounds the experience pool: when a feedback pushes the
 	// pool past the limit, the oldest entries are dropped. This keeps a
@@ -68,28 +68,19 @@ type Config struct {
 	Replica *ReplicaConfig
 }
 
-// defaultMaxExperience bounds the experience pool when Config.MaxExperience
-// is zero — far below the checkpoint loader's hard limit, far above what a
-// retraining round can consume (core caps training samples anyway).
-const defaultMaxExperience = 100_000
-
 // Server is the daemon. Create one with New, expose it as an http.Handler,
 // call Start for the periodic checkpoint loop and Close on shutdown.
 type Server struct {
 	sys   *neo.System
-	cfg   Config
 	mux   *http.ServeMux
 	start time.Time
 
-	optimizes   atomic.Uint64
-	feedbacks   atomic.Uint64
-	retrains    atomic.Uint64
-	checkpoints atomic.Uint64
-	retraining  atomic.Bool
-	lastLoss    atomic.Uint64 // float64 bits
+	optimizes atomic.Uint64
+	feedbacks atomic.Uint64
 
-	// ckptMu serializes Checkpoint calls (periodic loop vs shutdown).
-	ckptMu sync.Mutex
+	// learner owns the experience pool's write side, the retraining cadence,
+	// checkpointing and the background-goroutine lifecycle.
+	learner *Learner
 
 	// swapMu orders snapshot loads against in-flight planning: /optimize and
 	// /feedback searches hold the read side, a replica's /admin/snapshot load
@@ -102,30 +93,23 @@ type Server struct {
 	// repl is the replica-mode state (forwarding queue, trainer client,
 	// quality window); nil in standalone mode.
 	repl *replicaState
-
-	// lifeMu guards closed and orders wg.Add against Close's wg.Wait: a
-	// handler still in flight after the HTTP drain times out must not Add to
-	// a WaitGroup another goroutine is Waiting on from zero.
-	lifeMu sync.Mutex
-	closed bool
-
-	wg   sync.WaitGroup
-	stop chan struct{}
-	once sync.Once
 }
 
 // New creates a server over an assembled (and typically bootstrapped or
 // checkpoint-restored) system.
 func New(sys *neo.System, cfg Config) *Server {
-	if cfg.MaxExperience == 0 {
-		cfg.MaxExperience = defaultMaxExperience
-	}
 	if cfg.Replica != nil {
 		// Replicas never train: their weights come exclusively from trainer
 		// snapshots, so local retraining would fork the fleet's model state.
 		cfg.RetrainEvery = 0
 	}
-	s := &Server{sys: sys, cfg: cfg, mux: http.NewServeMux(), start: time.Now(), stop: make(chan struct{})}
+	s := &Server{sys: sys, mux: http.NewServeMux(), start: time.Now()}
+	s.learner = NewLearner(sys, LearnerConfig{
+		CheckpointPath:  cfg.CheckpointPath,
+		CheckpointEvery: cfg.CheckpointEvery,
+		RetrainEvery:    cfg.RetrainEvery,
+		MaxExperience:   cfg.MaxExperience,
+	}, nil)
 	s.mux.HandleFunc("POST /optimize", s.handleOptimize)
 	s.mux.HandleFunc("POST /feedback", s.handleFeedback)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -146,95 +130,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // path and interval are configured) and, in replica mode, the experience
 // forwarder.
 func (s *Server) Start() {
-	if s.cfg.CheckpointPath != "" && s.cfg.CheckpointEvery > 0 {
-		s.goRun(func() {
-			ticker := time.NewTicker(s.cfg.CheckpointEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					s.Checkpoint() // best effort; failures surface in /stats staying flat
-				case <-s.stop:
-					return
-				}
-			}
-		})
-	}
+	s.learner.Start()
 	if s.repl != nil {
-		s.goRun(func() { s.repl.forwardLoop(s.stop) })
+		s.learner.Go(func() { s.repl.forwardLoop(s.learner.Stopping()) })
 	}
-}
-
-// goRun registers fn with the lifecycle WaitGroup and runs it in a
-// goroutine, refusing (silently) once shutdown has begun.
-func (s *Server) goRun(fn func()) {
-	s.lifeMu.Lock()
-	if s.closed {
-		s.lifeMu.Unlock()
-		return
-	}
-	s.wg.Add(1)
-	s.lifeMu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		fn()
-	}()
 }
 
 // Close stops the background loops, waits for any in-flight retraining
-// round's bookkeeping, drains a replica's forwarding queue to the trainer,
-// and writes a final checkpoint — the graceful-shutdown half of the serve
-// lifecycle. Safe to call more than once.
+// round, drains a replica's forwarding queue to the trainer, and writes a
+// final checkpoint — the graceful-shutdown half of the serve lifecycle. Safe
+// to call more than once.
 func (s *Server) Close() error {
-	var err error
-	s.once.Do(func() {
-		s.lifeMu.Lock()
-		s.closed = true
-		s.lifeMu.Unlock()
-		close(s.stop)
-		s.wg.Wait()
-		if s.repl != nil {
-			// Final flush: queued experience a dying replica holds is the
-			// trainer's training signal — hand it over, don't drop it.
-			s.repl.drain()
-		}
-		err = s.Checkpoint()
-	})
-	return err
+	var drain func()
+	if s.repl != nil {
+		// Final flush: queued experience a dying replica holds is the
+		// trainer's training signal — hand it over, don't drop it.
+		drain = s.repl.drain
+	}
+	return s.learner.Close(drain)
 }
 
 // Checkpoint writes the system's learned state to the configured path,
 // atomically. It briefly pauses retraining rounds; serving keeps running.
-func (s *Server) Checkpoint() error {
-	if s.cfg.CheckpointPath == "" {
-		return nil
-	}
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	if err := s.sys.SaveCheckpointFile(s.cfg.CheckpointPath); err != nil {
-		return err
-	}
-	s.checkpoints.Add(1)
-	return nil
-}
-
-// The JSON wire types are owned by the cluster protocol package, so the
-// router, the trainer's coordinator and pkg/neo.Client speak exactly the
-// format this daemon serves. The aliases keep the serve API unchanged.
-type (
-	// QuerySpec is the JSON representation of a query.
-	QuerySpec = proto.QuerySpec
-	// JoinSpec is one equi-join predicate.
-	JoinSpec = proto.JoinSpec
-	// PredicateSpec is one single-table filter.
-	PredicateSpec = proto.PredicateSpec
-	// OptimizeResponse is the /optimize reply.
-	OptimizeResponse = proto.OptimizeResponse
-	// FeedbackRequest reports the observed latency of a query's plan.
-	FeedbackRequest = proto.FeedbackRequest
-	// FeedbackResponse is the /feedback reply.
-	FeedbackResponse = proto.FeedbackResponse
-)
+func (s *Server) Checkpoint() error { return s.learner.Checkpoint() }
 
 var cmpOps = map[string]neo.CmpOp{
 	"=": neo.Eq, "==": neo.Eq, "<>": neo.Ne, "!=": neo.Ne,
@@ -243,7 +161,7 @@ var cmpOps = map[string]neo.CmpOp{
 }
 
 // buildQuery validates the spec against the catalog and converts it.
-func (s *Server) buildQuery(spec *QuerySpec) (*neo.Query, error) {
+func (s *Server) buildQuery(spec *proto.QuerySpec) (*neo.Query, error) {
 	joins := make([]neo.JoinPredicate, len(spec.Joins))
 	for i, j := range spec.Joins {
 		lt, lc, err := splitColumnRef(j.Left)
@@ -305,43 +223,30 @@ func parseValue(raw json.RawMessage) (neo.Value, error) {
 	return neo.Value{}, fmt.Errorf("value %s is neither an integer nor a string", string(raw))
 }
 
-// optimizeStable plans q and returns the network version the plan was served
-// from. A background snapshot swap can race the search; in that case the
-// search is retried so the reported version really is the plan's version.
-// After a few retries (swaps arriving faster than searches complete — not a
-// realistic steady state) the latest attempt is returned labelled with its
-// pre-search version, which the plan is at least as new as. The read side of
-// swapMu keeps a replica's in-place snapshot load from replacing weights
-// mid-search.
-func (s *Server) optimizeStable(q *neo.Query) (*neo.Plan, *neo.SearchResult, uint64, error) {
+// optimize plans q through the serving snapshot's plan cache and returns the
+// version of the snapshot that produced the plan (core.Neo.OptimizeCached
+// pins one snapshot for lookup, search and version). The read side of swapMu
+// keeps a replica's in-place snapshot load from replacing weights mid-search.
+func (s *Server) optimize(q *neo.Query) (*neo.Plan, *neo.SearchResult, uint64, error) {
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()
-	for attempt := 0; ; attempt++ {
-		v := s.sys.Neo.NetVersion()
-		p, res, err := s.sys.Optimize(q)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if s.sys.Neo.NetVersion() == v || attempt >= 2 {
-			return p, res, v, nil
-		}
-	}
+	return s.sys.Neo.OptimizeCached(q)
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var spec QuerySpec
+	var spec proto.QuerySpec
 	if code, err := proto.DecodeRequest(w, r, &spec); err != nil {
-		httpError(w, code, fmt.Errorf("decoding query: %w", err))
+		proto.WriteError(w, code, fmt.Errorf("decoding query: %w", err))
 		return
 	}
 	q, err := s.buildQuery(&spec)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		proto.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, res, version, err := s.optimizeStable(q)
+	p, res, version, err := s.optimize(q)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		proto.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.optimizes.Add(1)
@@ -349,7 +254,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if id == "" {
 		id = q.ID
 	}
-	writeJSON(w, OptimizeResponse{
+	proto.WriteJSON(w, proto.OptimizeResponse{
 		ID:         id,
 		Plan:       p.String(),
 		SQL:        q.SQL(),
@@ -360,39 +265,39 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	var req FeedbackRequest
+	var req proto.FeedbackRequest
 	if code, err := proto.DecodeRequest(w, r, &req); err != nil {
-		httpError(w, code, fmt.Errorf("decoding feedback: %w", err))
+		proto.WriteError(w, code, fmt.Errorf("decoding feedback: %w", err))
 		return
 	}
 	if req.LatencyMS <= 0 || math.IsNaN(req.LatencyMS) || math.IsInf(req.LatencyMS, 0) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("latency_ms must be a positive finite number"))
+		proto.WriteError(w, http.StatusBadRequest, fmt.Errorf("latency_ms must be a positive finite number"))
 		return
 	}
 	q, err := s.buildQuery(&req.Query)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		proto.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Fast-path rejection for obviously stale feedback: after a snapshot
-	// swap the plan cache is empty, so running the search first would spend
+	// Fast-path rejection for obviously stale feedback: a fresh snapshot
+	// starts with an empty plan cache, so running the search first would spend
 	// a full expansion budget on a request that gets a 409 anyway. The
 	// definitive check against the served plan's version stays below.
 	if req.NetVersion != 0 && req.NetVersion != s.sys.Neo.NetVersion() {
-		httpError(w, http.StatusConflict, fmt.Errorf(
+		proto.WriteError(w, http.StatusConflict, fmt.Errorf(
 			"stale feedback: plan was measured under net version %d but plans are now served from version %d; re-optimize and re-measure",
 			req.NetVersion, s.sys.Neo.NetVersion()))
 		return
 	}
 	// Attach the latency to the plan currently served for this query — a
 	// plan-cache hit in the common case, so feedback costs no search.
-	p, _, version, err := s.optimizeStable(q)
+	p, _, version, err := s.optimize(q)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		proto.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if req.NetVersion != 0 && req.NetVersion != version {
-		httpError(w, http.StatusConflict, fmt.Errorf(
+		proto.WriteError(w, http.StatusConflict, fmt.Errorf(
 			"stale feedback: plan was measured under net version %d but plans are now served from version %d; re-optimize and re-measure",
 			req.NetVersion, version))
 		return
@@ -414,52 +319,15 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			// request's experience.
 			s.repl.forwardNow(r.Context(), []core.Entry{entry})
 		}
-		writeJSON(w, FeedbackResponse{Experience: depth, Queued: true})
+		proto.WriteJSON(w, proto.FeedbackResponse{Experience: depth, Queued: true})
 		return
 	}
-	s.sys.Neo.Experience.Add(q, p, req.LatencyMS)
-	if s.cfg.MaxExperience > 0 && s.sys.Neo.Experience.Len() > s.cfg.MaxExperience {
-		s.sys.Neo.Experience.Trim(s.cfg.MaxExperience)
-	}
-	count := s.feedbacks.Add(1)
-	triggered := false
-	if s.cfg.RetrainEvery > 0 && count%uint64(s.cfg.RetrainEvery) == 0 {
-		triggered = s.triggerRetrain()
-	}
-	writeJSON(w, FeedbackResponse{
+	s.feedbacks.Add(1)
+	triggered := s.learner.Ingest(core.Entry{Query: q, Plan: p, Latency: req.LatencyMS})
+	proto.WriteJSON(w, proto.FeedbackResponse{
 		Experience:       s.sys.Neo.Experience.Len(),
 		RetrainTriggered: triggered,
 	})
-}
-
-// triggerRetrain starts a background retraining round unless one is already
-// in flight. When the round finishes the new network snapshot has been
-// swapped in atomically (invalidating the plan cache on its next lookup) and
-// the final loss lands in /stats.
-func (s *Server) triggerRetrain() bool {
-	if !s.retraining.CompareAndSwap(false, true) {
-		return false
-	}
-	// Register with the lifecycle WaitGroup before starting the round, and
-	// refuse if shutdown has begun: a late feedback must not race Close's
-	// wg.Wait or start training the daemon is about to checkpoint away.
-	s.lifeMu.Lock()
-	if s.closed {
-		s.lifeMu.Unlock()
-		s.retraining.Store(false)
-		return false
-	}
-	s.wg.Add(1)
-	s.lifeMu.Unlock()
-	done := s.sys.RetrainAsync()
-	go func() {
-		defer s.wg.Done()
-		loss := <-done
-		s.lastLoss.Store(math.Float64bits(loss))
-		s.retrains.Add(1)
-		s.retraining.Store(false)
-	}()
-	return true
 }
 
 // Stats is the /stats reply.
@@ -500,10 +368,11 @@ type Stats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.snapshotStats())
+	proto.WriteJSON(w, s.snapshotStats())
 }
 
 func (s *Server) snapshotStats() Stats {
+	ls := s.learner.Stats()
 	var storagePtr *neo.StorageStats
 	if st, ok := s.sys.StorageStats(); ok {
 		storagePtr = &st
@@ -523,10 +392,10 @@ func (s *Server) snapshotStats() Stats {
 		Experience:    s.sys.Neo.Experience.Len(),
 		Optimizes:     s.optimizes.Load(),
 		Feedbacks:     s.feedbacks.Load(),
-		Retrains:      s.retrains.Load(),
-		Retraining:    s.retraining.Load(),
-		LastTrainLoss: math.Float64frombits(s.lastLoss.Load()),
-		Checkpoints:   s.checkpoints.Load(),
+		Retrains:      ls.Retrains,
+		Retraining:    ls.Retraining,
+		LastTrainLoss: ls.LastTrainLoss,
+		Checkpoints:   ls.Checkpoints,
 		PlanCache:     s.sys.PlanCacheStats(),
 		Fusion:        s.sys.FusionStats(),
 		Snapshot:      s.sys.SnapshotInfo(),
@@ -534,17 +403,4 @@ func (s *Server) snapshotStats() Stats {
 		Cluster:       clusterPtr,
 		Routing:       routingPtr,
 	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }

@@ -57,10 +57,10 @@ func testSystem(t testing.TB) (*neo.System, []*neo.Query) {
 
 // specFor converts a workload query into the JSON representation the daemon
 // accepts.
-func specFor(q *neo.Query) QuerySpec {
-	spec := QuerySpec{ID: q.ID, Relations: q.Relations}
+func specFor(q *neo.Query) proto.QuerySpec {
+	spec := proto.QuerySpec{ID: q.ID, Relations: q.Relations}
 	for _, j := range q.Joins {
-		spec.Joins = append(spec.Joins, JoinSpec{
+		spec.Joins = append(spec.Joins, proto.JoinSpec{
 			Left:  j.LeftTable + "." + j.LeftColumn,
 			Right: j.RightTable + "." + j.RightColumn,
 		})
@@ -72,7 +72,7 @@ func specFor(q *neo.Query) QuerySpec {
 		} else {
 			raw, _ = json.Marshal(p.Value.Str)
 		}
-		spec.Predicates = append(spec.Predicates, PredicateSpec{
+		spec.Predicates = append(spec.Predicates, proto.PredicateSpec{
 			Column: p.Table + "." + p.Column,
 			Op:     p.Op.String(),
 			Value:  raw,
@@ -118,7 +118,7 @@ func optimizePlans(t testing.TB, base string, queries []*neo.Query) map[string]s
 	t.Helper()
 	plans := make(map[string]string, len(queries))
 	for _, q := range queries {
-		var resp OptimizeResponse
+		var resp proto.OptimizeResponse
 		if code := postJSON(t, base+"/optimize", specFor(q), &resp); code != http.StatusOK {
 			t.Fatalf("optimize %s: status %d", q.ID, code)
 		}
@@ -167,13 +167,13 @@ func TestServeLifecycle(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i, q := range queries[:4] {
-				var opt OptimizeResponse
+				var opt proto.OptimizeResponse
 				if code := postJSON(t, ts.URL+"/optimize", specFor(q), &opt); code != http.StatusOK {
 					t.Errorf("worker %d optimize: status %d", w, code)
 					return
 				}
-				var fb FeedbackResponse
-				req := FeedbackRequest{Query: specFor(q), LatencyMS: float64(20 + 7*w + i)}
+				var fb proto.FeedbackResponse
+				req := proto.FeedbackRequest{Query: specFor(q), LatencyMS: float64(20 + 7*w + i)}
 				if code := postJSON(t, ts.URL+"/feedback", req, &fb); code != http.StatusOK {
 					t.Errorf("worker %d feedback: status %d", w, code)
 					return
@@ -263,13 +263,13 @@ func TestServeStaleFeedbackAndExperienceCap(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var opt OptimizeResponse
+	var opt proto.OptimizeResponse
 	if code := postJSON(t, ts.URL+"/optimize", specFor(queries[0]), &opt); code != http.StatusOK {
 		t.Fatalf("optimize: status %d", code)
 	}
 
 	// Correct version: accepted.
-	req := FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 12, NetVersion: opt.NetVersion}
+	req := proto.FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 12, NetVersion: opt.NetVersion}
 	if code := postJSON(t, ts.URL+"/feedback", req, nil); code != http.StatusOK {
 		t.Fatalf("matching net_version: status %d", code)
 	}
@@ -285,7 +285,7 @@ func TestServeStaleFeedbackAndExperienceCap(t *testing.T) {
 
 	// The pool never exceeds the cap no matter how many feedbacks arrive.
 	for i := 0; i < 8; i++ {
-		req := FeedbackRequest{Query: specFor(queries[i%3]), LatencyMS: float64(10 + i)}
+		req := proto.FeedbackRequest{Query: specFor(queries[i%3]), LatencyMS: float64(10 + i)}
 		if code := postJSON(t, ts.URL+"/feedback", req, nil); code != http.StatusOK {
 			t.Fatalf("feedback %d: status %d", i, code)
 		}
@@ -315,11 +315,11 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		t.Fatalf("malformed JSON: status %d", resp.StatusCode)
 	}
 
-	bad := []QuerySpec{
+	bad := []proto.QuerySpec{
 		{Relations: []string{"no_such_table"}},
-		{Relations: []string{"title"}, Predicates: []PredicateSpec{{Column: "missing-dot", Op: "=", Value: json.RawMessage(`1`)}}},
-		{Relations: []string{"title"}, Predicates: []PredicateSpec{{Column: "title.kind", Op: "~~", Value: json.RawMessage(`"x"`)}}},
-		{Relations: []string{"title"}, Predicates: []PredicateSpec{{Column: "title.kind", Op: "=", Value: json.RawMessage(`[1,2]`)}}},
+		{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "missing-dot", Op: "=", Value: json.RawMessage(`1`)}}},
+		{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "title.kind", Op: "~~", Value: json.RawMessage(`"x"`)}}},
+		{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "title.kind", Op: "=", Value: json.RawMessage(`[1,2]`)}}},
 	}
 	for i, spec := range bad {
 		if code := postJSON(t, ts.URL+"/optimize", spec, nil); code != http.StatusBadRequest {
@@ -328,7 +328,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}
 
 	// Feedback with a non-positive latency.
-	req := FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 0}
+	req := proto.FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 0}
 	if code := postJSON(t, ts.URL+"/feedback", req, nil); code != http.StatusBadRequest {
 		t.Errorf("zero latency: status %d, want 400", code)
 	}
@@ -339,7 +339,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	pad := bytes.Repeat([]byte(" "), proto.MaxRequestBytes+1)
 	for path, body := range map[string]any{
 		"/optimize": specFor(queries[0]),
-		"/feedback": FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 5},
+		"/feedback": proto.FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 5},
 	} {
 		data, err := json.Marshal(body)
 		if err != nil {
@@ -416,11 +416,11 @@ func TestServeFusedScoring(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	spec := func(year int) QuerySpec {
-		return QuerySpec{
+	spec := func(year int) proto.QuerySpec {
+		return proto.QuerySpec{
 			Relations: []string{"title", "movie_keyword"},
-			Joins:     []JoinSpec{{Left: "movie_keyword.movie_id", Right: "title.id"}},
-			Predicates: []PredicateSpec{
+			Joins:     []proto.JoinSpec{{Left: "movie_keyword.movie_id", Right: "title.id"}},
+			Predicates: []proto.PredicateSpec{
 				{Column: "title.production_year", Op: ">=", Value: json.RawMessage(fmt.Sprintf("%d", 1900+year))},
 			},
 		}
@@ -434,7 +434,7 @@ func TestServeFusedScoring(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				var opt OptimizeResponse
+				var opt proto.OptimizeResponse
 				if code := postJSON(t, ts.URL+"/optimize", spec(round*8+g), &opt); code != http.StatusOK {
 					t.Errorf("optimize: status %d", code)
 				}

@@ -56,8 +56,9 @@ func (s *System) SaveCheckpointFile(path string) error {
 // (dataset, encoding, value-network architecture); mismatches fail with an
 // error wrapping checkpoint.ErrMismatch. Loading replaces the network
 // weights and optimizer state in place, swaps in the saved embedding,
-// experience, baselines, RNG position and snapshot version, and resets the
-// plan cache. Call it before serving traffic — it must not run concurrently
+// experience, baselines and RNG position, and publishes the restored weights
+// as a fresh serving snapshot (empty plan cache) under the saved version.
+// Call it before serving traffic — it must not run concurrently
 // with planning or training.
 func (s *System) LoadCheckpoint(r io.Reader) error {
 	st, err := checkpoint.Load(r, s.Neo.Net, string(s.Config.Encoding))
@@ -72,7 +73,6 @@ func (s *System) LoadCheckpoint(r io.Reader) error {
 	s.Neo.RestoreRNG(st.RNGSeed, st.RNGDraws)
 	s.Neo.RestoreTrainingTime(st.TrainTime)
 	s.Neo.RestoreSnapshot(st.NetVersion)
-	s.cache.reset()
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"neo/internal/core"
 	"neo/internal/datagen"
@@ -93,6 +92,9 @@ type (
 	RouteClassStats = route.ClassStats
 	// RoutePolicy holds the auto-routing thresholds (see Config.RoutePolicy).
 	RoutePolicy = route.Policy
+	// PlanCacheStats reports the plan cache's hit/miss counters, size and
+	// snapshot version (see System.Optimize and System.PlanCacheStats).
+	PlanCacheStats = core.PlanCacheStats
 )
 
 // Value and comparison-operator re-exports, so callers can build predicates
@@ -184,21 +186,15 @@ type Config struct {
 	TrainWorkers int
 	// FuseScoring routes the batched-scoring submissions of every search —
 	// Optimize, PlanAll workers, concurrent neo-serve requests — through one
-	// shared micro-batching scheduler: submissions arriving within
-	// FuseLinger of each other are fused into a single value-network forward
-	// pass of up to MaxFusedBatch rows, so N concurrent searches approach
-	// the cost of one large-batch scorer instead of N small ones. Fused
+	// shared micro-batching scheduler: submissions arriving within 200µs of
+	// each other are fused into a single value-network forward pass of up to
+	// 64 rows, so N concurrent searches approach the cost of one large-batch
+	// scorer instead of N small ones. Fused
 	// scores are bit-identical to private scoring, so plans, caches and
 	// training are unaffected; the scheduler is drained and recreated on
 	// every retraining swap, so one fused pass never mixes two weight sets.
 	// A search running alone skips the linger — an idle system pays nothing.
 	FuseScoring bool
-	// MaxFusedBatch caps the rows of one fused forward pass (default 64).
-	// Only meaningful with FuseScoring.
-	MaxFusedBatch int
-	// FuseLinger bounds how long a scoring submission waits to be fused
-	// (default 200µs). Only meaningful with FuseScoring.
-	FuseLinger time.Duration
 	// ValueNet overrides the value-network architecture (default: a small
 	// network structurally identical to the paper's).
 	ValueNet *ValueNetConfig
@@ -263,7 +259,6 @@ type System struct {
 	Neo        *Optimizer
 
 	diskDB *storage.DiskDB
-	cache  planCache
 }
 
 // StorageStats reports the disk backend's buffer-pool counters (hit rate,
@@ -283,106 +278,6 @@ func (s *System) Close() error {
 		return nil
 	}
 	return s.diskDB.Close()
-}
-
-// PlanCacheStats reports the plan cache's effectiveness. The JSON tags serve
-// neo-serve's /stats endpoint.
-type PlanCacheStats struct {
-	// Hits and Misses count Optimize/PlanAll lookups against the cache.
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Size is the number of plans currently cached.
-	Size int `json:"size"`
-	// Version is the value-network version the cached plans were searched
-	// with (see Optimizer.NetVersion).
-	Version uint64 `json:"version"`
-}
-
-// planCache memoises plan searches keyed on the query's structural
-// signature. Entries are valid only for the value-network version they were
-// searched with: a retraining round swaps in new weights, which can change
-// the preferred plan, so the first lookup after a swap drops every entry.
-type planCache struct {
-	mu      sync.Mutex
-	version uint64
-	entries map[string]cachedPlan
-	hits    uint64
-	misses  uint64
-}
-
-type cachedPlan struct {
-	plan   *Plan
-	result *SearchResult
-}
-
-// lookup returns the cached plan for a signature, invalidating the whole
-// cache first if the network version moved forward. A caller that read its
-// version before a swap gets a plain miss — it must not wipe entries already
-// repopulated under the newer version.
-func (c *planCache) lookup(sig string, version uint64) (cachedPlan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if version > c.version {
-		c.version = version
-		c.entries = nil
-	}
-	if version < c.version {
-		c.misses++
-		return cachedPlan{}, false
-	}
-	e, ok := c.entries[sig]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return e, ok
-}
-
-// planCacheMaxEntries bounds the plan cache. Signatures embed predicate
-// literals, so a long-running server planning templates with varying
-// constants would otherwise grow the cache without limit between network
-// swaps.
-const planCacheMaxEntries = 4096
-
-// store records a search outcome, unless the network version moved again
-// while the search ran (a stale plan must not outlive the swap). When the
-// cache is full an arbitrary entry is replaced (random replacement: cheap,
-// and good enough for a cache that is wiped on every retraining round
-// anyway).
-func (c *planCache) store(sig string, version uint64, e cachedPlan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.version != version {
-		return
-	}
-	if c.entries == nil {
-		c.entries = make(map[string]cachedPlan)
-	}
-	if _, exists := c.entries[sig]; !exists && len(c.entries) >= planCacheMaxEntries {
-		for victim := range c.entries {
-			delete(c.entries, victim)
-			break
-		}
-	}
-	c.entries[sig] = e
-}
-
-// reset drops every entry and re-keys the cache to the current network
-// version on the next lookup (used when a checkpoint replaces the network
-// wholesale: restored weights may predate the entries, so version ordering
-// alone cannot be trusted to invalidate them).
-func (c *planCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.version = 0
-	c.entries = nil
-}
-
-func (c *planCache) stats() PlanCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return PlanCacheStats{Hits: c.hits, Misses: c.misses, Size: len(c.entries), Version: c.version}
 }
 
 // Open assembles a System according to the configuration: it generates the
@@ -447,8 +342,6 @@ func Open(cfg Config) (*System, error) {
 	coreCfg.Workers = cfg.Workers
 	coreCfg.TrainWorkers = cfg.TrainWorkers
 	coreCfg.FuseScoring = cfg.FuseScoring
-	coreCfg.MaxFusedBatch = cfg.MaxFusedBatch
-	coreCfg.FuseLinger = cfg.FuseLinger
 	if cfg.ValueNet != nil {
 		coreCfg.ValueNet = *cfg.ValueNet
 	}
@@ -572,47 +465,21 @@ func (s *System) Train(train []*Query) ([]*EpisodeStats, error) {
 // otherwise batch members are scored one at a time.
 func Batched(s PlanScorer) BatchScorer { return search.Batched(s) }
 
-// Optimize returns Neo's plan for a query. Results are memoised in a plan
-// cache keyed on the query's structural signature (Query.Signature), so
-// repeated queries — even under different IDs — skip the search entirely.
-// The cache is invalidated automatically whenever a retraining round swaps
-// in a new value network. Safe for concurrent use.
+// Optimize returns Neo's plan for a query. Results are memoised in the
+// serving snapshot's plan cache keyed on the query's structural signature
+// (Query.Signature), so repeated queries — even under different IDs — skip
+// the search entirely, and concurrent requests for one structure share a
+// single search. The cache belongs to the snapshot: a retraining round or a
+// checkpoint load publishes new weights with an empty cache. Safe for
+// concurrent use.
 func (s *System) Optimize(q *Query) (*Plan, *SearchResult, error) {
-	sig := q.Signature()
-	version := s.Neo.NetVersion()
-	if e, ok := s.cache.lookup(sig, version); ok {
-		return e.bind(q)
-	}
-	p, res, err := s.Neo.Optimize(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Store only if no swap happened while the search ran: versions only
-	// increase, so an unchanged version proves the search's pinned snapshot
-	// belonged to it. (A search that raced a swap still returns a correct
-	// plan — it just isn't cached.)
-	if s.Neo.NetVersion() == version {
-		s.cache.store(sig, version, cachedPlan{plan: p, result: res})
-	}
-	return p, res, nil
-}
-
-// bind returns the cached plan, re-bound to the requesting query when the
-// cache hit came from a structurally identical query with a different
-// identity (plan trees are immutable after search, so the roots are shared).
-func (e cachedPlan) bind(q *Query) (*Plan, *SearchResult, error) {
-	if e.plan.Query == q {
-		return e.plan, e.result, nil
-	}
-	p := &Plan{Query: q, Roots: e.plan.Roots}
-	res := *e.result
-	res.Plan = p
-	return p, &res, nil
+	p, res, _, err := s.Neo.OptimizeCached(q)
+	return p, res, err
 }
 
 // PlanCacheStats reports hit/miss counters and the current size of the plan
 // cache.
-func (s *System) PlanCacheStats() PlanCacheStats { return s.cache.stats() }
+func (s *System) PlanCacheStats() PlanCacheStats { return s.Neo.PlanCacheStats() }
 
 // FusionStats reports the cross-request inference scheduler's cumulative
 // fusion counters (Enabled is false — and everything zero — unless the
@@ -642,8 +509,8 @@ func (s *System) Evaluate(queries []*Query) (float64, map[string]float64, error)
 // RetrainAsync retrains the value network in the background while Optimize,
 // Evaluate and PlanAll keep serving plans from the previous network
 // snapshot. When training completes the new network is swapped in
-// atomically, the plan cache invalidates itself on the next lookup, and the
-// final training loss arrives on the returned channel.
+// atomically together with an empty plan cache, and the final training loss
+// arrives on the returned channel.
 func (s *System) RetrainAsync() <-chan float64 { return s.Neo.RetrainAsync() }
 
 // OptimizeWith searches for a plan for q using a caller-supplied scorer in

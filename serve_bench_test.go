@@ -6,27 +6,24 @@ import (
 	"neo/internal/bench"
 )
 
-// BenchmarkFusedServing measures the cross-request inference scheduler on
-// the scoring traffic of 8 concurrent plan searches stampeding over hot
-// query structures (the cache-cold window right after a retraining swap):
-// private per-request scoring, where every request pays its own forward
-// passes against the shared snapshot, versus scheduler-backed serving, where
-// co-resident submissions fuse into shared passes and identical rows are
-// deduplicated and memoised over the same immutable weights. Fused and
-// private scoring are bit-identical per row (locked down by the sched, core
-// and serve test suites); the scheduler buys pure throughput. The fused-f32
-// variant replays the same traffic against a float32 snapshot (the
-// neo-serve default), stacking the packed-panel GEMM kernels on top of
-// fusion. The committed BENCH_serve.json baseline and CI's bench-gate
-// enforce that fused serving stays >= 1.5x over private, float64 and
-// float32 alike.
+// BenchmarkFusedServing measures the serving tier on 8 concurrent requests
+// stampeding over 2 hot query structures (the cache-cold window right after
+// a retraining swap): 8 private searches, where every request pays its own
+// search against the shared snapshot (scoring unfused), versus the
+// snapshot's single-flight plan cache, where one search per structure runs
+// and the other requests wait for its plan — at float64 and at float32 (the
+// neo-serve default). Cached and private plans are identical (checked before
+// measuring, and locked down by the core and serve test suites). The
+// committed BENCH_serve.json baseline and CI's bench-gate enforce that the
+// cache stays >= 1.5x over private searches at both precisions.
 //
 // Verify the speedup with:
 //
 //	go test -bench BenchmarkFusedServing -run '^$' .
 func BenchmarkFusedServing(b *testing.B) {
-	private, fused, fusedF32 := bench.ServingBenchmarks()
+	private, cached, privateF32, cachedF32 := bench.ServingBenchmarks()
 	b.Run("private", private)
-	b.Run("fused", fused)
-	b.Run("fused-f32", fusedF32)
+	b.Run("cached", cached)
+	b.Run("private-f32", privateF32)
+	b.Run("cached-f32", cachedF32)
 }
