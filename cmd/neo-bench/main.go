@@ -1,6 +1,6 @@
 // Command neo-bench runs the repo's performance benchmarks (value-network
 // scoring, value-network training, episode evaluation, planning latency,
-// fused serving, disk execution), emits one BENCH_<suite>.json per suite,
+// serving, disk execution), emits one BENCH_<suite>.json per suite,
 // and optionally enforces the benchmark-regression gate against committed
 // baselines.
 //

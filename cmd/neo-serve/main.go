@@ -53,7 +53,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{daemon: serve.Daemon{
 		Name:   "neo-serve",
 		Addr:   ":8080",
-		System: neo.Config{FuseScoring: true, ScorePrecision: "float32"},
+		System: neo.Config{ScorePrecision: "float32"},
 	}}
 	o.daemon.RegisterFlags(fs)
 	serve.RegisterFlags(fs, &o.cfg, &o.repl)

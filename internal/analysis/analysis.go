@@ -106,9 +106,6 @@ func DefaultConfig() Config {
 			// SnapshotPrecision is the constructor: it builds the frozen
 			// predictor before publication.
 			"neo/internal/valuenet.Network.SnapshotPrecision",
-			// newNetSnapshot assembles the snapshot/scheduler pair that the
-			// atomic swap publishes.
-			"neo/internal/core.Neo.newNetSnapshot",
 		},
 		WirePkg: "neo/internal/wire",
 	}

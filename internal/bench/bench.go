@@ -355,7 +355,6 @@ const servingWorkers = 8
 const servingHotQueries = 2
 
 // servingFixture bootstraps a system and returns it with the hot queries.
-// Scoring is unfused, so the pairs isolate the plan cache.
 func servingFixture() (*neo.System, []*neo.Query) {
 	sys, err := neo.Open(neo.Config{
 		Dataset:          "imdb",
@@ -429,7 +428,7 @@ func ServingBenchmarks() (private, cached, privateF32, cachedF32 func(b *testing
 		return p, err
 	}
 	// republish swaps in a fresh snapshot of the same weights at the given
-	// precision: empty plan cache, new scheduler.
+	// precision, with an empty plan cache.
 	republish := func(prec valuenet.Precision) {
 		n.Config.ScorePrecision = prec
 		n.RestoreSnapshot(n.NetVersion())
@@ -461,7 +460,7 @@ func ServingBenchmarks() (private, cached, privateF32, cachedF32 func(b *testing
 		bench(valuenet.PrecisionFloat32, uncached), bench(valuenet.PrecisionFloat32, throughCache)
 }
 
-// Serving measures the ServingBenchmarks set (the BenchmarkFusedServing
+// Serving measures the ServingBenchmarks set (the BenchmarkServing
 // suite of the regression gate).
 func Serving() Suite {
 	private, cached, privateF32, cachedF32 := ServingBenchmarks()

@@ -206,6 +206,49 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestConcurrentOptimizeMatchesSerial: 8 searches running at once on one
+// snapshot plan exactly what the same searches plan one after another — same
+// plan, bit-equal score, same search effort. Each search owns its scorer and
+// the snapshot is immutable, so concurrency has nothing to leak through.
+func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
+	rig, _ := bootstrapRig(t)
+	n := rig.neo
+	queries := rig.wl.Queries[:8]
+
+	type outcome struct {
+		sig         string
+		score       float64
+		exps, evals int
+	}
+	optimize := func(q *query.Query) outcome {
+		p, res, err := n.Optimize(q)
+		if err != nil {
+			t.Errorf("%s: %v", q.ID, err)
+			return outcome{}
+		}
+		return outcome{p.Signature(), res.Score, res.Expansions, res.Evaluations}
+	}
+	serial := make([]outcome, len(queries))
+	for i, q := range queries {
+		serial[i] = optimize(q)
+	}
+	concurrent := make([]outcome, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = optimize(q)
+		}()
+	}
+	wg.Wait()
+	for i, q := range queries {
+		if concurrent[i] != serial[i] {
+			t.Errorf("%s: concurrent search %+v, serial %+v", q.ID, concurrent[i], serial[i])
+		}
+	}
+}
+
 // TestRetrainAsyncDoubleBuffering checks the snapshot/swap lifecycle: while
 // a background retraining round runs, searches serve the old snapshot;
 // after the swap the version moves and the old snapshot still scores with

@@ -15,7 +15,6 @@ import (
 	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/route"
-	"neo/internal/sched"
 	"neo/internal/search"
 	"neo/internal/treeconv"
 	"neo/internal/valuenet"
@@ -72,20 +71,6 @@ type Config struct {
 	// experiment needs reproducibility. Zero selects GOMAXPROCS; a negative
 	// value forces serial execution.
 	Workers int
-	// FuseScoring routes every search's batched-scoring submissions through
-	// a shared micro-batching scheduler (internal/sched): submissions from
-	// concurrent searches that arrive within sched.DefaultLinger of each
-	// other are fused into one shared value-network forward pass of up to
-	// sched.DefaultMaxBatch rows, so serving N concurrent searches approaches
-	// the cost of one large-batch scorer instead of N small ones. Fused
-	// scores are bit-identical to private scoring (the batch kernels compute
-	// each row independently in a fixed order), so every search — and
-	// everything trained from its plans — is unaffected by fusion. The
-	// scheduler is pinned to the serving snapshot and is drained and
-	// recreated on every snapshot swap, so one fused pass can never mix
-	// scores from two weight sets. A search running alone skips the linger
-	// entirely; the fusion tax on an idle server is zero.
-	FuseScoring bool
 	// ScorePrecision selects the numeric format serving snapshots score
 	// with: float64 (the exact training kernels, the zero value) or float32
 	// (packed tiled-GEMM panels). Conversion happens once per snapshot
@@ -174,19 +159,14 @@ type Neo struct {
 	// tagged with its version. It is swapped atomically at the end of each
 	// retraining round, so in-flight searches finish against the weights
 	// they started with while new searches pick up the freshly trained
-	// network (double buffering). Version, weights and everything derived
-	// from the weights — the fused-scoring scheduler and the plan cache —
-	// travel in one pointer, so a reader can never observe new weights under
-	// an old version, an old scheduler fusing against new weights, or a plan
-	// searched with other weights than the ones it is served under.
+	// network (double buffering). Version, weights and the one thing derived
+	// from the weights — the plan cache — travel in one pointer, so a reader
+	// can never observe new weights under an old version, or a plan searched
+	// with other weights than the ones it is served under.
 	snap atomic.Pointer[netSnapshot]
 
-	// fuse aggregates fusion statistics across every scheduler this Neo
-	// creates over its lifetime (schedulers are recreated on each snapshot
-	// swap), so /stats counters are monotonic. Nil when FuseScoring is off.
-	fuse *sched.Counters
 	// planStats are the plan-cache hit/miss counters shared by every
-	// snapshot's cache, for the same reason.
+	// snapshot's cache, so /stats counters are monotonic across swaps.
 	planStats planCounters
 
 	// router dispatches each Optimize between the greedy fast path and the
@@ -196,13 +176,11 @@ type Neo struct {
 }
 
 // netSnapshot pairs a frozen network with the version it was published as
-// and with everything derived from exactly these weights: the plan cache
-// and, when fused scoring is enabled, the micro-batching scheduler. These are
-// the only weight-derived caches, and they live and die with the snapshot.
+// and with the one cache derived from exactly these weights, the plan cache,
+// which lives and dies with the snapshot.
 type netSnapshot struct {
 	net     *valuenet.Snapshot
 	version uint64
-	sched   *sched.Scheduler
 	plans   *planCache
 }
 
@@ -290,9 +268,6 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 		baseline:   make(map[string]float64),
 		router:     route.New(cfg.Routing, cfg.RoutePolicy),
 	}
-	if cfg.FuseScoring {
-		n.fuse = &sched.Counters{}
-	}
 	n.snap.Store(n.newNetSnapshot(n.freezeNet(), 0))
 	return n
 }
@@ -310,30 +285,13 @@ func (n *Neo) freezeNet() *valuenet.Snapshot {
 func (n *Neo) SnapshotInfo() valuenet.SnapshotInfo { return n.Snapshot().Info() }
 
 // newNetSnapshot wraps a frozen network for publication, attaching an empty
-// plan cache and, when fused scoring is enabled, a fresh micro-batching
-// scheduler pinned to it. All schedulers share one Counters, and all plan
-// caches one planCounters, so the statistics survive swaps.
+// plan cache. All plan caches share one planCounters, so the statistics
+// survive swaps.
 func (n *Neo) newNetSnapshot(snap *valuenet.Snapshot, version uint64) *netSnapshot {
-	ns := &netSnapshot{
+	return &netSnapshot{
 		net:     snap,
 		version: version,
 		plans:   &planCache{counters: &n.planStats, entries: make(map[string]*planEntry)},
-	}
-	if n.fuse != nil {
-		ns.sched = sched.New(snap, sched.Options{Counters: n.fuse})
-	}
-	return ns
-}
-
-// swapSnapshot atomically publishes a new netSnapshot and drains the
-// superseded one's scheduler: its pending fused batch runs against the old
-// weights and later submissions from searches still pinned to it score
-// directly (unfused) — so one fused pass never mixes scores from two weight
-// sets, and no search ever blocks on a retraining round.
-func (n *Neo) swapSnapshot(ns *netSnapshot) {
-	old := n.snap.Swap(ns)
-	if old != nil && old.sched != nil {
-		old.sched.Close()
 	}
 }
 
@@ -359,7 +317,7 @@ func (n *Neo) NetVersion() uint64 { return n.snap.Load().version }
 // the serving snapshot, in one atomic store together with the bumped
 // version. Callers must hold trainMu (which serializes version increments).
 func (n *Neo) publishSnapshot() {
-	n.swapSnapshot(n.newNetSnapshot(n.freezeNet(), n.snap.Load().version+1))
+	n.snap.Store(n.newNetSnapshot(n.freezeNet(), n.snap.Load().version+1))
 }
 
 // RestoreSnapshot freezes the live network's current weights and publishes
@@ -369,7 +327,7 @@ func (n *Neo) publishSnapshot() {
 func (n *Neo) RestoreSnapshot(version uint64) {
 	n.trainMu.Lock()
 	defer n.trainMu.Unlock()
-	n.swapSnapshot(n.newNetSnapshot(n.freezeNet(), version))
+	n.snap.Store(n.newNetSnapshot(n.freezeNet(), version))
 }
 
 // RNGState returns the seed and draw count that describe the training RNG's
@@ -685,29 +643,17 @@ func (n *Neo) RetrainAsync() <-chan float64 {
 	return done
 }
 
-// scoreBackend is the predictor a netScorer scores through: the raw frozen
-// snapshot, or the shared micro-batching scheduler that fuses submissions
-// across concurrent searches (both produce bit-identical scores per row).
-type scoreBackend interface {
-	PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64
-}
-
-// netScorer scores plans for one query with a frozen value-network
-// snapshot. ScoreBatch — the search hot path — encodes every plan of the
-// batch and runs one shared batched forward pass; all plans share the
-// query's one encoding, so the network's query tower runs once per
-// batch. With fused scoring the backend is the snapshot's scheduler, and the
-// forward pass is additionally shared with whatever other searches submitted
-// within the linger window.
+// netScorer is a query encoding plus a pinned snapshot: it scores plans for
+// one query with the frozen value network it was created on. ScoreBatch — the
+// search hot path — encodes every plan of the batch and runs one shared
+// batched forward pass; all plans share the query's one encoding, so the
+// network's query tower runs once per batch.
 type netScorer struct {
-	backend scoreBackend
-	feat    *feature.Featurizer
-	qEnc    []float64
+	net  *valuenet.Snapshot
+	feat *feature.Featurizer
+	qEnc []float64
 
-	// queries/forests are reused across ScoreBatch calls. Reuse is safe
-	// under fused scheduling too: PredictBatch blocks until the fused pass
-	// has scattered this submission's results, so the slices are never still
-	// referenced when the next ScoreBatch overwrites them.
+	// queries/forests are reused across ScoreBatch calls.
 	queries [][]float64
 	forests [][]*treeconv.Tree
 }
@@ -720,7 +666,7 @@ func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 		s.queries = append(s.queries, s.qEnc)
 		s.forests = append(s.forests, s.feat.EncodePlan(p))
 	}
-	return s.backend.PredictBatch(s.queries, s.forests)
+	return s.net.PredictBatch(s.queries, s.forests)
 }
 
 // Score implements search.Scorer (a batch of one).
@@ -732,33 +678,13 @@ func (s *netScorer) Score(p *plan.Plan) float64 {
 // implements both search.BatchScorer (the primary contract) and
 // search.Scorer. The scorer is pinned to the network snapshot current at
 // creation time, so a search runs against one consistent set of weights
-// even if a background retraining round swaps the snapshot mid-search; with
-// Config.FuseScoring it scores through that snapshot's shared scheduler, so
-// its forward passes fuse with other searches in flight (bit-identical
-// scores either way). Each returned scorer carries its own scratch state, so
-// concurrent searches use separate Scorer instances (see pkg/neo's PlanAll).
+// even if a background retraining round swaps the snapshot mid-search. Each
+// returned scorer carries its own scratch state, so concurrent searches use
+// separate Scorer instances (see pkg/neo's PlanAll).
 func (n *Neo) Scorer(q *query.Query) search.BatchScorer { return n.scorerOn(n.snap.Load(), q) }
 
 func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) search.BatchScorer {
-	var backend scoreBackend = ns.net
-	if ns.sched != nil {
-		backend = ns.sched
-	}
-	return &netScorer{backend: backend, feat: n.Featurizer, qEnc: n.Featurizer.EncodeQuery(q)}
-}
-
-// FusionStats reports the cross-request inference scheduler's cumulative
-// fusion statistics (Enabled reports whether Config.FuseScoring is on; all
-// counters are zero when it is not). Counters aggregate across snapshot
-// swaps, so they are monotonic over the process lifetime. Safe for
-// concurrent use.
-func (n *Neo) FusionStats() sched.Stats {
-	if n.fuse == nil {
-		return sched.Stats{}
-	}
-	st := n.fuse.Stats()
-	st.Enabled = true
-	return st
+	return &netScorer{net: ns.net, feat: n.Featurizer, qEnc: n.Featurizer.EncodeQuery(q)}
 }
 
 // Optimize plans q: the router (Config.Routing) dispatches the query either

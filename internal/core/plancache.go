@@ -31,7 +31,7 @@ type PlanCacheStats struct {
 const planCacheMaxEntries = 4096
 
 // planCounters are the hit/miss counters every snapshot's planCache shares,
-// so /stats stays monotonic across swaps (like sched.Counters).
+// so /stats stays monotonic across swaps.
 type planCounters struct {
 	hits, misses atomic.Uint64
 }

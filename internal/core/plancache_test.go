@@ -30,14 +30,13 @@ func (g *gateCardinality) NodeCardinality(*query.Query, *plan.Node) float64 {
 	return 1
 }
 
-// gatedRig is a bootstrapped fused rig whose featurizer encodes through a
+// gatedRig is a bootstrapped rig whose featurizer encodes through a
 // gateCardinality (installed before New, which sizes the network on it).
 func gatedRig(t *testing.T) (*testRig, *gateCardinality) {
 	rig := newRig(t, "postgres")
 	gate := &gateCardinality{started: make(chan struct{}), release: make(chan struct{})}
 	rig.feat.Cardinality = gate
 	cfg := rig.neo.Config
-	cfg.FuseScoring = true
 	rig.neo = New(rig.eng, rig.feat, cfg)
 	if err := rig.neo.Bootstrap(rig.wl.Queries[:4], rig.expertFunc()); err != nil {
 		t.Fatal(err)

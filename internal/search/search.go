@@ -182,9 +182,8 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 	var batch []*plan.Plan // reused across expansions
 	// The loop condition re-evaluates the deadline immediately after each
 	// batched scoring call (the last work of an iteration), so one large
-	// batch — or, under fused scheduling, a submission that also waited on
-	// the scheduler's linger — overshoots the anytime budget by at most that
-	// single call, never by another expansion.
+	// batch overshoots the anytime budget by at most that single call, never
+	// by another expansion.
 	for f.Len() > 0 && !budgetExceeded() {
 		item := heap.Pop(f).(*frontierItem)
 		popped++

@@ -212,6 +212,11 @@ func splitColumnRef(ref string) (table, column string, err error) {
 }
 
 func parseValue(raw json.RawMessage) (neo.Value, error) {
+	// Unmarshalling JSON null into an int64 or a string succeeds as a no-op;
+	// without this check a null literal would be planned as the integer 0.
+	if strings.TrimSpace(string(raw)) == "null" {
+		return neo.Value{}, fmt.Errorf("value is null; want an integer or a string")
+	}
 	var i int64
 	if err := json.Unmarshal(raw, &i); err == nil {
 		return neo.IntValue(i), nil
@@ -342,12 +347,6 @@ type Stats struct {
 	LastTrainLoss float64            `json:"last_train_loss"`
 	Checkpoints   uint64             `json:"checkpoints"`
 	PlanCache     neo.PlanCacheStats `json:"plan_cache"`
-	// Fusion reports the cross-request inference scheduler shared by all
-	// in-flight /optimize searches: fused_batches counts forward passes that
-	// carried submissions from two or more searches, avg_fused_size the mean
-	// submissions per pass. All-zero (enabled=false) when the system was
-	// opened without fused scoring.
-	Fusion neo.FusionStats `json:"fusion"`
 	// Snapshot reports the serving snapshot's scoring precision and memory
 	// footprint: "float64" is the exact training format, "float32" the
 	// packed inference-kernel format converted once per snapshot publication
@@ -397,7 +396,6 @@ func (s *Server) snapshotStats() Stats {
 		LastTrainLoss: ls.LastTrainLoss,
 		Checkpoints:   ls.Checkpoints,
 		PlanCache:     s.sys.PlanCacheStats(),
-		Fusion:        s.sys.FusionStats(),
 		Snapshot:      s.sys.SnapshotInfo(),
 		Storage:       storagePtr,
 		Cluster:       clusterPtr,

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -298,6 +297,15 @@ func TestServeStaleFeedbackAndExperienceCap(t *testing.T) {
 	}
 }
 
+// badSpecs are well-formed JSON that buildQuery must reject with a 400.
+var badSpecs = []proto.QuerySpec{
+	{Relations: []string{"no_such_table"}},
+	{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "missing-dot", Op: "=", Value: json.RawMessage(`1`)}}},
+	{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "title.kind", Op: "~~", Value: json.RawMessage(`"x"`)}}},
+	{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "title.kind", Op: "=", Value: json.RawMessage(`[1,2]`)}}},
+	{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "title.kind", Op: "=", Value: json.RawMessage(`null`)}}},
+}
+
 func TestServeRejectsBadRequests(t *testing.T) {
 	sys, queries := testSystem(t)
 	srv := New(sys, Config{})
@@ -315,13 +323,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		t.Fatalf("malformed JSON: status %d", resp.StatusCode)
 	}
 
-	bad := []proto.QuerySpec{
-		{Relations: []string{"no_such_table"}},
-		{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "missing-dot", Op: "=", Value: json.RawMessage(`1`)}}},
-		{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "title.kind", Op: "~~", Value: json.RawMessage(`"x"`)}}},
-		{Relations: []string{"title"}, Predicates: []proto.PredicateSpec{{Column: "title.kind", Op: "=", Value: json.RawMessage(`[1,2]`)}}},
-	}
-	for i, spec := range bad {
+	for i, spec := range badSpecs {
 		if code := postJSON(t, ts.URL+"/optimize", spec, nil); code != http.StatusBadRequest {
 			t.Errorf("bad spec %d: status %d, want 400", i, code)
 		}
@@ -366,100 +368,5 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Error("GET /optimize should not be served")
-	}
-}
-
-// fusedSystem is testSystem with the cross-request inference scheduler
-// enabled, as neo-serve runs in production.
-func fusedSystem(t testing.TB) (*neo.System, []*neo.Query) {
-	t.Helper()
-	sys, err := neo.Open(neo.Config{
-		Dataset:          "imdb",
-		Engine:           "postgres",
-		Encoding:         neo.OneHot,
-		Scale:            0.15,
-		Seed:             7,
-		SearchExpansions: 24,
-		Episodes:         1,
-		FuseScoring:      true,
-		ValueNet: &neo.ValueNetConfig{
-			QueryLayers:  []int{16, 8},
-			TreeChannels: []int{8, 8},
-			HeadLayers:   []int{8},
-			LearningRate: 2e-3,
-			UseLayerNorm: true,
-			Seed:         3,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := sys.GenerateWorkload(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Bootstrap(wl.Queries[:4]); err != nil {
-		t.Fatal(err)
-	}
-	return sys, wl.Queries
-}
-
-// TestServeFusedScoring drives concurrent /optimize requests for distinct
-// query structures (distinct predicate literals defeat the plan cache, so
-// every request really searches) through one shared scheduler and checks
-// that /stats reports the fusion: shared passes happened, and the counters
-// are internally consistent.
-func TestServeFusedScoring(t *testing.T) {
-	sys, _ := fusedSystem(t)
-	srv := New(sys, Config{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	spec := func(year int) proto.QuerySpec {
-		return proto.QuerySpec{
-			Relations: []string{"title", "movie_keyword"},
-			Joins:     []proto.JoinSpec{{Left: "movie_keyword.movie_id", Right: "title.id"}},
-			Predicates: []proto.PredicateSpec{
-				{Column: "title.production_year", Op: ">=", Value: json.RawMessage(fmt.Sprintf("%d", 1900+year))},
-			},
-		}
-	}
-
-	// Fusion needs submissions to overlap in time; retry a few rounds so the
-	// assertion is robust on slow single-core CI rather than timing-lucky.
-	for round := 0; round < 10; round++ {
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var opt proto.OptimizeResponse
-				if code := postJSON(t, ts.URL+"/optimize", spec(round*8+g), &opt); code != http.StatusOK {
-					t.Errorf("optimize: status %d", code)
-				}
-			}(g)
-		}
-		wg.Wait()
-		if srv.snapshotStats().Fusion.FusedBatches > 0 {
-			break
-		}
-	}
-
-	st := getStats(t, ts.URL)
-	if !st.Fusion.Enabled {
-		t.Fatal("fusion reported disabled on a FuseScoring system")
-	}
-	if st.Fusion.Submissions == 0 || st.Fusion.Batches == 0 {
-		t.Fatalf("no scoring reached the scheduler: %+v", st.Fusion)
-	}
-	if st.Fusion.FusedBatches < 1 {
-		t.Errorf("80 concurrent searches produced no fused pass: %+v", st.Fusion)
-	}
-	if st.Fusion.Batches > st.Fusion.Submissions || st.Fusion.Rows < st.Fusion.Submissions {
-		t.Errorf("fusion counters inconsistent: %+v", st.Fusion)
-	}
-	if st.Fusion.AvgFusedSize < 1 {
-		t.Errorf("avg fused size %v < 1 with nonzero batches", st.Fusion.AvgFusedSize)
 	}
 }

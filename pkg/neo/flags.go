@@ -8,7 +8,7 @@ import (
 // RegisterFlags registers the system-configuration flags shared by cmd/neo,
 // neo-serve and neo-trainer on fs, bound to c's fields. Whatever c holds when
 // it is called is the flag's default, so a binary pre-fills its own
-// (neo-serve: FuseScoring, ScorePrecision "float32"); fields left zero get the
+// (neo-serve: ScorePrecision "float32"); fields left zero get the
 // command-line defaults below, which differ from Open's library defaults only
 // in Scale. The fields without a flag here (Episodes, Workers, ValueNet, Cost,
 // RoutePolicy) stay as the caller set them.
@@ -32,7 +32,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&c.Seed, "seed", c.Seed, "random seed")
 	fs.IntVar(&c.SearchExpansions, "expansions", c.SearchExpansions, "plan-search expansion budget")
 	fs.IntVar(&c.TrainWorkers, "train-workers", c.TrainWorkers, "gradient worker-pool size for value-network training (0 = GOMAXPROCS, negative = serial; trained weights are bit-identical for every worker count)")
-	fs.BoolVar(&c.FuseScoring, "fuse-scoring", c.FuseScoring, "fuse concurrent plan searches' value-network scoring into shared forward passes (plans and trained weights are bit-identical either way; see /stats fusion counters)")
 	fs.StringVar(&c.ScorePrecision, "score-precision", c.ScorePrecision, "numeric format the frozen serving snapshot scores plans with: float64 (exact) or float32 (packed tiled-GEMM kernels). Training and checkpoints always stay float64.")
 	fs.StringVar(&c.Routing, "routing", c.Routing, "query routing: full (every query takes the learned best-first search), fastpath (statistics-free greedy planner for every query) or auto (per-class fast path vs full search, refined online from observed-latency regret; see /stats routing section)")
 }

@@ -18,7 +18,6 @@ import (
 	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/route"
-	"neo/internal/sched"
 	"neo/internal/schema"
 	"neo/internal/search"
 	"neo/internal/stats"
@@ -75,9 +74,6 @@ type (
 	ExperimentConfig = experiments.Config
 	// ValueNetConfig configures the value-network architecture.
 	ValueNetConfig = valuenet.Config
-	// FusionStats reports the cross-request inference scheduler's cumulative
-	// fusion counters (see Config.FuseScoring and System.FusionStats).
-	FusionStats = sched.Stats
 	// SnapshotInfo describes the serving snapshot's scoring precision and
 	// memory footprint (see Config.ScorePrecision and System.SnapshotInfo).
 	SnapshotInfo = valuenet.SnapshotInfo
@@ -184,17 +180,6 @@ type Config struct {
 	// parallel training never changes results; pass a negative value to
 	// force serial training.
 	TrainWorkers int
-	// FuseScoring routes the batched-scoring submissions of every search —
-	// Optimize, PlanAll workers, concurrent neo-serve requests — through one
-	// shared micro-batching scheduler: submissions arriving within 200µs of
-	// each other are fused into a single value-network forward pass of up to
-	// 64 rows, so N concurrent searches approach the cost of one large-batch
-	// scorer instead of N small ones. Fused
-	// scores are bit-identical to private scoring, so plans, caches and
-	// training are unaffected; the scheduler is drained and recreated on
-	// every retraining swap, so one fused pass never mixes two weight sets.
-	// A search running alone skips the linger — an idle system pays nothing.
-	FuseScoring bool
 	// ValueNet overrides the value-network architecture (default: a small
 	// network structurally identical to the paper's).
 	ValueNet *ValueNetConfig
@@ -218,7 +203,22 @@ type Config struct {
 	// defaults: fast path for chains/stars up to 8 joins, demotion after 8
 	// regret samples with mean observed/estimated latency above 1.5).
 	RoutePolicy *RoutePolicy
+
+	// BEGIN benchmark compatibility block. The cross-request fusion scheduler
+	// is deleted, but benchmark/ — which only a benchmark PR may edit — still
+	// names these three. Delete the block when it stops (see ROADMAP).
+
+	// FuseScoring is accepted and ignored.
+	FuseScoring bool
 }
+
+// FusionStats is always zero.
+type FusionStats struct{ Batches, FusedBatches, Submissions, Rows, CacheHits uint64 }
+
+// FusionStats returns the zero value.
+func (*System) FusionStats() FusionStats { return FusionStats{} }
+
+// END benchmark compatibility block.
 
 func (c Config) withDefaults() Config {
 	if c.Dataset == "" {
@@ -341,7 +341,6 @@ func Open(cfg Config) (*System, error) {
 	coreCfg.Seed = cfg.Seed
 	coreCfg.Workers = cfg.Workers
 	coreCfg.TrainWorkers = cfg.TrainWorkers
-	coreCfg.FuseScoring = cfg.FuseScoring
 	if cfg.ValueNet != nil {
 		coreCfg.ValueNet = *cfg.ValueNet
 	}
@@ -480,12 +479,6 @@ func (s *System) Optimize(q *Query) (*Plan, *SearchResult, error) {
 // PlanCacheStats reports hit/miss counters and the current size of the plan
 // cache.
 func (s *System) PlanCacheStats() PlanCacheStats { return s.Neo.PlanCacheStats() }
-
-// FusionStats reports the cross-request inference scheduler's cumulative
-// fusion counters (Enabled is false — and everything zero — unless the
-// system was opened with Config.FuseScoring). Counters are monotonic across
-// retraining swaps. Safe for concurrent use.
-func (s *System) FusionStats() FusionStats { return s.Neo.FusionStats() }
 
 // SnapshotInfo reports the current serving snapshot's scoring precision and
 // memory footprint (see Config.ScorePrecision). Safe for concurrent use.
