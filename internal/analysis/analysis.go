@@ -101,6 +101,11 @@ func DefaultConfig() Config {
 			"neo/internal/valuenet.Snapshot",
 			"neo/internal/valuenet.netF32",
 			"neo/internal/core.netSnapshot",
+			// Plan nodes are shared between a search's parent and child
+			// states, the plan cache and the experience. Leaf and Join2
+			// build them with composite literals, so nothing needs an
+			// exemption.
+			"neo/internal/plan.Node",
 		},
 		FrozenAllow: []string{
 			// SnapshotPrecision is the constructor: it builds the frozen

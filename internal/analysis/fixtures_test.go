@@ -139,7 +139,7 @@ func TestFrozenwriteFixture(t *testing.T) {
 		},
 		Strict: true,
 	}
-	checkFixture(t, cfg, "frozenwrite")
+	checkFixture(t, cfg, "frozenwrite", "frozenwrite/outside")
 
 	cfg.Strict = false
 	for _, f := range Run(cfg, loadFixturePkgs(t, "frozenwrite")) {

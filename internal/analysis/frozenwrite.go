@@ -6,17 +6,20 @@ import (
 	"strings"
 )
 
-// frozenwriteCheck flags assignments that mutate a frozen snapshot type
-// outside its designated constructor/swap sites. The repository's scoring
-// path depends on snapshots being immutable after publication: valuenet's
-// Snapshot (and its netF32 predictor) and core's netSnapshot are built once,
-// then swapped in atomically and read lock-free by every serving goroutine. A write to a published snapshot is a data race that no
-// test reliably catches — the race detector only sees interleavings that
-// actually happen — so the check bans the write syntactically: any
-// assignment whose left-hand side reaches through a value of a frozen type
-// is an error unless it occurs inside a function listed in
-// Config.FrozenAllow. Building a snapshot with a composite literal is
-// construction, not mutation, and stays legal everywhere.
+// frozenwriteCheck flags assignments that mutate a frozen type outside its
+// designated constructor/swap sites. The repository's scoring path depends
+// on snapshots being immutable after publication: valuenet's Snapshot (and
+// its netF32 predictor) and core's netSnapshot are built once, then swapped
+// in atomically and read lock-free by every serving goroutine; plan.Node is
+// shared between a search's states, the plan cache and the experience. A
+// write to a published value is a data race that no test reliably catches —
+// the race detector only sees interleavings that actually happen — so the
+// check bans the write syntactically: any assignment whose left-hand side
+// reaches through a value of a frozen type is an error unless it occurs
+// inside a function listed in Config.FrozenAllow. Building a value with a
+// composite literal is construction, not mutation, and stays legal inside
+// the type's own package; elsewhere it skips the constructors (and whatever
+// unexported facts they derive), so it is flagged too.
 //
 // Both lists name declarations by string, so a rename would silently drop
 // the protection (or the exemption). In strict mode every entry that belongs
@@ -52,6 +55,11 @@ func runFrozenwrite(p *Pass) {
 				}
 			case *ast.IncDecStmt:
 				reportFrozenWrite(p, frozen, allow, st.X)
+			case *ast.CompositeLit:
+				name := frozenTypeName(p.typeOf(st), frozen)
+				if name != "" && !strings.HasPrefix(name, p.Pkg.Path+".") {
+					p.Reportf(st.Pos(), "composite literal of frozen type %s outside its package; use its constructors", name)
+				}
 			}
 			return true
 		})

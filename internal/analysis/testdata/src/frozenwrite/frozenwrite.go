@@ -49,8 +49,9 @@ func rebind(s, other *Snapshot) *Snapshot {
 	return s
 }
 
-func construct(version int) *Snapshot {
-	return &Snapshot{Version: version} // composite literal is construction
+// Construct is the constructor package outside must use.
+func Construct(version int) *Snapshot {
+	return &Snapshot{Version: version} // composite literal in the type's own package is construction
 }
 
 func build() *Snapshot {

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -228,37 +229,58 @@ func Episode() Suite {
 // ordering must undercut the millisecond search by orders of magnitude, not
 // on average but on every routed query. The ratio gate in cmd/neo-bench pins
 // plan/bestfirst-p50 / plan/fastpath-p50 >= 50.
+//
+// The P50 rows pool every round of every query. The P99 rows are the tail
+// across queries of each query's fastest round: with a few dozen samples a
+// pooled P99 is the single slowest one, i.e. whichever round a neighbour's
+// burst landed on, and a 2x gate on it fails untouched code on a shared box.
 func Planning() Suite {
 	sys, routed := planFixture()
 
-	var fastNS []float64
-	for round := 0; round < 32; round++ {
-		for _, q := range routed {
-			res, err := fastpath.Plan(q, sys.Catalog)
-			if err != nil {
-				panic(fmt.Sprintf("bench: fastpath plan %s: %v", q.ID, err))
+	// rounds times plan on every routed query, rounds times over, and
+	// returns all samples and each query's minimum.
+	rounds := func(n int, plan func(q *neo.Query) time.Duration) (all, best []float64) {
+		best = make([]float64, len(routed))
+		for round := 0; round < n; round++ {
+			for i, q := range routed {
+				ns := float64(plan(q).Nanoseconds())
+				all = append(all, ns)
+				if round == 0 || ns < best[i] {
+					best[i] = ns
+				}
 			}
-			fastNS = append(fastNS, float64(res.Elapsed.Nanoseconds()))
 		}
+		return all, best
 	}
-	var bestNS []float64
-	for round := 0; round < 4; round++ {
-		for _, q := range routed {
-			// The timed region includes scorer construction: the fast path
-			// needs no scorer at all, so the search side pays for the whole
-			// inference setup it requires.
-			start := time.Now()
-			if _, _, err := sys.OptimizeWith(q, sys.Neo.Scorer(q)); err != nil {
-				panic(fmt.Sprintf("bench: best-first plan %s: %v", q.ID, err))
-			}
-			bestNS = append(bestNS, float64(time.Since(start).Nanoseconds()))
+	fastNS, fastBest := rounds(32, func(q *neo.Query) time.Duration {
+		res, err := fastpath.Plan(q, sys.Catalog)
+		if err != nil {
+			panic(fmt.Sprintf("bench: fastpath plan %s: %v", q.ID, err))
 		}
-	}
+		return res.Elapsed
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bestNS, bestBest := rounds(4, func(q *neo.Query) time.Duration {
+		// The timed region includes scorer construction: the fast path
+		// needs no scorer at all, so the search side pays for the whole
+		// inference setup it requires.
+		start := time.Now()
+		if _, _, err := sys.OptimizeWith(q, sys.Neo.Scorer(q)); err != nil {
+			panic(fmt.Sprintf("bench: best-first plan %s: %v", q.ID, err))
+		}
+		return time.Since(start)
+	})
+	runtime.ReadMemStats(&after)
+	// Both search rows carry the mean allocations per search, so the 2x gate
+	// holds search bookkeeping (Children, dedup, plan encoding) to its
+	// allocation count as well as its time.
+	bestAllocs := int64(after.Mallocs-before.Mallocs) / int64(len(bestNS))
 	return Suite{Suite: "plan", Benchmarks: []Result{
 		{Name: "plan/fastpath-p50", NsPerOp: percentileNS(fastNS, 0.50)},
-		{Name: "plan/fastpath-p99", NsPerOp: percentileNS(fastNS, 0.99)},
-		{Name: "plan/bestfirst-p50", NsPerOp: percentileNS(bestNS, 0.50)},
-		{Name: "plan/bestfirst-p99", NsPerOp: percentileNS(bestNS, 0.99)},
+		{Name: "plan/fastpath-p99", NsPerOp: percentileNS(fastBest, 0.99)},
+		{Name: "plan/bestfirst-p50", NsPerOp: percentileNS(bestNS, 0.50), AllocsPerOp: bestAllocs},
+		{Name: "plan/bestfirst-p99", NsPerOp: percentileNS(bestBest, 0.99), AllocsPerOp: bestAllocs},
 	}}
 }
 

@@ -362,7 +362,7 @@ func readNode(r io.Reader, depth int) (*plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Node{Scan: plan.ScanType(scan), Table: table}, nil
+		return plan.Leaf(table, plan.ScanType(scan)), nil
 	case nodeJoin:
 		op, err := wire.ReadU8(r)
 		if err != nil {
@@ -376,7 +376,7 @@ func readNode(r io.Reader, depth int) (*plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Node{Join: plan.JoinOp(op), Left: left, Right: right}, nil
+		return plan.Join2(plan.JoinOp(op), left, right), nil
 	default:
 		return nil, fmt.Errorf("unknown plan-node tag %d", tag)
 	}

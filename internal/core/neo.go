@@ -503,6 +503,9 @@ func (n *Neo) trainingSamples() []valuenet.Sample {
 			qEnc = n.Featurizer.EncodeQuery(entry.Query)
 			encodings[entry.Query.ID] = qEnc
 		}
+		// The states of one entry share their subtrees, so one encoder
+		// encodes each node of the entry's plan once.
+		enc := n.Featurizer.NewPlanEncoder(entry.Query)
 		for _, partial := range constructionStates(entry.Plan) {
 			target, ok := n.Experience.MinCostContaining(partial, n.cost)
 			if !ok {
@@ -510,7 +513,7 @@ func (n *Neo) trainingSamples() []valuenet.Sample {
 			}
 			samples = append(samples, valuenet.Sample{
 				Query:  qEnc,
-				Plan:   n.Featurizer.EncodePlan(partial),
+				Plan:   enc.Encode(partial),
 				Target: target,
 			})
 		}
@@ -529,37 +532,24 @@ func constructionStates(p *plan.Plan) []*plan.Plan {
 	var states []*plan.Plan
 	states = append(states, plan.Initial(p.Query))
 
-	// Collect p's join nodes and the size of every subtree in one walk.
-	var joins []*plan.Node
-	sizes := make(map[*plan.Node]int)
-	var measure func(node *plan.Node) int
-	measure = func(node *plan.Node) int {
-		if node == nil {
-			return 0
-		}
-		size := 1 + measure(node.Left) + measure(node.Right)
-		sizes[node] = size
-		if !node.IsLeaf() {
-			joins = append(joins, node)
-		}
-		return size
-	}
-	measure(p.Roots[0])
-	// Sort by subtree size ascending so children come before parents,
-	// keeping the walk order for equal sizes (disjoint sibling joins) so
-	// the construction sequence — and with it the training targets — stays
-	// deterministic.
-	sort.SliceStable(joins, func(a, b int) bool {
-		return sizes[joins[a]] < sizes[joins[b]]
-	})
-
-	// Start from the forest of specified leaves.
-	var leaves []*plan.Node
+	// Order p's joins by subtree size ascending so children come before
+	// parents, keeping the walk order for equal sizes (disjoint sibling
+	// joins) so the construction sequence — and with it the training
+	// targets — stays deterministic.
+	var joins, leaves []*plan.Node
 	p.Roots[0].Walk(func(node *plan.Node) {
 		if node.IsLeaf() {
-			leaves = append(leaves, node.Clone())
+			leaves = append(leaves, node)
+		} else {
+			joins = append(joins, node)
 		}
 	})
+	sort.SliceStable(joins, func(a, b int) bool {
+		return joins[a].NumNodes() < joins[b].NumNodes()
+	})
+
+	// Every state shares p's nodes (they are immutable). Start from the
+	// forest of specified leaves.
 	current := map[string]*plan.Node{}
 	for _, l := range leaves {
 		current[l.Table] = l
@@ -583,15 +573,10 @@ func constructionStates(p *plan.Plan) []*plan.Plan {
 	states = append(states, &plan.Plan{Query: p.Query, Roots: forest()})
 
 	for _, j := range joins {
-		// Build the joined subtree from the current forest roots covering
-		// the left and right table sets.
-		leftTables := j.Left.Tables()
-		rightTables := j.Right.Tables()
-		leftRoot := current[leftTables[0]]
-		rightRoot := current[rightTables[0]]
-		joined := plan.Join2(j.Join, leftRoot, rightRoot)
-		for _, t := range append(leftTables, rightTables...) {
-			current[t] = joined
+		// j's inputs are roots of the current forest (smaller joins came
+		// first), so j itself is the joined root.
+		for _, t := range j.Tables() {
+			current[t] = j
 		}
 		states = append(states, &plan.Plan{Query: p.Query, Roots: forest()})
 	}
@@ -647,10 +632,12 @@ func (n *Neo) RetrainAsync() <-chan float64 {
 // one query with the frozen value network it was created on. ScoreBatch — the
 // search hot path — encodes every plan of the batch and runs one shared
 // batched forward pass; all plans share the query's one encoding, so the
-// network's query tower runs once per batch.
+// network's query tower runs once per batch. Its plan encoder remembers
+// every subtree the search has shown it, so a child plan costs the encoding
+// of its one new node; the memo dies with the scorer.
 type netScorer struct {
 	net  *valuenet.Snapshot
-	feat *feature.Featurizer
+	enc  *feature.PlanEncoder
 	qEnc []float64
 
 	// queries/forests are reused across ScoreBatch calls.
@@ -664,7 +651,7 @@ func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 	s.forests = s.forests[:0]
 	for _, p := range ps {
 		s.queries = append(s.queries, s.qEnc)
-		s.forests = append(s.forests, s.feat.EncodePlan(p))
+		s.forests = append(s.forests, s.enc.Encode(p))
 	}
 	return s.net.PredictBatch(s.queries, s.forests)
 }
@@ -684,7 +671,7 @@ func (s *netScorer) Score(p *plan.Plan) float64 {
 func (n *Neo) Scorer(q *query.Query) search.BatchScorer { return n.scorerOn(n.snap.Load(), q) }
 
 func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) search.BatchScorer {
-	return &netScorer{net: ns.net, feat: n.Featurizer, qEnc: n.Featurizer.EncodeQuery(q)}
+	return &netScorer{net: ns.net, enc: n.Featurizer.NewPlanEncoder(q), qEnc: n.Featurizer.EncodeQuery(q)}
 }
 
 // Optimize plans q: the router (Config.Routing) dispatches the query either

@@ -22,7 +22,7 @@ type gateCardinality struct {
 	release chan struct{}
 }
 
-func (g *gateCardinality) NodeCardinality(*query.Query, *plan.Node) float64 {
+func (g *gateCardinality) NodeCardinality(*query.Query, *plan.Node, float64, float64) float64 {
 	if g.armed.CompareAndSwap(true, false) {
 		close(g.started)
 		<-g.release

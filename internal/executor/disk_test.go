@@ -47,14 +47,14 @@ func opPlan(t *testing.T, q *query.Query, op plan.JoinOp, scan plan.ScanType) *p
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Roots[0].Walk(func(n *plan.Node) {
+	var rebuild func(n *plan.Node) *plan.Node
+	rebuild = func(n *plan.Node) *plan.Node {
 		if n.IsLeaf() {
-			n.Scan = scan
-		} else {
-			n.Join = op
+			return plan.Leaf(n.Table, scan)
 		}
-	})
-	return p
+		return plan.Join2(op, rebuild(n.Left), rebuild(n.Right))
+	}
+	return &plan.Plan{Query: q, Roots: []*plan.Node{rebuild(p.Roots[0])}}
 }
 
 // assertParity executes one plan over both row sources and requires

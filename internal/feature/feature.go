@@ -49,8 +49,10 @@ const numCmpOps = 7
 // cardinalities, optionally perturbed).
 type CardinalitySource interface {
 	// NodeCardinality returns an estimated (or true) output cardinality for
-	// the subplan rooted at n of query q.
-	NodeCardinality(q *query.Query, n *plan.Node) float64
+	// the subplan rooted at n of query q, given the cardinalities the same
+	// source returned for n's children (both zero for a leaf): a plan
+	// encoder asks once per node, bottom-up, and never re-derives a subtree.
+	NodeCardinality(q *query.Query, n *plan.Node, left, right float64) float64
 }
 
 // Featurizer converts queries and plans into the numeric representations the
@@ -222,23 +224,60 @@ func (f *Featurizer) rvectorBlock(p query.Predicate) []float64 {
 // one-hot the join operator, the next 2|R| entries mark which relations are
 // scanned and how (table, index, or both for unspecified scans); internal
 // nodes take the union of their children. When a CardinalitySource is
-// configured an extra log-scaled cardinality entry is appended.
+// configured two derived entries (see PlanVectorSize) are appended. It is a
+// fresh PlanEncoder used once; code that encodes many plans of one query —
+// a search, an experience entry's construction states — keeps the encoder.
 func (f *Featurizer) EncodePlan(p *plan.Plan) []*treeconv.Tree {
-	out := make([]*treeconv.Tree, 0, len(p.Roots))
-	for _, r := range p.Roots {
-		out = append(out, f.encodeNode(r, p.Query))
+	return f.NewPlanEncoder(p.Query).Encode(p)
+}
+
+// PlanEncoder encodes plans of one query, remembering every subtree it has
+// encoded by structural hash: a plan that shares subtrees with an earlier
+// one (a search child with its parent) re-uses their feature trees and costs
+// only its new nodes, and a node's cardinality is derived once from its
+// children's. The memo lives as long as the encoder — one search, one
+// scorer — and is not safe for concurrent use. Returned trees are shared
+// between forests and must not be modified.
+type PlanEncoder struct {
+	f    *Featurizer
+	q    *query.Query
+	memo map[[2]uint64]encodedNode
+}
+
+// encodedNode is what the encoder remembers of one subtree.
+type encodedNode struct {
+	tree *treeconv.Tree
+	// card is the cardinality source's answer, the input to the parent's;
+	// est is card after the Figure 14 perturbation (card itself without an
+	// error model), the value both this node's slot and its parent's work
+	// slot show, drawn once.
+	card, est float64
+}
+
+// NewPlanEncoder returns an empty encoder for plans of q.
+func (f *Featurizer) NewPlanEncoder(q *query.Query) *PlanEncoder {
+	return &PlanEncoder{f: f, q: q, memo: make(map[[2]uint64]encodedNode)}
+}
+
+// Encode returns p's forest of feature trees, one per root.
+func (e *PlanEncoder) Encode(p *plan.Plan) []*treeconv.Tree {
+	out := make([]*treeconv.Tree, len(p.Roots))
+	for i, r := range p.Roots {
+		out[i] = e.node(r).tree
 	}
 	return out
 }
 
-func (f *Featurizer) encodeNode(n *plan.Node, q *query.Query) *treeconv.Tree {
-	if n == nil {
-		return nil
+func (e *PlanEncoder) node(n *plan.Node) encodedNode {
+	if en, ok := e.memo[n.Hash()]; ok {
+		return en
 	}
+	f := e.f
 	vec := make([]float64, f.PlanVectorSize())
+	var en, left, right encodedNode
 	if n.IsLeaf() {
-		base := plan.NumJoinOps + 2*f.Catalog.TableIndex(n.Table)
 		if idx := f.Catalog.TableIndex(n.Table); idx >= 0 {
+			base := plan.NumJoinOps + 2*idx
 			switch n.Scan {
 			case plan.TableScan:
 				vec[base] = 1
@@ -249,63 +288,45 @@ func (f *Featurizer) encodeNode(n *plan.Node, q *query.Query) *treeconv.Tree {
 				vec[base+1] = 1
 			}
 		}
-		f.appendCardinality(vec, q, n)
-		return treeconv.NewLeaf(vec)
-	}
-	left := f.encodeNode(n.Left, q)
-	right := f.encodeNode(n.Right, q)
-	vec[int(n.Join)] = 1
-	// Union of the children's relation slots.
-	for i := plan.NumJoinOps; i < plan.NumJoinOps+2*f.Catalog.NumRelations(); i++ {
-		v := 0.0
-		if left != nil && left.Data[i] > 0 {
-			v = 1
+		en.tree = treeconv.NewLeaf(vec)
+	} else {
+		left, right = e.node(n.Left), e.node(n.Right)
+		vec[int(n.Join)] = 1
+		// Union of the children's relation slots.
+		for i := plan.NumJoinOps; i < plan.NumJoinOps+2*f.Catalog.NumRelations(); i++ {
+			if left.tree.Data[i] > 0 || right.tree.Data[i] > 0 {
+				vec[i] = 1
+			}
 		}
-		if right != nil && right.Data[i] > 0 {
-			v = 1
+		en.tree = treeconv.NewNode(vec, left.tree, right.tree)
+	}
+	if f.Cardinality != nil {
+		en.card = f.Cardinality.NodeCardinality(e.q, n, left.card, right.card)
+		en.est = en.card
+		if f.Error != nil {
+			en.est = f.Error.Perturb(en.card)
 		}
-		vec[i] = v
-	}
-	f.appendCardinality(vec, q, n)
-	return treeconv.NewNode(vec, left, right)
-}
-
-// appendCardinality fills the two derived slots of a plan-node vector: the
-// log-scaled output-cardinality estimate of the subplan rooted at n, and a
-// log-scaled generic work estimate for the node's operator (scan size for
-// leaves; input product for loop joins, input sum for hash and merge joins).
-// Both derive solely from the configured CardinalitySource, so the Figure 14
-// protocol (swapping in true cardinalities or injecting error) perturbs both
-// consistently.
-func (f *Featurizer) appendCardinality(vec []float64, q *query.Query, n *plan.Node) {
-	if f.Cardinality == nil {
-		return
-	}
-	card := f.nodeCard(q, n)
-	work := card
-	if n.IsLeaf() {
-		if f.Stats != nil {
+		// The two derived slots: the log-scaled output-cardinality estimate
+		// of the subplan, and a log-scaled generic work estimate for the
+		// node's operator (scan size for leaves; input product for loop
+		// joins, input sum for hash and merge joins). Both derive solely from
+		// the configured CardinalitySource, so the Figure 14 protocol
+		// (swapping in true cardinalities or injecting error) perturbs both
+		// consistently.
+		work := en.est
+		switch {
+		case !n.IsLeaf() && n.Join == plan.LoopJoin:
+			work = left.est*right.est + en.est
+		case !n.IsLeaf():
+			work = left.est + right.est + en.est
+		case f.Stats != nil:
 			work = math.Max(f.Stats.TableRows(n.Table), 1)
 		}
-	} else {
-		left := f.nodeCard(q, n.Left)
-		right := f.nodeCard(q, n.Right)
-		if n.Join == plan.LoopJoin {
-			work = left*right + card
-		} else {
-			work = left + right + card
-		}
+		vec[len(vec)-2] = math.Log10(1 + math.Max(en.est, 0))
+		vec[len(vec)-1] = math.Log10(1 + math.Max(work, 0))
 	}
-	vec[len(vec)-2] = math.Log10(1 + math.Max(card, 0))
-	vec[len(vec)-1] = math.Log10(1 + math.Max(work, 0))
-}
-
-func (f *Featurizer) nodeCard(q *query.Query, n *plan.Node) float64 {
-	card := f.Cardinality.NodeCardinality(q, n)
-	if f.Error != nil {
-		card = f.Error.Perturb(card)
-	}
-	return card
+	e.memo[n.Hash()] = en
+	return en
 }
 
 // String implements fmt.Stringer.
@@ -319,22 +340,18 @@ type HistogramCardinality struct {
 	Stats *stats.Stats
 }
 
-// NodeCardinality implements CardinalitySource.
-func (h *HistogramCardinality) NodeCardinality(q *query.Query, n *plan.Node) float64 {
-	if n == nil {
-		return 0
-	}
+// NodeCardinality implements CardinalitySource: a join's estimate combines
+// its inputs' estimates under the first join predicate connecting them (a
+// cross product without one).
+func (h *HistogramCardinality) NodeCardinality(q *query.Query, n *plan.Node, left, right float64) float64 {
 	if n.IsLeaf() {
 		return h.Stats.EstimateScanRows(n.Table, q.PredicatesOn(n.Table))
 	}
-	left := h.NodeCardinality(q, n.Left)
-	right := h.NodeCardinality(q, n.Right)
-	joins := q.JoinsBetween(n.Left.TableSet(), n.Right.TableSet())
-	if len(joins) == 0 {
+	join, ok := plan.JoinBetween(q, n.Left, n.Right)
+	if !ok {
 		return left * right
 	}
-	est := h.Stats.EstimateJoinRows(left, right, joins[0])
-	return est
+	return h.Stats.EstimateJoinRows(left, right, join)
 }
 
 // TrueCardinality computes exact per-node cardinalities by executing the
@@ -349,10 +366,11 @@ type TrueCardinality struct {
 	cache map[string]float64 // guarded by mu
 }
 
-// NodeCardinality implements CardinalitySource. Safe for concurrent use
-// (concurrent planners reach it through the featurizer).
-func (t *TrueCardinality) NodeCardinality(q *query.Query, n *plan.Node) float64 {
-	if n == nil || t.Counter == nil {
+// NodeCardinality implements CardinalitySource; a true count does not derive
+// from the inputs' counts. Safe for concurrent use (concurrent planners reach
+// it through the featurizer).
+func (t *TrueCardinality) NodeCardinality(q *query.Query, n *plan.Node, _, _ float64) float64 {
+	if t.Counter == nil {
 		return 0
 	}
 	tables := n.Tables()

@@ -273,20 +273,20 @@ func TestCardinalityFeature(t *testing.T) {
 	node := plan.Join2(plan.HashJoin, plan.Leaf("movie_keyword", plan.TableScan), plan.Leaf("title", plan.TableScan))
 
 	hist := &HistogramCardinality{Stats: st}
-	if hist.NodeCardinality(q, leaf) <= 0 {
+	if hist.NodeCardinality(q, leaf, 0, 0) <= 0 {
 		t.Errorf("histogram leaf cardinality should be positive")
 	}
-	if hist.NodeCardinality(q, node) <= 0 {
+	if hist.NodeCardinality(q, node, hist.NodeCardinality(q, node.Left, 0, 0), hist.NodeCardinality(q, node.Right, 0, 0)) <= 0 {
 		t.Errorf("histogram join cardinality should be positive")
 	}
 
 	truth := &TrueCardinality{Counter: exec}
-	tc := truth.NodeCardinality(q, node)
+	tc := truth.NodeCardinality(q, node, 0, 0)
 	if tc <= 0 {
 		t.Errorf("true join cardinality should be positive")
 	}
 	// Second call hits the cache and returns the same value.
-	if truth.NodeCardinality(q, node) != tc {
+	if truth.NodeCardinality(q, node, 0, 0) != tc {
 		t.Errorf("cache should return identical values")
 	}
 
@@ -324,7 +324,7 @@ func TestCrossProductCardinality(t *testing.T) {
 	h := &HistogramCardinality{Stats: st}
 	q := query.New("cross", []string{"keyword", "info_type"}, nil, nil)
 	node := plan.Join2(plan.HashJoin, plan.Leaf("keyword", plan.TableScan), plan.Leaf("info_type", plan.TableScan))
-	got := h.NodeCardinality(q, node)
+	got := h.NodeCardinality(q, node, h.NodeCardinality(q, node.Left, 0, 0), h.NodeCardinality(q, node.Right, 0, 0))
 	want := st.TableRows("keyword") * st.TableRows("info_type")
 	if math.Abs(got-want) > 1 {
 		t.Errorf("cross product estimate = %f, want %f", got, want)

@@ -70,15 +70,6 @@ func TestNodeHelpers(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := Initial(threeWayQuery())
-	c := p.Clone()
-	c.Roots[0].Scan = TableScan
-	if p.Roots[0].Scan != UnspecifiedScan {
-		t.Errorf("mutating the clone changed the original")
-	}
-}
-
 func TestPaperExampleNotation(t *testing.T) {
 	// The partial plan from Figure 2: [(T(D) ⋈M T(A)) ⋈L I(C)], [U(B)]
 	p := &Plan{
@@ -329,5 +320,104 @@ func TestIndexUsableRespectsCatalog(t *testing.T) {
 	}
 	if !sawIndex {
 		t.Errorf("expected at least one index-scan child for an indexed relation")
+	}
+}
+
+func TestHashStableUnderRootOrder(t *testing.T) {
+	q := threeWayQuery()
+	a := &Plan{Query: q, Roots: []*Node{Leaf("title", TableScan), Leaf("keyword", IndexScan)}}
+	b := &Plan{Query: q, Roots: []*Node{Leaf("keyword", IndexScan), Leaf("title", TableScan)}}
+	if a.Hash() != b.Hash() {
+		t.Errorf("hashes should be order-independent: %x vs %x", a.Hash(), b.Hash())
+	}
+	c := &Plan{Query: q, Roots: []*Node{Leaf("keyword", TableScan), Leaf("title", IndexScan)}}
+	if a.Hash() == c.Hash() {
+		t.Errorf("swapping the scan types between relations must change the hash")
+	}
+}
+
+// TestHashIdentifiesEveryReachableState walks the whole state space of a
+// three-relation query (cross products allowed, so it is as large as it
+// gets) and checks that the structural hash and the display signature
+// induce the same identity, and that the facts computed at construction
+// match a recount.
+func TestHashIdentifiesEveryReachableState(t *testing.T) {
+	opts := ChildrenOptions{AllowCrossProducts: true}
+	bySig := map[string][2]uint64{}
+	byHash := map[[2]uint64]string{}
+	queue := []*Plan{Initial(threeWayQuery())}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		sig, h := p.Signature(), p.Hash()
+		if prev, ok := bySig[sig]; ok {
+			if prev != h {
+				t.Fatalf("one signature, two hashes: %s", sig)
+			}
+			continue // reached before, by another path
+		}
+		if prev, ok := byHash[h]; ok {
+			t.Fatalf("hash collision: %s and %s", prev, sig)
+		}
+		bySig[sig], byHash[h] = h, sig
+
+		nodes, unspec := 0, 0
+		for _, r := range p.Roots {
+			r.Walk(func(n *Node) {
+				nodes++
+				if n.IsLeaf() && n.Scan == UnspecifiedScan {
+					unspec++
+				}
+			})
+			if got := len(r.Tables()); got != (r.NumNodes()+1)/2 {
+				t.Fatalf("%s: %d tables under a tree of %d nodes", r, got, r.NumNodes())
+			}
+		}
+		total := 0
+		for _, r := range p.Roots {
+			total += r.NumNodes()
+		}
+		if total != nodes || p.NumUnspecified() != unspec || p.IsComplete() != (len(p.Roots) == 1 && unspec == 0) {
+			t.Fatalf("%s: NumNodes %d, NumUnspecified %d, IsComplete %v; recount gives %d nodes, %d unspecified",
+				p, total, p.NumUnspecified(), p.IsComplete(), nodes, unspec)
+		}
+		queue = append(queue, p.Children(opts)...)
+	}
+	if len(bySig) < 500 {
+		t.Errorf("walked only %d states; expected the full space of a three-relation query", len(bySig))
+	}
+}
+
+// TestChildrenShareUntouchedSubtrees pins the cost model: a child is its
+// parent plus one new node (or one re-built spine), never a copy.
+func TestChildrenShareUntouchedSubtrees(t *testing.T) {
+	q := threeWayQuery()
+	mk := Join2(HashJoin, Leaf("movie_keyword", TableScan), Leaf("title", UnspecifiedScan))
+	p := &Plan{Query: q, Roots: []*Node{mk, Leaf("keyword", TableScan)}}
+	inParent := map[*Node]bool{}
+	for _, r := range p.Roots {
+		r.Walk(func(n *Node) { inParent[n] = true })
+	}
+	for _, child := range p.Children(ChildrenOptions{}) {
+		fresh := 0
+		for _, r := range child.Roots {
+			var count func(n *Node)
+			count = func(n *Node) {
+				if n == nil || inParent[n] {
+					return // shared: nothing below it can be new
+				}
+				fresh++
+				count(n.Left)
+				count(n.Right)
+			}
+			count(r)
+		}
+		want := 1 // a join of two roots
+		if len(child.Roots) == len(p.Roots) {
+			want = 2 // the specified leaf and the join above it
+		}
+		if fresh != want {
+			t.Errorf("child %s has %d nodes its parent %s does not share, want %d", child, fresh, p, want)
+		}
 	}
 }

@@ -6,7 +6,6 @@
 package search
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -118,22 +117,49 @@ type Result struct {
 type frontierItem struct {
 	plan  *plan.Plan
 	score float64
-	index int
 }
 
-type frontier []*frontierItem
+// frontier is a binary min-heap on score. push and pop sift exactly as
+// container/heap does — among equal scores the sift order decides which plan
+// is expanded next, so plan choice depends on it — without boxing each item
+// in an interface.
+type frontier []frontierItem
 
-func (f frontier) Len() int            { return len(f) }
-func (f frontier) Less(i, j int) bool  { return f[i].score < f[j].score }
-func (f frontier) Swap(i, j int)       { f[i], f[j] = f[j], f[i]; f[i].index = i; f[j].index = j }
-func (f *frontier) Push(x interface{}) { *f = append(*f, x.(*frontierItem)) }
-func (f *frontier) Pop() interface{} {
-	old := *f
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = nil
-	*f = old[:n-1]
-	return item
+func (f *frontier) push(it frontierItem) {
+	h := append(*f, it)
+	*f = h
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].score < h[i].score) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (f *frontier) pop() frontierItem {
+	h := *f
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h[j+1].score < h[j].score {
+			j++
+		}
+		if !(h[j].score < h[i].score) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	h[n] = frontierItem{}
+	*f = h[:n]
+	return it
 }
 
 // BestFirst runs the DNN-guided best-first search of Section 4.2 and returns
@@ -153,11 +179,10 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 
 	res := &Result{}
 	initial := plan.Initial(q)
-	f := &frontier{}
-	heap.Init(f)
+	var f frontier
 	res.Evaluations++
-	heap.Push(f, &frontierItem{plan: initial, score: scoreBatch(scorer, []*plan.Plan{initial})[0]})
-	seen := map[string]bool{initial.Signature(): true}
+	f.push(frontierItem{plan: initial, score: scoreBatch(scorer, []*plan.Plan{initial})[0]})
+	seen := map[[2]uint64]struct{}{initial.Hash(): {}}
 
 	var bestComplete *plan.Plan
 	bestScore := 0.0
@@ -184,8 +209,8 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 	// batched scoring call (the last work of an iteration), so one large
 	// batch overshoots the anytime budget by at most that single call, never
 	// by another expansion.
-	for f.Len() > 0 && !budgetExceeded() {
-		item := heap.Pop(f).(*frontierItem)
+	for len(f) > 0 && !budgetExceeded() {
+		item := f.pop()
 		popped++
 		if item.plan.IsComplete() {
 			if bestComplete == nil || item.score < bestScore {
@@ -206,11 +231,11 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 		// of a node at once to amortise inference latency).
 		batch = batch[:0]
 		for _, child := range item.plan.Children(childOpts) {
-			sig := child.Signature()
-			if seen[sig] {
+			h := child.Hash()
+			if _, dup := seen[h]; dup {
 				continue
 			}
-			seen[sig] = true
+			seen[h] = struct{}{}
 			batch = append(batch, child)
 		}
 		if len(batch) == 0 {
@@ -224,7 +249,7 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 				bestComplete = child
 				bestScore = score
 			}
-			heap.Push(f, &frontierItem{plan: child, score: score})
+			f.push(frontierItem{plan: child, score: score})
 		}
 	}
 
@@ -247,8 +272,8 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 		// when the wall-clock deadline has already passed: a wide query would
 		// otherwise overshoot the anytime budget by a second full descent.
 		deadlinePassed := opts.TimeBudget > 0 && time.Since(start) > opts.TimeBudget
-		if !deadlinePassed && f.Len() > 0 && (*f)[0].plan != lastExpanded {
-			fp, fscore, fevals, fsteps := greedyDescend((*f)[0].plan, scorer, childOpts)
+		if !deadlinePassed && len(f) > 0 && f[0].plan != lastExpanded {
+			fp, fscore, fevals, fsteps := greedyDescend(f[0].plan, scorer, childOpts)
 			res.Evaluations += fevals
 			res.Expansions += fsteps
 			if fp != nil && fp.IsComplete() && (hp == nil || !hp.IsComplete() || fscore < score) {

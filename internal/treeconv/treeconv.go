@@ -21,26 +21,30 @@ import (
 
 // Tree is a binary tree of feature vectors. Leaves have nil children; the
 // convolution treats missing children as all-zero vectors, exactly as the
-// paper attaches zero-filled children to leaf nodes.
+// paper attaches zero-filled children to leaf nodes. Build trees with NewLeaf
+// and NewNode, which record the node count, and do not relink them
+// afterwards: plan encoders share subtrees between forests.
 type Tree struct {
 	Data        []float64
 	Left, Right *Tree
+	nodes       int
 }
 
 // NewLeaf creates a leaf node carrying the given vector.
-func NewLeaf(data []float64) *Tree { return &Tree{Data: data} }
+func NewLeaf(data []float64) *Tree { return &Tree{Data: data, nodes: 1} }
 
-// NewNode creates an internal node carrying the given vector.
+// NewNode creates an internal node carrying the given vector; either child
+// may be nil.
 func NewNode(data []float64, left, right *Tree) *Tree {
-	return &Tree{Data: data, Left: left, Right: right}
+	return &Tree{Data: data, Left: left, Right: right, nodes: 1 + left.NumNodes() + right.NumNodes()}
 }
 
-// NumNodes returns the number of nodes in the tree.
+// NumNodes returns the number of nodes in the tree, counted at construction.
 func (t *Tree) NumNodes() int {
 	if t == nil {
 		return 0
 	}
-	return 1 + t.Left.NumNodes() + t.Right.NumNodes()
+	return t.nodes
 }
 
 // Walk visits every node in pre-order.
@@ -58,7 +62,7 @@ func (t *Tree) Map(fn func(*Tree) []float64) *Tree {
 	if t == nil {
 		return nil
 	}
-	return &Tree{Data: fn(t), Left: t.Left.Map(fn), Right: t.Right.Map(fn)}
+	return NewNode(fn(t), t.Left.Map(fn), t.Right.Map(fn))
 }
 
 // Layer is a tree-convolution layer: a filterbank of OutChannels filters over
@@ -135,7 +139,7 @@ func (l *Layer) convolve(t *Tree) *Tree {
 		}
 		out[o] = sum
 	}
-	return &Tree{Data: out, Left: l.convolve(t.Left), Right: l.convolve(t.Right)}
+	return NewNode(out, l.convolve(t.Left), l.convolve(t.Right))
 }
 
 // Backward propagates a gradient tree (same structure as the output) through
@@ -312,9 +316,5 @@ func zipMap(a, b *Tree, fn func(av, bv []float64) []float64) *Tree {
 	if a == nil || b == nil {
 		return nil
 	}
-	return &Tree{
-		Data:  fn(a.Data, b.Data),
-		Left:  zipMap(a.Left, b.Left, fn),
-		Right: zipMap(a.Right, b.Right, fn),
-	}
+	return NewNode(fn(a.Data, b.Data), zipMap(a.Left, b.Left, fn), zipMap(a.Right, b.Right, fn))
 }
