@@ -449,11 +449,12 @@ func ServingBenchmarks() (private, cached, privateF32, cachedF32 func(b *testing
 		p, _, _, err := n.OptimizeCached(q)
 		return p, err
 	}
-	// republish swaps in a fresh snapshot of the same weights at the given
-	// precision, with an empty plan cache.
+	// republish restores the current state onto itself: a fresh snapshot of
+	// the same weights and version at the given precision, with an empty plan
+	// cache.
 	republish := func(prec valuenet.Precision) {
 		n.Config.ScorePrecision = prec
-		n.RestoreSnapshot(n.NetVersion())
+		n.Restore(n.State())
 	}
 	bench := func(prec valuenet.Precision, plan func(*neo.Query) (*neo.Plan, error)) func(b *testing.B) {
 		return func(b *testing.B) {

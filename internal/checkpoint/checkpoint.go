@@ -31,6 +31,11 @@
 // restored weights), and the engine's execution-noise stream position (only
 // simulated-latency noise depends on it, never plan choice).
 //
+// Decoding never touches live state: Load builds everything it returns —
+// the network included — and either hands back a complete State for
+// core.Neo.Restore to swap in, or an error wrapping one of the sentinels
+// below. A container that fails at its last byte has changed nothing.
+//
 // The container doubles as the wire artifact of the distributed serving
 // tier: trainers publish snapshots and replicas ship experience batches
 // (SaveExperience/LoadExperience) as NEOCKPT1 containers over HTTP, so a
@@ -98,28 +103,15 @@ const (
 	sectionExperience = "experience"
 )
 
-// State is everything a checkpoint carries. Save reads from it; Load fills
-// it in (loading the network weights into the caller-supplied Network).
+// State is everything a checkpoint carries: the learned state core.Neo
+// hands over in one piece (core.Neo.State / Restore) plus the two things
+// that live in the featurizer's configuration rather than in Neo.
 type State struct {
-	// Encoding is the featurization the system was configured with; Load
-	// callers verify it against their own configuration.
+	core.State
+	// Encoding is the featurization the system was configured with.
 	Encoding string
-	// NetVersion is the serving-snapshot version at save time.
-	NetVersion uint64
-	// RNGSeed and RNGDraws describe the training RNG's exact stream
-	// position (core.Neo.RNGState).
-	RNGSeed  int64
-	RNGDraws uint64
-	// TrainTime is the cumulative wall-clock training time.
-	TrainTime time.Duration
-	// Net is the value network (source on Save, target on Load).
-	Net *valuenet.Network
 	// Embedding is the row-vector model, nil for encodings without one.
 	Embedding *embedding.Model
-	// Experience is the executed-plan pool.
-	Experience []core.Entry
-	// Baselines are the per-query baseline latencies.
-	Baselines map[string]float64
 }
 
 // Save writes a checkpoint for the given state.
@@ -165,41 +157,39 @@ func Save(w io.Writer, st *State) error {
 	return writeContainer(w, sections)
 }
 
-// Load reads a checkpoint, restoring the network weights and optimizer state
-// into `into` (which must match the saved architecture) and returning the
-// remaining state. A non-empty wantEncoding is checked against the saved
-// encoding BEFORE anything mutates `into`, so a checkpoint from a
-// differently configured system (whose network may nevertheless share
-// dimensions, e.g. 1-hot vs histogram) is rejected side-effect free. On any
-// other error the returned state is nil and `into` may be partially updated
-// — treat it as unusable.
-func Load(r io.Reader, into *valuenet.Network, wantEncoding string) (*State, error) {
+// Load decodes a checkpoint into a complete State, or fails with no side
+// effect on anything: the network is built here, fresh, for the receiver's
+// dimensions and configuration (a saved network of another architecture is
+// ErrMismatch), so nothing the caller serves from is touched until it hands
+// the result to core.Neo.Restore. A non-empty wantEncoding is checked against
+// the saved encoding first — a checkpoint from a differently configured system
+// may nevertheless share dimensions (1-hot vs histogram). Every error wraps
+// one of the package sentinels.
+func Load(r io.Reader, queryDim, planDim int, cfg valuenet.Config, wantEncoding string) (*State, error) {
 	secs, err := readContainer(r)
 	if err != nil {
 		return nil, err
 	}
-	st := &State{Net: into}
-
-	meta, ok := secs[sectionMeta]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrMissingSection, sectionMeta)
-	}
-	mr := bytes.NewReader(meta)
-	if st.Encoding, err = wire.ReadString(mr); err != nil {
-		return nil, fmt.Errorf("checkpoint: meta: %w", err)
-	}
-	if st.NetVersion, err = wire.ReadU64(mr); err != nil {
-		return nil, fmt.Errorf("checkpoint: meta: %w", err)
-	}
-	if st.RNGSeed, err = wire.ReadI64(mr); err != nil {
-		return nil, fmt.Errorf("checkpoint: meta: %w", err)
-	}
-	if st.RNGDraws, err = wire.ReadU64(mr); err != nil {
-		return nil, fmt.Errorf("checkpoint: meta: %w", err)
-	}
-	tt, err := wire.ReadI64(mr)
+	meta, err := secs.reader(sectionMeta)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: meta: %w", err)
+		return nil, err
+	}
+	st := &State{}
+	if st.Encoding, err = wire.ReadString(meta); err != nil {
+		return nil, malformed(sectionMeta, err)
+	}
+	if st.NetVersion, err = wire.ReadU64(meta); err != nil {
+		return nil, malformed(sectionMeta, err)
+	}
+	if st.RNGSeed, err = wire.ReadI64(meta); err != nil {
+		return nil, malformed(sectionMeta, err)
+	}
+	if st.RNGDraws, err = wire.ReadU64(meta); err != nil {
+		return nil, malformed(sectionMeta, err)
+	}
+	tt, err := wire.ReadI64(meta)
+	if err != nil {
+		return nil, malformed(sectionMeta, err)
 	}
 	st.TrainTime = time.Duration(tt)
 	if st.RNGDraws > maxRNGDraws {
@@ -211,30 +201,47 @@ func Load(r io.Reader, into *valuenet.Network, wantEncoding string) (*State, err
 			ErrMismatch, st.Encoding, wantEncoding)
 	}
 
-	net, ok := secs[sectionNet]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrMissingSection, sectionNet)
+	net, err := secs.reader(sectionNet)
+	if err != nil {
+		return nil, err
 	}
-	if err := into.Load(bytes.NewReader(net)); err != nil {
+	st.Net = valuenet.New(queryDim, planDim, cfg)
+	if err := st.Net.Load(net); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMismatch, err)
 	}
 
 	if emb, ok := secs[sectionEmbedding]; ok {
-		m, err := embedding.LoadModel(bytes.NewReader(emb))
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: embedding: %w", err)
+		if st.Embedding, err = embedding.LoadModel(bytes.NewReader(emb)); err != nil {
+			return nil, malformed(sectionEmbedding, err)
 		}
-		st.Embedding = m
 	}
 
-	exp, ok := secs[sectionExperience]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrMissingSection, sectionExperience)
+	exp, err := secs.reader(sectionExperience)
+	if err != nil {
+		return nil, err
 	}
-	if st.Experience, st.Baselines, err = readExperience(bytes.NewReader(exp)); err != nil {
-		return nil, fmt.Errorf("checkpoint: experience: %w", err)
+	if st.Experience, st.Baselines, err = readExperience(exp); err != nil {
+		return nil, malformed(sectionExperience, err)
 	}
 	return st, nil
+}
+
+// sections are a container's CRC-verified payloads by name.
+type sections map[string][]byte
+
+// reader returns a reader over the named section's payload.
+func (s sections) reader(name string) (*bytes.Reader, error) {
+	payload, ok := s[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrMissingSection, name)
+	}
+	return bytes.NewReader(payload), nil
+}
+
+// malformed reports a section whose payload passed its CRC but does not
+// parse: the writer, not the transport, damaged it.
+func malformed(name string, err error) error {
+	return fmt.Errorf("%w: section %q: %v", ErrCorrupt, name, err)
 }
 
 type section struct {
@@ -282,7 +289,7 @@ func writeContainer(w io.Writer, sections []section) error {
 
 // readContainer parses the header and returns the CRC-verified payloads by
 // section name.
-func readContainer(r io.Reader) (map[string][]byte, error) {
+func readContainer(r io.Reader) (sections, error) {
 	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, truncated(err)
@@ -338,7 +345,7 @@ func readContainer(r io.Reader) (map[string][]byte, error) {
 		}
 		headers[i] = header{name: string(name), size: size, crc: crc}
 	}
-	out := make(map[string][]byte, count)
+	out := make(sections, count)
 	for _, h := range headers {
 		// The buffer grows with the bytes that actually arrive: a header may
 		// declare up to wire.MaxLen bytes, and allocating the declared size

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
@@ -49,7 +50,7 @@ func randForest(rng *rand.Rand) []*treeconv.Tree {
 
 // trainedNet builds a network and takes a few optimizer steps so the Adam
 // moments and target transform are non-trivial.
-func trainedNet(t *testing.T, seed int64) *valuenet.Network {
+func trainedNet(t testing.TB, seed int64) *valuenet.Network {
 	t.Helper()
 	net := valuenet.New(queryDim, planDim, smallNetConfig(seed))
 	rng := rand.New(rand.NewSource(7))
@@ -193,7 +194,7 @@ func testQuery(id string) *query.Query {
 		})
 }
 
-func testState(t *testing.T) *State {
+func testState(t testing.TB) *State {
 	t.Helper()
 	q1, q2 := testQuery("q1"), testQuery("q2")
 	p1 := &plan.Plan{Query: q1, Roots: []*plan.Node{
@@ -207,20 +208,27 @@ func testState(t *testing.T) *State {
 		{"a.name=x", "b.year=2000"},
 	}, embedding.Config{Dim: 4, Epochs: 2, NegativeSamples: 2, LearningRate: 0.05, MinCount: 1, Seed: 9})
 	return &State{
-		Encoding:   "r-vector",
-		NetVersion: 7,
-		RNGSeed:    42,
-		RNGDraws:   12345,
-		TrainTime:  3 * time.Second,
-		Net:        trainedNet(t, 21),
-		Embedding:  emb,
-		Experience: []core.Entry{
-			{Query: q1, Plan: p1, Latency: 12.5},
-			{Query: q1, Plan: p1, Latency: 11.25},
-			{Query: q2, Plan: p2, Latency: 99},
+		Encoding:  "r-vector",
+		Embedding: emb,
+		State: core.State{
+			NetVersion: 7,
+			RNGSeed:    42,
+			RNGDraws:   12345,
+			TrainTime:  3 * time.Second,
+			Net:        trainedNet(t, 21),
+			Experience: []core.Entry{
+				{Query: q1, Plan: p1, Latency: 12.5},
+				{Query: q1, Plan: p1, Latency: 11.25},
+				{Query: q2, Plan: p2, Latency: 99},
+			},
+			Baselines: map[string]float64{"q1": 13, "q2": 101, "held-out": 55},
 		},
-		Baselines: map[string]float64{"q1": 13, "q2": 101, "held-out": 55},
 	}
+}
+
+// load decodes data for a receiver of the test dimensions and architecture.
+func load(data []byte, wantEncoding string) (*State, error) {
+	return Load(bytes.NewReader(data), queryDim, planDim, smallNetConfig(1), wantEncoding)
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -229,8 +237,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := Save(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	into := valuenet.New(queryDim, planDim, smallNetConfig(500))
-	got, err := Load(bytes.NewReader(buf.Bytes()), into, "r-vector")
+	got, err := load(buf.Bytes(), "r-vector")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +248,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// Network predicts bit-identically.
 	rng := rand.New(rand.NewSource(1))
 	q, f := randVec(rng, queryDim), randForest(rng)
-	if math.Float64bits(st.Net.Predict(q, f)) != math.Float64bits(into.Predict(q, f)) {
+	if math.Float64bits(st.Net.Predict(q, f)) != math.Float64bits(got.Net.Predict(q, f)) {
 		t.Fatal("restored network predicts differently")
 	}
 	// Experience round-trips, with the shared query deduplicated to one
@@ -288,7 +295,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointBadMagic(t *testing.T) {
-	_, err := Load(bytes.NewReader([]byte("NOTACKPTxxxxxxxxxxx")), trainedNet(t, 1), "")
+	_, err := load([]byte("NOTACKPTxxxxxxxxxxx"), "")
 	if !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
@@ -302,7 +309,7 @@ func TestCheckpointUnsupportedVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(Magic)] = 0xEE // format version field (little-endian low byte)
-	_, err := Load(bytes.NewReader(data), valuenet.New(queryDim, planDim, smallNetConfig(1)), "")
+	_, err := load(data, "")
 	if !errors.Is(err, ErrUnsupportedVersion) {
 		t.Fatalf("err = %v, want ErrUnsupportedVersion", err)
 	}
@@ -316,7 +323,7 @@ func TestCheckpointTruncated(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{4, len(data) / 2, len(data) - 1} {
-		_, err := Load(bytes.NewReader(data[:cut]), valuenet.New(queryDim, planDim, smallNetConfig(1)), "")
+		_, err := load(data[:cut], "")
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, err)
 		}
@@ -331,7 +338,7 @@ func TestCheckpointCorrupt(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(data)/2] ^= 0xFF // flip a payload byte
-	_, err := Load(bytes.NewReader(data), valuenet.New(queryDim, planDim, smallNetConfig(1)), "")
+	_, err := load(data, "")
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -345,36 +352,38 @@ func TestCheckpointArchitectureMismatch(t *testing.T) {
 	}
 	cfg := smallNetConfig(1)
 	cfg.TreeChannels = []int{6, 5} // different conv width
-	_, err := Load(bytes.NewReader(buf.Bytes()), valuenet.New(queryDim, planDim, cfg), "")
+	_, err := Load(bytes.NewReader(buf.Bytes()), queryDim, planDim, cfg, "")
 	if !errors.Is(err, ErrMismatch) {
 		t.Fatalf("err = %v, want ErrMismatch", err)
 	}
 	// Different input dimensions too.
-	_, err = Load(bytes.NewReader(buf.Bytes()), valuenet.New(queryDim+1, planDim, smallNetConfig(1)), "")
+	_, err = Load(bytes.NewReader(buf.Bytes()), queryDim+1, planDim, smallNetConfig(1), "")
 	if !errors.Is(err, ErrMismatch) {
 		t.Fatalf("err = %v, want ErrMismatch", err)
 	}
 }
 
-// TestCheckpointEncodingMismatchLeavesNetworkUntouched pins the guard
-// order: a wrong-encoding checkpoint is rejected before any weight is
-// overwritten, even when the architectures happen to be identical.
-func TestCheckpointEncodingMismatchLeavesNetworkUntouched(t *testing.T) {
-	st := testState(t) // saved as "r-vector"
+// TestGoldenParentCheckpointReencodes pins the codec against a file written
+// before Load stopped decoding into a caller's network (pkg/neo's
+// TestGoldenParentCheckpoint restores the same file into a system): it
+// decodes into a fresh network of the dimensions it names, and encoding the
+// decoded state reproduces it byte for byte.
+func TestGoldenParentCheckpointReencodes(t *testing.T) {
+	golden, err := os.ReadFile("testdata/parent-1hot.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := valuenet.Config{QueryLayers: []int{8, 4}, TreeChannels: []int{4, 4}, HeadLayers: []int{4}, LearningRate: 2e-3, UseLayerNorm: true, Seed: 3}
+	st, err := Load(bytes.NewReader(golden), 65, 23, cfg, "1-hot")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := Save(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	into := valuenet.New(queryDim, planDim, smallNetConfig(123))
-	before := append([]float64(nil), into.Params()[0].Value...)
-	_, err := Load(bytes.NewReader(buf.Bytes()), into, "histogram")
-	if !errors.Is(err, ErrMismatch) {
-		t.Fatalf("err = %v, want ErrMismatch", err)
-	}
-	for i, v := range into.Params()[0].Value {
-		if v != before[i] {
-			t.Fatalf("weights mutated by a rejected load (index %d)", i)
-		}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("re-encoded checkpoint differs from the golden bytes (%d vs %d bytes)", buf.Len(), len(golden))
 	}
 }
 

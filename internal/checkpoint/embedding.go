@@ -7,7 +7,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"os"
 
@@ -30,11 +29,15 @@ func LoadEmbedding(r io.Reader) (*embedding.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, ok := secs[sectionEmbedding]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrMissingSection, sectionEmbedding)
+	payload, err := secs.reader(sectionEmbedding)
+	if err != nil {
+		return nil, err
 	}
-	return embedding.LoadModel(bytes.NewReader(payload))
+	m, err := embedding.LoadModel(payload)
+	if err != nil {
+		return nil, malformed(sectionEmbedding, err)
+	}
+	return m, nil
 }
 
 // SaveEmbeddingFile writes a standalone embedding checkpoint atomically

@@ -5,6 +5,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -92,19 +93,21 @@ const (
 	maxPerQuery = 1 << 16 // relations / joins / predicates per query
 )
 
-// readCount reads a u32 count prefix and validates it against a bound.
-func readCount(r io.Reader, what string, bound uint32) (int, error) {
+// readCount reads a u32 count prefix and validates it against a bound and
+// against the bytes left in the section (every counted element takes at
+// least one), so a count alone never sizes an allocation.
+func readCount(r *bytes.Reader, what string, bound uint32) (int, error) {
 	n, err := wire.ReadU32(r)
 	if err != nil {
 		return 0, err
 	}
-	if n > bound {
-		return 0, fmt.Errorf("%s count %d exceeds limit %d (corrupt count prefix?)", what, n, bound)
+	if n > bound || int(n) > r.Len() {
+		return 0, fmt.Errorf("%s count %d exceeds limit %d or the %d bytes left (corrupt count prefix?)", what, n, bound, r.Len())
 	}
 	return int(n), nil
 }
 
-func readExperience(r io.Reader) ([]core.Entry, map[string]float64, error) {
+func readExperience(r *bytes.Reader) ([]core.Entry, map[string]float64, error) {
 	nq, err := readCount(r, "query", maxQueries)
 	if err != nil {
 		return nil, nil, err
@@ -198,7 +201,7 @@ func writeQuery(w io.Writer, q *query.Query) error {
 	return nil
 }
 
-func readQuery(r io.Reader) (*query.Query, error) {
+func readQuery(r *bytes.Reader) (*query.Query, error) {
 	id, err := wire.ReadString(r)
 	if err != nil {
 		return nil, err

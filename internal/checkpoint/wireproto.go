@@ -9,7 +9,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 
 	"neo/internal/core"
@@ -36,13 +35,13 @@ func LoadExperience(r io.Reader) ([]core.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	exp, ok := secs[sectionExperience]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrMissingSection, sectionExperience)
-	}
-	entries, _, err := readExperience(bytes.NewReader(exp))
+	exp, err := secs.reader(sectionExperience)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: experience: %w", err)
+		return nil, err
+	}
+	entries, _, err := readExperience(exp)
+	if err != nil {
+		return nil, malformed(sectionExperience, err)
 	}
 	return entries, nil
 }

@@ -5,12 +5,16 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"neo/internal/checkpoint"
 	"neo/internal/cluster/proto"
 	"neo/internal/core"
+	"neo/internal/feature"
+	"neo/internal/plan"
+	"neo/internal/query"
 	"neo/internal/serve"
 	"neo/internal/wire"
 	"neo/pkg/neo"
@@ -86,6 +90,37 @@ func trainerDoor(t *testing.T, sys *neo.System, queries []*neo.Query, every int)
 	}
 }
 
+// encodeGate is a cardinality source that parks every plan encoding while
+// held — the one point a test can reach inside a retraining round.
+type encodeGate struct {
+	feature.CardinalitySource
+	mu     sync.Mutex
+	parked chan struct{} // non-nil while held
+}
+
+func (g *encodeGate) hold() (release func()) {
+	parked := make(chan struct{})
+	g.mu.Lock()
+	g.parked = parked
+	g.mu.Unlock()
+	return func() {
+		g.mu.Lock()
+		g.parked = nil
+		g.mu.Unlock()
+		close(parked)
+	}
+}
+
+func (g *encodeGate) NodeCardinality(q *query.Query, n *plan.Node, left, right float64) float64 {
+	g.mu.Lock()
+	parked := g.parked
+	g.mu.Unlock()
+	if parked != nil {
+		<-parked
+	}
+	return g.CardinalitySource.NodeCardinality(q, n, left, right)
+}
+
 // TestRetrainCadence drives the one learning loop through both of its front
 // doors — POST /feedback on a standalone neo-serve, POST /experience on a
 // neo-trainer — and pins the cadence they share: a round starts on the N-th
@@ -101,14 +136,19 @@ func TestRetrainCadence(t *testing.T) {
 	for name, open := range doors {
 		t.Run(name, func(t *testing.T) {
 			sys, queries := testSystem(t, true)
+			gate := &encodeGate{CardinalitySource: sys.Featurizer.Cardinality}
+			sys.Featurizer.Cardinality = gate
 			door := open(t, sys, queries, every)
-			// holdTraining parks retraining rounds at their start (they need
-			// the training lock) until the returned release is called.
+			// holdTraining parks retraining rounds where they encode their
+			// training samples until the returned release is called. The
+			// doors only ever send queries[0]; planning it once first makes
+			// every feedback during the hold a plan-cache hit (a parked round
+			// publishes nothing), so no request encodes and parks with it.
 			holdTraining := func() (release func()) {
-				held, done := make(chan struct{}), make(chan struct{})
-				go sys.Neo.WithTrainingPaused(func() { close(held); <-done })
-				<-held
-				return func() { close(done) }
+				if _, _, _, err := sys.Neo.OptimizeCached(queries[0]); err != nil {
+					t.Fatal(err)
+				}
+				return gate.hold()
 			}
 			waitRetrains := func(want uint64) {
 				t.Helper()

@@ -26,7 +26,7 @@ import (
 //     degrade to frozen-snapshot serving.
 //
 // Run under -race; every cross-component path (forwarding, snapshot load
-// under the swap lock, ring routing, retry/failover) is concurrent here.
+// beside in-flight requests, ring routing, retry/failover) is concurrent here.
 func TestThreeReplicaSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system soak")

@@ -249,6 +249,14 @@ func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
 	}
 }
 
+// retrainInBackground runs one retraining round on its own goroutine and
+// delivers the final loss.
+func retrainInBackground(n *Neo) <-chan float64 {
+	done := make(chan float64, 1)
+	go func() { done <- n.Retrain() }()
+	return done
+}
+
 // TestRetrainAsyncDoubleBuffering checks the snapshot/swap lifecycle: while
 // a background retraining round runs, searches serve the old snapshot;
 // after the swap the version moves and the old snapshot still scores with
@@ -274,7 +282,7 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := n.RetrainAsync()
+	done := retrainInBackground(n)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -299,7 +307,7 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 		t.Errorf("async retrain loss should be a non-negative number, got %v", loss)
 	}
 	if got := n.NetVersion(); got <= versionBefore+1 {
-		// Bootstrap publishes version 1; RunEpisode and RetrainAsync add one
+		// Bootstrap publishes version 1; RunEpisode and the background round add one
 		// swap each.
 		t.Errorf("NetVersion = %d, want > %d after episode + async retrain", got, versionBefore+1)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -118,17 +119,18 @@ func DefaultConfig() Config {
 // Concurrency: plan search (Optimize, OptimizeCached, OptimizeGreedy, Scorer,
 // PredictNormalized) scores against an immutable snapshot of the value
 // network and is safe to call from any number of goroutines, including
-// while RetrainAsync trains the live network in the background. Calls that
-// mutate the experience or draw from the training rng (Bootstrap, Explore,
-// RunEpisode) must not overlap each other.
+// while a Retrain round trains the live network on another goroutine or a
+// Restore replaces the learned state. Calls that mutate the experience or
+// draw from the training rng (Bootstrap, Explore, RunEpisode) must not
+// overlap each other.
 type Neo struct {
 	Engine     *engine.Engine
 	Featurizer *feature.Featurizer
-	// Net is the live network the training loop mutates. Searches never
-	// read it directly — they score through the snapshot published after
-	// each retraining round — so reading Net is safe only while no training
-	// round is in flight.
-	Net        *valuenet.Network
+	// Net is the live network the training loop mutates and Restore replaces
+	// (the pointer, never the network behind it). Searches never read it —
+	// they score through the published snapshot — so reading Net from outside
+	// is safe only while no Retrain or Restore is in flight.
+	Net        *valuenet.Network // guarded by trainMu
 	Experience *Experience
 	Config     Config
 
@@ -136,7 +138,7 @@ type Neo struct {
 	// shuffling. One shared stream, drawn in a fixed order, keeps training
 	// reproducible for a fixed seed. The stream is fed by rngSrc, a counting
 	// source: (seed, draw count) fully describe its state, which is what
-	// checkpoints capture and RestoreRNG replays.
+	// State captures and Restore replays.
 	rngMu   sync.Mutex
 	rng     *rand.Rand      // guarded by rngMu
 	rngSrc  *countingSource // guarded by rngMu
@@ -153,12 +155,13 @@ type Neo struct {
 	// used by the Figure 11 training-time breakdown.
 	trainTime time.Duration // guarded by mu
 
-	// trainMu serializes retraining rounds (Retrain / RetrainAsync).
+	// trainMu serializes everything that changes or copies the learned state
+	// as a whole: Retrain rounds, Restore and State.
 	trainMu sync.Mutex
 	// snap is the read-only network snapshot all searches score with,
-	// tagged with its version. It is swapped atomically at the end of each
-	// retraining round, so in-flight searches finish against the weights
-	// they started with while new searches pick up the freshly trained
+	// tagged with its version. Only publishLocked stores to it — at the end
+	// of a Retrain round or a Restore — so in-flight searches finish against
+	// the weights they started with while new searches pick up the new
 	// network (double buffering). Version, weights and the one thing derived
 	// from the weights — the plan cache — travel in one pointer, so a reader
 	// can never observe new weights under an old version, or a plan searched
@@ -268,32 +271,13 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 		baseline:   make(map[string]float64),
 		router:     route.New(cfg.Routing, cfg.RoutePolicy),
 	}
-	n.snap.Store(n.newNetSnapshot(n.freezeNet(), 0))
+	n.publishLocked(0)
 	return n
-}
-
-// freezeNet converts the live network's current weights into a serving
-// snapshot at the configured scoring precision (the packing step of a
-// snapshot publication). Callers must guarantee no training round
-// is mutating the weights, exactly as for Net.Snapshot.
-func (n *Neo) freezeNet() *valuenet.Snapshot {
-	return n.Net.SnapshotPrecision(n.Config.ScorePrecision)
 }
 
 // SnapshotInfo reports the serving snapshot's scoring precision and memory
 // footprint. Safe for concurrent use.
 func (n *Neo) SnapshotInfo() valuenet.SnapshotInfo { return n.Snapshot().Info() }
-
-// newNetSnapshot wraps a frozen network for publication, attaching an empty
-// plan cache. All plan caches share one planCounters, so the statistics
-// survive swaps.
-func (n *Neo) newNetSnapshot(snap *valuenet.Snapshot, version uint64) *netSnapshot {
-	return &netSnapshot{
-		net:     snap,
-		version: version,
-		plans:   &planCache{counters: &n.planStats, entries: make(map[string]*planEntry)},
-	}
-}
 
 // TrainingTime returns the cumulative wall-clock time spent training the
 // value network.
@@ -308,89 +292,87 @@ func (n *Neo) TrainingTime() time.Duration {
 func (n *Neo) Snapshot() *valuenet.Snapshot { return n.snap.Load().net }
 
 // NetVersion returns the version of the serving snapshot: it increments
-// whenever a retraining round publishes new weights, and RestoreSnapshot
-// sets it explicitly. To learn which version a particular plan was searched
-// with, use the one OptimizeCached returns alongside it.
+// whenever a retraining round publishes new weights, and Restore sets it
+// explicitly. To learn which version a particular plan was searched with,
+// use the one OptimizeCached returns alongside it.
 func (n *Neo) NetVersion() uint64 { return n.snap.Load().version }
 
-// publishSnapshot freezes the live network's weights and swaps them in as
-// the serving snapshot, in one atomic store together with the bumped
-// version. Callers must hold trainMu (which serializes version increments).
-func (n *Neo) publishSnapshot() {
-	n.snap.Store(n.newNetSnapshot(n.freezeNet(), n.snap.Load().version+1))
+// publishLocked is the one place learned state changes hands: it freezes the
+// live network's weights at the configured scoring precision and stores them
+// as the serving snapshot — weights, version and an empty plan cache (all
+// caches share one planCounters, so the statistics survive swaps) in one
+// atomic pointer. Nothing a reader can reach is ever mutated; state is only
+// replaced here. Callers hold trainMu, which also serializes versions.
+func (n *Neo) publishLocked(version uint64) {
+	n.snap.Store(&netSnapshot{
+		net:     n.Net.SnapshotPrecision(n.Config.ScorePrecision),
+		version: version,
+		plans:   &planCache{counters: &n.planStats, entries: make(map[string]*planEntry)},
+	})
 }
 
-// RestoreSnapshot freezes the live network's current weights and publishes
-// them as the serving snapshot under an explicit version — used when loading
-// a checkpoint, so the restored system reports the same NetVersion the saved
-// one did. Like every publication it starts from an empty plan cache.
-func (n *Neo) RestoreSnapshot(version uint64) {
+// State is the learned state of a Neo instance, handed over in one piece:
+// State copies it out, Restore swaps it in, and a checkpoint is its
+// serialized form (checkpoint.State embeds it).
+type State struct {
+	// NetVersion is the serving-snapshot version.
+	NetVersion uint64
+	// RNGSeed and RNGDraws describe the training RNG's exact stream position.
+	RNGSeed  int64
+	RNGDraws uint64
+	// TrainTime is the cumulative wall-clock training time.
+	TrainTime time.Duration
+	// Net is the value network with its optimizer state. State returns a
+	// private copy; Restore takes ownership of the one it is given.
+	Net *valuenet.Network
+	// Experience is the executed-plan pool.
+	Experience []Entry
+	// Baselines are the per-query baseline latencies.
+	Baselines map[string]float64
+}
+
+// State returns a consistent copy of the learned state. It waits for a
+// retraining round in flight; planning keeps running. Calls that mutate the
+// experience or draw from the training rng outside a retraining round
+// (Bootstrap, RunEpisode) must not overlap it.
+func (n *Neo) State() State {
 	n.trainMu.Lock()
 	defer n.trainMu.Unlock()
-	n.snap.Store(n.newNetSnapshot(n.freezeNet(), version))
-}
-
-// RNGState returns the seed and draw count that describe the training RNG's
-// exact position in its stream. Safe for concurrent use.
-func (n *Neo) RNGState() (seed int64, draws uint64) {
+	st := State{NetVersion: n.NetVersion(), Net: n.Net.CloneTrainable(), Experience: n.Experience.Entries()}
 	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return n.rngSeed, n.rngSrc.draws
+	st.RNGSeed, st.RNGDraws = n.rngSeed, n.rngSrc.draws
+	n.rngMu.Unlock()
+	n.mu.Lock()
+	st.TrainTime, st.Baselines = n.trainTime, maps.Clone(n.baseline)
+	n.mu.Unlock()
+	return st
 }
 
-// RestoreRNG recreates the training RNG from a (seed, draws) pair captured
-// by RNGState: the stream continues exactly where the saved run left off, so
-// resumed training shuffles minibatches identically to an uninterrupted run.
-func (n *Neo) RestoreRNG(seed int64, draws uint64) {
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	src := newCountingSource(seed)
-	src.skip(draws)
-	n.rngSrc = src
-	n.rngSeed = seed
-	n.rng = rand.New(src)
-}
+// Restore replaces the learned state with st and publishes st.Net as the
+// serving snapshot under st.NetVersion, exactly as a Retrain round publishes
+// its result: searches in flight finish on the snapshot they pinned, later
+// ones see the new weights and an empty plan cache. st.Net must have been
+// built for this instance's featurizer dimensions and Config.ValueNet; the
+// training RNG resumes at (RNGSeed, RNGDraws), so resumed training shuffles
+// minibatches identically to an uninterrupted run. Safe to call while
+// planning is in flight.
+func (n *Neo) Restore(st State) {
+	src := newCountingSource(st.RNGSeed)
+	src.skip(st.RNGDraws)
+	baseline := make(map[string]float64, len(st.Baselines))
+	maps.Copy(baseline, st.Baselines)
 
-// WithTrainingPaused runs fn while holding the training lock, so no
-// retraining round can mutate the network's weights or optimizer state while
-// fn reads them (checkpointing uses this). Planning and feedback ingestion
-// keep running; calls that draw from the training RNG outside a retraining
-// round (RunEpisode's episode shuffle) must not overlap fn.
-func (n *Neo) WithTrainingPaused(fn func()) {
 	n.trainMu.Lock()
 	defer n.trainMu.Unlock()
-	fn()
-}
-
-// Baselines returns a copy of the per-query baseline latencies. Safe for
-// concurrent use.
-func (n *Neo) Baselines() map[string]float64 {
+	n.Net = st.Net
+	n.Experience.Restore(st.Experience)
+	n.rngMu.Lock()
+	n.rng, n.rngSrc, n.rngSeed = rand.New(src), src, st.RNGSeed
+	n.rngMu.Unlock()
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]float64, len(n.baseline))
-	for id, v := range n.baseline {
-		out[id] = v
-	}
-	return out
-}
-
-// RestoreBaselines replaces the per-query baselines with a set captured by
-// Baselines.
-func (n *Neo) RestoreBaselines(baselines map[string]float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.baseline = make(map[string]float64, len(baselines))
-	for id, v := range baselines {
-		n.baseline[id] = v
-	}
-}
-
-// RestoreTrainingTime replaces the cumulative training-time counter (part of
-// a checkpoint, so the Figure 11 accounting survives restarts).
-func (n *Neo) RestoreTrainingTime(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.trainTime = d
+	n.baseline, n.trainTime = baseline, st.TrainTime
+	n.mu.Unlock()
+	n.publishLocked(st.NetVersion)
 }
 
 // SetBaseline records the per-query baseline latencies used by the
@@ -610,22 +592,8 @@ func (n *Neo) Retrain() float64 {
 	n.mu.Lock()
 	n.trainTime += elapsed
 	n.mu.Unlock()
-	n.publishSnapshot()
+	n.publishLocked(n.NetVersion() + 1)
 	return loss
-}
-
-// RetrainAsync retrains the value network in the background. Searches keep
-// scoring with the previously published snapshot while training runs; when
-// the round finishes, the new weights are swapped in atomically and the
-// final training loss is delivered on the returned channel (buffered, so
-// the result never blocks even if nobody receives it). Rounds are
-// serialized with Retrain. Concurrent planning (Optimize, Evaluate,
-// pkg/neo's PlanAll) is safe while a round is in flight; concurrent
-// experience-mutating calls (RunEpisode, Bootstrap, Explore) are not.
-func (n *Neo) RetrainAsync() <-chan float64 {
-	done := make(chan float64, 1)
-	go func() { done <- n.Retrain() }()
-	return done
 }
 
 // netScorer is a query encoding plus a pinned snapshot: it scores plans for

@@ -12,7 +12,7 @@ import (
 // swaps it in as the serving snapshot, keeping the published version.
 func republishAt(n *Neo, p valuenet.Precision) {
 	n.Config.ScorePrecision = p
-	n.RestoreSnapshot(n.NetVersion())
+	n.Restore(n.State())
 }
 
 // optimizeBoth runs both search strategies on every query and returns the

@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 // neoWithTrainWorkers rebuilds the rig's Neo with an explicit gradient
@@ -61,44 +59,6 @@ func TestRetrainDeterministicAcrossTrainWorkers(t *testing.T) {
 	}
 }
 
-// TestRetrainAsyncUnreadResultDoesNotLeak is the regression test for the
-// RetrainAsync goroutine leak: the final loss is delivered on a buffered
-// channel, so a caller that never reads the result must not pin the
-// training goroutine forever.
-func TestRetrainAsyncUnreadResultDoesNotLeak(t *testing.T) {
-	rig, train := bootstrapRig(t)
-	before := runtime.NumGoroutine()
-	for i := 0; i < 4; i++ {
-		rig.neo.RetrainAsync() // result deliberately never read
-	}
-	// Retrain serializes behind the async rounds, so once it returns every
-	// background round has finished training; give the goroutines a moment
-	// to perform their (non-blocking, buffered) sends and exit.
-	rig.neo.Retrain()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Errorf("%d goroutines before unread RetrainAsync calls, %d after; training goroutines leaked", before, got)
-	}
-	// And a read caller still receives the loss.
-	if _, err := rig.neo.RunEpisode(1, train); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case loss := <-rig.neo.RetrainAsync():
-		if math.IsNaN(loss) || loss < 0 {
-			t.Errorf("RetrainAsync loss = %v, want a non-negative number", loss)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RetrainAsync never delivered a result")
-	}
-}
-
 // TestConcurrentPlanningDuringParallelTraining exercises plan search racing
 // a multi-worker TrainBatch inside a background retraining round (run with
 // -race): searches must keep scoring with the pinned snapshot while the
@@ -114,7 +74,7 @@ func TestConcurrentPlanningDuringParallelTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := n.RetrainAsync()
+	done := retrainInBackground(n)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -9,6 +9,7 @@ package embedding
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"neo/internal/wire"
@@ -45,6 +46,24 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
+// SameVectors reports whether o featurizes exactly as m does: same dimension,
+// same vocabulary and counts in the same order, bit-identical vectors.
+// TrainTime, a wall-clock measurement, is not compared.
+func (m *Model) SameVectors(o *Model) bool {
+	if m == nil || o == nil {
+		return m == o
+	}
+	if m.Dim != o.Dim || !slices.Equal(m.tokens, o.tokens) || !slices.Equal(m.counts, o.counts) {
+		return false
+	}
+	for i := range m.tokens {
+		if !slices.Equal(m.in[i], o.in[i]) || !slices.Equal(m.out[i], o.out[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // LoadModel reads a model written by Save and rebuilds its vocabulary index.
 func LoadModel(r io.Reader) (*Model, error) {
 	dim, err := wire.ReadU32(r)
@@ -74,7 +93,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 		Dim:       int(dim),
 		Sentences: int(sentences),
 		TrainTime: time.Duration(trainTime),
-		vocab:     make(map[string]int, n),
+		vocab:     make(map[string]int),
 	}
 	for i := 0; i < int(n); i++ {
 		tok, err := wire.ReadString(r)

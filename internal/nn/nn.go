@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Param is a trainable parameter vector with its accumulated gradient.
@@ -245,6 +246,21 @@ type Adam struct {
 func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
 		m: make(map[*Param][]float64), v: make(map[*Param][]float64)}
+}
+
+// CopyState makes a continue src's trajectory from where it stands: it takes
+// the step counter and deep copies of both moment vectors, re-keyed from
+// srcParams to the aligned params (same order, same shapes).
+func (a *Adam) CopyState(src *Adam, srcParams, params []*Param) {
+	a.step = src.step
+	for i, p := range srcParams {
+		if m, ok := src.m[p]; ok {
+			a.m[params[i]] = slices.Clone(m)
+		}
+		if v, ok := src.v[p]; ok {
+			a.v[params[i]] = slices.Clone(v)
+		}
+	}
 }
 
 // Step applies one update to every parameter using its accumulated gradient

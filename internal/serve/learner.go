@@ -185,7 +185,8 @@ func (l *Learner) Close(drain func()) error {
 }
 
 // Checkpoint writes the system's learned state to the configured path,
-// atomically. It briefly pauses retraining rounds; serving keeps running.
+// atomically. It copies the state out between retraining rounds and snapshot
+// loads; serving keeps running.
 func (l *Learner) Checkpoint() error {
 	if l.cfg.CheckpointPath == "" {
 		return nil

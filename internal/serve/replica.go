@@ -10,6 +10,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -279,10 +280,9 @@ func (rs *replicaState) recordLatency(ms float64) {
 }
 
 // archiveWindow rolls the running quality window into the prev fields and
-// starts a fresh one. Called under the Server's swapMu write lock as part of
-// a snapshot load, so the window boundary is exact: every latency recorded
-// before the new weights serve lands in prev, everything after in the new
-// window.
+// starts a fresh one. Called right after a snapshot load publishes, so the
+// new window holds the latencies reported under the new weights — give or
+// take a feedback already past its version check when the load landed.
 func (rs *replicaState) archiveWindow() {
 	rs.mu.Lock()
 	rs.prevCount, rs.prevSum = rs.windowCount, rs.windowSum
@@ -292,10 +292,12 @@ func (rs *replicaState) archiveWindow() {
 
 // SyncSnapshot pulls the trainer's current snapshot (or the given version;
 // zero means latest) and loads it, replacing the replica's weights, plan
-// cache and snapshot version. It is called at replica startup to join the
-// fleet at the published version, and by POST /admin/snapshot when the
-// rollout coordinator canaries or promotes a version. Returns the snapshot
-// version now being served. Standalone servers return an error.
+// cache and snapshot version in one pointer store: requests in flight finish
+// on the snapshot they started with, nothing waits, and a failed download or
+// decode changes nothing. It is called at replica startup to join the fleet
+// at the published version, and by POST /admin/snapshot when the rollout
+// coordinator canaries or promotes a version. Returns the snapshot version
+// now being served. Standalone servers return an error.
 func (s *Server) SyncSnapshot(ctx context.Context, version uint64) (uint64, error) {
 	if s.repl == nil {
 		return 0, fmt.Errorf("serve: not a replica: no trainer to sync from")
@@ -308,11 +310,6 @@ func (s *Server) SyncSnapshot(ctx context.Context, version uint64) (uint64, erro
 	if err != nil {
 		return 0, fmt.Errorf("serve: fetching snapshot: %w", err)
 	}
-	// The write side of swapMu: in-flight searches finish on the old
-	// weights, the load replaces them in place, searches after the unlock
-	// see the new snapshot (and its empty plan cache) atomically.
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
 	if err := s.sys.LoadCheckpoint(bytes.NewReader(payload)); err != nil {
 		return 0, fmt.Errorf("serve: loading snapshot: %w", err)
 	}
@@ -333,9 +330,15 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	version, err := s.SyncSnapshot(r.Context(), req.Version)
 	if err != nil {
-		// The trainer is unreachable or served a damaged container; the
-		// replica keeps its current snapshot — degraded, not down.
-		proto.WriteError(w, http.StatusBadGateway, err)
+		// The trainer is unreachable or served a damaged container (502), or
+		// it runs another configuration than this replica (409, retrying
+		// cannot help); either way the replica keeps its current snapshot —
+		// degraded, not down.
+		code := http.StatusBadGateway
+		if errors.Is(err, checkpoint.ErrMismatch) {
+			code = http.StatusConflict
+		}
+		proto.WriteError(w, code, err)
 		return
 	}
 	proto.WriteJSON(w, proto.SnapshotResponse{NetVersion: version})

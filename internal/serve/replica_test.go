@@ -194,14 +194,14 @@ func TestReplicaFrozenWhenTrainerDead(t *testing.T) {
 
 // TestAdminSnapshotLoadsPublishedVersion pins the snapshot pull path: POST
 // /admin/snapshot fetches the trainer's container, replaces the serving
-// weights under the swap lock, archives the quality window, and leaves the
+// weights in one pointer store, archives the quality window, and leaves the
 // replica planning exactly like the system the snapshot came from.
 func TestAdminSnapshotLoadsPublishedVersion(t *testing.T) {
 	source, queries := testSystem(t)
 	defer source.Close()
 	// Advance the source one retraining round so its published version is
 	// ahead of the replica's.
-	<-source.RetrainAsync()
+	source.Neo.Retrain()
 	var snap bytes.Buffer
 	if err := source.SaveCheckpoint(&snap); err != nil {
 		t.Fatal(err)

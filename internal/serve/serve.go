@@ -33,7 +33,6 @@ import (
 	"math"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,14 +80,6 @@ type Server struct {
 	// learner owns the experience pool's write side, the retraining cadence,
 	// checkpointing and the background-goroutine lifecycle.
 	learner *Learner
-
-	// swapMu orders snapshot loads against in-flight planning: /optimize and
-	// /feedback searches hold the read side, a replica's /admin/snapshot load
-	// (which replaces the network weights in place) holds the write side. In
-	// standalone mode the write side is never taken — retraining swaps are
-	// already atomic-pointer safe — so the RLock cost is a single uncontended
-	// atomic per request.
-	swapMu sync.RWMutex
 
 	// repl is the replica-mode state (forwarding queue, trainer client,
 	// quality window); nil in standalone mode.
@@ -151,7 +142,8 @@ func (s *Server) Close() error {
 }
 
 // Checkpoint writes the system's learned state to the configured path,
-// atomically. It briefly pauses retraining rounds; serving keeps running.
+// atomically. It copies the state out between retraining rounds and snapshot
+// loads; serving keeps running.
 func (s *Server) Checkpoint() error { return s.learner.Checkpoint() }
 
 var cmpOps = map[string]neo.CmpOp{
@@ -228,16 +220,6 @@ func parseValue(raw json.RawMessage) (neo.Value, error) {
 	return neo.Value{}, fmt.Errorf("value %s is neither an integer nor a string", string(raw))
 }
 
-// optimize plans q through the serving snapshot's plan cache and returns the
-// version of the snapshot that produced the plan (core.Neo.OptimizeCached
-// pins one snapshot for lookup, search and version). The read side of swapMu
-// keeps a replica's in-place snapshot load from replacing weights mid-search.
-func (s *Server) optimize(q *neo.Query) (*neo.Plan, *neo.SearchResult, uint64, error) {
-	s.swapMu.RLock()
-	defer s.swapMu.RUnlock()
-	return s.sys.Neo.OptimizeCached(q)
-}
-
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var spec proto.QuerySpec
 	if code, err := proto.DecodeRequest(w, r, &spec); err != nil {
@@ -249,7 +231,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		proto.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, res, version, err := s.optimize(q)
+	// OptimizeCached pins one snapshot for lookup, search and version, so a
+	// retraining swap or a replica's snapshot load landing mid-request cannot
+	// tear them apart.
+	p, res, version, err := s.sys.Neo.OptimizeCached(q)
 	if err != nil {
 		proto.WriteError(w, http.StatusInternalServerError, err)
 		return
@@ -296,7 +281,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	// Attach the latency to the plan currently served for this query — a
 	// plan-cache hit in the common case, so feedback costs no search.
-	p, _, version, err := s.optimize(q)
+	p, _, version, err := s.sys.Neo.OptimizeCached(q)
 	if err != nil {
 		proto.WriteError(w, http.StatusInternalServerError, err)
 		return

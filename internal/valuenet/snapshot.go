@@ -9,26 +9,6 @@ package valuenet
 
 import "neo/internal/treeconv"
 
-// Predictor is the read-only inference surface of the value network, shared
-// by the live Network and immutable Snapshots of it. All methods are safe
-// for concurrent use as long as nothing trains the underlying weights —
-// which, for a Snapshot, is guaranteed by construction.
-type Predictor interface {
-	// Predict returns the cost prediction in the original cost domain.
-	Predict(queryVec []float64, trees []*treeconv.Tree) float64
-	// PredictNormalized returns the raw output in normalised log-cost space.
-	PredictNormalized(queryVec []float64, trees []*treeconv.Tree) float64
-	// PredictBatch is Predict over a batch in one shared forward pass.
-	PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64
-	// PredictBatchNormalized is PredictNormalized over a batch.
-	PredictBatchNormalized(queries [][]float64, forests [][]*treeconv.Tree) []float64
-}
-
-var (
-	_ Predictor = (*Network)(nil)
-	_ Predictor = (*Snapshot)(nil)
-)
-
 // Clone returns a deep copy of the network: same architecture and weights,
 // fully independent parameter storage. Optimizer state (Adam moments) is not
 // copied — a clone serves inference or a fresh training run, not resumption
@@ -40,6 +20,16 @@ func (n *Network) Clone() *Network {
 		copy(dst[i].Value, p.Value)
 	}
 	c.targetMean, c.targetStd = n.targetMean, n.targetStd
+	return c
+}
+
+// CloneTrainable is Clone plus the optimizer state (Adam step counter and
+// moments): training the copy continues the original's trajectory exactly.
+// It is what a checkpoint is written from, so saving never reads a network a
+// retraining round may be mutating.
+func (n *Network) CloneTrainable() *Network {
+	c := n.Clone()
+	c.opt.CopyState(n.opt, n.Params(), c.Params())
 	return c
 }
 
@@ -65,17 +55,17 @@ func (n *Network) Snapshot() *Snapshot {
 	return n.SnapshotPrecision(PrecisionFloat64)
 }
 
-// Predict implements Predictor.
+// Predict returns the cost prediction in the original cost domain.
 func (s *Snapshot) Predict(queryVec []float64, trees []*treeconv.Tree) float64 {
 	return s.net.denormalize(s.PredictNormalized(queryVec, trees))
 }
 
-// PredictNormalized implements Predictor.
+// PredictNormalized returns the raw output in normalised log-cost space.
 func (s *Snapshot) PredictNormalized(queryVec []float64, trees []*treeconv.Tree) float64 {
 	return s.PredictBatchNormalized([][]float64{queryVec}, [][]*treeconv.Tree{trees})[0]
 }
 
-// PredictBatch implements Predictor.
+// PredictBatch is Predict over a batch in one shared forward pass.
 func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
 	out := s.PredictBatchNormalized(queries, forests)
 	for i, v := range out {
@@ -84,7 +74,7 @@ func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree)
 	return out
 }
 
-// PredictBatchNormalized implements Predictor.
+// PredictBatchNormalized is PredictNormalized over a batch.
 func (s *Snapshot) PredictBatchNormalized(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
 	if s.f32 != nil {
 		return s.forward32(queries, forests)

@@ -89,14 +89,20 @@ func ReadF64(r io.Reader) (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-// readLen reads and validates a length prefix.
-func readLen(r io.Reader, what string) (int, error) {
+// readLen reads and validates the length prefix of elemSize-byte elements.
+// A reader that knows what it still holds (bytes.Reader: every checkpoint
+// section is decoded from one) also bounds the prefix by the bytes left, so
+// what a decoder allocates is bounded by what it received.
+func readLen(r io.Reader, what string, elemSize uint64) (int, error) {
 	n, err := ReadU64(r)
 	if err != nil {
 		return 0, err
 	}
 	if n > MaxLen {
 		return 0, fmt.Errorf("wire: %s length %d exceeds limit %d (corrupt length prefix?)", what, n, MaxLen)
+	}
+	if held, ok := r.(interface{ Len() int }); ok && n*elemSize > uint64(held.Len()) {
+		return 0, fmt.Errorf("wire: %s declares %d bytes, %d remain: %w", what, n*elemSize, held.Len(), io.ErrUnexpectedEOF)
 	}
 	return int(n), nil
 }
@@ -116,7 +122,7 @@ func WriteF64s(w io.Writer, vs []float64) error {
 
 // ReadF64s reads a length-prefixed float64 slice.
 func ReadF64s(r io.Reader) ([]float64, error) {
-	n, err := readLen(r, "float slice")
+	n, err := readLen(r, "float slice", 8)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +142,7 @@ func ReadF64s(r io.Reader) ([]float64, error) {
 // shared with other views (e.g. shadow-gradient parameters) observe the new
 // values.
 func ReadF64sInto(r io.Reader, dst []float64, what string) error {
-	n, err := readLen(r, what)
+	n, err := readLen(r, what, 8)
 	if err != nil {
 		return err
 	}
@@ -188,7 +194,7 @@ func WriteString(w io.Writer, s string) error {
 
 // ReadString reads a length-prefixed string.
 func ReadString(r io.Reader) (string, error) {
-	n, err := readLen(r, "string")
+	n, err := readLen(r, "string", 1)
 	if err != nil {
 		return "", err
 	}

@@ -14,27 +14,13 @@ import (
 	"neo/internal/checkpoint"
 )
 
-// SaveCheckpoint writes the system's learned state to w. It briefly pauses
-// retraining rounds (planning keeps running); do not call it concurrently
-// with experience-mutating calls such as Train or Bootstrap.
+// SaveCheckpoint writes the system's learned state to w. It copies the state
+// out between retraining rounds (planning keeps running) and encodes the
+// copy; do not call it concurrently with experience-mutating calls such as
+// Train or Bootstrap.
 func (s *System) SaveCheckpoint(w io.Writer) error {
-	var err error
-	s.Neo.WithTrainingPaused(func() {
-		seed, draws := s.Neo.RNGState()
-		st := &checkpoint.State{
-			Encoding:   string(s.Config.Encoding),
-			NetVersion: s.Neo.NetVersion(),
-			RNGSeed:    seed,
-			RNGDraws:   draws,
-			TrainTime:  s.Neo.TrainingTime(),
-			Net:        s.Neo.Net,
-			Embedding:  s.Featurizer.Embedding,
-			Experience: s.Neo.Experience.Entries(),
-			Baselines:  s.Neo.Baselines(),
-		}
-		err = checkpoint.Save(w, st)
-	})
-	if err != nil {
+	st := &checkpoint.State{State: s.Neo.State(), Encoding: string(s.Config.Encoding), Embedding: s.Featurizer.Embedding}
+	if err := checkpoint.Save(w, st); err != nil {
 		return fmt.Errorf("neo: saving checkpoint: %w", err)
 	}
 	return nil
@@ -53,26 +39,26 @@ func (s *System) SaveCheckpointFile(path string) error {
 
 // LoadCheckpoint restores a checkpoint written by SaveCheckpoint into this
 // system. The system must have been opened with the same configuration
-// (dataset, encoding, value-network architecture); mismatches fail with an
-// error wrapping checkpoint.ErrMismatch. Loading replaces the network
-// weights and optimizer state in place, swaps in the saved embedding,
-// experience, baselines and RNG position, and publishes the restored weights
-// as a fresh serving snapshot (empty plan cache) under the saved version.
-// Call it before serving traffic — it must not run concurrently
-// with planning or training.
+// (dataset, seed, encoding, value-network architecture); mismatches fail with
+// an error wrapping checkpoint.ErrMismatch — including a row-vector embedding
+// other than the one this configuration trains, since the embedding is a pure
+// function of the configuration and is never replaced. The container is
+// decoded aside into a fresh network and handed to core.Neo.Restore, which
+// swaps in experience, baselines and RNG position and publishes the weights
+// as a fresh serving snapshot (empty plan cache) under the saved version, the
+// way a retraining round publishes its result. A failed load changes nothing,
+// and a load is safe while planning is in flight: searches already running
+// finish on the snapshot they started with.
 func (s *System) LoadCheckpoint(r io.Reader) error {
-	st, err := checkpoint.Load(r, s.Neo.Net, string(s.Config.Encoding))
+	st, err := checkpoint.Load(r, s.Featurizer.QueryVectorSize(), s.Featurizer.PlanVectorSize(),
+		s.Neo.Config.ValueNet, string(s.Config.Encoding))
+	if err == nil && st.Embedding != nil && !st.Embedding.SameVectors(s.Featurizer.Embedding) {
+		err = fmt.Errorf("%w: checkpoint embedding differs from the one this configuration trains", checkpoint.ErrMismatch)
+	}
 	if err != nil {
 		return fmt.Errorf("neo: loading checkpoint: %w", err)
 	}
-	if st.Embedding != nil {
-		s.Featurizer.Embedding = st.Embedding
-	}
-	s.Neo.Experience.Restore(st.Experience)
-	s.Neo.RestoreBaselines(st.Baselines)
-	s.Neo.RestoreRNG(st.RNGSeed, st.RNGDraws)
-	s.Neo.RestoreTrainingTime(st.TrainTime)
-	s.Neo.RestoreSnapshot(st.NetVersion)
+	s.Neo.Restore(st.State)
 	return nil
 }
 

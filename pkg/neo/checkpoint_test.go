@@ -99,10 +99,9 @@ func TestCheckpointResumedTrainingMatchesUninterrupted(t *testing.T) {
 	if err := sys2.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	seed1, draws1 := sys1.Neo.RNGState()
-	seed2, draws2 := sys2.Neo.RNGState()
-	if seed1 != seed2 || draws1 != draws2 {
-		t.Fatalf("RNG state (%d,%d) restored as (%d,%d)", seed1, draws1, seed2, draws2)
+	st1, st2 := sys1.Neo.State(), sys2.Neo.State()
+	if st1.RNGSeed != st2.RNGSeed || st1.RNGDraws != st2.RNGDraws {
+		t.Fatalf("RNG state (%d,%d) restored as (%d,%d)", st1.RNGSeed, st1.RNGDraws, st2.RNGSeed, st2.RNGDraws)
 	}
 
 	// Two further retraining rounds on each: the uninterrupted run and the
@@ -122,10 +121,9 @@ func TestCheckpointResumedTrainingMatchesUninterrupted(t *testing.T) {
 			}
 		}
 	}
-	if s1, d1 := sys1.Neo.RNGState(); true {
-		if s2, d2 := sys2.Neo.RNGState(); s1 != s2 || d1 != d2 {
-			t.Fatalf("RNG streams diverged: (%d,%d) vs (%d,%d)", s1, d1, s2, d2)
-		}
+	st1, st2 = sys1.Neo.State(), sys2.Neo.State()
+	if st1.RNGSeed != st2.RNGSeed || st1.RNGDraws != st2.RNGDraws {
+		t.Fatalf("RNG streams diverged: (%d,%d) vs (%d,%d)", st1.RNGSeed, st1.RNGDraws, st2.RNGSeed, st2.RNGDraws)
 	}
 }
 

@@ -499,13 +499,6 @@ func (s *System) Evaluate(queries []*Query) (float64, map[string]float64, error)
 	return s.Neo.Evaluate(queries)
 }
 
-// RetrainAsync retrains the value network in the background while Optimize,
-// Evaluate and PlanAll keep serving plans from the previous network
-// snapshot. When training completes the new network is swapped in
-// atomically together with an empty plan cache, and the final training loss
-// arrives on the returned channel.
-func (s *System) RetrainAsync() <-chan float64 { return s.Neo.RetrainAsync() }
-
 // OptimizeWith searches for a plan for q using a caller-supplied scorer in
 // place of the trained value network (useful for custom cost models,
 // ablations and tests). The scorer receives every child of each search
@@ -536,8 +529,8 @@ type PlanResult struct {
 // without copying the network, and repeated query structures are served
 // straight from the plan cache. Results are returned in input order;
 // per-query failures are reported in the corresponding PlanResult rather
-// than aborting the batch. PlanAll is safe to run while RetrainAsync trains
-// a new network in the background — searches in flight finish against the
+// than aborting the batch. PlanAll is safe to run while Neo.Retrain trains
+// a new network on another goroutine — searches in flight finish against the
 // snapshot they started with. When the featurizer injects cardinality error
 // (stats.ErrorModel, Figure 14 protocol), perturbations are drawn from one
 // shared stream in scheduling order, so concurrent planning is race-free

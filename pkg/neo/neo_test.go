@@ -390,7 +390,8 @@ func TestPlanAllWhileRetrainAsync(t *testing.T) {
 	if err := sys.Bootstrap(wl.Queries); err != nil {
 		t.Fatal(err)
 	}
-	done := sys.RetrainAsync()
+	done := make(chan float64, 1)
+	go func() { done <- sys.Neo.Retrain() }()
 	for i := 0; i < 3; i++ {
 		for _, r := range sys.PlanAll(wl.Queries, 4) {
 			if r.Err != nil {
