@@ -72,10 +72,8 @@ func measure(name string, fn func(b *testing.B)) Result {
 	return Result{Name: name, NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp()}
 }
 
-// fixture is the scoring/training workload: a value network plus a batch of
-// candidate-plan forests shaped like one best-first expansion — batchSize
-// left-deep join trees over ~10 relations, all sharing the query's encoding
-// slice (the dedup hot path).
+// fixture is a scoring or training workload: a value network plus a batch of
+// (query vector, plan forest) pairs with target costs.
 type fixture struct {
 	net     *valuenet.Network
 	queries [][]float64
@@ -83,36 +81,80 @@ type fixture struct {
 	samples []valuenet.Sample
 }
 
-func newFixture(batchSize, trainWorkers int) *fixture {
-	const queryDim, planDim = 32, 24
-	rng := rand.New(rand.NewSource(99))
-	randVec := func(dim int) []float64 {
-		v := make([]float64, dim)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		return v
-	}
-	var buildTree func(n int) *treeconv.Tree
-	buildTree = func(n int) *treeconv.Tree {
-		if n <= 1 {
-			return treeconv.NewLeaf(randVec(planDim))
-		}
-		return treeconv.NewNode(randVec(planDim), buildTree(n-1), treeconv.NewLeaf(randVec(planDim)))
-	}
+const fixturePlanDim = 24
+
+func newFixtureNet(queryDim, trainWorkers int) *valuenet.Network {
 	cfg := valuenet.DefaultConfig()
 	cfg.TrainWorkers = trainWorkers
-	f := &fixture{net: valuenet.New(queryDim, planDim, cfg)}
-	f.net.FitTargetTransform([]float64{10, 100, 1000})
-	query := randVec(queryDim)
+	net := valuenet.New(queryDim, fixturePlanDim, cfg)
+	net.FitTargetTransform([]float64{10, 100, 1000})
+	return net
+}
+
+func randVec(rng *rand.Rand, dim int) []float64 {
+	v := make([]float64, dim)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// leftDeep builds a left-deep join tree over n relations (2n-1 nodes).
+func leftDeep(rng *rand.Rand, n int) *treeconv.Tree {
+	if n <= 1 {
+		return treeconv.NewLeaf(randVec(rng, fixturePlanDim))
+	}
+	return treeconv.NewNode(randVec(rng, fixturePlanDim), leftDeep(rng, n-1), treeconv.NewLeaf(randVec(rng, fixturePlanDim)))
+}
+
+// add appends one (query, forest) pair with a target cost spanning orders of
+// magnitude.
+func (f *fixture) add(rng *rand.Rand, query []float64, forest []*treeconv.Tree) {
+	f.queries = append(f.queries, query)
+	f.forests = append(f.forests, forest)
+	f.samples = append(f.samples, valuenet.Sample{Query: query, Plan: forest, Target: math.Exp(rng.Float64() * 8)})
+}
+
+// newFixture is the scoring shape, one best-first expansion: batchSize
+// complete left-deep plans over 10 relations, all candidates of one query and
+// therefore sharing one dense encoding slice (the dedup hot path).
+func newFixture(batchSize int) *fixture {
+	const queryDim = 32
+	rng := rand.New(rand.NewSource(99))
+	f := &fixture{net: newFixtureNet(queryDim, 1)}
+	query := randVec(rng, queryDim)
 	for i := 0; i < batchSize; i++ {
-		f.queries = append(f.queries, query)
-		f.forests = append(f.forests, []*treeconv.Tree{buildTree(10)})
-		f.samples = append(f.samples, valuenet.Sample{
-			Query:  query,
-			Plan:   f.forests[i],
-			Target: math.Exp(rng.Float64() * 8),
-		})
+		f.add(rng, query, []*treeconv.Tree{leftDeep(rng, 10)})
+	}
+	return f
+}
+
+// newTrainingFixture is the retraining shape, as measured over the
+// benchmark's train-episodes workload (96 000 samples): a shuffled minibatch
+// mixes the construction states of many queries, so nearly every sample
+// brings its own query encoding (6.9 distinct per 8-sample shard); an
+// encoding — an adjacency triangle plus per-column predicate slots, 761 wide
+// on the IMDB schema — is 5.0 % non-zero; and a construction state of a query
+// over 3–7 relations is a forest of one partial join tree plus the relations
+// not joined yet, 7.2 nodes on average.
+func newTrainingFixture(batchSize, trainWorkers int) *fixture {
+	const queryDim = 761
+	rng := rand.New(rand.NewSource(99))
+	f := &fixture{net: newFixtureNet(queryDim, trainWorkers)}
+	for i := 0; i < batchSize; i++ {
+		query := make([]float64, queryDim)
+		for j := range query {
+			if rng.Intn(20) == 0 {
+				query[j] = rng.Float64()
+			}
+		}
+		relations := 3 + i%5
+		joined := 1 + (i/5)%relations // relations under the partial join tree
+		forest := []*treeconv.Tree{leftDeep(rng, joined)}
+		for r := joined; r < relations; r++ {
+			forest = append(forest, leftDeep(rng, 1))
+		}
+		f.add(rng, query, forest)
 	}
 	return f
 }
@@ -122,7 +164,7 @@ func newFixture(batchSize, trainWorkers int) *fixture {
 // tiled-GEMM snapshot kernels over the same batch.
 func Scoring() Suite {
 	const batchSize = 32
-	f := newFixture(batchSize, 1)
+	f := newFixture(batchSize)
 	s32 := f.net.SnapshotPrecision(valuenet.PrecisionFloat32)
 	return Suite{Suite: "score", Benchmarks: []Result{
 		measure("scoring/sequential", func(b *testing.B) {
@@ -149,33 +191,33 @@ func Scoring() Suite {
 }
 
 // Training measures one gradient step over a 32-sample minibatch: the
-// per-sample tape path versus the shared batched forward+backward pass (the
-// BenchmarkBatchedTraining trio).
+// per-sample tape path versus the shared batched forward+backward pass,
+// serially and sharded over four gradient workers.
 func Training() Suite {
-	const batchSize = 32
-	perSample := newFixture(batchSize, 1)
-	batched := newFixture(batchSize, 1)
-	workers := newFixture(batchSize, 4)
+	perSample, batched, workers := TrainingBenchmarks()
 	return Suite{Suite: "train", Benchmarks: []Result{
-		measure("training/per-sample", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				perSample.net.TrainBatchPerSample(perSample.samples)
-			}
-		}),
-		measure("training/batched", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				batched.net.TrainBatch(batched.samples)
-			}
-		}),
-		measure("training/batched-workers=4", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				workers.net.TrainBatch(workers.samples)
-			}
-		}),
+		measure("training/per-sample", perSample),
+		measure("training/batched", batched),
+		measure("training/batched-workers=4", workers),
 	}}
+}
+
+// TrainingBenchmarks exposes the three sides of the training suite as
+// sub-benchmarks for the root-level `go test -bench` entry point.
+func TrainingBenchmarks() (perSample, batched, workers func(b *testing.B)) {
+	const batchSize = 32
+	step := func(trainWorkers int, train func(*valuenet.Network, []valuenet.Sample) float64) func(b *testing.B) {
+		f := newTrainingFixture(batchSize, trainWorkers)
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				train(f.net, f.samples)
+			}
+		}
+	}
+	return step(1, (*valuenet.Network).TrainBatchPerSample),
+		step(1, (*valuenet.Network).TrainBatch),
+		step(4, (*valuenet.Network).TrainBatch)
 }
 
 // Episode measures one held-out evaluation sweep (plan search + simulated

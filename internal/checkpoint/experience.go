@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"neo/internal/core"
@@ -136,9 +137,9 @@ func readExperience(r *bytes.Reader) ([]core.Entry, map[string]float64, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		lat, err := wire.ReadF64(r)
+		lat, err := readLatency(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("entry %d: %w", i, err)
 		}
 		entries[i] = core.Entry{Query: q, Plan: p, Latency: lat}
 	}
@@ -152,11 +153,27 @@ func readExperience(r *bytes.Reader) ([]core.Entry, map[string]float64, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if baselines[id], err = wire.ReadF64(r); err != nil {
-			return nil, nil, err
+		if baselines[id], err = readLatency(r); err != nil {
+			return nil, nil, fmt.Errorf("baseline of %q: %w", id, err)
 		}
 	}
 	return entries, baselines, nil
+}
+
+// readLatency reads an execution latency or a baseline: a finite,
+// non-negative number. The bytes come from the network (a replica's snapshot
+// download, a trainer's POST /experience) and the value becomes a training
+// target: a single NaN makes the target transform's mean — and with it every
+// target, every gradient and, one optimizer step later, every weight — NaN.
+func readLatency(r *bytes.Reader) (float64, error) {
+	v, err := wire.ReadF64(r)
+	if err != nil {
+		return 0, err
+	}
+	if !(v >= 0) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("latency %v is not a finite non-negative number", v)
+	}
+	return v, nil
 }
 
 func writeQuery(w io.Writer, q *query.Query) error {

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -14,7 +15,8 @@ import (
 var sentinels = []error{ErrBadMagic, ErrUnsupportedVersion, ErrTruncated, ErrCorrupt, ErrMissingSection, ErrMismatch}
 
 // checkDecode feeds one body to both loaders: neither may panic, a failure
-// must wrap a package sentinel, and — TestHeaderOnlyContainerAllocatesNothing's
+// must wrap a package sentinel, every latency and baseline that decodes is
+// finite and non-negative, and — TestHeaderOnlyContainerAllocatesNothing's
 // accounting, for every input — what they allocate is bounded by the bytes
 // they were given (plus the receiver's own fresh network), never by a length
 // the body merely declares.
@@ -23,7 +25,7 @@ func checkDecode(t *testing.T, data []byte) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	st, err := load(data, "")
-	_, expErr := LoadExperience(bytes.NewReader(data))
+	entries, expErr := LoadExperience(bytes.NewReader(data))
 	runtime.ReadMemStats(&after)
 	for _, e := range []error{err, expErr} {
 		if e != nil && !slices.ContainsFunc(sentinels, func(s error) bool { return errors.Is(e, s) }) {
@@ -33,7 +35,23 @@ func checkDecode(t *testing.T, data []byte) {
 	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(data)); grew > limit {
 		t.Fatalf("a %d-byte body made the loaders allocate %d bytes (limit %d)", len(data), grew, limit)
 	}
+	// Every latency that decodes is fit to be a training target.
+	usable := func(what string, v float64) {
+		t.Helper()
+		if !(v >= 0) || math.IsInf(v, 1) {
+			t.Fatalf("decoded %s %v is not a finite non-negative number", what, v)
+		}
+	}
+	for _, e := range entries {
+		usable("latency", e.Latency)
+	}
 	if err == nil {
+		for _, e := range st.Experience {
+			usable("latency", e.Latency)
+		}
+		for _, b := range st.Baselines {
+			usable("baseline", b)
+		}
 		// Whatever decodes must encode again: the state is complete.
 		if err := Save(&bytes.Buffer{}, st); err != nil {
 			t.Fatalf("re-saving a loaded state: %v", err)
@@ -97,6 +115,14 @@ func FuzzLoad(f *testing.F) {
 	for i, s := range base {
 		f.Add(append([]byte{byte(i)}, s.payload...))
 	}
+	// A CRC-valid batch carrying a NaN latency.
+	poisoned := slices.Clone(st.Experience)
+	poisoned[0].Latency = math.NaN()
+	var bad bytes.Buffer
+	if err := SaveExperience(&bad, poisoned); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bad.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)

@@ -3,7 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"neo/internal/core"
@@ -77,9 +79,31 @@ func TestExperienceContainerRejectsDamage(t *testing.T) {
 	if _, err := LoadExperience(bytes.NewReader(flipped)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("corrupt payload: got %v", err)
 	}
+	// A latency that is not a finite non-negative number is damage too, CRC
+	// or no CRC: it would become a training target.
+	st := testState(t)
+	for _, lat := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+		bad := slices.Clone(st.Experience)
+		bad[len(bad)-1].Latency = lat
+		var poisoned bytes.Buffer
+		if err := SaveExperience(&poisoned, bad); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadExperience(&poisoned); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("latency %v: got %d entries, err %v, want ErrCorrupt", lat, len(got), err)
+		}
+		withBaseline := *st
+		withBaseline.Baselines = map[string]float64{"q1": lat}
+		var full bytes.Buffer
+		if err := Save(&full, &withBaseline); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := load(full.Bytes(), ""); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("baseline %v: got %v, want ErrCorrupt", lat, err)
+		}
+	}
 	// A full checkpoint is a superset: LoadExperience reads its experience
 	// section and ignores the rest.
-	st := testState(t)
 	var full bytes.Buffer
 	if err := Save(&full, st); err != nil {
 		t.Fatal(err)

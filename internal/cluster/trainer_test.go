@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"strconv"
 	"testing"
@@ -125,6 +126,26 @@ func TestTrainerRejectsDamagedBatches(t *testing.T) {
 	}
 	if got := trainer.Stats().Batches; got != 0 {
 		t.Fatalf("damaged batch counted as ingested (%d)", got)
+	}
+	// A well-framed, CRC-valid batch is damaged too when a latency in it
+	// cannot be a training target: one NaN would reach every weight of the
+	// next published network. Nothing of such a batch is ingested.
+	before := sys.Neo.Experience.Len()
+	for _, lat := range []float64{math.NaN(), math.Inf(1), -5} {
+		entries := sys.Neo.Experience.Entries()[:3]
+		entries[1].Latency = lat
+		var buf bytes.Buffer
+		if err := checkpoint.SaveExperience(&buf, entries); err != nil {
+			t.Fatal(err)
+		}
+		err = c.PostBytes(context.Background(), ts.URL+"/experience", buf.Bytes(), nil)
+		if !asStatus(err, &se) || se.Code != 400 {
+			t.Fatalf("batch with latency %v: got %v, want 400", lat, err)
+		}
+		if st := trainer.Stats(); st.Accepted != 0 || st.Batches != 0 || sys.Neo.Experience.Len() != before {
+			t.Fatalf("batch with latency %v: accepted %d entries in %d batches, experience %d -> %d",
+				lat, st.Accepted, st.Batches, before, sys.Neo.Experience.Len())
+		}
 	}
 	// Unknown snapshot versions 404.
 	_, _, err = c.GetBytes(context.Background(), ts.URL+"/snapshot?version=999999")

@@ -3,10 +3,13 @@
 // leaky rectified linear units, layer normalization, an L2 loss and the Adam
 // optimizer, all with explicit forward/backward passes.
 //
-// The design is deliberately simple — per-sample forward/backward with
-// gradient accumulation — because the value network is small (tens of
-// thousands of parameters) and the bottleneck in the reproduction is plan
-// execution, not network training.
+// Three families share the layer types. The per-sample Forward/Backward in
+// this file are the reference every other path is parity-tested against;
+// batch.go and f32.go hold the batched inference kernels plan search scores
+// with; train.go holds the batched training tape. Training is not a side
+// show: a retraining round is 60–70 % of a learning cycle (the rest is
+// planning and execution), so the tape and the optimizer step are written to
+// do only the work that can change a weight.
 package nn
 
 import (
@@ -239,6 +242,9 @@ type Adam struct {
 	step int
 	m    map[*Param][]float64
 	v    map[*Param][]float64
+
+	// spans is StepShards' task list, rebuilt (storage reused) every step.
+	spans []stepSpan
 }
 
 // NewAdam creates an Adam optimizer with the given learning rate and default
@@ -266,6 +272,26 @@ func (a *Adam) CopyState(src *Adam, srcParams, params []*Param) {
 // Step applies one update to every parameter using its accumulated gradient
 // (optionally scaled by 1/batchSize) and clears the gradients.
 func (a *Adam) Step(params []*Param, batchSize int) {
+	a.StepShards(params, nil, batchSize, 1)
+}
+
+// stepSpanLen is the number of consecutive elements of one parameter a
+// StepShards task covers: small enough that a span's gradient, moments and
+// values stay in L1 across the reduce and update loops, large enough that
+// claiming a span costs nothing beside updating it.
+const stepSpanLen = 2048
+
+// stepSpan is one StepShards task: elements lo..hi of parameter p.
+type stepSpan struct{ p, lo, hi int }
+
+// StepShards is Step for data-parallel gradient workers: shards lists each
+// worker's shadow parameters (aligned with params, see ShadowGrad), and an
+// element's gradient is its live gradient plus every shard's in shard order.
+// Reduction, update and clearing of all gradient buffers happen in one pass
+// over fixed element spans, shared out over the given number of goroutines;
+// elements are independent of each other, so the result does not depend on
+// that number.
+func (a *Adam) StepShards(params []*Param, shards [][]*Param, batchSize, workers int) {
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -273,26 +299,50 @@ func (a *Adam) Step(params []*Param, batchSize int) {
 	scale := 1.0 / float64(batchSize)
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	for _, p := range params {
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float64, len(p.Value))
-			a.m[p] = m
+	a.spans = a.spans[:0]
+	for pi, p := range params {
+		if _, ok := a.m[p]; !ok {
+			a.m[p] = make([]float64, len(p.Value))
 		}
-		v, ok := a.v[p]
-		if !ok {
-			v = make([]float64, len(p.Value))
-			a.v[p] = v
+		if _, ok := a.v[p]; !ok {
+			a.v[p] = make([]float64, len(p.Value))
 		}
-		for i := range p.Value {
-			g := p.Grad[i]*scale + a.WeightDecay*p.Value[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mhat := m[i] / bc1
-			vhat := v[i] / bc2
-			p.Value[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
+		for lo := 0; lo < len(p.Value); lo += stepSpanLen {
+			a.spans = append(a.spans, stepSpan{p: pi, lo: lo, hi: min(lo+stepSpanLen, len(p.Value))})
 		}
-		p.ZeroGrad()
+	}
+	Parallel(workers, len(a.spans), func(i int) {
+		a.updateSpan(params, shards, a.spans[i], scale, bc1, bc2)
+	})
+}
+
+// updateSpan reduces, updates and clears one span. An element whose gradient
+// and both moments are zero is left alone: its update would store the same
+// zero moments and subtract LR·0/(0+Eps) = 0 from the value.
+func (a *Adam) updateSpan(params []*Param, shards [][]*Param, s stepSpan, scale, bc1, bc2 float64) {
+	p := params[s.p]
+	grad := p.Grad[s.lo:s.hi]
+	for _, sh := range shards {
+		sg := sh[s.p].Grad[s.lo:s.hi]
+		for j, g := range sg {
+			grad[j] += g
+			sg[j] = 0
+		}
+	}
+	value := p.Value[s.lo:s.hi]
+	m := a.m[p][s.lo:s.hi]
+	v := a.v[p][s.lo:s.hi]
+	for i := range value {
+		g := grad[i]*scale + a.WeightDecay*value[i]
+		grad[i] = 0
+		if g == 0 && m[i] == 0 && v[i] == 0 {
+			continue
+		}
+		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
+		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+		mhat := m[i] / bc1
+		vhat := v[i] / bc2
+		value[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Batched training primitives. The batch.go forward pass serves inference
 // only (no tape); the routines here extend the same flattened row-major
-// layout to training: ForwardBatchTape records every intermediate activation
-// matrix so BackwardBatch can run one backward pass over the whole minibatch,
-// accumulating parameter gradients row by row in sample order.
+// layout to training: a recorded MLPBatchTape keeps every intermediate
+// activation matrix so BackwardBatch can run one backward pass over the whole
+// minibatch, accumulating parameter gradients row by row in sample order.
 //
 // Bit-parity contract: for any fixed row, every batched routine performs the
 // same floating-point operations in the same order as its per-sample
@@ -11,12 +11,54 @@
 // parameter element therefore receives a bit-identical gradient from the
 // batched backward pass and from per-sample Backward calls over the same
 // rows.
+//
+// An MLP whose input is data rather than another layer's activation is
+// recorded with RecordInput: its first layer reads each row through an index
+// of the row's non-zeros and computes no input gradient (nothing consumes
+// it). A skipped term is w·0 or g·0 — a zero, of either sign — so every
+// accumulator receives the same non-zero addends in the same ascending-column
+// order as the dense loops: forward sums are equal (at most the sign of an
+// exactly-zero sum differs, which compares equal and never reaches a non-zero
+// value), and weight gradients, which start at +0 and only ever add, are
+// bit-identical (+0 + ±0 = +0).
 package nn
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// Parallel calls run(0) … run(tasks-1), each exactly once, from up to
+// workers goroutines — the calling one included — and returns when all calls
+// have. Tasks are claimed in index order; with one worker or one task no
+// goroutine is started.
+func Parallel(workers, tasks int, run func(task int)) {
+	var next atomic.Int64
+	claim := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= tasks {
+				return
+			}
+			run(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, tasks); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+}
 
 // ShadowGrad returns a Param that shares p's value storage but owns a
 // private, zeroed gradient buffer. Data-parallel gradient workers each
 // backpropagate into a shadow of the network, then the per-shard gradients
-// are reduced in deterministic shard order (see valuenet's TrainBatch).
+// are reduced in deterministic shard order (see Adam.StepShards).
 func (p *Param) ShadowGrad() *Param {
 	return &Param{Name: p.Name, Value: p.Value, Grad: make([]float64, len(p.Grad))}
 }
@@ -51,14 +93,20 @@ func (m *MLP) ShadowGrad() *MLP {
 }
 
 // MLPBatchTape records the intermediate activation matrices of one batched
-// forward pass (the batch analogue of MLPTape). All storage is drawn from
-// the arena passed to ForwardBatchTape and is valid until its next Reset.
+// forward pass (the batch analogue of MLPTape). All float storage is drawn
+// from the arena passed when recording and is valid until its next Reset; the
+// tape's own headers are reused by the next RecordBatch / RecordInput on it.
 type MLPBatchTape struct {
 	rows    int
 	inputs  [][]float64 // input matrix to each Linear (rows×In)
 	preAct  [][]float64 // Linear outputs, pre-activation
 	postAct [][]float64 // activation outputs (input to norm, if any)
 	output  []float64
+
+	// input marks a RecordInput tape; nz then indexes the non-zeros of
+	// inputs[0].
+	input bool
+	nz    sparseRows
 }
 
 // Output returns the forward result (rows×outputDim, row-major).
@@ -67,16 +115,43 @@ func (t *MLPBatchTape) Output() []float64 { return t.output }
 // Rows returns the number of rows the tape was recorded over.
 func (t *MLPBatchTape) Rows() int { return t.rows }
 
-// ForwardBatchTape runs the MLP over rows input rows, recording a tape for
+// ForwardBatchTape runs the MLP over rows input rows, recording a fresh tape
+// for BackwardBatch (see RecordBatch).
+func (m *MLP) ForwardBatchTape(xs []float64, rows int, a *Arena[float64]) *MLPBatchTape {
+	t := &MLPBatchTape{}
+	m.RecordBatch(t, xs, rows, a)
+	return t
+}
+
+// RecordBatch runs the MLP over rows input rows, recording into t for
 // BackwardBatch. It performs the same operations as ForwardBatch (and, per
 // row, the same operations as the per-sample Forward).
-func (m *MLP) ForwardBatchTape(xs []float64, rows int, a *Arena[float64]) *MLPBatchTape {
-	t := &MLPBatchTape{rows: rows}
+func (m *MLP) RecordBatch(t *MLPBatchTape, xs []float64, rows int, a *Arena[float64]) {
+	m.record(t, xs, rows, a, false)
+}
+
+// RecordInput is RecordBatch for an MLP fed with data: the first layer
+// visits only the non-zero entries of xs, and BackwardBatch on the tape stops
+// at that layer's weights (see the file comment for why the result is
+// exact). How sparse xs is changes the time taken, never the result.
+func (m *MLP) RecordInput(t *MLPBatchTape, xs []float64, rows int, a *Arena[float64]) {
+	m.record(t, xs, rows, a, true)
+}
+
+func (m *MLP) record(t *MLPBatchTape, xs []float64, rows int, a *Arena[float64], input bool) {
+	t.rows, t.input = rows, input
+	t.inputs, t.preAct, t.postAct = t.inputs[:0], t.preAct[:0], t.postAct[:0]
 	cur := xs
 	last := len(m.Linears) - 1
 	for i, lin := range m.Linears {
 		t.inputs = append(t.inputs, cur)
-		pre := lin.ForwardBatch(cur, rows, a)
+		var pre []float64
+		if i == 0 && input {
+			t.nz.index(cur, rows, lin.In)
+			pre = lin.forwardInput(&t.nz, a)
+		} else {
+			pre = lin.ForwardBatch(cur, rows, a)
+		}
 		t.preAct = append(t.preAct, pre)
 		if i == last {
 			t.postAct = append(t.postAct, pre)
@@ -92,12 +167,12 @@ func (m *MLP) ForwardBatchTape(xs []float64, rows int, a *Arena[float64]) *MLPBa
 		}
 	}
 	t.output = cur
-	return t
 }
 
 // BackwardBatch propagates the rows×Out gradient matrix through the taped
 // forward pass, accumulating parameter gradients, and returns the rows×In
-// gradient with respect to the inputs.
+// gradient with respect to the inputs — nil for a RecordInput tape, whose
+// input is data.
 func (m *MLP) BackwardBatch(t *MLPBatchTape, gradOut []float64, a *Arena[float64]) []float64 {
 	grad := gradOut
 	last := len(m.Linears) - 1
@@ -108,9 +183,83 @@ func (m *MLP) BackwardBatch(t *MLPBatchTape, gradOut []float64, a *Arena[float64
 			}
 			grad = m.Act.BackwardBatch(t.preAct[i], grad, a)
 		}
+		if i == 0 && t.input {
+			m.Linears[0].backwardInput(&t.nz, grad)
+			return nil
+		}
 		grad = m.Linears[i].BackwardBatch(t.inputs[i], grad, t.rows, a)
 	}
 	return grad
+}
+
+// sparseRows indexes the non-zero entries of a row-major matrix, row by row
+// in ascending column order (CSR): row r's entries are
+// col/val[start[r]:start[r+1]]. Its slices are reused across index calls.
+type sparseRows struct {
+	start []int
+	col   []int
+	val   []float64
+}
+
+// index rebuilds the index over the rows×in matrix xs.
+func (s *sparseRows) index(xs []float64, rows, in int) {
+	if len(xs) != rows*in {
+		panic("nn: sparseRows.index size mismatch")
+	}
+	s.start, s.col, s.val = append(s.start[:0], 0), s.col[:0], s.val[:0]
+	for r := 0; r < rows; r++ {
+		for c, v := range xs[r*in : (r+1)*in] {
+			if v != 0 {
+				s.col = append(s.col, c)
+				s.val = append(s.val, v)
+			}
+		}
+		s.start = append(s.start, len(s.col))
+	}
+}
+
+// row returns row r's non-zero columns and their values.
+func (s *sparseRows) row(r int) (col []int, val []float64) {
+	lo, hi := s.start[r], s.start[r+1]
+	return s.col[lo:hi], s.val[lo:hi]
+}
+
+// forwardInput is ForwardBatch over the indexed non-zeros of the input rows.
+func (l *Linear) forwardInput(nz *sparseRows, a *Arena[float64]) []float64 {
+	rows := len(nz.start) - 1
+	ys := a.Alloc(rows * l.Out)
+	for r := 0; r < rows; r++ {
+		col, val := nz.row(r)
+		y := ys[r*l.Out : (r+1)*l.Out]
+		for o := range y {
+			sum := l.B.Value[o]
+			w := l.W.Value[o*l.In : (o+1)*l.In]
+			for k, c := range col {
+				sum += w[c] * val[k]
+			}
+			y[o] = sum
+		}
+	}
+	return ys
+}
+
+// backwardInput is the parameter-gradient half of BackwardBatch over the
+// indexed non-zeros of the input rows; rows accumulate in row order.
+func (l *Linear) backwardInput(nz *sparseRows, gradOut []float64) {
+	rows := len(nz.start) - 1
+	if len(gradOut) != rows*l.Out {
+		panic("nn: Linear.backwardInput size mismatch")
+	}
+	for r := 0; r < rows; r++ {
+		col, val := nz.row(r)
+		for o, g := range gradOut[r*l.Out : (r+1)*l.Out] {
+			l.B.Grad[o] += g
+			gradRow := l.W.Grad[o*l.In : (o+1)*l.In]
+			for k, c := range col {
+				gradRow[c] += g * val[k]
+			}
+		}
+	}
 }
 
 // BackwardBatch accumulates parameter gradients for rows input rows and

@@ -137,3 +137,129 @@ func TestLayerNormBackwardBatchMatchesBackward(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordInputMatchesDenseTape: an MLP recorded as an input layer — over
+// rows that are empty, sparse, dense and sprinkled with explicit -0.0 —
+// produces the dense tape's outputs and, after BackwardBatch, bit-identical
+// parameter gradients, and returns no input gradient. (The full training
+// step is held to the pre-change kernels by internal/core's oracle tests.)
+func TestRecordInputMatchesDenseTape(t *testing.T) {
+	const rows, in = 6, 53
+	rng := rand.New(rand.NewSource(9))
+	xs := make([]float64, rows*in)
+	for r := 1; r < rows; r++ { // row 0 stays all zero
+		for i := 0; i < in; i++ {
+			switch {
+			case r == 1 || rng.Intn(10) == 0:
+				xs[r*in+i] = rng.NormFloat64()
+			case rng.Intn(10) == 0:
+				xs[r*in+i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	gradOut := randRows(rng, rows, 3)
+	for _, useNorm := range []bool{false, true} {
+		sparse := NewMLP([]int{in, 7, 6, 3}, useNorm, rand.New(rand.NewSource(21)))
+		dense := NewMLP([]int{in, 7, 6, 3}, useNorm, rand.New(rand.NewSource(21)))
+
+		var arena Arena[float64]
+		var tape MLPBatchTape
+		for pass := 0; pass < 2; pass++ { // the second pass reuses the tape's headers
+			sparse.RecordInput(&tape, xs, rows, &arena)
+			want := dense.ForwardBatchTape(xs, rows, &arena)
+			for i, v := range want.Output() {
+				if tape.Output()[i] != v {
+					t.Fatalf("norm=%v pass %d: output %d = %v, dense %v", useNorm, pass, i, tape.Output()[i], v)
+				}
+			}
+			if gin := sparse.BackwardBatch(&tape, gradOut, &arena); gin != nil {
+				t.Fatalf("norm=%v: an input tape returned a %d-value input gradient", useNorm, len(gin))
+			}
+			dense.BackwardBatch(want, gradOut, &arena)
+			sp, dp := sparse.Params(), dense.Params()
+			for pi := range sp {
+				for j := range sp[pi].Grad {
+					if math.Float64bits(sp[pi].Grad[j]) != math.Float64bits(dp[pi].Grad[j]) {
+						t.Fatalf("norm=%v pass %d: %s grad[%d] = %v, dense %v", useNorm, pass, sp[pi].Name, j, sp[pi].Grad[j], dp[pi].Grad[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStepShardsMatchesReduceThenStep: the fused pass leaves values,
+// gradients and (through a second step) moments exactly where summing the
+// shard gradients into the live ones in shard order and then calling Step
+// does, for any worker count, and clears every shard buffer. The parameters
+// span several spans and include elements no gradient ever touches.
+func TestStepShardsMatchesReduceThenStep(t *testing.T) {
+	build := func() ([]*Param, [][]*Param) {
+		rng := rand.New(rand.NewSource(3))
+		lin := []*Linear{NewLinear(3*stepSpanLen/64+5, 64, rng), NewLinear(9, 4, rng)}
+		var params []*Param
+		for _, l := range lin {
+			params = append(params, l.Params()...)
+		}
+		shards := make([][]*Param, 3)
+		for s := range shards {
+			for _, l := range lin {
+				shards[s] = append(shards[s], l.ShadowGrad().Params()...)
+			}
+		}
+		return params, shards
+	}
+	fill := func(rng *rand.Rand, params []*Param, shards [][]*Param) {
+		for _, set := range append([][]*Param{params}, shards...) {
+			for _, p := range set {
+				for j := range p.Grad {
+					if j%3 != 0 { // every third element never sees a gradient
+						p.Grad[j] = rng.NormFloat64()
+					}
+				}
+			}
+		}
+	}
+	// run takes three steps, refilling every gradient buffer before each.
+	run := func(step func(a *Adam, params []*Param, shards [][]*Param)) ([]*Param, [][]*Param) {
+		params, shards := build()
+		a := NewAdam(1e-2)
+		for i := int64(0); i < 3; i++ {
+			fill(rand.New(rand.NewSource(i)), params, shards)
+			step(a, params, shards)
+		}
+		return params, shards
+	}
+	want, _ := run(func(a *Adam, params []*Param, shards [][]*Param) {
+		for _, sh := range shards {
+			for pi, p := range params {
+				for j, g := range sh[pi].Grad {
+					p.Grad[j] += g
+				}
+			}
+		}
+		a.Step(params, 5)
+	})
+	for workers := 1; workers <= 4; workers++ {
+		got, shards := run(func(a *Adam, params []*Param, shards [][]*Param) {
+			a.StepShards(params, shards, 5, workers)
+		})
+		for pi, p := range got {
+			for j := range p.Value {
+				if p.Value[j] != want[pi].Value[j] {
+					t.Fatalf("workers=%d: %s[%d] = %v, reduce-then-Step %v", workers, p.Name, j, p.Value[j], want[pi].Value[j])
+				}
+				if p.Grad[j] != 0 {
+					t.Fatalf("workers=%d: %s grad[%d] not cleared", workers, p.Name, j)
+				}
+			}
+			for s, sh := range shards {
+				for j, g := range sh[pi].Grad {
+					if g != 0 {
+						t.Fatalf("workers=%d: shard %d %s grad[%d] not cleared", workers, s, p.Name, j)
+					}
+				}
+			}
+		}
+	}
+}

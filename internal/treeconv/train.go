@@ -1,6 +1,6 @@
 // Batched tree-convolution training. batch.go flattens forests into index
 // arrays for inference; the routines here extend the same layout to training:
-// ForwardBatchTape retains every layer's pre-activation matrix so
+// a recorded StackBatchTape retains every layer's pre-activation matrix so
 // BackwardBatch can propagate a flat gradient matrix through the whole stack
 // — and PoolBatchArgmax / PoolBackwardBatch replace the per-tree dynamic
 // pooling with a single flat pass that records, per (sample, channel), which
@@ -16,6 +16,7 @@ package treeconv
 
 import (
 	"math"
+	"slices"
 
 	"neo/internal/nn"
 )
@@ -47,32 +48,44 @@ func (s *Stack) ShadowGrad() *Stack {
 // StackBatchTape records one batched forward pass through the stack for
 // backpropagation: the input batch plus, per layer, the pre-activation
 // matrix and the activated output batch. All float storage is drawn from the
-// arena passed to ForwardBatchTape.
+// arena passed when recording; the tape's own headers are reused by the next
+// RecordBatch on it.
 type StackBatchTape struct {
 	in   *Batch[float64]
-	pre  [][]float64       // per layer: N×OutChannels pre-activation values
-	outs []*Batch[float64] // per layer: activated outputs
+	pre  [][]float64      // per layer: N×OutChannels pre-activation values
+	outs []Batch[float64] // per layer: activated outputs
 }
 
 // Output returns the final convolved batch.
-func (t *StackBatchTape) Output() *Batch[float64] { return t.outs[len(t.outs)-1] }
+func (t *StackBatchTape) Output() *Batch[float64] { return &t.outs[len(t.outs)-1] }
 
 // ForwardBatchTape runs every layer over the flattened batch, recording a
-// tape for BackwardBatch. It shares ForwardBatch's kernels but keeps every
-// layer's pre-activation matrix (ForwardBatch activates in place); per node
-// the convolution performs the same operations in the same order as
-// Layer.convolve, so outputs are bit-identical to the per-tree Forward.
+// fresh tape for BackwardBatch (see RecordBatch).
 func (s *Stack) ForwardBatchTape(in *Batch[float64], a *nn.Arena[float64]) *StackBatchTape {
+	t := &StackBatchTape{}
+	s.RecordBatch(t, in, a)
+	return t
+}
+
+// RecordBatch runs every layer over the flattened batch, recording into t for
+// BackwardBatch. It shares ForwardBatch's kernels but keeps every layer's
+// pre-activation matrix (ForwardBatch activates in place); per node the
+// convolution performs the same operations in the same order as
+// Layer.convolve, so outputs are bit-identical to the per-tree Forward.
+func (s *Stack) RecordBatch(t *StackBatchTape, in *Batch[float64], a *nn.Arena[float64]) {
 	zeros := a.Alloc(s.maxInChannels())
 	for i := range zeros {
 		zeros[i] = 0
 	}
-	t := &StackBatchTape{in: in}
+	t.in = in
+	t.pre = t.pre[:0]
+	// Sized up front: cur points into outs while later layers are appended.
+	t.outs = slices.Grow(t.outs[:0], len(s.Layers))
 	cur := in
 	for _, l := range s.Layers {
 		pre := a.Alloc(in.N * l.OutChannels)
 		l.convBatchPre(cur, pre, zeros)
-		out := &Batch[float64]{
+		t.outs = append(t.outs, Batch[float64]{
 			Channels: l.OutChannels,
 			N:        cur.N,
 			Samples:  cur.Samples,
@@ -80,7 +93,8 @@ func (s *Stack) ForwardBatchTape(in *Batch[float64], a *nn.Arena[float64]) *Stac
 			Right:    cur.Right,
 			Sample:   cur.Sample,
 			Data:     a.Alloc(cur.N * l.OutChannels),
-		}
+		})
+		out := &t.outs[len(t.outs)-1]
 		alpha := l.Act.Alpha
 		for i, v := range pre {
 			if v >= 0 {
@@ -90,10 +104,8 @@ func (s *Stack) ForwardBatchTape(in *Batch[float64], a *nn.Arena[float64]) *Stac
 			}
 		}
 		t.pre = append(t.pre, pre)
-		t.outs = append(t.outs, out)
 		cur = out
 	}
-	return t
 }
 
 // convBatchPre convolves the filterbank over every node of in, writing the
@@ -243,7 +255,7 @@ func (s *Stack) BackwardBatch(t *StackBatchTape, gradOut []float64, a *nn.Arena[
 		l := s.Layers[li]
 		in := t.in
 		if li > 0 {
-			in = t.outs[li-1]
+			in = &t.outs[li-1]
 		}
 		pre := t.pre[li]
 		// Activation backward (elementwise over the whole batch).
@@ -268,99 +280,81 @@ func (s *Stack) BackwardBatch(t *StackBatchTape, gradOut []float64, a *nn.Arena[
 
 // backwardBatchNodes is the flat analogue of backwardNode: one pass over the
 // batch's nodes in flattened pre-order, accumulating filter gradients and
-// scattering input gradients to each node and its children. Statement order
-// inside the inner loops mirrors backwardNode exactly; like the forward
-// kernels, childless nodes get a specialised loop that skips the g·0 child
-// terms (bit-identical up to the sign of zero) and join nodes a branch-free
-// one, with one-child nodes falling back to a padded generic kernel.
+// scattering input gradients to each node and its children. A node goes
+// through one filterbank at a time — parent, then left and right where that
+// child exists; an absent child's terms are g·0 and dropped, as in the
+// forward kernels. The three banks share no accumulator, so every gradient
+// element still receives its addends in backwardNode's order — channels
+// ascending within a node, nodes in pre-order — and the result is
+// bit-identical to the per-tree recursion.
 func (l *Layer) backwardBatchNodes(in *Batch[float64], gradPre, gradIn []float64) {
 	ic := l.InChannels
 	oc := l.OutChannels
 	for n := 0; n < in.N; n++ {
-		x := in.Row(n)
-		li, ri := in.Left[n], in.Right[n]
-		gin := gradIn[n*ic : (n+1)*ic]
 		gp := gradPre[n*oc : (n+1)*oc]
-		switch {
-		case li < 0 && ri < 0:
-			for o := 0; o < oc; o++ {
-				g := gp[o]
-				if g == 0 {
-					continue
-				}
+		for o, g := range gp {
+			if g != 0 {
 				l.Bias.Grad[o] += g
-				ep := l.EP.Value[o*ic : (o+1)*ic]
-				epg := l.EP.Grad[o*ic : (o+1)*ic]
-				for i := 0; i < ic; i++ {
-					epg[i] += g * x[i]
-					gin[i] += g * ep[i]
-				}
-			}
-		case li >= 0 && ri >= 0:
-			xl, xr := in.Row(li), in.Row(ri)
-			ginL := gradIn[li*ic : (li+1)*ic]
-			ginR := gradIn[ri*ic : (ri+1)*ic]
-			for o := 0; o < oc; o++ {
-				g := gp[o]
-				if g == 0 {
-					continue
-				}
-				l.Bias.Grad[o] += g
-				ep := l.EP.Value[o*ic : (o+1)*ic]
-				el := l.EL.Value[o*ic : (o+1)*ic]
-				er := l.ER.Value[o*ic : (o+1)*ic]
-				epg := l.EP.Grad[o*ic : (o+1)*ic]
-				elg := l.EL.Grad[o*ic : (o+1)*ic]
-				erg := l.ER.Grad[o*ic : (o+1)*ic]
-				for i := 0; i < ic; i++ {
-					epg[i] += g * x[i]
-					elg[i] += g * xl[i]
-					erg[i] += g * xr[i]
-					gin[i] += g * ep[i]
-					ginL[i] += g * el[i]
-					ginR[i] += g * er[i]
-				}
-			}
-		default:
-			var xl, xr, ginL, ginR []float64
-			if li >= 0 {
-				xl = in.Row(li)
-				ginL = gradIn[li*ic : (li+1)*ic]
-			}
-			if ri >= 0 {
-				xr = in.Row(ri)
-				ginR = gradIn[ri*ic : (ri+1)*ic]
-			}
-			for o := 0; o < oc; o++ {
-				g := gp[o]
-				if g == 0 {
-					continue
-				}
-				l.Bias.Grad[o] += g
-				ep := l.EP.Value[o*ic : (o+1)*ic]
-				el := l.EL.Value[o*ic : (o+1)*ic]
-				er := l.ER.Value[o*ic : (o+1)*ic]
-				epg := l.EP.Grad[o*ic : (o+1)*ic]
-				elg := l.EL.Grad[o*ic : (o+1)*ic]
-				erg := l.ER.Grad[o*ic : (o+1)*ic]
-				for i := 0; i < ic; i++ {
-					epg[i] += g * x[i]
-					if xl != nil {
-						elg[i] += g * xl[i]
-					}
-					if xr != nil {
-						erg[i] += g * xr[i]
-					}
-					gin[i] += g * ep[i]
-					if ginL != nil {
-						ginL[i] += g * el[i]
-					}
-					if ginR != nil {
-						ginR[i] += g * er[i]
-					}
-				}
 			}
 		}
+		backwardBank(l.EP, ic, gp, in.Row(n), gradIn[n*ic:(n+1)*ic])
+		if li := in.Left[n]; li >= 0 {
+			backwardBank(l.EL, ic, gp, in.Row(li), gradIn[li*ic:(li+1)*ic])
+		}
+		if ri := in.Right[n]; ri >= 0 {
+			backwardBank(l.ER, ic, gp, in.Row(ri), gradIn[ri*ic:(ri+1)*ic])
+		}
+	}
+}
+
+// backwardBank backpropagates one node's channel gradients gp through the
+// filterbank w applied to the input row x, whose gradient row is gin. A zero
+// channel gradient contributes nothing and is skipped — most of the last
+// layer, where dynamic pooling routes each channel's gradient to one node per
+// sample; four consecutive non-zero ones go through backward4.
+func backwardBank(w *nn.Param, ic int, gp, x, gin []float64) {
+	for o := 0; o < len(gp); {
+		if o+4 <= len(gp) && gp[o] != 0 && gp[o+1] != 0 && gp[o+2] != 0 && gp[o+3] != 0 {
+			backward4(w, ic, o, gp[o:o+4], x, gin)
+			o += 4
+			continue
+		}
+		if g := gp[o]; g != 0 {
+			val := w.Value[o*ic : (o+1)*ic]
+			grad := w.Grad[o*ic : (o+1)*ic]
+			for i := 0; i < ic; i++ {
+				grad[i] += g * x[i]
+				gin[i] += g * val[i]
+			}
+		}
+		o++
+	}
+}
+
+// backward4 is backwardBank's kernel for output channels o..o+3 (gradients
+// g): each input is loaded once for the four filter-gradient rows, and each
+// element of gin stays in a register while the four channels add to it in
+// ascending order. Working on one bank keeps the loop's ten row pointers in
+// registers.
+func backward4(w *nn.Param, ic, o int, g, x, gin []float64) {
+	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
+	val := w.Value[o*ic : (o+4)*ic]
+	grad := w.Grad[o*ic : (o+4)*ic]
+	w0, w1, w2, w3 := val[:ic], val[ic:][:ic], val[2*ic:][:ic], val[3*ic:][:ic]
+	wg0, wg1, wg2, wg3 := grad[:ic], grad[ic:][:ic], grad[2*ic:][:ic], grad[3*ic:][:ic]
+	x, gin = x[:ic], gin[:ic]
+	for i := 0; i < ic; i++ {
+		xv := x[i]
+		wg0[i] += g0 * xv
+		wg1[i] += g1 * xv
+		wg2[i] += g2 * xv
+		wg3[i] += g3 * xv
+		t := gin[i]
+		t += g0 * w0[i]
+		t += g1 * w1[i]
+		t += g2 * w2[i]
+		t += g3 * w3[i]
+		gin[i] = t
 	}
 }
 

@@ -5,16 +5,19 @@
 //   - samples are partitioned into fixed-size gradient shards (the partition
 //     depends only on the minibatch size, never on the worker count),
 //   - each shard runs ONE shared forward+backward pass: the query tower runs
-//     once per distinct query vector, spatial replication writes straight
-//     into a flattened forest batch, tree convolution / dynamic pooling /
-//     the head run over flat arrays with all scratch drawn from a per-shard
-//     arena,
+//     once per distinct query vector, as an input layer (its first layer
+//     visits only the encoding's non-zeros and computes no input gradient,
+//     see nn.MLP.RecordInput); spatial replication writes straight into a
+//     flattened forest batch; tree convolution / dynamic pooling / the head
+//     run over flat arrays with all scratch drawn from a per-shard arena and
+//     the tapes' headers reused from step to step,
 //   - each shard accumulates gradients into shadow parameters (shared
-//     weights, private gradient buffers), and the shard gradients are
-//     reduced into the live network in deterministic shard order before the
-//     single Adam step.
+//     weights, private gradient buffers), and one optimizer pass
+//     (nn.Adam.StepShards) sums every element's shard gradients in shard
+//     order, applies the Adam update and clears all buffers.
 //
-// Because the shard partition and the reduction order are fixed, training is
+// Because the shard partition and the reduction order are fixed and the
+// optimizer pass treats every element independently, training is
 // bit-identical for any Config.TrainWorkers value — the workers only buy
 // wall-clock time. Relative to the per-sample path the batched pass performs
 // the same per-element gradient accumulation in the same order everywhere
@@ -24,9 +27,6 @@
 package valuenet
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"neo/internal/nn"
 	"neo/internal/treeconv"
 )
@@ -44,16 +44,16 @@ type trainShard struct {
 	qmlp *nn.MLP
 	conv *treeconv.Stack
 	head *nn.MLP
-	// params lists the shadow parameters in the same order as
-	// Network.Params, so reduction can walk the two aligned slices.
-	params []*nn.Param
 
 	arena nn.Arena[float64]
 	assembly[float64]
-	queries [][]float64
-	forests [][]*treeconv.Tree
-	argmax  []int
-	loss    float64
+	queryTape nn.MLPBatchTape
+	convTape  treeconv.StackBatchTape
+	headTape  nn.MLPBatchTape
+	queries   [][]float64
+	forests   [][]*treeconv.Tree
+	argmax    []int
+	loss      float64
 }
 
 // trainer owns the per-shard training state, grown on demand. It lives on
@@ -61,25 +61,31 @@ type trainShard struct {
 // single-caller by contract (Neo serializes retraining rounds), so no
 // locking is needed.
 type trainer struct {
-	shards []*trainShard
+	// params is Network.Params(), and shadows[i] shard i's shadow parameters
+	// in the same order, so the optimizer pass can walk aligned slices.
+	params  []*nn.Param
+	shadows [][]*nn.Param
+	shards  []*trainShard
 }
 
-func (n *Network) shard(i int) *trainShard {
+// growShards makes sure shards 0..num-1 exist.
+func (n *Network) growShards(num int) {
 	if n.train == nil {
-		n.train = &trainer{}
+		n.train = &trainer{params: n.Params()}
 	}
-	for len(n.train.shards) <= i {
+	for len(n.train.shards) < num {
 		sh := &trainShard{
 			qmlp: n.qmlp.ShadowGrad(),
 			conv: n.conv.ShadowGrad(),
 			head: n.head.ShadowGrad(),
 		}
-		sh.params = append(sh.params, sh.qmlp.Params()...)
-		sh.params = append(sh.params, sh.conv.Params()...)
-		sh.params = append(sh.params, sh.head.Params()...)
+		var shadow []*nn.Param
+		shadow = append(shadow, sh.qmlp.Params()...)
+		shadow = append(shadow, sh.conv.Params()...)
+		shadow = append(shadow, sh.head.Params()...)
 		n.train.shards = append(n.train.shards, sh)
+		n.train.shadows = append(n.train.shadows, shadow)
 	}
-	return n.train.shards[i]
 }
 
 // TrainBatch performs one gradient step on a batch of samples using the
@@ -92,64 +98,16 @@ func (n *Network) TrainBatch(samples []Sample) float64 {
 		return 0
 	}
 	numShards := (len(samples) + trainShardSize - 1) / trainShardSize
-	for i := 0; i < numShards; i++ {
-		n.shard(i) // pre-grow so workers never mutate the shard slice
-	}
-	workers := n.cfg.TrainWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > numShards {
-		workers = numShards
-	}
-	shardSamples := func(i int) []Sample {
+	n.growShards(numShards) // up front, so workers never mutate the shard slice
+	nn.Parallel(n.cfg.TrainWorkers, numShards, func(i int) {
 		lo := i * trainShardSize
-		hi := lo + trainShardSize
-		if hi > len(samples) {
-			hi = len(samples)
-		}
-		return samples[lo:hi]
-	}
-	if workers == 1 {
-		for i := 0; i < numShards; i++ {
-			n.train.shards[i].run(n, shardSamples(i))
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= numShards {
-						return
-					}
-					n.train.shards[i].run(n, shardSamples(i))
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	// Reduce shard gradients into the live parameters in shard order — the
-	// fixed reduction order that keeps training worker-count invariant —
-	// and clear the shadow buffers for the next step.
-	params := n.Params()
+		n.train.shards[i].run(n, samples[lo:min(lo+trainShardSize, len(samples))])
+	})
 	total := 0.0
-	for i := 0; i < numShards; i++ {
-		sh := n.train.shards[i]
+	for _, sh := range n.train.shards[:numShards] {
 		total += sh.loss
-		for pi, p := range params {
-			sg := sh.params[pi].Grad
-			pg := p.Grad
-			for j, g := range sg {
-				pg[j] += g
-				sg[j] = 0
-			}
-		}
 	}
-	n.opt.Step(params, len(samples))
+	n.opt.StepShards(n.train.params, n.train.shadows[:numShards], len(samples), n.cfg.TrainWorkers)
 	return total / float64(len(samples))
 }
 
@@ -166,21 +124,21 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 		sh.queries = append(sh.queries, smp.Query)
 		sh.forests = append(sh.forests, smp.Plan)
 	}
-	// The prologue shared with inference (assemble), with a taped query tower.
-	var qt *nn.MLPBatchTape
+	// The prologue shared with inference (assemble), with a taped query
+	// tower reading the deduplicated encodings as an input layer.
 	batch := sh.assemble(n, sh.queries, sh.forests, func(qFlat []float64, distinct int) []float64 {
-		qt = sh.qmlp.ForwardBatchTape(qFlat, distinct, a)
-		return qt.Output()
+		sh.qmlp.RecordInput(&sh.queryTape, qFlat, distinct, a)
+		return sh.queryTape.Output()
 	})
 	channels := batch.Channels
 	qOut := channels - n.planDim
 
-	ct := sh.conv.ForwardBatchTape(batch, a)
-	convOut := ct.Output()
+	sh.conv.RecordBatch(&sh.convTape, batch, a)
+	convOut := sh.convTape.Output()
 	pooled, argmax := treeconv.PoolBatchArgmax(convOut, a, sh.argmax)
 	sh.argmax = argmax
-	ht := sh.head.ForwardBatchTape(pooled, rows, a)
-	out := ht.Output()
+	sh.head.RecordBatch(&sh.headTape, pooled, rows, a)
+	out := sh.headTape.Output()
 
 	gradOut := a.Alloc(rows)
 	loss := 0.0
@@ -191,9 +149,9 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 	}
 	sh.loss = loss
 
-	gradPooled := sh.head.BackwardBatch(ht, gradOut, a)
+	gradPooled := sh.head.BackwardBatch(&sh.headTape, gradOut, a)
 	gradNodes := treeconv.PoolBackwardBatch(convOut, sh.argmax, gradPooled, a)
-	gradAug := sh.conv.BackwardBatch(ct, gradNodes, a)
+	gradAug := sh.conv.BackwardBatch(&sh.convTape, gradNodes, a)
 
 	// Split the augmented-node gradients: the plan-feature part is an input
 	// (no gradient consumer); the query part accumulates per distinct query
@@ -209,5 +167,5 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 			dst[j] += v
 		}
 	}
-	sh.qmlp.BackwardBatch(qt, qGrad, a)
+	sh.qmlp.BackwardBatch(&sh.queryTape, qGrad, a)
 }

@@ -324,16 +324,14 @@ func (n *Network) Train(samples []Sample, epochs, batchSize int, rng *rand.Rand)
 	for i := range idx {
 		idx[i] = i
 	}
+	batch := make([]Sample, 0, min(batchSize, len(samples)))
 	for e := 0; e < epochs; e++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		var epochLoss float64
 		var batches int
 		for start := 0; start < len(idx); start += batchSize {
-			end := start + batchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			batch := make([]Sample, 0, end-start)
+			end := min(start+batchSize, len(idx))
+			batch = batch[:0]
 			for _, i := range idx[start:end] {
 				batch = append(batch, samples[i])
 			}

@@ -1,75 +1,25 @@
 package repro
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
-	"neo/internal/valuenet"
+	"neo/internal/bench"
 )
 
-// trainingSamples builds a minibatch shaped like one retraining step: 32
-// construction states, most sharing the query's encoding slice (the dedup
-// hot path), labelled with costs spanning orders of magnitude.
-func trainingSamples(batchSize int) []valuenet.Sample {
-	f := newScoringFixture(batchSize)
-	rng := rand.New(rand.NewSource(7))
-	samples := make([]valuenet.Sample, batchSize)
-	for i := range samples {
-		samples[i] = valuenet.Sample{
-			Query:  f.queries[i],
-			Plan:   f.forests[i],
-			Target: math.Exp(rng.Float64() * 8),
-		}
-	}
-	return samples
-}
-
-func trainingNet(workers int) *valuenet.Network {
-	cfg := valuenet.DefaultConfig()
-	cfg.TrainWorkers = workers
-	net := valuenet.New(32, 24, cfg)
-	net.FitTargetTransform([]float64{10, 100, 1000})
-	return net
-}
-
-// BenchmarkBatchedTraining measures the tentpole speedup of the batched
-// training pipeline: one gradient step over a 32-sample minibatch via the
-// per-sample tape path versus the shared batched forward+backward pass
-// (serially and sharded over data-parallel gradient workers; the worker
-// variants produce bit-identical weights and only buy wall-clock time on
-// multi-core hardware).
+// BenchmarkBatchedTraining measures one gradient step over a 32-sample
+// minibatch shaped like a retraining step (a distinct, ~5 % non-zero 761-wide
+// query encoding per sample): the per-sample tape path versus the shared
+// batched forward+backward pass, serially and sharded over data-parallel
+// gradient workers (the worker variants produce bit-identical weights and
+// only buy wall-clock time on multi-core hardware). The committed
+// BENCH_train.json baseline and CI's bench-gate hold the same three rows.
 //
 // Verify the speedup with:
 //
 //	go test -bench BenchmarkBatchedTraining -run '^$' .
 func BenchmarkBatchedTraining(b *testing.B) {
-	const batchSize = 32
-	b.Run("per-sample", func(b *testing.B) {
-		net := trainingNet(1)
-		samples := trainingSamples(batchSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.TrainBatchPerSample(samples)
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		net := trainingNet(1)
-		samples := trainingSamples(batchSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.TrainBatch(samples)
-		}
-	})
-	b.Run("batched-workers=4", func(b *testing.B) {
-		net := trainingNet(4)
-		samples := trainingSamples(batchSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.TrainBatch(samples)
-		}
-	})
+	perSample, batched, workers := bench.TrainingBenchmarks()
+	b.Run("per-sample", perSample)
+	b.Run("batched", batched)
+	b.Run("batched-workers=4", workers)
 }
