@@ -58,12 +58,20 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	}
 }
 
-// WriteJSON answers 200 with v as the JSON body.
+// WriteJSON answers 200 with v as the JSON body, or 500 with the usual error
+// body when v does not encode (a NaN or ±Inf score: encoding/json has no
+// spelling for them). The body is encoded before anything is written, so a
+// failure cannot leave the client an empty 200.
 func WriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	buf := bytes.NewBuffer(make([]byte, 0, 512))
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes()) // the client hung up; nobody is left to tell
 }
 
 // WriteError answers code with the JSON error body every daemon returns on

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,5 +137,37 @@ func TestClientHonoursContext(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatalf("cancellation took %v; the hour-long backoff was slept", time.Since(start))
+	}
+}
+
+// TestWriteJSONAnswers500WhenEncodingFails: encoding/json has no spelling for
+// NaN or ±Inf, and WriteJSON used to drop the encoder's error after the
+// header was out — the client got 200 OK and no body. A value that does not
+// encode is a 500 with the error body every daemon answers with; one that
+// does is the same 200 as before.
+func TestWriteJSONAnswers500WhenEncodingFails(t *testing.T) {
+	for _, score := range []float64{math.NaN(), math.Inf(1)} {
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, OptimizeResponse{ID: "q", Plan: "[T(title)]", Score: score})
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("score %v: status %d, want 500", score, rec.Code)
+		}
+		var body Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Message == "" {
+			t.Errorf("score %v: body %q is not the JSON error body (%v)", score, rec.Body.String(), err)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, OptimizeResponse{ID: "q", Plan: "[T(title) <&> T(keyword)]", Score: 1.5})
+	var got OptimizeResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" || got.Score != 1.5 {
+		t.Errorf("status %d, content type %q, body %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
+	}
+	if !strings.Contains(rec.Body.String(), "<&>") {
+		t.Errorf("body %s escapes HTML; plans are rendered with their operators as written", rec.Body.String())
 	}
 }

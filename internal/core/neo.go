@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -596,32 +597,39 @@ func (n *Neo) Retrain() float64 {
 	return loss
 }
 
-// netScorer is a query encoding plus a pinned snapshot: it scores plans for
-// one query with the frozen value network it was created on. ScoreBatch — the
-// search hot path — encodes every plan of the batch and runs one shared
-// batched forward pass; all plans share the query's one encoding, so the
-// network's query tower runs once per batch. Its plan encoder remembers
-// every subtree the search has shown it, so a child plan costs the encoding
-// of its one new node; the memo dies with the scorer.
+// netScorer scores plans of one query with the frozen value network it was
+// created on, for one search. Both halves of it remember every subtree the
+// search has shown them: the plan encoder returns one feature tree per
+// distinct subtree, and the incremental scorer — which ran the query tower
+// when it was created — convolves each such tree once. A child plan therefore
+// costs the encoding and the convolution of its one new node the first time
+// that node is seen and nothing afterwards, plus one head-MLP row per plan.
+// Both memos die with the scorer.
 type netScorer struct {
-	net  *valuenet.Snapshot
-	enc  *feature.PlanEncoder
-	qEnc []float64
+	net *valuenet.Scorer
+	enc *feature.PlanEncoder
 
-	// queries/forests are reused across ScoreBatch calls.
-	queries [][]float64
+	// trees holds the roots of every forest of one ScoreBatch call and
+	// forests the per-plan windows into it; both are reused across calls.
+	trees   []*treeconv.Tree
 	forests [][]*treeconv.Tree
 }
 
 // ScoreBatch implements search.BatchScorer.
 func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {
-	s.queries = s.queries[:0]
+	roots := 0
+	for _, p := range ps {
+		roots += len(p.Roots)
+	}
+	// Sized up front: the windows alias trees, so it must not move.
+	s.trees = slices.Grow(s.trees[:0], roots)
 	s.forests = s.forests[:0]
 	for _, p := range ps {
-		s.queries = append(s.queries, s.qEnc)
-		s.forests = append(s.forests, s.enc.Encode(p))
+		start := len(s.trees)
+		s.trees = s.enc.AppendForest(s.trees, p)
+		s.forests = append(s.forests, s.trees[start:len(s.trees):len(s.trees)])
 	}
-	return s.net.PredictBatch(s.queries, s.forests)
+	return s.net.Score(s.forests)
 }
 
 // Score implements search.Scorer (a batch of one).
@@ -639,7 +647,7 @@ func (s *netScorer) Score(p *plan.Plan) float64 {
 func (n *Neo) Scorer(q *query.Query) search.BatchScorer { return n.scorerOn(n.snap.Load(), q) }
 
 func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) search.BatchScorer {
-	return &netScorer{net: ns.net, enc: n.Featurizer.NewPlanEncoder(q), qEnc: n.Featurizer.EncodeQuery(q)}
+	return &netScorer{net: ns.net.NewScorer(n.Featurizer.EncodeQuery(q)), enc: n.Featurizer.NewPlanEncoder(q)}
 }
 
 // Optimize plans q: the router (Config.Routing) dispatches the query either

@@ -261,11 +261,17 @@ func (f *Featurizer) NewPlanEncoder(q *query.Query) *PlanEncoder {
 
 // Encode returns p's forest of feature trees, one per root.
 func (e *PlanEncoder) Encode(p *plan.Plan) []*treeconv.Tree {
-	out := make([]*treeconv.Tree, len(p.Roots))
-	for i, r := range p.Roots {
-		out[i] = e.node(r).tree
+	return e.AppendForest(make([]*treeconv.Tree, 0, len(p.Roots)), p)
+}
+
+// AppendForest appends p's forest to dst and returns the extended slice: a
+// caller that only reads the forests during one scoring call keeps one
+// buffer for all of them instead of one slice per plan.
+func (e *PlanEncoder) AppendForest(dst []*treeconv.Tree, p *plan.Plan) []*treeconv.Tree {
+	for _, r := range p.Roots {
+		dst = append(dst, e.node(r).tree)
 	}
-	return out
+	return dst
 }
 
 func (e *PlanEncoder) node(n *plan.Node) encodedNode {

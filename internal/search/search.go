@@ -7,6 +7,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"neo/internal/plan"
@@ -48,13 +49,23 @@ func (f ScorerFunc) ScoreBatch(ps []*plan.Plan) []float64 {
 	return out
 }
 
-// scoreBatch invokes the scorer and enforces the one-score-per-plan
-// contract, turning a misbehaving BatchScorer implementation into a
-// diagnosable failure instead of an opaque index panic deep in the search.
+// scoreBatch invokes the scorer and enforces its contract: one score per
+// plan — a misbehaving BatchScorer becomes a diagnosable failure instead of
+// an opaque index panic deep in the search — and scores that order. A NaN
+// (a network whose weights or activations overflowed) is read as +Inf: every
+// comparison against NaN is false, so a NaN-scored plan would otherwise keep
+// a place it was never compared for — the first complete plan seen stays
+// "best" against any finite score. As +Inf it sinks in the frontier and loses
+// to every plan with a real score.
 func scoreBatch(s BatchScorer, ps []*plan.Plan) []float64 {
 	scores := s.ScoreBatch(ps)
 	if len(scores) != len(ps) {
 		panic(fmt.Sprintf("search: BatchScorer returned %d scores for %d plans", len(scores), len(ps)))
+	}
+	for i, v := range scores {
+		if math.IsNaN(v) {
+			scores[i] = math.Inf(1)
+		}
 	}
 	return scores
 }

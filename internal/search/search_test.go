@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -422,6 +423,66 @@ func BenchmarkBestFirstFiveWay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := BestFirst(q, ScorerFunc(structuralScorer), opts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// nanFirstComplete scores the first complete plan it is shown NaN and every
+// other plan 1: a network that overflowed on one input.
+type nanFirstComplete struct{ poisoned *plan.Plan }
+
+func (s *nanFirstComplete) ScoreBatch(ps []*plan.Plan) []float64 {
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = 1
+		if p.IsComplete() && (s.poisoned == nil || s.poisoned == p) {
+			s.poisoned = p
+			out[i] = math.NaN()
+		}
+	}
+	return out
+}
+
+// TestNaNScoredPlanNeverWins: every comparison against NaN is false, so a
+// complete plan scored NaN used to stay the search's best against any number
+// of finite-scored ones — and reach the client as "score": NaN, which
+// encoding/json refuses. A NaN score must lose to every real one.
+func TestNaNScoredPlanNeverWins(t *testing.T) {
+	cat := datagen.IMDBCatalog()
+	for name, strategy := range map[string]func(*query.Query, BatchScorer, Options) (*Result, error){"BestFirst": BestFirst, "Greedy": Greedy} {
+		s := &nanFirstComplete{}
+		res, err := strategy(fiveWayQuery(), s, Options{Catalog: cat, MaxExpansions: 4096})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.poisoned == nil {
+			t.Fatalf("%s: the scorer never saw a complete plan", name)
+		}
+		if res.Plan == s.poisoned || res.Score != 1 {
+			t.Errorf("%s returned %s with score %v; the NaN-scored plan is %s and every other plan scores 1",
+				name, res.Plan, res.Score, s.poisoned)
+		}
+	}
+}
+
+// TestAllNaNScorerStillPlans: with nothing but NaN to go on, both strategies
+// still return a complete, valid plan.
+func TestAllNaNScorerStillPlans(t *testing.T) {
+	cat := datagen.IMDBCatalog()
+	allNaN := ScorerFunc(func(*plan.Plan) float64 { return math.NaN() })
+	for name, strategy := range map[string]func(*query.Query, BatchScorer, Options) (*Result, error){"BestFirst": BestFirst, "Greedy": Greedy} {
+		res, err := strategy(fiveWayQuery(), allNaN, Options{Catalog: cat, MaxExpansions: 64})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Plan.IsComplete() {
+			t.Fatalf("%s returned the incomplete plan %s", name, res.Plan)
+		}
+		if got := len(res.Plan.Roots[0].Tables()); got != 5 {
+			t.Errorf("%s: plan covers %d tables, want 5", name, got)
+		}
+		if math.IsNaN(res.Score) {
+			t.Errorf("%s reports a NaN score", name)
 		}
 	}
 }

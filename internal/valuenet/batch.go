@@ -1,10 +1,11 @@
 // Batched inference. Predict runs one (query, forest) pair through the
-// network; PredictBatch runs a whole slice of pairs through one shared
-// forward pass built on the batch primitives of nn and treeconv:
+// network; PredictBatch runs a whole slice of unrelated pairs through one
+// shared forward pass built on the batch primitives of nn and treeconv:
 //
-//   - the query-level MLP runs once per *distinct* query vector (plan search
-//     scores many candidate plans of the same query, so the query tower's
-//     work is amortised across the whole batch),
+//   - the query-level MLP runs once per *distinct* query vector of the call
+//     (pairs of one query share its tower pass within a call, not across
+//     calls — a plan search, which scores thousands of forests of one query
+//     over hundreds of calls, goes through Scorer instead: scorer.go),
 //   - spatial replication writes every augmented node vector straight into a
 //     flattened forest batch (no per-node tree copies),
 //   - tree convolution and dynamic pooling run over the flattened batch, and
