@@ -1,6 +1,8 @@
-// Package repro holds the top-level benchmark harness: one benchmark per
-// table and figure of the paper's evaluation (see DESIGN.md for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured results).
+// Package repro holds the paper-figure harness: one benchmark per table and
+// figure of the paper's evaluation. The experiments themselves live in
+// internal/experiments and are indexed by cmd/neo-experiments' -exp flag.
+// The system's own timings do not come from here: see ARCHITECTURE.md, "How
+// performance is measured".
 //
 // Run the full harness with:
 //

@@ -117,7 +117,8 @@ func TestConstructionStatesSiblingJoinOrder(t *testing.T) {
 
 // bootstrapRig builds a rig and bootstraps it from the expert; used in pairs
 // by the determinism tests (two independently built rigs are bit-identical
-// for a fixed seed).
+// for a fixed seed), which set Config.Workers on the result to pit the serial
+// path against the parallel one.
 func bootstrapRig(t *testing.T) (*testRig, []*query.Query) {
 	t.Helper()
 	rig := newRig(t, "postgres")
@@ -134,13 +135,15 @@ func bootstrapRig(t *testing.T) (*testRig, []*query.Query) {
 func TestRunEpisodeParallelMatchesSerial(t *testing.T) {
 	serialRig, serialTrain := bootstrapRig(t)
 	parallelRig, parallelTrain := bootstrapRig(t)
+	serialRig.neo.Config.Workers = 1
+	parallelRig.neo.Config.Workers = 8
 
 	for ep := 1; ep <= 2; ep++ {
-		ss, err := serialRig.neo.RunEpisodeParallel(ep, serialTrain, 1)
+		ss, err := serialRig.neo.RunEpisode(ep, serialTrain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := parallelRig.neo.RunEpisodeParallel(ep, parallelTrain, 8)
+		ps, err := parallelRig.neo.RunEpisode(ep, parallelTrain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,12 +176,14 @@ func TestRunEpisodeParallelMatchesSerial(t *testing.T) {
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	serialRig, serialTrain := bootstrapRig(t)
 	parallelRig, parallelTrain := bootstrapRig(t)
+	serialRig.neo.Config.Workers = 1
+	parallelRig.neo.Config.Workers = 8
 
-	sTotal, sPer, err := serialRig.neo.EvaluateParallel(serialTrain, 1)
+	sTotal, sPer, err := serialRig.neo.Evaluate(serialTrain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pTotal, pPer, err := parallelRig.neo.EvaluateParallel(parallelTrain, 8)
+	pTotal, pPer, err := parallelRig.neo.Evaluate(parallelTrain)
 	if err != nil {
 		t.Fatal(err)
 	}

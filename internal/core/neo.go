@@ -457,20 +457,6 @@ func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.P
 	return nil
 }
 
-// BootstrapFromPlans is Bootstrap for pre-computed expert plans.
-func (n *Neo) BootstrapFromPlans(plans []*plan.Plan) error {
-	for _, p := range plans {
-		lat, _, err := n.Engine.Execute(p)
-		if err != nil {
-			return fmt.Errorf("core: executing expert plan for %s: %w", p.Query.ID, err)
-		}
-		n.Experience.Add(p.Query, p, lat)
-		n.SetBaseline(p.Query.ID, lat)
-	}
-	n.Retrain()
-	return nil
-}
-
 // trainingSamples converts the experience into value-network training
 // samples: for every stored complete plan, the plan itself plus the partial
 // plans along its bottom-up construction, each labelled with the minimum
@@ -789,13 +775,14 @@ type planExec struct {
 }
 
 // planAndSimulate fans plan search plus deterministic plan simulation out
-// over a pool of workers. The engine's run-to-run noise is deliberately NOT
-// applied here: the caller commits the returned base latencies in input
+// over Config.Workers workers. The engine's run-to-run noise is deliberately
+// NOT applied here: the caller commits the returned base latencies in input
 // order, so the engine's noise stream is drawn in exactly the order the
 // serial loop would draw it, and results are bit-identical to serial
 // execution for a fixed seed no matter how many workers raced.
-func (n *Neo) planAndSimulate(queries []*query.Query, workers int) []planExec {
+func (n *Neo) planAndSimulate(queries []*query.Query) []planExec {
 	out := make([]planExec, len(queries))
+	workers := n.Config.Workers
 	if workers > len(queries) {
 		workers = len(queries)
 	}
@@ -842,28 +829,22 @@ func (n *Neo) planAndSimulateOne(q *query.Query) planExec {
 // RunEpisode performs one full training episode (Section 6.3.1): for every
 // training query, search for a plan with the current value network, execute
 // it on the engine, add the plan/latency pair to the experience, and finally
-// retrain the network. Plan search and simulated execution run concurrently
-// over Config.Workers workers; see RunEpisodeParallel.
+// retrain the network. Plan search and plan simulation fan out over
+// Config.Workers workers, while the episode's shuffle, the engine's noise
+// draws, the experience appends and the final retraining all happen in
+// deterministic order — so the returned EpisodeStats (and all downstream
+// training state) are bit-identical to the serial path for a fixed seed, at
+// a fraction of the wall-clock time. The one exception is injected
+// cardinality error (Featurizer.Error), which draws from a shared stream in
+// scheduling order; see Config.Workers.
 func (n *Neo) RunEpisode(episode int, queries []*query.Query) (*EpisodeStats, error) {
-	return n.RunEpisodeParallel(episode, queries, n.Config.Workers)
-}
-
-// RunEpisodeParallel is RunEpisode with an explicit worker count: plan
-// search and plan simulation fan out over the pool, while the episode's
-// shuffle, the engine's noise draws, the experience appends and the final
-// retraining all happen in deterministic order — so the returned
-// EpisodeStats (and all downstream training state) are bit-identical to the
-// serial path for a fixed seed, at a fraction of the wall-clock time. The
-// one exception is injected cardinality error (Featurizer.Error), which
-// draws from a shared stream in scheduling order; see Config.Workers.
-func (n *Neo) RunEpisodeParallel(episode int, queries []*query.Query, workers int) (*EpisodeStats, error) {
 	stats := &EpisodeStats{Episode: episode, QueryLatencies: make(map[string]float64)}
 	shuffled := append([]*query.Query(nil), queries...)
 	n.rngMu.Lock()
 	n.rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	n.rngMu.Unlock()
 
-	execs := n.planAndSimulate(shuffled, workers)
+	execs := n.planAndSimulate(shuffled)
 	baseTotal := 0.0
 	for i, q := range shuffled {
 		if err := execs[i].err; err != nil {
@@ -889,19 +870,13 @@ func (n *Neo) RunEpisodeParallel(episode int, queries []*query.Query, workers in
 
 // Evaluate optimizes and executes each query without adding the results to
 // the experience (held-out evaluation). It returns the total latency and the
-// per-query latencies. Plan search and simulation run concurrently over
-// Config.Workers workers; see EvaluateParallel.
+// per-query latencies. Like RunEpisode, searches and plan simulations fan out
+// over Config.Workers workers while the engine's noise draws commit in input
+// order, so per-query plans and latencies are identical to the serial path
+// for a fixed seed (with the same Featurizer.Error exception; see
+// Config.Workers).
 func (n *Neo) Evaluate(queries []*query.Query) (float64, map[string]float64, error) {
-	return n.EvaluateParallel(queries, n.Config.Workers)
-}
-
-// EvaluateParallel is Evaluate with an explicit worker count. Like
-// RunEpisodeParallel, searches and plan simulations fan out while the
-// engine's noise draws commit in input order, so per-query plans and
-// latencies are identical to the serial path for a fixed seed (with the
-// same Featurizer.Error exception; see Config.Workers).
-func (n *Neo) EvaluateParallel(queries []*query.Query, workers int) (float64, map[string]float64, error) {
-	execs := n.planAndSimulate(queries, workers)
+	execs := n.planAndSimulate(queries)
 	perQuery := make(map[string]float64, len(queries))
 	total := 0.0
 	for i, q := range queries {

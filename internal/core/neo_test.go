@@ -290,25 +290,6 @@ func TestPredictNormalizedFinite(t *testing.T) {
 	}
 }
 
-func TestBootstrapFromPlans(t *testing.T) {
-	rig := newRig(t, "postgres")
-	train, _ := rig.wl.Split(0.8, 1)
-	var plans []*plan.Plan
-	for _, q := range train[:4] {
-		p, _, err := rig.pg.Optimize(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, p)
-	}
-	if err := rig.neo.BootstrapFromPlans(plans); err != nil {
-		t.Fatal(err)
-	}
-	if rig.neo.Experience.Len() != 4 {
-		t.Errorf("experience should hold 4 entries")
-	}
-}
-
 // TestNeoBeatsRandomBootstrapBaseline verifies the core learning property on
 // a small scale: after bootstrapping from the expert and a few episodes, the
 // plans Neo chooses are competitive with (not far worse than) the expert's

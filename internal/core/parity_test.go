@@ -237,10 +237,12 @@ func TestRetrainWeightsBitIdenticalToReferenceEncoder(t *testing.T) {
 // TestSearchAllocationBudget keeps search bookkeeping from silently growing
 // back: one 5-join best-first search with the real value-network scorer —
 // frontier, Children, dedup, plan encoding, incremental scoring of thousands
-// of plans — stays under an allocation count set 25 % above what it measures
-// today (21.5 k; 27.0 k before netScorer kept one root buffer for a batch
+// of plans — stays under an allocation count set just under 10 % above what
+// it measures today (21 533, the same on every run: the search is
+// deterministic; 27.0 k before netScorer kept one root buffer for a batch
 // instead of one slice per plan). Deep-copied children, string signatures
 // and from-scratch encoding cost ten times as much (269 k on this search).
+// This is the only allocation gate on the search path, hence the tight bound.
 func TestSearchAllocationBudget(t *testing.T) {
 	rig := newRig(t, "postgres")
 	if err := rig.neo.Bootstrap(rig.wl.Queries[:4], rig.expertFunc()); err != nil {
@@ -262,7 +264,7 @@ func TestSearchAllocationBudget(t *testing.T) {
 	if res.Evaluations < 4000 {
 		t.Fatalf("the search scored only %d plans; the budget below is for a search of thousands", res.Evaluations)
 	}
-	const budget = 26900
+	const budget = 23600
 	if allocs > budget {
 		t.Errorf("one search allocated %.0f times, budget %d", allocs, budget)
 	}
