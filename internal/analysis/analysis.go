@@ -76,7 +76,8 @@ type Config struct {
 	// WirePkg is the one package allowed to touch encoding/binary's
 	// little-endian primitives directly; everything else must go through
 	// its helpers. binary.BigEndian and binary.NativeEndian are flagged
-	// everywhere — FORMAT.md freezes the wire format as little-endian.
+	// everywhere — internal/checkpoint/FORMAT.md freezes the wire format as
+	// little-endian.
 	WirePkg string
 	// Strict additionally reports suppression comments that no longer
 	// suppress any finding, and FrozenTypes/FrozenAllow entries that name

@@ -6,10 +6,10 @@ import (
 )
 
 // walltimeCheck flags wall-clock reads and global-randomness use inside the
-// determinism-critical packages. The repo's contract (TESTING.md, the
-// replay-parity suites) is that a seeded run is bit-identical across
-// machines and worker counts; time.Now smuggles the host's clock into that
-// computation and the global math/rand source is seeded per-process and
+// determinism-critical packages. The repo's contract (ARCHITECTURE.md's
+// "Testing", the replay-parity suites) is that a seeded run is bit-identical
+// across machines and worker counts; time.Now smuggles the host's clock into
+// that computation and the global math/rand source is seeded per-process and
 // shared across goroutines, so either one silently breaks replay. Code in
 // these packages must thread an explicit timestamp/duration in from the
 // caller and draw randomness from a seeded *rand.Rand it owns.

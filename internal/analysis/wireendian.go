@@ -6,15 +6,16 @@ import (
 )
 
 // wireendianCheck enforces the frozen wire format two ways. First,
-// binary.BigEndian and binary.NativeEndian are banned everywhere: FORMAT.md
-// freezes every on-disk and on-wire integer as little-endian, NativeEndian
-// would make checkpoints non-portable across architectures, and a single
-// big-endian field would corrupt the NEOCKPT1 stream undetectably (the
-// length-prefixed framing would mis-parse downstream sections). Second,
-// outside the designated wire package, any other use of encoding/binary is
-// flagged too — not because little-endian calls are wrong per se, but
-// because scattering raw binary.Write/PutUint32 calls around the tree is
-// how a second, subtly different serialization dialect gets born. Encoding
+// binary.BigEndian and binary.NativeEndian are banned everywhere:
+// internal/checkpoint/FORMAT.md freezes every on-disk and on-wire integer as
+// little-endian, NativeEndian would make checkpoints non-portable across
+// architectures, and a single big-endian field would corrupt the NEOCKPT1
+// stream undetectably (the length-prefixed framing would mis-parse
+// downstream sections). Second, outside the designated wire package, any
+// other use of encoding/binary is flagged too — not because little-endian
+// calls are wrong per se, but because scattering raw binary.Write/PutUint32
+// calls around the tree is how a second, subtly different serialization
+// dialect gets born. Encoding
 // belongs behind internal/wire's helpers, which carry the format's framing,
 // versioning and checksum rules.
 var wireendianCheck = &Check{
@@ -40,7 +41,7 @@ func runWireendian(p *Pass) {
 			}
 			switch sel.Sel.Name {
 			case "BigEndian", "NativeEndian":
-				p.Reportf(sel.Pos(), "binary.%s breaks the frozen little-endian wire format (FORMAT.md); all wire integers are little-endian", sel.Sel.Name)
+				p.Reportf(sel.Pos(), "binary.%s breaks the frozen little-endian wire format (internal/checkpoint/FORMAT.md); all wire integers are little-endian", sel.Sel.Name)
 				return true
 			}
 			if p.Pkg.Path == p.Cfg.WirePkg {

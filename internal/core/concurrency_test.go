@@ -301,7 +301,7 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 					}
 					n.SetBaseline(q.ID, float64(100+w))
 					n.Baseline(q.ID)
-					n.PredictNormalized(q, probePlan)
+					n.Snapshot().Predict(n.Featurizer.EncodeQuery(q), n.Featurizer.EncodePlan(probePlan))
 				}
 			}
 		}(w)

@@ -117,11 +117,11 @@ func DefaultConfig() Config {
 // Neo is the learned optimizer: it featurizes queries, maintains experience,
 // trains the value network, and searches for plans with it.
 //
-// Concurrency: plan search (Optimize, OptimizeCached, OptimizeGreedy, Scorer,
-// PredictNormalized) scores against an immutable snapshot of the value
-// network and is safe to call from any number of goroutines, including
-// while a Retrain round trains the live network on another goroutine or a
-// Restore replaces the learned state. Calls that mutate the experience or
+// Concurrency: plan search (Optimize, OptimizeCached, OptimizeGreedy, Scorer)
+// scores against an immutable snapshot of the value network and is safe to
+// call from any number of goroutines, including while a Retrain round trains
+// the live network on another goroutine or a Restore replaces the learned
+// state. Calls that mutate the experience or
 // draw from the training rng (Bootstrap, Explore, RunEpisode) must not
 // overlap each other.
 type Neo struct {
@@ -435,7 +435,7 @@ func (n *Neo) Bootstrap(queries []*query.Query, expert func(*query.Query) (*plan
 // plans for the same query — which substantially improves early plan ranking
 // when the training workload is small. (The paper collects only the expert
 // plan per query; this is an optional enrichment, enabled by default in the
-// experiment harness and documented in DESIGN.md.)
+// experiment harness, cmd/neo-experiments.)
 func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.Plan, perQuery int) error {
 	if perQuery <= 0 {
 		return nil
@@ -731,8 +731,8 @@ func (n *Neo) ObserveLatency(q *query.Query, observedMS float64) {
 		}
 		observedMS /= base
 	}
-	// Predict (not PredictNormalized): the estimate must be in the original
-	// cost domain so the observed/estimated ratio is unit-free.
+	// Predict (not PredictBatchNormalized): the estimate must be in the
+	// original cost domain so the observed/estimated ratio is unit-free.
 	initial := plan.Initial(q)
 	estimate := n.Snapshot().Predict(n.Featurizer.EncodeQuery(q), n.Featurizer.EncodePlan(initial))
 	n.router.RecordOutcome(route.Classify(q).Key(), observedMS, estimate)
@@ -888,18 +888,4 @@ func (n *Neo) Evaluate(queries []*query.Query) (float64, map[string]float64, err
 		total += lat
 	}
 	return total, perQuery, nil
-}
-
-// PredictNormalized exposes the raw value-network output for a plan of a
-// query (used by the Figure 14 robustness analysis). It reads the serving
-// snapshot, so it is safe to call while a retraining round is in flight.
-func (n *Neo) PredictNormalized(q *query.Query, p *plan.Plan) float64 {
-	return n.Snapshot().PredictBatchNormalized(
-		[][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{n.Featurizer.EncodePlan(p)})[0]
-}
-
-// EncodePlanTrees is a convenience wrapper exposing the featurizer's plan
-// encoding (useful for analysis tools and tests).
-func (n *Neo) EncodePlanTrees(p *plan.Plan) []*treeconv.Tree {
-	return n.Featurizer.EncodePlan(p)
 }

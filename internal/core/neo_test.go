@@ -12,6 +12,7 @@ import (
 	"neo/internal/query"
 	"neo/internal/stats"
 	"neo/internal/storage"
+	"neo/internal/treeconv"
 	"neo/internal/valuenet"
 	"neo/internal/workload"
 )
@@ -281,12 +282,14 @@ func TestPredictNormalizedFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := rig.neo.PredictNormalized(q, p)
+	trees := rig.neo.Featurizer.EncodePlan(p)
+	if len(trees) != 1 {
+		t.Errorf("expected a single encoded tree for a complete plan")
+	}
+	v := rig.neo.Snapshot().PredictBatchNormalized(
+		[][]float64{rig.neo.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{trees})[0]
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Errorf("normalized prediction should be finite, got %f", v)
-	}
-	if trees := rig.neo.EncodePlanTrees(p); len(trees) != 1 {
-		t.Errorf("expected a single encoded tree for a complete plan")
 	}
 }
 

@@ -439,10 +439,12 @@ func (sh *refShard) run(r *refNet, samples []valuenet.Sample) {
 	ins := []*treeconv.Batch[float64]{batch}
 	for _, l := range sh.conv.Layers {
 		one := &treeconv.Stack{Layers: []*treeconv.Layer{l}}
-		ins = append(ins, one.ForwardBatchTape(ins[len(ins)-1], a).Output())
+		var tape treeconv.StackBatchTape
+		one.RecordBatch(&tape, ins[len(ins)-1], a)
+		ins = append(ins, tape.Output())
 	}
 	convOut := ins[len(ins)-1]
-	pooled, argmax := treeconv.PoolBatchArgmax(convOut, a, nil)
+	pooled, argmax := treeconv.PoolForwardBatch(convOut, a, nil)
 	ht := refMLPForward(sh.head, pooled, rows, a)
 
 	gradOut := a.Alloc(rows)

@@ -15,13 +15,15 @@ import (
 )
 
 // exactScorer drives a search with the product scorer while holding every
-// batch it scores to the whole-forest pass: the same plans, encoded by an
-// encoder of its own, through PredictBatch on the same snapshot.
+// batch it scores to the same plans scored from scratch: each encoded by
+// Featurizer.EncodePlan (a fresh encoder, so no two forests share a tree),
+// through PredictBatch on the same snapshot (a fresh scorer, so nothing is
+// recalled).
 type exactScorer struct {
 	t     *testing.T
 	inner search.BatchScorer
 	snap  *valuenet.Snapshot
-	enc   *feature.PlanEncoder
+	feat  *feature.Featurizer
 	qEnc  []float64
 	plans int
 }
@@ -31,7 +33,7 @@ func (s *exactScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 	queries := make([][]float64, len(ps))
 	forests := make([][]*treeconv.Tree, len(ps))
 	for i, p := range ps {
-		queries[i], forests[i] = s.qEnc, s.enc.Encode(p)
+		queries[i], forests[i] = s.qEnc, s.feat.EncodePlan(p)
 	}
 	want := s.snap.PredictBatch(queries, forests)
 	if len(got) != len(want) {
@@ -65,10 +67,9 @@ func servingNeo(t testing.TB, rig *testRig) *Neo {
 // TestSearchScoresMatchPredictBatch: every batch of 256-expansion best-first
 // searches and of greedy descents over TestSearchStatesMatchReference's
 // corpus — with and without cross products — gets bit for bit the scores
-// PredictBatch gives the same forests, on a float64 snapshot, a float32
-// snapshot and a float32 snapshot on the portable GEMM kernel. Equal scores
-// are equal searches: the same plans, expansions and evaluations as before
-// the scorer was incremental.
+// the same plans get from scratch, on a float64 snapshot, a float32 snapshot
+// and a float32 snapshot on the portable GEMM kernel: what a search's scorer
+// recalls from earlier batches never changes a score.
 func TestSearchScoresMatchPredictBatch(t *testing.T) {
 	rig := newRig(t, "postgres")
 	n := servingNeo(t, rig)
@@ -87,7 +88,7 @@ func TestSearchScoresMatchPredictBatch(t *testing.T) {
 			opts := search.Options{Catalog: rig.db.Catalog, MaxExpansions: 256, AllowCrossProducts: qi%2 == 1 && len(q.Relations) <= 5}
 			for _, strategy := range []func(*query.Query, search.BatchScorer, search.Options) (*search.Result, error){search.BestFirst, search.Greedy} {
 				s := &exactScorer{t: t, inner: n.Scorer(q), snap: n.Snapshot(),
-					enc: n.Featurizer.NewPlanEncoder(q), qEnc: n.Featurizer.EncodeQuery(q)}
+					feat: n.Featurizer, qEnc: n.Featurizer.EncodeQuery(q)}
 				if _, err := strategy(q, s, opts); err != nil {
 					t.Fatalf("%s: %v", q.ID, err)
 				}
@@ -110,10 +111,8 @@ func TestSearchScoresMatchPredictBatch(t *testing.T) {
 // the ScoreBatch calls of a real 256-expansion search on a 5-join query,
 // recorded once and encoded once by one search-long encoder (so forests
 // share subtrees exactly as the search's did), replayed through a fresh
-// incremental scorer — what netScorer does — and through PredictBatch on
-// each call's forests — what it did before. nodes/plan is the number of tree
-// nodes convolved per plan scored; towers/op the number of query-tower
-// passes.
+// scorer — what netScorer does. nodes/plan is the number of tree nodes
+// convolved per plan scored.
 func BenchmarkSearchScore(b *testing.B) {
 	rig := newRig(b, "postgres")
 	n := servingNeo(b, rig)
@@ -125,29 +124,21 @@ func BenchmarkSearchScore(b *testing.B) {
 	qEnc := n.Featurizer.EncodeQuery(q)
 	enc := n.Featurizer.NewPlanEncoder(q)
 	calls := make([][][]*treeconv.Tree, len(rec.calls))
-	queries := make([][][]float64, len(rec.calls))
 	plans, nodes := 0, 0
 	for c, ps := range rec.calls {
 		for _, p := range ps {
 			forest := enc.Encode(p)
 			calls[c] = append(calls[c], forest)
-			queries[c] = append(queries[c], qEnc)
 			for _, tree := range forest {
 				nodes += tree.NumNodes()
 			}
 		}
 		plans += len(ps)
 	}
-	report := func(b *testing.B, convolved, towers int) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*plans), "ns/plan")
-		b.ReportMetric(float64(convolved)/float64(plans), "nodes/plan")
-		b.ReportMetric(float64(towers), "towers/op")
-		b.ReportMetric(float64(plans), "plans/op")
-	}
 	for _, p := range []valuenet.Precision{valuenet.PrecisionFloat32, valuenet.PrecisionFloat64} {
 		republishAt(n, p)
 		snap := n.Snapshot()
-		b.Run(p.String()+"/incremental", func(b *testing.B) {
+		b.Run(p.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			var st valuenet.ScorerStats
 			for i := 0; i < b.N; i++ {
@@ -160,16 +151,9 @@ func BenchmarkSearchScore(b *testing.B) {
 			if st.Plans != plans || st.Nodes != nodes {
 				b.Fatalf("scorer counted %d plans / %d nodes, the recording holds %d / %d", st.Plans, st.Nodes, plans, nodes)
 			}
-			report(b, st.Computed, 1)
-		})
-		b.Run(p.String()+"/predict-batch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for c, forests := range calls {
-					snap.PredictBatch(queries[c], forests)
-				}
-			}
-			report(b, nodes, len(calls))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*plans), "ns/plan")
+			b.ReportMetric(float64(st.Computed)/float64(plans), "nodes/plan")
+			b.ReportMetric(float64(plans), "plans/op")
 		})
 	}
 }

@@ -1,8 +1,8 @@
 // Package experiments implements the harness that regenerates every table
 // and figure of the paper's evaluation (Section 6) on the simulated
 // substrate. Each experiment returns a Report that prints the same rows or
-// series the paper plots; EXPERIMENTS.md records how the measured shapes
-// compare with the published ones.
+// series the paper plots; cmd/neo-experiments runs them and prints the
+// reports, whose notes compare the measured shapes with the published ones.
 package experiments
 
 import (
@@ -453,7 +453,7 @@ func (e *Env) TrainNeo(workloadName, engineName string, enc feature.Encoding, co
 
 	// Bootstrap from the PostgreSQL expert's plans (Section 6.2 protocol),
 	// plus a few exploratory executions per query so the value network sees
-	// within-query contrast from the start (see DESIGN.md).
+	// within-query contrast from the start (see core.Neo.Explore).
 	expertFn := func(q *query.Query) (*plan.Plan, error) {
 		p, _, err := pg.Optimize(q)
 		return p, err

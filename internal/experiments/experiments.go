@@ -311,7 +311,7 @@ func outputsForBucket(n *core.Neo, bucket string, orders float64, seed int64) []
 			continue
 		}
 		queries = append(queries, n.Featurizer.EncodeQuery(entry.Query))
-		forests = append(forests, n.EncodePlanTrees(entry.Plan))
+		forests = append(forests, n.Featurizer.EncodePlan(entry.Plan))
 	}
 	return n.Snapshot().PredictBatchNormalized(queries, forests)
 }
@@ -605,7 +605,8 @@ func AblationSearchVsGreedy(env *Env) (*Report, error) {
 // encoding against search guided by a flattened encoding (all node vectors
 // summed into a single node, destroying the structure that tree convolution
 // exploits), using the same trained value network. It isolates the
-// contribution of the structural inductive bias called out in DESIGN.md.
+// contribution of the structural inductive bias tree convolution provides
+// (ARCHITECTURE.md, "Layers").
 func AblationTreeConvVsFlat(env *Env) (*Report, error) {
 	rep := &Report{
 		Name:   "treeconvvsflat",
@@ -649,15 +650,16 @@ func AblationTreeConvVsFlat(env *Env) (*Report, error) {
 	}
 	rep.AddRow("tree convolution", fmt.Sprintf("%.1f", treeTotal), 1.0)
 	rep.AddRow("flattened", fmt.Sprintf("%.1f", flatTotal), flatTotal/maxFloat(treeTotal, 1e-9))
-	rep.AddNote("design-choice ablation (DESIGN.md): destroying plan structure should not beat the tree-convolution encoding")
+	rep.AddNote("design-choice ablation (ARCHITECTURE.md): destroying plan structure should not beat the tree-convolution encoding")
 	return rep, nil
 }
 
 // flatScorer scores plans after collapsing the encoded forest into a single
-// summed node.
+// summed node, through one scorer on the published snapshot per search.
 func flatScorer(n *core.Neo, q *query.Query) search.BatchScorer {
+	sc := n.Snapshot().NewScorer(n.Featurizer.EncodeQuery(q))
 	return search.ScorerFunc(func(p *plan.Plan) float64 {
-		trees := n.EncodePlanTrees(p)
+		trees := n.Featurizer.EncodePlan(p)
 		if len(trees) == 0 {
 			return 0
 		}
@@ -671,6 +673,6 @@ func flatScorer(n *core.Neo, q *query.Query) search.BatchScorer {
 			})
 		}
 		flat := []*treeconv.Tree{treeconv.NewLeaf(sum)}
-		return n.Net.PredictBatch([][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{flat})[0]
+		return sc.Score([][]*treeconv.Tree{flat})[0]
 	})
 }

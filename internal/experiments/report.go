@@ -17,8 +17,7 @@ type Report struct {
 	Header []string
 	// Rows holds the data, already formatted as strings.
 	Rows [][]string
-	// Notes records caveats and observations (also summarised in
-	// EXPERIMENTS.md).
+	// Notes records caveats and observations.
 	Notes []string
 }
 

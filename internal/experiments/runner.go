@@ -9,8 +9,7 @@ import (
 type ExperimentFunc func(*Env) (*Report, error)
 
 // Registry maps experiment identifiers to their implementations. The keys
-// match the per-experiment index in DESIGN.md and the -exp flag of
-// cmd/neo-experiments.
+// are the values of the -exp flag of cmd/neo-experiments.
 func Registry() map[string]ExperimentFunc {
 	return map[string]ExperimentFunc{
 		"table2":         Table2,

@@ -1,6 +1,6 @@
 // Batched forward primitives. The per-sample Forward/Backward passes in
-// nn.go remain the training path; the batch-matrix variants here are the
-// inference hot path used by the value network's PredictBatch: one call
+// nn.go are the reference; the batch-matrix variants here run the value
+// network's query tower and head when it scores (valuenet.Scorer): one call
 // processes a whole batch of rows with all intermediate storage drawn from a
 // reusable Arena, so a warmed-up arena makes the forward pass allocation-free.
 //
@@ -18,7 +18,7 @@ type Float interface{ float32 | float64 }
 // whole arena at once. After a warm-up call with the largest batch shape, no
 // further heap allocations occur. An Arena is not safe for concurrent use;
 // callers that share a network across goroutines keep one arena per goroutine
-// (see valuenet's scratch pool).
+// (each valuenet.Scorer owns one).
 type Arena[T Float] struct {
 	buf  []T
 	used int

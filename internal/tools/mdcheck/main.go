@@ -1,8 +1,10 @@
 // Command mdcheck validates the repository's markdown cross-references: every
 // inline link or image whose target is a relative path must point at a file
-// or directory that exists. External links (http, https, mailto) are not
-// fetched — CI should not fail on someone else's outage — and pure #fragment
-// links are skipped. Run from the repo root:
+// or directory that exists, and every markdown file name in a non-test Go file
+// must name a file in that file's directory or one of its parents up to the
+// root. External links (http, https, mailto) are not fetched — CI should not
+// fail on someone else's outage — and pure #fragment links are skipped. Run
+// from the repo root:
 //
 //	go run ./internal/tools/mdcheck [dir]
 //
@@ -29,20 +31,37 @@ var linkRE = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)\)`)
 // examples, not references.
 var codeFenceRE = regexp.MustCompile("^\\s*```")
 
-// check walks every .md file under root (via the shared repo walker, so
-// .git, testdata and dot-directories are excluded) and returns one message
-// per broken relative link plus the number of links it resolved.
+// goDocRE matches a markdown file name, optionally with a directory path, in
+// Go source.
+var goDocRE = regexp.MustCompile(`[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+
+// check walks every .md and non-test .go file under root (via the shared
+// repo walker, so .git, testdata and dot-directories are excluded) and
+// returns one message per broken reference plus the number it resolved.
 func check(root string) (broken []string, checked int, err error) {
-	files, err := walk.Files(root, ".md")
+	mds, err := walk.Files(root, ".md")
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, path := range files {
+	gos, err := walk.Files(root, ".go")
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, path := range append(mds, gos...) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, 0, err
 		}
-		b, c := checkFile(path, string(data))
+		var b []string
+		var c int
+		if strings.HasSuffix(path, ".md") {
+			b, c = checkFile(path, string(data))
+		} else {
+			b, c = checkGoFile(root, path, string(data))
+		}
 		broken = append(broken, b...)
 		checked += c
 	}
@@ -86,6 +105,37 @@ func checkFile(path, content string) (broken []string, checked int) {
 	return broken, checked
 }
 
+// checkGoFile reports every markdown name in a Go file that resolves neither
+// from the file's directory nor from any parent of it up to root.
+func checkGoFile(root, path, content string) (broken []string, checked int) {
+	for lineNo, line := range strings.Split(content, "\n") {
+		for _, name := range goDocRE.FindAllString(line, -1) {
+			checked++
+			if !resolvesUpward(root, filepath.Dir(path), name) {
+				broken = append(broken, fmt.Sprintf("%s:%d: %q names no file in its directory or any parent",
+					path, lineNo+1, name))
+			}
+		}
+	}
+	return broken, checked
+}
+
+// resolvesUpward reports whether name exists relative to dir or to one of
+// its parents, stopping at root.
+func resolvesUpward(root, dir, name string) bool {
+	root = filepath.Clean(root)
+	for {
+		if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(name))); err == nil {
+			return true
+		}
+		parent := filepath.Dir(dir)
+		if dir == root || parent == dir {
+			return false
+		}
+		dir = parent
+	}
+}
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -100,8 +150,8 @@ func main() {
 		for _, b := range broken {
 			fmt.Fprintln(os.Stderr, b)
 		}
-		fmt.Fprintf(os.Stderr, "mdcheck: %d broken link(s)\n", len(broken))
+		fmt.Fprintf(os.Stderr, "mdcheck: %d broken reference(s)\n", len(broken))
 		os.Exit(1)
 	}
-	fmt.Printf("mdcheck: %d relative links OK\n", checked)
+	fmt.Printf("mdcheck: %d references OK\n", checked)
 }

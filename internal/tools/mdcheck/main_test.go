@@ -119,3 +119,29 @@ func TestCheckFragmentSuffixResolvesFile(t *testing.T) {
 		t.Fatalf("expected exactly the fragment link to GONE.md to break, got %v", broken)
 	}
 }
+
+func TestCheckGoDocNamesResolveUpward(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"OPS.md":                "ops\n",
+		"pkg/FORMAT.md":         "format\n",
+		"pkg/sub/a.go":          "// See OPS.md, FORMAT.md and pkg/FORMAT.md.\npackage sub\n",
+		"pkg/sub/a_test.go":     "// GONE.md is only named by a test file.\npackage sub\n",
+		"other/b.go":            "package other\n\n// The layout is in FORMAT.md.\nvar x = \"DESIGN.md\"\n",
+		"other/testdata/c.go":   "// GONE.md inside testdata.\npackage testdata\n",
+		"other/notes/README.md": "no links\n",
+	})
+	broken, checked, err := check(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a.go: OPS.md from the root, FORMAT.md from pkg, pkg/FORMAT.md from the
+	// root; b.go: FORMAT.md and DESIGN.md, neither of which resolves upward.
+	if checked != 5 {
+		t.Fatalf("checked = %d, want 5", checked)
+	}
+	if len(broken) != 2 ||
+		!strings.Contains(broken[0], filepath.Join("other", "b.go")+`:3: "FORMAT.md"`) ||
+		!strings.Contains(broken[1], filepath.Join("other", "b.go")+`:4: "DESIGN.md"`) {
+		t.Fatalf("expected b.go's FORMAT.md and DESIGN.md to break, got %v", broken)
+	}
+}

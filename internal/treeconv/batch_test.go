@@ -29,46 +29,6 @@ func randomForest(rng *rand.Rand, trees, dim int) []*Tree {
 	return out
 }
 
-func TestForwardBatchMatchesPerTreeForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const dim = 6
-	stack := NewStack([]int{dim, 10, 4}, rng)
-
-	forests := [][]*Tree{
-		randomForest(rng, 1, dim),
-		randomForest(rng, 3, dim),
-		{}, // empty forest
-		randomForest(rng, 2, dim),
-	}
-
-	var bb BatchBuilder[float64]
-	var scratch BatchScratch[float64]
-	batch := bb.Build(forests, dim, func(_ int, n *Tree, row []float64) { copy(row, n.Data) })
-	out := stack.ForwardBatch(batch, &scratch)
-	pooled := PoolBatch(out, &scratch.Arena)
-
-	outDim := 4
-	for si, forest := range forests {
-		// Reference: per-tree forward + per-tree pooling + cross-tree max
-		// (empty forests pool to zero, as in the value network).
-		want := make([]float64, outDim)
-		for _, tree := range forest {
-			p, _ := DynamicPool(stack.Forward(tree).Output())
-			for i := range p {
-				if tree == forest[0] || p[i] > want[i] {
-					want[i] = p[i]
-				}
-			}
-		}
-		got := pooled[si*outDim : (si+1)*outDim]
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("sample %d channel %d: batch %v != per-tree %v", si, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestBatchBuilderStructure(t *testing.T) {
 	//      a
 	//     / \
@@ -98,32 +58,5 @@ func TestBatchBuilderStructure(t *testing.T) {
 		if batch.Left[i] != wantLeft[i] || batch.Right[i] != wantRight[i] {
 			t.Errorf("node %d children (%d,%d), want (%d,%d)", i, batch.Left[i], batch.Right[i], wantLeft[i], wantRight[i])
 		}
-	}
-}
-
-func TestForwardBatchNoAllocationsWhenWarm(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const dim = 5
-	stack := NewStack([]int{dim, 8, 4}, rng)
-	forests := [][]*Tree{randomForest(rng, 2, dim), randomForest(rng, 3, dim)}
-	fill := func(_ int, n *Tree, row []float64) { copy(row, n.Data) }
-
-	var bb BatchBuilder[float64]
-	var scratch BatchScratch[float64]
-	// Warm up.
-	for i := 0; i < 2; i++ {
-		batch := bb.Build(forests, dim, fill)
-		out := stack.ForwardBatch(batch, &scratch)
-		PoolBatch(out, &scratch.Arena)
-		scratch.Reset()
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		batch := bb.Build(forests, dim, fill)
-		out := stack.ForwardBatch(batch, &scratch)
-		PoolBatch(out, &scratch.Arena)
-		scratch.Reset()
-	})
-	if allocs > 0 {
-		t.Fatalf("warmed-up batched conv allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -1,16 +1,15 @@
-// Row kernels. The batch passes (batch.go, f32.go) convolve every node of a
-// flattened forest batch; an incremental scorer (valuenet.Scorer) already
-// holds most nodes' activations and hands a layer only the nodes it has not
-// seen, gathered the way the packed float32 pass gathers them: childless
-// nodes as rows [x], nodes with a child as rows [x; left; right] with zeros
-// for an absent child. Each row goes through the kernel the batch pass of
-// its precision uses for that node, on the same operands, so a node's output
-// is bit-identical whichever pass computes it:
+// Row kernels: the inference pass of both precisions. The value network's
+// scorer (valuenet.Scorer) hands a layer the nodes it has no activations for
+// yet, gathered as rows: childless nodes as [x], nodes with a child as
+// [x; left; right] with zeros for an absent child. A row's output depends on
+// that row alone, so a node's activation is the same whichever rows share
+// its call:
 //
-//   - float64: convLeafPre per leaf row and convBothPre per interior row. For
-//     a one-child node convBatchPre's explicit-zero loop and convBothPre run
-//     the same operations in the same order per channel — convBothPre only
-//     interleaves four channels.
+//   - float64: convLeafPre per leaf row and convBothPre per interior row, the
+//     training tape's kernels. Per channel they run Layer.convolve's
+//     operations in its order (a leaf drops the w·0 terms, which leaves the
+//     sum equal up to the sign of zero), so a node's output is == to the
+//     per-tree reference Forward.
 //   - float32: the packed GEMM, over the EP K-prefix for leaf rows. Both of
 //     its kernels accumulate a row from zero over ascending k and add the
 //     bias last, so a row's result does not depend on which rows share its

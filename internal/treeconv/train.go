@@ -1,8 +1,7 @@
-// Batched tree-convolution training. batch.go flattens forests into index
-// arrays for inference; the routines here extend the same layout to training:
+// Batched tree-convolution training over the flattened layout of batch.go:
 // a recorded StackBatchTape retains every layer's pre-activation matrix so
 // BackwardBatch can propagate a flat gradient matrix through the whole stack
-// — and PoolBatchArgmax / PoolBackwardBatch replace the per-tree dynamic
+// — and PoolForwardBatch / PoolBackwardBatch replace the per-tree dynamic
 // pooling with a single flat pass that records, per (sample, channel), which
 // node supplied the maximum.
 //
@@ -59,18 +58,9 @@ type StackBatchTape struct {
 // Output returns the final convolved batch.
 func (t *StackBatchTape) Output() *Batch[float64] { return &t.outs[len(t.outs)-1] }
 
-// ForwardBatchTape runs every layer over the flattened batch, recording a
-// fresh tape for BackwardBatch (see RecordBatch).
-func (s *Stack) ForwardBatchTape(in *Batch[float64], a *nn.Arena[float64]) *StackBatchTape {
-	t := &StackBatchTape{}
-	s.RecordBatch(t, in, a)
-	return t
-}
-
 // RecordBatch runs every layer over the flattened batch, recording into t for
-// BackwardBatch. It shares ForwardBatch's kernels but keeps every layer's
-// pre-activation matrix (ForwardBatch activates in place); per node the
-// convolution performs the same operations in the same order as
+// BackwardBatch: every layer's pre-activation matrix and activated output.
+// Per node the convolution performs the same operations in the same order as
 // Layer.convolve, so outputs are bit-identical to the per-tree Forward.
 func (s *Stack) RecordBatch(t *StackBatchTape, in *Batch[float64], a *nn.Arena[float64]) {
 	zeros := a.Alloc(s.maxInChannels())
@@ -108,15 +98,25 @@ func (s *Stack) RecordBatch(t *StackBatchTape, in *Batch[float64], a *nn.Arena[f
 	}
 }
 
+func (s *Stack) maxInChannels() int {
+	maxIn := 0
+	for _, l := range s.Layers {
+		if l.InChannels > maxIn {
+			maxIn = l.InChannels
+		}
+	}
+	return maxIn
+}
+
 // convBatchPre convolves the filterbank over every node of in, writing the
-// pre-activation values into pre; inference and training both run it. Plan
-// trees are strictly binary, so almost every node is either a leaf or a
-// join, and each gets a specialised kernel: childless nodes skip the child
-// dot products against the zero padding entirely (dropping a w·0 term leaves
-// the accumulator bit-identical up to the sign of zero, which compares
-// equal) and join nodes run a 4-way-unrolled kernel whose per-channel
-// operation order matches Layer.convolve exactly; one-child nodes convolve
-// against explicit zero padding exactly like Layer.convolve.
+// pre-activation values into pre. Plan trees are strictly binary, so almost
+// every node is either a leaf or a join, and each gets a specialised kernel:
+// childless nodes skip the child dot products against the zero padding
+// entirely (dropping a w·0 term leaves the accumulator bit-identical up to
+// the sign of zero, which compares equal) and join nodes run a 4-way-unrolled
+// kernel whose per-channel operation order matches Layer.convolve exactly;
+// one-child nodes convolve against explicit zero padding exactly like
+// Layer.convolve.
 func (l *Layer) convBatchPre(in *Batch[float64], pre, zeros []float64) {
 	ic := l.InChannels
 	for n := 0; n < in.N; n++ {
@@ -358,13 +358,15 @@ func backward4(w *nn.Param, ic, o int, g, x, gin []float64) {
 	}
 }
 
-// PoolBatchArgmax is PoolBatch plus an argmax record: argmax[s*Channels+c]
-// is the index of the node that supplied sample s's maximum for channel c
-// (-1 for empty samples). Ties keep the first node in flattened order, which
-// matches the per-tree DynamicPool argmax combined with the cross-tree
-// strict-greater ownership comparison of the per-sample forward pass. The
-// argmax slice is (re)used from argmaxBuf when it has capacity.
-func PoolBatchArgmax(b *Batch[float64], a *nn.Arena[float64], argmaxBuf []int) (pooled []float64, argmax []int) {
+// PoolForwardBatch dynamic-pools every sample of the batch — row s of pooled
+// is the elementwise maximum over the node vectors of sample s, 0 for an
+// empty sample — and records argmax[s*Channels+c], the index of the node that
+// supplied sample s's maximum for channel c (-1 for empty samples). Ties keep
+// the first node in flattened order, which matches the per-tree DynamicPool
+// argmax combined with the cross-tree strict-greater ownership comparison of
+// the per-sample forward pass. The argmax slice is (re)used from argmaxBuf
+// when it has capacity.
+func PoolForwardBatch(b *Batch[float64], a *nn.Arena[float64], argmaxBuf []int) (pooled []float64, argmax []int) {
 	dim := b.Channels
 	pooled = a.Alloc(b.Samples * dim)
 	if cap(argmaxBuf) < b.Samples*dim {
@@ -396,7 +398,7 @@ func PoolBatchArgmax(b *Batch[float64], a *nn.Arena[float64], argmaxBuf []int) (
 
 // PoolBackwardBatch scatters a Samples×Channels pooled-gradient matrix back
 // to the node level: every (sample, channel) gradient lands on the argmax
-// node recorded by PoolBatchArgmax, all other node gradients are zero.
+// node recorded by PoolForwardBatch, all other node gradients are zero.
 func PoolBackwardBatch(b *Batch[float64], argmax []int, gradPooled []float64, a *nn.Arena[float64]) []float64 {
 	dim := b.Channels
 	gradNodes := a.Alloc(b.N * dim)

@@ -16,8 +16,8 @@ func buildFlatBatch(bb *BatchBuilder[float64], forests [][]*Tree, dim int) *Batc
 	})
 }
 
-// TestForwardBatchTapeMatchesForward asserts the training forward pass is
-// bit-identical to the per-tree Forward, layer by layer.
+// TestForwardBatchTapeMatchesForward asserts the training forward pass
+// (RecordBatch) is bit-identical to the per-tree Forward, layer by layer.
 func TestForwardBatchTapeMatchesForward(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -31,7 +31,8 @@ func TestForwardBatchTapeMatchesForward(t *testing.T) {
 		var bb BatchBuilder[float64]
 		var arena nn.Arena[float64]
 		batch := buildFlatBatch(&bb, forests, dim)
-		tape := stack.ForwardBatchTape(batch, &arena)
+		var tape StackBatchTape
+		stack.RecordBatch(&tape, batch, &arena)
 		out := tape.Output()
 
 		node := 0
@@ -72,7 +73,8 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 		var bb BatchBuilder[float64]
 		var arena nn.Arena[float64]
 		batch := buildFlatBatch(&bb, forests, dim)
-		tape := batched.ForwardBatchTape(batch, &arena)
+		var tape StackBatchTape
+		batched.RecordBatch(&tape, batch, &arena)
 		outChannels := tape.Output().Channels
 
 		// Random gradients per output node (with zeros mixed in, as dynamic
@@ -83,7 +85,7 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 				gradOut[i] = rng.NormFloat64()
 			}
 		}
-		gotGradIn := batched.BackwardBatch(tape, gradOut, &arena)
+		gotGradIn := batched.BackwardBatch(&tape, gradOut, &arena)
 
 		node := 0
 		for _, f := range forests {
@@ -127,9 +129,9 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 	}
 }
 
-// TestPoolBatchArgmaxMatchesDynamicPool checks pooled values and argmax
-// ownership against per-tree DynamicPool plus the cross-tree strict-greater
-// ownership rule of the per-sample forward pass.
+// TestPoolBatchArgmaxMatchesDynamicPool checks PoolForwardBatch's pooled
+// values and argmax ownership against per-tree DynamicPool plus the
+// cross-tree strict-greater ownership rule of the per-sample forward pass.
 func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const dim = 6
@@ -143,9 +145,10 @@ func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 	var bb BatchBuilder[float64]
 	var arena nn.Arena[float64]
 	batch := buildFlatBatch(&bb, forests, dim)
-	tape := stack.ForwardBatchTape(batch, &arena)
+	var tape StackBatchTape
+	stack.RecordBatch(&tape, batch, &arena)
 	out := tape.Output()
-	pooled, argmax := PoolBatchArgmax(out, &arena, nil)
+	pooled, argmax := PoolForwardBatch(out, &arena, nil)
 
 	for s, f := range forests {
 		want := make([]float64, out.Channels)

@@ -240,25 +240,3 @@ func TestPoolingInvariantToStructureSize(t *testing.T) {
 		t.Errorf("pooled sizes = %d, %d; want 6, 6", len(p1), len(p2))
 	}
 }
-
-func BenchmarkStackForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	stack := NewStack([]int{32, 64, 64, 32}, rng)
-	// Build a 15-node balanced tree.
-	var build func(depth int) *Tree
-	build = func(depth int) *Tree {
-		data := make([]float64, 32)
-		for i := range data {
-			data[i] = rng.Float64()
-		}
-		if depth == 0 {
-			return NewLeaf(data)
-		}
-		return NewNode(data, build(depth-1), build(depth-1))
-	}
-	tr := build(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stack.Forward(tr)
-	}
-}

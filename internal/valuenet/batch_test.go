@@ -1,7 +1,6 @@
 package valuenet
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -39,8 +38,8 @@ func randForest(rng *rand.Rand, dim int) []*treeconv.Tree {
 
 // TestPredictBatchMatchesPredict is the batched-vs-sequential parity property
 // test: over random networks, random forests (including empty ones), shared
-// and distinct query vectors, PredictBatch must equal per-sample Predict to
-// within 1e-9.
+// and distinct query vectors, a float64 snapshot's PredictBatch must equal
+// the per-sample reference Network.Predict exactly.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	const queryDim, planDim = 9, 7
 	for seed := int64(0); seed < 5; seed++ {
@@ -64,22 +63,20 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			forests[i] = randForest(rng, planDim)
 		}
 
-		got := net.PredictBatch(queries, forests)
+		snap := net.Snapshot()
+		got := snap.PredictBatch(queries, forests)
 		if len(got) != batch {
 			t.Fatalf("seed %d: PredictBatch returned %d results, want %d", seed, len(got), batch)
 		}
 		for i := range got {
-			want := net.Predict(queries[i], forests[i])
-			if math.Abs(got[i]-want) > 1e-9 {
-				t.Errorf("seed %d sample %d: batch %v != sequential %v (diff %g)",
-					seed, i, got[i], want, math.Abs(got[i]-want))
+			if want := net.Predict(queries[i], forests[i]); got[i] != want {
+				t.Errorf("seed %d sample %d: batch %v != sequential %v", seed, i, got[i], want)
 			}
 		}
 
-		gotN := net.PredictBatchNormalized(queries, forests)
+		gotN := snap.PredictBatchNormalized(queries, forests)
 		for i := range gotN {
-			want := net.PredictNormalized(queries[i], forests[i])
-			if math.Abs(gotN[i]-want) > 1e-9 {
+			if want := net.PredictNormalized(queries[i], forests[i]); gotN[i] != want {
 				t.Errorf("seed %d sample %d (normalized): batch %v != sequential %v", seed, i, gotN[i], want)
 			}
 		}
@@ -87,18 +84,18 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 func TestPredictBatchEmpty(t *testing.T) {
-	net := New(4, 3, DefaultConfig())
-	if out := net.PredictBatch(nil, nil); out != nil {
+	snap := New(4, 3, DefaultConfig()).Snapshot()
+	if out := snap.PredictBatch(nil, nil); out != nil {
 		t.Fatalf("PredictBatch(nil) = %v, want nil", out)
 	}
 }
 
-// TestPredictBatchConcurrent exercises the scratch pool under concurrent use
-// (PlanAll plans independent queries over one shared network); run with -race
-// to detect unsynchronised state.
+// TestPredictBatchConcurrent scores on one shared snapshot from many
+// goroutines (PlanAll plans independent queries over one shared network); run
+// with -race to detect unsynchronised state.
 func TestPredictBatchConcurrent(t *testing.T) {
 	const queryDim, planDim = 6, 5
-	net := New(queryDim, planDim, DefaultConfig())
+	snap := New(queryDim, planDim, DefaultConfig()).Snapshot()
 	rng := rand.New(rand.NewSource(7))
 	queries := make([][]float64, 16)
 	forests := make([][]*treeconv.Tree, 16)
@@ -106,7 +103,7 @@ func TestPredictBatchConcurrent(t *testing.T) {
 		queries[i] = randVec(rng, queryDim)
 		forests[i] = randForest(rng, planDim)
 	}
-	want := net.PredictBatch(queries, forests)
+	want := snap.PredictBatch(queries, forests)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -114,7 +111,7 @@ func TestPredictBatchConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
-				got := net.PredictBatch(queries, forests)
+				got := snap.PredictBatch(queries, forests)
 				for i := range got {
 					if got[i] != want[i] {
 						t.Errorf("concurrent PredictBatch diverged at %d: %v != %v", i, got[i], want[i])

@@ -2,9 +2,9 @@
 // frozen network the search path scores plans against — can additionally be
 // published in float32 form. The conversion happens exactly once, at snapshot
 // time: weights are re-packed into the tiled-GEMM panels of internal/nn, and
-// the scoring pipeline then never touches float64 between the input-encode
-// boundary (query/plan vectors → float32 batch rows, inside assemble) and the
-// output boundary (normalised prediction → float64 denormalization).
+// the scorer (scorer.go) then never touches float64 between the input-encode
+// boundary (query/plan vectors → float32 rows) and the output boundary
+// (normalised prediction → float64 denormalization).
 //
 // Precision is snapshot-only state: the float64 master weights are carried
 // unchanged inside every snapshot (they are what checkpoints save), so
@@ -13,7 +13,6 @@ package valuenet
 
 import (
 	"fmt"
-	"sync"
 
 	"neo/internal/nn"
 	"neo/internal/treeconv"
@@ -104,38 +103,4 @@ func (n *Network) SnapshotPrecision(p Precision) *Snapshot {
 		}
 	}
 	return s
-}
-
-var scratch32Pool = sync.Pool{New: func() interface{} { return &batchScratch[float32]{} }}
-
-// forward32 is PredictBatchNormalized through the packed float32 panels:
-// the same assemble prologue and containers, float32 kernels, and normalised
-// predictions widened back to float64 at the output boundary.
-func (s *Snapshot) forward32(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
-	if len(queries) != len(forests) {
-		panic("valuenet: PredictBatch queries/forests length mismatch")
-	}
-	rows := len(queries)
-	if rows == 0 {
-		return nil
-	}
-	st := scratch32Pool.Get().(*batchScratch[float32])
-	defer func() {
-		st.conv.Reset()
-		scratch32Pool.Put(st)
-	}()
-	arena := &st.conv.Arena
-
-	batch := st.assemble(s.net, queries, forests, func(qFlat []float32, distinct int) []float32 {
-		return s.f32.qmlp.ForwardBatch(qFlat, distinct, arena)
-	})
-	conv := s.f32.conv.ForwardBatch(batch, &st.conv)
-	pooled := treeconv.PoolBatch(conv, arena)
-	head := s.f32.head.ForwardBatch(pooled, rows, arena)
-
-	out := make([]float64, rows)
-	for i := range out {
-		out[i] = float64(head[i])
-	}
-	return out
 }

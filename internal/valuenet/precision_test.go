@@ -76,13 +76,10 @@ func TestSnapshotFloat32Parity(t *testing.T) {
 		}
 	}
 
-	// Batch of one and the single-pair entry points agree with the batch.
+	// Batch of one and the single-pair entry point agree with the batch.
 	one := s32.PredictBatchNormalized(queries[:1], forests[:1])
 	if one[0] != got[0] {
 		t.Fatalf("batch=1 diverges: %v vs %v", one[0], got[0])
-	}
-	if v := s32.PredictNormalized(queries[0], forests[0]); v != got[0] {
-		t.Fatalf("PredictNormalized diverges: %v vs %v", v, got[0])
 	}
 	// Denormalized predictions pass through the same float64 output boundary.
 	if p, b := s32.Predict(queries[0], forests[0]), s32.PredictBatch(queries[:1], forests[:1])[0]; p != b {
@@ -149,35 +146,6 @@ func TestParsePrecision(t *testing.T) {
 			if !strings.Contains(err.Error(), name) {
 				t.Errorf("ParsePrecision(%q) error %q does not name %s", c.in, err, name)
 			}
-		}
-	}
-}
-
-// TestPredictBatchWarmAllocs pins a warm PredictBatch at one allocation (the
-// returned slice) for both precisions: the arena, the generic containers,
-// the shared assemble prologue and the in-place activation pass must all run
-// out of pooled scratch.
-func TestPredictBatchWarmAllocs(t *testing.T) {
-	net, queries, forests, _ := precisionFixture(t, 36)
-	shared := queries[0]
-	for i := range queries {
-		if i%3 != 0 {
-			queries[i] = shared // most rows share one query, as in search
-		}
-	}
-	for _, p := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-		snap := net.SnapshotPrecision(p)
-		snap.PredictBatch(queries, forests) // warm the pooled scratch
-		snap.PredictBatch(queries, forests) // right-size the arena
-		// The steady state is the minimum over single measured calls, not a
-		// mean: a GC cycle (and, under -race, every fourth Put) empties the
-		// sync.Pool, and the call after that legitimately rebuilds scratch.
-		best := math.Inf(1)
-		for try := 0; try < 30; try++ {
-			best = math.Min(best, testing.AllocsPerRun(1, func() { snap.PredictBatch(queries, forests) }))
-		}
-		if best != 1 {
-			t.Errorf("%v: warm PredictBatch makes %v allocations per call, want 1", p, best)
 		}
 	}
 }

@@ -1,16 +1,17 @@
-// Incremental scoring. PredictBatch treats every forest it is handed as new:
-// it flattens all of their nodes and convolves each one. A plan search hands
-// the network thousands of forests of one query that differ from each other
-// by a node or two — a child plan is its parent plus one join or one scan
-// choice — and tree convolution only looks down: a node's output at layer k
-// is a function of its own row and its children's outputs at layer k−1. The
-// query embedding that spatial replication appends to every row is constant
-// within a search, so a subtree's activations, and the per-channel maximum
-// dynamic pooling takes over it, are the same in every plan that contains it.
+// Scoring. A Scorer is the network's one inference pass at either
+// precision; Snapshot.PredictBatch is a loop over scorers, one per distinct
+// query. A plan search hands one scorer thousands of forests of one query
+// that differ from each other by a node or two — a child plan is its parent
+// plus one join or one scan choice — and tree convolution only looks down: a
+// node's output at layer k is a function of its own row and its children's
+// outputs at layer k−1. The query embedding that spatial replication appends
+// to every row is constant within a search, so a subtree's activations, and
+// the per-channel maximum dynamic pooling takes over it, are the same in
+// every plan that contains it.
 //
-// A Scorer is the forward pass of one search. It runs the query tower once,
-// when it is created, and keeps one record per distinct subtree it has been
-// shown, holding exactly what the rest of the pass reads of that subtree:
+// A Scorer runs the query tower once, when it is created, and keeps one
+// record per distinct subtree it has been shown, holding exactly what the
+// rest of the pass reads of that subtree:
 //
 //   - its root's activation after every convolution layer but the last —
 //     the row its parent's next layer gathers as a child operand, and
@@ -26,13 +27,15 @@
 // the head once per forest. Every record is kept; the memo is garbage when
 // the search drops its scorer.
 //
-// Scores are == to PredictBatch's on the same forests in both precisions: a
-// node's row goes through the kernel the batch pass would use, on the same
-// operands (see treeconv/rows.go); the maxima are taken with PoolBatch's
-// v > cur comparison from −Inf in PoolBatch's pre-order, so ties between
-// signed zeros and NaN operands resolve alike; and the head's kernels treat
-// rows independently. PredictBatch stays what it was — the pass for
-// unrelated forests and the reference the scorer's tests compare against.
+// A score does not depend on what the memo holds: a node's row goes through
+// the same kernel on the same operands whichever call convolves it, and a
+// row's result does not depend on the rows beside it (treeconv/rows.go); the
+// maxima are folded with a v > cur comparison from −Inf in pre-order —
+// DynamicPool's order — so ties between signed zeros and NaN operands resolve
+// alike whether a subtree's maximum was recorded earlier or is folded now;
+// and the head's kernels treat rows independently. At float64 the kernels
+// are those of the per-sample reference (Network.Predict), so on finite
+// activations the scores are == to it.
 package valuenet
 
 import (
@@ -52,6 +55,7 @@ const recordChunk = 64
 // subtree it has convolved. It belongs to one search: not safe for
 // concurrent use, and the trees it is shown must not be modified.
 type Scorer struct {
+	net *Network // the target transform
 	f64 *scorer[float64]
 	f32 *scorer[float32] // set instead of f64 on a float32 snapshot
 }
@@ -60,8 +64,8 @@ type Scorer struct {
 type ScorerStats struct {
 	// Plans is the number of forests scored.
 	Plans int
-	// Nodes is the number of tree nodes those forests hold — what a
-	// whole-forest pass would have convolved.
+	// Nodes is the number of tree nodes those forests hold — what scoring
+	// them from scratch would have convolved.
 	Nodes int
 	// Computed is the number of nodes actually convolved: the distinct
 	// subtrees seen. 1 − Computed/Nodes is the memo's hit share.
@@ -72,15 +76,23 @@ type ScorerStats struct {
 // for forests of that query.
 func (s *Snapshot) NewScorer(queryVec []float64) *Scorer {
 	if s.f32 != nil {
-		return &Scorer{f32: newScorer(s.net, queryVec, s.f32.qmlp.ForwardBatch, s.f32.conv.ForwardRows, s.f32.head.ForwardBatch)}
+		return &Scorer{net: s.net, f32: newScorer(s.net, queryVec, s.f32.qmlp.ForwardBatch, s.f32.conv.ForwardRows, s.f32.head.ForwardBatch)}
 	}
-	return &Scorer{f64: newScorer(s.net, queryVec, s.net.qmlp.ForwardBatch, s.net.conv.ForwardRows, s.net.head.ForwardBatch)}
+	return &Scorer{net: s.net, f64: newScorer(s.net, queryVec, s.net.qmlp.ForwardBatch, s.net.conv.ForwardRows, s.net.head.ForwardBatch)}
 }
 
 // Score returns the cost predictions (in the original cost domain) for the
-// forests, == to Snapshot.PredictBatch on the same forests with the
-// scorer's query for every one of them.
+// forests. A forest's score does not depend on what the memo held.
 func (sc *Scorer) Score(forests [][]*treeconv.Tree) []float64 {
+	out := sc.normalized(forests)
+	for i, v := range out {
+		out[i] = sc.net.denormalize(v)
+	}
+	return out
+}
+
+// normalized is Score in normalised log-cost space: the head's outputs.
+func (sc *Scorer) normalized(forests [][]*treeconv.Tree) []float64 {
 	if sc.f32 != nil {
 		return sc.f32.score(forests)
 	}
@@ -98,7 +110,7 @@ func (sc *Scorer) Stats() ScorerStats {
 // scorer is Scorer at one precision; the kernels of that precision are the
 // three function values.
 type scorer[T nn.Float] struct {
-	net   *Network                                       // dimensions and the target transform
+	net   *Network                                       // dimensions
 	conv  func(layer int, leaf, full, out []T)           // treeconv row kernel
 	head  func(pooled []T, rows int, a *nn.Arena[T]) []T // head MLP
 	query []T                                            // the query tower's output
@@ -218,7 +230,7 @@ func (s *scorer[T]) score(forests [][]*treeconv.Tree) []float64 {
 			}
 		}
 		// An empty forest — and a channel that is NaN or −Inf at every node —
-		// pools to 0, as in PoolBatch.
+		// pools to 0, as in the per-sample forward.
 		for i, v := range row {
 			if v == negInf {
 				row[i] = 0
@@ -228,7 +240,7 @@ func (s *scorer[T]) score(forests [][]*treeconv.Tree) []float64 {
 	head := s.head(s.pooled, len(forests), &s.arena)
 	out := make([]float64, len(forests))
 	for i := range out {
-		out[i] = s.net.denormalize(float64(head[i]))
+		out[i] = float64(head[i])
 	}
 	s.arena.Reset()
 	return out
@@ -267,8 +279,8 @@ func (s *scorer[T]) convolve() {
 		}
 		// Last layer: keep the subtree's pooled maximum, not the activation.
 		// Own row first, then the left subtree's maximum, then the right's —
-		// the pre-order PoolBatch visits the nodes in, which decides which of
-		// two equal zeros of opposite sign survives. Children precede their
+		// the pre-order DynamicPool visits the nodes in, which decides which
+		// of two equal zeros of opposite sign survives. Children precede their
 		// parents in full, so their maxima are final when read.
 		for i, m := range s.leaf {
 			s.pool(m, s.out[i*oc:(i+1)*oc])
@@ -299,8 +311,8 @@ func (s *scorer[T]) pool(m miss, own []T) {
 
 // gather writes the operand a node contributes to a layer-k row: its plan
 // vector followed by the query embedding for the first layer (the
-// float64→float32 input-encode boundary of reduced-precision scoring, as in
-// assemble), its recorded activation of the layer below otherwise, zeros for
+// float64→float32 input-encode boundary of reduced-precision scoring), its
+// recorded activation of the layer below otherwise, zeros for
 // an absent child.
 func (s *scorer[T]) gather(dst []T, k int, t *treeconv.Tree, rec int32) {
 	switch {
@@ -319,7 +331,7 @@ func (s *scorer[T]) gather(dst []T, k int, t *treeconv.Tree, rec int32) {
 	}
 }
 
-// foldMax raises acc to vs wherever vs is greater, with PoolBatch's
+// foldMax raises acc to vs wherever vs is greater, with DynamicPool's
 // comparison: a NaN never replaces anything and an equal value keeps the
 // earlier operand.
 func foldMax[T nn.Float](acc, vs []T) {

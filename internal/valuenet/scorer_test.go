@@ -10,9 +10,11 @@ import (
 	"neo/internal/treeconv"
 )
 
-// The scorer's contract is ==, so these tests compare bits: every Score call
-// against PredictBatch on the same forests, at every precision a snapshot can
-// score with.
+// The scorer's contract is that a score does not depend on what its memo
+// holds, so these tests compare bits: every Score call of a search-long
+// scorer against a fresh scorer on deep copies of the same forests — which
+// share no pointers, so nothing is recalled and every node is convolved from
+// scratch — at every precision a snapshot can score with.
 
 // scorerPrecisions runs fn for a float64 snapshot, a float32 snapshot on the
 // assembly kernel (where the CPU has one) and a float32 snapshot on the
@@ -74,27 +76,65 @@ func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*treeconv.Tree {
 	return out
 }
 
-// checkScorerCalls scores the calls in the given order on a fresh scorer and
-// requires every result to be bit-identical to PredictBatch.
-func checkScorerCalls(t *testing.T, snap *Snapshot, q []float64, calls [][][]*treeconv.Tree, order []int) *Scorer {
+// deepCopy returns forests with every tree node and vector copied, so they
+// share no pointers with the originals or with each other.
+func deepCopy(forests [][]*treeconv.Tree) [][]*treeconv.Tree {
+	out := make([][]*treeconv.Tree, len(forests))
+	for i, f := range forests {
+		out[i] = make([]*treeconv.Tree, len(f))
+		for j, t := range f {
+			out[i][j] = t.Map(func(n *treeconv.Tree) []float64 { return append([]float64(nil), n.Data...) })
+		}
+	}
+	return out
+}
+
+// checkScorerCalls scores the calls in the given order on one scorer and
+// requires every result to be bit-identical to a fresh scorer's on deep
+// copies, and to PredictBatch's on the forests themselves. On a finite
+// corpus it also holds the from-scratch scores to the per-sample reference
+// Network.PredictNormalized: == at float64, within 1e-5 relative at float32.
+func checkScorerCalls(t *testing.T, snap *Snapshot, q []float64, calls [][][]*treeconv.Tree, order []int, finite bool) *Scorer {
 	t.Helper()
 	sc := snap.NewScorer(q)
 	var queries [][]float64
 	for _, c := range order {
 		forests := calls[c]
+		got := sc.Score(forests)
+
+		fresh := snap.NewScorer(q)
+		wantN := fresh.normalized(deepCopy(forests))
+		if st := fresh.Stats(); st.Computed != st.Nodes {
+			t.Fatalf("call %d: the from-scratch scorer convolved %d of %d nodes; deep copies must share none", c, st.Computed, st.Nodes)
+		}
 		queries = queries[:0]
 		for range forests {
 			queries = append(queries, q)
 		}
-		want := snap.PredictBatch(queries, forests)
-		got := sc.Score(forests)
-		if len(got) != len(want) || (got == nil) != (want == nil) {
-			t.Fatalf("call %d: Score returned %d scores (nil=%v), PredictBatch %d (nil=%v)", c, len(got), got == nil, len(want), want == nil)
+		batch := snap.PredictBatch(queries, forests)
+		if len(got) != len(wantN) || (got == nil) != (wantN == nil) || len(batch) != len(wantN) {
+			t.Fatalf("call %d: Score returned %d scores (nil=%v), PredictBatch %d, the fresh scorer %d (nil=%v)",
+				c, len(got), got == nil, len(batch), len(wantN), wantN == nil)
 		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("call %d forest %d: Score %v (%#x) != PredictBatch %v (%#x)",
-					c, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		for i, n := range wantN {
+			want := snap.net.denormalize(n)
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("call %d forest %d: Score %v (%#x) != from scratch %v (%#x)",
+					c, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
+			if math.Float64bits(batch[i]) != math.Float64bits(want) {
+				t.Fatalf("call %d forest %d: PredictBatch %v (%#x) != from scratch %v (%#x)",
+					c, i, batch[i], math.Float64bits(batch[i]), want, math.Float64bits(want))
+			}
+			if !finite {
+				continue
+			}
+			ref := snap.net.PredictNormalized(q, forests[i])
+			if snap.Precision() == PrecisionFloat64 && n != ref {
+				t.Fatalf("call %d forest %d: from scratch %v != per-sample %v", c, i, n, ref)
+			}
+			if rel := math.Abs(n-ref) / math.Max(1, math.Abs(ref)); rel > 1e-5 {
+				t.Fatalf("call %d forest %d: from scratch %v, per-sample %v (rel err %g)", c, i, n, ref, rel)
 			}
 		}
 	}
@@ -104,8 +144,8 @@ func checkScorerCalls(t *testing.T, snap *Snapshot, q []float64, calls [][][]*tr
 // TestScorerMatchesPredictBatch is the property test of the contract, over
 // layer widths that are and are not multiples of the kernels' 4- and 8-wide
 // tiles, a single-layer stack, and MLPs with and without layer norm. Each
-// corpus is scored twice, forwards and backwards: a score must not depend on
-// what the memo held when it was computed.
+// corpus is scored twice on one scorer, forwards and backwards, so the memo
+// holds different records when a forest is scored again.
 func TestScorerMatchesPredictBatch(t *testing.T) {
 	shapes := []struct {
 		name              string
@@ -136,8 +176,8 @@ func TestScorerMatchesPredictBatch(t *testing.T) {
 					for i := range calls {
 						forward[i], backward[i] = i, len(calls)-1-i
 					}
-					sc := checkScorerCalls(t, snap, q, calls, forward)
-					checkScorerCalls(t, snap, q, calls, backward)
+					sc := checkScorerCalls(t, snap, q, calls, forward, true)
+					checkScorerCalls(t, snap, q, calls, backward, true)
 
 					st := sc.Stats()
 					if st.Computed == 0 || st.Computed >= st.Nodes {
@@ -192,7 +232,7 @@ func TestScorerNonFiniteActivations(t *testing.T) {
 				for i := range order {
 					order[i] = i
 				}
-				sc := checkScorerCalls(t, snap, q, calls, order)
+				sc := checkScorerCalls(t, snap, q, calls, order, false)
 
 				var inf, nan bool
 				scan := func(v float64) {
@@ -223,7 +263,8 @@ func TestScorerNonFiniteActivations(t *testing.T) {
 	}
 }
 
-// TestScorerPanicsOnDimensionMismatch: the scorer keeps assemble's checks.
+// TestScorerPanicsOnDimensionMismatch: the scorer checks the encodings'
+// dimensions.
 func TestScorerPanicsOnDimensionMismatch(t *testing.T) {
 	net := New(4, 3, DefaultConfig())
 	snap := net.Snapshot()

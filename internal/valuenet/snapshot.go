@@ -40,8 +40,8 @@ func (n *Network) CloneTrainable() *Network {
 // A snapshot always carries the float64 master weights (net); a snapshot
 // published at float32 (see SnapshotPrecision) additionally carries the
 // packed panels converted from them once at snapshot time, and scores through
-// those. Either way every prediction — single-plan ones as a batch of one —
-// goes through the batched forward pass of its precision.
+// those. Either way every prediction goes through a Scorer (scorer.go), the
+// one inference pass of its precision.
 type Snapshot struct {
 	net *Network
 	f32 *netF32 // packed panels; nil for a float64 snapshot
@@ -57,15 +57,11 @@ func (n *Network) Snapshot() *Snapshot {
 
 // Predict returns the cost prediction in the original cost domain.
 func (s *Snapshot) Predict(queryVec []float64, trees []*treeconv.Tree) float64 {
-	return s.net.denormalize(s.PredictNormalized(queryVec, trees))
+	return s.PredictBatch([][]float64{queryVec}, [][]*treeconv.Tree{trees})[0]
 }
 
-// PredictNormalized returns the raw output in normalised log-cost space.
-func (s *Snapshot) PredictNormalized(queryVec []float64, trees []*treeconv.Tree) float64 {
-	return s.PredictBatchNormalized([][]float64{queryVec}, [][]*treeconv.Tree{trees})[0]
-}
-
-// PredictBatch is Predict over a batch in one shared forward pass.
+// PredictBatch returns the cost predictions (in the original cost domain)
+// for a slice of encoded (query, plan-forest) pairs. Safe for concurrent use.
 func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
 	out := s.PredictBatchNormalized(queries, forests)
 	for i, v := range out {
@@ -74,12 +70,44 @@ func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree)
 	return out
 }
 
-// PredictBatchNormalized is PredictNormalized over a batch.
+// PredictBatchNormalized is PredictBatch in normalised log-cost space. The
+// pairs are grouped by query vector (sameSlice), and each group is scored by
+// one Scorer, so the query tower runs once per distinct query.
 func (s *Snapshot) PredictBatchNormalized(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
-	if s.f32 != nil {
-		return s.forward32(queries, forests)
+	if len(queries) != len(forests) {
+		panic("valuenet: PredictBatch queries/forests length mismatch")
 	}
-	return s.net.PredictBatchNormalized(queries, forests)
+	if len(queries) == 0 {
+		return nil
+	}
+	out := make([]float64, len(queries))
+	done := make([]bool, len(queries))
+	var group [][]*treeconv.Tree
+	var index []int
+	for i, q := range queries {
+		if done[i] {
+			continue
+		}
+		group, index = group[:0], index[:0]
+		for j := i; j < len(queries); j++ {
+			if !done[j] && sameSlice(queries[j], q) {
+				group = append(group, forests[j])
+				index = append(index, j)
+				done[j] = true
+			}
+		}
+		for k, v := range s.NewScorer(q).normalized(group) {
+			out[index[k]] = v
+		}
+	}
+	return out
+}
+
+// sameSlice reports whether a and b are the same slice (pointer and length):
+// exact for a query's one cached encoding, merely conservative for equal
+// vectors held in different slices.
+func sameSlice(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // NumParameters returns the total number of scalar parameters of the frozen

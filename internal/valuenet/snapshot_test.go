@@ -33,7 +33,7 @@ func TestSnapshotIsImmutableUnderTraining(t *testing.T) {
 	snap := net.Snapshot()
 
 	before := snap.Predict(q, trees)
-	beforeNorm := snap.PredictNormalized(q, trees)
+	beforeNorm := snap.PredictBatchNormalized([][]float64{q}, [][]*treeconv.Tree{trees})[0]
 	if live := net.Predict(q, trees); live != before {
 		t.Fatalf("fresh snapshot should match the live network: snap %v, live %v", before, live)
 	}
@@ -51,7 +51,7 @@ func TestSnapshotIsImmutableUnderTraining(t *testing.T) {
 	if got := snap.Predict(q, trees); got != before {
 		t.Errorf("snapshot prediction changed under training: %v -> %v", before, got)
 	}
-	if got := snap.PredictNormalized(q, trees); got != beforeNorm {
+	if got := snap.PredictBatchNormalized([][]float64{q}, [][]*treeconv.Tree{trees})[0]; got != beforeNorm {
 		t.Errorf("snapshot normalized prediction changed under training: %v -> %v", beforeNorm, got)
 	}
 	batch := snap.PredictBatch([][]float64{q, q}, [][]*treeconv.Tree{trees, trees})

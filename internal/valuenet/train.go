@@ -1,6 +1,6 @@
 // Batched training. TrainBatchPerSample (the original path) runs a full
 // forward/backward tape per example; TrainBatch — the path Train and Neo's
-// retraining loop use — mirrors the batched inference pipeline end-to-end:
+// retraining loop use — runs a whole minibatch through flat arrays:
 //
 //   - samples are partitioned into fixed-size gradient shards (the partition
 //     depends only on the minibatch size, never on the worker count),
@@ -36,6 +36,64 @@ import (
 // — depends only on the minibatch size, keeping training results invariant
 // under the worker count.
 const trainShardSize = 8
+
+// assembly is the reusable state of a shard's forward prologue (see
+// assemble).
+type assembly[T nn.Float] struct {
+	builder treeconv.BatchBuilder[T]
+	qVecs   [][]float64 // distinct query vectors, in first-seen order
+	qIndex  []int       // sample -> index into qVecs
+	qFlat   []T         // flattened distinct query vectors
+}
+
+// assemble deduplicates the batch's query vectors, runs the query tower over
+// the distinct ones (tower maps len(qVecs)×queryDim values to len(qVecs)×qOut
+// embeddings) and spatially replicates the embeddings straight into the
+// flattened forest batch: each node row is the node's plan vector followed by
+// its sample's query embedding.
+//
+// Experience samples of the same query share one encoding slice, so
+// deduplicating by slice identity (sameSlice) runs the query tower once per
+// distinct query.
+func (as *assembly[T]) assemble(n *Network, queries [][]float64, forests [][]*treeconv.Tree, tower func(qFlat []T, distinct int) []T) *treeconv.Batch[T] {
+	as.qVecs = as.qVecs[:0]
+	as.qIndex = resize(as.qIndex, len(queries))
+	for s, q := range queries {
+		idx := -1
+		for u, uq := range as.qVecs {
+			if sameSlice(uq, q) {
+				idx = u
+				break
+			}
+		}
+		if idx < 0 {
+			idx = len(as.qVecs)
+			as.qVecs = append(as.qVecs, q)
+		}
+		as.qIndex[s] = idx
+	}
+	as.qFlat = as.qFlat[:0]
+	for _, q := range as.qVecs {
+		if len(q) != n.queryDim {
+			panic("valuenet: query vector dimension mismatch")
+		}
+		for _, v := range q {
+			as.qFlat = append(as.qFlat, T(v))
+		}
+	}
+	g := tower(as.qFlat, len(as.qVecs))
+	qOut := len(g) / len(as.qVecs)
+
+	return as.builder.Build(forests, n.planDim+qOut, func(sample int, node *treeconv.Tree, row []T) {
+		if len(node.Data) != n.planDim {
+			panic("valuenet: plan vector dimension mismatch")
+		}
+		for i, v := range node.Data {
+			row[i] = T(v)
+		}
+		copy(row[n.planDim:], g[as.qIndex[sample]*qOut:(as.qIndex[sample]+1)*qOut])
+	})
+}
 
 // trainShard holds one gradient worker's private state: shadow networks
 // sharing the live weights with private gradient buffers, plus all reusable
@@ -124,8 +182,8 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 		sh.queries = append(sh.queries, smp.Query)
 		sh.forests = append(sh.forests, smp.Plan)
 	}
-	// The prologue shared with inference (assemble), with a taped query
-	// tower reading the deduplicated encodings as an input layer.
+	// The prologue, with a taped query tower reading the deduplicated
+	// encodings as an input layer.
 	batch := sh.assemble(n, sh.queries, sh.forests, func(qFlat []float64, distinct int) []float64 {
 		sh.qmlp.RecordInput(&sh.queryTape, qFlat, distinct, a)
 		return sh.queryTape.Output()
@@ -135,7 +193,7 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 
 	sh.conv.RecordBatch(&sh.convTape, batch, a)
 	convOut := sh.convTape.Output()
-	pooled, argmax := treeconv.PoolBatchArgmax(convOut, a, sh.argmax)
+	pooled, argmax := treeconv.PoolForwardBatch(convOut, a, sh.argmax)
 	sh.argmax = argmax
 	sh.head.RecordBatch(&sh.headTape, pooled, rows, a)
 	out := sh.headTape.Output()

@@ -196,6 +196,8 @@ func TestTrainEmpty(t *testing.T) {
 	}
 }
 
+// BenchmarkPredict times what scores a plan: a fresh scorer on a snapshot
+// of each precision running the query tower and one 15-node plan tree.
 func BenchmarkPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	n := New(60, 22, DefaultConfig())
@@ -203,10 +205,15 @@ func BenchmarkPredict(b *testing.B) {
 	for i := range q {
 		q[i] = rng.Float64()
 	}
-	trees := []*treeconv.Tree{synthTree(rng, 22, 3)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Predict(q, trees)
+	forests := [][]*treeconv.Tree{{synthTree(rng, 22, 3)}}
+	for _, p := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+		snap := n.SnapshotPrecision(p)
+		b.Run(p.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				snap.NewScorer(q).Score(forests)
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"neo/internal/checkpoint"
+	"neo/internal/treeconv"
 )
 
 // bootstrappedSystem assembles a small system and bootstraps it over a few
@@ -54,13 +55,16 @@ func TestCheckpointRoundTripBitIdenticalAcrossEncodings(t *testing.T) {
 
 			for _, q := range queries {
 				// Raw network outputs over the same plan encodings must agree
-				// bitwise (PredictBatch under the hood of the batched scorer).
+				// bitwise.
 				p, err := sys1.ExpertPlan(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				a := sys1.Neo.PredictNormalized(q, p)
-				b := sys2.Neo.PredictNormalized(q, p)
+				normalized := func(sys *System) float64 {
+					return sys.Neo.Snapshot().PredictBatchNormalized([][]float64{sys.Neo.Featurizer.EncodeQuery(q)},
+						[][]*treeconv.Tree{sys.Neo.Featurizer.EncodePlan(p)})[0]
+				}
+				a, b := normalized(sys1), normalized(sys2)
 				if math.Float64bits(a) != math.Float64bits(b) {
 					t.Fatalf("query %s: prediction %v != %v after warm restart", q.ID, a, b)
 				}
