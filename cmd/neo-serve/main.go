@@ -36,7 +36,6 @@ import (
 	"neo/internal/cluster"
 	"neo/internal/cluster/proto"
 	"neo/internal/serve"
-	"neo/pkg/neo"
 )
 
 // options is neo-serve's parsed command line.
@@ -50,11 +49,7 @@ type options struct {
 // registerFlags declares every neo-serve flag on fs. OPERATIONS.md's flag
 // tables are checked against it by this package's test.
 func registerFlags(fs *flag.FlagSet) *options {
-	o := &options{daemon: serve.Daemon{
-		Name:   "neo-serve",
-		Addr:   ":8080",
-		System: neo.Config{ScorePrecision: "float32"},
-	}}
+	o := &options{daemon: serve.Daemon{Name: "neo-serve", Addr: ":8080"}}
 	o.daemon.RegisterFlags(fs)
 	serve.RegisterFlags(fs, &o.cfg, &o.repl)
 	fs.StringVar(&o.route, "route", "", "comma-separated replica base URLs; runs the thin consistent-hash router instead of a serving daemon (no database is opened)")

@@ -41,7 +41,6 @@ func open(bootstrap bool) (*neo.System, []*neo.Query, error) {
 		Seed:             7,
 		SearchExpansions: 24,
 		Episodes:         1,
-		ScorePrecision:   "float32",
 		ValueNet: &neo.ValueNetConfig{
 			QueryLayers:  []int{16, 8},
 			TreeChannels: []int{8, 8},

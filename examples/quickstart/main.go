@@ -107,31 +107,9 @@ func main() {
 		fmt.Println("warm restart serves the identical plan.")
 	}
 
-	// Reduced-precision serving: the same checkpoint can be served through
-	// the float32 inference kernels (Config.ScorePrecision, or the CLIs'
-	// -score-precision flag — neo-serve defaults to float32). Training
-	// always stays float64; only the frozen serving snapshot converts, and
-	// float32 plan choices are pinned identical to float64 by the test
-	// suite.
-	f32cfg := sys.Config
-	f32cfg.ScorePrecision = "float32"
-	fast, err := neo.Open(f32cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := fast.LoadCheckpointFile(ckpt); err != nil {
-		log.Fatal(err)
-	}
-	info := fast.SnapshotInfo()
-	fmt.Printf("\nserving precision %s: %.0f KiB of inference panels (float64 params: %.0f KiB)\n",
-		info.Precision, float64(info.PanelBytes)/1024, float64(info.ParamBytes)/1024)
-	f32Plan, _, err := fast.Optimize(q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if f32Plan.String() == before.String() {
-		fmt.Println("float32 serving chooses the identical plan.")
-	}
+	info := restored.SnapshotInfo()
+	fmt.Printf("\nserving snapshot: %.0f KiB of float32 inference panels (float64 params: %.0f KiB)\n",
+		float64(info.PanelBytes)/1024, float64(info.ParamBytes)/1024)
 
 	// From here the system scales out as a service: cmd/neo-serve exposes
 	// /optimize + /feedback over HTTP, and a replicated fleet with a shared

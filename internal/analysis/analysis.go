@@ -108,11 +108,8 @@ func DefaultConfig() Config {
 			// exemption.
 			"neo/internal/plan.Node",
 		},
-		FrozenAllow: []string{
-			// SnapshotPrecision is the constructor: it builds the frozen
-			// predictor before publication.
-			"neo/internal/valuenet.Network.SnapshotPrecision",
-		},
+		// Network.Snapshot builds the frozen snapshot and its panels with
+		// one composite literal, so nothing needs an exemption.
 		WirePkg: "neo/internal/wire",
 	}
 }

@@ -25,7 +25,6 @@ func testSystem(t testing.TB, bootstrap bool) (*neo.System, []*neo.Query) {
 		Seed:             7,
 		SearchExpansions: 24,
 		Episodes:         1,
-		ScorePrecision:   "float32",
 		ValueNet: &neo.ValueNetConfig{
 			QueryLayers:  []int{16, 8},
 			TreeChannels: []int{8, 8},

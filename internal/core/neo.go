@@ -73,12 +73,6 @@ type Config struct {
 	// experiment needs reproducibility. Zero selects GOMAXPROCS; a negative
 	// value forces serial execution.
 	Workers int
-	// ScorePrecision selects the numeric format serving snapshots score
-	// with: float64 (the exact training kernels, the zero value) or float32
-	// (packed tiled-GEMM panels). Conversion happens once per snapshot
-	// publication, inside the atomic swap — training and checkpoints stay
-	// bit-identical float64 regardless of this setting.
-	ScorePrecision valuenet.Precision
 	// Routing selects how queries are dispatched between the statistics-free
 	// greedy fast path (internal/fastpath) and the full DNN-guided best-first
 	// search: route.Full (the zero value — every query takes the full
@@ -276,8 +270,8 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 	return n
 }
 
-// SnapshotInfo reports the serving snapshot's scoring precision and memory
-// footprint. Safe for concurrent use.
+// SnapshotInfo reports the serving snapshot's memory footprint. Safe for
+// concurrent use.
 func (n *Neo) SnapshotInfo() valuenet.SnapshotInfo { return n.Snapshot().Info() }
 
 // TrainingTime returns the cumulative wall-clock time spent training the
@@ -299,14 +293,14 @@ func (n *Neo) Snapshot() *valuenet.Snapshot { return n.snap.Load().net }
 func (n *Neo) NetVersion() uint64 { return n.snap.Load().version }
 
 // publishLocked is the one place learned state changes hands: it freezes the
-// live network's weights at the configured scoring precision and stores them
-// as the serving snapshot — weights, version and an empty plan cache (all
-// caches share one planCounters, so the statistics survive swaps) in one
-// atomic pointer. Nothing a reader can reach is ever mutated; state is only
-// replaced here. Callers hold trainMu, which also serializes versions.
+// live network's weights and stores them as the serving snapshot — weights,
+// version and an empty plan cache (all caches share one planCounters, so the
+// statistics survive swaps) in one atomic pointer. Nothing a reader can
+// reach is ever mutated; state is only replaced here. Callers hold trainMu,
+// which also serializes versions.
 func (n *Neo) publishLocked(version uint64) {
 	n.snap.Store(&netSnapshot{
-		net:     n.Net.SnapshotPrecision(n.Config.ScorePrecision),
+		net:     n.Net.Snapshot(),
 		version: version,
 		plans:   &planCache{counters: &n.planStats, entries: make(map[string]*planEntry)},
 	})

@@ -67,9 +67,9 @@ func servingNeo(t testing.TB, rig *testRig) *Neo {
 // TestSearchScoresMatchPredictBatch: every batch of 256-expansion best-first
 // searches and of greedy descents over TestSearchStatesMatchReference's
 // corpus — with and without cross products — gets bit for bit the scores
-// the same plans get from scratch, on a float64 snapshot, a float32 snapshot
-// and a float32 snapshot on the portable GEMM kernel: what a search's scorer
-// recalls from earlier batches never changes a score.
+// the same plans get from scratch, on the assembly GEMM kernel and on the
+// portable one: what a search's scorer recalls from earlier batches never
+// changes a score.
 func TestSearchScoresMatchPredictBatch(t *testing.T) {
 	rig := newRig(t, "postgres")
 	n := servingNeo(t, rig)
@@ -81,8 +81,7 @@ func TestSearchScoresMatchPredictBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(t *testing.T, p valuenet.Precision) {
-		republishAt(n, p)
+	run := func(t *testing.T) {
 		plans := 0
 		for qi, q := range wl.Queries {
 			opts := search.Options{Catalog: rig.db.Catalog, MaxExpansions: 256, AllowCrossProducts: qi%2 == 1 && len(q.Relations) <= 5}
@@ -99,11 +98,10 @@ func TestSearchScoresMatchPredictBatch(t *testing.T) {
 			t.Errorf("only %d plans scored over %d queries: the searches did not exercise the scorer", plans, nQueries)
 		}
 	}
-	t.Run("f64", func(t *testing.T) { run(t, valuenet.PrecisionFloat64) })
-	t.Run("f32", func(t *testing.T) { run(t, valuenet.PrecisionFloat32) })
+	t.Run("f32", run)
 	t.Run("f32-scalar", func(t *testing.T) {
 		defer nn.SetScalarGemmForTest(nn.SetScalarGemmForTest(true))
-		run(t, valuenet.PrecisionFloat32)
+		run(t)
 	})
 }
 
@@ -135,25 +133,21 @@ func BenchmarkSearchScore(b *testing.B) {
 		}
 		plans += len(ps)
 	}
-	for _, p := range []valuenet.Precision{valuenet.PrecisionFloat32, valuenet.PrecisionFloat64} {
-		republishAt(n, p)
-		snap := n.Snapshot()
-		b.Run(p.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			var st valuenet.ScorerStats
-			for i := 0; i < b.N; i++ {
-				sc := snap.NewScorer(qEnc)
-				for _, forests := range calls {
-					sc.Score(forests)
-				}
-				st = sc.Stats()
-			}
-			if st.Plans != plans || st.Nodes != nodes {
-				b.Fatalf("scorer counted %d plans / %d nodes, the recording holds %d / %d", st.Plans, st.Nodes, plans, nodes)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*plans), "ns/plan")
-			b.ReportMetric(float64(st.Computed)/float64(plans), "nodes/plan")
-			b.ReportMetric(float64(plans), "plans/op")
-		})
+	snap := n.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st valuenet.ScorerStats
+	for i := 0; i < b.N; i++ {
+		sc := snap.NewScorer(qEnc)
+		for _, forests := range calls {
+			sc.Score(forests)
+		}
+		st = sc.Stats()
 	}
+	if st.Plans != plans || st.Nodes != nodes {
+		b.Fatalf("scorer counted %d plans / %d nodes, the recording holds %d / %d", st.Plans, st.Nodes, plans, nodes)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*plans), "ns/plan")
+	b.ReportMetric(float64(st.Computed)/float64(plans), "nodes/plan")
+	b.ReportMetric(float64(plans), "plans/op")
 }

@@ -1,16 +1,16 @@
 // Batched forward primitives. The per-sample Forward/Backward passes in
-// nn.go are the reference; the batch-matrix variants here run the value
-// network's query tower and head when it scores (valuenet.Scorer): one call
-// processes a whole batch of rows with all intermediate storage drawn from a
-// reusable Arena, so a warmed-up arena makes the forward pass allocation-free.
+// nn.go are the reference; the batch-matrix layers here run the training
+// tape's forward pass (train.go): one call processes a whole batch of rows
+// with all intermediate storage drawn from a reusable Arena, so a warmed-up
+// arena makes the forward pass allocation-free.
 //
 // Every batched routine performs the same floating-point operations in the
 // same order as its per-sample counterpart, so batched and sequential
-// inference produce bit-identical results.
+// forward passes produce bit-identical results.
 package nn
 
-// Float is the element type of the batched containers: float64 for training
-// and exact scoring, float32 for the packed serving kernels.
+// Float is the element type of the batched containers: float64 for training,
+// float32 for the packed inference kernels.
 type Float interface{ float32 | float64 }
 
 // Arena is a bump allocator for scratch buffers used by batched forward
@@ -146,26 +146,4 @@ func (ln *LayerNorm) ForwardBatch(xs []float64, rows int, a *Arena[float64]) []f
 		}
 	}
 	return ys
-}
-
-// ForwardBatch runs the MLP over a batch of rows input rows (inference only;
-// no tape is recorded). xs holds rows×inputDim values row-major; the result
-// holds rows×outputDim values allocated from the arena.
-func (m *MLP) ForwardBatch(xs []float64, rows int, a *Arena[float64]) []float64 {
-	cur := xs
-	last := len(m.Linears) - 1
-	for i, lin := range m.Linears {
-		pre := lin.ForwardBatch(cur, rows, a)
-		if i == last {
-			cur = pre
-			continue
-		}
-		act := m.Act.ForwardBatch(pre, a)
-		if m.Norms[i] != nil {
-			cur = m.Norms[i].ForwardBatch(act, rows, a)
-		} else {
-			cur = act
-		}
-	}
-	return cur
 }

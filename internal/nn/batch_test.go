@@ -31,6 +31,8 @@ func TestLinearForwardBatchMatchesForward(t *testing.T) {
 	}
 }
 
+// TestMLPForwardBatchMatchesForward holds the training tape's batched
+// forward pass to the per-sample Forward, bit for bit.
 func TestMLPForwardBatchMatchesForward(t *testing.T) {
 	for _, useNorm := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(2))
@@ -38,7 +40,7 @@ func TestMLPForwardBatchMatchesForward(t *testing.T) {
 		const rows = 11
 		xs := randRows(rng, rows, 6)
 		var arena Arena[float64]
-		ys := mlp.ForwardBatch(xs, rows, &arena)
+		ys := mlp.ForwardBatchTape(xs, rows, &arena).Output()
 		for r := 0; r < rows; r++ {
 			want := mlp.Forward(xs[r*6 : (r+1)*6]).Output()
 			got := ys[r*3 : (r+1)*3]
@@ -51,12 +53,14 @@ func TestMLPForwardBatchMatchesForward(t *testing.T) {
 	}
 }
 
+// TestArenaReuseDoesNotAllocate runs the packed MLP, as a scorer runs its
+// query tower and head, on a warmed-up arena.
 func TestArenaReuseDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	mlp := NewMLP([]int{8, 16, 4}, true, rng)
+	mlp := NewMLPF32(NewMLP([]int{8, 16, 4}, true, rng))
 	const rows = 16
-	xs := randRows(rng, rows, 8)
-	var arena Arena[float64]
+	xs := toF32(randRows(rng, rows, 8))
+	var arena Arena[float32]
 	// Warm up: grows the arena to its steady-state size.
 	mlp.ForwardBatch(xs, rows, &arena)
 	arena.Reset()

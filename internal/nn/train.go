@@ -124,8 +124,8 @@ func (m *MLP) ForwardBatchTape(xs []float64, rows int, a *Arena[float64]) *MLPBa
 }
 
 // RecordBatch runs the MLP over rows input rows, recording into t for
-// BackwardBatch. It performs the same operations as ForwardBatch (and, per
-// row, the same operations as the per-sample Forward).
+// BackwardBatch. Per row it performs the same operations as the per-sample
+// Forward.
 func (m *MLP) RecordBatch(t *MLPBatchTape, xs []float64, rows int, a *Arena[float64]) {
 	m.record(t, xs, rows, a, false)
 }

@@ -332,10 +332,9 @@ type Stats struct {
 	LastTrainLoss float64            `json:"last_train_loss"`
 	Checkpoints   uint64             `json:"checkpoints"`
 	PlanCache     neo.PlanCacheStats `json:"plan_cache"`
-	// Snapshot reports the serving snapshot's scoring precision and memory
-	// footprint: "float64" is the exact training format, "float32" the
-	// packed inference-kernel format converted once per snapshot publication
-	// (see the -score-precision flag).
+	// Snapshot reports the serving snapshot's memory footprint: the float64
+	// master weights it was frozen from and the packed float32 panels it
+	// scores with, converted once per snapshot publication.
 	Snapshot neo.SnapshotInfo `json:"snapshot"`
 	// Storage reports the disk backend's buffer-pool counters — hit rate,
 	// evictions, bytes read from the heap files. Omitted (nil) when the

@@ -95,14 +95,16 @@ func (p *Page) Insert(tuple []byte) (slot int, ok bool) {
 }
 
 // Tuple returns the encoded bytes of the tuple in the given slot (a view
-// into the page, valid as long as the page is).
+// into the page, valid as long as the page is). A slot entry whose bytes
+// would overlap the header or slot directory, or run off the page, is
+// corrupt.
 func (p *Page) Tuple(slot int) ([]byte, error) {
 	if slot < 0 || slot >= p.NumSlots() {
 		return nil, fmt.Errorf("storage: slot %d out of range [0,%d)", slot, p.NumSlots())
 	}
 	entry := p.buf[pageHeaderSize+slotEntrySize*slot:]
 	off, ln := int(wire.U16(entry)), int(wire.U16(entry[2:]))
-	if off+ln > PageSize {
+	if off < pageHeaderSize+slotEntrySize*p.NumSlots() || off+ln > PageSize {
 		return nil, fmt.Errorf("storage: corrupt slot %d (off=%d len=%d)", slot, off, ln)
 	}
 	return p.buf[off : off+ln], nil

@@ -1,4 +1,4 @@
-// Packed float32 tree convolution for float32 snapshots: each layer's three
+// Packed float32 tree convolution for snapshots: each layer's three
 // filter matrices are packed once, at snapshot time, as one panel matrix over
 // the concatenated K = [EP; EL; ER] axis, so a gathered row runs through the
 // fused-multiply-add GEMM micro-kernel (StackF32.ForwardRows in rows.go).

@@ -71,18 +71,29 @@ func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, l
 	}
 }
 
-// TestForwardBatchMatchesPerTreeForward requires the float64 row kernel —
-// the batched forward a scorer runs over a forest's gathered rows — to be ==
-// to the per-tree reference Layer.Forward on every node of every layer.
+// TestForwardBatchMatchesPerTreeForward requires the training tape's leaf
+// and join kernels, convLeafPre and convBothPre (a one-child node with a zero
+// operand), to be == to the per-tree reference Layer.Forward on every node
+// of every layer, row by row.
 func TestForwardBatchMatchesPerTreeForward(t *testing.T) {
 	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*Tree) {
-		oc := stack.Layers[k].OutChannels
+		l := stack.Layers[k]
+		ic, oc := l.InChannels, l.OutChannels
 		out := make([]float64, len(want)*oc)
-		stack.ForwardRows(k, leaf, full, out)
+		o := 0
+		for r := 0; r < len(leaf); r += ic {
+			l.convLeafPre(leaf[r:r+ic], out[o:o+oc])
+			o += oc
+		}
+		for r := 0; r < len(full); r += 3 * ic {
+			l.convBothPre(full[r:r+ic], full[r+ic:r+2*ic], full[r+2*ic:r+3*ic], out[o:o+oc])
+			o += oc
+		}
+		nn.LeakyInPlace(out, l.Act.Alpha)
 		for r, n := range want {
 			for c, w := range n.Data {
 				if got := out[r*oc+c]; got != w {
-					t.Fatalf("layer %d row %d channel %d: ForwardRows %v, Layer.Forward %v", k, r, c, got, w)
+					t.Fatalf("layer %d row %d channel %d: kernels %v, Layer.Forward %v", k, r, c, got, w)
 				}
 			}
 		}
@@ -113,9 +124,9 @@ func TestStackF32MatchesFloat64(t *testing.T) {
 	})
 }
 
-// BenchmarkStackForward times the row kernels of both precisions through
-// every layer of the stack over a 15-node balanced tree's gathered rows, as a
-// scorer convolving the tree from scratch runs them.
+// BenchmarkStackForward times the row kernel through every layer of the
+// stack over a 15-node balanced tree's gathered rows, as a scorer convolving
+// the tree from scratch runs them.
 func BenchmarkStackForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	stack := NewStack([]int{32, 64, 64, 32}, rng)
@@ -131,31 +142,18 @@ func BenchmarkStackForward(b *testing.B) {
 		return NewNode(data, build(depth-1), build(depth-1))
 	}
 	tr := build(3)
-	var leaf, full, out [][]float64
+	var leaf, full, out [][]float32
 	for _, l := range stack.Layers {
 		lf, fl, order := layerRows([]*Tree{tr}, l.InChannels)
-		leaf, full = append(leaf, lf), append(full, fl)
-		out = append(out, make([]float64, len(order)*l.OutChannels))
+		leaf, full = append(leaf, toF32(lf)), append(full, toF32(fl))
+		out = append(out, make([]float32, len(order)*l.OutChannels))
 		tr = l.Forward(tr).Output()
 	}
-	b.Run("f64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k := range stack.Layers {
-				stack.ForwardRows(k, leaf[k], full[k], out[k])
-			}
-		}
-	})
 	stack32 := NewStackF32(stack)
-	var leaf32, full32, out32 [][]float32
-	for k := range stack.Layers {
-		leaf32, full32 = append(leaf32, toF32(leaf[k])), append(full32, toF32(full[k]))
-		out32 = append(out32, make([]float32, len(out[k])))
-	}
-	b.Run("f32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k := range stack32.Layers {
-				stack32.ForwardRows(k, leaf32[k], full32[k], out32[k])
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range stack32.Layers {
+			stack32.ForwardRows(k, leaf[k], full[k], out[k])
 		}
-	})
+	}
 }

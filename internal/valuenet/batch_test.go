@@ -1,6 +1,7 @@
 package valuenet
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -36,10 +37,18 @@ func randForest(rng *rand.Rand, dim int) []*treeconv.Tree {
 	return out
 }
 
+// relErr is |got−want| relative to max(1, |want|): the bound the float32
+// scorer is held to against the float64 per-sample reference, in normalised
+// space.
+func relErr(got, want float64) float64 {
+	return math.Abs(got-want) / math.Max(1, math.Abs(want))
+}
+
 // TestPredictBatchMatchesPredict is the batched-vs-sequential parity property
 // test: over random networks, random forests (including empty ones), shared
-// and distinct query vectors, a float64 snapshot's PredictBatch must equal
-// the per-sample reference Network.Predict exactly.
+// and distinct query vectors, a snapshot's PredictBatchNormalized must be
+// within 1e-5 relative of the per-sample reference Network.PredictNormalized,
+// and PredictBatch must be its denormalization bit for bit.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	const queryDim, planDim = 9, 7
 	for seed := int64(0); seed < 5; seed++ {
@@ -65,19 +74,16 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 
 		snap := net.Snapshot()
 		got := snap.PredictBatch(queries, forests)
-		if len(got) != batch {
-			t.Fatalf("seed %d: PredictBatch returned %d results, want %d", seed, len(got), batch)
-		}
-		for i := range got {
-			if want := net.Predict(queries[i], forests[i]); got[i] != want {
-				t.Errorf("seed %d sample %d: batch %v != sequential %v", seed, i, got[i], want)
-			}
-		}
-
 		gotN := snap.PredictBatchNormalized(queries, forests)
+		if len(got) != batch || len(gotN) != batch {
+			t.Fatalf("seed %d: PredictBatch returned %d/%d results, want %d", seed, len(got), len(gotN), batch)
+		}
 		for i := range gotN {
-			if want := net.PredictNormalized(queries[i], forests[i]); gotN[i] != want {
-				t.Errorf("seed %d sample %d (normalized): batch %v != sequential %v", seed, i, gotN[i], want)
+			if want := net.PredictNormalized(queries[i], forests[i]); relErr(gotN[i], want) > 1e-5 {
+				t.Errorf("seed %d sample %d (normalized): batch %v, sequential %v (rel err %g)", seed, i, gotN[i], want, relErr(gotN[i], want))
+			}
+			if want := net.denormalize(gotN[i]); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("seed %d sample %d: PredictBatch %v != denormalized %v", seed, i, got[i], want)
 			}
 		}
 	}

@@ -1,9 +1,7 @@
 package valuenet
 
 import (
-	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -60,19 +58,18 @@ func randomPlanTree(rng *rand.Rand, n, dim int) *treeconv.Tree {
 	return treeconv.NewNode(data, randomPlanTree(rng, nl, dim), randomPlanTree(rng, n-1-nl, dim))
 }
 
-// TestSnapshotFloat32Parity asserts the float32 snapshot scores within 1e-5
-// relative of the float64 snapshot in normalised space, including batch=1.
+// TestSnapshotFloat32Parity asserts a trained network's snapshot scores
+// within 1e-5 relative of the per-sample float64 reference in normalised
+// space, including batch=1.
 func TestSnapshotFloat32Parity(t *testing.T) {
 	net, queries, forests, _ := precisionFixture(t, 31)
-	s64 := net.SnapshotPrecision(PrecisionFloat64)
-	s32 := net.SnapshotPrecision(PrecisionFloat32)
+	s32 := net.Snapshot()
 
-	want := s64.PredictBatchNormalized(queries, forests)
 	got := s32.PredictBatchNormalized(queries, forests)
-	for i := range want {
-		rel := math.Abs(got[i]-want[i]) / math.Max(1, math.Abs(want[i]))
-		if rel > 1e-5 {
-			t.Fatalf("f32 normalised[%d] = %v want %v (rel err %g)", i, got[i], want[i], rel)
+	for i := range got {
+		want := net.PredictNormalized(queries[i], forests[i])
+		if rel := relErr(got[i], want); rel > 1e-5 {
+			t.Fatalf("f32 normalised[%d] = %v want %v (rel err %g)", i, got[i], want, rel)
 		}
 	}
 
@@ -87,66 +84,17 @@ func TestSnapshotFloat32Parity(t *testing.T) {
 	}
 }
 
-// TestSnapshotInfo asserts the footprint report: float64 has no panels,
-// float32 panels cost ≈4 bytes/param plus padding.
+// TestSnapshotInfo asserts the footprint report: float64 master weights at
+// 8 bytes/param, float32 panels at ≈4 bytes/param plus padding.
 func TestSnapshotInfo(t *testing.T) {
 	net, _, _, _ := precisionFixture(t, 34)
-	i64 := net.SnapshotPrecision(PrecisionFloat64).Info()
-	i32 := net.SnapshotPrecision(PrecisionFloat32).Info()
+	info := net.Snapshot().Info()
 
-	if i64.Precision != "float64" || i32.Precision != "float32" {
-		t.Fatalf("precisions = %q/%q", i64.Precision, i32.Precision)
+	if info.Parameters != net.NumParameters() || info.ParamBytes != 8*net.NumParameters() {
+		t.Fatalf("param accounting wrong: %+v", info)
 	}
-	if i64.Parameters != net.NumParameters() || i64.ParamBytes != 8*net.NumParameters() {
-		t.Fatalf("param accounting wrong: %+v", i64)
-	}
-	if i64.PanelBytes != 0 {
-		t.Fatalf("float64 snapshot has panel bytes: %d", i64.PanelBytes)
-	}
-	if i32.PanelBytes < 4*net.NumParameters() {
-		t.Fatalf("float32 panels (%d B) smaller than 4 B/param over %d params", i32.PanelBytes, net.NumParameters())
-	}
-}
-
-// TestParsePrecision pins the accepted spellings and that anything else —
-// the removed int8 mode included — is rejected with an error naming the two
-// supported values.
-func TestParsePrecision(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Precision
-		ok   bool
-	}{
-		{"", PrecisionFloat64, true},
-		{"float64", PrecisionFloat64, true},
-		{"f64", PrecisionFloat64, true},
-		{"float32", PrecisionFloat32, true},
-		{"f32", PrecisionFloat32, true},
-		{"int8", 0, false},
-		{"i8", 0, false},
-		{"float16", 0, false},
-		{"Float32", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParsePrecision(c.in)
-		if c.ok {
-			if err != nil || got != c.want {
-				t.Errorf("ParsePrecision(%q) = %v, %v; want %v", c.in, got, err, c.want)
-			}
-			if back, err := ParsePrecision(got.String()); err != nil || back != got {
-				t.Errorf("%v.String() = %q does not parse back: %v, %v", got, got.String(), back, err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("ParsePrecision(%q) accepted, want an error", c.in)
-			continue
-		}
-		for _, name := range []string{"float64", "float32"} {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("ParsePrecision(%q) error %q does not name %s", c.in, err, name)
-			}
-		}
+	if info.PanelBytes < 4*net.NumParameters() {
+		t.Fatalf("float32 panels (%d B) smaller than 4 B/param over %d params", info.PanelBytes, net.NumParameters())
 	}
 }
 
@@ -155,7 +103,7 @@ func TestParsePrecision(t *testing.T) {
 // scores.
 func TestSnapshotFloat32Concurrent(t *testing.T) {
 	net, queries, forests, _ := precisionFixture(t, 35)
-	s32 := net.SnapshotPrecision(PrecisionFloat32)
+	s32 := net.Snapshot()
 	want := s32.PredictBatchNormalized(queries, forests)
 
 	const workers = 8

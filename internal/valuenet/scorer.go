@@ -1,13 +1,13 @@
-// Scoring. A Scorer is the network's one inference pass at either
-// precision; Snapshot.PredictBatch is a loop over scorers, one per distinct
-// query. A plan search hands one scorer thousands of forests of one query
-// that differ from each other by a node or two — a child plan is its parent
-// plus one join or one scan choice — and tree convolution only looks down: a
-// node's output at layer k is a function of its own row and its children's
-// outputs at layer k−1. The query embedding that spatial replication appends
-// to every row is constant within a search, so a subtree's activations, and
-// the per-channel maximum dynamic pooling takes over it, are the same in
-// every plan that contains it.
+// Scoring. A Scorer is the network's one inference pass;
+// Snapshot.PredictBatch is a loop over scorers, one per distinct query. A
+// plan search hands one scorer thousands of forests of one query that differ
+// from each other by a node or two — a child plan is its parent plus one join
+// or one scan choice — and tree convolution only looks down: a node's output
+// at layer k is a function of its own row and its children's outputs at
+// layer k−1. The query embedding that spatial replication appends to every
+// row is constant within a search, so a subtree's activations, and the
+// per-channel maximum dynamic pooling takes over it, are the same in every
+// plan that contains it.
 //
 // A Scorer runs the query tower once, when it is created, and keeps one
 // record per distinct subtree it has been shown, holding exactly what the
@@ -33,9 +33,11 @@
 // maxima are folded with a v > cur comparison from −Inf in pre-order —
 // DynamicPool's order — so ties between signed zeros and NaN operands resolve
 // alike whether a subtree's maximum was recorded earlier or is folded now;
-// and the head's kernels treat rows independently. At float64 the kernels
-// are those of the per-sample reference (Network.Predict), so on finite
-// activations the scores are == to it.
+// and the head's kernels treat rows independently.
+//
+// The scorer runs in float32 through the snapshot's packed panels; the
+// per-sample float64 Network.Predict stays the reference for the network's
+// maths, and on finite activations a score is within 1e-5 relative of it.
 package valuenet
 
 import (
@@ -55,9 +57,24 @@ const recordChunk = 64
 // subtree it has convolved. It belongs to one search: not safe for
 // concurrent use, and the trees it is shown must not be modified.
 type Scorer struct {
-	net *Network // the target transform
-	f64 *scorer[float64]
-	f32 *scorer[float32] // set instead of f64 on a float32 snapshot
+	net   *Network                 // dimensions and the target transform
+	nf    *netF32                  // the kernels
+	query []float32                // the query tower's output
+	width []int                    // width[k]: output channels of conv layer k
+	off   []int                    // off[k]: where a record keeps layer k's slot
+	recW  int                      // values per record
+	memo  map[*treeconv.Tree]int32 // subtree → record
+	slab  [][]float32              // records, recordChunk to a chunk
+	stats ScorerStats
+
+	// Reused from call to call.
+	roots      []int32 // record of every non-nil root of the call, in order
+	leaf, full []miss  // nodes to convolve: childless, and with a child
+	leafRows   []float32
+	fullRows   []float32
+	out        []float32
+	pooled     []float32
+	arena      nn.Arena[float32]
 }
 
 // ScorerStats counts a scorer's work since it was created.
@@ -75,61 +92,38 @@ type ScorerStats struct {
 // NewScorer runs the query tower over queryVec and returns an empty scorer
 // for forests of that query.
 func (s *Snapshot) NewScorer(queryVec []float64) *Scorer {
-	if s.f32 != nil {
-		return &Scorer{net: s.net, f32: newScorer(s.net, queryVec, s.f32.qmlp.ForwardBatch, s.f32.conv.ForwardRows, s.f32.head.ForwardBatch)}
+	n := s.net
+	if len(queryVec) != n.queryDim {
+		panic("valuenet: query vector dimension mismatch")
 	}
-	return &Scorer{net: s.net, f64: newScorer(s.net, queryVec, s.net.qmlp.ForwardBatch, s.net.conv.ForwardRows, s.net.head.ForwardBatch)}
+	sc := &Scorer{net: n, nf: &s.f32, memo: make(map[*treeconv.Tree]int32)}
+	for _, l := range n.conv.Layers {
+		sc.off = append(sc.off, sc.recW)
+		sc.width = append(sc.width, l.OutChannels)
+		sc.recW += l.OutChannels
+	}
+	q := make([]float32, len(queryVec))
+	for i, v := range queryVec {
+		q[i] = float32(v)
+	}
+	// The embedding outlives the arena's next Reset, so copy it out.
+	sc.query = append([]float32(nil), s.f32.qmlp.ForwardBatch(q, 1, &sc.arena)...)
+	sc.arena.Reset()
+	return sc
 }
 
 // Score returns the cost predictions (in the original cost domain) for the
 // forests. A forest's score does not depend on what the memo held.
-func (sc *Scorer) Score(forests [][]*treeconv.Tree) []float64 {
-	out := sc.normalized(forests)
+func (s *Scorer) Score(forests [][]*treeconv.Tree) []float64 {
+	out := s.normalized(forests)
 	for i, v := range out {
-		out[i] = sc.net.denormalize(v)
+		out[i] = s.net.denormalize(v)
 	}
 	return out
 }
 
-// normalized is Score in normalised log-cost space: the head's outputs.
-func (sc *Scorer) normalized(forests [][]*treeconv.Tree) []float64 {
-	if sc.f32 != nil {
-		return sc.f32.score(forests)
-	}
-	return sc.f64.score(forests)
-}
-
 // Stats reports the work done so far.
-func (sc *Scorer) Stats() ScorerStats {
-	if sc.f32 != nil {
-		return sc.f32.stats
-	}
-	return sc.f64.stats
-}
-
-// scorer is Scorer at one precision; the kernels of that precision are the
-// three function values.
-type scorer[T nn.Float] struct {
-	net   *Network                                       // dimensions
-	conv  func(layer int, leaf, full, out []T)           // treeconv row kernel
-	head  func(pooled []T, rows int, a *nn.Arena[T]) []T // head MLP
-	query []T                                            // the query tower's output
-	width []int                                          // width[k]: output channels of conv layer k
-	off   []int                                          // off[k]: where a record keeps layer k's slot
-	recW  int                                            // values per record
-	memo  map[*treeconv.Tree]int32                       // subtree → record
-	slab  [][]T                                          // records, recordChunk to a chunk
-	stats ScorerStats
-
-	// Reused from call to call.
-	roots      []int32 // record of every non-nil root of the call, in order
-	leaf, full []miss  // nodes to convolve: childless, and with a child
-	leafRows   []T
-	fullRows   []T
-	out        []T
-	pooled     []T
-	arena      nn.Arena[T]
-}
+func (s *Scorer) Stats() ScorerStats { return s.stats }
 
 // miss is a subtree met for the first time: its record and its children's
 // (−1 for an absent child). Misses are listed children first.
@@ -138,39 +132,16 @@ type miss struct {
 	rec, left, right int32
 }
 
-func newScorer[T nn.Float](n *Network, queryVec []float64,
-	tower func(xs []T, rows int, a *nn.Arena[T]) []T,
-	conv func(layer int, leaf, full, out []T),
-	head func(pooled []T, rows int, a *nn.Arena[T]) []T) *scorer[T] {
-	if len(queryVec) != n.queryDim {
-		panic("valuenet: query vector dimension mismatch")
-	}
-	s := &scorer[T]{net: n, conv: conv, head: head, memo: make(map[*treeconv.Tree]int32)}
-	for _, l := range n.conv.Layers {
-		s.off = append(s.off, s.recW)
-		s.width = append(s.width, l.OutChannels)
-		s.recW += l.OutChannels
-	}
-	q := make([]T, len(queryVec))
-	for i, v := range queryVec {
-		q[i] = T(v)
-	}
-	// The embedding outlives the arena's next Reset, so copy it out.
-	s.query = append([]T(nil), tower(q, 1, &s.arena)...)
-	s.arena.Reset()
-	return s
-}
-
 // slot returns layer k's slot of record rec: the root's activation for every
 // layer but the last, the subtree's pooled maximum for the last.
-func (s *scorer[T]) slot(rec int32, k int) []T {
+func (s *Scorer) slot(rec int32, k int) []float32 {
 	base := int(rec)%recordChunk*s.recW + s.off[k]
 	return s.slab[int(rec)/recordChunk][base : base+s.width[k]]
 }
 
 // resolve returns t's record, listing t and every subtree of it that has
 // none yet as a miss.
-func (s *scorer[T]) resolve(t *treeconv.Tree) int32 {
+func (s *Scorer) resolve(t *treeconv.Tree) int32 {
 	if rec, ok := s.memo[t]; ok {
 		return rec
 	}
@@ -183,7 +154,7 @@ func (s *scorer[T]) resolve(t *treeconv.Tree) int32 {
 	}
 	m.rec = int32(len(s.memo))
 	if int(m.rec)%recordChunk == 0 {
-		s.slab = append(s.slab, make([]T, recordChunk*s.recW))
+		s.slab = append(s.slab, make([]float32, recordChunk*s.recW))
 	}
 	s.memo[t] = m.rec
 	if m.left < 0 && m.right < 0 {
@@ -194,7 +165,8 @@ func (s *scorer[T]) resolve(t *treeconv.Tree) int32 {
 	return m.rec
 }
 
-func (s *scorer[T]) score(forests [][]*treeconv.Tree) []float64 {
+// normalized is Score in normalised log-cost space: the head's outputs.
+func (s *Scorer) normalized(forests [][]*treeconv.Tree) []float64 {
 	if len(forests) == 0 {
 		return nil
 	}
@@ -216,7 +188,7 @@ func (s *scorer[T]) score(forests [][]*treeconv.Tree) []float64 {
 	last := len(s.width) - 1
 	dim := s.width[last]
 	s.pooled = resize(s.pooled, len(forests)*dim)
-	negInf := T(math.Inf(-1))
+	negInf := float32(math.Inf(-1))
 	root := 0
 	for fi, f := range forests {
 		row := s.pooled[fi*dim : (fi+1)*dim]
@@ -237,7 +209,7 @@ func (s *scorer[T]) score(forests [][]*treeconv.Tree) []float64 {
 			}
 		}
 	}
-	head := s.head(s.pooled, len(forests), &s.arena)
+	head := s.nf.head.ForwardBatch(s.pooled, len(forests), &s.arena)
 	out := make([]float64, len(forests))
 	for i := range out {
 		out[i] = float64(head[i])
@@ -249,7 +221,7 @@ func (s *scorer[T]) score(forests [][]*treeconv.Tree) []float64 {
 // convolve fills the records of the call's misses, one layer at a time over
 // all of them: a layer's rows gather the layer below's slots, which the
 // previous iteration (or an earlier call) has filled.
-func (s *scorer[T]) convolve() {
+func (s *Scorer) convolve() {
 	last := len(s.width) - 1
 	in := s.net.planDim + len(s.query)
 	for k, oc := range s.width {
@@ -265,7 +237,7 @@ func (s *scorer[T]) convolve() {
 			s.gather(row[2*in:], k, m.t.Right, m.right)
 		}
 		s.out = resize(s.out, (len(s.leaf)+len(s.full))*oc)
-		s.conv(k, s.leafRows, s.fullRows, s.out)
+		s.nf.conv.ForwardRows(k, s.leafRows, s.fullRows, s.out)
 
 		if k < last {
 			for i, m := range s.leaf {
@@ -293,10 +265,10 @@ func (s *scorer[T]) convolve() {
 
 // pool fills the pooled-maximum slot of m's record from m's own last-layer
 // activation and its children's maxima.
-func (s *scorer[T]) pool(m miss, own []T) {
+func (s *Scorer) pool(m miss, own []float32) {
 	last := len(s.width) - 1
 	acc := s.slot(m.rec, last)
-	negInf := T(math.Inf(-1))
+	negInf := float32(math.Inf(-1))
 	for c := range acc {
 		acc[c] = negInf
 	}
@@ -311,10 +283,9 @@ func (s *scorer[T]) pool(m miss, own []T) {
 
 // gather writes the operand a node contributes to a layer-k row: its plan
 // vector followed by the query embedding for the first layer (the
-// float64→float32 input-encode boundary of reduced-precision scoring), its
-// recorded activation of the layer below otherwise, zeros for
-// an absent child.
-func (s *scorer[T]) gather(dst []T, k int, t *treeconv.Tree, rec int32) {
+// float64→float32 input-encode boundary), its recorded activation of the
+// layer below otherwise, zeros for an absent child.
+func (s *Scorer) gather(dst []float32, k int, t *treeconv.Tree, rec int32) {
 	switch {
 	case t == nil:
 		clear(dst)
@@ -325,7 +296,7 @@ func (s *scorer[T]) gather(dst []T, k int, t *treeconv.Tree, rec int32) {
 			panic("valuenet: plan vector dimension mismatch")
 		}
 		for i, v := range t.Data {
-			dst[i] = T(v)
+			dst[i] = float32(v)
 		}
 		copy(dst[len(t.Data):], s.query)
 	}
@@ -334,7 +305,7 @@ func (s *scorer[T]) gather(dst []T, k int, t *treeconv.Tree, rec int32) {
 // foldMax raises acc to vs wherever vs is greater, with DynamicPool's
 // comparison: a NaN never replaces anything and an equal value keeps the
 // earlier operand.
-func foldMax[T nn.Float](acc, vs []T) {
+func foldMax(acc, vs []float32) {
 	for i, v := range vs[:len(acc)] {
 		if v > acc[i] {
 			acc[i] = v

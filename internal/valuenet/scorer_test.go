@@ -14,17 +14,15 @@ import (
 // holds, so these tests compare bits: every Score call of a search-long
 // scorer against a fresh scorer on deep copies of the same forests — which
 // share no pointers, so nothing is recalled and every node is convolved from
-// scratch — at every precision a snapshot can score with.
+// scratch — on both GEMM kernels.
 
-// scorerPrecisions runs fn for a float64 snapshot, a float32 snapshot on the
-// assembly kernel (where the CPU has one) and a float32 snapshot on the
-// portable kernel.
-func scorerPrecisions(t *testing.T, net *Network, fn func(t *testing.T, snap *Snapshot)) {
-	t.Run("f64", func(t *testing.T) { fn(t, net.SnapshotPrecision(PrecisionFloat64)) })
-	t.Run("f32", func(t *testing.T) { fn(t, net.SnapshotPrecision(PrecisionFloat32)) })
+// eachKernel runs fn for a snapshot scoring on the assembly kernel (where
+// the CPU has one) and on the portable kernel.
+func eachKernel(t *testing.T, net *Network, fn func(t *testing.T, snap *Snapshot)) {
+	t.Run("f32", func(t *testing.T) { fn(t, net.Snapshot()) })
 	t.Run("f32-scalar", func(t *testing.T) {
 		defer nn.SetScalarGemmForTest(nn.SetScalarGemmForTest(true))
-		fn(t, net.SnapshotPrecision(PrecisionFloat32))
+		fn(t, net.Snapshot())
 	})
 }
 
@@ -92,8 +90,8 @@ func deepCopy(forests [][]*treeconv.Tree) [][]*treeconv.Tree {
 // checkScorerCalls scores the calls in the given order on one scorer and
 // requires every result to be bit-identical to a fresh scorer's on deep
 // copies, and to PredictBatch's on the forests themselves. On a finite
-// corpus it also holds the from-scratch scores to the per-sample reference
-// Network.PredictNormalized: == at float64, within 1e-5 relative at float32.
+// corpus it also holds the from-scratch scores to within 1e-5 relative of
+// the per-sample float64 reference Network.PredictNormalized.
 func checkScorerCalls(t *testing.T, snap *Snapshot, q []float64, calls [][][]*treeconv.Tree, order []int, finite bool) *Scorer {
 	t.Helper()
 	sc := snap.NewScorer(q)
@@ -130,10 +128,7 @@ func checkScorerCalls(t *testing.T, snap *Snapshot, q []float64, calls [][][]*tr
 				continue
 			}
 			ref := snap.net.PredictNormalized(q, forests[i])
-			if snap.Precision() == PrecisionFloat64 && n != ref {
-				t.Fatalf("call %d forest %d: from scratch %v != per-sample %v", c, i, n, ref)
-			}
-			if rel := math.Abs(n-ref) / math.Max(1, math.Abs(ref)); rel > 1e-5 {
+			if rel := relErr(n, ref); rel > 1e-5 {
 				t.Fatalf("call %d forest %d: from scratch %v, per-sample %v (rel err %g)", c, i, n, ref, rel)
 			}
 		}
@@ -166,7 +161,7 @@ func TestScorerMatchesPredictBatch(t *testing.T) {
 			cfg.Seed = int64(40 + si)
 			net := New(sh.queryDim, sh.planDim, cfg)
 			net.FitTargetTransform([]float64{1, 10, 100, 1000, 12345})
-			scorerPrecisions(t, net, func(t *testing.T, snap *Snapshot) {
+			eachKernel(t, net, func(t *testing.T, snap *Snapshot) {
 				for seed := int64(0); seed < 4; seed++ {
 					rng := rand.New(rand.NewSource(seed))
 					q := randVec(rng, sh.queryDim)
@@ -224,7 +219,7 @@ func TestScorerNonFiniteActivations(t *testing.T) {
 					p.Value[i] *= scale
 				}
 			}
-			scorerPrecisions(t, net, func(t *testing.T, snap *Snapshot) {
+			eachKernel(t, net, func(t *testing.T, snap *Snapshot) {
 				rng := rand.New(rand.NewSource(3))
 				q := randVec(rng, queryDim)
 				calls := searchLikeCalls(rng, planDim, 30)
@@ -239,22 +234,13 @@ func TestScorerNonFiniteActivations(t *testing.T) {
 					inf = inf || math.IsInf(v, 0)
 					nan = nan || math.IsNaN(v)
 				}
-				if sc.f32 != nil {
-					for _, chunk := range sc.f32.slab {
-						for _, v := range chunk {
-							scan(float64(v))
-						}
-					}
-				} else {
-					for _, chunk := range sc.f64.slab {
-						for _, v := range chunk {
-							scan(v)
-						}
+				for _, chunk := range sc.slab {
+					for _, v := range chunk {
+						scan(float64(v))
 					}
 				}
-				// ×1e14 overflows float32 at the third layer and leaves float64
-				// finite; the larger scales overflow both.
-				if !inf && !nan && (scale > 1e100 || sc.f32 != nil) {
+				// ×1e14 overflows float32 at the third layer.
+				if !inf && !nan {
 					t.Fatalf("weights ×%g left every recorded activation finite; the test did not reach the regime it is for", scale)
 				}
 				t.Logf("records hold Inf=%v NaN=%v", inf, nan)

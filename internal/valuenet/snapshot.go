@@ -7,7 +7,10 @@
 // new weights are published by atomically swapping in a fresh snapshot.
 package valuenet
 
-import "neo/internal/treeconv"
+import (
+	"neo/internal/nn"
+	"neo/internal/treeconv"
+)
 
 // Clone returns a deep copy of the network: same architecture and weights,
 // fully independent parameter storage. Optimizer state (Adam moments) is not
@@ -37,22 +40,57 @@ func (n *Network) CloneTrainable() *Network {
 // across any number of concurrent searches. It has no training methods; the
 // weights it scores with can never change after creation.
 //
-// A snapshot always carries the float64 master weights (net); a snapshot
-// published at float32 (see SnapshotPrecision) additionally carries the
-// packed panels converted from them once at snapshot time, and scores through
-// those. Either way every prediction goes through a Scorer (scorer.go), the
-// one inference pass of its precision.
+// A snapshot carries the float64 master weights (net) — what checkpoints
+// save and what the target transform reads — and the float32 packed panels
+// converted from them once at snapshot time. Every prediction goes through a
+// Scorer (scorer.go), the one inference pass, which scores with the panels:
+// float64 is touched only at the input-encode boundary (query and plan
+// vectors → float32 rows) and the output boundary (denormalization).
+// Training and persistence never see the panels.
 type Snapshot struct {
 	net *Network
-	f32 *netF32 // packed panels; nil for a float64 snapshot
+	f32 netF32
 }
 
-// Snapshot deep-copies the network's current weights into a frozen float64
-// predictor. Call it only when no training round is mutating the weights
-// (Neo calls it at the end of each retraining round, under the training
-// lock). See SnapshotPrecision for float32 snapshots.
+// netF32 is the packed float32 form of a network's three towers.
+type netF32 struct {
+	qmlp *nn.MLPF32
+	conv *treeconv.StackF32
+	head *nn.MLPF32
+}
+
+// Snapshot deep-copies the network's current weights into a frozen predictor
+// and packs them for float32 scoring. Call it only when no training round is
+// mutating the weights (Neo calls it at the end of each retraining round,
+// under the training lock).
 func (n *Network) Snapshot() *Snapshot {
-	return n.SnapshotPrecision(PrecisionFloat64)
+	c := n.Clone()
+	return &Snapshot{net: c, f32: netF32{
+		qmlp: nn.NewMLPF32(c.qmlp),
+		conv: treeconv.NewStackF32(c.conv),
+		head: nn.NewMLPF32(c.head),
+	}}
+}
+
+// SnapshotInfo describes a snapshot's memory footprint.
+type SnapshotInfo struct {
+	// Parameters is the number of scalar parameters of the frozen network.
+	Parameters int `json:"parameters"`
+	// ParamBytes is the float64 master copy's parameter footprint.
+	ParamBytes int `json:"param_bytes"`
+	// PanelBytes is the footprint of the packed float32 panels it scores
+	// with.
+	PanelBytes int `json:"panel_bytes"`
+}
+
+// Info reports the snapshot's footprint.
+func (s *Snapshot) Info() SnapshotInfo {
+	n := s.net.NumParameters()
+	return SnapshotInfo{
+		Parameters: n,
+		ParamBytes: 8 * n,
+		PanelBytes: s.f32.qmlp.Bytes() + s.f32.conv.Bytes() + s.f32.head.Bytes(),
+	}
 }
 
 // Predict returns the cost prediction in the original cost domain.

@@ -196,8 +196,8 @@ func TestTrainEmpty(t *testing.T) {
 	}
 }
 
-// BenchmarkPredict times what scores a plan: a fresh scorer on a snapshot
-// of each precision running the query tower and one 15-node plan tree.
+// BenchmarkPredict times what scores a plan: a fresh scorer running the
+// query tower and one 15-node plan tree.
 func BenchmarkPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	n := New(60, 22, DefaultConfig())
@@ -206,14 +206,10 @@ func BenchmarkPredict(b *testing.B) {
 		q[i] = rng.Float64()
 	}
 	forests := [][]*treeconv.Tree{{synthTree(rng, 22, 3)}}
-	for _, p := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-		snap := n.SnapshotPrecision(p)
-		b.Run(p.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				snap.NewScorer(q).Score(forests)
-			}
-		})
+	snap := n.Snapshot()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		snap.NewScorer(q).Score(forests)
 	}
 }
 

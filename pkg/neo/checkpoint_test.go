@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"neo/internal/checkpoint"
@@ -207,41 +206,12 @@ func TestCheckpointLoadResetsPlanCache(t *testing.T) {
 	}
 }
 
-// precisionSystem opens a system identical to smallSystem but serving at the
-// given scoring precision.
-func precisionSystem(t testing.TB, prec string) *System {
-	t.Helper()
-	sys, err := Open(Config{
-		Dataset:          "imdb",
-		Engine:           "postgres",
-		Encoding:         Histogram,
-		Scale:            0.15,
-		Seed:             7,
-		SearchExpansions: 32,
-		Episodes:         1,
-		ScorePrecision:   prec,
-		ValueNet: &ValueNetConfig{
-			QueryLayers:  []int{16, 8},
-			TreeChannels: []int{8, 8},
-			HeadLayers:   []int{8},
-			LearningRate: 2e-3,
-			UseLayerNorm: true,
-			Seed:         3,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
-// TestCheckpointPrecisionIsSnapshotOnly asserts that serving precision never
-// leaks into the checkpoint container: a checkpoint saved while serving float32
-// restores the float64 master weights bit-identically into systems serving
-// at any precision, and each restored system serves at its own configured
-// precision, not the saver's.
+// TestCheckpointPrecisionIsSnapshotOnly asserts that the float32 panels a
+// snapshot scores with never leak into the checkpoint container: a
+// checkpoint restores the float64 master weights bit-identically, and the
+// restored system packs its own panels from them.
 func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
-	src := precisionSystem(t, "float32")
+	src := smallSystem(t, "imdb", "postgres", Histogram)
 	wl, err := src.GenerateWorkload(6)
 	if err != nil {
 		t.Fatal(err)
@@ -249,50 +219,25 @@ func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
 	if err := src.Bootstrap(wl.Queries[:4]); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.SnapshotInfo().Precision; got != "float32" {
-		t.Fatalf("source serves %q, want float32", got)
-	}
 	var buf bytes.Buffer
 	if err := src.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 
-	want := src.Neo.Net.Params()
-	for _, prec := range []string{"", "float32"} {
-		dst := precisionSystem(t, prec)
-		if err := dst.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		got := dst.Neo.Net.Params()
-		for i := range want {
-			for j := range want[i].Value {
-				if math.Float64bits(got[i].Value[j]) != math.Float64bits(want[i].Value[j]) {
-					t.Fatalf("precision %q: restored master weight %s[%d] = %v, want bit-identical %v",
-						prec, want[i].Name, j, got[i].Value[j], want[i].Value[j])
-				}
+	dst := smallSystem(t, "imdb", "postgres", Histogram)
+	if err := dst.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	want, got := src.Neo.Net.Params(), dst.Neo.Net.Params()
+	for i := range want {
+		for j := range want[i].Value {
+			if math.Float64bits(got[i].Value[j]) != math.Float64bits(want[i].Value[j]) {
+				t.Fatalf("restored master weight %s[%d] = %v, want bit-identical %v",
+					want[i].Name, j, got[i].Value[j], want[i].Value[j])
 			}
 		}
-		wantServe := prec
-		if wantServe == "" {
-			wantServe = "float64"
-		}
-		if got := dst.SnapshotInfo().Precision; got != wantServe {
-			t.Fatalf("restored system with ScorePrecision=%q serves %q, want %q", prec, got, wantServe)
-		}
 	}
-}
-
-// TestOpenRejectsUnsupportedPrecision asserts Open validates ScorePrecision
-// before it generates any data: the unknown dataset named alongside would
-// otherwise be the error reported.
-func TestOpenRejectsUnsupportedPrecision(t *testing.T) {
-	_, err := Open(Config{Dataset: "no-such-dataset", ScorePrecision: "int8"})
-	if err == nil {
-		t.Fatal("Open accepted ScorePrecision int8")
-	}
-	for _, want := range []string{"int8", "float64", "float32"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %s", err, want)
-		}
+	if got, want := dst.SnapshotInfo(), src.SnapshotInfo(); got != want || got.PanelBytes == 0 {
+		t.Fatalf("restored snapshot %+v, source %+v", got, want)
 	}
 }

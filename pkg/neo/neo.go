@@ -74,8 +74,8 @@ type (
 	ExperimentConfig = experiments.Config
 	// ValueNetConfig configures the value-network architecture.
 	ValueNetConfig = valuenet.Config
-	// SnapshotInfo describes the serving snapshot's scoring precision and
-	// memory footprint (see Config.ScorePrecision and System.SnapshotInfo).
+	// SnapshotInfo describes the serving snapshot's memory footprint (see
+	// System.SnapshotInfo).
 	SnapshotInfo = valuenet.SnapshotInfo
 	// StorageStats reports the disk backend's buffer-pool counters (see
 	// Config.Engine "disk" and System.StorageStats).
@@ -183,13 +183,6 @@ type Config struct {
 	// ValueNet overrides the value-network architecture (default: a small
 	// network structurally identical to the paper's).
 	ValueNet *ValueNetConfig
-	// ScorePrecision selects the numeric format the frozen serving snapshot
-	// scores plans with: "float64" (or "", the exact historical default) or
-	// "float32" (packed tiled-GEMM inference kernels). Training always runs
-	// in float64 and checkpoints always persist the float64 master weights —
-	// the conversion happens once per snapshot publication, inside the
-	// atomic swap. Open rejects any other value before generating data.
-	ScorePrecision string
 	// Cost selects the optimisation objective (default WorkloadCost).
 	Cost core.CostFunction
 	// Routing selects how queries are dispatched between the statistics-free
@@ -205,11 +198,15 @@ type Config struct {
 	RoutePolicy *RoutePolicy
 
 	// BEGIN benchmark compatibility block. The cross-request fusion scheduler
-	// is deleted, but benchmark/ — which only a benchmark PR may edit — still
-	// names these three. Delete the block when it stops (see ROADMAP).
+	// and the choice of scoring precision are deleted, but benchmark/ — which
+	// only a benchmark PR may edit — still names these four. Delete the block
+	// when it stops (see ROADMAP).
 
 	// FuseScoring is accepted and ignored.
 	FuseScoring bool
+	// ScorePrecision is accepted and ignored: every snapshot scores in
+	// float32.
+	ScorePrecision string
 }
 
 // FusionStats is always zero.
@@ -286,10 +283,6 @@ func (s *System) Close() error {
 // and creates an untrained Neo.
 func Open(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	prec, err := valuenet.ParsePrecision(cfg.ScorePrecision)
-	if err != nil {
-		return nil, fmt.Errorf("neo: %w", err)
-	}
 	profile := datagen.Profile(cfg.Dataset)
 	db, err := datagen.Generate(profile, datagen.Config{Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {
@@ -344,7 +337,6 @@ func Open(cfg Config) (*System, error) {
 	if cfg.ValueNet != nil {
 		coreCfg.ValueNet = *cfg.ValueNet
 	}
-	coreCfg.ScorePrecision = prec
 	mode, err := route.ParseMode(cfg.Routing)
 	if err != nil {
 		return nil, fmt.Errorf("neo: %w", err)
@@ -480,8 +472,8 @@ func (s *System) Optimize(q *Query) (*Plan, *SearchResult, error) {
 // cache.
 func (s *System) PlanCacheStats() PlanCacheStats { return s.Neo.PlanCacheStats() }
 
-// SnapshotInfo reports the current serving snapshot's scoring precision and
-// memory footprint (see Config.ScorePrecision). Safe for concurrent use.
+// SnapshotInfo reports the current serving snapshot's memory footprint. Safe
+// for concurrent use.
 func (s *System) SnapshotInfo() SnapshotInfo { return s.Neo.SnapshotInfo() }
 
 // RouteStats reports the query router's per-class decision counters,
