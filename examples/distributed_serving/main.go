@@ -106,10 +106,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer rsys.Close()
-		srv := serve.New(rsys, serve.Config{Replica: &serve.ReplicaConfig{
-			TrainerURL: trainerSrv.URL,
-			FlushEvery: 20 * time.Millisecond,
-		}})
+		srv := serve.New(rsys, serve.Config{Replica: &serve.ReplicaConfig{TrainerURL: trainerSrv.URL}})
 		v, err := srv.SyncSnapshot(context.Background(), 0)
 		if err != nil {
 			log.Fatal(err)
@@ -148,7 +145,11 @@ func main() {
 		if _, err := fleet.Feedback(ctx, &s, resp.Score, 0); err != nil {
 			log.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond) // let the forwarder flush
+		// The replica forwards the entry as it accepts it, in the
+		// background; wait until the trainer has ingested it.
+		for trainer.Stats().Accepted < uint64(i+1) {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	for trainer.NetVersion() == v0 {
 		time.Sleep(5 * time.Millisecond)

@@ -62,7 +62,6 @@ func TestThreeReplicaSoak(t *testing.T) {
 		rsys, _ := testSystem(t, false)
 		srv := serve.New(rsys, serve.Config{Replica: &serve.ReplicaConfig{
 			TrainerURL: trainerSrv.URL,
-			FlushEvery: 10 * time.Millisecond,
 			FlushBatch: 8,
 			Client:     rpc,
 		}})
@@ -182,7 +181,7 @@ func TestThreeReplicaSoak(t *testing.T) {
 	trainerSrv.Close()
 	stopB := make(chan struct{})
 	wgB := loadUntil(stopB)
-	time.Sleep(300 * time.Millisecond) // several flush intervals of dead-trainer load
+	time.Sleep(300 * time.Millisecond) // dead-trainer load across a forward retry delay
 	close(stopB)
 	wgB.Wait()
 	if failures.Load() != 0 {

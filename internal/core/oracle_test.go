@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"neo/internal/nn"
+	"neo/internal/query"
 	"neo/internal/treeconv"
 	"neo/internal/valuenet"
 	"neo/internal/wire"
@@ -704,6 +705,90 @@ func TestRetrainMatchesParentKernels(t *testing.T) {
 		}
 		if steps < 20 {
 			t.Fatalf("only %d gradient steps compared, want at least 20", steps)
+		}
+	}
+}
+
+// TestRetrainLiveColumnsMatchFullWalk: the optimizer steps only the query
+// tower's input columns that some training encoding has had a non-zero in,
+// where the reference's Adam walks every element. On real encodings, three
+// retraining rounds must leave the network == to the reference (a) when
+// each round's new experience brings a query column no earlier round had,
+// (b) after a checkpoint restore, whose live columns are rebuilt from the
+// Adam moments, and after a State/Restore copy, and (c) for 1 and 2 workers.
+func TestRetrainLiveColumnsMatchFullWalk(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		rig := newRig(t, "postgres")
+		n := neoWithTrainWorkers(rig, workers)
+		boot := rig.wl.Queries[:3]
+		if err := n.Bootstrap(boot, rig.expertFunc()); err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefNet(t, n.Net)
+		seen := map[int]bool{}
+		newColumns := func(q *query.Query) int {
+			fresh := 0
+			for c, x := range n.Featurizer.EncodeQuery(q) {
+				if x != 0 && !seen[c] {
+					seen[c] = true
+					fresh++
+				}
+			}
+			return fresh
+		}
+		for _, q := range boot {
+			newColumns(q)
+		}
+		rest := rig.wl.Queries[3:]
+		for round, restore := range []string{"", "checkpoint", "copy"} {
+			switch restore {
+			case "checkpoint":
+				var buf bytes.Buffer
+				if err := n.Net.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				queryDim, planDim := n.Net.Dims()
+				restored := valuenet.New(queryDim, planDim, n.Net.Config())
+				if err := restored.Load(&buf); err != nil {
+					t.Fatal(err)
+				}
+				st := n.State()
+				st.Net = restored
+				n.Restore(st)
+			case "copy":
+				n.Restore(n.State())
+			}
+			// The round's experience: the next held-back query that brings a
+			// column no earlier round's encodings had.
+			var q *query.Query
+			for len(rest) > 0 && q == nil {
+				if newColumns(rest[0]) > 0 {
+					q = rest[0]
+				}
+				rest = rest[1:]
+			}
+			if q == nil {
+				t.Fatalf("round %d: no held-back query brings a new column", round)
+			}
+			p, err := rig.expertFunc()(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lat, _, err := n.Engine.Execute(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Experience.Add(q, p, lat)
+			samples := n.trainingSamples()
+			twin := newCountingSource(n.rngSeed)
+			twin.skip(n.rngSrc.draws)
+
+			got := n.Retrain()
+			want := ref.train(samples, n.Config.TrainEpochs, n.Config.BatchSize, rand.New(twin))
+			if got != want {
+				t.Fatalf("workers=%d round %d: loss %v, reference %v", workers, round, got, want)
+			}
+			requireSameState(t, "after a round with a new query column", n.Net, ref)
 		}
 	}
 }

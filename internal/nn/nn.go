@@ -243,8 +243,99 @@ type Adam struct {
 	m    map[*Param][]float64
 	v    map[*Param][]float64
 
+	// live lists the parameters declared with TrackColumns.
+	live []*liveColumns
+
 	// spans is StepShards' task list, rebuilt (storage reused) every step.
 	spans []stepSpan
+}
+
+// liveColumns is the ascending, ever-growing set of columns of a tracked
+// rows×in weight matrix that have ever been fed a non-zero input, and the
+// runs of them StepShards walks in every row.
+type liveColumns struct {
+	p     *Param
+	in    int
+	cols  []bool   // by column: ever live
+	runs  [][2]int // [lo, hi) column runs covering every live column
+	stale bool     // cols changed since runs was built
+}
+
+// liveRunGap is the longest stretch of dead columns a run spans rather than
+// split at: one cache line of float64s. Walking a dead element is a no-op
+// (see updateSpan), so merging costs only the read.
+const liveRunGap = 8
+
+// build rebuilds runs from cols if they changed.
+func (lc *liveColumns) build() {
+	if !lc.stale {
+		return
+	}
+	lc.stale = false
+	lc.runs = lc.runs[:0]
+	for c, live := range lc.cols {
+		if !live {
+			continue
+		}
+		if n := len(lc.runs); n > 0 && c-lc.runs[n-1][1] <= liveRunGap {
+			lc.runs[n-1][1] = c + 1
+		} else {
+			lc.runs = append(lc.runs, [2]int{c, c + 1})
+		}
+	}
+}
+
+// TrackColumns declares p a weight matrix of rows of width in whose input is
+// data (MLP.RecordInput): an element can only get a gradient once its
+// column has held a non-zero input, and MarkColumns must report every such
+// column before the step that sees it. StepShards then walks only the
+// columns ever marked; an element outside them has zero gradient and zero
+// moments, so skipping it changes nothing. With a non-zero WeightDecay every
+// element moves and the full walk is kept.
+func (a *Adam) TrackColumns(p *Param, in int) {
+	if len(p.Value)%in != 0 {
+		panic("nn: TrackColumns width does not divide the parameter")
+	}
+	lc := &liveColumns{p: p, in: in, cols: make([]bool, in)}
+	a.live = append(a.live, lc)
+	a.relive(lc)
+}
+
+// MarkColumns adds cols to the live columns of p, which must have been
+// declared with TrackColumns. It must not run concurrently with StepShards.
+func (a *Adam) MarkColumns(p *Param, cols []int) {
+	lc := a.tracked(p)
+	if lc == nil {
+		panic("nn: MarkColumns on an untracked parameter")
+	}
+	for _, c := range cols {
+		if !lc.cols[c] {
+			lc.cols[c] = true
+			lc.stale = true
+		}
+	}
+}
+
+func (a *Adam) tracked(p *Param) *liveColumns {
+	for _, lc := range a.live {
+		if lc.p == p {
+			return lc
+		}
+	}
+	return nil
+}
+
+// relive resets lc's live columns to those holding a non-zero moment: after
+// a restore, every element that can move again is in them.
+func (a *Adam) relive(lc *liveColumns) {
+	clear(lc.cols)
+	lc.stale = true
+	m, v := a.m[lc.p], a.v[lc.p]
+	for i := range m {
+		if m[i] != 0 || v[i] != 0 {
+			lc.cols[i%lc.in] = true
+		}
+	}
 }
 
 // NewAdam creates an Adam optimizer with the given learning rate and default
@@ -267,6 +358,9 @@ func (a *Adam) CopyState(src *Adam, srcParams, params []*Param) {
 			a.v[params[i]] = slices.Clone(v)
 		}
 	}
+	for _, lc := range a.live {
+		a.relive(lc)
+	}
 }
 
 // Step applies one update to every parameter using its accumulated gradient
@@ -281,8 +375,12 @@ func (a *Adam) Step(params []*Param, batchSize int) {
 // claiming a span costs nothing beside updating it.
 const stepSpanLen = 2048
 
-// stepSpan is one StepShards task: elements lo..hi of parameter p.
-type stepSpan struct{ p, lo, hi int }
+// stepSpan is one StepShards task: elements lo..hi of parameter p, or, when
+// live is set, the live runs of the whole rows lo..hi covers.
+type stepSpan struct {
+	p, lo, hi int
+	live      *liveColumns
+}
 
 // StepShards is Step for data-parallel gradient workers: shards lists each
 // worker's shadow parameters (aligned with params, see ShadowGrad), and an
@@ -290,7 +388,8 @@ type stepSpan struct{ p, lo, hi int }
 // Reduction, update and clearing of all gradient buffers happen in one pass
 // over fixed element spans, shared out over the given number of goroutines;
 // elements are independent of each other, so the result does not depend on
-// that number.
+// that number. A parameter declared with TrackColumns is walked over its live
+// columns only.
 func (a *Adam) StepShards(params []*Param, shards [][]*Param, batchSize, workers int) {
 	if batchSize < 1 {
 		batchSize = 1
@@ -307,31 +406,56 @@ func (a *Adam) StepShards(params []*Param, shards [][]*Param, batchSize, workers
 		if _, ok := a.v[p]; !ok {
 			a.v[p] = make([]float64, len(p.Value))
 		}
+		if lc := a.tracked(p); lc != nil && a.WeightDecay == 0 {
+			lc.build()
+			width := 0
+			for _, r := range lc.runs {
+				width += r[1] - r[0]
+			}
+			if width == 0 {
+				continue
+			}
+			step := max(1, stepSpanLen/width) * lc.in
+			for lo := 0; lo < len(p.Value); lo += step {
+				a.spans = append(a.spans, stepSpan{p: pi, lo: lo, hi: min(lo+step, len(p.Value)), live: lc})
+			}
+			continue
+		}
 		for lo := 0; lo < len(p.Value); lo += stepSpanLen {
 			a.spans = append(a.spans, stepSpan{p: pi, lo: lo, hi: min(lo+stepSpanLen, len(p.Value))})
 		}
 	}
 	Parallel(workers, len(a.spans), func(i int) {
-		a.updateSpan(params, shards, a.spans[i], scale, bc1, bc2)
+		s := a.spans[i]
+		p := params[s.p]
+		m, v := a.m[p], a.v[p]
+		if s.live == nil {
+			a.updateSpan(p, shards, s.p, m, v, s.lo, s.hi, scale, bc1, bc2)
+			return
+		}
+		for row := s.lo; row < s.hi; row += s.live.in {
+			for _, r := range s.live.runs {
+				a.updateSpan(p, shards, s.p, m, v, row+r[0], row+r[1], scale, bc1, bc2)
+			}
+		}
 	})
 }
 
-// updateSpan reduces, updates and clears one span. An element whose gradient
-// and both moments are zero is left alone: its update would store the same
-// zero moments and subtract LR·0/(0+Eps) = 0 from the value.
-func (a *Adam) updateSpan(params []*Param, shards [][]*Param, s stepSpan, scale, bc1, bc2 float64) {
-	p := params[s.p]
-	grad := p.Grad[s.lo:s.hi]
+// updateSpan reduces, updates and clears elements lo..hi of p, which is
+// parameter pi of every shard, with moments m and v. An element whose
+// gradient and both moments are zero is left alone: its update would store
+// the same zero moments and subtract LR·0/(0+Eps) = 0 from the value.
+func (a *Adam) updateSpan(p *Param, shards [][]*Param, pi int, m, v []float64, lo, hi int, scale, bc1, bc2 float64) {
+	grad := p.Grad[lo:hi]
 	for _, sh := range shards {
-		sg := sh[s.p].Grad[s.lo:s.hi]
+		sg := sh[pi].Grad[lo:hi]
 		for j, g := range sg {
 			grad[j] += g
 			sg[j] = 0
 		}
 	}
-	value := p.Value[s.lo:s.hi]
-	m := a.m[p][s.lo:s.hi]
-	v := a.v[p][s.lo:s.hi]
+	value := p.Value[lo:hi]
+	m, v = m[lo:hi], v[lo:hi]
 	for i := range value {
 		g := grad[i]*scale + a.WeightDecay*value[i]
 		grad[i] = 0

@@ -141,5 +141,8 @@ func (a *Adam) Load(r io.Reader, params []*Param) error {
 	a.step = int(step)
 	a.m = m
 	a.v = v
+	for _, lc := range a.live {
+		a.relive(lc)
+	}
 	return nil
 }

@@ -115,6 +115,12 @@ func (t *MLPBatchTape) Output() []float64 { return t.output }
 // Rows returns the number of rows the tape was recorded over.
 func (t *MLPBatchTape) Rows() int { return t.rows }
 
+// InputColumns returns the columns of a RecordInput tape's non-zero inputs,
+// row by row (a column may repeat across rows) — the columns of the first
+// layer's weights the tape's backward pass can give a gradient, for
+// Adam.MarkColumns. It is valid until the tape is recorded again.
+func (t *MLPBatchTape) InputColumns() []int { return t.nz.col }
+
 // ForwardBatchTape runs the MLP over rows input rows, recording a fresh tape
 // for BackwardBatch (see RecordBatch).
 func (m *MLP) ForwardBatchTape(xs []float64, rows int, a *Arena[float64]) *MLPBatchTape {

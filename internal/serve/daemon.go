@@ -119,7 +119,6 @@ func RegisterFlags(fs *flag.FlagSet, cfg *Config, repl *ReplicaConfig) {
 	fs.IntVar(&cfg.RetrainEvery, "retrain-every", 16, "trigger a background retraining round every N feedbacks (0 disables)")
 	fs.IntVar(&cfg.MaxExperience, "max-experience", 0, "experience-pool cap; oldest entries are dropped beyond it (0 = default 100000, negative = unbounded)")
 	fs.StringVar(&repl.TrainerURL, "trainer", "", "trainer base URL; switches the daemon into replica mode (no local training, feedback forwarded, snapshots pulled)")
-	fs.DurationVar(&repl.FlushEvery, "flush-every", 0, "replica mode: experience forwarding interval (0 = default 250ms)")
 	fs.IntVar(&repl.FlushBatch, "flush-batch", 0, "replica mode: entries per forwarded experience container (0 = default 64)")
 	fs.IntVar(&repl.MaxQueue, "max-queue", 0, "replica mode: forwarding-queue bound; oldest entries are dropped beyond it when the trainer is down (0 = default 4096)")
 }

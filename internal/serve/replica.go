@@ -24,9 +24,11 @@ import (
 
 // Replica-mode defaults; see ReplicaConfig.
 const (
-	defaultFlushEvery = 250 * time.Millisecond
 	defaultFlushBatch = 64
 	defaultMaxQueue   = 4096
+	// retryDelay is how long the forwarder ignores wake-ups after a failed
+	// forward, so a dead trainer is not hammered once per feedback.
+	retryDelay = 250 * time.Millisecond
 	// drainTimeout bounds the shutdown drain: a replica closing while its
 	// trainer is down must not hang forever holding its queued experience.
 	drainTimeout = 5 * time.Second
@@ -36,12 +38,9 @@ const (
 type ReplicaConfig struct {
 	// TrainerURL is the trainer's base URL, e.g. "http://trainer:7790".
 	TrainerURL string
-	// FlushEvery is the forwarder's flush interval (default 250ms). Each
-	// flush ships queued experience to the trainer in FlushBatch-sized
-	// containers.
-	FlushEvery time.Duration
 	// FlushBatch caps the entries per POST /experience container (default
-	// 64).
+	// 64). The forwarder ships queued experience as soon as it arrives, in
+	// containers of at most this many entries.
 	FlushBatch int
 	// MaxQueue bounds the forwarding queue (default 4096). When the trainer
 	// is down long enough to fill it, the oldest entries are dropped — the
@@ -51,13 +50,6 @@ type ReplicaConfig struct {
 	// The zero value picks the proto.Client defaults (3 attempts, 50ms
 	// doubling backoff, 10s per-attempt timeout).
 	Client proto.Client
-}
-
-func (c *ReplicaConfig) flushEvery() time.Duration {
-	if c.FlushEvery > 0 {
-		return c.FlushEvery
-	}
-	return defaultFlushEvery
 }
 
 func (c *ReplicaConfig) flushBatch() int {
@@ -85,6 +77,10 @@ type replicaState struct {
 	forwardErrors atomic.Uint64
 	dropped       atomic.Uint64
 
+	// kick wakes the forwarder (one slot: a wake-up pending while a POST is
+	// in flight covers every entry queued meanwhile).
+	kick chan struct{}
+
 	mu      sync.Mutex
 	queue   []core.Entry
 	sealed  bool // set by drain: later feedback forwards synchronously
@@ -102,17 +98,17 @@ type replicaState struct {
 
 func newReplicaState(cfg ReplicaConfig) *replicaState {
 	client := cfg.Client
-	return &replicaState{cfg: cfg, client: &client}
+	return &replicaState{cfg: cfg, client: &client, kick: make(chan struct{}, 1)}
 }
 
 // enqueue appends an entry to the forwarding queue, dropping the oldest
-// entry when the queue is at its bound. It reports the queue depth after the
-// append and whether the queue accepted the entry (false once the shutdown
-// drain has sealed it).
+// entry when the queue is at its bound, and wakes the forwarder. It reports
+// the queue depth after the append and whether the queue accepted the entry
+// (false once the shutdown drain has sealed it).
 func (rs *replicaState) enqueue(e core.Entry) (depth int, queued bool) {
 	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	if rs.sealed {
+		rs.mu.Unlock()
 		return 0, false
 	}
 	if max := rs.cfg.maxQueue(); len(rs.queue) >= max {
@@ -121,7 +117,19 @@ func (rs *replicaState) enqueue(e core.Entry) (depth int, queued bool) {
 		rs.dropped.Add(uint64(over))
 	}
 	rs.queue = append(rs.queue, e)
-	return len(rs.queue), true
+	depth = len(rs.queue)
+	rs.mu.Unlock()
+	rs.wake()
+	return depth, true
+}
+
+// wake asks the forwarder for a pass without blocking: if a wake-up is
+// already pending, that pass will see this entry too.
+func (rs *replicaState) wake() {
+	select {
+	case rs.kick <- struct{}{}:
+	default:
+	}
 }
 
 // takeBatch pops up to flushBatch entries from the queue head.
@@ -141,7 +149,7 @@ func (rs *replicaState) takeBatch() []core.Entry {
 	return batch
 }
 
-// requeue puts a failed batch back at the queue head so the next flush
+// requeue puts a failed batch back at the queue head so the next pass
 // retries it in order, re-applying the queue bound from the front (newest
 // entries win, matching enqueue's drop-oldest policy).
 func (rs *replicaState) requeue(batch []core.Entry) {
@@ -157,7 +165,7 @@ func (rs *replicaState) requeue(batch []core.Entry) {
 
 // forwardNow ships one batch to the trainer synchronously, recording the
 // outcome in the replica counters. It is the single RPC path for the
-// forwarder loop, the shutdown drain and post-drain stragglers.
+// forwarder, the shutdown drain and post-drain stragglers.
 func (rs *replicaState) forwardNow(ctx context.Context, batch []core.Entry) error {
 	if len(batch) == 0 {
 		return nil
@@ -189,29 +197,51 @@ func (rs *replicaState) recordForwardError(err error) {
 	rs.mu.Unlock()
 }
 
-// forwardLoop is the replica's background forwarder: every flushEvery it
-// drains the queue in flushBatch-sized containers until empty or the trainer
-// fails, in which case the batch is requeued and retried next tick — the
-// degradation ramp for a dead trainer is queue → drop-oldest, never request
-// failures.
+// forwardLoop is the replica's background forwarder. Each wake-up (see
+// enqueue) drains the queue in flushBatch-sized containers until it is
+// empty; feedback accepted while a POST is in flight rides in the next
+// container, and a replica never has more than one POST in flight. When the
+// trainer fails, the batch is requeued and the forwarder sleeps retryDelay
+// before retrying, ignoring wake-ups meanwhile — the degradation ramp for a
+// dead trainer is queue → drop-oldest, never request failures.
 func (rs *replicaState) forwardLoop(stop <-chan struct{}) {
-	ticker := time.NewTicker(rs.cfg.flushEvery())
-	defer ticker.Stop()
 	for {
 		select {
-		case <-ticker.C:
-			for {
-				batch := rs.takeBatch()
-				if len(batch) == 0 {
-					break
-				}
-				if err := rs.forwardNow(context.Background(), batch); err != nil {
-					rs.requeue(batch)
-					break
-				}
-			}
+		case <-rs.kick:
 		case <-stop:
 			return
+		}
+		if rs.forwardQueued(stop) {
+			continue
+		}
+		retry := time.NewTimer(retryDelay)
+		select {
+		case <-retry.C:
+			rs.wake()
+		case <-stop:
+			retry.Stop()
+			return
+		}
+	}
+}
+
+// forwardQueued ships the queue to the trainer batch by batch, stopping
+// early once stop is closed (the drain takes over). It reports false when a
+// forward failed; the failed batch is back at the queue head.
+func (rs *replicaState) forwardQueued(stop <-chan struct{}) bool {
+	for {
+		select {
+		case <-stop:
+			return true
+		default:
+		}
+		batch := rs.takeBatch()
+		if len(batch) == 0 {
+			return true
+		}
+		if err := rs.forwardNow(context.Background(), batch); err != nil {
+			rs.requeue(batch)
+			return false
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,13 +15,25 @@ import (
 )
 
 // fakeTrainer is a minimal trainer endpoint for replica tests: it ingests
-// experience containers and serves one fixed snapshot.
+// experience containers and serves one fixed snapshot. A test can hold
+// every POST /experience at a gate, fail the first few, and wait for any
+// condition on what arrived (waitUntil) instead of sleeping.
 type fakeTrainer struct {
 	mu       sync.Mutex
 	entries  []core.Entry
 	batches  int
+	posts    int // POST /experience attempts, failed ones included
 	snapshot []byte
 	version  uint64
+
+	// failFirst is the number of POSTs answered 503 before any is accepted.
+	failFirst int
+	// gate, when non-nil, holds every POST after it is counted until open
+	// closes it.
+	gate     chan struct{}
+	gateOnce sync.Once
+	// changed is closed (and replaced) whenever posts or entries change.
+	changed chan struct{}
 }
 
 func (ft *fakeTrainer) count() int {
@@ -31,9 +42,58 @@ func (ft *fakeTrainer) count() int {
 	return len(ft.entries)
 }
 
+// open releases the gate; safe to call more than once, so a test can also
+// defer it to keep a failed run from leaving the trainer's handlers parked.
+func (ft *fakeTrainer) open() { ft.gateOnce.Do(func() { close(ft.gate) }) }
+
+// notifyLocked wakes every waitUntil; ft.mu must be held.
+func (ft *fakeTrainer) notifyLocked() {
+	if ft.changed != nil {
+		close(ft.changed)
+	}
+	ft.changed = make(chan struct{})
+}
+
+// waitUntil blocks until cond, evaluated under ft.mu, holds, failing the
+// test if it has not after ten seconds.
+func (ft *fakeTrainer) waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		ft.mu.Lock()
+		if cond() {
+			ft.mu.Unlock()
+			return
+		}
+		if ft.changed == nil {
+			ft.changed = make(chan struct{})
+		}
+		changed := ft.changed
+		ft.mu.Unlock()
+		select {
+		case <-changed:
+		case <-timeout:
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 func (ft *fakeTrainer) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /experience", func(w http.ResponseWriter, r *http.Request) {
+		ft.mu.Lock()
+		ft.posts++
+		fail := ft.posts <= ft.failFirst
+		gate := ft.gate
+		ft.notifyLocked()
+		ft.mu.Unlock()
+		if gate != nil {
+			<-gate
+		}
+		if fail {
+			http.Error(w, "trainer unavailable", http.StatusServiceUnavailable)
+			return
+		}
 		entries, err := checkpoint.LoadExperience(r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -43,6 +103,7 @@ func (ft *fakeTrainer) handler() http.Handler {
 		ft.entries = append(ft.entries, entries...)
 		ft.batches++
 		n := len(ft.entries)
+		ft.notifyLocked()
 		ft.mu.Unlock()
 		_ = json.NewEncoder(w).Encode(proto.ExperienceResponse{Accepted: len(entries), Experience: n})
 	})
@@ -77,7 +138,7 @@ func TestReplicaForwardsFeedback(t *testing.T) {
 
 	srv := New(sys, Config{
 		RetrainEvery: 1, // must be ignored: replicas never train
-		Replica:      &ReplicaConfig{TrainerURL: trainer.URL, FlushEvery: 5 * time.Millisecond},
+		Replica:      &ReplicaConfig{TrainerURL: trainer.URL},
 	})
 	srv.Start()
 	ts := httptest.NewServer(srv)
@@ -96,10 +157,7 @@ func TestReplicaForwardsFeedback(t *testing.T) {
 			t.Fatal("a replica triggered local retraining")
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for ft.count() < n && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	ft.waitUntil(t, "every entry at the trainer", func() bool { return len(ft.entries) >= n })
 	if got := ft.count(); got != n {
 		t.Fatalf("trainer received %d entries, want %d", got, n)
 	}
@@ -109,11 +167,11 @@ func TestReplicaForwardsFeedback(t *testing.T) {
 		}
 	}
 	// The replica's forwarded counter lands just after the trainer's ingest;
-	// poll for it.
-	var st Stats
-	for st = getStats(t, ts.URL); st.Cluster != nil && st.Cluster.Forwarded < n && time.Now().Before(deadline); st = getStats(t, ts.URL) {
-		time.Sleep(2 * time.Millisecond)
+	// Close waits for the forwarder, so the counters are final after it.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
+	st := getStats(t, ts.URL)
 	if st.Cluster == nil {
 		t.Fatal("replica /stats has no cluster section")
 	}
@@ -129,9 +187,6 @@ func TestReplicaForwardsFeedback(t *testing.T) {
 	if st.Retrains != 0 || st.Experience != sys.Neo.Experience.Len() {
 		t.Fatalf("replica trained: retrains=%d", st.Retrains)
 	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestReplicaFrozenWhenTrainerDead pins the degradation contract: with the
@@ -146,7 +201,6 @@ func TestReplicaFrozenWhenTrainerDead(t *testing.T) {
 
 	srv := New(sys, Config{Replica: &ReplicaConfig{
 		TrainerURL: deadURL,
-		FlushEvery: 5 * time.Millisecond,
 		MaxQueue:   3,
 		Client:     fastClient(),
 	}})
@@ -165,8 +219,8 @@ func TestReplicaFrozenWhenTrainerDead(t *testing.T) {
 			t.Fatalf("feedback %d with dead trainer: status %d — a dead trainer must not fail requests", i, code)
 		}
 	}
-	// The queue bound (3) drops the oldest of the 6; a flush tick records
-	// the forwarding failure. The failed batch is off the queue while its
+	// The queue bound (3) drops the oldest of the 6; the first forward
+	// records the failure. The failed batch is off the queue while its
 	// forward is in flight and re-bounded when it is put back, so the drops
 	// can trail the first recorded error: wait for both.
 	deadline := time.Now().Add(10 * time.Second)
@@ -212,7 +266,7 @@ func TestAdminSnapshotLoadsPublishedVersion(t *testing.T) {
 
 	sys, _ := testSystem(t)
 	defer sys.Close()
-	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushEvery: time.Minute}})
+	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL}})
 	srv.Start()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -267,7 +321,7 @@ func TestAdminSnapshotUnreachableTrainer(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: deadURL, FlushEvery: time.Minute, Client: fastClient()}})
+	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: deadURL, Client: fastClient()}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
@@ -286,59 +340,176 @@ func TestAdminSnapshotUnreachableTrainer(t *testing.T) {
 
 // TestCloseDrainsInFlightFeedback is the shutdown-drain regression test: a
 // replica closed while /feedback requests are in flight must hand every
-// accepted entry to the trainer — queued experience flushes in the drain,
-// post-drain stragglers forward synchronously — and never drop or double
-// anything. Run under -race.
+// accepted entry to the trainer — the forward in flight completes, queued
+// experience flushes in the drain, post-drain stragglers forward
+// synchronously — and never drop or double anything. The trainer holds the
+// forwarder's first POST until Close has begun, so entries pile up in the
+// queue behind it. Run under -race.
 func TestCloseDrainsInFlightFeedback(t *testing.T) {
 	sys, queries := testSystem(t)
 	defer sys.Close()
-	ft := &fakeTrainer{}
+	ft := &fakeTrainer{gate: make(chan struct{})}
 	trainer := httptest.NewServer(ft.handler())
 	defer trainer.Close()
+	defer ft.open()
 
-	// FlushEvery of a minute: nothing flushes before Close, so every
-	// delivered entry went through the drain or the straggler path.
-	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushEvery: time.Minute, FlushBatch: 4}})
+	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushBatch: 4}})
 	srv.Start()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var accepted atomic.Int64
+	// Every feedback carries a distinct latency, so the trainer's entries
+	// identify exactly which accepted feedbacks arrived, and how often.
+	var mu sync.Mutex
+	accepted := map[float64]bool{}
+	feedback := func(latency float64) {
+		data, err := json.Marshal(proto.FeedbackRequest{Query: specFor(queries[int(latency)%len(queries)]), LatencyMS: latency})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.Post(ts.URL+"/feedback", "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Errorf("feedback during shutdown failed at transport level: %v", err)
+			return
+		}
+		if resp.StatusCode == http.StatusOK {
+			mu.Lock()
+			accepted[latency] = true
+			mu.Unlock()
+		}
+		resp.Body.Close()
+	}
+
+	// The first feedback's forward parks at the trainer; the next ones queue.
+	feedback(1)
+	ft.waitUntil(t, "the first forward", func() bool { return ft.posts == 1 })
+	for i := 2; i <= 9; i++ {
+		feedback(float64(i))
+	}
+	// More feedback races Close: some is queued before the seal, some is a
+	// straggler after it.
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			<-start
 			for i := 0; i < 6; i++ {
-				data, err := json.Marshal(proto.FeedbackRequest{Query: specFor(queries[(g+i)%len(queries)]), LatencyMS: 7})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp, err := http.Post(ts.URL+"/feedback", "application/json", bytes.NewReader(data))
-				if err != nil {
-					t.Errorf("feedback during shutdown failed at transport level: %v", err)
-					return
-				}
-				if resp.StatusCode == http.StatusOK {
-					accepted.Add(1)
-				}
-				resp.Body.Close()
+				feedback(float64(100 + 10*g + i))
 			}
 		}(g)
 	}
-	close(start)
-	time.Sleep(10 * time.Millisecond) // let requests get in flight mid-close
-	if err := srv.Close(); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	<-srv.learner.Stopping()
+	ft.open() // the forward in flight completes while Close waits for it
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if got, want := int64(ft.count()), accepted.Load(); got != want {
-		t.Fatalf("trainer received %d entries but %d feedbacks were accepted — graceful drain dropped experience", got, want)
+	feedback(1000) // certainly after the seal: the straggler path
+
+	seen := map[float64]int{}
+	ft.mu.Lock()
+	for _, e := range ft.entries {
+		seen[e.Latency]++
 	}
-	if accepted.Load() == 0 {
-		t.Fatal("test vacuous: no feedback was accepted")
+	ft.mu.Unlock()
+	for latency, n := range seen {
+		if n != 1 || !accepted[latency] {
+			t.Errorf("entry with latency %v reached the trainer %d times (accepted: %v)", latency, n, accepted[latency])
+		}
+	}
+	for latency := range accepted {
+		if seen[latency] == 0 {
+			t.Errorf("accepted feedback with latency %v never reached the trainer — graceful drain dropped experience", latency)
+		}
+	}
+	if !accepted[1] || !accepted[9] || !accepted[1000] {
+		t.Fatal("test vacuous: feedback before the drain or after the seal was not accepted")
+	}
+	if st := getStats(t, ts.URL); st.Cluster.Dropped != 0 {
+		t.Fatalf("dropped=%d with a live trainer", st.Cluster.Dropped)
+	}
+}
+
+// TestForwarderRetriesInOrder: a trainer that fails its first K POSTs and
+// then accepts receives every entry exactly once and in order, and the
+// forwarder's retry delay keeps the POST count near K plus the containers
+// the entries need — feedback arriving while the trainer is failing must
+// not each trigger a POST.
+func TestForwarderRetriesInOrder(t *testing.T) {
+	sys, queries := testSystem(t)
+	defer sys.Close()
+	const k, batch = 3, 4
+	ft := &fakeTrainer{failFirst: k, gate: make(chan struct{})}
+	trainer := httptest.NewServer(ft.handler())
+	defer trainer.Close()
+	defer ft.open()
+
+	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushBatch: batch, Client: fastClient()}})
+	srv.Start()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+
+	latency := 0.0
+	feedback := func() {
+		latency++
+		if code := postJSON(t, ts.URL+"/feedback", proto.FeedbackRequest{Query: specFor(queries[int(latency)%len(queries)]), LatencyMS: latency}, nil); code != http.StatusOK {
+			t.Fatalf("feedback %v: status %d", latency, code)
+		}
+	}
+	// The first POST waits at the gate while more feedback queues behind it;
+	// after it fails, more arrives inside the retry delay.
+	feedback()
+	ft.waitUntil(t, "the first forward", func() bool { return ft.posts == 1 })
+	for i := 0; i < 11; i++ {
+		feedback()
+	}
+	ft.open()
+	for i := 0; i < 8; i++ {
+		feedback()
+	}
+	entries := int(latency)
+	ft.waitUntil(t, "every entry at the trainer", func() bool { return len(ft.entries) >= entries })
+
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	if len(ft.entries) != entries {
+		t.Fatalf("trainer received %d entries, want %d", len(ft.entries), entries)
+	}
+	for i, e := range ft.entries {
+		if e.Latency != float64(i+1) {
+			t.Fatalf("entry %d carries latency %v, want %d: entries arrived out of order or twice", i, e.Latency, i+1)
+		}
+	}
+	if limit := k + (entries+batch-1)/batch + 2; ft.posts > limit {
+		t.Fatalf("%d POST attempts for %d entries and %d failures, want at most %d", ft.posts, entries, k, limit)
+	}
+}
+
+// TestStragglerForwardFailureCountsDropped: feedback accepted after the
+// shutdown drain is forwarded synchronously; when that forward fails the
+// entry never reaches the trainer, and /stats must count it dropped.
+func TestStragglerForwardFailureCountsDropped(t *testing.T) {
+	sys, queries := testSystem(t)
+	defer sys.Close()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+
+	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: deadURL, Client: fastClient()}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if err := srv.Close(); err != nil { // seals the (empty) queue
+		t.Fatal(err)
+	}
+	if code := postJSON(t, ts.URL+"/feedback", proto.FeedbackRequest{Query: specFor(queries[0]), LatencyMS: 3}, nil); code != http.StatusOK {
+		t.Fatalf("straggler feedback: status %d", code)
+	}
+	st := getStats(t, ts.URL)
+	if st.Cluster.ForwardErrors != 1 || st.Cluster.Dropped != 1 {
+		t.Fatalf("forward_errors=%d dropped=%d after one failed straggler forward, want 1/1", st.Cluster.ForwardErrors, st.Cluster.Dropped)
 	}
 }

@@ -305,9 +305,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		depth, queued := s.repl.enqueue(entry)
 		if !queued {
 			// The shutdown drain already ran; forward this straggler directly
-			// (best effort) rather than silently discarding an accepted
-			// request's experience.
-			s.repl.forwardNow(r.Context(), []core.Entry{entry})
+			// (best effort), and count it dropped if that fails, rather than
+			// silently discarding an accepted request's experience.
+			if err := s.repl.forwardNow(r.Context(), []core.Entry{entry}); err != nil {
+				s.repl.dropped.Add(1)
+			}
 		}
 		proto.WriteJSON(w, proto.FeedbackResponse{Experience: depth, Queued: true})
 		return

@@ -114,7 +114,7 @@ func TestSnapshotLoadDoesNotWaitForSearches(t *testing.T) {
 	sys, queries := testSystem(t)
 	defer sys.Close()
 	gate := gateSearches(sys)
-	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushEvery: time.Minute}})
+	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -227,7 +227,7 @@ func TestReplicaCheckpointDuringSnapshotLoad(t *testing.T) {
 	sys, _ := testSystem(t)
 	defer sys.Close()
 	path := filepath.Join(t.TempDir(), "replica.ckpt")
-	srv := New(sys, Config{CheckpointPath: path, Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushEvery: time.Minute}})
+	srv := New(sys, Config{CheckpointPath: path, Replica: &ReplicaConfig{TrainerURL: trainer.URL}})
 	defer srv.Close()
 	verifier, _ := testSystem(t)
 	defer verifier.Close()

@@ -14,7 +14,10 @@
 //   - each shard accumulates gradients into shadow parameters (shared
 //     weights, private gradient buffers), and one optimizer pass
 //     (nn.Adam.StepShards) sums every element's shard gradients in shard
-//     order, applies the Adam update and clears all buffers.
+//     order, applies the Adam update and clears all buffers — of the query
+//     tower's input layer, only the columns some shard's input has ever had
+//     a non-zero in (marked after the shards finish, so no shard writes
+//     shared state).
 //
 // Because the shard partition and the reduction order are fixed and the
 // optimizer pass treats every element independently, training is
@@ -164,6 +167,7 @@ func (n *Network) TrainBatch(samples []Sample) float64 {
 	total := 0.0
 	for _, sh := range n.train.shards[:numShards] {
 		total += sh.loss
+		n.opt.MarkColumns(n.queryInput(), sh.queryTape.InputColumns())
 	}
 	n.opt.StepShards(n.train.params, n.train.shadows[:numShards], len(samples), n.cfg.TrainWorkers)
 	return total / float64(len(samples))

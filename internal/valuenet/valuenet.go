@@ -115,7 +115,7 @@ func New(queryDim, planDim int, cfg Config) *Network {
 	qOut := qSizes[len(qSizes)-1]
 	convSizes := append([]int{planDim + qOut}, cfg.TreeChannels...)
 	headSizes := append(append([]int{convSizes[len(convSizes)-1]}, cfg.HeadLayers...), 1)
-	return &Network{
+	n := &Network{
 		cfg:       cfg,
 		queryDim:  queryDim,
 		planDim:   planDim,
@@ -125,7 +125,15 @@ func New(queryDim, planDim int, cfg Config) *Network {
 		opt:       nn.NewAdam(cfg.LearningRate),
 		targetStd: 1,
 	}
+	// The query tower reads the encoding as data: most of its input columns
+	// are never non-zero, and the optimizer walks only those that have been.
+	n.opt.TrackColumns(n.queryInput(), queryDim)
+	return n
 }
+
+// queryInput is the query tower's input-layer weight matrix, whose live
+// columns the optimizer tracks.
+func (n *Network) queryInput() *nn.Param { return n.qmlp.Linears[0].W }
 
 // Params returns every trainable parameter.
 func (n *Network) Params() []*nn.Param {
@@ -295,12 +303,19 @@ func (n *Network) TrainBatchPerSample(samples []Sample) float64 {
 		return 0
 	}
 	total := 0.0
+	var cols []int
 	for _, s := range samples {
+		for c, x := range s.Query {
+			if x != 0 {
+				cols = append(cols, c)
+			}
+		}
 		st, out := n.forward(s.Query, s.Plan)
 		loss, grad := nn.L2Loss(out, n.normalize(s.Target))
 		total += loss
 		n.backward(st, grad)
 	}
+	n.opt.MarkColumns(n.queryInput(), cols)
 	n.opt.Step(n.Params(), len(samples))
 	return total / float64(len(samples))
 }
