@@ -29,8 +29,6 @@ func main() {
 		engines      = flag.String("engines", "", "comma-separated engine subset (postgres,sqlite,engine-m,engine-o,disk)")
 		bufferPoolMB = flag.Int("buffer-pool-mb", 0, "disk engine buffer-pool size in MiB (0 = default 16)")
 		workloads    = flag.String("workloads", "", "comma-separated workload subset (job,tpch,corp)")
-		workers      = flag.Int("workers", 0, "planning worker-pool size (0 = GOMAXPROCS, negative = serial; results are identical either way unless cardinality-error injection is enabled)")
-		trainWorkers = flag.Int("train-workers", 0, "gradient worker-pool size for value-network training (0 = GOMAXPROCS, negative = serial; trained weights are bit-identical for every worker count)")
 		out          = flag.String("out", "", "write reports to this file as well as stdout")
 		load         = flag.String("load", "", "directory of embedding checkpoints to restore (written by -save; skips row-vector retraining for cached workloads)")
 		save         = flag.String("save", "", "directory to write the trained embedding checkpoints to after the run (reuse with -load under the same scale/seed/dim settings)")
@@ -56,8 +54,6 @@ func main() {
 	if *workloads != "" {
 		cfg.Workloads = strings.Split(*workloads, ",")
 	}
-	cfg.Workers = *workers
-	cfg.TrainWorkers = *trainWorkers
 	cfg.BufferPoolMB = *bufferPoolMB
 
 	var w io.Writer = os.Stdout

@@ -23,7 +23,6 @@ func main() {
 	var cfg neo.Config
 	cfg.RegisterFlags(flag.CommandLine)
 	flag.IntVar(&cfg.Episodes, "episodes", 8, "refinement episodes after bootstrapping")
-	flag.IntVar(&cfg.Workers, "workers", 0, "planning worker-pool size (0 = GOMAXPROCS, negative = serial; results are identical either way unless cardinality-error injection is enabled)")
 	var (
 		queries = flag.Int("queries", 24, "number of workload queries to generate")
 		load    = flag.String("load", "", "checkpoint file to restore trained state from (skips bootstrapping; the system config must match the one the checkpoint was saved with)")

@@ -410,7 +410,7 @@ func (c *Client) PostJSON(ctx context.Context, url string, in, out any) error {
 		return err
 	}
 	return c.do(ctx, func() error {
-		return c.roundTrip(ctx, http.MethodPost, url, "application/json", body, out, nil)
+		return c.roundTrip(ctx, http.MethodPost, url, "application/json", body, decodeJSON(out))
 	})
 }
 
@@ -450,14 +450,14 @@ func (c *Client) FleetStats(ctx context.Context, nodes []string) (stats map[stri
 // JSON response into out.
 func (c *Client) PostBytes(ctx context.Context, url string, payload []byte, out any) error {
 	return c.do(ctx, func() error {
-		return c.roundTrip(ctx, http.MethodPost, url, "application/octet-stream", payload, out, nil)
+		return c.roundTrip(ctx, http.MethodPost, url, "application/octet-stream", payload, decodeJSON(out))
 	})
 }
 
 // GetJSON GETs url and decodes a 2xx response into out.
 func (c *Client) GetJSON(ctx context.Context, url string, out any) error {
 	return c.do(ctx, func() error {
-		return c.roundTrip(ctx, http.MethodGet, url, "", nil, out, nil)
+		return c.roundTrip(ctx, http.MethodGet, url, "", nil, decodeJSON(out))
 	})
 }
 
@@ -467,14 +467,22 @@ func (c *Client) GetBytes(ctx context.Context, url string) ([]byte, http.Header,
 	var payload []byte
 	var hdr http.Header
 	err := c.do(ctx, func() error {
-		var e error
-		payload, hdr, e = c.roundTripBytes(ctx, url)
-		return e
+		return c.roundTrip(ctx, http.MethodGet, url, "", nil, func(resp *http.Response) (err error) {
+			payload, err = io.ReadAll(resp.Body)
+			hdr = resp.Header
+			return err
+		})
 	})
-	return payload, hdr, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return payload, hdr, nil
 }
 
-func (c *Client) roundTrip(ctx context.Context, method, url, contentType string, body []byte, out any, hdr *http.Header) error {
+// roundTrip makes one attempt: it sends the request and hands a 2xx response
+// to read; any other status becomes a *StatusError carrying the start of the
+// body.
+func (c *Client) roundTrip(ctx context.Context, method, url, contentType string, body []byte, read func(*http.Response) error) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -495,35 +503,19 @@ func (c *Client) roundTrip(ctx context.Context, method, url, contentType string,
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return &StatusError{Code: resp.StatusCode, Body: string(msg)}
 	}
-	if hdr != nil {
-		*hdr = resp.Header
-	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return read(resp)
 }
 
-func (c *Client) roundTripBytes(ctx context.Context, url string) ([]byte, http.Header, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, nil, err
+// decodeJSON reads a response by decoding its JSON body into out, or by
+// discarding the body when out is nil.
+func decodeJSON(out any) func(*http.Response) error {
+	return func(resp *http.Response) error {
+		if out == nil {
+			_, _ = io.Copy(io.Discard, resp.Body)
+			return nil
+		}
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, nil, &StatusError{Code: resp.StatusCode, Body: string(msg)}
-	}
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, err
-	}
-	return payload, resp.Header, nil
 }
 
 // SplitURLs parses a comma-separated list of base URLs as the -replicas and

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -90,6 +92,75 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}
 	if Retryable(err) {
 		t.Error("409 reported retryable")
+	}
+}
+
+// TestClientRoundTrip drives each call shape through one round trip per
+// status: a 200 is read the way the call reads it (JSON decoded, or bytes and
+// headers returned), a 409 surfaces at once as a *StatusError carrying the
+// body, and a 503 is retried until Attempts run out.
+func TestClientRoundTrip(t *testing.T) {
+	calls := []struct {
+		name   string
+		method string
+		call   func(c *Client, url string) (string, error)
+	}{
+		{"PostJSON", http.MethodPost, func(c *Client, url string) (string, error) {
+			var out struct{ OK int }
+			err := c.PostJSON(context.Background(), url, map[string]int{"in": 1}, &out)
+			return fmt.Sprint(out.OK), err
+		}},
+		{"GetJSON", http.MethodGet, func(c *Client, url string) (string, error) {
+			var out struct{ OK int }
+			err := c.GetJSON(context.Background(), url, &out)
+			return fmt.Sprint(out.OK), err
+		}},
+		{"GetBytes", http.MethodGet, func(c *Client, url string) (string, error) {
+			payload, hdr, err := c.GetBytes(context.Background(), url)
+			return hdr.Get("X-Version") + " " + string(payload), err
+		}},
+	}
+	statuses := []struct {
+		code  int
+		body  string
+		tries int64
+	}{
+		{http.StatusOK, `{"OK":1}`, 1},
+		{http.StatusConflict, `{"error":"stale"}`, 1},
+		{http.StatusServiceUnavailable, "starting up", 3},
+	}
+	for _, call := range calls {
+		for _, st := range statuses {
+			var tries atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				tries.Add(1)
+				if r.Method != call.method {
+					t.Errorf("%s: method %s", call.name, r.Method)
+				}
+				w.Header().Set("X-Version", "7")
+				w.WriteHeader(st.code)
+				_, _ = io.WriteString(w, st.body)
+			}))
+			got, err := call.call(&Client{Attempts: 3, Backoff: time.Millisecond}, ts.URL)
+			ts.Close()
+			if tries.Load() != st.tries {
+				t.Errorf("%s %d: %d tries, want %d", call.name, st.code, tries.Load(), st.tries)
+			}
+			if st.code == http.StatusOK {
+				want := "1"
+				if call.name == "GetBytes" {
+					want = "7 " + st.body
+				}
+				if err != nil || got != want {
+					t.Errorf("%s 200: read %q, %v; want %q", call.name, got, err, want)
+				}
+				continue
+			}
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != st.code || se.Body != st.body {
+				t.Errorf("%s %d: error %v, want a StatusError with body %q", call.name, st.code, err, st.body)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"neo/internal/plan"
 	"neo/internal/search"
 )
 
@@ -21,12 +22,10 @@ func TestScorerBatchMatchesSequential(t *testing.T) {
 	opts := search.Options{Catalog: rig.feat.Catalog, MaxExpansions: rig.neo.Config.SearchExpansions}
 	for _, q := range queries {
 		batched := rig.neo.Scorer(q)
-		perPlan, ok := batched.(search.Scorer)
-		if !ok {
-			t.Fatal("Neo's scorer no longer implements the per-plan interface")
-		}
 		// Sequential path: the same network, scored one plan per call.
-		sequential := search.ScorerFunc(perPlan.Score)
+		sequential := search.ScorerFunc(func(p *plan.Plan) float64 {
+			return batched.ScoreBatch([]*plan.Plan{p})[0]
+		})
 
 		bres, err := search.BestFirst(q, batched, opts)
 		if err != nil {

@@ -2,12 +2,13 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 
+	"neo/internal/feature"
 	"neo/internal/plan"
 	"neo/internal/query"
+	"neo/internal/stats"
 	"neo/internal/valuenet"
 )
 
@@ -30,7 +31,7 @@ func TestNewFillsOnlyZeroFields(t *testing.T) {
 		TrainEpochs: 3,
 		Cost:        RelativeCost,
 		Seed:        1234,
-		// SearchExpansions, BatchSize and Workers are left zero on purpose;
+		// SearchExpansions and BatchSize are left zero on purpose;
 		// MaxTrainSamples zero means "no cap" and must survive as zero.
 	}
 	n := New(rig.eng, rig.feat, cfg)
@@ -56,13 +57,6 @@ func TestNewFillsOnlyZeroFields(t *testing.T) {
 	}
 	if got.BatchSize != def.BatchSize {
 		t.Errorf("BatchSize = %d, want default %d", got.BatchSize, def.BatchSize)
-	}
-	if got.Workers != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers = %d, want GOMAXPROCS default %d", got.Workers, runtime.GOMAXPROCS(0))
-	}
-	serial := New(rig.eng, rig.feat, Config{Workers: -1})
-	if serial.Config.Workers != 1 {
-		t.Errorf("negative Workers should normalize to serial, got %d", serial.Config.Workers)
 	}
 }
 
@@ -117,8 +111,8 @@ func TestConstructionStatesSiblingJoinOrder(t *testing.T) {
 
 // bootstrapRig builds a rig and bootstraps it from the expert; used in pairs
 // by the determinism tests (two independently built rigs are bit-identical
-// for a fixed seed), which set Config.Workers on the result to pit the serial
-// path against the parallel one.
+// for a fixed seed), which run one at GOMAXPROCS 1 and the other at 8 to pit
+// the serial path against the parallel one.
 func bootstrapRig(t *testing.T) (*testRig, []*query.Query) {
 	t.Helper()
 	rig := newRig(t, "postgres")
@@ -135,14 +129,14 @@ func bootstrapRig(t *testing.T) (*testRig, []*query.Query) {
 func TestRunEpisodeParallelMatchesSerial(t *testing.T) {
 	serialRig, serialTrain := bootstrapRig(t)
 	parallelRig, parallelTrain := bootstrapRig(t)
-	serialRig.neo.Config.Workers = 1
-	parallelRig.neo.Config.Workers = 8
 
 	for ep := 1; ep <= 2; ep++ {
+		setProcs(t, 1)
 		ss, err := serialRig.neo.RunEpisode(ep, serialTrain)
 		if err != nil {
 			t.Fatal(err)
 		}
+		setProcs(t, 8)
 		ps, err := parallelRig.neo.RunEpisode(ep, parallelTrain)
 		if err != nil {
 			t.Fatal(err)
@@ -176,13 +170,13 @@ func TestRunEpisodeParallelMatchesSerial(t *testing.T) {
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	serialRig, serialTrain := bootstrapRig(t)
 	parallelRig, parallelTrain := bootstrapRig(t)
-	serialRig.neo.Config.Workers = 1
-	parallelRig.neo.Config.Workers = 8
 
+	setProcs(t, 1)
 	sTotal, sPer, err := serialRig.neo.Evaluate(serialTrain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setProcs(t, 8)
 	pTotal, pPer, err := parallelRig.neo.Evaluate(parallelTrain)
 	if err != nil {
 		t.Fatal(err)
@@ -207,6 +201,49 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 		}
 		if sp.Signature() != pp.Signature() {
 			t.Errorf("query %s: plans differ across serial/parallel evaluation", serialTrain[i].ID)
+		}
+	}
+}
+
+// TestPlanningWithInjectedErrorIsSerial: injected cardinality error draws its
+// perturbations from one stream in the order encodings ask for them, so
+// planning must go serial by itself whatever GOMAXPROCS says. Two
+// identically seeded systems then choose the same plans and measure the same
+// latencies.
+func TestPlanningWithInjectedErrorIsSerial(t *testing.T) {
+	setProcs(t, 8)
+	build := func() (*Neo, []*query.Query) {
+		rig := newRig(t, "postgres")
+		feat := *rig.feat
+		feat.Cardinality = &feature.HistogramCardinality{Stats: rig.st}
+		feat.Error = stats.NewErrorModel(2, 9)
+		return New(rig.eng, &feat, rig.neo.Config), rig.wl.Queries
+	}
+	a, queries := build()
+	b, _ := build()
+	pa, pb := a.planAndSimulate(queries), b.planAndSimulate(queries)
+	for i, q := range queries {
+		if pa[i].err != nil || pb[i].err != nil {
+			t.Fatalf("%s: %v, %v", q.ID, pa[i].err, pb[i].err)
+		}
+		if pa[i].plan.Signature() != pb[i].plan.Signature() || pa[i].base != pb[i].base {
+			t.Errorf("%s: plans %s (%v) and %s (%v) differ", q.ID, pa[i].plan, pa[i].base, pb[i].plan, pb[i].base)
+		}
+	}
+	totalA, perA, err := a.Evaluate(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totalB, perB, err := b.Evaluate(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if totalA != totalB {
+		t.Errorf("total latency %v, %v", totalA, totalB)
+	}
+	for id, lat := range perA {
+		if perB[id] != lat {
+			t.Errorf("query %s: latency %v, %v", id, lat, perB[id])
 		}
 	}
 }

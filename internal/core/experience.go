@@ -6,7 +6,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"neo/internal/plan"
@@ -24,14 +23,13 @@ type Entry struct {
 // Experience is the set of executed plans Neo learns from (E in the paper).
 type Experience struct {
 	mu      sync.RWMutex
-	entries []Entry            // guarded by mu
-	byQuery map[string][]int   // guarded by mu
-	best    map[string]float64 // best latency seen per query; guarded by mu
+	entries []Entry          // guarded by mu
+	byQuery map[string][]int // guarded by mu
 }
 
 // NewExperience creates an empty experience store.
 func NewExperience() *Experience {
-	return &Experience{byQuery: make(map[string][]int), best: make(map[string]float64)}
+	return &Experience{byQuery: make(map[string][]int)}
 }
 
 // Add records a plan/latency pair.
@@ -40,14 +38,10 @@ func (e *Experience) Add(q *query.Query, p *plan.Plan, latency float64) {
 	defer e.mu.Unlock()
 	e.entries = append(e.entries, Entry{Query: q, Plan: p, Latency: latency})
 	e.byQuery[q.ID] = append(e.byQuery[q.ID], len(e.entries)-1)
-	if best, ok := e.best[q.ID]; !ok || latency < best {
-		e.best[q.ID] = latency
-	}
 }
 
 // Restore replaces the store's contents with the given entries (in order),
-// rebuilding the per-query index and best-latency tracking. Used when
-// loading a checkpoint.
+// rebuilding the per-query index. Used when loading a checkpoint.
 func (e *Experience) Restore(entries []Entry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -55,25 +49,20 @@ func (e *Experience) Restore(entries []Entry) {
 	e.rebuildLocked()
 }
 
-// rebuildLocked recomputes the per-query index and best-latency tracking
-// from e.entries. Callers must hold e.mu.
+// rebuildLocked recomputes the per-query index from e.entries. Callers must
+// hold e.mu.
 func (e *Experience) rebuildLocked() {
 	e.byQuery = make(map[string][]int)
-	e.best = make(map[string]float64)
 	for i, entry := range e.entries {
-		id := entry.Query.ID
-		e.byQuery[id] = append(e.byQuery[id], i)
-		if best, ok := e.best[id]; !ok || entry.Latency < best {
-			e.best[id] = entry.Latency
-		}
+		e.byQuery[entry.Query.ID] = append(e.byQuery[entry.Query.ID], i)
 	}
 }
 
 // Trim drops the oldest entries until at most keep remain, rebuilding the
-// per-query index and best-latency tracking from the survivors. Long-running
-// servers use it to bound the experience pool (and with it checkpoint size):
-// recent entries reflect the current network's behaviour and matter most for
-// the next retraining round.
+// per-query index from the survivors. Long-running servers use it to bound
+// the experience pool (and with it checkpoint size): recent entries reflect
+// the current network's behaviour and matter most for the next retraining
+// round.
 func (e *Experience) Trim(keep int) {
 	if keep < 0 {
 		keep = 0
@@ -100,41 +89,6 @@ func (e *Experience) Entries() []Entry {
 	defer e.mu.RUnlock()
 	out := make([]Entry, len(e.entries))
 	copy(out, e.entries)
-	return out
-}
-
-// ForQuery returns the entries recorded for one query.
-func (e *Experience) ForQuery(id string) []Entry {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var out []Entry
-	for _, i := range e.byQuery[id] {
-		out = append(out, e.entries[i])
-	}
-	return out
-}
-
-// BestLatency returns the lowest latency observed for a query and whether
-// any entry exists.
-func (e *Experience) BestLatency(id string) (float64, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	v, ok := e.best[id]
-	return v, ok
-}
-
-// Queries returns the distinct query IDs present in the experience, in
-// sorted order. The order matters: callers iterate the result to build
-// training sets and retraining schedules, and map iteration order would
-// make identically-seeded runs diverge.
-func (e *Experience) Queries() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.byQuery))
-	for id := range e.byQuery {
-		out = append(out, id)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -1,43 +1,29 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"testing"
 
 	"neo/internal/plan"
 	"neo/internal/query"
 )
 
-// TestQueriesSortedOrder is the regression test for the map-iteration bug
-// neo-lint's detrange check found here: Queries() used to return IDs in map
-// iteration order, which Go randomizes per run, so two identically-seeded
-// processes walking the result built their training sets in different
-// orders. With 40 distinct IDs the chance of a random permutation coming
-// out sorted is 1/40!, so this fails immediately if the sort is dropped.
-func TestQueriesSortedOrder(t *testing.T) {
+// TestExperienceTrimKeepsNewest: Trim keeps the newest entries in insertion
+// order, and the per-query index MinCostContaining reads is rebuilt over the
+// survivors only — the dropped entry held the query's lowest latency.
+func TestExperienceTrimKeepsNewest(t *testing.T) {
 	e := NewExperience()
-	// Insert in a deliberately non-sorted order.
-	for _, i := range []int{17, 3, 39, 0, 25, 8, 31, 12, 36, 5, 21, 28, 1,
-		14, 33, 9, 19, 38, 6, 24, 11, 30, 2, 16, 35, 7, 22, 27, 4, 13, 37,
-		10, 20, 29, 15, 34, 18, 26, 23, 32} {
-		id := fmt.Sprintf("q%02d", i)
-		q := query.New(id, []string{"title"}, nil, nil)
-		p := &plan.Plan{Query: q, Roots: []*plan.Node{plan.Leaf("title", plan.TableScan)}}
-		e.Add(q, p, float64(100+i))
+	q := query.New("q", []string{"title"}, nil, nil)
+	p := &plan.Plan{Query: q, Roots: []*plan.Node{plan.Leaf("title", plan.TableScan)}}
+	for _, lat := range []float64{10, 50, 40, 30} {
+		e.Add(q, p, lat)
 	}
-	got := e.Queries()
-	if len(got) != 40 {
-		t.Fatalf("Queries returned %d IDs, want 40", len(got))
+	e.Trim(2)
+	got := e.Entries()
+	if len(got) != 2 || got[0].Latency != 40 || got[1].Latency != 30 {
+		t.Fatalf("Entries after Trim(2) = %+v, want latencies 40, 30", got)
 	}
-	if !sort.StringsAreSorted(got) {
-		t.Fatalf("Queries() not sorted: %v", got)
-	}
-	// Two calls must agree element-for-element, not just as sets.
-	again := e.Queries()
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("Queries() unstable at %d: %q vs %q", i, got[i], again[i])
-		}
+	cost, ok := e.MinCostContaining(plan.Initial(q), func(en Entry) float64 { return en.Latency })
+	if !ok || cost != 30 {
+		t.Errorf("MinCostContaining after Trim = %v, %v; want 30, true", cost, ok)
 	}
 }

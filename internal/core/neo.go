@@ -14,6 +14,7 @@ import (
 	"neo/internal/engine"
 	"neo/internal/fastpath"
 	"neo/internal/feature"
+	"neo/internal/nn"
 	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/route"
@@ -63,16 +64,6 @@ type Config struct {
 	Cost CostFunction
 	// Seed seeds plan-search tie-breaking and minibatch shuffling.
 	Seed int64
-	// Workers is the worker-pool size RunEpisode and Evaluate use to fan
-	// plan search and simulated execution out over goroutines. Results are
-	// committed in deterministic order, so episode statistics are
-	// bit-identical to the serial path for a fixed seed regardless of the
-	// worker count — except when the featurizer injects cardinality error
-	// (Featurizer.Error, the Figure 14 protocol), whose perturbations draw
-	// from one shared stream in scheduling order; run serially if that
-	// experiment needs reproducibility. Zero selects GOMAXPROCS; a negative
-	// value forces serial execution.
-	Workers int
 	// Routing selects how queries are dispatched between the statistics-free
 	// greedy fast path (internal/fastpath) and the full DNN-guided best-first
 	// search: route.Full (the zero value — every query takes the full
@@ -80,19 +71,6 @@ type Config struct {
 	// route.Auto (per-class heuristic bootstrap, demoted online by
 	// observed-latency regret; see ObserveLatency).
 	Routing route.Mode
-	// RoutePolicy overrides the auto-routing thresholds; zero fields select
-	// route.DefaultPolicy values.
-	RoutePolicy route.Policy
-	// TrainWorkers is the number of data-parallel gradient workers each
-	// retraining minibatch is sharded over (valuenet.Config.TrainWorkers).
-	// Trained weights are bit-identical for every worker count — the shard
-	// partition and gradient-reduction order depend only on the batch size —
-	// so parallel training is always safe to enable. Useful parallelism is
-	// bounded by the number of 8-sample shards a minibatch splits into
-	// (ceil(BatchSize/8)); raise BatchSize alongside TrainWorkers to feed
-	// more workers. Zero selects GOMAXPROCS; a negative value forces serial
-	// training.
-	TrainWorkers int
 }
 
 // DefaultConfig returns the configuration used by the experiments.
@@ -232,26 +210,9 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 	if cfg.Seed == 0 {
 		cfg.Seed = def.Seed
 	}
-	// Workers normalization lives here, once, for every layer above (the
-	// pkg/neo facade and the experiment harness pass their value through).
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers < 0 {
-		cfg.Workers = 1
-	}
-	if cfg.TrainWorkers == 0 {
-		cfg.TrainWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.TrainWorkers < 0 {
-		cfg.TrainWorkers = 1
-	}
 	if len(cfg.ValueNet.QueryLayers) == 0 {
 		cfg.ValueNet = def.ValueNet
 	}
-	// The value network reads its worker count from its own config; the
-	// normalized core setting is authoritative.
-	cfg.ValueNet.TrainWorkers = cfg.TrainWorkers
 	net := valuenet.New(feat.QueryVectorSize(), feat.PlanVectorSize(), cfg.ValueNet)
 	src := newCountingSource(cfg.Seed)
 	n := &Neo{
@@ -264,7 +225,7 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 		rngSrc:     src,
 		rngSeed:    cfg.Seed,
 		baseline:   make(map[string]float64),
-		router:     route.New(cfg.Routing, cfg.RoutePolicy),
+		router:     route.New(cfg.Routing, route.Policy{}),
 	}
 	n.publishLocked(0)
 	return n
@@ -548,8 +509,8 @@ func constructionStates(p *plan.Plan) []*plan.Plan {
 
 // Retrain rebuilds the training set from the experience, (re)trains the
 // live value network — one shared batched forward/backward pass per
-// minibatch, sharded over Config.TrainWorkers data-parallel gradient
-// workers (bit-identical for every worker count) — and atomically swaps the
+// minibatch, sharded over GOMAXPROCS data-parallel gradient workers
+// (bit-identical for every worker count) — and atomically swaps the
 // freshly trained weights in as the serving snapshot. It returns the final
 // training loss. Retraining rounds are serialized; plan searches may run
 // concurrently — they keep scoring with the previous snapshot until the
@@ -612,18 +573,12 @@ func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 	return s.net.Score(s.forests)
 }
 
-// Score implements search.Scorer (a batch of one).
-func (s *netScorer) Score(p *plan.Plan) float64 {
-	return s.ScoreBatch([]*plan.Plan{p})[0]
-}
-
-// Scorer returns the batched value-network scorer for the given query; it
-// implements both search.BatchScorer (the primary contract) and
-// search.Scorer. The scorer is pinned to the network snapshot current at
-// creation time, so a search runs against one consistent set of weights
-// even if a background retraining round swaps the snapshot mid-search. Each
-// returned scorer carries its own scratch state, so concurrent searches use
-// separate Scorer instances (see pkg/neo's PlanAll).
+// Scorer returns the batched value-network scorer for the given query. The
+// scorer is pinned to the network snapshot current at creation time, so a
+// search runs against one consistent set of weights even if a background
+// retraining round swaps the snapshot mid-search. Each returned scorer
+// carries its own scratch state, so concurrent searches use separate Scorer
+// instances (see pkg/neo's PlanAll).
 func (n *Neo) Scorer(q *query.Query) search.BatchScorer { return n.scorerOn(n.snap.Load(), q) }
 
 func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) search.BatchScorer {
@@ -768,43 +723,27 @@ type planExec struct {
 	err  error
 }
 
+// PlanningWorkers is the width of a pool of concurrent searches: GOMAXPROCS,
+// or 1 while the featurizer injects cardinality error (Featurizer.Error, the
+// Figure 14 protocol), whose perturbations are drawn from one shared stream
+// in the order encodings ask for them — serial planning keeps that
+// experiment reproducible.
+func (n *Neo) PlanningWorkers() int {
+	if n.Featurizer.Error != nil {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // planAndSimulate fans plan search plus deterministic plan simulation out
-// over Config.Workers workers. The engine's run-to-run noise is deliberately
+// over PlanningWorkers workers. The engine's run-to-run noise is deliberately
 // NOT applied here: the caller commits the returned base latencies in input
 // order, so the engine's noise stream is drawn in exactly the order the
 // serial loop would draw it, and results are bit-identical to serial
 // execution for a fixed seed no matter how many workers raced.
 func (n *Neo) planAndSimulate(queries []*query.Query) []planExec {
 	out := make([]planExec, len(queries))
-	workers := n.Config.Workers
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		for i, q := range queries {
-			out[i] = n.planAndSimulateOne(q)
-			if out[i].err != nil {
-				break
-			}
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				out[i] = n.planAndSimulateOne(queries[i])
-			}
-		}()
-	}
-	wg.Wait()
+	nn.Parallel(n.PlanningWorkers(), len(queries), func(i int) { out[i] = n.planAndSimulateOne(queries[i]) })
 	return out
 }
 
@@ -824,13 +763,11 @@ func (n *Neo) planAndSimulateOne(q *query.Query) planExec {
 // training query, search for a plan with the current value network, execute
 // it on the engine, add the plan/latency pair to the experience, and finally
 // retrain the network. Plan search and plan simulation fan out over
-// Config.Workers workers, while the episode's shuffle, the engine's noise
-// draws, the experience appends and the final retraining all happen in
-// deterministic order — so the returned EpisodeStats (and all downstream
-// training state) are bit-identical to the serial path for a fixed seed, at
-// a fraction of the wall-clock time. The one exception is injected
-// cardinality error (Featurizer.Error), which draws from a shared stream in
-// scheduling order; see Config.Workers.
+// PlanningWorkers workers, while the episode's shuffle, the
+// engine's noise draws, the experience appends and the final retraining all
+// happen in deterministic order — so the returned EpisodeStats (and all
+// downstream training state) are bit-identical for a fixed seed, whatever
+// the pool size.
 func (n *Neo) RunEpisode(episode int, queries []*query.Query) (*EpisodeStats, error) {
 	stats := &EpisodeStats{Episode: episode, QueryLatencies: make(map[string]float64)}
 	shuffled := append([]*query.Query(nil), queries...)
@@ -865,10 +802,8 @@ func (n *Neo) RunEpisode(episode int, queries []*query.Query) (*EpisodeStats, er
 // Evaluate optimizes and executes each query without adding the results to
 // the experience (held-out evaluation). It returns the total latency and the
 // per-query latencies. Like RunEpisode, searches and plan simulations fan out
-// over Config.Workers workers while the engine's noise draws commit in input
-// order, so per-query plans and latencies are identical to the serial path
-// for a fixed seed (with the same Featurizer.Error exception; see
-// Config.Workers).
+// over PlanningWorkers workers while the engine's noise draws commit in input order, so
+// per-query plans and latencies are identical for a fixed seed.
 func (n *Neo) Evaluate(queries []*query.Query) (float64, map[string]float64, error) {
 	execs := n.planAndSimulate(queries)
 	perQuery := make(map[string]float64, len(queries))

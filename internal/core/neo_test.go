@@ -82,17 +82,8 @@ func TestExperienceStore(t *testing.T) {
 	if e.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", e.Len())
 	}
-	if best, ok := e.BestLatency("q1"); !ok || best != 80 {
-		t.Errorf("BestLatency = %f, %v", best, ok)
-	}
-	if _, ok := e.BestLatency("missing"); ok {
-		t.Errorf("missing query should have no best latency")
-	}
-	if got := len(e.ForQuery("q1")); got != 2 {
-		t.Errorf("ForQuery = %d entries, want 2", got)
-	}
-	if got := len(e.Queries()); got != 1 {
-		t.Errorf("Queries = %d, want 1", got)
+	if got := e.Entries(); got[0].Latency != 120 || got[1].Latency != 80 || got[1].Query != q {
+		t.Errorf("Entries = %+v, want the two adds in order", got)
 	}
 	cost, ok := e.MinCostContaining(plan.Initial(q), func(en Entry) float64 { return en.Latency })
 	if !ok || cost != 80 {

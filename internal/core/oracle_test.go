@@ -191,7 +191,7 @@ type refMLPTape struct {
 	output                  []float64
 }
 
-// refMLPForward is the dense MLP.ForwardBatchTape.
+// refMLPForward is the dense MLP.RecordBatch.
 func refMLPForward(m *nn.MLP, xs []float64, rows int, a *nn.Arena[float64]) *refMLPTape {
 	t := &refMLPTape{rows: rows}
 	cur := xs
@@ -629,6 +629,7 @@ func oracleSamples(rng *rand.Rand, queryDim, planDim, count int) []valuenet.Samp
 func TestTrainingMatchesParentKernelsSynthetic(t *testing.T) {
 	const queryDim, planDim = 761, 49
 	for _, workers := range []int{1, 2, 4} {
+		setProcs(t, workers)
 		cfg := valuenet.Config{
 			QueryLayers:  []int{7, 6},
 			TreeChannels: []int{7, 6},
@@ -636,7 +637,6 @@ func TestTrainingMatchesParentKernelsSynthetic(t *testing.T) {
 			LearningRate: 2e-3,
 			UseLayerNorm: true,
 			Seed:         11,
-			TrainWorkers: workers,
 		}
 		net := valuenet.New(queryDim, planDim, cfg)
 		net.FitTargetTransform([]float64{3, 40, 900, 12000})
@@ -664,8 +664,9 @@ func TestTrainingMatchesParentKernelsSynthetic(t *testing.T) {
 // same random stream, for 1, 2 and 4 gradient workers.
 func TestRetrainMatchesParentKernels(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
+		setProcs(t, workers)
 		rig := newRig(t, "postgres")
-		n := neoWithTrainWorkers(rig, workers)
+		n := rig.neo
 		if err := n.Bootstrap(rig.wl.Queries[:6], rig.expertFunc()); err != nil {
 			t.Fatal(err)
 		}
@@ -718,8 +719,9 @@ func TestRetrainMatchesParentKernels(t *testing.T) {
 // Adam moments, and after a State/Restore copy, and (c) for 1 and 2 workers.
 func TestRetrainLiveColumnsMatchFullWalk(t *testing.T) {
 	for _, workers := range []int{1, 2} {
+		setProcs(t, workers)
 		rig := newRig(t, "postgres")
-		n := neoWithTrainWorkers(rig, workers)
+		n := rig.neo
 		boot := rig.wl.Queries[:3]
 		if err := n.Bootstrap(boot, rig.expertFunc()); err != nil {
 			t.Fatal(err)

@@ -2,17 +2,16 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-// neoWithTrainWorkers rebuilds the rig's Neo with an explicit gradient
-// worker count (the rig keeps its own engine, so noise streams stay
-// independent between rigs).
-func neoWithTrainWorkers(rig *testRig, workers int) *Neo {
-	cfg := rig.neo.Config
-	cfg.TrainWorkers = workers
-	return New(rig.eng, rig.feat, cfg)
+// setProcs sets GOMAXPROCS — the width of every worker pool — to procs for
+// the rest of the test and restores the previous value when the test ends.
+func setProcs(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestRetrainDeterministicAcrossTrainWorkers pins the tentpole determinism
@@ -23,19 +22,20 @@ func neoWithTrainWorkers(rig *testRig, workers int) *Neo {
 func TestRetrainDeterministicAcrossTrainWorkers(t *testing.T) {
 	serialRig := newRig(t, "postgres")
 	parallelRig := newRig(t, "postgres")
-	serial := neoWithTrainWorkers(serialRig, -1)
-	parallel := neoWithTrainWorkers(parallelRig, 8)
+	serial, parallel := serialRig.neo, parallelRig.neo
 
 	train, _ := serialRig.wl.Split(0.8, 1)
 	trainP, _ := parallelRig.wl.Split(0.8, 1)
+	setProcs(t, 1)
 	if err := serial.Bootstrap(train, serialRig.expertFunc()); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.Bootstrap(trainP, parallelRig.expertFunc()); err != nil {
 		t.Fatal(err)
 	}
 	ss, err := serial.RunEpisode(1, train)
 	if err != nil {
+		t.Fatal(err)
+	}
+	setProcs(t, 8)
+	if err := parallel.Bootstrap(trainP, parallelRig.expertFunc()); err != nil {
 		t.Fatal(err)
 	}
 	ps, err := parallel.RunEpisode(1, trainP)
@@ -64,8 +64,9 @@ func TestRetrainDeterministicAcrossTrainWorkers(t *testing.T) {
 // -race): searches must keep scoring with the pinned snapshot while the
 // gradient workers shard minibatches over the live network.
 func TestConcurrentPlanningDuringParallelTraining(t *testing.T) {
+	setProcs(t, 4)
 	rig := newRig(t, "postgres")
-	n := neoWithTrainWorkers(rig, 4)
+	n := rig.neo
 	train, _ := rig.wl.Split(0.8, 1)
 	if err := n.Bootstrap(train, rig.expertFunc()); err != nil {
 		t.Fatal(err)

@@ -156,9 +156,6 @@ type Engine struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand // guarded by mu
-	// executions counts how many plans the engine has executed; used for
-	// wall-clock accounting in the training-time experiment.
-	executions int // guarded by mu
 	// simulatedMS accumulates total (simulated or measured) execution time.
 	simulatedMS float64 // guarded by mu
 }
@@ -233,16 +230,8 @@ func (e *Engine) Commit(base float64) float64 {
 		noise := 1.0 + (e.rng.Float64()*2-1)*e.Profile.NoiseFraction
 		lat = base * noise
 	}
-	e.executions++
 	e.simulatedMS += lat
 	return lat
-}
-
-// Executions returns the number of plans executed so far.
-func (e *Engine) Executions() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.executions
 }
 
 // SimulatedTimeMS returns the cumulative simulated execution time.

@@ -92,9 +92,6 @@ func TestExecuteProducesPositiveLatency(t *testing.T) {
 		if res.OutputRows <= 0 {
 			t.Errorf("%s: expected non-empty result", prof.Name)
 		}
-		if e.Executions() != 1 {
-			t.Errorf("%s: Executions = %d, want 1", prof.Name, e.Executions())
-		}
 		if e.SimulatedTimeMS() <= 0 {
 			t.Errorf("%s: SimulatedTimeMS should accumulate", prof.Name)
 		}
@@ -303,18 +300,15 @@ func TestSimulateCommitMatchesExecute(t *testing.T) {
 			t.Errorf("iteration %d: Simulate+Commit = %v, Execute = %v", i, sLat, dLat)
 		}
 	}
-	if direct.Executions() != split.Executions() {
-		t.Errorf("execution accounting differs: %d vs %d", direct.Executions(), split.Executions())
-	}
 	if direct.SimulatedTimeMS() != split.SimulatedTimeMS() {
 		t.Errorf("simulated time differs: %v vs %v", direct.SimulatedTimeMS(), split.SimulatedTimeMS())
 	}
 	// Simulate alone must not touch the accounting or the noise stream.
-	before := direct.Executions()
+	before := direct.SimulatedTimeMS()
 	if _, _, err := direct.Simulate(p); err != nil {
 		t.Fatal(err)
 	}
-	if direct.Executions() != before {
+	if direct.SimulatedTimeMS() != before {
 		t.Errorf("Simulate must not count as an execution")
 	}
 }
@@ -347,8 +341,8 @@ func TestCommitBypassesNoiseForMeasuredBackends(t *testing.T) {
 			t.Fatalf("iteration %d: Commit perturbed a measured latency: %v", i, lat)
 		}
 	}
-	if measured.Executions() != 8 {
-		t.Errorf("measured commits must still count executions: %d", measured.Executions())
+	if got := measured.SimulatedTimeMS(); got != 8*42.5 {
+		t.Errorf("measured commits must still be accounted: %v ms, want %v", got, 8*42.5)
 	}
 
 	// Two sim engines, one interleaving measured-engine traffic: identical

@@ -29,7 +29,6 @@ package executor
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"neo/internal/plan"
@@ -726,6 +725,3 @@ func (e *Executor) Selectivity(table string, preds []query.Predicate) (float64, 
 	})
 	return float64(matched) / float64(src.numRows()), err
 }
-
-// Clamp01 clamps v into [0, 1]; exported for reuse by cost models.
-func Clamp01(v float64) float64 { return math.Max(0, math.Min(1, v)) }

@@ -310,12 +310,6 @@ func TestTable2CorrelationGroundTruth(t *testing.T) {
 	}
 }
 
-func TestClamp01(t *testing.T) {
-	if Clamp01(-1) != 0 || Clamp01(2) != 1 || Clamp01(0.25) != 0.25 {
-		t.Errorf("Clamp01 misbehaves")
-	}
-}
-
 func BenchmarkExecuteThreeWayJoin(b *testing.B) {
 	db, err := datagen.GenerateIMDB(datagen.Config{Scale: 0.3, Seed: 9})
 	if err != nil {

@@ -52,16 +52,6 @@ type Config struct {
 	// Workloads restricts which workloads heavyweight experiments run on
 	// (empty means all three).
 	Workloads []string
-	// Workers sizes the worker pool episode training and evaluation fan
-	// plan search + simulated execution out over. Results are bit-identical
-	// to serial execution for a fixed seed, so parallelism only changes
-	// wall-clock time. Zero selects GOMAXPROCS; negative forces serial.
-	Workers int
-	// TrainWorkers sizes the data-parallel gradient worker pool each
-	// retraining minibatch is sharded over. Trained weights are bit-identical
-	// for every worker count. Zero selects GOMAXPROCS; negative forces
-	// serial training.
-	TrainWorkers int
 	// BufferPoolMB sizes the buffer pool when an experiment selects the
 	// "disk" engine (zero means 16 MiB). The other engines ignore it.
 	BufferPoolMB int
@@ -402,8 +392,6 @@ func (e *Env) neoConfig(costFn core.CostFunction) core.Config {
 		MaxTrainSamples:  2500,
 		Cost:             costFn,
 		Seed:             e.Config.Seed,
-		Workers:          e.Config.Workers,
-		TrainWorkers:     e.Config.TrainWorkers,
 	}
 }
 

@@ -40,7 +40,9 @@ func TestMLPForwardBatchMatchesForward(t *testing.T) {
 		const rows = 11
 		xs := randRows(rng, rows, 6)
 		var arena Arena[float64]
-		ys := mlp.ForwardBatchTape(xs, rows, &arena).Output()
+		var tape MLPBatchTape
+		mlp.RecordBatch(&tape, xs, rows, &arena)
+		ys := tape.Output()
 		for r := 0; r < rows; r++ {
 			want := mlp.Forward(xs[r*6 : (r+1)*6]).Output()
 			got := ys[r*3 : (r+1)*3]

@@ -121,14 +121,6 @@ func (t *MLPBatchTape) Rows() int { return t.rows }
 // Adam.MarkColumns. It is valid until the tape is recorded again.
 func (t *MLPBatchTape) InputColumns() []int { return t.nz.col }
 
-// ForwardBatchTape runs the MLP over rows input rows, recording a fresh tape
-// for BackwardBatch (see RecordBatch).
-func (m *MLP) ForwardBatchTape(xs []float64, rows int, a *Arena[float64]) *MLPBatchTape {
-	t := &MLPBatchTape{}
-	m.RecordBatch(t, xs, rows, a)
-	return t
-}
-
 // RecordBatch runs the MLP over rows input rows, recording into t for
 // BackwardBatch. Per row it performs the same operations as the per-sample
 // Forward.

@@ -23,7 +23,8 @@ func TestMLPBackwardBatchMatchesBackward(t *testing.T) {
 		gradOut := randRows(rng, rows, 3)
 
 		var arena Arena[float64]
-		tape := batched.ForwardBatchTape(xs, rows, &arena)
+		tape := &MLPBatchTape{}
+		batched.RecordBatch(tape, xs, rows, &arena)
 		gotGradIn := batched.BackwardBatch(tape, gradOut, &arena)
 
 		wantGradIn := make([]float64, 0, rows*7)
@@ -83,8 +84,9 @@ func TestShadowGradSharesValuesNotGrads(t *testing.T) {
 	// untouched.
 	var arena Arena[float64]
 	xs := randRows(rng, 3, 4)
-	tape := s.ForwardBatchTape(xs, 3, &arena)
-	s.BackwardBatch(tape, randRows(rng, 3, 2), &arena)
+	var tape MLPBatchTape
+	s.RecordBatch(&tape, xs, 3, &arena)
+	s.BackwardBatch(&tape, randRows(rng, 3, 2), &arena)
 	for i := range mp {
 		for _, g := range mp[i].Grad {
 			if g != 0 {
@@ -166,7 +168,8 @@ func TestRecordInputMatchesDenseTape(t *testing.T) {
 		var tape MLPBatchTape
 		for pass := 0; pass < 2; pass++ { // the second pass reuses the tape's headers
 			sparse.RecordInput(&tape, xs, rows, &arena)
-			want := dense.ForwardBatchTape(xs, rows, &arena)
+			want := &MLPBatchTape{}
+			dense.RecordBatch(want, xs, rows, &arena)
 			for i, v := range want.Output() {
 				if tape.Output()[i] != v {
 					t.Fatalf("norm=%v pass %d: output %d = %v, dense %v", useNorm, pass, i, tape.Output()[i], v)

@@ -102,7 +102,7 @@ type Node struct {
 	unspec int32
 	// rels is the relation set under the node as a 64-bit signature: each
 	// table sets the bit relBit picks for it. Two tables can share a bit, so
-	// a clear bit proves absence and a set bit sends HasTable down the
+	// a clear bit proves absence and a set bit sends hasTable down the
 	// paths that can hold the table.
 	rels uint64
 }
@@ -161,13 +161,9 @@ func (n *Node) TableSet() map[string]bool {
 	return set
 }
 
-// HasTable reports whether the base relation is scanned under this node.
-// Subtrees whose signature lacks the table's bit are not entered, so the
-// answer usually costs one descent.
-func (n *Node) HasTable(table string) bool {
-	return n.hasTable(table, tableBit(table))
-}
-
+// hasTable reports whether the base relation, whose signature bit is bit, is
+// scanned under this node. Subtrees whose signature lacks the bit are not
+// entered, so the answer usually costs one descent.
 func (n *Node) hasTable(table string, bit uint64) bool {
 	for n.rels&bit != 0 {
 		if n.IsLeaf() {

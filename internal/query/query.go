@@ -106,12 +106,6 @@ func (j JoinPredicate) String() string {
 	return fmt.Sprintf("%s.%s = %s.%s", j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn)
 }
 
-// Connects reports whether the join predicate joins the two given tables,
-// in either direction.
-func (j JoinPredicate) Connects(a, b string) bool {
-	return (j.LeftTable == a && j.RightTable == b) || (j.LeftTable == b && j.RightTable == a)
-}
-
 // Touches reports whether the join predicate involves the given table.
 func (j JoinPredicate) Touches(t string) bool {
 	return j.LeftTable == t || j.RightTable == t
@@ -168,16 +162,6 @@ func (q *Query) Signature() string {
 	}
 	sort.Strings(preds)
 	return strings.Join(rels, ",") + "|" + strings.Join(joins, "&") + "|" + strings.Join(preds, "&")
-}
-
-// HasRelation reports whether the query references the given relation.
-func (q *Query) HasRelation(name string) bool {
-	for _, r := range q.Relations {
-		if r == name {
-			return true
-		}
-	}
-	return false
 }
 
 // PredicatesOn returns the column predicates on the given relation.

@@ -73,12 +73,6 @@ func TestCmpOpString(t *testing.T) {
 
 func TestJoinPredicateHelpers(t *testing.T) {
 	j := JoinPredicate{LeftTable: "a", LeftColumn: "x", RightTable: "b", RightColumn: "y"}
-	if !j.Connects("a", "b") || !j.Connects("b", "a") {
-		t.Errorf("Connects should be symmetric")
-	}
-	if j.Connects("a", "c") {
-		t.Errorf("Connects(a,c) should be false")
-	}
 	if !j.Touches("a") || !j.Touches("b") || j.Touches("c") {
 		t.Errorf("Touches misbehaves")
 	}
@@ -91,9 +85,6 @@ func TestQueryAccessors(t *testing.T) {
 	q := sampleQuery()
 	if q.NumJoins() != 2 {
 		t.Errorf("NumJoins = %d, want 2", q.NumJoins())
-	}
-	if !q.HasRelation("title") || q.HasRelation("cast_info") {
-		t.Errorf("HasRelation misbehaves")
 	}
 	preds := q.PredicatesOn("keyword")
 	if len(preds) != 1 || preds[0].Column != "keyword" {

@@ -249,9 +249,6 @@ func (c *Catalog) AttributeIndex(table, column string) int {
 	return i
 }
 
-// Attributes returns all column references in global attribute order.
-func (c *Catalog) Attributes() []ColumnRef { return c.attrList }
-
 // ForeignKeys returns the declared foreign keys.
 func (c *Catalog) ForeignKeys() []ForeignKey { return c.foreignKeys }
 

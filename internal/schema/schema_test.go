@@ -72,11 +72,11 @@ func TestCatalogBasics(t *testing.T) {
 
 func TestAttributeOrdering(t *testing.T) {
 	c := testCatalog(t)
-	attrs := c.Attributes()
+	attrs := c.attrList
 	if len(attrs) != c.NumAttributes() {
-		t.Fatalf("Attributes length %d != NumAttributes %d", len(attrs), c.NumAttributes())
+		t.Fatalf("attribute list length %d != NumAttributes %d", len(attrs), c.NumAttributes())
 	}
-	// Attribute indexes must be dense, unique and consistent with Attributes().
+	// Attribute indexes must be dense, unique and consistent with the list.
 	for i, ref := range attrs {
 		if got := c.AttributeIndex(ref.Table, ref.Column); got != i {
 			t.Errorf("AttributeIndex(%s) = %d, want %d", ref, got, i)

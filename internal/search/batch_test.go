@@ -117,35 +117,3 @@ func TestGreedyDescendScoresCompleteStart(t *testing.T) {
 		t.Errorf("greedyDescend steps for complete start = %d, want 0", steps)
 	}
 }
-
-// TestBatchedAdapter checks that Batched passes batch-native scorers through
-// and wraps per-plan scorers.
-func TestBatchedAdapter(t *testing.T) {
-	rec := &recordingBatchScorer{}
-	if got := Batched(scorerOnly{}); got == nil {
-		t.Fatal("Batched returned nil for a plain Scorer")
-	} else if _, ok := got.(ScorerFunc); !ok {
-		t.Errorf("Batched(plain Scorer) = %T, want ScorerFunc", got)
-	}
-	// A type that already implements BatchScorer must pass through untouched.
-	cat := datagen.IMDBCatalog()
-	q := fiveWayQuery()
-	if _, err := BestFirst(q, rec, DefaultOptions(cat)); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.batches) == 0 {
-		t.Error("batch-native scorer was never invoked")
-	}
-
-	// The sequential wrapper must produce the same scores as the scorer.
-	wrapped := Batched(scorerOnly{})
-	p := plan.Initial(q)
-	if got := wrapped.ScoreBatch([]*plan.Plan{p})[0]; got != structuralScorer(p) {
-		t.Errorf("sequential wrapper score %v, want %v", got, structuralScorer(p))
-	}
-}
-
-// scorerOnly implements Scorer but not BatchScorer.
-type scorerOnly struct{}
-
-func (scorerOnly) Score(p *plan.Plan) float64 { return structuralScorer(p) }

@@ -26,19 +26,9 @@ type BatchScorer interface {
 	ScoreBatch(ps []*plan.Plan) []float64
 }
 
-// Scorer is the per-plan scoring interface, kept for implementations (and
-// tests) for which batching is meaningless. Wrap one with Batched to use it
-// with the search.
-type Scorer interface {
-	Score(p *plan.Plan) float64
-}
-
-// ScorerFunc adapts a function to both Scorer and BatchScorer, scoring batch
-// members one at a time.
+// ScorerFunc adapts a per-plan scoring function to BatchScorer, scoring
+// batch members one at a time.
 type ScorerFunc func(p *plan.Plan) float64
-
-// Score implements Scorer.
-func (f ScorerFunc) Score(p *plan.Plan) float64 { return f(p) }
 
 // ScoreBatch implements BatchScorer sequentially.
 func (f ScorerFunc) ScoreBatch(ps []*plan.Plan) []float64 {
@@ -68,16 +58,6 @@ func scoreBatch(s BatchScorer, ps []*plan.Plan) []float64 {
 		}
 	}
 	return scores
-}
-
-// Batched adapts a Scorer to the BatchScorer contract. If s already
-// implements BatchScorer its native batching is used; otherwise batch
-// members are scored one at a time.
-func Batched(s Scorer) BatchScorer {
-	if bs, ok := s.(BatchScorer); ok {
-		return bs
-	}
-	return ScorerFunc(s.Score)
 }
 
 // Options configures a search.

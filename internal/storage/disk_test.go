@@ -317,8 +317,8 @@ func TestMaterializeOpenDiskParity(t *testing.T) {
 			if hix == nil {
 				continue
 			}
-			if hix.DistinctKeys() != rix.DistinctKeys() {
-				t.Fatalf("%s.%s: distinct keys disk=%d mem=%d", ts.Name, col.Name, rix.DistinctKeys(), hix.DistinctKeys())
+			if storage.DistinctKeys(hix) != storage.DistinctKeys(rix) {
+				t.Fatalf("%s.%s: distinct keys disk=%d mem=%d", ts.Name, col.Name, storage.DistinctKeys(rix), storage.DistinctKeys(hix))
 			}
 			// Probe every distinct value occurring in the column.
 			colPos := ts.ColumnIndex(col.Name)

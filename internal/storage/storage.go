@@ -6,7 +6,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"neo/internal/schema"
 )
@@ -119,9 +118,6 @@ func (ix *Index[R]) Lookup(v Value) []R {
 	return ix.strs[v.Str]
 }
 
-// DistinctKeys returns the number of distinct keys in the index.
-func (ix *Index[R]) DistinctKeys() int { return len(ix.ints) + len(ix.strs) }
-
 // Table is the stored form of one relation.
 type Table struct {
 	Schema  *schema.Table
@@ -218,23 +214,6 @@ func (t *Table) DistinctCount(column string) int {
 		seen[v] = struct{}{}
 	}
 	return len(seen)
-}
-
-// SortedRowIDs returns all row ids ordered by the named column's value.
-// The executor uses it to model merge-join input ordering.
-func (t *Table) SortedRowIDs(column string) ([]int32, error) {
-	c := t.Column(column)
-	if c == nil {
-		return nil, fmt.Errorf("storage: unknown column %q.%q", t.Schema.Name, column)
-	}
-	ids := make([]int32, c.Len())
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		return c.Value(int(ids[a])).Less(c.Value(int(ids[b])))
-	})
-	return ids, nil
 }
 
 // Database is a set of stored tables plus the catalog describing them.

@@ -107,8 +107,8 @@ func TestHashIndexLookup(t *testing.T) {
 	if got := ix.Lookup(IntValue(77)); len(got) != 0 {
 		t.Errorf("Lookup(77) = %v, want empty", got)
 	}
-	if ix.DistinctKeys() != 5 {
-		t.Errorf("DistinctKeys = %d, want 5", ix.DistinctKeys())
+	if DistinctKeys(ix) != 5 {
+		t.Errorf("DistinctKeys = %d, want 5", DistinctKeys(ix))
 	}
 }
 
@@ -138,27 +138,6 @@ func TestDistinctCount(t *testing.T) {
 	}
 	if got := title.DistinctCount("absent"); got != 0 {
 		t.Errorf("DistinctCount(absent) = %d, want 0", got)
-	}
-}
-
-func TestSortedRowIDs(t *testing.T) {
-	db := populated(t)
-	title := db.Table("title")
-	ids, err := title.SortedRowIDs("kind")
-	if err != nil {
-		t.Fatalf("SortedRowIDs: %v", err)
-	}
-	if len(ids) != 5 {
-		t.Fatalf("len = %d, want 5", len(ids))
-	}
-	col := title.Column("kind")
-	for i := 1; i < len(ids); i++ {
-		if col.Value(int(ids[i])).Less(col.Value(int(ids[i-1]))) {
-			t.Errorf("SortedRowIDs not sorted at %d", i)
-		}
-	}
-	if _, err := title.SortedRowIDs("absent"); err == nil {
-		t.Errorf("expected error for absent column")
 	}
 }
 

@@ -21,15 +21,18 @@
 //
 // Because the shard partition and the reduction order are fixed and the
 // optimizer pass treats every element independently, training is
-// bit-identical for any Config.TrainWorkers value — the workers only buy
-// wall-clock time. Relative to the per-sample path the batched pass performs
-// the same per-element gradient accumulation in the same order everywhere
-// except the deduplicated query tower, so the two paths agree to ~1e-9 per
-// step (and exactly in every test to date except the query MLP's gradients,
-// which differ only in floating-point association).
+// bit-identical for any worker count — TrainBatch sizes its pool from
+// GOMAXPROCS, and the workers only buy wall-clock time. Relative to the
+// per-sample path the batched pass performs the same per-element gradient
+// accumulation in the same order everywhere except the deduplicated query
+// tower, so the two paths agree to ~1e-9 per step (and exactly in every
+// test to date except the query MLP's gradients, which differ only in
+// floating-point association).
 package valuenet
 
 import (
+	"runtime"
+
 	"neo/internal/nn"
 	"neo/internal/treeconv"
 )
@@ -151,16 +154,17 @@ func (n *Network) growShards(num int) {
 
 // TrainBatch performs one gradient step on a batch of samples using the
 // batched pipeline described in the package comment and returns the mean L2
-// loss (in normalised space). Results are bit-identical for any
-// Config.TrainWorkers value; relative to TrainBatchPerSample they agree to
-// floating-point association (~1e-9).
+// loss (in normalised space). Results are bit-identical for any GOMAXPROCS;
+// relative to TrainBatchPerSample they agree to floating-point association
+// (~1e-9).
 func (n *Network) TrainBatch(samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	numShards := (len(samples) + trainShardSize - 1) / trainShardSize
 	n.growShards(numShards) // up front, so workers never mutate the shard slice
-	nn.Parallel(n.cfg.TrainWorkers, numShards, func(i int) {
+	workers := runtime.GOMAXPROCS(0)
+	nn.Parallel(workers, numShards, func(i int) {
 		lo := i * trainShardSize
 		n.train.shards[i].run(n, samples[lo:min(lo+trainShardSize, len(samples))])
 	})
@@ -169,7 +173,7 @@ func (n *Network) TrainBatch(samples []Sample) float64 {
 		total += sh.loss
 		n.opt.MarkColumns(n.queryInput(), sh.queryTape.InputColumns())
 	}
-	n.opt.StepShards(n.train.params, n.train.shadows[:numShards], len(samples), n.cfg.TrainWorkers)
+	n.opt.StepShards(n.train.params, n.train.shadows[:numShards], len(samples), workers)
 	return total / float64(len(samples))
 }
 

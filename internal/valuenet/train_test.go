@@ -3,6 +3,7 @@ package valuenet
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"neo/internal/treeconv"
@@ -26,6 +27,14 @@ func randSamples(rng *rand.Rand, n, queryDim, planDim int) []Sample {
 		}
 	}
 	return out
+}
+
+// setProcs sets GOMAXPROCS — the width of TrainBatch's worker pool — to
+// procs for the rest of the test and restores the previous value when the
+// test ends.
+func setProcs(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func cloneFor(t *testing.T, cfg Config, queryDim, planDim int) (*Network, *Network) {
@@ -80,8 +89,8 @@ func TestTrainBatchMatchesPerSample(t *testing.T) {
 
 // TestTrainBatchWorkerInvariance pins the determinism contract of the
 // sharded gradient reduction: trained weights are bit-identical for every
-// TrainWorkers value, because the shard partition and reduction order depend
-// only on the batch size.
+// GOMAXPROCS, because the shard partition and reduction order depend only on
+// the batch size.
 func TestTrainBatchWorkerInvariance(t *testing.T) {
 	const queryDim, planDim = 8, 6
 	rng := rand.New(rand.NewSource(11))
@@ -89,6 +98,7 @@ func TestTrainBatchWorkerInvariance(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Seed = 21
+	setProcs(t, 1)
 	serial := New(queryDim, planDim, cfg)
 	serial.FitTargetTransform([]float64{1, 10, 100})
 	var serialLoss float64
@@ -96,9 +106,8 @@ func TestTrainBatchWorkerInvariance(t *testing.T) {
 		serialLoss = serial.TrainBatch(samples)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		wcfg := cfg
-		wcfg.TrainWorkers = workers
-		net := New(queryDim, planDim, wcfg)
+		setProcs(t, workers)
+		net := New(queryDim, planDim, cfg)
 		net.FitTargetTransform([]float64{1, 10, 100})
 		var loss float64
 		for step := 0; step < 2; step++ {
@@ -119,11 +128,11 @@ func TestTrainBatchWorkerInvariance(t *testing.T) {
 func TestTrainDeterministicAcrossRuns(t *testing.T) {
 	const queryDim, planDim = 8, 6
 	mk := func(workers int) *Network {
+		setProcs(t, workers)
 		rng := rand.New(rand.NewSource(5))
 		samples := randSamples(rng, 40, queryDim, planDim)
 		cfg := DefaultConfig()
 		cfg.Seed = 9
-		cfg.TrainWorkers = workers
 		net := New(queryDim, planDim, cfg)
 		net.Train(samples, 3, 16, rand.New(rand.NewSource(77)))
 		return net
@@ -144,9 +153,8 @@ func TestTrainDeterministicAcrossRuns(t *testing.T) {
 func TestTrainBatchConcurrentInference(t *testing.T) {
 	const queryDim, planDim = 6, 5
 	rng := rand.New(rand.NewSource(3))
-	cfg := DefaultConfig()
-	cfg.TrainWorkers = 4
-	net := New(queryDim, planDim, cfg)
+	setProcs(t, 4)
+	net := New(queryDim, planDim, DefaultConfig())
 	net.FitTargetTransform([]float64{1, 10, 100})
 	samples := randSamples(rng, 24, queryDim, planDim)
 

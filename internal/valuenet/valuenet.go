@@ -40,13 +40,6 @@ type Config struct {
 	UseLayerNorm bool
 	// Seed seeds weight initialisation.
 	Seed int64
-	// TrainWorkers is the number of data-parallel gradient workers TrainBatch
-	// shards each minibatch over (<=1 trains serially). The shard partition
-	// and gradient-reduction order are fixed by the batch size alone, so
-	// trained weights are bit-identical for every worker count — workers only
-	// reduce wall-clock time. Shards hold 8 samples each, so useful
-	// parallelism is bounded by ceil(batchSize/8) workers.
-	TrainWorkers int
 }
 
 // DefaultConfig returns a configuration small enough to train in seconds but
@@ -106,9 +99,7 @@ type Network struct {
 // dimensions.
 func New(queryDim, planDim int, cfg Config) *Network {
 	if len(cfg.QueryLayers) == 0 {
-		workers := cfg.TrainWorkers
 		cfg = DefaultConfig()
-		cfg.TrainWorkers = workers
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	qSizes := append([]int{queryDim}, cfg.QueryLayers...)

@@ -171,12 +171,6 @@ func PutU16(b []byte, v uint16) { binary.LittleEndian.PutUint16(b, v) }
 // U16 reads a fixed-width uint16 from the start of b.
 func U16(b []byte) uint16 { return binary.LittleEndian.Uint16(b) }
 
-// PutU32 writes a fixed-width uint32 at the start of b.
-func PutU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
-
-// U32 reads a fixed-width uint32 from the start of b.
-func U32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
-
 // PutI64 writes a fixed-width int64 at the start of b.
 func PutI64(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
 

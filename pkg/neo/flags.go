@@ -9,8 +9,8 @@ import (
 // neo-serve and neo-trainer on fs, bound to c's fields. Whatever c holds when
 // it is called is the flag's default; fields left zero get the command-line
 // defaults below, which differ from Open's library defaults only in Scale.
-// The fields without a flag here (Episodes, Workers, ValueNet, Cost,
-// RoutePolicy) stay as the caller set them.
+// The fields without a flag here (Episodes, ValueNet, Cost) stay as the
+// caller set them.
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	if c.Scale == 0 {
 		c.Scale = 0.4
@@ -27,7 +27,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&c.Scale, "scale", c.Scale, "synthetic data scale factor")
 	fs.Int64Var(&c.Seed, "seed", c.Seed, "random seed")
 	fs.IntVar(&c.SearchExpansions, "expansions", c.SearchExpansions, "plan-search expansion budget")
-	fs.IntVar(&c.TrainWorkers, "train-workers", c.TrainWorkers, "gradient worker-pool size for value-network training (0 = GOMAXPROCS, negative = serial; trained weights are bit-identical for every worker count)")
 	fs.StringVar(&c.Routing, "routing", c.Routing, "query routing: full (every query takes the learned best-first search), fastpath (statistics-free greedy planner for every query) or auto (per-class fast path vs full search, refined online from observed-latency regret; see /stats routing section)")
 }
 

@@ -3,9 +3,6 @@ package neo
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"neo/internal/core"
 	"neo/internal/datagen"
@@ -15,6 +12,7 @@ import (
 	"neo/internal/experiments"
 	"neo/internal/expert"
 	"neo/internal/feature"
+	"neo/internal/nn"
 	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/route"
@@ -61,11 +59,8 @@ type (
 	SearchResult = search.Result
 	// BatchScorer is the batched scoring contract driving the plan search:
 	// all children of an expanded node are scored in one call. Use it with
-	// OptimizeWith; adapt a per-plan PlanScorer with Batched.
+	// OptimizeWith.
 	BatchScorer = search.BatchScorer
-	// PlanScorer is the per-plan scoring interface; adapt one to a
-	// BatchScorer with Batched.
-	PlanScorer = search.Scorer
 	// EpisodeStats summarises one training episode.
 	EpisodeStats = core.EpisodeStats
 	// ExperimentReport is the tabular output of one reproduction experiment.
@@ -86,8 +81,6 @@ type (
 	RouteStats = route.StatsSnapshot
 	// RouteClassStats is one query class's routing counters.
 	RouteClassStats = route.ClassStats
-	// RoutePolicy holds the auto-routing thresholds (see Config.RoutePolicy).
-	RoutePolicy = route.Policy
 	// PlanCacheStats reports the plan cache's hit/miss counters, size and
 	// snapshot version (see System.Optimize and System.PlanCacheStats).
 	PlanCacheStats = core.PlanCacheStats
@@ -164,22 +157,6 @@ type Config struct {
 	// Episodes is the default number of refinement episodes used by Train
 	// (default 10).
 	Episodes int
-	// Workers sizes the worker pool Train, Evaluate and PlanAll use to fan
-	// plan search and simulated execution out over goroutines (default
-	// GOMAXPROCS). Episode statistics and evaluation results are
-	// bit-identical to the serial path for a fixed seed regardless of the
-	// worker count, unless the featurizer injects cardinality error
-	// (stats.ErrorModel, the Figure 14 protocol — its perturbation stream
-	// is drawn in scheduling order); pass a negative value to force serial
-	// execution.
-	Workers int
-	// TrainWorkers sizes the data-parallel gradient worker pool each
-	// retraining minibatch is sharded over (default GOMAXPROCS). Trained
-	// weights are bit-identical for every worker count — the shard partition
-	// and gradient-reduction order depend only on the minibatch size — so
-	// parallel training never changes results; pass a negative value to
-	// force serial training.
-	TrainWorkers int
 	// ValueNet overrides the value-network architecture (default: a small
 	// network structurally identical to the paper's).
 	ValueNet *ValueNetConfig
@@ -192,10 +169,6 @@ type Config struct {
 	// refined online from observed-latency regret; see System.RouteStats).
 	// Open rejects unknown values.
 	Routing string
-	// RoutePolicy overrides the auto-routing thresholds (nil selects the
-	// defaults: fast path for chains/stars up to 8 joins, demotion after 8
-	// regret samples with mean observed/estimated latency above 1.5).
-	RoutePolicy *RoutePolicy
 
 	// BEGIN benchmark compatibility block. The cross-request fusion scheduler
 	// and the choice of scoring precision are deleted, but benchmark/ — which
@@ -332,8 +305,6 @@ func Open(cfg Config) (*System, error) {
 	coreCfg.SearchExpansions = cfg.SearchExpansions
 	coreCfg.Cost = cfg.Cost
 	coreCfg.Seed = cfg.Seed
-	coreCfg.Workers = cfg.Workers
-	coreCfg.TrainWorkers = cfg.TrainWorkers
 	if cfg.ValueNet != nil {
 		coreCfg.ValueNet = *cfg.ValueNet
 	}
@@ -342,9 +313,6 @@ func Open(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("neo: %w", err)
 	}
 	coreCfg.Routing = mode
-	if cfg.RoutePolicy != nil {
-		coreCfg.RoutePolicy = *cfg.RoutePolicy
-	}
 	n := core.New(eng, feat, coreCfg)
 
 	return &System{
@@ -451,11 +419,6 @@ func (s *System) Train(train []*Query) ([]*EpisodeStats, error) {
 	return out, nil
 }
 
-// Batched adapts a per-plan scorer to the BatchScorer contract the search
-// consumes. If s already implements BatchScorer its native batching is used;
-// otherwise batch members are scored one at a time.
-func Batched(s PlanScorer) BatchScorer { return search.Batched(s) }
-
 // Optimize returns Neo's plan for a query. Results are memoised in the
 // serving snapshot's plan cache keyed on the query's structural signature
 // (Query.Signature), so repeated queries — even under different IDs — skip
@@ -483,10 +446,10 @@ func (s *System) SnapshotInfo() SnapshotInfo { return s.Neo.SnapshotInfo() }
 // concurrent use.
 func (s *System) RouteStats() RouteStats { return s.Neo.RouteStats() }
 
-// Evaluate optimizes and executes every query over the configured worker
+// Evaluate optimizes and executes every query over a GOMAXPROCS-wide worker
 // pool without adding anything to the experience (held-out evaluation). It
 // returns the total and per-query latencies; results are deterministic for
-// a fixed seed regardless of Config.Workers.
+// a fixed seed whatever the pool size.
 func (s *System) Evaluate(queries []*Query) (float64, map[string]float64, error) {
 	return s.Neo.Evaluate(queries)
 }
@@ -515,45 +478,22 @@ type PlanResult struct {
 }
 
 // PlanAll plans independent queries concurrently over the shared value
-// network using a fixed pool of workers (workers <= 0 selects GOMAXPROCS).
-// Every search scores against the current immutable network snapshot and
-// carries its own batched-scorer scratch, so planning scales across cores
-// without copying the network, and repeated query structures are served
-// straight from the plan cache. Results are returned in input order;
-// per-query failures are reported in the corresponding PlanResult rather
-// than aborting the batch. PlanAll is safe to run while Neo.Retrain trains
-// a new network on another goroutine — searches in flight finish against the
-// snapshot they started with. When the featurizer injects cardinality error
-// (stats.ErrorModel, Figure 14 protocol), perturbations are drawn from one
-// shared stream in scheduling order, so concurrent planning is race-free
-// but not run-to-run reproducible; plan sequentially if that experiment
-// needs determinism.
-func (s *System) PlanAll(queries []*Query, workers int) []PlanResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
+// network using a GOMAXPROCS-wide worker pool (serial under injected
+// cardinality error; see core.Neo.PlanningWorkers). Every search scores
+// against the current immutable network snapshot and carries its own
+// batched-scorer scratch, so planning scales across cores without copying the
+// network, and repeated query structures are served straight from the plan
+// cache. Results are returned in input order; per-query failures are reported
+// in the corresponding PlanResult rather than aborting the batch. PlanAll is
+// safe to run while Neo.Retrain trains a new network on another goroutine —
+// searches in flight finish against the snapshot they started with.
+func (s *System) PlanAll(queries []*Query) []PlanResult {
 	results := make([]PlanResult, len(queries))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				q := queries[i]
-				p, res, err := s.Optimize(q)
-				results[i] = PlanResult{Query: q, Plan: p, Result: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	nn.Parallel(s.Neo.PlanningWorkers(), len(queries), func(i int) {
+		q := queries[i]
+		p, res, err := s.Optimize(q)
+		results[i] = PlanResult{Query: q, Plan: p, Result: res, Err: err}
+	})
 	return results
 }
 

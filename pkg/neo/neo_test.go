@@ -2,9 +2,19 @@ package neo
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
+
+	"neo/internal/stats"
 )
+
+// setProcs sets GOMAXPROCS — the width of every worker pool — to procs for
+// the rest of the test and restores the previous value when the test ends.
+func setProcs(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func smallSystem(t testing.TB, dataset, engineName string, enc Encoding) *System {
 	t.Helper()
@@ -282,7 +292,8 @@ func TestPlanAllMatchesSequentialOptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results := sys.PlanAll(wl.Queries, 4)
+	setProcs(t, 4)
+	results := sys.PlanAll(wl.Queries)
 	if len(results) != len(wl.Queries) {
 		t.Fatalf("PlanAll returned %d results, want %d", len(results), len(wl.Queries))
 	}
@@ -304,12 +315,39 @@ func TestPlanAllMatchesSequentialOptimize(t *testing.T) {
 			t.Errorf("query %s: concurrent plan differs from sequential plan", wl.Queries[i].ID)
 		}
 	}
-	// Degenerate worker counts fall back to sane behaviour.
-	if got := sys.PlanAll(wl.Queries[:1], 0); len(got) != 1 || got[0].Err != nil {
-		t.Errorf("PlanAll with workers<=0 failed: %+v", got)
+	// Degenerate pool and batch sizes fall back to sane behaviour.
+	setProcs(t, 1)
+	if got := sys.PlanAll(wl.Queries[:1]); len(got) != 1 || got[0].Err != nil {
+		t.Errorf("PlanAll at GOMAXPROCS 1 failed: %+v", got)
 	}
-	if got := sys.PlanAll(nil, 4); len(got) != 0 {
+	if got := sys.PlanAll(nil); len(got) != 0 {
 		t.Errorf("PlanAll(nil) returned %d results", len(got))
+	}
+}
+
+// TestPlanAllWithInjectedErrorIsSerial: injected cardinality error draws its
+// perturbations from one stream in the order encodings ask for them, so
+// PlanAll plans serially under it whatever GOMAXPROCS says, and two
+// identically seeded systems choose the same plans.
+func TestPlanAllWithInjectedErrorIsSerial(t *testing.T) {
+	setProcs(t, 8)
+	plans := func() []PlanResult {
+		sys := smallSystem(t, "imdb", "postgres", Histogram)
+		wl, err := sys.GenerateWorkload(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Featurizer.Error = stats.NewErrorModel(2, 9)
+		return sys.PlanAll(wl.Queries)
+	}
+	a, b := plans(), plans()
+	for i := range a {
+		if a[i].Err != nil || b[i].Err != nil {
+			t.Fatalf("%s: %v, %v", a[i].Query.ID, a[i].Err, b[i].Err)
+		}
+		if a[i].Plan.Signature() != b[i].Plan.Signature() {
+			t.Errorf("%s: plans %s and %s differ", a[i].Query.ID, a[i].Plan, b[i].Plan)
+		}
 	}
 }
 
@@ -391,9 +429,10 @@ func TestPlanAllWhileRetrainAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan float64, 1)
+	setProcs(t, 4)
 	go func() { done <- sys.Neo.Retrain() }()
 	for i := 0; i < 3; i++ {
-		for _, r := range sys.PlanAll(wl.Queries, 4) {
+		for _, r := range sys.PlanAll(wl.Queries) {
 			if r.Err != nil {
 				t.Fatalf("PlanAll during async retrain: %v", r.Err)
 			}
@@ -415,12 +454,13 @@ func TestPlanAllWhileRetrainAsync(t *testing.T) {
 }
 
 // TestEvaluateDeterministicAcrossWorkers checks the facade-level promise
-// that Config.Workers only changes wall-clock time, never results.
+// that the worker-pool size (GOMAXPROCS) only changes wall-clock time, never
+// results.
 func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
-	build := func(workers int) (*System, []*Query) {
+	build := func() (*System, []*Query) {
 		sys, err := Open(Config{
 			Dataset: "imdb", Engine: "postgres", Encoding: Histogram,
-			Scale: 0.15, Seed: 7, SearchExpansions: 32, Episodes: 1, Workers: workers,
+			Scale: 0.15, Seed: 7, SearchExpansions: 32, Episodes: 1,
 			ValueNet: &ValueNetConfig{
 				QueryLayers: []int{16, 8}, TreeChannels: []int{8, 8}, HeadLayers: []int{8},
 				LearningRate: 2e-3, UseLayerNorm: true, Seed: 3,
@@ -438,12 +478,14 @@ func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return sys, wl.Queries[5:]
 	}
-	serialSys, serialTest := build(-1)
-	parallelSys, parallelTest := build(8)
+	serialSys, serialTest := build()
+	parallelSys, parallelTest := build()
+	setProcs(t, 1)
 	sTotal, sPer, err := serialSys.Evaluate(serialTest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setProcs(t, 8)
 	pTotal, pPer, err := parallelSys.Evaluate(parallelTest)
 	if err != nil {
 		t.Fatal(err)

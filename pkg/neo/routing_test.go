@@ -258,7 +258,6 @@ func TestRouterDecisionsDeterministicAcrossSystems(t *testing.T) {
 func TestRegretDemotionEndToEnd(t *testing.T) {
 	sys, err := Open(Config{
 		Encoding: Histogram, Scale: 0.15, Seed: 7, SearchExpansions: 24, Routing: "auto",
-		RoutePolicy: &RoutePolicy{MinRegretSamples: 2, RegretThreshold: 1.5},
 		ValueNet: &ValueNetConfig{
 			QueryLayers: []int{16, 8}, TreeChannels: []int{8, 8}, HeadLayers: []int{8},
 			LearningRate: 2e-3, UseLayerNorm: true, Seed: 3,
@@ -290,8 +289,10 @@ func TestRegretDemotionEndToEnd(t *testing.T) {
 	if st.Fastpath == 0 {
 		t.Fatalf("victim query was not routed to the fast path: %+v", st)
 	}
-	// Feed absurd observed latencies: mean regret far above any estimate.
-	for i := 0; i < 4; i++ {
+	// Feed absurd observed latencies — mean regret far above any estimate —
+	// until the default policy has enough samples to judge the class.
+	pol := route.DefaultPolicy()
+	for i := 0; i < pol.MinRegretSamples; i++ {
 		sys.Neo.ObserveLatency(q, 1e9)
 	}
 	if _, _, err := sys.Neo.Optimize(q); err != nil {
@@ -314,7 +315,7 @@ func TestRegretDemotionEndToEnd(t *testing.T) {
 	if cls.Full == 0 {
 		t.Errorf("demoted class still has no full-search decisions: %+v", cls)
 	}
-	if cls.RegretSamples < 2 || cls.RegretMean <= 1.5 {
+	if cls.RegretSamples < uint64(pol.MinRegretSamples) || cls.RegretMean <= pol.RegretThreshold {
 		t.Errorf("regret accounting not reported: %+v", cls)
 	}
 }
