@@ -412,37 +412,72 @@ func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.P
 	return nil
 }
 
-// trainingSamples converts the experience into value-network training
+// trainingSamplesLocked converts the experience into value-network training
 // samples: for every stored complete plan, the plan itself plus the partial
 // plans along its bottom-up construction, each labelled with the minimum
-// cost of any experienced complete plan that contains it.
-func (n *Neo) trainingSamples() []valuenet.Sample {
-	var samples []valuenet.Sample
+// cost of any experienced complete plan that contains it. Beyond
+// MaxTrainSamples states it shuffles the (entry, state) pairs with n.rng —
+// the draws depend only on the count, which numStates gives without building
+// anything — and builds only the first MaxTrainSamples, in that order: the
+// samples shuffling them all would keep. The caller holds rngMu.
+func (n *Neo) trainingSamplesLocked() []valuenet.Sample {
+	entries := n.Experience.Entries()
+	type state struct{ entry, index int }
+	var states []state
+	for e, entry := range entries {
+		for i := range numStates(entry.Plan) {
+			states = append(states, state{e, i})
+		}
+	}
+	if max := n.Config.MaxTrainSamples; max > 0 && len(states) > max {
+		n.rng.Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
+		states = states[:max]
+	}
 	// Every sample of one query shares one encoding slice: that identity is
-	// what valuenet deduplicates the query tower on.
+	// what valuenet deduplicates the query tower on. The kept states of one
+	// entry share their subtrees: one encoder, made at the entry's first kept
+	// state, encodes each node of its plan once.
 	encodings := make(map[string][]float64)
-	for _, entry := range n.Experience.Entries() {
+	type built struct {
+		states []*plan.Plan
+		enc    *feature.PlanEncoder
+	}
+	entryStates := make(map[int]built)
+	samples := make([]valuenet.Sample, 0, len(states))
+	for _, st := range states {
+		entry := entries[st.entry]
+		b, ok := entryStates[st.entry]
+		if !ok {
+			b = built{constructionStates(entry.Plan), n.Featurizer.NewPlanEncoder(entry.Query)}
+			entryStates[st.entry] = b
+		}
 		qEnc, ok := encodings[entry.Query.ID]
 		if !ok {
 			qEnc = n.Featurizer.EncodeQuery(entry.Query)
 			encodings[entry.Query.ID] = qEnc
 		}
-		// The states of one entry share their subtrees, so one encoder
-		// encodes each node of the entry's plan once.
-		enc := n.Featurizer.NewPlanEncoder(entry.Query)
-		for _, partial := range constructionStates(entry.Plan) {
-			target, ok := n.Experience.MinCostContaining(partial, n.cost)
-			if !ok {
-				target = n.cost(entry)
-			}
-			samples = append(samples, valuenet.Sample{
-				Query:  qEnc,
-				Plan:   enc.Encode(partial),
-				Target: target,
-			})
+		partial := b.states[st.index]
+		target, ok := n.Experience.MinCostContaining(partial, n.cost)
+		if !ok {
+			target = n.cost(entry)
 		}
+		samples = append(samples, valuenet.Sample{
+			Query:  qEnc,
+			Plan:   b.enc.Encode(partial),
+			Target: target,
+		})
 	}
 	return samples
+}
+
+// numStates is len(constructionStates(p)) without building them: a complete
+// plan over k relations has k leaves and k−1 joins, so k+1 states; a partial
+// plan is its own only state.
+func numStates(p *plan.Plan) int {
+	if !p.IsComplete() {
+		return 1
+	}
+	return (p.Roots[0].NumNodes() + 3) / 2
 }
 
 // constructionStates returns the sequence of partial plans that build up to
@@ -518,14 +553,11 @@ func constructionStates(p *plan.Plan) []*plan.Plan {
 func (n *Neo) Retrain() float64 {
 	n.trainMu.Lock()
 	defer n.trainMu.Unlock()
-	samples := n.trainingSamples()
-	if len(samples) == 0 {
-		return 0
-	}
 	n.rngMu.Lock()
-	if n.Config.MaxTrainSamples > 0 && len(samples) > n.Config.MaxTrainSamples {
-		n.rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-		samples = samples[:n.Config.MaxTrainSamples]
+	samples := n.trainingSamplesLocked()
+	if len(samples) == 0 {
+		n.rngMu.Unlock()
+		return 0
 	}
 	start := time.Now() //neo:lint-ok walltime training-time accounting for the retrain budget; never feeds the model
 	loss := n.Net.Train(samples, n.Config.TrainEpochs, n.Config.BatchSize, n.rng)

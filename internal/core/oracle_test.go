@@ -15,17 +15,22 @@ import (
 
 // Exactness oracle for the training kernels. refNet below is the training
 // step as it stood before the input layer, the blocked tree-convolution
-// backward and the fused optimizer pass: the three loops those replaced —
-// the dense Linear.BackwardBatch, backwardBatchNodes and the
-// reduce-then-Adam.Step — are copied verbatim from that commit, and the glue
-// around them (shard partition, query deduplication, spatial replication,
-// tapes, minibatch loop) is rebuilt from exported pieces that did not change
-// (the inference kernels, pooling, layer norm, activation). The tests require
-// == between the product and the reference on every weight, every Adam
-// moment and the returned loss. They compare in-process rather than against a
-// recorded hash because GOAMD64=v3 fuses multiply-adds: constants differ
-// between build levels, while product-vs-reference equality must hold under
-// each (CI's kernel-parity job runs this package under v1 and v3).
+// backward, the fused optimizer pass and the subtree table: the loops those
+// replaced — the dense Linear.BackwardBatch, backwardBatchNodes, the
+// reduce-then-Adam.Step, and the flattened forest batch with its
+// RecordBatch and pooling pair — are copied verbatim from the commits before
+// them, and the glue around them (shard partition, query deduplication,
+// spatial replication, tapes, minibatch loop) is rebuilt from exported
+// pieces that did not change (layer norm, activation, the head's kernels).
+// The synthetic test, whose samples share no subtree, requires == between
+// the product and the reference on every weight, every Adam moment and the
+// returned loss; real retraining shares subtrees inside a shard, where the
+// product sums a shared row's gradients before backpropagating them once, so
+// the real-sample tests hold 1e-9 relative. They compare in-process rather
+// than against a recorded hash because GOAMD64=v3 fuses multiply-adds:
+// constants differ between build levels, while product-vs-reference
+// agreement must hold under each (CI's kernel-parity job runs this package
+// under v1 and v3).
 
 // refLinearBackwardBatch is the dense Linear.BackwardBatch, verbatim.
 func refLinearBackwardBatch(l *nn.Linear, xs, gradOut []float64, rows int, a *nn.Arena[float64]) []float64 {
@@ -54,8 +59,293 @@ func refLinearBackwardBatch(l *nn.Linear, xs, gradOut []float64, rows int, a *nn
 	return gradIn
 }
 
+// refBatch is the flattened forest batch, verbatim: node i carries the
+// Channels-vector Data[i*Channels:(i+1)*Channels], its children are the nodes
+// Left[i] and Right[i] (-1 when absent), and it belongs to forest Sample[i].
+type refBatch struct {
+	Channels int
+	N        int // number of nodes
+	Samples  int // number of forests
+	Data     []float64
+	Left     []int
+	Right    []int
+	Sample   []int
+}
+
+// Row returns node i's feature vector.
+func (b *refBatch) Row(i int) []float64 {
+	return b.Data[i*b.Channels : (i+1)*b.Channels]
+}
+
+// refBatchBuilder flattens forests into a refBatch, verbatim.
+type refBatchBuilder struct {
+	batch refBatch
+	next  int
+}
+
+// Build flattens one forest per sample into a batch of channels-wide node
+// rows, every node of every tree in pre-order; fill writes each node's row.
+func (bb *refBatchBuilder) Build(forests [][]*treeconv.Tree, channels int, fill func(sample int, node *treeconv.Tree, row []float64)) *refBatch {
+	n := 0
+	for _, f := range forests {
+		for _, t := range f {
+			n += t.NumNodes()
+		}
+	}
+	b := &bb.batch
+	b.Channels = channels
+	b.N = n
+	b.Samples = len(forests)
+	b.Data = refGrow(b.Data, n*channels)
+	b.Left = refGrow(b.Left, n)
+	b.Right = refGrow(b.Right, n)
+	b.Sample = refGrow(b.Sample, n)
+	bb.next = 0
+	for si, f := range forests {
+		for _, t := range f {
+			if t != nil {
+				bb.addTree(t, si, fill)
+			}
+		}
+	}
+	return b
+}
+
+// addTree appends t's nodes in pre-order and returns t's node index.
+func (bb *refBatchBuilder) addTree(t *treeconv.Tree, sample int, fill func(sample int, node *treeconv.Tree, row []float64)) int {
+	b := &bb.batch
+	i := bb.next
+	bb.next++
+	fill(sample, t, b.Row(i))
+	b.Sample[i] = sample
+	if t.Left != nil {
+		b.Left[i] = bb.addTree(t.Left, sample, fill)
+	} else {
+		b.Left[i] = -1
+	}
+	if t.Right != nil {
+		b.Right[i] = bb.addTree(t.Right, sample, fill)
+	} else {
+		b.Right[i] = -1
+	}
+	return i
+}
+
+func refGrow[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// refRecordLayer is Stack.RecordBatch over the flattened batch for one
+// layer, verbatim: it returns the layer's activated output batch.
+func refRecordLayer(l *treeconv.Layer, in *refBatch, a *nn.Arena[float64]) *refBatch {
+	zeros := a.Alloc(l.InChannels)
+	for i := range zeros {
+		zeros[i] = 0
+	}
+	pre := a.Alloc(in.N * l.OutChannels)
+	refConvBatchPre(l, in, pre, zeros)
+	out := &refBatch{
+		Channels: l.OutChannels,
+		N:        in.N,
+		Samples:  in.Samples,
+		Left:     in.Left,
+		Right:    in.Right,
+		Sample:   in.Sample,
+		Data:     a.Alloc(in.N * l.OutChannels),
+	}
+	alpha := l.Act.Alpha
+	for i, v := range pre {
+		if v >= 0 {
+			out.Data[i] = v
+		} else {
+			out.Data[i] = alpha * v
+		}
+	}
+	return out
+}
+
+// refConvBatchPre is convBatchPre over the flattened batch, verbatim.
+func refConvBatchPre(l *treeconv.Layer, in *refBatch, pre, zeros []float64) {
+	ic := l.InChannels
+	for n := 0; n < in.N; n++ {
+		x := in.Row(n)
+		y := pre[n*l.OutChannels : (n+1)*l.OutChannels]
+		li, ri := in.Left[n], in.Right[n]
+		switch {
+		case li < 0 && ri < 0:
+			refConvLeafPre(l, x, y)
+		case li >= 0 && ri >= 0:
+			refConvBothPre(l, x, in.Row(li), in.Row(ri), y)
+		default:
+			xl, xr := zeros[:ic], zeros[:ic]
+			if li >= 0 {
+				xl = in.Row(li)
+			}
+			if ri >= 0 {
+				xr = in.Row(ri)
+			}
+			for o := 0; o < l.OutChannels; o++ {
+				sum := l.Bias.Value[o]
+				ep := l.EP.Value[o*ic : o*ic+ic]
+				el := l.EL.Value[o*ic : o*ic+ic]
+				er := l.ER.Value[o*ic : o*ic+ic]
+				for i := 0; i < ic; i++ {
+					sum += ep[i] * x[i]
+					sum += el[i] * xl[i]
+					sum += er[i] * xr[i]
+				}
+				y[o] = sum
+			}
+		}
+	}
+}
+
+// refConvBothPre is convBothPre, verbatim.
+func refConvBothPre(l *treeconv.Layer, x, xl, xr, y []float64) {
+	ic := l.InChannels
+	o := 0
+	for ; o+4 <= l.OutChannels; o += 4 {
+		ep0 := l.EP.Value[o*ic : o*ic+ic]
+		ep1 := l.EP.Value[(o+1)*ic : (o+1)*ic+ic]
+		ep2 := l.EP.Value[(o+2)*ic : (o+2)*ic+ic]
+		ep3 := l.EP.Value[(o+3)*ic : (o+3)*ic+ic]
+		el0 := l.EL.Value[o*ic : o*ic+ic]
+		el1 := l.EL.Value[(o+1)*ic : (o+1)*ic+ic]
+		el2 := l.EL.Value[(o+2)*ic : (o+2)*ic+ic]
+		el3 := l.EL.Value[(o+3)*ic : (o+3)*ic+ic]
+		er0 := l.ER.Value[o*ic : o*ic+ic]
+		er1 := l.ER.Value[(o+1)*ic : (o+1)*ic+ic]
+		er2 := l.ER.Value[(o+2)*ic : (o+2)*ic+ic]
+		er3 := l.ER.Value[(o+3)*ic : (o+3)*ic+ic]
+		s0 := l.Bias.Value[o]
+		s1 := l.Bias.Value[o+1]
+		s2 := l.Bias.Value[o+2]
+		s3 := l.Bias.Value[o+3]
+		for i := 0; i < ic; i++ {
+			xv, lv, rv := x[i], xl[i], xr[i]
+			s0 += ep0[i] * xv
+			s0 += el0[i] * lv
+			s0 += er0[i] * rv
+			s1 += ep1[i] * xv
+			s1 += el1[i] * lv
+			s1 += er1[i] * rv
+			s2 += ep2[i] * xv
+			s2 += el2[i] * lv
+			s2 += er2[i] * rv
+			s3 += ep3[i] * xv
+			s3 += el3[i] * lv
+			s3 += er3[i] * rv
+		}
+		y[o] = s0
+		y[o+1] = s1
+		y[o+2] = s2
+		y[o+3] = s3
+	}
+	for ; o < l.OutChannels; o++ {
+		sum := l.Bias.Value[o]
+		ep := l.EP.Value[o*ic : o*ic+ic]
+		el := l.EL.Value[o*ic : o*ic+ic]
+		er := l.ER.Value[o*ic : o*ic+ic]
+		for i := 0; i < ic; i++ {
+			sum += ep[i] * x[i]
+			sum += el[i] * xl[i]
+			sum += er[i] * xr[i]
+		}
+		y[o] = sum
+	}
+}
+
+// refConvLeafPre is convLeafPre, verbatim.
+func refConvLeafPre(l *treeconv.Layer, x, y []float64) {
+	ic := l.InChannels
+	o := 0
+	for ; o+4 <= l.OutChannels; o += 4 {
+		ep0 := l.EP.Value[o*ic : o*ic+ic]
+		ep1 := l.EP.Value[(o+1)*ic : (o+1)*ic+ic]
+		ep2 := l.EP.Value[(o+2)*ic : (o+2)*ic+ic]
+		ep3 := l.EP.Value[(o+3)*ic : (o+3)*ic+ic]
+		s0 := l.Bias.Value[o]
+		s1 := l.Bias.Value[o+1]
+		s2 := l.Bias.Value[o+2]
+		s3 := l.Bias.Value[o+3]
+		for i, xv := range x {
+			s0 += ep0[i] * xv
+			s1 += ep1[i] * xv
+			s2 += ep2[i] * xv
+			s3 += ep3[i] * xv
+		}
+		y[o] = s0
+		y[o+1] = s1
+		y[o+2] = s2
+		y[o+3] = s3
+	}
+	for ; o < l.OutChannels; o++ {
+		sum := l.Bias.Value[o]
+		ep := l.EP.Value[o*ic : o*ic+ic]
+		for i, xv := range x {
+			sum += ep[i] * xv
+		}
+		y[o] = sum
+	}
+}
+
+// refPoolForwardBatch is PoolForwardBatch, verbatim: one pass over the
+// batch's nodes in flattened order, keeping per (sample, channel) the first
+// node with the maximum.
+func refPoolForwardBatch(b *refBatch, a *nn.Arena[float64], argmaxBuf []int) (pooled []float64, argmax []int) {
+	dim := b.Channels
+	pooled = a.Alloc(b.Samples * dim)
+	if cap(argmaxBuf) < b.Samples*dim {
+		argmax = make([]int, b.Samples*dim)
+	} else {
+		argmax = argmaxBuf[:b.Samples*dim]
+	}
+	for i := range pooled {
+		pooled[i] = math.Inf(-1)
+		argmax[i] = -1
+	}
+	for n := 0; n < b.N; n++ {
+		base := b.Sample[n] * dim
+		row := pooled[base : base+dim]
+		for i, v := range b.Row(n) {
+			if v > row[i] {
+				row[i] = v
+				argmax[base+i] = n
+			}
+		}
+	}
+	for i := range pooled {
+		if math.IsInf(pooled[i], -1) {
+			pooled[i] = 0
+		}
+	}
+	return pooled, argmax
+}
+
+// refPoolBackwardBatch is PoolBackwardBatch, verbatim.
+func refPoolBackwardBatch(b *refBatch, argmax []int, gradPooled []float64, a *nn.Arena[float64]) []float64 {
+	dim := b.Channels
+	gradNodes := a.Alloc(b.N * dim)
+	for i := range gradNodes {
+		gradNodes[i] = 0
+	}
+	for s := 0; s < b.Samples; s++ {
+		for c := 0; c < dim; c++ {
+			n := argmax[s*dim+c]
+			if n < 0 {
+				continue
+			}
+			gradNodes[n*dim+c] += gradPooled[s*dim+c]
+		}
+	}
+	return gradNodes
+}
+
 // refBackwardBatchNodes is the unblocked backwardBatchNodes, verbatim.
-func refBackwardBatchNodes(l *treeconv.Layer, in *treeconv.Batch[float64], gradPre, gradIn []float64) {
+func refBackwardBatchNodes(l *treeconv.Layer, in *refBatch, gradPre, gradIn []float64) {
 	ic := l.InChannels
 	oc := l.OutChannels
 	for n := 0; n < in.N; n++ {
@@ -239,7 +529,7 @@ type refShard struct {
 	conv       *treeconv.Stack
 	params     []*nn.Param
 	arena      nn.Arena[float64]
-	builder    treeconv.BatchBuilder[float64]
+	builder    refBatchBuilder
 	loss       float64
 }
 
@@ -433,19 +723,16 @@ func (sh *refShard) run(r *refNet, samples []valuenet.Sample) {
 		copy(row[r.planDim:], g[qIndex[sample]*qOut:(qIndex[sample]+1)*qOut])
 	})
 
-	// Tree convolution forward, one layer at a time through the product's
-	// (unchanged) kernels. The tape keeps each layer's activated output; the
-	// activation's backward branches on the pre-activation's sign, which the
-	// leaky rectifier (positive slope) passes through unchanged.
-	ins := []*treeconv.Batch[float64]{batch}
+	// Tree convolution forward, one layer at a time. The tape keeps each
+	// layer's activated output; the activation's backward branches on the
+	// pre-activation's sign, which the leaky rectifier (positive slope)
+	// passes through unchanged.
+	ins := []*refBatch{batch}
 	for _, l := range sh.conv.Layers {
-		one := &treeconv.Stack{Layers: []*treeconv.Layer{l}}
-		var tape treeconv.StackBatchTape
-		one.RecordBatch(&tape, ins[len(ins)-1], a)
-		ins = append(ins, tape.Output())
+		ins = append(ins, refRecordLayer(l, ins[len(ins)-1], a))
 	}
 	convOut := ins[len(ins)-1]
-	pooled, argmax := treeconv.PoolForwardBatch(convOut, a, nil)
+	pooled, argmax := refPoolForwardBatch(convOut, a, nil)
 	ht := refMLPForward(sh.head, pooled, rows, a)
 
 	gradOut := a.Alloc(rows)
@@ -458,7 +745,7 @@ func (sh *refShard) run(r *refNet, samples []valuenet.Sample) {
 	sh.loss = loss
 
 	gradPooled := refMLPBackward(sh.head, ht, gradOut, a)
-	grad := treeconv.PoolBackwardBatch(convOut, argmax, gradPooled, a)
+	grad := refPoolBackwardBatch(convOut, argmax, gradPooled, a)
 	for li := len(sh.conv.Layers) - 1; li >= 0; li-- {
 		l := sh.conv.Layers[li]
 		in, out := ins[li], ins[li+1]
@@ -525,9 +812,33 @@ func (r *refNet) train(samples []valuenet.Sample, epochs, batchSize int, rng *ra
 	return last
 }
 
+// agree reports whether got is within tol of want, relative to the larger
+// magnitude; tol 0 demands ==.
+func agree(got, want, tol float64) bool {
+	if tol == 0 {
+		return got == want
+	}
+	return math.Abs(got-want) <= tol*math.Max(math.Abs(got), math.Abs(want))
+}
+
+// sharedTol is the agreement the real-sample tests demand: construction
+// states of one experience entry share subtrees inside a shard, and the
+// product sums a shared row's gradients before backpropagating them once
+// where the reference backpropagates each copy (the bound batched training
+// is held to against the per-sample path).
+const sharedTol = 1e-9
+
 // requireSameState fails unless the product network and the reference hold
 // == weights, target transform, Adam step and moments.
 func requireSameState(t *testing.T, when string, net *valuenet.Network, ref *refNet) {
+	t.Helper()
+	requireStateWithin(t, when, net, ref, 0)
+}
+
+// requireStateWithin fails unless the product network and the reference hold
+// the same target transform and Adam step, and weights and Adam moments that
+// agree within tol.
+func requireStateWithin(t *testing.T, when string, net *valuenet.Network, ref *refNet, tol float64) {
 	t.Helper()
 	st := readNetState(t, net)
 	if st.mean != ref.mean || st.std != ref.std {
@@ -542,7 +853,7 @@ func requireSameState(t *testing.T, when string, net *valuenet.Network, ref *ref
 			t.Fatalf("%s: %s of %s has %d values, reference %d", when, what, ref.params[pi].Name, len(got), len(want))
 		}
 		for j := range got {
-			if got[j] != want[j] {
+			if !agree(got[j], want[j], tol) {
 				t.Fatalf("%s: %s of %s[%d] = %v, reference %v", when, what, ref.params[pi].Name, j, got[j], want[j])
 			}
 		}
@@ -660,8 +971,8 @@ func TestTrainingMatchesParentKernelsSynthetic(t *testing.T) {
 // TestRetrainMatchesParentKernels: on the real training samples of a
 // bootstrapped system — real query encodings, real construction states —
 // two retraining rounds (new experience between them) leave the live network
-// in exactly the state the reference reaches from the same samples and the
-// same random stream, for 1, 2 and 4 gradient workers.
+// within sharedTol of the state the reference reaches from the same samples
+// and the same random stream, for 1, 2 and 4 gradient workers.
 func TestRetrainMatchesParentKernels(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		setProcs(t, workers)
@@ -688,7 +999,7 @@ func TestRetrainMatchesParentKernels(t *testing.T) {
 				}
 				n.Experience.Add(q, p, lat)
 			}
-			samples := n.trainingSamples()
+			samples := n.trainingSamplesLocked()
 			if n.Config.MaxTrainSamples > 0 && len(samples) > n.Config.MaxTrainSamples {
 				t.Fatalf("%d samples exceed MaxTrainSamples: the reference round would need Retrain's shuffle too", len(samples))
 			}
@@ -698,10 +1009,10 @@ func TestRetrainMatchesParentKernels(t *testing.T) {
 
 			got := n.Retrain()
 			want := ref.train(samples, n.Config.TrainEpochs, n.Config.BatchSize, rand.New(twin))
-			if got != want {
+			if !agree(got, want, sharedTol) {
 				t.Fatalf("workers=%d round %d: loss %v, reference %v", workers, round, got, want)
 			}
-			requireSameState(t, "after a retraining round", n.Net, ref)
+			requireStateWithin(t, "after a retraining round", n.Net, ref, sharedTol)
 			steps += n.Config.TrainEpochs * ((len(samples) + n.Config.BatchSize - 1) / n.Config.BatchSize)
 		}
 		if steps < 20 {
@@ -713,7 +1024,8 @@ func TestRetrainMatchesParentKernels(t *testing.T) {
 // TestRetrainLiveColumnsMatchFullWalk: the optimizer steps only the query
 // tower's input columns that some training encoding has had a non-zero in,
 // where the reference's Adam walks every element. On real encodings, three
-// retraining rounds must leave the network == to the reference (a) when
+// retraining rounds must leave the network within sharedTol of the reference
+// — the construction states' shared subtrees keep it from == — (a) when
 // each round's new experience brings a query column no earlier round had,
 // (b) after a checkpoint restore, whose live columns are rebuilt from the
 // Adam moments, and after a State/Restore copy, and (c) for 1 and 2 workers.
@@ -781,16 +1093,16 @@ func TestRetrainLiveColumnsMatchFullWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			n.Experience.Add(q, p, lat)
-			samples := n.trainingSamples()
+			samples := n.trainingSamplesLocked()
 			twin := newCountingSource(n.rngSeed)
 			twin.skip(n.rngSrc.draws)
 
 			got := n.Retrain()
 			want := ref.train(samples, n.Config.TrainEpochs, n.Config.BatchSize, rand.New(twin))
-			if got != want {
+			if !agree(got, want, sharedTol) {
 				t.Fatalf("workers=%d round %d: loss %v, reference %v", workers, round, got, want)
 			}
-			requireSameState(t, "after a round with a new query column", n.Net, ref)
+			requireStateWithin(t, "after a round with a new query column", n.Net, ref, sharedTol)
 		}
 	}
 }

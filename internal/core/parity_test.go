@@ -203,7 +203,10 @@ func TestRetrainWeightsBitIdenticalToReferenceEncoder(t *testing.T) {
 	product.Retrain()
 
 	// Retrain's body, with trainingSamples' loop encoding through the
-	// reference encoder.
+	// reference encoder. The memoised encoder hands out one tree per distinct
+	// subtree of an entry, and training convolves each distinct tree of a
+	// shard once, so the reference trees are shared the same way: within an
+	// entry, one tree per Node.Hash.
 	n := reference
 	var samples []valuenet.Sample
 	encodings := make(map[string][]float64)
@@ -213,12 +216,29 @@ func TestRetrainWeightsBitIdenticalToReferenceEncoder(t *testing.T) {
 			qEnc = n.Featurizer.EncodeQuery(entry.Query)
 			encodings[entry.Query.ID] = qEnc
 		}
+		shared := map[[2]uint64]*treeconv.Tree{}
+		var share func(node *plan.Node, t *treeconv.Tree) *treeconv.Tree
+		share = func(node *plan.Node, t *treeconv.Tree) *treeconv.Tree {
+			if node == nil {
+				return nil
+			}
+			if s, ok := shared[node.Hash()]; ok {
+				return s
+			}
+			s := treeconv.NewNode(t.Data, share(node.Left, t.Left), share(node.Right, t.Right))
+			shared[node.Hash()] = s
+			return s
+		}
 		for _, partial := range constructionStates(entry.Plan) {
 			target, ok := n.Experience.MinCostContaining(partial, n.cost)
 			if !ok {
 				target = n.cost(entry)
 			}
-			samples = append(samples, valuenet.Sample{Query: qEnc, Plan: refEncodePlan(n.Featurizer, partial), Target: target})
+			forest := refEncodePlan(n.Featurizer, partial)
+			for i, root := range partial.Roots {
+				forest[i] = share(root, forest[i])
+			}
+			samples = append(samples, valuenet.Sample{Query: qEnc, Plan: forest, Target: target})
 		}
 	}
 	if n.Config.MaxTrainSamples > 0 && len(samples) > n.Config.MaxTrainSamples {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+
+	"neo/internal/valuenet"
 )
 
 // setProcs sets GOMAXPROCS — the width of every worker pool — to procs for
@@ -94,5 +97,107 @@ func TestConcurrentPlanningDuringParallelTraining(t *testing.T) {
 	wg.Wait()
 	if loss := <-done; math.IsNaN(loss) {
 		t.Errorf("parallel training round returned NaN loss")
+	}
+}
+
+// allTrainingSamples is the sample builder Retrain used before it built only
+// the samples it keeps, verbatim: every construction state of every entry,
+// in entry order. Retrain then shuffled them all with the training rng and
+// kept the first MaxTrainSamples.
+func allTrainingSamples(n *Neo) []valuenet.Sample {
+	var samples []valuenet.Sample
+	encodings := make(map[string][]float64)
+	for _, entry := range n.Experience.Entries() {
+		qEnc, ok := encodings[entry.Query.ID]
+		if !ok {
+			qEnc = n.Featurizer.EncodeQuery(entry.Query)
+			encodings[entry.Query.ID] = qEnc
+		}
+		enc := n.Featurizer.NewPlanEncoder(entry.Query)
+		for _, partial := range constructionStates(entry.Plan) {
+			target, ok := n.Experience.MinCostContaining(partial, n.cost)
+			if !ok {
+				target = n.cost(entry)
+			}
+			samples = append(samples, valuenet.Sample{
+				Query:  qEnc,
+				Plan:   enc.Encode(partial),
+				Target: target,
+			})
+		}
+	}
+	return samples
+}
+
+// TestRetrainBuildsKeptSamplesLikeBuildThenShuffle: with more construction
+// states than MaxTrainSamples, Retrain builds only the kept samples, and two
+// rounds leave the weights, Adam moments, loss and training-rng draw count
+// == to building every sample, shuffling them and keeping the first
+// MaxTrainSamples.
+func TestRetrainBuildsKeptSamplesLikeBuildThenShuffle(t *testing.T) {
+	build := func() (*Neo, *testRig) {
+		rig := newRig(t, "postgres")
+		if err := rig.neo.Bootstrap(rig.wl.Queries[:6], rig.expertFunc()); err != nil {
+			t.Fatal(err)
+		}
+		return rig.neo, rig
+	}
+	product, rig := build()
+	reference, _ := build()
+	for round := 0; round < 2; round++ {
+		for _, n := range []*Neo{product, reference} {
+			for _, q := range rig.wl.Queries[6+2*round : 8+2*round] {
+				p, err := rig.expertFunc()(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lat, _, err := n.Engine.Execute(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.Experience.Add(q, p, lat)
+			}
+		}
+		samples := allTrainingSamples(reference)
+		keep := len(samples) * 2 / 5
+		product.Config.MaxTrainSamples, reference.Config.MaxTrainSamples = keep, keep
+
+		got := product.Retrain()
+		n := reference
+		n.rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
+		want := n.Net.Train(samples[:keep], n.Config.TrainEpochs, n.Config.BatchSize, n.rng)
+		if got != want {
+			t.Fatalf("round %d: loss %v, build-then-shuffle %v", round, got, want)
+		}
+		if product.rngSrc.draws != reference.rngSrc.draws {
+			t.Fatalf("round %d: %d rng draws, build-then-shuffle %d", round, product.rngSrc.draws, reference.rngSrc.draws)
+		}
+		gotState, wantState := readNetState(t, product.Net), readNetState(t, reference.Net)
+		if !reflect.DeepEqual(gotState, wantState) {
+			t.Fatalf("round %d: network state differs from build-then-shuffle", round)
+		}
+	}
+}
+
+// TestNumStatesMatchesConstructionStates pins numStates to the states
+// constructionStates builds, for complete plans and for the partial plans
+// along their construction.
+func TestNumStatesMatchesConstructionStates(t *testing.T) {
+	rig := newRig(t, "postgres")
+	checked := 0
+	for _, q := range rig.wl.Queries {
+		p, err := rig.expertFunc()(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range append(constructionStates(p), p) {
+			if got, want := numStates(s), len(constructionStates(s)); got != want {
+				t.Fatalf("%s: numStates %d, constructionStates built %d", s, got, want)
+			}
+			checked++
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("only %d plans checked", checked)
 	}
 }

@@ -5,8 +5,9 @@
 //
 // Three families share the layer types. The per-sample Forward/Backward in
 // this file are the reference every other path is parity-tested against;
-// batch.go and f32.go hold the batched inference kernels plan search scores
-// with; train.go holds the batched training tape. Training is not a side
+// f32.go holds the float32 kernels plan search scores with; batch.go and
+// train.go hold the float64 training tape, its forward and its backward
+// pass. Training is not a side
 // show: a retraining round is 60–70 % of a learning cycle (the rest is
 // planning and execution), so the tape and the optimizer step are written to
 // do only the work that can change a weight.

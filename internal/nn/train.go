@@ -1,6 +1,6 @@
-// Batched training primitives. The batch.go forward pass serves inference
-// only (no tape); the routines here extend the same flattened row-major
-// layout to training: a recorded MLPBatchTape keeps every intermediate
+// Batched training primitives. The batch.go forward pass keeps no tape; the
+// routines here extend the same row-major layout to the backward pass: a
+// recorded MLPBatchTape keeps every intermediate
 // activation matrix so BackwardBatch can run one backward pass over the whole
 // minibatch, accumulating parameter gradients row by row in sample order.
 //

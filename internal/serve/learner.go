@@ -27,9 +27,10 @@ type LearnerConfig struct {
 	CheckpointEvery time.Duration
 	// RetrainEvery starts a background retraining round once N entries have
 	// been ingested since the last round was started; zero or negative
-	// disables automatic retraining. Rounds never queue: while one is in
+	// disables automatic retraining. Rounds never overlap: while one is in
 	// flight no other starts, and the entries arriving meanwhile count
-	// toward the next round.
+	// toward the next round, which starts as the running one ends if they
+	// reach N.
 	RetrainEvery int
 	// MaxExperience bounds the experience pool: the oldest entries are
 	// dropped beyond it. Zero selects the default (100 000); negative
@@ -91,18 +92,21 @@ func (l *Learner) Ingest(entries ...core.Entry) (triggered bool) {
 	if l.cfg.MaxExperience > 0 && exp.Len() > l.cfg.MaxExperience {
 		exp.Trim(l.cfg.MaxExperience)
 	}
-	if every := l.cfg.RetrainEvery; every > 0 && len(entries) > 0 &&
-		l.pending.Add(uint64(len(entries))) >= uint64(every) {
-		return l.triggerRetrain()
-	}
-	return false
+	l.pending.Add(uint64(len(entries)))
+	return l.maybeRetrain()
 }
 
-// triggerRetrain starts a background retraining round unless one is already
-// in flight or shutdown has begun. When the round finishes the new network
+// maybeRetrain starts a background retraining round if RetrainEvery entries
+// have been ingested since the last round started, unless one is already in
+// flight or shutdown has begun. When the round finishes the new network
 // snapshot has been swapped in atomically (with an empty plan cache), the
-// final loss is recorded and the after-retrain hook has run.
-func (l *Learner) triggerRetrain() bool {
+// final loss is recorded and the after-retrain hook has run; then the round
+// checks again, so entries that crossed the threshold while it ran start
+// the next round without waiting for more feedback.
+func (l *Learner) maybeRetrain() bool {
+	if every := l.cfg.RetrainEvery; every <= 0 || l.pending.Load() < uint64(every) {
+		return false
+	}
 	if !l.retraining.CompareAndSwap(false, true) {
 		return false
 	}
@@ -115,6 +119,7 @@ func (l *Learner) triggerRetrain() bool {
 		}
 		l.retrains.Add(1)
 		l.retraining.Store(false)
+		l.maybeRetrain()
 	})
 	if !started {
 		l.retraining.Store(false)

@@ -227,7 +227,11 @@ func (rs *replicaState) forwardLoop(stop <-chan struct{}) {
 
 // forwardQueued ships the queue to the trainer batch by batch, stopping
 // early once stop is closed (the drain takes over). It reports false when a
-// forward failed; the failed batch is back at the queue head.
+// forward failed; the failed batch is back at the queue head. A batch the
+// trainer refuses as such — a damaged container (400) or one over
+// proto.MaxExperienceBytes (413) — would be refused on every retry, so it is
+// counted dropped instead, and the entries behind it go on; a version skew
+// (409), which a trainer upgrade cures, is retried like an outage.
 func (rs *replicaState) forwardQueued(stop <-chan struct{}) bool {
 	for {
 		select {
@@ -240,8 +244,12 @@ func (rs *replicaState) forwardQueued(stop <-chan struct{}) bool {
 			return true
 		}
 		if err := rs.forwardNow(context.Background(), batch); err != nil {
-			rs.requeue(batch)
-			return false
+			var se *proto.StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusBadRequest && se.Code != http.StatusRequestEntityTooLarge {
+				rs.requeue(batch)
+				return false
+			}
+			rs.dropped.Add(uint64(len(batch)))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +27,10 @@ type fakeTrainer struct {
 	snapshot []byte
 	version  uint64
 
-	// failFirst is the number of POSTs answered 503 before any is accepted.
-	failFirst int
+	// failFirst is the number of POSTs answered failStatus (503 when zero)
+	// before any is accepted.
+	failFirst  int
+	failStatus int
 	// gate, when non-nil, holds every POST after it is counted until open
 	// closes it.
 	gate     chan struct{}
@@ -91,7 +94,11 @@ func (ft *fakeTrainer) handler() http.Handler {
 			<-gate
 		}
 		if fail {
-			http.Error(w, "trainer unavailable", http.StatusServiceUnavailable)
+			code := ft.failStatus
+			if code == 0 {
+				code = http.StatusServiceUnavailable
+			}
+			http.Error(w, "refused", code)
 			return
 		}
 		entries, err := checkpoint.LoadExperience(r.Body)
@@ -486,6 +493,73 @@ func TestForwarderRetriesInOrder(t *testing.T) {
 	}
 	if limit := k + (entries+batch-1)/batch + 2; ft.posts > limit {
 		t.Fatalf("%d POST attempts for %d entries and %d failures, want at most %d", ft.posts, entries, k, limit)
+	}
+}
+
+// TestForwarderDropsRefusedBatch: a batch the trainer refuses as such — 400
+// for a damaged container, 413 for one over the size cap — would be refused
+// on every retry, so the forwarder drops it, counts it, and delivers the
+// entries queued behind it at once; a 409 (version skew) is retried like an
+// outage and delivered once the trainer accepts.
+func TestForwarderDropsRefusedBatch(t *testing.T) {
+	for _, tc := range []struct {
+		code    int
+		dropped bool
+	}{
+		{http.StatusBadRequest, true},
+		{http.StatusRequestEntityTooLarge, true},
+		{http.StatusConflict, false},
+	} {
+		t.Run(http.StatusText(tc.code), func(t *testing.T) {
+			sys, queries := testSystem(t)
+			defer sys.Close()
+			ft := &fakeTrainer{failFirst: 1, failStatus: tc.code, gate: make(chan struct{})}
+			trainer := httptest.NewServer(ft.handler())
+			defer trainer.Close()
+			defer ft.open()
+
+			srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushBatch: 4, Client: fastClient()}})
+			srv.Start()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			defer srv.Close()
+
+			feedback := func(latency float64) {
+				if code := postJSON(t, ts.URL+"/feedback", proto.FeedbackRequest{Query: specFor(queries[0]), LatencyMS: latency}, nil); code != http.StatusOK {
+					t.Fatalf("feedback %v: status %d", latency, code)
+				}
+			}
+			// The first batch is held at the trainer, to be refused, while
+			// two more entries queue behind it.
+			feedback(1)
+			ft.waitUntil(t, "the first forward", func() bool { return ft.posts == 1 })
+			feedback(2)
+			feedback(3)
+			ft.open()
+
+			want := []float64{1, 2, 3}
+			if tc.dropped {
+				want = want[1:]
+			}
+			ft.waitUntil(t, "the entries behind the refused batch", func() bool { return len(ft.entries) >= len(want) })
+			ft.mu.Lock()
+			var got []float64
+			for _, e := range ft.entries {
+				got = append(got, e.Latency)
+			}
+			ft.mu.Unlock()
+			if !slices.Equal(got, want) {
+				t.Fatalf("trainer received latencies %v, want %v", got, want)
+			}
+			st := getStats(t, ts.URL).Cluster
+			wantDropped := uint64(0)
+			if tc.dropped {
+				wantDropped = 1
+			}
+			if st.Dropped != wantDropped || st.ForwardErrors != 1 {
+				t.Fatalf("dropped=%d forward_errors=%d, want %d/1", st.Dropped, st.ForwardErrors, wantDropped)
+			}
+		})
 	}
 }
 

@@ -1,16 +1,17 @@
-// Batched tree-convolution training over the flattened layout of batch.go:
-// a recorded StackBatchTape retains every layer's pre-activation matrix so
-// BackwardBatch can propagate a flat gradient matrix through the whole stack
-// — and PoolForwardBatch / PoolBackwardBatch replace the per-tree dynamic
-// pooling with a single flat pass that records, per (sample, channel), which
-// node supplied the maximum.
+// Batched tree-convolution training over a subtree table (subtrees.go): a
+// recorded StackBatchTape retains every layer's pre-activation matrix, one
+// row per table entry, so BackwardBatch can propagate a gradient matrix
+// through the whole stack, and PoolBatchTape replaces the per-tree dynamic
+// pooling with a fold over the table that records, per (forest, channel),
+// which row supplied the maximum.
 //
-// Bit-parity contract: nodes are visited in the flattened order BatchBuilder
-// assigns (forests in sample order, trees in forest order, nodes in
-// pre-order), which is exactly the order the per-tree recursion of
-// Layer.backwardNode visits them, so every parameter element accumulates its
-// gradient contributions in the same floating-point order as the per-sample
-// path.
+// Bit-parity contract: the backward pass visits rows in the table's
+// first-visit pre-order. For forests that share no subtree that is the order
+// the per-tree recursion of Layer.backwardNode visits their nodes in, so every
+// parameter element accumulates its gradient contributions in the same
+// floating-point order as the per-sample path. A row shared by several
+// parents or forests receives the sum of their gradients before it
+// backpropagates once, which reassociates those sums (~1e-9 per step).
 package treeconv
 
 import (
@@ -45,96 +46,78 @@ func (s *Stack) ShadowGrad() *Stack {
 }
 
 // StackBatchTape records one batched forward pass through the stack for
-// backpropagation: the input batch plus, per layer, the pre-activation
-// matrix and the activated output batch. All float storage is drawn from the
-// arena passed when recording; the tape's own headers are reused by the next
-// RecordBatch on it.
+// backpropagation: the table and its input rows plus, per layer, the
+// pre-activation matrix and the activated output matrix, one row per table
+// entry. All float storage is drawn from the arena passed when recording; the
+// tape's own headers are reused by the next RecordBatch on it.
 type StackBatchTape struct {
-	in   *Batch[float64]
-	pre  [][]float64      // per layer: N×OutChannels pre-activation values
-	outs []Batch[float64] // per layer: activated outputs
+	tab  *Subtrees
+	in   []float64
+	pre  [][]float64 // per layer: Len×OutChannels pre-activation values
+	outs [][]float64 // per layer: activated outputs
 }
 
-// Output returns the final convolved batch.
-func (t *StackBatchTape) Output() *Batch[float64] { return &t.outs[len(t.outs)-1] }
+// Output returns the last layer's activations, one row per table entry.
+func (t *StackBatchTape) Output() []float64 { return t.outs[len(t.outs)-1] }
 
-// RecordBatch runs every layer over the flattened batch, recording into t for
-// BackwardBatch: every layer's pre-activation matrix and activated output.
-// Per node the convolution performs the same operations in the same order as
-// Layer.convolve, so outputs are bit-identical to the per-tree Forward.
-func (s *Stack) RecordBatch(t *StackBatchTape, in *Batch[float64], a *nn.Arena[float64]) {
-	zeros := a.Alloc(s.maxInChannels())
-	for i := range zeros {
-		zeros[i] = 0
-	}
-	t.in = in
-	t.pre = t.pre[:0]
-	// Sized up front: cur points into outs while later layers are appended.
-	t.outs = slices.Grow(t.outs[:0], len(s.Layers))
+// RecordBatch runs every layer over the table's entries, whose input rows
+// in holds (tab.Len() rows of the first layer's InChannels), recording into t
+// for BackwardBatch: every layer's pre-activation matrix and activated
+// output. Per row the convolution performs the same operations in the same
+// order as Layer.convolve, so outputs are bit-identical to the per-tree
+// Forward.
+func (s *Stack) RecordBatch(t *StackBatchTape, tab *Subtrees, in []float64, a *nn.Arena[float64]) {
+	t.tab, t.in = tab, in
+	t.pre, t.outs = t.pre[:0], t.outs[:0]
 	cur := in
 	for _, l := range s.Layers {
-		pre := a.Alloc(in.N * l.OutChannels)
-		l.convBatchPre(cur, pre, zeros)
-		t.outs = append(t.outs, Batch[float64]{
-			Channels: l.OutChannels,
-			N:        cur.N,
-			Samples:  cur.Samples,
-			Left:     cur.Left,
-			Right:    cur.Right,
-			Sample:   cur.Sample,
-			Data:     a.Alloc(cur.N * l.OutChannels),
-		})
-		out := &t.outs[len(t.outs)-1]
+		zeros := a.Alloc(l.InChannels) // a one-child node's absent child
+		clear(zeros)
+		pre := a.Alloc(tab.Len() * l.OutChannels)
+		l.convBatchPre(tab, cur, pre, zeros)
+		out := a.Alloc(len(pre))
 		alpha := l.Act.Alpha
 		for i, v := range pre {
 			if v >= 0 {
-				out.Data[i] = v
+				out[i] = v
 			} else {
-				out.Data[i] = alpha * v
+				out[i] = alpha * v
 			}
 		}
 		t.pre = append(t.pre, pre)
+		t.outs = append(t.outs, out)
 		cur = out
 	}
 }
 
-func (s *Stack) maxInChannels() int {
-	maxIn := 0
-	for _, l := range s.Layers {
-		if l.InChannels > maxIn {
-			maxIn = l.InChannels
-		}
-	}
-	return maxIn
-}
-
-// convBatchPre convolves the filterbank over every node of in, writing the
-// pre-activation values into pre. Plan trees are strictly binary, so almost
-// every node is either a leaf or a join, and each gets a specialised kernel:
-// childless nodes skip the child dot products against the zero padding
-// entirely (dropping a w·0 term leaves the accumulator bit-identical up to
-// the sign of zero, which compares equal) and join nodes run a 4-way-unrolled
-// kernel whose per-channel operation order matches Layer.convolve exactly;
-// one-child nodes convolve against explicit zero padding exactly like
-// Layer.convolve.
-func (l *Layer) convBatchPre(in *Batch[float64], pre, zeros []float64) {
+// convBatchPre convolves the filterbank over every entry of tab, whose input
+// rows in holds, writing the pre-activation values into pre. Plan trees are
+// strictly binary, so almost every node is either a leaf or a join, and each
+// gets a specialised kernel: childless nodes skip the child dot products
+// against the zero padding entirely (dropping a w·0 term leaves the
+// accumulator bit-identical up to the sign of zero, which compares equal) and
+// join nodes run a 4-way-unrolled kernel whose per-channel operation order
+// matches Layer.convolve exactly; one-child nodes convolve against explicit
+// zero padding exactly like Layer.convolve.
+func (l *Layer) convBatchPre(tab *Subtrees, in, pre, zeros []float64) {
 	ic := l.InChannels
-	for n := 0; n < in.N; n++ {
-		x := in.Row(n)
-		y := pre[n*l.OutChannels : (n+1)*l.OutChannels]
-		li, ri := in.Left[n], in.Right[n]
+	row := func(n int32) []float64 { return in[int(n)*ic : int(n+1)*ic] }
+	for n := range int32(tab.Len()) {
+		x := row(n)
+		y := pre[int(n)*l.OutChannels : int(n+1)*l.OutChannels]
+		li, ri := tab.Left[n], tab.Right[n]
 		switch {
 		case li < 0 && ri < 0:
 			l.convLeafPre(x, y)
 		case li >= 0 && ri >= 0:
-			l.convBothPre(x, in.Row(li), in.Row(ri), y)
+			l.convBothPre(x, row(li), row(ri), y)
 		default:
 			xl, xr := zeros[:ic], zeros[:ic]
 			if li >= 0 {
-				xl = in.Row(li)
+				xl = row(li)
 			}
 			if ri >= 0 {
-				xr = in.Row(ri)
+				xr = row(ri)
 			}
 			for o := 0; o < l.OutChannels; o++ {
 				sum := l.Bias.Value[o]
@@ -246,16 +229,16 @@ func (l *Layer) convLeafPre(x, y []float64) {
 	}
 }
 
-// BackwardBatch propagates a flat N×lastChannels gradient matrix through the
+// BackwardBatch propagates a Len×lastChannels gradient matrix through the
 // taped forward pass, accumulating filter gradients, and returns the
-// N×inChannels gradient with respect to the input batch's node vectors.
+// Len×inChannels gradient with respect to the input rows.
 func (s *Stack) BackwardBatch(t *StackBatchTape, gradOut []float64, a *nn.Arena[float64]) []float64 {
 	grad := gradOut
 	for li := len(s.Layers) - 1; li >= 0; li-- {
 		l := s.Layers[li]
 		in := t.in
 		if li > 0 {
-			in = &t.outs[li-1]
+			in = t.outs[li-1]
 		}
 		pre := t.pre[li]
 		// Activation backward (elementwise over the whole batch).
@@ -268,41 +251,41 @@ func (s *Stack) BackwardBatch(t *StackBatchTape, gradOut []float64, a *nn.Arena[
 				gradPre[i] = alpha * grad[i]
 			}
 		}
-		gradIn := a.Alloc(in.N * l.InChannels)
+		gradIn := a.Alloc(len(in))
 		for i := range gradIn {
 			gradIn[i] = 0
 		}
-		l.backwardBatchNodes(in, gradPre, gradIn)
+		l.backwardBatchNodes(t.tab, in, gradPre, gradIn)
 		grad = gradIn
 	}
 	return grad
 }
 
 // backwardBatchNodes is the flat analogue of backwardNode: one pass over the
-// batch's nodes in flattened pre-order, accumulating filter gradients and
-// scattering input gradients to each node and its children. A node goes
+// table's rows in first-visit pre-order, accumulating filter gradients and
+// scattering input gradients to each row and its children. A row goes
 // through one filterbank at a time — parent, then left and right where that
 // child exists; an absent child's terms are g·0 and dropped, as in the
 // forward kernels. The three banks share no accumulator, so every gradient
 // element still receives its addends in backwardNode's order — channels
-// ascending within a node, nodes in pre-order — and the result is
-// bit-identical to the per-tree recursion.
-func (l *Layer) backwardBatchNodes(in *Batch[float64], gradPre, gradIn []float64) {
+// ascending within a node, nodes in pre-order — and for forests that share
+// nothing the result is bit-identical to the per-tree recursion.
+func (l *Layer) backwardBatchNodes(tab *Subtrees, in, gradPre, gradIn []float64) {
 	ic := l.InChannels
 	oc := l.OutChannels
-	for n := 0; n < in.N; n++ {
-		gp := gradPre[n*oc : (n+1)*oc]
+	for _, n := range tab.Pre {
+		gp := gradPre[int(n)*oc : int(n+1)*oc]
 		for o, g := range gp {
 			if g != 0 {
 				l.Bias.Grad[o] += g
 			}
 		}
-		backwardBank(l.EP, ic, gp, in.Row(n), gradIn[n*ic:(n+1)*ic])
-		if li := in.Left[n]; li >= 0 {
-			backwardBank(l.EL, ic, gp, in.Row(li), gradIn[li*ic:(li+1)*ic])
+		backwardBank(l.EP, ic, gp, in[int(n)*ic:int(n+1)*ic], gradIn[int(n)*ic:int(n+1)*ic])
+		if li := int(tab.Left[n]); li >= 0 {
+			backwardBank(l.EL, ic, gp, in[li*ic:(li+1)*ic], gradIn[li*ic:(li+1)*ic])
 		}
-		if ri := in.Right[n]; ri >= 0 {
-			backwardBank(l.ER, ic, gp, in.Row(ri), gradIn[ri*ic:(ri+1)*ic])
+		if ri := int(tab.Right[n]); ri >= 0 {
+			backwardBank(l.ER, ic, gp, in[ri*ic:(ri+1)*ic], gradIn[ri*ic:(ri+1)*ic])
 		}
 	}
 }
@@ -358,61 +341,86 @@ func backward4(w *nn.Param, ic, o int, g, x, gin []float64) {
 	}
 }
 
-// PoolForwardBatch dynamic-pools every sample of the batch — row s of pooled
-// is the elementwise maximum over the node vectors of sample s, 0 for an
-// empty sample — and records argmax[s*Channels+c], the index of the node that
-// supplied sample s's maximum for channel c (-1 for empty samples). Ties keep
-// the first node in flattened order, which matches the per-tree DynamicPool
-// argmax combined with the cross-tree strict-greater ownership comparison of
-// the per-sample forward pass. The argmax slice is (re)used from argmaxBuf
-// when it has capacity.
-func PoolForwardBatch(b *Batch[float64], a *nn.Arena[float64], argmaxBuf []int) (pooled []float64, argmax []int) {
-	dim := b.Channels
-	pooled = a.Alloc(b.Samples * dim)
-	if cap(argmaxBuf) < b.Samples*dim {
-		argmax = make([]int, b.Samples*dim)
-	} else {
-		argmax = argmaxBuf[:b.Samples*dim]
-	}
-	for i := range pooled {
-		pooled[i] = math.Inf(-1)
-		argmax[i] = -1
-	}
-	for n := 0; n < b.N; n++ {
-		base := b.Sample[n] * dim
-		row := pooled[base : base+dim]
-		for i, v := range b.Row(n) {
-			if v > row[i] {
-				row[i] = v
-				argmax[base+i] = n
-			}
-		}
-	}
-	for i := range pooled {
-		if math.IsInf(pooled[i], -1) {
-			pooled[i] = 0
-		}
-	}
-	return pooled, argmax
+// PoolBatchTape dynamic-pools the forests of a batch over a subtree table
+// and records, per (forest, channel), which row supplied the maximum, for
+// Backward. Its buffers are reused from call to call.
+type PoolBatchTape struct {
+	dim    int
+	sub    []int // per entry and channel: the row supplying the subtree's maximum
+	argmax []int // per forest and channel: the row supplying the forest's maximum, −1 for none
 }
 
-// PoolBackwardBatch scatters a Samples×Channels pooled-gradient matrix back
-// to the node level: every (sample, channel) gradient lands on the argmax
-// node recorded by PoolForwardBatch, all other node gradients are zero.
-func PoolBackwardBatch(b *Batch[float64], argmax []int, gradPooled []float64, a *nn.Arena[float64]) []float64 {
-	dim := b.Channels
-	gradNodes := a.Alloc(b.N * dim)
-	for i := range gradNodes {
-		gradNodes[i] = 0
-	}
-	for s := 0; s < b.Samples; s++ {
-		for c := 0; c < dim; c++ {
-			n := argmax[s*dim+c]
-			if n < 0 {
-				continue
+// Forward pools the last layer's activations out (one dim-wide row per entry
+// of tab) into one row per forest, forest s being the entries roots[s]. It
+// folds every subtree's per-channel maximum from its own row and its
+// children's maxima — own row, then left, then right: the pre-order
+// DynamicPool visits nodes in — with DynamicPool's strict comparison,
+// children before parents, then folds each forest's roots in order. So ties
+// keep the first row in pre-order and a NaN never wins, as in the per-sample
+// forward pass. An empty forest, and a channel that is −Inf or NaN
+// throughout, pools to 0.
+func (p *PoolBatchTape) Forward(tab *Subtrees, out []float64, dim int, roots [][]int32, a *nn.Arena[float64]) []float64 {
+	p.dim = dim
+	subMax := a.Alloc(tab.Len() * dim)
+	p.sub = slices.Grow(p.sub[:0], len(subMax))[:len(subMax)]
+	negInf := math.Inf(-1)
+	// fold raises acc to entry e's subtree maximum wherever that is greater,
+	// taking the row that supplied it.
+	fold := func(acc []float64, arg []int, e int32) {
+		sub := p.sub[int(e)*dim : int(e+1)*dim]
+		for c, v := range subMax[int(e)*dim : int(e+1)*dim] {
+			if v > acc[c] {
+				acc[c], arg[c] = v, sub[c]
 			}
-			gradNodes[n*dim+c] += gradPooled[s*dim+c]
 		}
 	}
-	return gradNodes
+	for e := range int32(tab.Len()) {
+		acc, arg := subMax[int(e)*dim:int(e+1)*dim], p.sub[int(e)*dim:int(e+1)*dim]
+		for c, v := range out[int(e)*dim : int(e+1)*dim] {
+			acc[c], arg[c] = negInf, -1
+			if v > negInf {
+				acc[c], arg[c] = v, int(e)
+			}
+		}
+		if l := tab.Left[e]; l >= 0 {
+			fold(acc, arg, l)
+		}
+		if r := tab.Right[e]; r >= 0 {
+			fold(acc, arg, r)
+		}
+	}
+	pooled := a.Alloc(len(roots) * dim)
+	p.argmax = slices.Grow(p.argmax[:0], len(pooled))[:len(pooled)]
+	for s, rs := range roots {
+		acc, arg := pooled[s*dim:(s+1)*dim], p.argmax[s*dim:(s+1)*dim]
+		for c := range acc {
+			acc[c], arg[c] = negInf, -1
+		}
+		for _, e := range rs {
+			fold(acc, arg, e)
+		}
+		for c, v := range acc {
+			if v == negInf {
+				acc[c] = 0
+			}
+		}
+	}
+	return pooled
+}
+
+// Backward scatters a forests×dim pooled-gradient matrix back to the rows:
+// each (forest, channel) gradient adds onto the row Forward recorded, so a
+// row that supplied several forests' maxima receives their sum, and every
+// other row's gradient is zero.
+func (p *PoolBatchTape) Backward(gradPooled []float64, a *nn.Arena[float64]) []float64 {
+	grad := a.Alloc(len(p.sub))
+	for i := range grad {
+		grad[i] = 0
+	}
+	for i, n := range p.argmax {
+		if n >= 0 {
+			grad[n*p.dim+i%p.dim] += gradPooled[i]
+		}
+	}
+	return grad
 }

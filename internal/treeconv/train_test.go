@@ -3,17 +3,28 @@ package treeconv
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"neo/internal/nn"
 )
 
-// buildFlatBatch flattens forests with a copy-through fill (no spatial
-// replication), as the parity tests need the raw node vectors.
-func buildFlatBatch(bb *BatchBuilder[float64], forests [][]*Tree, dim int) *Batch[float64] {
-	return bb.Build(forests, dim, func(_ int, node *Tree, row []float64) {
-		copy(row, node.Data)
-	})
+// buildTable adds every forest's roots to tab under group 0 and returns the
+// entries' rows — copies of their trees' vectors, as the parity tests need
+// the raw node vectors (no spatial replication) — and each forest's roots.
+func buildTable(tab *Subtrees, forests [][]*Tree, dim int) (rows []float64, roots [][]int32) {
+	tab.Reset()
+	roots = make([][]int32, len(forests))
+	for s, f := range forests {
+		for _, tree := range f {
+			roots[s] = append(roots[s], tab.Add(tree, 0))
+		}
+	}
+	rows = make([]float64, tab.Len()*dim)
+	for e, tree := range tab.Tree {
+		copy(rows[e*dim:], tree.Data)
+	}
+	return rows, roots
 }
 
 // TestForwardBatchTapeMatchesForward asserts the training forward pass
@@ -28,20 +39,23 @@ func TestForwardBatchTapeMatchesForward(t *testing.T) {
 			forests[i] = randomForest(rng, rng.Intn(3)+1, dim)
 		}
 
-		var bb BatchBuilder[float64]
+		var tab Subtrees
 		var arena nn.Arena[float64]
-		batch := buildFlatBatch(&bb, forests, dim)
+		rows, _ := buildTable(&tab, forests, dim)
 		var tape StackBatchTape
-		stack.RecordBatch(&tape, batch, &arena)
+		stack.RecordBatch(&tape, &tab, rows, &arena)
 		out := tape.Output()
+		oc := stack.Layers[len(stack.Layers)-1].OutChannels
 
+		// The forests share nothing, so the table's pre-order is the nodes'.
 		node := 0
 		for _, f := range forests {
 			for _, tree := range f {
 				ref := stack.Forward(tree)
 				ref.Output().Walk(func(n *Tree) {
+					row := int(tab.Pre[node])
 					for c, v := range n.Data {
-						if got := out.Row(node)[c]; got != v {
+						if got := out[row*oc+c]; got != v {
 							t.Errorf("seed %d node %d channel %d: batch %v, per-tree %v", seed, node, c, got, v)
 						}
 					}
@@ -49,16 +63,16 @@ func TestForwardBatchTapeMatchesForward(t *testing.T) {
 				})
 			}
 		}
-		if node != out.N {
-			t.Fatalf("seed %d: compared %d nodes, batch has %d", seed, node, out.N)
+		if node != tab.Len() {
+			t.Fatalf("seed %d: compared %d nodes, table has %d", seed, node, tab.Len())
 		}
 	}
 }
 
 // TestStackBackwardBatchMatchesBackward is the training parity test for the
-// convolution stack: a flat backward pass over a batch must accumulate
-// bit-identical filter gradients and input gradients to per-tree Backward
-// calls in flattened order.
+// convolution stack: a backward pass over a table of forests that share
+// nothing must accumulate bit-identical filter gradients and input gradients
+// to per-tree Backward calls in the forests' order.
 func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed + 10))
@@ -70,16 +84,16 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 		for i := range forests {
 			forests[i] = randomForest(rng, rng.Intn(2)+1, dim)
 		}
-		var bb BatchBuilder[float64]
+		var tab Subtrees
 		var arena nn.Arena[float64]
-		batch := buildFlatBatch(&bb, forests, dim)
+		rows, _ := buildTable(&tab, forests, dim)
 		var tape StackBatchTape
-		batched.RecordBatch(&tape, batch, &arena)
-		outChannels := tape.Output().Channels
+		batched.RecordBatch(&tape, &tab, rows, &arena)
+		outChannels := batched.Layers[len(batched.Layers)-1].OutChannels
 
-		// Random gradients per output node (with zeros mixed in, as dynamic
+		// Random gradients per output row (with zeros mixed in, as dynamic
 		// pooling produces).
-		gradOut := make([]float64, batch.N*outChannels)
+		gradOut := make([]float64, tab.Len()*outChannels)
 		for i := range gradOut {
 			if rng.Intn(3) > 0 {
 				gradOut[i] = rng.NormFloat64()
@@ -94,20 +108,22 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 				start := node
 				var count int
 				tree.Walk(func(*Tree) { count++ })
-				// Rebuild this tree's gradient tree from the flat slice: walk
-				// assigns node indices in the same pre-order as the builder.
+				// Rebuild this tree's gradient tree from the rows: walk visits
+				// the nodes in the table's pre-order.
 				i := start
 				gradTree := refTape.Output().Map(func(*Tree) []float64 {
 					g := make([]float64, outChannels)
-					copy(g, gradOut[i*outChannels:(i+1)*outChannels])
+					row := int(tab.Pre[i])
+					copy(g, gradOut[row*outChannels:(row+1)*outChannels])
 					i++
 					return g
 				})
 				gradIn := reference.Backward(refTape, gradTree)
 				j := start
 				gradIn.Walk(func(n *Tree) {
+					row := int(tab.Pre[j])
 					for c, v := range n.Data {
-						if got := gotGradIn[j*dim+c]; got != v {
+						if got := gotGradIn[row*dim+c]; got != v {
 							t.Errorf("seed %d node %d channel %d: input grad batch %v, per-tree %v", seed, j, c, got, v)
 						}
 					}
@@ -129,29 +145,40 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 	}
 }
 
-// TestPoolBatchArgmaxMatchesDynamicPool checks PoolForwardBatch's pooled
+// TestPoolBatchArgmaxMatchesDynamicPool checks PoolBatchTape's pooled
 // values and argmax ownership against per-tree DynamicPool plus the
-// cross-tree strict-greater ownership rule of the per-sample forward pass.
+// cross-tree strict-greater ownership rule of the per-sample forward pass,
+// on forests that share whole trees and subtrees with each other.
 func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const dim = 6
 	stack := NewStack([]int{dim, dim}, rng)
+	first := randomForest(rng, 2, dim)
+	grown := randomTree(rng, 5, dim)
 	forests := [][]*Tree{
-		randomForest(rng, 2, dim),
+		first,
 		{},
 		randomForest(rng, 3, dim),
 		randomForest(rng, 1, dim),
+		{first[1], NewNode(randomTree(rng, 1, dim).Data, grown, first[0])},
+		{grown},
 	}
-	var bb BatchBuilder[float64]
+	var tab Subtrees
 	var arena nn.Arena[float64]
-	batch := buildFlatBatch(&bb, forests, dim)
+	rows, roots := buildTable(&tab, forests, dim)
 	var tape StackBatchTape
-	stack.RecordBatch(&tape, batch, &arena)
+	stack.RecordBatch(&tape, &tab, rows, &arena)
 	out := tape.Output()
-	pooled, argmax := PoolForwardBatch(out, &arena, nil)
+	var pool PoolBatchTape
+	pooled := pool.Forward(&tab, out, dim, roots, &arena)
 
+	// under reports whether entry e lies in the subtree of entry root.
+	var under func(e, root int32) bool
+	under = func(e, root int32) bool {
+		return root >= 0 && (e == root || under(e, tab.Left[root]) || under(e, tab.Right[root]))
+	}
 	for s, f := range forests {
-		want := make([]float64, out.Channels)
+		want := make([]float64, dim)
 		for i := range want {
 			want[i] = math.Inf(-1)
 		}
@@ -166,42 +193,38 @@ func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 		for c := range want {
 			if math.IsInf(want[c], -1) {
 				want[c] = 0
-				if argmax[s*out.Channels+c] != -1 {
-					t.Errorf("sample %d channel %d: empty forest should have argmax -1", s, c)
+				if pool.argmax[s*dim+c] != -1 {
+					t.Errorf("forest %d channel %d: empty forest should have argmax -1", s, c)
 				}
 			}
-			if got := pooled[s*out.Channels+c]; got != want[c] {
-				t.Errorf("sample %d channel %d: pooled %v, want %v", s, c, got, want[c])
+			if got := pooled[s*dim+c]; got != want[c] {
+				t.Errorf("forest %d channel %d: pooled %v, want %v", s, c, got, want[c])
 			}
-			if n := argmax[s*out.Channels+c]; n >= 0 {
-				if batch.Sample[n] != s {
-					t.Errorf("sample %d channel %d: argmax node %d belongs to sample %d", s, c, n, batch.Sample[n])
+			if n := pool.argmax[s*dim+c]; n >= 0 {
+				if !slices.ContainsFunc(roots[s], func(r int32) bool { return under(int32(n), r) }) {
+					t.Errorf("forest %d channel %d: argmax row %d is not in the forest", s, c, n)
 				}
-				if out.Row(n)[c] != pooled[s*out.Channels+c] {
-					t.Errorf("sample %d channel %d: argmax node value %v != pooled %v", s, c, out.Row(n)[c], pooled[s*out.Channels+c])
+				if out[n*dim+c] != pooled[s*dim+c] {
+					t.Errorf("forest %d channel %d: argmax row value %v != pooled %v", s, c, out[n*dim+c], pooled[s*dim+c])
 				}
 			}
 		}
 	}
 
-	// PoolBackwardBatch scatters each (sample, channel) gradient onto exactly
-	// the argmax node.
+	// Backward adds each (forest, channel) gradient onto exactly the argmax
+	// row, summing where forests share it.
 	grad := make([]float64, len(pooled))
 	for i := range grad {
 		grad[i] = rng.NormFloat64()
 	}
-	gradNodes := PoolBackwardBatch(out, argmax, grad, &arena)
-	sum := 0.0
-	for _, v := range gradNodes {
-		sum += math.Abs(v)
-	}
-	wantSum := 0.0
-	for i, v := range grad {
-		if argmax[i] >= 0 {
-			wantSum += math.Abs(v)
+	gradRows := pool.Backward(grad, &arena)
+	want := make([]float64, len(gradRows))
+	for i, n := range pool.argmax {
+		if n >= 0 {
+			want[n*dim+i%dim] += grad[i]
 		}
 	}
-	if math.Abs(sum-wantSum) > 1e-12 {
-		t.Errorf("scattered gradient mass %v, want %v", sum, wantSum)
+	if !slices.Equal(gradRows, want) {
+		t.Errorf("scattered gradients %v, want %v", gradRows, want)
 	}
 }

@@ -18,16 +18,17 @@
 //   - the per-channel maximum of the last layer over the whole subtree —
 //     what dynamic pooling contributes for it.
 //
-// Subtrees are keyed by *treeconv.Tree: feature.PlanEncoder returns one tree
-// per structural hash within a search, so pointer identity is structural
-// identity there, and for trees that merely look alike it is conservative.
-// Score convolves the nodes it has no record of — one row per layer each,
-// through treeconv's row kernels — folds pool(node) = max(own, pool(left),
-// pool(right)), takes each forest's maximum over its roots' pools and runs
-// the head once per forest. Every record is kept; the memo is garbage when
-// the search drops its scorer.
+// Subtrees are interned in a treeconv.Subtrees table, all under one query
+// group, and record e belongs to entry e: feature.PlanEncoder returns one
+// tree per structural hash within a search, so pointer identity is
+// structural identity there, and for trees that merely look alike it is
+// conservative. A call's misses are the entries it added. Score convolves
+// them — one row per layer each, through treeconv's row kernels — folds
+// pool(node) = max(own, pool(left), pool(right)), takes each forest's
+// maximum over its roots' pools and runs the head once per forest. Every
+// record is kept; the table is garbage when the search drops its scorer.
 //
-// A score does not depend on what the memo holds: a node's row goes through
+// A score does not depend on what the table holds: a node's row goes through
 // the same kernel on the same operands whichever call convolves it, and a
 // row's result does not depend on the rows beside it (treeconv/rows.go); the
 // maxima are folded with a v > cur comparison from −Inf in pre-order —
@@ -57,19 +58,19 @@ const recordChunk = 64
 // subtree it has convolved. It belongs to one search: not safe for
 // concurrent use, and the trees it is shown must not be modified.
 type Scorer struct {
-	net   *Network                 // dimensions and the target transform
-	nf    *netF32                  // the kernels
-	query []float32                // the query tower's output
-	width []int                    // width[k]: output channels of conv layer k
-	off   []int                    // off[k]: where a record keeps layer k's slot
-	recW  int                      // values per record
-	memo  map[*treeconv.Tree]int32 // subtree → record
-	slab  [][]float32              // records, recordChunk to a chunk
+	net   *Network          // dimensions and the target transform
+	nf    *netF32           // the kernels
+	query []float32         // the query tower's output
+	width []int             // width[k]: output channels of conv layer k
+	off   []int             // off[k]: where a record keeps layer k's slot
+	recW  int               // values per record
+	tab   treeconv.Subtrees // subtree → entry, the index of its record
+	slab  [][]float32       // records, recordChunk to a chunk
 	stats ScorerStats
 
 	// Reused from call to call.
 	roots      []int32 // record of every non-nil root of the call, in order
-	leaf, full []miss  // nodes to convolve: childless, and with a child
+	leaf, full []int32 // the call's new entries: childless, and with a child
 	leafRows   []float32
 	fullRows   []float32
 	out        []float32
@@ -85,7 +86,7 @@ type ScorerStats struct {
 	// them from scratch would have convolved.
 	Nodes int
 	// Computed is the number of nodes actually convolved: the distinct
-	// subtrees seen. 1 − Computed/Nodes is the memo's hit share.
+	// subtrees seen. 1 − Computed/Nodes is the table's hit share.
 	Computed int
 }
 
@@ -96,7 +97,7 @@ func (s *Snapshot) NewScorer(queryVec []float64) *Scorer {
 	if len(queryVec) != n.queryDim {
 		panic("valuenet: query vector dimension mismatch")
 	}
-	sc := &Scorer{net: n, nf: &s.f32, memo: make(map[*treeconv.Tree]int32)}
+	sc := &Scorer{net: n, nf: &s.f32}
 	for _, l := range n.conv.Layers {
 		sc.off = append(sc.off, sc.recW)
 		sc.width = append(sc.width, l.OutChannels)
@@ -113,7 +114,7 @@ func (s *Snapshot) NewScorer(queryVec []float64) *Scorer {
 }
 
 // Score returns the cost predictions (in the original cost domain) for the
-// forests. A forest's score does not depend on what the memo held.
+// forests. A forest's score does not depend on what the table held.
 func (s *Scorer) Score(forests [][]*treeconv.Tree) []float64 {
 	out := s.normalized(forests)
 	for i, v := range out {
@@ -125,44 +126,11 @@ func (s *Scorer) Score(forests [][]*treeconv.Tree) []float64 {
 // Stats reports the work done so far.
 func (s *Scorer) Stats() ScorerStats { return s.stats }
 
-// miss is a subtree met for the first time: its record and its children's
-// (−1 for an absent child). Misses are listed children first.
-type miss struct {
-	t                *treeconv.Tree
-	rec, left, right int32
-}
-
 // slot returns layer k's slot of record rec: the root's activation for every
 // layer but the last, the subtree's pooled maximum for the last.
 func (s *Scorer) slot(rec int32, k int) []float32 {
 	base := int(rec)%recordChunk*s.recW + s.off[k]
 	return s.slab[int(rec)/recordChunk][base : base+s.width[k]]
-}
-
-// resolve returns t's record, listing t and every subtree of it that has
-// none yet as a miss.
-func (s *Scorer) resolve(t *treeconv.Tree) int32 {
-	if rec, ok := s.memo[t]; ok {
-		return rec
-	}
-	m := miss{t: t, left: -1, right: -1}
-	if t.Left != nil {
-		m.left = s.resolve(t.Left)
-	}
-	if t.Right != nil {
-		m.right = s.resolve(t.Right)
-	}
-	m.rec = int32(len(s.memo))
-	if int(m.rec)%recordChunk == 0 {
-		s.slab = append(s.slab, make([]float32, recordChunk*s.recW))
-	}
-	s.memo[t] = m.rec
-	if m.left < 0 && m.right < 0 {
-		s.leaf = append(s.leaf, m)
-	} else {
-		s.full = append(s.full, m)
-	}
-	return m.rec
 }
 
 // normalized is Score in normalised log-cost space: the head's outputs.
@@ -171,12 +139,23 @@ func (s *Scorer) normalized(forests [][]*treeconv.Tree) []float64 {
 		return nil
 	}
 	s.roots, s.leaf, s.full = s.roots[:0], s.leaf[:0], s.full[:0]
+	first := int32(s.tab.Len())
 	for _, f := range forests {
 		for _, t := range f {
 			if t != nil {
 				s.stats.Nodes += t.NumNodes()
-				s.roots = append(s.roots, s.resolve(t))
+				s.roots = append(s.roots, s.tab.Add(t, 0))
 			}
+		}
+	}
+	for e := first; e < int32(s.tab.Len()); e++ {
+		if int(e)%recordChunk == 0 {
+			s.slab = append(s.slab, make([]float32, recordChunk*s.recW))
+		}
+		if s.tab.Left[e] < 0 && s.tab.Right[e] < 0 {
+			s.leaf = append(s.leaf, e)
+		} else {
+			s.full = append(s.full, e)
 		}
 	}
 	s.stats.Plans += len(forests)
@@ -227,24 +206,24 @@ func (s *Scorer) convolve() {
 	for k, oc := range s.width {
 		s.leafRows = resize(s.leafRows, len(s.leaf)*in)
 		s.fullRows = resize(s.fullRows, len(s.full)*3*in)
-		for i, m := range s.leaf {
-			s.gather(s.leafRows[i*in:(i+1)*in], k, m.t, m.rec)
+		for i, e := range s.leaf {
+			s.gather(s.leafRows[i*in:(i+1)*in], k, e)
 		}
-		for i, m := range s.full {
+		for i, e := range s.full {
 			row := s.fullRows[i*3*in : (i+1)*3*in]
-			s.gather(row[:in], k, m.t, m.rec)
-			s.gather(row[in:2*in], k, m.t.Left, m.left)
-			s.gather(row[2*in:], k, m.t.Right, m.right)
+			s.gather(row[:in], k, e)
+			s.gather(row[in:2*in], k, s.tab.Left[e])
+			s.gather(row[2*in:], k, s.tab.Right[e])
 		}
 		s.out = resize(s.out, (len(s.leaf)+len(s.full))*oc)
 		s.nf.conv.ForwardRows(k, s.leafRows, s.fullRows, s.out)
 
 		if k < last {
-			for i, m := range s.leaf {
-				copy(s.slot(m.rec, k), s.out[i*oc:(i+1)*oc])
+			for i, e := range s.leaf {
+				copy(s.slot(e, k), s.out[i*oc:(i+1)*oc])
 			}
-			for i, m := range s.full {
-				copy(s.slot(m.rec, k), s.out[(len(s.leaf)+i)*oc:])
+			for i, e := range s.full {
+				copy(s.slot(e, k), s.out[(len(s.leaf)+i)*oc:])
 			}
 			in = oc
 			continue
@@ -254,44 +233,45 @@ func (s *Scorer) convolve() {
 		// the pre-order DynamicPool visits the nodes in, which decides which
 		// of two equal zeros of opposite sign survives. Children precede their
 		// parents in full, so their maxima are final when read.
-		for i, m := range s.leaf {
-			s.pool(m, s.out[i*oc:(i+1)*oc])
+		for i, e := range s.leaf {
+			s.pool(e, s.out[i*oc:(i+1)*oc])
 		}
-		for i, m := range s.full {
-			s.pool(m, s.out[(len(s.leaf)+i)*oc:])
+		for i, e := range s.full {
+			s.pool(e, s.out[(len(s.leaf)+i)*oc:])
 		}
 	}
 }
 
-// pool fills the pooled-maximum slot of m's record from m's own last-layer
-// activation and its children's maxima.
-func (s *Scorer) pool(m miss, own []float32) {
+// pool fills the pooled-maximum slot of entry e's record from e's own
+// last-layer activation and its children's maxima.
+func (s *Scorer) pool(e int32, own []float32) {
 	last := len(s.width) - 1
-	acc := s.slot(m.rec, last)
+	acc := s.slot(e, last)
 	negInf := float32(math.Inf(-1))
 	for c := range acc {
 		acc[c] = negInf
 	}
 	foldMax(acc, own)
-	if m.left >= 0 {
-		foldMax(acc, s.slot(m.left, last))
+	if l := s.tab.Left[e]; l >= 0 {
+		foldMax(acc, s.slot(l, last))
 	}
-	if m.right >= 0 {
-		foldMax(acc, s.slot(m.right, last))
+	if r := s.tab.Right[e]; r >= 0 {
+		foldMax(acc, s.slot(r, last))
 	}
 }
 
-// gather writes the operand a node contributes to a layer-k row: its plan
+// gather writes the operand entry e contributes to a layer-k row: its plan
 // vector followed by the query embedding for the first layer (the
 // float64→float32 input-encode boundary), its recorded activation of the
-// layer below otherwise, zeros for an absent child.
-func (s *Scorer) gather(dst []float32, k int, t *treeconv.Tree, rec int32) {
+// layer below otherwise, zeros for an absent child (e < 0).
+func (s *Scorer) gather(dst []float32, k int, e int32) {
 	switch {
-	case t == nil:
+	case e < 0:
 		clear(dst)
 	case k > 0:
-		copy(dst, s.slot(rec, k-1))
+		copy(dst, s.slot(e, k-1))
 	default:
+		t := s.tab.Tree[e]
 		if len(t.Data) != s.net.planDim {
 			panic("valuenet: plan vector dimension mismatch")
 		}

@@ -7,10 +7,12 @@
 //   - each shard runs ONE shared forward+backward pass: the query tower runs
 //     once per distinct query vector, as an input layer (its first layer
 //     visits only the encoding's non-zeros and computes no input gradient,
-//     see nn.MLP.RecordInput); spatial replication writes straight into a
-//     flattened forest batch; tree convolution / dynamic pooling / the head
-//     run over flat arrays with all scratch drawn from a per-shard arena and
-//     the tapes' headers reused from step to step,
+//     see nn.MLP.RecordInput); the shard's samples' roots go into a
+//     treeconv.Subtrees table, one entry per distinct (subtree, query), and
+//     spatial replication writes one row per entry; tree convolution runs
+//     over those rows, dynamic pooling folds each subtree's maximum once, and
+//     the head runs over one row per sample, all scratch drawn from a
+//     per-shard arena and the tapes' headers reused from step to step,
 //   - each shard accumulates gradients into shadow parameters (shared
 //     weights, private gradient buffers), and one optimizer pass
 //     (nn.Adam.StepShards) sums every element's shard gradients in shard
@@ -24,10 +26,11 @@
 // bit-identical for any worker count — TrainBatch sizes its pool from
 // GOMAXPROCS, and the workers only buy wall-clock time. Relative to the
 // per-sample path the batched pass performs the same per-element gradient
-// accumulation in the same order everywhere except the deduplicated query
-// tower, so the two paths agree to ~1e-9 per step (and exactly in every
-// test to date except the query MLP's gradients, which differ only in
-// floating-point association).
+// accumulation in the same order everywhere except where it sums before
+// backpropagating: the deduplicated query tower, and a subtree shared inside
+// a shard, whose one row backpropagates the sum of its uses' gradients. So
+// the two paths agree to ~1e-9 per step, and exactly apart from those sums'
+// floating-point association.
 package valuenet
 
 import (
@@ -43,64 +46,6 @@ import (
 // under the worker count.
 const trainShardSize = 8
 
-// assembly is the reusable state of a shard's forward prologue (see
-// assemble).
-type assembly[T nn.Float] struct {
-	builder treeconv.BatchBuilder[T]
-	qVecs   [][]float64 // distinct query vectors, in first-seen order
-	qIndex  []int       // sample -> index into qVecs
-	qFlat   []T         // flattened distinct query vectors
-}
-
-// assemble deduplicates the batch's query vectors, runs the query tower over
-// the distinct ones (tower maps len(qVecs)×queryDim values to len(qVecs)×qOut
-// embeddings) and spatially replicates the embeddings straight into the
-// flattened forest batch: each node row is the node's plan vector followed by
-// its sample's query embedding.
-//
-// Experience samples of the same query share one encoding slice, so
-// deduplicating by slice identity (sameSlice) runs the query tower once per
-// distinct query.
-func (as *assembly[T]) assemble(n *Network, queries [][]float64, forests [][]*treeconv.Tree, tower func(qFlat []T, distinct int) []T) *treeconv.Batch[T] {
-	as.qVecs = as.qVecs[:0]
-	as.qIndex = resize(as.qIndex, len(queries))
-	for s, q := range queries {
-		idx := -1
-		for u, uq := range as.qVecs {
-			if sameSlice(uq, q) {
-				idx = u
-				break
-			}
-		}
-		if idx < 0 {
-			idx = len(as.qVecs)
-			as.qVecs = append(as.qVecs, q)
-		}
-		as.qIndex[s] = idx
-	}
-	as.qFlat = as.qFlat[:0]
-	for _, q := range as.qVecs {
-		if len(q) != n.queryDim {
-			panic("valuenet: query vector dimension mismatch")
-		}
-		for _, v := range q {
-			as.qFlat = append(as.qFlat, T(v))
-		}
-	}
-	g := tower(as.qFlat, len(as.qVecs))
-	qOut := len(g) / len(as.qVecs)
-
-	return as.builder.Build(forests, n.planDim+qOut, func(sample int, node *treeconv.Tree, row []T) {
-		if len(node.Data) != n.planDim {
-			panic("valuenet: plan vector dimension mismatch")
-		}
-		for i, v := range node.Data {
-			row[i] = T(v)
-		}
-		copy(row[n.planDim:], g[as.qIndex[sample]*qOut:(as.qIndex[sample]+1)*qOut])
-	})
-}
-
 // trainShard holds one gradient worker's private state: shadow networks
 // sharing the live weights with private gradient buffers, plus all reusable
 // scratch for the shard's batched forward/backward pass.
@@ -109,14 +54,17 @@ type trainShard struct {
 	conv *treeconv.Stack
 	head *nn.MLP
 
-	arena nn.Arena[float64]
-	assembly[float64]
+	arena     nn.Arena[float64]
+	qVecs     [][]float64 // distinct query vectors, in first-seen order
+	qIndex    []int       // sample -> index into qVecs
+	qFlat     []float64   // flattened distinct query vectors
+	tab       treeconv.Subtrees
+	roots     []int32   // every sample's non-nil roots' entries, in order
+	forests   [][]int32 // per sample: its window of roots
 	queryTape nn.MLPBatchTape
 	convTape  treeconv.StackBatchTape
+	poolTape  treeconv.PoolBatchTape
 	headTape  nn.MLPBatchTape
-	queries   [][]float64
-	forests   [][]*treeconv.Tree
-	argmax    []int
 	loss      float64
 }
 
@@ -177,6 +125,69 @@ func (n *Network) TrainBatch(samples []Sample) float64 {
 	return total / float64(len(samples))
 }
 
+// assemble is the shard's forward prologue. It deduplicates the samples'
+// query vectors and runs the taped query tower over the distinct ones, as an
+// input layer; interns every sample's roots in the shard's subtree table
+// under the sample's distinct-query index; and spatially replicates the
+// embeddings into one row per table entry: the entry's plan vector followed
+// by its group's query embedding. It returns the rows and the embedding
+// width.
+//
+// Experience samples of the same query share one encoding slice, so
+// deduplicating by slice identity (sameSlice) runs the query tower once per
+// distinct query.
+func (sh *trainShard) assemble(n *Network, samples []Sample) (rows []float64, qOut int) {
+	sh.qVecs, sh.qFlat = sh.qVecs[:0], sh.qFlat[:0]
+	sh.qIndex = resize(sh.qIndex, len(samples))
+	for s, smp := range samples {
+		idx := -1
+		for u, uq := range sh.qVecs {
+			if sameSlice(uq, smp.Query) {
+				idx = u
+				break
+			}
+		}
+		if idx < 0 {
+			if len(smp.Query) != n.queryDim {
+				panic("valuenet: query vector dimension mismatch")
+			}
+			idx = len(sh.qVecs)
+			sh.qVecs = append(sh.qVecs, smp.Query)
+			sh.qFlat = append(sh.qFlat, smp.Query...)
+		}
+		sh.qIndex[s] = idx
+	}
+	sh.qmlp.RecordInput(&sh.queryTape, sh.qFlat, len(sh.qVecs), &sh.arena)
+	g := sh.queryTape.Output()
+	qOut = len(g) / len(sh.qVecs)
+
+	sh.tab.Reset()
+	sh.roots, sh.forests = sh.roots[:0], sh.forests[:0]
+	for s, smp := range samples {
+		start := len(sh.roots)
+		for _, t := range smp.Plan {
+			if t != nil {
+				sh.roots = append(sh.roots, sh.tab.Add(t, int32(sh.qIndex[s])))
+			}
+		}
+		// A window keeps its values when a later append moves roots.
+		sh.forests = append(sh.forests, sh.roots[start:])
+	}
+
+	channels := n.planDim + qOut
+	rows = sh.arena.Alloc(sh.tab.Len() * channels)
+	for e, t := range sh.tab.Tree {
+		if len(t.Data) != n.planDim {
+			panic("valuenet: plan vector dimension mismatch")
+		}
+		row := rows[e*channels : (e+1)*channels]
+		copy(row, t.Data)
+		group := int(sh.tab.Group[e])
+		copy(row[n.planDim:], g[group*qOut:(group+1)*qOut])
+	}
+	return rows, qOut
+}
+
 // run executes one shard's shared forward+backward pass, leaving the
 // shard's gradient contribution in its shadow parameters and the summed L2
 // loss in sh.loss.
@@ -185,24 +196,11 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 	a := &sh.arena
 	rows := len(samples)
 
-	sh.queries, sh.forests = sh.queries[:0], sh.forests[:0]
-	for _, smp := range samples {
-		sh.queries = append(sh.queries, smp.Query)
-		sh.forests = append(sh.forests, smp.Plan)
-	}
-	// The prologue, with a taped query tower reading the deduplicated
-	// encodings as an input layer.
-	batch := sh.assemble(n, sh.queries, sh.forests, func(qFlat []float64, distinct int) []float64 {
-		sh.qmlp.RecordInput(&sh.queryTape, qFlat, distinct, a)
-		return sh.queryTape.Output()
-	})
-	channels := batch.Channels
-	qOut := channels - n.planDim
-
-	sh.conv.RecordBatch(&sh.convTape, batch, a)
-	convOut := sh.convTape.Output()
-	pooled, argmax := treeconv.PoolForwardBatch(convOut, a, sh.argmax)
-	sh.argmax = argmax
+	in, qOut := sh.assemble(n, samples)
+	channels := n.planDim + qOut
+	sh.conv.RecordBatch(&sh.convTape, &sh.tab, in, a)
+	dim := sh.conv.Layers[len(sh.conv.Layers)-1].OutChannels
+	pooled := sh.poolTape.Forward(&sh.tab, sh.convTape.Output(), dim, sh.forests, a)
 	sh.head.RecordBatch(&sh.headTape, pooled, rows, a)
 	out := sh.headTape.Output()
 
@@ -216,19 +214,20 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 	sh.loss = loss
 
 	gradPooled := sh.head.BackwardBatch(&sh.headTape, gradOut, a)
-	gradNodes := treeconv.PoolBackwardBatch(convOut, sh.argmax, gradPooled, a)
-	gradAug := sh.conv.BackwardBatch(&sh.convTape, gradNodes, a)
+	gradRows := sh.poolTape.Backward(gradPooled, a)
+	gradAug := sh.conv.BackwardBatch(&sh.convTape, gradRows, a)
 
-	// Split the augmented-node gradients: the plan-feature part is an input
+	// Split the augmented-row gradients: the plan-feature part is an input
 	// (no gradient consumer); the query part accumulates per distinct query
-	// in flattened node order — sample-major, the per-sample walk order.
+	// in the table's first-visit pre-order — sample-major, the per-sample
+	// walk order.
 	qGrad := a.Alloc(len(sh.qVecs) * qOut)
 	for i := range qGrad {
 		qGrad[i] = 0
 	}
-	for node := 0; node < batch.N; node++ {
-		dst := qGrad[sh.qIndex[batch.Sample[node]]*qOut:]
-		row := gradAug[node*channels+n.planDim : (node+1)*channels]
+	for _, e := range sh.tab.Pre {
+		dst := qGrad[int(sh.tab.Group[e])*qOut:]
+		row := gradAug[int(e)*channels+n.planDim : int(e+1)*channels]
 		for j, v := range row {
 			dst[j] += v
 		}

@@ -87,6 +87,107 @@ func TestTrainBatchMatchesPerSample(t *testing.T) {
 	}
 }
 
+// sharedSamples builds 10 samples shaped like an experience entry's
+// construction states: per entry, its leaves, then forests that join them
+// bottom-up, all sharing the entry's subtree pointers. Entry 0's states are
+// trained under two query vectors, so the same trees meet both.
+func sharedSamples(rng *rand.Rand, queryDim, planDim int) []Sample {
+	qa, qb := randVec(rng, queryDim), randVec(rng, queryDim)
+	var out []Sample
+	add := func(q []float64, forest ...*treeconv.Tree) {
+		out = append(out, Sample{Query: q, Plan: forest, Target: math.Exp(rng.NormFloat64() * 3)})
+	}
+	for entry := 0; entry < 2; entry++ {
+		leaf := func() *treeconv.Tree { return treeconv.NewLeaf(randVec(rng, planDim)) }
+		l1, l2, l3, l4 := leaf(), leaf(), leaf(), leaf()
+		j12 := treeconv.NewNode(randVec(rng, planDim), l1, l2)
+		j34 := treeconv.NewNode(randVec(rng, planDim), l3, l4)
+		root := treeconv.NewNode(randVec(rng, planDim), j12, j34)
+		add(qa, l1, l2, l3, l4)
+		add(qa, j12, l3, l4)
+		add(qa, j12, j34)
+		add(qa, root)
+		if entry == 0 {
+			add(qb, j12, j34)
+			add(qb, root)
+		}
+	}
+	return out
+}
+
+// TestTrainBatchSharedSubtrees feeds TrainBatch minibatches whose samples
+// share subtrees inside a shard. Each shard's table must hold exactly the
+// distinct (tree, query) pairs — one row per subtree per query vector — and
+// training must stay within 1e-9 of the per-sample reference, where every
+// occurrence of a subtree backpropagates separately, and bit-identical
+// across GOMAXPROCS.
+func TestTrainBatchSharedSubtrees(t *testing.T) {
+	const queryDim, planDim = 9, 7
+	samples := sharedSamples(rand.New(rand.NewSource(8)), queryDim, planDim)
+	cfg := DefaultConfig()
+	cfg.Seed = 13
+
+	setProcs(t, 1)
+	batched, perSample := cloneFor(t, cfg, queryDim, planDim)
+	for step := 0; step < 3; step++ {
+		lb := batched.TrainBatch(samples)
+		lp := perSample.TrainBatchPerSample(samples)
+		if math.Abs(lb-lp) > 1e-9 {
+			t.Errorf("step %d: loss diverged: batched %v, per-sample %v", step, lb, lp)
+		}
+	}
+	if d := maxParamDiff(batched, perSample); d > 1e-9 {
+		t.Errorf("max weight difference %g after 3 steps, want <= 1e-9", d)
+	}
+
+	for s, sh := range batched.train.shards {
+		type pair struct {
+			t     *treeconv.Tree
+			query *float64
+		}
+		want := map[pair]bool{}
+		for _, smp := range samples[s*trainShardSize : min((s+1)*trainShardSize, len(samples))] {
+			for _, root := range smp.Plan {
+				root.Walk(func(n *treeconv.Tree) { want[pair{n, &smp.Query[0]}] = true })
+			}
+		}
+		got := map[pair]int{}
+		for e, n := range sh.tab.Tree {
+			got[pair{n, &sh.qVecs[sh.tab.Group[e]][0]}]++
+		}
+		if sh.tab.Len() != len(want) || len(got) != len(want) {
+			t.Fatalf("shard %d: %d rows, %d distinct, want the %d distinct (tree, query) pairs", s, sh.tab.Len(), len(got), len(want))
+		}
+		for p := range want {
+			if got[p] != 1 {
+				t.Errorf("shard %d: %d rows for a (tree, query) pair, want 1", s, got[p])
+			}
+		}
+	}
+	// Shard 0 holds entry 0's states under both query vectors: its joined
+	// root has a row for each.
+	root := samples[3].Plan[0]
+	rows := 0
+	for _, n := range batched.train.shards[0].tab.Tree {
+		if n == root {
+			rows++
+		}
+	}
+	if rows != 2 {
+		t.Errorf("a tree met under two query vectors has %d rows, want 2", rows)
+	}
+
+	setProcs(t, 4)
+	wide := New(queryDim, planDim, cfg)
+	wide.FitTargetTransform([]float64{1, 10, 100, 1000})
+	for step := 0; step < 3; step++ {
+		wide.TrainBatch(samples)
+	}
+	if d := maxParamDiff(batched, wide); d != 0 {
+		t.Errorf("GOMAXPROCS 4 weights differ from GOMAXPROCS 1 by %g, want bit-identical", d)
+	}
+}
+
 // TestTrainBatchWorkerInvariance pins the determinism contract of the
 // sharded gradient reduction: trained weights are bit-identical for every
 // GOMAXPROCS, because the shard partition and reduction order depend only on

@@ -9,7 +9,6 @@ import (
 	"neo/internal/embedding"
 	"neo/internal/engine"
 	"neo/internal/executor"
-	"neo/internal/experiments"
 	"neo/internal/expert"
 	"neo/internal/feature"
 	"neo/internal/nn"
@@ -63,10 +62,6 @@ type (
 	BatchScorer = search.BatchScorer
 	// EpisodeStats summarises one training episode.
 	EpisodeStats = core.EpisodeStats
-	// ExperimentReport is the tabular output of one reproduction experiment.
-	ExperimentReport = experiments.Report
-	// ExperimentConfig scales the experiment suite.
-	ExperimentConfig = experiments.Config
 	// ValueNetConfig configures the value-network architecture.
 	ValueNetConfig = valuenet.Config
 	// SnapshotInfo describes the serving snapshot's memory footprint (see
@@ -540,28 +535,6 @@ func (s *System) Compare(q *Query) (neoLatency, nativeLatency float64, err error
 func (s *System) TrueCardinality(q *Query) (float64, error) {
 	return executor.New(s.DB).Count(q)
 }
-
-// Experiments constructs an experiment environment sharing this package's
-// defaults; use it with RunExperiment to regenerate the paper's tables and
-// figures programmatically.
-func Experiments(cfg ExperimentConfig) (*experiments.Env, error) {
-	return experiments.NewEnv(cfg)
-}
-
-// RunExperiment runs one named reproduction experiment ("table2", "fig9" …
-// "fig17", "nodemo", "searchvsgreedy", "treeconvvsflat").
-func RunExperiment(name string, env *experiments.Env) (*ExperimentReport, error) {
-	return experiments.Run(name, env)
-}
-
-// ExperimentNames lists the available reproduction experiments.
-func ExperimentNames() []string { return experiments.Names() }
-
-// QuickExperiments returns the laptop-scale experiment configuration.
-func QuickExperiments() ExperimentConfig { return experiments.Quick() }
-
-// FullExperiments returns the paper-scale experiment configuration.
-func FullExperiments() ExperimentConfig { return experiments.Full() }
 
 // NewQuery constructs a query from relations, join predicates and column
 // predicates (a thin convenience wrapper over the internal constructor).

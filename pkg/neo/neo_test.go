@@ -122,38 +122,6 @@ func TestUnseenWorkload(t *testing.T) {
 	}
 }
 
-func TestExperimentFacade(t *testing.T) {
-	names := ExperimentNames()
-	if len(names) == 0 {
-		t.Fatalf("no experiments registered")
-	}
-	q := QuickExperiments()
-	f := FullExperiments()
-	if f.Episodes <= q.Episodes {
-		t.Errorf("full config should use more episodes than quick")
-	}
-	// Building an env and running the cheapest experiment exercises the whole
-	// facade path.
-	cfg := q
-	cfg.Scale = 0.15
-	cfg.TrainQueries, cfg.TestQueries = 4, 2
-	cfg.Episodes = 1
-	cfg.Engines = []string{"postgres"}
-	cfg.Workloads = []string{"job"}
-	cfg.EmbeddingDim = 6
-	env, err := Experiments(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunExperiment("table2", env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Name != "table2" || len(rep.Rows) == 0 {
-		t.Errorf("report malformed: %+v", rep)
-	}
-}
-
 func TestDiskEngineEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	sys, err := Open(Config{
