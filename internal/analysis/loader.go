@@ -285,8 +285,8 @@ func (l *Loader) load(path string) (*Package, error) {
 }
 
 // sourceFiles lists the non-test Go files of dir that build under the
-// current GOOS/GOARCH and build tags (so e.g. gemm_amd64.go and
-// gemm_other.go never collide), in name order.
+// current GOOS/GOARCH and build tags (so e.g. kernels_amd64.go and
+// kernels_other.go never collide), in name order.
 func (l *Loader) sourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

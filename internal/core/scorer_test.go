@@ -100,7 +100,7 @@ func TestSearchScoresMatchPredictBatch(t *testing.T) {
 	}
 	t.Run("f32", run)
 	t.Run("f32-scalar", func(t *testing.T) {
-		defer nn.SetScalarGemmForTest(nn.SetScalarGemmForTest(true))
+		defer nn.SetScalarKernelsForTest(nn.SetScalarKernelsForTest(true))
 		run(t)
 	})
 }

@@ -70,13 +70,20 @@ func LeakyInPlace[T Float](xs []T, alpha T) {
 
 // ForwardBatch computes y = W·x + b for rows row-major input rows stored
 // contiguously in xs (rows×In values) and returns rows×Out values allocated
-// from the arena.
+// from the arena. With a Packed copy of the weights and the vector kernels
+// it runs the panel kernel, which adds in the same order.
 func (l *Linear) ForwardBatch(xs []float64, rows int, a *Arena[float64]) []float64 {
 	if len(xs) != rows*l.In {
 		panic("nn: Linear.ForwardBatch input size mismatch")
 	}
 	ys := a.Alloc(rows * l.Out)
 	in := l.In
+	if l.Packed != nil && useAVX2 {
+		for r := 0; r < rows; r++ {
+			l.Packed.Forward(ys[r*l.Out:(r+1)*l.Out], xs[r*in:(r+1)*in])
+		}
+		return ys
+	}
 	for r := 0; r < rows; r++ {
 		x := xs[r*in : (r+1)*in]
 		y := ys[r*l.Out : (r+1)*l.Out]

@@ -29,9 +29,9 @@ func toF32(xs []float64) []float32 {
 // both code paths.
 func eachKernel(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	defer SetScalarGemmForTest(SetScalarGemmForTest(false))
+	defer SetScalarKernelsForTest(SetScalarKernelsForTest(false))
 	t.Run("native", fn)
-	SetScalarGemmForTest(true)
+	SetScalarKernelsForTest(true)
 	t.Run("scalar", fn)
 }
 

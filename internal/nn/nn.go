@@ -7,7 +7,8 @@
 // this file are the reference every other path is parity-tested against;
 // f32.go holds the float32 kernels plan search scores with; batch.go and
 // train.go hold the float64 training tape, its forward and its backward
-// pass. Training is not a side
+// pass, and f64.go the AVX2 kernels that run the tape's and the optimizer's
+// hot loops bit-identically to their Go loops. Training is not a side
 // show: a retraining round is 60–70 % of a learning cycle (the rest is
 // planning and execution), so the tape and the optimizer step are written to
 // do only the work that can change a weight.
@@ -48,6 +49,11 @@ type Linear struct {
 	In, Out int
 	W       *Param // Out×In, row-major
 	B       *Param // Out
+
+	// Packed, when set, is W and B transposed for the vector forward
+	// kernel, which ForwardBatch then runs when VectorKernels. Whoever sets
+	// it must Pack it after every change to W or B.
+	Packed *PackedF64
 }
 
 // NewLinear creates a fully connected layer with Kaiming-uniform
@@ -68,6 +74,9 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
+
+// Pack refills l.Packed from W and B.
+func (l *Linear) Pack() { l.Packed.Pack(l.In, l.Out, l.B.Value, l.W.Value) }
 
 // Forward computes W·x + b.
 func (l *Linear) Forward(x []float64) []float64 {
@@ -396,9 +405,9 @@ func (a *Adam) StepShards(params []*Param, shards [][]*Param, batchSize, workers
 		batchSize = 1
 	}
 	a.step++
-	scale := 1.0 / float64(batchSize)
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	c := a.consts(1.0/float64(batchSize),
+		1-math.Pow(a.Beta1, float64(a.step)),
+		1-math.Pow(a.Beta2, float64(a.step)))
 	a.spans = a.spans[:0]
 	for pi, p := range params {
 		if _, ok := a.m[p]; !ok {
@@ -431,44 +440,15 @@ func (a *Adam) StepShards(params []*Param, shards [][]*Param, batchSize, workers
 		p := params[s.p]
 		m, v := a.m[p], a.v[p]
 		if s.live == nil {
-			a.updateSpan(p, shards, s.p, m, v, s.lo, s.hi, scale, bc1, bc2)
+			a.updateSpan(p, shards, s.p, m, v, s.lo, s.hi, &c)
 			return
 		}
 		for row := s.lo; row < s.hi; row += s.live.in {
 			for _, r := range s.live.runs {
-				a.updateSpan(p, shards, s.p, m, v, row+r[0], row+r[1], scale, bc1, bc2)
+				a.updateSpan(p, shards, s.p, m, v, row+r[0], row+r[1], &c)
 			}
 		}
 	})
-}
-
-// updateSpan reduces, updates and clears elements lo..hi of p, which is
-// parameter pi of every shard, with moments m and v. An element whose
-// gradient and both moments are zero is left alone: its update would store
-// the same zero moments and subtract LR·0/(0+Eps) = 0 from the value.
-func (a *Adam) updateSpan(p *Param, shards [][]*Param, pi int, m, v []float64, lo, hi int, scale, bc1, bc2 float64) {
-	grad := p.Grad[lo:hi]
-	for _, sh := range shards {
-		sg := sh[pi].Grad[lo:hi]
-		for j, g := range sg {
-			grad[j] += g
-			sg[j] = 0
-		}
-	}
-	value := p.Value[lo:hi]
-	m, v = m[lo:hi], v[lo:hi]
-	for i := range value {
-		g := grad[i]*scale + a.WeightDecay*value[i]
-		grad[i] = 0
-		if g == 0 && m[i] == 0 && v[i] == 0 {
-			continue
-		}
-		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-		mhat := m[i] / bc1
-		vhat := v[i] / bc2
-		value[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-	}
 }
 
 // MLP is a stack of Linear layers with leaky-ReLU activations (and optional

@@ -262,8 +262,8 @@ func (l *Linear) backwardInput(nz *sparseRows, gradOut []float64) {
 
 // BackwardBatch accumulates parameter gradients for rows input rows and
 // their output gradients, and returns the input-gradient matrix. Row r is
-// processed exactly like Backward(x_r, gradOut_r), and parameter gradients
-// accumulate in row order.
+// processed exactly like Backward(x_r, gradOut_r), four outputs at a time
+// through Backward4, and parameter gradients accumulate in row order.
 func (l *Linear) BackwardBatch(xs, gradOut []float64, rows int, a *Arena[float64]) []float64 {
 	if len(xs) != rows*l.In || len(gradOut) != rows*l.Out {
 		panic("nn: Linear.BackwardBatch size mismatch")
@@ -276,7 +276,14 @@ func (l *Linear) BackwardBatch(xs, gradOut []float64, rows int, a *Arena[float64
 		x := xs[r*l.In : (r+1)*l.In]
 		gout := gradOut[r*l.Out : (r+1)*l.Out]
 		gin := gradIn[r*l.In : (r+1)*l.In]
-		for o := 0; o < l.Out; o++ {
+		o := 0
+		for ; o+4 <= l.Out; o += 4 {
+			for k, g := range gout[o : o+4] {
+				l.B.Grad[o+k] += g
+			}
+			Backward4(l.W, l.In, o, gout[o:o+4], x, gin)
+		}
+		for ; o < l.Out; o++ {
 			g := gout[o]
 			l.B.Grad[o] += g
 			row := l.W.Value[o*l.In : (o+1)*l.In]

@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"neo/internal/nn"
 	"neo/pkg/neo"
 )
 
@@ -55,8 +56,15 @@ func (d *Daemon) Open(bootstrap bool) (*neo.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("%s: dataset=%s engine=%s encoding=%s rows=%d\n",
-		d.Name, sys.Config.Dataset, sys.Config.Engine, sys.Config.Encoding, sys.DB.TotalRows())
+	// kernels names the training kernels this host runs: the AVX2 assembly
+	// or the portable Go loops, which retrain ~1.5× slower with the same
+	// result.
+	kernels := "scalar"
+	if nn.VectorKernels() {
+		kernels = "avx2"
+	}
+	fmt.Printf("%s: dataset=%s engine=%s encoding=%s rows=%d kernels=%s\n",
+		d.Name, sys.Config.Dataset, sys.Config.Engine, sys.Config.Encoding, sys.DB.TotalRows(), kernels)
 	restored, err := sys.WarmStart(d.Load, d.Checkpoint)
 	switch {
 	case err != nil:

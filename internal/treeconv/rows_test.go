@@ -108,10 +108,10 @@ func TestStackF32MatchesFloat64(t *testing.T) {
 		stack32 := NewStackF32(stack)
 		oc := stack.Layers[k].OutChannels
 		for _, scalar := range []bool{false, true} {
-			prev := nn.SetScalarGemmForTest(scalar)
+			prev := nn.SetScalarKernelsForTest(scalar)
 			out32 := make([]float32, len(want)*oc)
 			stack32.ForwardRows(k, toF32(leaf), toF32(full), out32)
-			nn.SetScalarGemmForTest(prev)
+			nn.SetScalarKernelsForTest(prev)
 			for r, n := range want {
 				for c, w := range n.Data {
 					got := float64(out32[r*oc+c])

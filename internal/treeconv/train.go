@@ -98,17 +98,24 @@ func (s *Stack) RecordBatch(t *StackBatchTape, tab *Subtrees, in []float64, a *n
 // accumulator bit-identical up to the sign of zero, which compares equal) and
 // join nodes run a 4-way-unrolled kernel whose per-channel operation order
 // matches Layer.convolve exactly; one-child nodes convolve against explicit
-// zero padding exactly like Layer.convolve.
+// zero padding exactly like Layer.convolve. With a Packed copy of the
+// weights and the vector kernels, the panel kernel (nn.PackedF64) does each
+// of the three in the same order, four channels per vector.
 func (l *Layer) convBatchPre(tab *Subtrees, in, pre, zeros []float64) {
 	ic := l.InChannels
 	row := func(n int32) []float64 { return in[int(n)*ic : int(n+1)*ic] }
+	vector := l.Packed != nil && nn.VectorKernels()
 	for n := range int32(tab.Len()) {
 		x := row(n)
 		y := pre[int(n)*l.OutChannels : int(n+1)*l.OutChannels]
 		li, ri := tab.Left[n], tab.Right[n]
 		switch {
+		case li < 0 && ri < 0 && vector:
+			l.Packed.Forward(y, x)
 		case li < 0 && ri < 0:
 			l.convLeafPre(x, y)
+		case li >= 0 && ri >= 0 && vector:
+			l.Packed.Forward3(y, x, row(li), row(ri))
 		case li >= 0 && ri >= 0:
 			l.convBothPre(x, row(li), row(ri), y)
 		default:
@@ -118,6 +125,10 @@ func (l *Layer) convBatchPre(tab *Subtrees, in, pre, zeros []float64) {
 			}
 			if ri >= 0 {
 				xr = row(ri)
+			}
+			if vector {
+				l.Packed.Forward3(y, x, xl, xr)
+				continue
 			}
 			for o := 0; o < l.OutChannels; o++ {
 				sum := l.Bias.Value[o]
@@ -294,11 +305,11 @@ func (l *Layer) backwardBatchNodes(tab *Subtrees, in, gradPre, gradIn []float64)
 // filterbank w applied to the input row x, whose gradient row is gin. A zero
 // channel gradient contributes nothing and is skipped — most of the last
 // layer, where dynamic pooling routes each channel's gradient to one node per
-// sample; four consecutive non-zero ones go through backward4.
+// sample; four consecutive non-zero ones go through nn.Backward4.
 func backwardBank(w *nn.Param, ic int, gp, x, gin []float64) {
 	for o := 0; o < len(gp); {
 		if o+4 <= len(gp) && gp[o] != 0 && gp[o+1] != 0 && gp[o+2] != 0 && gp[o+3] != 0 {
-			backward4(w, ic, o, gp[o:o+4], x, gin)
+			nn.Backward4(w, ic, o, gp[o:o+4], x, gin)
 			o += 4
 			continue
 		}
@@ -311,33 +322,6 @@ func backwardBank(w *nn.Param, ic int, gp, x, gin []float64) {
 			}
 		}
 		o++
-	}
-}
-
-// backward4 is backwardBank's kernel for output channels o..o+3 (gradients
-// g): each input is loaded once for the four filter-gradient rows, and each
-// element of gin stays in a register while the four channels add to it in
-// ascending order. Working on one bank keeps the loop's ten row pointers in
-// registers.
-func backward4(w *nn.Param, ic, o int, g, x, gin []float64) {
-	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
-	val := w.Value[o*ic : (o+4)*ic]
-	grad := w.Grad[o*ic : (o+4)*ic]
-	w0, w1, w2, w3 := val[:ic], val[ic:][:ic], val[2*ic:][:ic], val[3*ic:][:ic]
-	wg0, wg1, wg2, wg3 := grad[:ic], grad[ic:][:ic], grad[2*ic:][:ic], grad[3*ic:][:ic]
-	x, gin = x[:ic], gin[:ic]
-	for i := 0; i < ic; i++ {
-		xv := x[i]
-		wg0[i] += g0 * xv
-		wg1[i] += g1 * xv
-		wg2[i] += g2 * xv
-		wg3[i] += g3 * xv
-		t := gin[i]
-		t += g0 * w0[i]
-		t += g1 * w1[i]
-		t += g2 * w2[i]
-		t += g3 * w3[i]
-		gin[i] = t
 	}
 }
 

@@ -228,3 +228,62 @@ func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 		t.Errorf("scattered gradients %v, want %v", gradRows, want)
 	}
 }
+
+// TestPackedConvMatchesGoLoops: for every width 1–37 of input and output
+// channels, the panel kernels convolve leaves, joins and one-child nodes of
+// both sides bit-identically to the Go loops, over weights and rows holding
+// ±0.
+func TestPackedConvMatchesGoLoops(t *testing.T) {
+	if !nn.VectorKernels() {
+		t.Skip("no AVX2: only the Go loops exist on this host")
+	}
+	rng := rand.New(rand.NewSource(8))
+	signed := func(xs []float64) {
+		for i := range xs {
+			switch rng.Intn(8) {
+			case 0:
+				xs[i] = 0
+			case 1:
+				xs[i] = math.Copysign(0, -1)
+			default:
+				xs[i] = rng.NormFloat64()
+			}
+		}
+	}
+	leaf := func() *Tree { return NewLeaf(nil) }
+	forest := []*Tree{
+		NewNode(nil, leaf(), leaf()),
+		NewNode(nil, leaf(), nil),
+		NewNode(nil, nil, NewNode(nil, leaf(), leaf())),
+	}
+	var tab Subtrees
+	for _, tr := range forest {
+		tab.Add(tr, 0)
+	}
+	for ic := 1; ic <= 37; ic++ {
+		for oc := 1; oc <= 37; oc++ {
+			l := NewLayer(ic, oc, rng)
+			for _, p := range l.Params() {
+				signed(p.Value)
+			}
+			in := make([]float64, tab.Len()*ic)
+			signed(in)
+			zeros := make([]float64, ic)
+			conv := func(scalar bool) []float64 {
+				pre := make([]float64, tab.Len()*oc)
+				defer nn.SetScalarKernelsForTest(nn.SetScalarKernelsForTest(scalar))
+				l.convBatchPre(&tab, in, pre, zeros)
+				return pre
+			}
+			want := conv(true)
+			l.Packed = new(nn.PackedF64)
+			l.Pack()
+			got := conv(false)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("ic=%d oc=%d: entry %d channel %d: kernel %v, Go loop %v", ic, oc, i/oc, i%oc, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -74,6 +74,17 @@ type Layer struct {
 	EP, EL, ER *nn.Param
 	Bias       *nn.Param
 	Act        *nn.LeakyReLU
+
+	// Packed, when set, is [EP; EL; ER] and Bias transposed for the vector
+	// forward kernel, which Stack.RecordBatch then runs when
+	// nn.VectorKernels. Whoever sets it must Pack it after every change to
+	// the weights.
+	Packed *nn.PackedF64
+}
+
+// Pack refills l.Packed from the layer's weights.
+func (l *Layer) Pack() {
+	l.Packed.Pack(l.InChannels, l.OutChannels, l.Bias.Value, l.EP.Value, l.EL.Value, l.ER.Value)
 }
 
 // NewLayer creates a tree convolution layer with random initialisation.

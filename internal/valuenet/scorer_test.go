@@ -21,7 +21,7 @@ import (
 func eachKernel(t *testing.T, net *Network, fn func(t *testing.T, snap *Snapshot)) {
 	t.Run("f32", func(t *testing.T) { fn(t, net.Snapshot()) })
 	t.Run("f32-scalar", func(t *testing.T) {
-		defer nn.SetScalarGemmForTest(nn.SetScalarGemmForTest(true))
+		defer nn.SetScalarKernelsForTest(nn.SetScalarKernelsForTest(true))
 		fn(t, net.Snapshot())
 	})
 }

@@ -78,12 +78,20 @@ type trainer struct {
 	params  []*nn.Param
 	shadows [][]*nn.Param
 	shards  []*trainShard
+	// packed holds the transposed weights of the dense layers every shard's
+	// forward pass reads when the vector kernels run (see sharePacked). pack
+	// refills them at the start of every step, so they never outlive a
+	// weight change: an Adam step, a Load or a Restore.
+	packed []*nn.PackedF64
 }
 
 // growShards makes sure shards 0..num-1 exist.
 func (n *Network) growShards(num int) {
 	if n.train == nil {
 		n.train = &trainer{params: n.Params()}
+		for range len(n.qmlp.Linears) - 1 + len(n.conv.Layers) + len(n.head.Linears) {
+			n.train.packed = append(n.train.packed, new(nn.PackedF64))
+		}
 	}
 	for len(n.train.shards) < num {
 		sh := &trainShard{
@@ -91,12 +99,42 @@ func (n *Network) growShards(num int) {
 			conv: n.conv.ShadowGrad(),
 			head: n.head.ShadowGrad(),
 		}
+		sh.sharePacked(n.train.packed)
 		var shadow []*nn.Param
 		shadow = append(shadow, sh.qmlp.Params()...)
 		shadow = append(shadow, sh.conv.Params()...)
 		shadow = append(shadow, sh.head.Params()...)
 		n.train.shards = append(n.train.shards, sh)
 		n.train.shadows = append(n.train.shadows, shadow)
+	}
+}
+
+// sharePacked points the shard's dense layers — the query tower past its
+// input layer, the convolution layers, the head — at packed, in that order.
+func (sh *trainShard) sharePacked(packed []*nn.PackedF64) {
+	for _, l := range sh.qmlp.Linears[1:] {
+		l.Packed, packed = packed[0], packed[1:]
+	}
+	for _, l := range sh.conv.Layers {
+		l.Packed, packed = packed[0], packed[1:]
+	}
+	for _, l := range sh.head.Linears {
+		l.Packed, packed = packed[0], packed[1:]
+	}
+}
+
+// pack refills the packed weights every shard shares from the live ones,
+// through shard 0's layers.
+func (tr *trainer) pack() {
+	sh := tr.shards[0]
+	for _, l := range sh.qmlp.Linears[1:] {
+		l.Pack()
+	}
+	for _, l := range sh.conv.Layers {
+		l.Pack()
+	}
+	for _, l := range sh.head.Linears {
+		l.Pack()
 	}
 }
 
@@ -111,6 +149,9 @@ func (n *Network) TrainBatch(samples []Sample) float64 {
 	}
 	numShards := (len(samples) + trainShardSize - 1) / trainShardSize
 	n.growShards(numShards) // up front, so workers never mutate the shard slice
+	if nn.VectorKernels() {
+		n.train.pack()
+	}
 	workers := runtime.GOMAXPROCS(0)
 	nn.Parallel(workers, numShards, func(i int) {
 		lo := i * trainShardSize

@@ -3,6 +3,7 @@ package valuenet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"neo/internal/treeconv"
@@ -213,18 +214,42 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainBatch times one TrainBatch step on a minibatch shaped like
+// measured retraining traffic: DefaultConfig over the IMDB encoding widths
+// (a 761-wide query encoding about 5 % non-zero, 23-wide node vectors), 16
+// samples (core's BatchSize) drawn from the construction states of 25
+// queries' plans of 4–8 relations — samples of one query share its encoding
+// slice and their plan's subtrees, as core builds them.
 func BenchmarkTrainBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	n := New(60, 22, DefaultConfig())
-	var samples []Sample
-	for i := 0; i < 16; i++ {
-		q := make([]float64, 60)
+	const queryDim, planDim = 761, 23
+	n := New(queryDim, planDim, DefaultConfig())
+	var pool []Sample
+	for qi := 0; qi < 25; qi++ {
+		q := make([]float64, queryDim)
 		for j := range q {
-			q[j] = rng.Float64()
+			if rng.Float64() < 0.05 {
+				q[j] = rng.Float64()
+			}
 		}
-		samples = append(samples, Sample{Query: q, Plan: []*treeconv.Tree{synthTree(rng, 22, 2)}, Target: float64(10 + i)})
+		// The all-leaves state, then one state per join, bottom-up.
+		forest := make([]*treeconv.Tree, 4+rng.Intn(5))
+		for i := range forest {
+			forest[i] = synthTree(rng, planDim, 0)
+		}
+		for {
+			pool = append(pool, Sample{Query: q, Plan: slices.Clone(forest), Target: float64(10 + rng.Intn(1000))})
+			if len(forest) == 1 {
+				break
+			}
+			i := rng.Intn(len(forest) - 1)
+			join := treeconv.NewNode(synthTree(rng, planDim, 0).Data, forest[i], forest[i+1])
+			forest = append(append(forest[:i:i], join), forest[i+2:]...)
+		}
 	}
-	n.FitTargetTransform([]float64{10, 26})
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	samples := pool[:16]
+	n.FitTargetTransform([]float64{10, 1010})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.TrainBatch(samples)
