@@ -23,38 +23,6 @@
 // bit-identical (+0 + ±0 = +0).
 package nn
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Parallel calls run(0) … run(tasks-1), each exactly once, from up to
-// workers goroutines — the calling one included — and returns when all calls
-// have. Tasks are claimed in index order; with one worker or one task no
-// goroutine is started.
-func Parallel(workers, tasks int, run func(task int)) {
-	var next atomic.Int64
-	claim := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= tasks {
-				return
-			}
-			run(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, tasks); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	claim()
-	wg.Wait()
-}
-
 // ShadowGrad returns a Param that shares p's value storage but owns a
 // private, zeroed gradient buffer. Data-parallel gradient workers each
 // backpropagate into a shadow of the network, then the per-shard gradients

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -58,13 +59,14 @@ func (d *Daemon) Open(bootstrap bool) (*neo.System, error) {
 	}
 	// kernels names the training kernels this host runs: the AVX2 assembly
 	// or the portable Go loops, which retrain ~1.5× slower with the same
-	// result.
+	// result. gomaxprocs is the width of every planning and gradient pool;
+	// no flag sets it.
 	kernels := "scalar"
 	if nn.VectorKernels() {
 		kernels = "avx2"
 	}
-	fmt.Printf("%s: dataset=%s engine=%s encoding=%s rows=%d kernels=%s\n",
-		d.Name, sys.Config.Dataset, sys.Config.Engine, sys.Config.Encoding, sys.DB.TotalRows(), kernels)
+	fmt.Printf("%s: dataset=%s engine=%s encoding=%s rows=%d kernels=%s gomaxprocs=%d\n",
+		d.Name, sys.Config.Dataset, sys.Config.Engine, sys.Config.Encoding, sys.DB.TotalRows(), kernels, runtime.GOMAXPROCS(0))
 	restored, err := sys.WarmStart(d.Load, d.Checkpoint)
 	switch {
 	case err != nil:

@@ -473,8 +473,9 @@ type PlanResult struct {
 }
 
 // PlanAll plans independent queries concurrently over the shared value
-// network using a GOMAXPROCS-wide worker pool (serial under injected
-// cardinality error; see core.Neo.PlanningWorkers). Every search scores
+// network on the calling goroutine and nn.Parallel's helper goroutines,
+// GOMAXPROCS wide (serial under injected cardinality error; see
+// core.Neo.PlanningWorkers). Every search scores
 // against the current immutable network snapshot and carries its own
 // batched-scorer scratch, so planning scales across cores without copying the
 // network, and repeated query structures are served straight from the plan
