@@ -14,10 +14,10 @@ import (
 	"neo/internal/cluster/proto"
 )
 
-// defaultVNodes is the virtual-node count per node. 64 points per node keeps
-// the shard-size spread within a few percent for small fleets while the ring
+// vnodes is the virtual-node count per node. 64 points per node keeps the
+// shard-size spread within a few percent for small fleets while the ring
 // stays tiny (a 16-replica fleet is 1024 points).
-const defaultVNodes = 64
+const vnodes = 64
 
 type point struct {
 	hash uint64
@@ -31,16 +31,13 @@ type Ring struct {
 	points []point
 }
 
-// New builds a ring over the given nodes with vnodes virtual points each
-// (vnodes <= 0 selects the default, 64). Node order does not matter: the
-// ring layout depends only on the node names, so every router and client
-// built over the same fleet routes identically.
-func New(nodes []string, vnodes int) (*Ring, error) {
+// New builds a ring over the given nodes with vnodes virtual points each.
+// Node order does not matter: the ring layout depends only on the node
+// names, so every router and client built over the same fleet routes
+// identically.
+func New(nodes []string) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("ring: no nodes")
-	}
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
 	}
 	seen := make(map[string]bool, len(nodes))
 	r := &Ring{nodes: append([]string(nil), nodes...)}

@@ -14,11 +14,11 @@ func keys(n int) []string {
 }
 
 func TestLookupDeterministicAndOrderIndependent(t *testing.T) {
-	a, err := New([]string{"r1", "r2", "r3"}, 0)
+	a, err := New([]string{"r1", "r2", "r3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New([]string{"r3", "r1", "r2"}, 0)
+	b, err := New([]string{"r3", "r1", "r2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestLookupDeterministicAndOrderIndependent(t *testing.T) {
 }
 
 func TestDistributionRoughlyEven(t *testing.T) {
-	r, err := New([]string{"r1", "r2", "r3", "r4"}, 0)
+	r, err := New([]string{"r1", "r2", "r3", "r4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestDistributionRoughlyEven(t *testing.T) {
 // TestMinimalMovement pins the consistent-hashing property the sharded plan
 // cache depends on: removing one node only moves the keys that node owned.
 func TestMinimalMovement(t *testing.T) {
-	full, err := New([]string{"r1", "r2", "r3", "r4"}, 0)
+	full, err := New([]string{"r1", "r2", "r3", "r4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := New([]string{"r1", "r2", "r4"}, 0)
+	reduced, err := New([]string{"r1", "r2", "r4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMinimalMovement(t *testing.T) {
 // the fleet routes the key to its failover successor.
 func TestSequenceFailoverOrder(t *testing.T) {
 	nodes := []string{"r1", "r2", "r3"}
-	r, err := New(nodes, 0)
+	r, err := New(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSequenceFailoverOrder(t *testing.T) {
 				survivors = append(survivors, n)
 			}
 		}
-		rr, err := New(survivors, 0)
+		rr, err := New(survivors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,10 +114,10 @@ func TestSequenceFailoverOrder(t *testing.T) {
 }
 
 func TestNewRejectsBadFleets(t *testing.T) {
-	if _, err := New(nil, 0); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("empty fleet accepted")
 	}
-	if _, err := New([]string{"r1", "r1"}, 0); err == nil {
+	if _, err := New([]string{"r1", "r1"}); err == nil {
 		t.Error("duplicate node accepted")
 	}
 }

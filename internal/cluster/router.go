@@ -35,7 +35,7 @@ type Router struct {
 
 // NewRouter creates a router over the replica base URLs.
 func NewRouter(replicas []string, client proto.Client) (*Router, error) {
-	rg, err := ring.New(replicas, 0)
+	rg, err := ring.New(replicas)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: building ring: %w", err)
 	}

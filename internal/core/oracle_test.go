@@ -999,21 +999,21 @@ func TestRetrainMatchesParentKernels(t *testing.T) {
 				}
 				n.Experience.Add(q, p, lat)
 			}
-			samples := n.trainingSamplesLocked()
-			if n.Config.MaxTrainSamples > 0 && len(samples) > n.Config.MaxTrainSamples {
-				t.Fatalf("%d samples exceed MaxTrainSamples: the reference round would need Retrain's shuffle too", len(samples))
+			samples := n.trainingSamplesLocked(maxTrainSamples)
+			if len(samples) > maxTrainSamples {
+				t.Fatalf("%d samples exceed maxTrainSamples: the reference round would need Retrain's shuffle too", len(samples))
 			}
 			// The reference draws from a twin of the training stream.
 			twin := newCountingSource(n.rngSeed)
 			twin.skip(n.rngSrc.draws)
 
 			got := n.Retrain()
-			want := ref.train(samples, n.Config.TrainEpochs, n.Config.BatchSize, rand.New(twin))
+			want := ref.train(samples, n.Config.TrainEpochs, batchSize, rand.New(twin))
 			if !agree(got, want, sharedTol) {
 				t.Fatalf("workers=%d round %d: loss %v, reference %v", workers, round, got, want)
 			}
 			requireStateWithin(t, "after a retraining round", n.Net, ref, sharedTol)
-			steps += n.Config.TrainEpochs * ((len(samples) + n.Config.BatchSize - 1) / n.Config.BatchSize)
+			steps += n.Config.TrainEpochs * ((len(samples) + batchSize - 1) / batchSize)
 		}
 		if steps < 20 {
 			t.Fatalf("only %d gradient steps compared, want at least 20", steps)
@@ -1093,12 +1093,12 @@ func TestRetrainLiveColumnsMatchFullWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			n.Experience.Add(q, p, lat)
-			samples := n.trainingSamplesLocked()
+			samples := n.trainingSamplesLocked(maxTrainSamples)
 			twin := newCountingSource(n.rngSeed)
 			twin.skip(n.rngSrc.draws)
 
 			got := n.Retrain()
-			want := ref.train(samples, n.Config.TrainEpochs, n.Config.BatchSize, rand.New(twin))
+			want := ref.train(samples, n.Config.TrainEpochs, batchSize, rand.New(twin))
 			if !agree(got, want, sharedTol) {
 				t.Fatalf("workers=%d round %d: loss %v, reference %v", workers, round, got, want)
 			}

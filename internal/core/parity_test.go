@@ -241,10 +241,10 @@ func TestRetrainWeightsBitIdenticalToReferenceEncoder(t *testing.T) {
 			samples = append(samples, valuenet.Sample{Query: qEnc, Plan: forest, Target: target})
 		}
 	}
-	if n.Config.MaxTrainSamples > 0 && len(samples) > n.Config.MaxTrainSamples {
-		t.Fatalf("%d samples exceed MaxTrainSamples: the reference round would need Retrain's shuffle too", len(samples))
+	if len(samples) > maxTrainSamples {
+		t.Fatalf("%d samples exceed maxTrainSamples: the reference round would need Retrain's shuffle too", len(samples))
 	}
-	n.Net.Train(samples, n.Config.TrainEpochs, n.Config.BatchSize, n.rng)
+	n.Net.Train(samples, n.Config.TrainEpochs, batchSize, n.rng)
 
 	if got, want := weightsFNV(product), weightsFNV(reference); got != want {
 		t.Errorf("weights after Retrain hash to %#x, with reference-encoded samples %#x", got, want)

@@ -103,7 +103,7 @@ func TestConcurrentPlanningDuringParallelTraining(t *testing.T) {
 // allTrainingSamples is the sample builder Retrain used before it built only
 // the samples it keeps, verbatim: every construction state of every entry,
 // in entry order. Retrain then shuffled them all with the training rng and
-// kept the first MaxTrainSamples.
+// kept the first maxTrainSamples.
 func allTrainingSamples(n *Neo) []valuenet.Sample {
 	var samples []valuenet.Sample
 	encodings := make(map[string][]float64)
@@ -130,10 +130,11 @@ func allTrainingSamples(n *Neo) []valuenet.Sample {
 }
 
 // TestRetrainBuildsKeptSamplesLikeBuildThenShuffle: with more construction
-// states than MaxTrainSamples, Retrain builds only the kept samples, and two
-// rounds leave the weights, Adam moments, loss and training-rng draw count
-// == to building every sample, shuffling them and keeping the first
-// MaxTrainSamples.
+// states than the cap, a round builds only the kept samples, and two rounds
+// leave the weights, Adam moments, loss and training-rng draw count == to
+// building every sample, shuffling them and keeping the first ones up to the
+// cap. Retrain is retrain(maxTrainSamples); the test lowers the cap below
+// its small experience's state count.
 func TestRetrainBuildsKeptSamplesLikeBuildThenShuffle(t *testing.T) {
 	build := func() (*Neo, *testRig) {
 		rig := newRig(t, "postgres")
@@ -160,12 +161,11 @@ func TestRetrainBuildsKeptSamplesLikeBuildThenShuffle(t *testing.T) {
 		}
 		samples := allTrainingSamples(reference)
 		keep := len(samples) * 2 / 5
-		product.Config.MaxTrainSamples, reference.Config.MaxTrainSamples = keep, keep
 
-		got := product.Retrain()
+		got := product.retrain(keep)
 		n := reference
 		n.rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-		want := n.Net.Train(samples[:keep], n.Config.TrainEpochs, n.Config.BatchSize, n.rng)
+		want := n.Net.Train(samples[:keep], n.Config.TrainEpochs, batchSize, n.rng)
 		if got != want {
 			t.Fatalf("round %d: loss %v, build-then-shuffle %v", round, got, want)
 		}

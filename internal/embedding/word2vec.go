@@ -38,9 +38,10 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns a configuration suitable for the experiment suite.
-func DefaultConfig() Config {
-	return Config{Dim: 16, Epochs: 4, NegativeSamples: 4, LearningRate: 0.05, MinCount: 1, Seed: 1}
+// DefaultConfig returns the training settings of every row-vector model the
+// system and the paper figures train, at the given dimension and seed.
+func DefaultConfig(dim int, seed int64) Config {
+	return Config{Dim: dim, Epochs: 3, NegativeSamples: 4, LearningRate: 0.05, MinCount: 1, Seed: seed}
 }
 
 // Model is a trained row-vector embedding.
@@ -63,9 +64,6 @@ type Model struct {
 // Sentences / DenormalizedSentences.
 func Train(sentences [][]string, cfg Config) *Model {
 	start := time.Now()
-	if cfg.Dim <= 0 {
-		cfg = DefaultConfig()
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Dim: cfg.Dim, vocab: make(map[string]int), Sentences: len(sentences)}
 
@@ -327,6 +325,16 @@ func Sentences(db *storage.Database) [][]string {
 		}
 	}
 	return out
+}
+
+// TrainRows trains a model over db's rows: with joins on the partially
+// denormalised corpus (DenormalizedSentences, which the R-Vector encoding
+// uses), otherwise on the per-row one (Sentences, for R-Vector-no-joins).
+func TrainRows(db *storage.Database, joins bool, cfg Config) *Model {
+	if joins {
+		return Train(DenormalizedSentences(db, 40), cfg)
+	}
+	return Train(Sentences(db), cfg)
 }
 
 // DenormalizedSentences produces the "joins" training corpus: in addition to

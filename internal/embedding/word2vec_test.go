@@ -35,7 +35,7 @@ func TestTrainOnSyntheticCorpus(t *testing.T) {
 }
 
 func TestTrainEmptyAndUnknown(t *testing.T) {
-	m := Train(nil, DefaultConfig())
+	m := Train(nil, DefaultConfig(16, 1))
 	if m.VocabSize() != 0 {
 		t.Errorf("empty corpus should give empty vocab")
 	}

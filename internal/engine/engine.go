@@ -166,6 +166,24 @@ func New(profile Profile, db *storage.Database) *Engine {
 	return NewWithBackend(profile, NewSimBackend(profile, db))
 }
 
+// ByName builds the engine called name (see ProfileByName) over db. The
+// simulated engines execute over db itself; "disk" executes against the
+// on-disk copy that disk returns, which no other engine asks for.
+func ByName(name string, db *storage.Database, disk func() (*storage.DiskDB, error)) (*Engine, error) {
+	prof, err := ProfileByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if name != "disk" {
+		return New(prof, db), nil
+	}
+	ddb, err := disk()
+	if err != nil {
+		return nil, err
+	}
+	return NewWithBackend(prof, NewDiskBackend(ddb)), nil
+}
+
 // NewWithBackend creates an engine over an arbitrary execution backend. The
 // profile still defines the engine's cost model (CostResult), which the
 // classical optimizers use for planning even when execution is measured.

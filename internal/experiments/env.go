@@ -19,7 +19,6 @@ import (
 	"neo/internal/engine"
 	"neo/internal/expert"
 	"neo/internal/feature"
-	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/stats"
 	"neo/internal/storage"
@@ -57,8 +56,9 @@ type Config struct {
 	BufferPoolMB int
 }
 
-// Quick returns the configuration used by the benchmark harness: small
-// enough to regenerate every figure in minutes while preserving the shapes.
+// Quick returns cmd/neo-experiments' default configuration: small enough to
+// regenerate every figure in minutes while preserving the shapes, with the
+// value network the system serves with.
 func Quick() Config {
 	return Config{
 		Scale:            0.25,
@@ -68,14 +68,7 @@ func Quick() Config {
 		TestQueries:      4,
 		SearchExpansions: 64,
 		EmbeddingDim:     12,
-		Net: valuenet.Config{
-			QueryLayers:  []int{32, 16},
-			TreeChannels: []int{32, 32, 16},
-			HeadLayers:   []int{16},
-			LearningRate: 2e-3,
-			UseLayerNorm: true,
-			Seed:         7,
-		},
+		Net:              valuenet.DefaultConfig(),
 	}
 }
 
@@ -192,18 +185,7 @@ func (e *Env) Embedding(workloadName string, joins bool) *embedding.Model {
 	if m, ok := e.Embeddings[key]; ok {
 		return m
 	}
-	db := e.DBs[workloadName]
-	var sentences [][]string
-	if joins {
-		sentences = embedding.DenormalizedSentences(db, 40)
-	} else {
-		sentences = embedding.Sentences(db)
-	}
-	cfg := embedding.Config{
-		Dim: e.Config.EmbeddingDim, Epochs: 3, NegativeSamples: 4,
-		LearningRate: 0.05, MinCount: 1, Seed: e.Config.Seed,
-	}
-	m := embedding.Train(sentences, cfg)
+	m := embedding.TrainRows(e.DBs[workloadName], joins, embedding.DefaultConfig(e.Config.EmbeddingDim, e.Config.Seed))
 	e.Embeddings[key] = m
 	return m
 }
@@ -266,24 +248,12 @@ func (e *Env) LoadEmbeddings(dir string) (int, error) {
 	return loaded, nil
 }
 
-// Featurizer builds a featurizer of the given encoding for a workload. All
-// featurizers carry the histogram-estimated per-node cardinality feature in
-// the plan encoding (the same signal a traditional cost model consumes);
-// what varies between encodings is the query-level predicate representation.
+// Featurizer builds a featurizer of the given encoding for a workload (see
+// feature.ForEncoding), with the workload's cached row-vector models.
 func (e *Env) Featurizer(workloadName string, enc feature.Encoding) *feature.Featurizer {
-	f := &feature.Featurizer{
-		Catalog:     e.DBs[workloadName].Catalog,
-		Encoding:    enc,
-		Stats:       e.Stats[workloadName],
-		Cardinality: &feature.HistogramCardinality{Stats: e.Stats[workloadName]},
-	}
-	switch enc {
-	case feature.RVector:
-		f.Embedding = e.Embedding(workloadName, true)
-	case feature.RVectorNoJoins:
-		f.Embedding = e.Embedding(workloadName, false)
-	}
-	return f
+	return feature.ForEncoding(e.DBs[workloadName].Catalog, e.Stats[workloadName], enc, func(joins bool) *embedding.Model {
+		return e.Embedding(workloadName, joins)
+	})
 }
 
 // Engine builds a fresh engine of the given profile over a workload's
@@ -292,18 +262,9 @@ func (e *Env) Featurizer(workloadName string, enc feature.Encoding) *feature.Fea
 // and feeds measured wall-clock latencies into the loop instead of
 // simulated costs.
 func (e *Env) Engine(workloadName, engineName string) (*engine.Engine, error) {
-	prof, err := engine.ProfileByName(engineName)
-	if err != nil {
-		return nil, err
-	}
-	if engineName == "disk" {
-		ddb, err := e.DiskDB(workloadName)
-		if err != nil {
-			return nil, err
-		}
-		return engine.NewWithBackend(prof, engine.NewDiskBackend(ddb)), nil
-	}
-	return engine.New(prof, e.DBs[workloadName]), nil
+	return engine.ByName(engineName, e.DBs[workloadName], func() (*storage.DiskDB, error) {
+		return e.DiskDB(workloadName)
+	})
 }
 
 // DiskDB returns (materializing on first use) the on-disk copy of a
@@ -316,23 +277,9 @@ func (e *Env) DiskDB(workloadName string) (*storage.DiskDB, error) {
 	if db == nil {
 		return nil, fmt.Errorf("experiments: unknown workload %q", workloadName)
 	}
-	dir, err := os.MkdirTemp("", "neo-disk-"+workloadName+"-")
+	ddb, err := storage.OpenMaterialized(db, "", e.Config.BufferPoolMB)
 	if err != nil {
-		return nil, err
-	}
-	if err := storage.Materialize(db, dir); err != nil {
-		return nil, fmt.Errorf("experiments: materializing %s: %w", workloadName, err)
-	}
-	mb := e.Config.BufferPoolMB
-	if mb <= 0 {
-		mb = 16
-	}
-	ddb, err := storage.OpenDisk(dir, db.Catalog, storage.PagesForMB(mb))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: opening disk db for %s: %w", workloadName, err)
-	}
-	if err := ddb.VerifyAgainst(db); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: disk db for %s: %w", workloadName, err)
 	}
 	if e.diskDBs == nil {
 		e.diskDBs = make(map[string]*storage.DiskDB)
@@ -382,33 +329,28 @@ type TrainedRun struct {
 	PGTestLatency     float64
 }
 
-// neoConfig builds the core.Config from the experiment configuration.
+// neoConfig is the served system's core.DefaultConfig with the experiment's
+// scale knobs, objective and seed.
 func (e *Env) neoConfig(costFn core.CostFunction) core.Config {
-	return core.Config{
-		ValueNet:         e.Config.Net,
-		SearchExpansions: e.Config.SearchExpansions,
-		TrainEpochs:      16,
-		BatchSize:        16,
-		MaxTrainSamples:  2500,
-		Cost:             costFn,
-		Seed:             e.Config.Seed,
-	}
+	cfg := core.DefaultConfig()
+	cfg.ValueNet = e.Config.Net
+	cfg.SearchExpansions = e.Config.SearchExpansions
+	cfg.Cost = costFn
+	cfg.Seed = e.Config.Seed
+	return cfg
 }
 
-// TrainNeo runs the full Neo training protocol (bootstrap from the
-// PostgreSQL-profile expert, then Episodes of refinement) for one engine,
+// TrainNeo runs the served system's training protocol (the bootstrap of
+// core.Neo.BootstrapFromExpert, then Episodes of refinement) for one engine,
 // workload and encoding, and returns the trained instance along with the
 // baselines and the learning curve.
 func (e *Env) TrainNeo(workloadName, engineName string, enc feature.Encoding, costFn core.CostFunction, trackCurve bool) (*TrainedRun, error) {
-	db := e.DBs[workloadName]
-	st := e.Stats[workloadName]
 	eng, err := e.Engine(workloadName, engineName)
 	if err != nil {
 		return nil, err
 	}
-	pgEngine := engine.New(engine.PostgreSQLProfile(), db)
-	pg := expert.NativeOptimizer(pgEngine, st, db.Catalog)
-	native := expert.NativeOptimizer(eng, st, db.Catalog)
+	pg := e.PGExpert(workloadName)
+	native := expert.NativeOptimizer(eng, e.Stats[workloadName], e.DBs[workloadName].Catalog)
 
 	feat := e.Featurizer(workloadName, enc)
 	n := core.New(eng, feat, e.neoConfig(costFn))
@@ -439,18 +381,7 @@ func (e *Env) TrainNeo(workloadName, engineName string, enc feature.Encoding, co
 		run.PGTestLatency += plat
 	}
 
-	// Bootstrap from the PostgreSQL expert's plans (Section 6.2 protocol),
-	// plus a few exploratory executions per query so the value network sees
-	// within-query contrast from the start (see core.Neo.Explore).
-	expertFn := func(q *query.Query) (*plan.Plan, error) {
-		p, _, err := pg.Optimize(q)
-		return p, err
-	}
-	if err := n.Bootstrap(train, expertFn); err != nil {
-		return nil, err
-	}
-	rp := expert.NewRandomPlanner(db.Catalog, e.Config.Seed+101)
-	if err := n.Explore(train, rp.Plan, 2); err != nil {
+	if err := n.BootstrapFromExpert(train, pg); err != nil {
 		return nil, err
 	}
 

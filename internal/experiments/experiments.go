@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"neo/internal/core"
 	"neo/internal/embedding"
@@ -467,21 +466,12 @@ func Figure17(env *Env) (*Report, error) {
 		db := env.DBs[wlName]
 		sizeMB := float64(db.ApproxSizeBytes()) / (1024 * 1024)
 		for _, joins := range []bool{true, false} {
-			var sentences [][]string
-			if joins {
-				sentences = embedding.DenormalizedSentences(db, 40)
-			} else {
-				sentences = embedding.Sentences(db)
-			}
-			cfg := embedding.Config{Dim: env.Config.EmbeddingDim, Epochs: 3, NegativeSamples: 4, LearningRate: 0.05, MinCount: 1, Seed: env.Config.Seed}
-			start := time.Now()
-			m := embedding.Train(sentences, cfg)
-			elapsed := time.Since(start).Seconds()
+			m := embedding.TrainRows(db, joins, embedding.DefaultConfig(env.Config.EmbeddingDim, env.Config.Seed))
 			variant := "no joins"
 			if joins {
 				variant = "joins"
 			}
-			rep.AddRow(wlName, variant, m.Sentences, fmt.Sprintf("%.2f", elapsed), fmt.Sprintf("%.2f", sizeMB))
+			rep.AddRow(wlName, variant, m.Sentences, fmt.Sprintf("%.2f", m.TrainTime.Seconds()), fmt.Sprintf("%.2f", sizeMB))
 		}
 	}
 	rep.AddNote("paper shape: the 'joins' variant is several times slower to train than 'no joins', and training time grows with dataset size")

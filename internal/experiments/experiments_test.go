@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -98,11 +99,21 @@ func TestConfigDefaults(t *testing.T) {
 	if len(q.engines()) != 4 || len(q.workloads()) != 3 {
 		t.Errorf("default engine/workload lists wrong")
 	}
-	// NewEnv falls back to Quick for a zero config... but that is slow, so
-	// just verify the guard exists by checking field defaulting logic.
-	c := Config{}
-	if c.Episodes != 0 {
-		t.Errorf("zero config sanity")
+	// The figures train the served system: TrainNeo's core.Config is
+	// core.DefaultConfig but for the scale knobs, the objective and the seed.
+	env := tinyEnv(t)
+	run, err := env.TrainNeo("job", "postgres", feature.Histogram, core.RelativeCost, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run.Neo.Config
+	want := core.DefaultConfig()
+	want.ValueNet = env.Config.Net
+	want.SearchExpansions = env.Config.SearchExpansions
+	want.Cost = core.RelativeCost
+	want.Seed = env.Config.Seed
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("TrainNeo trains with %+v, want core.DefaultConfig's settings %+v", got, want)
 	}
 }
 

@@ -71,6 +71,29 @@ type Featurizer struct {
 	Error *stats.ErrorModel
 }
 
+// ForEncoding returns the featurizer of the given encoding over a catalog
+// and its statistics. Every encoding carries the histogram-estimated
+// per-node cardinality in the plan encoding (the signal a traditional cost
+// model consumes); what varies is the query-level predicate representation.
+// The R-Vector encodings take their model from rows, asked with joins true
+// for RVector (partially denormalised rows) and false for RVectorNoJoins;
+// the other encodings never call it.
+func ForEncoding(cat *schema.Catalog, st *stats.Stats, enc Encoding, rows func(joins bool) *embedding.Model) *Featurizer {
+	f := &Featurizer{
+		Catalog:     cat,
+		Encoding:    enc,
+		Stats:       st,
+		Cardinality: &HistogramCardinality{Stats: st},
+	}
+	switch enc {
+	case RVector:
+		f.Embedding = rows(true)
+	case RVectorNoJoins:
+		f.Embedding = rows(false)
+	}
+	return f
+}
+
 // predicateBlockSize returns the width of the per-attribute block in the
 // column-predicate vector.
 func (f *Featurizer) predicateBlockSize() int {

@@ -87,12 +87,36 @@ func (d *Daemon) Open(bootstrap bool) (*neo.System, error) {
 	return sys, nil
 }
 
+// The daemons' connection bounds. A client that never finishes its request
+// header is disconnected after readHeaderTimeout, one that stalls in its
+// body after readTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so a slow client cannot hold a connection and its goroutine
+// forever. There is no write timeout: POST /rollout answers only when the
+// canary decision is made, up to -canary-wait later, and a fixed bound would
+// cut that response off.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the server Serve listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // Serve listens on Addr until SIGINT/SIGTERM, then drains in-flight requests
 // (bounded at 30s) and runs the closers in order — the daemon's own Close,
 // which writes the final checkpoint, then the system's. A listener that
 // fails (address in use) or a closer's error is returned.
 func (d *Daemon) Serve(h http.Handler, closers ...func() error) error {
-	httpSrv := &http.Server{Addr: d.Addr, Handler: h}
+	httpSrv := newHTTPServer(d.Addr, h)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Printf("%s: listening on %s\n", d.Name, d.Addr)

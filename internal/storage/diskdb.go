@@ -138,6 +138,44 @@ func OpenDisk(dir string, cat *schema.Catalog, poolPages int) (*DiskDB, error) {
 	return db, nil
 }
 
+// OpenMaterialized opens db's on-disk copy under dir through a buffer pool
+// of poolMB MiB (16 when poolMB <= 0); an empty dir means a fresh temporary
+// directory. Heap files already under dir are reused when they match db;
+// missing or mismatched ones — a dir left over from another scale or seed —
+// are materialized in place.
+func OpenMaterialized(db *Database, dir string, poolMB int) (*DiskDB, error) {
+	if dir == "" {
+		var err error
+		if dir, err = os.MkdirTemp("", "neo-disk-"); err != nil {
+			return nil, fmt.Errorf("storage: creating disk data dir: %w", err)
+		}
+	}
+	if poolMB <= 0 {
+		poolMB = 16
+	}
+	materialize := !MaterializedAt(dir, db.Catalog)
+	for attempt := 0; ; attempt++ {
+		if materialize {
+			if err := Materialize(db, dir); err != nil {
+				return nil, err
+			}
+		}
+		ddb, err := OpenDisk(dir, db.Catalog, PagesForMB(poolMB))
+		if err != nil {
+			return nil, err
+		}
+		if err := ddb.VerifyAgainst(db); err != nil {
+			ddb.Close()
+			if attempt == 0 {
+				materialize = true
+				continue
+			}
+			return nil, err
+		}
+		return ddb, nil
+	}
+}
+
 // buildIndexes scans each table once through the buffer pool, counting rows
 // and populating every RID index the catalog lists for it.
 func (db *DiskDB) buildIndexes() error {

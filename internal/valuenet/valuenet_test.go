@@ -217,7 +217,7 @@ func BenchmarkPredict(b *testing.B) {
 // BenchmarkTrainBatch times one TrainBatch step on a minibatch shaped like
 // measured retraining traffic: DefaultConfig over the IMDB encoding widths
 // (a 761-wide query encoding about 5 % non-zero, 23-wide node vectors), 16
-// samples (core's BatchSize) drawn from the construction states of 25
+// samples (core's batchSize) drawn from the construction states of 25
 // queries' plans of 4–8 relations — samples of one query share its encoding
 // slice and their plan's subtrees, as core builds them.
 func BenchmarkTrainBatch(b *testing.B) {

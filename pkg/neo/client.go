@@ -53,7 +53,7 @@ type Client struct {
 
 // NewClient creates a fleet client.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	rg, err := ring.New(cfg.Replicas, 0)
+	rg, err := ring.New(cfg.Replicas)
 	if err != nil {
 		return nil, fmt.Errorf("neo: building replica ring: %w", err)
 	}

@@ -2,7 +2,6 @@ package neo
 
 import (
 	"fmt"
-	"os"
 
 	"neo/internal/core"
 	"neo/internal/datagen"
@@ -260,41 +259,21 @@ func Open(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("neo: building statistics: %w", err)
 	}
-	engProfile, err := engine.ProfileByName(cfg.Engine)
+	var ddb *storage.DiskDB
+	eng, err := engine.ByName(cfg.Engine, db, func() (*storage.DiskDB, error) {
+		var err error
+		ddb, err = storage.OpenMaterialized(db, cfg.DataDir, cfg.BufferPoolMB)
+		return ddb, err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("neo: %w", err)
-	}
-	var eng *Engine
-	var ddb *storage.DiskDB
-	if cfg.Engine == "disk" {
-		ddb, err = openDiskDB(cfg, db)
-		if err != nil {
-			return nil, err
-		}
-		eng = engine.NewWithBackend(engProfile, engine.NewDiskBackend(ddb))
-	} else {
-		eng = engine.New(engProfile, db)
 	}
 	pgEngine := engine.New(engine.PostgreSQLProfile(), db)
 	pg := expert.NativeOptimizer(pgEngine, st, db.Catalog)
 	native := expert.NativeOptimizer(eng, st, db.Catalog)
-
-	feat := &feature.Featurizer{
-		Catalog:     db.Catalog,
-		Encoding:    cfg.Encoding,
-		Stats:       st,
-		Cardinality: &feature.HistogramCardinality{Stats: st},
-	}
-	switch cfg.Encoding {
-	case RVector:
-		feat.Embedding = embedding.Train(embedding.DenormalizedSentences(db, 40), embedding.Config{
-			Dim: 16, Epochs: 3, NegativeSamples: 4, LearningRate: 0.05, MinCount: 1, Seed: cfg.Seed,
-		})
-	case RVectorNoJoins:
-		feat.Embedding = embedding.Train(embedding.Sentences(db), embedding.Config{
-			Dim: 16, Epochs: 3, NegativeSamples: 4, LearningRate: 0.05, MinCount: 1, Seed: cfg.Seed,
-		})
-	}
+	feat := feature.ForEncoding(db.Catalog, st, cfg.Encoding, func(joins bool) *embedding.Model {
+		return embedding.TrainRows(db, joins, embedding.DefaultConfig(16, cfg.Seed))
+	})
 
 	coreCfg := core.DefaultConfig()
 	coreCfg.SearchExpansions = cfg.SearchExpansions
@@ -324,46 +303,6 @@ func Open(cfg Config) (*System, error) {
 	}, nil
 }
 
-// openDiskDB materializes the synthetic database into heap files (unless the
-// data directory already holds a matching set) and opens it through a buffer
-// pool. Heap files that don't match the in-memory database — a DataDir left
-// over from a different scale or seed — are re-materialized in place.
-func openDiskDB(cfg Config, db *storage.Database) (*storage.DiskDB, error) {
-	dir := cfg.DataDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "neo-disk-")
-		if err != nil {
-			return nil, fmt.Errorf("neo: creating disk data dir: %w", err)
-		}
-	}
-	mb := cfg.BufferPoolMB
-	if mb <= 0 {
-		mb = 16
-	}
-	materialize := !storage.MaterializedAt(dir, db.Catalog)
-	for attempt := 0; ; attempt++ {
-		if materialize {
-			if err := storage.Materialize(db, dir); err != nil {
-				return nil, fmt.Errorf("neo: materializing heap files: %w", err)
-			}
-		}
-		ddb, err := storage.OpenDisk(dir, db.Catalog, storage.PagesForMB(mb))
-		if err != nil {
-			return nil, fmt.Errorf("neo: opening disk database: %w", err)
-		}
-		if err := ddb.VerifyAgainst(db); err != nil {
-			ddb.Close()
-			if attempt == 0 {
-				materialize = true
-				continue
-			}
-			return nil, fmt.Errorf("neo: %w", err)
-		}
-		return ddb, nil
-	}
-}
-
 // GenerateWorkload creates a workload of n queries appropriate for the
 // system's dataset.
 func (s *System) GenerateWorkload(n int) (*Workload, error) {
@@ -389,14 +328,7 @@ func (s *System) GenerateUnseenWorkload(n int, base *Workload) (*Workload, error
 // performs the initial value-network training (Section 2, "Expertise
 // Collection" / "Model Building").
 func (s *System) Bootstrap(train []*Query) error {
-	if err := s.Neo.Bootstrap(train, func(q *Query) (*Plan, error) {
-		p, _, err := s.Expert.Optimize(q)
-		return p, err
-	}); err != nil {
-		return err
-	}
-	rp := expert.NewRandomPlanner(s.Catalog, s.Config.Seed+101)
-	return s.Neo.Explore(train, rp.Plan, 2)
+	return s.Neo.BootstrapFromExpert(train, s.Expert)
 }
 
 // Train runs the configured number of refinement episodes over the training
