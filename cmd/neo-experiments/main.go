@@ -30,8 +30,6 @@ func main() {
 		bufferPoolMB = flag.Int("buffer-pool-mb", 0, "disk engine buffer-pool size in MiB (0 = default 16)")
 		workloads    = flag.String("workloads", "", "comma-separated workload subset (job,tpch,corp)")
 		out          = flag.String("out", "", "write reports to this file as well as stdout")
-		load         = flag.String("load", "", "directory of embedding checkpoints to restore (written by -save; skips row-vector retraining for cached workloads)")
-		save         = flag.String("save", "", "directory to write the trained embedding checkpoints to after the run (reuse with -load under the same scale/seed/dim settings)")
 	)
 	flag.Parse()
 
@@ -71,13 +69,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *load != "" {
-		n, err := env.LoadEmbeddings(*load)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(w, "restored %d embedding checkpoint(s) from %s\n", n, *load)
-	}
 
 	if *exp == "all" {
 		reports, err := experiments.RunAll(env)
@@ -87,7 +78,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		saveEmbeddings(env, *save, w)
 		return
 	}
 	rep, err := experiments.Run(*exp, env)
@@ -95,19 +85,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintln(w, rep.String())
-	saveEmbeddings(env, *save, w)
-}
-
-// saveEmbeddings writes the trained embedding cache if -save was given.
-func saveEmbeddings(env *experiments.Env, dir string, w io.Writer) {
-	if dir == "" {
-		return
-	}
-	n, err := env.SaveEmbeddings(dir)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(w, "saved %d embedding checkpoint(s) to %s\n", n, dir)
 }
 
 func fatal(err error) {

@@ -1,8 +1,7 @@
-// Atomic file writes, shared by every durable artifact in the repo
-// (checkpoints, embedding caches, benchmark baselines): the bytes go to a
-// temporary file in the target directory which is renamed over the final
-// path only after a successful write and close, so an interrupted writer can
-// never leave a truncated file under the real name.
+// Atomic file writes for checkpoints: the bytes go to a temporary file in
+// the target directory which is renamed over the final path only after a
+// successful write and close, so an interrupted writer can never leave a
+// truncated file under the real name.
 package checkpoint
 
 import (

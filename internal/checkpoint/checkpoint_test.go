@@ -386,22 +386,3 @@ func TestGoldenParentCheckpointReencodes(t *testing.T) {
 		t.Fatalf("re-encoded checkpoint differs from the golden bytes (%d vs %d bytes)", buf.Len(), len(golden))
 	}
 }
-
-func TestEmbeddingFileRoundTrip(t *testing.T) {
-	emb := embedding.Train([][]string{{"t.c=a", "t.c=b"}, {"t.c=a", "t.c=c"}},
-		embedding.Config{Dim: 3, Epochs: 2, NegativeSamples: 1, LearningRate: 0.05, MinCount: 1, Seed: 4})
-	path := t.TempDir() + "/emb.ckpt"
-	if err := SaveEmbeddingFile(path, emb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadEmbeddingFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.VocabSize() != emb.VocabSize() || got.Dim != emb.Dim {
-		t.Fatalf("model shape mismatch: %d/%d vs %d/%d", got.VocabSize(), got.Dim, emb.VocabSize(), emb.Dim)
-	}
-	if got.Similarity("t.c=a", "t.c=b") != emb.Similarity("t.c=a", "t.c=b") {
-		t.Fatal("similarities differ after round trip")
-	}
-}

@@ -62,9 +62,9 @@ type Config struct {
 	// Routing selects how queries are dispatched between the statistics-free
 	// greedy fast path (internal/fastpath) and the full DNN-guided best-first
 	// search: route.Full (the zero value — every query takes the full
-	// search, the historical behaviour), route.Fastpath (forced greedy) or
-	// route.Auto (per-class heuristic bootstrap, demoted online by
-	// observed-latency regret; see ObserveLatency).
+	// search, the historical behaviour) or route.Auto (per-class heuristic
+	// bootstrap, demoted online by observed-latency regret; see
+	// ObserveLatency).
 	Routing route.Mode
 }
 

@@ -7,12 +7,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
-	"neo/internal/checkpoint"
 	"neo/internal/core"
 	"neo/internal/datagen"
 	"neo/internal/embedding"
@@ -188,64 +183,6 @@ func (e *Env) Embedding(workloadName string, joins bool) *embedding.Model {
 	m := embedding.TrainRows(e.DBs[workloadName], joins, embedding.DefaultConfig(e.Config.EmbeddingDim, e.Config.Seed))
 	e.Embeddings[key] = m
 	return m
-}
-
-// embeddingFile maps an Embeddings cache key ("job/joins") to the file name
-// its checkpoint is stored under.
-func embeddingFile(key string) string {
-	return "emb-" + strings.ReplaceAll(key, "/", "-") + ".ckpt"
-}
-
-// SaveEmbeddings writes every cached row-vector model to dir as standalone
-// embedding checkpoints (one file per workload/variant) and returns how many
-// were written. Run the experiments first: models train lazily, so the cache
-// holds only the variants the executed experiments actually used.
-func (e *Env) SaveEmbeddings(dir string) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("experiments: saving embeddings: %w", err)
-	}
-	keys := make([]string, 0, len(e.Embeddings))
-	for key := range e.Embeddings {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		path := filepath.Join(dir, embeddingFile(key))
-		if err := checkpoint.SaveEmbeddingFile(path, e.Embeddings[key]); err != nil {
-			return 0, fmt.Errorf("experiments: saving embedding %s: %w", key, err)
-		}
-	}
-	return len(keys), nil
-}
-
-// LoadEmbeddings pre-populates the embedding cache from checkpoints written
-// by SaveEmbeddings, returning how many were loaded. Missing files are fine
-// (those variants train lazily as usual); a present-but-unreadable file is
-// an error, never a silently retrained model. Cached files are only valid
-// for the scale, seed and embedding dimension they were trained with — use a
-// separate directory per configuration.
-func (e *Env) LoadEmbeddings(dir string) (int, error) {
-	loaded := 0
-	for workloadName := range e.DBs {
-		for _, variant := range []string{"joins", "nojoins"} {
-			key := workloadName + "/" + variant
-			path := filepath.Join(dir, embeddingFile(key))
-			m, err := checkpoint.LoadEmbeddingFile(path)
-			if os.IsNotExist(err) {
-				continue
-			}
-			if err != nil {
-				return loaded, fmt.Errorf("experiments: loading embedding %s: %w", key, err)
-			}
-			if m.Dim != e.Config.EmbeddingDim {
-				return loaded, fmt.Errorf("experiments: cached embedding %s has dim %d, config wants %d",
-					key, m.Dim, e.Config.EmbeddingDim)
-			}
-			e.Embeddings[key] = m
-			loaded++
-		}
-	}
-	return loaded, nil
 }
 
 // Featurizer builds a featurizer of the given encoding for a workload (see

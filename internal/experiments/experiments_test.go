@@ -254,47 +254,3 @@ func TestKeywordGenreQueryValid(t *testing.T) {
 		t.Errorf("keywordGenreQuery invalid: %v", err)
 	}
 }
-
-func TestEmbeddingCheckpointCache(t *testing.T) {
-	env := tinyEnv(t)
-	trained := env.Embedding("job", true) // trains and caches job/joins
-	dir := t.TempDir()
-	n, err := env.SaveEmbeddings(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("saved %d embeddings, want 1", n)
-	}
-
-	// A fresh env restores the cached model instead of retraining.
-	env2 := tinyEnv(t)
-	loaded, err := env2.LoadEmbeddings(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded != 1 {
-		t.Fatalf("loaded %d embeddings, want 1", loaded)
-	}
-	restored := env2.Embedding("job", true) // must be the cached one
-	if restored.VocabSize() != trained.VocabSize() || restored.Dim != trained.Dim {
-		t.Fatalf("restored model shape %d/%d, want %d/%d",
-			restored.VocabSize(), restored.Dim, trained.VocabSize(), trained.Dim)
-	}
-
-	// A dimension mismatch is rejected loudly rather than silently used.
-	cfg := tiny()
-	cfg.EmbeddingDim = 4
-	env3, err := NewEnv(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env3.LoadEmbeddings(dir); err == nil {
-		t.Fatal("expected a dimension-mismatch error")
-	}
-
-	// Missing directory: nothing loaded, no error.
-	if n, err := env2.LoadEmbeddings(dir + "/nope"); err != nil || n != 0 {
-		t.Fatalf("missing dir: n=%d err=%v", n, err)
-	}
-}

@@ -1,7 +1,7 @@
 // Package expert implements the classical, non-learned optimizers of the
 // reproduction: Selinger-style dynamic programming over join orders with
 // histogram-based cardinality estimation, operator and access-path selection
-// against an engine's cost model, plus greedy and random baselines.
+// against an engine's cost model, plus a random baseline.
 //
 // These optimizers play three roles, mirroring the paper:
 //
@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
 
 	"neo/internal/engine"
 	"neo/internal/executor"
@@ -45,13 +44,11 @@ type Estimator interface {
 // uniformity and independence assumptions (the PostgreSQL-style estimator).
 type HistogramEstimator struct {
 	Stats *stats.Stats
-	// Error optionally perturbs every estimate (Figure 14 protocol).
-	Error *stats.ErrorModel
 }
 
 // ScanRows implements Estimator.
 func (h *HistogramEstimator) ScanRows(table string, preds []query.Predicate) float64 {
-	return h.perturb(h.Stats.EstimateScanRows(table, preds))
+	return h.Stats.EstimateScanRows(table, preds)
 }
 
 // JoinRows implements Estimator.
@@ -69,18 +66,11 @@ func (h *HistogramEstimator) JoinRows(leftRows, rightRows float64, joins []query
 			est *= math.Max(extra/denom, 1e-9)
 		}
 	}
-	return h.perturb(math.Max(1, est))
+	return math.Max(1, est)
 }
 
 // BaseRows implements Estimator.
 func (h *HistogramEstimator) BaseRows(table string) float64 { return h.Stats.TableRows(table) }
-
-func (h *HistogramEstimator) perturb(v float64) float64 {
-	if h.Error == nil {
-		return v
-	}
-	return h.Error.Perturb(v)
-}
 
 // CorrectedEstimator improves on the histogram estimator by using exact
 // single-table selectivities and sampling-corrected pairwise join
@@ -91,32 +81,21 @@ type CorrectedEstimator struct {
 	Histogram *HistogramEstimator
 	Exec      *executor.Executor
 	Quality   float64
-
-	scanCache map[string]float64
 }
 
 // NewCorrectedEstimator builds a corrected estimator of the given quality.
 func NewCorrectedEstimator(h *HistogramEstimator, exec *executor.Executor, quality float64) *CorrectedEstimator {
-	return &CorrectedEstimator{Histogram: h, Exec: exec, Quality: quality, scanCache: make(map[string]float64)}
+	return &CorrectedEstimator{Histogram: h, Exec: exec, Quality: quality}
 }
 
 // ScanRows implements Estimator.
 func (c *CorrectedEstimator) ScanRows(table string, preds []query.Predicate) float64 {
 	hist := c.Histogram.ScanRows(table, preds)
-	key := table
-	for _, p := range preds {
-		key += "|" + p.String()
+	sel, err := c.Exec.Selectivity(table, preds)
+	if err != nil {
+		return hist
 	}
-	exact, ok := c.scanCache[key]
-	if !ok {
-		sel, err := c.Exec.Selectivity(table, preds)
-		if err != nil {
-			return hist
-		}
-		exact = math.Max(1, sel*c.Histogram.BaseRows(table))
-		c.scanCache[key] = exact
-	}
-	return blend(hist, exact, c.Quality)
+	return blend(hist, math.Max(1, sel*c.Histogram.BaseRows(table)), c.Quality)
 }
 
 // JoinRows implements Estimator.
@@ -140,14 +119,13 @@ type Config struct {
 	// JoinOps restricts the physical join operators considered. Empty means
 	// all operators.
 	JoinOps []plan.JoinOp
-	// AllowCrossProducts permits cross joins when the join graph is
-	// disconnected.
-	AllowCrossProducts bool
 }
 
 // Optimizer is a Selinger-style cost-based optimizer: dynamic programming
 // over relation subsets, with operator and access-path selection priced by
 // the target engine's cost model using the Estimator's cardinalities.
+// Optimize writes no shared state (nor do this package's estimators), so
+// goroutines may share one Optimizer.
 type Optimizer struct {
 	Engine  *engine.Engine
 	Est     Estimator
@@ -204,7 +182,7 @@ func (o *Optimizer) Optimize(q *query.Query) (*plan.Plan, float64, error) {
 					return
 				}
 				joins := q.JoinsBetween(tableSet(q, leftSet), tableSet(q, rightSet))
-				if len(joins) == 0 && !o.Config.AllowCrossProducts {
+				if len(joins) == 0 {
 					return
 				}
 				for _, op := range ops {
@@ -247,13 +225,6 @@ func (o *Optimizer) Optimize(q *query.Query) (*plan.Plan, float64, error) {
 
 	final, ok := memo[full]
 	if !ok {
-		// Disconnected join graph without cross products allowed: retry with
-		// cross products.
-		if !o.Config.AllowCrossProducts {
-			retry := *o
-			retry.Config.AllowCrossProducts = true
-			return retry.Optimize(q)
-		}
 		return nil, 0, fmt.Errorf("expert: no plan found for query %s", q.ID)
 	}
 	return &plan.Plan{Query: q, Roots: []*plan.Node{final.node}}, final.cost, nil
@@ -436,58 +407,4 @@ func (r *RandomPlanner) Plan(q *query.Query) *plan.Plan {
 		p = kids[r.Rng.Intn(len(kids))]
 	}
 	return p
-}
-
-// GreedyOptimizer builds a plan by repeatedly joining the pair of subtrees
-// with the smallest estimated output cardinality (a common heuristic
-// baseline). It uses table scans everywhere and hash joins only.
-type GreedyOptimizer struct {
-	Est     Estimator
-	Catalog *schema.Catalog
-}
-
-// Plan returns the greedy plan for q.
-func (g *GreedyOptimizer) Plan(q *query.Query) *plan.Plan {
-	type part struct {
-		node *plan.Node
-		rows float64
-	}
-	var parts []*part
-	for _, rel := range q.Relations {
-		parts = append(parts, &part{node: plan.Leaf(rel, plan.TableScan), rows: g.Est.ScanRows(rel, q.PredicatesOn(rel))})
-	}
-	for len(parts) > 1 {
-		bestI, bestJ := -1, -1
-		bestRows := math.Inf(1)
-		for i := 0; i < len(parts); i++ {
-			for j := 0; j < len(parts); j++ {
-				if i == j {
-					continue
-				}
-				joins := q.JoinsBetween(parts[i].node.TableSet(), parts[j].node.TableSet())
-				if len(joins) == 0 {
-					continue
-				}
-				rows := g.Est.JoinRows(parts[i].rows, parts[j].rows, joins)
-				if rows < bestRows {
-					bestRows, bestI, bestJ = rows, i, j
-				}
-			}
-		}
-		if bestI < 0 {
-			// Disconnected: cross-join the two smallest parts.
-			sort.Slice(parts, func(a, b int) bool { return parts[a].rows < parts[b].rows })
-			bestI, bestJ = 0, 1
-			bestRows = parts[0].rows * parts[1].rows
-		}
-		merged := &part{node: plan.Join2(plan.HashJoin, parts[bestI].node, parts[bestJ].node), rows: bestRows}
-		var next []*part
-		for k, p := range parts {
-			if k != bestI && k != bestJ {
-				next = append(next, p)
-			}
-		}
-		parts = append(next, merged)
-	}
-	return &plan.Plan{Query: q, Roots: []*plan.Node{parts[0].node}}
 }

@@ -204,9 +204,9 @@ func TestCorrectedEstimatorBlends(t *testing.T) {
 	if diff(zero.ScanRows("movie_info", preds), histRows) > 1e-6 {
 		t.Errorf("quality-0 estimator should equal the histogram estimate")
 	}
-	// Cache should make the second call cheap and identical.
+	// The estimate is a pure function of its inputs.
 	if full.ScanRows("movie_info", preds) != got {
-		t.Errorf("cached estimate should be identical")
+		t.Errorf("a repeated estimate should be identical")
 	}
 }
 
@@ -234,24 +234,6 @@ func TestRandomPlannerProducesValidPlans(t *testing.T) {
 	}
 	if len(seen) < 3 {
 		t.Errorf("random planner should produce diverse plans, saw %d distinct", len(seen))
-	}
-}
-
-func TestGreedyOptimizer(t *testing.T) {
-	db, st, engs := setup(t)
-	g := &GreedyOptimizer{Est: &HistogramEstimator{Stats: st}, Catalog: db.Catalog}
-	p := g.Plan(fiveWayQuery())
-	if !p.IsComplete() {
-		t.Fatalf("greedy plan is not complete: %s", p)
-	}
-	if _, _, err := engs["postgres"].Execute(p); err != nil {
-		t.Fatalf("greedy plan does not execute: %v", err)
-	}
-	// Greedy with a disconnected query falls back to cross products.
-	disc := query.New("disc", []string{"keyword", "info_type"}, nil, nil)
-	pd := g.Plan(disc)
-	if !pd.IsComplete() {
-		t.Errorf("greedy plan for disconnected query should still be complete")
 	}
 }
 
@@ -287,18 +269,15 @@ func TestOptimizeSingleTable(t *testing.T) {
 	}
 }
 
-func TestOptimizeDisconnectedQueryFallsBackToCrossProduct(t *testing.T) {
+// TestOptimizeRejectsDisconnectedQuery: Validate rejects a disconnected join
+// graph before the dynamic program runs, so the optimizer never plans a
+// cross product.
+func TestOptimizeRejectsDisconnectedQuery(t *testing.T) {
 	db, st, engs := setup(t)
 	opt := NewOptimizer(engs["postgres"], &HistogramEstimator{Stats: st}, db.Catalog, Config{})
 	q := &query.Query{ID: "cross", Relations: []string{"info_type", "keyword"}}
-	p, _, err := opt.Optimize(q)
-	if err == nil {
-		// Validation rejects disconnected queries, so construct one manually
-		// bypassing Optimize's validation is not possible; accept either a
-		// validation error or a successful cross-product plan.
-		if !p.IsComplete() {
-			t.Errorf("if accepted, the plan must be complete")
-		}
+	if p, _, err := opt.Optimize(q); err == nil {
+		t.Errorf("disconnected query planned as %s, want a validation error", p)
 	}
 }
 

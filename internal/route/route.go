@@ -28,22 +28,16 @@ const (
 	// historical behaviour, and the zero value so existing configurations
 	// are unchanged.
 	Full Mode = iota
-	// Fastpath forces the greedy fast path for every query.
-	Fastpath
 	// Auto routes per class: heuristic bootstrap, regret-based refinement.
 	Auto
 )
 
 // String returns the flag/JSON spelling of a mode.
 func (m Mode) String() string {
-	switch m {
-	case Fastpath:
-		return "fastpath"
-	case Auto:
+	if m == Auto {
 		return "auto"
-	default:
-		return "full"
 	}
+	return "full"
 }
 
 // ParseMode parses a mode's flag spelling. The empty string parses as Full
@@ -52,12 +46,10 @@ func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "full":
 		return Full, nil
-	case "fastpath":
-		return Fastpath, nil
 	case "auto":
 		return Auto, nil
 	default:
-		return Full, fmt.Errorf(`route: unknown routing mode %q (want "auto", "fastpath" or "full")`, s)
+		return Full, fmt.Errorf(`route: unknown routing mode %q (want "auto" or "full")`, s)
 	}
 }
 
@@ -217,9 +209,6 @@ func New(mode Mode, pol Policy) *Router {
 	return &Router{mode: mode, pol: pol.withDefaults(), classes: make(map[string]*classState)}
 }
 
-// Mode returns the router's configured mode.
-func (r *Router) Mode() Mode { return r.mode }
-
 // classLocked returns (creating if needed) the state for one class key.
 // Callers must hold r.mu.
 func (r *Router) classLocked(key string) *classState {
@@ -241,8 +230,6 @@ func (r *Router) Decide(q *query.Query) Decision {
 	defer r.mu.Unlock()
 	st := r.classLocked(d.Class)
 	switch {
-	case r.mode == Fastpath:
-		d.Fastpath = true
 	case r.mode == Full:
 		d.Fastpath = false
 	case st.demoted:

@@ -16,8 +16,8 @@ func TestParseMode(t *testing.T) {
 	}{
 		{"", Full, false},
 		{"full", Full, false},
-		{"fastpath", Fastpath, false},
 		{"auto", Auto, false},
+		{"fastpath", Full, true},
 		{"bogus", Full, true},
 		{"AUTO", Full, true},
 	}
@@ -30,7 +30,7 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
-	for _, m := range []Mode{Full, Fastpath, Auto} {
+	for _, m := range []Mode{Full, Auto} {
 		back, err := ParseMode(m.String())
 		if err != nil || back != m {
 			t.Errorf("round trip of %v failed: got %v, err %v", m, back, err)
@@ -128,20 +128,9 @@ func TestClassifyShapes(t *testing.T) {
 
 func TestForcedModes(t *testing.T) {
 	q := chainQuery(nil)
-	cycle := query.New("cycle", []string{"a", "b", "c"},
-		[]query.JoinPredicate{
-			{LeftTable: "a", LeftColumn: "x", RightTable: "b", RightColumn: "x"},
-			{LeftTable: "b", LeftColumn: "y", RightTable: "c", RightColumn: "y"},
-			{LeftTable: "c", LeftColumn: "z", RightTable: "a", RightColumn: "z"},
-		}, nil)
-
 	full := New(Full, Policy{})
 	if full.Decide(q).Fastpath {
 		t.Errorf("Full mode routed to fastpath")
-	}
-	fp := New(Fastpath, Policy{})
-	if !fp.Decide(cycle).Fastpath {
-		t.Errorf("Fastpath mode must force the fast path even for general shapes")
 	}
 }
 
@@ -269,14 +258,12 @@ func TestRegretGuards(t *testing.T) {
 
 func TestNeedsOutcomeGating(t *testing.T) {
 	q := chainQuery(nil)
-	for _, mode := range []Mode{Full, Fastpath} {
-		r := New(mode, Policy{})
-		r.Decide(q)
-		if r.NeedsOutcome(q) {
-			t.Errorf("%v mode should never request outcomes (it does not learn)", mode)
-		}
+	r := New(Full, Policy{})
+	r.Decide(q)
+	if r.NeedsOutcome(q) {
+		t.Errorf("full mode should never request outcomes (it does not learn)")
 	}
-	r := New(Auto, Policy{})
+	r = New(Auto, Policy{})
 	if r.NeedsOutcome(q) {
 		t.Errorf("a class never routed should not request outcomes")
 	}

@@ -27,7 +27,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&c.Scale, "scale", c.Scale, "synthetic data scale factor")
 	fs.Int64Var(&c.Seed, "seed", c.Seed, "random seed")
 	fs.IntVar(&c.SearchExpansions, "expansions", c.SearchExpansions, "plan-search expansion budget")
-	fs.StringVar(&c.Routing, "routing", c.Routing, "query routing: full (every query takes the learned best-first search), fastpath (statistics-free greedy planner for every query) or auto (per-class fast path vs full search, refined online from observed-latency regret; see /stats routing section)")
+	fs.StringVar(&c.Routing, "routing", c.Routing, "query routing: full (every query takes the learned best-first search) or auto (per-class statistics-free fast path vs full search, refined online from observed-latency regret; see /stats routing section)")
 }
 
 // WarmStart restores learned state from the checkpoint file load, or — when

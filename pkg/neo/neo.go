@@ -55,10 +55,6 @@ type (
 	Encoding = feature.Encoding
 	// SearchResult reports the outcome of a plan search.
 	SearchResult = search.Result
-	// BatchScorer is the batched scoring contract driving the plan search:
-	// all children of an expanded node are scored in one call. Use it with
-	// OptimizeWith.
-	BatchScorer = search.BatchScorer
 	// EpisodeStats summarises one training episode.
 	EpisodeStats = core.EpisodeStats
 	// ValueNetConfig configures the value-network architecture.
@@ -158,9 +154,9 @@ type Config struct {
 	Cost core.CostFunction
 	// Routing selects how queries are dispatched between the statistics-free
 	// greedy fast path and the full DNN-guided best-first search: "full" (or
-	// "", the historical default — every query takes the full search),
-	// "fastpath" (forced greedy) or "auto" (per-class heuristic bootstrap,
-	// refined online from observed-latency regret; see System.RouteStats).
+	// "", the historical default — every query takes the full search) or
+	// "auto" (per-class heuristic bootstrap, refined online from
+	// observed-latency regret; see System.RouteStats).
 	// Open rejects unknown values.
 	Routing string
 
@@ -379,21 +375,6 @@ func (s *System) RouteStats() RouteStats { return s.Neo.RouteStats() }
 // a fixed seed whatever the pool size.
 func (s *System) Evaluate(queries []*Query) (float64, map[string]float64, error) {
 	return s.Neo.Evaluate(queries)
-}
-
-// OptimizeWith searches for a plan for q using a caller-supplied scorer in
-// place of the trained value network (useful for custom cost models,
-// ablations and tests). The scorer receives every child of each search
-// expansion in one ScoreBatch call.
-func (s *System) OptimizeWith(q *Query, scorer BatchScorer) (*Plan, *SearchResult, error) {
-	res, err := search.BestFirst(q, scorer, search.Options{
-		Catalog:       s.Catalog,
-		MaxExpansions: s.Config.SearchExpansions,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Plan, res, nil
 }
 
 // PlanResult is the outcome of planning one query of a PlanAll batch.

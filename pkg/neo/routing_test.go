@@ -13,10 +13,12 @@ import (
 )
 
 func TestOpenRejectsUnknownRouting(t *testing.T) {
-	if _, err := Open(Config{Scale: 0.1, Encoding: Histogram, Routing: "bogus"}); err == nil {
-		t.Errorf("expected error for unknown routing mode")
+	for _, mode := range []string{"bogus", "fastpath"} {
+		if _, err := Open(Config{Scale: 0.1, Encoding: Histogram, Routing: mode}); err == nil {
+			t.Errorf("Open(Routing: %q): expected an unknown-routing-mode error", mode)
+		}
 	}
-	for _, mode := range []string{"", "full", "fastpath", "auto"} {
+	for _, mode := range []string{"", "full", "auto"} {
 		sys, err := Open(Config{Scale: 0.1, Encoding: Histogram, Routing: mode})
 		if err != nil {
 			t.Fatalf("Open(Routing: %q): %v", mode, err)
@@ -151,9 +153,11 @@ func TestFastpathRegretWithinBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		scorer := sys.Neo.Scorer(q)
-		// OptimizeWith always runs the full best-first search, regardless of
-		// the system's routing mode.
-		_, best, err := sys.OptimizeWith(q, scorer)
+		// The full best-first search, whatever the system's routing mode.
+		best, err := search.BestFirst(q, scorer, search.Options{
+			Catalog:       sys.Catalog,
+			MaxExpansions: sys.Config.SearchExpansions,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
