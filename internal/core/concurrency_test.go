@@ -8,7 +8,9 @@ import (
 	"neo/internal/feature"
 	"neo/internal/plan"
 	"neo/internal/query"
+	"neo/internal/search"
 	"neo/internal/stats"
+	"neo/internal/treeconv"
 	"neo/internal/valuenet"
 )
 
@@ -69,7 +71,7 @@ func TestConstructionStatesSiblingJoinOrder(t *testing.T) {
 			plan.Join2(plan.MergeJoin, plan.Leaf("a", plan.TableScan), plan.Leaf("b", plan.TableScan)),
 			plan.Join2(plan.MergeJoin, plan.Leaf("c", plan.TableScan), plan.Leaf("d", plan.TableScan))),
 	}}
-	states := constructionStates(complete)
+	states := constructionStates(complete, plan.NewNodes())
 	// initial + leaves + 3 joins = 5 states.
 	if len(states) != 5 {
 		t.Fatalf("expected 5 construction states, got %d", len(states))
@@ -280,6 +282,58 @@ func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
 	for i, q := range queries {
 		if concurrent[i] != serial[i] {
 			t.Errorf("%s: concurrent search %+v, serial %+v", q.ID, concurrent[i], serial[i])
+		}
+	}
+}
+
+// TestConcurrentSearchNodeTables runs two searches of one query — each
+// drawing its states from its own scorer's node table — while a third
+// goroutine scores a cached result plan, whose nodes are another search's
+// table's, through fresh scorers that intern them into their own. Nodes are
+// immutable and carry a table's generation, not a pointer to it, and no
+// table is shared, so there is nothing for the race detector to find; the
+// two searches agree with the cached one, and every score of the cached plan
+// equals its score from scratch.
+func TestConcurrentSearchNodeTables(t *testing.T) {
+	rig, _ := bootstrapRig(t)
+	n := rig.neo
+	q := rig.wl.ByID("job-4b")
+	cached, cachedRes, _, err := n.OptimizeCached(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := n.Snapshot().PredictBatch([][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{n.Featurizer.EncodePlan(cached)})[0]
+	opts := search.Options{Catalog: n.Featurizer.Catalog, MaxExpansions: n.Config.SearchExpansions}
+
+	results := make([]*search.Result, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := search.BestFirst(q, n.Scorer(q), opts)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 20 {
+			for _, got := range n.Scorer(q).ScoreBatch([]*plan.Plan{cached, cached}) {
+				if got != want {
+					t.Errorf("the cached plan scores %v through a search's scorer, %v from scratch", got, want)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	for i, res := range results {
+		if res != nil && (res.Plan.Signature() != cached.Signature() || res.Score != cachedRes.Score) {
+			t.Errorf("search %d: %s scored %v; the cached search found %s scored %v", i, res.Plan, res.Score, cached, cachedRes.Score)
 		}
 	}
 }

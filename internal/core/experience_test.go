@@ -22,7 +22,7 @@ func TestExperienceTrimKeepsNewest(t *testing.T) {
 	if len(got) != 2 || got[0].Latency != 40 || got[1].Latency != 30 {
 		t.Fatalf("Entries after Trim(2) = %+v, want latencies 40, 30", got)
 	}
-	cost, ok := e.MinCostContaining(plan.Initial(q), func(en Entry) float64 { return en.Latency })
+	cost, ok := e.MinCostContaining(plan.Initial(q, plan.NewNodes()), func(en Entry) float64 { return en.Latency })
 	if !ok || cost != 30 {
 		t.Errorf("MinCostContaining after Trim = %v, %v; want 30, true", cost, ok)
 	}

@@ -20,7 +20,6 @@ import (
 	"neo/internal/query"
 	"neo/internal/route"
 	"neo/internal/search"
-	"neo/internal/treeconv"
 	"neo/internal/valuenet"
 )
 
@@ -448,8 +447,9 @@ func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
 	}
 	// Every sample of one query shares one encoding slice: that identity is
 	// what valuenet deduplicates the query tower on. The kept states of one
-	// entry share their subtrees: one encoder, made at the entry's first kept
-	// state, encodes each node of its plan once.
+	// entry share their subtrees: one node table and one encoder over it,
+	// made at the entry's first kept state, encode each node of its plan
+	// once.
 	encodings := make(map[string][]float64)
 	type built struct {
 		states []*plan.Plan
@@ -461,7 +461,8 @@ func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
 		entry := entries[st.entry]
 		b, ok := entryStates[st.entry]
 		if !ok {
-			b = built{constructionStates(entry.Plan), n.Featurizer.NewPlanEncoder(entry.Query)}
+			nodes := plan.NewNodes()
+			b = built{constructionStates(entry.Plan, nodes), n.Featurizer.NewPlanEncoder(entry.Query, nodes)}
 			entryStates[st.entry] = b
 		}
 		qEnc, ok := encodings[entry.Query.ID]
@@ -494,22 +495,23 @@ func numStates(p *plan.Plan) int {
 }
 
 // constructionStates returns the sequence of partial plans that build up to
-// the complete plan p: the initial all-unspecified state, the all-leaves
-// state, every intermediate forest produced by applying p's joins bottom-up,
-// and finally p itself.
-func constructionStates(p *plan.Plan) []*plan.Plan {
+// the complete plan p, drawn from nodes: the initial all-unspecified state,
+// the all-leaves state, every intermediate forest produced by applying p's
+// joins bottom-up, and finally p's equal in nodes. A partial plan is its own
+// only state.
+func constructionStates(p *plan.Plan, nodes *plan.Nodes) []*plan.Plan {
 	if !p.IsComplete() {
 		return []*plan.Plan{p}
 	}
 	var states []*plan.Plan
-	states = append(states, plan.Initial(p.Query))
+	states = append(states, plan.Initial(p.Query, nodes))
 
 	// Order p's joins by subtree size ascending so children come before
 	// parents, keeping the walk order for equal sizes (disjoint sibling
 	// joins) so the construction sequence — and with it the training
 	// targets — stays deterministic.
 	var joins, leaves []*plan.Node
-	p.Roots[0].Walk(func(node *plan.Node) {
+	nodes.Intern(p.Roots[0]).Walk(func(node *plan.Node) {
 		if node.IsLeaf() {
 			leaves = append(leaves, node)
 		} else {
@@ -520,8 +522,8 @@ func constructionStates(p *plan.Plan) []*plan.Plan {
 		return joins[a].NumNodes() < joins[b].NumNodes()
 	})
 
-	// Every state shares p's nodes (they are immutable). Start from the
-	// forest of specified leaves.
+	// Every state shares the table's nodes of p (they are immutable). Start
+	// from the forest of specified leaves.
 	current := map[string]*plan.Node{}
 	for _, l := range leaves {
 		current[l.Table] = l
@@ -587,22 +589,29 @@ func (n *Neo) retrain(keep int) float64 {
 }
 
 // netScorer scores plans of one query with the frozen value network it was
-// created on, for one search. Both halves of it remember every subtree the
-// search has shown them: the plan encoder returns one feature tree per
-// distinct subtree, and the incremental scorer — which ran the query tower
-// when it was created — convolves each such tree once. A child plan therefore
-// costs the encoding and the convolution of its one new node the first time
-// that node is seen and nothing afterwards, plus one head-MLP row per plan.
-// Both memos die with the scorer.
+// created on, for one search. It owns the plan-node table the search draws
+// its states from (search.NodeScorer), and both halves of it remember every
+// subtree the search has shown them in slices indexed by the subtree's id
+// there: the plan encoder encodes each distinct subtree once, and the
+// incremental scorer — which ran the query tower when it was created —
+// convolves each once. A child plan therefore costs the encoding and the
+// convolution of its one new node the first time that node is seen and
+// nothing afterwards, plus one head-MLP row per plan. A plan built elsewhere
+// (a cached result, an experience entry) is interned into the table first.
+// The table and both memos die with the scorer.
 type netScorer struct {
-	net *valuenet.Scorer
-	enc *feature.PlanEncoder
+	nodes *plan.Nodes
+	enc   *feature.PlanEncoder
+	net   *valuenet.Scorer
 
-	// trees holds the roots of every forest of one ScoreBatch call and
+	// ids holds the root ids of every forest of one ScoreBatch call and
 	// forests the per-plan windows into it; both are reused across calls.
-	trees   []*treeconv.Tree
-	forests [][]*treeconv.Tree
+	ids     []int32
+	forests [][]int32
 }
+
+// Nodes implements search.NodeScorer.
+func (s *netScorer) Nodes() *plan.Nodes { return s.nodes }
 
 // ScoreBatch implements search.BatchScorer.
 func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {
@@ -610,13 +619,13 @@ func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 	for _, p := range ps {
 		roots += len(p.Roots)
 	}
-	// Sized up front: the windows alias trees, so it must not move.
-	s.trees = slices.Grow(s.trees[:0], roots)
+	// Sized up front: the windows alias ids, so it must not move.
+	s.ids = slices.Grow(s.ids[:0], roots)
 	s.forests = s.forests[:0]
 	for _, p := range ps {
-		start := len(s.trees)
-		s.trees = s.enc.AppendForest(s.trees, p)
-		s.forests = append(s.forests, s.trees[start:len(s.trees):len(s.trees)])
+		start := len(s.ids)
+		s.ids = s.enc.AppendIDs(s.ids, p)
+		s.forests = append(s.forests, s.ids[start:len(s.ids):len(s.ids)])
 	}
 	return s.net.Score(s.forests)
 }
@@ -630,7 +639,9 @@ func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 func (n *Neo) Scorer(q *query.Query) search.BatchScorer { return n.scorerOn(n.snap.Load(), q) }
 
 func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) search.BatchScorer {
-	return &netScorer{net: ns.net.NewScorer(n.Featurizer.EncodeQuery(q)), enc: n.Featurizer.NewPlanEncoder(q)}
+	nodes := plan.NewNodes()
+	enc := n.Featurizer.NewPlanEncoder(q, nodes)
+	return &netScorer{nodes: nodes, enc: enc, net: ns.net.NewScorer(n.Featurizer.EncodeQuery(q), enc)}
 }
 
 // Optimize plans q: the router (Config.Routing) dispatches the query either
@@ -730,8 +741,9 @@ func (n *Neo) ObserveLatency(q *query.Query, observedMS float64) {
 	}
 	// Predict (not PredictBatchNormalized): the estimate must be in the
 	// original cost domain so the observed/estimated ratio is unit-free.
-	initial := plan.Initial(q)
-	estimate := n.Snapshot().Predict(n.Featurizer.EncodeQuery(q), n.Featurizer.EncodePlan(initial))
+	nodes := plan.NewNodes()
+	forest := n.Featurizer.NewPlanEncoder(q, nodes).Encode(plan.Initial(q, nodes))
+	estimate := n.Snapshot().Predict(n.Featurizer.EncodeQuery(q), forest)
 	n.router.RecordOutcome(route.Classify(q).Key(), observedMS, estimate)
 }
 

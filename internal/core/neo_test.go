@@ -85,7 +85,7 @@ func TestExperienceStore(t *testing.T) {
 	if got := e.Entries(); got[0].Latency != 120 || got[1].Latency != 80 || got[1].Query != q {
 		t.Errorf("Entries = %+v, want the two adds in order", got)
 	}
-	cost, ok := e.MinCostContaining(plan.Initial(q), func(en Entry) float64 { return en.Latency })
+	cost, ok := e.MinCostContaining(plan.Initial(q, plan.NewNodes()), func(en Entry) float64 { return en.Latency })
 	if !ok || cost != 80 {
 		t.Errorf("MinCostContaining = %f, %v; want 80, true", cost, ok)
 	}
@@ -107,7 +107,7 @@ func TestConstructionStates(t *testing.T) {
 			plan.Join2(plan.MergeJoin, plan.Leaf("a", plan.TableScan), plan.Leaf("b", plan.IndexScan)),
 			plan.Leaf("c", plan.TableScan)),
 	}}
-	states := constructionStates(complete)
+	states := constructionStates(complete, plan.NewNodes())
 	// initial + leaves + 2 joins = 4 states.
 	if len(states) != 4 {
 		t.Fatalf("expected 4 construction states, got %d", len(states))
@@ -132,8 +132,8 @@ func TestConstructionStates(t *testing.T) {
 		}
 	}
 	// A partial plan passed in is returned as-is.
-	partial := plan.Initial(q)
-	if got := constructionStates(partial); len(got) != 1 || got[0] != partial {
+	partial := plan.Initial(q, plan.NewNodes())
+	if got := constructionStates(partial, plan.NewNodes()); len(got) != 1 || got[0] != partial {
 		t.Errorf("partial plans should round-trip")
 	}
 }

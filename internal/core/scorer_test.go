@@ -105,11 +105,32 @@ func TestSearchScoresMatchPredictBatch(t *testing.T) {
 	})
 }
 
+// BenchmarkSearch times one whole search as a serving miss runs it: a
+// 256-expansion best-first search on a 5-join query with the serving
+// network's scorer — Children, the seen set, the frontier, plan encoding and
+// scoring. plans/op is the number of plans scored.
+func BenchmarkSearch(b *testing.B) {
+	rig := newRig(b, "postgres")
+	n := servingNeo(b, rig)
+	q := rig.wl.ByID("job-4b")
+	opts := search.Options{Catalog: rig.feat.Catalog, MaxExpansions: 256}
+	var res *search.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = search.BestFirst(q, n.Scorer(q), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Evaluations), "plans/op")
+}
+
 // BenchmarkSearchScore times the value network's share of one whole search:
 // the ScoreBatch calls of a real 256-expansion search on a 5-join query,
-// recorded once and encoded once by one search-long encoder (so forests
-// share subtrees exactly as the search's did), replayed through a fresh
-// scorer — what netScorer does. nodes/plan is the number of tree nodes
+// recorded once and encoded once by one search-long encoder over one node
+// table (so forests share subtree ids exactly as the search's did), replayed
+// through a fresh scorer — what netScorer does. nodes/plan is the number of tree nodes
 // convolved per plan scored.
 func BenchmarkSearchScore(b *testing.B) {
 	rig := newRig(b, "postgres")
@@ -120,15 +141,14 @@ func BenchmarkSearchScore(b *testing.B) {
 		b.Fatal(err)
 	}
 	qEnc := n.Featurizer.EncodeQuery(q)
-	enc := n.Featurizer.NewPlanEncoder(q)
-	calls := make([][][]*treeconv.Tree, len(rec.calls))
+	enc := n.Featurizer.NewPlanEncoder(q, plan.NewNodes())
+	calls := make([][][]int32, len(rec.calls))
 	plans, nodes := 0, 0
 	for c, ps := range rec.calls {
 		for _, p := range ps {
-			forest := enc.Encode(p)
-			calls[c] = append(calls[c], forest)
-			for _, tree := range forest {
-				nodes += tree.NumNodes()
+			calls[c] = append(calls[c], enc.AppendIDs(nil, p))
+			for _, r := range p.Roots {
+				nodes += r.NumNodes()
 			}
 		}
 		plans += len(ps)
@@ -138,7 +158,7 @@ func BenchmarkSearchScore(b *testing.B) {
 	b.ResetTimer()
 	var st valuenet.ScorerStats
 	for i := 0; i < b.N; i++ {
-		sc := snap.NewScorer(qEnc)
+		sc := snap.NewScorer(qEnc, enc)
 		for _, forests := range calls {
 			sc.Score(forests)
 		}

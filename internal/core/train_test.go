@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"neo/internal/plan"
 	"neo/internal/valuenet"
 )
 
@@ -113,8 +114,9 @@ func allTrainingSamples(n *Neo) []valuenet.Sample {
 			qEnc = n.Featurizer.EncodeQuery(entry.Query)
 			encodings[entry.Query.ID] = qEnc
 		}
-		enc := n.Featurizer.NewPlanEncoder(entry.Query)
-		for _, partial := range constructionStates(entry.Plan) {
+		nodes := plan.NewNodes()
+		enc := n.Featurizer.NewPlanEncoder(entry.Query, nodes)
+		for _, partial := range constructionStates(entry.Plan, nodes) {
 			target, ok := n.Experience.MinCostContaining(partial, n.cost)
 			if !ok {
 				target = n.cost(entry)
@@ -190,8 +192,8 @@ func TestNumStatesMatchesConstructionStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range append(constructionStates(p), p) {
-			if got, want := numStates(s), len(constructionStates(s)); got != want {
+		for _, s := range append(constructionStates(p, plan.NewNodes()), p) {
+			if got, want := numStates(s), len(constructionStates(s, plan.NewNodes())); got != want {
 				t.Fatalf("%s: numStates %d, constructionStates built %d", s, got, want)
 			}
 			checked++

@@ -33,7 +33,7 @@ func loveQuery() *query.Query {
 
 func TestExecuteRejectsPartialPlan(t *testing.T) {
 	e := New(imdb(t))
-	p := plan.Initial(loveQuery())
+	p := plan.Initial(loveQuery(), plan.NewNodes())
 	if _, err := e.Execute(p); err == nil {
 		t.Fatalf("expected error for partial plan")
 	}

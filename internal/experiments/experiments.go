@@ -647,7 +647,8 @@ func AblationTreeConvVsFlat(env *Env) (*Report, error) {
 // flatScorer scores plans after collapsing the encoded forest into a single
 // summed node, through one scorer on the published snapshot per search.
 func flatScorer(n *core.Neo, q *query.Query) search.BatchScorer {
-	sc := n.Snapshot().NewScorer(n.Featurizer.EncodeQuery(q))
+	var tab treeconv.Subtrees
+	sc := n.Snapshot().NewScorer(n.Featurizer.EncodeQuery(q), &tab)
 	return search.ScorerFunc(func(p *plan.Plan) float64 {
 		trees := n.Featurizer.EncodePlan(p)
 		if len(trees) == 0 {
@@ -662,7 +663,6 @@ func flatScorer(n *core.Neo, q *query.Query) search.BatchScorer {
 				}
 			})
 		}
-		flat := []*treeconv.Tree{treeconv.NewLeaf(sum)}
-		return sc.Score([][]*treeconv.Tree{flat})[0]
+		return sc.Score([][]int32{{tab.Add(treeconv.NewLeaf(sum), 0)}})[0]
 	})
 }

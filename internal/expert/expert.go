@@ -392,14 +392,16 @@ func NewRandomPlanner(cat *schema.Catalog, seed int64) *RandomPlanner {
 }
 
 // Plan returns a random complete plan for the query: a random join order
-// over connected subtrees with random operators and access paths.
+// over connected subtrees with random operators and access paths, drawn from
+// a fresh node table.
 func (r *RandomPlanner) Plan(q *query.Query) *plan.Plan {
-	p := plan.Initial(q)
+	nodes := plan.NewNodes()
+	p := plan.Initial(q, nodes)
 	opts := plan.ChildrenOptions{Catalog: r.Catalog}
 	for !p.IsComplete() {
-		kids := p.Children(opts)
+		kids := p.Children(nodes, opts)
 		if len(kids) == 0 {
-			kids = p.Children(plan.ChildrenOptions{Catalog: r.Catalog, AllowCrossProducts: true})
+			kids = p.Children(nodes, plan.ChildrenOptions{Catalog: r.Catalog, AllowCrossProducts: true})
 			if len(kids) == 0 {
 				return p
 			}

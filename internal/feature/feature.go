@@ -8,6 +8,7 @@ package feature
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"neo/internal/embedding"
@@ -248,23 +249,27 @@ func (f *Featurizer) rvectorBlock(p query.Predicate) []float64 {
 // scanned and how (table, index, or both for unspecified scans); internal
 // nodes take the union of their children. When a CardinalitySource is
 // configured two derived entries (see PlanVectorSize) are appended. It is a
-// fresh PlanEncoder used once; code that encodes many plans of one query —
-// a search, an experience entry's construction states — keeps the encoder.
+// fresh PlanEncoder, over a fresh node table, used once; code that encodes
+// many plans of one query — a search, an experience entry's construction
+// states — keeps the encoder.
 func (f *Featurizer) EncodePlan(p *plan.Plan) []*treeconv.Tree {
-	return f.NewPlanEncoder(p.Query).Encode(p)
+	return f.NewPlanEncoder(p.Query, plan.NewNodes()).Encode(p)
 }
 
-// PlanEncoder encodes plans of one query, remembering every subtree it has
-// encoded by structural hash: a plan that shares subtrees with an earlier
-// one (a search child with its parent) re-uses their feature trees and costs
-// only its new nodes, and a node's cardinality is derived once from its
-// children's. The memo lives as long as the encoder — one search, one
-// scorer — and is not safe for concurrent use. Returned trees are shared
-// between forests and must not be modified.
+// PlanEncoder encodes plans of one query whose nodes it indexes by a
+// plan.Nodes table, remembering every subtree it has encoded in a slice
+// indexed by the subtree's id there: a plan that shares subtrees with an
+// earlier one (a search child with its parent) re-uses their feature trees
+// and costs only its new nodes, and a node's cardinality is derived once from
+// its children's. A node of another table is interned into the encoder's
+// first. The memo lives as long as the encoder — one search, one scorer — and
+// is not safe for concurrent use. Returned trees are shared between forests
+// and must not be modified.
 type PlanEncoder struct {
-	f    *Featurizer
-	q    *query.Query
-	memo map[[2]uint64]encodedNode
+	f     *Featurizer
+	q     *query.Query
+	nodes *plan.Nodes
+	memo  []encodedNode // by node id; tree is nil until encoded
 }
 
 // encodedNode is what the encoder remembers of one subtree.
@@ -277,30 +282,50 @@ type encodedNode struct {
 	card, est float64
 }
 
-// NewPlanEncoder returns an empty encoder for plans of q.
-func (f *Featurizer) NewPlanEncoder(q *query.Query) *PlanEncoder {
-	return &PlanEncoder{f: f, q: q, memo: make(map[[2]uint64]encodedNode)}
+// NewPlanEncoder returns an empty encoder for plans of q whose nodes it
+// indexes by nodes.
+func (f *Featurizer) NewPlanEncoder(q *query.Query, nodes *plan.Nodes) *PlanEncoder {
+	return &PlanEncoder{f: f, q: q, nodes: nodes}
 }
 
 // Encode returns p's forest of feature trees, one per root.
 func (e *PlanEncoder) Encode(p *plan.Plan) []*treeconv.Tree {
-	return e.AppendForest(make([]*treeconv.Tree, 0, len(p.Roots)), p)
+	out := make([]*treeconv.Tree, 0, len(p.Roots))
+	for _, r := range p.Roots {
+		out = append(out, e.encode(e.nodes.ID(r)).tree)
+	}
+	return out
 }
 
-// AppendForest appends p's forest to dst and returns the extended slice: a
-// caller that only reads the forests during one scoring call keeps one
-// buffer for all of them instead of one slice per plan.
-func (e *PlanEncoder) AppendForest(dst []*treeconv.Tree, p *plan.Plan) []*treeconv.Tree {
+// AppendIDs encodes p and appends its roots' node ids to dst: the forest as
+// the search's scorer takes it.
+func (e *PlanEncoder) AppendIDs(dst []int32, p *plan.Plan) []int32 {
 	for _, r := range p.Roots {
-		dst = append(dst, e.node(r).tree)
+		id := e.nodes.ID(r)
+		e.encode(id)
+		dst = append(dst, id)
 	}
 	return dst
 }
 
-func (e *PlanEncoder) node(n *plan.Node) encodedNode {
-	if en, ok := e.memo[n.Hash()]; ok {
-		return en
+// Node returns the plan vector of the encoded node with the given id and its
+// children's ids (−1 for a leaf's): the encoder as the id space
+// valuenet.Scorer reads.
+func (e *PlanEncoder) Node(id int32) (row []float64, left, right int32) {
+	n := e.nodes.Node(id)
+	if n.IsLeaf() {
+		return e.memo[id].tree.Data, -1, -1
 	}
+	return e.memo[id].tree.Data, e.nodes.ID(n.Left), e.nodes.ID(n.Right)
+}
+
+// encode encodes the node with the given id, and whatever below it is new,
+// and returns what the encoder remembers of it.
+func (e *PlanEncoder) encode(id int32) encodedNode {
+	if int(id) < len(e.memo) && e.memo[id].tree != nil {
+		return e.memo[id]
+	}
+	n := e.nodes.Node(id)
 	f := e.f
 	vec := make([]float64, f.PlanVectorSize())
 	var en, left, right encodedNode
@@ -319,7 +344,7 @@ func (e *PlanEncoder) node(n *plan.Node) encodedNode {
 		}
 		en.tree = treeconv.NewLeaf(vec)
 	} else {
-		left, right = e.node(n.Left), e.node(n.Right)
+		left, right = e.encode(e.nodes.ID(n.Left)), e.encode(e.nodes.ID(n.Right))
 		vec[int(n.Join)] = 1
 		// Union of the children's relation slots.
 		for i := plan.NumJoinOps; i < plan.NumJoinOps+2*f.Catalog.NumRelations(); i++ {
@@ -354,7 +379,10 @@ func (e *PlanEncoder) node(n *plan.Node) encodedNode {
 		vec[len(vec)-2] = math.Log10(1 + math.Max(en.est, 0))
 		vec[len(vec)-1] = math.Log10(1 + math.Max(work, 0))
 	}
-	e.memo[n.Hash()] = en
+	if len(e.memo) <= int(id) {
+		e.memo = slices.Grow(e.memo, e.nodes.Len()-len(e.memo))[:e.nodes.Len()]
+	}
+	e.memo[id] = en
 	return en
 }
 

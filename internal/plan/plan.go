@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"neo/internal/query"
 	"neo/internal/schema"
@@ -81,12 +82,17 @@ func (s ScanType) String() string {
 // scans over Table with access path Scan; internal nodes are joins with
 // operator Join.
 //
-// Nodes are immutable: build them with Leaf and Join2 only and never assign
-// a field afterwards (neo-lint's frozenwrite check enforces the second
-// half). That is what lets a child plan share every subtree it did not
-// change with its parent, lets the plan cache and the experience hold plans
-// without copying them, and makes the facts derived at construction — the
-// structural hash, the node counts, the relation-set signature — field reads.
+// Nodes are immutable: build them with Leaf and Join2, or draw them from a
+// Nodes table, and never assign a field afterwards (neo-lint's frozenwrite
+// check enforces the second half). That is what lets a child plan share
+// every subtree it did not change with its parent, lets the plan cache and
+// the experience hold plans without copying them, and makes the facts
+// derived at construction — the structural hash, the node counts, the
+// relation-set signature, the table membership — field reads.
+//
+// A node drawn from a Nodes table is that table's one node for its
+// structure and carries the table's generation and its dense id there; a
+// node built by Leaf or Join2 belongs to no table.
 type Node struct {
 	// Join is the join operator; meaningful only for internal nodes.
 	Join JoinOp
@@ -105,27 +111,130 @@ type Node struct {
 	// a clear bit proves absence and a set bit sends hasTable down the
 	// paths that can hold the table.
 	rels uint64
+	// gen is the generation of the Nodes table the node belongs to (0: none)
+	// and id its dense id there. A number, not a pointer: a plan that
+	// outlives its search must not keep the search's table alive.
+	gen uint64
+	id  int32
 }
 
 // Leaf constructs a scan node.
 func Leaf(table string, scan ScanType) *Node {
-	unspec := int32(0)
-	if scan == UnspecifiedScan {
-		unspec = 1
-	}
-	th := [2]uint64{hashString(leafSeed0, table), hashString(leafSeed1, table)}
-	return &Node{Scan: scan, Table: table, hash: leafHash(th, scan), nodes: 1, unspec: unspec, rels: relBit(th[0])}
+	return newLeaf(table, scan, tableHash(table), 0, 0)
 }
 
 // Join2 constructs a join node over two subtrees.
 func Join2(op JoinOp, left, right *Node) *Node {
+	return newJoin(op, left, right, joinHash(op, left.hash, right.hash), 0, 0)
+}
+
+// newLeaf builds a scan node over the table whose name hashes to th, as a
+// node of table generation gen with id id.
+func newLeaf(table string, scan ScanType, th [2]uint64, gen uint64, id int32) *Node {
+	unspec := int32(0)
+	if scan == UnspecifiedScan {
+		unspec = 1
+	}
+	return &Node{Scan: scan, Table: table, hash: leafHash(th, scan), nodes: 1, unspec: unspec, rels: relBit(th[0]), gen: gen, id: id}
+}
+
+// newJoin builds a join node whose structural hash is h, as a node of table
+// generation gen with id id.
+func newJoin(op JoinOp, left, right *Node, h [2]uint64, gen uint64, id int32) *Node {
 	return &Node{
 		Join: op, Left: left, Right: right,
-		hash:   joinHash(op, left.hash, right.hash),
+		hash:   h,
 		nodes:  1 + left.nodes + right.nodes,
 		unspec: left.unspec + right.unspec,
 		rels:   left.rels | right.rels,
+		gen:    gen,
+		id:     id,
 	}
+}
+
+// Nodes is a table of hash-consed plan nodes: it hands out one node, and one
+// dense id, per distinct subtree — per (operator or scan, table, left,
+// right) — keyed on the structural hash. A search draws every state from one
+// table (Initial, Children), so a child plan costs a lookup wherever an
+// earlier state already built its new node, and what the search's plan
+// encoder and scorer remember of a subtree sits in slices indexed by its id.
+// A table node's children are the table's own, and its id is larger than
+// theirs.
+//
+// A node built elsewhere — by Leaf and Join2, or drawn from another table —
+// is interned with one lookup (ID, Intern). The table's nodes carry its
+// generation number rather than a pointer to it, so plans that outlive the
+// search — its result, a plan-cache entry, an experience entry — do not keep
+// the table alive. Not safe for concurrent use.
+type Nodes struct {
+	gen   uint64
+	ids   map[[2]uint64]int32 // structural hash → id
+	nodes []*Node             // id → node
+}
+
+// generations numbers the tables; generation 0 is no table's.
+var generations atomic.Uint64
+
+// NewNodes returns an empty table.
+func NewNodes() *Nodes {
+	return &Nodes{gen: generations.Add(1), ids: make(map[[2]uint64]int32)}
+}
+
+// Len returns the number of nodes in the table; their ids are 0 … Len()−1.
+func (t *Nodes) Len() int { return len(t.nodes) }
+
+// Node returns the table's node with the given id.
+func (t *Nodes) Node(id int32) *Node { return t.nodes[id] }
+
+// ID returns the id of the table's node structurally equal to n, interning n
+// first if the table has none.
+func (t *Nodes) ID(n *Node) int32 { return t.Intern(n).id }
+
+// Intern returns the table's node structurally equal to n: n itself if it is
+// the table's, else the table's node with n's hash, built (together with
+// whatever of n's subtrees the table lacks) if there is none.
+func (t *Nodes) Intern(n *Node) *Node {
+	if n.gen == t.gen {
+		return n
+	}
+	if id, ok := t.ids[n.hash]; ok {
+		return t.nodes[id]
+	}
+	if n.IsLeaf() {
+		return t.add(newLeaf(n.Table, n.Scan, tableHash(n.Table), t.gen, t.next()))
+	}
+	left, right := t.Intern(n.Left), t.Intern(n.Right)
+	return t.add(newJoin(n.Join, left, right, n.hash, t.gen, t.next()))
+}
+
+// Leaf returns the table's scan node over table with access path scan.
+func (t *Nodes) Leaf(table string, scan ScanType) *Node {
+	th := tableHash(table)
+	if id, ok := t.ids[leafHash(th, scan)]; ok {
+		return t.nodes[id]
+	}
+	return t.add(newLeaf(table, scan, th, t.gen, t.next()))
+}
+
+// Join returns the table's join node with operator op over (the table's
+// nodes equal to) left and right.
+func (t *Nodes) Join(op JoinOp, left, right *Node) *Node {
+	left, right = t.Intern(left), t.Intern(right)
+	h := joinHash(op, left.hash, right.hash)
+	if id, ok := t.ids[h]; ok {
+		return t.nodes[id]
+	}
+	return t.add(newJoin(op, left, right, h, t.gen, t.next()))
+}
+
+// next returns the id the next added node takes.
+func (t *Nodes) next() int32 { return int32(len(t.nodes)) }
+
+// add records n, built with id next(), and returns it.
+func (t *Nodes) add(n *Node) *Node {
+	t.ids[n.hash] = n.id
+	t.nodes = append(t.nodes, n)
+	return n
 }
 
 // IsLeaf reports whether the node is a scan.
@@ -235,11 +344,11 @@ type Plan struct {
 }
 
 // Initial returns the search start state for a query: one unspecified scan
-// per relation (P0 in Section 4.2).
-func Initial(q *query.Query) *Plan {
+// per relation (P0 in Section 4.2), drawn from t.
+func Initial(q *query.Query, t *Nodes) *Plan {
 	roots := make([]*Node, 0, len(q.Relations))
 	for _, r := range q.Relations {
-		roots = append(roots, Leaf(r, UnspecifiedScan))
+		roots = append(roots, t.Leaf(r, UnspecifiedScan))
 	}
 	return &Plan{Query: q, Roots: roots}
 }
@@ -309,14 +418,30 @@ type ChildrenOptions struct {
 // index scan, or (2) joining two roots of the forest with one of the join
 // operators. A complete plan has no children.
 //
-// A child shares every subtree it does not change with p: it costs a new
-// Roots slice plus one join node, or the leaf-to-root spine above the
-// specified scan.
-func (p *Plan) Children(opts ChildrenOptions) []*Plan {
+// Every child's roots are t's nodes (p's roots are interned first), and a
+// child shares every subtree it does not change with p: it costs a new Roots
+// slice plus one join node, or the leaf-to-root spine above the specified
+// scan — or lookups only, where t already holds them.
+func (p *Plan) Children(t *Nodes, opts ChildrenOptions) []*Plan {
 	if p.IsComplete() {
 		return nil
 	}
-	var out []*Plan
+	p = t.internRoots(p)
+	n := len(p.Roots)
+	var linked []bool
+	pairs := n * (n - 1) / 2
+	if !opts.AllowCrossProducts {
+		linked = p.linkedRoots()
+		pairs = 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if linked[i*n+j] {
+					pairs++
+				}
+			}
+		}
+	}
+	out := make([]*Plan, 0, 2+2*NumJoinOps*pairs)
 
 	// (1) Specify an unspecified scan. To keep the branching factor small we
 	// specify the first unspecified scan encountered in the first root that
@@ -333,7 +458,7 @@ func (p *Plan) Children(opts ChildrenOptions) []*Plan {
 		}
 		for _, st := range scans[:offered] {
 			roots := append([]*Node(nil), p.Roots...)
-			roots[ri] = specifyFirst(r, st)
+			roots[ri] = t.specifyFirst(r, st)
 			out = append(out, &Plan{Query: p.Query, Roots: roots})
 		}
 		break // only expand one unspecified scan per state
@@ -341,18 +466,13 @@ func (p *Plan) Children(opts ChildrenOptions) []*Plan {
 
 	// (2) Join two roots. Build and probe sides matter to the cost model, so
 	// each unordered pair yields both orientations of every operator.
-	var linked []bool
-	if !opts.AllowCrossProducts {
-		linked = p.linkedRoots()
-	}
-	n := len(p.Roots)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if linked != nil && !linked[i*n+j] {
 				continue
 			}
 			for _, op := range AllJoinOps {
-				out = append(out, p.joinRoots(i, j, op), p.joinRoots(j, i, op))
+				out = append(out, p.joinRoots(t, i, j, op), p.joinRoots(t, j, i, op))
 			}
 		}
 	}
@@ -397,17 +517,33 @@ func JoinBetween(q *query.Query, a, b *Node) (query.JoinPredicate, bool) {
 	return query.JoinPredicate{}, false
 }
 
-// joinRoots returns p with roots i and j replaced by a single join node
+// joinRoots returns p with roots i and j replaced by t's join node over them
 // (root i becomes the left/outer input), appended after the untouched roots.
-func (p *Plan) joinRoots(i, j int, op JoinOp) *Plan {
+func (p *Plan) joinRoots(t *Nodes, i, j int, op JoinOp) *Plan {
 	roots := make([]*Node, 0, len(p.Roots)-1)
 	for k, r := range p.Roots {
 		if k != i && k != j {
 			roots = append(roots, r)
 		}
 	}
-	roots = append(roots, Join2(op, p.Roots[i], p.Roots[j]))
+	roots = append(roots, t.Join(op, p.Roots[i], p.Roots[j]))
 	return &Plan{Query: p.Query, Roots: roots}
+}
+
+// internRoots returns p if its roots are t's nodes, else p with its roots
+// interned into t.
+func (t *Nodes) internRoots(p *Plan) *Plan {
+	for i, r := range p.Roots {
+		if r.gen == t.gen {
+			continue
+		}
+		roots := slices.Clone(p.Roots)
+		for j := i; j < len(roots); j++ {
+			roots[j] = t.Intern(roots[j])
+		}
+		return &Plan{Query: p.Query, Roots: roots}
+	}
+	return p
 }
 
 // indexUsable reports whether an index scan is a sensible option for the
@@ -446,16 +582,17 @@ func firstUnspecified(n *Node) *Node {
 	return n
 }
 
-// specifyFirst returns n with its leftmost unspecified scan given access
-// path st: a copy of the leaf-to-root spine over the untouched subtrees.
-func specifyFirst(n *Node, st ScanType) *Node {
+// specifyFirst returns t's node equal to n with its leftmost unspecified
+// scan given access path st: the leaf-to-root spine over the untouched
+// subtrees.
+func (t *Nodes) specifyFirst(n *Node, st ScanType) *Node {
 	switch {
 	case n.IsLeaf():
-		return Leaf(n.Table, st)
+		return t.Leaf(n.Table, st)
 	case n.Left.unspec > 0:
-		return Join2(n.Join, specifyFirst(n.Left, st), n.Right)
+		return t.Join(n.Join, t.specifyFirst(n.Left, st), n.Right)
 	default:
-		return Join2(n.Join, n.Left, specifyFirst(n.Right, st))
+		return t.Join(n.Join, n.Left, t.specifyFirst(n.Right, st))
 	}
 }
 
@@ -548,6 +685,11 @@ func hashString(seed uint64, s string) uint64 {
 // name's hash; tableBit does so from the name.
 func relBit(lane0 uint64) uint64   { return 1 << (lane0 & 63) }
 func tableBit(table string) uint64 { return relBit(hashString(leafSeed0, table)) }
+
+// tableHash hashes a relation name into both lanes.
+func tableHash(table string) [2]uint64 {
+	return [2]uint64{hashString(leafSeed0, table), hashString(leafSeed1, table)}
+}
 
 func leafHash(table [2]uint64, scan ScanType) [2]uint64 {
 	return [2]uint64{mix64(table[0] ^ uint64(scan)), mix64(table[1] ^ uint64(scan))}

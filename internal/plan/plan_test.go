@@ -23,7 +23,7 @@ func threeWayQuery() *query.Query {
 
 func TestInitialPlan(t *testing.T) {
 	q := threeWayQuery()
-	p := Initial(q)
+	p := Initial(q, NewNodes())
 	if len(p.Roots) != 3 {
 		t.Fatalf("Initial has %d roots, want 3", len(p.Roots))
 	}
@@ -94,8 +94,9 @@ func TestPaperExampleNotation(t *testing.T) {
 func TestChildrenFromInitial(t *testing.T) {
 	cat := datagen.IMDBCatalog()
 	q := threeWayQuery()
-	p := Initial(q)
-	kids := p.Children(ChildrenOptions{Catalog: cat})
+	tab := NewNodes()
+	p := Initial(q, tab)
+	kids := p.Children(tab, ChildrenOptions{Catalog: cat})
 	if len(kids) == 0 {
 		t.Fatalf("initial plan should have children")
 	}
@@ -135,8 +136,9 @@ func TestChildrenFromInitial(t *testing.T) {
 
 func TestChildrenCrossProductOption(t *testing.T) {
 	q := query.New("q2", []string{"keyword", "title"}, nil, nil)
-	p := Initial(q)
-	if kids := p.Children(ChildrenOptions{}); len(kids) != 1 {
+	tab := NewNodes()
+	p := Initial(q, tab)
+	if kids := p.Children(tab, ChildrenOptions{}); len(kids) != 1 {
 		// Only the scan-specification child (table scan for first root, no
 		// catalog so index allowed too). Without catalog indexUsable
 		// defaults to true, so 2 scan children.
@@ -144,7 +146,7 @@ func TestChildrenCrossProductOption(t *testing.T) {
 			t.Errorf("without cross products, only scan children expected, got %d", len(kids))
 		}
 	}
-	kids := p.Children(ChildrenOptions{AllowCrossProducts: true})
+	kids := p.Children(tab, ChildrenOptions{AllowCrossProducts: true})
 	joins := 0
 	for _, k := range kids {
 		if len(k.Roots) == 1 {
@@ -162,7 +164,7 @@ func TestCompletePlanHasNoChildren(t *testing.T) {
 	if !p.IsComplete() {
 		t.Fatalf("single specified scan should be complete")
 	}
-	if kids := p.Children(ChildrenOptions{}); kids != nil {
+	if kids := p.Children(NewNodes(), ChildrenOptions{}); kids != nil {
 		t.Errorf("complete plan should have no children, got %d", len(kids))
 	}
 }
@@ -170,10 +172,11 @@ func TestCompletePlanHasNoChildren(t *testing.T) {
 func TestSearchReachesCompletePlan(t *testing.T) {
 	// Repeatedly expanding the first child must terminate in a complete plan.
 	cat := datagen.IMDBCatalog()
-	p := Initial(threeWayQuery())
+	tab := NewNodes()
+	p := Initial(threeWayQuery(), tab)
 	steps := 0
 	for !p.IsComplete() {
-		kids := p.Children(ChildrenOptions{Catalog: cat})
+		kids := p.Children(tab, ChildrenOptions{Catalog: cat})
 		if len(kids) == 0 {
 			t.Fatalf("dead end at %s", p)
 		}
@@ -193,7 +196,7 @@ func TestChildrenCoverBothJoinDirections(t *testing.T) {
 	q := query.New("q2", []string{"movie_keyword", "title"},
 		[]query.JoinPredicate{{LeftTable: "movie_keyword", LeftColumn: "movie_id", RightTable: "title", RightColumn: "id"}}, nil)
 	p := &Plan{Query: q, Roots: []*Node{Leaf("movie_keyword", TableScan), Leaf("title", TableScan)}}
-	kids := p.Children(ChildrenOptions{Catalog: cat})
+	kids := p.Children(NewNodes(), ChildrenOptions{Catalog: cat})
 	var sigs []string
 	for _, k := range kids {
 		sigs = append(sigs, k.Signature())
@@ -221,7 +224,7 @@ func TestIsSubplanOf(t *testing.T) {
 	}{
 		{
 			"initial plan is subplan of anything",
-			Initial(threeWayQuery()),
+			Initial(threeWayQuery(), NewNodes()),
 			true,
 		},
 		{
@@ -262,7 +265,7 @@ func TestIsSubplanOf(t *testing.T) {
 		})
 	}
 	// A forest (more than one root) is never a "complete" target.
-	if (&Plan{Query: complete.Query, Roots: complete.Roots}).IsSubplanOf(Initial(threeWayQuery())) {
+	if (&Plan{Query: complete.Query, Roots: complete.Roots}).IsSubplanOf(Initial(threeWayQuery(), NewNodes())) {
 		t.Errorf("IsSubplanOf against a partial target should be false")
 	}
 }
@@ -299,8 +302,9 @@ func TestIndexUsableRespectsCatalog(t *testing.T) {
 	q := query.New("q", []string{"name"}, nil, []query.Predicate{
 		{Table: "name", Column: "country", Op: query.Eq, Value: storage.StringValue("us")},
 	})
-	p := Initial(q)
-	kids := p.Children(ChildrenOptions{Catalog: cat})
+	tab := NewNodes()
+	p := Initial(q, tab)
+	kids := p.Children(tab, ChildrenOptions{Catalog: cat})
 	for _, k := range kids {
 		if k.Roots[0].Scan == IndexScan {
 			t.Errorf("index scan offered for unindexed predicate column")
@@ -309,7 +313,7 @@ func TestIndexUsableRespectsCatalog(t *testing.T) {
 	// movie_keyword.movie_id is indexed, so a join query on it should offer
 	// an index scan.
 	q2 := threeWayQuery()
-	kids2 := Initial(q2).Children(ChildrenOptions{Catalog: cat})
+	kids2 := Initial(q2, tab).Children(tab, ChildrenOptions{Catalog: cat})
 	sawIndex := false
 	for _, k := range kids2 {
 		for _, r := range k.Roots {
@@ -345,7 +349,8 @@ func TestHashIdentifiesEveryReachableState(t *testing.T) {
 	opts := ChildrenOptions{AllowCrossProducts: true}
 	bySig := map[string][2]uint64{}
 	byHash := map[[2]uint64]string{}
-	queue := []*Plan{Initial(threeWayQuery())}
+	tab := NewNodes()
+	queue := []*Plan{Initial(threeWayQuery(), tab)}
 	for len(queue) > 0 {
 		p := queue[0]
 		queue = queue[1:]
@@ -381,7 +386,7 @@ func TestHashIdentifiesEveryReachableState(t *testing.T) {
 			t.Fatalf("%s: NumNodes %d, NumUnspecified %d, IsComplete %v; recount gives %d nodes, %d unspecified",
 				p, total, p.NumUnspecified(), p.IsComplete(), nodes, unspec)
 		}
-		queue = append(queue, p.Children(opts)...)
+		queue = append(queue, p.Children(tab, opts)...)
 	}
 	if len(bySig) < 500 {
 		t.Errorf("walked only %d states; expected the full space of a three-relation query", len(bySig))
@@ -392,13 +397,14 @@ func TestHashIdentifiesEveryReachableState(t *testing.T) {
 // parent plus one new node (or one re-built spine), never a copy.
 func TestChildrenShareUntouchedSubtrees(t *testing.T) {
 	q := threeWayQuery()
-	mk := Join2(HashJoin, Leaf("movie_keyword", TableScan), Leaf("title", UnspecifiedScan))
-	p := &Plan{Query: q, Roots: []*Node{mk, Leaf("keyword", TableScan)}}
+	tab := NewNodes()
+	mk := tab.Join(HashJoin, tab.Leaf("movie_keyword", TableScan), tab.Leaf("title", UnspecifiedScan))
+	p := &Plan{Query: q, Roots: []*Node{mk, tab.Leaf("keyword", TableScan)}}
 	inParent := map[*Node]bool{}
 	for _, r := range p.Roots {
 		r.Walk(func(n *Node) { inParent[n] = true })
 	}
-	for _, child := range p.Children(ChildrenOptions{}) {
+	for _, child := range p.Children(tab, ChildrenOptions{}) {
 		fresh := 0
 		for _, r := range child.Roots {
 			var count func(n *Node)

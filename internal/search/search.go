@@ -26,6 +26,24 @@ type BatchScorer interface {
 	ScoreBatch(ps []*plan.Plan) []float64
 }
 
+// NodeScorer is a BatchScorer that indexes what it scores by a plan.Nodes
+// table of its own, as core's value-network scorer does. A search draws its
+// states from the scorer's table, so every node the scorer is shown is
+// already one of its table's; with any other scorer the search makes a fresh
+// table.
+type NodeScorer interface {
+	BatchScorer
+	Nodes() *plan.Nodes
+}
+
+// nodesFor returns the table a search with scorer s draws its states from.
+func nodesFor(s BatchScorer) *plan.Nodes {
+	if ns, ok := s.(NodeScorer); ok {
+		return ns.Nodes()
+	}
+	return plan.NewNodes()
+}
+
 // ScorerFunc adapts a per-plan scoring function to BatchScorer, scoring
 // batch members one at a time.
 type ScorerFunc func(p *plan.Plan) float64
@@ -153,6 +171,9 @@ func (f *frontier) pop() frontierItem {
 	return it
 }
 
+// maxSeenHint caps the size BestFirst presizes its set of seen states for.
+const maxSeenHint = 1 << 14
+
 // BestFirst runs the DNN-guided best-first search of Section 4.2 and returns
 // the best complete plan found within the budget. The search is anytime:
 // when the budget expires it returns the best complete plan seen so far, or
@@ -167,13 +188,19 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 	}
 	start := time.Now()
 	childOpts := plan.ChildrenOptions{Catalog: opts.Catalog, AllowCrossProducts: opts.AllowCrossProducts}
+	nodes := nodesFor(scorer)
 
 	res := &Result{}
-	initial := plan.Initial(q)
+	initial := plan.Initial(q, nodes)
 	var f frontier
 	res.Evaluations++
 	f.push(frontierItem{plan: initial, score: scoreBatch(scorer, []*plan.Plan{initial})[0]})
-	seen := map[[2]uint64]struct{}{initial.Hash(): {}}
+	// Sized for the states a full budget reaches: an expansion yields at
+	// most two scan choices plus six joins per linked pair of roots, about
+	// half of that on average over a search. The cap keeps a budget that is
+	// really a wall-clock limit from sizing it for a million expansions.
+	seen := make(map[[2]uint64]struct{}, min(opts.MaxExpansions*(1+3*len(q.Joins)), maxSeenHint))
+	seen[initial.Hash()] = struct{}{}
 
 	var bestComplete *plan.Plan
 	bestScore := 0.0
@@ -221,7 +248,7 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 		// batched call (the paper evaluates the value network on all children
 		// of a node at once to amortise inference latency).
 		batch = batch[:0]
-		for _, child := range item.plan.Children(childOpts) {
+		for _, child := range item.plan.Children(nodes, childOpts) {
 			h := child.Hash()
 			if _, dup := seen[h]; dup {
 				continue
@@ -255,7 +282,7 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 		// descents' steps count as expansions so the budget's expiry does
 		// not erase the effort actually spent.
 		res.HurryUp = true
-		hp, score, evals, steps := greedyDescend(lastExpanded, scorer, childOpts)
+		hp, score, evals, steps := greedyDescend(lastExpanded, scorer, nodes, childOpts)
 		res.Evaluations += evals
 		res.Expansions += steps
 		// The first descent is mandatory — without it there is no plan at all
@@ -264,7 +291,7 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 		// otherwise overshoot the anytime budget by a second full descent.
 		deadlinePassed := opts.TimeBudget > 0 && time.Since(start) > opts.TimeBudget
 		if !deadlinePassed && len(f) > 0 && f[0].plan != lastExpanded {
-			fp, fscore, fevals, fsteps := greedyDescend(f[0].plan, scorer, childOpts)
+			fp, fscore, fevals, fsteps := greedyDescend(f[0].plan, scorer, nodes, childOpts)
 			res.Evaluations += fevals
 			res.Expansions += fsteps
 			if fp != nil && fp.IsComplete() && (hp == nil || !hp.IsComplete() || fscore < score) {
@@ -294,7 +321,8 @@ func Greedy(q *query.Query, scorer BatchScorer, opts Options) (*Result, error) {
 	}
 	start := time.Now()
 	childOpts := plan.ChildrenOptions{Catalog: opts.Catalog, AllowCrossProducts: opts.AllowCrossProducts}
-	p, score, evals, steps := greedyDescend(plan.Initial(q), scorer, childOpts)
+	nodes := nodesFor(scorer)
+	p, score, evals, steps := greedyDescend(plan.Initial(q, nodes), scorer, nodes, childOpts)
 	if p == nil || !p.IsComplete() {
 		return nil, fmt.Errorf("search: greedy descent failed for query %s", q.ID)
 	}
@@ -309,7 +337,7 @@ func Greedy(q *query.Query, scorer BatchScorer, opts Options) (*Result, error) {
 // descent step, so it is scored directly to keep the returned score
 // meaningful; otherwise the first step's scores overwrite it and the
 // up-front evaluation is skipped.
-func greedyDescend(p *plan.Plan, scorer BatchScorer, opts plan.ChildrenOptions) (*plan.Plan, float64, int, int) {
+func greedyDescend(p *plan.Plan, scorer BatchScorer, nodes *plan.Nodes, opts plan.ChildrenOptions) (*plan.Plan, float64, int, int) {
 	cur := p
 	curScore := 0.0
 	evals := 0
@@ -319,7 +347,7 @@ func greedyDescend(p *plan.Plan, scorer BatchScorer, opts plan.ChildrenOptions) 
 		evals = 1
 	}
 	for !cur.IsComplete() {
-		kids := cur.Children(opts)
+		kids := cur.Children(nodes, opts)
 		if len(kids) == 0 && !opts.AllowCrossProducts {
 			// Dead end: no connected join exists at this level. Retry this
 			// one level with cross products allowed, without flipping the
@@ -328,7 +356,7 @@ func greedyDescend(p *plan.Plan, scorer BatchScorer, opts plan.ChildrenOptions) 
 			// only where they are genuinely stuck.
 			xOpts := opts
 			xOpts.AllowCrossProducts = true
-			kids = cur.Children(xOpts)
+			kids = cur.Children(nodes, xOpts)
 		}
 		if len(kids) == 0 {
 			return nil, 0, evals, steps

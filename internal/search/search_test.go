@@ -278,7 +278,8 @@ func TestBestFirstExpansionsCountOnlyExpandedNodes(t *testing.T) {
 
 	// Enumerate the unique state space exactly as the search sees it.
 	childOpts := plan.ChildrenOptions{Catalog: cat}
-	initial := plan.Initial(q)
+	nodes := plan.NewNodes()
+	initial := plan.Initial(q, nodes)
 	seen := map[string]bool{initial.Signature(): true}
 	queue := []*plan.Plan{initial}
 	total, incomplete := 0, 0
@@ -288,7 +289,7 @@ func TestBestFirstExpansionsCountOnlyExpandedNodes(t *testing.T) {
 		total++
 		if !p.IsComplete() {
 			incomplete++
-			for _, c := range p.Children(childOpts) {
+			for _, c := range p.Children(nodes, childOpts) {
 				if sig := c.Signature(); !seen[sig] {
 					seen[sig] = true
 					queue = append(queue, c)

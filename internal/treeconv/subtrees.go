@@ -1,29 +1,35 @@
-// The subtree table: the one place forests become indexed node rows, for the
-// scorer (valuenet.Scorer) and the training tape (train.go) alike. Plan
-// encoders share subtrees between forests — the candidate plans of one
-// search, the construction states of one experience entry — and tree
-// convolution and dynamic pooling only look down: a subtree's activations
-// and its pooled maximum depend on its own nodes and on the query embedding
-// spatial replication appends to their rows, nothing else. So a subtree is
-// convolved once per (tree, query group), wherever it occurs.
+// The subtree table: the one place forests of feature trees become indexed
+// node rows — the training tape's shards (train.go), and the forests
+// valuenet's PredictBatch is handed. A plan encoder shares subtrees between
+// the forests it returns — the construction states of one experience entry
+// share them — and tree convolution and dynamic pooling only look down: a
+// subtree's activations and its pooled maximum depend on its own nodes and
+// on the query embedding spatial replication appends to their rows, nothing
+// else. So a subtree is convolved once per (tree, query group), wherever it
+// occurs. (A search's scorer reads the ids of the search's plan-node table
+// instead; see valuenet.Scorer.)
 package treeconv
 
 // Subtrees interns trees keyed on (*Tree, query group), a group being a small
-// non-negative index. Entry e is the
-// subtree Tree[e] under group Group[e]; its children are the entries Left[e]
-// and Right[e] (−1 for an absent child, convolved as all-zero vectors).
-// Entries are numbered children before parents. Pre lists every entry in the
-// pre-order Add first met it, which for forests that share nothing is the
-// node order of walking them one after another. Pointer identity is
-// structural identity where plan encoders built the trees, and conservative
-// for trees that merely look alike. The zero value is an empty table; trees
-// added to it must not be modified.
+// non-negative index. Entry e is the subtree Tree[e] under group Group[e];
+// its children are the entries Left[e] and Right[e] (−1 for an absent child,
+// convolved as all-zero vectors). Entries are numbered children before
+// parents. Pre lists every entry in the pre-order Add first met it, which
+// for forests that share nothing is the node order of walking them one after
+// another. Two trees are one entry only if they are one pointer. The zero
+// value is an empty table; trees added to it must not be modified.
 type Subtrees struct {
 	Tree        []*Tree
 	Group       []int32
 	Left, Right []int32
 	Pre         []int32
 	index       []map[*Tree]int32 // per group: tree → entry
+}
+
+// Node returns entry e's row and its children's entries: the table as the id
+// space valuenet.Scorer reads.
+func (s *Subtrees) Node(e int32) (row []float64, left, right int32) {
+	return s.Tree[e].Data, s.Left[e], s.Right[e]
 }
 
 // Len returns the number of entries.

@@ -18,17 +18,18 @@
 //   - the per-channel maximum of the last layer over the whole subtree —
 //     what dynamic pooling contributes for it.
 //
-// Subtrees are interned in a treeconv.Subtrees table, all under one query
-// group, and record e belongs to entry e: feature.PlanEncoder returns one
-// tree per structural hash within a search, so pointer identity is
-// structural identity there, and for trees that merely look alike it is
-// conservative. A call's misses are the entries it added. Score convolves
-// them — one row per layer each, through treeconv's row kernels — folds
+// A scorer is shown forests as their roots' ids in an id space (Nodes) that
+// names every subtree by a dense id — a search's plan.Nodes table, through
+// its plan encoder, or a treeconv.Subtrees table for forests of feature
+// trees — and the record of subtree id is record id: the lookup is a slice
+// index. A call's misses are the subtrees under its roots, at any depth,
+// that have no record yet. Score convolves them —
+// one row per layer each, through treeconv's row kernels — folds
 // pool(node) = max(own, pool(left), pool(right)), takes each forest's
 // maximum over its roots' pools and runs the head once per forest. Every
-// record is kept; the table is garbage when the search drops its scorer.
+// record is kept; they are garbage when the search drops its scorer.
 //
-// A score does not depend on what the table holds: a node's row goes through
+// A score does not depend on what the records hold: a node's row goes through
 // the same kernel on the same operands whichever call convolves it, and a
 // row's result does not depend on the rows beside it (treeconv/rows.go); the
 // maxima are folded with a v > cur comparison from −Inf in pre-order —
@@ -46,7 +47,6 @@ import (
 	"slices"
 
 	"neo/internal/nn"
-	"neo/internal/treeconv"
 )
 
 // recordChunk is the number of subtree records per slab chunk. The slab
@@ -54,23 +54,33 @@ import (
 // allocation to add a record costs more than the records do.
 const recordChunk = 64
 
+// Nodes is the id space a Scorer keeps its records in: every subtree it is
+// shown has a dense non-negative id, and Node returns subtree id's plan
+// vector and its children's ids (−1 for an absent child). An id must name
+// the same subtree for as long as the scorer lives.
+type Nodes interface {
+	Node(id int32) (row []float64, left, right int32)
+}
+
 // Scorer scores forests of one query against one snapshot, remembering every
 // subtree it has convolved. It belongs to one search: not safe for
-// concurrent use, and the trees it is shown must not be modified.
+// concurrent use, and the rows its Nodes return must not be modified.
 type Scorer struct {
-	net   *Network          // dimensions and the target transform
-	nf    *netF32           // the kernels
-	query []float32         // the query tower's output
-	width []int             // width[k]: output channels of conv layer k
-	off   []int             // off[k]: where a record keeps layer k's slot
-	recW  int               // values per record
-	tab   treeconv.Subtrees // subtree → entry, the index of its record
-	slab  [][]float32       // records, recordChunk to a chunk
-	stats ScorerStats
+	net   *Network  // dimensions and the target transform
+	nf    *netF32   // the kernels
+	nodes Nodes     // the id space
+	query []float32 // the query tower's output
+	width []int     // width[k]: output channels of conv layer k
+	off   []int     // off[k]: where a record keeps layer k's slot
+	recW  int       // values per record
+	// size[id] is subtree id's node count once it has a record, 0 before;
+	// left[id] and right[id] are its children.
+	size, left, right []int32
+	slab              [][]float32 // records by id, recordChunk to a chunk
+	stats             ScorerStats
 
 	// Reused from call to call.
-	roots      []int32 // record of every non-nil root of the call, in order
-	leaf, full []int32 // the call's new entries: childless, and with a child
+	leaf, full []int32 // the call's new ids: childless, and with a child
 	leafRows   []float32
 	fullRows   []float32
 	out        []float32
@@ -86,18 +96,18 @@ type ScorerStats struct {
 	// them from scratch would have convolved.
 	Nodes int
 	// Computed is the number of nodes actually convolved: the distinct
-	// subtrees seen. 1 − Computed/Nodes is the table's hit share.
+	// subtrees seen. 1 − Computed/Nodes is the records' hit share.
 	Computed int
 }
 
 // NewScorer runs the query tower over queryVec and returns an empty scorer
-// for forests of that query.
-func (s *Snapshot) NewScorer(queryVec []float64) *Scorer {
+// for forests of that query whose subtrees nodes names.
+func (s *Snapshot) NewScorer(queryVec []float64, nodes Nodes) *Scorer {
 	n := s.net
 	if len(queryVec) != n.queryDim {
 		panic("valuenet: query vector dimension mismatch")
 	}
-	sc := &Scorer{net: n, nf: &s.f32}
+	sc := &Scorer{net: n, nf: &s.f32, nodes: nodes}
 	for _, l := range n.conv.Layers {
 		sc.off = append(sc.off, sc.recW)
 		sc.width = append(sc.width, l.OutChannels)
@@ -114,8 +124,9 @@ func (s *Snapshot) NewScorer(queryVec []float64) *Scorer {
 }
 
 // Score returns the cost predictions (in the original cost domain) for the
-// forests. A forest's score does not depend on what the table held.
-func (s *Scorer) Score(forests [][]*treeconv.Tree) []float64 {
+// forests, each given as its roots' ids. A forest's score does not depend on
+// what the scorer has recorded.
+func (s *Scorer) Score(forests [][]int32) []float64 {
 	out := s.normalized(forests)
 	for i, v := range out {
 		out[i] = s.net.denormalize(v)
@@ -134,28 +145,14 @@ func (s *Scorer) slot(rec int32, k int) []float32 {
 }
 
 // normalized is Score in normalised log-cost space: the head's outputs.
-func (s *Scorer) normalized(forests [][]*treeconv.Tree) []float64 {
+func (s *Scorer) normalized(forests [][]int32) []float64 {
 	if len(forests) == 0 {
 		return nil
 	}
-	s.roots, s.leaf, s.full = s.roots[:0], s.leaf[:0], s.full[:0]
-	first := int32(s.tab.Len())
+	s.leaf, s.full = s.leaf[:0], s.full[:0]
 	for _, f := range forests {
-		for _, t := range f {
-			if t != nil {
-				s.stats.Nodes += t.NumNodes()
-				s.roots = append(s.roots, s.tab.Add(t, 0))
-			}
-		}
-	}
-	for e := first; e < int32(s.tab.Len()); e++ {
-		if int(e)%recordChunk == 0 {
-			s.slab = append(s.slab, make([]float32, recordChunk*s.recW))
-		}
-		if s.tab.Left[e] < 0 && s.tab.Right[e] < 0 {
-			s.leaf = append(s.leaf, e)
-		} else {
-			s.full = append(s.full, e)
+		for _, id := range f {
+			s.stats.Nodes += int(s.add(id))
 		}
 	}
 	s.stats.Plans += len(forests)
@@ -168,17 +165,13 @@ func (s *Scorer) normalized(forests [][]*treeconv.Tree) []float64 {
 	dim := s.width[last]
 	s.pooled = resize(s.pooled, len(forests)*dim)
 	negInf := float32(math.Inf(-1))
-	root := 0
 	for fi, f := range forests {
 		row := s.pooled[fi*dim : (fi+1)*dim]
 		for i := range row {
 			row[i] = negInf
 		}
-		for _, t := range f {
-			if t != nil {
-				foldMax(row, s.slot(s.roots[root], last))
-				root++
-			}
+		for _, id := range f {
+			foldMax(row, s.slot(id, last))
 		}
 		// An empty forest — and a channel that is NaN or −Inf at every node —
 		// pools to 0, as in the per-sample forward.
@@ -197,6 +190,44 @@ func (s *Scorer) normalized(forests [][]*treeconv.Tree) []float64 {
 	return out
 }
 
+// add gives subtree id, and whatever below it has none, a record to fill —
+// listing the new ids children first in leaf or full — and returns the
+// subtree's node count.
+func (s *Scorer) add(id int32) int32 {
+	if int(id) < len(s.size) && s.size[id] > 0 {
+		return s.size[id]
+	}
+	_, l, r := s.nodes.Node(id)
+	size := int32(1)
+	if l >= 0 {
+		size += s.add(l)
+	}
+	if r >= 0 {
+		size += s.add(r)
+	}
+	if n := int(id) + 1; n > len(s.size) {
+		// The three grow together and never shrink, so what they expose
+		// beyond their old length is still zero.
+		s.size = slices.Grow(s.size, n-len(s.size))[:n]
+		s.left = slices.Grow(s.left, n-len(s.left))[:n]
+		s.right = slices.Grow(s.right, n-len(s.right))[:n]
+	}
+	s.size[id], s.left[id], s.right[id] = size, l, r
+	c := int(id) / recordChunk
+	for c >= len(s.slab) {
+		s.slab = append(s.slab, nil)
+	}
+	if s.slab[c] == nil {
+		s.slab[c] = make([]float32, recordChunk*s.recW)
+	}
+	if l < 0 && r < 0 {
+		s.leaf = append(s.leaf, id)
+	} else {
+		s.full = append(s.full, id)
+	}
+	return size
+}
+
 // convolve fills the records of the call's misses, one layer at a time over
 // all of them: a layer's rows gather the layer below's slots, which the
 // previous iteration (or an earlier call) has filled.
@@ -212,8 +243,8 @@ func (s *Scorer) convolve() {
 		for i, e := range s.full {
 			row := s.fullRows[i*3*in : (i+1)*3*in]
 			s.gather(row[:in], k, e)
-			s.gather(row[in:2*in], k, s.tab.Left[e])
-			s.gather(row[2*in:], k, s.tab.Right[e])
+			s.gather(row[in:2*in], k, s.left[e])
+			s.gather(row[2*in:], k, s.right[e])
 		}
 		s.out = resize(s.out, (len(s.leaf)+len(s.full))*oc)
 		s.nf.conv.ForwardRows(k, s.leafRows, s.fullRows, s.out)
@@ -242,7 +273,7 @@ func (s *Scorer) convolve() {
 	}
 }
 
-// pool fills the pooled-maximum slot of entry e's record from e's own
+// pool fills the pooled-maximum slot of subtree e's record from e's own
 // last-layer activation and its children's maxima.
 func (s *Scorer) pool(e int32, own []float32) {
 	last := len(s.width) - 1
@@ -252,15 +283,15 @@ func (s *Scorer) pool(e int32, own []float32) {
 		acc[c] = negInf
 	}
 	foldMax(acc, own)
-	if l := s.tab.Left[e]; l >= 0 {
+	if l := s.left[e]; l >= 0 {
 		foldMax(acc, s.slot(l, last))
 	}
-	if r := s.tab.Right[e]; r >= 0 {
+	if r := s.right[e]; r >= 0 {
 		foldMax(acc, s.slot(r, last))
 	}
 }
 
-// gather writes the operand entry e contributes to a layer-k row: its plan
+// gather writes the operand subtree e contributes to a layer-k row: its plan
 // vector followed by the query embedding for the first layer (the
 // float64→float32 input-encode boundary), its recorded activation of the
 // layer below otherwise, zeros for an absent child (e < 0).
@@ -271,14 +302,14 @@ func (s *Scorer) gather(dst []float32, k int, e int32) {
 	case k > 0:
 		copy(dst, s.slot(e, k-1))
 	default:
-		t := s.tab.Tree[e]
-		if len(t.Data) != s.net.planDim {
+		row, _, _ := s.nodes.Node(e)
+		if len(row) != s.net.planDim {
 			panic("valuenet: plan vector dimension mismatch")
 		}
-		for i, v := range t.Data {
+		for i, v := range row {
 			dst[i] = float32(v)
 		}
-		copy(dst[len(t.Data):], s.query)
+		copy(dst[len(row):], s.query)
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"neo/internal/treeconv"
 )
 
-// The scorer's contract is that a score does not depend on what its memo
-// holds, so these tests compare bits: every Score call of a search-long
+// The scorer's contract is that a score does not depend on what its records
+// hold, so these tests compare bits: every Score call of a search-long
 // scorer against a fresh scorer on deep copies of the same forests — which
-// share no pointers, so nothing is recalled and every node is convolved from
-// scratch — on both GEMM kernels.
+// share no pointers, so no two of their nodes get one id in a
+// treeconv.Subtrees table, nothing is recalled and every node is convolved
+// from scratch — on both GEMM kernels.
 
 // eachKernel runs fn for a snapshot scoring on the assembly kernel (where
 // the CPU has one) and on the portable kernel.
@@ -94,14 +95,16 @@ func deepCopy(forests [][]*treeconv.Tree) [][]*treeconv.Tree {
 // the per-sample float64 reference Network.PredictNormalized.
 func checkScorerCalls(t *testing.T, snap *Snapshot, q []float64, calls [][][]*treeconv.Tree, order []int, finite bool) *Scorer {
 	t.Helper()
-	sc := snap.NewScorer(q)
+	var tab treeconv.Subtrees
+	sc := snap.NewScorer(q, &tab)
 	var queries [][]float64
 	for _, c := range order {
 		forests := calls[c]
-		got := sc.Score(forests)
+		got := sc.Score(treeRoots(&tab, forests))
 
-		fresh := snap.NewScorer(q)
-		wantN := fresh.normalized(deepCopy(forests))
+		var freshTab treeconv.Subtrees
+		fresh := snap.NewScorer(q, &freshTab)
+		wantN := fresh.normalized(treeRoots(&freshTab, deepCopy(forests)))
 		if st := fresh.Stats(); st.Computed != st.Nodes {
 			t.Fatalf("call %d: the from-scratch scorer convolved %d of %d nodes; deep copies must share none", c, st.Computed, st.Nodes)
 		}
@@ -191,14 +194,15 @@ func TestScorerStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a, b, c := treeconv.NewLeaf(randVec(rng, planDim)), treeconv.NewLeaf(randVec(rng, planDim)), treeconv.NewLeaf(randVec(rng, planDim))
 	ab := treeconv.NewNode(randVec(rng, planDim), a, b)
-	sc := net.Snapshot().NewScorer(randVec(rng, queryDim))
+	var tab treeconv.Subtrees
+	sc := net.Snapshot().NewScorer(randVec(rng, queryDim), &tab)
 
-	sc.Score([][]*treeconv.Tree{{a, b, c}, {ab, c}})
+	sc.Score(treeRoots(&tab, [][]*treeconv.Tree{{a, b, c}, {ab, c}}))
 	if got, want := sc.Stats(), (ScorerStats{Plans: 2, Nodes: 7, Computed: 4}); got != want {
 		t.Fatalf("after the first call: %+v, want %+v", got, want)
 	}
 	abc := treeconv.NewNode(randVec(rng, planDim), ab, c)
-	sc.Score([][]*treeconv.Tree{{abc}, {ab, c}, {}})
+	sc.Score(treeRoots(&tab, [][]*treeconv.Tree{{abc}, {ab, c}, {}}))
 	if got, want := sc.Stats(), (ScorerStats{Plans: 5, Nodes: 16, Computed: 5}); got != want {
 		t.Fatalf("after the second call: %+v, want %+v", got, want)
 	}
@@ -263,8 +267,9 @@ func TestScorerPanicsOnDimensionMismatch(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("short query vector", func() { snap.NewScorer(make([]float64, 3)) })
+	var tab treeconv.Subtrees
+	mustPanic("short query vector", func() { snap.NewScorer(make([]float64, 3), &tab) })
 	mustPanic("long plan vector", func() {
-		snap.NewScorer(make([]float64, 4)).Score([][]*treeconv.Tree{{treeconv.NewLeaf(make([]float64, 5))}})
+		snap.NewScorer(make([]float64, 4), &tab).Score(treeRoots(&tab, [][]*treeconv.Tree{{treeconv.NewLeaf(make([]float64, 5))}}))
 	})
 }

@@ -110,7 +110,8 @@ func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree)
 
 // PredictBatchNormalized is PredictBatch in normalised log-cost space. The
 // pairs are grouped by query vector (sameSlice), and each group is scored by
-// one Scorer, so the query tower runs once per distinct query.
+// one Scorer, so the query tower runs once per distinct query, over a
+// treeconv.Subtrees table of the group's trees.
 func (s *Snapshot) PredictBatchNormalized(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
 	if len(queries) != len(forests) {
 		panic("valuenet: PredictBatch queries/forests length mismatch")
@@ -134,9 +135,28 @@ func (s *Snapshot) PredictBatchNormalized(queries [][]float64, forests [][]*tree
 				done[j] = true
 			}
 		}
-		for k, v := range s.NewScorer(q).normalized(group) {
+		var tab treeconv.Subtrees
+		roots := treeRoots(&tab, group)
+		for k, v := range s.NewScorer(q, &tab).normalized(roots) {
 			out[index[k]] = v
 		}
+	}
+	return out
+}
+
+// treeRoots adds the trees of forests to tab and returns each forest's root
+// entries, leaving nil trees out: forests of feature trees in the id space a
+// Scorer reads.
+func treeRoots(tab *treeconv.Subtrees, forests [][]*treeconv.Tree) [][]int32 {
+	out := make([][]int32, len(forests))
+	for i, f := range forests {
+		ids := make([]int32, 0, len(f))
+		for _, t := range f {
+			if t != nil {
+				ids = append(ids, tab.Add(t, 0))
+			}
+		}
+		out[i] = ids
 	}
 	return out
 }

@@ -206,11 +206,12 @@ func BenchmarkPredict(b *testing.B) {
 	for i := range q {
 		q[i] = rng.Float64()
 	}
-	forests := [][]*treeconv.Tree{{synthTree(rng, 22, 3)}}
+	var tab treeconv.Subtrees
+	forests := treeRoots(&tab, [][]*treeconv.Tree{{synthTree(rng, 22, 3)}})
 	snap := n.Snapshot()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		snap.NewScorer(q).Score(forests)
+		snap.NewScorer(q, &tab).Score(forests)
 	}
 }
 
