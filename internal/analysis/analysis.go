@@ -100,7 +100,6 @@ func DefaultConfig() Config {
 		},
 		FrozenTypes: []string{
 			"neo/internal/valuenet.Snapshot",
-			"neo/internal/valuenet.netF32",
 			"neo/internal/core.netSnapshot",
 			// Plan nodes are shared between a search's parent and child
 			// states, the plan cache and the experience. Leaf and Join2
@@ -108,8 +107,9 @@ func DefaultConfig() Config {
 			// exemption.
 			"neo/internal/plan.Node",
 		},
-		// Network.Snapshot builds the frozen snapshot and its panels with
-		// one composite literal, so nothing needs an exemption.
+		// Network.Snapshot builds the frozen snapshot — its panels, widths,
+		// target transform and parameter count — with one composite
+		// literal, so nothing needs an exemption.
 		WirePkg: "neo/internal/wire",
 	}
 }

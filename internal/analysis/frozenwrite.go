@@ -8,8 +8,8 @@ import (
 
 // frozenwriteCheck flags assignments that mutate a frozen type outside its
 // designated constructor/swap sites. The repository's scoring path depends
-// on snapshots being immutable after publication: valuenet's Snapshot (and
-// the netF32 panels it scores with) and core's netSnapshot are built once,
+// on snapshots being immutable after publication: valuenet's Snapshot (the
+// packed panels it scores with) and core's netSnapshot are built once,
 // then swapped in atomically and read lock-free by every serving goroutine;
 // plan.Node is shared between a search's states, the plan cache and the
 // experience. A write to a published value is a data race that no test

@@ -362,9 +362,9 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qEnc := n.Featurizer.EncodeQuery(probe)
-	pEnc := n.Featurizer.EncodePlan(probePlan)
-	predBefore := snapBefore.Predict(qEnc, pEnc)
+	qEnc := [][]float64{n.Featurizer.EncodeQuery(probe)}
+	pEnc := [][]*treeconv.Tree{n.Featurizer.EncodePlan(probePlan)}
+	predBefore := snapBefore.PredictBatch(qEnc, pEnc)[0]
 
 	// Grow the experience so the retraining round has new signal.
 	if _, err := n.RunEpisode(1, train); err != nil {
@@ -385,7 +385,7 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 					}
 					n.SetBaseline(q.ID, float64(100+w))
 					n.Baseline(q.ID)
-					n.Snapshot().Predict(n.Featurizer.EncodeQuery(q), n.Featurizer.EncodePlan(probePlan))
+					n.Snapshot().PredictBatch([][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{n.Featurizer.EncodePlan(probePlan)})
 				}
 			}
 		}(w)
@@ -405,7 +405,7 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 	}
 	// The old snapshot is immutable: it must still score with the weights it
 	// was frozen with.
-	if got := snapBefore.Predict(qEnc, pEnc); got != predBefore {
+	if got := snapBefore.PredictBatch(qEnc, pEnc)[0]; got != predBefore {
 		t.Errorf("old snapshot's prediction changed after retraining: %v -> %v", predBefore, got)
 	}
 }

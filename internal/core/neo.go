@@ -193,9 +193,11 @@ func (s *countingSource) skip(n uint64) {
 }
 
 // New creates a Neo instance bound to a target engine and featurizer.
-// Zero-valued hyperparameters are filled from DefaultConfig field by field;
-// explicitly set fields are preserved. A zero Config.Cost already is the
-// default WorkloadCost.
+// Zero SearchExpansions, TrainEpochs and Seed are filled from DefaultConfig;
+// the other fields are kept as given. ValueNet is taken whole or not at all:
+// a config with no QueryLayers is replaced by DefaultConfig's entire network
+// config, its other fields (LearningRate, Seed, …) included. A zero
+// Config.Cost already is the default WorkloadCost.
 func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 	def := DefaultConfig()
 	if cfg.SearchExpansions == 0 {
@@ -638,7 +640,7 @@ func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 // instances (see pkg/neo's PlanAll).
 func (n *Neo) Scorer(q *query.Query) search.BatchScorer { return n.scorerOn(n.snap.Load(), q) }
 
-func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) search.BatchScorer {
+func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) *netScorer {
 	nodes := plan.NewNodes()
 	enc := n.Featurizer.NewPlanEncoder(q, nodes)
 	return &netScorer{nodes: nodes, enc: enc, net: ns.net.NewScorer(n.Featurizer.EncodeQuery(q), enc)}
@@ -739,11 +741,10 @@ func (n *Neo) ObserveLatency(q *query.Query, observedMS float64) {
 		}
 		observedMS /= base
 	}
-	// Predict (not PredictBatchNormalized): the estimate must be in the
-	// original cost domain so the observed/estimated ratio is unit-free.
-	nodes := plan.NewNodes()
-	forest := n.Featurizer.NewPlanEncoder(q, nodes).Encode(plan.Initial(q, nodes))
-	estimate := n.Snapshot().Predict(n.Featurizer.EncodeQuery(q), forest)
+	// ScoreBatch predicts in the original cost domain, so the
+	// observed/estimated ratio is unit-free.
+	sc := n.scorerOn(n.snap.Load(), q)
+	estimate := sc.ScoreBatch([]*plan.Plan{plan.Initial(q, sc.nodes)})[0]
 	n.router.RecordOutcome(route.Classify(q).Key(), observedMS, estimate)
 }
 

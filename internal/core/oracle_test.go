@@ -786,7 +786,7 @@ func (r *refNet) train(samples []valuenet.Sample, epochs, batchSize int, rng *ra
 	for i, s := range samples {
 		costs[i] = s.Target
 	}
-	fit := valuenet.New(1, 1, valuenet.Config{}) // only for its (unchanged) target-transform fit
+	fit := valuenet.New(1, 1, valuenet.DefaultConfig()) // only for its (unchanged) target-transform fit
 	fit.FitTargetTransform(costs)
 	r.mean, r.std = fit.TargetTransform()
 	var last float64

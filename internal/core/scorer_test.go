@@ -8,6 +8,7 @@ import (
 	"neo/internal/nn"
 	"neo/internal/plan"
 	"neo/internal/query"
+	"neo/internal/route"
 	"neo/internal/search"
 	"neo/internal/treeconv"
 	"neo/internal/valuenet"
@@ -103,6 +104,51 @@ func TestSearchScoresMatchPredictBatch(t *testing.T) {
 		defer nn.SetScalarKernelsForTest(nn.SetScalarKernelsForTest(true))
 		run(t)
 	})
+}
+
+// TestObserveLatencyRegretMatchesPredictBatch pins the router's regret
+// estimate to the snapshot's from-scratch prediction: after one
+// ObserveLatency for a fast-path query, its class's mean regret is the
+// observed latency over PredictBatch's score for the query's initial state,
+// exactly — scoring through a search's scorer changes no bit of it.
+func TestObserveLatencyRegretMatchesPredictBatch(t *testing.T) {
+	rig := newRig(t, "postgres")
+	cfg := rig.neo.Config
+	cfg.Routing = route.Auto
+	n := New(rig.eng, rig.feat, cfg)
+	if err := n.Bootstrap(rig.wl.Queries[:4], rig.expertFunc()); err != nil {
+		t.Fatal(err)
+	}
+	var q *query.Query
+	for _, c := range rig.wl.Queries {
+		if _, _, err := n.Optimize(c); err != nil {
+			t.Fatal(err)
+		}
+		if n.router.NeedsOutcome(c) {
+			q = c
+			break
+		}
+	}
+	if q == nil {
+		t.Fatal("no workload query routes to the fast path")
+	}
+	const observed = 1234.5
+	n.ObserveLatency(q, observed)
+
+	forest := n.Featurizer.EncodePlan(plan.Initial(q, plan.NewNodes()))
+	want := observed / n.Snapshot().PredictBatch([][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{forest})[0]
+	key := route.Classify(q).Key()
+	for _, c := range n.RouteStats().Classes {
+		if c.Class != key {
+			continue
+		}
+		if c.RegretSamples != 1 || c.RegretMean != want {
+			t.Fatalf("class %s: %d regret samples, mean %v (%#x); want 1 sample, mean %v (%#x)",
+				key, c.RegretSamples, c.RegretMean, math.Float64bits(c.RegretMean), want, math.Float64bits(want))
+		}
+		return
+	}
+	t.Fatalf("class %s missing from the route stats", key)
 }
 
 // BenchmarkSearch times one whole search as a serving miss runs it: a

@@ -334,9 +334,10 @@ type Stats struct {
 	LastTrainLoss float64            `json:"last_train_loss"`
 	Checkpoints   uint64             `json:"checkpoints"`
 	PlanCache     neo.PlanCacheStats `json:"plan_cache"`
-	// Snapshot reports the serving snapshot's memory footprint: the float64
-	// master weights it was frozen from and the packed float32 panels it
-	// scores with, converted once per snapshot publication.
+	// Snapshot reports the serving snapshot's memory footprint: the packed
+	// float32 panels it scores with — all the weights it holds, packed once
+	// per publication — and the parameter count and float64 size of the
+	// network it was frozen from.
 	Snapshot neo.SnapshotInfo `json:"snapshot"`
 	// Storage reports the disk backend's buffer-pool counters — hit rate,
 	// evictions, bytes read from the heap files. Omitted (nil) when the

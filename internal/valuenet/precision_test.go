@@ -79,13 +79,14 @@ func TestSnapshotFloat32Parity(t *testing.T) {
 		t.Fatalf("batch=1 diverges: %v vs %v", one[0], got[0])
 	}
 	// Denormalized predictions pass through the same float64 output boundary.
-	if p, b := s32.Predict(queries[0], forests[0]), s32.PredictBatch(queries[:1], forests[:1])[0]; p != b {
-		t.Fatalf("Predict/PredictBatch diverge: %v vs %v", p, b)
+	if p, b := s32.PredictBatch(queries[:1], forests[:1])[0], net.denormalize(one[0]); p != b {
+		t.Fatalf("PredictBatch/denormalized batch=1 diverge: %v vs %v", p, b)
 	}
 }
 
-// TestSnapshotInfo asserts the footprint report: float64 master weights at
-// 8 bytes/param, float32 panels at ≈4 bytes/param plus padding.
+// TestSnapshotInfo asserts the footprint report: the frozen-from network's
+// float64 weights at 8 bytes/param, float32 panels at ≈4 bytes/param plus
+// padding.
 func TestSnapshotInfo(t *testing.T) {
 	net, _, _, _ := precisionFixture(t, 34)
 	info := net.Snapshot().Info()

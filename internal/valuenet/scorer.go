@@ -37,8 +37,9 @@
 // alike whether a subtree's maximum was recorded earlier or is folded now;
 // and the head's kernels treat rows independently.
 //
-// The scorer runs in float32 through the snapshot's packed panels; the
-// per-sample float64 Network.Predict stays the reference for the network's
+// The scorer runs in float32 through the snapshot's packed panels, the only
+// weights a snapshot holds; the per-sample float64 Network.Predict on the
+// network the snapshot was frozen from stays the reference for the network's
 // maths, and on finite activations a score is within 1e-5 relative of it.
 package valuenet
 
@@ -66,8 +67,7 @@ type Nodes interface {
 // subtree it has convolved. It belongs to one search: not safe for
 // concurrent use, and the rows its Nodes return must not be modified.
 type Scorer struct {
-	net   *Network  // dimensions and the target transform
-	nf    *netF32   // the kernels
+	snap  *Snapshot // the kernels, dimensions and target transform
 	nodes Nodes     // the id space
 	query []float32 // the query tower's output
 	width []int     // width[k]: output channels of conv layer k
@@ -103,22 +103,21 @@ type ScorerStats struct {
 // NewScorer runs the query tower over queryVec and returns an empty scorer
 // for forests of that query whose subtrees nodes names.
 func (s *Snapshot) NewScorer(queryVec []float64, nodes Nodes) *Scorer {
-	n := s.net
-	if len(queryVec) != n.queryDim {
+	if len(queryVec) != s.queryDim {
 		panic("valuenet: query vector dimension mismatch")
 	}
-	sc := &Scorer{net: n, nf: &s.f32, nodes: nodes}
-	for _, l := range n.conv.Layers {
+	sc := &Scorer{snap: s, nodes: nodes}
+	for _, l := range s.conv.Layers {
 		sc.off = append(sc.off, sc.recW)
-		sc.width = append(sc.width, l.OutChannels)
-		sc.recW += l.OutChannels
+		sc.width = append(sc.width, l.Out)
+		sc.recW += l.Out
 	}
 	q := make([]float32, len(queryVec))
 	for i, v := range queryVec {
 		q[i] = float32(v)
 	}
 	// The embedding outlives the arena's next Reset, so copy it out.
-	sc.query = append([]float32(nil), s.f32.qmlp.ForwardBatch(q, 1, &sc.arena)...)
+	sc.query = append([]float32(nil), s.qmlp.ForwardBatch(q, 1, &sc.arena)...)
 	sc.arena.Reset()
 	return sc
 }
@@ -129,7 +128,7 @@ func (s *Snapshot) NewScorer(queryVec []float64, nodes Nodes) *Scorer {
 func (s *Scorer) Score(forests [][]int32) []float64 {
 	out := s.normalized(forests)
 	for i, v := range out {
-		out[i] = s.net.denormalize(v)
+		out[i] = s.snap.denormalize(v)
 	}
 	return out
 }
@@ -181,7 +180,7 @@ func (s *Scorer) normalized(forests [][]int32) []float64 {
 			}
 		}
 	}
-	head := s.nf.head.ForwardBatch(s.pooled, len(forests), &s.arena)
+	head := s.snap.head.ForwardBatch(s.pooled, len(forests), &s.arena)
 	out := make([]float64, len(forests))
 	for i := range out {
 		out[i] = float64(head[i])
@@ -233,7 +232,7 @@ func (s *Scorer) add(id int32) int32 {
 // previous iteration (or an earlier call) has filled.
 func (s *Scorer) convolve() {
 	last := len(s.width) - 1
-	in := s.net.planDim + len(s.query)
+	in := s.snap.planDim + len(s.query)
 	for k, oc := range s.width {
 		s.leafRows = resize(s.leafRows, len(s.leaf)*in)
 		s.fullRows = resize(s.fullRows, len(s.full)*3*in)
@@ -247,7 +246,7 @@ func (s *Scorer) convolve() {
 			s.gather(row[2*in:], k, s.right[e])
 		}
 		s.out = resize(s.out, (len(s.leaf)+len(s.full))*oc)
-		s.nf.conv.ForwardRows(k, s.leafRows, s.fullRows, s.out)
+		s.snap.conv.ForwardRows(k, s.leafRows, s.fullRows, s.out)
 
 		if k < last {
 			for i, e := range s.leaf {
@@ -303,7 +302,7 @@ func (s *Scorer) gather(dst []float32, k int, e int32) {
 		copy(dst, s.slot(e, k-1))
 	default:
 		row, _, _ := s.nodes.Node(e)
-		if len(row) != s.net.planDim {
+		if len(row) != s.snap.planDim {
 			panic("valuenet: plan vector dimension mismatch")
 		}
 		for i, v := range row {

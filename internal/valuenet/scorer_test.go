@@ -92,8 +92,9 @@ func deepCopy(forests [][]*treeconv.Tree) [][]*treeconv.Tree {
 // requires every result to be bit-identical to a fresh scorer's on deep
 // copies, and to PredictBatch's on the forests themselves. On a finite
 // corpus it also holds the from-scratch scores to within 1e-5 relative of
-// the per-sample float64 reference Network.PredictNormalized.
-func checkScorerCalls(t *testing.T, snap *Snapshot, q []float64, calls [][][]*treeconv.Tree, order []int, finite bool) *Scorer {
+// the per-sample float64 reference: PredictNormalized on net, the network
+// snap was frozen from.
+func checkScorerCalls(t *testing.T, net *Network, snap *Snapshot, q []float64, calls [][][]*treeconv.Tree, order []int, finite bool) *Scorer {
 	t.Helper()
 	var tab treeconv.Subtrees
 	sc := snap.NewScorer(q, &tab)
@@ -118,7 +119,7 @@ func checkScorerCalls(t *testing.T, snap *Snapshot, q []float64, calls [][][]*tr
 				c, len(got), got == nil, len(batch), len(wantN), wantN == nil)
 		}
 		for i, n := range wantN {
-			want := snap.net.denormalize(n)
+			want := net.denormalize(n)
 			if math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("call %d forest %d: Score %v (%#x) != from scratch %v (%#x)",
 					c, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
@@ -130,7 +131,7 @@ func checkScorerCalls(t *testing.T, snap *Snapshot, q []float64, calls [][][]*tr
 			if !finite {
 				continue
 			}
-			ref := snap.net.PredictNormalized(q, forests[i])
+			ref := net.PredictNormalized(q, forests[i])
 			if rel := relErr(n, ref); rel > 1e-5 {
 				t.Fatalf("call %d forest %d: from scratch %v, per-sample %v (rel err %g)", c, i, n, ref, rel)
 			}
@@ -174,8 +175,8 @@ func TestScorerMatchesPredictBatch(t *testing.T) {
 					for i := range calls {
 						forward[i], backward[i] = i, len(calls)-1-i
 					}
-					sc := checkScorerCalls(t, snap, q, calls, forward, true)
-					checkScorerCalls(t, snap, q, calls, backward, true)
+					sc := checkScorerCalls(t, net, snap, q, calls, forward, true)
+					checkScorerCalls(t, net, snap, q, calls, backward, true)
 
 					st := sc.Stats()
 					if st.Computed == 0 || st.Computed >= st.Nodes {
@@ -231,7 +232,7 @@ func TestScorerNonFiniteActivations(t *testing.T) {
 				for i := range order {
 					order[i] = i
 				}
-				sc := checkScorerCalls(t, snap, q, calls, order, false)
+				sc := checkScorerCalls(t, net, snap, q, calls, order, false)
 
 				var inf, nan bool
 				scan := func(v float64) {

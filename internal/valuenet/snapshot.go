@@ -1,10 +1,12 @@
 // Network snapshots. Training mutates the network's weights in place, so a
 // search that scores plans while a retraining round is running would read
-// half-updated parameters. Snapshot gives the optimizer a double-buffering
-// primitive: it deep-copies the weights into a frozen Network that exposes
-// only the inference surface, so searches keep scoring against a consistent
-// set of weights while the live network trains in the background, and the
-// new weights are published by atomically swapping in a fresh snapshot.
+// half-updated parameters. A Snapshot is what searches score with instead:
+// the network's three towers packed into float32 panels — a copy, made once
+// when the snapshot is taken — with the input widths and the target
+// transform, and nothing trainable. Searches keep scoring against one
+// consistent set of weights while the live network trains in the
+// background, and new weights are published by atomically swapping in a
+// fresh snapshot.
 package valuenet
 
 import (
@@ -12,71 +14,47 @@ import (
 	"neo/internal/treeconv"
 )
 
-// Clone returns a deep copy of the network: same architecture and weights,
-// fully independent parameter storage. Optimizer state (Adam moments) is not
-// copied — a clone serves inference or a fresh training run, not resumption
-// of an optimization trajectory.
-func (n *Network) Clone() *Network {
-	c := New(n.queryDim, n.planDim, n.cfg)
-	src, dst := n.Params(), c.Params()
-	for i, p := range src {
-		copy(dst[i].Value, p.Value)
-	}
-	c.targetMean, c.targetStd = n.targetMean, n.targetStd
-	return c
-}
-
-// CloneTrainable is Clone plus the optimizer state (Adam step counter and
-// moments): training the copy continues the original's trajectory exactly.
-// It is what a checkpoint is written from, so saving never reads a network a
-// retraining round may be mutating.
-func (n *Network) CloneTrainable() *Network {
-	c := n.Clone()
-	c.opt.CopyState(n.opt, n.Params(), c.Params())
-	return c
-}
-
-// Snapshot is an immutable point-in-time copy of a network, safe to share
-// across any number of concurrent searches. It has no training methods; the
-// weights it scores with can never change after creation.
-//
-// A snapshot carries the float64 master weights (net) — what checkpoints
-// save and what the target transform reads — and the float32 packed panels
-// converted from them once at snapshot time. Every prediction goes through a
-// Scorer (scorer.go), the one inference pass, which scores with the panels:
-// float64 is touched only at the input-encode boundary (query and plan
-// vectors → float32 rows) and the output boundary (denormalization).
-// Training and persistence never see the panels.
+// Snapshot is an immutable point-in-time scoring form of a network, safe to
+// share across any number of concurrent searches. It holds only what a
+// Scorer (scorer.go), the one inference pass, reads: the packed float32
+// towers, the query and plan widths, the target transform, and — for Info —
+// the parameter count. float64 is touched only at the input-encode boundary
+// (query and plan vectors → float32 rows) and the output boundary
+// (denormalization). Training and persistence never see the panels; they
+// work on the Network the snapshot was frozen from.
 type Snapshot struct {
-	net *Network
-	f32 netF32
-}
-
-// netF32 is the packed float32 form of a network's three towers.
-type netF32 struct {
 	qmlp *nn.MLPF32
 	conv *treeconv.StackF32
 	head *nn.MLPF32
+
+	queryDim, planDim int
+	targetTransform
+	params int
 }
 
-// Snapshot deep-copies the network's current weights into a frozen predictor
-// and packs them for float32 scoring. Call it only when no training round is
-// mutating the weights (Neo calls it at the end of each retraining round,
-// under the training lock).
+// Snapshot packs the network's current weights into a frozen predictor.
+// Packing copies, so the snapshot shares no storage with the network. Call
+// it only when no training round is mutating the weights (Neo calls it at
+// the end of each retraining round, under the training lock).
 func (n *Network) Snapshot() *Snapshot {
-	c := n.Clone()
-	return &Snapshot{net: c, f32: netF32{
-		qmlp: nn.NewMLPF32(c.qmlp),
-		conv: treeconv.NewStackF32(c.conv),
-		head: nn.NewMLPF32(c.head),
-	}}
+	return &Snapshot{
+		qmlp:            nn.NewMLPF32(n.qmlp),
+		conv:            treeconv.NewStackF32(n.conv),
+		head:            nn.NewMLPF32(n.head),
+		queryDim:        n.queryDim,
+		planDim:         n.planDim,
+		targetTransform: n.targetTransform,
+		params:          n.NumParameters(),
+	}
 }
 
 // SnapshotInfo describes a snapshot's memory footprint.
 type SnapshotInfo struct {
-	// Parameters is the number of scalar parameters of the frozen network.
+	// Parameters is the number of scalar parameters of the network the
+	// snapshot was frozen from.
 	Parameters int `json:"parameters"`
-	// ParamBytes is the float64 master copy's parameter footprint.
+	// ParamBytes is 8 × Parameters: the float64 weights of the network the
+	// snapshot was frozen from. The snapshot itself keeps none of them.
 	ParamBytes int `json:"param_bytes"`
 	// PanelBytes is the footprint of the packed float32 panels it scores
 	// with.
@@ -85,17 +63,11 @@ type SnapshotInfo struct {
 
 // Info reports the snapshot's footprint.
 func (s *Snapshot) Info() SnapshotInfo {
-	n := s.net.NumParameters()
 	return SnapshotInfo{
-		Parameters: n,
-		ParamBytes: 8 * n,
-		PanelBytes: s.f32.qmlp.Bytes() + s.f32.conv.Bytes() + s.f32.head.Bytes(),
+		Parameters: s.params,
+		ParamBytes: 8 * s.params,
+		PanelBytes: s.qmlp.Bytes() + s.conv.Bytes() + s.head.Bytes(),
 	}
-}
-
-// Predict returns the cost prediction in the original cost domain.
-func (s *Snapshot) Predict(queryVec []float64, trees []*treeconv.Tree) float64 {
-	return s.PredictBatch([][]float64{queryVec}, [][]*treeconv.Tree{trees})[0]
 }
 
 // PredictBatch returns the cost predictions (in the original cost domain)
@@ -103,7 +75,7 @@ func (s *Snapshot) Predict(queryVec []float64, trees []*treeconv.Tree) float64 {
 func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
 	out := s.PredictBatchNormalized(queries, forests)
 	for i, v := range out {
-		out[i] = s.net.denormalize(v)
+		out[i] = s.denormalize(v)
 	}
 	return out
 }
@@ -167,7 +139,3 @@ func treeRoots(tab *treeconv.Subtrees, forests [][]*treeconv.Tree) [][]int32 {
 func sameSlice(a, b []float64) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
-
-// NumParameters returns the total number of scalar parameters of the frozen
-// network.
-func (s *Snapshot) NumParameters() int { return s.net.NumParameters() }

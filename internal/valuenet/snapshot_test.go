@@ -2,8 +2,11 @@ package valuenet
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"neo/internal/nn"
 	"neo/internal/treeconv"
 )
 
@@ -32,7 +35,8 @@ func TestSnapshotIsImmutableUnderTraining(t *testing.T) {
 	net, q, trees := snapshotTestNetwork()
 	snap := net.Snapshot()
 
-	before := snap.Predict(q, trees)
+	predict := func() float64 { return snap.PredictBatch([][]float64{q}, [][]*treeconv.Tree{trees})[0] }
+	before := predict()
 	beforeNorm := snap.PredictBatchNormalized([][]float64{q}, [][]*treeconv.Tree{trees})[0]
 	if live := net.PredictNormalized(q, trees); relErr(beforeNorm, live) > 1e-5 {
 		t.Fatalf("fresh snapshot should match the live network: snap %v, live %v", beforeNorm, live)
@@ -48,7 +52,7 @@ func TestSnapshotIsImmutableUnderTraining(t *testing.T) {
 	if after := net.Predict(q, trees); after == before {
 		t.Errorf("training should have changed the live network's prediction (stayed %v)", after)
 	}
-	if got := snap.Predict(q, trees); got != before {
+	if got := predict(); got != before {
 		t.Errorf("snapshot prediction changed under training: %v -> %v", before, got)
 	}
 	if got := snap.PredictBatchNormalized([][]float64{q}, [][]*treeconv.Tree{trees})[0]; got != beforeNorm {
@@ -60,11 +64,11 @@ func TestSnapshotIsImmutableUnderTraining(t *testing.T) {
 	}
 }
 
-// TestCloneIsDeepAndEquivalent checks that a clone predicts identically but
-// shares no parameter storage with the original.
+// TestCloneIsDeepAndEquivalent checks that a trainable clone predicts
+// identically but shares no parameter storage with the original.
 func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	net, q, trees := snapshotTestNetwork()
-	clone := net.Clone()
+	clone := net.CloneTrainable()
 	if clone.NumParameters() != net.NumParameters() {
 		t.Fatalf("clone has %d parameters, original %d", clone.NumParameters(), net.NumParameters())
 	}
@@ -81,5 +85,50 @@ func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	}
 	if got := clone.Predict(q, trees); got != before {
 		t.Errorf("clone shares storage with the original: %v -> %v", before, got)
+	}
+}
+
+// TestSnapshotKeepsNoTrainableState pins what a snapshot is: its packed
+// panels and a few scalars. No type it reaches holds a Network, a Param or
+// float64 storage, and taking one allocates little beyond the panels — not
+// the copy of weights, gradients and optimizer a trainable network would be.
+func TestSnapshotKeepsNoTrainableState(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch {
+		case typ == reflect.TypeOf(Network{}), typ == reflect.TypeOf(nn.Param{}),
+			typ == reflect.TypeOf([]float64(nil)):
+			t.Errorf("Snapshot reaches %v through %s", typ, path)
+		case typ.Kind() == reflect.Pointer, typ.Kind() == reflect.Slice, typ.Kind() == reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case typ.Kind() == reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case typ.Kind() == reflect.Map, typ.Kind() == reflect.Interface, typ.Kind() == reflect.Func, typ.Kind() == reflect.Chan:
+			t.Errorf("Snapshot reaches %v through %s, which this walk cannot see into", typ, path)
+		}
+	}
+	walk(reflect.TypeOf(Snapshot{}), "Snapshot")
+
+	net := New(120, 30, DefaultConfig())
+	panels := net.Snapshot().Info().PanelBytes
+	const calls, slack = 8, 16 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		net.Snapshot()
+	}
+	runtime.ReadMemStats(&after)
+	if per := int(after.TotalAlloc-before.TotalAlloc) / calls; per > panels+slack {
+		t.Errorf("Snapshot allocates %d B per call for %d B of panels (%d parameters): more than %d B of slack",
+			per, panels, net.NumParameters(), slack)
+	} else {
+		t.Logf("Snapshot allocates %d B per call for %d B of panels", per, panels)
 	}
 }

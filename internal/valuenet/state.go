@@ -20,6 +20,23 @@ import (
 // for.
 func (n *Network) Dims() (queryDim, planDim int) { return n.queryDim, n.planDim }
 
+// CloneTrainable returns a deep copy of the network — same architecture,
+// weights and target transform, fully independent parameter storage — with
+// its optimizer state (Adam step counter and moments): training the copy
+// continues the original's trajectory exactly. It is what a checkpoint is
+// written from, so saving never reads a network a retraining round may be
+// mutating.
+func (n *Network) CloneTrainable() *Network {
+	c := New(n.queryDim, n.planDim, n.cfg)
+	src, dst := n.Params(), c.Params()
+	for i, p := range src {
+		copy(dst[i].Value, p.Value)
+	}
+	c.targetTransform = n.targetTransform
+	c.opt.CopyState(n.opt, src, dst)
+	return c
+}
+
 // Config returns the configuration the network was built with.
 func (n *Network) Config() Config { return n.cfg }
 

@@ -91,30 +91,33 @@ type Network struct {
 	// their scratch); nil until the first TrainBatch call.
 	train *trainer
 
-	// Target standardisation (log domain).
+	targetTransform
+}
+
+// targetTransform is the standardisation applied to log-costs: the network
+// is trained on, and outputs, (log1p(cost) − targetMean) / targetStd.
+type targetTransform struct {
 	targetMean, targetStd float64
 }
 
 // New creates a value network for the given query- and plan-vector
-// dimensions.
+// dimensions. cfg must name every layer size (see DefaultConfig).
 func New(queryDim, planDim int, cfg Config) *Network {
-	if len(cfg.QueryLayers) == 0 {
-		cfg = DefaultConfig()
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	qSizes := append([]int{queryDim}, cfg.QueryLayers...)
 	qOut := qSizes[len(qSizes)-1]
 	convSizes := append([]int{planDim + qOut}, cfg.TreeChannels...)
 	headSizes := append(append([]int{convSizes[len(convSizes)-1]}, cfg.HeadLayers...), 1)
 	n := &Network{
-		cfg:       cfg,
-		queryDim:  queryDim,
-		planDim:   planDim,
-		qmlp:      nn.NewMLP(qSizes, cfg.UseLayerNorm, rng),
-		conv:      treeconv.NewStack(convSizes, rng),
-		head:      nn.NewMLP(headSizes, cfg.UseLayerNorm, rng),
-		opt:       nn.NewAdam(cfg.LearningRate),
-		targetStd: 1,
+		cfg:      cfg,
+		queryDim: queryDim,
+		planDim:  planDim,
+		qmlp:     nn.NewMLP(qSizes, cfg.UseLayerNorm, rng),
+		conv:     treeconv.NewStack(convSizes, rng),
+		head:     nn.NewMLP(headSizes, cfg.UseLayerNorm, rng),
+		opt:      nn.NewAdam(cfg.LearningRate),
+
+		targetTransform: targetTransform{targetStd: 1},
 	}
 	// The query tower reads the encoding as data: most of its input columns
 	// are never non-zero, and the optimizer walks only those that have been.
@@ -171,12 +174,12 @@ func (n *Network) FitTargetTransform(costs []float64) {
 	n.targetMean, n.targetStd = mean, std
 }
 
-func (n *Network) normalize(cost float64) float64 {
-	return (math.Log1p(math.Max(cost, 0)) - n.targetMean) / n.targetStd
+func (t targetTransform) normalize(cost float64) float64 {
+	return (math.Log1p(math.Max(cost, 0)) - t.targetMean) / t.targetStd
 }
 
-func (n *Network) denormalize(v float64) float64 {
-	return math.Expm1(v*n.targetStd + n.targetMean)
+func (t targetTransform) denormalize(v float64) float64 {
+	return math.Expm1(v*t.targetStd + t.targetMean)
 }
 
 // forwardState carries the intermediate activations of one forward pass.
@@ -311,14 +314,12 @@ func (n *Network) TrainBatchPerSample(samples []Sample) float64 {
 	return total / float64(len(samples))
 }
 
-// Train runs epochs of minibatch training over the samples using the
-// batched TrainBatch pipeline and returns the final epoch's mean loss.
+// Train runs epochs of minibatch training over the samples, in batches of
+// batchSize (> 0), using the batched TrainBatch pipeline and returns the
+// final epoch's mean loss.
 func (n *Network) Train(samples []Sample, epochs, batchSize int, rng *rand.Rand) float64 {
 	if len(samples) == 0 {
 		return 0
-	}
-	if batchSize <= 0 {
-		batchSize = 16
 	}
 	costs := make([]float64, len(samples))
 	for i, s := range samples {

@@ -36,11 +36,6 @@ func TestNewAndSizes(t *testing.T) {
 	if big.NumParameters() <= n.NumParameters() {
 		t.Errorf("paper config should have more parameters (%d vs %d)", big.NumParameters(), n.NumParameters())
 	}
-	// Zero config falls back to the default.
-	fallback := New(20, 10, Config{})
-	if fallback.NumParameters() != n.NumParameters() {
-		t.Errorf("empty config should fall back to DefaultConfig")
-	}
 }
 
 func TestPredictIsFiniteAndDeterministic(t *testing.T) {

@@ -147,8 +147,10 @@ type Config struct {
 	// Episodes is the default number of refinement episodes used by Train
 	// (default 10).
 	Episodes int
-	// ValueNet overrides the value-network architecture (default: a small
-	// network structurally identical to the paper's).
+	// ValueNet overrides the value-network architecture and optimisation
+	// settings (default: a small network structurally identical to the
+	// paper's). It is used whole: one with no QueryLayers is replaced by the
+	// entire default, so give every field when setting any.
 	ValueNet *ValueNetConfig
 	// Cost selects the optimisation objective (default WorkloadCost).
 	Cost core.CostFunction
