@@ -42,22 +42,6 @@ const MaxRequestBytes = 1 << 20
 // times the default.
 const MaxExperienceBytes = 8 << 20
 
-// DecodeRequest decodes r's JSON body into v, reading at most
-// MaxRequestBytes of it. On failure it also returns the HTTP status to answer
-// with: 413 for an oversized body, 400 for anything else.
-func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
-	var tooLarge *http.MaxBytesError
-	switch {
-	case err == nil:
-		return http.StatusOK, nil
-	case errors.As(err, &tooLarge):
-		return http.StatusRequestEntityTooLarge, err
-	default:
-		return http.StatusBadRequest, err
-	}
-}
-
 // WriteJSON answers 200 with v as the JSON body, or 500 with the usual error
 // body when v does not encode (a NaN or ±Inf score: encoding/json has no
 // spelling for them). The body is encoded before anything is written, so a

@@ -59,7 +59,7 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec proto.QuerySpec
-	if err := json.Unmarshal(body, &spec); err != nil {
+	if err := proto.Unmarshal(body, &spec); err != nil {
 		proto.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding query: %w", err))
 		return
 	}
@@ -73,7 +73,7 @@ func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req proto.FeedbackRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := proto.Unmarshal(body, &req); err != nil {
 		proto.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding feedback: %w", err))
 		return
 	}

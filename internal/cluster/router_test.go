@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -137,5 +138,38 @@ func TestRouterFailsOverAndRelays(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty body: status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestRouterRefusesNonStrictBodies: the router decodes by the replicas' own
+// strict rule, so a body with trailing data, an unknown field or a field
+// given twice is a 400 at the router and reaches no replica.
+func TestRouterRefusesNonStrictBodies(t *testing.T) {
+	a := newStubBackend("a")
+	defer a.srv.Close()
+	rt, err := NewRouter([]string{a.srv.URL}, fastClient())
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt)
+	defer router.Close()
+	for _, tc := range []struct{ path, body string }{
+		{"/optimize", `{"relations":["title"]} this is not json`},
+		{"/optimize", `{"relations":["title"],"predicate":[]}`},
+		{"/optimize", `{"relations":["title"],"relations":["keyword"]}`},
+		{"/feedback", `{"query":{"relations":["title"]},"latency_ms":5,"latency":5}`},
+		{"/feedback", `{"query":{"relations":["title"],"id":"a","id":"b"},"latency_ms":5}`},
+	} {
+		resp, err := http.Post(router.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+	}
+	if n := a.count(); n != 0 {
+		t.Errorf("%d refused bodies reached the replica", n)
 	}
 }

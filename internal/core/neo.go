@@ -262,7 +262,7 @@ func (n *Neo) publishLocked(version uint64) {
 	n.snap.Store(&netSnapshot{
 		net:     n.Net.Snapshot(),
 		version: version,
-		plans:   &planCache{counters: &n.planStats, entries: make(map[string]*planEntry)},
+		plans:   &planCache{counters: &n.planStats, entries: make(map[string]*CachedPlan)},
 	})
 }
 
@@ -669,9 +669,19 @@ func (n *Neo) Optimize(q *query.Query) (*plan.Plan, *search.Result, error) {
 // by construction the one whose weights scored the plan, whatever swaps land
 // meanwhile. Safe for concurrent use.
 func (n *Neo) OptimizeCached(q *query.Query) (p *plan.Plan, res *search.Result, version uint64, err error) {
+	e, version := n.Cached(q, q.Signature())
+	p, res, err = e.Bind(q)
+	return p, res, version, err
+}
+
+// Cached is OptimizeCached for a caller that already holds q's
+// signature, sig == q.Signature(): it returns the plan-cache entry itself —
+// searched for q on a miss, for whichever query first had the structure on a
+// hit (Bind re-binds it) — and the version of the snapshot it belongs to.
+// Check the entry's Err. Safe for concurrent use.
+func (n *Neo) Cached(q *query.Query, sig string) (*CachedPlan, uint64) {
 	ns := n.snap.Load()
-	p, res, err = ns.plans.get(q, func() (*plan.Plan, *search.Result, error) { return n.optimizeOn(ns, q) })
-	return p, res, ns.version, err
+	return ns.plans.get(sig, func() (*plan.Plan, *search.Result, error) { return n.optimizeOn(ns, q) }), ns.version
 }
 
 // PlanCacheStats reports the lifetime hit/miss counters and the serving

@@ -47,33 +47,37 @@ type planCache struct {
 	counters *planCounters
 
 	mu      sync.Mutex
-	entries map[string]*planEntry // guarded by mu
+	entries map[string]*CachedPlan // guarded by mu
 }
 
-// planEntry is one search outcome. plan, res and err are written by the
-// searching caller before done is closed and are read-only afterwards.
-type planEntry struct {
+// CachedPlan is one plan-cache entry: the outcome of one search under one
+// snapshot. plan, res and err are written by the searching caller before done
+// is closed and are read-only afterwards.
+type CachedPlan struct {
 	done chan struct{}
 	plan *plan.Plan
 	res  *search.Result
 	err  error
+
+	// memo is the caller's per-entry slot (see Memo); core never looks
+	// inside it.
+	memo atomic.Value
 }
 
 var errSearchAborted = errors.New("core: plan search aborted")
 
-// get returns the cached outcome for q's signature, calling run to
-// produce it when no entry exists. A failed search is handed to the callers
+// get returns the entry for sig once its search has finished, calling run
+// to search when no entry exists. A failed search is handed to the callers
 // already waiting on it and then forgotten, so the next request retries.
 // When the cache is full an arbitrary entry is replaced (random replacement:
 // cheap, and the whole cache dies with its snapshot anyway).
-func (c *planCache) get(q *query.Query, run func() (*plan.Plan, *search.Result, error)) (*plan.Plan, *search.Result, error) {
-	sig := q.Signature()
+func (c *planCache) get(sig string, run func() (*plan.Plan, *search.Result, error)) *CachedPlan {
 	c.mu.Lock()
 	if e, ok := c.entries[sig]; ok {
 		c.mu.Unlock()
 		c.counters.hits.Add(1)
 		<-e.done
-		return e.bind(q)
+		return e
 	}
 	if len(c.entries) >= planCacheMaxEntries {
 		for victim := range c.entries {
@@ -83,7 +87,7 @@ func (c *planCache) get(q *query.Query, run func() (*plan.Plan, *search.Result, 
 	}
 	// err is overwritten by the search's own outcome; it survives only if the
 	// search panics, in which case the waiters must still be released.
-	e := &planEntry{done: make(chan struct{}), err: errSearchAborted}
+	e := &CachedPlan{done: make(chan struct{}), err: errSearchAborted}
 	c.entries[sig] = e
 	c.mu.Unlock()
 	c.counters.misses.Add(1)
@@ -98,7 +102,7 @@ func (c *planCache) get(q *query.Query, run func() (*plan.Plan, *search.Result, 
 		close(e.done)
 	}()
 	e.plan, e.res, e.err = run()
-	return e.plan, e.res, e.err
+	return e
 }
 
 func (c *planCache) size() int {
@@ -107,10 +111,21 @@ func (c *planCache) size() int {
 	return len(c.entries)
 }
 
-// bind returns the entry's plan re-bound to the requesting query when the
-// entry was searched for a structurally identical query with a different
-// identity (plan trees are immutable after search, so the roots are shared).
-func (e *planEntry) bind(q *query.Query) (*plan.Plan, *search.Result, error) {
+// Err is the entry's search error; the other accessors need it nil.
+func (e *CachedPlan) Err() error { return e.err }
+
+// Plan is the entry's plan, bound to the query that searched it (Bind
+// re-binds it). Plan trees are immutable: do not modify it.
+func (e *CachedPlan) Plan() *plan.Plan { return e.plan }
+
+// Result is the entry's search result. It is shared: do not modify it.
+func (e *CachedPlan) Result() *search.Result { return e.res }
+
+// Bind returns the entry's plan and result re-bound to the requesting query
+// when the entry was searched for a structurally identical query with a
+// different identity (plan trees are immutable after search, so the roots
+// are shared).
+func (e *CachedPlan) Bind(q *query.Query) (*plan.Plan, *search.Result, error) {
 	if e.err != nil {
 		return nil, nil, e.err
 	}
@@ -121,4 +136,22 @@ func (e *planEntry) bind(q *query.Query) (*plan.Plan, *search.Result, error) {
 	res := *e.res
 	res.Plan = p
 	return p, &res, nil
+}
+
+// Memo returns the value render derives from this entry, calling render on
+// the entry's first Memo only: a caller keeps there what it would otherwise
+// recompute from the entry on every hit (neo-serve keeps its rendered
+// response). Racing first calls may each render; one result is kept and
+// returned to all. render must depend on nothing but the entry and the
+// snapshot it belongs to, and must return a non-nil value of the same
+// concrete type every time.
+func (e *CachedPlan) Memo(render func(*CachedPlan) any) any {
+	if v := e.memo.Load(); v != nil {
+		return v
+	}
+	v := render(e)
+	if e.memo.CompareAndSwap(nil, v) {
+		return v
+	}
+	return e.memo.Load()
 }

@@ -115,7 +115,7 @@ func TestPlanCacheFailedSearchIsShared(t *testing.T) {
 	rig := newRig(t, "postgres")
 	q := rig.wl.Queries[0]
 	var counters planCounters
-	c := &planCache{counters: &counters, entries: make(map[string]*planEntry)}
+	c := &planCache{counters: &counters, entries: make(map[string]*CachedPlan)}
 	boom := errors.New("boom")
 	release := make(chan struct{})
 	var searches atomic.Int64
@@ -132,7 +132,7 @@ func TestPlanCacheFailedSearchIsShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = c.get(q, failing)
+			errs[i] = c.get(q.Signature(), failing).Err()
 		}(i)
 	}
 	waitFor(t, "the waiters to attach", func() bool { return counters.hits.Load() == callers-1 })
@@ -151,7 +151,7 @@ func TestPlanCacheFailedSearchIsShared(t *testing.T) {
 		t.Fatalf("failed search left %d entries cached", c.size())
 	}
 	want := &plan.Plan{Query: q}
-	p, _, err := c.get(q, func() (*plan.Plan, *search.Result, error) { return want, &search.Result{Plan: want}, nil })
+	p, _, err := c.get(q.Signature(), func() (*plan.Plan, *search.Result, error) { return want, &search.Result{Plan: want}, nil }).Bind(q)
 	if err != nil || p != want || searches.Load() != 1 {
 		t.Fatalf("request after the failure did not search afresh: plan %v err %v", p, err)
 	}

@@ -294,14 +294,16 @@ func (x *execution) col(rel *relation, c colName) (colRef, error) {
 // filter compiles single-table predicates into a test on a row handle.
 func filter(src rowSource, preds []query.Predicate) (func(h int32) bool, error) {
 	pos := make([]int, len(preds))
+	match := make([]func(storage.Value) bool, len(preds))
 	for i, p := range preds {
 		if pos[i] = src.schema().ColumnIndex(p.Column); pos[i] < 0 {
 			return nil, fmt.Errorf("executor: unknown column %s.%s", p.Table, p.Column)
 		}
+		match[i] = p.Matcher()
 	}
 	return func(h int32) bool {
-		for i, p := range preds {
-			if !p.Matches(src.value(h, pos[i])) {
+		for i, m := range match {
+			if !m(src.value(h, pos[i])) {
 				return false
 			}
 		}

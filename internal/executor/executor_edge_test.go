@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"neo/internal/plan"
@@ -318,6 +319,60 @@ func TestEarlyStopScalesByUnprobedLeftInput(t *testing.T) {
 		}
 		if res.Truncated {
 			t.Errorf("%v: a sampling executor marked its result truncated", op)
+		}
+	}
+}
+
+// rowsSource is a rowSource over literal rows, for compiling filters.
+type rowsSource struct {
+	tab  *schema.Table
+	rows [][]storage.Value
+}
+
+func (s rowsSource) schema() *schema.Table { return s.tab }
+func (s rowsSource) numRows() int          { return len(s.rows) }
+func (s rowsSource) each(keep func(h int32) bool) error {
+	for h := range s.rows {
+		keep(int32(h))
+	}
+	return nil
+}
+func (s rowsSource) lookup(string) func(storage.Value, func(int32) bool) error { return nil }
+func (s rowsSource) value(h int32, col int) storage.Value                      { return s.rows[h][col] }
+
+// TestFilterLikeMatchesPerRowReference: filter lowercases a LIKE needle once
+// per predicate, and still keeps exactly the rows for which the per-row
+// reference — the needle lowercased on every row — matches: mixed case,
+// non-ASCII case mappings, and LIKE on an int column with an int and with a
+// string operand.
+func TestFilterLikeMatchesPerRowReference(t *testing.T) {
+	tab := &schema.Table{Name: "t", Columns: []schema.Column{{Name: "s", Type: schema.StringType}, {Name: "n", Type: schema.IntType}}}
+	var rows [][]storage.Value
+	for i, s := range []string{"My-LOVE-story", "ÉCOLE", "straße", "İstanbul", "Kelvin", "", "love"} {
+		rows = append(rows, []storage.Value{storage.StringValue(s), storage.IntValue(int64(1980 + 3*i - 10))})
+	}
+	src := rowsSource{tab: tab, rows: rows}
+	reference := func(p query.Predicate, v storage.Value) bool {
+		return strings.Contains(strings.ToLower(v.String()), strings.ToLower(p.Value.String()))
+	}
+	operands := []storage.Value{
+		storage.StringValue("LoVe"), storage.StringValue("école"), storage.StringValue("STRASSE"),
+		storage.StringValue("ß"), storage.StringValue("i̇st"), storage.StringValue("kelvin"),
+		storage.StringValue(""), storage.StringValue("98"), storage.IntValue(98), storage.IntValue(-4), storage.IntValue(1),
+	}
+	for _, column := range []string{"s", "n"} {
+		for _, v := range operands {
+			p := query.Predicate{Table: "t", Column: column, Op: query.Like, Value: v}
+			keep, err := filter(src, []query.Predicate{p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := tab.ColumnIndex(column)
+			for h, row := range rows {
+				if got, want := keep(int32(h)), reference(p, row[pos]); got != want {
+					t.Errorf("%v LIKE %v: filter %v, reference %v", row[pos], v, got, want)
+				}
+			}
 		}
 	}
 }

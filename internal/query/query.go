@@ -8,8 +8,11 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"neo/internal/schema"
@@ -87,10 +90,26 @@ func (p Predicate) Matches(v storage.Value) bool {
 	case Ge:
 		return p.Value.Less(v) || v.Equal(p.Value)
 	case Like:
-		return strings.Contains(strings.ToLower(v.String()), strings.ToLower(p.Value.String()))
+		return likeMatches(v, strings.ToLower(p.Value.String()))
 	default:
 		return false
 	}
+}
+
+// Matcher returns Matches as a function for testing many values, with a LIKE
+// predicate's needle lowercased once rather than on every call.
+func (p Predicate) Matcher() func(storage.Value) bool {
+	if p.Op != Like {
+		return p.Matches
+	}
+	needle := strings.ToLower(p.Value.String())
+	return func(v storage.Value) bool { return likeMatches(v, needle) }
+}
+
+// likeMatches is LIKE '%needle%' without regard to case: needle is already
+// lowercased, v's text is lowercased here.
+func likeMatches(v storage.Value, needle string) bool {
+	return strings.Contains(strings.ToLower(v.String()), needle)
 }
 
 // JoinPredicate is an equi-join predicate left.column = right.column.
@@ -101,9 +120,13 @@ type JoinPredicate struct {
 	RightColumn string
 }
 
-// String implements fmt.Stringer.
-func (j JoinPredicate) String() string {
-	return fmt.Sprintf("%s.%s = %s.%s", j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn)
+// String implements fmt.Stringer: "left.column = right.column".
+func (j JoinPredicate) String() string { return string(j.appendText(nil)) }
+
+func (j JoinPredicate) appendText(dst []byte) []byte {
+	dst = appendRef(dst, j.LeftTable, j.LeftColumn)
+	dst = append(dst, " = "...)
+	return appendRef(dst, j.RightTable, j.RightColumn)
 }
 
 // Touches reports whether the join predicate involves the given table.
@@ -140,28 +163,109 @@ func (q *Query) NumJoins() int { return len(q.Joins) }
 // in. Two queries with equal signatures have the same plan search space and
 // the same optimal plan, which is what plan caches key on.
 func (q *Query) Signature() string {
-	// New canonicalises relation order, but literal Query construction can
-	// bypass it — sort a copy so the signature never depends on it.
-	rels := append([]string(nil), q.Relations...)
-	sort.Strings(rels)
-	joins := make([]string, len(q.Joins))
-	for i, j := range q.Joins {
-		l, r := j.LeftTable+"."+j.LeftColumn, j.RightTable+"."+j.RightColumn
-		if r < l {
-			l, r = r, l
+	var buf [256]byte
+	return string(q.appendSignature(buf[:0]))
+}
+
+// appendSignature appends q's Signature text to dst: the relations joined
+// by ",", then "|" and the join predicates as "l=r" (the smaller side first)
+// joined by "&", then "|" and the column predicates as `t.c OP "value"`
+// (the value Go-quoted: raw values may contain the separators, and a
+// collision would make a plan cache serve the wrong plan) joined by "&";
+// each list sorted bytewise. Relations are sorted here too, since literal
+// Query construction can bypass New's canonical order.
+func (q *Query) appendSignature(dst []byte) []byte {
+	// Each list's elements are rendered back to back into buf, their extents
+	// kept in spans, and emitted in the order of their texts.
+	var scratch [512]byte
+	var spanArray [16]span
+	buf, spans := scratch[:0], spanArray[:0]
+	for _, r := range q.Relations {
+		start := len(buf)
+		buf = append(buf, r...)
+		spans = append(spans, span{start, len(buf)})
+	}
+	dst = appendSorted(dst, buf, spans, ',')
+	dst = append(dst, '|')
+	buf, spans = buf[:0], spans[:0]
+	for _, j := range q.Joins {
+		lt, lc, rt, rc := j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn
+		if compareRefs(rt, rc, lt, lc) < 0 {
+			lt, lc, rt, rc = rt, rc, lt, lc
 		}
-		joins[i] = l + "=" + r
+		start := len(buf)
+		buf = appendRef(buf, lt, lc)
+		buf = append(buf, '=')
+		buf = appendRef(buf, rt, rc)
+		spans = append(spans, span{start, len(buf)})
 	}
-	sort.Strings(joins)
-	preds := make([]string, len(q.Predicates))
-	for i, p := range q.Predicates {
-		// Quote the value: raw values may contain the separator characters
-		// used below, and a collision here would make a plan cache serve the
-		// wrong plan.
-		preds[i] = fmt.Sprintf("%s.%s %s %q", p.Table, p.Column, p.Op, p.Value.String())
+	dst = appendSorted(dst, buf, spans, '&')
+	dst = append(dst, '|')
+	buf, spans = buf[:0], spans[:0]
+	for _, p := range q.Predicates {
+		start := len(buf)
+		buf = appendRef(buf, p.Table, p.Column)
+		buf = append(buf, ' ')
+		buf = append(buf, p.Op.String()...)
+		buf = append(buf, ' ')
+		if p.Value.Kind == schema.IntType {
+			// Digits and a sign need no escaping.
+			buf = append(buf, '"')
+			buf = p.Value.Append(buf)
+			buf = append(buf, '"')
+		} else {
+			buf = strconv.AppendQuote(buf, p.Value.Str)
+		}
+		spans = append(spans, span{start, len(buf)})
 	}
-	sort.Strings(preds)
-	return strings.Join(rels, ",") + "|" + strings.Join(joins, "&") + "|" + strings.Join(preds, "&")
+	return appendSorted(dst, buf, spans, '&')
+}
+
+// span is one element's [lo, hi) extent in a rendering buffer.
+type span struct{ lo, hi int }
+
+// appendSorted appends the elements buf[span] to dst in bytewise order, sep
+// between them: sort.Strings over rendered texts without a string each.
+func appendSorted(dst, buf []byte, spans []span, sep byte) []byte {
+	slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
+	for i, sp := range spans {
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		dst = append(dst, buf[sp.lo:sp.hi]...)
+	}
+	return dst
+}
+
+// appendRef appends the column reference "table.column".
+func appendRef(dst []byte, table, column string) []byte {
+	dst = append(dst, table...)
+	dst = append(dst, '.')
+	return append(dst, column...)
+}
+
+// compareRefs compares the texts "at.ac" and "bt.bc" bytewise without
+// building them.
+func compareRefs(at, ac, bt, bc string) int {
+	na, nb := len(at)+1+len(ac), len(bt)+1+len(bc)
+	for i := 0; i < na && i < nb; i++ {
+		if x, y := refByte(at, ac, i), refByte(bt, bc, i); x != y {
+			return int(x) - int(y)
+		}
+	}
+	return na - nb
+}
+
+// refByte is byte i of "table.column".
+func refByte(table, column string, i int) byte {
+	switch {
+	case i < len(table):
+		return table[i]
+	case i == len(table):
+		return '.'
+	default:
+		return column[i-len(table)-1]
+	}
 }
 
 // PredicatesOn returns the column predicates on the given relation.
@@ -218,35 +322,29 @@ func (q *Query) JoinGraph(cat *schema.Catalog) [][]bool {
 // Validate checks that every relation, join predicate and column predicate
 // references objects that exist in the catalog and that the join graph is
 // connected (so a plan joining all relations without cross products exists).
+// A valid query costs no allocation.
 func (q *Query) Validate(cat *schema.Catalog) error {
 	if len(q.Relations) == 0 {
 		return fmt.Errorf("query %s: no relations", q.ID)
 	}
-	rels := make(map[string]bool, len(q.Relations))
-	for _, r := range q.Relations {
+	for i, r := range q.Relations {
 		if _, ok := cat.Table(r); !ok {
 			return fmt.Errorf("query %s: unknown relation %q", q.ID, r)
 		}
-		if rels[r] {
+		if slices.Contains(q.Relations[:i], r) {
 			return fmt.Errorf("query %s: duplicate relation %q (self-joins are not supported)", q.ID, r)
 		}
-		rels[r] = true
 	}
 	for _, j := range q.Joins {
-		for _, side := range []struct{ t, c string }{
-			{j.LeftTable, j.LeftColumn}, {j.RightTable, j.RightColumn},
-		} {
-			if !rels[side.t] {
-				return fmt.Errorf("query %s: join predicate %s references relation %q not in FROM", q.ID, j, side.t)
-			}
-			tab, _ := cat.Table(side.t)
-			if _, ok := tab.Column(side.c); !ok {
-				return fmt.Errorf("query %s: join predicate %s references unknown column %s.%s", q.ID, j, side.t, side.c)
-			}
+		if err := q.validateJoinSide(cat, j, j.LeftTable, j.LeftColumn); err != nil {
+			return err
+		}
+		if err := q.validateJoinSide(cat, j, j.RightTable, j.RightColumn); err != nil {
+			return err
 		}
 	}
 	for _, p := range q.Predicates {
-		if !rels[p.Table] {
+		if !slices.Contains(q.Relations, p.Table) {
 			return fmt.Errorf("query %s: predicate %s references relation %q not in FROM", q.ID, p, p.Table)
 		}
 		tab, _ := cat.Table(p.Table)
@@ -264,57 +362,91 @@ func (q *Query) Validate(cat *schema.Catalog) error {
 	return nil
 }
 
-// joinGraphConnected reports whether every relation is reachable from the
-// first relation via join predicates.
-func (q *Query) joinGraphConnected() bool {
-	if len(q.Relations) == 0 {
-		return true
+// validateJoinSide checks one side, table.column, of join predicate j.
+func (q *Query) validateJoinSide(cat *schema.Catalog, j JoinPredicate, table, column string) error {
+	if !slices.Contains(q.Relations, table) {
+		return fmt.Errorf("query %s: join predicate %s references relation %q not in FROM", q.ID, j, table)
 	}
-	visited := map[string]bool{q.Relations[0]: true}
-	frontier := []string{q.Relations[0]}
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		for _, j := range q.Joins {
-			var other string
-			switch cur {
-			case j.LeftTable:
-				other = j.RightTable
-			case j.RightTable:
-				other = j.LeftTable
-			default:
-				continue
-			}
-			if !visited[other] {
-				visited[other] = true
-				frontier = append(frontier, other)
-			}
+	tab, _ := cat.Table(table)
+	if _, ok := tab.Column(column); !ok {
+		return fmt.Errorf("query %s: join predicate %s references unknown column %s.%s", q.ID, j, table, column)
+	}
+	return nil
+}
+
+// joinGraphConnected reports whether the join predicates connect all
+// relations into one component (a union-find over relation positions). Join
+// sides outside the relations are ignored; Validate rejects them first.
+func (q *Query) joinGraphConnected() bool {
+	n := len(q.Relations)
+	var small [32]int
+	parent := small[:0]
+	if n <= len(small) {
+		parent = small[:n]
+	} else {
+		parent = make([]int, n)
+	}
+	for i := range parent {
+		parent[i] = i
+	}
+	root := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	components := n
+	for _, j := range q.Joins {
+		a, b := slices.Index(q.Relations, j.LeftTable), slices.Index(q.Relations, j.RightTable)
+		if a < 0 || b < 0 {
+			continue
+		}
+		if ra, rb := root(a), root(b); ra != rb {
+			parent[ra] = rb
+			components--
 		}
 	}
-	return len(visited) == len(q.Relations)
+	return components <= 1
 }
 
 // SQL renders an approximate SQL text for the query (COUNT(*) aggregate), for
 // logging and documentation purposes only; nothing parses it back.
 func (q *Query) SQL() string {
-	var b strings.Builder
-	b.WriteString("SELECT count(*) FROM ")
-	b.WriteString(strings.Join(q.Relations, ", "))
-	var conds []string
+	var buf [256]byte
+	return string(q.AppendSQL(buf[:0]))
+}
+
+// AppendSQL appends q's SQL text to dst: relations in their stored order,
+// then the join and column predicates in the order the query lists them.
+func (q *Query) AppendSQL(dst []byte) []byte {
+	dst = append(dst, "SELECT count(*) FROM "...)
+	for i, r := range q.Relations {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, r...)
+	}
+	sep := " WHERE "
 	for _, j := range q.Joins {
-		conds = append(conds, j.String())
+		dst = append(dst, sep...)
+		sep = " AND "
+		dst = j.appendText(dst)
 	}
 	for _, p := range q.Predicates {
-		val := p.Value.String()
+		dst = append(dst, sep...)
+		sep = " AND "
+		dst = appendRef(dst, p.Table, p.Column)
+		dst = append(dst, ' ')
+		dst = append(dst, p.Op.String()...)
+		dst = append(dst, ' ')
 		if p.Value.Kind == schema.StringType {
-			val = "'" + val + "'"
+			dst = append(dst, '\'')
+			dst = p.Value.Append(dst)
+			dst = append(dst, '\'')
+		} else {
+			dst = p.Value.Append(dst)
 		}
-		conds = append(conds, fmt.Sprintf("%s.%s %s %s", p.Table, p.Column, p.Op, val))
 	}
-	if len(conds) > 0 {
-		b.WriteString(" WHERE ")
-		b.WriteString(strings.Join(conds, " AND "))
-	}
-	b.WriteString(";")
-	return b.String()
+	return append(dst, ';')
 }

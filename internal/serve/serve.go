@@ -32,9 +32,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"neo/internal/cluster/proto"
 	"neo/internal/core"
@@ -152,7 +154,10 @@ var cmpOps = map[string]neo.CmpOp{
 	"like": neo.Like,
 }
 
-// buildQuery validates the spec against the catalog and converts it.
+// buildQuery converts the spec into its query, identified by its signature,
+// and validates it against the catalog. A signature omits a predicate
+// value's kind, so an int column compared with a string value has the
+// signature of a valid query: validation runs on every request, hit or miss.
 func (s *Server) buildQuery(spec *proto.QuerySpec) (*neo.Query, error) {
 	joins := make([]neo.JoinPredicate, len(spec.Joins))
 	for i, j := range spec.Joins {
@@ -196,14 +201,26 @@ func (s *Server) buildQuery(spec *proto.QuerySpec) (*neo.Query, error) {
 }
 
 func splitColumnRef(ref string) (table, column string, err error) {
-	parts := strings.SplitN(ref, ".", 2)
-	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
+	table, column, ok := strings.Cut(ref, ".")
+	if !ok || table == "" || column == "" {
 		return "", "", fmt.Errorf("column reference %q is not of the form table.column", ref)
 	}
-	return parts[0], parts[1], nil
+	return table, column, nil
 }
 
+// parseValue reads a predicate value: a JSON integer or string. The common
+// forms — a plain integer literal, a string without escapes — are read
+// directly; anything else goes through encoding/json, so every value means
+// exactly what encoding/json makes of it.
 func parseValue(raw json.RawMessage) (neo.Value, error) {
+	if isIntLiteral(raw) {
+		if i, err := strconv.ParseInt(string(raw), 10, 64); err == nil {
+			return neo.IntValue(i), nil
+		}
+	}
+	if isPlainString(raw) {
+		return neo.StringValue(string(raw[1 : len(raw)-1])), nil
+	}
 	// Unmarshalling JSON null into an int64 or a string succeeds as a no-op;
 	// without this check a null literal would be planned as the integer 0.
 	if strings.TrimSpace(string(raw)) == "null" {
@@ -220,6 +237,42 @@ func parseValue(raw json.RawMessage) (neo.Value, error) {
 	return neo.Value{}, fmt.Errorf("value %s is neither an integer nor a string", string(raw))
 }
 
+// isIntLiteral reports whether raw is a JSON number without fraction or
+// exponent: -?(0|[1-9][0-9]*).
+func isIntLiteral(raw []byte) bool {
+	if len(raw) > 0 && raw[0] == '-' {
+		raw = raw[1:]
+	}
+	if len(raw) == 0 || raw[0] == '0' && len(raw) > 1 {
+		return false
+	}
+	for _, c := range raw {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// isPlainString reports whether raw is a JSON string whose text is the
+// bytes between its quotes: no escapes, no control characters, valid UTF-8.
+func isPlainString(raw []byte) bool {
+	if len(raw) < 2 || raw[0] != '"' || raw[len(raw)-1] != '"' {
+		return false
+	}
+	body := raw[1 : len(raw)-1]
+	for _, c := range body {
+		if c < 0x20 || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return utf8.Valid(body)
+}
+
+// handleOptimize answers POST /optimize. A plan-cache hit costs the decode,
+// the query build and validation, one lookup and one write: the entry keeps
+// the reply's entry-dependent bytes (proto.OptimizeAnswer), and the request
+// adds its id and SQL.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var spec proto.QuerySpec
 	if code, err := proto.DecodeRequest(w, r, &spec); err != nil {
@@ -231,11 +284,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		proto.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	// OptimizeCached pins one snapshot for lookup, search and version, so a
+	// Cached pins one snapshot for lookup, search and version, so a
 	// retraining swap or a replica's snapshot load landing mid-request cannot
 	// tear them apart.
-	p, res, version, err := s.sys.Neo.OptimizeCached(q)
-	if err != nil {
+	e, version := s.sys.Neo.Cached(q, q.ID)
+	if err := e.Err(); err != nil {
 		proto.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -244,14 +297,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if id == "" {
 		id = q.ID
 	}
-	proto.WriteJSON(w, proto.OptimizeResponse{
-		ID:         id,
-		Plan:       p.String(),
-		SQL:        q.SQL(),
-		Score:      res.Score,
-		Expansions: res.Expansions,
-		NetVersion: version,
-	})
+	answer := e.Memo(func(e *core.CachedPlan) any {
+		return proto.NewOptimizeAnswer(e.Plan().String(), e.Result().Score, e.Result().Expansions, version)
+	}).(*proto.OptimizeAnswer)
+	var sql [512]byte
+	answer.Write(w, id, q.AppendSQL(sql[:0]))
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
@@ -281,7 +331,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	// Attach the latency to the plan currently served for this query — a
 	// plan-cache hit in the common case, so feedback costs no search.
-	p, _, version, err := s.sys.Neo.OptimizeCached(q)
+	e, version := s.sys.Neo.Cached(q, q.ID)
+	p, _, err := e.Bind(q)
 	if err != nil {
 		proto.WriteError(w, http.StatusInternalServerError, err)
 		return

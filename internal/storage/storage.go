@@ -6,6 +6,7 @@ package storage
 
 import (
 	"fmt"
+	"strconv"
 
 	"neo/internal/schema"
 )
@@ -41,12 +42,20 @@ func (v Value) Equal(other Value) bool {
 	return v.Kind == other.Kind && v.Int == other.Int && v.Str == other.Str
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the decimal integer or the raw string.
 func (v Value) String() string {
 	if v.Kind == schema.IntType {
-		return fmt.Sprintf("%d", v.Int)
+		return strconv.FormatInt(v.Int, 10)
 	}
 	return v.Str
+}
+
+// Append appends v's String text to dst.
+func (v Value) Append(dst []byte) []byte {
+	if v.Kind == schema.IntType {
+		return strconv.AppendInt(dst, v.Int, 10)
+	}
+	return append(dst, v.Str...)
 }
 
 // Column is a typed column of values.
