@@ -45,10 +45,15 @@ func documentedFields(t *testing.T, doc, marker string) map[string]bool {
 // jsonPaths records the JSON paths of struct type t the way OPERATIONS.md
 // writes them — a nested object's fields as a.b, an array of objects' as
 // a[].b — into leaves, and the objects and arrays on the way into inner.
-// With deep false only t's own fields are listed, all as leaves.
+// With deep false only t's own fields are listed, all as leaves. An
+// embedded struct's fields count as t's own, as encoding/json writes them.
 func jsonPaths(t reflect.Type, prefix string, deep bool, leaves, inner map[string]bool) {
 	for i := 0; i < t.NumField(); i++ {
 		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		if t.Field(i).Anonymous && name == "" {
+			jsonPaths(t.Field(i).Type, prefix, deep, leaves, inner)
+			continue
+		}
 		ft, suffix := t.Field(i).Type, "."
 		for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
 			if ft.Kind() == reflect.Slice {
@@ -66,10 +71,11 @@ func jsonPaths(t reflect.Type, prefix string, deep bool, leaves, inner map[strin
 }
 
 // TestStatsTablesMatchJSONTags: OPERATIONS.md's replica /stats table lists
-// exactly the top-level keys of serve.Stats, and its `routing` and `cluster`
+// exactly the top-level keys of serve.Stats, its `routing` and `cluster`
 // sub-tables exactly the field paths of neo.RouteStats and
-// proto.ClusterStats — a field added, renamed or removed without its row (or
-// the reverse) fails here.
+// proto.ClusterStats, and the trainer's table and its `rollout` sub-table
+// those of proto.TrainerStats and proto.RolloutStatus — a field added,
+// renamed or removed without its row (or the reverse) fails here.
 func TestStatsTablesMatchJSONTags(t *testing.T) {
 	raw, err := os.ReadFile("../../OPERATIONS.md")
 	if err != nil {
@@ -83,6 +89,8 @@ func TestStatsTablesMatchJSONTags(t *testing.T) {
 		{"### Replica (`neo-serve`)", reflect.TypeOf(serve.Stats{}), false},
 		{"`routing` section:", reflect.TypeOf(neo.RouteStats{}), true},
 		{"`cluster` section:", reflect.TypeOf(proto.ClusterStats{}), true},
+		{"### Trainer (`neo-trainer`)", reflect.TypeOf(proto.TrainerStats{}), false},
+		{"`rollout` section:", reflect.TypeOf(proto.RolloutStatus{}), true},
 	} {
 		documented := documentedFields(t, string(raw), tc.marker)
 		leaves, inner := map[string]bool{}, map[string]bool{}

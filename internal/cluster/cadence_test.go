@@ -31,7 +31,7 @@ type learnerDoor struct {
 }
 
 func standaloneDoor(t *testing.T, sys *neo.System, queries []*neo.Query, every int) learnerDoor {
-	srv := serve.New(sys, serve.Config{RetrainEvery: every})
+	srv := serve.New(sys, serve.Config{LearnerConfig: serve.LearnerConfig{RetrainEvery: every}})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	spec := specFor(queries[0])

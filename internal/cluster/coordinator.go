@@ -70,10 +70,14 @@ type Coordinator struct {
 	cfg    RolloutConfig
 	client *proto.Client
 
-	mu         sync.Mutex
-	phase      string // "idle", "canary", "promote"
-	version    uint64
-	canary     string
+	mu      sync.Mutex
+	phase   string // "idle", "canary", "promote"
+	version uint64
+	canary  string
+	// base is the rollback target: the version the canary served when the
+	// rollout in flight began, and after it the version the fleet settled
+	// on. The trainer keeps it and version published (see pinned).
+	base       uint64
 	promoted   uint64
 	promotions uint64
 	rollbacks  uint64
@@ -134,6 +138,9 @@ func (c *Coordinator) Rollout(stop <-chan struct{}, version uint64) (promoted bo
 	if err := c.client.GetJSON(ctx, canary+"/stats", &base); err != nil {
 		return false, fmt.Errorf("cluster: canary %s unreachable: %w", canary, err)
 	}
+	c.mu.Lock()
+	c.base = base.NetVersion
+	c.mu.Unlock()
 	if base.NetVersion == version {
 		// Already serving it (e.g. a re-run after a partial promotion);
 		// skip straight to promoting the rest of the fleet.
@@ -224,10 +231,18 @@ func (c *Coordinator) promote(ctx context.Context, version uint64) error {
 		}
 	}
 	c.mu.Lock()
-	c.promoted = version
+	c.promoted, c.base = version, version
 	c.promotions++
 	c.mu.Unlock()
 	return errors.Join(errs...)
+}
+
+// pinned reports the versions the trainer must not evict: the one being
+// rolled out (zero when idle) and the rollback target.
+func (c *Coordinator) pinned() (version, base uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.version, c.base
 }
 
 // Status snapshots the rollout state for /stats.

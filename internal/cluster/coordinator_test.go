@@ -14,13 +14,18 @@ import (
 
 // stubReplica fakes the replica surface the coordinator drives: /stats with
 // a quality window and /admin/snapshot that records loads. regress makes the
-// post-load window look worse than the pre-load one.
+// post-load window look worse than the pre-load one; hold reports an empty
+// window, so the coordinator keeps soaking. With a trainer set, a load of a
+// version the trainer no longer publishes fails, as a real replica's pull
+// would.
 type stubReplica struct {
 	mu      sync.Mutex
 	version uint64
 	loads   []uint64
 	regress bool
+	hold    bool
 	failNow bool
+	trainer *Trainer
 	quality proto.QualityStats
 	srv     *httptest.Server
 }
@@ -31,6 +36,9 @@ func newStubReplica(version uint64) *stubReplica {
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		sr.mu.Lock()
 		st := proto.ReplicaStats{NetVersion: sr.version, Cluster: &proto.ClusterStats{Role: "replica", Quality: sr.quality}}
+		if sr.hold {
+			st.Cluster.Quality = proto.QualityStats{}
+		}
 		sr.mu.Unlock()
 		_ = json.NewEncoder(w).Encode(st)
 	})
@@ -42,6 +50,13 @@ func newStubReplica(version uint64) *stubReplica {
 			sr.mu.Unlock()
 			http.Error(w, `{"error":"trainer unreachable"}`, http.StatusBadGateway)
 			return
+		}
+		if sr.trainer != nil {
+			if _, _, ok := sr.trainer.Snapshot(req.Version); !ok {
+				sr.mu.Unlock()
+				http.Error(w, `{"error":"snapshot version not published"}`, http.StatusNotFound)
+				return
+			}
 		}
 		sr.version = req.Version
 		sr.loads = append(sr.loads, req.Version)
@@ -176,5 +191,105 @@ func TestCoordinatorCanaryRefusal(t *testing.T) {
 	c.mu.Unlock()
 	if _, err := c.Rollout(nil, 9); !errors.Is(err, ErrRolloutBusy) {
 		t.Fatalf("concurrent rollout: got %v, want ErrRolloutBusy", err)
+	}
+}
+
+// TestRolloutKeepsItsVersions is the regression test for snapshot eviction
+// during a rollout. The learner keeps publishing while a canary soaks, and a
+// fixed window of the newest versions would evict the canary's rollback
+// target after three rounds and the version being rolled out after four.
+// The trainer must keep both however many rounds finish meanwhile.
+func TestRolloutKeepsItsVersions(t *testing.T) {
+	canary, peer := newStubReplica(0), newStubReplica(0)
+	defer canary.srv.Close()
+	defer peer.srv.Close()
+	sys, _ := testSystem(t, true)
+	trainer, err := NewTrainer(sys, TrainerConfig{RetrainEvery: -1, Rollout: &RolloutConfig{
+		Replicas:     []string{canary.srv.URL, peer.srv.URL},
+		CanaryWait:   10 * time.Second,
+		MinFeedbacks: 1,
+		Client:       fastClient(),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trainer.Close()
+	base := trainer.NetVersion()
+	for _, sr := range []*stubReplica{canary, peer} {
+		sr.mu.Lock()
+		sr.version, sr.trainer = base, trainer
+		sr.mu.Unlock()
+	}
+
+	published := []uint64{base}
+	publish := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			sys.Neo.Retrain()
+			if err := trainer.publish(); err != nil {
+				t.Fatal(err)
+			}
+			published = append(published, trainer.NetVersion())
+		}
+	}
+	// rollout publishes a version and rolls it out, publishing more rounds
+	// while the canary soaks on it.
+	rollout := func(during int, regress bool) (v uint64, promoted bool, err error) {
+		publish(1)
+		v = trainer.NetVersion()
+		canary.mu.Lock()
+		canary.regress, canary.hold = regress, true
+		canary.mu.Unlock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			promoted, err = trainer.rollout.Rollout(nil, v)
+		}()
+		waitFor(t, 10*time.Second, "the canary to load the new version", func() bool {
+			cv, _ := canary.state()
+			return cv == v
+		})
+		publish(during)
+		canary.mu.Lock()
+		canary.hold = false
+		canary.mu.Unlock()
+		<-done
+		return v, promoted, err
+	}
+
+	// Three rounds during the soak: the regressed canary is still restored
+	// to the version it served before.
+	v, promoted, err := rollout(3, true)
+	if err != nil || promoted {
+		t.Fatalf("regressed rollout of %d: promoted=%v err=%v, want a clean rollback", v, promoted, err)
+	}
+	if cv, _ := canary.state(); cv != base {
+		t.Fatalf("canary left at version %d, want rollback target %d", cv, base)
+	}
+
+	// Four rounds during the soak: the version is still promoted to every
+	// replica.
+	v, promoted, err = rollout(4, false)
+	if err != nil || !promoted {
+		t.Fatalf("healthy rollout of %d: promoted=%v err=%v", v, promoted, err)
+	}
+	for _, sr := range []*stubReplica{canary, peer} {
+		if got, _ := sr.state(); got != v {
+			t.Fatalf("replica at version %d after promotion, want %d", got, v)
+		}
+	}
+	// The pins come on top of the window: the newest keepVersions versions
+	// are all still downloadable, and so is the promoted version, which is
+	// the next rollout's rollback target.
+	kept := map[uint64]bool{}
+	for _, old := range trainer.Stats().Versions {
+		kept[old] = true
+	}
+	for _, want := range append(published[len(published)-keepVersions:], v) {
+		if !kept[want] {
+			t.Fatalf("trainer keeps versions %v, want the newest %d of %v and %d", trainer.Stats().Versions, keepVersions, published, v)
+		}
+	}
+	if len(kept) > keepVersions+2 {
+		t.Fatalf("trainer keeps versions %v, want at most %d", trainer.Stats().Versions, keepVersions+2)
 	}
 }

@@ -36,10 +36,9 @@ const HeaderNetVersion = "X-Neo-Net-Version"
 const MaxRequestBytes = 1 << 20
 
 // MaxExperienceBytes bounds a POST /experience body (one NEOCKPT1 experience
-// container; 413 past it). A forwarded container carries -flush-batch
-// entries — 64 by default, under 1 KiB each (a four-join query with its plan
-// encodes to about 600 bytes) — so 8 MiB leaves room for batches a hundred
-// times the default.
+// container; 413 past it). A forwarded container carries at most 64
+// entries, under 1 KiB each (a four-join query with its plan encodes to
+// about 600 bytes), so 8 MiB leaves room for batches a hundred times that.
 const MaxExperienceBytes = 8 << 20
 
 // WriteJSON answers 200 with v as the JSON body, or 500 with the usual error
@@ -240,18 +239,21 @@ type ClusterStats struct {
 }
 
 // ReplicaStats is the subset of a replica's /stats the cluster control plane
-// (coordinator, router) decodes. Replicas report much more; unknown fields
-// are ignored.
+// (coordinator, router) decodes. serve.Stats embeds it, so the replica writes
+// these fields under the same definition; the rest of its reply is ignored
+// here.
 type ReplicaStats struct {
-	NetVersion uint64        `json:"net_version"`
-	Optimizes  uint64        `json:"optimizes"`
-	Feedbacks  uint64        `json:"feedbacks"`
-	Cluster    *ClusterStats `json:"cluster,omitempty"`
+	NetVersion uint64 `json:"net_version"`
+	Optimizes  uint64 `json:"optimizes"`
+	Feedbacks  uint64 `json:"feedbacks"`
+	// Cluster is the replica-mode section — forwarding queue, trainer link
+	// health, plan-quality window. Omitted (nil) in standalone mode.
+	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
 // RolloutStatus is the "rollout" section of the trainer's /stats.
 type RolloutStatus struct {
-	// Phase is "disabled", "idle", "canary" or "promote".
+	// Phase is "idle", "canary" or "promote".
 	Phase string `json:"phase"`
 	// Version is the snapshot version currently being rolled out (canary or
 	// promote phase), zero when idle.
@@ -276,7 +278,8 @@ type TrainerStats struct {
 	// will publish a newer one.
 	NetVersion uint64 `json:"net_version"`
 	// Versions lists the published snapshot versions still available for
-	// download (rollback needs at least the previous one).
+	// download: the four newest, plus the version being rolled out and the
+	// rollback target.
 	Versions []uint64 `json:"versions"`
 	// Experience is the trainer's experience-pool size.
 	Experience int `json:"experience"`

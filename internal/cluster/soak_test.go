@@ -18,10 +18,11 @@ import (
 // and three replicas under sustained concurrent optimize+feedback load
 // through the fleet client, with
 //
-//   - a mid-soak snapshot promotion through the rollout coordinator
-//     (canary → quality check → fleet-wide) while traffic keeps flowing,
-//   - identical plans from all three replicas for identical queries after
-//     the promotion, and
+//   - snapshot promotions through the trainer's own rollout coordinator
+//     (canary → quality check → fleet-wide) while traffic keeps flowing and
+//     the trainer keeps publishing,
+//   - identical plans from all three replicas for identical queries once
+//     the last version is rolled out, and
 //   - the trainer killed mid-soak with zero request failures: replicas
 //     degrade to frozen-snapshot serving.
 //
@@ -31,8 +32,8 @@ func TestThreeReplicaSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system soak")
 	}
-	// Trainer first, behind a handler indirection: replicas need its URL
-	// before the Trainer value exists.
+	// Trainer server first, behind a handler indirection: replicas need its
+	// URL before the Trainer value exists, and the Trainer needs theirs.
 	type handlerBox struct{ h http.Handler }
 	var trainerHandler atomic.Value
 	trainerHandler.Store(handlerBox{http.NotFoundHandler()})
@@ -40,18 +41,6 @@ func TestThreeReplicaSoak(t *testing.T) {
 		trainerHandler.Load().(handlerBox).h.ServeHTTP(w, r)
 	}))
 	defer trainerSrv.Close()
-
-	tsys, queries := testSystem(t, true)
-	// KeepVersions is generous: retraining is fast under this load, and the
-	// promotion target must still be published when the coordinator asks the
-	// fleet to fetch it.
-	trainer, err := NewTrainer(tsys, TrainerConfig{RetrainEvery: 8, KeepVersions: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trainer.Close()
-	trainerHandler.Store(handlerBox{trainer})
-	v0 := trainer.NetVersion()
 
 	// Three replicas: same open configuration, no bootstrap — their weights
 	// come from the trainer's snapshot.
@@ -62,17 +51,34 @@ func TestThreeReplicaSoak(t *testing.T) {
 		rsys, _ := testSystem(t, false)
 		srv := serve.New(rsys, serve.Config{Replica: &serve.ReplicaConfig{
 			TrainerURL: trainerSrv.URL,
-			FlushBatch: 8,
 			Client:     rpc,
 		}})
-		if v, err := srv.SyncSnapshot(context.Background(), 0); err != nil || v != v0 {
-			t.Fatalf("replica %d startup sync: version %d err %v, want %d", i, v, err, v0)
-		}
-		srv.Start()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 		servers = append(servers, srv)
 		urls = append(urls, ts.URL)
+	}
+
+	// Every published version is rolled out to the fleet, the first replica
+	// carrying the canary.
+	tsys, queries := testSystem(t, true)
+	trainer, err := NewTrainer(tsys, TrainerConfig{RetrainEvery: 8, Rollout: &RolloutConfig{
+		Replicas:     urls,
+		CanaryWait:   300 * time.Millisecond,
+		MinFeedbacks: 2,
+		Client:       rpc,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trainer.Close()
+	trainerHandler.Store(handlerBox{trainer})
+	v0 := trainer.NetVersion()
+	for i, srv := range servers {
+		if v, err := srv.SyncSnapshot(context.Background(), 0); err != nil || v != v0 {
+			t.Fatalf("replica %d startup sync: version %d err %v, want %d", i, v, err, v0)
+		}
+		srv.Start()
 	}
 
 	fleet, err := neo.NewClient(neo.ClientConfig{Replicas: urls, RPC: rpc})
@@ -117,35 +123,54 @@ func TestThreeReplicaSoak(t *testing.T) {
 		return &wg
 	}
 
+	// Mid-soak promotion: forwarded experience triggers a retrain, and the
+	// coordinator canaries the published version on replica 0 while load
+	// keeps flowing, checks it against the pre-canary window, then promotes
+	// it fleet-wide.
 	stopA := make(chan struct{})
 	wgA := loadUntil(stopA)
-	// Wait for forwarded experience to trigger a retrain and publish a new
-	// snapshot version.
-	waitFor(t, 90*time.Second, "trainer to retrain and publish", func() bool {
-		st := trainer.Stats()
-		return st.Retrains >= 1 && st.NetVersion > v0
+	var rollout proto.RolloutStatus
+	waitFor(t, 90*time.Second, "a retrained version to be promoted", func() bool {
+		rollout = *trainer.Stats().Rollout
+		return rollout.Promotions >= 1 && rollout.Promoted > v0
 	})
-	target := trainer.NetVersion()
-
-	// Mid-soak promotion: canary on replica 0 while load keeps flowing,
-	// quality check against the pre-canary window, then fleet-wide.
-	coord := NewCoordinator(RolloutConfig{
-		Replicas:     urls,
-		CanaryWait:   300 * time.Millisecond,
-		MinFeedbacks: 2,
-		Client:       rpc,
-	})
-	promoted, err := coord.Rollout(nil, target)
-	if err != nil {
-		t.Fatalf("mid-soak rollout of version %d: %v", target, err)
-	}
-	if !promoted {
-		t.Fatalf("version %d rolled back under identical traffic: %+v", target, coord.Status())
+	// Still under load: the promotion reached every replica. Versions only
+	// grow, and a later rollout may already have moved a replica past it.
+	behind := make([]uint64, len(urls))
+	for i, u := range urls {
+		var st proto.ReplicaStats
+		if err := rpc.GetJSON(context.Background(), u+"/stats", &st); err != nil {
+			t.Error(err)
+		}
+		if st.NetVersion < rollout.Promoted {
+			behind[i] = st.NetVersion
+		}
 	}
 	close(stopA)
 	wgA.Wait()
 	if failures.Load() != 0 {
 		t.Fatalf("%d request failures during the live-trainer soak", failures.Load())
+	}
+	if rollout.Rollbacks != 0 {
+		t.Fatalf("rollout rolled back under identical traffic: %+v", rollout)
+	}
+	for i, v := range behind {
+		if v != 0 {
+			t.Fatalf("replica %d at version %d after the promotion of %d under load", i, v, rollout.Promoted)
+		}
+	}
+
+	// Quiesce: Close waits for the round and the rollout in flight and
+	// starts no more. Then roll the latest version out by hand, so the fleet
+	// settles on one version: its automatic rollout may have been refused as
+	// busy or cut short by Close. With no traffic the canary window stays
+	// empty and the version is promoted without a quality verdict.
+	if err := trainer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	target := trainer.NetVersion()
+	if promoted, err := trainer.rollout.Rollout(nil, target); err != nil || !promoted {
+		t.Fatalf("idle rollout of version %d: promoted=%v err=%v", target, promoted, err)
 	}
 
 	// Every replica serves the promoted version, and identical queries get

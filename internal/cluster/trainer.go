@@ -18,9 +18,11 @@ import (
 	"neo/pkg/neo"
 )
 
-// Trainer defaults; see TrainerConfig.
 const (
-	defaultKeepVersions   = 4
+	// keepVersions is how many published snapshot versions stay
+	// downloadable beyond those a rollout still needs (see publish).
+	keepVersions = 4
+	// defaultTrainerRetrain is TrainerConfig.RetrainEvery's default.
 	defaultTrainerRetrain = 64
 )
 
@@ -37,12 +39,6 @@ type TrainerConfig struct {
 	// 64, negative disables). Rounds never queue: entries arriving mid-round
 	// count toward the next one.
 	RetrainEvery int
-	// MaxExperience bounds the experience pool (default 100 000, negative
-	// disables trimming).
-	MaxExperience int
-	// KeepVersions is how many published snapshot versions stay downloadable
-	// (default 4). Rollback needs at least the previous one.
-	KeepVersions int
 	// Rollout configures the rollout coordinator driving the replica fleet.
 	// Nil disables automatic rollouts: replicas then pull snapshots on their
 	// own schedule (or an operator drives /admin/snapshot by hand).
@@ -50,13 +46,11 @@ type TrainerConfig struct {
 }
 
 // RegisterTrainerFlags registers neo-trainer's own flags — the learning
-// cadence, snapshot retention and the rollout coordinator's knobs — on fs.
+// cadence and the rollout coordinator's knobs — on fs.
 // The coordinator is on when rollout.Replicas is non-empty after parsing; the
 // caller then points cfg.Rollout at rollout.
 func RegisterTrainerFlags(fs *flag.FlagSet, cfg *TrainerConfig, rollout *RolloutConfig) {
 	fs.IntVar(&cfg.RetrainEvery, "retrain-every", 64, "retrain after every N ingested experience entries (negative disables)")
-	fs.IntVar(&cfg.MaxExperience, "max-experience", 0, "experience-pool cap (0 = default 100000, negative = unbounded)")
-	fs.IntVar(&cfg.KeepVersions, "keep-versions", 4, "published snapshot versions kept downloadable (rollback needs at least the previous one)")
 	fs.Func("replicas", "comma-separated replica base URLs; enables the rollout coordinator (first URL is the canary)", func(list string) error {
 		rollout.Replicas = proto.SplitURLs(list)
 		return nil
@@ -71,13 +65,6 @@ func (c *TrainerConfig) retrainEvery() int {
 		return c.RetrainEvery
 	}
 	return defaultTrainerRetrain
-}
-
-func (c *TrainerConfig) keepVersions() int {
-	if c.KeepVersions > 0 {
-		return c.KeepVersions
-	}
-	return defaultKeepVersions
 }
 
 // Trainer is the learning half of the distributed tier: it owns the
@@ -126,7 +113,6 @@ func NewTrainer(sys *neo.System, cfg TrainerConfig) (*Trainer, error) {
 		CheckpointPath:  cfg.CheckpointPath,
 		CheckpointEvery: cfg.CheckpointEvery,
 		RetrainEvery:    cfg.retrainEvery(),
-		MaxExperience:   cfg.MaxExperience,
 	}, t.publishAndRollOut)
 	if cfg.Rollout != nil {
 		t.rollout = NewCoordinator(*cfg.Rollout)
@@ -161,13 +147,20 @@ func (t *Trainer) Close() error { return t.learner.Close(nil) }
 func (t *Trainer) Checkpoint() error { return t.learner.Checkpoint() }
 
 // publish snapshots the system's current learned state into the in-memory
-// version store under its network version, evicting the oldest version
-// beyond KeepVersions. Publication is what makes a version visible to GET
-// /snapshot and eligible for rollout.
+// version store under its network version. Publication is what makes a
+// version visible to GET /snapshot and eligible for rollout. Versions older
+// than the keepVersions newest are evicted, except the two a rollout needs:
+// the version it rolls out and the canary's rollback target. The
+// learner keeps publishing while a canary soaks, so without that exception
+// a few quick rounds would evict the bytes the rollout is about to load.
 func (t *Trainer) publish() error {
 	var buf bytes.Buffer
 	if err := t.sys.SaveCheckpoint(&buf); err != nil {
 		return err
+	}
+	var rolling, target uint64
+	if t.rollout != nil {
+		rolling, target = t.rollout.pinned()
 	}
 	v := t.sys.Neo.NetVersion()
 	t.snapMu.Lock()
@@ -177,11 +170,16 @@ func (t *Trainer) publish() error {
 	}
 	t.snaps[v] = buf.Bytes()
 	t.latest = v
-	for len(t.order) > t.cfg.keepVersions() {
-		evict := t.order[0]
-		t.order = t.order[1:]
-		delete(t.snaps, evict)
+	cut := len(t.order) - keepVersions
+	kept := t.order[:0]
+	for i, old := range t.order {
+		if i < cut && old != rolling && old != target {
+			delete(t.snaps, old)
+			continue
+		}
+		kept = append(kept, old)
 	}
+	t.order = kept
 	return nil
 }
 

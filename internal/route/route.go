@@ -144,39 +144,29 @@ func connected(rels []string, edges map[edge]bool) bool {
 	return len(reached) == len(rels)
 }
 
-// Policy holds the auto mode's thresholds. The zero value of any field
-// selects its default.
-type Policy struct {
-	// MaxFastpathJoins bounds how large a chain/star still takes the fast
-	// path (default 8): beyond it the greedy ordering error compounds over
-	// too many joins to trust without statistics.
-	MaxFastpathJoins int
-	// MinRegretSamples is how many executed fast-path queries of a class
-	// must be observed before the class can be demoted (default 8).
-	MinRegretSamples int
-	// RegretThreshold demotes a class when its mean observed/estimated
-	// latency ratio exceeds it (default 1.5).
-	RegretThreshold float64
-}
+// The auto mode's thresholds.
+const (
+	// maxFastpathJoins bounds how large a chain/star still takes the fast
+	// path: beyond it the greedy ordering error compounds over too many
+	// joins to trust without statistics.
+	maxFastpathJoins = 8
+	// minRegretSamples is how many executed fast-path queries of a class
+	// must be observed before the class can be demoted.
+	minRegretSamples = 8
+	// regretThreshold demotes a class when its mean observed/estimated
+	// latency ratio exceeds it.
+	regretThreshold = 1.5
+)
 
-// DefaultPolicy returns the production thresholds.
-func DefaultPolicy() Policy {
-	return Policy{MaxFastpathJoins: 8, MinRegretSamples: 8, RegretThreshold: 1.5}
-}
+// BEGIN benchmark compatibility block. The router's thresholds are
+// constants, but benchmark/ — which only a benchmark PR may edit — still
+// passes a Policy to New. Delete the type and New's second parameter when it
+// stops (see ROADMAP).
 
-func (p Policy) withDefaults() Policy {
-	d := DefaultPolicy()
-	if p.MaxFastpathJoins <= 0 {
-		p.MaxFastpathJoins = d.MaxFastpathJoins
-	}
-	if p.MinRegretSamples <= 0 {
-		p.MinRegretSamples = d.MinRegretSamples
-	}
-	if p.RegretThreshold <= 0 {
-		p.RegretThreshold = d.RegretThreshold
-	}
-	return p
-}
+// Policy is empty: it configures nothing.
+type Policy struct{}
+
+// END benchmark compatibility block.
 
 // Decision is the outcome of routing one query.
 type Decision struct {
@@ -189,7 +179,6 @@ type Decision struct {
 // Router makes and accounts routing decisions. Safe for concurrent use.
 type Router struct {
 	mode Mode
-	pol  Policy
 
 	mu      sync.Mutex
 	classes map[string]*classState // guarded by mu
@@ -204,9 +193,9 @@ type classState struct {
 	regretN   uint64
 }
 
-// New creates a router. Zero policy fields select DefaultPolicy values.
-func New(mode Mode, pol Policy) *Router {
-	return &Router{mode: mode, pol: pol.withDefaults(), classes: make(map[string]*classState)}
+// New creates a router. The Policy is ignored.
+func New(mode Mode, _ Policy) *Router {
+	return &Router{mode: mode, classes: make(map[string]*classState)}
 }
 
 // classLocked returns (creating if needed) the state for one class key.
@@ -256,7 +245,7 @@ func (r *Router) heuristic(c Class) bool {
 	case "single":
 		return true
 	case "chain", "star":
-		return c.SelVisible && c.NumJoins <= r.pol.MaxFastpathJoins
+		return c.SelVisible && c.NumJoins <= maxFastpathJoins
 	default:
 		return false
 	}
@@ -289,8 +278,8 @@ func (r *Router) NeedsOutcome(q *query.Query) bool {
 // RecordOutcome folds one executed fast-path query's regret sample into its
 // class: observed is the measured latency, estimate the value network's
 // prediction for what the full search's plan would have cost (same units).
-// Once the class has MinRegretSamples samples with a mean ratio above
-// RegretThreshold it is demoted — every later query of the class takes the
+// Once the class has minRegretSamples samples with a mean ratio above
+// regretThreshold it is demoted — every later query of the class takes the
 // full search. Demotion is sticky: the fast path's ordering is
 // deterministic, so a class it plans badly stays badly planned.
 func (r *Router) RecordOutcome(class string, observed, estimate float64) {
@@ -304,8 +293,8 @@ func (r *Router) RecordOutcome(class string, observed, estimate float64) {
 	st.regretSum += ratio
 	st.regretN++
 	if r.mode == Auto && !st.demoted &&
-		st.regretN >= uint64(r.pol.MinRegretSamples) &&
-		st.regretSum/float64(st.regretN) > r.pol.RegretThreshold {
+		st.regretN >= minRegretSamples &&
+		st.regretSum/float64(st.regretN) > regretThreshold {
 		st.demoted = true
 	}
 }

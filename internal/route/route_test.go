@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -162,24 +163,34 @@ func TestAutoHeuristic(t *testing.T) {
 		t.Errorf("cyclic join graph should keep the full search")
 	}
 
-	// Beyond MaxFastpathJoins even a selective chain keeps the full search.
-	tight := New(Auto, Policy{MaxFastpathJoins: 1})
-	if tight.Decide(chainQuery(yearEq)).Fastpath {
-		t.Errorf("chain above MaxFastpathJoins should keep the full search")
+	// Up to maxFastpathJoins a selective chain takes the fast path; beyond
+	// it the chain keeps the full search.
+	if !r.Decide(longChain(maxFastpathJoins, true)).Fastpath {
+		t.Errorf("selective chain of maxFastpathJoins joins should go fastpath")
+	}
+	if r.Decide(longChain(maxFastpathJoins+1, true)).Fastpath {
+		t.Errorf("chain above maxFastpathJoins should keep the full search")
 	}
 
 	// A long chain without visible selectivity has nothing to order by.
-	long := query.New("long", []string{"a", "b", "c", "d", "e", "f"},
-		[]query.JoinPredicate{
-			{LeftTable: "a", LeftColumn: "x", RightTable: "b", RightColumn: "x"},
-			{LeftTable: "b", LeftColumn: "x", RightTable: "c", RightColumn: "x"},
-			{LeftTable: "c", LeftColumn: "x", RightTable: "d", RightColumn: "x"},
-			{LeftTable: "d", LeftColumn: "x", RightTable: "e", RightColumn: "x"},
-			{LeftTable: "e", LeftColumn: "x", RightTable: "f", RightColumn: "x"},
-		}, nil)
-	if r.Decide(long).Fastpath {
+	if r.Decide(longChain(5, false)).Fastpath {
 		t.Errorf("a 5-join chain with no predicates should keep the full search")
 	}
+}
+
+// longChain builds r0—r1—…—r{joins}, with a predicate on r0 when selective.
+func longChain(joins int, selective bool) *query.Query {
+	rels := []string{"r0"}
+	var js []query.JoinPredicate
+	for i := 1; i <= joins; i++ {
+		rels = append(rels, fmt.Sprintf("r%d", i))
+		js = append(js, query.JoinPredicate{LeftTable: rels[i-1], LeftColumn: "x", RightTable: rels[i], RightColumn: "x"})
+	}
+	var preds []query.Predicate
+	if selective {
+		preds = []query.Predicate{{Table: "r0", Column: "y", Op: query.Eq, Value: storage.IntValue(1)}}
+	}
+	return query.New(fmt.Sprintf("chain%d", joins), rels, js, preds)
 }
 
 func TestDecisionsAreDeterministic(t *testing.T) {
@@ -201,7 +212,7 @@ func TestDecisionsAreDeterministic(t *testing.T) {
 }
 
 func TestRegretDemotionIsSticky(t *testing.T) {
-	r := New(Auto, Policy{MinRegretSamples: 3, RegretThreshold: 1.5})
+	r := New(Auto, Policy{})
 	q := chainQuery(yearEq)
 	key := Classify(q).Key()
 
@@ -211,16 +222,17 @@ func TestRegretDemotionIsSticky(t *testing.T) {
 	if !r.NeedsOutcome(q) {
 		t.Fatalf("auto mode with fast-path decisions should want outcomes")
 	}
-	// Two terrible samples: below MinRegretSamples, no demotion yet.
-	r.RecordOutcome(key, 30, 1)
-	r.RecordOutcome(key, 30, 1)
-	if !r.Decide(q).Fastpath {
-		t.Fatalf("demotion before MinRegretSamples")
+	// Terrible samples below minRegretSamples: no demotion yet.
+	for i := 1; i < minRegretSamples; i++ {
+		r.RecordOutcome(key, 30, 1)
 	}
-	// Third sample crosses the sample floor with mean ratio 30 > 1.5.
+	if !r.Decide(q).Fastpath {
+		t.Fatalf("demotion before minRegretSamples")
+	}
+	// The next sample crosses the sample floor with mean ratio 30 > 1.5.
 	r.RecordOutcome(key, 30, 1)
 	if r.Decide(q).Fastpath {
-		t.Fatalf("class should be demoted after %d samples of 30× regret", 3)
+		t.Fatalf("class should be demoted after %d samples of 30× regret", minRegretSamples)
 	}
 	if r.NeedsOutcome(q) {
 		t.Errorf("demoted class should not request more outcomes")
@@ -240,14 +252,17 @@ func TestRegretDemotionIsSticky(t *testing.T) {
 }
 
 func TestRegretGuards(t *testing.T) {
-	r := New(Auto, Policy{MinRegretSamples: 1, RegretThreshold: 1.5})
+	r := New(Auto, Policy{})
 	q := chainQuery(yearEq)
 	key := Classify(q).Key()
 	r.Decide(q)
-	// Non-positive observations and estimates are dropped, not folded in.
-	r.RecordOutcome(key, 0, 1)
-	r.RecordOutcome(key, -5, 1)
-	r.RecordOutcome(key, 10, 0)
+	// Non-positive observations and estimates are dropped, not folded in,
+	// however many arrive.
+	for i := 0; i < minRegretSamples; i++ {
+		r.RecordOutcome(key, 0, 1)
+		r.RecordOutcome(key, -5, 1)
+		r.RecordOutcome(key, 10, 0)
+	}
 	if !r.Decide(q).Fastpath {
 		t.Errorf("degenerate samples must not demote")
 	}

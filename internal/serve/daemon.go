@@ -146,13 +146,10 @@ func (d *Daemon) Serve(h http.Handler, closers ...func() error) error {
 	return nil
 }
 
-// RegisterFlags registers neo-serve's own flags — the learning cadence and
-// the replica-mode knobs — on fs. Replica mode is on when repl.TrainerURL is
+// RegisterFlags registers neo-serve's own flags — the retraining cadence and
+// the trainer URL — on fs. Replica mode is on when repl.TrainerURL is
 // set after parsing; the caller then points cfg.Replica at repl.
 func RegisterFlags(fs *flag.FlagSet, cfg *Config, repl *ReplicaConfig) {
 	fs.IntVar(&cfg.RetrainEvery, "retrain-every", 16, "trigger a background retraining round every N feedbacks (0 disables)")
-	fs.IntVar(&cfg.MaxExperience, "max-experience", 0, "experience-pool cap; oldest entries are dropped beyond it (0 = default 100000, negative = unbounded)")
 	fs.StringVar(&repl.TrainerURL, "trainer", "", "trainer base URL; switches the daemon into replica mode (no local training, feedback forwarded, snapshots pulled)")
-	fs.IntVar(&repl.FlushBatch, "flush-batch", 0, "replica mode: entries per forwarded experience container (0 = default 64)")
-	fs.IntVar(&repl.MaxQueue, "max-queue", 0, "replica mode: forwarding-queue bound; oldest entries are dropped beyond it when the trainer is down (0 = default 4096)")
 }

@@ -10,14 +10,14 @@ import (
 	"neo/pkg/neo"
 )
 
-// defaultMaxExperience bounds the experience pool when
-// LearnerConfig.MaxExperience is zero — far below the checkpoint loader's
-// hard limit, far above what a retraining round can consume (core caps
-// training samples anyway).
-const defaultMaxExperience = 100_000
+// maxExperience bounds the experience pool: the oldest entries are dropped
+// beyond it. It sits far below the checkpoint loader's hard limit, so every
+// checkpoint a daemon writes loads again, and far above what a retraining
+// round can consume (core caps training samples anyway).
+const maxExperience = 100_000
 
-// LearnerConfig tunes a Learner; serve.Config and cluster.TrainerConfig carry
-// the same four knobs under the same names.
+// LearnerConfig tunes a Learner; serve.Config embeds it and
+// cluster.TrainerConfig carries the same three knobs under the same names.
 type LearnerConfig struct {
 	// CheckpointPath is where checkpoints are written (atomically, via temp
 	// file + rename). Empty disables checkpointing.
@@ -32,10 +32,6 @@ type LearnerConfig struct {
 	// toward the next round, which starts as the running one ends if they
 	// reach N.
 	RetrainEvery int
-	// MaxExperience bounds the experience pool: the oldest entries are
-	// dropped beyond it. Zero selects the default (100 000); negative
-	// disables trimming.
-	MaxExperience int
 }
 
 // Learner is the write side of the paper's Figure 1 loop, written once for
@@ -75,22 +71,19 @@ type Learner struct {
 // is serving and before the round is reported finished — the trainer
 // publishes and rolls out from it.
 func NewLearner(sys *neo.System, cfg LearnerConfig, afterRetrain func()) *Learner {
-	if cfg.MaxExperience == 0 {
-		cfg.MaxExperience = defaultMaxExperience
-	}
 	return &Learner{sys: sys, cfg: cfg, afterRetrain: afterRetrain, stop: make(chan struct{})}
 }
 
 // Ingest adds executed-plan entries to the experience pool, trims it to
-// MaxExperience, and reports whether these entries started a retraining
+// maxExperience, and reports whether these entries started a retraining
 // round.
 func (l *Learner) Ingest(entries ...core.Entry) (triggered bool) {
 	exp := l.sys.Neo.Experience
 	for _, e := range entries {
 		exp.Add(e.Query, e.Plan, e.Latency)
 	}
-	if l.cfg.MaxExperience > 0 && exp.Len() > l.cfg.MaxExperience {
-		exp.Trim(l.cfg.MaxExperience)
+	if exp.Len() > maxExperience {
+		exp.Trim(maxExperience)
 	}
 	l.pending.Add(uint64(len(entries)))
 	return l.maybeRetrain()

@@ -22,10 +22,16 @@ import (
 	"neo/internal/core"
 )
 
-// Replica-mode defaults; see ReplicaConfig.
+// Replica-mode bounds.
 const (
-	defaultFlushBatch = 64
-	defaultMaxQueue   = 4096
+	// flushBatch caps the entries per POST /experience container. The
+	// forwarder ships queued experience as soon as it arrives, in containers
+	// of at most this many entries.
+	flushBatch = 64
+	// maxQueue bounds the forwarding queue. When the trainer is down long
+	// enough to fill it, the oldest entries are dropped — the replica keeps
+	// serving; the drops surface in /stats.
+	maxQueue = 4096
 	// retryDelay is how long the forwarder ignores wake-ups after a failed
 	// forward, so a dead trainer is not hammered once per feedback.
 	retryDelay = 250 * time.Millisecond
@@ -38,32 +44,10 @@ const (
 type ReplicaConfig struct {
 	// TrainerURL is the trainer's base URL, e.g. "http://trainer:7790".
 	TrainerURL string
-	// FlushBatch caps the entries per POST /experience container (default
-	// 64). The forwarder ships queued experience as soon as it arrives, in
-	// containers of at most this many entries.
-	FlushBatch int
-	// MaxQueue bounds the forwarding queue (default 4096). When the trainer
-	// is down long enough to fill it, the oldest entries are dropped — the
-	// replica keeps serving; the drops surface in /stats.
-	MaxQueue int
 	// Client carries the retry/timeout/backoff knobs for every trainer RPC.
 	// The zero value picks the proto.Client defaults (3 attempts, 50ms
 	// doubling backoff, 10s per-attempt timeout).
 	Client proto.Client
-}
-
-func (c *ReplicaConfig) flushBatch() int {
-	if c.FlushBatch > 0 {
-		return c.FlushBatch
-	}
-	return defaultFlushBatch
-}
-
-func (c *ReplicaConfig) maxQueue() int {
-	if c.MaxQueue > 0 {
-		return c.MaxQueue
-	}
-	return defaultMaxQueue
 }
 
 // replicaState is the Server's replica-mode side car: the forwarding queue,
@@ -111,8 +95,8 @@ func (rs *replicaState) enqueue(e core.Entry) (depth int, queued bool) {
 		rs.mu.Unlock()
 		return 0, false
 	}
-	if max := rs.cfg.maxQueue(); len(rs.queue) >= max {
-		over := len(rs.queue) - max + 1
+	if len(rs.queue) >= maxQueue {
+		over := len(rs.queue) - maxQueue + 1
 		rs.queue = rs.queue[over:]
 		rs.dropped.Add(uint64(over))
 	}
@@ -136,10 +120,7 @@ func (rs *replicaState) wake() {
 func (rs *replicaState) takeBatch() []core.Entry {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	n := rs.cfg.flushBatch()
-	if n > len(rs.queue) {
-		n = len(rs.queue)
-	}
+	n := min(flushBatch, len(rs.queue))
 	if n == 0 {
 		return nil
 	}
@@ -156,8 +137,8 @@ func (rs *replicaState) requeue(batch []core.Entry) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.queue = append(batch, rs.queue...)
-	if max := rs.cfg.maxQueue(); len(rs.queue) > max {
-		over := len(rs.queue) - max
+	if len(rs.queue) > maxQueue {
+		over := len(rs.queue) - maxQueue
 		rs.queue = rs.queue[over:]
 		rs.dropped.Add(uint64(over))
 	}
@@ -266,12 +247,8 @@ func (rs *replicaState) drain() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	n := rs.cfg.flushBatch()
 	for len(rest) > 0 {
-		batch := rest
-		if len(batch) > n {
-			batch = rest[:n]
-		}
+		batch := rest[:min(flushBatch, len(rest))]
 		if err := rs.forwardNow(ctx, batch); err != nil {
 			rs.dropped.Add(uint64(len(rest)))
 			return

@@ -144,8 +144,8 @@ func TestReplicaForwardsFeedback(t *testing.T) {
 	defer trainer.Close()
 
 	srv := New(sys, Config{
-		RetrainEvery: 1, // must be ignored: replicas never train
-		Replica:      &ReplicaConfig{TrainerURL: trainer.URL},
+		LearnerConfig: LearnerConfig{RetrainEvery: 1}, // must be ignored: replicas never train
+		Replica:       &ReplicaConfig{TrainerURL: trainer.URL},
 	})
 	srv.Start()
 	ts := httptest.NewServer(srv)
@@ -206,11 +206,12 @@ func TestReplicaFrozenWhenTrainerDead(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close() // connection refused from here on
 
-	srv := New(sys, Config{Replica: &ReplicaConfig{
-		TrainerURL: deadURL,
-		MaxQueue:   3,
-		Client:     fastClient(),
-	}})
+	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: deadURL, Client: fastClient()}})
+	// Fill the forwarding queue to its bound before the forwarder starts.
+	e := sys.Neo.Experience.Entries()[0]
+	for i := 0; i < maxQueue; i++ {
+		srv.repl.enqueue(e)
+	}
 	srv.Start()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -226,21 +227,21 @@ func TestReplicaFrozenWhenTrainerDead(t *testing.T) {
 			t.Fatalf("feedback %d with dead trainer: status %d — a dead trainer must not fail requests", i, code)
 		}
 	}
-	// The queue bound (3) drops the oldest of the 6; the first forward
-	// records the failure. The failed batch is off the queue while its
-	// forward is in flight and re-bounded when it is put back, so the drops
-	// can trail the first recorded error: wait for both.
+	// The full queue drops its oldest entry for each of the 6; the first
+	// forward records the failure. The failed batch is off the queue while
+	// its forward is in flight and re-bounded when it is put back, so the
+	// drops can trail the first recorded error: wait for both.
 	deadline := time.Now().Add(10 * time.Second)
 	var st Stats
 	for time.Now().Before(deadline) {
 		st = getStats(t, ts.URL)
-		if st.Cluster.ForwardErrors > 0 && st.Cluster.Dropped >= n-3 {
+		if st.Cluster.ForwardErrors > 0 && st.Cluster.Dropped >= n {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if st.Cluster.Dropped < n-3 {
-		t.Fatalf("dropped=%d, want >=%d (queue bound 3)", st.Cluster.Dropped, n-3)
+	if st.Cluster.Dropped < n || st.Cluster.Queued > maxQueue {
+		t.Fatalf("dropped=%d queued=%d, want >=%d dropped and at most %d queued", st.Cluster.Dropped, st.Cluster.Queued, n, maxQueue)
 	}
 	if st.Cluster.ForwardErrors == 0 || st.Cluster.LastForwardError == "" {
 		t.Fatalf("forwarding failures not surfaced: %+v", st.Cluster)
@@ -360,7 +361,7 @@ func TestCloseDrainsInFlightFeedback(t *testing.T) {
 	defer trainer.Close()
 	defer ft.open()
 
-	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushBatch: 4}})
+	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL}})
 	srv.Start()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -388,10 +389,12 @@ func TestCloseDrainsInFlightFeedback(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// The first feedback's forward parks at the trainer; the next ones queue.
+	// The first feedback's forward parks at the trainer; the next ones queue,
+	// more than one container's worth, so the drain spans several.
 	feedback(1)
 	ft.waitUntil(t, "the first forward", func() bool { return ft.posts == 1 })
-	for i := 2; i <= 9; i++ {
+	const queued = 2*flushBatch + 3
+	for i := 2; i <= queued+1; i++ {
 		feedback(float64(i))
 	}
 	// More feedback races Close: some is queued before the seal, some is a
@@ -402,7 +405,7 @@ func TestCloseDrainsInFlightFeedback(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				feedback(float64(100 + 10*g + i))
+				feedback(float64(1000 + 10*g + i))
 			}
 		}(g)
 	}
@@ -414,13 +417,14 @@ func TestCloseDrainsInFlightFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	feedback(1000) // certainly after the seal: the straggler path
+	feedback(10000) // certainly after the seal: the straggler path
 
 	seen := map[float64]int{}
 	ft.mu.Lock()
 	for _, e := range ft.entries {
 		seen[e.Latency]++
 	}
+	posts := ft.posts
 	ft.mu.Unlock()
 	for latency, n := range seen {
 		if n != 1 || !accepted[latency] {
@@ -432,8 +436,11 @@ func TestCloseDrainsInFlightFeedback(t *testing.T) {
 			t.Errorf("accepted feedback with latency %v never reached the trainer — graceful drain dropped experience", latency)
 		}
 	}
-	if !accepted[1] || !accepted[9] || !accepted[1000] {
+	if !accepted[1] || !accepted[queued+1] || !accepted[10000] {
 		t.Fatal("test vacuous: feedback before the drain or after the seal was not accepted")
+	}
+	if want := 1 + (queued+flushBatch-1)/flushBatch; posts < want {
+		t.Fatalf("test vacuous: %d POSTs, want at least %d: the parked one and a drain of several containers", posts, want)
 	}
 	if st := getStats(t, ts.URL); st.Cluster.Dropped != 0 {
 		t.Fatalf("dropped=%d with a live trainer", st.Cluster.Dropped)
@@ -448,13 +455,13 @@ func TestCloseDrainsInFlightFeedback(t *testing.T) {
 func TestForwarderRetriesInOrder(t *testing.T) {
 	sys, queries := testSystem(t)
 	defer sys.Close()
-	const k, batch = 3, 4
+	const k = 3
 	ft := &fakeTrainer{failFirst: k, gate: make(chan struct{})}
 	trainer := httptest.NewServer(ft.handler())
 	defer trainer.Close()
 	defer ft.open()
 
-	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushBatch: batch, Client: fastClient()}})
+	srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, Client: fastClient()}})
 	srv.Start()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -467,11 +474,12 @@ func TestForwarderRetriesInOrder(t *testing.T) {
 			t.Fatalf("feedback %v: status %d", latency, code)
 		}
 	}
-	// The first POST waits at the gate while more feedback queues behind it;
-	// after it fails, more arrives inside the retry delay.
+	// The first POST waits at the gate while more feedback — three
+	// containers' worth — queues behind it; after it fails, more arrives
+	// inside the retry delay.
 	feedback()
 	ft.waitUntil(t, "the first forward", func() bool { return ft.posts == 1 })
-	for i := 0; i < 11; i++ {
+	for i := 0; i < 2*flushBatch+3; i++ {
 		feedback()
 	}
 	ft.open()
@@ -491,7 +499,7 @@ func TestForwarderRetriesInOrder(t *testing.T) {
 			t.Fatalf("entry %d carries latency %v, want %d: entries arrived out of order or twice", i, e.Latency, i+1)
 		}
 	}
-	if limit := k + (entries+batch-1)/batch + 2; ft.posts > limit {
+	if limit := k + (entries+flushBatch-1)/flushBatch + 2; ft.posts > limit {
 		t.Fatalf("%d POST attempts for %d entries and %d failures, want at most %d", ft.posts, entries, k, limit)
 	}
 }
@@ -518,7 +526,7 @@ func TestForwarderDropsRefusedBatch(t *testing.T) {
 			defer trainer.Close()
 			defer ft.open()
 
-			srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, FlushBatch: 4, Client: fastClient()}})
+			srv := New(sys, Config{Replica: &ReplicaConfig{TrainerURL: trainer.URL, Client: fastClient()}})
 			srv.Start()
 			ts := httptest.NewServer(srv)
 			defer ts.Close()

@@ -45,23 +45,8 @@ import (
 
 // Config tunes the daemon.
 type Config struct {
-	// CheckpointPath is where checkpoints are written (atomically, via temp
-	// file + rename). Empty disables checkpointing.
-	CheckpointPath string
-	// CheckpointEvery is the periodic checkpoint interval started by Start.
-	// Zero disables the loop (shutdown still checkpoints).
-	CheckpointEvery time.Duration
-	// RetrainEvery starts a background retraining round once N feedbacks
-	// have arrived since the last round was started. Zero disables automatic
-	// retraining. Rounds never queue: feedback arriving while a round is in
-	// flight counts toward the next one (see LearnerConfig).
-	RetrainEvery int
-	// MaxExperience bounds the experience pool: when a feedback pushes the
-	// pool past the limit, the oldest entries are dropped. This keeps a
-	// long-running daemon's memory and checkpoint size bounded (checkpoints
-	// refuse to load implausibly large experience sections). Zero selects
-	// the default (100 000); negative disables trimming.
-	MaxExperience int
+	// LearnerConfig sets checkpointing and the retraining cadence.
+	LearnerConfig
 	// Replica switches the daemon into replica mode: feedback is forwarded
 	// to the configured trainer instead of training locally, and snapshots
 	// arrive via /admin/snapshot. RetrainEvery is forced to zero — replicas
@@ -97,12 +82,7 @@ func New(sys *neo.System, cfg Config) *Server {
 		cfg.RetrainEvery = 0
 	}
 	s := &Server{sys: sys, mux: http.NewServeMux(), start: time.Now()}
-	s.learner = NewLearner(sys, LearnerConfig{
-		CheckpointPath:  cfg.CheckpointPath,
-		CheckpointEvery: cfg.CheckpointEvery,
-		RetrainEvery:    cfg.RetrainEvery,
-		MaxExperience:   cfg.MaxExperience,
-	}, nil)
+	s.learner = NewLearner(sys, cfg.LearnerConfig, nil)
 	s.mux.HandleFunc("POST /optimize", s.handleOptimize)
 	s.mux.HandleFunc("POST /feedback", s.handleFeedback)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -373,13 +353,12 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Stats is the /stats reply.
+// Stats is the /stats reply. Its embedded head is what the cluster control
+// plane decodes.
 type Stats struct {
+	proto.ReplicaStats
 	UptimeSeconds float64            `json:"uptime_seconds"`
-	NetVersion    uint64             `json:"net_version"`
 	Experience    int                `json:"experience"`
-	Optimizes     uint64             `json:"optimizes"`
-	Feedbacks     uint64             `json:"feedbacks"`
 	Retrains      uint64             `json:"retrains"`
 	Retraining    bool               `json:"retraining"`
 	LastTrainLoss float64            `json:"last_train_loss"`
@@ -394,9 +373,6 @@ type Stats struct {
 	// evictions, bytes read from the heap files. Omitted (nil) when the
 	// system runs a simulated engine, which touches no storage.
 	Storage *neo.StorageStats `json:"storage,omitempty"`
-	// Cluster reports the replica-mode state — forwarding queue, trainer
-	// link health, plan-quality window. Omitted (nil) in standalone mode.
-	Cluster *proto.ClusterStats `json:"cluster,omitempty"`
 	// Routing reports the query router's per-class decision counters,
 	// fast-path planning-latency percentiles (µs) and regret accounting.
 	// Omitted (nil) when routing is "full" (the default), where every query
@@ -424,11 +400,14 @@ func (s *Server) snapshotStats() Stats {
 		routingPtr = &rs
 	}
 	return Stats{
+		ReplicaStats: proto.ReplicaStats{
+			NetVersion: s.sys.Neo.NetVersion(),
+			Optimizes:  s.optimizes.Load(),
+			Feedbacks:  s.feedbacks.Load(),
+			Cluster:    clusterPtr,
+		},
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		NetVersion:    s.sys.Neo.NetVersion(),
 		Experience:    s.sys.Neo.Experience.Len(),
-		Optimizes:     s.optimizes.Load(),
-		Feedbacks:     s.feedbacks.Load(),
 		Retrains:      ls.Retrains,
 		Retraining:    ls.Retraining,
 		LastTrainLoss: ls.LastTrainLoss,
@@ -436,7 +415,6 @@ func (s *Server) snapshotStats() Stats {
 		PlanCache:     s.sys.PlanCacheStats(),
 		Snapshot:      s.sys.SnapshotInfo(),
 		Storage:       storagePtr,
-		Cluster:       clusterPtr,
 		Routing:       routingPtr,
 	}
 }

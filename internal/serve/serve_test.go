@@ -136,7 +136,7 @@ func TestServeLifecycle(t *testing.T) {
 	ckpt := filepath.Join(dir, "serve.ckpt")
 
 	const retrainEvery = 4
-	srv := New(sys, Config{CheckpointPath: ckpt, RetrainEvery: retrainEvery})
+	srv := New(sys, Config{LearnerConfig: LearnerConfig{CheckpointPath: ckpt, RetrainEvery: retrainEvery}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -231,7 +231,7 @@ func TestServeLifecycle(t *testing.T) {
 	if err := sys2.LoadCheckpointFile(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(sys2, Config{CheckpointPath: ckpt, RetrainEvery: retrainEvery})
+	srv2 := New(sys2, Config{LearnerConfig: LearnerConfig{CheckpointPath: ckpt, RetrainEvery: retrainEvery}})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	defer srv2.Close()
@@ -248,12 +248,11 @@ func TestServeLifecycle(t *testing.T) {
 
 // TestServeStaleFeedbackAndExperienceCap pins the two feedback safety rails:
 // feedback carrying a superseded net_version is rejected with 409 (its
-// latency belongs to a plan that is no longer served), and the experience
-// pool is trimmed to the configured cap.
+// latency belongs to a plan that is no longer served), and a full
+// experience pool drops its oldest entry for each new one.
 func TestServeStaleFeedbackAndExperienceCap(t *testing.T) {
 	sys, queries := testSystem(t)
-	cap := sys.Neo.Experience.Len() + 3
-	srv := New(sys, Config{MaxExperience: cap})
+	srv := New(sys, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -278,18 +277,28 @@ func TestServeStaleFeedbackAndExperienceCap(t *testing.T) {
 		t.Fatalf("stale feedback grew the experience: %d -> %d", before, got)
 	}
 
-	// The pool never exceeds the cap no matter how many feedbacks arrive.
-	for i := 0; i < 8; i++ {
-		req := proto.FeedbackRequest{Query: specFor(queries[i%3]), LatencyMS: float64(10 + i)}
+	// Fill the pool to its cap; each further feedback replaces the oldest
+	// entry.
+	exp := sys.Neo.Experience
+	filler := exp.Entries()[0]
+	for exp.Len() < maxExperience {
+		exp.Add(filler.Query, filler.Plan, filler.Latency)
+	}
+	const n = 3
+	for i := 0; i < n; i++ {
+		req := proto.FeedbackRequest{Query: specFor(queries[i]), LatencyMS: float64(1000 + i)}
 		if code := postJSON(t, ts.URL+"/feedback", req, nil); code != http.StatusOK {
 			t.Fatalf("feedback %d: status %d", i, code)
 		}
-		if got := sys.Neo.Experience.Len(); got > cap {
-			t.Fatalf("experience %d exceeds cap %d", got, cap)
+		if got := exp.Len(); got != maxExperience {
+			t.Fatalf("experience = %d after a feedback into a full pool, want cap %d", got, maxExperience)
 		}
 	}
-	if got := sys.Neo.Experience.Len(); got != cap {
-		t.Fatalf("experience = %d after trimming, want cap %d", got, cap)
+	entries := exp.Entries()
+	for i, e := range entries[len(entries)-n:] {
+		if e.Latency != float64(1000+i) {
+			t.Fatalf("newest entry %d carries latency %v, want %d: trimming dropped a new entry", i, e.Latency, 1000+i)
+		}
 	}
 }
 

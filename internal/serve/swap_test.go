@@ -227,7 +227,7 @@ func TestReplicaCheckpointDuringSnapshotLoad(t *testing.T) {
 	sys, _ := testSystem(t)
 	defer sys.Close()
 	path := filepath.Join(t.TempDir(), "replica.ckpt")
-	srv := New(sys, Config{CheckpointPath: path, Replica: &ReplicaConfig{TrainerURL: trainer.URL}})
+	srv := New(sys, Config{LearnerConfig: LearnerConfig{CheckpointPath: path}, Replica: &ReplicaConfig{TrainerURL: trainer.URL}})
 	defer srv.Close()
 	verifier, _ := testSystem(t)
 	defer verifier.Close()

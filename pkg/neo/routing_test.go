@@ -293,33 +293,34 @@ func TestRegretDemotionEndToEnd(t *testing.T) {
 	if st.Fastpath == 0 {
 		t.Fatalf("victim query was not routed to the fast path: %+v", st)
 	}
+	key := route.Classify(q).Key()
+	class := func() *RouteClassStats {
+		st := sys.RouteStats()
+		for i := range st.Classes {
+			if st.Classes[i].Class == key {
+				return &st.Classes[i]
+			}
+		}
+		t.Fatalf("class %q missing from stats: %+v", key, st.Classes)
+		return nil
+	}
 	// Feed absurd observed latencies — mean regret far above any estimate —
-	// until the default policy has enough samples to judge the class.
-	pol := route.DefaultPolicy()
-	for i := 0; i < pol.MinRegretSamples; i++ {
+	// until the router has enough samples to judge the class.
+	for i := 0; i < 64 && !class().ReroutedFull; i++ {
 		sys.Neo.ObserveLatency(q, 1e9)
 	}
 	if _, _, err := sys.Neo.Optimize(q); err != nil {
 		t.Fatal(err)
 	}
-	st = sys.RouteStats()
-	key := route.Classify(q).Key()
-	var cls *RouteClassStats
-	for i := range st.Classes {
-		if st.Classes[i].Class == key {
-			cls = &st.Classes[i]
-		}
-	}
-	if cls == nil {
-		t.Fatalf("class %q missing from stats: %+v", key, st.Classes)
-	}
+	cls := class()
 	if !cls.ReroutedFull {
 		t.Errorf("class not demoted after %d samples of enormous regret: %+v", cls.RegretSamples, cls)
 	}
 	if cls.Full == 0 {
 		t.Errorf("demoted class still has no full-search decisions: %+v", cls)
 	}
-	if cls.RegretSamples < uint64(pol.MinRegretSamples) || cls.RegretMean <= pol.RegretThreshold {
+	// route's minRegretSamples (8) and regretThreshold (1.5).
+	if cls.RegretSamples < 8 || cls.RegretMean <= 1.5 {
 		t.Errorf("regret accounting not reported: %+v", cls)
 	}
 }
