@@ -31,7 +31,7 @@ import (
 // Two deliberate exemptions keep the convention usable:
 //
 //   - Methods whose name ends in "Locked" are skipped entirely: the repo's
-//     existing convention (Experience.rebuildLocked) is that such methods
+//     existing convention (Router.classLocked) is that such methods
 //     document "caller holds the lock" in their name, and their call sites
 //     are inside locked sections the scan does verify.
 //   - Function literals are not scanned: a closure may run on another

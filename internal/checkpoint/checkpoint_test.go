@@ -77,10 +77,10 @@ func TestMLPSaveLoadBitIdentical(t *testing.T) {
 	src := nn.NewMLP([]int{6, 8, 3}, true, rand.New(rand.NewSource(1)))
 	dst := nn.NewMLP([]int{6, 8, 3}, true, rand.New(rand.NewSource(99)))
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := nn.SaveParams(&buf, src.Params()); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Load(&buf); err != nil {
+	if err := nn.LoadParams(&buf, dst.Params()); err != nil {
 		t.Fatal(err)
 	}
 	sp, dp := src.Params(), dst.Params()
@@ -96,11 +96,11 @@ func TestMLPSaveLoadBitIdentical(t *testing.T) {
 func TestMLPLoadRejectsArchitectureMismatch(t *testing.T) {
 	src := nn.NewMLP([]int{6, 8, 3}, true, rand.New(rand.NewSource(1)))
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := nn.SaveParams(&buf, src.Params()); err != nil {
 		t.Fatal(err)
 	}
 	dst := nn.NewMLP([]int{6, 7, 3}, true, rand.New(rand.NewSource(1)))
-	if err := dst.Load(&buf); err == nil {
+	if err := nn.LoadParams(&buf, dst.Params()); err == nil {
 		t.Fatal("loading a 6-8-3 MLP into a 6-7-3 MLP should fail")
 	}
 }
@@ -109,10 +109,10 @@ func TestTreeconvStackSaveLoadBitIdentical(t *testing.T) {
 	src := treeconv.NewStack([]int{5, 7, 3}, rand.New(rand.NewSource(2)))
 	dst := treeconv.NewStack([]int{5, 7, 3}, rand.New(rand.NewSource(77)))
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := nn.SaveParams(&buf, src.Params()); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Load(&buf); err != nil {
+	if err := nn.LoadParams(&buf, dst.Params()); err != nil {
 		t.Fatal(err)
 	}
 	sp, dp := src.Params(), dst.Params()
@@ -206,7 +206,7 @@ func testState(t testing.TB) *State {
 	emb := embedding.Train([][]string{
 		{"a.name=x", "a.name=y", "b.year=1990"},
 		{"a.name=x", "b.year=2000"},
-	}, embedding.Config{Dim: 4, Epochs: 2, NegativeSamples: 2, LearningRate: 0.05, MinCount: 1, Seed: 9})
+	}, embedding.Config{Dim: 4, Seed: 9})
 	return &State{
 		Encoding:  "r-vector",
 		Embedding: emb,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"neo/internal/core"
@@ -321,21 +322,34 @@ func writePlan(w io.Writer, p *plan.Plan) error {
 	return nil
 }
 
+// readPlan reads an experience entry's plan for q, which must be a plan Neo
+// could have executed: one tree whose leaves scan exactly q's relations.
+// Anything else would reach training — the value network's encoder indexes
+// by join operator and scan type, and a round's targets assume complete
+// plans.
 func readPlan(r io.Reader, q *query.Query) (*plan.Plan, error) {
 	n, err := wire.ReadU32(r)
 	if err != nil {
 		return nil, err
 	}
-	if n > 4096 {
-		return nil, fmt.Errorf("plan declares %d roots", n)
+	if n != 1 {
+		return nil, fmt.Errorf("plan declares %d roots, want 1", n)
 	}
-	roots := make([]*plan.Node, n)
-	for i := range roots {
-		if roots[i], err = readNode(r, 0); err != nil {
-			return nil, err
+	root, err := readNode(r, 0)
+	if err != nil {
+		return nil, err
+	}
+	var tables []string
+	root.Walk(func(n *plan.Node) {
+		if n.IsLeaf() {
+			tables = append(tables, n.Table)
 		}
+	})
+	slices.Sort(tables)
+	if !slices.Equal(tables, q.Relations) {
+		return nil, fmt.Errorf("plan scans %d relations that are not query %q's %d", len(tables), q.ID, len(q.Relations))
 	}
-	return &plan.Plan{Query: q, Roots: roots}, nil
+	return &plan.Plan{Query: q, Roots: []*plan.Node{root}}, nil
 }
 
 func writeNode(w io.Writer, n *plan.Node) error {
@@ -378,6 +392,9 @@ func readNode(r io.Reader, depth int) (*plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
+		if st := plan.ScanType(scan); st != plan.TableScan && st != plan.IndexScan {
+			return nil, fmt.Errorf("scan type %d is not a table or index scan", scan)
+		}
 		table, err := wire.ReadString(r)
 		if err != nil {
 			return nil, err
@@ -387,6 +404,9 @@ func readNode(r io.Reader, depth int) (*plan.Node, error) {
 		op, err := wire.ReadU8(r)
 		if err != nil {
 			return nil, err
+		}
+		if op >= plan.NumJoinOps {
+			return nil, fmt.Errorf("join operator %d is not one of the %d", op, plan.NumJoinOps)
 		}
 		left, err := readNode(r, depth+1)
 		if err != nil {

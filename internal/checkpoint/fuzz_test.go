@@ -8,6 +8,9 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"neo/internal/core"
+	"neo/internal/plan"
 )
 
 // sentinels are the errors a loader may fail with; anything else is a codec
@@ -42,12 +45,36 @@ func checkDecode(t *testing.T, data []byte) {
 			t.Fatalf("decoded %s %v is not a finite non-negative number", what, v)
 		}
 	}
+	// Every entry that decodes holds a plan Neo could have executed: one
+	// tree of known join operators over table and index scans of exactly
+	// its query's relations.
+	executable := func(e core.Entry) {
+		t.Helper()
+		ok := len(e.Plan.Roots) == 1
+		var tables []string
+		for _, r := range e.Plan.Roots {
+			r.Walk(func(n *plan.Node) {
+				if n.IsLeaf() {
+					tables = append(tables, n.Table)
+					ok = ok && (n.Scan == plan.TableScan || n.Scan == plan.IndexScan)
+				} else {
+					ok = ok && n.Join >= 0 && n.Join < plan.NumJoinOps
+				}
+			})
+		}
+		slices.Sort(tables)
+		if !ok || !slices.Equal(tables, e.Query.Relations) {
+			t.Fatalf("decoded plan %s is not one complete plan over query %q's relations %v", e.Plan, e.Query.ID, e.Query.Relations)
+		}
+	}
 	for _, e := range entries {
 		usable("latency", e.Latency)
+		executable(e)
 	}
 	if err == nil {
 		for _, e := range st.Experience {
 			usable("latency", e.Latency)
+			executable(e)
 		}
 		for _, b := range st.Baselines {
 			usable("baseline", b)

@@ -102,6 +102,30 @@ func TestExperienceContainerRejectsDamage(t *testing.T) {
 			t.Errorf("baseline %v: got %v, want ErrCorrupt", lat, err)
 		}
 	}
+	// So is a plan Neo could not have executed, CRC or no CRC: the value
+	// network's encoder indexes by join operator and scan type, and a round's
+	// targets assume one complete plan over the query's relations.
+	leaf := plan.Leaf
+	for name, roots := range map[string][]*plan.Node{
+		"join op 200":       {plan.Join2(plan.JoinOp(200), leaf("a", plan.TableScan), leaf("b", plan.IndexScan))},
+		"join op 3":         {plan.Join2(plan.JoinOp(plan.NumJoinOps), leaf("a", plan.TableScan), leaf("b", plan.IndexScan))},
+		"unspecified scan":  {plan.Join2(plan.HashJoin, leaf("a", plan.UnspecifiedScan), leaf("b", plan.IndexScan))},
+		"scan type 9":       {plan.Join2(plan.HashJoin, leaf("a", plan.ScanType(9)), leaf("b", plan.IndexScan))},
+		"two roots":         {leaf("a", plan.TableScan), leaf("b", plan.IndexScan)},
+		"missing relation":  {leaf("a", plan.TableScan)},
+		"foreign relation":  {plan.Join2(plan.HashJoin, leaf("a", plan.TableScan), leaf("c", plan.IndexScan))},
+		"repeated relation": {plan.Join2(plan.HashJoin, leaf("a", plan.TableScan), leaf("a", plan.IndexScan))},
+	} {
+		bad := slices.Clone(st.Experience)
+		bad[0].Plan = &plan.Plan{Query: bad[0].Query, Roots: roots}
+		var buf bytes.Buffer
+		if err := SaveExperience(&buf, bad); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadExperience(&buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %d entries, err %v, want ErrCorrupt", name, len(got), err)
+		}
+	}
 	// A full checkpoint is a superset: LoadExperience reads its experience
 	// section and ignores the rest.
 	var full bytes.Buffer

@@ -12,6 +12,7 @@ import (
 
 	"neo/internal/checkpoint"
 	"neo/internal/cluster/proto"
+	"neo/internal/plan"
 )
 
 func asStatus(err error, se **proto.StatusError) bool { return errors.As(err, se) }
@@ -99,6 +100,43 @@ func TestTrainerPublishesAndIngests(t *testing.T) {
 	}
 	if hdr2.Get(proto.HeaderNetVersion) != strconv.FormatUint(v0, 10) || !bytes.Equal(old, payload) {
 		t.Fatal("historical snapshot changed after retraining")
+	}
+}
+
+// TestTrainerRejectsMalformedPlans: a CRC-valid batch whose plan has a join
+// operator Neo does not have gets 400 and ingests nothing. Ingested, it would
+// start a background retraining round whose plan encoder indexes by the
+// operator, and the panic there would stop the trainer.
+func TestTrainerRejectsMalformedPlans(t *testing.T) {
+	sys, _ := testSystem(t, true)
+	trainer, err := NewTrainer(sys, TrainerConfig{RetrainEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trainer.Close()
+	ts := httptest.NewServer(trainer)
+	defer ts.Close()
+
+	before := sys.Neo.Experience.Len()
+	entries := sys.Neo.Experience.Entries()[:3]
+	root := entries[1].Plan.Roots[0]
+	entries[1].Plan = &plan.Plan{Query: entries[1].Query, Roots: []*plan.Node{plan.Join2(plan.JoinOp(200), root.Left, root.Right)}}
+	var buf bytes.Buffer
+	if err := checkpoint.SaveExperience(&buf, entries); err != nil {
+		t.Fatal(err)
+	}
+	c := fastClient()
+	err = c.PostBytes(context.Background(), ts.URL+"/experience", buf.Bytes(), nil)
+	var se *proto.StatusError
+	if !asStatus(err, &se) || se.Code != 400 {
+		t.Fatalf("batch with join op 200: got %v, want 400", err)
+	}
+	if err := trainer.Close(); err != nil { // waits for any retraining round
+		t.Fatal(err)
+	}
+	if st := trainer.Stats(); st.Accepted != 0 || st.Batches != 0 || st.Retrains != 0 || sys.Neo.Experience.Len() != before {
+		t.Fatalf("accepted %d entries in %d batches, %d retrains, experience %d -> %d",
+			st.Accepted, st.Batches, st.Retrains, before, sys.Neo.Experience.Len())
 	}
 }
 

@@ -95,7 +95,7 @@ func TestConstructionStatesSiblingJoinOrder(t *testing.T) {
 		t.Errorf("left sibling join (a ⋈ b) should be applied first, state: %s", afterFirstJoin)
 	}
 	for i, s := range states {
-		if !s.IsSubplanOf(complete) {
+		if !refIsSubplanOf(s, complete) {
 			t.Errorf("state %d (%s) is not a subplan of the complete plan", i, s)
 		}
 	}

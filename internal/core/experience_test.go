@@ -8,8 +8,8 @@ import (
 )
 
 // TestExperienceTrimKeepsNewest: Trim keeps the newest entries in insertion
-// order, and the per-query index MinCostContaining reads is rebuilt over the
-// survivors only — the dropped entry held the query's lowest latency.
+// order, and targets over the trimmed snapshot see the survivors only — the
+// dropped entry held the query's lowest latency.
 func TestExperienceTrimKeepsNewest(t *testing.T) {
 	e := NewExperience()
 	q := query.New("q", []string{"title"}, nil, nil)
@@ -22,8 +22,8 @@ func TestExperienceTrimKeepsNewest(t *testing.T) {
 	if len(got) != 2 || got[0].Latency != 40 || got[1].Latency != 30 {
 		t.Fatalf("Entries after Trim(2) = %+v, want latencies 40, 30", got)
 	}
-	cost, ok := e.MinCostContaining(plan.Initial(q, plan.NewNodes()), func(en Entry) float64 { return en.Latency })
+	cost, ok := newTargets(got, func(en Entry) float64 { return en.Latency }).of(plan.Initial(q, plan.NewNodes()))
 	if !ok || cost != 30 {
-		t.Errorf("MinCostContaining after Trim = %v, %v; want 30, true", cost, ok)
+		t.Errorf("target after Trim = %v, %v; want 30, true", cost, ok)
 	}
 }

@@ -426,14 +426,14 @@ func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.P
 	return nil
 }
 
-// trainingSamplesLocked converts the experience into value-network training
-// samples: for every stored complete plan, the plan itself plus the partial
-// plans along its bottom-up construction, each labelled with the minimum
-// cost of any experienced complete plan that contains it. Beyond keep
-// states it shuffles the (entry, state) pairs with n.rng — the draws depend
-// only on the count, which numStates gives without building anything — and
-// builds only the first keep, in that order: the samples shuffling them all
-// would keep. The caller holds rngMu.
+// trainingSamplesLocked converts a snapshot of the experience into
+// value-network training samples: for every stored complete plan, the plan
+// itself plus the partial plans along its bottom-up construction, each
+// labelled with the minimum cost of any complete plan of that snapshot that
+// contains it. Beyond keep states it shuffles the (entry, state) pairs with
+// n.rng — the draws depend only on the count, which numStates gives without
+// building anything — and builds only the first keep, in that order: the
+// samples shuffling them all would keep. The caller holds rngMu.
 func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
 	entries := n.Experience.Entries()
 	type state struct{ entry, index int }
@@ -447,6 +447,7 @@ func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
 		n.rng.Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
 		states = states[:keep]
 	}
+	targets := newTargets(entries, n.cost)
 	// Every sample of one query shares one encoding slice: that identity is
 	// what valuenet deduplicates the query tower on. The kept states of one
 	// entry share their subtrees: one node table and one encoder over it,
@@ -473,7 +474,7 @@ func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
 			encodings[entry.Query.ID] = qEnc
 		}
 		partial := b.states[st.index]
-		target, ok := n.Experience.MinCostContaining(partial, n.cost)
+		target, ok := targets.of(partial)
 		if !ok {
 			target = n.cost(entry)
 		}

@@ -85,13 +85,14 @@ func TestExperienceStore(t *testing.T) {
 	if got := e.Entries(); got[0].Latency != 120 || got[1].Latency != 80 || got[1].Query != q {
 		t.Errorf("Entries = %+v, want the two adds in order", got)
 	}
-	cost, ok := e.MinCostContaining(plan.Initial(q, plan.NewNodes()), func(en Entry) float64 { return en.Latency })
+	tg := newTargets(e.Entries(), func(en Entry) float64 { return en.Latency })
+	cost, ok := tg.of(plan.Initial(q, plan.NewNodes()))
 	if !ok || cost != 80 {
-		t.Errorf("MinCostContaining = %f, %v; want 80, true", cost, ok)
+		t.Errorf("target = %f, %v; want 80, true", cost, ok)
 	}
 	// A plan that is not a subplan of anything stored.
 	other := &plan.Plan{Query: q, Roots: []*plan.Node{plan.Leaf("title", plan.IndexScan)}}
-	if _, ok := e.MinCostContaining(other, func(en Entry) float64 { return en.Latency }); ok {
+	if _, ok := tg.of(other); ok {
 		t.Errorf("index-scan plan should not be contained in a table-scan experience")
 	}
 }
@@ -127,7 +128,7 @@ func TestConstructionStates(t *testing.T) {
 	}
 	// Every state must be a subplan of the complete plan.
 	for i, s := range states {
-		if !s.IsSubplanOf(complete) {
+		if !refIsSubplanOf(s, complete) {
 			t.Errorf("state %d (%s) is not a subplan of the complete plan", i, s)
 		}
 	}

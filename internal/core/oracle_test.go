@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"neo/internal/nn"
+	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/treeconv"
 	"neo/internal/valuenet"
@@ -1002,6 +1003,15 @@ func TestRetrainMatchesParentKernels(t *testing.T) {
 			samples := n.trainingSamplesLocked(maxTrainSamples)
 			if len(samples) > maxTrainSamples {
 				t.Fatalf("%d samples exceed maxTrainSamples: the reference round would need Retrain's shuffle too", len(samples))
+			}
+			// The reference trains on the scan's targets. Below the cap the
+			// samples come in entry order, each entry's states in order.
+			entries, k := n.Experience.Entries(), 0
+			for _, entry := range entries {
+				for _, partial := range constructionStates(entry.Plan, plan.NewNodes()) {
+					samples[k].Target = refTarget(entries, entry, partial, n.cost)
+					k++
+				}
 			}
 			// The reference draws from a twin of the training stream.
 			twin := newCountingSource(n.rngSeed)

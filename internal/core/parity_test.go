@@ -232,7 +232,7 @@ func TestRetrainWeightsBitIdenticalToReferenceEncoder(t *testing.T) {
 			return s
 		}
 		for _, partial := range constructionStates(entry.Plan, plan.NewNodes()) {
-			target, ok := n.Experience.MinCostContaining(partial, n.cost)
+			target, ok := refMinCostContaining(n.Experience.Entries(), partial, n.cost)
 			if !ok {
 				target = n.cost(entry)
 			}

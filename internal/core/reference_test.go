@@ -271,3 +271,84 @@ func sameTree(a, b *treeconv.Tree) bool {
 	}
 	return sameTree(a.Left, b.Left) && sameTree(a.Right, b.Right)
 }
+
+// refMinCostContaining is the training target as Experience computed it
+// before targets: min{C(Pf) | Pi ⊂ Pf ∧ Pf ∈ E} by a linear scan over the
+// query's entries, each tested with the structural subplan check. The
+// boolean reports whether any containing plan exists.
+func refMinCostContaining(entries []Entry, pi *plan.Plan, cost func(Entry) float64) (float64, bool) {
+	best := math.Inf(1)
+	found := false
+	for _, entry := range entries {
+		if entry.Query.ID != pi.Query.ID || !refIsSubplanOf(pi, entry.Plan) {
+			continue
+		}
+		c := cost(entry)
+		if c < best {
+			best = c
+			found = true
+		}
+	}
+	return best, found
+}
+
+// refTarget is the target trainingSamplesLocked gives the construction state
+// partial of entry: the scan's, or the entry's own cost when no plan
+// contains the state.
+func refTarget(entries []Entry, entry Entry, partial *plan.Plan, cost func(Entry) float64) float64 {
+	if target, ok := refMinCostContaining(entries, partial, cost); ok {
+		return target
+	}
+	return cost(entry)
+}
+
+// refIsSubplanOf reports whether p could be completed into the complete plan
+// f in the sense of Section 3.1: f is obtainable from p by specifying scans
+// and joining p's trees. The check used here is structural: every join node
+// of p must appear (same operator, same relation sets on each side) in f,
+// and every specified scan of p must have the same access path in f.
+func refIsSubplanOf(p, f *plan.Plan) bool {
+	if len(f.Roots) != 1 {
+		return false
+	}
+	froot := f.Roots[0]
+	for _, r := range p.Roots {
+		if !refSubtreeEmbedded(r, froot) {
+			return false
+		}
+	}
+	return true
+}
+
+// refSubtreeEmbedded reports whether the partial subtree r is consistent
+// with some subtree of the complete tree f.
+func refSubtreeEmbedded(r *plan.Node, f *plan.Node) bool {
+	if f == nil {
+		return false
+	}
+	if refNodeConsistent(r, f) {
+		return true
+	}
+	return refSubtreeEmbedded(r, f.Left) || refSubtreeEmbedded(r, f.Right)
+}
+
+// refNodeConsistent reports whether partial node r is consistent with
+// complete node f at the same position.
+func refNodeConsistent(r *plan.Node, f *plan.Node) bool {
+	if r == nil || f == nil {
+		return r == nil && f == nil
+	}
+	if r.IsLeaf() {
+		if !f.IsLeaf() || f.Table != r.Table {
+			return false
+		}
+		return r.Scan == plan.UnspecifiedScan || r.Scan == f.Scan
+	}
+	if f.IsLeaf() {
+		return false
+	}
+	if r.Join != f.Join {
+		return false
+	}
+	return refNodeConsistent(r.Left, f.Left) && refNodeConsistent(r.Right, f.Right)
+}

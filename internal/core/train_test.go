@@ -117,7 +117,7 @@ func allTrainingSamples(n *Neo) []valuenet.Sample {
 		nodes := plan.NewNodes()
 		enc := n.Featurizer.NewPlanEncoder(entry.Query, nodes)
 		for _, partial := range constructionStates(entry.Plan, nodes) {
-			target, ok := n.Experience.MinCostContaining(partial, n.cost)
+			target, ok := refMinCostContaining(n.Experience.Entries(), partial, n.cost)
 			if !ok {
 				target = n.cost(entry)
 			}

@@ -26,23 +26,18 @@ type Config struct {
 	// Dim is the embedding dimensionality (the paper uses 100; the default
 	// here is smaller so the full experiment suite runs quickly).
 	Dim int
-	// Epochs is the number of passes over the sentences.
-	Epochs int
-	// NegativeSamples is the number of negative samples per positive pair.
-	NegativeSamples int
-	// LearningRate is the (constant) SGD step size.
-	LearningRate float64
-	// MinCount drops tokens rarer than this from the vocabulary.
-	MinCount int
 	// Seed seeds the sampling RNG.
 	Seed int64
 }
 
-// DefaultConfig returns the training settings of every row-vector model the
-// system and the paper figures train, at the given dimension and seed.
-func DefaultConfig(dim int, seed int64) Config {
-	return Config{Dim: dim, Epochs: 3, NegativeSamples: 4, LearningRate: 0.05, MinCount: 1, Seed: seed}
-}
+// The training settings every row-vector model shares: passes over the
+// sentences, negative samples per positive pair, and the constant SGD step
+// size.
+const (
+	epochs          = 3
+	negativeSamples = 4
+	learningRate    = 0.05
+)
 
 // Model is a trained row-vector embedding.
 type Model struct {
@@ -75,10 +70,8 @@ func Train(sentences [][]string, cfg Config) *Model {
 		}
 	}
 	words := make([]string, 0, len(freq))
-	for w, c := range freq {
-		if c >= cfg.MinCount {
-			words = append(words, w)
-		}
+	for w := range freq {
+		words = append(words, w)
 	}
 	sort.Strings(words) // deterministic ordering
 	for _, w := range words {
@@ -106,26 +99,24 @@ func Train(sentences [][]string, cfg Config) *Model {
 
 	// Skip-gram with negative sampling; the context window is the entire
 	// sentence (rows are short).
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for range epochs {
 		for _, sentence := range sentences {
-			ids := make([]int, 0, len(sentence))
-			for _, w := range sentence {
-				if id, ok := m.vocab[w]; ok {
-					ids = append(ids, id)
-				}
+			ids := make([]int, len(sentence))
+			for i, w := range sentence {
+				ids[i] = m.vocab[w]
 			}
 			for i, center := range ids {
 				for j, context := range ids {
 					if i == j {
 						continue
 					}
-					m.trainPair(center, context, 1, cfg.LearningRate)
-					for k := 0; k < cfg.NegativeSamples; k++ {
+					m.trainPair(center, context, 1)
+					for range negativeSamples {
 						neg := negTable[rng.Intn(len(negTable))]
 						if neg == context {
 							continue
 						}
-						m.trainPair(center, neg, 0, cfg.LearningRate)
+						m.trainPair(center, neg, 0)
 					}
 				}
 			}
@@ -137,7 +128,7 @@ func Train(sentences [][]string, cfg Config) *Model {
 
 // trainPair performs one SGD step on (center, context) with the given label
 // (1 for observed pairs, 0 for negative samples).
-func (m *Model) trainPair(center, context int, label float64, lr float64) {
+func (m *Model) trainPair(center, context int, label float64) {
 	vin := m.in[center]
 	vout := m.out[context]
 	dot := 0.0
@@ -145,7 +136,7 @@ func (m *Model) trainPair(center, context int, label float64, lr float64) {
 		dot += vin[d] * vout[d]
 	}
 	pred := sigmoid(dot)
-	g := (pred - label) * lr
+	g := (pred - label) * learningRate
 	for d := range vin {
 		inD := vin[d]
 		vin[d] -= g * vout[d]

@@ -17,7 +17,7 @@ func TestTrainOnSyntheticCorpus(t *testing.T) {
 		sentences = append(sentences, []string{"a", "b", "c"})
 		sentences = append(sentences, []string{"x", "y", "z"})
 	}
-	m := Train(sentences, Config{Dim: 8, Epochs: 5, NegativeSamples: 4, LearningRate: 0.05, MinCount: 1, Seed: 3})
+	m := Train(sentences, Config{Dim: 8, Seed: 3})
 	if m.VocabSize() != 6 {
 		t.Fatalf("vocab size = %d, want 6", m.VocabSize())
 	}
@@ -35,7 +35,7 @@ func TestTrainOnSyntheticCorpus(t *testing.T) {
 }
 
 func TestTrainEmptyAndUnknown(t *testing.T) {
-	m := Train(nil, DefaultConfig(16, 1))
+	m := Train(nil, Config{Dim: 16, Seed: 1})
 	if m.VocabSize() != 0 {
 		t.Errorf("empty corpus should give empty vocab")
 	}
@@ -171,7 +171,7 @@ func TestTable2SimilarityShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentences := DenormalizedSentences(db, 40)
-	m := Train(sentences, Config{Dim: 16, Epochs: 4, NegativeSamples: 4, LearningRate: 0.05, MinCount: 1, Seed: 5})
+	m := Train(sentences, Config{Dim: 16, Seed: 5})
 
 	sim := func(keyword, genre string) float64 {
 		return m.Similarity("keyword.keyword="+keyword, "movie_info.info="+genre)
@@ -197,7 +197,7 @@ func TestMatchMean(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		sentences = append(sentences, sentences[:3]...)
 	}
-	m := Train(sentences, Config{Dim: 8, Epochs: 3, NegativeSamples: 2, LearningRate: 0.05, MinCount: 1, Seed: 9})
+	m := Train(sentences, Config{Dim: 8, Seed: 9})
 	mean, matched := m.MatchMean("k.word=", "love")
 	if matched != 2 {
 		t.Errorf("matched = %d, want 2 (love-story, lovely)", matched)
@@ -227,7 +227,7 @@ func TestMatchMean(t *testing.T) {
 
 func TestCountReflectsFrequency(t *testing.T) {
 	sentences := [][]string{{"a", "b"}, {"a", "c"}, {"a", "b"}}
-	m := Train(sentences, Config{Dim: 4, Epochs: 1, NegativeSamples: 1, LearningRate: 0.05, MinCount: 1, Seed: 1})
+	m := Train(sentences, Config{Dim: 4, Seed: 1})
 	if m.Count("a") != 3 || m.Count("b") != 2 || m.Count("c") != 1 {
 		t.Errorf("counts wrong: a=%d b=%d c=%d", m.Count("a"), m.Count("b"), m.Count("c"))
 	}
@@ -235,7 +235,7 @@ func TestCountReflectsFrequency(t *testing.T) {
 
 func TestTrainDeterministic(t *testing.T) {
 	sentences := [][]string{{"a", "b", "c"}, {"c", "d"}, {"a", "d"}}
-	cfg := Config{Dim: 6, Epochs: 2, NegativeSamples: 2, LearningRate: 0.05, MinCount: 1, Seed: 42}
+	cfg := Config{Dim: 6, Seed: 42}
 	m1 := Train(sentences, cfg)
 	m2 := Train(sentences, cfg)
 	v1, _ := m1.Vector("a")
@@ -262,7 +262,7 @@ func BenchmarkTrainNoJoins(b *testing.B) {
 		b.Fatal(err)
 	}
 	sentences := Sentences(db)
-	cfg := Config{Dim: 8, Epochs: 1, NegativeSamples: 2, LearningRate: 0.05, MinCount: 1, Seed: 1}
+	cfg := Config{Dim: 8, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Train(sentences, cfg)

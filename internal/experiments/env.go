@@ -180,7 +180,7 @@ func (e *Env) Embedding(workloadName string, joins bool) *embedding.Model {
 	if m, ok := e.Embeddings[key]; ok {
 		return m
 	}
-	m := embedding.TrainRows(e.DBs[workloadName], joins, embedding.DefaultConfig(e.Config.EmbeddingDim, e.Config.Seed))
+	m := embedding.TrainRows(e.DBs[workloadName], joins, embedding.Config{Dim: e.Config.EmbeddingDim, Seed: e.Config.Seed})
 	e.Embeddings[key] = m
 	return m
 }

@@ -466,7 +466,7 @@ func Figure17(env *Env) (*Report, error) {
 		db := env.DBs[wlName]
 		sizeMB := float64(db.ApproxSizeBytes()) / (1024 * 1024)
 		for _, joins := range []bool{true, false} {
-			m := embedding.TrainRows(db, joins, embedding.DefaultConfig(env.Config.EmbeddingDim, env.Config.Seed))
+			m := embedding.TrainRows(db, joins, embedding.Config{Dim: env.Config.EmbeddingDim, Seed: env.Config.Seed})
 			variant := "no joins"
 			if joins {
 				variant = "joins"

@@ -55,7 +55,7 @@ func TestQueryVectorSizesPerEncoding(t *testing.T) {
 	if got := hist.QueryVectorSize(); got != joinTri+nAttr {
 		t.Errorf("histogram size = %d, want %d", got, joinTri+nAttr)
 	}
-	model := embedding.Train([][]string{{"a", "b"}}, embedding.Config{Dim: 8, Epochs: 1, NegativeSamples: 1, LearningRate: 0.05, MinCount: 1, Seed: 1})
+	model := embedding.Train([][]string{{"a", "b"}}, embedding.Config{Dim: 8, Seed: 1})
 	rv := &Featurizer{Catalog: db.Catalog, Encoding: RVector, Embedding: model}
 	wantBlock := 7 + 1 + 8 + 1
 	if got := rv.QueryVectorSize(); got != joinTri+nAttr*wantBlock {
@@ -134,7 +134,7 @@ func TestHistogramEncodingUsesSelectivity(t *testing.T) {
 func TestRVectorEncodingCarriesEmbedding(t *testing.T) {
 	db, _ := setup(t)
 	sentences := embedding.DenormalizedSentences(db, 20)
-	model := embedding.Train(sentences, embedding.Config{Dim: 8, Epochs: 2, NegativeSamples: 2, LearningRate: 0.05, MinCount: 1, Seed: 2})
+	model := embedding.Train(sentences, embedding.Config{Dim: 8, Seed: 2})
 	f := &Featurizer{Catalog: db.Catalog, Encoding: RVector, Embedding: model}
 	q := loveQuery()
 	enc := f.EncodeQuery(q)
@@ -172,7 +172,7 @@ func TestRVectorEncodingCarriesEmbedding(t *testing.T) {
 
 func TestRVectorLikePredicateUsesMatchMean(t *testing.T) {
 	db, _ := setup(t)
-	model := embedding.Train(embedding.Sentences(db), embedding.Config{Dim: 8, Epochs: 1, NegativeSamples: 2, LearningRate: 0.05, MinCount: 1, Seed: 3})
+	model := embedding.Train(embedding.Sentences(db), embedding.Config{Dim: 8, Seed: 3})
 	f := &Featurizer{Catalog: db.Catalog, Encoding: RVector, Embedding: model}
 	q := query.New("like", []string{"movie_info"}, nil, []query.Predicate{
 		{Table: "movie_info", Column: "info", Op: query.Like, Value: storage.StringValue("roman")},

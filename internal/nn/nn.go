@@ -38,12 +38,6 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// Layer is any component with trainable parameters.
-type Layer interface {
-	// Params returns the layer's trainable parameters.
-	Params() []*Param
-}
-
 // Linear is a fully connected layer computing y = W·x + b.
 type Linear struct {
 	In, Out int

@@ -1,6 +1,6 @@
-// Layer state serialization. Every layer already exposes its trainable
-// parameters in a stable order through Params(); Save/Load stream those
-// vectors (name, length, values) through that accessor, verifying on load
+// Parameter and optimizer state serialization. Every layer exposes its
+// trainable parameters in a stable order through Params(); SaveParams and
+// LoadParams stream those vectors (name, length, values), verifying on load
 // that the receiver's architecture matches what was written. Values are
 // copied in place so views that share parameter storage (snapshot clones do
 // not, but shadow-gradient parameters do) observe the restored weights.
@@ -55,25 +55,6 @@ func LoadParams(r io.Reader, params []*Param) error {
 	}
 	return nil
 }
-
-// Save writes the layer's weights.
-func (l *Linear) Save(w io.Writer) error { return SaveParams(w, l.Params()) }
-
-// Load restores weights written by Save, in place.
-func (l *Linear) Load(r io.Reader) error { return LoadParams(r, l.Params()) }
-
-// Save writes the layer's gamma/beta vectors.
-func (ln *LayerNorm) Save(w io.Writer) error { return SaveParams(w, ln.Params()) }
-
-// Load restores state written by Save, in place.
-func (ln *LayerNorm) Load(r io.Reader) error { return LoadParams(r, ln.Params()) }
-
-// Save writes every Linear and LayerNorm parameter of the MLP.
-func (m *MLP) Save(w io.Writer) error { return SaveParams(w, m.Params()) }
-
-// Load restores state written by Save, in place. The receiver must have the
-// same layer sizes as the saved MLP.
-func (m *MLP) Load(r io.Reader) error { return LoadParams(r, m.Params()) }
 
 // Save writes the optimizer state (step counter and first/second moments)
 // aligned to the given parameter order — the same order that must be passed

@@ -596,57 +596,6 @@ func (t *Nodes) specifyFirst(n *Node, st ScanType) *Node {
 	}
 }
 
-// IsSubplanOf reports whether p could be completed into the complete plan f
-// in the sense of Section 3.1: f is obtainable from p by specifying scans
-// and joining p's trees. The check used here is structural: every join node
-// of p must appear (same operator, same relation sets on each side) in f,
-// and every specified scan of p must have the same access path in f.
-func (p *Plan) IsSubplanOf(f *Plan) bool {
-	if len(f.Roots) != 1 {
-		return false
-	}
-	froot := f.Roots[0]
-	for _, r := range p.Roots {
-		if !subtreeEmbedded(r, froot) {
-			return false
-		}
-	}
-	return true
-}
-
-// subtreeEmbedded reports whether the partial subtree r is consistent with
-// some subtree of the complete tree f.
-func subtreeEmbedded(r *Node, f *Node) bool {
-	if f == nil {
-		return false
-	}
-	if nodeConsistent(r, f) {
-		return true
-	}
-	return subtreeEmbedded(r, f.Left) || subtreeEmbedded(r, f.Right)
-}
-
-// nodeConsistent reports whether partial node r is consistent with complete
-// node f at the same position.
-func nodeConsistent(r *Node, f *Node) bool {
-	if r == nil || f == nil {
-		return r == nil && f == nil
-	}
-	if r.IsLeaf() {
-		if !f.IsLeaf() || f.Table != r.Table {
-			return false
-		}
-		return r.Scan == UnspecifiedScan || r.Scan == f.Scan
-	}
-	if f.IsLeaf() {
-		return false
-	}
-	if r.Join != f.Join {
-		return false
-	}
-	return nodeConsistent(r.Left, f.Left) && nodeConsistent(r.Right, f.Right)
-}
-
 // The structural hash runs two 64-bit lanes keyed by different seeds; every
 // absorbed word passes through a full-avalanche bijection (the splitmix64
 // finaliser), and a join absorbs both lanes of both children into each of

@@ -208,68 +208,6 @@ func TestChildrenCoverBothJoinDirections(t *testing.T) {
 	}
 }
 
-func TestIsSubplanOf(t *testing.T) {
-	complete := &Plan{
-		Query: threeWayQuery(),
-		Roots: []*Node{
-			Join2(HashJoin,
-				Join2(MergeJoin, Leaf("movie_keyword", TableScan), Leaf("title", IndexScan)),
-				Leaf("keyword", TableScan)),
-		},
-	}
-	cases := []struct {
-		name string
-		p    *Plan
-		want bool
-	}{
-		{
-			"initial plan is subplan of anything",
-			Initial(threeWayQuery(), NewNodes()),
-			true,
-		},
-		{
-			"matching inner join",
-			&Plan{Query: complete.Query, Roots: []*Node{
-				Join2(MergeJoin, Leaf("movie_keyword", TableScan), Leaf("title", UnspecifiedScan)),
-				Leaf("keyword", UnspecifiedScan),
-			}},
-			true,
-		},
-		{
-			"wrong join operator",
-			&Plan{Query: complete.Query, Roots: []*Node{
-				Join2(LoopJoin, Leaf("movie_keyword", TableScan), Leaf("title", UnspecifiedScan)),
-			}},
-			false,
-		},
-		{
-			"wrong scan type",
-			&Plan{Query: complete.Query, Roots: []*Node{
-				Join2(MergeJoin, Leaf("movie_keyword", IndexScan), Leaf("title", UnspecifiedScan)),
-			}},
-			false,
-		},
-		{
-			"wrong orientation",
-			&Plan{Query: complete.Query, Roots: []*Node{
-				Join2(MergeJoin, Leaf("title", UnspecifiedScan), Leaf("movie_keyword", TableScan)),
-			}},
-			false,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.p.IsSubplanOf(complete); got != tc.want {
-				t.Errorf("IsSubplanOf = %v, want %v", got, tc.want)
-			}
-		})
-	}
-	// A forest (more than one root) is never a "complete" target.
-	if (&Plan{Query: complete.Query, Roots: complete.Roots}).IsSubplanOf(Initial(threeWayQuery(), NewNodes())) {
-		t.Errorf("IsSubplanOf against a partial target should be false")
-	}
-}
-
 func TestSignatureStableUnderRootOrder(t *testing.T) {
 	q := threeWayQuery()
 	a := &Plan{Query: q, Roots: []*Node{Leaf("title", TableScan), Leaf("keyword", IndexScan)}}

@@ -55,8 +55,6 @@ type Index struct {
 	Table string
 	// Column is the indexed column.
 	Column string
-	// Unique records whether the indexed column is a key.
-	Unique bool
 }
 
 // ForeignKey declares that FromTable.FromColumn references ToTable.ToColumn.

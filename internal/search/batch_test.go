@@ -30,12 +30,12 @@ func TestBestFirstBatchedMatchesSequential(t *testing.T) {
 	cat := datagen.IMDBCatalog()
 	q := fiveWayQuery()
 
-	seq, err := BestFirst(q, ScorerFunc(structuralScorer), DefaultOptions(cat))
+	seq, err := BestFirst(q, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &recordingBatchScorer{}
-	bat, err := BestFirst(q, rec, DefaultOptions(cat))
+	bat, err := BestFirst(q, rec, Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestBestFirstBatchedMatchesSequential(t *testing.T) {
 func TestGreedyBatchedMatchesSequential(t *testing.T) {
 	cat := datagen.IMDBCatalog()
 	q := fiveWayQuery()
-	seq, err := Greedy(q, ScorerFunc(structuralScorer), DefaultOptions(cat))
+	seq, err := Greedy(q, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := Greedy(q, &recordingBatchScorer{}, DefaultOptions(cat))
+	bat, err := Greedy(q, &recordingBatchScorer{}, Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

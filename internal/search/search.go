@@ -94,11 +94,6 @@ type Options struct {
 	AllowCrossProducts bool
 }
 
-// DefaultOptions returns the options used by the experiments.
-func DefaultOptions(cat *schema.Catalog) Options {
-	return Options{Catalog: cat, MaxExpansions: 512}
-}
-
 // Result reports the outcome of a search.
 type Result struct {
 	// Plan is the best complete plan found.

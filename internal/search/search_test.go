@@ -63,7 +63,7 @@ func structuralScorer(p *plan.Plan) float64 {
 func TestBestFirstFindsCompletePlan(t *testing.T) {
 	cat := datagen.IMDBCatalog()
 	q := fiveWayQuery()
-	res, err := BestFirst(q, ScorerFunc(structuralScorer), DefaultOptions(cat))
+	res, err := BestFirst(q, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBestFirstRespectsExpansionBudget(t *testing.T) {
 func TestGreedyReportsExpansions(t *testing.T) {
 	cat := datagen.IMDBCatalog()
 	q := fiveWayQuery()
-	res, err := Greedy(q, ScorerFunc(structuralScorer), DefaultOptions(cat))
+	res, err := Greedy(q, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +183,14 @@ func TestLargerBudgetNeverWorse(t *testing.T) {
 func TestGreedyVersusBestFirst(t *testing.T) {
 	cat := datagen.IMDBCatalog()
 	q := fiveWayQuery()
-	greedy, err := Greedy(q, ScorerFunc(structuralScorer), DefaultOptions(cat))
+	greedy, err := Greedy(q, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !greedy.Plan.IsComplete() || !greedy.HurryUp {
 		t.Fatalf("greedy result malformed: %+v", greedy)
 	}
-	best, err := BestFirst(q, ScorerFunc(structuralScorer), DefaultOptions(cat))
+	best, err := BestFirst(q, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestSingleTableQuery(t *testing.T) {
 	q := query.New("single", []string{"title"}, nil, []query.Predicate{
 		{Table: "title", Column: "production_year", Op: query.Eq, Value: storage.IntValue(2000)},
 	})
-	res, err := BestFirst(q, ScorerFunc(structuralScorer), DefaultOptions(cat))
+	res, err := BestFirst(q, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +223,10 @@ func TestSingleTableQuery(t *testing.T) {
 
 func TestEmptyQueryFails(t *testing.T) {
 	cat := datagen.IMDBCatalog()
-	if _, err := BestFirst(&query.Query{ID: "empty"}, ScorerFunc(structuralScorer), DefaultOptions(cat)); err == nil {
+	if _, err := BestFirst(&query.Query{ID: "empty"}, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512}); err == nil {
 		t.Errorf("expected error for empty query")
 	}
-	if _, err := Greedy(&query.Query{ID: "empty"}, ScorerFunc(structuralScorer), DefaultOptions(cat)); err == nil {
+	if _, err := Greedy(&query.Query{ID: "empty"}, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512}); err == nil {
 		t.Errorf("expected error for empty query")
 	}
 }
@@ -246,7 +246,7 @@ func TestSearchMinimisesScorer(t *testing.T) {
 		noisy := ScorerFunc(func(p *plan.Plan) float64 {
 			return structuralScorer(p) * (1 + float64((trial*31)%7)/10)
 		})
-		g, err := Greedy(q, noisy, DefaultOptions(cat))
+		g, err := Greedy(q, noisy, Options{Catalog: cat, MaxExpansions: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestGreedyCrossProductFallbackIsPerLevel(t *testing.T) {
 		[]query.Predicate{
 			{Table: "title", Column: "production_year", Op: query.Eq, Value: storage.IntValue(2000)},
 		})
-	res, err := Greedy(q, ScorerFunc(structuralScorer), DefaultOptions(cat))
+	res, err := Greedy(q, ScorerFunc(structuralScorer), Options{Catalog: cat, MaxExpansions: 512})
 	if err != nil {
 		t.Fatalf("greedy descent failed on a disconnected query: %v", err)
 	}
@@ -419,7 +419,7 @@ func TestHurryUpSkipsSecondDescentPastDeadline(t *testing.T) {
 func BenchmarkBestFirstFiveWay(b *testing.B) {
 	cat := datagen.IMDBCatalog()
 	q := fiveWayQuery()
-	opts := DefaultOptions(cat)
+	opts := Options{Catalog: cat, MaxExpansions: 512}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BestFirst(q, ScorerFunc(structuralScorer), opts); err != nil {

@@ -108,7 +108,7 @@ func NewLayer(in, out int, rng *rand.Rand) *Layer {
 	}
 }
 
-// Params implements nn.Layer.
+// Params returns the layer's trainable parameters.
 func (l *Layer) Params() []*nn.Param { return []*nn.Param{l.EP, l.EL, l.ER, l.Bias} }
 
 // Tape records one forward pass through a layer for backpropagation.
@@ -224,7 +224,7 @@ func NewStack(channels []int, rng *rand.Rand) *Stack {
 	return s
 }
 
-// Params implements nn.Layer.
+// Params returns every layer's trainable parameters, in order.
 func (s *Stack) Params() []*nn.Param {
 	var out []*nn.Param
 	for _, l := range s.Layers {

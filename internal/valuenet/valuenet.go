@@ -280,8 +280,8 @@ func (n *Network) Predict(queryVec []float64, trees []*treeconv.Tree) float64 {
 }
 
 // PredictNormalized returns the raw network output in normalised log-cost
-// space (used by the Figure 14 robustness analysis, which histograms network
-// outputs directly).
+// space: the per-sample reference for Snapshot.PredictBatchNormalized, which
+// the Figure 14 robustness analysis histograms.
 func (n *Network) PredictNormalized(queryVec []float64, trees []*treeconv.Tree) float64 {
 	_, out := n.forward(queryVec, trees)
 	return out

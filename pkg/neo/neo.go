@@ -270,7 +270,7 @@ func Open(cfg Config) (*System, error) {
 	pg := expert.NativeOptimizer(pgEngine, st, db.Catalog)
 	native := expert.NativeOptimizer(eng, st, db.Catalog)
 	feat := feature.ForEncoding(db.Catalog, st, cfg.Encoding, func(joins bool) *embedding.Model {
-		return embedding.TrainRows(db, joins, embedding.DefaultConfig(16, cfg.Seed))
+		return embedding.TrainRows(db, joins, embedding.Config{Dim: 16, Seed: cfg.Seed})
 	})
 
 	coreCfg := core.DefaultConfig()
