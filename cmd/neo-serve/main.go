@@ -90,13 +90,19 @@ func main() {
 	}
 	srv := serve.New(sys, o.cfg)
 	if replica {
-		// Join the fleet at the trainer's published snapshot. Best effort: a
-		// trainer that is down at startup leaves the replica serving from its
-		// current (restored or untrained) weights until the first successful
-		// /admin/snapshot — degraded, not down.
+		// Join the fleet at the trainer's published snapshot, adopting its
+		// row vectors. Best effort: a trainer that is down at startup leaves
+		// the replica serving from its current (restored or untrained)
+		// weights until the first successful /admin/snapshot — degraded, not
+		// down. Unless a warm start supplied them, its row vectors are then
+		// trained here, so the first request does not pay for them.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		if v, err := srv.SyncSnapshot(ctx, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "neo-serve: warning: snapshot sync from %s failed (%v); serving local weights until the trainer returns\n", o.repl.TrainerURL, err)
+			rows := ""
+			if sys.Featurizer.Embedding() != nil {
+				rows = " and row vectors"
+			}
+			fmt.Fprintf(os.Stderr, "neo-serve: warning: snapshot sync from %s failed (%v); serving local weights%s until the trainer returns\n", o.repl.TrainerURL, err, rows)
 		} else {
 			fmt.Printf("neo-serve: replica of %s, serving snapshot version %d\n", o.repl.TrainerURL, v)
 		}

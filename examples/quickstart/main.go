@@ -19,8 +19,8 @@ import (
 
 func main() {
 	// Open assembles the whole substrate: synthetic database, statistics,
-	// row-vector embedding, simulated engine, classical optimizers and an
-	// untrained Neo.
+	// simulated engine, classical optimizers and an untrained Neo. The
+	// row-vector embedding is trained on first use, inside Bootstrap.
 	sys, err := neo.Open(neo.Config{
 		Dataset:  "imdb",
 		Engine:   "postgres",

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -61,23 +62,9 @@ func Train(sentences [][]string, cfg Config) *Model {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Dim: cfg.Dim, vocab: make(map[string]int), Sentences: len(sentences)}
-
-	// Build the vocabulary.
-	freq := make(map[string]int)
-	for _, s := range sentences {
-		for _, w := range s {
-			freq[w]++
-		}
-	}
-	words := make([]string, 0, len(freq))
-	for w := range freq {
-		words = append(words, w)
-	}
-	sort.Strings(words) // deterministic ordering
-	for _, w := range words {
-		m.vocab[w] = len(m.tokens)
-		m.tokens = append(m.tokens, w)
-		m.counts = append(m.counts, freq[w])
+	m.tokens, m.counts = vocabulary(sentences)
+	for i, w := range m.tokens {
+		m.vocab[w] = i
 	}
 	n := len(m.tokens)
 	if n == 0 {
@@ -124,6 +111,37 @@ func Train(sentences [][]string, cfg Config) *Model {
 	}
 	m.TrainTime = time.Since(start)
 	return m
+}
+
+// vocabulary returns the distinct tokens of sentences in sorted order, and
+// how often each occurs.
+func vocabulary(sentences [][]string) (tokens []string, counts []int) {
+	freq := make(map[string]int)
+	for _, s := range sentences {
+		for _, w := range s {
+			freq[w]++
+		}
+	}
+	tokens = make([]string, 0, len(freq))
+	for w := range freq {
+		tokens = append(tokens, w)
+	}
+	sort.Strings(tokens) // deterministic ordering
+	counts = make([]int, len(tokens))
+	for i, w := range tokens {
+		counts[i] = freq[w]
+	}
+	return tokens, counts
+}
+
+// Describes reports whether m could be the model Train builds over sentences
+// at width dim, as far as that shows without training: the same width,
+// sentence count, vocabulary and per-token counts. The vectors themselves,
+// which only training produces, are not checked.
+func (m *Model) Describes(sentences [][]string, dim int) bool {
+	tokens, counts := vocabulary(sentences)
+	return m.Dim == dim && m.Sentences == len(sentences) &&
+		slices.Equal(m.tokens, tokens) && slices.Equal(m.counts, counts)
 }
 
 // trainPair performs one SGD step on (center, context) with the given label
@@ -318,14 +336,20 @@ func Sentences(db *storage.Database) [][]string {
 	return out
 }
 
-// TrainRows trains a model over db's rows: with joins on the partially
-// denormalised corpus (DenormalizedSentences, which the R-Vector encoding
-// uses), otherwise on the per-row one (Sentences, for R-Vector-no-joins).
+// TrainRows trains a model over RowCorpus(db, joins).
 func TrainRows(db *storage.Database, joins bool, cfg Config) *Model {
+	return Train(RowCorpus(db, joins), cfg)
+}
+
+// RowCorpus returns the sentences a row-vector model of db trains on: with
+// joins the partially denormalised corpus (DenormalizedSentences, which the
+// R-Vector encoding uses), otherwise the per-row one (Sentences, for
+// R-Vector-no-joins).
+func RowCorpus(db *storage.Database, joins bool) [][]string {
 	if joins {
-		return Train(DenormalizedSentences(db, 40), cfg)
+		return DenormalizedSentences(db, 40)
 	}
-	return Train(Sentences(db), cfg)
+	return Sentences(db)
 }
 
 // DenormalizedSentences produces the "joins" training corpus: in addition to

@@ -247,6 +247,30 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 }
 
+// TestDescribes: a model describes the corpus it was trained on at its own
+// width, whatever the seed, and no corpus that differs in sentence count,
+// vocabulary or a token's count.
+func TestDescribes(t *testing.T) {
+	sentences := [][]string{{"a", "b"}, {"a", "c"}, {"a", "b"}}
+	m := Train(sentences, Config{Dim: 4, Seed: 1})
+	if !m.Describes(sentences, 4) || !Train(sentences, Config{Dim: 4, Seed: 2}).Describes(sentences, 4) {
+		t.Fatal("a model does not describe its own corpus")
+	}
+	if m.Describes(sentences, 5) {
+		t.Error("a model describes its corpus at another width")
+	}
+	for _, other := range [][][]string{
+		{{"a", "b"}, {"a", "c"}},                 // a sentence fewer
+		{{"a", "b"}, {"a", "c"}, {"a", "b"}, {}}, // a sentence more
+		{{"a", "b"}, {"a", "d"}, {"a", "b"}},     // another token
+		{{"a", "b"}, {"a", "c"}, {"a", "c"}},     // other counts
+	} {
+		if m.Describes(other, 4) {
+			t.Errorf("the model of %v describes %v", sentences, other)
+		}
+	}
+}
+
 func TestHubTableSelection(t *testing.T) {
 	if hub := hubTable(datagen.IMDBCatalog()); hub != "title" {
 		t.Errorf("IMDB hub = %q, want title", hub)

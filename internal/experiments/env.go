@@ -186,11 +186,16 @@ func (e *Env) Embedding(workloadName string, joins bool) *embedding.Model {
 }
 
 // Featurizer builds a featurizer of the given encoding for a workload (see
-// feature.ForEncoding), with the workload's cached row-vector models.
+// feature.ForEncoding), with the workload's cached row-vector models. It
+// sets the model here, on the caller's goroutine: Embedding's cache is not
+// safe for concurrent use, and left to first use the featurizer would train
+// on an episode's workers.
 func (e *Env) Featurizer(workloadName string, enc feature.Encoding) *feature.Featurizer {
-	return feature.ForEncoding(e.DBs[workloadName].Catalog, e.Stats[workloadName], enc, func(joins bool) *embedding.Model {
+	f := feature.ForEncoding(e.DBs[workloadName], e.Stats[workloadName], enc, e.Config.EmbeddingDim, func(joins bool) *embedding.Model {
 		return e.Embedding(workloadName, joins)
 	})
+	f.Embedding()
+	return f
 }
 
 // Engine builds a fresh engine of the given profile over a workload's

@@ -76,7 +76,7 @@ func TestNewEnvBuildsEverything(t *testing.T) {
 		t.Errorf("embedding should be cached")
 	}
 	// Featurizers wire the right dependencies.
-	if f := env.Featurizer("job", feature.RVector); f.Embedding == nil {
+	if f := env.Featurizer("job", feature.RVector); f.Embedding() == nil {
 		t.Errorf("R-Vector featurizer needs an embedding")
 	}
 	if f := env.Featurizer("job", feature.Histogram); f.Stats == nil {

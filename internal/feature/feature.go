@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"neo/internal/embedding"
 	"neo/internal/plan"
@@ -63,36 +64,114 @@ type Featurizer struct {
 	Encoding Encoding
 	// Stats is required for the Histogram encoding.
 	Stats *stats.Stats
-	// Embedding is required for the R-Vector encodings.
-	Embedding *embedding.Model
 	// Cardinality, when non-nil, appends log-scaled per-node cardinality
 	// estimates to the plan encoding.
 	Cardinality CardinalitySource
 	// Error perturbs the cardinality feature (Figure 14 protocol).
 	Error *stats.ErrorModel
+
+	// rows holds the R-Vector encodings' model (nil for the others, or for
+	// an R-Vector featurizer built without one, which encodes no vectors).
+	// A pointer, so that copies of a Featurizer share one model.
+	rows *rowVectors
 }
 
-// ForEncoding returns the featurizer of the given encoding over a catalog
+// rowVectors is an R-Vector featurizer's row-vector model. It is set once:
+// trained by the first featurization that needs it, or adopted by an
+// earlier Adopt. Its width is known before either, so the encodings' sizes
+// never wait for training.
+type rowVectors struct {
+	dim    int
+	train  func() *embedding.Model
+	corpus func() [][]string // the sentences train trains on, for Adopt's check
+
+	mu    sync.Mutex // held while the model is set
+	model atomic.Pointer[embedding.Model]
+}
+
+// ForEncoding returns the featurizer of the given encoding over a database
 // and its statistics. Every encoding carries the histogram-estimated
 // per-node cardinality in the plan encoding (the signal a traditional cost
 // model consumes); what varies is the query-level predicate representation.
-// The R-Vector encodings take their model from rows, asked with joins true
-// for RVector (partially denormalised rows) and false for RVectorNoJoins;
-// the other encodings never call it.
-func ForEncoding(cat *schema.Catalog, st *stats.Stats, enc Encoding, rows func(joins bool) *embedding.Model) *Featurizer {
+// The R-Vector encodings get their model, dim wide, from rows, asked with
+// joins true for RVector (partially denormalised rows) and false for
+// RVectorNoJoins, and built over embedding.RowCorpus(db, joins). rows is
+// called at most once, on first use rather than here (see Embedding and
+// Adopt); the other encodings never call it.
+func ForEncoding(db *storage.Database, st *stats.Stats, enc Encoding, dim int, rows func(joins bool) *embedding.Model) *Featurizer {
 	f := &Featurizer{
-		Catalog:     cat,
+		Catalog:     db.Catalog,
 		Encoding:    enc,
 		Stats:       st,
 		Cardinality: &HistogramCardinality{Stats: st},
 	}
-	switch enc {
-	case RVector:
-		f.Embedding = rows(true)
-	case RVectorNoJoins:
-		f.Embedding = rows(false)
+	if enc == RVector || enc == RVectorNoJoins {
+		joins := enc == RVector
+		f.rows = &rowVectors{
+			dim:    dim,
+			train:  func() *embedding.Model { return rows(joins) },
+			corpus: func() [][]string { return embedding.RowCorpus(db, joins) },
+		}
 	}
 	return f
+}
+
+// Embedding returns the R-Vector encodings' row-vector model, training it
+// first if neither an earlier call nor Adopt has set it; nil for the other
+// encodings. Safe for concurrent use: concurrent first calls train once and
+// all return the one model.
+func (f *Featurizer) Embedding() *embedding.Model {
+	r := f.rows
+	if r == nil {
+		return nil
+	}
+	if m := r.model.Load(); m != nil {
+		return m
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.model.Load(); m != nil {
+		return m
+	}
+	m := r.train()
+	if m.Dim != r.dim {
+		panic(fmt.Sprintf("feature: trained a %d-wide row-vector model for a %d-wide featurizer", m.Dim, r.dim))
+	}
+	r.model.Store(m)
+	return m
+}
+
+// Adopt offers m, typically a checkpoint's model, as the row-vector model
+// and reports whether the featurizer now featurizes with vectors equal to
+// m's. Before the model is set, m is taken as the model, without training,
+// if it describes this featurizer's corpus (embedding.Model.Describes: its
+// width, sentence count, vocabulary and per-token counts); building and
+// counting the corpus runs no SGD. Once the model is set, by training or by
+// an earlier Adopt, m must have the same vectors (SameVectors). A refused m
+// changes nothing. A featurizer without row vectors refuses every m.
+func (f *Featurizer) Adopt(m *embedding.Model) bool {
+	r := f.rows
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cur := r.model.Load(); cur != nil {
+		return cur.SameVectors(m)
+	}
+	if !m.Describes(r.corpus(), r.dim) {
+		return false
+	}
+	r.model.Store(m)
+	return true
+}
+
+// rowDim returns the width of the row vectors (0 without them).
+func (f *Featurizer) rowDim() int {
+	if f.rows == nil {
+		return 0
+	}
+	return f.rows.dim
 }
 
 // predicateBlockSize returns the width of the per-attribute block in the
@@ -100,12 +179,8 @@ func ForEncoding(cat *schema.Catalog, st *stats.Stats, enc Encoding, rows func(j
 func (f *Featurizer) predicateBlockSize() int {
 	switch f.Encoding {
 	case RVector, RVectorNoJoins:
-		dim := 0
-		if f.Embedding != nil {
-			dim = f.Embedding.Dim
-		}
 		// one-hot comparison op + matched-word count + embedding + seen count
-		return numCmpOps + 1 + dim + 1
+		return numCmpOps + 1 + f.rowDim() + 1
 	default:
 		return 1
 	}
@@ -204,15 +279,13 @@ func (f *Featurizer) encodePredicate(p query.Predicate, existing []float64) []fl
 // embedding (or the mean of matched embeddings for pattern predicates), and
 // how often the value was seen in training.
 func (f *Featurizer) rvectorBlock(p query.Predicate) []float64 {
-	dim := 0
-	if f.Embedding != nil {
-		dim = f.Embedding.Dim
-	}
+	dim := f.rowDim()
 	block := make([]float64, numCmpOps+1+dim+1)
 	if int(p.Op) >= 0 && int(p.Op) < numCmpOps {
 		block[p.Op] = 1
 	}
-	if f.Embedding == nil {
+	emb := f.Embedding()
+	if emb == nil {
 		return block
 	}
 	prefix := embedding.TokenPrefix(p.Table, p.Column)
@@ -225,14 +298,14 @@ func (f *Featurizer) rvectorBlock(p query.Predicate) []float64 {
 		value = storage.IntValue(value.Int / 10 * 10)
 	}
 	if p.Op == query.Like {
-		vec, matched = f.Embedding.MatchMean(prefix, p.Value.String())
+		vec, matched = emb.MatchMean(prefix, p.Value.String())
 	} else {
 		token := prefix + value.String()
-		if v, ok := f.Embedding.Vector(token); ok {
+		if v, ok := emb.Vector(token); ok {
 			vec, matched = v, 1
-			seen = f.Embedding.Count(token)
+			seen = emb.Count(token)
 		} else {
-			vec, matched = f.Embedding.MatchMean(prefix, "")
+			vec, matched = emb.MatchMean(prefix, "")
 		}
 	}
 	block[numCmpOps] = math.Log1p(float64(matched))

@@ -28,6 +28,12 @@ func setup(t testing.TB) (*storage.Database, *stats.Stats) {
 	return db, st
 }
 
+// withModel returns an R-Vector featurizer over db whose row-vector model is
+// m, whatever corpus m was trained on.
+func withModel(db *storage.Database, st *stats.Stats, m *embedding.Model) *Featurizer {
+	return ForEncoding(db, st, RVector, m.Dim, func(bool) *embedding.Model { return m })
+}
+
 func loveQuery() *query.Query {
 	return query.New("love",
 		[]string{"title", "movie_keyword", "keyword"},
@@ -56,7 +62,7 @@ func TestQueryVectorSizesPerEncoding(t *testing.T) {
 		t.Errorf("histogram size = %d, want %d", got, joinTri+nAttr)
 	}
 	model := embedding.Train([][]string{{"a", "b"}}, embedding.Config{Dim: 8, Seed: 1})
-	rv := &Featurizer{Catalog: db.Catalog, Encoding: RVector, Embedding: model}
+	rv := withModel(db, st, model)
 	wantBlock := 7 + 1 + 8 + 1
 	if got := rv.QueryVectorSize(); got != joinTri+nAttr*wantBlock {
 		t.Errorf("r-vector size = %d, want %d", got, joinTri+nAttr*wantBlock)
@@ -132,10 +138,10 @@ func TestHistogramEncodingUsesSelectivity(t *testing.T) {
 }
 
 func TestRVectorEncodingCarriesEmbedding(t *testing.T) {
-	db, _ := setup(t)
+	db, st := setup(t)
 	sentences := embedding.DenormalizedSentences(db, 20)
 	model := embedding.Train(sentences, embedding.Config{Dim: 8, Seed: 2})
-	f := &Featurizer{Catalog: db.Catalog, Encoding: RVector, Embedding: model}
+	f := withModel(db, st, model)
 	q := loveQuery()
 	enc := f.EncodeQuery(q)
 	joinTri := db.Catalog.NumRelations() * (db.Catalog.NumRelations() - 1) / 2
@@ -171,9 +177,9 @@ func TestRVectorEncodingCarriesEmbedding(t *testing.T) {
 }
 
 func TestRVectorLikePredicateUsesMatchMean(t *testing.T) {
-	db, _ := setup(t)
+	db, st := setup(t)
 	model := embedding.Train(embedding.Sentences(db), embedding.Config{Dim: 8, Seed: 3})
-	f := &Featurizer{Catalog: db.Catalog, Encoding: RVector, Embedding: model}
+	f := withModel(db, st, model)
 	q := query.New("like", []string{"movie_info"}, nil, []query.Predicate{
 		{Table: "movie_info", Column: "info", Op: query.Like, Value: storage.StringValue("roman")},
 	})

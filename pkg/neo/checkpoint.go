@@ -19,7 +19,7 @@ import (
 // copy; do not call it concurrently with experience-mutating calls such as
 // Train or Bootstrap.
 func (s *System) SaveCheckpoint(w io.Writer) error {
-	st := &checkpoint.State{State: s.Neo.State(), Encoding: string(s.Config.Encoding), Embedding: s.Featurizer.Embedding}
+	st := &checkpoint.State{State: s.Neo.State(), Encoding: string(s.Config.Encoding), Embedding: s.Featurizer.Embedding()}
 	if err := checkpoint.Save(w, st); err != nil {
 		return fmt.Errorf("neo: saving checkpoint: %w", err)
 	}
@@ -41,8 +41,11 @@ func (s *System) SaveCheckpointFile(path string) error {
 // system. The system must have been opened with the same configuration
 // (dataset, seed, encoding, value-network architecture); mismatches fail with
 // an error wrapping checkpoint.ErrMismatch — including a row-vector embedding
-// other than the one this configuration trains, since the embedding is a pure
-// function of the configuration and is never replaced. The container is
+// other than the one this configuration trains. The embedding is set once,
+// by first use or by the first accepted load (feature.Featurizer.Adopt): a
+// system that has not featurized yet adopts the checkpoint's model if it
+// describes this configuration's corpus, so it never trains its own, and
+// after that a load must carry the same vectors. The container is
 // decoded aside into a fresh network and handed to core.Neo.Restore, which
 // swaps in experience, baselines and RNG position and publishes the weights
 // as a fresh serving snapshot (empty plan cache) under the saved version, the
@@ -52,7 +55,7 @@ func (s *System) SaveCheckpointFile(path string) error {
 func (s *System) LoadCheckpoint(r io.Reader) error {
 	st, err := checkpoint.Load(r, s.Featurizer.QueryVectorSize(), s.Featurizer.PlanVectorSize(),
 		s.Neo.Config.ValueNet, string(s.Config.Encoding))
-	if err == nil && st.Embedding != nil && !st.Embedding.SameVectors(s.Featurizer.Embedding) {
+	if err == nil && st.Embedding != nil && !s.Featurizer.Adopt(st.Embedding) {
 		err = fmt.Errorf("%w: checkpoint embedding differs from the one this configuration trains", checkpoint.ErrMismatch)
 	}
 	if err != nil {

@@ -51,6 +51,15 @@ func TestCheckpointRoundTripBitIdenticalAcrossEncodings(t *testing.T) {
 			if got, want := sys2.Neo.Experience.Len(), sys1.Neo.Experience.Len(); got != want {
 				t.Fatalf("restored experience %d entries, want %d", got, want)
 			}
+			if enc == RVector {
+				// The restored system adopted the trainer's row vectors and
+				// never ran word2vec: its model carries the trainer's
+				// TrainTime, a wall-clock reading a second training would
+				// not reproduce.
+				if got, want := sys2.Featurizer.Embedding().TrainTime, sys1.Featurizer.Embedding().TrainTime; got != want {
+					t.Fatalf("restored system trained its own row vectors (%v), want the checkpoint's (%v)", got, want)
+				}
+			}
 
 			for _, q := range queries {
 				// Raw network outputs over the same plan encodings must agree
@@ -239,5 +248,26 @@ func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
 	}
 	if got, want := dst.SnapshotInfo(), src.SnapshotInfo(); got != want || got.PanelBytes == 0 {
 		t.Fatalf("restored snapshot %+v, source %+v", got, want)
+	}
+}
+
+// BenchmarkReplicaJoin times a replica's start-up before it can serve: Open,
+// then LoadCheckpoint of a bootstrapped R-Vector trainer's checkpoint.
+func BenchmarkReplicaJoin(b *testing.B) {
+	trainer, _ := bootstrappedSystem(b, RVector)
+	var buf bytes.Buffer
+	if err := trainer.SaveCheckpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for range b.N {
+		sys, err := Open(trainer.Config)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+		sys.Close()
 	}
 }

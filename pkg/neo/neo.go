@@ -242,10 +242,16 @@ func (s *System) Close() error {
 	return s.diskDB.Close()
 }
 
+// rowVectorDim is the width of the R-Vector encodings' row vectors: the
+// featurizer's block width and the training config both read it, so the
+// encodings' sizes are known before any model is trained.
+const rowVectorDim = 16
+
 // Open assembles a System according to the configuration: it generates the
-// synthetic database, builds statistics, trains the row-vector embedding if
-// the encoding needs one, instantiates the engines and classical optimizers,
-// and creates an untrained Neo.
+// synthetic database, builds statistics, instantiates the engines and
+// classical optimizers, and creates an untrained Neo. It trains no row
+// vectors: an R-Vector system trains them on first featurization (inside
+// Bootstrap, say), unless LoadCheckpoint adopts a checkpoint's first.
 func Open(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	profile := datagen.Profile(cfg.Dataset)
@@ -269,8 +275,8 @@ func Open(cfg Config) (*System, error) {
 	pgEngine := engine.New(engine.PostgreSQLProfile(), db)
 	pg := expert.NativeOptimizer(pgEngine, st, db.Catalog)
 	native := expert.NativeOptimizer(eng, st, db.Catalog)
-	feat := feature.ForEncoding(db.Catalog, st, cfg.Encoding, func(joins bool) *embedding.Model {
-		return embedding.TrainRows(db, joins, embedding.Config{Dim: 16, Seed: cfg.Seed})
+	feat := feature.ForEncoding(db, st, cfg.Encoding, rowVectorDim, func(joins bool) *embedding.Model {
+		return embedding.TrainRows(db, joins, embedding.Config{Dim: rowVectorDim, Seed: cfg.Seed})
 	})
 
 	coreCfg := core.DefaultConfig()

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"neo/internal/checkpoint"
+	"neo/internal/embedding"
 )
 
 // containerSection is one named payload of a NEOCKPT1 container (FORMAT.md),
@@ -159,15 +160,16 @@ func flatParams(sys *System) []float64 {
 	return out
 }
 
-// TestForeignEmbeddingIsAMismatch: the row-vector embedding is a pure
-// function of the configuration — two Opens train identical vectors, which
-// is why the R-Vector round trip loads at all — so a checkpoint carrying
-// other vectors comes from another configuration. It is refused, and the
-// featurizer's embedding is never written after Open.
+// TestForeignEmbeddingIsAMismatch: a checkpoint whose row vectors come from
+// another configuration (another seed and scale, hence another database) is
+// refused with ErrMismatch and changes nothing. The embedding is set once, by
+// first use or by the first accepted load, so the refusal has two rules:
+// a system that has not featurized yet checks the model against its own
+// corpus, one that has compares vectors.
 func TestForeignEmbeddingIsAMismatch(t *testing.T) {
-	sys := smallSystem(t, "imdb", "postgres", RVector)
-	cfg := sys.Config
-	cfg.Seed++ // another database, hence other vectors; same dimensions
+	cfg := smallSystem(t, "imdb", "postgres", RVector).Config
+	cfg.Seed++
+	cfg.Scale = 0.2
 	other, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,13 +178,34 @@ func TestForeignEmbeddingIsAMismatch(t *testing.T) {
 	if err := other.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	emb := sys.Featurizer.Embedding
-	if err := sys.LoadCheckpoint(&buf); !errors.Is(err, checkpoint.ErrMismatch) {
-		t.Fatalf("err = %v, want ErrMismatch", err)
+	foreign := buf.Bytes()
+	refuse := func(t *testing.T, sys *System) {
+		t.Helper()
+		version, entries := sys.Neo.NetVersion(), sys.Neo.Experience.Len()
+		if err := sys.LoadCheckpoint(bytes.NewReader(foreign)); !errors.Is(err, checkpoint.ErrMismatch) {
+			t.Fatalf("err = %v, want ErrMismatch", err)
+		}
+		if sys.Neo.NetVersion() != version || sys.Neo.Experience.Len() != entries {
+			t.Fatal("a refused load restored the checkpoint's state")
+		}
 	}
-	if sys.Featurizer.Embedding != emb {
-		t.Fatal("a refused load replaced the embedding")
-	}
+
+	t.Run("never-featurized", func(t *testing.T) {
+		sys := smallSystem(t, "imdb", "postgres", RVector)
+		refuse(t, sys)
+		own := embedding.TrainRows(sys.DB, true, embedding.Config{Dim: rowVectorDim, Seed: sys.Config.Seed})
+		if !sys.Featurizer.Embedding().SameVectors(own) {
+			t.Fatal("after a refused load the system does not featurize with its own row vectors")
+		}
+	})
+	t.Run("bootstrapped", func(t *testing.T) {
+		sys, _ := bootstrappedSystem(t, RVector)
+		emb := sys.Featurizer.Embedding()
+		refuse(t, sys)
+		if sys.Featurizer.Embedding() != emb {
+			t.Fatal("a refused load replaced the embedding")
+		}
+	})
 }
 
 // TestGoldenParentCheckpoint pins format stability across the State/Restore
