@@ -3,7 +3,9 @@
 // Neo instance needs to survive a restart — value-network weights and Adam
 // optimizer state, the fitted target transform, the learned row-vector
 // embedding, the experience pool, per-query baselines, the serving-snapshot
-// version and the training RNG position.
+// version and the training RNG position. That position is (seed, draws): a
+// load hands it to core.Neo.Restore, which sets it without replaying the
+// stream, so no draw count costs a loader anything.
 //
 // # Format
 //
@@ -83,13 +85,6 @@ var (
 	// (different architecture, dimensions or encoding).
 	ErrMismatch = errors.New("checkpoint: state does not match receiving system")
 )
-
-// maxRNGDraws bounds the training-RNG draw count a checkpoint may declare:
-// restoring replays the stream one draw at a time, so a crafted (CRC-valid)
-// count must fail loudly instead of hanging the loader. 2^34 draws replay in
-// well under a minute and exceed any realistic training history by orders of
-// magnitude (a retraining round draws tens of thousands).
-const maxRNGDraws = 1 << 34
 
 // sectionPrealloc caps what readContainer allocates for a section on the
 // strength of its declared length alone.
@@ -192,10 +187,6 @@ func Load(r io.Reader, queryDim, planDim int, cfg valuenet.Config, wantEncoding 
 		return nil, malformed(sectionMeta, err)
 	}
 	st.TrainTime = time.Duration(tt)
-	if st.RNGDraws > maxRNGDraws {
-		return nil, fmt.Errorf("%w: implausible RNG draw count %d (limit %d)",
-			ErrCorrupt, st.RNGDraws, uint64(maxRNGDraws))
-	}
 	if wantEncoding != "" && st.Encoding != wantEncoding {
 		return nil, fmt.Errorf("%w: checkpoint encoding %q, want %q",
 			ErrMismatch, st.Encoding, wantEncoding)

@@ -294,6 +294,32 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointLoadsAnyDrawCount: the meta section's (seed, draws) is a
+// position a loader hands on, not a history it replays, so no draw count is
+// implausible — a container at 2^40 draws loads and re-encodes byte for byte.
+func TestCheckpointLoadsAnyDrawCount(t *testing.T) {
+	st := testState(t)
+	st.RNGDraws = 1 << 40
+	var buf bytes.Buffer
+	if err := Save(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	got, err := load(buf.Bytes(), "r-vector")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RNGSeed != st.RNGSeed || got.RNGDraws != st.RNGDraws {
+		t.Fatalf("RNG position (%d,%d) loaded as (%d,%d)", st.RNGSeed, st.RNGDraws, got.RNGSeed, got.RNGDraws)
+	}
+	var again bytes.Buffer
+	if err := Save(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatalf("re-encoded checkpoint differs (%d vs %d bytes)", again.Len(), buf.Len())
+	}
+}
+
 func TestCheckpointBadMagic(t *testing.T) {
 	_, err := load([]byte("NOTACKPTxxxxxxxxxxx"), "")
 	if !errors.Is(err, ErrBadMagic) {

@@ -150,6 +150,14 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bad.Bytes())
+	// A training-RNG position no replay could reach: a loader only sets it.
+	far := *st
+	far.RNGDraws = 1 << 63
+	var farBuf bytes.Buffer
+	if err := Save(&farBuf, &far); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(farBuf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)

@@ -94,9 +94,9 @@ const maxTrainSamples = 3000
 // scores against an immutable snapshot of the value network and is safe to
 // call from any number of goroutines, including while a Retrain round trains
 // the live network on another goroutine or a Restore replaces the learned
-// state. Calls that mutate the experience or
-// draw from the training rng (Bootstrap, Explore, RunEpisode) must not
-// overlap each other.
+// state. Calls that mutate the experience (Bootstrap, Explore, RunEpisode)
+// must not overlap each other; the training rng is learned state, drawn only
+// under trainMu.
 type Neo struct {
 	Engine     *engine.Engine
 	Featurizer *feature.Featurizer
@@ -108,15 +108,12 @@ type Neo struct {
 	Experience *Experience
 	Config     Config
 
-	// rngMu guards rng, which drives episode shuffling and minibatch
-	// shuffling. One shared stream, drawn in a fixed order, keeps training
-	// reproducible for a fixed seed. The stream is fed by rngSrc, a counting
-	// source: (seed, draw count) fully describe its state, which is what
-	// State captures and Restore replays.
-	rngMu   sync.Mutex
-	rng     *rand.Rand      // guarded by rngMu
-	rngSrc  *countingSource // guarded by rngMu
-	rngSeed int64           // guarded by rngMu
+	// rng drives episode shuffling and minibatch shuffling. One shared
+	// stream, drawn in a fixed order, keeps training reproducible for a
+	// fixed seed. The stream is fed by rngSrc, a counting source: its
+	// (seed, draws) position is what State reads and Restore sets.
+	rng    *rand.Rand      // guarded by trainMu
+	rngSrc *countingSource // guarded by trainMu
 
 	// mu guards the cheap mutable state shared between concurrent planners
 	// and the training loop: per-query baselines (RelativeCost and
@@ -130,7 +127,8 @@ type Neo struct {
 	trainTime time.Duration // guarded by mu
 
 	// trainMu serializes everything that changes or copies the learned state
-	// as a whole: Retrain rounds, Restore and State.
+	// as a whole: Retrain rounds, Restore and State, and every draw from the
+	// training rng.
 	trainMu sync.Mutex
 	// snap is the read-only network snapshot all searches score with,
 	// tagged with its version. Only publishLocked stores to it — at the end
@@ -161,36 +159,38 @@ type netSnapshot struct {
 	plans   *planCache
 }
 
-// countingSource wraps a math/rand source and counts how many values have
-// been drawn from it. Go's sources expose no state, but every draw — through
-// any rand.Rand method — advances the source by exactly one step, so (seed,
-// draws) identifies the state exactly: recreate the source from the seed and
-// discard the same number of draws to resume the stream.
+// countingSource is a math/rand stream held as a position: the seed and the
+// number of values drawn so far. Go's sources expose no state, but every
+// draw — through any rand.Rand method — advances the source by exactly one
+// step, so (seed, draws) identifies the state exactly. Setting a position
+// costs nothing: the source behind it is built from the seed at the first
+// draw and fast-forwarded there, so only a process that draws pays for the
+// stream's history, once.
 type countingSource struct {
-	src   rand.Source64
+	seed  int64
 	draws uint64
+	src   rand.Source64 // nil until the first draw
 }
 
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+// source returns the source at the current position, building it first.
+func (s *countingSource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+		for range s.draws {
+			s.src.Uint64()
+		}
+	}
+	return s.src
 }
 
 // Int63 implements rand.Source.
-func (s *countingSource) Int63() int64 { s.draws++; return s.src.Int63() }
+func (s *countingSource) Int63() int64 { v := s.source().Int63(); s.draws++; return v }
 
 // Uint64 implements rand.Source64.
-func (s *countingSource) Uint64() uint64 { s.draws++; return s.src.Uint64() }
+func (s *countingSource) Uint64() uint64 { v := s.source().Uint64(); s.draws++; return v }
 
 // Seed implements rand.Source.
-func (s *countingSource) Seed(seed int64) { s.src.Seed(seed); s.draws = 0 }
-
-// skip advances the source by n draws.
-func (s *countingSource) skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.src.Uint64()
-	}
-	s.draws = n
-}
+func (s *countingSource) Seed(seed int64) { *s = countingSource{seed: seed} }
 
 // New creates a Neo instance bound to a target engine and featurizer.
 // Zero SearchExpansions, TrainEpochs and Seed are filled from DefaultConfig;
@@ -213,7 +213,7 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 		cfg.ValueNet = def.ValueNet
 	}
 	net := valuenet.New(feat.QueryVectorSize(), feat.PlanVectorSize(), cfg.ValueNet)
-	src := newCountingSource(cfg.Seed)
+	src := &countingSource{seed: cfg.Seed}
 	n := &Neo{
 		Engine:     eng,
 		Featurizer: feat,
@@ -222,7 +222,6 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 		Config:     cfg,
 		rng:        rand.New(src),
 		rngSrc:     src,
-		rngSeed:    cfg.Seed,
 		baseline:   make(map[string]float64),
 		router:     route.New(cfg.Routing, route.Policy{}),
 	}
@@ -288,15 +287,13 @@ type State struct {
 
 // State returns a consistent copy of the learned state. It waits for a
 // retraining round in flight; planning keeps running. Calls that mutate the
-// experience or draw from the training rng outside a retraining round
-// (Bootstrap, RunEpisode) must not overlap it.
+// experience outside a retraining round (Bootstrap, RunEpisode) must not
+// overlap it.
 func (n *Neo) State() State {
 	n.trainMu.Lock()
 	defer n.trainMu.Unlock()
-	st := State{NetVersion: n.NetVersion(), Net: n.Net.CloneTrainable(), Experience: n.Experience.Entries()}
-	n.rngMu.Lock()
-	st.RNGSeed, st.RNGDraws = n.rngSeed, n.rngSrc.draws
-	n.rngMu.Unlock()
+	st := State{NetVersion: n.NetVersion(), RNGSeed: n.rngSrc.seed, RNGDraws: n.rngSrc.draws,
+		Net: n.Net.CloneTrainable(), Experience: n.Experience.Entries()}
 	n.mu.Lock()
 	st.TrainTime, st.Baselines = n.trainTime, maps.Clone(n.baseline)
 	n.mu.Unlock()
@@ -309,11 +306,10 @@ func (n *Neo) State() State {
 // ones see the new weights and an empty plan cache. st.Net must have been
 // built for this instance's featurizer dimensions and Config.ValueNet; the
 // training RNG resumes at (RNGSeed, RNGDraws), so resumed training shuffles
-// minibatches identically to an uninterrupted run. Safe to call while
-// planning is in flight.
+// minibatches identically to an uninterrupted run. Restore only sets that
+// position; the next draw, if any, rebuilds the stream up to it. Safe to
+// call while planning is in flight.
 func (n *Neo) Restore(st State) {
-	src := newCountingSource(st.RNGSeed)
-	src.skip(st.RNGDraws)
 	baseline := make(map[string]float64, len(st.Baselines))
 	maps.Copy(baseline, st.Baselines)
 
@@ -321,9 +317,8 @@ func (n *Neo) Restore(st State) {
 	defer n.trainMu.Unlock()
 	n.Net = st.Net
 	n.Experience.Restore(st.Experience)
-	n.rngMu.Lock()
-	n.rng, n.rngSrc, n.rngSeed = rand.New(src), src, st.RNGSeed
-	n.rngMu.Unlock()
+	n.rngSrc = &countingSource{seed: st.RNGSeed, draws: st.RNGDraws}
+	n.rng = rand.New(n.rngSrc)
 	n.mu.Lock()
 	n.baseline, n.trainTime = baseline, st.TrainTime
 	n.mu.Unlock()
@@ -433,7 +428,7 @@ func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.P
 // contains it. Beyond keep states it shuffles the (entry, state) pairs with
 // n.rng — the draws depend only on the count, which numStates gives without
 // building anything — and builds only the first keep, in that order: the
-// samples shuffling them all would keep. The caller holds rngMu.
+// samples shuffling them all would keep. The caller holds trainMu.
 func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
 	entries := n.Experience.Entries()
 	type state struct{ entry, index int }
@@ -574,15 +569,12 @@ func (n *Neo) Retrain() float64 { return n.retrain(maxTrainSamples) }
 func (n *Neo) retrain(keep int) float64 {
 	n.trainMu.Lock()
 	defer n.trainMu.Unlock()
-	n.rngMu.Lock()
 	samples := n.trainingSamplesLocked(keep)
 	if len(samples) == 0 {
-		n.rngMu.Unlock()
 		return 0
 	}
 	start := time.Now() //neo:lint-ok walltime training-time accounting for the retrain budget; never feeds the model
 	loss := n.Net.Train(samples, n.Config.TrainEpochs, batchSize, n.rng)
-	n.rngMu.Unlock()
 	elapsed := time.Since(start) //neo:lint-ok walltime training-time accounting for the retrain budget; never feeds the model
 	n.mu.Lock()
 	n.trainTime += elapsed
@@ -843,9 +835,9 @@ func (n *Neo) planAndSimulateOne(q *query.Query) planExec {
 func (n *Neo) RunEpisode(episode int, queries []*query.Query) (*EpisodeStats, error) {
 	stats := &EpisodeStats{Episode: episode, QueryLatencies: make(map[string]float64)}
 	shuffled := append([]*query.Query(nil), queries...)
-	n.rngMu.Lock()
+	n.trainMu.Lock()
 	n.rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	n.rngMu.Unlock()
+	n.trainMu.Unlock()
 
 	execs := n.planAndSimulate(shuffled)
 	baseTotal := 0.0

@@ -1014,8 +1014,7 @@ func TestRetrainMatchesParentKernels(t *testing.T) {
 				}
 			}
 			// The reference draws from a twin of the training stream.
-			twin := newCountingSource(n.rngSeed)
-			twin.skip(n.rngSrc.draws)
+			twin := &countingSource{seed: n.rngSrc.seed, draws: n.rngSrc.draws}
 
 			got := n.Retrain()
 			want := ref.train(samples, n.Config.TrainEpochs, batchSize, rand.New(twin))
@@ -1104,8 +1103,7 @@ func TestRetrainLiveColumnsMatchFullWalk(t *testing.T) {
 			}
 			n.Experience.Add(q, p, lat)
 			samples := n.trainingSamplesLocked(maxTrainSamples)
-			twin := newCountingSource(n.rngSeed)
-			twin.skip(n.rngSrc.draws)
+			twin := &countingSource{seed: n.rngSrc.seed, draws: n.rngSrc.draws}
 
 			got := n.Retrain()
 			want := ref.train(samples, n.Config.TrainEpochs, batchSize, rand.New(twin))

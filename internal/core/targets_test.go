@@ -65,8 +65,7 @@ func requireTargetsMatchScan(t *testing.T, n *Neo) {
 		}
 	}
 	if len(states) > maxTrainSamples {
-		twin := newCountingSource(n.rngSeed)
-		twin.skip(n.rngSrc.draws)
+		twin := &countingSource{seed: n.rngSrc.seed, draws: n.rngSrc.draws}
 		rand.New(twin).Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
 		states = states[:maxTrainSamples]
 	}

@@ -3,7 +3,9 @@
 // row-vector embedding, the experience pool, baselines, the serving-snapshot
 // version and the training RNG position. A system restored from a checkpoint
 // serves bit-identical plans and resumes training exactly where the saved
-// one stopped; see internal/checkpoint for the format.
+// one stopped; a load sets the RNG position and replays nothing, and the
+// first draw after it catches the stream up. See internal/checkpoint for the
+// format.
 package neo
 
 import (

@@ -2,6 +2,7 @@ package neo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -251,23 +252,81 @@ func TestCheckpointPrecisionIsSnapshotOnly(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointAtAnyDrawCount: a checkpoint's training-RNG position is
+// set, not replayed, so a container declaring 2^40 draws loads, reads back
+// that position, and the loaded system plans bit-identically to the one that
+// wrote it.
+func TestLoadCheckpointAtAnyDrawCount(t *testing.T) {
+	src, queries := bootstrappedSystem(t, OneHot)
+	var buf bytes.Buffer
+	if err := src.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	secs, _ := splitContainer(t, buf.Bytes())
+	for i, s := range secs {
+		if s.name == "meta" {
+			// The draw count is the meta section's last u64 but one
+			// (FORMAT.md: train time follows it).
+			meta := bytes.Clone(s.payload)
+			binary.LittleEndian.PutUint64(meta[len(meta)-16:], 1<<40)
+			secs[i].payload = meta
+		}
+	}
+
+	dst := smallSystem(t, "imdb", "postgres", OneHot)
+	if err := dst.LoadCheckpoint(bytes.NewReader(joinContainer(secs))); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dst.Neo.State(), src.Neo.State(); got.RNGSeed != want.RNGSeed || got.RNGDraws != 1<<40 {
+		t.Fatalf("loaded RNG position (%d,%d), want (%d,%d)", got.RNGSeed, got.RNGDraws, want.RNGSeed, uint64(1<<40))
+	}
+	for _, q := range queries {
+		p1, r1, err := src.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, r2, err := dst.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p1.String() != p2.String() || math.Float64bits(r1.Score) != math.Float64bits(r2.Score) {
+			t.Fatalf("query %s: loaded system serves %s (%v), writer %s (%v)", q.ID, p2, r2.Score, p1, r1.Score)
+		}
+	}
+}
+
 // BenchmarkReplicaJoin times a replica's start-up before it can serve: Open,
-// then LoadCheckpoint of a bootstrapped R-Vector trainer's checkpoint.
+// then LoadCheckpoint of a bootstrapped R-Vector trainer's checkpoint — as
+// saved, and with the trainer's RNG 2^30 draws on, a position a load sets
+// without replaying it.
 func BenchmarkReplicaJoin(b *testing.B) {
 	trainer, _ := bootstrappedSystem(b, RVector)
-	var buf bytes.Buffer
-	if err := trainer.SaveCheckpoint(&buf); err != nil {
-		b.Fatal(err)
+	save := func() []byte {
+		var buf bytes.Buffer
+		if err := trainer.SaveCheckpoint(&buf); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	b.ResetTimer()
-	for range b.N {
-		sys, err := Open(trainer.Config)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-		sys.Close()
+	bootstrapped := save()
+	st := trainer.Neo.State()
+	st.RNGDraws = 1 << 30
+	trainer.Neo.Restore(st)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"bootstrapped", bootstrapped}, {"draws=2^30", save()}} {
+		b.Run(c.name, func(b *testing.B) {
+			for range b.N {
+				sys, err := Open(trainer.Config)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sys.LoadCheckpoint(bytes.NewReader(c.data)); err != nil {
+					b.Fatal(err)
+				}
+				sys.Close()
+			}
+		})
 	}
 }
