@@ -35,8 +35,9 @@ type TrainerConfig struct {
 	// CheckpointEvery is the periodic checkpoint interval started by Start.
 	CheckpointEvery time.Duration
 	// RetrainEvery starts a background retraining round once N experience
-	// entries have been ingested since the last round was started (default
-	// 64, negative disables). Rounds never queue: entries arriving mid-round
+	// entries have been ingested since the last round was started (0 means
+	// the default 64, negative disables; unlike neo-serve's, where 0
+	// disables). Rounds never queue: entries arriving mid-round
 	// count toward the next one.
 	RetrainEvery int
 	// Rollout configures the rollout coordinator driving the replica fleet.
@@ -50,7 +51,7 @@ type TrainerConfig struct {
 // The coordinator is on when rollout.Replicas is non-empty after parsing; the
 // caller then points cfg.Rollout at rollout.
 func RegisterTrainerFlags(fs *flag.FlagSet, cfg *TrainerConfig, rollout *RolloutConfig) {
-	fs.IntVar(&cfg.RetrainEvery, "retrain-every", 64, "retrain after every N ingested experience entries (negative disables)")
+	fs.IntVar(&cfg.RetrainEvery, "retrain-every", 64, "retrain after every N ingested experience entries (0 means the default 64, negative disables)")
 	fs.Func("replicas", "comma-separated replica base URLs; enables the rollout coordinator (first URL is the canary)", func(list string) error {
 		rollout.Replicas = proto.SplitURLs(list)
 		return nil

@@ -5,11 +5,9 @@ import (
 	"sync"
 	"testing"
 
-	"neo/internal/feature"
 	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/search"
-	"neo/internal/stats"
 	"neo/internal/treeconv"
 	"neo/internal/valuenet"
 )
@@ -196,49 +194,6 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 		}
 		if sp.Signature() != pp.Signature() {
 			t.Errorf("query %s: plans differ across serial/parallel evaluation", serialTrain[i].ID)
-		}
-	}
-}
-
-// TestPlanningWithInjectedErrorIsSerial: injected cardinality error draws its
-// perturbations from one stream in the order encodings ask for them, so
-// planning must go serial by itself whatever GOMAXPROCS says. Two
-// identically seeded systems then choose the same plans and measure the same
-// latencies.
-func TestPlanningWithInjectedErrorIsSerial(t *testing.T) {
-	setProcs(t, 8)
-	build := func() (*Neo, []*query.Query) {
-		rig := newRig(t, "postgres")
-		feat := *rig.feat
-		feat.Cardinality = &feature.HistogramCardinality{Stats: rig.st}
-		feat.Error = stats.NewErrorModel(2, 9)
-		return New(rig.eng, &feat, rig.neo.Config), rig.wl.Queries
-	}
-	a, queries := build()
-	b, _ := build()
-	pa, pb := a.planAndSimulate(queries), b.planAndSimulate(queries)
-	for i, q := range queries {
-		if pa[i].err != nil || pb[i].err != nil {
-			t.Fatalf("%s: %v, %v", q.ID, pa[i].err, pb[i].err)
-		}
-		if pa[i].plan.Signature() != pb[i].plan.Signature() || pa[i].base != pb[i].base {
-			t.Errorf("%s: plans %s (%v) and %s (%v) differ", q.ID, pa[i].plan, pa[i].base, pb[i].plan, pb[i].base)
-		}
-	}
-	totalA, perA, err := a.Evaluate(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalB, perB, err := b.Evaluate(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if totalA != totalB {
-		t.Errorf("total latency %v, %v", totalA, totalB)
-	}
-	for id, lat := range perA {
-		if perB[id] != lat {
-			t.Errorf("query %s: latency %v, %v", id, lat, perB[id])
 		}
 	}
 }

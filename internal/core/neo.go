@@ -787,27 +787,15 @@ type planExec struct {
 	err  error
 }
 
-// PlanningWorkers is the width of a pool of concurrent searches: GOMAXPROCS,
-// or 1 while the featurizer injects cardinality error (Featurizer.Error, the
-// Figure 14 protocol), whose perturbations are drawn from one shared stream
-// in the order encodings ask for them — serial planning keeps that
-// experiment reproducible.
-func (n *Neo) PlanningWorkers() int {
-	if n.Featurizer.Error != nil {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // planAndSimulate fans plan search plus deterministic plan simulation out
-// over PlanningWorkers workers. The engine's run-to-run noise is deliberately
+// over GOMAXPROCS workers. The engine's run-to-run noise is deliberately
 // NOT applied here: the caller commits the returned base latencies in input
 // order, so the engine's noise stream is drawn in exactly the order the
 // serial loop would draw it, and results are bit-identical to serial
 // execution for a fixed seed no matter how many workers raced.
 func (n *Neo) planAndSimulate(queries []*query.Query) []planExec {
 	out := make([]planExec, len(queries))
-	nn.Parallel(n.PlanningWorkers(), len(queries), func(i int) { out[i] = n.planAndSimulateOne(queries[i]) })
+	nn.Parallel(runtime.GOMAXPROCS(0), len(queries), func(i int) { out[i] = n.planAndSimulateOne(queries[i]) })
 	return out
 }
 
@@ -827,7 +815,7 @@ func (n *Neo) planAndSimulateOne(q *query.Query) planExec {
 // training query, search for a plan with the current value network, execute
 // it on the engine, add the plan/latency pair to the experience, and finally
 // retrain the network. Plan search and plan simulation fan out over
-// PlanningWorkers workers, while the episode's shuffle, the
+// GOMAXPROCS workers, while the episode's shuffle, the
 // engine's noise draws, the experience appends and the final retraining all
 // happen in deterministic order — so the returned EpisodeStats (and all
 // downstream training state) are bit-identical for a fixed seed, whatever
@@ -866,7 +854,7 @@ func (n *Neo) RunEpisode(episode int, queries []*query.Query) (*EpisodeStats, er
 // Evaluate optimizes and executes each query without adding the results to
 // the experience (held-out evaluation). It returns the total latency and the
 // per-query latencies. Like RunEpisode, searches and plan simulations fan out
-// over PlanningWorkers workers while the engine's noise draws commit in input order, so
+// over GOMAXPROCS workers while the engine's noise draws commit in input order, so
 // per-query plans and latencies are identical for a fixed seed.
 func (n *Neo) Evaluate(queries []*query.Query) (float64, map[string]float64, error) {
 	execs := n.planAndSimulate(queries)

@@ -868,8 +868,7 @@ func requireStateWithin(t *testing.T, when string, net *valuenet.Network, ref *r
 
 // oracleSamples builds the synthetic fixture: 761-wide query rows at 0 %,
 // ~5 % and 100 % density (one all-zero, several with explicit -0.0 entries),
-// most shared by several samples, over forests of leaves, joins and one-child
-// nodes.
+// most shared by several samples, over forests of leaves and joins.
 func oracleSamples(rng *rand.Rand, queryDim, planDim, count int) []valuenet.Sample {
 	negZero := math.Copysign(0, -1)
 	var queries [][]float64
@@ -909,14 +908,7 @@ func oracleSamples(rng *rand.Rand, queryDim, planDim, count int) []valuenet.Samp
 		if depth == 0 || rng.Intn(4) == 0 {
 			return treeconv.NewLeaf(vec())
 		}
-		switch rng.Intn(5) {
-		case 0:
-			return treeconv.NewNode(vec(), tree(depth-1), nil)
-		case 1:
-			return treeconv.NewNode(vec(), nil, tree(depth-1))
-		default:
-			return treeconv.NewNode(vec(), tree(depth-1), tree(depth-1))
-		}
+		return treeconv.NewNode(vec(), tree(depth-1), tree(depth-1))
 	}
 	samples := make([]valuenet.Sample, count)
 	for i := range samples {

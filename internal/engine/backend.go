@@ -67,12 +67,11 @@ func (b *SimBackend) Run(p *plan.Plan) (float64, *executor.Result, error) {
 // like page residency (cold vs hot cache).
 type DiskBackend struct {
 	Exec *executor.Executor
-	db   *storage.DiskDB
 }
 
 // NewDiskBackend creates the disk backend over an opened disk database.
 func NewDiskBackend(db *storage.DiskDB) *DiskBackend {
-	return &DiskBackend{Exec: executor.NewDisk(db), db: db}
+	return &DiskBackend{Exec: executor.NewDisk(db)}
 }
 
 // Name implements ExecutionBackend.
@@ -90,9 +89,4 @@ func (b *DiskBackend) Run(p *plan.Plan) (float64, *executor.Result, error) {
 		return 0, nil, err
 	}
 	return float64(time.Since(start)) / float64(time.Millisecond), res, nil //neo:lint-ok walltime measured backend: real execution latency IS the training signal
-}
-
-// StorageStats returns the buffer-pool counters of the backend's database.
-func (b *DiskBackend) StorageStats() storage.PoolStats {
-	return b.db.Pool.Stats()
 }

@@ -161,7 +161,7 @@ func NewEnv(cfg Config) (*Env, error) {
 		env.Stats[s.name] = st
 		env.Workloads[s.name] = wl
 	}
-	ext, err := workload.ExtJOB(env.DBs["job"], maxInt(6, cfg.TestQueries), cfg.Seed, env.Workloads["job"])
+	ext, err := workload.ExtJOB(env.DBs["job"], max(6, cfg.TestQueries), cfg.Seed, env.Workloads["job"])
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ext-job: %w", err)
 	}
@@ -336,7 +336,7 @@ func (e *Env) TrainNeo(workloadName, engineName string, enc feature.Encoding, co
 			if err != nil {
 				return nil, err
 			}
-			run.Curve = append(run.Curve, total/maxFloat(run.NativeTestLatency, 1e-9))
+			run.Curve = append(run.Curve, total/max(run.NativeTestLatency, 1e-9))
 		}
 	}
 	return run, nil
@@ -350,19 +350,5 @@ func (r *TrainedRun) EvaluateRelative() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return total / maxFloat(r.NativeTestLatency, 1e-9), nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return total / max(r.NativeTestLatency, 1e-9), nil
 }

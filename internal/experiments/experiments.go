@@ -85,7 +85,7 @@ func Figure9(env *Env) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			pgRel := run.PGTestLatency / maxFloat(run.NativeTestLatency, 1e-9)
+			pgRel := run.PGTestLatency / max(run.NativeTestLatency, 1e-9)
 			rep.AddRow(engName, wlName, rel, pgRel)
 		}
 	}
@@ -108,7 +108,7 @@ func Figure10(env *Env) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			pgRel := run.PGTestLatency / maxFloat(run.NativeTestLatency, 1e-9)
+			pgRel := run.PGTestLatency / max(run.NativeTestLatency, 1e-9)
 			for i, v := range run.Curve {
 				rep.AddRow(engName, wlName, i+1, v, pgRel)
 			}
@@ -133,7 +133,7 @@ func Figure11(env *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pgRel := run.PGTestLatency / maxFloat(run.NativeTestLatency, 1e-9)
+		pgRel := run.PGTestLatency / max(run.NativeTestLatency, 1e-9)
 		pgEp := firstAtOrBelow(run.Curve, pgRel)
 		natEp := firstAtOrBelow(run.Curve, 1.0)
 		nn := run.Neo.TrainingTime().Seconds()
@@ -232,7 +232,7 @@ func Figure13(env *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.AddRow(engName, string(enc), beforeTotal/maxFloat(nativeTotal, 1e-9), afterTotal/maxFloat(nativeTotal, 1e-9))
+		rep.AddRow(engName, string(enc), beforeTotal/max(nativeTotal, 1e-9), afterTotal/max(nativeTotal, 1e-9))
 	}
 	rep.AddNote("paper shape: R-Vector generalises best before refinement; all encodings improve markedly after seeing the new queries a few times")
 	return rep, nil
@@ -296,12 +296,10 @@ func Figure14(env *Env) (*Report, error) {
 // whose join count falls in the bucket, with the cardinality feature
 // perturbed by the given number of orders of magnitude.
 func outputsForBucket(n *core.Neo, bucket string, orders float64, seed int64) []float64 {
+	var errModel *stats.ErrorModel
 	if orders > 0 {
-		n.Featurizer.Error = stats.NewErrorModel(orders, seed)
-	} else {
-		n.Featurizer.Error = nil
+		errModel = stats.NewErrorModel(orders, seed)
 	}
-	defer func() { n.Featurizer.Error = nil }()
 	var queries [][]float64
 	var forests [][]*treeconv.Tree
 	for _, entry := range n.Experience.Entries() {
@@ -310,16 +308,15 @@ func outputsForBucket(n *core.Neo, bucket string, orders float64, seed int64) []
 			continue
 		}
 		queries = append(queries, n.Featurizer.EncodeQuery(entry.Query))
-		forests = append(forests, n.Featurizer.EncodePlan(entry.Plan))
+		enc := n.Featurizer.NewPlanEncoder(entry.Plan.Query, plan.NewNodes())
+		enc.Error = errModel
+		forests = append(forests, enc.Encode(entry.Plan))
 	}
 	return n.Snapshot().PredictBatchNormalized(queries, forests)
 }
 
 func stddevDiff(base, shifted []float64) float64 {
-	nMin := len(base)
-	if len(shifted) < nMin {
-		nMin = len(shifted)
-	}
+	nMin := min(len(base), len(shifted))
 	if nMin == 0 {
 		return 0
 	}
@@ -447,7 +444,7 @@ func Figure16(env *Env) (*Report, error) {
 			}
 		}
 		for bi, budget := range budgets {
-			rep.AddRow(j, budget, latencies[bi]/maxFloat(best, 1e-9))
+			rep.AddRow(j, budget, latencies[bi]/max(best, 1e-9))
 		}
 	}
 	rep.AddNote("paper shape: queries with few joins reach best quality at tiny budgets; queries with many joins need larger budgets, and budgets beyond ~250 expansions stop helping")
@@ -544,7 +541,7 @@ func AblationNoDemonstration(env *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.AddRow("random-bootstrap", ep, total/maxFloat(nativeTotal, 1e-9))
+		rep.AddRow("random-bootstrap", ep, total/max(nativeTotal, 1e-9))
 	}
 	rep.AddNote("paper shape: without demonstration the optimizer remains far from the native baseline within the same number of episodes")
 	return rep, nil
@@ -586,7 +583,7 @@ func AblationSearchVsGreedy(env *Env) (*Report, error) {
 		greedyTotal += gLat
 	}
 	rep.AddRow("best-first search", fmt.Sprintf("%.1f", searchTotal), 1.0)
-	rep.AddRow("greedy (hurry-up)", fmt.Sprintf("%.1f", greedyTotal), greedyTotal/maxFloat(searchTotal, 1e-9))
+	rep.AddRow("greedy (hurry-up)", fmt.Sprintf("%.1f", greedyTotal), greedyTotal/max(searchTotal, 1e-9))
 	rep.AddNote("paper shape: combining value estimation with search is less sensitive to model error than greedy action selection")
 	return rep, nil
 }
@@ -639,7 +636,7 @@ func AblationTreeConvVsFlat(env *Env) (*Report, error) {
 		return nil, err
 	}
 	rep.AddRow("tree convolution", fmt.Sprintf("%.1f", treeTotal), 1.0)
-	rep.AddRow("flattened", fmt.Sprintf("%.1f", flatTotal), flatTotal/maxFloat(treeTotal, 1e-9))
+	rep.AddRow("flattened", fmt.Sprintf("%.1f", flatTotal), flatTotal/max(treeTotal, 1e-9))
 	rep.AddNote("design-choice ablation (ARCHITECTURE.md): destroying plan structure should not beat the tree-convolution encoding")
 	return rep, nil
 }

@@ -185,6 +185,27 @@ func TestFigure16And17Reports(t *testing.T) {
 	}
 }
 
+// TestFigure14Report: one row per cardinality source, join bucket and error
+// level, and no output shift without injected error — the 0-order run
+// encodes exactly as the baseline does.
+func TestFigure14Report(t *testing.T) {
+	rep, err := Figure14(tinyEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != 12 {
+		t.Fatalf("figure 14 should have 2 sources × 2 buckets × 3 error levels = 12 rows, got %d", len(rep.Rows))
+	}
+	for _, row := range rep.Rows {
+		if row[2] != "0" {
+			continue
+		}
+		if shift, err := strconv.ParseFloat(row[3], 64); err != nil || shift != 0 {
+			t.Errorf("%s, %s joins: output shift %q at 0 orders of error, want 0", row[0], row[1], row[3])
+		}
+	}
+}
+
 func TestRegistryAndRun(t *testing.T) {
 	names := Names()
 	if len(names) != 13 {
@@ -229,12 +250,6 @@ func TestHelperFunctions(t *testing.T) {
 	}
 	if firstAtOrBelow([]float64{2, 1.5}, 1.0) != -1 {
 		t.Errorf("firstAtOrBelow should report not-reached")
-	}
-	if maxInt(2, 3) != 3 || maxInt(5, 1) != 5 {
-		t.Errorf("maxInt wrong")
-	}
-	if maxFloat(1.5, 2.5) != 2.5 {
-		t.Errorf("maxFloat wrong")
 	}
 	if stddevDiff(nil, nil) != 0 {
 		t.Errorf("stddevDiff of empty inputs should be 0")

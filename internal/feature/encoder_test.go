@@ -18,11 +18,12 @@ func TestPerturbedCardinalityConsistentWithinForest(t *testing.T) {
 	db, st := setup(t)
 	q := loveQuery()
 	f := &Featurizer{Catalog: db.Catalog, Encoding: OneHot, Stats: st,
-		Cardinality: &HistogramCardinality{Stats: st}, Error: stats.NewErrorModel(3, 11)}
+		Cardinality: &HistogramCardinality{Stats: st}}
 	inner := plan.Join2(plan.HashJoin, plan.Leaf("movie_keyword", plan.TableScan), plan.Leaf("title", plan.IndexScan))
 	p := &plan.Plan{Query: q, Roots: []*plan.Node{plan.Join2(plan.LoopJoin, inner, plan.Leaf("keyword", plan.TableScan))}}
 
 	enc := f.NewPlanEncoder(q, plan.NewNodes())
+	enc.Error = stats.NewErrorModel(3, 11)
 	root := enc.Encode(p)[0]
 	est := func(tr *treeconv.Tree) float64 { return math.Pow(10, tr.Data[len(tr.Data)-2]) - 1 }
 	work := func(tr *treeconv.Tree) float64 { return math.Pow(10, tr.Data[len(tr.Data)-1]) - 1 }

@@ -67,8 +67,6 @@ type Featurizer struct {
 	// Cardinality, when non-nil, appends log-scaled per-node cardinality
 	// estimates to the plan encoding.
 	Cardinality CardinalitySource
-	// Error perturbs the cardinality feature (Figure 14 protocol).
-	Error *stats.ErrorModel
 
 	// rows holds the R-Vector encodings' model (nil for the others, or for
 	// an R-Vector featurizer built without one, which encodes no vectors).
@@ -339,6 +337,10 @@ func (f *Featurizer) EncodePlan(p *plan.Plan) []*treeconv.Tree {
 // is not safe for concurrent use. Returned trees are shared between forests
 // and must not be modified.
 type PlanEncoder struct {
+	// Error, when non-nil, perturbs the cardinality feature (the Figure 14
+	// protocol). Set it before the first Encode.
+	Error *stats.ErrorModel
+
 	f     *Featurizer
 	q     *query.Query
 	nodes *plan.Nodes
@@ -430,8 +432,8 @@ func (e *PlanEncoder) encode(id int32) encodedNode {
 	if f.Cardinality != nil {
 		en.card = f.Cardinality.NodeCardinality(e.q, n, left.card, right.card)
 		en.est = en.card
-		if f.Error != nil {
-			en.est = f.Error.Perturb(en.card)
+		if e.Error != nil {
+			en.est = e.Error.Perturb(en.card)
 		}
 		// The two derived slots: the log-scaled output-cardinality estimate
 		// of the subplan, and a log-scaled generic work estimate for the

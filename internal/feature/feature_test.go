@@ -318,8 +318,10 @@ func TestCardinalityFeature(t *testing.T) {
 	}
 
 	// With an error model, the feature still encodes but may differ.
-	f2 := &Featurizer{Catalog: db.Catalog, Encoding: OneHot, Cardinality: hist, Error: stats.NewErrorModel(2, 3)}
-	tree2 := f2.EncodePlan(p)[0]
+	f2 := &Featurizer{Catalog: db.Catalog, Encoding: OneHot, Cardinality: hist}
+	enc := f2.NewPlanEncoder(q, plan.NewNodes())
+	enc.Error = stats.NewErrorModel(2, 3)
+	tree2 := enc.Encode(p)[0]
 	if tree2.Data[len(tree2.Data)-1] <= 0 {
 		t.Errorf("perturbed cardinality slot should still be positive")
 	}

@@ -80,9 +80,6 @@ type MLPBatchTape struct {
 // Output returns the forward result (rows×outputDim, row-major).
 func (t *MLPBatchTape) Output() []float64 { return t.output }
 
-// Rows returns the number of rows the tape was recorded over.
-func (t *MLPBatchTape) Rows() int { return t.rows }
-
 // InputColumns returns the columns of a RecordInput tape's non-zero inputs,
 // row by row (a column may repeat across rows) — the columns of the first
 // layer's weights the tape's backward pass can give a gradient, for

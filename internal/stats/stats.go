@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"neo/internal/query"
 	"neo/internal/schema"
@@ -313,7 +312,6 @@ type ErrorModel struct {
 	// OrdersOfMagnitude is the maximum absolute log10 error to inject
 	// (e.g. 2 means estimates may be off by up to 100x in either direction).
 	OrdersOfMagnitude float64
-	mu                sync.Mutex
 	rng               *rand.Rand
 }
 
@@ -323,15 +321,12 @@ func NewErrorModel(orders float64, seed int64) *ErrorModel {
 }
 
 // Perturb applies a random multiplicative error of up to the configured
-// number of orders of magnitude to the estimate. Safe for concurrent use
-// (concurrent planners reach it through the featurizer).
+// number of orders of magnitude to the estimate. Not safe for concurrent use.
 func (e *ErrorModel) Perturb(estimate float64) float64 {
 	if e == nil || e.OrdersOfMagnitude == 0 {
 		return estimate
 	}
-	e.mu.Lock()
 	exp := (e.rng.Float64()*2 - 1) * e.OrdersOfMagnitude
-	e.mu.Unlock()
 	return math.Max(1, estimate*math.Pow(10, exp))
 }
 

@@ -38,9 +38,6 @@ func OpenHeapFile(path string) (*HeapFile, error) {
 	return &HeapFile{f: f, path: path, numPages: int32(info.Size() / PageSize)}, nil
 }
 
-// Path returns the file path the heap was opened from.
-func (h *HeapFile) Path() string { return h.path }
-
 // NumPages returns the number of pages in the file.
 func (h *HeapFile) NumPages() int32 { return h.numPages }
 

@@ -1,11 +1,10 @@
 // Row kernel: the inference pass. The value network's scorer
 // (valuenet.Scorer) hands a layer the nodes it has no activations for yet,
-// gathered as rows: childless nodes as [x], nodes with a child as
-// [x; left; right] with zeros for an absent child. The rows run through the
-// packed float32 GEMM, over the EP K-prefix for leaf rows. Both of its
-// kernels accumulate a row from zero over ascending k and add the bias last,
-// so a row's result depends on that row alone, and a node's activation is
-// the same whichever rows share its call.
+// gathered as rows: leaves as [x], joins as [x; left; right]. The rows run
+// through the packed float32 GEMM, over the EP K-prefix for leaf rows. Both
+// of its kernels accumulate a row from zero over ascending k and add the bias
+// last, so a row's result depends on that row alone, and a node's activation
+// is the same whichever rows share its call.
 package treeconv
 
 import "neo/internal/nn"

@@ -9,22 +9,22 @@ import (
 )
 
 // layerRows gathers the nodes of forest (in pre-order) the way a scorer
-// hands them to ForwardRows — childless nodes as [x], the others as
-// [x; left; right] with zeros for an absent child — and returns the rows
-// plus the nodes in ForwardRows' output order: leaves first.
-func layerRows(forest []*Tree, in int) (leaf, full []float64, order []*Tree) {
+// hands them to ForwardRows — leaves as [x], joins as [x; left; right] —
+// and returns the rows plus the nodes in ForwardRows' output order: leaves
+// first.
+func layerRows(forest []*Tree) (leaf, full []float64, order []*Tree) {
 	var leaves, inner []*Tree
 	for _, t := range forest {
 		t.Walk(func(n *Tree) {
-			if n.Left == nil && n.Right == nil {
+			if n.Left == nil {
 				leaves = append(leaves, n)
 				leaf = append(leaf, n.Data...)
 				return
 			}
 			inner = append(inner, n)
 			full = append(full, n.Data...)
-			full = append(full, zerosIfNil(n.Left, in)...)
-			full = append(full, zerosIfNil(n.Right, in)...)
+			full = append(full, n.Left.Data...)
+			full = append(full, n.Right.Data...)
 		})
 	}
 	return leaf, full, append(leaves, inner...)
@@ -38,19 +38,19 @@ func toF32(xs []float64) []float32 {
 	return out
 }
 
-// eachLayerRows builds a stack and forests with leaves, one-child nodes (left
-// and right) and joins, and calls check for every corpus and layer k with the
-// layer's gathered input rows and want, the per-tree reference
-// Layer.Forward's activation of each node in ForwardRows' output order.
-// Layer widths are not multiples of the kernels' 4- and 8-wide tiles.
+// eachLayerRows builds a stack and forests with leaves, joins over a leaf
+// (on either side) and joins over joins, and calls check for every corpus
+// and layer k with the layer's gathered input rows and want, the per-tree
+// reference Layer.Forward's activation of each node in ForwardRows' output
+// order. Layer widths are not multiples of the kernels' 4- and 8-wide tiles.
 func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*Tree)) {
 	rng := rand.New(rand.NewSource(21))
 	const dim = 6
 	stack := NewStack([]int{dim, 10, 7, 4}, rng)
 	corpora := map[string][]*Tree{
 		"mixed": append(randomForest(rng, 5, dim),
-			NewNode(randomTree(rng, 1, dim).Data, randomTree(rng, 4, dim), nil),
-			NewNode(randomTree(rng, 1, dim).Data, nil, randomTree(rng, 3, dim))),
+			NewNode(randomTree(rng, 1, dim).Data, randomTree(rng, 3, dim), randomTree(rng, 1, dim)),
+			NewNode(randomTree(rng, 1, dim).Data, randomTree(rng, 1, dim), randomTree(rng, 2, dim))),
 		"leaves only": {NewLeaf(make([]float64, dim)), randomTree(rng, 1, dim)},
 		"no rows":     nil,
 	}
@@ -62,8 +62,8 @@ func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, l
 				for i, tr := range cur {
 					next[i] = l.Forward(tr).Output()
 				}
-				leaf, full, _ := layerRows(cur, l.InChannels)
-				_, _, want := layerRows(next, l.OutChannels)
+				leaf, full, _ := layerRows(cur)
+				_, _, want := layerRows(next)
 				check(t, stack, k, leaf, full, want)
 				cur = next
 			}
@@ -72,9 +72,8 @@ func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, l
 }
 
 // TestForwardBatchMatchesPerTreeForward requires the training tape's leaf
-// and join kernels, convLeafPre and convBothPre (a one-child node with a zero
-// operand), to be == to the per-tree reference Layer.Forward on every node
-// of every layer, row by row.
+// and join kernels, convLeafPre and convBothPre, to be == to the per-tree
+// reference Layer.Forward on every node of every layer, row by row.
 func TestForwardBatchMatchesPerTreeForward(t *testing.T) {
 	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*Tree) {
 		l := stack.Layers[k]
@@ -144,7 +143,7 @@ func BenchmarkStackForward(b *testing.B) {
 	tr := build(3)
 	var leaf, full, out [][]float32
 	for _, l := range stack.Layers {
-		lf, fl, order := layerRows([]*Tree{tr}, l.InChannels)
+		lf, fl, order := layerRows([]*Tree{tr})
 		leaf, full = append(leaf, toF32(lf)), append(full, toF32(fl))
 		out = append(out, make([]float32, len(order)*l.OutChannels))
 		tr = l.Forward(tr).Output()

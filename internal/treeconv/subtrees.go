@@ -10,14 +10,15 @@
 // instead; see valuenet.Scorer.)
 package treeconv
 
-// Subtrees interns trees keyed on (*Tree, query group), a group being a small
-// non-negative index. Entry e is the subtree Tree[e] under group Group[e];
-// its children are the entries Left[e] and Right[e] (−1 for an absent child,
-// convolved as all-zero vectors). Entries are numbered children before
-// parents. Pre lists every entry in the pre-order Add first met it, which
-// for forests that share nothing is the node order of walking them one after
-// another. Two trees are one entry only if they are one pointer. The zero
-// value is an empty table; trees added to it must not be modified.
+// Subtrees interns binary trees keyed on (*Tree, query group), a group being
+// a small non-negative index. Entry e is the subtree Tree[e] under group
+// Group[e]; its children are the entries Left[e] and Right[e], both −1 for a
+// leaf, whose children convolve as all-zero vectors. Entries are numbered
+// children before parents. Pre lists every entry in the pre-order Add first
+// met it, which for forests that share nothing is the node order of walking
+// them one after another. Two trees are one entry only if they are one
+// pointer. The zero value is an empty table; trees added to it must not be
+// modified.
 type Subtrees struct {
 	Tree        []*Tree
 	Group       []int32
@@ -43,8 +44,8 @@ func (s *Subtrees) Reset() {
 	}
 }
 
-// Add interns the non-nil tree t and every subtree of it under group and
-// returns t's entry.
+// Add interns the tree t and every subtree of it under group and returns
+// t's entry.
 func (s *Subtrees) Add(t *Tree, group int32) int32 {
 	for int(group) >= len(s.index) {
 		s.index = append(s.index, make(map[*Tree]int32))
@@ -58,10 +59,7 @@ func (s *Subtrees) Add(t *Tree, group int32) int32 {
 	s.Pre = append(s.Pre, -1)
 	left, right := int32(-1), int32(-1)
 	if t.Left != nil {
-		left = s.Add(t.Left, group)
-	}
-	if t.Right != nil {
-		right = s.Add(t.Right, group)
+		left, right = s.Add(t.Left, group), s.Add(t.Right, group)
 	}
 	e := int32(len(s.Tree))
 	s.Tree = append(s.Tree, t)

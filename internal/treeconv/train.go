@@ -71,10 +71,8 @@ func (s *Stack) RecordBatch(t *StackBatchTape, tab *Subtrees, in []float64, a *n
 	t.pre, t.outs = t.pre[:0], t.outs[:0]
 	cur := in
 	for _, l := range s.Layers {
-		zeros := a.Alloc(l.InChannels) // a one-child node's absent child
-		clear(zeros)
 		pre := a.Alloc(tab.Len() * l.OutChannels)
-		l.convBatchPre(tab, cur, pre, zeros)
+		l.convBatchPre(tab, cur, pre)
 		out := a.Alloc(len(pre))
 		alpha := l.Act.Alpha
 		for i, v := range pre {
@@ -92,16 +90,15 @@ func (s *Stack) RecordBatch(t *StackBatchTape, tab *Subtrees, in []float64, a *n
 
 // convBatchPre convolves the filterbank over every entry of tab, whose input
 // rows in holds, writing the pre-activation values into pre. Plan trees are
-// strictly binary, so almost every node is either a leaf or a join, and each
-// gets a specialised kernel: childless nodes skip the child dot products
-// against the zero padding entirely (dropping a w·0 term leaves the
-// accumulator bit-identical up to the sign of zero, which compares equal) and
-// join nodes run a 4-way-unrolled kernel whose per-channel operation order
-// matches Layer.convolve exactly; one-child nodes convolve against explicit
-// zero padding exactly like Layer.convolve. With a Packed copy of the
-// weights and the vector kernels, the panel kernel (nn.PackedF64) does each
-// of the three in the same order, four channels per vector.
-func (l *Layer) convBatchPre(tab *Subtrees, in, pre, zeros []float64) {
+// binary, so every node is a leaf or a join, and each gets a specialised
+// kernel: leaves skip the child dot products against the zero padding
+// entirely (dropping a w·0 term leaves the accumulator bit-identical up to
+// the sign of zero, which compares equal) and joins run a 4-way-unrolled
+// kernel whose per-channel operation order matches Layer.convolve exactly.
+// With a Packed copy of the weights and the vector kernels, the panel kernel
+// (nn.PackedF64) does each of the two in the same order, four channels per
+// vector.
+func (l *Layer) convBatchPre(tab *Subtrees, in, pre []float64) {
 	ic := l.InChannels
 	row := func(n int32) []float64 { return in[int(n)*ic : int(n+1)*ic] }
 	vector := l.Packed != nil && nn.VectorKernels()
@@ -110,38 +107,14 @@ func (l *Layer) convBatchPre(tab *Subtrees, in, pre, zeros []float64) {
 		y := pre[int(n)*l.OutChannels : int(n+1)*l.OutChannels]
 		li, ri := tab.Left[n], tab.Right[n]
 		switch {
-		case li < 0 && ri < 0 && vector:
+		case li < 0 && vector:
 			l.Packed.Forward(y, x)
-		case li < 0 && ri < 0:
+		case li < 0:
 			l.convLeafPre(x, y)
-		case li >= 0 && ri >= 0 && vector:
+		case vector:
 			l.Packed.Forward3(y, x, row(li), row(ri))
-		case li >= 0 && ri >= 0:
-			l.convBothPre(x, row(li), row(ri), y)
 		default:
-			xl, xr := zeros[:ic], zeros[:ic]
-			if li >= 0 {
-				xl = row(li)
-			}
-			if ri >= 0 {
-				xr = row(ri)
-			}
-			if vector {
-				l.Packed.Forward3(y, x, xl, xr)
-				continue
-			}
-			for o := 0; o < l.OutChannels; o++ {
-				sum := l.Bias.Value[o]
-				ep := l.EP.Value[o*ic : o*ic+ic]
-				el := l.EL.Value[o*ic : o*ic+ic]
-				er := l.ER.Value[o*ic : o*ic+ic]
-				for i := 0; i < ic; i++ {
-					sum += ep[i] * x[i]
-					sum += el[i] * xl[i]
-					sum += er[i] * xr[i]
-				}
-				y[o] = sum
-			}
+			l.convBothPre(x, row(li), row(ri), y)
 		}
 	}
 }
@@ -275,9 +248,9 @@ func (s *Stack) BackwardBatch(t *StackBatchTape, gradOut []float64, a *nn.Arena[
 // backwardBatchNodes is the flat analogue of backwardNode: one pass over the
 // table's rows in first-visit pre-order, accumulating filter gradients and
 // scattering input gradients to each row and its children. A row goes
-// through one filterbank at a time — parent, then left and right where that
-// child exists; an absent child's terms are g·0 and dropped, as in the
-// forward kernels. The three banks share no accumulator, so every gradient
+// through one filterbank at a time — parent, then, for a join, left and
+// right; a leaf's child terms are g·0 and dropped, as in the forward
+// kernels. The three banks share no accumulator, so every gradient
 // element still receives its addends in backwardNode's order — channels
 // ascending within a node, nodes in pre-order — and for forests that share
 // nothing the result is bit-identical to the per-tree recursion.
@@ -292,10 +265,8 @@ func (l *Layer) backwardBatchNodes(tab *Subtrees, in, gradPre, gradIn []float64)
 			}
 		}
 		backwardBank(l.EP, ic, gp, in[int(n)*ic:int(n+1)*ic], gradIn[int(n)*ic:int(n+1)*ic])
-		if li := int(tab.Left[n]); li >= 0 {
+		if li, ri := int(tab.Left[n]), int(tab.Right[n]); li >= 0 {
 			backwardBank(l.EL, ic, gp, in[li*ic:(li+1)*ic], gradIn[li*ic:(li+1)*ic])
-		}
-		if ri := int(tab.Right[n]); ri >= 0 {
 			backwardBank(l.ER, ic, gp, in[ri*ic:(ri+1)*ic], gradIn[ri*ic:(ri+1)*ic])
 		}
 	}
@@ -368,9 +339,7 @@ func (p *PoolBatchTape) Forward(tab *Subtrees, out []float64, dim int, roots [][
 		}
 		if l := tab.Left[e]; l >= 0 {
 			fold(acc, arg, l)
-		}
-		if r := tab.Right[e]; r >= 0 {
-			fold(acc, arg, r)
+			fold(acc, arg, tab.Right[e])
 		}
 	}
 	pooled := a.Alloc(len(roots) * dim)

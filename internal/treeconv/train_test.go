@@ -230,9 +230,9 @@ func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 }
 
 // TestPackedConvMatchesGoLoops: for every width 1–37 of input and output
-// channels, the panel kernels convolve leaves, joins and one-child nodes of
-// both sides bit-identically to the Go loops, over weights and rows holding
-// ±0.
+// channels, the panel kernels convolve leaves and joins — over leaves, over
+// joins, and over one of each on either side — bit-identically to the Go
+// loops, over weights and rows holding ±0.
 func TestPackedConvMatchesGoLoops(t *testing.T) {
 	if !nn.VectorKernels() {
 		t.Skip("no AVX2: only the Go loops exist on this host")
@@ -253,8 +253,8 @@ func TestPackedConvMatchesGoLoops(t *testing.T) {
 	leaf := func() *Tree { return NewLeaf(nil) }
 	forest := []*Tree{
 		NewNode(nil, leaf(), leaf()),
-		NewNode(nil, leaf(), nil),
-		NewNode(nil, nil, NewNode(nil, leaf(), leaf())),
+		NewNode(nil, leaf(), NewNode(nil, leaf(), leaf())),
+		NewNode(nil, NewNode(nil, leaf(), leaf()), leaf()),
 	}
 	var tab Subtrees
 	for _, tr := range forest {
@@ -268,11 +268,10 @@ func TestPackedConvMatchesGoLoops(t *testing.T) {
 			}
 			in := make([]float64, tab.Len()*ic)
 			signed(in)
-			zeros := make([]float64, ic)
 			conv := func(scalar bool) []float64 {
 				pre := make([]float64, tab.Len()*oc)
 				defer nn.SetScalarKernelsForTest(nn.SetScalarKernelsForTest(scalar))
-				l.convBatchPre(&tab, in, pre, zeros)
+				l.convBatchPre(&tab, in, pre)
 				return pre
 			}
 			want := conv(true)

@@ -19,11 +19,12 @@ import (
 	"neo/internal/nn"
 )
 
-// Tree is a binary tree of feature vectors. Leaves have nil children; the
-// convolution treats missing children as all-zero vectors, exactly as the
-// paper attaches zero-filled children to leaf nodes. Build trees with NewLeaf
-// and NewNode, which record the node count, and do not relink them
-// afterwards: plan encoders share subtrees between forests.
+// Tree is a binary tree of feature vectors, as a plan is: a node has two
+// children or none. Leaves have nil children, which the convolution treats as
+// all-zero vectors, exactly as the paper attaches zero-filled children to leaf
+// nodes. Build trees with NewLeaf and NewNode, which record the node count,
+// and do not relink them afterwards: plan encoders share subtrees between
+// forests.
 type Tree struct {
 	Data        []float64
 	Left, Right *Tree
@@ -33,9 +34,12 @@ type Tree struct {
 // NewLeaf creates a leaf node carrying the given vector.
 func NewLeaf(data []float64) *Tree { return &Tree{Data: data, nodes: 1} }
 
-// NewNode creates an internal node carrying the given vector; either child
-// may be nil.
+// NewNode creates a node carrying the given vector over both children, or a
+// leaf when both are nil. It panics when exactly one is nil.
 func NewNode(data []float64, left, right *Tree) *Tree {
+	if (left == nil) != (right == nil) {
+		panic("treeconv: NewNode needs both children or neither")
+	}
 	return &Tree{Data: data, Left: left, Right: right, nodes: 1 + left.NumNodes() + right.NumNodes()}
 }
 
@@ -196,8 +200,6 @@ func (l *Layer) backwardNode(in, gradPre, gradIn *Tree) {
 			gradIn.Data[i] += g * ep[i]
 			if in.Left != nil {
 				gradIn.Left.Data[i] += g * el[i]
-			}
-			if in.Right != nil {
 				gradIn.Right.Data[i] += g * er[i]
 			}
 		}

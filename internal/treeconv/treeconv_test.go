@@ -42,6 +42,28 @@ func TestTreeBasics(t *testing.T) {
 	}
 }
 
+// TestNewNodeIsBinary: a plan node has two inputs or none, so NewNode
+// takes both children or neither and panics on exactly one.
+func TestNewNodeIsBinary(t *testing.T) {
+	leaf := NewLeaf([]float64{1})
+	if n := NewNode([]float64{2}, nil, nil); n.NumNodes() != 1 || n.Left != nil || n.Right != nil {
+		t.Errorf("NewNode without children: %d nodes, children %v %v; want a leaf", n.NumNodes(), n.Left, n.Right)
+	}
+	if n := NewNode([]float64{2}, leaf, leaf); n.NumNodes() != 3 {
+		t.Errorf("NewNode over two leaves: %d nodes, want 3", n.NumNodes())
+	}
+	for name, children := range map[string][2]*Tree{"left only": {leaf, nil}, "right only": {nil, leaf}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewNode with the %s child did not panic", name)
+				}
+			}()
+			NewNode([]float64{2}, children[0], children[1])
+		}()
+	}
+}
+
 // TestPaperFigure6Detector reproduces Example 1 of Figure 6: a filter with
 // weights {1,-1,0,0,0} in e_p, e_l, e_r outputs 2 at the root of a plan with
 // two merge joins in a row, and 0 at the root of a plan with a hash join on

@@ -17,22 +17,20 @@ func randVec(rng *rand.Rand, dim int) []float64 {
 	return v
 }
 
+// randTree builds a random binary tree with n ≥ 1 leaves (2n−1 nodes).
 func randTree(rng *rand.Rand, n, dim int) *treeconv.Tree {
-	if n <= 0 {
-		return nil
-	}
 	if n == 1 {
 		return treeconv.NewLeaf(randVec(rng, dim))
 	}
-	nl := rng.Intn(n)
-	return treeconv.NewNode(randVec(rng, dim), randTree(rng, nl, dim), randTree(rng, n-1-nl, dim))
+	nl := 1 + rng.Intn(n-1)
+	return treeconv.NewNode(randVec(rng, dim), randTree(rng, nl, dim), randTree(rng, n-nl, dim))
 }
 
 func randForest(rng *rand.Rand, dim int) []*treeconv.Tree {
 	trees := rng.Intn(4) // 0..3 trees; 0 exercises the empty-forest path
 	out := make([]*treeconv.Tree, 0, trees)
 	for i := 0; i < trees; i++ {
-		out = append(out, randTree(rng, 1+rng.Intn(11), dim))
+		out = append(out, randTree(rng, 1+rng.Intn(6), dim))
 	}
 	return out
 }

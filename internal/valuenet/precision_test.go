@@ -28,7 +28,7 @@ func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*tre
 		}
 		samples = append(samples, Sample{
 			Query:  q,
-			Plan:   []*treeconv.Tree{randomPlanTree(rng, 1+rng.Intn(6), planDim)},
+			Plan:   []*treeconv.Tree{randomPlanTree(rng, 1+rng.Intn(4), planDim)},
 			Target: 10 + rng.Float64()*1000,
 		})
 	}
@@ -43,10 +43,8 @@ func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*tre
 	return net, queries, forests, samples
 }
 
+// randomPlanTree builds a random binary tree with n ≥ 1 leaves (2n−1 nodes).
 func randomPlanTree(rng *rand.Rand, n, dim int) *treeconv.Tree {
-	if n <= 0 {
-		return nil
-	}
 	data := make([]float64, dim)
 	for i := range data {
 		data[i] = rng.Float64()
@@ -54,8 +52,8 @@ func randomPlanTree(rng *rand.Rand, n, dim int) *treeconv.Tree {
 	if n == 1 {
 		return treeconv.NewLeaf(data)
 	}
-	nl := rng.Intn(n)
-	return treeconv.NewNode(data, randomPlanTree(rng, nl, dim), randomPlanTree(rng, n-1-nl, dim))
+	nl := 1 + rng.Intn(n-1)
+	return treeconv.NewNode(data, randomPlanTree(rng, nl, dim), randomPlanTree(rng, n-nl, dim))
 }
 
 // TestSnapshotFloat32Parity asserts a trained network's snapshot scores

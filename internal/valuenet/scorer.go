@@ -57,8 +57,8 @@ const recordChunk = 64
 
 // Nodes is the id space a Scorer keeps its records in: every subtree it is
 // shown has a dense non-negative id, and Node returns subtree id's plan
-// vector and its children's ids (−1 for an absent child). An id must name
-// the same subtree for as long as the scorer lives.
+// vector and its children's ids — both ids for a join, both −1 for a leaf.
+// An id must name the same subtree for as long as the scorer lives.
 type Nodes interface {
 	Node(id int32) (row []float64, left, right int32)
 }
@@ -80,7 +80,7 @@ type Scorer struct {
 	stats             ScorerStats
 
 	// Reused from call to call.
-	leaf, full []int32 // the call's new ids: childless, and with a child
+	leaf, full []int32 // the call's new ids: leaves, and joins
 	leafRows   []float32
 	fullRows   []float32
 	out        []float32
@@ -199,10 +199,7 @@ func (s *Scorer) add(id int32) int32 {
 	_, l, r := s.nodes.Node(id)
 	size := int32(1)
 	if l >= 0 {
-		size += s.add(l)
-	}
-	if r >= 0 {
-		size += s.add(r)
+		size += s.add(l) + s.add(r)
 	}
 	if n := int(id) + 1; n > len(s.size) {
 		// The three grow together and never shrink, so what they expose
@@ -219,7 +216,7 @@ func (s *Scorer) add(id int32) int32 {
 	if s.slab[c] == nil {
 		s.slab[c] = make([]float32, recordChunk*s.recW)
 	}
-	if l < 0 && r < 0 {
+	if l < 0 {
 		s.leaf = append(s.leaf, id)
 	} else {
 		s.full = append(s.full, id)
@@ -284,32 +281,27 @@ func (s *Scorer) pool(e int32, own []float32) {
 	foldMax(acc, own)
 	if l := s.left[e]; l >= 0 {
 		foldMax(acc, s.slot(l, last))
-	}
-	if r := s.right[e]; r >= 0 {
-		foldMax(acc, s.slot(r, last))
+		foldMax(acc, s.slot(s.right[e], last))
 	}
 }
 
 // gather writes the operand subtree e contributes to a layer-k row: its plan
 // vector followed by the query embedding for the first layer (the
 // float64→float32 input-encode boundary), its recorded activation of the
-// layer below otherwise, zeros for an absent child (e < 0).
+// layer below otherwise.
 func (s *Scorer) gather(dst []float32, k int, e int32) {
-	switch {
-	case e < 0:
-		clear(dst)
-	case k > 0:
+	if k > 0 {
 		copy(dst, s.slot(e, k-1))
-	default:
-		row, _, _ := s.nodes.Node(e)
-		if len(row) != s.snap.planDim {
-			panic("valuenet: plan vector dimension mismatch")
-		}
-		for i, v := range row {
-			dst[i] = float32(v)
-		}
-		copy(dst[len(row):], s.query)
+		return
 	}
+	row, _, _ := s.nodes.Node(e)
+	if len(row) != s.snap.planDim {
+		panic("valuenet: plan vector dimension mismatch")
+	}
+	for i, v := range row {
+		dst[i] = float32(v)
+	}
+	copy(dst[len(row):], s.query)
 }
 
 // foldMax raises acc to vs wherever vs is greater, with DynamicPool's

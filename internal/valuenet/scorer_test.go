@@ -30,8 +30,8 @@ func eachKernel(t *testing.T, net *Network, fn func(t *testing.T, snap *Snapshot
 // searchLikeCalls builds what a search hands a scorer: a growing pool of
 // subtrees in which new trees join earlier ones (so forests share subtrees by
 // pointer, at every depth), cut into Score calls of mixed size. The forests
-// include one-child nodes, nil trees, empty forests and forests repeated
-// within a call and across calls.
+// include joins over the same subtree twice, empty forests and forests
+// repeated within a call and across calls.
 func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*treeconv.Tree {
 	var pool []*treeconv.Tree
 	for i := 0; i < 6; i++ {
@@ -40,12 +40,10 @@ func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*treeconv.Tree {
 	pick := func() *treeconv.Tree { return pool[rng.Intn(len(pool))] }
 	grow := func() {
 		switch rng.Intn(8) {
-		case 0: // one child, left
-			pool = append(pool, treeconv.NewNode(randVec(rng, planDim), pick(), nil))
-		case 1: // one child, right
-			pool = append(pool, treeconv.NewNode(randVec(rng, planDim), nil, pick()))
-		case 2: // a fresh tree sharing nothing
-			pool = append(pool, randTree(rng, 1+rng.Intn(7), planDim))
+		case 0: // a fresh leaf
+			pool = append(pool, treeconv.NewLeaf(randVec(rng, planDim)))
+		case 1: // a fresh tree sharing nothing
+			pool = append(pool, randTree(rng, 1+rng.Intn(4), planDim))
 		default: // a join of two earlier subtrees (possibly the same one twice)
 			pool = append(pool, treeconv.NewNode(randVec(rng, planDim), pick(), pick()))
 		}
@@ -63,9 +61,7 @@ func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*treeconv.Tree {
 			default:
 				f := make([]*treeconv.Tree, rng.Intn(5)) // 0 is the empty forest
 				for i := range f {
-					if rng.Intn(7) > 0 { // else stays nil
-						f[i] = pick()
-					}
+					f[i] = pick()
 				}
 				forests[fi] = f
 			}

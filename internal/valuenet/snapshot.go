@@ -71,7 +71,8 @@ func (s *Snapshot) Info() SnapshotInfo {
 }
 
 // PredictBatch returns the cost predictions (in the original cost domain)
-// for a slice of encoded (query, plan-forest) pairs. Safe for concurrent use.
+// for a slice of encoded (query, plan-forest) pairs. A forest holds no nil
+// tree (it may be empty). Safe for concurrent use.
 func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
 	out := s.PredictBatchNormalized(queries, forests)
 	for i, v := range out {
@@ -117,16 +118,13 @@ func (s *Snapshot) PredictBatchNormalized(queries [][]float64, forests [][]*tree
 }
 
 // treeRoots adds the trees of forests to tab and returns each forest's root
-// entries, leaving nil trees out: forests of feature trees in the id space a
-// Scorer reads.
+// entries: forests of feature trees in the id space a Scorer reads.
 func treeRoots(tab *treeconv.Subtrees, forests [][]*treeconv.Tree) [][]int32 {
 	out := make([][]int32, len(forests))
 	for i, f := range forests {
-		ids := make([]int32, 0, len(f))
-		for _, t := range f {
-			if t != nil {
-				ids = append(ids, tab.Add(t, 0))
-			}
+		ids := make([]int32, len(f))
+		for j, t := range f {
+			ids[j] = tab.Add(t, 0)
 		}
 		out[i] = ids
 	}

@@ -59,7 +59,7 @@ type trainShard struct {
 	qIndex    []int       // sample -> index into qVecs
 	qFlat     []float64   // flattened distinct query vectors
 	tab       treeconv.Subtrees
-	roots     []int32   // every sample's non-nil roots' entries, in order
+	roots     []int32   // every sample's roots' entries, in order
 	forests   [][]int32 // per sample: its window of roots
 	queryTape nn.MLPBatchTape
 	convTape  treeconv.StackBatchTape
@@ -207,9 +207,7 @@ func (sh *trainShard) assemble(n *Network, samples []Sample) (rows []float64, qO
 	for s, smp := range samples {
 		start := len(sh.roots)
 		for _, t := range smp.Plan {
-			if t != nil {
-				sh.roots = append(sh.roots, sh.tab.Add(t, int32(sh.qIndex[s])))
-			}
+			sh.roots = append(sh.roots, sh.tab.Add(t, int32(sh.qIndex[s])))
 		}
 		// A window keeps its values when a later append moves roots.
 		sh.forests = append(sh.forests, sh.roots[start:])

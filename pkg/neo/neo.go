@@ -2,6 +2,7 @@ package neo
 
 import (
 	"fmt"
+	"runtime"
 
 	"neo/internal/core"
 	"neo/internal/datagen"
@@ -395,18 +396,17 @@ type PlanResult struct {
 
 // PlanAll plans independent queries concurrently over the shared value
 // network on the calling goroutine and nn.Parallel's helper goroutines,
-// GOMAXPROCS wide (serial under injected cardinality error; see
-// core.Neo.PlanningWorkers). Every search scores
-// against the current immutable network snapshot and carries its own
-// batched-scorer scratch, so planning scales across cores without copying the
-// network, and repeated query structures are served straight from the plan
-// cache. Results are returned in input order; per-query failures are reported
-// in the corresponding PlanResult rather than aborting the batch. PlanAll is
-// safe to run while Neo.Retrain trains a new network on another goroutine —
-// searches in flight finish against the snapshot they started with.
+// GOMAXPROCS wide. Every search scores against the current immutable network
+// snapshot and carries its own batched-scorer scratch, so planning scales
+// across cores without copying the network, and repeated query structures
+// are served straight from the plan cache. Results are returned in input
+// order; per-query failures are reported in the corresponding PlanResult
+// rather than aborting the batch. PlanAll is safe to run while Neo.Retrain
+// trains a new network on another goroutine — searches in flight finish
+// against the snapshot they started with.
 func (s *System) PlanAll(queries []*Query) []PlanResult {
 	results := make([]PlanResult, len(queries))
-	nn.Parallel(s.Neo.PlanningWorkers(), len(queries), func(i int) {
+	nn.Parallel(runtime.GOMAXPROCS(0), len(queries), func(i int) {
 		q := queries[i]
 		p, res, err := s.Optimize(q)
 		results[i] = PlanResult{Query: q, Plan: p, Result: res, Err: err}

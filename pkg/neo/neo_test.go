@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"neo/internal/stats"
 )
 
 // setProcs sets GOMAXPROCS — the width of every worker pool — to procs for
@@ -290,32 +288,6 @@ func TestPlanAllMatchesSequentialOptimize(t *testing.T) {
 	}
 	if got := sys.PlanAll(nil); len(got) != 0 {
 		t.Errorf("PlanAll(nil) returned %d results", len(got))
-	}
-}
-
-// TestPlanAllWithInjectedErrorIsSerial: injected cardinality error draws its
-// perturbations from one stream in the order encodings ask for them, so
-// PlanAll plans serially under it whatever GOMAXPROCS says, and two
-// identically seeded systems choose the same plans.
-func TestPlanAllWithInjectedErrorIsSerial(t *testing.T) {
-	setProcs(t, 8)
-	plans := func() []PlanResult {
-		sys := smallSystem(t, "imdb", "postgres", Histogram)
-		wl, err := sys.GenerateWorkload(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Featurizer.Error = stats.NewErrorModel(2, 9)
-		return sys.PlanAll(wl.Queries)
-	}
-	a, b := plans(), plans()
-	for i := range a {
-		if a[i].Err != nil || b[i].Err != nil {
-			t.Fatalf("%s: %v, %v", a[i].Query.ID, a[i].Err, b[i].Err)
-		}
-		if a[i].Plan.Signature() != b[i].Plan.Signature() {
-			t.Errorf("%s: plans %s and %s differ", a[i].Query.ID, a[i].Plan, b[i].Plan)
-		}
 	}
 }
 
