@@ -4,7 +4,7 @@
 // optimizer state, the fitted target transform, the learned row-vector
 // embedding, the experience pool, per-query baselines, the serving-snapshot
 // version and the training RNG position. That position is (seed, draws): a
-// load hands it to core.Neo.Restore, which sets it without replaying the
+// load hands it to core.Learner.Restore, which sets it without replaying the
 // stream, so no draw count costs a loader anything.
 //
 // # Format
@@ -35,7 +35,7 @@
 //
 // Decoding never touches live state: Load builds everything it returns —
 // the network included — and either hands back a complete State for
-// core.Neo.Restore to swap in, or an error wrapping one of the sentinels
+// core.Learner.Restore to swap in, or an error wrapping one of the sentinels
 // below. A container that fails at its last byte has changed nothing.
 //
 // The container doubles as the wire artifact of the distributed serving
@@ -98,9 +98,9 @@ const (
 	sectionExperience = "experience"
 )
 
-// State is everything a checkpoint carries: the learned state core.Neo
-// hands over in one piece (core.Neo.State / Restore) plus the two things
-// that live in the featurizer's configuration rather than in Neo.
+// State is everything a checkpoint carries: the learned state a core.Learner
+// hands over in one piece (State / Restore) plus the two things that live in
+// the featurizer's configuration rather than in Neo.
 type State struct {
 	core.State
 	// Encoding is the featurization the system was configured with.
@@ -156,10 +156,10 @@ func Save(w io.Writer, st *State) error {
 // effect on anything: the network is built here, fresh, for the receiver's
 // dimensions and configuration (a saved network of another architecture is
 // ErrMismatch), so nothing the caller serves from is touched until it hands
-// the result to core.Neo.Restore. A non-empty wantEncoding is checked against
-// the saved encoding first — a checkpoint from a differently configured system
-// may nevertheless share dimensions (1-hot vs histogram). Every error wraps
-// one of the package sentinels.
+// the result to core.Learner.Restore. A non-empty wantEncoding is checked
+// against the saved encoding first — a checkpoint from a differently
+// configured system may nevertheless share dimensions (1-hot vs histogram).
+// Every error wraps one of the package sentinels.
 func Load(r io.Reader, queryDim, planDim int, cfg valuenet.Config, wantEncoding string) (*State, error) {
 	secs, err := readContainer(r)
 	if err != nil {

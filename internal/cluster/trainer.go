@@ -163,7 +163,7 @@ func (t *Trainer) publish() error {
 	if t.rollout != nil {
 		rolling, target = t.rollout.pinned()
 	}
-	v := t.sys.Neo.NetVersion()
+	v := t.sys.Neo.Planner.NetVersion()
 	t.snapMu.Lock()
 	defer t.snapMu.Unlock()
 	if _, exists := t.snaps[v]; !exists {
@@ -228,7 +228,7 @@ func (t *Trainer) handleExperience(w http.ResponseWriter, r *http.Request) {
 	t.accepted.Add(uint64(len(entries)))
 	proto.WriteJSON(w, proto.ExperienceResponse{
 		Accepted:         len(entries),
-		Experience:       t.sys.Neo.Experience.Len(),
+		Experience:       t.sys.Neo.Learner.Experience.Len(),
 		RetrainTriggered: triggered,
 		NetVersion:       t.NetVersion(),
 	})
@@ -319,7 +319,7 @@ func (t *Trainer) Stats() proto.TrainerStats {
 		UptimeSeconds: time.Since(t.start).Seconds(),
 		NetVersion:    t.NetVersion(),
 		Versions:      t.versions(),
-		Experience:    t.sys.Neo.Experience.Len(),
+		Experience:    t.sys.Neo.Learner.Experience.Len(),
 		Batches:       t.batches.Load(),
 		Accepted:      t.accepted.Load(),
 		Retrains:      ls.Retrains,

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
 
+	"neo/internal/feature"
 	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/search"
@@ -388,5 +390,46 @@ func TestConcurrentBaselineAccess(t *testing.T) {
 	wg.Wait()
 	if _, ok := n.Baseline(q.ID); !ok {
 		t.Errorf("baseline should be set after concurrent writes")
+	}
+}
+
+// TestPlannerAloneServesIdentically: a Planner built with no Learner — its
+// own featurizer, no engine, network, experience or training RNG — serves,
+// once a trained system's snapshot and version are published into it, every
+// query of a seeded JOB workload the same plan, the same score bits and the
+// same version as the full system. The lone Planner's searches run
+// concurrently, as a replica's requests do.
+func TestPlannerAloneServesIdentically(t *testing.T) {
+	rig, _ := bootstrapRig(t)
+	n := rig.neo
+	p := NewPlanner(&feature.Featurizer{Catalog: rig.db.Catalog, Encoding: feature.Histogram, Stats: rig.st}, n.Config)
+	p.Publish(n.Snapshot(), n.NetVersion())
+
+	queries := rig.wl.Queries
+	got := make([]*CachedPlan, len(queries))
+	gotVersions := make([]uint64, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], gotVersions[i] = p.Cached(q, q.Signature())
+		}()
+	}
+	wg.Wait()
+	for i, q := range queries {
+		want, wantVersion := n.Cached(q, q.Signature())
+		if err := errors.Join(want.Err(), got[i].Err()); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		if g, w := got[i].Plan().String(), want.Plan().String(); g != w {
+			t.Errorf("%s: the lone Planner serves %s, the full system %s", q.ID, g, w)
+		}
+		if g, w := got[i].Result().Score, want.Result().Score; math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: the lone Planner scores %v, the full system %v", q.ID, g, w)
+		}
+		if gotVersions[i] != wantVersion || wantVersion == 0 {
+			t.Errorf("%s: the lone Planner serves version %d, the full system %d (want a trained, nonzero one)", q.ID, gotVersions[i], wantVersion)
+		}
 	}
 }

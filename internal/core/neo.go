@@ -87,57 +87,39 @@ const batchSize = 16
 // it a uniform subsample of the experience's construction states is kept.
 const maxTrainSamples = 3000
 
-// Neo is the learned optimizer: it featurizes queries, maintains experience,
-// trains the value network, and searches for plans with it.
+// Neo is the learned optimizer, the paper's Figure 1 loop as a pair: a
+// Planner that searches with the published value-network snapshot and a
+// Learner that executes plans, keeps the experience, retrains and publishes
+// to that Planner. Neo adds no field or method; it lets one value reach each
+// half's by promotion (n.Optimize, n.Retrain, n.Experience).
 //
-// Concurrency: plan search (Optimize, OptimizeCached, OptimizeGreedy, Scorer)
-// scores against an immutable snapshot of the value network and is safe to
-// call from any number of goroutines, including while a Retrain round trains
-// the live network on another goroutine or a Restore replaces the learned
-// state. Calls that mutate the experience (Bootstrap, Explore, RunEpisode)
-// must not overlap each other; the training rng is learned state, drawn only
-// under trainMu.
+// Concurrency: each half guards its own state. Planner methods load the
+// snapshot through one atomic pointer and take no lock but the baselines'
+// mutex, so they are safe from any number of goroutines, also while the
+// Learner retrains or restores. The Learner's trainMu serializes rounds,
+// State, Restore and every training-RNG draw; calls that mutate the
+// experience (Bootstrap, Explore, RunEpisode) must not overlap each other.
 type Neo struct {
-	Engine     *engine.Engine
+	*Planner
+	*Learner
+}
+
+// Planner serves plans from the value-network snapshot last published to
+// it, which it needs before it serves anything. It executes nothing and
+// reaches no learned state but that snapshot, so a node that only serves can
+// run a Planner alone.
+type Planner struct {
 	Featurizer *feature.Featurizer
-	// Net is the live network the training loop mutates and Restore replaces
-	// (the pointer, never the network behind it). Searches never read it —
-	// they score through the published snapshot — so reading Net from outside
-	// is safe only while no Retrain or Restore is in flight.
-	Net        *valuenet.Network // guarded by trainMu
-	Experience *Experience
 	Config     Config
 
-	// rng drives episode shuffling and minibatch shuffling. One shared
-	// stream, drawn in a fixed order, keeps training reproducible for a
-	// fixed seed. The stream is fed by rngSrc, a counting source: its
-	// (seed, draws) position is what State reads and Restore sets.
-	rng    *rand.Rand      // guarded by trainMu
-	rngSrc *countingSource // guarded by trainMu
-
-	// mu guards the cheap mutable state shared between concurrent planners
-	// and the training loop: per-query baselines (RelativeCost and
-	// normalised reporting) and training-time accounting.
-	mu sync.Mutex
-	// baseline holds per-query baseline latencies (used by RelativeCost and
-	// by the normalised-latency metrics the figures report).
-	baseline map[string]float64 // guarded by mu
-	// trainTime accumulates wall-clock time spent training the network,
-	// used by the Figure 11 training-time breakdown.
-	trainTime time.Duration // guarded by mu
-
-	// trainMu serializes everything that changes or copies the learned state
-	// as a whole: Retrain rounds, Restore and State, and every draw from the
-	// training rng.
-	trainMu sync.Mutex
 	// snap is the read-only network snapshot all searches score with,
-	// tagged with its version. Only publishLocked stores to it — at the end
-	// of a Retrain round or a Restore — so in-flight searches finish against
-	// the weights they started with while new searches pick up the new
-	// network (double buffering). Version, weights and the one thing derived
-	// from the weights — the plan cache — travel in one pointer, so a reader
-	// can never observe new weights under an old version, or a plan searched
-	// with other weights than the ones it is served under.
+	// tagged with its version. Only Publish stores to it, so in-flight
+	// searches finish against the weights they started with while new
+	// searches pick up the new network (double buffering). Version, weights
+	// and the one thing derived from the weights — the plan cache — travel in
+	// one pointer, so a reader can never observe new weights under an old
+	// version, or a plan searched with other weights than the ones it is
+	// served under.
 	snap atomic.Pointer[netSnapshot]
 
 	// planStats are the plan-cache hit/miss counters shared by every
@@ -148,6 +130,41 @@ type Neo struct {
 	// full best-first search (Config.Routing) and accounts decisions,
 	// planning latencies and execution regret per query class.
 	router *route.Router
+
+	mu sync.Mutex
+	// baseline holds per-query baseline latencies (used by RelativeCost and
+	// by the normalised-latency metrics the figures report).
+	baseline map[string]float64 // guarded by mu
+}
+
+// Learner trains: it executes plans on the engine, keeps the experience,
+// retrains the live network and publishes each round's weights to its
+// Planner, whose featurizer and configuration it uses.
+type Learner struct {
+	Engine *engine.Engine
+	// Net is the live network the training loop mutates and Restore replaces
+	// (the pointer, never the network behind it). Searches never read it —
+	// they score through the published snapshot — so reading Net from outside
+	// is safe only while no Retrain or Restore is in flight.
+	Net        *valuenet.Network // guarded by trainMu
+	Experience *Experience
+
+	// rng drives episode shuffling and minibatch shuffling. One shared
+	// stream, drawn in a fixed order, keeps training reproducible for a
+	// fixed seed. The stream is fed by rngSrc, a counting source: its
+	// (seed, draws) position is what State reads and Restore sets.
+	rng    *rand.Rand      // guarded by trainMu
+	rngSrc *countingSource // guarded by trainMu
+	// trainTime accumulates wall-clock time spent training the network,
+	// used by the Figure 11 training-time breakdown.
+	trainTime time.Duration // guarded by trainMu
+
+	// trainMu serializes everything that changes or copies the learned state
+	// as a whole: Retrain rounds, Restore and State, and every draw from the
+	// training rng.
+	trainMu sync.Mutex
+
+	planner *Planner
 }
 
 // netSnapshot pairs a frozen network with the version it was published as
@@ -192,13 +209,20 @@ func (s *countingSource) Uint64() uint64 { v := s.source().Uint64(); s.draws++; 
 // Seed implements rand.Source.
 func (s *countingSource) Seed(seed int64) { *s = countingSource{seed: seed} }
 
-// New creates a Neo instance bound to a target engine and featurizer.
-// Zero SearchExpansions, TrainEpochs and Seed are filled from DefaultConfig;
-// the other fields are kept as given. ValueNet is taken whole or not at all:
-// a config with no QueryLayers is replaced by DefaultConfig's entire network
+// New creates a Neo instance bound to a target engine and featurizer: a
+// NewPlanner and a NewLearner over it.
+func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
+	p := NewPlanner(feat, cfg)
+	return &Neo{p, NewLearner(eng, p)}
+}
+
+// NewPlanner creates a Planner with no snapshot to serve yet. Zero
+// SearchExpansions, TrainEpochs and Seed are filled from DefaultConfig; the
+// other fields are kept as given. ValueNet is taken whole or not at all: a
+// config with no QueryLayers is replaced by DefaultConfig's entire network
 // config, its other fields (LearningRate, Seed, …) included. A zero
 // Config.Cost already is the default WorkloadCost.
-func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
+func NewPlanner(feat *feature.Featurizer, cfg Config) *Planner {
 	def := DefaultConfig()
 	if cfg.SearchExpansions == 0 {
 		cfg.SearchExpansions = def.SearchExpansions
@@ -212,57 +236,49 @@ func New(eng *engine.Engine, feat *feature.Featurizer, cfg Config) *Neo {
 	if len(cfg.ValueNet.QueryLayers) == 0 {
 		cfg.ValueNet = def.ValueNet
 	}
-	net := valuenet.New(feat.QueryVectorSize(), feat.PlanVectorSize(), cfg.ValueNet)
-	src := &countingSource{seed: cfg.Seed}
-	n := &Neo{
-		Engine:     eng,
-		Featurizer: feat,
-		Net:        net,
-		Experience: NewExperience(),
-		Config:     cfg,
-		rng:        rand.New(src),
-		rngSrc:     src,
-		baseline:   make(map[string]float64),
-		router:     route.New(cfg.Routing, route.Policy{}),
-	}
-	n.publishLocked(0)
-	return n
+	return &Planner{Featurizer: feat, Config: cfg, baseline: make(map[string]float64), router: route.New(cfg.Routing, route.Policy{})}
+}
+
+// NewLearner creates a Learner with a fresh network of p's configuration
+// and publishes that network to p as version 0.
+func NewLearner(eng *engine.Engine, p *Planner) *Learner {
+	src := &countingSource{seed: p.Config.Seed}
+	net := valuenet.New(p.Featurizer.QueryVectorSize(), p.Featurizer.PlanVectorSize(), p.Config.ValueNet)
+	p.Publish(net.Snapshot(), 0)
+	return &Learner{Engine: eng, Net: net, Experience: NewExperience(), rng: rand.New(src), rngSrc: src, planner: p}
 }
 
 // SnapshotInfo reports the serving snapshot's memory footprint. Safe for
 // concurrent use.
-func (n *Neo) SnapshotInfo() valuenet.SnapshotInfo { return n.Snapshot().Info() }
+func (p *Planner) SnapshotInfo() valuenet.SnapshotInfo { return p.Snapshot().Info() }
 
 // TrainingTime returns the cumulative wall-clock time spent training the
-// value network.
-func (n *Neo) TrainingTime() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.trainTime
+// value network. It waits for a retraining round in flight.
+func (l *Learner) TrainingTime() time.Duration {
+	l.trainMu.Lock()
+	defer l.trainMu.Unlock()
+	return l.trainTime
 }
 
 // Snapshot returns the read-only value-network snapshot searches currently
 // score with. Safe for concurrent use.
-func (n *Neo) Snapshot() *valuenet.Snapshot { return n.snap.Load().net }
+func (p *Planner) Snapshot() *valuenet.Snapshot { return p.snap.Load().net }
 
 // NetVersion returns the version of the serving snapshot: it increments
 // whenever a retraining round publishes new weights, and Restore sets it
 // explicitly. To learn which version a particular plan was searched with,
 // use the one OptimizeCached returns alongside it.
-func (n *Neo) NetVersion() uint64 { return n.snap.Load().version }
+func (p *Planner) NetVersion() uint64 { return p.snap.Load().version }
 
-// publishLocked is the one place learned state changes hands: it freezes the
-// live network's weights and stores them as the serving snapshot — weights,
-// version and an empty plan cache (all caches share one planCounters, so the
-// statistics survive swaps) in one atomic pointer. Nothing a reader can
-// reach is ever mutated; state is only replaced here. Callers hold trainMu,
-// which also serializes versions.
-func (n *Neo) publishLocked(version uint64) {
-	n.snap.Store(&netSnapshot{
-		net:     n.Net.Snapshot(),
-		version: version,
-		plans:   &planCache{counters: &n.planStats, entries: make(map[string]*CachedPlan)},
-	})
+// Publish is the one place learned state reaches the serving side: it makes
+// snap the serving snapshot under version, with an empty plan cache (all
+// caches share one planCounters, so the statistics survive swaps), in one
+// atomic pointer. Nothing a reader can reach is ever mutated; state is only
+// replaced here. A Learner publishes under its trainMu, which orders its
+// versions. Safe for concurrent use with every serving method.
+func (p *Planner) Publish(snap *valuenet.Snapshot, version uint64) {
+	plans := &planCache{counters: &p.planStats, entries: make(map[string]*CachedPlan)}
+	p.snap.Store(&netSnapshot{net: snap, version: version, plans: plans})
 }
 
 // State is the learned state of a Neo instance, handed over in one piece:
@@ -285,70 +301,79 @@ type State struct {
 	Baselines map[string]float64
 }
 
-// State returns a consistent copy of the learned state. It waits for a
-// retraining round in flight; planning keeps running. Calls that mutate the
-// experience outside a retraining round (Bootstrap, RunEpisode) must not
-// overlap it.
-func (n *Neo) State() State {
-	n.trainMu.Lock()
-	defer n.trainMu.Unlock()
-	st := State{NetVersion: n.NetVersion(), RNGSeed: n.rngSrc.seed, RNGDraws: n.rngSrc.draws,
-		Net: n.Net.CloneTrainable(), Experience: n.Experience.Entries()}
-	n.mu.Lock()
-	st.TrainTime, st.Baselines = n.trainTime, maps.Clone(n.baseline)
-	n.mu.Unlock()
-	return st
+// State returns a consistent copy of the learned state, the Planner's
+// serving version and baselines included. It waits for a retraining round
+// in flight; planning keeps running. Calls that mutate the experience
+// outside a retraining round (Bootstrap, RunEpisode) must not overlap it.
+func (l *Learner) State() State {
+	l.trainMu.Lock()
+	defer l.trainMu.Unlock()
+	return State{NetVersion: l.planner.NetVersion(), RNGSeed: l.rngSrc.seed, RNGDraws: l.rngSrc.draws,
+		TrainTime: l.trainTime, Net: l.Net.CloneTrainable(), Experience: l.Experience.Entries(),
+		Baselines: l.planner.baselines()}
 }
 
-// Restore replaces the learned state with st and publishes st.Net as the
-// serving snapshot under st.NetVersion, exactly as a Retrain round publishes
-// its result: searches in flight finish on the snapshot they pinned, later
-// ones see the new weights and an empty plan cache. st.Net must have been
-// built for this instance's featurizer dimensions and Config.ValueNet; the
-// training RNG resumes at (RNGSeed, RNGDraws), so resumed training shuffles
-// minibatches identically to an uninterrupted run. Restore only sets that
-// position; the next draw, if any, rebuilds the stream up to it. Safe to
-// call while planning is in flight.
-func (n *Neo) Restore(st State) {
-	baseline := make(map[string]float64, len(st.Baselines))
-	maps.Copy(baseline, st.Baselines)
-
-	n.trainMu.Lock()
-	defer n.trainMu.Unlock()
-	n.Net = st.Net
-	n.Experience.Restore(st.Experience)
-	n.rngSrc = &countingSource{seed: st.RNGSeed, draws: st.RNGDraws}
-	n.rng = rand.New(n.rngSrc)
-	n.mu.Lock()
-	n.baseline, n.trainTime = baseline, st.TrainTime
-	n.mu.Unlock()
-	n.publishLocked(st.NetVersion)
+// Restore replaces the learned state with st, sets the Planner's baselines
+// and publishes st.Net to it under st.NetVersion, exactly as a Retrain round
+// publishes its result: searches in flight finish on the snapshot they
+// pinned, later ones see the new weights and an empty plan cache. st.Net
+// must have been built for this instance's featurizer dimensions and
+// Config.ValueNet; the training RNG resumes at (RNGSeed, RNGDraws), so
+// resumed training shuffles minibatches identically to an uninterrupted run.
+// Restore only sets that position; the next draw, if any, rebuilds the
+// stream up to it. Safe to call while planning is in flight.
+func (l *Learner) Restore(st State) {
+	l.trainMu.Lock()
+	defer l.trainMu.Unlock()
+	l.Net = st.Net
+	l.Experience.Restore(st.Experience)
+	l.rngSrc = &countingSource{seed: st.RNGSeed, draws: st.RNGDraws}
+	l.rng = rand.New(l.rngSrc)
+	l.trainTime = st.TrainTime
+	l.planner.setBaselines(st.Baselines)
+	l.planner.Publish(l.Net.Snapshot(), st.NetVersion)
 }
 
 // SetBaseline records the per-query baseline latencies used by the
 // RelativeCost objective and by normalised reporting (typically the latency
 // of the expert's plan on the target engine). Safe for concurrent use.
-func (n *Neo) SetBaseline(id string, latency float64) {
+func (p *Planner) SetBaseline(id string, latency float64) {
 	if latency > 0 {
-		n.mu.Lock()
-		n.baseline[id] = latency
-		n.mu.Unlock()
+		p.mu.Lock()
+		p.baseline[id] = latency
+		p.mu.Unlock()
 	}
 }
 
 // Baseline returns the baseline latency for a query (and whether one is set).
 // Safe for concurrent use.
-func (n *Neo) Baseline(id string) (float64, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	v, ok := n.baseline[id]
+func (p *Planner) Baseline(id string) (float64, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	v, ok := p.baseline[id]
 	return v, ok
 }
 
+// baselines returns a copy of every baseline, for State.
+func (p *Planner) baselines() map[string]float64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return maps.Clone(p.baseline)
+}
+
+// setBaselines replaces every baseline with a copy of m, for Restore.
+func (p *Planner) setBaselines(m map[string]float64) {
+	fresh := make(map[string]float64, len(m))
+	maps.Copy(fresh, m)
+	p.mu.Lock()
+	p.baseline = fresh
+	p.mu.Unlock()
+}
+
 // cost converts an experience entry's latency into the configured cost.
-func (n *Neo) cost(e Entry) float64 {
-	if n.Config.Cost == RelativeCost {
-		if base, ok := n.Baseline(e.Query.ID); ok && base > 0 {
+func (l *Learner) cost(e Entry) float64 {
+	if l.planner.Config.Cost == RelativeCost {
+		if base, ok := l.planner.Baseline(e.Query.ID); ok && base > 0 {
 			return e.Latency / base
 		}
 	}
@@ -360,20 +385,20 @@ func (n *Neo) cost(e Entry) float64 {
 // executed on the target engine, the plan/latency pair is added to the
 // experience, and the latency is recorded as the query's baseline. It then
 // trains the value network on the collected demonstrations.
-func (n *Neo) Bootstrap(queries []*query.Query, expert func(*query.Query) (*plan.Plan, error)) error {
+func (l *Learner) Bootstrap(queries []*query.Query, expert func(*query.Query) (*plan.Plan, error)) error {
 	for _, q := range queries {
 		p, err := expert(q)
 		if err != nil {
 			return fmt.Errorf("core: expert failed on query %s: %w", q.ID, err)
 		}
-		lat, _, err := n.Engine.Execute(p)
+		lat, _, err := l.Engine.Execute(p)
 		if err != nil {
 			return fmt.Errorf("core: executing expert plan for %s: %w", q.ID, err)
 		}
-		n.Experience.Add(q, p, lat)
-		n.SetBaseline(q.ID, lat)
+		l.Experience.Add(q, p, lat)
+		l.planner.SetBaseline(q.ID, lat)
 	}
-	n.Retrain()
+	l.Retrain()
 	return nil
 }
 
@@ -382,15 +407,15 @@ func (n *Neo) Bootstrap(queries []*query.Query, expert func(*query.Query) (*plan
 // (internal/experiments): Bootstrap on the expert's plans for queries, then
 // Explore two plans per query from a random planner seeded Config.Seed+101.
 // Each of the two rounds retrains.
-func (n *Neo) BootstrapFromExpert(queries []*query.Query, pg *expert.Optimizer) error {
-	if err := n.Bootstrap(queries, func(q *query.Query) (*plan.Plan, error) {
+func (l *Learner) BootstrapFromExpert(queries []*query.Query, pg *expert.Optimizer) error {
+	if err := l.Bootstrap(queries, func(q *query.Query) (*plan.Plan, error) {
 		p, _, err := pg.Optimize(q)
 		return p, err
 	}); err != nil {
 		return err
 	}
-	rp := expert.NewRandomPlanner(n.Featurizer.Catalog, n.Config.Seed+101)
-	return n.Explore(queries, rp.Plan, 2)
+	rp := expert.NewRandomPlanner(l.planner.Featurizer.Catalog, l.planner.Config.Seed+101)
+	return l.Explore(queries, rp.Plan, 2)
 }
 
 // Explore executes additional (typically randomly generated) plans for the
@@ -400,7 +425,7 @@ func (n *Neo) BootstrapFromExpert(queries []*query.Query, pg *expert.Optimizer) 
 // plans for the same query — which substantially improves early plan ranking
 // when the training workload is small. (The paper collects only the expert
 // plan per query; this is an enrichment BootstrapFromExpert always makes.)
-func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.Plan, perQuery int) error {
+func (l *Learner) Explore(queries []*query.Query, planner func(*query.Query) *plan.Plan, perQuery int) error {
 	if perQuery <= 0 {
 		return nil
 	}
@@ -410,14 +435,14 @@ func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.P
 			if p == nil || !p.IsComplete() {
 				continue
 			}
-			lat, _, err := n.Engine.Execute(p)
+			lat, _, err := l.Engine.Execute(p)
 			if err != nil {
 				return fmt.Errorf("core: exploring plan for %s: %w", q.ID, err)
 			}
-			n.Experience.Add(q, p, lat)
+			l.Experience.Add(q, p, lat)
 		}
 	}
-	n.Retrain()
+	l.Retrain()
 	return nil
 }
 
@@ -426,11 +451,11 @@ func (n *Neo) Explore(queries []*query.Query, planner func(*query.Query) *plan.P
 // itself plus the partial plans along its bottom-up construction, each
 // labelled with the minimum cost of any complete plan of that snapshot that
 // contains it. Beyond keep states it shuffles the (entry, state) pairs with
-// n.rng — the draws depend only on the count, which numStates gives without
+// l.rng — the draws depend only on the count, which numStates gives without
 // building anything — and builds only the first keep, in that order: the
 // samples shuffling them all would keep. The caller holds trainMu.
-func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
-	entries := n.Experience.Entries()
+func (l *Learner) trainingSamplesLocked(keep int) []valuenet.Sample {
+	entries := l.Experience.Entries()
 	type state struct{ entry, index int }
 	var states []state
 	for e, entry := range entries {
@@ -439,10 +464,10 @@ func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
 		}
 	}
 	if len(states) > keep {
-		n.rng.Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
+		l.rng.Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
 		states = states[:keep]
 	}
-	targets := newTargets(entries, n.cost)
+	targets := newTargets(entries, l.cost)
 	// Every sample of one query shares one encoding slice: that identity is
 	// what valuenet deduplicates the query tower on. The kept states of one
 	// entry share their subtrees: one node table and one encoder over it,
@@ -460,18 +485,18 @@ func (n *Neo) trainingSamplesLocked(keep int) []valuenet.Sample {
 		b, ok := entryStates[st.entry]
 		if !ok {
 			nodes := plan.NewNodes()
-			b = built{constructionStates(entry.Plan, nodes), n.Featurizer.NewPlanEncoder(entry.Query, nodes)}
+			b = built{constructionStates(entry.Plan, nodes), l.planner.Featurizer.NewPlanEncoder(entry.Query, nodes)}
 			entryStates[st.entry] = b
 		}
 		qEnc, ok := encodings[entry.Query.ID]
 		if !ok {
-			qEnc = n.Featurizer.EncodeQuery(entry.Query)
+			qEnc = l.planner.Featurizer.EncodeQuery(entry.Query)
 			encodings[entry.Query.ID] = qEnc
 		}
 		partial := b.states[st.index]
 		target, ok := targets.of(partial)
 		if !ok {
-			target = n.cost(entry)
+			target = l.cost(entry)
 		}
 		samples = append(samples, valuenet.Sample{
 			Query:  qEnc,
@@ -563,23 +588,21 @@ func constructionStates(p *plan.Plan, nodes *plan.Nodes) []*plan.Plan {
 // training loss. Retraining rounds are serialized; plan searches may run
 // concurrently — they keep scoring with the previous snapshot until the
 // swap.
-func (n *Neo) Retrain() float64 { return n.retrain(maxTrainSamples) }
+func (l *Learner) Retrain() float64 { return l.retrain(maxTrainSamples) }
 
 // retrain is Retrain keeping at most keep training samples.
-func (n *Neo) retrain(keep int) float64 {
-	n.trainMu.Lock()
-	defer n.trainMu.Unlock()
-	samples := n.trainingSamplesLocked(keep)
+func (l *Learner) retrain(keep int) float64 {
+	l.trainMu.Lock()
+	defer l.trainMu.Unlock()
+	samples := l.trainingSamplesLocked(keep)
 	if len(samples) == 0 {
 		return 0
 	}
 	start := time.Now() //neo:lint-ok walltime training-time accounting for the retrain budget; never feeds the model
-	loss := n.Net.Train(samples, n.Config.TrainEpochs, batchSize, n.rng)
+	loss := l.Net.Train(samples, l.planner.Config.TrainEpochs, batchSize, l.rng)
 	elapsed := time.Since(start) //neo:lint-ok walltime training-time accounting for the retrain budget; never feeds the model
-	n.mu.Lock()
-	n.trainTime += elapsed
-	n.mu.Unlock()
-	n.publishLocked(n.NetVersion() + 1)
+	l.trainTime += elapsed
+	l.planner.Publish(l.Net.Snapshot(), l.planner.NetVersion()+1)
 	return loss
 }
 
@@ -631,12 +654,12 @@ func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 // retraining round swaps the snapshot mid-search. Each returned scorer
 // carries its own scratch state, so concurrent searches use separate Scorer
 // instances (see pkg/neo's PlanAll).
-func (n *Neo) Scorer(q *query.Query) search.BatchScorer { return n.scorerOn(n.snap.Load(), q) }
+func (p *Planner) Scorer(q *query.Query) search.BatchScorer { return p.scorerOn(p.snap.Load(), q) }
 
-func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) *netScorer {
+func (p *Planner) scorerOn(ns *netSnapshot, q *query.Query) *netScorer {
 	nodes := plan.NewNodes()
-	enc := n.Featurizer.NewPlanEncoder(q, nodes)
-	return &netScorer{nodes: nodes, enc: enc, net: ns.net.NewScorer(n.Featurizer.EncodeQuery(q), enc)}
+	enc := p.Featurizer.NewPlanEncoder(q, nodes)
+	return &netScorer{nodes: nodes, enc: enc, net: ns.net.NewScorer(p.Featurizer.EncodeQuery(q), enc)}
 }
 
 // Optimize plans q: the router (Config.Routing) dispatches the query either
@@ -649,8 +672,8 @@ func (n *Neo) scorerOn(ns *netSnapshot, q *query.Query) *netScorer {
 // regret. Optimize always plans afresh — episodes and the Figure 14
 // error-injection experiments must re-plan; serving goes through
 // OptimizeCached.
-func (n *Neo) Optimize(q *query.Query) (*plan.Plan, *search.Result, error) {
-	return n.optimizeOn(n.snap.Load(), q)
+func (p *Planner) Optimize(q *query.Query) (*plan.Plan, *search.Result, error) {
+	return p.optimizeOn(p.snap.Load(), q)
 }
 
 // OptimizeCached is Optimize through the serving snapshot's plan cache:
@@ -661,10 +684,10 @@ func (n *Neo) Optimize(q *query.Query) (*plan.Plan, *search.Result, error) {
 // the lookup, the search, the store and the returned version, so version is
 // by construction the one whose weights scored the plan, whatever swaps land
 // meanwhile. Safe for concurrent use.
-func (n *Neo) OptimizeCached(q *query.Query) (p *plan.Plan, res *search.Result, version uint64, err error) {
-	e, version := n.Cached(q, q.Signature())
-	p, res, err = e.Bind(q)
-	return p, res, version, err
+func (p *Planner) OptimizeCached(q *query.Query) (*plan.Plan, *search.Result, uint64, error) {
+	e, version := p.Cached(q, q.Signature())
+	bound, res, err := e.Bind(q)
+	return bound, res, version, err
 }
 
 // Cached is OptimizeCached for a caller that already holds q's
@@ -672,43 +695,43 @@ func (n *Neo) OptimizeCached(q *query.Query) (p *plan.Plan, res *search.Result, 
 // searched for q on a miss, for whichever query first had the structure on a
 // hit (Bind re-binds it) — and the version of the snapshot it belongs to.
 // Check the entry's Err. Safe for concurrent use.
-func (n *Neo) Cached(q *query.Query, sig string) (*CachedPlan, uint64) {
-	ns := n.snap.Load()
-	return ns.plans.get(sig, func() (*plan.Plan, *search.Result, error) { return n.optimizeOn(ns, q) }), ns.version
+func (p *Planner) Cached(q *query.Query, sig string) (*CachedPlan, uint64) {
+	ns := p.snap.Load()
+	return ns.plans.get(sig, func() (*plan.Plan, *search.Result, error) { return p.optimizeOn(ns, q) }), ns.version
 }
 
 // PlanCacheStats reports the lifetime hit/miss counters and the serving
 // snapshot's cache size and version. Safe for concurrent use.
-func (n *Neo) PlanCacheStats() PlanCacheStats {
-	ns := n.snap.Load()
+func (p *Planner) PlanCacheStats() PlanCacheStats {
+	ns := p.snap.Load()
 	return PlanCacheStats{
-		Hits:    n.planStats.hits.Load(),
-		Misses:  n.planStats.misses.Load(),
+		Hits:    p.planStats.hits.Load(),
+		Misses:  p.planStats.misses.Load(),
 		Size:    ns.plans.size(),
 		Version: ns.version,
 	}
 }
 
-func (n *Neo) optimizeOn(ns *netSnapshot, q *query.Query) (*plan.Plan, *search.Result, error) {
-	if dec := n.router.Decide(q); dec.Fastpath {
-		fr, err := fastpath.Plan(q, n.Featurizer.Catalog)
+func (p *Planner) optimizeOn(ns *netSnapshot, q *query.Query) (*plan.Plan, *search.Result, error) {
+	if dec := p.router.Decide(q); dec.Fastpath {
+		fr, err := fastpath.Plan(q, p.Featurizer.Catalog)
 		if err != nil {
 			return nil, nil, err
 		}
-		n.router.RecordFastpathLatency(dec.Class, fr.Elapsed)
+		p.router.RecordFastpathLatency(dec.Class, fr.Elapsed)
 		res := &search.Result{
 			Plan:       fr.Plan,
-			Score:      fastpath.Cost(fr.Plan, n.Featurizer.Catalog),
+			Score:      fastpath.Cost(fr.Plan, p.Featurizer.Catalog),
 			Expansions: fr.Steps,
 			Elapsed:    fr.Elapsed,
 		}
 		return fr.Plan, res, nil
 	}
 	opts := search.Options{
-		Catalog:       n.Featurizer.Catalog,
-		MaxExpansions: n.Config.SearchExpansions,
+		Catalog:       p.Featurizer.Catalog,
+		MaxExpansions: p.Config.SearchExpansions,
 	}
-	res, err := search.BestFirst(q, n.scorerOn(ns, q), opts)
+	res, err := search.BestFirst(q, p.scorerOn(ns, q), opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -718,7 +741,7 @@ func (n *Neo) optimizeOn(ns *netSnapshot, q *query.Query) (*plan.Plan, *search.R
 // RouteStats snapshots the router's per-class decision counters, fast-path
 // planning-latency percentiles and regret accounting. Safe for concurrent
 // use.
-func (n *Neo) RouteStats() route.StatsSnapshot { return n.router.Stats() }
+func (p *Planner) RouteStats() route.StatsSnapshot { return p.router.Stats() }
 
 // ObserveLatency feeds one executed query's measured latency into the
 // router's regret accounting. For a class currently served by the fast
@@ -730,15 +753,15 @@ func (n *Neo) RouteStats() route.StatsSnapshot { return n.router.Stats() }
 // the full search. A no-op (and inference-free) unless routing is Auto and
 // the class is on the fast path, so callers can invoke it unconditionally
 // on every execution.
-func (n *Neo) ObserveLatency(q *query.Query, observedMS float64) {
-	if observedMS <= 0 || !n.router.NeedsOutcome(q) {
+func (p *Planner) ObserveLatency(q *query.Query, observedMS float64) {
+	if observedMS <= 0 || !p.router.NeedsOutcome(q) {
 		return
 	}
-	if n.Config.Cost == RelativeCost {
+	if p.Config.Cost == RelativeCost {
 		// Under the relative objective the network predicts latency divided
 		// by the per-query baseline; bring the observation into the same
 		// units (skip the sample when no baseline is known yet).
-		base, ok := n.Baseline(q.ID)
+		base, ok := p.Baseline(q.ID)
 		if !ok || base <= 0 {
 			return
 		}
@@ -746,16 +769,16 @@ func (n *Neo) ObserveLatency(q *query.Query, observedMS float64) {
 	}
 	// ScoreBatch predicts in the original cost domain, so the
 	// observed/estimated ratio is unit-free.
-	sc := n.scorerOn(n.snap.Load(), q)
+	sc := p.scorerOn(p.snap.Load(), q)
 	estimate := sc.ScoreBatch([]*plan.Plan{plan.Initial(q, sc.nodes)})[0]
-	n.router.RecordOutcome(route.Classify(q).Key(), observedMS, estimate)
+	p.router.RecordOutcome(route.Classify(q).Key(), observedMS, estimate)
 }
 
 // OptimizeGreedy builds a plan greedily (the "hurry-up"/Q-learning-style
 // ablation of Section 4.2).
-func (n *Neo) OptimizeGreedy(q *query.Query) (*plan.Plan, *search.Result, error) {
-	opts := search.Options{Catalog: n.Featurizer.Catalog}
-	res, err := search.Greedy(q, n.Scorer(q), opts)
+func (p *Planner) OptimizeGreedy(q *query.Query) (*plan.Plan, *search.Result, error) {
+	opts := search.Options{Catalog: p.Featurizer.Catalog}
+	res, err := search.Greedy(q, p.Scorer(q), opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -793,18 +816,18 @@ type planExec struct {
 // order, so the engine's noise stream is drawn in exactly the order the
 // serial loop would draw it, and results are bit-identical to serial
 // execution for a fixed seed no matter how many workers raced.
-func (n *Neo) planAndSimulate(queries []*query.Query) []planExec {
+func (l *Learner) planAndSimulate(queries []*query.Query) []planExec {
 	out := make([]planExec, len(queries))
-	nn.Parallel(runtime.GOMAXPROCS(0), len(queries), func(i int) { out[i] = n.planAndSimulateOne(queries[i]) })
+	nn.Parallel(runtime.GOMAXPROCS(0), len(queries), func(i int) { out[i] = l.planAndSimulateOne(queries[i]) })
 	return out
 }
 
-func (n *Neo) planAndSimulateOne(q *query.Query) planExec {
-	p, _, err := n.Optimize(q)
+func (l *Learner) planAndSimulateOne(q *query.Query) planExec {
+	p, _, err := l.planner.Optimize(q)
 	if err != nil {
 		return planExec{err: err}
 	}
-	base, _, err := n.Engine.Simulate(p)
+	base, _, err := l.Engine.Simulate(p)
 	if err != nil {
 		return planExec{err: err}
 	}
@@ -820,25 +843,25 @@ func (n *Neo) planAndSimulateOne(q *query.Query) planExec {
 // happen in deterministic order — so the returned EpisodeStats (and all
 // downstream training state) are bit-identical for a fixed seed, whatever
 // the pool size.
-func (n *Neo) RunEpisode(episode int, queries []*query.Query) (*EpisodeStats, error) {
+func (l *Learner) RunEpisode(episode int, queries []*query.Query) (*EpisodeStats, error) {
 	stats := &EpisodeStats{Episode: episode, QueryLatencies: make(map[string]float64)}
 	shuffled := append([]*query.Query(nil), queries...)
-	n.trainMu.Lock()
-	n.rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	n.trainMu.Unlock()
+	l.trainMu.Lock()
+	l.rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	l.trainMu.Unlock()
 
-	execs := n.planAndSimulate(shuffled)
+	execs := l.planAndSimulate(shuffled)
 	baseTotal := 0.0
 	for i, q := range shuffled {
 		if err := execs[i].err; err != nil {
 			return nil, fmt.Errorf("core: episode %d query %s: %w", episode, q.ID, err)
 		}
-		lat := n.Engine.Commit(execs[i].base)
-		n.Experience.Add(q, execs[i].plan, lat)
-		n.ObserveLatency(q, lat)
+		lat := l.Engine.Commit(execs[i].base)
+		l.Experience.Add(q, execs[i].plan, lat)
+		l.planner.ObserveLatency(q, lat)
 		stats.TotalLatency += lat
 		stats.QueryLatencies[q.ID] = lat
-		if base, ok := n.Baseline(q.ID); ok {
+		if base, ok := l.planner.Baseline(q.ID); ok {
 			baseTotal += base
 		} else {
 			baseTotal += lat
@@ -847,7 +870,7 @@ func (n *Neo) RunEpisode(episode int, queries []*query.Query) (*EpisodeStats, er
 	if baseTotal > 0 {
 		stats.NormalizedLatency = stats.TotalLatency / baseTotal
 	}
-	stats.TrainLoss = n.Retrain()
+	stats.TrainLoss = l.Retrain()
 	return stats, nil
 }
 
@@ -856,15 +879,15 @@ func (n *Neo) RunEpisode(episode int, queries []*query.Query) (*EpisodeStats, er
 // per-query latencies. Like RunEpisode, searches and plan simulations fan out
 // over GOMAXPROCS workers while the engine's noise draws commit in input order, so
 // per-query plans and latencies are identical for a fixed seed.
-func (n *Neo) Evaluate(queries []*query.Query) (float64, map[string]float64, error) {
-	execs := n.planAndSimulate(queries)
+func (l *Learner) Evaluate(queries []*query.Query) (float64, map[string]float64, error) {
+	execs := l.planAndSimulate(queries)
 	perQuery := make(map[string]float64, len(queries))
 	total := 0.0
 	for i, q := range queries {
 		if execs[i].err != nil {
 			return 0, nil, execs[i].err
 		}
-		lat := n.Engine.Commit(execs[i].base)
+		lat := l.Engine.Commit(execs[i].base)
 		perQuery[q.ID] = lat
 		total += lat
 	}

@@ -20,7 +20,7 @@ type PlanCacheStats struct {
 	Misses uint64 `json:"misses"`
 	// Size is the number of plans the serving snapshot currently caches.
 	Size int `json:"size"`
-	// Version is the serving snapshot's version (see Neo.NetVersion).
+	// Version is the serving snapshot's version (see Planner.NetVersion).
 	Version uint64 `json:"version"`
 }
 

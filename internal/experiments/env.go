@@ -283,9 +283,9 @@ func (e *Env) neoConfig(costFn core.CostFunction) core.Config {
 }
 
 // TrainNeo runs the served system's training protocol (the bootstrap of
-// core.Neo.BootstrapFromExpert, then Episodes of refinement) for one engine,
-// workload and encoding, and returns the trained instance along with the
-// baselines and the learning curve.
+// core.Learner.BootstrapFromExpert, then Episodes of refinement) for one
+// engine, workload and encoding, and returns the trained instance along with
+// the baselines and the learning curve.
 func (e *Env) TrainNeo(workloadName, engineName string, enc feature.Encoding, costFn core.CostFunction, trackCurve bool) (*TrainedRun, error) {
 	eng, err := e.Engine(workloadName, engineName)
 	if err != nil {
@@ -346,7 +346,7 @@ func (e *Env) TrainNeo(workloadName, engineName string, enc feature.Encoding, co
 // total latency relative to the native optimizer's plans on the same engine
 // (the paper's "relative performance", Figure 9).
 func (r *TrainedRun) EvaluateRelative() (float64, error) {
-	total, _, err := r.Neo.Evaluate(r.Test)
+	total, _, err := r.Neo.Learner.Evaluate(r.Test)
 	if err != nil {
 		return 0, err
 	}

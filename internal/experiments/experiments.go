@@ -136,7 +136,7 @@ func Figure11(env *Env) (*Report, error) {
 		pgRel := run.PGTestLatency / max(run.NativeTestLatency, 1e-9)
 		pgEp := firstAtOrBelow(run.Curve, pgRel)
 		natEp := firstAtOrBelow(run.Curve, 1.0)
-		nn := run.Neo.TrainingTime().Seconds()
+		nn := run.Neo.Learner.TrainingTime().Seconds()
 		exec := run.Engine.SimulatedTimeMS() / 1000
 		addMilestone := func(name string, ep int) {
 			if ep < 0 {
@@ -217,18 +217,18 @@ func Figure13(env *Env) (*Report, error) {
 			}
 			nativeTotal += lat
 		}
-		beforeTotal, _, err := run.Neo.Evaluate(ext)
+		beforeTotal, _, err := run.Neo.Learner.Evaluate(ext)
 		if err != nil {
 			return nil, err
 		}
 		// Five additional episodes over train ∪ ext (learning the new queries).
 		combined := append(append([]*query.Query{}, run.Train...), ext...)
 		for ep := 1; ep <= 5; ep++ {
-			if _, err := run.Neo.RunEpisode(env.Config.Episodes+ep, combined); err != nil {
+			if _, err := run.Neo.Learner.RunEpisode(env.Config.Episodes+ep, combined); err != nil {
 				return nil, err
 			}
 		}
-		afterTotal, _, err := run.Neo.Evaluate(ext)
+		afterTotal, _, err := run.Neo.Learner.Evaluate(ext)
 		if err != nil {
 			return nil, err
 		}
@@ -240,10 +240,10 @@ func Figure13(env *Env) (*Report, error) {
 
 // Figure14 reproduces the robustness experiment of Figure 14: two value
 // models are trained with an extra per-node cardinality feature (PostgreSQL
-// histogram estimates vs. true cardinalities); the spread of network outputs
-// under injected cardinality error (0, 2 and 5 orders of magnitude) is then
-// measured separately for plans with at most 3 joins and with more than 3
-// joins.
+// histogram estimates vs. true cardinalities); the spread of the network
+// outputs' shift under injected cardinality error (2 and 5 orders of
+// magnitude) from the unperturbed outputs is then measured separately for
+// plans with at most 3 joins and with more than 3 joins.
 func Figure14(env *Env) (*Report, error) {
 	rep := &Report{
 		Name:   "figure14",
@@ -282,7 +282,7 @@ func Figure14(env *Env) (*Report, error) {
 		// Evaluate output shift per join bucket and error level.
 		for _, bucket := range []string{"<=3", ">3"} {
 			base := outputsForBucket(n, bucket, 0, env.Config.Seed)
-			for _, orders := range []float64{0, 2, 5} {
+			for _, orders := range []float64{2, 5} {
 				shifted := outputsForBucket(n, bucket, orders, env.Config.Seed+int64(orders))
 				rep.AddRow(source.name, bucket, fmt.Sprintf("%.0f", orders), stddevDiff(base, shifted))
 			}
@@ -354,7 +354,7 @@ func Figure15(env *Env) (*Report, error) {
 		improved, regressed := 0, 0
 		worst, saved := 0.0, 0.0
 		for _, q := range queries {
-			p, _, err := run.Neo.Optimize(q)
+			p, _, err := run.Neo.Planner.Optimize(q)
 			if err != nil {
 				return nil, err
 			}
@@ -422,8 +422,8 @@ func Figure16(env *Env) (*Report, error) {
 		for bi, budget := range budgets {
 			total := 0.0
 			for _, q := range group {
-				res, err := search.BestFirst(q, run.Neo.Scorer(q), search.Options{
-					Catalog:       run.Neo.Featurizer.Catalog,
+				res, err := search.BestFirst(q, run.Neo.Planner.Scorer(q), search.Options{
+					Catalog:       run.Neo.Planner.Featurizer.Catalog,
 					MaxExpansions: budget,
 				})
 				if err != nil {
@@ -563,7 +563,7 @@ func AblationSearchVsGreedy(env *Env) (*Report, error) {
 	queries := append(append([]*query.Query{}, run.Train...), run.Test...)
 	var searchTotal, greedyTotal float64
 	for _, q := range queries {
-		sp, _, err := run.Neo.Optimize(q)
+		sp, _, err := run.Neo.Planner.Optimize(q)
 		if err != nil {
 			return nil, err
 		}
@@ -572,7 +572,7 @@ func AblationSearchVsGreedy(env *Env) (*Report, error) {
 			return nil, err
 		}
 		searchTotal += sLat
-		gp, _, err := run.Neo.OptimizeGreedy(q)
+		gp, _, err := run.Neo.Planner.OptimizeGreedy(q)
 		if err != nil {
 			return nil, err
 		}
@@ -612,7 +612,7 @@ func AblationTreeConvVsFlat(env *Env) (*Report, error) {
 		total := 0.0
 		for _, q := range queries {
 			res, err := search.BestFirst(q, scorerFor(q), search.Options{
-				Catalog:       run.Neo.Featurizer.Catalog,
+				Catalog:       run.Neo.Planner.Featurizer.Catalog,
 				MaxExpansions: env.Config.SearchExpansions,
 			})
 			if err != nil {
@@ -627,7 +627,7 @@ func AblationTreeConvVsFlat(env *Env) (*Report, error) {
 		return total, nil
 	}
 
-	treeTotal, err := evaluate(func(q *query.Query) search.BatchScorer { return run.Neo.Scorer(q) })
+	treeTotal, err := evaluate(func(q *query.Query) search.BatchScorer { return run.Neo.Planner.Scorer(q) })
 	if err != nil {
 		return nil, err
 	}

@@ -73,7 +73,7 @@ func (d *Daemon) Open(bootstrap bool) (*neo.System, error) {
 		return nil, err
 	case restored != "":
 		fmt.Printf("%s: warm start from %s (net version %d, %d experience entries)\n",
-			d.Name, restored, sys.Neo.NetVersion(), sys.Neo.Experience.Len())
+			d.Name, restored, sys.Neo.Planner.NetVersion(), sys.Neo.Learner.Experience.Len())
 	case bootstrap:
 		fmt.Printf("%s: cold start, bootstrapping from the expert over %d queries ...\n", d.Name, d.Queries)
 		wl, err := sys.GenerateWorkload(d.Queries)

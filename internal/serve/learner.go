@@ -78,7 +78,7 @@ func NewLearner(sys *neo.System, cfg LearnerConfig, afterRetrain func()) *Learne
 // maxExperience, and reports whether these entries started a retraining
 // round.
 func (l *Learner) Ingest(entries ...core.Entry) (triggered bool) {
-	exp := l.sys.Neo.Experience
+	exp := l.sys.Neo.Learner.Experience
 	for _, e := range entries {
 		exp.Add(e.Query, e.Plan, e.Latency)
 	}
@@ -105,7 +105,7 @@ func (l *Learner) maybeRetrain() bool {
 	}
 	l.pending.Store(0)
 	started := l.Go(func() {
-		loss := l.sys.Neo.Retrain()
+		loss := l.sys.Neo.Learner.Retrain()
 		l.lastLoss.Store(math.Float64bits(loss))
 		if l.afterRetrain != nil {
 			l.afterRetrain()

@@ -329,7 +329,7 @@ func (s *Server) SyncSnapshot(ctx context.Context, version uint64) (uint64, erro
 		return 0, fmt.Errorf("serve: loading snapshot: %w", err)
 	}
 	s.repl.archiveWindow()
-	return s.sys.Neo.NetVersion(), nil
+	return s.sys.Neo.Planner.NetVersion(), nil
 }
 
 // handleAdminSnapshot is POST /admin/snapshot (replica mode only): fetch a

@@ -267,7 +267,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// Cached pins one snapshot for lookup, search and version, so a
 	// retraining swap or a replica's snapshot load landing mid-request cannot
 	// tear them apart.
-	e, version := s.sys.Neo.Cached(q, q.ID)
+	e, version := s.sys.Neo.Planner.Cached(q, q.ID)
 	if err := e.Err(); err != nil {
 		proto.WriteError(w, http.StatusInternalServerError, err)
 		return
@@ -303,15 +303,15 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// starts with an empty plan cache, so running the search first would spend
 	// a full expansion budget on a request that gets a 409 anyway. The
 	// definitive check against the served plan's version stays below.
-	if req.NetVersion != 0 && req.NetVersion != s.sys.Neo.NetVersion() {
+	if req.NetVersion != 0 && req.NetVersion != s.sys.Neo.Planner.NetVersion() {
 		proto.WriteError(w, http.StatusConflict, fmt.Errorf(
 			"stale feedback: plan was measured under net version %d but plans are now served from version %d; re-optimize and re-measure",
-			req.NetVersion, s.sys.Neo.NetVersion()))
+			req.NetVersion, s.sys.Neo.Planner.NetVersion()))
 		return
 	}
 	// Attach the latency to the plan currently served for this query — a
 	// plan-cache hit in the common case, so feedback costs no search.
-	e, version := s.sys.Neo.Cached(q, q.ID)
+	e, version := s.sys.Neo.Planner.Cached(q, q.ID)
 	p, _, err := e.Bind(q)
 	if err != nil {
 		proto.WriteError(w, http.StatusInternalServerError, err)
@@ -326,7 +326,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// Route-regret accounting: a measured latency for a fast-path-routed
 	// class is compared against the value net's estimate for the full
 	// search's plan (a no-op outside auto routing, in both modes below).
-	s.sys.Neo.ObserveLatency(q, req.LatencyMS)
+	s.sys.Neo.Planner.ObserveLatency(q, req.LatencyMS)
 	if s.repl != nil {
 		// Replica path: the entry goes to the trainer, not a local pool. The
 		// quality window feeds the rollout coordinator's canary comparison.
@@ -348,7 +348,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.feedbacks.Add(1)
 	triggered := s.learner.Ingest(core.Entry{Query: q, Plan: p, Latency: req.LatencyMS})
 	proto.WriteJSON(w, proto.FeedbackResponse{
-		Experience:       s.sys.Neo.Experience.Len(),
+		Experience:       s.sys.Neo.Learner.Experience.Len(),
 		RetrainTriggered: triggered,
 	})
 }
@@ -392,7 +392,7 @@ func (s *Server) snapshotStats() Stats {
 	}
 	var clusterPtr *proto.ClusterStats
 	if s.repl != nil {
-		cs := s.repl.clusterStats(s.sys.Neo.NetVersion())
+		cs := s.repl.clusterStats(s.sys.Neo.Planner.NetVersion())
 		clusterPtr = &cs
 	}
 	var routingPtr *neo.RouteStats
@@ -401,13 +401,13 @@ func (s *Server) snapshotStats() Stats {
 	}
 	return Stats{
 		ReplicaStats: proto.ReplicaStats{
-			NetVersion: s.sys.Neo.NetVersion(),
+			NetVersion: s.sys.Neo.Planner.NetVersion(),
 			Optimizes:  s.optimizes.Load(),
 			Feedbacks:  s.feedbacks.Load(),
 			Cluster:    clusterPtr,
 		},
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Experience:    s.sys.Neo.Experience.Len(),
+		Experience:    s.sys.Neo.Learner.Experience.Len(),
 		Retrains:      ls.Retrains,
 		Retraining:    ls.Retraining,
 		LastTrainLoss: ls.LastTrainLoss,

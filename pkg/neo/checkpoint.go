@@ -21,7 +21,7 @@ import (
 // copy; do not call it concurrently with experience-mutating calls such as
 // Train or Bootstrap.
 func (s *System) SaveCheckpoint(w io.Writer) error {
-	st := &checkpoint.State{State: s.Neo.State(), Encoding: string(s.Config.Encoding), Embedding: s.Featurizer.Embedding()}
+	st := &checkpoint.State{State: s.Neo.Learner.State(), Encoding: string(s.Config.Encoding), Embedding: s.Featurizer.Embedding()}
 	if err := checkpoint.Save(w, st); err != nil {
 		return fmt.Errorf("neo: saving checkpoint: %w", err)
 	}
@@ -47,23 +47,23 @@ func (s *System) SaveCheckpointFile(path string) error {
 // by first use or by the first accepted load (feature.Featurizer.Adopt): a
 // system that has not featurized yet adopts the checkpoint's model if it
 // describes this configuration's corpus, so it never trains its own, and
-// after that a load must carry the same vectors. The container is
-// decoded aside into a fresh network and handed to core.Neo.Restore, which
-// swaps in experience, baselines and RNG position and publishes the weights
-// as a fresh serving snapshot (empty plan cache) under the saved version, the
-// way a retraining round publishes its result. A failed load changes nothing,
-// and a load is safe while planning is in flight: searches already running
-// finish on the snapshot they started with.
+// after that a load must carry the same vectors. The container is decoded
+// aside into a fresh network and handed to core.Learner.Restore, which swaps
+// in experience, baselines and RNG position and publishes the weights to the
+// Planner as a fresh serving snapshot (empty plan cache) under the saved
+// version, the way a retraining round publishes its result. A failed load
+// changes nothing, and a load is safe while planning is in flight: searches
+// already running finish on the snapshot they started with.
 func (s *System) LoadCheckpoint(r io.Reader) error {
 	st, err := checkpoint.Load(r, s.Featurizer.QueryVectorSize(), s.Featurizer.PlanVectorSize(),
-		s.Neo.Config.ValueNet, string(s.Config.Encoding))
+		s.Neo.Planner.Config.ValueNet, string(s.Config.Encoding))
 	if err == nil && st.Embedding != nil && !s.Featurizer.Adopt(st.Embedding) {
 		err = fmt.Errorf("%w: checkpoint embedding differs from the one this configuration trains", checkpoint.ErrMismatch)
 	}
 	if err != nil {
 		return fmt.Errorf("neo: loading checkpoint: %w", err)
 	}
-	s.Neo.Restore(st.State)
+	s.Neo.Learner.Restore(st.State)
 	return nil
 }
 

@@ -46,7 +46,10 @@ type (
 	Engine = engine.Engine
 	// EngineProfile holds an engine's cost coefficients.
 	EngineProfile = engine.Profile
-	// Optimizer is Neo itself (the learned optimizer).
+	// Optimizer is Neo itself: a Planner, which serves plans, paired with the
+	// Learner that trains and publishes to it. The pair stays one value so
+	// callers of the whole optimizer (sys.Neo.Optimize, sys.Neo.Retrain,
+	// sys.Neo.Experience) reach each half's fields and methods by promotion.
 	Optimizer = core.Neo
 	// ExpertOptimizer is a classical Selinger-style optimizer.
 	ExpertOptimizer = expert.Optimizer
@@ -333,7 +336,7 @@ func (s *System) GenerateUnseenWorkload(n int, base *Workload) (*Workload, error
 // performs the initial value-network training (Section 2, "Expertise
 // Collection" / "Model Building").
 func (s *System) Bootstrap(train []*Query) error {
-	return s.Neo.BootstrapFromExpert(train, s.Expert)
+	return s.Neo.Learner.BootstrapFromExpert(train, s.Expert)
 }
 
 // Train runs the configured number of refinement episodes over the training
@@ -342,7 +345,7 @@ func (s *System) Bootstrap(train []*Query) error {
 func (s *System) Train(train []*Query) ([]*EpisodeStats, error) {
 	var out []*EpisodeStats
 	for ep := 1; ep <= s.Config.Episodes; ep++ {
-		st, err := s.Neo.RunEpisode(ep, train)
+		st, err := s.Neo.Learner.RunEpisode(ep, train)
 		if err != nil {
 			return out, err
 		}
@@ -359,31 +362,31 @@ func (s *System) Train(train []*Query) ([]*EpisodeStats, error) {
 // checkpoint load publishes new weights with an empty cache. Safe for
 // concurrent use.
 func (s *System) Optimize(q *Query) (*Plan, *SearchResult, error) {
-	p, res, _, err := s.Neo.OptimizeCached(q)
+	p, res, _, err := s.Neo.Planner.OptimizeCached(q)
 	return p, res, err
 }
 
 // PlanCacheStats reports hit/miss counters and the current size of the plan
 // cache.
-func (s *System) PlanCacheStats() PlanCacheStats { return s.Neo.PlanCacheStats() }
+func (s *System) PlanCacheStats() PlanCacheStats { return s.Neo.Planner.PlanCacheStats() }
 
 // SnapshotInfo reports the current serving snapshot's memory footprint. Safe
 // for concurrent use.
-func (s *System) SnapshotInfo() SnapshotInfo { return s.Neo.SnapshotInfo() }
+func (s *System) SnapshotInfo() SnapshotInfo { return s.Neo.Planner.SnapshotInfo() }
 
 // RouteStats reports the query router's per-class decision counters,
 // fast-path planning-latency percentiles and regret accounting (see
 // Config.Routing). Route counts track planning decisions: a query answered
 // from the plan cache skips routing entirely and is not counted. Safe for
 // concurrent use.
-func (s *System) RouteStats() RouteStats { return s.Neo.RouteStats() }
+func (s *System) RouteStats() RouteStats { return s.Neo.Planner.RouteStats() }
 
 // Evaluate optimizes and executes every query over a GOMAXPROCS-wide worker
 // pool without adding anything to the experience (held-out evaluation). It
 // returns the total and per-query latencies; results are deterministic for
 // a fixed seed whatever the pool size.
 func (s *System) Evaluate(queries []*Query) (float64, map[string]float64, error) {
-	return s.Neo.Evaluate(queries)
+	return s.Neo.Learner.Evaluate(queries)
 }
 
 // PlanResult is the outcome of planning one query of a PlanAll batch.
@@ -401,7 +404,7 @@ type PlanResult struct {
 // across cores without copying the network, and repeated query structures
 // are served straight from the plan cache. Results are returned in input
 // order; per-query failures are reported in the corresponding PlanResult
-// rather than aborting the batch. PlanAll is safe to run while Neo.Retrain
+// rather than aborting the batch. PlanAll is safe to run while Learner.Retrain
 // trains a new network on another goroutine — searches in flight finish
 // against the snapshot they started with.
 func (s *System) PlanAll(queries []*Query) []PlanResult {
