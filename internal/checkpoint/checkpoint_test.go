@@ -135,13 +135,37 @@ func TestNetworkSaveLoadPredictsBitIdentical(t *testing.T) {
 	if err := dst.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 16; i++ {
-		q := randVec(rng, queryDim)
-		f := randForest(rng)
-		a, b := src.Predict(q, f), dst.Predict(q, f)
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("prediction %d differs after round trip: %v vs %v", i, a, b)
+	requireSameNetwork(t, src, dst, rand.New(rand.NewSource(11)), 16)
+}
+
+// requireSameNetwork fails unless a and b hold bit-identical target
+// transforms and parameters, and their snapshots predict bit-identically on
+// pairs random (query, forest) pairs drawn from rng.
+func requireSameNetwork(t *testing.T, a, b *valuenet.Network, rng *rand.Rand, pairs int) {
+	t.Helper()
+	am, as := a.TargetTransform()
+	bm, bs := b.TargetTransform()
+	if math.Float64bits(am) != math.Float64bits(bm) || math.Float64bits(as) != math.Float64bits(bs) {
+		t.Fatalf("target transform differs after round trip: (%v, %v) vs (%v, %v)", am, as, bm, bs)
+	}
+	ap, bp := a.Params(), b.Params()
+	for i := range ap {
+		for j := range ap[i].Value {
+			if math.Float64bits(ap[i].Value[j]) != math.Float64bits(bp[i].Value[j]) {
+				t.Fatalf("param %s[%d] differs after round trip", ap[i].Name, j)
+			}
+		}
+	}
+	queries := make([][]float64, pairs)
+	forests := make([][]*treeconv.Tree, pairs)
+	for i := range queries {
+		queries[i] = randVec(rng, queryDim)
+		forests[i] = randForest(rng)
+	}
+	pa, pb := a.Snapshot().PredictBatch(queries, forests), b.Snapshot().PredictBatch(queries, forests)
+	for i := range pa {
+		if math.Float64bits(pa[i]) != math.Float64bits(pb[i]) {
+			t.Fatalf("prediction %d differs after round trip: %v vs %v", i, pa[i], pb[i])
 		}
 	}
 }
@@ -246,11 +270,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("meta mismatch: %+v", got)
 	}
 	// Network predicts bit-identically.
-	rng := rand.New(rand.NewSource(1))
-	q, f := randVec(rng, queryDim), randForest(rng)
-	if math.Float64bits(st.Net.Predict(q, f)) != math.Float64bits(got.Net.Predict(q, f)) {
-		t.Fatal("restored network predicts differently")
-	}
+	requireSameNetwork(t, st.Net, got.Net, rand.New(rand.NewSource(1)), 1)
 	// Experience round-trips, with the shared query deduplicated to one
 	// pointer.
 	if len(got.Experience) != 3 {

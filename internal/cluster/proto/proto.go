@@ -137,9 +137,18 @@ type OptimizeResponse struct {
 	Plan string `json:"plan"`
 	// SQL is the query rendered back, for logging.
 	SQL string `json:"sql"`
-	// Score is the value network's cost estimate for the plan.
+	// Score is the plan's estimated cost, in the unit of the route that
+	// planned it. A searched plan carries the value network's estimate in
+	// the training objective's unit: latency in milliseconds under
+	// core.WorkloadCost, latency over the query's baseline under
+	// core.RelativeCost. A fast-path plan carries fastpath.Cost, in units of
+	// one sequential scan of a base relation, with no statistics. Scores of
+	// different routes do not compare.
 	Score float64 `json:"score"`
-	// Expansions is the number of search expansions spent (0 on cache hits).
+	// Expansions is the number of search expansions spent, or the fast
+	// path's ordering steps. A cache hit returns the expansions of the
+	// request whose search filled the entry, as it returns that request's
+	// plan and score.
 	Expansions int `json:"expansions"`
 	// NetVersion identifies the network snapshot the plan came from. Echo it
 	// in the feedback's net_version so a latency measured for this plan is

@@ -471,7 +471,7 @@ func (a *refAdam) Step(params []*nn.Param, batchSize int) {
 			vhat := v[i] / bc2
 			p.Value[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
 		}
-		p.ZeroGrad()
+		clear(p.Grad)
 	}
 }
 

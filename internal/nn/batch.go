@@ -1,8 +1,8 @@
 // Batched forward primitives. The per-sample Forward/Backward passes in
-// nn.go are the reference; the batch-matrix layers here run the training
-// tape's forward pass (train.go): one call processes a whole batch of rows
-// with all intermediate storage drawn from a reusable Arena, so a warmed-up
-// arena makes the forward pass allocation-free.
+// reference_test.go are the reference; the batch-matrix layers here run the
+// training tape's forward pass (train.go): one call processes a whole batch
+// of rows with all intermediate storage drawn from a reusable Arena, so a
+// warmed-up arena makes the forward pass allocation-free.
 //
 // Every batched routine performs the same floating-point operations in the
 // same order as its per-sample counterpart, so batched and sequential

@@ -3,12 +3,12 @@
 // leaky rectified linear units, layer normalization, an L2 loss and the Adam
 // optimizer, all with explicit forward/backward passes.
 //
-// Three families share the layer types. The per-sample Forward/Backward in
-// this file are the reference every other path is parity-tested against;
-// f32.go holds the float32 kernels plan search scores with; batch.go and
-// train.go hold the float64 training tape, its forward and its backward
-// pass, and f64.go the AVX2 kernels that run the tape's and the optimizer's
-// hot loops bit-identically to their Go loops. Training is not a side
+// Two passes share the layer types: f32.go holds the float32 kernels plan
+// search scores with; batch.go and train.go hold the float64 training tape,
+// its forward and its backward pass, and f64.go the AVX2 kernels that run
+// the tape's and the optimizer's hot loops bit-identically to their Go
+// loops. The per-sample float64 reference both are parity-tested against
+// lives in reference_test.go. Training is not a side
 // show: a retraining round is 60–70 % of a learning cycle (the rest is
 // planning and execution), so the tape and the optimizer step are written to
 // do only the work that can change a weight.
@@ -29,13 +29,6 @@ type Param struct {
 	Value []float64
 	// Grad accumulates gradients between optimizer steps.
 	Grad []float64
-}
-
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() {
-	for i := range p.Grad {
-		p.Grad[i] = 0
-	}
 }
 
 // Linear is a fully connected layer computing y = W·x + b.
@@ -66,45 +59,11 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Params implements Layer.
+// Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
 // Pack refills l.Packed from W and B.
 func (l *Linear) Pack() { l.Packed.Pack(l.In, l.Out, l.B.Value, l.W.Value) }
-
-// Forward computes W·x + b.
-func (l *Linear) Forward(x []float64) []float64 {
-	if len(x) != l.In {
-		panic(fmt.Sprintf("nn: Linear.Forward input size %d, want %d", len(x), l.In))
-	}
-	y := make([]float64, l.Out)
-	for o := 0; o < l.Out; o++ {
-		sum := l.B.Value[o]
-		row := l.W.Value[o*l.In : (o+1)*l.In]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		y[o] = sum
-	}
-	return y
-}
-
-// Backward accumulates parameter gradients for the given input and output
-// gradient, and returns the gradient with respect to the input.
-func (l *Linear) Backward(x, gradOut []float64) []float64 {
-	gradIn := make([]float64, l.In)
-	for o := 0; o < l.Out; o++ {
-		g := gradOut[o]
-		l.B.Grad[o] += g
-		row := l.W.Value[o*l.In : (o+1)*l.In]
-		gradRow := l.W.Grad[o*l.In : (o+1)*l.In]
-		for i, xi := range x {
-			gradRow[i] += g * xi
-			gradIn[i] += g * row[i]
-		}
-	}
-	return gradIn
-}
 
 // LeakyReLU is the leaky rectified linear unit used throughout the paper's
 // network (negative inputs are scaled by Alpha).
@@ -114,35 +73,6 @@ type LeakyReLU struct {
 
 // NewLeakyReLU returns a leaky ReLU with the conventional slope of 0.01.
 func NewLeakyReLU() *LeakyReLU { return &LeakyReLU{Alpha: 0.01} }
-
-// Params implements Layer (no trainable parameters).
-func (r *LeakyReLU) Params() []*Param { return nil }
-
-// Forward applies the activation elementwise.
-func (r *LeakyReLU) Forward(x []float64) []float64 {
-	y := make([]float64, len(x))
-	for i, v := range x {
-		if v >= 0 {
-			y[i] = v
-		} else {
-			y[i] = r.Alpha * v
-		}
-	}
-	return y
-}
-
-// Backward returns the gradient with respect to the input.
-func (r *LeakyReLU) Backward(x, gradOut []float64) []float64 {
-	gradIn := make([]float64, len(x))
-	for i, v := range x {
-		if v >= 0 {
-			gradIn[i] = gradOut[i]
-		} else {
-			gradIn[i] = r.Alpha * gradOut[i]
-		}
-	}
-	return gradIn
-}
 
 // LayerNorm normalises its input to zero mean and unit variance and applies a
 // learned affine transform, as in Ba et al. (used by the paper to stabilise
@@ -168,46 +98,8 @@ func NewLayerNorm(dim int) *LayerNorm {
 	return ln
 }
 
-// Params implements Layer.
+// Params returns the layer's trainable parameters.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
-
-// Forward normalises x.
-func (ln *LayerNorm) Forward(x []float64) []float64 {
-	mean, std := meanStd(x, ln.Eps)
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = ln.Gamma.Value[i]*(v-mean)/std + ln.Beta.Value[i]
-	}
-	return y
-}
-
-// Backward accumulates parameter gradients and returns the input gradient.
-func (ln *LayerNorm) Backward(x, gradOut []float64) []float64 {
-	n := float64(len(x))
-	mean, std := meanStd(x, ln.Eps)
-	xhat := make([]float64, len(x))
-	for i, v := range x {
-		xhat[i] = (v - mean) / std
-	}
-	// Gradients w.r.t. gamma/beta.
-	dxhat := make([]float64, len(x))
-	for i := range x {
-		ln.Gamma.Grad[i] += gradOut[i] * xhat[i]
-		ln.Beta.Grad[i] += gradOut[i]
-		dxhat[i] = gradOut[i] * ln.Gamma.Value[i]
-	}
-	// Gradient w.r.t. input (standard layer-norm backward).
-	var sumDxhat, sumDxhatXhat float64
-	for i := range x {
-		sumDxhat += dxhat[i]
-		sumDxhatXhat += dxhat[i] * xhat[i]
-	}
-	gradIn := make([]float64, len(x))
-	for i := range x {
-		gradIn[i] = (dxhat[i] - sumDxhat/n - xhat[i]*sumDxhatXhat/n) / std
-	}
-	return gradIn
-}
 
 func meanStd(x []float64, eps float64) (float64, float64) {
 	if len(x) == 0 {
@@ -367,13 +259,6 @@ func (a *Adam) CopyState(src *Adam, srcParams, params []*Param) {
 	}
 }
 
-// Step applies one update to every parameter using its accumulated gradient
-// (optionally scaled by 1/batchSize) and clears the gradients.
-func (a *Adam) Step(params []*Param, batchSize int) {
-	a.StepShards(params, nil, batchSize, 1)
-}
-
-// stepSpanLen is the number of consecutive elements of one parameter a
 // StepShards task covers: small enough that a span's gradient, moments and
 // values stay in L1 across the reduce and update loops, large enough that
 // claiming a span costs nothing beside updating it.
@@ -386,9 +271,11 @@ type stepSpan struct {
 	live      *liveColumns
 }
 
-// StepShards is Step for data-parallel gradient workers: shards lists each
-// worker's shadow parameters (aligned with params, see ShadowGrad), and an
-// element's gradient is its live gradient plus every shard's in shard order.
+// StepShards applies one update to every parameter using its accumulated
+// gradient scaled by 1/batchSize, and clears the gradients. shards lists
+// each data-parallel gradient worker's shadow parameters (aligned with
+// params, see ShadowGrad; nil when there are none), and an element's
+// gradient is its live gradient plus every shard's in shard order.
 // Reduction, update and clearing of all gradient buffers happen in one pass
 // over fixed element spans, shared out over the given number of goroutines;
 // elements are independent of each other, so the result does not depend on
@@ -472,7 +359,8 @@ func NewMLP(sizes []int, useNorm bool, rng *rand.Rand) *MLP {
 	return m
 }
 
-// Params implements Layer.
+// Params returns every layer's trainable parameters: the Linear layers'
+// in order, then the norms'.
 func (m *MLP) Params() []*Param {
 	var out []*Param
 	for _, l := range m.Linears {
@@ -482,74 +370,6 @@ func (m *MLP) Params() []*Param {
 		if n != nil {
 			out = append(out, n.Params()...)
 		}
-	}
-	return out
-}
-
-// MLPTape records the intermediate activations of one forward pass so that
-// Backward can be computed without re-running the network.
-type MLPTape struct {
-	inputs  [][]float64 // input to each Linear
-	preAct  [][]float64 // Linear outputs (pre-activation)
-	postAct [][]float64 // activation outputs (input to norm, if any)
-	output  []float64
-}
-
-// Output returns the forward result recorded on the tape.
-func (t *MLPTape) Output() []float64 { return t.output }
-
-// Forward runs the MLP and returns a tape holding the activations.
-func (m *MLP) Forward(x []float64) *MLPTape {
-	tape := &MLPTape{}
-	cur := x
-	last := len(m.Linears) - 1
-	for i, lin := range m.Linears {
-		tape.inputs = append(tape.inputs, cur)
-		pre := lin.Forward(cur)
-		tape.preAct = append(tape.preAct, pre)
-		if i == last {
-			tape.postAct = append(tape.postAct, pre)
-			cur = pre
-			continue
-		}
-		act := m.Act.Forward(pre)
-		tape.postAct = append(tape.postAct, act)
-		if m.Norms[i] != nil {
-			cur = m.Norms[i].Forward(act)
-		} else {
-			cur = act
-		}
-	}
-	tape.output = cur
-	return tape
-}
-
-// Backward propagates gradOut through the taped forward pass, accumulating
-// parameter gradients, and returns the gradient with respect to the input.
-func (m *MLP) Backward(tape *MLPTape, gradOut []float64) []float64 {
-	grad := gradOut
-	last := len(m.Linears) - 1
-	for i := last; i >= 0; i-- {
-		if i != last {
-			if m.Norms[i] != nil {
-				grad = m.Norms[i].Backward(tape.postAct[i], grad)
-			}
-			grad = m.Act.Backward(tape.preAct[i], grad)
-		}
-		grad = m.Linears[i].Backward(tape.inputs[i], grad)
-	}
-	return grad
-}
-
-// Concat concatenates vectors.
-func Concat(vs ...[]float64) []float64 {
-	n := 0
-	for _, v := range vs {
-		n += len(v)
-	}
-	out := make([]float64, 0, n)
-	for _, v := range vs {
-		out = append(out, v...)
 	}
 	return out
 }

@@ -9,8 +9,8 @@
 // counterpart, and parameter gradients accumulate contributions in row order
 // — exactly the order the per-sample training loop accumulates them. A
 // parameter element therefore receives a bit-identical gradient from the
-// batched backward pass and from per-sample Backward calls over the same
-// rows.
+// batched backward pass and from the per-sample Backward calls of
+// reference_test.go over the same rows.
 //
 // An MLP whose input is data rather than another layer's activation is
 // recorded with RecordInput: its first layer reads each row through an index
@@ -61,9 +61,10 @@ func (m *MLP) ShadowGrad() *MLP {
 }
 
 // MLPBatchTape records the intermediate activation matrices of one batched
-// forward pass (the batch analogue of MLPTape). All float storage is drawn
-// from the arena passed when recording and is valid until its next Reset; the
-// tape's own headers are reused by the next RecordBatch / RecordInput on it.
+// forward pass (the batch analogue of the reference's MLPTape). All float
+// storage is drawn from the arena passed when recording and is valid until
+// its next Reset; the tape's own headers are reused by the next RecordBatch /
+// RecordInput on it.
 type MLPBatchTape struct {
 	rows    int
 	inputs  [][]float64 // input matrix to each Linear (rows×In)

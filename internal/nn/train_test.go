@@ -193,9 +193,10 @@ func TestRecordInputMatchesDenseTape(t *testing.T) {
 
 // TestStepShardsMatchesReduceThenStep: the fused pass leaves values,
 // gradients and (through a second step) moments exactly where summing the
-// shard gradients into the live ones in shard order and then calling Step
-// does, for any worker count, and clears every shard buffer. The parameters
-// span several spans and include elements no gradient ever touches.
+// shard gradients into the live ones in shard order and then stepping with
+// no shards does, for any worker count, and clears every shard buffer. The
+// parameters span several spans and include elements no gradient ever
+// touches.
 func TestStepShardsMatchesReduceThenStep(t *testing.T) {
 	build := func() ([]*Param, [][]*Param) {
 		rng := rand.New(rand.NewSource(3))
@@ -241,7 +242,7 @@ func TestStepShardsMatchesReduceThenStep(t *testing.T) {
 				}
 			}
 		}
-		a.Step(params, 5)
+		a.StepShards(params, nil, 5, 1)
 	})
 	for workers := 1; workers <= 4; workers++ {
 		got, shards := run(func(a *Adam, params []*Param, shards [][]*Param) {

@@ -57,9 +57,11 @@ func TestOptimizeHitAllocationBudget(t *testing.T) {
 }
 
 // TestOptimizeHitAcrossSnapshotSwap (run under -race in CI): hits race
-// snapshot loads alternating between two versions, and every reply's plan
-// and score must be the ones its net_version's snapshot gives — a reply
-// never mixes a cached answer of one snapshot with another's version.
+// snapshot loads alternating between two versions, and every reply's plan,
+// score and expansions must be the ones its net_version's snapshot gave on
+// the miss — a reply never mixes a cached answer of one snapshot with
+// another's version, and a hit reports the expansions of the search that
+// filled its entry.
 func TestOptimizeHitAcrossSnapshotSwap(t *testing.T) {
 	snapshots, old, fresh, _ := twoVersions(t)
 	sys, queries := testSystem(t)
@@ -79,19 +81,31 @@ func TestOptimizeHitAcrossSnapshotSwap(t *testing.T) {
 		}
 	}
 	type answer struct {
-		plan  string
-		score float64
+		plan       string
+		score      float64
+		expansions int
 	}
 	want := map[uint64][]answer{}
 	for _, v := range []uint64{fresh, old} {
 		load(v)
-		for _, body := range bodies {
-			var resp proto.OptimizeResponse
+		for i, body := range bodies {
+			var miss, hit proto.OptimizeResponse
+			hits := sys.Neo.PlanCacheStats().Hits
 			w := post(srv, body)
-			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.NetVersion != v {
+			if err := json.Unmarshal(w.Body.Bytes(), &miss); err != nil || miss.NetVersion != v {
 				t.Fatalf("version %d: status %d, %s", v, w.Code, w.Body)
 			}
-			want[v] = append(want[v], answer{resp.Plan, resp.Score})
+			w = post(srv, body)
+			if err := json.Unmarshal(w.Body.Bytes(), &hit); err != nil || w.Code != http.StatusOK {
+				t.Fatalf("version %d hit: status %d, %s", v, w.Code, w.Body)
+			}
+			if got := sys.Neo.PlanCacheStats().Hits - hits; got != 1 {
+				t.Fatalf("version %d query %d: %d cache hits over a miss and a repeat, want 1", v, i, got)
+			}
+			if miss.Expansions == 0 || hit != miss {
+				t.Fatalf("version %d query %d: hit %+v, miss %+v; want the miss's reply, expansions included", v, i, hit, miss)
+			}
+			want[v] = append(want[v], answer{miss.Plan, miss.Score, miss.Expansions})
 		}
 	}
 
@@ -111,8 +125,8 @@ func TestOptimizeHitAcrossSnapshotSwap(t *testing.T) {
 					return
 				}
 				exp, ok := want[resp.NetVersion]
-				if !ok || (answer{resp.Plan, resp.Score}) != exp[i] {
-					t.Errorf("query %d under version %d: plan %s score %v, want %+v", i, resp.NetVersion, resp.Plan, resp.Score, exp)
+				if !ok || (answer{resp.Plan, resp.Score, resp.Expansions}) != exp[i] {
+					t.Errorf("query %d under version %d: plan %s score %v expansions %d, want %+v", i, resp.NetVersion, resp.Plan, resp.Score, resp.Expansions, exp)
 					return
 				}
 				served.Add(1)

@@ -7,9 +7,10 @@
 //
 // Bit-parity contract: the backward pass visits rows in the table's
 // first-visit pre-order. For forests that share no subtree that is the order
-// the per-tree recursion of Layer.backwardNode visits their nodes in, so every
-// parameter element accumulates its gradient contributions in the same
-// floating-point order as the per-sample path. A row shared by several
+// the per-tree recursion of the reference Layer.backwardNode
+// (reference_test.go) visits their nodes in, so every parameter element
+// accumulates its gradient contributions in the same floating-point order as
+// the per-tree reference. A row shared by several
 // parents or forests receives the sum of their gradients before it
 // backpropagates once, which reassociates those sums (~1e-9 per step).
 package treeconv
@@ -64,8 +65,8 @@ func (t *StackBatchTape) Output() []float64 { return t.outs[len(t.outs)-1] }
 // in holds (tab.Len() rows of the first layer's InChannels), recording into t
 // for BackwardBatch: every layer's pre-activation matrix and activated
 // output. Per row the convolution performs the same operations in the same
-// order as Layer.convolve, so outputs are bit-identical to the per-tree
-// Forward.
+// order as the reference Layer.convolve, so outputs are bit-identical to the
+// per-tree Forward of reference_test.go.
 func (s *Stack) RecordBatch(t *StackBatchTape, tab *Subtrees, in []float64, a *nn.Arena[float64]) {
 	t.tab, t.in = tab, in
 	t.pre, t.outs = t.pre[:0], t.outs[:0]
@@ -308,11 +309,11 @@ type PoolBatchTape struct {
 // Forward pools the last layer's activations out (one dim-wide row per entry
 // of tab) into one row per forest, forest s being the entries roots[s]. It
 // folds every subtree's per-channel maximum from its own row and its
-// children's maxima — own row, then left, then right: the pre-order
-// DynamicPool visits nodes in — with DynamicPool's strict comparison,
-// children before parents, then folds each forest's roots in order. So ties
-// keep the first row in pre-order and a NaN never wins, as in the per-sample
-// forward pass. An empty forest, and a channel that is −Inf or NaN
+// children's maxima — own row, then left, then right: the pre-order the
+// reference DynamicPool (reference_test.go) visits nodes in — with
+// DynamicPool's strict comparison, children before parents, then folds each
+// forest's roots in order. So ties keep the first row in pre-order and a NaN
+// never wins, as in the per-sample reference. An empty forest, and a channel that is −Inf or NaN
 // throughout, pools to 0.
 func (p *PoolBatchTape) Forward(tab *Subtrees, out []float64, dim int, roots [][]int32, a *nn.Arena[float64]) []float64 {
 	p.dim = dim

@@ -61,14 +61,6 @@ func (t *Tree) Walk(fn func(*Tree)) {
 	t.Right.Walk(fn)
 }
 
-// Map returns a structurally identical tree whose node vectors are fn(node).
-func (t *Tree) Map(fn func(*Tree) []float64) *Tree {
-	if t == nil {
-		return nil
-	}
-	return NewNode(fn(t), t.Left.Map(fn), t.Right.Map(fn))
-}
-
 // Layer is a tree-convolution layer: a filterbank of OutChannels filters over
 // InChannels input channels, followed by a leaky-ReLU activation.
 type Layer struct {
@@ -115,99 +107,6 @@ func NewLayer(in, out int, rng *rand.Rand) *Layer {
 // Params returns the layer's trainable parameters.
 func (l *Layer) Params() []*nn.Param { return []*nn.Param{l.EP, l.EL, l.ER, l.Bias} }
 
-// Tape records one forward pass through a layer for backpropagation.
-type Tape struct {
-	input  *Tree
-	preAct *Tree // pre-activation outputs, same structure
-	output *Tree
-}
-
-// Output returns the convolved tree.
-func (t *Tape) Output() *Tree { return t.output }
-
-// Forward convolves the filterbank over the tree and applies the activation.
-func (l *Layer) Forward(t *Tree) *Tape {
-	if t == nil {
-		return &Tape{}
-	}
-	pre := l.convolve(t)
-	out := pre.Map(func(n *Tree) []float64 { return l.Act.Forward(n.Data) })
-	return &Tape{input: t, preAct: pre, output: out}
-}
-
-func (l *Layer) convolve(t *Tree) *Tree {
-	if t == nil {
-		return nil
-	}
-	out := make([]float64, l.OutChannels)
-	leftData := zerosIfNil(t.Left, l.InChannels)
-	rightData := zerosIfNil(t.Right, l.InChannels)
-	for o := 0; o < l.OutChannels; o++ {
-		sum := l.Bias.Value[o]
-		ep := l.EP.Value[o*l.InChannels : (o+1)*l.InChannels]
-		el := l.EL.Value[o*l.InChannels : (o+1)*l.InChannels]
-		er := l.ER.Value[o*l.InChannels : (o+1)*l.InChannels]
-		for i := 0; i < l.InChannels; i++ {
-			sum += ep[i] * t.Data[i]
-			sum += el[i] * leftData[i]
-			sum += er[i] * rightData[i]
-		}
-		out[o] = sum
-	}
-	return NewNode(out, l.convolve(t.Left), l.convolve(t.Right))
-}
-
-// Backward propagates a gradient tree (same structure as the output) through
-// the layer, accumulating filter gradients and returning the gradient tree
-// with respect to the input.
-func (l *Layer) Backward(tape *Tape, gradOut *Tree) *Tree {
-	if tape.input == nil || gradOut == nil {
-		return nil
-	}
-	// Gradient of the activation.
-	gradPre := zipMap(tape.preAct, gradOut, func(pre, g []float64) []float64 {
-		return l.Act.Backward(pre, g)
-	})
-	// Allocate a zero gradient tree matching the input.
-	gradIn := tape.input.Map(func(n *Tree) []float64 { return make([]float64, l.InChannels) })
-	l.backwardNode(tape.input, gradPre, gradIn)
-	return gradIn
-}
-
-// backwardNode handles one parent/left/right triangle.
-func (l *Layer) backwardNode(in, gradPre, gradIn *Tree) {
-	if in == nil || gradPre == nil {
-		return
-	}
-	leftData := zerosIfNil(in.Left, l.InChannels)
-	rightData := zerosIfNil(in.Right, l.InChannels)
-	for o := 0; o < l.OutChannels; o++ {
-		g := gradPre.Data[o]
-		if g == 0 {
-			continue
-		}
-		l.Bias.Grad[o] += g
-		ep := l.EP.Value[o*l.InChannels : (o+1)*l.InChannels]
-		el := l.EL.Value[o*l.InChannels : (o+1)*l.InChannels]
-		er := l.ER.Value[o*l.InChannels : (o+1)*l.InChannels]
-		epg := l.EP.Grad[o*l.InChannels : (o+1)*l.InChannels]
-		elg := l.EL.Grad[o*l.InChannels : (o+1)*l.InChannels]
-		erg := l.ER.Grad[o*l.InChannels : (o+1)*l.InChannels]
-		for i := 0; i < l.InChannels; i++ {
-			epg[i] += g * in.Data[i]
-			elg[i] += g * leftData[i]
-			erg[i] += g * rightData[i]
-			gradIn.Data[i] += g * ep[i]
-			if in.Left != nil {
-				gradIn.Left.Data[i] += g * el[i]
-				gradIn.Right.Data[i] += g * er[i]
-			}
-		}
-	}
-	l.backwardNode(in.Left, gradPre.Left, gradIn.Left)
-	l.backwardNode(in.Right, gradPre.Right, gradIn.Right)
-}
-
 // Stack is a sequence of tree-convolution layers applied back to back.
 type Stack struct {
 	Layers []*Layer
@@ -233,101 +132,4 @@ func (s *Stack) Params() []*nn.Param {
 		out = append(out, l.Params()...)
 	}
 	return out
-}
-
-// StackTape records the per-layer tapes of one forward pass.
-type StackTape struct {
-	tapes  []*Tape
-	output *Tree
-}
-
-// Output returns the final convolved tree.
-func (t *StackTape) Output() *Tree { return t.output }
-
-// Forward runs every layer in sequence.
-func (s *Stack) Forward(t *Tree) *StackTape {
-	tape := &StackTape{}
-	cur := t
-	for _, l := range s.Layers {
-		lt := l.Forward(cur)
-		tape.tapes = append(tape.tapes, lt)
-		cur = lt.Output()
-	}
-	tape.output = cur
-	return tape
-}
-
-// Backward propagates a gradient tree through the stack and returns the
-// gradient with respect to the input tree.
-func (s *Stack) Backward(tape *StackTape, gradOut *Tree) *Tree {
-	grad := gradOut
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(tape.tapes[i], grad)
-	}
-	return grad
-}
-
-// DynamicPool flattens a tree into a fixed-size vector by taking the
-// elementwise maximum over all node vectors. The returned argmax slice
-// records, for every channel, which node supplied the maximum (used by
-// PoolBackward).
-func DynamicPool(t *Tree) (pooled []float64, argmax []*Tree) {
-	if t == nil {
-		return nil, nil
-	}
-	dim := len(t.Data)
-	pooled = make([]float64, dim)
-	argmax = make([]*Tree, dim)
-	for i := range pooled {
-		pooled[i] = math.Inf(-1)
-	}
-	t.Walk(func(n *Tree) {
-		for i, v := range n.Data {
-			if v > pooled[i] {
-				pooled[i] = v
-				argmax[i] = n
-			}
-		}
-	})
-	return pooled, argmax
-}
-
-// PoolBackward converts a gradient on the pooled vector into a gradient tree
-// (zero everywhere except at the argmax node of each channel).
-func PoolBackward(t *Tree, argmax []*Tree, grad []float64) *Tree {
-	if t == nil {
-		return nil
-	}
-	dim := len(t.Data)
-	gradTree := t.Map(func(n *Tree) []float64 { return make([]float64, dim) })
-	// Build a mapping from original nodes to gradient nodes by walking both
-	// trees in the same order.
-	var origs, grads []*Tree
-	t.Walk(func(n *Tree) { origs = append(origs, n) })
-	gradTree.Walk(func(n *Tree) { grads = append(grads, n) })
-	index := make(map[*Tree]*Tree, len(origs))
-	for i := range origs {
-		index[origs[i]] = grads[i]
-	}
-	for i, src := range argmax {
-		if src == nil {
-			continue
-		}
-		index[src].Data[i] += grad[i]
-	}
-	return gradTree
-}
-
-func zerosIfNil(t *Tree, dim int) []float64 {
-	if t == nil {
-		return make([]float64, dim)
-	}
-	return t.Data
-}
-
-func zipMap(a, b *Tree, fn func(av, bv []float64) []float64) *Tree {
-	if a == nil || b == nil {
-		return nil
-	}
-	return NewNode(fn(a.Data, b.Data), zipMap(a.Left, b.Left, fn), zipMap(a.Right, b.Right, fn))
 }

@@ -45,7 +45,7 @@ func relErr(got, want float64) float64 {
 // TestPredictBatchMatchesPredict is the batched-vs-sequential parity property
 // test: over random networks, random forests (including empty ones), shared
 // and distinct query vectors, a snapshot's PredictBatchNormalized must be
-// within 1e-5 relative of the per-sample reference Network.PredictNormalized,
+// within 1e-5 relative of the per-sample reference refPredictNormalized,
 // and PredictBatch must be its denormalization bit for bit.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	const queryDim, planDim = 9, 7
@@ -77,7 +77,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			t.Fatalf("seed %d: PredictBatch returned %d/%d results, want %d", seed, len(got), len(gotN), batch)
 		}
 		for i := range gotN {
-			if want := net.PredictNormalized(queries[i], forests[i]); relErr(gotN[i], want) > 1e-5 {
+			if want := net.refPredictNormalized(queries[i], forests[i]); relErr(gotN[i], want) > 1e-5 {
 				t.Errorf("seed %d sample %d (normalized): batch %v, sequential %v (rel err %g)", seed, i, gotN[i], want, relErr(gotN[i], want))
 			}
 			if want := net.denormalize(gotN[i]); math.Float64bits(got[i]) != math.Float64bits(want) {

@@ -1,18 +1,25 @@
-package core
+package valuenet_test
 
 import (
 	"testing"
 
+	"neo/internal/core"
+	"neo/internal/datagen"
+	"neo/internal/engine"
+	"neo/internal/expert"
 	"neo/internal/feature"
 	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/search"
+	"neo/internal/stats"
 	"neo/internal/valuenet"
+	"neo/internal/workload"
 )
 
 // referenceScorer scores every plan from scratch with the per-sample float64
-// forward pass of a live network (Network.Predict on Featurizer.EncodePlan):
-// the reference the serving snapshot's float32 scorer is held to.
+// reference network on a live network (valuenet.RefPredict on
+// Featurizer.EncodePlan): the reference the serving snapshot's float32
+// scorer is held to.
 type referenceScorer struct {
 	net  *valuenet.Network
 	feat *feature.Featurizer
@@ -22,9 +29,52 @@ type referenceScorer struct {
 func (s *referenceScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = s.net.Predict(s.qEnc, s.feat.EncodePlan(p))
+		out[i] = valuenet.RefPredict(s.net, s.qEnc, s.feat.EncodePlan(p))
 	}
 	return out
+}
+
+// newPlanChoiceRig builds the seeded reference workload: a Neo on a
+// histogram featurizer over IMDB at scale 0.25 (seed 41), the postgres
+// engine, a small value network (seed 3), the native optimizer as expert and
+// 12 JOB queries (seed 5).
+func newPlanChoiceRig(t *testing.T) (*core.Neo, *workload.Workload, func(*query.Query) (*plan.Plan, error)) {
+	t.Helper()
+	db, err := datagen.GenerateIMDB(datagen.Config{Scale: 0.25, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := stats.Build(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := engine.ProfileByName("postgres")
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat := &feature.Featurizer{Catalog: db.Catalog, Encoding: feature.Histogram, Stats: st}
+	cfg := core.DefaultConfig()
+	cfg.SearchExpansions = 96
+	cfg.TrainEpochs = 6
+	cfg.ValueNet = valuenet.Config{
+		QueryLayers:  []int{32, 16},
+		TreeChannels: []int{16, 8},
+		HeadLayers:   []int{16},
+		LearningRate: 2e-3,
+		UseLayerNorm: true,
+		Seed:         3,
+	}
+	n := core.New(engine.New(prof, db), feat, cfg)
+	pg := expert.NativeOptimizer(engine.New(engine.PostgreSQLProfile(), db), st, db.Catalog)
+	wl, err := workload.JOB(db, 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expertPlan := func(q *query.Query) (*plan.Plan, error) {
+		p, _, err := pg.Optimize(q)
+		return p, err
+	}
+	return n, wl, expertPlan
 }
 
 // TestPlanChoiceParityFloat32 is the correctness bar for scoring in float32:
@@ -36,9 +86,8 @@ func (s *referenceScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 // workload's smallest nonzero decision margin is ~2e-3, and exact ties
 // resolve by deterministic candidate order under both.
 func TestPlanChoiceParityFloat32(t *testing.T) {
-	rig := newRig(t, "postgres")
-	n := rig.neo
-	if err := n.Bootstrap(rig.wl.Queries[:8], rig.expertFunc()); err != nil {
+	n, wl, expertPlan := newPlanChoiceRig(t)
+	if err := n.Bootstrap(wl.Queries[:8], expertPlan); err != nil {
 		t.Fatal(err)
 	}
 	strategies := []struct {
@@ -49,7 +98,7 @@ func TestPlanChoiceParityFloat32(t *testing.T) {
 		{"BestFirst", search.BestFirst, search.Options{Catalog: n.Featurizer.Catalog, MaxExpansions: n.Config.SearchExpansions}},
 		{"Greedy", search.Greedy, search.Options{Catalog: n.Featurizer.Catalog}},
 	}
-	for _, q := range rig.wl.Queries {
+	for _, q := range wl.Queries {
 		ref := &referenceScorer{net: n.Net, feat: n.Featurizer, qEnc: n.Featurizer.EncodeQuery(q)}
 		for _, s := range strategies {
 			want, err := s.search(q, ref, s.opts)

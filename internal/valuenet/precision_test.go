@@ -65,7 +65,7 @@ func TestSnapshotFloat32Parity(t *testing.T) {
 
 	got := s32.PredictBatchNormalized(queries, forests)
 	for i := range got {
-		want := net.PredictNormalized(queries[i], forests[i])
+		want := net.refPredictNormalized(queries[i], forests[i])
 		if rel := relErr(got[i], want); rel > 1e-5 {
 			t.Fatalf("f32 normalised[%d] = %v want %v (rel err %g)", i, got[i], want, rel)
 		}

@@ -33,14 +33,15 @@
 // the same kernel on the same operands whichever call convolves it, and a
 // row's result does not depend on the rows beside it (treeconv/rows.go); the
 // maxima are folded with a v > cur comparison from −Inf in pre-order —
-// DynamicPool's order — so ties between signed zeros and NaN operands resolve
+// dynamic pooling's order — so ties between signed zeros and NaN operands resolve
 // alike whether a subtree's maximum was recorded earlier or is folded now;
 // and the head's kernels treat rows independently.
 //
 // The scorer runs in float32 through the snapshot's packed panels, the only
-// weights a snapshot holds; the per-sample float64 Network.Predict on the
-// network the snapshot was frozen from stays the reference for the network's
-// maths, and on finite activations a score is within 1e-5 relative of it.
+// weights a snapshot holds; the per-sample float64 reference network
+// (reference_test.go), run on the network the snapshot was frozen from, stays
+// the reference for the network's maths, and on finite activations a score
+// is within 1e-5 relative of it.
 package valuenet
 
 import (
@@ -173,7 +174,7 @@ func (s *Scorer) normalized(forests [][]int32) []float64 {
 			foldMax(row, s.slot(id, last))
 		}
 		// An empty forest — and a channel that is NaN or −Inf at every node —
-		// pools to 0, as in the per-sample forward.
+		// pools to 0, as in the per-sample reference.
 		for i, v := range row {
 			if v == negInf {
 				row[i] = 0
@@ -257,8 +258,8 @@ func (s *Scorer) convolve() {
 		}
 		// Last layer: keep the subtree's pooled maximum, not the activation.
 		// Own row first, then the left subtree's maximum, then the right's —
-		// the pre-order DynamicPool visits the nodes in, which decides which
-		// of two equal zeros of opposite sign survives. Children precede their
+		// the pre-order dynamic pooling visits the nodes in, which decides
+		// which of two equal zeros of opposite sign survives. Children precede their
 		// parents in full, so their maxima are final when read.
 		for i, e := range s.leaf {
 			s.pool(e, s.out[i*oc:(i+1)*oc])
@@ -304,7 +305,7 @@ func (s *Scorer) gather(dst []float32, k int, e int32) {
 	copy(dst[len(row):], s.query)
 }
 
-// foldMax raises acc to vs wherever vs is greater, with DynamicPool's
+// foldMax raises acc to vs wherever vs is greater, with dynamic pooling's
 // comparison: a NaN never replaces anything and an equal value keeps the
 // earlier operand.
 func foldMax(acc, vs []float32) {

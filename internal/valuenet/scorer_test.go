@@ -78,7 +78,7 @@ func deepCopy(forests [][]*treeconv.Tree) [][]*treeconv.Tree {
 	for i, f := range forests {
 		out[i] = make([]*treeconv.Tree, len(f))
 		for j, t := range f {
-			out[i][j] = t.Map(func(n *treeconv.Tree) []float64 { return append([]float64(nil), n.Data...) })
+			out[i][j] = mapTree(t, func(n *treeconv.Tree) []float64 { return append([]float64(nil), n.Data...) })
 		}
 	}
 	return out
@@ -88,7 +88,7 @@ func deepCopy(forests [][]*treeconv.Tree) [][]*treeconv.Tree {
 // requires every result to be bit-identical to a fresh scorer's on deep
 // copies, and to PredictBatch's on the forests themselves. On a finite
 // corpus it also holds the from-scratch scores to within 1e-5 relative of
-// the per-sample float64 reference: PredictNormalized on net, the network
+// the per-sample float64 reference: refPredictNormalized on net, the network
 // snap was frozen from.
 func checkScorerCalls(t *testing.T, net *Network, snap *Snapshot, q []float64, calls [][][]*treeconv.Tree, order []int, finite bool) *Scorer {
 	t.Helper()
@@ -127,7 +127,7 @@ func checkScorerCalls(t *testing.T, net *Network, snap *Snapshot, q []float64, c
 			if !finite {
 				continue
 			}
-			ref := net.PredictNormalized(q, forests[i])
+			ref := net.refPredictNormalized(q, forests[i])
 			if rel := relErr(n, ref); rel > 1e-5 {
 				t.Fatalf("call %d forest %d: from scratch %v, per-sample %v (rel err %g)", c, i, n, ref, rel)
 			}

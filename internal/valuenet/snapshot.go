@@ -81,7 +81,9 @@ func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree)
 	return out
 }
 
-// PredictBatchNormalized is PredictBatch in normalised log-cost space. The
+// PredictBatchNormalized is PredictBatch in normalised log-cost space, the
+// space the Figure 14 robustness analysis histograms and the parity tests
+// hold to the per-sample float64 reference network (reference_test.go). The
 // pairs are grouped by query vector (sameSlice), and each group is scored by
 // one Scorer, so the query tower runs once per distinct query, over a
 // treeconv.Subtrees table of the group's trees.

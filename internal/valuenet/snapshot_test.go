@@ -38,7 +38,7 @@ func TestSnapshotIsImmutableUnderTraining(t *testing.T) {
 	predict := func() float64 { return snap.PredictBatch([][]float64{q}, [][]*treeconv.Tree{trees})[0] }
 	before := predict()
 	beforeNorm := snap.PredictBatchNormalized([][]float64{q}, [][]*treeconv.Tree{trees})[0]
-	if live := net.PredictNormalized(q, trees); relErr(beforeNorm, live) > 1e-5 {
+	if live := net.refPredictNormalized(q, trees); relErr(beforeNorm, live) > 1e-5 {
 		t.Fatalf("fresh snapshot should match the live network: snap %v, live %v", beforeNorm, live)
 	}
 
@@ -49,7 +49,7 @@ func TestSnapshotIsImmutableUnderTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	net.Train(samples, 20, 2, rng)
 
-	if after := net.Predict(q, trees); after == before {
+	if after := net.refPredict(q, trees); after == before {
 		t.Errorf("training should have changed the live network's prediction (stayed %v)", after)
 	}
 	if got := predict(); got != before {
@@ -72,18 +72,18 @@ func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	if clone.NumParameters() != net.NumParameters() {
 		t.Fatalf("clone has %d parameters, original %d", clone.NumParameters(), net.NumParameters())
 	}
-	if a, b := net.Predict(q, trees), clone.Predict(q, trees); a != b {
+	if a, b := net.refPredict(q, trees), clone.refPredict(q, trees); a != b {
 		t.Fatalf("clone predicts %v, original %v", b, a)
 	}
 	// Mutating the original must not leak into the clone.
 	orig := net.Params()
-	before := clone.Predict(q, trees)
+	before := clone.refPredict(q, trees)
 	for _, p := range orig {
 		for i := range p.Value {
 			p.Value[i] += 0.1
 		}
 	}
-	if got := clone.Predict(q, trees); got != before {
+	if got := clone.refPredict(q, trees); got != before {
 		t.Errorf("clone shares storage with the original: %v -> %v", before, got)
 	}
 }

@@ -1,4 +1,4 @@
-// Value-network state serialization. Save captures everything Predict and
+// Value-network state serialization. Save captures everything a Snapshot and
 // TrainBatch depend on — input dimensions, the target standardisation, every
 // trainable parameter of the query tower / tree-convolution stack / head,
 // and the Adam step counter and moments — so a loaded network both predicts

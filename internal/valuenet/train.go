@@ -1,6 +1,5 @@
-// Batched training. TrainBatchPerSample (the original path) runs a full
-// forward/backward tape per example; TrainBatch — the path Train and Neo's
-// retraining loop use — runs a whole minibatch through flat arrays:
+// Batched training. TrainBatch — the one training pass, which Train and
+// Neo's retraining loop use — runs a whole minibatch through flat arrays:
 //
 //   - samples are partitioned into fixed-size gradient shards (the partition
 //     depends only on the minibatch size, never on the worker count),
@@ -25,7 +24,8 @@
 // optimizer pass treats every element independently, training is
 // bit-identical for any worker count — TrainBatch sizes its pool from
 // GOMAXPROCS, and the workers only buy wall-clock time. Relative to the
-// per-sample path the batched pass performs the same per-element gradient
+// per-sample reference (reference_test.go), which runs a full
+// forward/backward tape per example, the batched pass performs the same per-element gradient
 // accumulation in the same order everywhere except where it sums before
 // backpropagating: the deduplicated query tower, and a subtree shared inside
 // a shard, whose one row backpropagates the sum of its uses' gradients. So
@@ -141,8 +141,8 @@ func (tr *trainer) pack() {
 // TrainBatch performs one gradient step on a batch of samples using the
 // batched pipeline described in the package comment and returns the mean L2
 // loss (in normalised space). Results are bit-identical for any GOMAXPROCS;
-// relative to TrainBatchPerSample they agree to floating-point association
-// (~1e-9).
+// relative to the per-sample reference they agree to floating-point
+// association (~1e-9).
 func (n *Network) TrainBatch(samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
@@ -259,7 +259,7 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 	// Split the augmented-row gradients: the plan-feature part is an input
 	// (no gradient consumer); the query part accumulates per distinct query
 	// in the table's first-visit pre-order — sample-major, the per-sample
-	// walk order.
+	// reference's walk order.
 	qGrad := a.Alloc(len(sh.qVecs) * qOut)
 	for i := range qGrad {
 		qGrad[i] = 0

