@@ -408,5 +408,5 @@ func (r *RandomPlanner) Plan(q *query.Query) *plan.Plan {
 		}
 		p = kids[r.Rng.Intn(len(kids))]
 	}
-	return p
+	return p.Clone()
 }

@@ -56,8 +56,12 @@ func (a *Arena[T]) Reset() {
 // are data-dependent, so instead of branching per element each value is
 // multiplied by 1 or alpha, selected by a flag the compiler materialises
 // without a jump; v·1 is exact, so results are bit-identical to the branching
-// form.
+// form. Float32 values run as leaky8 on CPUs with AVX2.
 func LeakyInPlace[T Float](xs []T, alpha T) {
+	if x32, ok := any(xs).([]float32); ok && useAVX2 && len(xs) > 0 {
+		leaky8(&x32[0], len(x32), float32(alpha), &maskTable[0][0])
+		return
+	}
 	scale := [2]T{1, alpha}
 	for i, v := range xs {
 		neg := 0

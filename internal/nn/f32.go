@@ -18,6 +18,12 @@
 //
 // Kernels here are inference-only and never mutate weights, so they are safe
 // for unsynchronised concurrent use once packed.
+//
+// Four float32 kernels have AVX2 assembly beside their Go loops: the GEMM
+// panel (gemmPanel8, gemm_amd64.s) and layer norm (layerNorm8), the leaky
+// rectifier (leaky8) and the pooling fold (foldMax8) in f32_amd64.s. The
+// last three compute every value bit for bit as their Go loops do; the
+// GEMM's fused multiply-adds round once where gemmPanelScalar rounds twice.
 package nn
 
 import "math"
@@ -165,10 +171,18 @@ func NewLayerNormF32(ln *LayerNorm) *LayerNormF32 {
 func (ln *LayerNormF32) Bytes() int { return 4 * (len(ln.Gamma) + len(ln.Beta)) }
 
 // ForwardBatch normalises each of rows rows of xs in place-free arena storage.
+// On CPUs with AVX2 the rows run eight at a time through layerNorm8, which
+// computes every value as the Go loop below does.
 func (ln *LayerNormF32) ForwardBatch(xs []float32, rows int, a *Arena[float32]) []float32 {
 	ys := a.Alloc(len(xs))
 	dim := ln.Dim
-	for r := 0; r < rows; r++ {
+	r := 0
+	for ; useAVX2 && dim > 0 && r < rows; r += 8 {
+		n := min(8, rows-r)
+		x, y := xs[r*dim:(r+n)*dim], ys[r*dim:(r+n)*dim]
+		layerNorm8(&x[0], &y[0], &ln.Gamma[0], &ln.Beta[0], n, dim, ln.Eps, &maskTable[0][0])
+	}
+	for ; r < rows; r++ {
 		x := xs[r*dim : (r+1)*dim]
 		y := ys[r*dim : (r+1)*dim]
 		var mean float32
@@ -188,6 +202,23 @@ func (ln *LayerNormF32) ForwardBatch(xs []float32, rows int, a *Arena[float32]) 
 		}
 	}
 	return ys
+}
+
+// FoldMax raises acc to vs wherever vs is greater, with dynamic pooling's
+// comparison: a NaN never replaces anything, and an equal value — +0 against
+// −0 included — keeps the earlier operand. On CPUs with AVX2 it runs as
+// foldMax8.
+func FoldMax(acc, vs []float32) {
+	vs = vs[:len(acc)]
+	if useAVX2 && len(acc) > 0 {
+		foldMax8(&acc[0], &vs[0], len(acc), &maskTable[0][0])
+		return
+	}
+	for i, v := range vs {
+		if v > acc[i] {
+			acc[i] = v
+		}
+	}
 }
 
 // MLPF32 is the float32 packed-panel form of an MLP, built once from trained

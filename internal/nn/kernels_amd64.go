@@ -1,7 +1,8 @@
 //go:build amd64
 
-// AVX2 dispatch for the assembly kernels: the float32 GEMM (gemm_amd64.s)
-// and the float64 training kernels (f64_amd64.s). This file decides, once
+// AVX2 dispatch for the assembly kernels: the float32 GEMM (gemm_amd64.s),
+// the float32 layer norm, leaky rectifier and pooling fold (f32_amd64.s) and
+// the float64 training kernels (f64_amd64.s). This file decides, once
 // at startup, whether the running CPU can execute them. Detection is done
 // directly via CPUID/XGETBV so a binary compiled for baseline GOAMD64=v1
 // still uses the vector kernels on v3-class hardware, and a pre-AVX2
@@ -51,6 +52,18 @@ func detectAVX2FMA() bool {
 //
 //go:noescape
 func gemmPanel8(x, w, y, bias *float32, rows, kUsed, xStride, yStride int, mask *int32)
+
+// The float32 elementwise kernels of f32_amd64.s; f32.go documents each
+// beside the Go loop it must equal. tab points at maskTable[0][0].
+
+//go:noescape
+func layerNorm8(x, y, gamma, beta *float32, rows, dim int, eps float32, tab *int32)
+
+//go:noescape
+func leaky8(xs *float32, n int, alpha float32, tab *int32)
+
+//go:noescape
+func foldMax8(acc, vs *float32, n int, tab *int32)
 
 // The float64 kernels of f64_amd64.s; f64.go documents each beside the Go
 // loop it must equal. tab points at maskTab[16].

@@ -12,6 +12,18 @@ func gemmPanel8(x, w, y, bias *float32, rows, kUsed, xStride, yStride int, mask 
 	panic("nn: gemmPanel8 without AVX2")
 }
 
+func layerNorm8(x, y, gamma, beta *float32, rows, dim int, eps float32, tab *int32) {
+	panic("nn: layerNorm8 without AVX2")
+}
+
+func leaky8(xs *float32, n int, alpha float32, tab *int32) {
+	panic("nn: leaky8 without AVX2")
+}
+
+func foldMax8(acc, vs *float32, n int, tab *int32) {
+	panic("nn: foldMax8 without AVX2")
+}
+
 func panel1(w, bias, x, y *float64, in, pad, out int, tab *int64) {
 	panic("nn: panel1 without AVX2")
 }

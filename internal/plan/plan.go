@@ -353,6 +353,11 @@ func Initial(q *query.Query, t *Nodes) *Plan {
 	return &Plan{Query: q, Roots: roots}
 }
 
+// Clone returns p with Roots of its own. Children cuts an expansion's
+// children from one slab, so a plan kept past its search is cloned first,
+// or it keeps all its siblings alive.
+func (p *Plan) Clone() *Plan { return &Plan{Query: p.Query, Roots: slices.Clone(p.Roots)} }
+
 // IsComplete reports whether the plan is a complete execution plan: a single
 // tree with every scan specified.
 func (p *Plan) IsComplete() bool {
@@ -419,9 +424,10 @@ type ChildrenOptions struct {
 // operators. A complete plan has no children.
 //
 // Every child's roots are t's nodes (p's roots are interned first), and a
-// child shares every subtree it does not change with p: it costs a new Roots
-// slice plus one join node, or the leaf-to-root spine above the specified
-// scan — or lookups only, where t already holds them.
+// child shares every subtree it does not change with p: it costs one join
+// node, or the leaf-to-root spine above the specified scan — or lookups
+// only, where t already holds them. The children themselves and their Roots
+// are cut from one slab per call (see Clone).
 func (p *Plan) Children(t *Nodes, opts ChildrenOptions) []*Plan {
 	if p.IsComplete() {
 		return nil
@@ -431,67 +437,77 @@ func (p *Plan) Children(t *Nodes, opts ChildrenOptions) []*Plan {
 	var linked []bool
 	pairs := n * (n - 1) / 2
 	if !opts.AllowCrossProducts {
-		linked = p.linkedRoots()
-		pairs = 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if linked[i*n+j] {
-					pairs++
-				}
-			}
-		}
+		linked, pairs = p.linkedRoots()
 	}
-	out := make([]*Plan, 0, 2+2*NumJoinOps*pairs)
-
 	// (1) Specify an unspecified scan. To keep the branching factor small we
 	// specify the first unspecified scan encountered in the first root that
 	// has one (left to right); specifying them in a different order yields
 	// the same set of reachable complete plans.
-	for ri, r := range p.Roots {
-		if r.unspec == 0 {
-			continue
-		}
-		scans := [...]ScanType{TableScan, IndexScan}
-		offered := 1
-		if p.indexUsable(firstUnspecified(r).Table, opts.Catalog) {
+	ri, offered := slices.IndexFunc(p.Roots, func(r *Node) bool { return r.unspec > 0 }), 0
+	if ri >= 0 {
+		offered = 1
+		if p.indexUsable(firstUnspecified(p.Roots[ri]).Table, opts.Catalog) {
 			offered = 2
 		}
-		for _, st := range scans[:offered] {
-			roots := append([]*Node(nil), p.Roots...)
-			roots[ri] = t.specifyFirst(r, st)
-			out = append(out, &Plan{Query: p.Query, Roots: roots})
-		}
-		break // only expand one unspecified scan per state
+	}
+	// A scan child has n roots, a join child n−1; add makes the roots
+	// appended to slab since lo a child.
+	plans := make([]Plan, 0, offered+2*NumJoinOps*pairs)
+	out := make([]*Plan, 0, cap(plans))
+	slab := make([]*Node, 0, offered*n+(cap(plans)-offered)*(n-1))
+	add := func(lo int) {
+		plans = append(plans, Plan{Query: p.Query, Roots: slab[lo:len(slab):len(slab)]})
+		out = append(out, &plans[len(plans)-1])
+	}
+	scans := [...]ScanType{TableScan, IndexScan}
+	for _, st := range scans[:offered] {
+		lo := len(slab)
+		slab = append(slab, p.Roots...)
+		slab[lo+ri] = t.specifyFirst(p.Roots[ri], st)
+		add(lo)
 	}
 
-	// (2) Join two roots. Build and probe sides matter to the cost model, so
-	// each unordered pair yields both orientations of every operator.
+	// (2) Join two roots: root i becomes the left/outer input of t's join
+	// node over roots i and j, appended after the untouched roots. Build and
+	// probe sides matter to the cost model, so each unordered pair yields
+	// both orientations of every operator.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if linked != nil && !linked[i*n+j] {
 				continue
 			}
 			for _, op := range AllJoinOps {
-				out = append(out, p.joinRoots(t, i, j, op), p.joinRoots(t, j, i, op))
+				for _, lr := range [2][2]int{{i, j}, {j, i}} {
+					lo := len(slab)
+					for k, r := range p.Roots {
+						if k != i && k != j {
+							slab = append(slab, r)
+						}
+					}
+					slab = append(slab, t.Join(op, p.Roots[lr[0]], p.Roots[lr[1]]))
+					add(lo)
+				}
 			}
 		}
 	}
 	return out
 }
 
-// linkedRoots answers, for one expansion, which pairs of roots some join
-// predicate of the query connects: entry i*len(Roots)+j. It costs one root
-// lookup per predicate side, against the relation signatures.
-func (p *Plan) linkedRoots() []bool {
+// linkedRoots answers, for one expansion, which pairs of distinct roots
+// some join predicate of the query connects — entry i*len(Roots)+j — and
+// how many such pairs there are. It costs one root lookup per predicate
+// side, against the relation signatures.
+func (p *Plan) linkedRoots() ([]bool, int) {
 	n := len(p.Roots)
-	linked := make([]bool, n*n)
+	linked, pairs := make([]bool, n*n), 0
 	for _, j := range p.Query.Joins {
 		l, r := p.rootOf(j.LeftTable), p.rootOf(j.RightTable)
-		if l >= 0 && r >= 0 {
+		if l >= 0 && r >= 0 && l != r && !linked[l*n+r] {
 			linked[l*n+r], linked[r*n+l] = true, true
+			pairs++
 		}
 	}
-	return linked
+	return linked, pairs
 }
 
 // rootOf returns the index of the root that scans table, or -1.
@@ -515,19 +531,6 @@ func JoinBetween(q *query.Query, a, b *Node) (query.JoinPredicate, bool) {
 		}
 	}
 	return query.JoinPredicate{}, false
-}
-
-// joinRoots returns p with roots i and j replaced by t's join node over them
-// (root i becomes the left/outer input), appended after the untouched roots.
-func (p *Plan) joinRoots(t *Nodes, i, j int, op JoinOp) *Plan {
-	roots := make([]*Node, 0, len(p.Roots)-1)
-	for k, r := range p.Roots {
-		if k != i && k != j {
-			roots = append(roots, r)
-		}
-	}
-	roots = append(roots, t.Join(op, p.Roots[i], p.Roots[j]))
-	return &Plan{Query: p.Query, Roots: roots}
 }
 
 // internRoots returns p if its roots are t's nodes, else p with its roots

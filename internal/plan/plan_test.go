@@ -365,3 +365,99 @@ func TestChildrenShareUntouchedSubtrees(t *testing.T) {
 		}
 	}
 }
+
+// refChildren is Children as it was before the slab: every child built on
+// its own, scan choices first, then both orientations of every operator for
+// every linked pair of roots.
+func refChildren(p *Plan, t *Nodes, opts ChildrenOptions) []*Plan {
+	if p.IsComplete() {
+		return nil
+	}
+	p = t.internRoots(p)
+	n := len(p.Roots)
+	var linked []bool
+	if !opts.AllowCrossProducts {
+		linked, _ = p.linkedRoots()
+	}
+	var out []*Plan
+	for ri, r := range p.Roots {
+		if r.unspec == 0 {
+			continue
+		}
+		scans := []ScanType{TableScan}
+		if p.indexUsable(firstUnspecified(r).Table, opts.Catalog) {
+			scans = append(scans, IndexScan)
+		}
+		for _, st := range scans {
+			roots := append([]*Node(nil), p.Roots...)
+			roots[ri] = t.specifyFirst(r, st)
+			out = append(out, &Plan{Query: p.Query, Roots: roots})
+		}
+		break
+	}
+	join := func(i, j int, op JoinOp) *Plan {
+		var roots []*Node
+		for k, r := range p.Roots {
+			if k != i && k != j {
+				roots = append(roots, r)
+			}
+		}
+		return &Plan{Query: p.Query, Roots: append(roots, t.Join(op, p.Roots[i], p.Roots[j]))}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if linked != nil && !linked[i*n+j] {
+				continue
+			}
+			for _, op := range AllJoinOps {
+				out = append(out, join(i, j, op), join(j, i, op))
+			}
+		}
+	}
+	return out
+}
+
+// TestChildrenMatchPerChildReference walks every state reachable from a
+// three-relation query, with and without cross products, and requires
+// Children and refChildren — each on a table of its own, fed the same
+// states in the same order — to enumerate the same children in the same
+// order with the same roots, hashes and node ids. Each child's Roots ends
+// at its own capacity, so appending to one never writes into a sibling.
+func TestChildrenMatchPerChildReference(t *testing.T) {
+	for _, cross := range []bool{false, true} {
+		opts := ChildrenOptions{AllowCrossProducts: cross}
+		got, want := NewNodes(), NewNodes()
+		queue := [][2]*Plan{{Initial(threeWayQuery(), got), Initial(threeWayQuery(), want)}}
+		seen := map[[2]uint64]bool{}
+		for len(queue) > 0 {
+			g, w := queue[0][0], queue[0][1]
+			queue = queue[1:]
+			if seen[g.Hash()] {
+				continue
+			}
+			seen[g.Hash()] = true
+			gk, wk := g.Children(got, opts), refChildren(w, want, opts)
+			if len(gk) != len(wk) {
+				t.Fatalf("cross=%v %s: %d children, reference %d", cross, g, len(gk), len(wk))
+			}
+			for c := range gk {
+				if len(gk[c].Roots) != cap(gk[c].Roots) || gk[c].Query != g.Query {
+					t.Fatalf("cross=%v %s child %d: %d roots of capacity %d", cross, g, c, len(gk[c].Roots), cap(gk[c].Roots))
+				}
+				if gk[c].Hash() != wk[c].Hash() || len(gk[c].Roots) != len(wk[c].Roots) {
+					t.Fatalf("cross=%v %s child %d: %s, reference %s", cross, g, c, gk[c], wk[c])
+				}
+				for i, r := range gk[c].Roots {
+					if r.id != wk[c].Roots[i].id || r.hash != wk[c].Roots[i].hash {
+						t.Fatalf("cross=%v %s child %d root %d: node %d %s, reference node %d %s",
+							cross, g, c, i, r.id, r, wk[c].Roots[i].id, wk[c].Roots[i])
+					}
+				}
+				queue = append(queue, [2]*Plan{gk[c], wk[c]})
+			}
+		}
+		if got.Len() != want.Len() || len(seen) < 100 {
+			t.Fatalf("cross=%v: %d states; tables of %d and %d nodes", cross, len(seen), got.Len(), want.Len())
+		}
+	}
+}

@@ -299,7 +299,7 @@ func BestFirst(q *query.Query, scorer BatchScorer, opts Options) (*Result, error
 	if bestComplete == nil || !bestComplete.IsComplete() {
 		return nil, fmt.Errorf("search: no complete plan found for query %s", q.ID)
 	}
-	res.Plan = bestComplete
+	res.Plan = bestComplete.Clone()
 	res.Score = bestScore
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -321,7 +321,7 @@ func Greedy(q *query.Query, scorer BatchScorer, opts Options) (*Result, error) {
 	if p == nil || !p.IsComplete() {
 		return nil, fmt.Errorf("search: greedy descent failed for query %s", q.ID)
 	}
-	return &Result{Plan: p, Score: score, Expansions: steps, Evaluations: evals, HurryUp: true, Elapsed: time.Since(start)}, nil
+	return &Result{Plan: p.Clone(), Score: score, Expansions: steps, Evaluations: evals, HurryUp: true, Elapsed: time.Since(start)}, nil
 }
 
 // greedyDescend repeatedly takes the lowest-scoring child until reaching a

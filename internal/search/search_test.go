@@ -487,3 +487,40 @@ func TestAllNaNScorerStillPlans(t *testing.T) {
 		}
 	}
 }
+
+// TestResultIsCopiedOutOfTheSlab: Children cuts an expansion's children
+// from one slab, so a result that were one of them would keep all its
+// siblings alive in the plan cache. BestFirst — through its main loop and
+// through hurry-up — and Greedy return a copy: a plan the scorer never saw,
+// structurally equal to the one it scored, with Roots of their own.
+func TestResultIsCopiedOutOfTheSlab(t *testing.T) {
+	cat := datagen.IMDBCatalog()
+	q := fiveWayQuery()
+	searches := map[string]func(BatchScorer) (*Result, error){
+		"best-first": func(s BatchScorer) (*Result, error) {
+			return BestFirst(q, s, Options{Catalog: cat, MaxExpansions: 512})
+		},
+		"hurry-up": func(s BatchScorer) (*Result, error) { return BestFirst(q, s, Options{Catalog: cat, MaxExpansions: 3}) },
+		"greedy":   func(s BatchScorer) (*Result, error) { return Greedy(q, s, Options{Catalog: cat}) },
+	}
+	for name, run := range searches {
+		var scored []*plan.Plan
+		res, err := run(ScorerFunc(func(p *plan.Plan) float64 {
+			scored = append(scored, p)
+			return structuralScorer(p)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := false
+		for _, p := range scored {
+			if p == res.Plan || &p.Roots[0] == &res.Plan.Roots[0] {
+				t.Fatalf("%s: the result %s is a scored plan, or shares its Roots", name, res.Plan)
+			}
+			same = same || p.Hash() == res.Plan.Hash()
+		}
+		if !same || cap(res.Plan.Roots) != 1 {
+			t.Errorf("%s: result %s was never scored, or holds %d roots of capacity", name, res.Plan, cap(res.Plan.Roots))
+		}
+	}
+}

@@ -286,3 +286,34 @@ func TestPackedConvMatchesGoLoops(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolBatchTiesKeepFirstRoot: when two roots of a forest tie in a
+// channel — equal values, or +0 against −0 — the first root in pre-order
+// keeps the pooled value and is the row Backward sends the channel's
+// gradient to, whichever order the roots come in.
+func TestPoolBatchTiesKeepFirstRoot(t *testing.T) {
+	const dim = 3
+	negZero := math.Copysign(0, -1)
+	var tab Subtrees
+	a, b := tab.Add(NewLeaf([]float64{1}), 0), tab.Add(NewLeaf([]float64{2}), 0)
+	out := []float64{
+		0, 2, negZero, // a
+		negZero, 2, 0, // b
+	}
+	var pool PoolBatchTape
+	var arena nn.Arena[float64]
+	roots := [][]int32{{a, b}, {b, a}}
+	pooled := pool.Forward(&tab, out, dim, roots, &arena)
+	for s, rs := range roots {
+		first := out[int(rs[0])*dim : int(rs[0]+1)*dim]
+		for c := 0; c < dim; c++ {
+			if got := pooled[s*dim+c]; math.Float64bits(got) != math.Float64bits(first[c]) {
+				t.Errorf("roots %v channel %d: pooled %v, the first root holds %v", rs, c, got, first[c])
+			}
+		}
+	}
+	grad := pool.Backward([]float64{1, 2, 3, 4, 5, 6}, &arena)
+	if want := []float64{1, 2, 3, 4, 5, 6}; !slices.Equal(grad, want) {
+		t.Errorf("row gradients %v, want %v: each forest's first root takes its gradient", grad, want)
+	}
+}

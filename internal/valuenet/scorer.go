@@ -171,7 +171,7 @@ func (s *Scorer) normalized(forests [][]int32) []float64 {
 			row[i] = negInf
 		}
 		for _, id := range f {
-			foldMax(row, s.slot(id, last))
+			nn.FoldMax(row, s.slot(id, last))
 		}
 		// An empty forest — and a channel that is NaN or −Inf at every node —
 		// pools to 0, as in the per-sample reference.
@@ -279,10 +279,10 @@ func (s *Scorer) pool(e int32, own []float32) {
 	for c := range acc {
 		acc[c] = negInf
 	}
-	foldMax(acc, own)
+	nn.FoldMax(acc, own)
 	if l := s.left[e]; l >= 0 {
-		foldMax(acc, s.slot(l, last))
-		foldMax(acc, s.slot(s.right[e], last))
+		nn.FoldMax(acc, s.slot(l, last))
+		nn.FoldMax(acc, s.slot(s.right[e], last))
 	}
 }
 
@@ -303,17 +303,6 @@ func (s *Scorer) gather(dst []float32, k int, e int32) {
 		dst[i] = float32(v)
 	}
 	copy(dst[len(row):], s.query)
-}
-
-// foldMax raises acc to vs wherever vs is greater, with dynamic pooling's
-// comparison: a NaN never replaces anything and an equal value keeps the
-// earlier operand.
-func foldMax(acc, vs []float32) {
-	for i, v := range vs[:len(acc)] {
-		if v > acc[i] {
-			acc[i] = v
-		}
-	}
 }
 
 // resize returns s with length n and unspecified contents, reallocating only

@@ -270,3 +270,38 @@ func TestScorerPanicsOnDimensionMismatch(t *testing.T) {
 		snap.NewScorer(make([]float64, 4), &tab).Score(treeRoots(&tab, [][]*treeconv.Tree{{treeconv.NewLeaf(make([]float64, 5))}}))
 	})
 }
+
+// TestScorerPoolingTiesKeepFirstRoot: when two roots of a forest tie in a
+// pooled channel — +0 against −0 — the first root keeps the channel, on the
+// vector kernel and on the Go loop, whichever order the roots come in.
+func TestScorerPoolingTiesKeepFirstRoot(t *testing.T) {
+	const queryDim, planDim = 4, 3
+	net := New(queryDim, planDim, DefaultConfig())
+	negZero := float32(math.Copysign(0, -1))
+	eachKernel(t, net, func(t *testing.T, snap *Snapshot) {
+		rng := rand.New(rand.NewSource(5))
+		var tab treeconv.Subtrees
+		sc := snap.NewScorer(randVec(rng, queryDim), &tab)
+		ab := treeRoots(&tab, [][]*treeconv.Tree{{treeconv.NewLeaf(randVec(rng, planDim)), treeconv.NewLeaf(randVec(rng, planDim))}})[0]
+		sc.Score([][]int32{ab})
+		// Overwrite the two records' pooled maxima with ties, alternating
+		// which root holds +0.
+		last := len(sc.width) - 1
+		a, b := sc.slot(ab[0], last), sc.slot(ab[1], last)
+		for c := range a {
+			a[c], b[c] = 0, negZero
+			if c%2 == 1 {
+				a[c], b[c] = negZero, 0
+			}
+		}
+		for _, roots := range [][]int32{{ab[0], ab[1]}, {ab[1], ab[0]}} {
+			sc.normalized([][]int32{roots})
+			first := sc.slot(roots[0], last)
+			for c, v := range sc.pooled {
+				if math.Float32bits(v) != math.Float32bits(first[c]) {
+					t.Fatalf("roots %v channel %d: pooled %v, the first root holds %v", roots, c, v, first[c])
+				}
+			}
+		}
+	})
+}
