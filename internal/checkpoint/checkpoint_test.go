@@ -40,12 +40,35 @@ func randVec(rng *rand.Rand, dim int) []float64 {
 	return v
 }
 
-func randForest(rng *rand.Rand) []*treeconv.Tree {
-	return []*treeconv.Tree{treeconv.NewNode(randVec(rng, planDim),
-		treeconv.NewLeaf(randVec(rng, planDim)),
-		treeconv.NewNode(randVec(rng, planDim),
-			treeconv.NewLeaf(randVec(rng, planDim)),
-			treeconv.NewLeaf(randVec(rng, planDim))))}
+// forests is an id space of plan trees (treeconv.Nodes), numbered children
+// first. The zero value is empty.
+type forests struct {
+	rows        [][]float64
+	left, right []int32
+}
+
+// Node implements treeconv.Nodes.
+func (f *forests) Node(id int32) (row []float64, left, right int32) {
+	return f.rows[id], f.left[id], f.right[id]
+}
+
+func (f *forests) add(row []float64, left, right int32) int32 {
+	f.rows, f.left, f.right = append(f.rows, row), append(f.left, left), append(f.right, right)
+	return int32(len(f.rows) - 1)
+}
+
+// random adds a random five-node tree — a join over a leaf and a join of two
+// leaves — and returns the one-root forest of it.
+func (f *forests) random(rng *rand.Rand) []int32 {
+	root, l1, inner, l2, l3 := randVec(rng, planDim), randVec(rng, planDim), randVec(rng, planDim), randVec(rng, planDim), randVec(rng, planDim)
+	j := f.add(inner, f.add(l2, -1, -1), f.add(l3, -1, -1))
+	return []int32{f.add(root, f.add(l1, -1, -1), j)}
+}
+
+// sample is a training sample of a random tree under a random query vector.
+func (f *forests) sample(rng *rand.Rand) valuenet.Sample {
+	q := randVec(rng, queryDim)
+	return valuenet.Sample{Query: q, Nodes: f, Roots: f.random(rng), Target: math.Exp(rng.Float64() * 6)}
 }
 
 // trainedNet builds a network and takes a few optimizer steps so the Adam
@@ -54,13 +77,10 @@ func trainedNet(t testing.TB, seed int64) *valuenet.Network {
 	t.Helper()
 	net := valuenet.New(queryDim, planDim, smallNetConfig(seed))
 	rng := rand.New(rand.NewSource(7))
+	var fs forests
 	var samples []valuenet.Sample
 	for i := 0; i < 8; i++ {
-		samples = append(samples, valuenet.Sample{
-			Query:  randVec(rng, queryDim),
-			Plan:   randForest(rng),
-			Target: math.Exp(rng.Float64() * 6),
-		})
+		samples = append(samples, fs.sample(rng))
 	}
 	costs := make([]float64, len(samples))
 	for i, s := range samples {
@@ -156,16 +176,14 @@ func requireSameNetwork(t *testing.T, a, b *valuenet.Network, rng *rand.Rand, pa
 			}
 		}
 	}
-	queries := make([][]float64, pairs)
-	forests := make([][]*treeconv.Tree, pairs)
-	for i := range queries {
-		queries[i] = randVec(rng, queryDim)
-		forests[i] = randForest(rng)
-	}
-	pa, pb := a.Snapshot().PredictBatch(queries, forests), b.Snapshot().PredictBatch(queries, forests)
-	for i := range pa {
-		if math.Float64bits(pa[i]) != math.Float64bits(pb[i]) {
-			t.Fatalf("prediction %d differs after round trip: %v vs %v", i, pa[i], pb[i])
+	snapA, snapB := a.Snapshot(), b.Snapshot()
+	var fs forests
+	for i := 0; i < pairs; i++ {
+		q := randVec(rng, queryDim)
+		forest := [][]int32{fs.random(rng)}
+		pa, pb := snapA.NewScorer(q, &fs).Score(forest)[0], snapB.NewScorer(q, &fs).Score(forest)[0]
+		if math.Float64bits(pa) != math.Float64bits(pb) {
+			t.Fatalf("prediction %d differs after round trip: %v vs %v", i, pa, pb)
 		}
 	}
 }
@@ -185,13 +203,10 @@ func TestNetworkSaveLoadResumesOptimizerTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
+	var fs forests
 	var samples []valuenet.Sample
 	for i := 0; i < 8; i++ {
-		samples = append(samples, valuenet.Sample{
-			Query:  randVec(rng, queryDim),
-			Plan:   randForest(rng),
-			Target: math.Exp(rng.Float64() * 6),
-		})
+		samples = append(samples, fs.sample(rng))
 	}
 	for step := 0; step < 3; step++ {
 		src.TrainBatch(samples)

@@ -10,7 +10,6 @@ import (
 	"neo/internal/plan"
 	"neo/internal/query"
 	"neo/internal/search"
-	"neo/internal/treeconv"
 	"neo/internal/valuenet"
 )
 
@@ -259,7 +258,8 @@ func TestConcurrentSearchNodeTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := n.Snapshot().PredictBatch([][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{n.Featurizer.EncodePlan(cached)})[0]
+	sc, forest := fromScratch(n.Snapshot(), n.Featurizer, n.Featurizer.EncodeQuery(q), cached)
+	want := sc.Score(forest)[0]
 	opts := search.Options{Catalog: n.Featurizer.Catalog, MaxExpansions: n.Config.SearchExpansions}
 
 	results := make([]*search.Result, 2)
@@ -319,9 +319,12 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qEnc := [][]float64{n.Featurizer.EncodeQuery(probe)}
-	pEnc := [][]*treeconv.Tree{n.Featurizer.EncodePlan(probePlan)}
-	predBefore := snapBefore.PredictBatch(qEnc, pEnc)[0]
+	qEnc := n.Featurizer.EncodeQuery(probe)
+	predict := func(snap *valuenet.Snapshot, qEnc []float64) float64 {
+		sc, forest := fromScratch(snap, n.Featurizer, qEnc, probePlan)
+		return sc.Score(forest)[0]
+	}
+	predBefore := predict(snapBefore, qEnc)
 
 	// Grow the experience so the retraining round has new signal.
 	if _, err := n.RunEpisode(1, train); err != nil {
@@ -342,7 +345,7 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 					}
 					n.SetBaseline(q.ID, float64(100+w))
 					n.Baseline(q.ID)
-					n.Snapshot().PredictBatch([][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{n.Featurizer.EncodePlan(probePlan)})
+					predict(n.Snapshot(), n.Featurizer.EncodeQuery(q))
 				}
 			}
 		}(w)
@@ -362,7 +365,7 @@ func TestRetrainAsyncDoubleBuffering(t *testing.T) {
 	}
 	// The old snapshot is immutable: it must still score with the weights it
 	// was frozen with.
-	if got := snapBefore.PredictBatch(qEnc, pEnc)[0]; got != predBefore {
+	if got := predict(snapBefore, qEnc); got != predBefore {
 		t.Errorf("old snapshot's prediction changed after retraining: %v -> %v", predBefore, got)
 	}
 }

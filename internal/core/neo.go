@@ -472,7 +472,7 @@ func (l *Learner) trainingSamplesLocked(keep int) []valuenet.Sample {
 	// what valuenet deduplicates the query tower on. The kept states of one
 	// entry share their subtrees: one node table and one encoder over it,
 	// made at the entry's first kept state, encode each node of its plan
-	// once.
+	// once and are the id space the entry's samples name their roots in.
 	encodings := make(map[string][]float64)
 	type built struct {
 		states []*plan.Plan
@@ -500,7 +500,8 @@ func (l *Learner) trainingSamplesLocked(keep int) []valuenet.Sample {
 		}
 		samples = append(samples, valuenet.Sample{
 			Query:  qEnc,
-			Plan:   b.enc.Encode(partial),
+			Nodes:  b.enc,
+			Roots:  b.enc.AppendIDs(nil, partial),
 			Target: target,
 		})
 	}

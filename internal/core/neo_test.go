@@ -12,7 +12,6 @@ import (
 	"neo/internal/query"
 	"neo/internal/stats"
 	"neo/internal/storage"
-	"neo/internal/treeconv"
 	"neo/internal/valuenet"
 	"neo/internal/workload"
 )
@@ -274,12 +273,11 @@ func TestPredictNormalizedFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := rig.neo.Featurizer.EncodePlan(p)
-	if len(trees) != 1 {
-		t.Errorf("expected a single encoded tree for a complete plan")
+	sc, forest := fromScratch(rig.neo.Snapshot(), rig.neo.Featurizer, rig.neo.Featurizer.EncodeQuery(q), p)
+	if len(forest[0]) != 1 {
+		t.Errorf("expected a single encoded root for a complete plan")
 	}
-	v := rig.neo.Snapshot().PredictBatchNormalized(
-		[][]float64{rig.neo.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{trees})[0]
+	v := sc.Normalized(forest)[0]
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Errorf("normalized prediction should be finite, got %f", v)
 	}

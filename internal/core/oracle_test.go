@@ -78,56 +78,61 @@ func (b *refBatch) Row(i int) []float64 {
 	return b.Data[i*b.Channels : (i+1)*b.Channels]
 }
 
-// refBatchBuilder flattens forests into a refBatch, verbatim.
+// refBatchBuilder flattens forests into a refBatch, verbatim but for
+// reading each forest as root ids in its sample's id space.
 type refBatchBuilder struct {
 	batch refBatch
 	next  int
 }
 
 // Build flattens one forest per sample into a batch of channels-wide node
-// rows, every node of every tree in pre-order; fill writes each node's row.
-func (bb *refBatchBuilder) Build(forests [][]*treeconv.Tree, channels int, fill func(sample int, node *treeconv.Tree, row []float64)) *refBatch {
+// rows, every node of every tree in pre-order; fill writes each node's row
+// from its plan vector.
+func (bb *refBatchBuilder) Build(samples []valuenet.Sample, channels int, fill func(sample int, data, row []float64)) *refBatch {
+	var count func(nodes treeconv.Nodes, id int32) int
+	count = func(nodes treeconv.Nodes, id int32) int {
+		if _, l, r := nodes.Node(id); l >= 0 {
+			return 1 + count(nodes, l) + count(nodes, r)
+		}
+		return 1
+	}
 	n := 0
-	for _, f := range forests {
-		for _, t := range f {
-			n += t.NumNodes()
+	for _, smp := range samples {
+		for _, id := range smp.Roots {
+			n += count(smp.Nodes, id)
 		}
 	}
 	b := &bb.batch
 	b.Channels = channels
 	b.N = n
-	b.Samples = len(forests)
+	b.Samples = len(samples)
 	b.Data = refGrow(b.Data, n*channels)
 	b.Left = refGrow(b.Left, n)
 	b.Right = refGrow(b.Right, n)
 	b.Sample = refGrow(b.Sample, n)
 	bb.next = 0
-	for si, f := range forests {
-		for _, t := range f {
-			if t != nil {
-				bb.addTree(t, si, fill)
-			}
+	for si, smp := range samples {
+		for _, id := range smp.Roots {
+			bb.addTree(smp.Nodes, id, si, fill)
 		}
 	}
 	return b
 }
 
-// addTree appends t's nodes in pre-order and returns t's node index.
-func (bb *refBatchBuilder) addTree(t *treeconv.Tree, sample int, fill func(sample int, node *treeconv.Tree, row []float64)) int {
+// addTree appends subtree id's nodes in pre-order and returns its node
+// index.
+func (bb *refBatchBuilder) addTree(nodes treeconv.Nodes, id int32, sample int, fill func(sample int, data, row []float64)) int {
 	b := &bb.batch
 	i := bb.next
 	bb.next++
-	fill(sample, t, b.Row(i))
+	data, l, r := nodes.Node(id)
+	fill(sample, data, b.Row(i))
 	b.Sample[i] = sample
-	if t.Left != nil {
-		b.Left[i] = bb.addTree(t.Left, sample, fill)
+	if l >= 0 {
+		b.Left[i] = bb.addTree(nodes, l, sample, fill)
+		b.Right[i] = bb.addTree(nodes, r, sample, fill)
 	} else {
-		b.Left[i] = -1
-	}
-	if t.Right != nil {
-		b.Right[i] = bb.addTree(t.Right, sample, fill)
-	} else {
-		b.Right[i] = -1
+		b.Left[i], b.Right[i] = -1, -1
 	}
 	return i
 }
@@ -694,9 +699,7 @@ func (sh *refShard) run(r *refNet, samples []valuenet.Sample) {
 
 	var qVecs [][]float64
 	qIndex := make([]int, rows)
-	forests := make([][]*treeconv.Tree, rows)
 	for s, smp := range samples {
-		forests[s] = smp.Plan
 		q := smp.Query
 		idx := -1
 		for u, uq := range qVecs {
@@ -719,8 +722,8 @@ func (sh *refShard) run(r *refNet, samples []valuenet.Sample) {
 	g := qt.output
 	qOut := len(g) / len(qVecs)
 	channels := r.planDim + qOut
-	batch := sh.builder.Build(forests, channels, func(sample int, node *treeconv.Tree, row []float64) {
-		copy(row, node.Data)
+	batch := sh.builder.Build(samples, channels, func(sample int, data, row []float64) {
+		copy(row, data)
 		copy(row[r.planDim:], g[qIndex[sample]*qOut:(qIndex[sample]+1)*qOut])
 	})
 
@@ -903,22 +906,26 @@ func oracleSamples(rng *rand.Rand, queryDim, planDim, count int) []valuenet.Samp
 		}
 		return v
 	}
-	var tree func(depth int) *treeconv.Tree
-	tree = func(depth int) *treeconv.Tree {
+	var tree func(depth int) *refTree
+	tree = func(depth int) *refTree {
 		if depth == 0 || rng.Intn(4) == 0 {
-			return treeconv.NewLeaf(vec())
+			return &refTree{Data: vec()}
 		}
-		return treeconv.NewNode(vec(), tree(depth-1), tree(depth-1))
+		data := vec()
+		left := tree(depth - 1)
+		return &refTree{Data: data, Left: left, Right: tree(depth - 1)}
 	}
+	ids := &treeIDs{}
 	samples := make([]valuenet.Sample, count)
 	for i := range samples {
-		forest := []*treeconv.Tree{tree(4)}
+		forest := []*refTree{tree(4)}
 		for rng.Intn(3) == 0 {
 			forest = append(forest, tree(2))
 		}
 		samples[i] = valuenet.Sample{
 			Query:  queries[rng.Intn(len(queries))],
-			Plan:   forest,
+			Nodes:  ids,
+			Roots:  ids.roots(forest),
 			Target: math.Exp(rng.Float64() * 8),
 		}
 	}

@@ -10,39 +10,45 @@ import (
 	"neo/internal/query"
 	"neo/internal/route"
 	"neo/internal/search"
-	"neo/internal/treeconv"
 	"neo/internal/valuenet"
 	"neo/internal/workload"
 )
 
+// fromScratch returns a fresh scorer for qEnc on snap and p's forest in a
+// fresh encoder over a fresh node table: p scored with nothing recalled.
+func fromScratch(snap *valuenet.Snapshot, f *feature.Featurizer, qEnc []float64, p *plan.Plan) (*valuenet.Scorer, [][]int32) {
+	enc := f.NewPlanEncoder(p.Query, plan.NewNodes())
+	return snap.NewScorer(qEnc, enc), [][]int32{enc.AppendIDs(nil, p)}
+}
+
 // exactScorer drives a search with the product scorer while holding every
-// batch it scores to the same plans scored from scratch: each encoded by
-// Featurizer.EncodePlan (a fresh encoder, so no two forests share a tree),
-// through PredictBatch on the same snapshot (a fresh scorer, so nothing is
-// recalled).
+// batch it scores to the same plans scored from scratch: encoded by a fresh
+// encoder over a fresh node table and scored by a fresh scorer on the same
+// snapshot, so nothing from earlier batches is recalled.
 type exactScorer struct {
 	t     *testing.T
 	inner search.BatchScorer
 	snap  *valuenet.Snapshot
 	feat  *feature.Featurizer
+	q     *query.Query
 	qEnc  []float64
 	plans int
 }
 
 func (s *exactScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 	got := s.inner.ScoreBatch(ps)
-	queries := make([][]float64, len(ps))
-	forests := make([][]*treeconv.Tree, len(ps))
+	enc := s.feat.NewPlanEncoder(s.q, plan.NewNodes())
+	forests := make([][]int32, len(ps))
 	for i, p := range ps {
-		queries[i], forests[i] = s.qEnc, s.feat.EncodePlan(p)
+		forests[i] = enc.AppendIDs(nil, p)
 	}
-	want := s.snap.PredictBatch(queries, forests)
+	want := s.snap.NewScorer(s.qEnc, enc).Score(forests)
 	if len(got) != len(want) {
 		s.t.Fatalf("scorer returned %d scores for %d plans", len(got), len(want))
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			s.t.Fatalf("plan %d of a batch of %d (%s): scorer says %v (%#x), PredictBatch %v (%#x)",
+			s.t.Fatalf("plan %d of a batch of %d (%s): scorer says %v (%#x), from scratch %v (%#x)",
 				i, len(ps), ps[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
@@ -68,9 +74,9 @@ func servingNeo(t testing.TB, rig *testRig) *Neo {
 // TestSearchScoresMatchPredictBatch: every batch of 256-expansion best-first
 // searches and of greedy descents over TestSearchStatesMatchReference's
 // corpus — with and without cross products — gets bit for bit the scores
-// the same plans get from scratch, on the assembly GEMM kernel and on the
-// portable one: what a search's scorer recalls from earlier batches never
-// changes a score.
+// the same plans get from scratch, predicted as a batch by a fresh scorer
+// over a fresh encoder, on the assembly GEMM kernel and on the portable one:
+// what a search's scorer recalls from earlier batches never changes a score.
 func TestSearchScoresMatchPredictBatch(t *testing.T) {
 	rig := newRig(t, "postgres")
 	n := servingNeo(t, rig)
@@ -88,7 +94,7 @@ func TestSearchScoresMatchPredictBatch(t *testing.T) {
 			opts := search.Options{Catalog: rig.db.Catalog, MaxExpansions: 256, AllowCrossProducts: qi%2 == 1 && len(q.Relations) <= 5}
 			for _, strategy := range []func(*query.Query, search.BatchScorer, search.Options) (*search.Result, error){search.BestFirst, search.Greedy} {
 				s := &exactScorer{t: t, inner: n.Scorer(q), snap: n.Snapshot(),
-					feat: n.Featurizer, qEnc: n.Featurizer.EncodeQuery(q)}
+					feat: n.Featurizer, q: q, qEnc: n.Featurizer.EncodeQuery(q)}
 				if _, err := strategy(q, s, opts); err != nil {
 					t.Fatalf("%s: %v", q.ID, err)
 				}
@@ -109,8 +115,8 @@ func TestSearchScoresMatchPredictBatch(t *testing.T) {
 // TestObserveLatencyRegretMatchesPredictBatch pins the router's regret
 // estimate to the snapshot's from-scratch prediction: after one
 // ObserveLatency for a fast-path query, its class's mean regret is the
-// observed latency over PredictBatch's score for the query's initial state,
-// exactly — scoring through a search's scorer changes no bit of it.
+// observed latency over a fresh scorer's score for the query's initial
+// state, exactly — scoring through a search's scorer changes no bit of it.
 func TestObserveLatencyRegretMatchesPredictBatch(t *testing.T) {
 	rig := newRig(t, "postgres")
 	cfg := rig.neo.Config
@@ -135,8 +141,8 @@ func TestObserveLatencyRegretMatchesPredictBatch(t *testing.T) {
 	const observed = 1234.5
 	n.ObserveLatency(q, observed)
 
-	forest := n.Featurizer.EncodePlan(plan.Initial(q, plan.NewNodes()))
-	want := observed / n.Snapshot().PredictBatch([][]float64{n.Featurizer.EncodeQuery(q)}, [][]*treeconv.Tree{forest})[0]
+	sc, forest := fromScratch(n.Snapshot(), n.Featurizer, n.Featurizer.EncodeQuery(q), plan.Initial(q, plan.NewNodes()))
+	want := observed / sc.Score(forest)[0]
 	key := route.Classify(q).Key()
 	for _, c := range n.RouteStats().Classes {
 		if c.Class != key {

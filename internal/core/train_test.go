@@ -123,7 +123,8 @@ func allTrainingSamples(n *Neo) []valuenet.Sample {
 			}
 			samples = append(samples, valuenet.Sample{
 				Query:  qEnc,
-				Plan:   enc.Encode(partial),
+				Nodes:  enc,
+				Roots:  enc.AppendIDs(nil, partial),
 				Target: target,
 			})
 		}

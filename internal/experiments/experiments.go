@@ -15,7 +15,6 @@ import (
 	"neo/internal/search"
 	"neo/internal/stats"
 	"neo/internal/storage"
-	"neo/internal/treeconv"
 )
 
 // Table2 reproduces Table 2: cosine similarity between keyword and genre
@@ -300,19 +299,19 @@ func outputsForBucket(n *core.Neo, bucket string, orders float64, seed int64) []
 	if orders > 0 {
 		errModel = stats.NewErrorModel(orders, seed)
 	}
-	var queries [][]float64
-	var forests [][]*treeconv.Tree
+	snap := n.Snapshot()
+	var out []float64
 	for _, entry := range n.Experience.Entries() {
 		joins := entry.Query.NumJoins()
 		if (bucket == "<=3" && joins > 3) || (bucket == ">3" && joins <= 3) {
 			continue
 		}
-		queries = append(queries, n.Featurizer.EncodeQuery(entry.Query))
 		enc := n.Featurizer.NewPlanEncoder(entry.Plan.Query, plan.NewNodes())
 		enc.Error = errModel
-		forests = append(forests, enc.Encode(entry.Plan))
+		roots := enc.AppendIDs(nil, entry.Plan)
+		out = append(out, snap.NewScorer(n.Featurizer.EncodeQuery(entry.Query), enc).Normalized([][]int32{roots})...)
 	}
-	return n.Snapshot().PredictBatchNormalized(queries, forests)
+	return out
 }
 
 func stddevDiff(base, shifted []float64) float64 {
@@ -642,24 +641,41 @@ func AblationTreeConvVsFlat(env *Env) (*Report, error) {
 }
 
 // flatScorer scores plans after collapsing the encoded forest into a single
-// summed node, through one scorer on the published snapshot per search.
+// summed node, through one scorer on the published snapshot per search. The
+// summed rows are the scorer's id space, one leaf per scored plan.
 func flatScorer(n *core.Neo, q *query.Query) search.BatchScorer {
-	var tab treeconv.Subtrees
-	sc := n.Snapshot().NewScorer(n.Featurizer.EncodeQuery(q), &tab)
+	enc := n.Featurizer.NewPlanEncoder(q, plan.NewNodes())
+	var sums flatRows
+	sc := n.Snapshot().NewScorer(n.Featurizer.EncodeQuery(q), &sums)
+	var ids []int32
 	return search.ScorerFunc(func(p *plan.Plan) float64 {
-		trees := n.Featurizer.EncodePlan(p)
-		if len(trees) == 0 {
+		ids = enc.AppendIDs(ids[:0], p)
+		if len(ids) == 0 {
 			return 0
 		}
-		dim := len(trees[0].Data)
-		sum := make([]float64, dim)
-		for _, t := range trees {
-			t.Walk(func(node *treeconv.Tree) {
-				for i := 0; i < dim && i < len(node.Data); i++ {
-					sum[i] += node.Data[i]
-				}
-			})
+		sum := make([]float64, n.Featurizer.PlanVectorSize())
+		// In pre-order: the order of the additions decides the sum's last bits.
+		var add func(id int32)
+		add = func(id int32) {
+			row, l, r := enc.Node(id)
+			for i, v := range row {
+				sum[i] += v
+			}
+			if l >= 0 {
+				add(l)
+				add(r)
+			}
 		}
-		return sc.Score([][]int32{{tab.Add(treeconv.NewLeaf(sum), 0)}})[0]
+		for _, id := range ids {
+			add(id)
+		}
+		sums = append(sums, sum)
+		return sc.Score([][]int32{{int32(len(sums) - 1)}})[0]
 	})
 }
+
+// flatRows is an id space of leaves: id i is the leaf whose row is the i-th.
+type flatRows [][]float64
+
+// Node implements treeconv.Nodes.
+func (f *flatRows) Node(id int32) (row []float64, left, right int32) { return (*f)[id], -1, -1 }

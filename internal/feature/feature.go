@@ -2,7 +2,8 @@
 // paper): the query-level encoding (join-graph adjacency + column-predicate
 // vector, with 1-Hot, Histogram and R-Vector variants) and the plan-level
 // encoding (one |J|+2|R| vector per plan-tree node, preserving the tree
-// structure for tree convolution).
+// structure for tree convolution). A PlanEncoder hands the value network a
+// plan as node ids, answering each id's vector and children's ids.
 package feature
 
 import (
@@ -18,7 +19,6 @@ import (
 	"neo/internal/schema"
 	"neo/internal/stats"
 	"neo/internal/storage"
-	"neo/internal/treeconv"
 )
 
 // Encoding selects the column-predicate representation.
@@ -314,42 +314,35 @@ func (f *Featurizer) rvectorBlock(p query.Predicate) []float64 {
 	return block
 }
 
-// EncodePlan converts a (partial or complete) plan into a forest of feature
-// trees, one vector per plan node, following Figure 4: the first |J| entries
-// one-hot the join operator, the next 2|R| entries mark which relations are
-// scanned and how (table, index, or both for unspecified scans); internal
-// nodes take the union of their children. When a CardinalitySource is
-// configured two derived entries (see PlanVectorSize) are appended. It is a
-// fresh PlanEncoder, over a fresh node table, used once; code that encodes
-// many plans of one query — a search, an experience entry's construction
-// states — keeps the encoder.
-func (f *Featurizer) EncodePlan(p *plan.Plan) []*treeconv.Tree {
-	return f.NewPlanEncoder(p.Query, plan.NewNodes()).Encode(p)
-}
-
-// PlanEncoder encodes plans of one query whose nodes it indexes by a
-// plan.Nodes table, remembering every subtree it has encoded in a slice
-// indexed by the subtree's id there: a plan that shares subtrees with an
-// earlier one (a search child with its parent) re-uses their feature trees
-// and costs only its new nodes, and a node's cardinality is derived once from
-// its children's. A node of another table is interned into the encoder's
-// first. The memo lives as long as the encoder — one search, one scorer — and
-// is not safe for concurrent use. Returned trees are shared between forests
-// and must not be modified.
+// PlanEncoder encodes plans of one query, following Figure 4: one vector per
+// plan node, whose first |J| entries one-hot the join operator and whose next
+// 2|R| entries mark which relations are scanned and how (table, index, or
+// both for unspecified scans); internal nodes take the union of their
+// children. When a CardinalitySource is configured two derived entries (see
+// PlanVectorSize) are appended. It indexes nodes by a plan.Nodes table and
+// remembers every node's vector in a slice indexed by the node's id there,
+// so the encoder is the id space (treeconv.Nodes) the value network reads: a
+// plan that shares subtrees with an earlier one (a search child with its
+// parent, an experience entry's construction states) costs only its new
+// nodes' vectors, and a node's cardinality is derived once from its
+// children's. A node of another table is interned into the encoder's first.
+// The memo lives as long as the encoder — one search, one scorer, one
+// entry's training samples — and is not safe for concurrent use. Returned
+// vectors are shared and must not be modified.
 type PlanEncoder struct {
 	// Error, when non-nil, perturbs the cardinality feature (the Figure 14
-	// protocol). Set it before the first Encode.
+	// protocol). Set it before the first AppendIDs.
 	Error *stats.ErrorModel
 
 	f     *Featurizer
 	q     *query.Query
 	nodes *plan.Nodes
-	memo  []encodedNode // by node id; tree is nil until encoded
+	memo  []encodedNode // by node id; row is nil until encoded
 }
 
-// encodedNode is what the encoder remembers of one subtree.
+// encodedNode is what the encoder remembers of one node.
 type encodedNode struct {
-	tree *treeconv.Tree
+	row []float64
 	// card is the cardinality source's answer, the input to the parent's;
 	// est is card after the Figure 14 perturbation (card itself without an
 	// error model), the value both this node's slot and its parent's work
@@ -363,17 +356,8 @@ func (f *Featurizer) NewPlanEncoder(q *query.Query, nodes *plan.Nodes) *PlanEnco
 	return &PlanEncoder{f: f, q: q, nodes: nodes}
 }
 
-// Encode returns p's forest of feature trees, one per root.
-func (e *PlanEncoder) Encode(p *plan.Plan) []*treeconv.Tree {
-	out := make([]*treeconv.Tree, 0, len(p.Roots))
-	for _, r := range p.Roots {
-		out = append(out, e.encode(e.nodes.ID(r)).tree)
-	}
-	return out
-}
-
 // AppendIDs encodes p and appends its roots' node ids to dst: the forest as
-// the search's scorer takes it.
+// the value network takes it, scoring or training.
 func (e *PlanEncoder) AppendIDs(dst []int32, p *plan.Plan) []int32 {
 	for _, r := range p.Roots {
 		id := e.nodes.ID(r)
@@ -384,26 +368,27 @@ func (e *PlanEncoder) AppendIDs(dst []int32, p *plan.Plan) []int32 {
 }
 
 // Node returns the plan vector of the encoded node with the given id and its
-// children's ids (−1 for a leaf's): the encoder as the id space
-// valuenet.Scorer reads.
+// children's ids (−1 for a leaf's): the encoder as an id space
+// (treeconv.Nodes).
 func (e *PlanEncoder) Node(id int32) (row []float64, left, right int32) {
 	n := e.nodes.Node(id)
 	if n.IsLeaf() {
-		return e.memo[id].tree.Data, -1, -1
+		return e.memo[id].row, -1, -1
 	}
-	return e.memo[id].tree.Data, e.nodes.ID(n.Left), e.nodes.ID(n.Right)
+	return e.memo[id].row, e.nodes.ID(n.Left), e.nodes.ID(n.Right)
 }
 
 // encode encodes the node with the given id, and whatever below it is new,
 // and returns what the encoder remembers of it.
 func (e *PlanEncoder) encode(id int32) encodedNode {
-	if int(id) < len(e.memo) && e.memo[id].tree != nil {
+	if int(id) < len(e.memo) && e.memo[id].row != nil {
 		return e.memo[id]
 	}
 	n := e.nodes.Node(id)
 	f := e.f
 	vec := make([]float64, f.PlanVectorSize())
-	var en, left, right encodedNode
+	en := encodedNode{row: vec}
+	var left, right encodedNode
 	if n.IsLeaf() {
 		if idx := f.Catalog.TableIndex(n.Table); idx >= 0 {
 			base := plan.NumJoinOps + 2*idx
@@ -417,17 +402,15 @@ func (e *PlanEncoder) encode(id int32) encodedNode {
 				vec[base+1] = 1
 			}
 		}
-		en.tree = treeconv.NewLeaf(vec)
 	} else {
 		left, right = e.encode(e.nodes.ID(n.Left)), e.encode(e.nodes.ID(n.Right))
 		vec[int(n.Join)] = 1
 		// Union of the children's relation slots.
 		for i := plan.NumJoinOps; i < plan.NumJoinOps+2*f.Catalog.NumRelations(); i++ {
-			if left.tree.Data[i] > 0 || right.tree.Data[i] > 0 {
+			if left.row[i] > 0 || right.row[i] > 0 {
 				vec[i] = 1
 			}
 		}
-		en.tree = treeconv.NewNode(vec, left.tree, right.tree)
 	}
 	if f.Cardinality != nil {
 		en.card = f.Cardinality.NodeCardinality(e.q, n, left.card, right.card)

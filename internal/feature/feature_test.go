@@ -12,7 +12,6 @@ import (
 	"neo/internal/query"
 	"neo/internal/stats"
 	"neo/internal/storage"
-	"neo/internal/treeconv"
 )
 
 func setup(t testing.TB) (*storage.Database, *stats.Stats) {
@@ -205,20 +204,28 @@ func TestPlanEncodingStructure(t *testing.T) {
 			plan.Join2(plan.MergeJoin, plan.Leaf("movie_keyword", plan.TableScan), plan.Leaf("title", plan.TableScan)),
 			plan.Leaf("keyword", plan.IndexScan)),
 	}}
-	trees := f.EncodePlan(p)
-	if len(trees) != 1 {
-		t.Fatalf("expected one tree, got %d", len(trees))
-	}
-	root := trees[0]
-	if root.NumNodes() != 5 {
-		t.Errorf("encoded tree has %d nodes, want 5", root.NumNodes())
+	enc, roots := encodeFresh(f, p)
+	if len(roots) != 1 {
+		t.Fatalf("expected one root, got %d", len(roots))
 	}
 	size := f.PlanVectorSize()
-	root.Walk(func(n *treeconv.Tree) {
-		if len(n.Data) != size {
-			t.Errorf("node vector length %d, want %d", len(n.Data), size)
+	nodes := 0
+	var walk func(id int32)
+	walk = func(id int32) {
+		nodes++
+		row, l, r := enc.Node(id)
+		if len(row) != size {
+			t.Errorf("node vector length %d, want %d", len(row), size)
 		}
-	})
+		if l >= 0 {
+			walk(l)
+			walk(r)
+		}
+	}
+	walk(roots[0])
+	if nodes != 5 {
+		t.Errorf("encoded tree has %d nodes, want 5", nodes)
+	}
 }
 
 func TestPlanEncodingVectors(t *testing.T) {
@@ -230,9 +237,9 @@ func TestPlanEncodingVectors(t *testing.T) {
 	un := plan.Leaf("keyword", plan.UnspecifiedScan)
 	join := plan.Join2(plan.MergeJoin, mk, ti)
 	p := &plan.Plan{Query: q, Roots: []*plan.Node{join, un}}
-	trees := f.EncodePlan(p)
-	if len(trees) != 2 {
-		t.Fatalf("expected a two-root forest, got %d trees", len(trees))
+	enc, roots := encodeFresh(f, p)
+	if len(roots) != 2 {
+		t.Fatalf("expected a two-root forest, got %d roots", len(roots))
 	}
 	size := f.PlanVectorSize()
 	wantSize := plan.NumJoinOps + 2*db.Catalog.NumRelations()
@@ -240,7 +247,7 @@ func TestPlanEncodingVectors(t *testing.T) {
 		t.Errorf("PlanVectorSize = %d, want %d", size, wantSize)
 	}
 
-	joinVec := trees[0].Data
+	joinVec, _, _ := enc.Node(roots[0])
 	if len(joinVec) != size {
 		t.Fatalf("join vector length %d, want %d", len(joinVec), size)
 	}
@@ -258,14 +265,14 @@ func TestPlanEncodingVectors(t *testing.T) {
 
 	// The unspecified scan sets both slots (as in the paper: U(B) -> 1 in
 	// both table and index columns).
-	unVec := trees[1].Data
+	unVec, _, _ := enc.Node(roots[1])
 	kwBase := plan.NumJoinOps + 2*db.Catalog.TableIndex("keyword")
 	if unVec[kwBase] != 1 || unVec[kwBase+1] != 1 {
 		t.Errorf("unspecified scan should set both slots: %v", unVec)
 	}
 	// Leaf vectors have no join-operator bits.
 	for i := 0; i < plan.NumJoinOps; i++ {
-		if trees[1].Data[i] != 0 {
+		if unVec[i] != 0 {
 			t.Errorf("leaf vector should not set join bits")
 		}
 	}
@@ -303,17 +310,22 @@ func TestCardinalityFeature(t *testing.T) {
 		t.Errorf("PlanVectorSize should include the two derived slots")
 	}
 	p := &plan.Plan{Query: q, Roots: []*plan.Node{node}}
-	tree := f.EncodePlan(p)[0]
-	if tree.Data[len(tree.Data)-2] <= 0 {
-		t.Errorf("cardinality slot should be positive, got %f", tree.Data[len(tree.Data)-2])
+	rootRow := func(f *Featurizer, p *plan.Plan) []float64 {
+		enc, roots := encodeFresh(f, p)
+		row, _, _ := enc.Node(roots[0])
+		return row
 	}
-	if tree.Data[len(tree.Data)-1] < tree.Data[len(tree.Data)-2] {
+	tree := rootRow(f, p)
+	if tree[len(tree)-2] <= 0 {
+		t.Errorf("cardinality slot should be positive, got %f", tree[len(tree)-2])
+	}
+	if tree[len(tree)-1] < tree[len(tree)-2] {
 		t.Errorf("work estimate should be at least the output cardinality")
 	}
 	// A loop join implies more work than a hash join over the same inputs.
 	loopNode := plan.Join2(plan.LoopJoin, plan.Leaf("movie_keyword", plan.TableScan), plan.Leaf("title", plan.TableScan))
-	loopTree := f.EncodePlan(&plan.Plan{Query: q, Roots: []*plan.Node{loopNode}})[0]
-	if loopTree.Data[len(loopTree.Data)-1] <= tree.Data[len(tree.Data)-1] {
+	loopTree := rootRow(f, &plan.Plan{Query: q, Roots: []*plan.Node{loopNode}})
+	if loopTree[len(loopTree)-1] <= tree[len(tree)-1] {
 		t.Errorf("loop-join work estimate should exceed hash-join work estimate")
 	}
 
@@ -321,8 +333,8 @@ func TestCardinalityFeature(t *testing.T) {
 	f2 := &Featurizer{Catalog: db.Catalog, Encoding: OneHot, Cardinality: hist}
 	enc := f2.NewPlanEncoder(q, plan.NewNodes())
 	enc.Error = stats.NewErrorModel(2, 3)
-	tree2 := enc.Encode(p)[0]
-	if tree2.Data[len(tree2.Data)-1] <= 0 {
+	tree2, _, _ := enc.Node(enc.AppendIDs(nil, p)[0])
+	if tree2[len(tree2)-1] <= 0 {
 		t.Errorf("perturbed cardinality slot should still be positive")
 	}
 }

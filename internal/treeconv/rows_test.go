@@ -12,10 +12,10 @@ import (
 // hands them to ForwardRows — leaves as [x], joins as [x; left; right] —
 // and returns the rows plus the nodes in ForwardRows' output order: leaves
 // first.
-func layerRows(forest []*Tree) (leaf, full []float64, order []*Tree) {
-	var leaves, inner []*Tree
+func layerRows(forest []*refTree) (leaf, full []float64, order []*refTree) {
+	var leaves, inner []*refTree
 	for _, t := range forest {
-		t.Walk(func(n *Tree) {
+		t.Walk(func(n *refTree) {
 			if n.Left == nil {
 				leaves = append(leaves, n)
 				leaf = append(leaf, n.Data...)
@@ -43,22 +43,22 @@ func toF32(xs []float64) []float32 {
 // and layer k with the layer's gathered input rows and want, the per-tree
 // reference Layer.Forward's activation of each node in ForwardRows' output
 // order. Layer widths are not multiples of the kernels' 4- and 8-wide tiles.
-func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*Tree)) {
+func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*refTree)) {
 	rng := rand.New(rand.NewSource(21))
 	const dim = 6
 	stack := NewStack([]int{dim, 10, 7, 4}, rng)
-	corpora := map[string][]*Tree{
+	corpora := map[string][]*refTree{
 		"mixed": append(randomForest(rng, 5, dim),
-			NewNode(randomTree(rng, 1, dim).Data, randomTree(rng, 3, dim), randomTree(rng, 1, dim)),
-			NewNode(randomTree(rng, 1, dim).Data, randomTree(rng, 1, dim), randomTree(rng, 2, dim))),
-		"leaves only": {NewLeaf(make([]float64, dim)), randomTree(rng, 1, dim)},
+			newNode(randomTree(rng, 1, dim).Data, randomTree(rng, 3, dim), randomTree(rng, 1, dim)),
+			newNode(randomTree(rng, 1, dim).Data, randomTree(rng, 1, dim), randomTree(rng, 2, dim))),
+		"leaves only": {newLeaf(make([]float64, dim)), randomTree(rng, 1, dim)},
 		"no rows":     nil,
 	}
 	for name, forest := range corpora {
 		t.Run(name, func(t *testing.T) {
 			cur := forest // the layer's input trees
 			for k, l := range stack.Layers {
-				next := make([]*Tree, len(cur))
+				next := make([]*refTree, len(cur))
 				for i, tr := range cur {
 					next[i] = l.Forward(tr).Output()
 				}
@@ -75,7 +75,7 @@ func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, l
 // and join kernels, convLeafPre and convBothPre, to be == to the per-tree
 // reference Layer.Forward on every node of every layer, row by row.
 func TestForwardBatchMatchesPerTreeForward(t *testing.T) {
-	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*Tree) {
+	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*refTree) {
 		l := stack.Layers[k]
 		ic, oc := l.InChannels, l.OutChannels
 		out := make([]float64, len(want)*oc)
@@ -103,7 +103,7 @@ func TestForwardBatchMatchesPerTreeForward(t *testing.T) {
 // packed float32 panels on both GEMM kernels, to stay within 1e-5 relative
 // of the float64 per-tree reference on every node of every layer.
 func TestStackF32MatchesFloat64(t *testing.T) {
-	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*Tree) {
+	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*refTree) {
 		stack32 := NewStackF32(stack)
 		oc := stack.Layers[k].OutChannels
 		for _, scalar := range []bool{false, true} {
@@ -129,21 +129,21 @@ func TestStackF32MatchesFloat64(t *testing.T) {
 func BenchmarkStackForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	stack := NewStack([]int{32, 64, 64, 32}, rng)
-	var build func(depth int) *Tree
-	build = func(depth int) *Tree {
+	var build func(depth int) *refTree
+	build = func(depth int) *refTree {
 		data := make([]float64, 32)
 		for i := range data {
 			data[i] = rng.Float64()
 		}
 		if depth == 0 {
-			return NewLeaf(data)
+			return newLeaf(data)
 		}
-		return NewNode(data, build(depth-1), build(depth-1))
+		return newNode(data, build(depth-1), build(depth-1))
 	}
 	tr := build(3)
 	var leaf, full, out [][]float32
 	for _, l := range stack.Layers {
-		lf, fl, order := layerRows([]*Tree{tr})
+		lf, fl, order := layerRows([]*refTree{tr})
 		leaf, full = append(leaf, toF32(lf)), append(full, toF32(fl))
 		out = append(out, make([]float32, len(order)*l.OutChannels))
 		tr = l.Forward(tr).Output()

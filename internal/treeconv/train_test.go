@@ -9,20 +9,22 @@ import (
 	"neo/internal/nn"
 )
 
-// buildTable adds every forest's roots to tab under group 0 and returns the
-// entries' rows — copies of their trees' vectors, as the parity tests need
-// the raw node vectors (no spatial replication) — and each forest's roots.
-func buildTable(tab *Subtrees, forests [][]*Tree, dim int) (rows []float64, roots [][]int32) {
+// buildTable numbers every forest's trees in one id space, adds their roots
+// to tab under group 0 and returns the entries' rows — copies of their trees'
+// vectors, as the parity tests need the raw node vectors (no spatial
+// replication) — and each forest's roots.
+func buildTable(tab *Subtrees, forests [][]*refTree, dim int) (rows []float64, roots [][]int32) {
 	tab.Reset()
+	var ids treeIDs
 	roots = make([][]int32, len(forests))
 	for s, f := range forests {
 		for _, tree := range f {
-			roots[s] = append(roots[s], tab.Add(tree, 0))
+			roots[s] = append(roots[s], tab.Add(&ids, ids.id(tree), 0))
 		}
 	}
 	rows = make([]float64, tab.Len()*dim)
-	for e, tree := range tab.Tree {
-		copy(rows[e*dim:], tree.Data)
+	for e, row := range tab.Row {
+		copy(rows[e*dim:], row)
 	}
 	return rows, roots
 }
@@ -34,7 +36,7 @@ func TestForwardBatchTapeMatchesForward(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const dim = 5
 		stack := NewStack([]int{dim, 9, 4}, rng)
-		forests := make([][]*Tree, 6)
+		forests := make([][]*refTree, 6)
 		for i := range forests {
 			forests[i] = randomForest(rng, rng.Intn(3)+1, dim)
 		}
@@ -52,7 +54,7 @@ func TestForwardBatchTapeMatchesForward(t *testing.T) {
 		for _, f := range forests {
 			for _, tree := range f {
 				ref := stack.Forward(tree)
-				ref.Output().Walk(func(n *Tree) {
+				ref.Output().Walk(func(n *refTree) {
 					row := int(tab.Pre[node])
 					for c, v := range n.Data {
 						if got := out[row*oc+c]; got != v {
@@ -80,7 +82,7 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 		batched := NewStack([]int{dim, 7, 3}, rand.New(rand.NewSource(seed+30)))
 		reference := NewStack([]int{dim, 7, 3}, rand.New(rand.NewSource(seed+30)))
 
-		forests := make([][]*Tree, 5)
+		forests := make([][]*refTree, 5)
 		for i := range forests {
 			forests[i] = randomForest(rng, rng.Intn(2)+1, dim)
 		}
@@ -107,11 +109,11 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 				refTape := reference.Forward(tree)
 				start := node
 				var count int
-				tree.Walk(func(*Tree) { count++ })
+				tree.Walk(func(*refTree) { count++ })
 				// Rebuild this tree's gradient tree from the rows: walk visits
 				// the nodes in the table's pre-order.
 				i := start
-				gradTree := refTape.Output().Map(func(*Tree) []float64 {
+				gradTree := refTape.Output().Map(func(*refTree) []float64 {
 					g := make([]float64, outChannels)
 					row := int(tab.Pre[i])
 					copy(g, gradOut[row*outChannels:(row+1)*outChannels])
@@ -120,7 +122,7 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 				})
 				gradIn := reference.Backward(refTape, gradTree)
 				j := start
-				gradIn.Walk(func(n *Tree) {
+				gradIn.Walk(func(n *refTree) {
 					row := int(tab.Pre[j])
 					for c, v := range n.Data {
 						if got := gotGradIn[row*dim+c]; got != v {
@@ -155,12 +157,12 @@ func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 	stack := NewStack([]int{dim, dim}, rng)
 	first := randomForest(rng, 2, dim)
 	grown := randomTree(rng, 5, dim)
-	forests := [][]*Tree{
+	forests := [][]*refTree{
 		first,
 		{},
 		randomForest(rng, 3, dim),
 		randomForest(rng, 1, dim),
-		{first[1], NewNode(randomTree(rng, 1, dim).Data, grown, first[0])},
+		{first[1], newNode(randomTree(rng, 1, dim).Data, grown, first[0])},
 		{grown},
 	}
 	var tab Subtrees
@@ -250,15 +252,16 @@ func TestPackedConvMatchesGoLoops(t *testing.T) {
 			}
 		}
 	}
-	leaf := func() *Tree { return NewLeaf(nil) }
-	forest := []*Tree{
-		NewNode(nil, leaf(), leaf()),
-		NewNode(nil, leaf(), NewNode(nil, leaf(), leaf())),
-		NewNode(nil, NewNode(nil, leaf(), leaf()), leaf()),
+	leaf := func() *refTree { return newLeaf(nil) }
+	forest := []*refTree{
+		newNode(nil, leaf(), leaf()),
+		newNode(nil, leaf(), newNode(nil, leaf(), leaf())),
+		newNode(nil, newNode(nil, leaf(), leaf()), leaf()),
 	}
 	var tab Subtrees
+	var ids treeIDs
 	for _, tr := range forest {
-		tab.Add(tr, 0)
+		tab.Add(&ids, ids.id(tr), 0)
 	}
 	for ic := 1; ic <= 37; ic++ {
 		for oc := 1; oc <= 37; oc++ {
@@ -295,7 +298,8 @@ func TestPoolBatchTiesKeepFirstRoot(t *testing.T) {
 	const dim = 3
 	negZero := math.Copysign(0, -1)
 	var tab Subtrees
-	a, b := tab.Add(NewLeaf([]float64{1}), 0), tab.Add(NewLeaf([]float64{2}), 0)
+	var ids treeIDs
+	a, b := tab.Add(&ids, ids.id(newLeaf([]float64{1})), 0), tab.Add(&ids, ids.id(newLeaf([]float64{2})), 0)
 	out := []float64{
 		0, 2, negZero, // a
 		negZero, 2, 0, // b

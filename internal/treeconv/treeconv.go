@@ -9,6 +9,10 @@
 // vectors to a structurally identical tree whose nodes carry c_out channels.
 // Dynamic pooling takes the elementwise maximum over all node vectors,
 // flattening a variable-shaped tree into a fixed-size vector.
+//
+// A plan reaches the package as node ids in an id space (Nodes, in
+// subtrees.go): each id names a node's row and its children's ids. Neither
+// the training tape nor the scorer sees a linked tree.
 package treeconv
 
 import (
@@ -18,48 +22,6 @@ import (
 
 	"neo/internal/nn"
 )
-
-// Tree is a binary tree of feature vectors, as a plan is: a node has two
-// children or none. Leaves have nil children, which the convolution treats as
-// all-zero vectors, exactly as the paper attaches zero-filled children to leaf
-// nodes. Build trees with NewLeaf and NewNode, which record the node count,
-// and do not relink them afterwards: plan encoders share subtrees between
-// forests.
-type Tree struct {
-	Data        []float64
-	Left, Right *Tree
-	nodes       int
-}
-
-// NewLeaf creates a leaf node carrying the given vector.
-func NewLeaf(data []float64) *Tree { return &Tree{Data: data, nodes: 1} }
-
-// NewNode creates a node carrying the given vector over both children, or a
-// leaf when both are nil. It panics when exactly one is nil.
-func NewNode(data []float64, left, right *Tree) *Tree {
-	if (left == nil) != (right == nil) {
-		panic("treeconv: NewNode needs both children or neither")
-	}
-	return &Tree{Data: data, Left: left, Right: right, nodes: 1 + left.NumNodes() + right.NumNodes()}
-}
-
-// NumNodes returns the number of nodes in the tree, counted at construction.
-func (t *Tree) NumNodes() int {
-	if t == nil {
-		return 0
-	}
-	return t.nodes
-}
-
-// Walk visits every node in pre-order.
-func (t *Tree) Walk(fn func(*Tree)) {
-	if t == nil {
-		return
-	}
-	fn(t)
-	t.Left.Walk(fn)
-	t.Right.Walk(fn)
-}
 
 // Layer is a tree-convolution layer: a filterbank of OutChannels filters over
 // InChannels input channels, followed by a leaky-ReLU activation.

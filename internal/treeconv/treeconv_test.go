@@ -8,60 +8,12 @@ import (
 	"neo/internal/nn"
 )
 
-func smallTree() *Tree {
+func smallTree() *refTree {
 	// A three-node tree matching the paper's Figure 6 "merge join over merge
 	// join" example shape.
-	return NewNode([]float64{1, 0, 1, 1, 0},
-		NewLeaf([]float64{0, 0, 1, 0, 0}),
-		NewLeaf([]float64{0, 0, 0, 1, 0}))
-}
-
-func TestTreeBasics(t *testing.T) {
-	tr := smallTree()
-	if tr.NumNodes() != 3 {
-		t.Errorf("NumNodes = %d, want 3", tr.NumNodes())
-	}
-	var visited int
-	tr.Walk(func(*Tree) { visited++ })
-	if visited != 3 {
-		t.Errorf("Walk visited %d, want 3", visited)
-	}
-	doubled := tr.Map(func(n *Tree) []float64 {
-		out := make([]float64, len(n.Data))
-		for i, v := range n.Data {
-			out[i] = 2 * v
-		}
-		return out
-	})
-	if doubled.Data[0] != 2 || doubled.Left.Data[2] != 2 {
-		t.Errorf("Map did not double values")
-	}
-	var nilTree *Tree
-	if nilTree.NumNodes() != 0 {
-		t.Errorf("nil tree NumNodes should be 0")
-	}
-}
-
-// TestNewNodeIsBinary: a plan node has two inputs or none, so NewNode
-// takes both children or neither and panics on exactly one.
-func TestNewNodeIsBinary(t *testing.T) {
-	leaf := NewLeaf([]float64{1})
-	if n := NewNode([]float64{2}, nil, nil); n.NumNodes() != 1 || n.Left != nil || n.Right != nil {
-		t.Errorf("NewNode without children: %d nodes, children %v %v; want a leaf", n.NumNodes(), n.Left, n.Right)
-	}
-	if n := NewNode([]float64{2}, leaf, leaf); n.NumNodes() != 3 {
-		t.Errorf("NewNode over two leaves: %d nodes, want 3", n.NumNodes())
-	}
-	for name, children := range map[string][2]*Tree{"left only": {leaf, nil}, "right only": {nil, leaf}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewNode with the %s child did not panic", name)
-				}
-			}()
-			NewNode([]float64{2}, children[0], children[1])
-		}()
-	}
+	return newNode([]float64{1, 0, 1, 1, 0},
+		newLeaf([]float64{0, 0, 1, 0, 0}),
+		newLeaf([]float64{0, 0, 0, 1, 0}))
 }
 
 // TestPaperFigure6Detector reproduces Example 1 of Figure 6: a filter with
@@ -79,17 +31,17 @@ func TestPaperFigure6Detector(t *testing.T) {
 		Act:         nn.NewLeakyReLU(),
 	}
 	// Plan 1: merge join (1,0,...) on top of merge join (1,0,...) and C.
-	mergeOverMerge := NewNode([]float64{1, 0, 1, 1, 1},
-		NewNode([]float64{1, 0, 1, 1, 0},
-			NewLeaf([]float64{0, 0, 1, 0, 0}),
-			NewLeaf([]float64{0, 0, 0, 1, 0})),
-		NewLeaf([]float64{0, 0, 0, 0, 1}))
+	mergeOverMerge := newNode([]float64{1, 0, 1, 1, 1},
+		newNode([]float64{1, 0, 1, 1, 0},
+			newLeaf([]float64{0, 0, 1, 0, 0}),
+			newLeaf([]float64{0, 0, 0, 1, 0})),
+		newLeaf([]float64{0, 0, 0, 0, 1}))
 	// Plan 2: hash join (0,1,...) on top of the same merge join.
-	hashOverMerge := NewNode([]float64{0, 1, 1, 1, 1},
-		NewNode([]float64{1, 0, 1, 1, 0},
-			NewLeaf([]float64{0, 0, 1, 0, 0}),
-			NewLeaf([]float64{0, 0, 0, 1, 0})),
-		NewLeaf([]float64{0, 0, 0, 0, 1}))
+	hashOverMerge := newNode([]float64{0, 1, 1, 1, 1},
+		newNode([]float64{1, 0, 1, 1, 0},
+			newLeaf([]float64{0, 0, 1, 0, 0}),
+			newLeaf([]float64{0, 0, 0, 1, 0})),
+		newLeaf([]float64{0, 0, 0, 0, 1}))
 
 	out1 := layer.Forward(mergeOverMerge).Output()
 	out2 := layer.Forward(hashOverMerge).Output()
@@ -110,7 +62,7 @@ func TestLayerPreservesStructure(t *testing.T) {
 	if out.NumNodes() != 3 {
 		t.Errorf("output tree has %d nodes, want 3", out.NumNodes())
 	}
-	out.Walk(func(n *Tree) {
+	out.Walk(func(n *refTree) {
 		if len(n.Data) != 7 {
 			t.Errorf("output node has %d channels, want 7", len(n.Data))
 		}
@@ -125,15 +77,15 @@ func TestLayerPreservesStructure(t *testing.T) {
 func TestLayerGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	layer := NewLayer(3, 4, rng)
-	input := NewNode([]float64{0.5, -0.2, 0.8},
-		NewLeaf([]float64{0.1, 0.9, -0.4}),
-		NewLeaf([]float64{-0.7, 0.3, 0.2}))
+	input := newNode([]float64{0.5, -0.2, 0.8},
+		newLeaf([]float64{0.1, 0.9, -0.4}),
+		newLeaf([]float64{-0.7, 0.3, 0.2}))
 
 	// Scalar loss: sum of all output channels over all nodes.
 	loss := func() float64 {
 		out := layer.Forward(input).Output()
 		s := 0.0
-		out.Walk(func(n *Tree) {
+		out.Walk(func(n *refTree) {
 			for _, v := range n.Data {
 				s += v
 			}
@@ -141,7 +93,7 @@ func TestLayerGradientCheck(t *testing.T) {
 		return s
 	}
 	tape := layer.Forward(input)
-	gradTree := tape.Output().Map(func(n *Tree) []float64 {
+	gradTree := tape.Output().Map(func(n *refTree) []float64 {
 		g := make([]float64, len(n.Data))
 		for i := range g {
 			g[i] = 1
@@ -194,7 +146,7 @@ func TestStackForwardBackward(t *testing.T) {
 	if len(out.Data) != 4 {
 		t.Errorf("stack output channels = %d, want 4", len(out.Data))
 	}
-	gradTree := out.Map(func(n *Tree) []float64 {
+	gradTree := out.Map(func(n *refTree) []float64 {
 		g := make([]float64, len(n.Data))
 		for i := range g {
 			g[i] = 1
@@ -220,9 +172,9 @@ func TestNewStackPanics(t *testing.T) {
 }
 
 func TestDynamicPool(t *testing.T) {
-	tr := NewNode([]float64{1, -5},
-		NewLeaf([]float64{0, 7}),
-		NewLeaf([]float64{-3, 2}))
+	tr := newNode([]float64{1, -5},
+		newLeaf([]float64{0, 7}),
+		newLeaf([]float64{-3, 2}))
 	pooled, argmax := DynamicPool(tr)
 	if pooled[0] != 1 || pooled[1] != 7 {
 		t.Errorf("pooled = %v, want [1 7]", pooled)
@@ -255,7 +207,7 @@ func TestPoolingInvariantToStructureSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	layer := NewLayer(5, 6, rng)
 	small := layer.Forward(smallTree()).Output()
-	big := layer.Forward(NewNode([]float64{1, 1, 0, 0, 1}, smallTree(), smallTree())).Output()
+	big := layer.Forward(newNode([]float64{1, 1, 0, 0, 1}, smallTree(), smallTree())).Output()
 	p1, _ := DynamicPool(small)
 	p2, _ := DynamicPool(big)
 	if len(p1) != 6 || len(p2) != 6 {

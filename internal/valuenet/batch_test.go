@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"neo/internal/treeconv"
 )
 
 func randVec(rng *rand.Rand, dim int) []float64 {
@@ -18,17 +16,17 @@ func randVec(rng *rand.Rand, dim int) []float64 {
 }
 
 // randTree builds a random binary tree with n ≥ 1 leaves (2n−1 nodes).
-func randTree(rng *rand.Rand, n, dim int) *treeconv.Tree {
+func randTree(rng *rand.Rand, n, dim int) *refTree {
 	if n == 1 {
-		return treeconv.NewLeaf(randVec(rng, dim))
+		return newLeaf(randVec(rng, dim))
 	}
 	nl := 1 + rng.Intn(n-1)
-	return treeconv.NewNode(randVec(rng, dim), randTree(rng, nl, dim), randTree(rng, n-nl, dim))
+	return newNode(randVec(rng, dim), randTree(rng, nl, dim), randTree(rng, n-nl, dim))
 }
 
-func randForest(rng *rand.Rand, dim int) []*treeconv.Tree {
+func randForest(rng *rand.Rand, dim int) []*refTree {
 	trees := rng.Intn(4) // 0..3 trees; 0 exercises the empty-forest path
-	out := make([]*treeconv.Tree, 0, trees)
+	out := make([]*refTree, 0, trees)
 	for i := 0; i < trees; i++ {
 		out = append(out, randTree(rng, 1+rng.Intn(6), dim))
 	}
@@ -42,11 +40,24 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Max(1, math.Abs(want))
 }
 
+// scoreFresh scores every (query, forest) pair from scratch in normalised
+// space: a fresh id space and a fresh scorer per pair, so nothing is
+// recalled.
+func scoreFresh(snap *Snapshot, queries [][]float64, forests [][]*refTree) []float64 {
+	out := make([]float64, len(forests))
+	for i, f := range forests {
+		var ids treeIDs
+		out[i] = snap.NewScorer(queries[i], &ids).Normalized([][]int32{ids.roots(f)})[0]
+	}
+	return out
+}
+
 // TestPredictBatchMatchesPredict is the batched-vs-sequential parity property
 // test: over random networks, random forests (including empty ones), shared
-// and distinct query vectors, a snapshot's PredictBatchNormalized must be
-// within 1e-5 relative of the per-sample reference refPredictNormalized,
-// and PredictBatch must be its denormalization bit for bit.
+// and distinct query vectors, a batch of forests scored by one Scorer per
+// query vector must be within 1e-5 relative of the per-sample reference
+// refPredictNormalized in normalised space (Normalized), and Score must be
+// its denormalization bit for bit.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	const queryDim, planDim = 9, 7
 	for seed := int64(0); seed < 5; seed++ {
@@ -59,7 +70,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 
 		const batch = 33
 		queries := make([][]float64, batch)
-		forests := make([][]*treeconv.Tree, batch)
+		forests := make([][]*refTree, batch)
 		shared := randVec(rng, queryDim) // most rows share one query, as in search
 		for i := range queries {
 			if i%5 == 4 {
@@ -71,43 +82,69 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		}
 
 		snap := net.Snapshot()
-		got := snap.PredictBatch(queries, forests)
-		gotN := snap.PredictBatchNormalized(queries, forests)
-		if len(got) != batch || len(gotN) != batch {
-			t.Fatalf("seed %d: PredictBatch returned %d/%d results, want %d", seed, len(got), len(gotN), batch)
-		}
-		for i := range gotN {
-			if want := net.refPredictNormalized(queries[i], forests[i]); relErr(gotN[i], want) > 1e-5 {
-				t.Errorf("seed %d sample %d (normalized): batch %v, sequential %v (rel err %g)", seed, i, gotN[i], want, relErr(gotN[i], want))
+		done := make([]bool, batch)
+		for i, q := range queries {
+			if done[i] {
+				continue
 			}
-			if want := net.denormalize(gotN[i]); math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Errorf("seed %d sample %d: PredictBatch %v != denormalized %v", seed, i, got[i], want)
+			// One scorer per query vector, over the forests that share it.
+			var group []int
+			var fs [][]*refTree
+			for j := i; j < batch; j++ {
+				if !done[j] && sameSlice(queries[j], q) {
+					group, fs, done[j] = append(group, j), append(fs, forests[j]), true
+				}
+			}
+			var ids, again treeIDs
+			gotN := snap.NewScorer(q, &ids).Normalized(ids.forests(fs))
+			got := snap.NewScorer(q, &again).Score(again.forests(fs))
+			if len(got) != len(group) || len(gotN) != len(group) {
+				t.Fatalf("seed %d: scored %d/%d results, want %d", seed, len(got), len(gotN), len(group))
+			}
+			for k, j := range group {
+				if want := net.refPredictNormalized(q, forests[j]); relErr(gotN[k], want) > 1e-5 {
+					t.Errorf("seed %d sample %d (normalized): batch %v, sequential %v (rel err %g)", seed, j, gotN[k], want, relErr(gotN[k], want))
+				}
+				if want := net.denormalize(gotN[k]); math.Float64bits(got[k]) != math.Float64bits(want) {
+					t.Errorf("seed %d sample %d: Score %v != denormalized %v", seed, j, got[k], want)
+				}
 			}
 		}
 	}
 }
 
+// TestPredictBatchEmpty: a call without forests scores nothing.
 func TestPredictBatchEmpty(t *testing.T) {
 	snap := New(4, 3, DefaultConfig()).Snapshot()
-	if out := snap.PredictBatch(nil, nil); out != nil {
-		t.Fatalf("PredictBatch(nil) = %v, want nil", out)
+	var ids treeIDs
+	if out := snap.NewScorer(make([]float64, 4), &ids).Score(nil); out != nil {
+		t.Fatalf("Score(nil) = %v, want nil", out)
 	}
 }
 
-// TestPredictBatchConcurrent scores on one shared snapshot from many
-// goroutines (PlanAll plans independent queries over one shared network); run
-// with -race to detect unsynchronised state.
+// TestPredictBatchConcurrent scores on one shared snapshot, and over one
+// shared id space, from many goroutines with a scorer each (PlanAll plans
+// independent queries over one shared network); run with -race to detect
+// unsynchronised state.
 func TestPredictBatchConcurrent(t *testing.T) {
 	const queryDim, planDim = 6, 5
 	snap := New(queryDim, planDim, DefaultConfig()).Snapshot()
 	rng := rand.New(rand.NewSource(7))
 	queries := make([][]float64, 16)
-	forests := make([][]*treeconv.Tree, 16)
+	var ids treeIDs
+	forests := make([][]int32, 16)
 	for i := range queries {
 		queries[i] = randVec(rng, queryDim)
-		forests[i] = randForest(rng, planDim)
+		forests[i] = ids.roots(randForest(rng, planDim))
 	}
-	want := snap.PredictBatch(queries, forests)
+	score := func() []float64 {
+		out := make([]float64, len(queries))
+		for i, q := range queries {
+			out[i] = snap.NewScorer(q, &ids).Score(forests[i : i+1])[0]
+		}
+		return out
+	}
+	want := score()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -115,10 +152,10 @@ func TestPredictBatchConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
-				got := snap.PredictBatch(queries, forests)
+				got := score()
 				for i := range got {
 					if got[i] != want[i] {
-						t.Errorf("concurrent PredictBatch diverged at %d: %v != %v", i, got[i], want[i])
+						t.Errorf("concurrent scoring diverged at %d: %v != %v", i, got[i], want[i])
 						return
 					}
 				}

@@ -17,9 +17,8 @@ import (
 )
 
 // referenceScorer scores every plan from scratch with the per-sample float64
-// reference network on a live network (valuenet.RefPredict on
-// Featurizer.EncodePlan): the reference the serving snapshot's float32
-// scorer is held to.
+// reference network on a live network (valuenet.RefPredict on a fresh plan
+// encoder): the reference the serving snapshot's float32 scorer is held to.
 type referenceScorer struct {
 	net  *valuenet.Network
 	feat *feature.Featurizer
@@ -29,7 +28,8 @@ type referenceScorer struct {
 func (s *referenceScorer) ScoreBatch(ps []*plan.Plan) []float64 {
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = valuenet.RefPredict(s.net, s.qEnc, s.feat.EncodePlan(p))
+		enc := s.feat.NewPlanEncoder(p.Query, plan.NewNodes())
+		out[i] = valuenet.RefPredict(s.net, s.qEnc, enc, enc.AppendIDs(nil, p))
 	}
 	return out
 }

@@ -4,13 +4,11 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"neo/internal/treeconv"
 )
 
 // precisionFixture builds a lightly trained network plus a reference workload
 // of (query, forest) pairs.
-func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*treeconv.Tree, []Sample) {
+func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*refTree, []Sample) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const queryDim, planDim = 11, 7
@@ -20,50 +18,44 @@ func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*tre
 	cfg.HeadLayers = []int{8}
 	net := New(queryDim, planDim, cfg)
 
+	var ids treeIDs
 	var samples []Sample
+	queries := make([][]float64, 0, 24)
+	forests := make([][]*refTree, 0, 24)
 	for i := 0; i < 24; i++ {
 		q := make([]float64, queryDim)
 		for j := range q {
 			q[j] = rng.Float64()
 		}
-		samples = append(samples, Sample{
-			Query:  q,
-			Plan:   []*treeconv.Tree{randomPlanTree(rng, 1+rng.Intn(4), planDim)},
-			Target: 10 + rng.Float64()*1000,
-		})
+		forest := []*refTree{randomPlanTree(rng, 1+rng.Intn(4), planDim)}
+		queries, forests = append(queries, q), append(forests, forest)
+		samples = append(samples, ids.sample(q, forest, 10+rng.Float64()*1000))
 	}
 	net.Train(samples, 2, 8, rng)
-
-	queries := make([][]float64, len(samples))
-	forests := make([][]*treeconv.Tree, len(samples))
-	for i, s := range samples {
-		queries[i] = s.Query
-		forests[i] = s.Plan
-	}
 	return net, queries, forests, samples
 }
 
 // randomPlanTree builds a random binary tree with n ≥ 1 leaves (2n−1 nodes).
-func randomPlanTree(rng *rand.Rand, n, dim int) *treeconv.Tree {
+func randomPlanTree(rng *rand.Rand, n, dim int) *refTree {
 	data := make([]float64, dim)
 	for i := range data {
 		data[i] = rng.Float64()
 	}
 	if n == 1 {
-		return treeconv.NewLeaf(data)
+		return newLeaf(data)
 	}
 	nl := 1 + rng.Intn(n-1)
-	return treeconv.NewNode(data, randomPlanTree(rng, nl, dim), randomPlanTree(rng, n-nl, dim))
+	return newNode(data, randomPlanTree(rng, nl, dim), randomPlanTree(rng, n-nl, dim))
 }
 
 // TestSnapshotFloat32Parity asserts a trained network's snapshot scores
 // within 1e-5 relative of the per-sample float64 reference in normalised
-// space, including batch=1.
+// space, one forest per scorer.
 func TestSnapshotFloat32Parity(t *testing.T) {
 	net, queries, forests, _ := precisionFixture(t, 31)
 	s32 := net.Snapshot()
 
-	got := s32.PredictBatchNormalized(queries, forests)
+	got := scoreFresh(s32, queries, forests)
 	for i := range got {
 		want := net.refPredictNormalized(queries[i], forests[i])
 		if rel := relErr(got[i], want); rel > 1e-5 {
@@ -71,14 +63,10 @@ func TestSnapshotFloat32Parity(t *testing.T) {
 		}
 	}
 
-	// Batch of one and the single-pair entry point agree with the batch.
-	one := s32.PredictBatchNormalized(queries[:1], forests[:1])
-	if one[0] != got[0] {
-		t.Fatalf("batch=1 diverges: %v vs %v", one[0], got[0])
-	}
 	// Denormalized predictions pass through the same float64 output boundary.
-	if p, b := s32.PredictBatch(queries[:1], forests[:1])[0], net.denormalize(one[0]); p != b {
-		t.Fatalf("PredictBatch/denormalized batch=1 diverge: %v vs %v", p, b)
+	var ids treeIDs
+	if p, b := s32.NewScorer(queries[0], &ids).Score(ids.forests(forests[:1]))[0], net.denormalize(got[0]); p != b {
+		t.Fatalf("Score/denormalized diverge: %v vs %v", p, b)
 	}
 }
 
@@ -103,7 +91,7 @@ func TestSnapshotInfo(t *testing.T) {
 func TestSnapshotFloat32Concurrent(t *testing.T) {
 	net, queries, forests, _ := precisionFixture(t, 35)
 	s32 := net.Snapshot()
-	want := s32.PredictBatchNormalized(queries, forests)
+	want := scoreFresh(s32, queries, forests)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -113,10 +101,10 @@ func TestSnapshotFloat32Concurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
-				got := s32.PredictBatchNormalized(queries, forests)
+				got := scoreFresh(s32, queries, forests)
 				for i := range want {
 					if got[i] != want[i] {
-						errs <- "concurrent PredictBatch diverged"
+						errs <- "concurrent scoring diverged"
 						return
 					}
 				}

@@ -1,8 +1,8 @@
 package valuenet
 
 // The per-sample float64 reference network: Figure 5's value network run on
-// one sample at a time over linked trees, allocating freely, written over the
-// layers' exported weights. The product trains with the batched tape
+// one sample at a time over linked trees (refTree, rebuilt from a sample's id
+// space), allocating freely, written over the layers' exported weights. The product trains with the batched tape
 // (train.go) and scores with the float32 Scorer (scorer.go); the parity
 // tests hold both to this network, which no product code calls. It restates
 // the per-sample MLP and the per-tree convolution that nn and treeconv keep
@@ -16,30 +16,127 @@ import (
 	"neo/internal/treeconv"
 )
 
+// refTree is a plan's feature tree as the reference network reads it: a
+// node has two children or none, and a leaf's nil children convolve as
+// all-zero vectors, as the paper attaches zero-filled children to leaves.
+type refTree struct {
+	Data        []float64
+	Left, Right *refTree
+}
+
+func newLeaf(data []float64) *refTree { return &refTree{Data: data} }
+
+func newNode(data []float64, left, right *refTree) *refTree {
+	return &refTree{Data: data, Left: left, Right: right}
+}
+
+// Walk visits every node in pre-order.
+func (t *refTree) Walk(fn func(*refTree)) {
+	if t == nil {
+		return
+	}
+	fn(t)
+	t.Left.Walk(fn)
+	t.Right.Walk(fn)
+}
+
+// treeIDs numbers reference trees by pointer, children first: the id space
+// (treeconv.Nodes) samples and scorers read them through. One tree is one id
+// wherever it occurs, as one plan node is in a plan encoder, so forests that
+// share a tree share its ids. The zero value is empty.
+type treeIDs struct {
+	rows        [][]float64
+	left, right []int32
+	ids         map[*refTree]int32
+}
+
+// Node implements treeconv.Nodes.
+func (s *treeIDs) Node(id int32) (row []float64, left, right int32) {
+	return s.rows[id], s.left[id], s.right[id]
+}
+
+// id returns t's id, numbering t and whatever below it is new.
+func (s *treeIDs) id(t *refTree) int32 {
+	if id, ok := s.ids[t]; ok {
+		return id
+	}
+	l, r := int32(-1), int32(-1)
+	if t.Left != nil {
+		l, r = s.id(t.Left), s.id(t.Right)
+	}
+	if s.ids == nil {
+		s.ids = make(map[*refTree]int32)
+	}
+	id := int32(len(s.rows))
+	s.rows, s.left, s.right = append(s.rows, t.Data), append(s.left, l), append(s.right, r)
+	s.ids[t] = id
+	return id
+}
+
+// roots returns the ids of forest's trees.
+func (s *treeIDs) roots(forest []*refTree) []int32 {
+	out := make([]int32, len(forest))
+	for i, t := range forest {
+		out[i] = s.id(t)
+	}
+	return out
+}
+
+// forests returns the root ids of every forest.
+func (s *treeIDs) forests(forests [][]*refTree) [][]int32 {
+	out := make([][]int32, len(forests))
+	for i, f := range forests {
+		out[i] = s.roots(f)
+	}
+	return out
+}
+
+// sample is the training sample of forest under query vector q.
+func (s *treeIDs) sample(q []float64, forest []*refTree, target float64) Sample {
+	return Sample{Query: q, Nodes: s, Roots: s.roots(forest), Target: target}
+}
+
+// treesOf rebuilds the forest roots names in nodes as reference trees.
+func treesOf(nodes treeconv.Nodes, roots []int32) []*refTree {
+	var tree func(id int32) *refTree
+	tree = func(id int32) *refTree {
+		row, l, r := nodes.Node(id)
+		if l < 0 {
+			return newLeaf(row)
+		}
+		return newNode(row, tree(l), tree(r))
+	}
+	out := make([]*refTree, len(roots))
+	for i, id := range roots {
+		out[i] = tree(id)
+	}
+	return out
+}
+
 // refState carries the intermediate activations of one reference forward
 // pass.
 type refState struct {
 	qtape     *refMLPTape
-	augmented []*treeconv.Tree
+	augmented []*refTree
 	convTapes [][]refConvTape
 	pooled    []float64
 	// pooledOwner[c] records which tree supplied channel c's max, and
 	// argmax[t][c] the node within tree t.
 	pooledOwner []int
-	argmax      [][]*treeconv.Tree
+	argmax      [][]*refTree
 	headTape    *refMLPTape
 }
 
 // refForward runs the network on one sample; the output is in normalised
 // log-cost space.
-func (n *Network) refForward(queryVec []float64, trees []*treeconv.Tree) (*refState, float64) {
+func (n *Network) refForward(queryVec []float64, trees []*refTree) (*refState, float64) {
 	st := &refState{}
 	st.qtape = refMLPForward(n.qmlp, queryVec)
 	g := st.qtape.output
 
 	// Spatial replication: append g to every node vector.
 	for _, t := range trees {
-		st.augmented = append(st.augmented, mapTree(t, func(node *treeconv.Tree) []float64 {
+		st.augmented = append(st.augmented, mapTree(t, func(node *refTree) []float64 {
 			return append(append(make([]float64, 0, len(node.Data)+len(g)), node.Data...), g...)
 		}))
 	}
@@ -52,7 +149,7 @@ func (n *Network) refForward(queryVec []float64, trees []*treeconv.Tree) (*refSt
 		st.pooled[i] = math.Inf(-1)
 		st.pooledOwner[i] = -1
 	}
-	st.argmax = make([][]*treeconv.Tree, len(st.augmented))
+	st.argmax = make([][]*refTree, len(st.augmented))
 	for ti, t := range st.augmented {
 		tapes := refConvForward(n.conv, t)
 		st.convTapes = append(st.convTapes, tapes)
@@ -100,7 +197,7 @@ func (n *Network) refBackward(st *refState, grad float64) {
 		gradTree := refPoolBackward(tapes[len(tapes)-1].out, st.argmax[ti], chanGrad)
 		gradAug := refConvBackward(n.conv, tapes, gradTree)
 		// Accumulate the query-part gradient from every augmented node.
-		gradAug.Walk(func(node *treeconv.Tree) {
+		gradAug.Walk(func(node *refTree) {
 			for i := 0; i < len(queryGrad); i++ {
 				queryGrad[i] += node.Data[n.planDim+i]
 			}
@@ -110,14 +207,14 @@ func (n *Network) refBackward(st *refState, grad float64) {
 }
 
 // refPredict is the reference cost prediction, in the original cost domain.
-func (n *Network) refPredict(queryVec []float64, trees []*treeconv.Tree) float64 {
+func (n *Network) refPredict(queryVec []float64, trees []*refTree) float64 {
 	_, out := n.refForward(queryVec, trees)
 	return n.denormalize(out)
 }
 
 // refPredictNormalized is the reference prediction in normalised log-cost
 // space, where the float32 scorer is held to it.
-func (n *Network) refPredictNormalized(queryVec []float64, trees []*treeconv.Tree) float64 {
+func (n *Network) refPredictNormalized(queryVec []float64, trees []*refTree) float64 {
 	_, out := n.refForward(queryVec, trees)
 	return out
 }
@@ -137,7 +234,7 @@ func (n *Network) refTrainBatch(samples []Sample) float64 {
 				cols = append(cols, c)
 			}
 		}
-		st, out := n.refForward(s.Query, s.Plan)
+		st, out := n.refForward(s.Query, treesOf(s.Nodes, s.Roots))
 		loss, grad := nn.L2Loss(out, n.normalize(s.Target))
 		total += loss
 		n.refBackward(st, grad)
@@ -295,14 +392,14 @@ func refNormBackward(ln *nn.LayerNorm, x, gradOut []float64) []float64 {
 
 // refConvTape records one layer of a per-tree convolution: its input, its
 // pre-activation and its activated output, all shaped like the input tree.
-type refConvTape struct{ in, pre, out *treeconv.Tree }
+type refConvTape struct{ in, pre, out *refTree }
 
 // refConvForward runs t through every layer of s, one tape per layer.
-func refConvForward(s *treeconv.Stack, t *treeconv.Tree) []refConvTape {
+func refConvForward(s *treeconv.Stack, t *refTree) []refConvTape {
 	tapes := make([]refConvTape, len(s.Layers))
 	for i, l := range s.Layers {
 		pre := refConvolve(l, t)
-		out := mapTree(pre, func(n *treeconv.Tree) []float64 { return refLeaky(l.Act.Alpha, n.Data) })
+		out := mapTree(pre, func(n *refTree) []float64 { return refLeaky(l.Act.Alpha, n.Data) })
 		tapes[i] = refConvTape{in: t, pre: pre, out: out}
 		t = out
 	}
@@ -311,7 +408,7 @@ func refConvForward(s *treeconv.Stack, t *treeconv.Tree) []refConvTape {
 
 // refConvolve applies l's filterbank to every parent/left/right triangle of
 // t, a leaf's missing children reading as zero vectors.
-func refConvolve(l *treeconv.Layer, t *treeconv.Tree) *treeconv.Tree {
+func refConvolve(l *treeconv.Layer, t *refTree) *refTree {
 	if t == nil {
 		return nil
 	}
@@ -330,18 +427,18 @@ func refConvolve(l *treeconv.Layer, t *treeconv.Tree) *treeconv.Tree {
 		}
 		out[o] = sum
 	}
-	return treeconv.NewNode(out, refConvolve(l, t.Left), refConvolve(l, t.Right))
+	return newNode(out, refConvolve(l, t.Left), refConvolve(l, t.Right))
 }
 
 // refConvBackward propagates a gradient tree shaped like the last layer's
 // output back through every layer, accumulating filter gradients, and
 // returns the gradient tree of the input.
-func refConvBackward(s *treeconv.Stack, tapes []refConvTape, gradOut *treeconv.Tree) *treeconv.Tree {
+func refConvBackward(s *treeconv.Stack, tapes []refConvTape, gradOut *refTree) *refTree {
 	grad := gradOut
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		l, tape := s.Layers[i], tapes[i]
 		gradPre := refZipTree(tape.pre, grad, func(pre, g []float64) []float64 { return refLeakyGrad(l.Act.Alpha, pre, g) })
-		grad = mapTree(tape.in, func(*treeconv.Tree) []float64 { return make([]float64, l.InChannels) })
+		grad = mapTree(tape.in, func(*refTree) []float64 { return make([]float64, l.InChannels) })
 		refConvBackwardNode(l, tape.in, gradPre, grad)
 	}
 	return grad
@@ -349,7 +446,7 @@ func refConvBackward(s *treeconv.Stack, tapes []refConvTape, gradOut *treeconv.T
 
 // refConvBackwardNode handles one parent/left/right triangle, then recurses
 // in pre-order.
-func refConvBackwardNode(l *treeconv.Layer, in, gradPre, gradIn *treeconv.Tree) {
+func refConvBackwardNode(l *treeconv.Layer, in, gradPre, gradIn *refTree) {
 	if in == nil || gradPre == nil {
 		return
 	}
@@ -385,13 +482,13 @@ func refConvBackwardNode(l *treeconv.Layer, in, gradPre, gradIn *treeconv.Tree) 
 // refPool is dynamic pooling: the channel-wise maximum over t's nodes,
 // visited in pre-order under strict comparison, and the node that supplied
 // each channel.
-func refPool(t *treeconv.Tree) (pooled []float64, argmax []*treeconv.Tree) {
+func refPool(t *refTree) (pooled []float64, argmax []*refTree) {
 	pooled = make([]float64, len(t.Data))
-	argmax = make([]*treeconv.Tree, len(t.Data))
+	argmax = make([]*refTree, len(t.Data))
 	for i := range pooled {
 		pooled[i] = math.Inf(-1)
 	}
-	t.Walk(func(n *treeconv.Tree) {
+	t.Walk(func(n *refTree) {
 		for i, v := range n.Data {
 			if v > pooled[i] {
 				pooled[i] = v
@@ -404,8 +501,8 @@ func refPool(t *treeconv.Tree) (pooled []float64, argmax []*treeconv.Tree) {
 
 // refPoolBackward routes each channel's gradient to the node argmax names:
 // a gradient tree shaped like t, zero everywhere else.
-func refPoolBackward(t *treeconv.Tree, argmax []*treeconv.Tree, grad []float64) *treeconv.Tree {
-	return mapTree(t, func(n *treeconv.Tree) []float64 {
+func refPoolBackward(t *refTree, argmax []*refTree, grad []float64) *refTree {
+	return mapTree(t, func(n *refTree) []float64 {
 		g := make([]float64, len(t.Data))
 		for c, src := range argmax {
 			if src == n {
@@ -416,7 +513,7 @@ func refPoolBackward(t *treeconv.Tree, argmax []*treeconv.Tree, grad []float64) 
 	})
 }
 
-func refZerosIfNil(t *treeconv.Tree, dim int) []float64 {
+func refZerosIfNil(t *refTree, dim int) []float64 {
 	if t == nil {
 		return make([]float64, dim)
 	}
@@ -424,18 +521,18 @@ func refZerosIfNil(t *treeconv.Tree, dim int) []float64 {
 }
 
 // mapTree returns a tree shaped like t whose node vectors are fn(node).
-func mapTree(t *treeconv.Tree, fn func(*treeconv.Tree) []float64) *treeconv.Tree {
+func mapTree(t *refTree, fn func(*refTree) []float64) *refTree {
 	if t == nil {
 		return nil
 	}
-	return treeconv.NewNode(fn(t), mapTree(t.Left, fn), mapTree(t.Right, fn))
+	return newNode(fn(t), mapTree(t.Left, fn), mapTree(t.Right, fn))
 }
 
 // refZipTree returns a tree shaped like a and b whose node vectors are fn of
 // theirs.
-func refZipTree(a, b *treeconv.Tree, fn func(av, bv []float64) []float64) *treeconv.Tree {
+func refZipTree(a, b *refTree, fn func(av, bv []float64) []float64) *refTree {
 	if a == nil || b == nil {
 		return nil
 	}
-	return treeconv.NewNode(fn(a.Data, b.Data), refZipTree(a.Left, b.Left, fn), refZipTree(a.Right, b.Right, fn))
+	return newNode(fn(a.Data, b.Data), refZipTree(a.Left, b.Left, fn), refZipTree(a.Right, b.Right, fn))
 }

@@ -1,8 +1,7 @@
-// Scoring. A Scorer is the network's one inference pass;
-// Snapshot.PredictBatch is a loop over scorers, one per distinct query. A
-// plan search hands one scorer thousands of forests of one query that differ
-// from each other by a node or two — a child plan is its parent plus one join
-// or one scan choice — and tree convolution only looks down: a node's output
+// Scoring. A Scorer is the network's one inference pass. A plan search
+// hands one scorer thousands of forests of one query that differ from each
+// other by a node or two — a child plan is its parent plus one join or one
+// scan choice — and tree convolution only looks down: a node's output
 // at layer k is a function of its own row and its children's outputs at
 // layer k−1. The query embedding that spatial replication appends to every
 // row is constant within a search, so a subtree's activations, and the
@@ -18,11 +17,10 @@
 //   - the per-channel maximum of the last layer over the whole subtree —
 //     what dynamic pooling contributes for it.
 //
-// A scorer is shown forests as their roots' ids in an id space (Nodes) that
-// names every subtree by a dense id — a search's plan.Nodes table, through
-// its plan encoder, or a treeconv.Subtrees table for forests of feature
-// trees — and the record of subtree id is record id: the lookup is a slice
-// index. A call's misses are the subtrees under its roots, at any depth,
+// A scorer is shown forests as their roots' ids in an id space
+// (treeconv.Nodes) that names every subtree by a dense id — a search's
+// plan.Nodes table, through its plan encoder — and the record of subtree id
+// is record id: the lookup is a slice index. A call's misses are the subtrees under its roots, at any depth,
 // that have no record yet. Score convolves them —
 // one row per layer each, through treeconv's row kernels — folds
 // pool(node) = max(own, pool(left), pool(right)), takes each forest's
@@ -49,6 +47,7 @@ import (
 	"slices"
 
 	"neo/internal/nn"
+	"neo/internal/treeconv"
 )
 
 // recordChunk is the number of subtree records per slab chunk. The slab
@@ -56,24 +55,16 @@ import (
 // allocation to add a record costs more than the records do.
 const recordChunk = 64
 
-// Nodes is the id space a Scorer keeps its records in: every subtree it is
-// shown has a dense non-negative id, and Node returns subtree id's plan
-// vector and its children's ids — both ids for a join, both −1 for a leaf.
-// An id must name the same subtree for as long as the scorer lives.
-type Nodes interface {
-	Node(id int32) (row []float64, left, right int32)
-}
-
 // Scorer scores forests of one query against one snapshot, remembering every
 // subtree it has convolved. It belongs to one search: not safe for
 // concurrent use, and the rows its Nodes return must not be modified.
 type Scorer struct {
-	snap  *Snapshot // the kernels, dimensions and target transform
-	nodes Nodes     // the id space
-	query []float32 // the query tower's output
-	width []int     // width[k]: output channels of conv layer k
-	off   []int     // off[k]: where a record keeps layer k's slot
-	recW  int       // values per record
+	snap  *Snapshot      // the kernels, dimensions and target transform
+	nodes treeconv.Nodes // the id space records are kept by
+	query []float32      // the query tower's output
+	width []int          // width[k]: output channels of conv layer k
+	off   []int          // off[k]: where a record keeps layer k's slot
+	recW  int            // values per record
 	// size[id] is subtree id's node count once it has a record, 0 before;
 	// left[id] and right[id] are its children.
 	size, left, right []int32
@@ -102,8 +93,9 @@ type ScorerStats struct {
 }
 
 // NewScorer runs the query tower over queryVec and returns an empty scorer
-// for forests of that query whose subtrees nodes names.
-func (s *Snapshot) NewScorer(queryVec []float64, nodes Nodes) *Scorer {
+// for forests of that query whose subtrees nodes names. An id must name the
+// same subtree for as long as the scorer lives.
+func (s *Snapshot) NewScorer(queryVec []float64, nodes treeconv.Nodes) *Scorer {
 	if len(queryVec) != s.queryDim {
 		panic("valuenet: query vector dimension mismatch")
 	}
@@ -127,7 +119,7 @@ func (s *Snapshot) NewScorer(queryVec []float64, nodes Nodes) *Scorer {
 // forests, each given as its roots' ids. A forest's score does not depend on
 // what the scorer has recorded.
 func (s *Scorer) Score(forests [][]int32) []float64 {
-	out := s.normalized(forests)
+	out := s.Normalized(forests)
 	for i, v := range out {
 		out[i] = s.snap.denormalize(v)
 	}
@@ -144,8 +136,9 @@ func (s *Scorer) slot(rec int32, k int) []float32 {
 	return s.slab[int(rec)/recordChunk][base : base+s.width[k]]
 }
 
-// normalized is Score in normalised log-cost space: the head's outputs.
-func (s *Scorer) normalized(forests [][]int32) []float64 {
+// Normalized is Score in normalised log-cost space: the head's outputs, the
+// space the Figure 14 robustness analysis histograms.
+func (s *Scorer) Normalized(forests [][]int32) []float64 {
 	if len(forests) == 0 {
 		return nil
 	}

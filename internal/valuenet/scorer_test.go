@@ -7,15 +7,14 @@ import (
 	"testing"
 
 	"neo/internal/nn"
-	"neo/internal/treeconv"
 )
 
 // The scorer's contract is that a score does not depend on what its records
 // hold, so these tests compare bits: every Score call of a search-long
 // scorer against a fresh scorer on deep copies of the same forests — which
-// share no pointers, so no two of their nodes get one id in a
-// treeconv.Subtrees table, nothing is recalled and every node is convolved
-// from scratch — on both GEMM kernels.
+// share no pointers, so no two of their nodes get one id in the copies' id
+// space, nothing is recalled and every node is convolved from scratch — on
+// both GEMM kernels.
 
 // eachKernel runs fn for a snapshot scoring on the assembly kernel (where
 // the CPU has one) and on the portable kernel.
@@ -32,25 +31,25 @@ func eachKernel(t *testing.T, net *Network, fn func(t *testing.T, snap *Snapshot
 // pointer, at every depth), cut into Score calls of mixed size. The forests
 // include joins over the same subtree twice, empty forests and forests
 // repeated within a call and across calls.
-func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*treeconv.Tree {
-	var pool []*treeconv.Tree
+func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*refTree {
+	var pool []*refTree
 	for i := 0; i < 6; i++ {
-		pool = append(pool, treeconv.NewLeaf(randVec(rng, planDim)))
+		pool = append(pool, newLeaf(randVec(rng, planDim)))
 	}
-	pick := func() *treeconv.Tree { return pool[rng.Intn(len(pool))] }
+	pick := func() *refTree { return pool[rng.Intn(len(pool))] }
 	grow := func() {
 		switch rng.Intn(8) {
 		case 0: // a fresh leaf
-			pool = append(pool, treeconv.NewLeaf(randVec(rng, planDim)))
+			pool = append(pool, newLeaf(randVec(rng, planDim)))
 		case 1: // a fresh tree sharing nothing
 			pool = append(pool, randTree(rng, 1+rng.Intn(4), planDim))
 		default: // a join of two earlier subtrees (possibly the same one twice)
-			pool = append(pool, treeconv.NewNode(randVec(rng, planDim), pick(), pick()))
+			pool = append(pool, newNode(randVec(rng, planDim), pick(), pick()))
 		}
 	}
-	out := make([][][]*treeconv.Tree, calls)
+	out := make([][][]*refTree, calls)
 	for c := range out {
-		forests := make([][]*treeconv.Tree, rng.Intn(9)) // 0 is the empty call
+		forests := make([][]*refTree, rng.Intn(9)) // 0 is the empty call
 		for fi := range forests {
 			grow()
 			switch {
@@ -59,7 +58,7 @@ func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*treeconv.Tree {
 			case c > 0 && len(out[c-1]) > 0 && rng.Intn(6) == 0: // repeated across calls
 				forests[fi] = out[c-1][rng.Intn(len(out[c-1]))]
 			default:
-				f := make([]*treeconv.Tree, rng.Intn(5)) // 0 is the empty forest
+				f := make([]*refTree, rng.Intn(5)) // 0 is the empty forest
 				for i := range f {
 					f[i] = pick()
 				}
@@ -73,56 +72,45 @@ func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*treeconv.Tree {
 
 // deepCopy returns forests with every tree node and vector copied, so they
 // share no pointers with the originals or with each other.
-func deepCopy(forests [][]*treeconv.Tree) [][]*treeconv.Tree {
-	out := make([][]*treeconv.Tree, len(forests))
+func deepCopy(forests [][]*refTree) [][]*refTree {
+	out := make([][]*refTree, len(forests))
 	for i, f := range forests {
-		out[i] = make([]*treeconv.Tree, len(f))
+		out[i] = make([]*refTree, len(f))
 		for j, t := range f {
-			out[i][j] = mapTree(t, func(n *treeconv.Tree) []float64 { return append([]float64(nil), n.Data...) })
+			out[i][j] = mapTree(t, func(n *refTree) []float64 { return append([]float64(nil), n.Data...) })
 		}
 	}
 	return out
 }
 
-// checkScorerCalls scores the calls in the given order on one scorer and
-// requires every result to be bit-identical to a fresh scorer's on deep
-// copies, and to PredictBatch's on the forests themselves. On a finite
-// corpus it also holds the from-scratch scores to within 1e-5 relative of
-// the per-sample float64 reference: refPredictNormalized on net, the network
-// snap was frozen from.
-func checkScorerCalls(t *testing.T, net *Network, snap *Snapshot, q []float64, calls [][][]*treeconv.Tree, order []int, finite bool) *Scorer {
+// checkScorerCalls scores the calls in the given order on one scorer over
+// one id space and requires every result to be bit-identical to a fresh
+// scorer's on deep copies. On a finite corpus it also holds the from-scratch
+// scores to within 1e-5 relative of the per-sample float64 reference:
+// refPredictNormalized on net, the network snap was frozen from.
+func checkScorerCalls(t *testing.T, net *Network, snap *Snapshot, q []float64, calls [][][]*refTree, order []int, finite bool) *Scorer {
 	t.Helper()
-	var tab treeconv.Subtrees
-	sc := snap.NewScorer(q, &tab)
-	var queries [][]float64
+	var ids treeIDs
+	sc := snap.NewScorer(q, &ids)
 	for _, c := range order {
 		forests := calls[c]
-		got := sc.Score(treeRoots(&tab, forests))
+		got := sc.Score(ids.forests(forests))
 
-		var freshTab treeconv.Subtrees
-		fresh := snap.NewScorer(q, &freshTab)
-		wantN := fresh.normalized(treeRoots(&freshTab, deepCopy(forests)))
+		var freshIDs treeIDs
+		fresh := snap.NewScorer(q, &freshIDs)
+		wantN := fresh.Normalized(freshIDs.forests(deepCopy(forests)))
 		if st := fresh.Stats(); st.Computed != st.Nodes {
 			t.Fatalf("call %d: the from-scratch scorer convolved %d of %d nodes; deep copies must share none", c, st.Computed, st.Nodes)
 		}
-		queries = queries[:0]
-		for range forests {
-			queries = append(queries, q)
-		}
-		batch := snap.PredictBatch(queries, forests)
-		if len(got) != len(wantN) || (got == nil) != (wantN == nil) || len(batch) != len(wantN) {
-			t.Fatalf("call %d: Score returned %d scores (nil=%v), PredictBatch %d, the fresh scorer %d (nil=%v)",
-				c, len(got), got == nil, len(batch), len(wantN), wantN == nil)
+		if len(got) != len(wantN) || (got == nil) != (wantN == nil) {
+			t.Fatalf("call %d: Score returned %d scores (nil=%v), the fresh scorer %d (nil=%v)",
+				c, len(got), got == nil, len(wantN), wantN == nil)
 		}
 		for i, n := range wantN {
 			want := net.denormalize(n)
 			if math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("call %d forest %d: Score %v (%#x) != from scratch %v (%#x)",
 					c, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
-			}
-			if math.Float64bits(batch[i]) != math.Float64bits(want) {
-				t.Fatalf("call %d forest %d: PredictBatch %v (%#x) != from scratch %v (%#x)",
-					c, i, batch[i], math.Float64bits(batch[i]), want, math.Float64bits(want))
 			}
 			if !finite {
 				continue
@@ -136,7 +124,9 @@ func checkScorerCalls(t *testing.T, net *Network, snap *Snapshot, q []float64, c
 	return sc
 }
 
-// TestScorerMatchesPredictBatch is the property test of the contract, over
+// TestScorerMatchesPredictBatch is the property test of the contract — a
+// search-long scorer's scores are those of from-scratch batch prediction —
+// over
 // layer widths that are and are not multiples of the kernels' 4- and 8-wide
 // tiles, a single-layer stack, and MLPs with and without layer norm. Each
 // corpus is scored twice on one scorer, forwards and backwards, so the memo
@@ -189,17 +179,17 @@ func TestScorerStats(t *testing.T) {
 	const queryDim, planDim = 4, 3
 	net := New(queryDim, planDim, DefaultConfig())
 	rng := rand.New(rand.NewSource(1))
-	a, b, c := treeconv.NewLeaf(randVec(rng, planDim)), treeconv.NewLeaf(randVec(rng, planDim)), treeconv.NewLeaf(randVec(rng, planDim))
-	ab := treeconv.NewNode(randVec(rng, planDim), a, b)
-	var tab treeconv.Subtrees
-	sc := net.Snapshot().NewScorer(randVec(rng, queryDim), &tab)
+	a, b, c := newLeaf(randVec(rng, planDim)), newLeaf(randVec(rng, planDim)), newLeaf(randVec(rng, planDim))
+	ab := newNode(randVec(rng, planDim), a, b)
+	var ids treeIDs
+	sc := net.Snapshot().NewScorer(randVec(rng, queryDim), &ids)
 
-	sc.Score(treeRoots(&tab, [][]*treeconv.Tree{{a, b, c}, {ab, c}}))
+	sc.Score(ids.forests([][]*refTree{{a, b, c}, {ab, c}}))
 	if got, want := sc.Stats(), (ScorerStats{Plans: 2, Nodes: 7, Computed: 4}); got != want {
 		t.Fatalf("after the first call: %+v, want %+v", got, want)
 	}
-	abc := treeconv.NewNode(randVec(rng, planDim), ab, c)
-	sc.Score(treeRoots(&tab, [][]*treeconv.Tree{{abc}, {ab, c}, {}}))
+	abc := newNode(randVec(rng, planDim), ab, c)
+	sc.Score(ids.forests([][]*refTree{{abc}, {ab, c}, {}}))
 	if got, want := sc.Stats(), (ScorerStats{Plans: 5, Nodes: 16, Computed: 5}); got != want {
 		t.Fatalf("after the second call: %+v, want %+v", got, want)
 	}
@@ -264,10 +254,10 @@ func TestScorerPanicsOnDimensionMismatch(t *testing.T) {
 		}()
 		fn()
 	}
-	var tab treeconv.Subtrees
-	mustPanic("short query vector", func() { snap.NewScorer(make([]float64, 3), &tab) })
+	var ids treeIDs
+	mustPanic("short query vector", func() { snap.NewScorer(make([]float64, 3), &ids) })
 	mustPanic("long plan vector", func() {
-		snap.NewScorer(make([]float64, 4), &tab).Score(treeRoots(&tab, [][]*treeconv.Tree{{treeconv.NewLeaf(make([]float64, 5))}}))
+		snap.NewScorer(make([]float64, 4), &ids).Score(ids.forests([][]*refTree{{newLeaf(make([]float64, 5))}}))
 	})
 }
 
@@ -280,9 +270,9 @@ func TestScorerPoolingTiesKeepFirstRoot(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	eachKernel(t, net, func(t *testing.T, snap *Snapshot) {
 		rng := rand.New(rand.NewSource(5))
-		var tab treeconv.Subtrees
-		sc := snap.NewScorer(randVec(rng, queryDim), &tab)
-		ab := treeRoots(&tab, [][]*treeconv.Tree{{treeconv.NewLeaf(randVec(rng, planDim)), treeconv.NewLeaf(randVec(rng, planDim))}})[0]
+		var ids treeIDs
+		sc := snap.NewScorer(randVec(rng, queryDim), &ids)
+		ab := ids.roots([]*refTree{newLeaf(randVec(rng, planDim)), newLeaf(randVec(rng, planDim))})
 		sc.Score([][]int32{ab})
 		// Overwrite the two records' pooled maxima with ties, alternating
 		// which root holds +0.
@@ -295,7 +285,7 @@ func TestScorerPoolingTiesKeepFirstRoot(t *testing.T) {
 			}
 		}
 		for _, roots := range [][]int32{{ab[0], ab[1]}, {ab[1], ab[0]}} {
-			sc.normalized([][]int32{roots})
+			sc.Normalized([][]int32{roots})
 			first := sc.slot(roots[0], last)
 			for c, v := range sc.pooled {
 				if math.Float32bits(v) != math.Float32bits(first[c]) {

@@ -69,73 +69,3 @@ func (s *Snapshot) Info() SnapshotInfo {
 		PanelBytes: s.qmlp.Bytes() + s.conv.Bytes() + s.head.Bytes(),
 	}
 }
-
-// PredictBatch returns the cost predictions (in the original cost domain)
-// for a slice of encoded (query, plan-forest) pairs. A forest holds no nil
-// tree (it may be empty). Safe for concurrent use.
-func (s *Snapshot) PredictBatch(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
-	out := s.PredictBatchNormalized(queries, forests)
-	for i, v := range out {
-		out[i] = s.denormalize(v)
-	}
-	return out
-}
-
-// PredictBatchNormalized is PredictBatch in normalised log-cost space, the
-// space the Figure 14 robustness analysis histograms and the parity tests
-// hold to the per-sample float64 reference network (reference_test.go). The
-// pairs are grouped by query vector (sameSlice), and each group is scored by
-// one Scorer, so the query tower runs once per distinct query, over a
-// treeconv.Subtrees table of the group's trees.
-func (s *Snapshot) PredictBatchNormalized(queries [][]float64, forests [][]*treeconv.Tree) []float64 {
-	if len(queries) != len(forests) {
-		panic("valuenet: PredictBatch queries/forests length mismatch")
-	}
-	if len(queries) == 0 {
-		return nil
-	}
-	out := make([]float64, len(queries))
-	done := make([]bool, len(queries))
-	var group [][]*treeconv.Tree
-	var index []int
-	for i, q := range queries {
-		if done[i] {
-			continue
-		}
-		group, index = group[:0], index[:0]
-		for j := i; j < len(queries); j++ {
-			if !done[j] && sameSlice(queries[j], q) {
-				group = append(group, forests[j])
-				index = append(index, j)
-				done[j] = true
-			}
-		}
-		var tab treeconv.Subtrees
-		roots := treeRoots(&tab, group)
-		for k, v := range s.NewScorer(q, &tab).normalized(roots) {
-			out[index[k]] = v
-		}
-	}
-	return out
-}
-
-// treeRoots adds the trees of forests to tab and returns each forest's root
-// entries: forests of feature trees in the id space a Scorer reads.
-func treeRoots(tab *treeconv.Subtrees, forests [][]*treeconv.Tree) [][]int32 {
-	out := make([][]int32, len(forests))
-	for i, f := range forests {
-		ids := make([]int32, len(f))
-		for j, t := range f {
-			ids[j] = tab.Add(t, 0)
-		}
-		out[i] = ids
-	}
-	return out
-}
-
-// sameSlice reports whether a and b are the same slice (pointer and length):
-// exact for a query's one cached encoding, merely conservative for equal
-// vectors held in different slices.
-func sameSlice(a, b []float64) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}

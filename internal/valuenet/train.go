@@ -6,9 +6,9 @@
 //   - each shard runs ONE shared forward+backward pass: the query tower runs
 //     once per distinct query vector, as an input layer (its first layer
 //     visits only the encoding's non-zeros and computes no input gradient,
-//     see nn.MLP.RecordInput); the shard's samples' roots go into a
-//     treeconv.Subtrees table, one entry per distinct (subtree, query), and
-//     spatial replication writes one row per entry; tree convolution runs
+//     see nn.MLP.RecordInput); the shard's samples' root ids go into a
+//     treeconv.Subtrees table, one entry per distinct (id space, id, query),
+//     and spatial replication writes one row per entry; tree convolution runs
 //     over those rows, dynamic pooling folds each subtree's maximum once, and
 //     the head runs over one row per sample, all scratch drawn from a
 //     per-shard arena and the tapes' headers reused from step to step,
@@ -168,7 +168,7 @@ func (n *Network) TrainBatch(samples []Sample) float64 {
 
 // assemble is the shard's forward prologue. It deduplicates the samples'
 // query vectors and runs the taped query tower over the distinct ones, as an
-// input layer; interns every sample's roots in the shard's subtree table
+// input layer; interns every sample's root ids in the shard's subtree table
 // under the sample's distinct-query index; and spatially replicates the
 // embeddings into one row per table entry: the entry's plan vector followed
 // by its group's query embedding. It returns the rows and the embedding
@@ -206,8 +206,8 @@ func (sh *trainShard) assemble(n *Network, samples []Sample) (rows []float64, qO
 	sh.roots, sh.forests = sh.roots[:0], sh.forests[:0]
 	for s, smp := range samples {
 		start := len(sh.roots)
-		for _, t := range smp.Plan {
-			sh.roots = append(sh.roots, sh.tab.Add(t, int32(sh.qIndex[s])))
+		for _, id := range smp.Roots {
+			sh.roots = append(sh.roots, sh.tab.Add(smp.Nodes, id, int32(sh.qIndex[s])))
 		}
 		// A window keeps its values when a later append moves roots.
 		sh.forests = append(sh.forests, sh.roots[start:])
@@ -215,12 +215,12 @@ func (sh *trainShard) assemble(n *Network, samples []Sample) (rows []float64, qO
 
 	channels := n.planDim + qOut
 	rows = sh.arena.Alloc(sh.tab.Len() * channels)
-	for e, t := range sh.tab.Tree {
-		if len(t.Data) != n.planDim {
+	for e, data := range sh.tab.Row {
+		if len(data) != n.planDim {
 			panic("valuenet: plan vector dimension mismatch")
 		}
 		row := rows[e*channels : (e+1)*channels]
-		copy(row, t.Data)
+		copy(row, data)
 		group := int(sh.tab.Group[e])
 		copy(row[n.planDim:], g[group*qOut:(group+1)*qOut])
 	}
@@ -272,4 +272,11 @@ func (sh *trainShard) run(n *Network, samples []Sample) {
 		}
 	}
 	sh.qmlp.BackwardBatch(&sh.queryTape, qGrad, a)
+}
+
+// sameSlice reports whether a and b are the same slice (pointer and length):
+// exact for a query's one cached encoding, merely conservative for equal
+// vectors held in different slices.
+func sameSlice(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"neo/internal/treeconv"
 )
 
 // randSamples builds a batch of training samples shaped like Neo's
@@ -14,17 +12,14 @@ import (
 // path), forests vary in size and include empty ones.
 func randSamples(rng *rand.Rand, n, queryDim, planDim int) []Sample {
 	shared := randVec(rng, queryDim)
+	var ids treeIDs
 	out := make([]Sample, n)
 	for i := range out {
 		q := shared
 		if i%5 == 4 {
 			q = randVec(rng, queryDim)
 		}
-		out[i] = Sample{
-			Query:  q,
-			Plan:   randForest(rng, planDim),
-			Target: math.Exp(rng.NormFloat64() * 3),
-		}
+		out[i] = ids.sample(q, randForest(rng, planDim), math.Exp(rng.NormFloat64()*3))
 	}
 	return out
 }
@@ -93,16 +88,17 @@ func TestTrainBatchMatchesPerSample(t *testing.T) {
 // trained under two query vectors, so the same trees meet both.
 func sharedSamples(rng *rand.Rand, queryDim, planDim int) []Sample {
 	qa, qb := randVec(rng, queryDim), randVec(rng, queryDim)
+	var ids treeIDs
 	var out []Sample
-	add := func(q []float64, forest ...*treeconv.Tree) {
-		out = append(out, Sample{Query: q, Plan: forest, Target: math.Exp(rng.NormFloat64() * 3)})
+	add := func(q []float64, forest ...*refTree) {
+		out = append(out, ids.sample(q, forest, math.Exp(rng.NormFloat64()*3)))
 	}
 	for entry := 0; entry < 2; entry++ {
-		leaf := func() *treeconv.Tree { return treeconv.NewLeaf(randVec(rng, planDim)) }
+		leaf := func() *refTree { return newLeaf(randVec(rng, planDim)) }
 		l1, l2, l3, l4 := leaf(), leaf(), leaf(), leaf()
-		j12 := treeconv.NewNode(randVec(rng, planDim), l1, l2)
-		j34 := treeconv.NewNode(randVec(rng, planDim), l3, l4)
-		root := treeconv.NewNode(randVec(rng, planDim), j12, j34)
+		j12 := newNode(randVec(rng, planDim), l1, l2)
+		j34 := newNode(randVec(rng, planDim), l3, l4)
+		root := newNode(randVec(rng, planDim), j12, j34)
 		add(qa, l1, l2, l3, l4)
 		add(qa, j12, l3, l4)
 		add(qa, j12, j34)
@@ -140,20 +136,18 @@ func TestTrainBatchSharedSubtrees(t *testing.T) {
 		t.Errorf("max weight difference %g after 3 steps, want <= 1e-9", d)
 	}
 
+	// A subtree is its root's row: every tree holds its own vector.
+	type pair struct{ row, query *float64 }
 	for s, sh := range batched.train.shards {
-		type pair struct {
-			t     *treeconv.Tree
-			query *float64
-		}
 		want := map[pair]bool{}
 		for _, smp := range samples[s*trainShardSize : min((s+1)*trainShardSize, len(samples))] {
-			for _, root := range smp.Plan {
-				root.Walk(func(n *treeconv.Tree) { want[pair{n, &smp.Query[0]}] = true })
+			for _, root := range treesOf(smp.Nodes, smp.Roots) {
+				root.Walk(func(n *refTree) { want[pair{&n.Data[0], &smp.Query[0]}] = true })
 			}
 		}
 		got := map[pair]int{}
-		for e, n := range sh.tab.Tree {
-			got[pair{n, &sh.qVecs[sh.tab.Group[e]][0]}]++
+		for e, row := range sh.tab.Row {
+			got[pair{&row[0], &sh.qVecs[sh.tab.Group[e]][0]}]++
 		}
 		if sh.tab.Len() != len(want) || len(got) != len(want) {
 			t.Fatalf("shard %d: %d rows, %d distinct, want the %d distinct (tree, query) pairs", s, sh.tab.Len(), len(got), len(want))
@@ -166,10 +160,10 @@ func TestTrainBatchSharedSubtrees(t *testing.T) {
 	}
 	// Shard 0 holds entry 0's states under both query vectors: its joined
 	// root has a row for each.
-	root := samples[3].Plan[0]
+	root, _, _ := samples[3].Nodes.Node(samples[3].Roots[0])
 	rows := 0
-	for _, n := range batched.train.shards[0].tab.Tree {
-		if n == root {
+	for _, row := range batched.train.shards[0].tab.Row {
+		if &row[0] == &root[0] {
 			rows++
 		}
 	}
@@ -261,12 +255,12 @@ func TestTrainBatchConcurrentInference(t *testing.T) {
 
 	snap := net.Snapshot()
 	queries := make([][]float64, 8)
-	forests := make([][]*treeconv.Tree, 8)
+	forests := make([][]*refTree, 8)
 	for i := range queries {
 		queries[i] = randVec(rng, queryDim)
 		forests[i] = randForest(rng, planDim)
 	}
-	want := snap.PredictBatch(queries, forests)
+	want := scoreFresh(snap, queries, forests)
 
 	done := make(chan struct{})
 	go func() {
@@ -276,7 +270,7 @@ func TestTrainBatchConcurrentInference(t *testing.T) {
 		}
 	}()
 	for iter := 0; iter < 20; iter++ {
-		got := snap.PredictBatch(queries, forests)
+		got := scoreFresh(snap, queries, forests)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Errorf("snapshot prediction drifted during training at %d: %v != %v", i, got[i], want[i])

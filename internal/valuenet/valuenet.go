@@ -11,12 +11,13 @@
 // layers produces a single scalar.
 //
 // Costs span orders of magnitude, so the network is trained on standardised
-// log-costs; Snapshot.PredictBatch returns values in the original cost
-// domain.
+// log-costs; a Scorer returns values in the original cost domain.
 //
-// The product trains one way (TrainBatch, train.go) and scores one way
-// (Scorer, scorer.go). The per-sample float64 reference network both are
-// parity-tested against lives in reference_test.go.
+// A plan reaches the network one way: as root ids in an id space
+// (treeconv.Nodes, a plan encoder in the product). The product trains one
+// way (TrainBatch, train.go) and scores one way (Scorer, scorer.go). The
+// per-sample float64 reference network both are parity-tested against lives
+// in reference_test.go.
 package valuenet
 
 import (
@@ -73,11 +74,14 @@ func PaperConfig() Config {
 }
 
 // Sample is one training example: an encoded query, an encoded (partial or
-// complete) plan, and the target cost (the best cost of any complete plan
-// containing it, per the paper's training objective).
+// complete) plan — its roots' ids in the id space Nodes — and the target cost
+// (the best cost of any complete plan containing it, per the paper's
+// training objective). Samples of one experience entry share one id space,
+// so the subtrees their states share are convolved once per shard.
 type Sample struct {
 	Query  []float64
-	Plan   []*treeconv.Tree
+	Nodes  treeconv.Nodes
+	Roots  []int32
 	Target float64
 }
 

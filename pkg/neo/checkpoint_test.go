@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"neo/internal/checkpoint"
-	"neo/internal/treeconv"
+	"neo/internal/plan"
 )
 
 // bootstrappedSystem assembles a small system and bootstraps it over a few
@@ -70,8 +70,9 @@ func TestCheckpointRoundTripBitIdenticalAcrossEncodings(t *testing.T) {
 					t.Fatal(err)
 				}
 				normalized := func(sys *System) float64 {
-					return sys.Neo.Snapshot().PredictBatchNormalized([][]float64{sys.Neo.Featurizer.EncodeQuery(q)},
-						[][]*treeconv.Tree{sys.Neo.Featurizer.EncodePlan(p)})[0]
+					enc := sys.Neo.Featurizer.NewPlanEncoder(q, plan.NewNodes())
+					roots := enc.AppendIDs(nil, p)
+					return sys.Neo.Snapshot().NewScorer(sys.Neo.Featurizer.EncodeQuery(q), enc).Normalized([][]int32{roots})[0]
 				}
 				a, b := normalized(sys1), normalized(sys2)
 				if math.Float64bits(a) != math.Float64bits(b) {
