@@ -13,10 +13,12 @@ import (
 // same thing via `go run ./cmd/neo-lint -strict ./...`; having it as a test
 // too means a plain `go test ./...` catches a violation before push.
 //
-// One invariant rides along that needs no type information: no package
-// under cmd/, internal/ or pkg/ imports "testing" outside its _test.go
-// files. Product code that links the test framework is how a benchmark
-// library grows back beside the benchmark/ harness.
+// Two invariants ride along that need no type information: no package
+// under cmd/, internal/, pkg/ or examples/ imports "testing" or
+// neo/internal/reftest outside its _test.go files. Product code that links
+// the test framework is how a benchmark library grows back beside the
+// benchmark/ harness, and reftest is the float64 reference the parity tests
+// hold the product to, which the product must not use.
 func TestRepositoryLintsCleanInStrictMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
@@ -34,7 +36,7 @@ func TestRepositoryLintsCleanInStrictMode(t *testing.T) {
 		t.Errorf("%s", f)
 	}
 
-	list := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Imports " "}}`, "./cmd/...", "./internal/...", "./pkg/...")
+	list := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Imports " "}}`, "./cmd/...", "./internal/...", "./pkg/...", "./examples/...")
 	list.Dir = getLoader(t).Root
 	out, err := list.Output()
 	if err != nil {
@@ -42,8 +44,10 @@ func TestRepositoryLintsCleanInStrictMode(t *testing.T) {
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		pkg, imports, _ := strings.Cut(line, " ")
-		if slices.Contains(strings.Fields(imports), "testing") {
-			t.Errorf("%s imports \"testing\" from a non-test file", pkg)
+		for _, banned := range []string{"testing", "neo/internal/reftest"} {
+			if slices.Contains(strings.Fields(imports), banned) {
+				t.Errorf("%s imports %q from a non-test file", pkg, banned)
+			}
 		}
 	}
 }

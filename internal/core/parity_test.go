@@ -8,6 +8,7 @@ import (
 	"neo/internal/executor"
 	"neo/internal/feature"
 	"neo/internal/plan"
+	"neo/internal/reftest"
 	"neo/internal/search"
 	"neo/internal/valuenet"
 	"neo/internal/workload"
@@ -225,20 +226,20 @@ func TestRetrainWeightsBitIdenticalToReferenceEncoder(t *testing.T) {
 			qEnc = n.Featurizer.EncodeQuery(entry.Query)
 			encodings[entry.Query.ID] = qEnc
 		}
-		shared := map[[2]uint64]*refTree{}
-		var share func(node *plan.Node, t *refTree) *refTree
-		share = func(node *plan.Node, t *refTree) *refTree {
+		shared := map[[2]uint64]*reftest.Tree{}
+		var share func(node *plan.Node, t *reftest.Tree) *reftest.Tree
+		share = func(node *plan.Node, t *reftest.Tree) *reftest.Tree {
 			if node == nil {
 				return nil
 			}
 			if s, ok := shared[node.Hash()]; ok {
 				return s
 			}
-			s := &refTree{Data: t.Data, Left: share(node.Left, t.Left), Right: share(node.Right, t.Right)}
+			s := reftest.Join(t.Data, share(node.Left, t.Left), share(node.Right, t.Right))
 			shared[node.Hash()] = s
 			return s
 		}
-		ids := &treeIDs{}
+		ids := &reftest.IDs{}
 		for _, partial := range constructionStates(entry.Plan, plan.NewNodes()) {
 			target, ok := refMinCostContaining(n.Experience.Entries(), partial, n.cost)
 			if !ok {
@@ -248,7 +249,7 @@ func TestRetrainWeightsBitIdenticalToReferenceEncoder(t *testing.T) {
 			for i, root := range partial.Roots {
 				forest[i] = share(root, forest[i])
 			}
-			samples = append(samples, valuenet.Sample{Query: qEnc, Nodes: ids, Roots: ids.roots(forest), Target: target})
+			samples = append(samples, valuenet.Sample{Query: qEnc, Nodes: ids, Roots: ids.Roots(forest), Target: target})
 		}
 	}
 	if len(samples) > maxTrainSamples {

@@ -6,6 +6,7 @@ import (
 	"neo/internal/feature"
 	"neo/internal/plan"
 	"neo/internal/query"
+	"neo/internal/reftest"
 	"neo/internal/schema"
 	"neo/internal/treeconv"
 )
@@ -154,64 +155,15 @@ func refIndexUsable(q *query.Query, table string, cat *schema.Catalog) bool {
 	return false
 }
 
-// refTree is a plan's feature tree as the reference encoder builds it: one
-// vector per plan node, linked as the plan is.
-type refTree struct {
-	Data        []float64
-	Left, Right *refTree
-}
-
-// treeIDs numbers reference trees by pointer, children first: the id space
-// (treeconv.Nodes) a training sample names its roots in. One tree is one id
-// wherever it occurs, as one plan node is in a plan encoder. The zero value
-// is empty.
-type treeIDs struct {
-	rows        [][]float64
-	left, right []int32
-	ids         map[*refTree]int32
-}
-
-// Node implements treeconv.Nodes.
-func (s *treeIDs) Node(id int32) (row []float64, left, right int32) {
-	return s.rows[id], s.left[id], s.right[id]
-}
-
-// id returns t's id, numbering t and whatever below it is new.
-func (s *treeIDs) id(t *refTree) int32 {
-	if id, ok := s.ids[t]; ok {
-		return id
-	}
-	l, r := int32(-1), int32(-1)
-	if t.Left != nil {
-		l, r = s.id(t.Left), s.id(t.Right)
-	}
-	if s.ids == nil {
-		s.ids = make(map[*refTree]int32)
-	}
-	id := int32(len(s.rows))
-	s.rows, s.left, s.right = append(s.rows, t.Data), append(s.left, l), append(s.right, r)
-	s.ids[t] = id
-	return id
-}
-
-// roots returns the ids of forest's trees.
-func (s *treeIDs) roots(forest []*refTree) []int32 {
-	out := make([]int32, len(forest))
-	for i, t := range forest {
-		out[i] = s.id(t)
-	}
-	return out
-}
-
-func refEncodePlan(f *feature.Featurizer, p *plan.Plan) []*refTree {
-	out := make([]*refTree, 0, len(p.Roots))
+func refEncodePlan(f *feature.Featurizer, p *plan.Plan) []*reftest.Tree {
+	out := make([]*reftest.Tree, 0, len(p.Roots))
 	for _, r := range p.Roots {
 		out = append(out, refEncodeNode(f, r, p.Query))
 	}
 	return out
 }
 
-func refEncodeNode(f *feature.Featurizer, n *plan.Node, q *query.Query) *refTree {
+func refEncodeNode(f *feature.Featurizer, n *plan.Node, q *query.Query) *reftest.Tree {
 	if n == nil {
 		return nil
 	}
@@ -230,7 +182,7 @@ func refEncodeNode(f *feature.Featurizer, n *plan.Node, q *query.Query) *refTree
 			}
 		}
 		refAppendCardinality(f, vec, q, n)
-		return &refTree{Data: vec}
+		return reftest.Leaf(vec)
 	}
 	left := refEncodeNode(f, n.Left, q)
 	right := refEncodeNode(f, n.Right, q)
@@ -246,7 +198,7 @@ func refEncodeNode(f *feature.Featurizer, n *plan.Node, q *query.Query) *refTree
 		vec[i] = v
 	}
 	refAppendCardinality(f, vec, q, n)
-	return &refTree{Data: vec, Left: left, Right: right}
+	return reftest.Join(vec, left, right)
 }
 
 func refAppendCardinality(f *feature.Featurizer, vec []float64, q *query.Query, n *plan.Node) {
@@ -295,12 +247,12 @@ func refNodeCardinality(src feature.CardinalitySource, q *query.Query, n *plan.N
 // sameEncoding reports whether the forest roots names in nodes is the
 // reference forest ref: the same shape, and bit-equal vectors. It is fast
 // enough to run on every scored plan.
-func sameEncoding(nodes treeconv.Nodes, roots []int32, ref []*refTree) bool {
+func sameEncoding(nodes treeconv.Nodes, roots []int32, ref []*reftest.Tree) bool {
 	if len(roots) != len(ref) {
 		return false
 	}
-	var same func(id int32, t *refTree) bool
-	same = func(id int32, t *refTree) bool {
+	var same func(id int32, t *reftest.Tree) bool
+	same = func(id int32, t *reftest.Tree) bool {
 		row, l, r := nodes.Node(id)
 		if len(row) != len(t.Data) || (l < 0) != (t.Left == nil) {
 			return false

@@ -1,5 +1,5 @@
-// Batched forward primitives. The per-sample Forward/Backward passes in
-// reference_test.go are the reference; the batch-matrix layers here run the
+// Batched forward primitives. The per-sample passes of internal/reftest are
+// the reference; the batch-matrix layers here run the
 // training tape's forward pass (train.go): one call processes a whole batch
 // of rows with all intermediate storage drawn from a reusable Arena, so a
 // warmed-up arena makes the forward pass allocation-free.

@@ -21,7 +21,7 @@ func TestLinearForwardBatchMatchesForward(t *testing.T) {
 	var arena Arena[float64]
 	ys := lin.ForwardBatch(xs, rows, &arena)
 	for r := 0; r < rows; r++ {
-		want := lin.Forward(xs[r*7 : (r+1)*7])
+		want := refLinear(lin).Forward(xs[r*7 : (r+1)*7])
 		got := ys[r*5 : (r+1)*5]
 		for i := range want {
 			if got[i] != want[i] {
@@ -44,7 +44,7 @@ func TestMLPForwardBatchMatchesForward(t *testing.T) {
 		mlp.RecordBatch(&tape, xs, rows, &arena)
 		ys := tape.Output()
 		for r := 0; r < rows; r++ {
-			want := mlp.Forward(xs[r*6 : (r+1)*6]).Output()
+			want := refMLP(mlp).Forward(xs[r*6 : (r+1)*6]).Output()
 			got := ys[r*3 : (r+1)*3]
 			for i := range want {
 				if got[i] != want[i] {

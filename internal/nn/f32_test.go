@@ -61,7 +61,7 @@ func TestPackedF32GemmParity(t *testing.T) {
 						}
 					}
 					for r := 0; r < rows; r++ {
-						want := lin.Forward(xs[r*in : (r+1)*in])
+						want := refLinear(lin).Forward(xs[r*in : (r+1)*in])
 						for o, w := range want {
 							if e := relErr32(ys[r*out+o], w); e > 1e-5 {
 								t.Fatalf("rows=%d out=%d in=%d: y[%d][%d]=%v want %v (rel err %g)",
@@ -123,7 +123,7 @@ func testMLPF32Parity(t *testing.T) {
 				t.Fatalf("norm=%v rows=%d: %d outputs", useNorm, rows, len(got))
 			}
 			for r := 0; r < rows; r++ {
-				want := m.Forward(xs[r*13 : (r+1)*13]).Output()[0]
+				want := refMLP(m).Forward(xs[r*13 : (r+1)*13]).Output()[0]
 				if e := relErr32(got[r], want); e > 1e-5 {
 					t.Fatalf("norm=%v rows=%d: out[%d]=%v want %v (rel err %g)", useNorm, rows, r, got[r], want, e)
 				}

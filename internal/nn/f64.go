@@ -56,7 +56,8 @@ func (p *PackedF64) Pack(in, out int, bias []float64, banks ...[]float64) {
 }
 
 // Forward sets y[o] = bias[o] + Σ_i W₀[o][i]·x[i] from the first bank, the
-// additions in ascending i as Linear.Forward makes them. Only for
+// additions in ascending i as the reference Linear.Forward
+// (internal/reftest) makes them. Only for
 // VectorKernels.
 func (p *PackedF64) Forward(y, x []float64) {
 	y, x = y[:p.out], x[:p.in]

@@ -8,7 +8,7 @@
 // its forward and its backward pass, and f64.go the AVX2 kernels that run
 // the tape's and the optimizer's hot loops bit-identically to their Go
 // loops. The per-sample float64 reference both are parity-tested against
-// lives in reference_test.go. Training is not a side
+// lives in internal/reftest, which only tests import. Training is not a side
 // show: a retraining round is 60–70 % of a learning cycle (the rest is
 // planning and execution), so the tape and the optimizer step are written to
 // do only the work that can change a weight.

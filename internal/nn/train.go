@@ -9,8 +9,8 @@
 // counterpart, and parameter gradients accumulate contributions in row order
 // — exactly the order the per-sample training loop accumulates them. A
 // parameter element therefore receives a bit-identical gradient from the
-// batched backward pass and from the per-sample Backward calls of
-// reference_test.go over the same rows.
+// batched backward pass and from the per-sample backward passes of
+// internal/reftest over the same rows.
 //
 // An MLP whose input is data rather than another layer's activation is
 // recorded with RecordInput: its first layer reads each row through an index
@@ -228,8 +228,9 @@ func (l *Linear) backwardInput(nz *sparseRows, gradOut []float64) {
 
 // BackwardBatch accumulates parameter gradients for rows input rows and
 // their output gradients, and returns the input-gradient matrix. Row r is
-// processed exactly like Backward(x_r, gradOut_r), four outputs at a time
-// through Backward4, and parameter gradients accumulate in row order.
+// processed exactly like the reference Linear.Backward(x_r, gradOut_r), four
+// outputs at a time through Backward4, and parameter gradients accumulate in
+// row order.
 func (l *Linear) BackwardBatch(xs, gradOut []float64, rows int, a *Arena[float64]) []float64 {
 	if len(xs) != rows*l.In || len(gradOut) != rows*l.Out {
 		panic("nn: Linear.BackwardBatch size mismatch")

@@ -28,14 +28,15 @@ func TestMLPBackwardBatchMatchesBackward(t *testing.T) {
 		gotGradIn := batched.BackwardBatch(tape, gradOut, &arena)
 
 		wantGradIn := make([]float64, 0, rows*7)
+		ref := refMLP(reference)
 		for r := 0; r < rows; r++ {
-			st := reference.Forward(xs[r*7 : (r+1)*7])
+			st := ref.Forward(xs[r*7 : (r+1)*7])
 			for i, v := range st.Output() {
 				if tape.Output()[r*3+i] != v {
 					t.Fatalf("seed %d row %d: forward output differs: batch %v, per-sample %v", seed, r, tape.Output()[r*3+i], v)
 				}
 			}
-			wantGradIn = append(wantGradIn, reference.Backward(st, gradOut[r*3:(r+1)*3])...)
+			wantGradIn = append(wantGradIn, ref.Backward(st, gradOut[r*3:(r+1)*3])...)
 		}
 
 		for i := range wantGradIn {
@@ -124,7 +125,7 @@ func TestLayerNormBackwardBatchMatchesBackward(t *testing.T) {
 	var arena Arena[float64]
 	got := batched.BackwardBatch(xs, gradOut, rows, &arena)
 	for r := 0; r < rows; r++ {
-		want := reference.Backward(xs[r*dim:(r+1)*dim], gradOut[r*dim:(r+1)*dim])
+		want := refNorm(reference).Backward(xs[r*dim:(r+1)*dim], gradOut[r*dim:(r+1)*dim])
 		for i, v := range want {
 			if got[r*dim+i] != v {
 				t.Errorf("row %d grad[%d]: batch %v, per-sample %v", r, i, got[r*dim+i], v)

@@ -6,16 +6,17 @@ import (
 	"testing"
 
 	"neo/internal/nn"
+	"neo/internal/reftest"
 )
 
 // layerRows gathers the nodes of forest (in pre-order) the way a scorer
 // hands them to ForwardRows — leaves as [x], joins as [x; left; right] —
 // and returns the rows plus the nodes in ForwardRows' output order: leaves
 // first.
-func layerRows(forest []*refTree) (leaf, full []float64, order []*refTree) {
-	var leaves, inner []*refTree
+func layerRows(forest []*reftest.Tree) (leaf, full []float64, order []*reftest.Tree) {
+	var leaves, inner []*reftest.Tree
 	for _, t := range forest {
-		t.Walk(func(n *refTree) {
+		t.Walk(func(n *reftest.Tree) {
 			if n.Left == nil {
 				leaves = append(leaves, n)
 				leaf = append(leaf, n.Data...)
@@ -41,26 +42,26 @@ func toF32(xs []float64) []float32 {
 // eachLayerRows builds a stack and forests with leaves, joins over a leaf
 // (on either side) and joins over joins, and calls check for every corpus
 // and layer k with the layer's gathered input rows and want, the per-tree
-// reference Layer.Forward's activation of each node in ForwardRows' output
+// reference convolution's activation of each node in ForwardRows' output
 // order. Layer widths are not multiples of the kernels' 4- and 8-wide tiles.
-func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*refTree)) {
+func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*reftest.Tree)) {
 	rng := rand.New(rand.NewSource(21))
 	const dim = 6
 	stack := NewStack([]int{dim, 10, 7, 4}, rng)
-	corpora := map[string][]*refTree{
+	corpora := map[string][]*reftest.Tree{
 		"mixed": append(randomForest(rng, 5, dim),
-			newNode(randomTree(rng, 1, dim).Data, randomTree(rng, 3, dim), randomTree(rng, 1, dim)),
-			newNode(randomTree(rng, 1, dim).Data, randomTree(rng, 1, dim), randomTree(rng, 2, dim))),
-		"leaves only": {newLeaf(make([]float64, dim)), randomTree(rng, 1, dim)},
+			reftest.Join(reftest.RandomTree(rng, 1, dim).Data, reftest.RandomTree(rng, 3, dim), reftest.RandomTree(rng, 1, dim)),
+			reftest.Join(reftest.RandomTree(rng, 1, dim).Data, reftest.RandomTree(rng, 1, dim), reftest.RandomTree(rng, 2, dim))),
+		"leaves only": {reftest.Leaf(make([]float64, dim)), reftest.RandomTree(rng, 1, dim)},
 		"no rows":     nil,
 	}
 	for name, forest := range corpora {
 		t.Run(name, func(t *testing.T) {
 			cur := forest // the layer's input trees
 			for k, l := range stack.Layers {
-				next := make([]*refTree, len(cur))
+				next := make([]*reftest.Tree, len(cur))
 				for i, tr := range cur {
-					next[i] = l.Forward(tr).Output()
+					next[i] = refLayer(l).Forward(tr).Out
 				}
 				leaf, full, _ := layerRows(cur)
 				_, _, want := layerRows(next)
@@ -73,9 +74,9 @@ func eachLayerRows(t *testing.T, check func(t *testing.T, stack *Stack, k int, l
 
 // TestForwardBatchMatchesPerTreeForward requires the training tape's leaf
 // and join kernels, convLeafPre and convBothPre, to be == to the per-tree
-// reference Layer.Forward on every node of every layer, row by row.
+// reference convolution on every node of every layer, row by row.
 func TestForwardBatchMatchesPerTreeForward(t *testing.T) {
-	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*refTree) {
+	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*reftest.Tree) {
 		l := stack.Layers[k]
 		ic, oc := l.InChannels, l.OutChannels
 		out := make([]float64, len(want)*oc)
@@ -92,7 +93,7 @@ func TestForwardBatchMatchesPerTreeForward(t *testing.T) {
 		for r, n := range want {
 			for c, w := range n.Data {
 				if got := out[r*oc+c]; got != w {
-					t.Fatalf("layer %d row %d channel %d: kernels %v, Layer.Forward %v", k, r, c, got, w)
+					t.Fatalf("layer %d row %d channel %d: kernels %v, reference %v", k, r, c, got, w)
 				}
 			}
 		}
@@ -103,7 +104,7 @@ func TestForwardBatchMatchesPerTreeForward(t *testing.T) {
 // packed float32 panels on both GEMM kernels, to stay within 1e-5 relative
 // of the float64 per-tree reference on every node of every layer.
 func TestStackF32MatchesFloat64(t *testing.T) {
-	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*refTree) {
+	eachLayerRows(t, func(t *testing.T, stack *Stack, k int, leaf, full []float64, want []*reftest.Tree) {
 		stack32 := NewStackF32(stack)
 		oc := stack.Layers[k].OutChannels
 		for _, scalar := range []bool{false, true} {
@@ -129,24 +130,24 @@ func TestStackF32MatchesFloat64(t *testing.T) {
 func BenchmarkStackForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	stack := NewStack([]int{32, 64, 64, 32}, rng)
-	var build func(depth int) *refTree
-	build = func(depth int) *refTree {
+	var build func(depth int) *reftest.Tree
+	build = func(depth int) *reftest.Tree {
 		data := make([]float64, 32)
 		for i := range data {
 			data[i] = rng.Float64()
 		}
 		if depth == 0 {
-			return newLeaf(data)
+			return reftest.Leaf(data)
 		}
-		return newNode(data, build(depth-1), build(depth-1))
+		return reftest.Join(data, build(depth-1), build(depth-1))
 	}
 	tr := build(3)
 	var leaf, full, out [][]float32
 	for _, l := range stack.Layers {
-		lf, fl, order := layerRows([]*refTree{tr})
+		lf, fl, order := layerRows([]*reftest.Tree{tr})
 		leaf, full = append(leaf, toF32(lf)), append(full, toF32(fl))
 		out = append(out, make([]float32, len(order)*l.OutChannels))
-		tr = l.Forward(tr).Output()
+		tr = refLayer(l).Forward(tr).Out
 	}
 	stack32 := NewStackF32(stack)
 	b.ResetTimer()

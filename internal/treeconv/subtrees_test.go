@@ -4,26 +4,14 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"neo/internal/reftest"
 )
 
-// randomTree builds a random binary tree with n ≥ 1 leaves (2n−1 nodes) of
-// dim-width vectors.
-func randomTree(rng *rand.Rand, n, dim int) *refTree {
-	data := make([]float64, dim)
-	for i := range data {
-		data[i] = rng.NormFloat64()
-	}
-	if n == 1 {
-		return newLeaf(data)
-	}
-	nl := 1 + rng.Intn(n-1)
-	return newNode(data, randomTree(rng, nl, dim), randomTree(rng, n-nl, dim))
-}
-
-func randomForest(rng *rand.Rand, trees, dim int) []*refTree {
-	out := make([]*refTree, 0, trees)
+func randomForest(rng *rand.Rand, trees, dim int) []*reftest.Tree {
+	out := make([]*reftest.Tree, 0, trees)
 	for i := 0; i < trees; i++ {
-		out = append(out, randomTree(rng, 1+rng.Intn(5), dim))
+		out = append(out, reftest.RandomTree(rng, 1+rng.Intn(5), dim))
 	}
 	return out
 }
@@ -37,16 +25,16 @@ func TestSubtreesStructure(t *testing.T) {
 	//      b   c     b   c
 	//     / \       / \
 	//    d   f     d   f
-	d := newLeaf([]float64{4})
-	f := newLeaf([]float64{6})
-	b := newNode([]float64{2}, d, f)
-	c := newLeaf([]float64{3})
-	a := newNode([]float64{1}, b, c)
-	e := newNode([]float64{5}, b, c)
+	d := reftest.Leaf([]float64{4})
+	f := reftest.Leaf([]float64{6})
+	b := reftest.Join([]float64{2}, d, f)
+	c := reftest.Leaf([]float64{3})
+	a := reftest.Join([]float64{1}, b, c)
+	e := reftest.Join([]float64{5}, b, c)
 
-	var ids treeIDs
+	var ids reftest.IDs
 	var tab Subtrees
-	add := func(tr *refTree, group int32) int32 { return tab.Add(&ids, ids.id(tr), group) }
+	add := func(tr *reftest.Tree, group int32) int32 { return tab.Add(&ids, ids.ID(tr), group) }
 	if got := add(a, 0); got != 4 {
 		t.Fatalf("a's entry %d, want 4", got)
 	}
@@ -57,7 +45,7 @@ func TestSubtreesStructure(t *testing.T) {
 	if got := add(b, 0); got != 2 {
 		t.Fatalf("b re-added as entry %d, want its entry 2", got)
 	}
-	wantTree := []*refTree{d, f, b, c, a, e}
+	wantTree := []*reftest.Tree{d, f, b, c, a, e}
 	wantLeft := []int32{-1, -1, 0, -1, 2, 2}
 	wantRight := []int32{-1, -1, 1, -1, 3, 3}
 	if tab.Len() != len(wantTree) {
@@ -78,8 +66,8 @@ func TestSubtreesStructure(t *testing.T) {
 		t.Fatalf("a under group 1: entry %d of %d, want 10 of 11", got, tab.Len())
 	}
 	// So is the same tree numbered in another id space.
-	var other treeIDs
-	if got := tab.Add(&other, other.id(a), 0); got != 15 || tab.Len() != 16 || tab.Group[15] != 0 {
+	var other reftest.IDs
+	if got := tab.Add(&other, other.ID(a), 0); got != 15 || tab.Len() != 16 || tab.Group[15] != 0 {
 		t.Fatalf("a in another id space: entry %d of %d, want 15 of 16", got, tab.Len())
 	}
 	tab.Reset()

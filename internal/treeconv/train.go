@@ -7,8 +7,8 @@
 //
 // Bit-parity contract: the backward pass visits rows in the table's
 // first-visit pre-order. For forests that share no subtree that is the order
-// the per-tree recursion of the reference Layer.backwardNode
-// (reference_test.go) visits their nodes in, so every parameter element
+// the per-tree recursion of the reference convolution's backward pass
+// (internal/reftest) visits their nodes in, so every parameter element
 // accumulates its gradient contributions in the same floating-point order as
 // the per-tree reference. A row shared by several
 // parents or forests receives the sum of their gradients before it
@@ -65,8 +65,8 @@ func (t *StackBatchTape) Output() []float64 { return t.outs[len(t.outs)-1] }
 // in holds (tab.Len() rows of the first layer's InChannels), recording into t
 // for BackwardBatch: every layer's pre-activation matrix and activated
 // output. Per row the convolution performs the same operations in the same
-// order as the reference Layer.convolve, so outputs are bit-identical to the
-// per-tree Forward of reference_test.go.
+// order as the reference convolution, so outputs are bit-identical to the
+// per-tree forward pass of internal/reftest.
 func (s *Stack) RecordBatch(t *StackBatchTape, tab *Subtrees, in []float64, a *nn.Arena[float64]) {
 	t.tab, t.in = tab, in
 	t.pre, t.outs = t.pre[:0], t.outs[:0]
@@ -95,7 +95,8 @@ func (s *Stack) RecordBatch(t *StackBatchTape, tab *Subtrees, in []float64, a *n
 // kernel: leaves skip the child dot products against the zero padding
 // entirely (dropping a w·0 term leaves the accumulator bit-identical up to
 // the sign of zero, which compares equal) and joins run a 4-way-unrolled
-// kernel whose per-channel operation order matches Layer.convolve exactly.
+// kernel whose per-channel operation order matches the reference
+// convolution (internal/reftest) exactly.
 // With a Packed copy of the weights and the vector kernels, the panel kernel
 // (nn.PackedF64) does each of the two in the same order, four channels per
 // vector.
@@ -124,7 +125,7 @@ func (l *Layer) convBatchPre(tab *Subtrees, in, pre []float64) {
 // channels per pass: four independent accumulator chains hide the
 // floating-point add latency that serialises the per-channel dot products,
 // and every input load is shared by the four filters. Within a channel the
-// operation order matches Layer.convolve exactly.
+// operation order matches the reference convolution exactly.
 func (l *Layer) convBothPre(x, xl, xr, y []float64) {
 	ic := l.InChannels
 	o := 0
@@ -246,13 +247,14 @@ func (s *Stack) BackwardBatch(t *StackBatchTape, gradOut []float64, a *nn.Arena[
 	return grad
 }
 
-// backwardBatchNodes is the flat analogue of backwardNode: one pass over the
+// backwardBatchNodes is the flat analogue of the reference's per-tree
+// backward recursion (internal/reftest): one pass over the
 // table's rows in first-visit pre-order, accumulating filter gradients and
 // scattering input gradients to each row and its children. A row goes
 // through one filterbank at a time — parent, then, for a join, left and
 // right; a leaf's child terms are g·0 and dropped, as in the forward
 // kernels. The three banks share no accumulator, so every gradient
-// element still receives its addends in backwardNode's order — channels
+// element still receives its addends in the recursion's order — channels
 // ascending within a node, nodes in pre-order — and for forests that share
 // nothing the result is bit-identical to the per-tree recursion.
 func (l *Layer) backwardBatchNodes(tab *Subtrees, in, gradPre, gradIn []float64) {
@@ -310,8 +312,8 @@ type PoolBatchTape struct {
 // of tab) into one row per forest, forest s being the entries roots[s]. It
 // folds every subtree's per-channel maximum from its own row and its
 // children's maxima — own row, then left, then right: the pre-order the
-// reference DynamicPool (reference_test.go) visits nodes in — with
-// DynamicPool's strict comparison, children before parents, then folds each
+// reference pooling (internal/reftest) visits nodes in — with its strict
+// comparison, children before parents, then folds each
 // forest's roots in order. So ties keep the first row in pre-order and a NaN
 // never wins, as in the per-sample reference. An empty forest, and a channel that is −Inf or NaN
 // throughout, pools to 0.

@@ -7,19 +7,20 @@ import (
 	"testing"
 
 	"neo/internal/nn"
+	"neo/internal/reftest"
 )
 
 // buildTable numbers every forest's trees in one id space, adds their roots
 // to tab under group 0 and returns the entries' rows — copies of their trees'
 // vectors, as the parity tests need the raw node vectors (no spatial
 // replication) — and each forest's roots.
-func buildTable(tab *Subtrees, forests [][]*refTree, dim int) (rows []float64, roots [][]int32) {
+func buildTable(tab *Subtrees, forests [][]*reftest.Tree, dim int) (rows []float64, roots [][]int32) {
 	tab.Reset()
-	var ids treeIDs
+	var ids reftest.IDs
 	roots = make([][]int32, len(forests))
 	for s, f := range forests {
 		for _, tree := range f {
-			roots[s] = append(roots[s], tab.Add(&ids, ids.id(tree), 0))
+			roots[s] = append(roots[s], tab.Add(&ids, ids.ID(tree), 0))
 		}
 	}
 	rows = make([]float64, tab.Len()*dim)
@@ -36,7 +37,7 @@ func TestForwardBatchTapeMatchesForward(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const dim = 5
 		stack := NewStack([]int{dim, 9, 4}, rng)
-		forests := make([][]*refTree, 6)
+		forests := make([][]*reftest.Tree, 6)
 		for i := range forests {
 			forests[i] = randomForest(rng, rng.Intn(3)+1, dim)
 		}
@@ -53,8 +54,8 @@ func TestForwardBatchTapeMatchesForward(t *testing.T) {
 		node := 0
 		for _, f := range forests {
 			for _, tree := range f {
-				ref := stack.Forward(tree)
-				ref.Output().Walk(func(n *refTree) {
+				ref := refStack(stack).Forward(tree)
+				ref.Output().Walk(func(n *reftest.Tree) {
 					row := int(tab.Pre[node])
 					for c, v := range n.Data {
 						if got := out[row*oc+c]; got != v {
@@ -82,7 +83,7 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 		batched := NewStack([]int{dim, 7, 3}, rand.New(rand.NewSource(seed+30)))
 		reference := NewStack([]int{dim, 7, 3}, rand.New(rand.NewSource(seed+30)))
 
-		forests := make([][]*refTree, 5)
+		forests := make([][]*reftest.Tree, 5)
 		for i := range forests {
 			forests[i] = randomForest(rng, rng.Intn(2)+1, dim)
 		}
@@ -106,23 +107,23 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 		node := 0
 		for _, f := range forests {
 			for _, tree := range f {
-				refTape := reference.Forward(tree)
+				refTape := refStack(reference).Forward(tree)
 				start := node
 				var count int
-				tree.Walk(func(*refTree) { count++ })
+				tree.Walk(func(*reftest.Tree) { count++ })
 				// Rebuild this tree's gradient tree from the rows: walk visits
 				// the nodes in the table's pre-order.
 				i := start
-				gradTree := refTape.Output().Map(func(*refTree) []float64 {
+				gradTree := refTape.Output().Map(func(*reftest.Tree) []float64 {
 					g := make([]float64, outChannels)
 					row := int(tab.Pre[i])
 					copy(g, gradOut[row*outChannels:(row+1)*outChannels])
 					i++
 					return g
 				})
-				gradIn := reference.Backward(refTape, gradTree)
+				gradIn := refStack(reference).Backward(refTape, gradTree)
 				j := start
-				gradIn.Walk(func(n *refTree) {
+				gradIn.Walk(func(n *reftest.Tree) {
 					row := int(tab.Pre[j])
 					for c, v := range n.Data {
 						if got := gotGradIn[row*dim+c]; got != v {
@@ -148,7 +149,7 @@ func TestStackBackwardBatchMatchesBackward(t *testing.T) {
 }
 
 // TestPoolBatchArgmaxMatchesDynamicPool checks PoolBatchTape's pooled
-// values and argmax ownership against per-tree DynamicPool plus the
+// values and argmax ownership against per-tree reference pooling plus the
 // cross-tree strict-greater ownership rule of the per-sample forward pass,
 // on forests that share whole trees and subtrees with each other.
 func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
@@ -156,13 +157,13 @@ func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 	const dim = 6
 	stack := NewStack([]int{dim, dim}, rng)
 	first := randomForest(rng, 2, dim)
-	grown := randomTree(rng, 5, dim)
-	forests := [][]*refTree{
+	grown := reftest.RandomTree(rng, 5, dim)
+	forests := [][]*reftest.Tree{
 		first,
 		{},
 		randomForest(rng, 3, dim),
 		randomForest(rng, 1, dim),
-		{first[1], newNode(randomTree(rng, 1, dim).Data, grown, first[0])},
+		{first[1], reftest.Join(reftest.RandomTree(rng, 1, dim).Data, grown, first[0])},
 		{grown},
 	}
 	var tab Subtrees
@@ -185,7 +186,7 @@ func TestPoolBatchArgmaxMatchesDynamicPool(t *testing.T) {
 			want[i] = math.Inf(-1)
 		}
 		for _, tree := range f {
-			p, _ := DynamicPool(stack.Forward(tree).Output())
+			p, _ := reftest.Pool(refStack(stack).Forward(tree).Output())
 			for c, v := range p {
 				if v > want[c] {
 					want[c] = v
@@ -252,16 +253,16 @@ func TestPackedConvMatchesGoLoops(t *testing.T) {
 			}
 		}
 	}
-	leaf := func() *refTree { return newLeaf(nil) }
-	forest := []*refTree{
-		newNode(nil, leaf(), leaf()),
-		newNode(nil, leaf(), newNode(nil, leaf(), leaf())),
-		newNode(nil, newNode(nil, leaf(), leaf()), leaf()),
+	leaf := func() *reftest.Tree { return reftest.Leaf(nil) }
+	forest := []*reftest.Tree{
+		reftest.Join(nil, leaf(), leaf()),
+		reftest.Join(nil, leaf(), reftest.Join(nil, leaf(), leaf())),
+		reftest.Join(nil, reftest.Join(nil, leaf(), leaf()), leaf()),
 	}
 	var tab Subtrees
-	var ids treeIDs
+	var ids reftest.IDs
 	for _, tr := range forest {
-		tab.Add(&ids, ids.id(tr), 0)
+		tab.Add(&ids, ids.ID(tr), 0)
 	}
 	for ic := 1; ic <= 37; ic++ {
 		for oc := 1; oc <= 37; oc++ {
@@ -298,8 +299,8 @@ func TestPoolBatchTiesKeepFirstRoot(t *testing.T) {
 	const dim = 3
 	negZero := math.Copysign(0, -1)
 	var tab Subtrees
-	var ids treeIDs
-	a, b := tab.Add(&ids, ids.id(newLeaf([]float64{1})), 0), tab.Add(&ids, ids.id(newLeaf([]float64{2})), 0)
+	var ids reftest.IDs
+	a, b := tab.Add(&ids, ids.ID(reftest.Leaf([]float64{1})), 0), tab.Add(&ids, ids.ID(reftest.Leaf([]float64{2})), 0)
 	out := []float64{
 		0, 2, negZero, // a
 		negZero, 2, 0, // b

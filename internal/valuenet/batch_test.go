@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"neo/internal/reftest"
 )
 
 func randVec(rng *rand.Rand, dim int) []float64 {
@@ -15,20 +17,11 @@ func randVec(rng *rand.Rand, dim int) []float64 {
 	return v
 }
 
-// randTree builds a random binary tree with n ≥ 1 leaves (2n−1 nodes).
-func randTree(rng *rand.Rand, n, dim int) *refTree {
-	if n == 1 {
-		return newLeaf(randVec(rng, dim))
-	}
-	nl := 1 + rng.Intn(n-1)
-	return newNode(randVec(rng, dim), randTree(rng, nl, dim), randTree(rng, n-nl, dim))
-}
-
-func randForest(rng *rand.Rand, dim int) []*refTree {
+func randForest(rng *rand.Rand, dim int) []*reftest.Tree {
 	trees := rng.Intn(4) // 0..3 trees; 0 exercises the empty-forest path
-	out := make([]*refTree, 0, trees)
+	out := make([]*reftest.Tree, 0, trees)
 	for i := 0; i < trees; i++ {
-		out = append(out, randTree(rng, 1+rng.Intn(6), dim))
+		out = append(out, reftest.RandomTree(rng, 1+rng.Intn(6), dim))
 	}
 	return out
 }
@@ -43,11 +36,11 @@ func relErr(got, want float64) float64 {
 // scoreFresh scores every (query, forest) pair from scratch in normalised
 // space: a fresh id space and a fresh scorer per pair, so nothing is
 // recalled.
-func scoreFresh(snap *Snapshot, queries [][]float64, forests [][]*refTree) []float64 {
+func scoreFresh(snap *Snapshot, queries [][]float64, forests [][]*reftest.Tree) []float64 {
 	out := make([]float64, len(forests))
 	for i, f := range forests {
-		var ids treeIDs
-		out[i] = snap.NewScorer(queries[i], &ids).Normalized([][]int32{ids.roots(f)})[0]
+		var ids reftest.IDs
+		out[i] = snap.NewScorer(queries[i], &ids).Normalized([][]int32{ids.Roots(f)})[0]
 	}
 	return out
 }
@@ -70,7 +63,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 
 		const batch = 33
 		queries := make([][]float64, batch)
-		forests := make([][]*refTree, batch)
+		forests := make([][]*reftest.Tree, batch)
 		shared := randVec(rng, queryDim) // most rows share one query, as in search
 		for i := range queries {
 			if i%5 == 4 {
@@ -89,15 +82,15 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			}
 			// One scorer per query vector, over the forests that share it.
 			var group []int
-			var fs [][]*refTree
+			var fs [][]*reftest.Tree
 			for j := i; j < batch; j++ {
 				if !done[j] && sameSlice(queries[j], q) {
 					group, fs, done[j] = append(group, j), append(fs, forests[j]), true
 				}
 			}
-			var ids, again treeIDs
-			gotN := snap.NewScorer(q, &ids).Normalized(ids.forests(fs))
-			got := snap.NewScorer(q, &again).Score(again.forests(fs))
+			var ids, again reftest.IDs
+			gotN := snap.NewScorer(q, &ids).Normalized(ids.Forests(fs))
+			got := snap.NewScorer(q, &again).Score(again.Forests(fs))
 			if len(got) != len(group) || len(gotN) != len(group) {
 				t.Fatalf("seed %d: scored %d/%d results, want %d", seed, len(got), len(gotN), len(group))
 			}
@@ -116,7 +109,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // TestPredictBatchEmpty: a call without forests scores nothing.
 func TestPredictBatchEmpty(t *testing.T) {
 	snap := New(4, 3, DefaultConfig()).Snapshot()
-	var ids treeIDs
+	var ids reftest.IDs
 	if out := snap.NewScorer(make([]float64, 4), &ids).Score(nil); out != nil {
 		t.Fatalf("Score(nil) = %v, want nil", out)
 	}
@@ -131,11 +124,11 @@ func TestPredictBatchConcurrent(t *testing.T) {
 	snap := New(queryDim, planDim, DefaultConfig()).Snapshot()
 	rng := rand.New(rand.NewSource(7))
 	queries := make([][]float64, 16)
-	var ids treeIDs
+	var ids reftest.IDs
 	forests := make([][]int32, 16)
 	for i := range queries {
 		queries[i] = randVec(rng, queryDim)
-		forests[i] = ids.roots(randForest(rng, planDim))
+		forests[i] = ids.Roots(randForest(rng, planDim))
 	}
 	score := func() []float64 {
 		out := make([]float64, len(queries))

@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"neo/internal/reftest"
 )
 
 // precisionFixture builds a lightly trained network plus a reference workload
 // of (query, forest) pairs.
-func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*refTree, []Sample) {
+func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*reftest.Tree, []Sample) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const queryDim, planDim = 11, 7
@@ -18,34 +20,34 @@ func precisionFixture(t *testing.T, seed int64) (*Network, [][]float64, [][]*ref
 	cfg.HeadLayers = []int{8}
 	net := New(queryDim, planDim, cfg)
 
-	var ids treeIDs
+	var ids reftest.IDs
 	var samples []Sample
 	queries := make([][]float64, 0, 24)
-	forests := make([][]*refTree, 0, 24)
+	forests := make([][]*reftest.Tree, 0, 24)
 	for i := 0; i < 24; i++ {
 		q := make([]float64, queryDim)
 		for j := range q {
 			q[j] = rng.Float64()
 		}
-		forest := []*refTree{randomPlanTree(rng, 1+rng.Intn(4), planDim)}
+		forest := []*reftest.Tree{randomPlanTree(rng, 1+rng.Intn(4), planDim)}
 		queries, forests = append(queries, q), append(forests, forest)
-		samples = append(samples, ids.sample(q, forest, 10+rng.Float64()*1000))
+		samples = append(samples, refSample(&ids, q, forest, 10+rng.Float64()*1000))
 	}
 	net.Train(samples, 2, 8, rng)
 	return net, queries, forests, samples
 }
 
 // randomPlanTree builds a random binary tree with n ≥ 1 leaves (2n−1 nodes).
-func randomPlanTree(rng *rand.Rand, n, dim int) *refTree {
+func randomPlanTree(rng *rand.Rand, n, dim int) *reftest.Tree {
 	data := make([]float64, dim)
 	for i := range data {
 		data[i] = rng.Float64()
 	}
 	if n == 1 {
-		return newLeaf(data)
+		return reftest.Leaf(data)
 	}
 	nl := 1 + rng.Intn(n-1)
-	return newNode(data, randomPlanTree(rng, nl, dim), randomPlanTree(rng, n-nl, dim))
+	return reftest.Join(data, randomPlanTree(rng, nl, dim), randomPlanTree(rng, n-nl, dim))
 }
 
 // TestSnapshotFloat32Parity asserts a trained network's snapshot scores
@@ -64,8 +66,8 @@ func TestSnapshotFloat32Parity(t *testing.T) {
 	}
 
 	// Denormalized predictions pass through the same float64 output boundary.
-	var ids treeIDs
-	if p, b := s32.NewScorer(queries[0], &ids).Score(ids.forests(forests[:1]))[0], net.denormalize(got[0]); p != b {
+	var ids reftest.IDs
+	if p, b := s32.NewScorer(queries[0], &ids).Score(ids.Forests(forests[:1]))[0], net.denormalize(got[0]); p != b {
 		t.Fatalf("Score/denormalized diverge: %v vs %v", p, b)
 	}
 }

@@ -37,7 +37,7 @@
 //
 // The scorer runs in float32 through the snapshot's packed panels, the only
 // weights a snapshot holds; the per-sample float64 reference network
-// (reference_test.go), run on the network the snapshot was frozen from, stays
+// (internal/reftest), run on the network the snapshot was frozen from, stays
 // the reference for the network's maths, and on finite activations a score
 // is within 1e-5 relative of it.
 package valuenet

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"neo/internal/nn"
+	"neo/internal/reftest"
 )
 
 // The scorer's contract is that a score does not depend on what its records
@@ -31,25 +32,25 @@ func eachKernel(t *testing.T, net *Network, fn func(t *testing.T, snap *Snapshot
 // pointer, at every depth), cut into Score calls of mixed size. The forests
 // include joins over the same subtree twice, empty forests and forests
 // repeated within a call and across calls.
-func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*refTree {
-	var pool []*refTree
+func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*reftest.Tree {
+	var pool []*reftest.Tree
 	for i := 0; i < 6; i++ {
-		pool = append(pool, newLeaf(randVec(rng, planDim)))
+		pool = append(pool, reftest.Leaf(randVec(rng, planDim)))
 	}
-	pick := func() *refTree { return pool[rng.Intn(len(pool))] }
+	pick := func() *reftest.Tree { return pool[rng.Intn(len(pool))] }
 	grow := func() {
 		switch rng.Intn(8) {
 		case 0: // a fresh leaf
-			pool = append(pool, newLeaf(randVec(rng, planDim)))
+			pool = append(pool, reftest.Leaf(randVec(rng, planDim)))
 		case 1: // a fresh tree sharing nothing
-			pool = append(pool, randTree(rng, 1+rng.Intn(4), planDim))
+			pool = append(pool, reftest.RandomTree(rng, 1+rng.Intn(4), planDim))
 		default: // a join of two earlier subtrees (possibly the same one twice)
-			pool = append(pool, newNode(randVec(rng, planDim), pick(), pick()))
+			pool = append(pool, reftest.Join(randVec(rng, planDim), pick(), pick()))
 		}
 	}
-	out := make([][][]*refTree, calls)
+	out := make([][][]*reftest.Tree, calls)
 	for c := range out {
-		forests := make([][]*refTree, rng.Intn(9)) // 0 is the empty call
+		forests := make([][]*reftest.Tree, rng.Intn(9)) // 0 is the empty call
 		for fi := range forests {
 			grow()
 			switch {
@@ -58,7 +59,7 @@ func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*refTree {
 			case c > 0 && len(out[c-1]) > 0 && rng.Intn(6) == 0: // repeated across calls
 				forests[fi] = out[c-1][rng.Intn(len(out[c-1]))]
 			default:
-				f := make([]*refTree, rng.Intn(5)) // 0 is the empty forest
+				f := make([]*reftest.Tree, rng.Intn(5)) // 0 is the empty forest
 				for i := range f {
 					f[i] = pick()
 				}
@@ -72,12 +73,12 @@ func searchLikeCalls(rng *rand.Rand, planDim, calls int) [][][]*refTree {
 
 // deepCopy returns forests with every tree node and vector copied, so they
 // share no pointers with the originals or with each other.
-func deepCopy(forests [][]*refTree) [][]*refTree {
-	out := make([][]*refTree, len(forests))
+func deepCopy(forests [][]*reftest.Tree) [][]*reftest.Tree {
+	out := make([][]*reftest.Tree, len(forests))
 	for i, f := range forests {
-		out[i] = make([]*refTree, len(f))
+		out[i] = make([]*reftest.Tree, len(f))
 		for j, t := range f {
-			out[i][j] = mapTree(t, func(n *refTree) []float64 { return append([]float64(nil), n.Data...) })
+			out[i][j] = t.Map(func(n *reftest.Tree) []float64 { return append([]float64(nil), n.Data...) })
 		}
 	}
 	return out
@@ -88,17 +89,17 @@ func deepCopy(forests [][]*refTree) [][]*refTree {
 // scorer's on deep copies. On a finite corpus it also holds the from-scratch
 // scores to within 1e-5 relative of the per-sample float64 reference:
 // refPredictNormalized on net, the network snap was frozen from.
-func checkScorerCalls(t *testing.T, net *Network, snap *Snapshot, q []float64, calls [][][]*refTree, order []int, finite bool) *Scorer {
+func checkScorerCalls(t *testing.T, net *Network, snap *Snapshot, q []float64, calls [][][]*reftest.Tree, order []int, finite bool) *Scorer {
 	t.Helper()
-	var ids treeIDs
+	var ids reftest.IDs
 	sc := snap.NewScorer(q, &ids)
 	for _, c := range order {
 		forests := calls[c]
-		got := sc.Score(ids.forests(forests))
+		got := sc.Score(ids.Forests(forests))
 
-		var freshIDs treeIDs
+		var freshIDs reftest.IDs
 		fresh := snap.NewScorer(q, &freshIDs)
-		wantN := fresh.Normalized(freshIDs.forests(deepCopy(forests)))
+		wantN := fresh.Normalized(freshIDs.Forests(deepCopy(forests)))
 		if st := fresh.Stats(); st.Computed != st.Nodes {
 			t.Fatalf("call %d: the from-scratch scorer convolved %d of %d nodes; deep copies must share none", c, st.Computed, st.Nodes)
 		}
@@ -179,17 +180,17 @@ func TestScorerStats(t *testing.T) {
 	const queryDim, planDim = 4, 3
 	net := New(queryDim, planDim, DefaultConfig())
 	rng := rand.New(rand.NewSource(1))
-	a, b, c := newLeaf(randVec(rng, planDim)), newLeaf(randVec(rng, planDim)), newLeaf(randVec(rng, planDim))
-	ab := newNode(randVec(rng, planDim), a, b)
-	var ids treeIDs
+	a, b, c := reftest.Leaf(randVec(rng, planDim)), reftest.Leaf(randVec(rng, planDim)), reftest.Leaf(randVec(rng, planDim))
+	ab := reftest.Join(randVec(rng, planDim), a, b)
+	var ids reftest.IDs
 	sc := net.Snapshot().NewScorer(randVec(rng, queryDim), &ids)
 
-	sc.Score(ids.forests([][]*refTree{{a, b, c}, {ab, c}}))
+	sc.Score(ids.Forests([][]*reftest.Tree{{a, b, c}, {ab, c}}))
 	if got, want := sc.Stats(), (ScorerStats{Plans: 2, Nodes: 7, Computed: 4}); got != want {
 		t.Fatalf("after the first call: %+v, want %+v", got, want)
 	}
-	abc := newNode(randVec(rng, planDim), ab, c)
-	sc.Score(ids.forests([][]*refTree{{abc}, {ab, c}, {}}))
+	abc := reftest.Join(randVec(rng, planDim), ab, c)
+	sc.Score(ids.Forests([][]*reftest.Tree{{abc}, {ab, c}, {}}))
 	if got, want := sc.Stats(), (ScorerStats{Plans: 5, Nodes: 16, Computed: 5}); got != want {
 		t.Fatalf("after the second call: %+v, want %+v", got, want)
 	}
@@ -254,10 +255,10 @@ func TestScorerPanicsOnDimensionMismatch(t *testing.T) {
 		}()
 		fn()
 	}
-	var ids treeIDs
+	var ids reftest.IDs
 	mustPanic("short query vector", func() { snap.NewScorer(make([]float64, 3), &ids) })
 	mustPanic("long plan vector", func() {
-		snap.NewScorer(make([]float64, 4), &ids).Score(ids.forests([][]*refTree{{newLeaf(make([]float64, 5))}}))
+		snap.NewScorer(make([]float64, 4), &ids).Score(ids.Forests([][]*reftest.Tree{{reftest.Leaf(make([]float64, 5))}}))
 	})
 }
 
@@ -270,9 +271,9 @@ func TestScorerPoolingTiesKeepFirstRoot(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	eachKernel(t, net, func(t *testing.T, snap *Snapshot) {
 		rng := rand.New(rand.NewSource(5))
-		var ids treeIDs
+		var ids reftest.IDs
 		sc := snap.NewScorer(randVec(rng, queryDim), &ids)
-		ab := ids.roots([]*refTree{newLeaf(randVec(rng, planDim)), newLeaf(randVec(rng, planDim))})
+		ab := ids.Roots([]*reftest.Tree{reftest.Leaf(randVec(rng, planDim)), reftest.Leaf(randVec(rng, planDim))})
 		sc.Score([][]int32{ab})
 		// Overwrite the two records' pooled maxima with ties, alternating
 		// which root holds +0.

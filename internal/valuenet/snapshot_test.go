@@ -7,9 +7,10 @@ import (
 	"testing"
 
 	"neo/internal/nn"
+	"neo/internal/reftest"
 )
 
-func snapshotTestNetwork() (*Network, []float64, []*refTree) {
+func snapshotTestNetwork() (*Network, []float64, []*reftest.Tree) {
 	cfg := Config{
 		QueryLayers:  []int{8, 4},
 		TreeChannels: []int{8, 4},
@@ -20,10 +21,10 @@ func snapshotTestNetwork() (*Network, []float64, []*refTree) {
 	}
 	net := New(3, 5, cfg)
 	q := []float64{0.2, -0.4, 0.9}
-	leaf := func(seed float64) *refTree {
-		return newLeaf([]float64{seed, seed * 0.5, -seed, 0.1, 0.3})
+	leaf := func(seed float64) *reftest.Tree {
+		return reftest.Leaf([]float64{seed, seed * 0.5, -seed, 0.1, 0.3})
 	}
-	trees := []*refTree{newNode([]float64{1, 0, 0.5, -0.2, 0.7}, leaf(0.3), leaf(-0.6))}
+	trees := []*reftest.Tree{reftest.Join([]float64{1, 0, 0.5, -0.2, 0.7}, leaf(0.3), leaf(-0.6))}
 	return net, q, trees
 }
 
@@ -34,17 +35,17 @@ func TestSnapshotIsImmutableUnderTraining(t *testing.T) {
 	net, q, trees := snapshotTestNetwork()
 	snap := net.Snapshot()
 
-	var ids treeIDs
-	predict := func() float64 { return snap.NewScorer(q, &ids).Score(ids.forests([][]*refTree{trees}))[0] }
+	var ids reftest.IDs
+	predict := func() float64 { return snap.NewScorer(q, &ids).Score(ids.Forests([][]*reftest.Tree{trees}))[0] }
 	before := predict()
-	beforeNorm := scoreFresh(snap, [][]float64{q}, [][]*refTree{trees})[0]
+	beforeNorm := scoreFresh(snap, [][]float64{q}, [][]*reftest.Tree{trees})[0]
 	if live := net.refPredictNormalized(q, trees); relErr(beforeNorm, live) > 1e-5 {
 		t.Fatalf("fresh snapshot should match the live network: snap %v, live %v", beforeNorm, live)
 	}
 
 	samples := []Sample{
-		ids.sample(q, trees, 1200),
-		ids.sample([]float64{1, 1, 1}, trees, 40),
+		refSample(&ids, q, trees, 1200),
+		refSample(&ids, []float64{1, 1, 1}, trees, 40),
 	}
 	rng := rand.New(rand.NewSource(5))
 	net.Train(samples, 20, 2, rng)
@@ -55,10 +56,10 @@ func TestSnapshotIsImmutableUnderTraining(t *testing.T) {
 	if got := predict(); got != before {
 		t.Errorf("snapshot prediction changed under training: %v -> %v", before, got)
 	}
-	if got := scoreFresh(snap, [][]float64{q}, [][]*refTree{trees})[0]; got != beforeNorm {
+	if got := scoreFresh(snap, [][]float64{q}, [][]*reftest.Tree{trees})[0]; got != beforeNorm {
 		t.Errorf("snapshot normalized prediction changed under training: %v -> %v", beforeNorm, got)
 	}
-	batch := snap.NewScorer(q, &ids).Score(ids.forests([][]*refTree{trees, trees}))
+	batch := snap.NewScorer(q, &ids).Score(ids.Forests([][]*reftest.Tree{trees, trees}))
 	if len(batch) != 2 || batch[0] != before || batch[1] != before {
 		t.Errorf("snapshot batch path should match its per-sample path: %v, want %v", batch, before)
 	}

@@ -16,10 +16,6 @@ import (
 	"neo/internal/wire"
 )
 
-// Dims returns the query- and plan-vector dimensions the network was built
-// for.
-func (n *Network) Dims() (queryDim, planDim int) { return n.queryDim, n.planDim }
-
 // CloneTrainable returns a deep copy of the network — same architecture,
 // weights and target transform, fully independent parameter storage — with
 // its optimizer state (Adam step counter and moments): training the copy

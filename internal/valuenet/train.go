@@ -24,7 +24,7 @@
 // optimizer pass treats every element independently, training is
 // bit-identical for any worker count — TrainBatch sizes its pool from
 // GOMAXPROCS, and the workers only buy wall-clock time. Relative to the
-// per-sample reference (reference_test.go), which runs a full
+// per-sample reference (internal/reftest), which runs a full
 // forward/backward tape per example, the batched pass performs the same per-element gradient
 // accumulation in the same order everywhere except where it sums before
 // backpropagating: the deduplicated query tower, and a subtree shared inside

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"neo/internal/reftest"
 )
 
 // randSamples builds a batch of training samples shaped like Neo's
@@ -12,14 +14,14 @@ import (
 // path), forests vary in size and include empty ones.
 func randSamples(rng *rand.Rand, n, queryDim, planDim int) []Sample {
 	shared := randVec(rng, queryDim)
-	var ids treeIDs
+	var ids reftest.IDs
 	out := make([]Sample, n)
 	for i := range out {
 		q := shared
 		if i%5 == 4 {
 			q = randVec(rng, queryDim)
 		}
-		out[i] = ids.sample(q, randForest(rng, planDim), math.Exp(rng.NormFloat64()*3))
+		out[i] = refSample(&ids, q, randForest(rng, planDim), math.Exp(rng.NormFloat64()*3))
 	}
 	return out
 }
@@ -88,17 +90,17 @@ func TestTrainBatchMatchesPerSample(t *testing.T) {
 // trained under two query vectors, so the same trees meet both.
 func sharedSamples(rng *rand.Rand, queryDim, planDim int) []Sample {
 	qa, qb := randVec(rng, queryDim), randVec(rng, queryDim)
-	var ids treeIDs
+	var ids reftest.IDs
 	var out []Sample
-	add := func(q []float64, forest ...*refTree) {
-		out = append(out, ids.sample(q, forest, math.Exp(rng.NormFloat64()*3)))
+	add := func(q []float64, forest ...*reftest.Tree) {
+		out = append(out, refSample(&ids, q, forest, math.Exp(rng.NormFloat64()*3)))
 	}
 	for entry := 0; entry < 2; entry++ {
-		leaf := func() *refTree { return newLeaf(randVec(rng, planDim)) }
+		leaf := func() *reftest.Tree { return reftest.Leaf(randVec(rng, planDim)) }
 		l1, l2, l3, l4 := leaf(), leaf(), leaf(), leaf()
-		j12 := newNode(randVec(rng, planDim), l1, l2)
-		j34 := newNode(randVec(rng, planDim), l3, l4)
-		root := newNode(randVec(rng, planDim), j12, j34)
+		j12 := reftest.Join(randVec(rng, planDim), l1, l2)
+		j34 := reftest.Join(randVec(rng, planDim), l3, l4)
+		root := reftest.Join(randVec(rng, planDim), j12, j34)
 		add(qa, l1, l2, l3, l4)
 		add(qa, j12, l3, l4)
 		add(qa, j12, j34)
@@ -141,8 +143,8 @@ func TestTrainBatchSharedSubtrees(t *testing.T) {
 	for s, sh := range batched.train.shards {
 		want := map[pair]bool{}
 		for _, smp := range samples[s*trainShardSize : min((s+1)*trainShardSize, len(samples))] {
-			for _, root := range treesOf(smp.Nodes, smp.Roots) {
-				root.Walk(func(n *refTree) { want[pair{&n.Data[0], &smp.Query[0]}] = true })
+			for _, root := range reftest.Trees(smp.Nodes, smp.Roots) {
+				root.Walk(func(n *reftest.Tree) { want[pair{&n.Data[0], &smp.Query[0]}] = true })
 			}
 		}
 		got := map[pair]int{}
@@ -255,7 +257,7 @@ func TestTrainBatchConcurrentInference(t *testing.T) {
 
 	snap := net.Snapshot()
 	queries := make([][]float64, 8)
-	forests := make([][]*refTree, 8)
+	forests := make([][]*reftest.Tree, 8)
 	for i := range queries {
 		queries[i] = randVec(rng, queryDim)
 		forests[i] = randForest(rng, planDim)

@@ -17,7 +17,7 @@
 // (treeconv.Nodes, a plan encoder in the product). The product trains one
 // way (TrainBatch, train.go) and scores one way (Scorer, scorer.go). The
 // per-sample float64 reference network both are parity-tested against lives
-// in reference_test.go.
+// in internal/reftest, which only tests import.
 package valuenet
 
 import (

@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"neo/internal/reftest"
 )
 
 // synthTree builds a random plan-like tree with the given node vector size.
-func synthTree(rng *rand.Rand, dim, depth int) *refTree {
+func synthTree(rng *rand.Rand, dim, depth int) *reftest.Tree {
 	data := make([]float64, dim)
 	for i := range data {
 		if rng.Float64() < 0.3 {
@@ -15,9 +17,9 @@ func synthTree(rng *rand.Rand, dim, depth int) *refTree {
 		}
 	}
 	if depth == 0 {
-		return newLeaf(data)
+		return reftest.Leaf(data)
 	}
-	return newNode(data, synthTree(rng, dim, depth-1), synthTree(rng, dim, depth-1))
+	return reftest.Join(data, synthTree(rng, dim, depth-1), synthTree(rng, dim, depth-1))
 }
 
 func TestNewAndSizes(t *testing.T) {
@@ -42,7 +44,7 @@ func TestPredictIsFiniteAndDeterministic(t *testing.T) {
 	for i := range q {
 		q[i] = rng.Float64()
 	}
-	trees := []*refTree{synthTree(rng, 8, 2)}
+	trees := []*reftest.Tree{synthTree(rng, 8, 2)}
 	p1 := n.refPredict(q, trees)
 	p2 := n.refPredict(q, trees)
 	if math.IsNaN(p1) || math.IsInf(p1, 0) {
@@ -57,10 +59,10 @@ func TestForestInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := New(6, 5, DefaultConfig())
 	q := []float64{1, 0, 1, 0, 0.5, 0.2}
-	forest := []*refTree{
+	forest := []*reftest.Tree{
 		synthTree(rng, 5, 1),
-		newLeaf([]float64{1, 0, 0, 1, 0}),
-		newLeaf([]float64{0, 1, 1, 0, 0}),
+		reftest.Leaf([]float64{1, 0, 0, 1, 0}),
+		reftest.Leaf([]float64{0, 1, 1, 0, 0}),
 	}
 	out := n.refPredict(q, forest)
 	if math.IsNaN(out) {
@@ -100,7 +102,7 @@ func TestLearnsToSeparatePlans(t *testing.T) {
 	// Synthetic rule: plans whose root vector has feature 0 set (think "loop
 	// join at the root") cost 1000; others cost 10. The query vector is
 	// random noise.
-	var ids treeIDs
+	var ids reftest.IDs
 	mkSample := func(bad bool) Sample {
 		q := make([]float64, queryDim)
 		for i := range q {
@@ -116,12 +118,12 @@ func TestLearnsToSeparatePlans(t *testing.T) {
 		leaf1[3] = 1
 		leaf2 := make([]float64, planDim)
 		leaf2[4] = 1
-		tree := newNode(rootVec, newLeaf(leaf1), newLeaf(leaf2))
+		tree := reftest.Join(rootVec, reftest.Leaf(leaf1), reftest.Leaf(leaf2))
 		target := 10.0
 		if bad {
 			target = 1000.0
 		}
-		return ids.sample(q, []*refTree{tree}, target)
+		return refSample(&ids, q, []*reftest.Tree{tree}, target)
 	}
 
 	var samples []Sample
@@ -138,8 +140,8 @@ func TestLearnsToSeparatePlans(t *testing.T) {
 
 	good := mkSample(false)
 	bad := mkSample(true)
-	pg := n.refPredict(good.Query, treesOf(good.Nodes, good.Roots))
-	pb := n.refPredict(bad.Query, treesOf(bad.Nodes, bad.Roots))
+	pg := n.refPredict(good.Query, reftest.Trees(good.Nodes, good.Roots))
+	pb := n.refPredict(bad.Query, reftest.Trees(bad.Nodes, bad.Roots))
 	if pb <= pg {
 		t.Errorf("bad plan should predict higher cost: good=%f bad=%f", pg, pb)
 	}
@@ -152,7 +154,7 @@ func TestLearnsToSeparatePlans(t *testing.T) {
 func TestTrainBatchReducesLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := New(5, 4, DefaultConfig())
-	var ids treeIDs
+	var ids reftest.IDs
 	mk := func() Sample {
 		q := make([]float64, 5)
 		tree := synthTree(rng, 4, 1)
@@ -160,7 +162,7 @@ func TestTrainBatchReducesLoss(t *testing.T) {
 		if tree.Data[0] > 0 {
 			target = 500.0
 		}
-		return ids.sample(q, []*refTree{tree}, target)
+		return refSample(&ids, q, []*reftest.Tree{tree}, target)
 	}
 	var samples []Sample
 	for i := 0; i < 40; i++ {
@@ -200,8 +202,8 @@ func BenchmarkPredict(b *testing.B) {
 	for i := range q {
 		q[i] = rng.Float64()
 	}
-	var ids treeIDs
-	forests := ids.forests([][]*refTree{{synthTree(rng, 22, 3)}})
+	var ids reftest.IDs
+	forests := ids.Forests([][]*reftest.Tree{{synthTree(rng, 22, 3)}})
 	snap := n.Snapshot()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -219,7 +221,7 @@ func BenchmarkTrainBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	const queryDim, planDim = 761, 23
 	n := New(queryDim, planDim, DefaultConfig())
-	var ids treeIDs
+	var ids reftest.IDs
 	var pool []Sample
 	for qi := 0; qi < 25; qi++ {
 		q := make([]float64, queryDim)
@@ -229,17 +231,17 @@ func BenchmarkTrainBatch(b *testing.B) {
 			}
 		}
 		// The all-leaves state, then one state per join, bottom-up.
-		forest := make([]*refTree, 4+rng.Intn(5))
+		forest := make([]*reftest.Tree, 4+rng.Intn(5))
 		for i := range forest {
 			forest[i] = synthTree(rng, planDim, 0)
 		}
 		for {
-			pool = append(pool, ids.sample(q, forest, float64(10+rng.Intn(1000))))
+			pool = append(pool, refSample(&ids, q, forest, float64(10+rng.Intn(1000))))
 			if len(forest) == 1 {
 				break
 			}
 			i := rng.Intn(len(forest) - 1)
-			join := newNode(synthTree(rng, planDim, 0).Data, forest[i], forest[i+1])
+			join := reftest.Join(synthTree(rng, planDim, 0).Data, forest[i], forest[i+1])
 			forest = append(append(forest[:i:i], join), forest[i+2:]...)
 		}
 	}
