@@ -111,14 +111,14 @@ func (g *encodeGate) hold() (release func()) {
 	}
 }
 
-func (g *encodeGate) NodeCardinality(q *query.Query, n *plan.Node, left, right float64) float64 {
+func (g *encodeGate) NodeCardinality(q *query.Query, joins *plan.Joins, n *plan.Node, left, right float64) float64 {
 	g.mu.Lock()
 	parked := g.parked
 	g.mu.Unlock()
 	if parked != nil {
 		<-parked
 	}
-	return g.CardinalitySource.NodeCardinality(q, n, left, right)
+	return g.CardinalitySource.NodeCardinality(q, joins, n, left, right)
 }
 
 // TestRetrainCadence drives the one learning loop through both of its front

@@ -615,22 +615,37 @@ func (l *Learner) retrain(keep int) float64 {
 // incremental scorer — which ran the query tower when it was created —
 // convolves each once. A child plan therefore costs the encoding and the
 // convolution of its one new node the first time that node is seen and
-// nothing afterwards, plus one head-MLP row per plan. A plan built elsewhere
-// (a cached result, an experience entry) is interned into the table first.
-// The table and both memos die with the scorer.
+// nothing afterwards, plus one head-MLP row per plan; a search shows it a
+// child as its parent plus an edit (ScoreEdits), so a join child pools
+// from its parent too. A plan built elsewhere (a cached result, an
+// experience entry) is interned into the table first. The table and both
+// memos die with the scorer.
 type netScorer struct {
 	nodes *plan.Nodes
 	enc   *feature.PlanEncoder
 	net   *valuenet.Scorer
 
-	// ids holds the root ids of every forest of one ScoreBatch call and
-	// forests the per-plan windows into it; both are reused across calls.
+	// ids holds the root ids of every forest of one ScoreBatch call (the
+	// parent's, for ScoreEdits) and forests the per-plan windows into it;
+	// edits is one ScoreEdits call's edits by id. All are reused across
+	// calls.
 	ids     []int32
 	forests [][]int32
+	edits   []valuenet.Edit
 }
 
 // Nodes implements search.NodeScorer.
 func (s *netScorer) Nodes() *plan.Nodes { return s.nodes }
+
+// ScoreEdits implements search.NodeScorer.
+func (s *netScorer) ScoreEdits(p *plan.Plan, edits []plan.Edit) []float64 {
+	s.ids = s.enc.AppendIDs(s.ids[:0], p)
+	s.edits = s.edits[:0]
+	for _, e := range edits {
+		s.edits = append(s.edits, valuenet.Edit{I: e.I, J: e.J, Root: s.enc.ID(e.Node)})
+	}
+	return s.net.ScoreEdits(s.ids, s.edits)
+}
 
 // ScoreBatch implements search.BatchScorer.
 func (s *netScorer) ScoreBatch(ps []*plan.Plan) []float64 {

@@ -267,13 +267,13 @@ func TestRetrainWeightsBitIdenticalToReferenceEncoder(t *testing.T) {
 
 // TestSearchAllocationBudget keeps search bookkeeping from silently growing
 // back: one serving-miss search — BenchmarkSearch's: 256 expansions on a
-// 5-join query with the serving network's scorer; frontier, Children,
-// dedup, plan encoding, incremental scoring of thousands of plans — stays
-// under an allocation count set about 10 % above what it measures today
-// (2 159, the same on every run: the search is deterministic; 2 741 while
-// the plan encoder allocated a feature-tree node beside each new node's
-// row, 9 951 while Children allocated each child's Plan and Roots on its
-// own). Deep-copied
+// 5-join query with the serving network's scorer; frontier, edits, dedup,
+// plan encoding, incremental scoring of thousands of plans — stays under an
+// allocation count set about 10 % above what it measures today (1 637, the
+// same on every run: the search is deterministic; 2 159 while the frontier
+// held child plans cut from one slab per expansion, 2 741 while the plan
+// encoder allocated a feature-tree node beside each new node's row, 9 951
+// while every child's Plan and Roots were allocated on their own). Deep-copied
 // children, string signatures and from-scratch encoding cost 269 k on a
 // search of this query with the rig's smaller network. This is the only
 // allocation gate on the search path, hence the tight bound.
@@ -296,7 +296,7 @@ func TestSearchAllocationBudget(t *testing.T) {
 	if res.Evaluations < 3000 {
 		t.Fatalf("the search scored only %d plans; the budget below is for a search of thousands", res.Evaluations)
 	}
-	const budget = 2400
+	const budget = 1800
 	if allocs > budget {
 		t.Errorf("one search allocated %.0f times, budget %d", allocs, budget)
 	}

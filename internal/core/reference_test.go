@@ -230,7 +230,7 @@ func refAppendCardinality(f *feature.Featurizer, vec []float64, q *query.Query, 
 func refNodeCardinality(src feature.CardinalitySource, q *query.Query, n *plan.Node) float64 {
 	h, ok := src.(*feature.HistogramCardinality)
 	if !ok {
-		return src.NodeCardinality(q, n, 0, 0)
+		return src.NodeCardinality(q, plan.JoinsOf(q), n, 0, 0)
 	}
 	if n.IsLeaf() {
 		return h.Stats.EstimateScanRows(n.Table, q.PredicatesOn(n.Table))

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"neo/internal/feature"
@@ -159,7 +161,7 @@ func TestObserveLatencyRegretMatchesPredictBatch(t *testing.T) {
 
 // BenchmarkSearch times one whole search as a serving miss runs it: a
 // 256-expansion best-first search on a 5-join query with the serving
-// network's scorer — Children, the seen set, the frontier, plan encoding and
+// network's scorer — edits, the seen set, the frontier, plan encoding and
 // scoring. plans/op is the number of plans scored.
 func BenchmarkSearch(b *testing.B) {
 	rig := newRig(b, "postgres")
@@ -222,4 +224,111 @@ func BenchmarkSearchScore(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*plans), "ns/plan")
 	b.ReportMetric(float64(st.Computed)/float64(plans), "nodes/plan")
 	b.ReportMetric(float64(plans), "plans/op")
+}
+
+// batchOnly hides every method of a scorer but ScoreBatch, so a search
+// builds each child it scores and shows it whole, as it does for any plain
+// BatchScorer (the benchmark's probe, ScorerFunc).
+type batchOnly struct{ search.BatchScorer }
+
+// TestEditSearchMatchesMaterializedSearch: best-first searches at budgets 4,
+// 32 and 256 and greedy descents, with and without cross products, over
+// JOB queries and the rig's workload, return the same plan, the same score
+// bits and the same counts whether the serving scorer is shown an
+// expansion's children as edits of the parent or as built plans.
+func TestEditSearchMatchesMaterializedSearch(t *testing.T) {
+	rig := newRig(t, "postgres")
+	n := servingNeo(t, rig)
+	nQueries := 40
+	if testing.Short() {
+		nQueries = 8
+	}
+	wl, err := workload.JOB(rig.db, nQueries, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := append(wl.Queries, rig.wl.Queries...)
+	strategies := map[string]func(*query.Query, search.BatchScorer, search.Options) (*search.Result, error){
+		"best-first": search.BestFirst, "greedy": search.Greedy}
+	searches := 0
+	for _, q := range queries {
+		for _, budget := range []int{4, 32, 256} {
+			for _, cross := range []bool{false, true} {
+				opts := search.Options{Catalog: rig.db.Catalog, MaxExpansions: budget, AllowCrossProducts: cross}
+				for name, strategy := range strategies {
+					if name == "greedy" && budget != 4 {
+						continue // a descent has no budget
+					}
+					edits, err := strategy(q, n.Scorer(q), opts)
+					if err != nil {
+						t.Fatalf("%s %s: %v", q.ID, name, err)
+					}
+					built, err := strategy(q, batchOnly{n.Scorer(q)}, opts)
+					if err != nil {
+						t.Fatalf("%s %s: %v", q.ID, name, err)
+					}
+					if edits.Plan.String() != built.Plan.String() || math.Float64bits(edits.Score) != math.Float64bits(built.Score) ||
+						edits.Expansions != built.Expansions || edits.Evaluations != built.Evaluations || edits.HurryUp != built.HurryUp {
+						t.Fatalf("%s %s, budget %d, cross products %v:\nedits: %s score %v (%#x), %d expansions, %d evaluations, hurry-up %v\nbuilt: %s score %v (%#x), %d expansions, %d evaluations, hurry-up %v",
+							q.ID, name, budget, cross,
+							edits.Plan, edits.Score, math.Float64bits(edits.Score), edits.Expansions, edits.Evaluations, edits.HurryUp,
+							built.Plan, built.Score, math.Float64bits(built.Score), built.Expansions, built.Evaluations, built.HurryUp)
+					}
+					searches++
+				}
+			}
+		}
+	}
+	t.Logf("%d searches over %d queries agree", searches, len(queries))
+}
+
+// BenchmarkSearchFiveJoin times a serving miss's search as the serving
+// fleet meets it: a 256-expansion best-first search with the serving
+// network's scorer, cycling over the five-join queries of a JOB workload,
+// one search at a time (serial) and two at once on two cores (parallel),
+// where the collector competes with the second search.
+func BenchmarkSearchFiveJoin(b *testing.B) {
+	rig := newRig(b, "postgres")
+	n := servingNeo(b, rig)
+	wl, err := workload.JOB(rig.db, 60, 97)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var queries []*query.Query
+	for _, q := range wl.Queries {
+		if len(q.Joins) == 5 {
+			queries = append(queries, q)
+		}
+	}
+	if len(queries) == 0 {
+		b.Fatal("the workload has no five-join query")
+	}
+	opts := search.Options{Catalog: rig.feat.Catalog, MaxExpansions: 256}
+	run := func(i int) error {
+		q := queries[i%len(queries)]
+		_, err := search.BestFirst(q, n.Scorer(q), opts)
+		return err
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := run(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		b.SetParallelism(1)
+		b.ReportAllocs()
+		var next atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := run(int(next.Add(1))); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }

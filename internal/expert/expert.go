@@ -398,15 +398,16 @@ func (r *RandomPlanner) Plan(q *query.Query) *plan.Plan {
 	nodes := plan.NewNodes()
 	p := plan.Initial(q, nodes)
 	opts := plan.ChildrenOptions{Catalog: r.Catalog}
+	var edits []plan.Edit
 	for !p.IsComplete() {
-		kids := p.Children(nodes, opts)
-		if len(kids) == 0 {
-			kids = p.Children(nodes, plan.ChildrenOptions{Catalog: r.Catalog, AllowCrossProducts: true})
-			if len(kids) == 0 {
+		edits = p.Edits(nodes, opts, edits[:0])
+		if len(edits) == 0 {
+			edits = p.Edits(nodes, plan.ChildrenOptions{Catalog: r.Catalog, AllowCrossProducts: true}, edits)
+			if len(edits) == 0 {
 				return p
 			}
 		}
-		p = kids[r.Rng.Intn(len(kids))]
+		p = p.Apply(edits[r.Rng.Intn(len(edits))])
 	}
-	return p.Clone()
+	return p
 }

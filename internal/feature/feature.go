@@ -54,7 +54,8 @@ type CardinalitySource interface {
 	// the subplan rooted at n of query q, given the cardinalities the same
 	// source returned for n's children (both zero for a leaf): a plan
 	// encoder asks once per node, bottom-up, and never re-derives a subtree.
-	NodeCardinality(q *query.Query, n *plan.Node, left, right float64) float64
+	// joins is plan.JoinsOf(q), built once per encoder.
+	NodeCardinality(q *query.Query, joins *plan.Joins, n *plan.Node, left, right float64) float64
 }
 
 // Featurizer converts queries and plans into the numeric representations the
@@ -336,6 +337,7 @@ type PlanEncoder struct {
 
 	f     *Featurizer
 	q     *query.Query
+	joins *plan.Joins // q's, for the cardinality source
 	nodes *plan.Nodes
 	memo  []encodedNode // by node id; row is nil until encoded
 }
@@ -353,18 +355,23 @@ type encodedNode struct {
 // NewPlanEncoder returns an empty encoder for plans of q whose nodes it
 // indexes by nodes.
 func (f *Featurizer) NewPlanEncoder(q *query.Query, nodes *plan.Nodes) *PlanEncoder {
-	return &PlanEncoder{f: f, q: q, nodes: nodes}
+	return &PlanEncoder{f: f, q: q, joins: plan.JoinsOf(q), nodes: nodes}
 }
 
 // AppendIDs encodes p and appends its roots' node ids to dst: the forest as
 // the value network takes it, scoring or training.
 func (e *PlanEncoder) AppendIDs(dst []int32, p *plan.Plan) []int32 {
 	for _, r := range p.Roots {
-		id := e.nodes.ID(r)
-		e.encode(id)
-		dst = append(dst, id)
+		dst = append(dst, e.ID(r))
 	}
 	return dst
+}
+
+// ID encodes n and returns its node id.
+func (e *PlanEncoder) ID(n *plan.Node) int32 {
+	id := e.nodes.ID(n)
+	e.encode(id)
+	return id
 }
 
 // Node returns the plan vector of the encoded node with the given id and its
@@ -413,7 +420,7 @@ func (e *PlanEncoder) encode(id int32) encodedNode {
 		}
 	}
 	if f.Cardinality != nil {
-		en.card = f.Cardinality.NodeCardinality(e.q, n, left.card, right.card)
+		en.card = f.Cardinality.NodeCardinality(e.q, e.joins, n, left.card, right.card)
 		en.est = en.card
 		if e.Error != nil {
 			en.est = e.Error.Perturb(en.card)
@@ -458,11 +465,11 @@ type HistogramCardinality struct {
 // NodeCardinality implements CardinalitySource: a join's estimate combines
 // its inputs' estimates under the first join predicate connecting them (a
 // cross product without one).
-func (h *HistogramCardinality) NodeCardinality(q *query.Query, n *plan.Node, left, right float64) float64 {
+func (h *HistogramCardinality) NodeCardinality(q *query.Query, joins *plan.Joins, n *plan.Node, left, right float64) float64 {
 	if n.IsLeaf() {
 		return h.Stats.EstimateScanRows(n.Table, q.PredicatesOn(n.Table))
 	}
-	join, ok := plan.JoinBetween(q, n.Left, n.Right)
+	join, ok := joins.Between(n.Left, n.Right)
 	if !ok {
 		return left * right
 	}
@@ -484,7 +491,7 @@ type TrueCardinality struct {
 // NodeCardinality implements CardinalitySource; a true count does not derive
 // from the inputs' counts. Safe for concurrent use (concurrent planners reach
 // it through the featurizer).
-func (t *TrueCardinality) NodeCardinality(q *query.Query, n *plan.Node, _, _ float64) float64 {
+func (t *TrueCardinality) NodeCardinality(q *query.Query, _ *plan.Joins, n *plan.Node, _, _ float64) float64 {
 	if t.Counter == nil {
 		return 0
 	}

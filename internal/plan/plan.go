@@ -5,7 +5,8 @@
 //
 // A complete plan has a single tree and no unspecified scans. The Children
 // relation (one scan specified, or two roots merged by a join operator) is
-// the successor function of Neo's best-first search.
+// the successor function of Neo's best-first search, which walks it as
+// edits of a plan (Edits, Apply) and builds only the children it expands.
 package plan
 
 import (
@@ -154,22 +155,29 @@ func newJoin(op JoinOp, left, right *Node, h [2]uint64, gen uint64, id int32) *N
 
 // Nodes is a table of hash-consed plan nodes: it hands out one node, and one
 // dense id, per distinct subtree — per (operator or scan, table, left,
-// right) — keyed on the structural hash. A search draws every state from one
-// table (Initial, Children), so a child plan costs a lookup wherever an
-// earlier state already built its new node, and what the search's plan
-// encoder and scorer remember of a subtree sits in slices indexed by its id.
-// A table node's children are the table's own, and its id is larger than
-// theirs.
+// right). A leaf is keyed on its structural hash, a join on its operator and
+// its children's ids, so finding a join the table holds hashes nothing. A
+// search draws every state from one table (Initial, Edits), so a child plan
+// costs a lookup wherever an earlier state already built its new node, and
+// what the search's plan encoder and scorer remember of a subtree sits in
+// slices indexed by its id. A table node's children are the table's own,
+// and its id is larger than theirs.
 //
 // A node built elsewhere — by Leaf and Join2, or drawn from another table —
-// is interned with one lookup (ID, Intern). The table's nodes carry its
-// generation number rather than a pointer to it, so plans that outlive the
-// search — its result, a plan-cache entry, an experience entry — do not keep
-// the table alive. Not safe for concurrent use.
+// is interned with one lookup per node under it (ID, Intern). The table's
+// nodes carry its generation number rather than a pointer to it, so plans
+// that outlive the search — its result, a plan-cache entry, an experience
+// entry — do not keep the table alive. Not safe for concurrent use.
 type Nodes struct {
-	gen   uint64
-	ids   map[[2]uint64]int32 // structural hash → id
-	nodes []*Node             // id → node
+	gen    uint64
+	leaves map[[2]uint64]int32 // a leaf's structural hash → id
+	joins  map[uint64]int32    // joinKey(op, left id, right id) → id
+	nodes  []*Node             // id → node
+
+	// Reused by Edits: the query whose join predicates links holds, and the
+	// pairs of roots they connect.
+	links  *Joins
+	linked []bool
 }
 
 // generations numbers the tables; generation 0 is no table's.
@@ -177,7 +185,22 @@ var generations atomic.Uint64
 
 // NewNodes returns an empty table.
 func NewNodes() *Nodes {
-	return &Nodes{gen: generations.Add(1), ids: make(map[[2]uint64]int32)}
+	return &Nodes{gen: generations.Add(1), leaves: make(map[[2]uint64]int32), joins: make(map[uint64]int32)}
+}
+
+// Reserve sizes the table for n nodes in all, so that filling it up to n
+// grows neither its join map nor its node list. Call it before the table
+// fills: it copies what the table already holds.
+func (t *Nodes) Reserve(n int) {
+	if n <= cap(t.nodes) {
+		return
+	}
+	joins := make(map[uint64]int32, n)
+	for k, id := range t.joins {
+		joins[k] = id
+	}
+	t.joins = joins
+	t.nodes = slices.Grow(t.nodes, n-len(t.nodes))
 }
 
 // Len returns the number of nodes in the table; their ids are 0 … Len()−1.
@@ -191,28 +214,36 @@ func (t *Nodes) Node(id int32) *Node { return t.nodes[id] }
 func (t *Nodes) ID(n *Node) int32 { return t.Intern(n).id }
 
 // Intern returns the table's node structurally equal to n: n itself if it is
-// the table's, else the table's node with n's hash, built (together with
-// whatever of n's subtrees the table lacks) if there is none.
+// the table's, else the table's equal node, built (together with whatever of
+// n's subtrees the table lacks) if there is none.
 func (t *Nodes) Intern(n *Node) *Node {
-	if n.gen == t.gen {
+	switch {
+	case n.gen == t.gen:
 		return n
+	case n.IsLeaf():
+		if id, ok := t.leaves[n.hash]; ok {
+			return t.nodes[id]
+		}
+		return t.addLeaf(n.Table, n.Scan, tableHash(n.Table), n.hash)
+	default:
+		return t.Join(n.Join, n.Left, n.Right)
 	}
-	if id, ok := t.ids[n.hash]; ok {
-		return t.nodes[id]
-	}
-	if n.IsLeaf() {
-		return t.add(newLeaf(n.Table, n.Scan, tableHash(n.Table), t.gen, t.next()))
-	}
-	left, right := t.Intern(n.Left), t.Intern(n.Right)
-	return t.add(newJoin(n.Join, left, right, n.hash, t.gen, t.next()))
 }
 
 // Leaf returns the table's scan node over table with access path scan.
 func (t *Nodes) Leaf(table string, scan ScanType) *Node {
 	th := tableHash(table)
-	if id, ok := t.ids[leafHash(th, scan)]; ok {
+	h := leafHash(th, scan)
+	if id, ok := t.leaves[h]; ok {
 		return t.nodes[id]
 	}
+	return t.addLeaf(table, scan, th, h)
+}
+
+// addLeaf adds the scan node over table, whose name hashes to th, with
+// access path scan and structural hash h.
+func (t *Nodes) addLeaf(table string, scan ScanType, th, h [2]uint64) *Node {
+	t.leaves[h] = t.next()
 	return t.add(newLeaf(table, scan, th, t.gen, t.next()))
 }
 
@@ -220,19 +251,25 @@ func (t *Nodes) Leaf(table string, scan ScanType) *Node {
 // nodes equal to) left and right.
 func (t *Nodes) Join(op JoinOp, left, right *Node) *Node {
 	left, right = t.Intern(left), t.Intern(right)
-	h := joinHash(op, left.hash, right.hash)
-	if id, ok := t.ids[h]; ok {
+	key := joinKey(op, left.id, right.id)
+	if id, ok := t.joins[key]; ok {
 		return t.nodes[id]
 	}
-	return t.add(newJoin(op, left, right, h, t.gen, t.next()))
+	t.joins[key] = t.next()
+	return t.add(newJoin(op, left, right, joinHash(op, left.hash, right.hash), t.gen, t.next()))
+}
+
+// joinKey packs a join's operator and its children's ids (below 2^31) into
+// one word.
+func joinKey(op JoinOp, left, right int32) uint64 {
+	return uint64(op)<<62 | uint64(left)<<31 | uint64(right)
 }
 
 // next returns the id the next added node takes.
 func (t *Nodes) next() int32 { return int32(len(t.nodes)) }
 
-// add records n, built with id next(), and returns it.
+// add records n, built with id next() and keyed already, and returns it.
 func (t *Nodes) add(n *Node) *Node {
-	t.ids[n.hash] = n.id
 	t.nodes = append(t.nodes, n)
 	return n
 }
@@ -353,11 +390,6 @@ func Initial(q *query.Query, t *Nodes) *Plan {
 	return &Plan{Query: q, Roots: roots}
 }
 
-// Clone returns p with Roots of its own. Children cuts an expansion's
-// children from one slab, so a plan kept past its search is cloned first,
-// or it keeps all its siblings alive.
-func (p *Plan) Clone() *Plan { return &Plan{Query: p.Query, Roots: slices.Clone(p.Roots)} }
-
 // IsComplete reports whether the plan is a complete execution plan: a single
 // tree with every scan specified.
 func (p *Plan) IsComplete() bool {
@@ -386,13 +418,24 @@ func (p *Plan) String() string {
 // multiset of its roots' structural hashes, so — exactly like Signature,
 // which sorts the roots' strings — it does not depend on root order. The
 // search deduplicates states on it.
+//
+// It is a wrapping sum of one term per root plus a term for the root count,
+// so EditHash derives a child's from its parent's in constant time.
 func (p *Plan) Hash() [2]uint64 {
 	h := [2]uint64{uint64(len(p.Roots)), ^uint64(len(p.Roots))}
 	for _, r := range p.Roots {
-		h[0] += mix64(r.hash[0] ^ rootSeed0)
-		h[1] += mix64(r.hash[1] ^ rootSeed1)
+		h = addRoot(h, r)
 	}
 	return h
+}
+
+// addRoot and subRoot add and take away root r's term of a plan hash.
+func addRoot(h [2]uint64, r *Node) [2]uint64 {
+	return [2]uint64{h[0] + mix64(r.hash[0]^rootSeed0), h[1] + mix64(r.hash[1]^rootSeed1)}
+}
+
+func subRoot(h [2]uint64, r *Node) [2]uint64 {
+	return [2]uint64{h[0] - mix64(r.hash[0]^rootSeed0), h[1] - mix64(r.hash[1]^rootSeed1)}
 }
 
 // Signature returns a canonical string uniquely identifying the plan's
@@ -418,115 +461,210 @@ type ChildrenOptions struct {
 	AllowCrossProducts bool
 }
 
+// Edit is one child of a plan, as a change to the plan's roots: root I
+// becomes Node when J < 0 (a scan specified), and roots I < J make way for
+// Node, appended after the roots left, otherwise (a join). Apply builds the
+// child; EditHash hashes it without building it.
+type Edit struct {
+	I, J int32
+	Node *Node
+}
+
 // Children enumerates the successor plans of p as defined in Section 4.2:
 // every plan obtainable by (1) specifying one unspecified scan as a table or
 // index scan, or (2) joining two roots of the forest with one of the join
-// operators. A complete plan has no children.
-//
-// Every child's roots are t's nodes (p's roots are interned first), and a
-// child shares every subtree it does not change with p: it costs one join
-// node, or the leaf-to-root spine above the specified scan — or lookups
-// only, where t already holds them. The children themselves and their Roots
-// are cut from one slab per call (see Clone).
+// operators. A complete plan has no children. It is Edits, each applied.
 func (p *Plan) Children(t *Nodes, opts ChildrenOptions) []*Plan {
-	if p.IsComplete() {
+	p = t.internRoots(p)
+	edits := p.Edits(t, opts, nil)
+	if len(edits) == 0 {
 		return nil
+	}
+	out := make([]*Plan, len(edits))
+	for i, e := range edits {
+		out[i] = p.Apply(e)
+	}
+	return out
+}
+
+// Edits appends to dst the children of p (see Children) as edits, in
+// Children's order, and returns the extended slice. Every edit's Node is
+// t's (p's roots are interned first): one join node, or the leaf-to-root
+// spine above the specified scan, over subtrees p already has — or a lookup
+// only, where t holds it already.
+func (p *Plan) Edits(t *Nodes, opts ChildrenOptions, dst []Edit) []Edit {
+	if p.IsComplete() {
+		return dst
 	}
 	p = t.internRoots(p)
 	n := len(p.Roots)
 	var linked []bool
-	pairs := n * (n - 1) / 2
 	if !opts.AllowCrossProducts {
-		linked, pairs = p.linkedRoots()
+		linked = t.linkedRoots(p)
 	}
 	// (1) Specify an unspecified scan. To keep the branching factor small we
 	// specify the first unspecified scan encountered in the first root that
 	// has one (left to right); specifying them in a different order yields
 	// the same set of reachable complete plans.
-	ri, offered := slices.IndexFunc(p.Roots, func(r *Node) bool { return r.unspec > 0 }), 0
-	if ri >= 0 {
-		offered = 1
-		if p.indexUsable(firstUnspecified(p.Roots[ri]).Table, opts.Catalog) {
-			offered = 2
+	if ri := slices.IndexFunc(p.Roots, func(r *Node) bool { return r.unspec > 0 }); ri >= 0 {
+		index := p.indexUsable(firstUnspecified(p.Roots[ri]).Table, opts.Catalog)
+		dst = append(dst, Edit{I: int32(ri), J: -1, Node: t.specifyFirst(p.Roots[ri], TableScan)})
+		if index {
+			dst = append(dst, Edit{I: int32(ri), J: -1, Node: t.specifyFirst(p.Roots[ri], IndexScan)})
 		}
-	}
-	// A scan child has n roots, a join child n−1; add makes the roots
-	// appended to slab since lo a child.
-	plans := make([]Plan, 0, offered+2*NumJoinOps*pairs)
-	out := make([]*Plan, 0, cap(plans))
-	slab := make([]*Node, 0, offered*n+(cap(plans)-offered)*(n-1))
-	add := func(lo int) {
-		plans = append(plans, Plan{Query: p.Query, Roots: slab[lo:len(slab):len(slab)]})
-		out = append(out, &plans[len(plans)-1])
-	}
-	scans := [...]ScanType{TableScan, IndexScan}
-	for _, st := range scans[:offered] {
-		lo := len(slab)
-		slab = append(slab, p.Roots...)
-		slab[lo+ri] = t.specifyFirst(p.Roots[ri], st)
-		add(lo)
 	}
 
 	// (2) Join two roots: root i becomes the left/outer input of t's join
-	// node over roots i and j, appended after the untouched roots. Build and
-	// probe sides matter to the cost model, so each unordered pair yields
-	// both orientations of every operator.
+	// node over roots i and j. Build and probe sides matter to the cost
+	// model, so each unordered pair yields both orientations of every
+	// operator.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if linked != nil && !linked[i*n+j] {
 				continue
 			}
 			for _, op := range AllJoinOps {
-				for _, lr := range [2][2]int{{i, j}, {j, i}} {
-					lo := len(slab)
-					for k, r := range p.Roots {
-						if k != i && k != j {
-							slab = append(slab, r)
-						}
-					}
-					slab = append(slab, t.Join(op, p.Roots[lr[0]], p.Roots[lr[1]]))
-					add(lo)
-				}
+				dst = append(dst,
+					Edit{I: int32(i), J: int32(j), Node: t.Join(op, p.Roots[i], p.Roots[j])},
+					Edit{I: int32(i), J: int32(j), Node: t.Join(op, p.Roots[j], p.Roots[i])})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// linkedRoots answers, for one expansion, which pairs of distinct roots
-// some join predicate of the query connects — entry i*len(Roots)+j — and
-// how many such pairs there are. It costs one root lookup per predicate
-// side, against the relation signatures.
-func (p *Plan) linkedRoots() ([]bool, int) {
-	n := len(p.Roots)
-	linked, pairs := make([]bool, n*n), 0
-	for _, j := range p.Query.Joins {
-		l, r := p.rootOf(j.LeftTable), p.rootOf(j.RightTable)
-		if l >= 0 && r >= 0 && l != r && !linked[l*n+r] {
-			linked[l*n+r], linked[r*n+l] = true, true
-			pairs++
+// Apply returns the child of p that e describes, with Roots of its own: a
+// scan child keeps p's root order, a join child lists the roots it did not
+// join in p's order and then the join.
+func (p *Plan) Apply(e Edit) *Plan {
+	if e.J < 0 {
+		roots := slices.Clone(p.Roots)
+		roots[e.I] = e.Node
+		return &Plan{Query: p.Query, Roots: roots}
+	}
+	roots := make([]*Node, 0, len(p.Roots)-1)
+	for k, r := range p.Roots {
+		if k != int(e.I) && k != int(e.J) {
+			roots = append(roots, r)
 		}
 	}
-	return linked, pairs
+	return &Plan{Query: p.Query, Roots: append(roots, e.Node)}
 }
 
-// rootOf returns the index of the root that scans table, or -1.
-func (p *Plan) rootOf(table string) int {
-	bit := tableBit(table)
+// EditHash returns p.Apply(e).Hash() from h = p.Hash(), in constant time.
+func (p *Plan) EditHash(h [2]uint64, e Edit) [2]uint64 {
+	h = subRoot(h, p.Roots[e.I])
+	if e.J >= 0 {
+		h = subRoot(h, p.Roots[e.J])
+		// One root fewer: the count term n, ^n becomes n−1, ^n+1.
+		h[0]--
+		h[1]++
+	}
+	return addRoot(h, e.Node)
+}
+
+// Completes reports whether p.Apply(e) is a complete plan.
+func (e Edit) Completes(p *Plan) bool {
+	roots := len(p.Roots)
+	if e.J >= 0 {
+		roots--
+	}
+	return roots == 1 && e.Node.unspec == 0
+}
+
+// linkedRoots answers, for one expansion of a plan of t's, which pairs of
+// distinct roots some join predicate of the query connects — entry
+// i*len(Roots)+j. It costs one root lookup per predicate side, against the
+// relation signatures. The answer is t's scratch, valid until the next call.
+func (t *Nodes) linkedRoots(p *Plan) []bool {
+	if t.links == nil || t.links.q != p.Query {
+		t.links = JoinsOf(p.Query)
+	}
+	n := len(p.Roots)
+	linked := slices.Grow(t.linked[:0], n*n)[:n*n]
+	clear(linked)
+	t.linked = linked
+	for k, j := range p.Query.Joins {
+		bits := t.links.bits[k]
+		l, r := t.links.rootOf(p, j.LeftTable, bits[0]), t.links.rootOf(p, j.RightTable, bits[1])
+		if l >= 0 && r >= 0 && l != r {
+			linked[l*n+r], linked[r*n+l] = true, true
+		}
+	}
+	return linked
+}
+
+// Joins is a query's join predicates with each side's relation signature
+// bit, hashed once per query rather than on every test of a node against a
+// predicate. Its answers are for nodes of the query's plans: nodes over the
+// query's relations.
+type Joins struct {
+	q    *query.Query
+	bits [][2]uint64 // bits[k]: q.Joins[k]'s left and right tables' bits
+	// shared marks the bits two of the query's tables have in common. A
+	// node over the query's relations holds a table whose bit is its alone
+	// exactly when its signature has the bit.
+	shared uint64
+}
+
+// JoinsOf returns q's join predicates with their tables' bits.
+func JoinsOf(q *query.Query) *Joins {
+	js := &Joins{q: q, bits: make([][2]uint64, len(q.Joins))}
+	var buf [32]uint64
+	rels := buf[:0] // q.Relations' bits
+	var seen uint64
+	for _, r := range q.Relations {
+		bit := tableBit(r)
+		if seen&bit != 0 {
+			js.shared |= bit
+		}
+		seen |= bit
+		rels = append(rels, bit)
+	}
+	for k, j := range q.Joins {
+		for side, table := range [2]string{j.LeftTable, j.RightTable} {
+			if i := slices.Index(q.Relations, table); i >= 0 {
+				js.bits[k][side] = rels[i]
+				continue
+			}
+			// A table the query does not scan: no node has it, unless its
+			// bit says otherwise.
+			bit := tableBit(table)
+			if seen&bit != 0 {
+				js.shared |= bit
+			}
+			js.bits[k][side] = bit
+		}
+	}
+	return js
+}
+
+// has reports whether node n scans table, whose bit is bit.
+func (js *Joins) has(n *Node, table string, bit uint64) bool {
+	if bit&js.shared == 0 {
+		return n.rels&bit != 0
+	}
+	return n.hasTable(table, bit)
+}
+
+// rootOf returns the index of p's root that scans table, whose bit is bit,
+// or -1.
+func (js *Joins) rootOf(p *Plan, table string, bit uint64) int {
 	for i, r := range p.Roots {
-		if r.hasTable(table, bit) {
+		if js.has(r, table, bit) {
 			return i
 		}
 	}
 	return -1
 }
 
-// JoinBetween returns the first join predicate of q (in q.Joins order) that
-// connects a relation under a with a relation under b, in either direction.
-func JoinBetween(q *query.Query, a, b *Node) (query.JoinPredicate, bool) {
-	for _, j := range q.Joins {
-		l, r := tableBit(j.LeftTable), tableBit(j.RightTable)
-		if (a.hasTable(j.LeftTable, l) && b.hasTable(j.RightTable, r)) || (a.hasTable(j.RightTable, r) && b.hasTable(j.LeftTable, l)) {
+// Between returns the first join predicate of the query (in q.Joins order)
+// that connects a relation under a with a relation under b, in either
+// direction.
+func (js *Joins) Between(a, b *Node) (query.JoinPredicate, bool) {
+	for k, j := range js.q.Joins {
+		l, r := js.bits[k][0], js.bits[k][1]
+		if (js.has(a, j.LeftTable, l) && js.has(b, j.RightTable, r)) || (js.has(a, j.RightTable, r) && js.has(b, j.LeftTable, l)) {
 			return j, true
 		}
 	}

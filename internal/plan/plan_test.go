@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -366,7 +367,7 @@ func TestChildrenShareUntouchedSubtrees(t *testing.T) {
 	}
 }
 
-// refChildren is Children as it was before the slab: every child built on
+// refChildren is Children as a list of whole plans: every child built on
 // its own, scan choices first, then both orientations of every operator for
 // every linked pair of roots.
 func refChildren(p *Plan, t *Nodes, opts ChildrenOptions) []*Plan {
@@ -377,7 +378,7 @@ func refChildren(p *Plan, t *Nodes, opts ChildrenOptions) []*Plan {
 	n := len(p.Roots)
 	var linked []bool
 	if !opts.AllowCrossProducts {
-		linked, _ = p.linkedRoots()
+		linked = t.linkedRoots(p)
 	}
 	var out []*Plan
 	for ri, r := range p.Roots {
@@ -418,11 +419,11 @@ func refChildren(p *Plan, t *Nodes, opts ChildrenOptions) []*Plan {
 }
 
 // TestChildrenMatchPerChildReference walks every state reachable from a
-// three-relation query, with and without cross products, and requires
-// Children and refChildren — each on a table of its own, fed the same
+// three-relation query, with and without cross products, and requires Edits,
+// each applied, and refChildren — each on a table of its own, fed the same
 // states in the same order — to enumerate the same children in the same
-// order with the same roots, hashes and node ids. Each child's Roots ends
-// at its own capacity, so appending to one never writes into a sibling.
+// order with the same roots, hashes and node ids; EditHash must give each
+// child's Hash without building it.
 func TestChildrenMatchPerChildReference(t *testing.T) {
 	for _, cross := range []bool{false, true} {
 		opts := ChildrenOptions{AllowCrossProducts: cross}
@@ -436,13 +437,18 @@ func TestChildrenMatchPerChildReference(t *testing.T) {
 				continue
 			}
 			seen[g.Hash()] = true
-			gk, wk := g.Children(got, opts), refChildren(w, want, opts)
-			if len(gk) != len(wk) {
-				t.Fatalf("cross=%v %s: %d children, reference %d", cross, g, len(gk), len(wk))
+			edits, wk := g.Edits(got, opts, nil), refChildren(w, want, opts)
+			if len(edits) != len(wk) {
+				t.Fatalf("cross=%v %s: %d children, reference %d", cross, g, len(edits), len(wk))
 			}
-			for c := range gk {
-				if len(gk[c].Roots) != cap(gk[c].Roots) || gk[c].Query != g.Query {
-					t.Fatalf("cross=%v %s child %d: %d roots of capacity %d", cross, g, c, len(gk[c].Roots), cap(gk[c].Roots))
+			gk := make([]*Plan, len(edits))
+			for c, e := range edits {
+				gk[c] = g.Apply(e)
+				if gk[c].Query != g.Query || e.Completes(g) != gk[c].IsComplete() {
+					t.Fatalf("cross=%v %s child %d: query %p (want %p), Completes %v for %s", cross, g, c, gk[c].Query, g.Query, e.Completes(g), gk[c])
+				}
+				if h := g.EditHash(g.Hash(), e); h != gk[c].Hash() {
+					t.Fatalf("cross=%v %s child %d (%s): EditHash %x, Hash %x", cross, g, c, gk[c], h, gk[c].Hash())
 				}
 				if gk[c].Hash() != wk[c].Hash() || len(gk[c].Roots) != len(wk[c].Roots) {
 					t.Fatalf("cross=%v %s child %d: %s, reference %s", cross, g, c, gk[c], wk[c])
@@ -459,5 +465,87 @@ func TestChildrenMatchPerChildReference(t *testing.T) {
 		if got.Len() != want.Len() || len(seen) < 100 {
 			t.Fatalf("cross=%v: %d states; tables of %d and %d nodes", cross, len(seen), got.Len(), want.Len())
 		}
+	}
+}
+
+// TestJoinsMatchTableSets: over a chain query whose tables include two that
+// share a signature bit — where a node's signature alone cannot tell them
+// apart — Between finds, for every pair of nodes over disjoint relations,
+// the predicate the nodes' table sets pick, and Edits links exactly the
+// pairs of roots some predicate connects.
+func TestJoinsMatchTableSets(t *testing.T) {
+	// The first five names of r0, r1, … and one more whose bit is taken.
+	var tables []string
+	owner := map[uint64]string{}
+	for i := 0; len(tables) < 6; i++ {
+		name := fmt.Sprintf("r%d", i)
+		bit := tableBit(name)
+		if _, taken := owner[bit]; taken != (len(tables) == 5) {
+			continue
+		}
+		owner[bit] = name
+		tables = append(tables, name)
+	}
+	var preds []query.JoinPredicate
+	for i := 1; i < len(tables); i++ {
+		preds = append(preds, query.JoinPredicate{LeftTable: tables[i-1], LeftColumn: "a", RightTable: tables[i], RightColumn: "b"})
+	}
+	q := query.New("chain", tables, preds, nil)
+	js := JoinsOf(q)
+	if js.shared == 0 {
+		t.Fatal("no two tables share a bit")
+	}
+	between := func(a, b *Node) (query.JoinPredicate, bool) {
+		as, bs := a.TableSet(), b.TableSet()
+		for _, j := range q.Joins {
+			if (as[j.LeftTable] && bs[j.RightTable]) || (as[j.RightTable] && bs[j.LeftTable]) {
+				return j, true
+			}
+		}
+		return query.JoinPredicate{}, false
+	}
+	// Every plan state of the query without cross products, as Children
+	// reaches them; every node of every state against every other root.
+	tab := NewNodes()
+	queue := []*Plan{Initial(q, tab)}
+	seen := map[[2]uint64]bool{}
+	pairs := 0
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		if seen[p.Hash()] || len(seen) > 2000 {
+			continue
+		}
+		seen[p.Hash()] = true
+		for i, a := range p.Roots {
+			for j, b := range p.Roots {
+				if i == j {
+					continue
+				}
+				got, gok := js.Between(a, b)
+				want, wok := between(a, b)
+				if got != want || gok != wok {
+					t.Fatalf("%s between %s and %s: %v %v, table sets say %v %v", p, a, b, got, gok, want, wok)
+				}
+				pairs++
+			}
+		}
+		linked := map[[2]int]bool{}
+		for _, e := range p.Edits(tab, ChildrenOptions{}, nil) {
+			if e.J >= 0 {
+				linked[[2]int{int(e.I), int(e.J)}] = true
+			}
+		}
+		for i := range p.Roots {
+			for j := i + 1; j < len(p.Roots); j++ {
+				if _, ok := between(p.Roots[i], p.Roots[j]); ok != linked[[2]int{i, j}] {
+					t.Fatalf("%s roots %d and %d: joined %v, table sets say %v", p, i, j, linked[[2]int{i, j}], ok)
+				}
+			}
+		}
+		queue = append(queue, p.Children(tab, ChildrenOptions{})...)
+	}
+	if pairs < 1000 {
+		t.Fatalf("only %d pairs of roots checked", pairs)
 	}
 }

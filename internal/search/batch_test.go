@@ -103,7 +103,7 @@ func TestGreedyDescendScoresCompleteStart(t *testing.T) {
 	if !complete.IsComplete() {
 		t.Fatal("best-first did not return a complete plan")
 	}
-	got, score, evals, steps := greedyDescend(complete, ScorerFunc(structuralScorer), plan.NewNodes(), plan.ChildrenOptions{Catalog: cat})
+	got, score, evals, steps := greedyDescend(complete, newScoring(ScorerFunc(structuralScorer)), plan.ChildrenOptions{Catalog: cat})
 	if got != complete {
 		t.Fatalf("greedyDescend moved away from a complete plan")
 	}

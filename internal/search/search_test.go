@@ -488,11 +488,38 @@ func TestAllNaNScorerStillPlans(t *testing.T) {
 	}
 }
 
-// TestResultIsCopiedOutOfTheSlab: Children cuts an expansion's children
-// from one slab, so a result that were one of them would keep all its
-// siblings alive in the plan cache. BestFirst — through its main loop and
-// through hurry-up — and Greedy return a copy: a plan the scorer never saw,
-// structurally equal to the one it scored, with Roots of their own.
+// editScorer scores with fn as a NodeScorer, building each child it is
+// shown as an edit; it records every plan it is shown or builds.
+type editScorer struct {
+	nodes *plan.Nodes
+	fn    func(*plan.Plan) float64
+	plans []*plan.Plan
+}
+
+func (s *editScorer) Nodes() *plan.Nodes { return s.nodes }
+
+func (s *editScorer) ScoreBatch(ps []*plan.Plan) []float64 {
+	s.plans = append(s.plans, ps...)
+	return ScorerFunc(s.fn).ScoreBatch(ps)
+}
+
+func (s *editScorer) ScoreEdits(p *plan.Plan, edits []plan.Edit) []float64 {
+	s.plans = append(s.plans, p)
+	out := make([]float64, len(edits))
+	for i, e := range edits {
+		c := p.Apply(e)
+		s.plans = append(s.plans, c)
+		out[i] = s.fn(c)
+	}
+	return out
+}
+
+// TestResultIsCopiedOutOfTheSlab: a search keeps the states it expands and
+// builds the plans it scores or returns, and the plan it returns goes on to
+// a plan cache. BestFirst — through its main loop and through hurry-up — and
+// Greedy, scoring edits or built plans, return a plan structurally equal to
+// one that was scored, whose Roots share no backing array with any plan the
+// scorer was shown: the result keeps no state of the search alive.
 func TestResultIsCopiedOutOfTheSlab(t *testing.T) {
 	cat := datagen.IMDBCatalog()
 	q := fiveWayQuery()
@@ -504,23 +531,46 @@ func TestResultIsCopiedOutOfTheSlab(t *testing.T) {
 		"greedy":   func(s BatchScorer) (*Result, error) { return Greedy(q, s, Options{Catalog: cat}) },
 	}
 	for name, run := range searches {
-		var scored []*plan.Plan
-		res, err := run(ScorerFunc(func(p *plan.Plan) float64 {
-			scored = append(scored, p)
-			return structuralScorer(p)
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		same := false
-		for _, p := range scored {
-			if p == res.Plan || &p.Roots[0] == &res.Plan.Roots[0] {
-				t.Fatalf("%s: the result %s is a scored plan, or shares its Roots", name, res.Plan)
+		for _, edits := range []bool{false, true} {
+			s := &editScorer{nodes: plan.NewNodes(), fn: structuralScorer}
+			var scorer BatchScorer = s
+			if !edits {
+				scorer = ScorerFunc(func(p *plan.Plan) float64 { return s.ScoreBatch([]*plan.Plan{p})[0] })
 			}
-			same = same || p.Hash() == res.Plan.Hash()
+			res, err := run(scorer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := false
+			for _, p := range s.plans {
+				kept := p.Roots[:cap(p.Roots)]
+				for k := range kept {
+					if &kept[k] == &res.Plan.Roots[0] {
+						t.Fatalf("%s (edits %v): the result %s shares the Roots of %s", name, edits, res.Plan, p)
+					}
+				}
+				same = same || p.Hash() == res.Plan.Hash()
+			}
+			if !same || len(res.Plan.Roots) != 1 {
+				t.Errorf("%s (edits %v): result %s was never scored, or holds %d roots", name, edits, res.Plan, len(res.Plan.Roots))
+			}
 		}
-		if !same || cap(res.Plan.Roots) != 1 {
-			t.Errorf("%s: result %s was never scored, or holds %d roots of capacity", name, res.Plan, cap(res.Plan.Roots))
+	}
+}
+
+// TestHashSetMatchesMap: through several growths from a small hint, the seen
+// set answers every add as a map does — hashes that share their first lane,
+// or its low bits, included.
+func TestHashSetMatchesMap(t *testing.T) {
+	s, want := newHashSet(4), map[[2]uint64]bool{}
+	for i := uint64(1); i < 20000; i++ {
+		h := [2]uint64{(i % 5000) * 1024, i % 7000}
+		if got := s.add(h); got != !want[h] {
+			t.Fatalf("add(%x) = %v, a map says %v", h, got, !want[h])
 		}
+		want[h] = true
+	}
+	if s.n != len(want) || 4*s.n > 3*len(s.slots) {
+		t.Fatalf("%d hashes in %d slots; a map holds %d", s.n, len(s.slots), len(want))
 	}
 }

@@ -37,12 +37,12 @@ func gateSearches(sys *neo.System) *searchGate {
 	return g
 }
 
-func (g *searchGate) NodeCardinality(q *query.Query, n *plan.Node, left, right float64) float64 {
+func (g *searchGate) NodeCardinality(q *query.Query, joins *plan.Joins, n *plan.Node, left, right float64) float64 {
 	if g.armed.CompareAndSwap(true, false) {
 		close(g.started)
 		<-g.release
 	}
-	return g.CardinalitySource.NodeCardinality(q, n, left, right)
+	return g.CardinalitySource.NodeCardinality(q, joins, n, left, right)
 }
 
 // publishedVersions is a trainer's GET /snapshot over a fixed set of

@@ -27,6 +27,15 @@
 // maximum over its roots' pools and runs the head once per forest. Every
 // record is kept; they are garbage when the search drops its scorer.
 //
+// A search scores an expansion's children as edits of the parent forest
+// (ScoreEdits), which spares their pooling most of its work: a join child's
+// roots are the parent's minus the two it joins plus the join, and the
+// join's pooled maximum covers both, so the child pools as the parent's
+// maximum folded with the join's. Only a signed zero can tell the two apart
+// — the fold keeps the first of equal values, and the parent's first may be
+// a root the child no longer has — so a child with a zero channel is folded
+// over its roots in order, as Normalized folds it.
+//
 // A score does not depend on what the records hold: a node's row goes through
 // the same kernel on the same operands whichever call convolves it, and a
 // row's result does not depend on the rows beside it (treeconv/rows.go); the
@@ -77,7 +86,16 @@ type Scorer struct {
 	fullRows   []float32
 	out        []float32
 	pooled     []float32
+	parent     []float32 // the parent forest's pooled row, by ScoreEdits
+	scores     []float64 // what ScoreEdits returns
 	arena      nn.Arena[float32]
+}
+
+// Edit names a child of a forest by what changes: root I becomes Root when
+// J < 0, and roots I < J make way for Root, appended after the roots left,
+// otherwise — the forest that plan.Plan.Apply builds for a plan.Edit.
+type Edit struct {
+	I, J, Root int32
 }
 
 // ScorerStats counts a scorer's work since it was created.
@@ -148,34 +166,118 @@ func (s *Scorer) Normalized(forests [][]int32) []float64 {
 			s.stats.Nodes += int(s.add(id))
 		}
 	}
-	s.stats.Plans += len(forests)
+	s.convolveNew(len(forests))
+	dim := s.width[len(s.width)-1]
+	s.pooled = resize(s.pooled, len(forests)*dim)
+	for fi, f := range forests {
+		row := s.pooled[fi*dim : (fi+1)*dim]
+		s.fold(row, f, Edit{I: -1, J: -1})
+		zeroEmpty(row)
+	}
+	return s.head(make([]float64, len(forests)))
+}
+
+// ScoreEdits is Score over the children of the forest parent that edits
+// name, in order: bit for bit what Score returns for the child forests. The
+// scores are the scorer's, overwritten by its next ScoreEdits call.
+func (s *Scorer) ScoreEdits(parent []int32, edits []Edit) []float64 {
+	if len(edits) == 0 {
+		return nil
+	}
+	s.leaf, s.full = s.leaf[:0], s.full[:0]
+	nodes := int32(0)
+	for _, id := range parent {
+		nodes += s.add(id)
+	}
+	for _, e := range edits {
+		// A child holds the parent's nodes less the roots it replaces, plus
+		// its new root.
+		root := s.add(e.Root)
+		n := nodes - s.size[parent[e.I]] + root
+		if e.J >= 0 {
+			n -= s.size[parent[e.J]]
+		}
+		s.stats.Nodes += int(n)
+	}
+	s.convolveNew(len(edits))
+
+	last := len(s.width) - 1
+	dim := s.width[last]
+	s.parent = resize(s.parent, dim)
+	s.fold(s.parent, parent, Edit{I: -1, J: -1})
+	s.pooled = resize(s.pooled, len(edits)*dim)
+	for ei, e := range edits {
+		row := s.pooled[ei*dim : (ei+1)*dim]
+		if e.J < 0 {
+			s.fold(row, parent, e)
+			zeroEmpty(row)
+			continue
+		}
+		copy(row, s.parent)
+		nn.FoldMax(row, s.slot(e.Root, last))
+		if zeroEmpty(row) {
+			s.fold(row, parent, e)
+			zeroEmpty(row)
+		}
+	}
+	out := s.head(resize(s.scores, len(edits)))
+	for i, v := range out {
+		out[i] = s.snap.denormalize(v)
+	}
+	s.scores = out
+	return out
+}
+
+// convolveNew counts the call's forests and fills the records of its misses.
+func (s *Scorer) convolveNew(forests int) {
+	s.stats.Plans += forests
 	s.stats.Computed += len(s.leaf) + len(s.full)
 	if len(s.leaf)+len(s.full) > 0 {
 		s.convolve()
 	}
+}
 
+// fold sets row to the per-channel maximum of the pooled maxima of the
+// forest that edit e makes of roots (roots itself when e.I < 0), folded from
+// −Inf in root order: ties keep the first root's value.
+func (s *Scorer) fold(row []float32, roots []int32, e Edit) {
 	last := len(s.width) - 1
-	dim := s.width[last]
-	s.pooled = resize(s.pooled, len(forests)*dim)
 	negInf := float32(math.Inf(-1))
-	for fi, f := range forests {
-		row := s.pooled[fi*dim : (fi+1)*dim]
-		for i := range row {
-			row[i] = negInf
-		}
-		for _, id := range f {
+	for i := range row {
+		row[i] = negInf
+	}
+	for k, id := range roots {
+		switch {
+		case k != int(e.I) && k != int(e.J):
 			nn.FoldMax(row, s.slot(id, last))
-		}
-		// An empty forest — and a channel that is NaN or −Inf at every node —
-		// pools to 0, as in the per-sample reference.
-		for i, v := range row {
-			if v == negInf {
-				row[i] = 0
-			}
+		case e.J < 0:
+			nn.FoldMax(row, s.slot(e.Root, last))
 		}
 	}
-	head := s.snap.head.ForwardBatch(s.pooled, len(forests), &s.arena)
-	out := make([]float64, len(forests))
+	if e.J >= 0 {
+		nn.FoldMax(row, s.slot(e.Root, last))
+	}
+}
+
+// zeroEmpty sets a pooled row's −Inf channels to 0 — an empty forest, and a
+// channel that is NaN or −Inf at every node, pools to 0, as in the
+// per-sample reference — and reports whether any other channel is ±0.
+func zeroEmpty(row []float32) (zero bool) {
+	negInf := float32(math.Inf(-1))
+	for i, v := range row {
+		switch v {
+		case negInf:
+			row[i] = 0
+		case 0:
+			zero = true
+		}
+	}
+	return zero
+}
+
+// head runs the head over the call's first len(out) pooled rows into out.
+func (s *Scorer) head(out []float64) []float64 {
+	head := s.snap.head.ForwardBatch(s.pooled, len(out), &s.arena)
 	for i := range out {
 		out[i] = float64(head[i])
 	}

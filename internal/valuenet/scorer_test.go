@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"neo/internal/nn"
@@ -264,7 +265,10 @@ func TestScorerPanicsOnDimensionMismatch(t *testing.T) {
 
 // TestScorerPoolingTiesKeepFirstRoot: when two roots of a forest tie in a
 // pooled channel — +0 against −0 — the first root keeps the channel, on the
-// vector kernel and on the Go loop, whichever order the roots come in.
+// vector kernel and on the Go loop, whichever order the roots come in; and a
+// join child scored as an edit of its parent pools as its own forest does,
+// even where its parent's first root — one the child joined away — held the
+// other zero.
 func TestScorerPoolingTiesKeepFirstRoot(t *testing.T) {
 	const queryDim, planDim = 4, 3
 	net := New(queryDim, planDim, DefaultConfig())
@@ -293,6 +297,86 @@ func TestScorerPoolingTiesKeepFirstRoot(t *testing.T) {
 					t.Fatalf("roots %v channel %d: pooled %v, the first root holds %v", roots, c, v, first[c])
 				}
 			}
+		}
+
+		// Parent [A, B, C]; its child joins A and B into N: [C, N]. A and N
+		// hold one zero, C the other, B less: the parent pools A's zero, the
+		// child C's.
+		ta, tb, tc := reftest.Leaf(randVec(rng, planDim)), reftest.Leaf(randVec(rng, planDim)), reftest.Leaf(randVec(rng, planDim))
+		parent := ids.Roots([]*reftest.Tree{ta, tb, tc})
+		child := ids.Roots([]*reftest.Tree{tc, reftest.Join(randVec(rng, planDim), ta, tb)})
+		sc.Score([][]int32{parent, child})
+		for ch := range sc.slot(child[1], last) {
+			plus, minus := float32(0), negZero
+			if ch%2 == 1 {
+				plus, minus = minus, plus
+			}
+			sc.slot(parent[0], last)[ch], sc.slot(child[1], last)[ch] = plus, plus
+			sc.slot(parent[1], last)[ch] = -1
+			sc.slot(parent[2], last)[ch] = minus
+		}
+		edited := sc.ScoreEdits(parent, []Edit{{I: 0, J: 1, Root: child[1]}})
+		pooled := slices.Clone(sc.pooled)
+		whole := sc.Score([][]int32{child})
+		first := sc.slot(child[0], last)
+		for ch, v := range pooled {
+			if math.Float32bits(v) != math.Float32bits(sc.pooled[ch]) || math.Float32bits(v) != math.Float32bits(first[ch]) {
+				t.Fatalf("channel %d: the edited child pools %v, its forest %v, its first root holds %v", ch, v, sc.pooled[ch], first[ch])
+			}
+		}
+		if math.Float64bits(edited[0]) != math.Float64bits(whole[0]) {
+			t.Fatalf("the edited child scores %v, its forest %v", edited[0], whole[0])
+		}
+	})
+}
+
+// TestScoreEditsMatchesScore: the children of search-like forests — every
+// scan-like replacement and every join of two roots — score through
+// ScoreEdits bit for bit as their forests score through Score, on both
+// kernel sets.
+func TestScoreEditsMatchesScore(t *testing.T) {
+	const queryDim, planDim = 6, 5
+	net := New(queryDim, planDim, DefaultConfig())
+	eachKernel(t, net, func(t *testing.T, snap *Snapshot) {
+		rng := rand.New(rand.NewSource(9))
+		qv := randVec(rng, queryDim)
+		var ids reftest.IDs
+		edits, whole := snap.NewScorer(qv, &ids), snap.NewScorer(qv, &ids)
+		for _, call := range searchLikeCalls(rng, planDim, 40) {
+			for _, forest := range call {
+				if len(forest) == 0 {
+					continue
+				}
+				parent := ids.Roots(forest)
+				var es []Edit
+				var children [][]int32
+				for i := range forest {
+					leaf := reftest.Leaf(randVec(rng, planDim))
+					es = append(es, Edit{I: int32(i), J: -1, Root: ids.ID(leaf)})
+					children = append(children, slices.Clone(parent))
+					children[len(children)-1][i] = ids.ID(leaf)
+					for j := i + 1; j < len(forest); j++ {
+						join := reftest.Join(randVec(rng, planDim), forest[j], forest[i])
+						es = append(es, Edit{I: int32(i), J: int32(j), Root: ids.ID(join)})
+						var roots []int32
+						for k, id := range parent {
+							if k != i && k != j {
+								roots = append(roots, id)
+							}
+						}
+						children = append(children, append(roots, ids.ID(join)))
+					}
+				}
+				got, want := edits.ScoreEdits(parent, es), whole.Score(children)
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("child %d %v of %v: ScoreEdits %v, Score %v", k, children[k], parent, got[k], want[k])
+					}
+				}
+			}
+		}
+		if st, ws := edits.Stats(), whole.Stats(); st.Plans != ws.Plans || st.Nodes != ws.Nodes {
+			t.Fatalf("ScoreEdits counted %d plans / %d nodes, Score %d / %d", st.Plans, st.Nodes, ws.Plans, ws.Nodes)
 		}
 	})
 }
